@@ -20,6 +20,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 from ..config import AuthenticationScheme
 from ..errors import CertificateError
 from ..util.ids import NodeId
+from ..util.wirecache import WireMemoised, wire_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,13 +57,19 @@ class Authenticator:
 
 
 @dataclass
-class Certificate:
+class Certificate(WireMemoised):
     """A payload plus the authenticators collected for it.
 
     The payload may be any canonical-encodable value; protocol code normally
     stores a :class:`~repro.net.message.Message`.  For threshold-signed
     certificates the individual shares are replaced (or complemented) by a
     single ``threshold_signature`` representing the whole group.
+
+    A certificate is the one mutable protocol object -- collectors add
+    authenticators to it -- so every mutation drops its wire memo: assigning
+    a field does (``__setattr__``), and so do :meth:`add` and :meth:`merge`.
+    Writing into ``authenticators`` directly is safe only while the
+    certificate is being assembled, before anything has asked for its size.
     """
 
     payload: Any
@@ -75,6 +82,10 @@ class Certificate:
     # Mutation.
     # ------------------------------------------------------------------ #
 
+    def __setattr__(self, name: str, value: Any) -> None:
+        object.__setattr__(self, name, value)
+        object.__setattr__(self, "_wire", None)
+
     def add(self, authenticator: Authenticator) -> None:
         """Add one node's authenticator (last write wins for a given signer)."""
         if authenticator.scheme is not self.scheme:
@@ -83,6 +94,7 @@ class Certificate:
                 f"certificate scheme {self.scheme}"
             )
         self.authenticators[authenticator.signer] = authenticator
+        self._wire = None
 
     def merge(self, other: "Certificate") -> None:
         """Merge the authenticators of ``other`` (same payload) into this one."""
@@ -117,23 +129,18 @@ class Certificate:
 
     def to_wire(self) -> Dict[str, Any]:
         """Canonical-encodable representation of the certificate."""
-        payload = self.payload.to_wire() if hasattr(self.payload, "to_wire") else self.payload
+        payload = wire_of(self.payload) if hasattr(self.payload, "to_wire") else self.payload
         return {
             "payload": payload,
             "scheme": self.scheme.value,
-            "authenticators": [a.to_wire() for a in self.authenticator_list()],
+            "authenticators": [wire_of(a) for a in self.authenticator_list()],
             "threshold_group": self.threshold_group,
             "threshold_signature": self.threshold_signature,
         }
 
     def wire_size(self) -> int:
         """Estimated size of this certificate on the wire."""
-        from ..util.encoding import estimate_size
-
-        base = estimate_size(self.to_wire())
-        if hasattr(self.payload, "padding_bytes"):
-            base += self.payload.padding_bytes
-        return base
+        return len(self.encoded()) + getattr(self.payload, "padding_bytes", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         signer_names = ",".join(sorted(s.name for s in self.authenticators))

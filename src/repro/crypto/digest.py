@@ -19,14 +19,15 @@ DIGEST_SIZE = 32
 def digest(value: Any) -> bytes:
     """Return the SHA-256 digest of ``value``'s canonical encoding.
 
-    ``bytes`` values are hashed directly; anything else is first passed
-    through :func:`repro.util.encoding.canonical_encode`.
+    ``bytes`` values are hashed as they are (``bytearray`` and
+    ``memoryview`` after a copy); anything else is first passed through
+    :func:`repro.util.encoding.canonical_encode`.
     """
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-    else:
-        data = canonical_encode(value)
-    return hashlib.sha256(data).digest()
+    if isinstance(value, (bytearray, memoryview)):
+        value = bytes(value)
+    elif not isinstance(value, bytes):
+        value = canonical_encode(value)
+    return hashlib.sha256(value).digest()
 
 
 def digest_hex(value: Any) -> str:

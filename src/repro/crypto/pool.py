@@ -45,7 +45,7 @@ from ..config import AuthenticationScheme, CryptoCosts, CryptoPoolConfig
 from ..errors import CryptoError, UnknownKeyError
 from ..net.message import Message
 from ..util.ids import NodeId
-from ..util.wirecache import WIRE_CACHE
+from ..util.wirecache import wire_memo
 from .certificate import Certificate
 from .digest import digest
 from .keys import Keystore
@@ -92,16 +92,14 @@ def verify_jobs(jobs: Sequence[VerifyJob]) -> List[bool]:
 def _payload_digest(payload: Any) -> bytes:
     """The digest a :class:`CryptoProvider` would compute for ``payload``.
 
-    Uses the same wire-cache memo (protocol messages are immutable once
-    sent) and the same canonical encoding, so the cache keys built from it
-    are byte-identical to the ones the destination node will look up.
+    Uses the same per-message memo (protocol messages are immutable) and
+    the same canonical encoding, so the cache keys built from it are
+    byte-identical to the ones the destination node will look up.
     Charges nothing: the node still pays its own digest cost inline.
     """
-    entry = WIRE_CACHE.entry_for(payload) if isinstance(payload, Message) else None
-    if entry is not None:
-        if entry.digest is None:
-            entry.materialise()
-        return entry.digest
+    memo = wire_memo(payload, "digest") if isinstance(payload, Message) else None
+    if memo is not None:
+        return memo.digest
     return digest(payload.to_wire() if hasattr(payload, "to_wire") else payload)
 
 

@@ -24,7 +24,7 @@ from ..config import AuthenticationScheme, CryptoCosts, PerfConfig
 from ..errors import CertificateError, CryptoError, VerificationError
 from ..net.message import Message
 from ..util.ids import NodeId
-from ..util.wirecache import WIRE_CACHE
+from ..util.wirecache import wire_memo
 from .cache import VerifiedCertificateCache
 from .certificate import Authenticator, Certificate
 from .digest import digest
@@ -79,36 +79,35 @@ class CryptoProvider:
 
     def digest(self, value: Any, size_hint: Optional[int] = None) -> bytes:
         """Digest ``value``, charging hashing time proportional to its size."""
-        data = value if isinstance(value, bytes) else None
         result = digest(value)
-        size = size_hint if size_hint is not None else (len(data) if data is not None else 64)
-        self._charge(self.costs.digest_ms(size))
+        if size_hint is None:
+            size_hint = len(value) if isinstance(value, bytes) else 64
+        self._charge(self.costs.digest_ms(size_hint))
         self._record("digest")
         return result
 
     def payload_digest(self, payload: Any) -> bytes:
         """Digest of a message/payload, charging based on its wire size.
 
-        For protocol messages (immutable once sent) the digest is memoised in
-        the process-wide wire cache; with ``perf.digest_memo`` enabled the
-        virtual hashing cost is charged only the first time *this node*
-        touches the message -- later touches record ``digest_cached`` and
-        charge nothing, and other nodes still pay for their own first hash.
+        For protocol messages (immutable) the digest is memoised on the
+        message (:mod:`repro.util.wirecache`); with ``perf.digest_memo``
+        enabled the virtual hashing cost is charged only the first time
+        *this node* touches the message -- later touches record
+        ``digest_cached`` and charge nothing, and other nodes still pay for
+        their own first hash.
         """
-        entry = WIRE_CACHE.entry_for(payload) if isinstance(payload, Message) else None
-        if entry is not None:
-            if entry.digest is None:
-                entry.materialise()
+        memo = wire_memo(payload, "digest") if isinstance(payload, Message) else None
+        if memo is not None:
             if self.perf.digest_memo:
-                if self.node.name in entry.charged:
+                if self.node.name in memo.charged:
                     self._record("digest_cached")
-                    return entry.digest
-                entry.charged.add(self.node.name)
-            self._charge(self.costs.digest_ms(entry.size + payload.padding_bytes))
+                    return memo.digest
+                memo.charged.add(self.node.name)
+            self._charge(self.costs.digest_ms(memo.size + payload.padding_bytes))
             self._record("digest")
-            return entry.digest
+            return memo.digest
         size = payload.wire_size() if hasattr(payload, "wire_size") else None
-        return self.digest(payload if not hasattr(payload, "to_wire") else payload.to_wire(),
+        return self.digest(payload.to_wire() if hasattr(payload, "to_wire") else payload,
                            size_hint=size)
 
     # ------------------------------------------------------------------ #

@@ -22,6 +22,7 @@ from ..crypto.certificate import Authenticator, Certificate
 from ..net.message import Message
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
+from ..util.wirecache import wire_of
 
 
 class ConfigOperation(Message):
@@ -55,7 +56,7 @@ class AgreementCertBody(Message):
             "v": self.view,
             "n": self.seq,
             "d": self.batch_digest,
-            "nondet": self.nondet.to_wire(),
+            "nondet": wire_of(self.nondet),
         }
 
 
@@ -75,7 +76,7 @@ class PrePrepare(Message):
             "v": self.view,
             "n": self.seq,
             "d": self.batch_digest,
-            "nondet": self.nondet.to_wire(),
+            "nondet": wire_of(self.nondet),
             "primary": self.primary.name,
         }
 
@@ -198,7 +199,7 @@ class ViewChange(Message):
         fields = {
             "v": self.new_view,
             "h": self.last_stable_seq,
-            "prepared": [p.to_wire() for p in self.prepared],
+            "prepared": [wire_of(p) for p in self.prepared],
             "i": self.replica.name,
         }
         if self.planned:  # omitted when False: failure votes keep their bytes
@@ -223,7 +224,7 @@ class NewView(Message):
         return {
             "v": self.view,
             "vc": list(self.view_change_replicas),
-            "pp": [p.to_wire() for p in self.pre_prepares],
+            "pp": [wire_of(p) for p in self.pre_prepares],
             "primary": self.primary.name,
         }
 
@@ -249,8 +250,8 @@ class OrderedBatch(Message):
         return {
             "n": self.seq,
             "v": self.view,
-            "requests": [cert.to_wire() for cert in self.request_certificates],
-            "agreement": self.agreement_certificate.to_wire(),
+            "requests": [wire_of(cert) for cert in self.request_certificates],
+            "agreement": wire_of(self.agreement_certificate),
         }
 
     @property

@@ -19,6 +19,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..crypto.certificate import Authenticator, Certificate
 from ..net.message import Message
 from ..util.ids import NodeId
+from ..util.wirecache import wire_of
 from .agreement import OrderedBatch
 
 
@@ -65,7 +66,7 @@ class ExecCheckpointProof(Message):
         return {
             "n": self.seq,
             "d": self.state_digest,
-            "certificate": self.certificate.to_wire(),
+            "certificate": wire_of(self.certificate),
         }
 
 
@@ -89,7 +90,7 @@ class BatchTransfer(Message):
 
     def payload_fields(self) -> Dict[str, Any]:
         return {
-            "batch": self.batch.to_wire(),
+            "batch": wire_of(self.batch),
             "i": self.replica.name,
         }
 
@@ -122,7 +123,7 @@ class StateTransfer(Message):
             "app_digest_len": len(self.app_state),
             "reply_table_len": len(self.reply_table),
             "extra_len": len(self.extra),
-            "proof": self.proof.to_wire(),
+            "proof": wire_of(self.proof),
             "i": self.replica.name,
         }
 

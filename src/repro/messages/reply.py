@@ -22,6 +22,7 @@ from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
+from ..util.wirecache import wire_of
 from .request import EncryptedBody
 
 
@@ -47,7 +48,7 @@ class ReplyBody(Message):
             "n": self.seq,
             "t": self.timestamp,
             "c": self.client.name,
-            "r": self.result.to_wire(),
+            "r": wire_of(self.result),
         }
 
     @property
@@ -92,7 +93,7 @@ class BatchReplyBody(Message):
         fields: Dict[str, Any] = {
             "v": self.view,
             "n": self.seq,
-            "replies": [reply.to_wire() for reply in self.replies],
+            "replies": [wire_of(reply) for reply in self.replies],
         }
         if self.shard is not None:
             fields["shard"] = self.shard
@@ -131,8 +132,8 @@ class BatchReply(Message):
     def payload_fields(self) -> Dict[str, Any]:
         return {
             "n": self.seq,
-            "body": self.body.to_wire(),
-            "certificate": self.certificate.to_wire(),
+            "body": wire_of(self.body),
+            "certificate": wire_of(self.certificate),
             "sender": self.sender.name,
         }
 
@@ -155,9 +156,9 @@ class ClientReply(Message):
 
     def payload_fields(self) -> Dict[str, Any]:
         return {
-            "reply": self.reply.to_wire(),
-            "body": self.body.to_wire(),
-            "certificate": self.certificate.to_wire(),
+            "reply": wire_of(self.reply),
+            "body": wire_of(self.body),
+            "certificate": wire_of(self.certificate),
         }
 
     @property

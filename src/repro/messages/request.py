@@ -22,6 +22,7 @@ from ..errors import FirewallError
 from ..net.message import Message
 from ..statemachine.interface import Operation
 from ..util.ids import NodeId, Role
+from ..util.wirecache import wire_of
 from ..crypto.certificate import Certificate
 from ..crypto.digest import digest
 
@@ -96,9 +97,8 @@ class ClientRequest(Message):
     reply_to: Optional[NodeId] = None
 
     def payload_fields(self) -> Dict[str, Any]:
-        op_wire = self.operation.to_wire()
         return {
-            "o": op_wire,
+            "o": wire_of(self.operation),
             "t": self.timestamp,
             "c": self.client.name,
         }
@@ -134,7 +134,7 @@ class RequestEnvelope(Message):
     certificate: "Certificate"
 
     def payload_fields(self) -> Dict[str, Any]:
-        return {"certificate": self.certificate.to_wire()}
+        return {"certificate": wire_of(self.certificate)}
 
     @property
     def request(self) -> ClientRequest:

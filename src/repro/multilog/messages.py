@@ -35,6 +35,7 @@ from ..messages.agreement import ConfigOperation
 from ..messages.request import ClientRequest
 from ..net.message import Message
 from ..util.ids import NodeId
+from ..util.wirecache import wire_of
 
 #: marker-key kinds
 XS_MARKER = "xs"
@@ -144,8 +145,8 @@ class CrossLogBinding(Message):
 
     def payload_fields(self) -> Dict[str, Any]:
         return {
-            "body": self.body.to_wire(),
-            "certificate": self.certificate.to_wire(),
+            "body": wire_of(self.body),
+            "certificate": wire_of(self.certificate),
             "sender": self.sender.name,
         }
 
@@ -173,8 +174,8 @@ class CrossLogCut(Message):
         return {
             "xlog-cut": list(self.marker),
             "logs": list(self.logs),
-            "bodies": [body.to_wire() for body in self.bodies],
-            "certificates": [cert.to_wire() for cert in self.certificates],
+            "bodies": [wire_of(body) for body in self.bodies],
+            "certificates": [wire_of(cert) for cert in self.certificates],
             "sender": self.sender.name,
         }
 

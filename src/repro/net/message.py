@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..util.encoding import canonical_encode, estimate_size
-from ..util.wirecache import WIRE_CACHE
+from ..util.encoding import canonical_encode
+from ..util.wirecache import WireMemoised, wire_memo
 
 
-class Message:
+class Message(WireMemoised):
     """Base class for protocol messages.
 
     Subclasses are ordinarily frozen dataclasses that implement
@@ -26,8 +26,8 @@ class Message:
     two different message types never authenticate to the same bytes.
     """
 
-    #: subclasses declaring ``slots=True`` stay dict-free because the base
-    #: carries no instance state (wire facts are memoised externally by id)
+    #: subclasses declaring ``slots=True`` stay dict-free: the only instance
+    #: state of the base is the wire memo's slot (see :class:`WireMemoised`)
     __slots__ = ()
 
     #: extra bytes of payload not represented in the wire dict (e.g. modeled
@@ -48,24 +48,19 @@ class Message:
         """Short message type name used for dispatch and logging."""
         return type(self).__name__
 
-    def encoded(self) -> bytes:
-        """Canonical byte encoding (used for digests and authentication)."""
-        return canonical_encode(self.to_wire())
-
     def wire_size(self) -> int:
         """Estimated size in bytes as transmitted on the network.
 
-        Messages are immutable once sent (certificates are only mutated
-        inside collectors before their first send), so the canonical
-        encoding length is memoised per object in the process-wide
-        :data:`~repro.util.wirecache.WIRE_CACHE`.
+        Messages are immutable, so the canonical encoding is made once per
+        object (:mod:`repro.util.wirecache`).  Asking for the size keeps the
+        size only: this is what a transport asks of the outermost message of
+        a frame, which nothing splices or digests and whose bytes repeat its
+        children's.
         """
-        entry = WIRE_CACHE.entry_for(self)
-        if entry is None:
-            return estimate_size(self.to_wire()) + self.padding_bytes
-        if entry.size is None:
-            entry.materialise()
-        return entry.size + self.padding_bytes
+        memo = wire_memo(self, "size")
+        size = (memo.size if memo is not None
+                else len(canonical_encode(self.to_wire())))
+        return size + self.padding_bytes
 
 
 class CorruptedMessage(Message):

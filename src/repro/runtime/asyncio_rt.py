@@ -370,19 +370,24 @@ class RealTimeNetwork:
                 self._spawn_pump(link)
 
     async def _start_server(self, node_id: NodeId) -> None:
+        # A plain callback, not a coroutine: the handler task is created
+        # and registered here, at accept time, so ``aclose`` can cancel it
+        # even if it has not run yet.
         server = await asyncio.start_server(
-            lambda reader, writer, node_id=node_id:
-                self._serve(node_id, reader, writer),
+            lambda reader, writer, node_id=node_id: self._spawn(
+                self._serve(node_id, reader, writer), f"serve:{node_id}"),
             "127.0.0.1", 0)
         self._servers[node_id] = server
         self._ports[node_id] = server.sockets[0].getsockname()[1]
 
-    def _spawn_pump(self, link: Tuple[NodeId, NodeId]) -> None:
-        self._pumped.add(link)
-        task = self.scheduler.loop.create_task(
-            self._pump(link), name=f"pump:{link[0]}->{link[1]}")
+    def _spawn(self, coro, name: str) -> None:
+        task = self.scheduler.loop.create_task(coro, name=name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+
+    def _spawn_pump(self, link: Tuple[NodeId, NodeId]) -> None:
+        self._pumped.add(link)
+        self._spawn(self._pump(link), f"pump:{link[0]}->{link[1]}")
 
     async def _pump(self, link: Tuple[NodeId, NodeId]) -> None:
         """Move frames from one link's queue onto its TCP connection."""
@@ -404,10 +409,6 @@ class RealTimeNetwork:
         pool pre-verification is awaited before the next read), so the
         per-link FIFO the sender's TCP stream provides survives dispatch.
         """
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
         self._writers.append(writer)
         try:
             while True:
@@ -419,12 +420,6 @@ class RealTimeNetwork:
                     time.perf_counter() - started) * 1000.0
                 await self._dispatch(node_id, sender, message)
         except (asyncio.IncompleteReadError, ConnectionResetError):
-            return
-        except asyncio.CancelledError:
-            # Swallow teardown cancellation: asyncio.streams wraps this
-            # handler in a task whose exception it inspects from a loop
-            # callback, and a task that ends *cancelled* is logged as an
-            # unhandled error there.  These tasks only ever end at close().
             return
 
     async def _dispatch(self, node_id: NodeId, sender: NodeId,
@@ -472,13 +467,25 @@ class RealTimeNetwork:
         if self._closed:
             return
         self._closed = True
-        for task in list(self._tasks):
+        # Stop accepting first.  An accept already in flight needs no more
+        # I/O to hand its connection to ``_spawn``; the loop is private to
+        # this runtime, so any task that is not ours is such an accept, and
+        # waiting for it means the cancellation below misses no handler.
+        # A pump still connecting is refused from here on: it stays in
+        # ``tasks`` so that its error is collected, not logged.
+        for server in self._servers.values():
+            server.close()
+        tasks = set(self._tasks)
+        accepting = asyncio.all_tasks() - tasks - {asyncio.current_task()}
+        if accepting:
+            await asyncio.wait(accepting)
+        tasks |= self._tasks
+        for task in tasks:
             task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         for writer in self._writers:
             writer.close()
         for server in self._servers.values():
-            server.close()
             await server.wait_closed()
 
 

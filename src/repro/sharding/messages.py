@@ -54,6 +54,7 @@ from ..messages.request import ClientRequest, EncryptedBody
 from ..net.message import Message
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
+from ..util.wirecache import wire_of
 
 #: MapChange.kind values
 MAP_CHANGE_KINDS = ("split", "merge", "move")
@@ -175,7 +176,7 @@ class ShardedBatch(Message):
             "shard": self.shard,
             "shard_seq": self.shard_seq,
             "epoch": self.epoch,
-            "batch": self.batch.to_wire(),
+            "batch": wire_of(self.batch),
         }
         if self.log is not None:
             fields["log"] = self.log
@@ -216,8 +217,8 @@ class ShardLocalBatch(Message):
             "gn": self.global_seq,
             "v": self.view,
             "epoch": self.epoch,
-            "requests": [cert.to_wire() for cert in self.full_request_certificates],
-            "agreement": self.agreement_certificate.to_wire(),
+            "requests": [wire_of(cert) for cert in self.full_request_certificates],
+            "agreement": wire_of(self.agreement_certificate),
         }
         if self.log is not None:
             fields["log"] = self.log
@@ -406,8 +407,8 @@ class CrossShardSubReply(Message):
 
     def payload_fields(self) -> Dict[str, Any]:
         return {
-            "body": self.body.to_wire(),
-            "certificate": self.certificate.to_wire(),
+            "body": wire_of(self.body),
+            "certificate": wire_of(self.certificate),
             "sender": self.sender.name,
         }
 
@@ -517,7 +518,7 @@ class CrossShardReply(Message):
             "t": self.timestamp,
             "epoch": self.epoch,
             "collator": self.collator_shard,
-            "subs": [cert.to_wire() for cert in self.sub_certificates],
+            "subs": [wire_of(cert) for cert in self.sub_certificates],
             "assembled": {key: self.assembled[key]
                           for key in sorted(self.assembled)},
             "sender": self.sender.name,

@@ -1,90 +1,115 @@
-"""Process-wide memoisation of message wire forms.
+"""Per-object memoisation of wire forms: encode once, splice everywhere.
 
-Every hot path in the simulator re-derives the same two facts about a
-message over and over: its canonical wire size (charged by the network for
-every ``send``) and the SHA-256 digest of its wire form (recomputed by every
-verification that touches the payload).  Both are pure functions of the
-message's canonical encoding, and protocol messages are immutable once they
-have been sent -- certificates are only mutated inside *collectors* before
-their first send -- so each logical message needs to be encoded exactly once
-per process.
+Every hot path re-derives the same facts about a message over and over: its
+canonical wire size (charged by the network for every ``send``), the SHA-256
+digest of its wire form (recomputed by every verification that touches the
+payload), and the bytes themselves whenever the message is nested inside
+another one.  All are pure functions of the canonical encoding of
+``to_wire()``, and protocol objects are immutable once built -- the one
+exception, :class:`~repro.crypto.certificate.Certificate`, drops its memo
+whenever it is mutated -- so each object needs to be encoded exactly once.
 
-The cache is keyed by object identity (``id``) and holds a strong reference
-to the key object, which makes identity keying sound: an id cannot be reused
-while the entry is alive, and eviction (FIFO, bounded capacity) merely costs
-a recomputation.  Entries also carry the set of node names that have already
-been *charged* virtual hashing time for this message, so the cost model
-stays per-node honest: the first time a node digests a message it pays
-``digest_ms(wire_size)``; later touches by the same node are free (that is
-the fast path the benchmarks measure), while a *different* node touching the
-same object still pays for its own first hash.
+**Where the memo lives.**  On the object: :class:`WireMemoised` gives
+messages and certificates one slot holding a :class:`WireMemo` (the size,
+the digest once somebody asked for it, the nodes already charged for it,
+and -- for a while -- the encoded bytes).  The memo therefore lives exactly
+as long as the object and pins nothing: a message the protocol has dropped
+is freed at once.  It is never pickled -- frames and checkpoints carry
+fields only, so a receiver encodes what it received itself and a peer's
+idea of a message's bytes or digest is never trusted.
 
-``configure(enabled=False)`` restores the uncached behaviour -- the
-benchmark harness uses it to measure the before/after delta.
+**How long the bytes are kept.**  Bytes are what memory goes on, and they
+are wanted for one thing only: to be spliced into a parent, which happens
+within milliseconds of the first encoding, while the object itself may sit
+in a log or a retransmission cache until the next checkpoint.  So
+``wire_size()`` keeps no bytes at all (the outermost message of a frame is
+only ever sized, and its bytes would be a second copy of everything nested
+in it), and :data:`WIRE_CACHE` lets the bytes of all but the most recently
+encoded objects go (:meth:`WireCache.keep`; on the ledger's workloads half
+the default capacity re-encodes 0.3% more, the default nothing).
+Size, digest and charges stay; whoever asks for old bytes again pays for
+one more encoding.
+
+**Composition.**  A parent's ``payload_fields()`` names each nested object
+through :func:`wire_of`, which stands a
+:class:`~repro.util.encoding.Spliced` node in the wire dict; the encoder
+replaces the node with the child's memoised bytes.  A request certificate is
+thus encoded once, not once per enclosing ``RequestEnvelope`` /
+``PrePrepare`` / ``OrderedBatch`` / digest, and on the asyncio backend the
+``wire_size()`` taken when a frame is dispatched leaves every nested payload
+encoded for the ``payload_digest`` calls that follow.
+
+**Charging.**  The memo carries the names of the nodes that have already
+been *charged* virtual hashing time for this object, so the cost model stays
+per-node honest: the first time a node digests a message it pays
+``digest_ms(wire_size)``; later touches by the same node are free, while a
+*different* node touching the same object still pays for its own first hash.
+
+:data:`WIRE_CACHE` is the process-wide switch, the hit/miss counters and
+the byte budget; it references memos, never messages.
+``configure(enabled=False)`` restores the uncached behaviour (nothing is
+stored, everything is encoded on demand) -- the benchmark harness uses it
+to measure the before/after delta.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from typing import Any, Optional, Set
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Set
 
-from .encoding import canonical_encode
+from .encoding import Spliced, canonical_encode
 
 
-class WireCacheEntry:
-    """Memoised wire facts for one message object."""
+class WireMemo:
+    """The memoised wire facts of one object."""
 
-    __slots__ = ("obj", "size", "digest", "charged")
+    __slots__ = ("size", "data", "digest", "_charged")
 
-    def __init__(self, obj: Any) -> None:
-        self.obj = obj
-        #: canonical encoding length of ``obj.to_wire()`` (without padding)
-        self.size: Optional[int] = None
-        #: SHA-256 digest of the canonical encoding of ``obj.to_wire()``
+    def __init__(self, size: int) -> None:
+        #: length of the canonical encoding of ``obj.to_wire()`` (the wire
+        #: size, without padding)
+        self.size = size
+        #: the encoding itself, while :data:`WIRE_CACHE` keeps it
+        self.data: Optional[bytes] = None
+        #: SHA-256 of the encoding, once somebody asked for it
         self.digest: Optional[bytes] = None
-        #: names of nodes already charged virtual hashing time for this message
-        self.charged: Set[str] = set()
+        self._charged: Optional[Set[str]] = None
 
-    def materialise(self) -> None:
-        """Compute size and digest in a single canonical encoding pass."""
-        data = canonical_encode(self.obj.to_wire())
-        self.size = len(data)
-        self.digest = hashlib.sha256(data).digest()
+    @property
+    def charged(self) -> Set[str]:
+        """Names of the nodes already charged virtual hashing time."""
+        if self._charged is None:
+            self._charged = set()
+        return self._charged
 
 
 class WireCache:
-    """Bounded identity-keyed cache of :class:`WireCacheEntry` objects."""
+    """The process-wide switch, counters and byte budget of the memos.
 
-    def __init__(self, capacity: int = 8192) -> None:
+    The bytes of the ``capacity`` most recently encoded objects are kept,
+    older ones let go (see the module docstring for why that is enough).
+    """
+
+    def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
         self.enabled = True
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[int, WireCacheEntry]" = OrderedDict()
+        self._recent: Deque[WireMemo] = deque()
 
-    def entry_for(self, obj: Any) -> Optional[WireCacheEntry]:
-        """Return the (possibly fresh) entry for ``obj``, or None if disabled."""
-        if not self.enabled:
-            return None
-        key = id(obj)
-        entry = self._entries.get(key)
-        if entry is not None and entry.obj is obj:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        entry = WireCacheEntry(obj)
-        self._entries[key] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def keep(self, memo: WireMemo, data: bytes) -> None:
+        """Hold ``data`` on ``memo`` until ``capacity`` newer ones push it out."""
+        memo.data = data
+        self._recent.append(memo)
+        if len(self._recent) > self.capacity:
+            self._recent.popleft().data = None
 
     def reset(self) -> None:
-        """Drop every entry and zero the counters (used between benchmarks)."""
-        self._entries.clear()
+        """Let all kept bytes go and zero the counters (between benchmarks)."""
+        for memo in self._recent:
+            memo.data = None
+        self._recent.clear()
         self.hits = 0
         self.misses = 0
 
@@ -96,20 +121,88 @@ class WireCache:
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
-            "entries": len(self._entries),
+            "entries": len(self._recent),
             "capacity": self.capacity,
         }
 
-    def configure(self, enabled: Optional[bool] = None,
-                  capacity: Optional[int] = None) -> None:
-        """Adjust the process-wide cache; disabling also drops all entries."""
-        if capacity is not None:
-            self.capacity = capacity
-        if enabled is not None:
-            self.enabled = enabled
-            if not enabled:
-                self._entries.clear()
+    def configure(self, enabled: bool) -> None:
+        """Switch memoisation on or off process-wide.
+
+        Memos already attached to live objects are left where they are and
+        ignored while the switch is off.
+        """
+        self.enabled = enabled
 
 
-#: the process-wide instance used by messages and crypto providers
+#: the process-wide instance read by messages, crypto providers and benchmarks
 WIRE_CACHE = WireCache()
+
+
+class WireMemoised:
+    """Base of objects whose ``to_wire()`` encoding is memoised on themselves.
+
+    Subclasses either keep a ``__dict__`` or are frozen ``slots=True``
+    dataclasses (whose generated ``__getstate__`` lists fields only), so the
+    memo is never part of a pickle.
+    """
+
+    __slots__ = ("_wire",)
+
+    def encoded(self) -> bytes:
+        """Canonical encoding of ``to_wire()`` (what a parent splices in)."""
+        memo = wire_memo(self, "bytes", count=False)
+        return memo.data if memo is not None else canonical_encode(self.to_wire())
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return self.__dict__
+
+
+def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[WireMemo]:
+    """The memo of ``obj`` holding what the caller needs; None when disabled.
+
+    ``need`` is ``"size"`` (``size`` only: what a transport asks of the
+    outermost message of a frame, whose bytes nobody wants and would be a
+    second copy of everything nested in it), ``"bytes"`` (``data`` too) or
+    ``"digest"`` (``digest`` too).  Whatever is missing is made by encoding
+    ``obj.to_wire()``, children spliced from their own memos.
+
+    ``count`` feeds the hit/miss counters, which keep their old meaning:
+    protocol code asking for a message's size or digest.  A parent asking
+    for a child's bytes while it is itself being encoded is not counted.
+    """
+    cache = WIRE_CACHE
+    if not cache.enabled:
+        return None
+    memo = getattr(obj, "_wire", None)
+    data = None
+    if memo is not None:
+        if need == "size" or (need == "digest" and memo.digest is not None):
+            cache.hits += count
+            return memo
+        data = memo.data
+    if data is None:
+        cache.misses += count
+        data = canonical_encode(obj.to_wire())
+        if memo is None:
+            memo = WireMemo(len(data))
+            object.__setattr__(obj, "_wire", memo)
+        if need != "size":
+            cache.keep(memo, data)
+    else:
+        cache.hits += count
+    if need == "digest":
+        memo.digest = hashlib.sha256(data).digest()
+    return memo
+
+
+def wire_of(child: Any) -> Any:
+    """The wire-dict value for an object nested in a message.
+
+    Every ``payload_fields()`` / ``to_wire()`` that embeds another object's
+    wire form goes through here: memoised objects are spliced in by their
+    encoded bytes, anything else contributes its ``to_wire()`` dict.  The
+    encoding is the same either way.
+    """
+    if isinstance(child, WireMemoised):
+        return Spliced(child)
+    return child.to_wire()

@@ -12,6 +12,9 @@ verify inline with identical outcomes.
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
+import warnings
 
 import pytest
 
@@ -104,6 +107,29 @@ class TestBackendParity:
             assert transport.bytes_on_wire > 0
         finally:
             system.close()
+
+    def test_close_right_after_first_commit_leaves_no_pending_task(self, caplog):
+        """Connections accepted but not yet served when ``close()`` comes --
+        links are opened lazily, so the first commit leaves several -- must
+        be cancelled and awaited, not abandoned with the loop."""
+        with caplog.at_level(logging.DEBUG, logger="asyncio"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for seed in range(3):
+                system = SeparatedSystem(
+                    make_config(runtime=_runtime_config("asyncio")),
+                    KeyValueStore, seed=seed)
+                try:
+                    system.invoke(put("k", "v"), timeout_ms=30_000)
+                finally:
+                    system.close()
+                del system
+                gc.collect()  # an abandoned task complains when collected
+        complaints = [record.getMessage() for record in caplog.records
+                      if record.levelno >= logging.WARNING]
+        complaints += [str(warning.message) for warning in caught
+                       if issubclass(warning.category, (RuntimeWarning, ResourceWarning))]
+        assert complaints == []
 
 
 class TestCryptoPool:
