@@ -188,17 +188,16 @@ class AgreementReplica(Process):
     def next_view_target(self, from_view: int) -> int:
         """The view this replica votes for when abandoning ``from_view``.
 
-        Normally ``from_view + 1``, but with
-        :attr:`~repro.config.SystemConfig.skip_deposed_primaries` the scan
-        advances past views whose round-robin primary was recently deposed,
-        so a chronically slow or censoring leader cannot recapture the view
-        the moment its successor stumbles.  The scan is bounded to one full
-        rotation: if every candidate is deposed, liveness beats placement
-        and the immediate successor is used.
+        Normally ``from_view + 1``, but the scan advances past views whose
+        round-robin primary was deposed within the last full rotation, so a
+        chronically slow or censoring leader cannot recapture the view the
+        moment its successor stumbles.  A liveness heuristic only: the
+        ``f + 1`` join rule still converges replicas that disagree on the
+        skip, and safety never depends on which view is chosen.  The scan is
+        bounded to one full rotation: if every candidate is deposed,
+        liveness beats placement and the immediate successor is used.
         """
         target = from_view + 1
-        if not self.config.skip_deposed_primaries:
-            return target
         for candidate in range(target, target + len(self.agreement_ids)):
             if self._deposed_until.get(self.primary_of(candidate), -1) < candidate:
                 return candidate
@@ -206,8 +205,6 @@ class AgreementReplica(Process):
 
     def _note_deposed(self, primary: NodeId, abandoned_view: int) -> None:
         """Skip ``primary`` in target selection for one full rotation."""
-        if not self.config.skip_deposed_primaries:
-            return
         until = abandoned_view + len(self.agreement_ids)
         if self._deposed_until.get(primary, -1) < until:
             self._deposed_until[primary] = until

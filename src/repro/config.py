@@ -101,7 +101,6 @@ class NetworkConfig:
     reorder_probability: float = 0.0
     corrupt_probability: float = 0.0
     bandwidth_bytes_per_ms: float = 12_500.0  # 100 Mbit/s
-    partition_heal_ms: float = 0.0
 
     def validate(self) -> None:
         for name in ("drop_probability", "duplicate_probability",
@@ -364,16 +363,9 @@ class MultiLogConfig:
         all).  Requires ``sharding.num_shards`` to be divisible by
         ``num_logs`` so groups start out equal; ``LogMapChange`` operations
         may make them unequal later.
-    cut_fallover_scale:
-        The coordinator log's backups arm their fallover timer at
-        ``cut_fallover_scale * timers.agreement_retransmit_ms`` once their
-        own binding collation completes; on expiry they broadcast the cut
-        themselves, so a Byzantine (or silent) coordinating primary delays a
-        cross-group operation by at most one timer round.
     """
 
     num_logs: int = 1
-    cut_fallover_scale: float = 2.0
 
     @property
     def enabled(self) -> bool:
@@ -382,8 +374,6 @@ class MultiLogConfig:
     def validate(self) -> None:
         if self.num_logs < 1:
             raise ConfigurationError("num_logs must be at least 1")
-        if self.cut_fallover_scale <= 0:
-            raise ConfigurationError("cut_fallover_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -401,8 +391,6 @@ class PerfConfig:
         (:class:`repro.crypto.cache.VerifiedCertificateCache`).  Virtual-time
         crypto charges apply only on cache misses; failures are never cached,
         so a Byzantine forgery can never poison a later legitimate check.
-    cert_cache_capacity:
-        Bound on the number of memoised verification facts per node.
     digest_memo:
         Per-node charge-once semantics for payload digests: the first time a
         node hashes a given message object it pays ``digest_ms(wire_size)``,
@@ -424,14 +412,9 @@ class PerfConfig:
     """
 
     verified_cert_cache: bool = True
-    cert_cache_capacity: int = 4096
     digest_memo: bool = True
     shard_verify_owned_only: bool = True
     share_colocated_cache: bool = True
-
-    def validate(self) -> None:
-        if self.cert_cache_capacity < 1:
-            raise ConfigurationError("cert_cache_capacity must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -525,23 +508,17 @@ class ObservabilityConfig:
         Record a span event (trace id, event name, node, virtual time) at
         every hop a client request takes through the planes; exportable as
         JSONL and foldable into a per-stage critical-path breakdown.
-    ``trace_capacity``
-        Upper bound on retained trace events; once full, further events are
-        counted as dropped rather than recorded (bounds memory on very long
-        runs without perturbing the simulation).
+        The tracer retains at most 1,000,000 events; further ones are
+        counted as dropped (bounds memory on very long runs without
+        perturbing the simulation).
     """
 
     metrics: bool = False
     tracing: bool = False
-    trace_capacity: int = 1_000_000
 
     @property
     def enabled(self) -> bool:
         return self.metrics or self.tracing
-
-    def validate(self) -> None:
-        if self.trace_capacity < 0:
-            raise ConfigurationError("trace_capacity must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -564,22 +541,16 @@ class CryptoPoolConfig:
 
     ``workers``
         Process-pool size; ``None`` sizes it to ``os.cpu_count()``.
-    ``min_batch``
-        Messages carrying fewer verification jobs than this are verified
-        inline (the job is too small to amortise a pool round trip).
     """
 
     enabled: bool = False
     workers: Optional[int] = None
-    min_batch: int = 1
 
     def validate(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 "crypto pool workers must be at least 1 (or None to size "
                 "the pool to the host)")
-        if self.min_batch < 1:
-            raise ConfigurationError("crypto pool min_batch must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -707,18 +678,6 @@ class SystemConfig:
     authentication: AuthenticationScheme = AuthenticationScheme.MAC
     deployment: Deployment = Deployment.DIFFERENT
     use_privacy_firewall: bool = False
-    use_reply_cache: bool = True
-    direct_execution_reply: bool = True
-    #: Castro-Liskov style optimisation: only the current primary's message
-    #: queue sends a newly inserted batch towards the execution cluster; the
-    #: other agreement nodes send only if their retransmission timer expires.
-    primary_sends_first: bool = True
-    #: view-change target selection skips primaries deposed within the last
-    #: full rotation, so a chronically slow or censoring leader cannot
-    #: immediately recapture the view.  A liveness heuristic only: the
-    #: ``f + 1`` join rule still converges replicas that disagree on the
-    #: skip, and safety never depends on which view is chosen.
-    skip_deposed_primaries: bool = True
     app_processing_ms: float = 0.0
     crypto: CryptoCosts = field(default_factory=CryptoCosts)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -797,10 +756,8 @@ class SystemConfig:
         self.rebalance.validate()
         self.cross_shard.validate()
         self.multilog.validate()
-        self.perf.validate()
         self.batching.validate()
         self.pipeline.validate()
-        self.observability.validate()
         self.runtime.validate()
 
     # ------------------------------------------------------------------ #

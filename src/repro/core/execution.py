@@ -262,15 +262,18 @@ class ExecutionNode(Process):
         for certificate in batch.request_certificates:
             request: ClientRequest = certificate.payload
             replies.append(self._execute_request(batch, request))
-        self.max_executed = batch.seq
-        self.batches_executed += 1
         self._h_exec_batch.observe(len(batch.request_certificates))
-        body = self._make_reply_body(batch.view, batch.seq, tuple(replies))
-        reply_message = self._send_reply(body)
-        self.replies_by_seq[batch.seq] = reply_message
-        self._trim_reply_cache()
+        self._answer_slot(batch.view, batch.seq, replies)
         if batch.seq % self.config.checkpoint_interval == 0:
             self._take_checkpoint(batch.seq)
+
+    def _answer_slot(self, view: int, seq: int, replies) -> None:
+        """Advance to ``seq`` and send (and cache) its reply bundle."""
+        self.max_executed = seq
+        self.batches_executed += 1
+        body = self._make_reply_body(view, seq, tuple(replies))
+        self.replies_by_seq[seq] = self._send_reply(body)
+        self._trim_reply_cache()
 
     def _execute_request(self, batch: OrderedBatch, request: ClientRequest) -> ReplyBody:
         last = self.reply_table.get(request.client)
@@ -338,8 +341,7 @@ class ExecutionNode(Process):
         execution nodes through the firewall topology) and only useful for MAC
         certificates, where the client can count matching partials itself.
         """
-        return (self.config.direct_execution_reply
-                and not self.config.use_privacy_firewall
+        return (not self.config.use_privacy_firewall
                 and self.config.authentication is AuthenticationScheme.MAC)
 
     def _trim_reply_cache(self) -> None:

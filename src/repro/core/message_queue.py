@@ -170,7 +170,7 @@ class MessageQueue(LocalExecutor):
         # Optimisation from the paper: on first insertion only the current
         # primary multicasts the batch downstream; every node retransmits if
         # the timeout expires before the reply certificate arrives.
-        if not self.config.primary_sends_first or self._owner_is_primary(view):
+        if self._owner_is_primary(view):
             self._send_downstream(batch)
         self._arm_timer(pending)
 
@@ -203,8 +203,7 @@ class MessageQueue(LocalExecutor):
         """Handle a client-initiated retransmission (BASE's ``retryHint``)."""
         request: ClientRequest = request_certificate.payload
         cached = self.cache.get(request.client)
-        if (self.config.use_reply_cache and cached is not None
-                and cached.reply.timestamp >= request.timestamp):
+        if cached is not None and cached.reply.timestamp >= request.timestamp:
             self.owner.send(request.client, cached)
             self.cache_hits += 1
             return RetryOutcome.HANDLED
@@ -261,48 +260,35 @@ class MessageQueue(LocalExecutor):
         shard's replicas in :class:`~repro.sharding.queue.ShardRouterQueue`),
         and ``key_prefix`` namespaces the collector table accordingly.
         """
-        if certificate.scheme is AuthenticationScheme.THRESHOLD:
-            if certificate.threshold_signature is not None:
-                if self.crypto.verify_certificate(certificate, self.config.reply_quorum):
-                    return certificate
-                return None
-            # A partial threshold share: accumulate and combine at quorum.
-            key = key_prefix + (body.seq, self.crypto.payload_digest(body))
-            collector = collectors.get(key)
-            if collector is None:
-                collector = _ReplyCollector(body=body, certificate=Certificate(
-                    payload=body, scheme=certificate.scheme,
-                    threshold_group=certificate.threshold_group or default_group))
-                collectors[key] = collector
-            # Once assembled the certificate has been forwarded inside reply
-            # messages, which memoise their wire forms; merging further
-            # partials would mutate a sent certificate (and buys nothing).
-            if collector.done:
-                return None
-            collector.certificate.merge(certificate)
-            valid = self.crypto.valid_signers(collector.certificate, universe)
-            if len(valid) < self.config.reply_quorum:
-                return None
-            signature = self.crypto.threshold_combine(
-                body, collector.certificate.threshold_group,
-                collector.certificate.authenticator_list())
-            collector.certificate.threshold_signature = signature
-            collector.done = True
-            return collector.certificate
-
-        # MAC / signature partials: merge and count distinct execution signers.
+        threshold = certificate.scheme is AuthenticationScheme.THRESHOLD
+        if threshold and certificate.threshold_signature is not None:
+            if self.crypto.verify_certificate(certificate, self.config.reply_quorum):
+                return certificate
+            return None
+        # A partial (MAC / signature authenticator, or threshold share):
+        # merge, count distinct execution signers, combine shares at quorum.
         key = key_prefix + (body.seq, self.crypto.payload_digest(body))
         collector = collectors.get(key)
         if collector is None:
+            group = ((certificate.threshold_group or default_group)
+                     if threshold else None)
             collector = _ReplyCollector(body=body, certificate=Certificate(
-                payload=body, scheme=certificate.scheme))
+                payload=body, scheme=certificate.scheme, threshold_group=group))
             collectors[key] = collector
+        # Once assembled the certificate has been forwarded inside reply
+        # messages, which memoise their wire forms; merging further
+        # partials would mutate a sent certificate (and buys nothing).
         if collector.done:
             return None
         collector.certificate.merge(certificate)
         valid = self.crypto.valid_signers(collector.certificate, universe)
         if len(valid) < self.config.reply_quorum:
             return None
+        if threshold:
+            collector.certificate.threshold_signature = \
+                self.crypto.threshold_combine(
+                    body, collector.certificate.threshold_group,
+                    collector.certificate.authenticator_list())
         collector.done = True
         return collector.certificate
 
@@ -323,10 +309,9 @@ class MessageQueue(LocalExecutor):
         # Forward each client its reply and update the cache.
         for reply in body.replies:
             client_reply = ClientReply(reply=reply, body=body, certificate=certificate)
-            if self.config.use_reply_cache:
-                cached = self.cache.get(reply.client)
-                if cached is None or cached.reply.timestamp <= reply.timestamp:
-                    self.cache[reply.client] = client_reply
+            cached = self.cache.get(reply.client)
+            if cached is None or cached.reply.timestamp <= reply.timestamp:
+                self.cache[reply.client] = client_reply
             self.owner.send(reply.client, client_reply)
             self.replies_forwarded += 1
             self._c_replies_forwarded.inc()

@@ -222,8 +222,7 @@ class SeparatedSystem(SimulatedSystem):
         elif config.deployment is Deployment.DIFFERENT:
             topology = Topology.separate_clusters(
                 clients=self.client_ids, agreement=self.agreement_ids,
-                execution=self.execution_ids,
-                allow_client_execution=config.direct_execution_reply)
+                execution=self.execution_ids)
         else:
             topology = Topology.full()
         self.network.topology = topology

@@ -247,7 +247,7 @@ class CryptoPool:
 
     async def run(self, loop, jobs: Sequence[VerifyJob]) -> List[bool]:
         """Verify a batch, on the pool when it pays, inline otherwise."""
-        if not self.enabled or len(jobs) < self.config.min_batch:
+        if not self.enabled or not jobs:
             return self.run_inline(jobs)
         self.stats.batches += 1
         results = await loop.run_in_executor(self.executor(), verify_jobs,

@@ -62,7 +62,7 @@ class CryptoProvider:
         #: never shared between nodes, so no node benefits from another
         #: node's verification work.
         self.cache: Optional[VerifiedCertificateCache] = (
-            VerifiedCertificateCache(self.perf.cert_cache_capacity)
+            VerifiedCertificateCache()
             if self.perf.verified_cert_cache else None)
         self._charge = charge or _noop_charge
         self._record = record or _noop_record

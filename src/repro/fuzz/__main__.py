@@ -12,7 +12,10 @@ Modes:
 * ``shrink`` -- minimise a violating schedule file to the smallest schedule
   that still violates, and write it next to the input.
 * ``corpus-regression`` -- replay every committed corpus seed; exit 1 if any
-  replays into a violation (used by PR-time CI).
+  replays into a violation (used by PR-time CI).  ``--compare REPORT``
+  additionally exits 1, listing the seeds, when a seed's ``replay_digest``
+  differs from the one in a report written earlier with ``--out`` -- the
+  "artifacts do not move" check of a refactor (docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -117,7 +120,20 @@ def cmd_corpus_regression(args: argparse.Namespace) -> int:
         for violation in result.violations:
             print(f"  {result.schedule.digest()[:12]}: "
                   f"{violation.oracle}: {violation.detail}", file=sys.stderr)
-    return 0 if report.ok else 1
+    moved = []
+    if args.compare:
+        earlier = {replay["schedule_digest"]: replay["replay_digest"]
+                   for replay in
+                   json.loads(Path(args.compare).read_text())["replays"]}
+        moved = [result.schedule.digest() for result in report.results
+                 if earlier.get(result.schedule.digest())
+                 != result.replay_digest]
+        print(f"compare {args.compare}: {len(moved)} of {report.seeds} "
+              f"replay digest(s) differ")
+        for digest in moved:
+            print(f"  {digest[:12]}: replay digest moved (or seed not in "
+                  f"the earlier report)", file=sys.stderr)
+    return 0 if report.ok and not moved else 1
 
 
 def main(argv=None) -> int:
@@ -169,6 +185,9 @@ def main(argv=None) -> int:
                            help="replay every committed corpus seed")
     p_reg.add_argument("--corpus-dir", default="benchmarks/fuzz_corpus")
     p_reg.add_argument("--out", default=None)
+    p_reg.add_argument("--compare", default=None, metavar="REPORT",
+                       help="fail if any seed's replay_digest differs from "
+                            "this earlier --out report")
     p_reg.add_argument("--verbose", action="store_true")
     p_reg.set_defaults(func=cmd_corpus_regression)
 

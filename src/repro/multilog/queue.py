@@ -23,7 +23,7 @@ coordination round** for operations spanning groups:
   matching bindings from every other touched log.  Either way the release
   is backed by the same evidence, so a Byzantine coordinator can delay a
   release but never misplace one; its silence falls over to the backups'
-  timers (``cut_fallover_scale x agreement_retransmit_ms``), counted in
+  timers (``CUT_FALLOVER_SCALE x agreement_retransmit_ms``), counted in
   :attr:`cut_fallovers`.
 
 * A :class:`~repro.multilog.messages.LogMapChange` is ordered by *every*
@@ -46,14 +46,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
-from ..core.message_queue import PendingSend
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sim.process import Process
 from ..sim.scheduler import Timer
-from ..sharding.messages import ShardedBatch, cross_shard_request_of
+from ..sharding.messages import cross_shard_request_of
 from ..sharding.queue import ShardRouterQueue
 from ..sharding.router import ShardRouter
 from ..util.ids import NodeId
@@ -65,6 +64,13 @@ from .messages import (LMC_MARKER, XS_MARKER, CrossLogBinding,
 #: released coordination records retained (so the coordinating primary can
 #: re-serve a cut, and released queues can answer binding retransmissions)
 CUT_META_HORIZON = 64
+
+#: the coordinator log's backups arm their fallover timer at this multiple
+#: of ``timers.agreement_retransmit_ms`` once their own binding collation
+#: completes; on expiry they broadcast the cut themselves, so a Byzantine
+#: (or silent) coordinating primary delays a cross-group operation by at
+#: most one timer round
+CUT_FALLOVER_SCALE = 2.0
 
 
 @dataclass
@@ -371,9 +377,9 @@ class MultiLogRouterQueue(ShardRouterQueue):
             if key not in self._cuts_sent and not self.suppress_cut_broadcast:
                 self._broadcast_cut(key, touched, seq)
         elif key not in self._fallover_timers and key not in self._verified_cuts:
-            scale = self.config.multilog.cut_fallover_scale
             self._arm_cut_fallover(
-                key, scale * self.config.timers.agreement_retransmit_ms)
+                key, (CUT_FALLOVER_SCALE
+                      * self.config.timers.agreement_retransmit_ms))
 
     def _build_cut(self, key: MarkerKey, touched: Tuple[int, ...],
                    seq: int) -> Optional[CrossLogCut]:
@@ -621,25 +627,8 @@ class MultiLogRouterQueue(ShardRouterQueue):
         if self.log == change.target_log:
             frontier = self._frontier_from_evidence(
                 key, current.log_of(change.shard))
-        shards = [shard for shard in range(self.num_shards)
-                  if current.log_of(shard) == self.log]
-        if shards:
-            self._parts_outstanding[batch.seq] = len(shards)
-            for shard in shards:
-                self._next_shard_seq[shard] += 1
-                shard_seq = self._next_shard_seq[shard]
-                envelope = ShardedBatch(shard=shard, shard_seq=shard_seq,
-                                        batch=batch, epoch=self.epoch,
-                                        log=self.log)
-                self._unanswered[shard][shard_seq] = batch.seq
-                pending = PendingSend(
-                    batch=envelope,
-                    timeout_ms=self.config.timers.agreement_retransmit_ms)
-                self.shard_pending[(shard, shard_seq)] = pending
-                self._send_to_shard(shard, envelope)
-                self._arm_shard_timer(pending)
-        else:
-            self._vacuous_answer(batch.seq)
+        self._send_parts(batch, [shard for shard in range(self.num_shards)
+                                 if current.log_of(shard) == self.log])
         new_map = current.move(change.shard, change.target_log)
         self.log_registry.append(new_map)
         self.log_epoch = new_map.log_epoch
@@ -647,13 +636,6 @@ class MultiLogRouterQueue(ShardRouterQueue):
         if frontier is not None:
             self._next_shard_seq[change.shard] = frontier
         self._finish_coordination(key)
-
-    def _vacuous_answer(self, seq: int) -> None:
-        """A slot nobody owes a reply for (mirrors the base empty path)."""
-        self._answered.add(seq)
-        while (self.highest_reply_seq + 1) in self._answered:
-            self.highest_reply_seq += 1
-            self._answered.discard(self.highest_reply_seq)
 
     def _frontier_from_evidence(self, key: MarkerKey,
                                 source: int) -> Optional[int]:

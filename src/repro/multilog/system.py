@@ -30,43 +30,17 @@ from ..agreement.replica import AgreementReplica
 from ..config import AuthenticationScheme, SystemConfig
 from ..core.system import SimulatedSystem
 from ..errors import ConfigurationError
-from ..net.topology import Topology
 from ..sim.process import Process
 from ..statemachine.interface import StateMachine
 from ..util.ids import NodeId, agreement_id, client_id, execution_id
 from ..sharding.execution import ShardExecutionNode
 from ..sharding.partitioner import make_partitioner
 from ..sharding.router import KeyExtractor, ShardRouter
-from ..sharding.system import SHARD_THRESHOLD_GROUP_PREFIX
+from ..sharding.system import SHARD_THRESHOLD_GROUP_PREFIX, sharded_topology
 from .client import MultiLogClient
 from .logmap import LogMapRegistry, initial_log_map
 from .messages import LogMapChange
 from .queue import MultiLogRouterQueue
-
-
-def multilog_topology(clients: List[NodeId],
-                      log_agreement_ids: List[List[NodeId]],
-                      shard_execution_ids: List[List[NodeId]],
-                      allow_client_execution: bool = True,
-                      cross_shard_links: bool = False) -> Topology:
-    """Physical wiring of the multi-log deployment."""
-    topo = Topology(fully_connected=False)
-    all_agreement = [node for ids in log_agreement_ids for node in ids]
-    topo.add_links(clients, all_agreement)
-    # Bindings and cuts flow between every pair of agreement replicas,
-    # across log boundaries.
-    topo.add_links(all_agreement, all_agreement)
-    for shard_ids in shard_execution_ids:
-        # Every log may come to feed any shard after a log-map change.
-        topo.add_links(all_agreement, shard_ids)
-        topo.add_links(shard_ids, shard_ids)
-        if allow_client_execution:
-            topo.add_links(clients, shard_ids)
-    if cross_shard_links:
-        for i, left in enumerate(shard_execution_ids):
-            for right in shard_execution_ids[i + 1:]:
-                topo.add_links(left, right)
-    return topo
 
 
 class MultiLogSystem(SimulatedSystem):
@@ -125,12 +99,13 @@ class MultiLogSystem(SimulatedSystem):
         self.shard_threshold_groups = shard_threshold_groups
 
         # ---------------- Topology. ---------------- #
-        self.network.topology = multilog_topology(
-            clients=self.client_ids,
-            log_agreement_ids=self.log_agreement_ids,
+        # The sharded wiring over the flattened agreement ids: bindings and
+        # cuts flow between every pair of agreement replicas across log
+        # boundaries, and every log may come to feed any shard after a
+        # log-map change.
+        self.network.topology = sharded_topology(
+            clients=self.client_ids, agreement=self.agreement_ids,
             shard_execution_ids=self.shard_execution_ids,
-            allow_client_execution=(config.direct_execution_reply
-                                    or config.cross_shard.enabled),
             cross_shard_links=config.cross_shard.enabled)
 
         # ---------------- Execution clusters (one per shard). ---------- #

@@ -28,8 +28,7 @@ class ObservabilityHub:
         # without repro.config (and vice versa).
         self.metrics_enabled = bool(getattr(config, "metrics", False))
         self.tracing_enabled = bool(getattr(config, "tracing", False))
-        capacity = int(getattr(config, "trace_capacity", 1_000_000))
-        self.tracer = Tracer(enabled=self.tracing_enabled, capacity=capacity)
+        self.tracer = Tracer(enabled=self.tracing_enabled)
         self._registries: Dict[str, MetricsRegistry] = {}
         self._global_probes: Dict[str, Callable[[], object]] = {}
 

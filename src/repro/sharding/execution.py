@@ -55,9 +55,12 @@ lost a race) bumps the replica's epoch and, per moved key range:
   checkpoints carry the epoch (and post-cut state) under their ``g + 1``
   proof.
 
-Checkpoints falling exactly on a cut are deferred until the inbound ranges
-are installed, so a cluster's checkpoint digest at any sequence number is a
-deterministic function of the agreed history -- never of message timing.
+Checkpoints falling exactly on a cut are deferred until the cut resolves, so
+a cluster's checkpoint digest at any sequence number is a deterministic
+function of the agreed history -- never of message timing.  The protocol
+itself (block, ``g + 1`` matching shares, fetch timer) is written once in
+:mod:`repro.sharding.cut`; :class:`_RangeExchange` and :class:`_VoteExchange`
+below only say what a handoff share and a cross-shard vote look like.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from ..obs import request_trace_id
 from ..sim.scheduler import Scheduler
 from ..statemachine.interface import OperationResult, StateMachine
 from ..util.ids import NodeId, Role
+from .cut import Item, ShareExchange
 from .messages import (
     CrossShardReply,
     CrossShardSubReply,
@@ -108,22 +112,8 @@ RangeKey = Tuple[int, Optional[str], Optional[str]]
 #: body digest, routing epoch, ordering log -- None outside multi-log)
 _RouteBinding = Tuple[bytes, int, Optional[int]]
 
-#: (client, timestamp, epoch) identifying one cross-shard transaction's votes
-TxnKey = Tuple[NodeId, int, int]
-
-#: how many epochs of outbound handoffs a source replica keeps for re-serving
-_HANDOFF_RETENTION_EPOCHS = 4
-
-#: cap on buffered *pre-arrival* handoff shares (ranges this replica is not
-#: yet awaiting); awaited ranges are always buffered regardless
-_HANDOFF_BUFFER_CAP = 64
-
-#: outbound cross-shard votes kept for re-serving fetches
-_VOTE_RETENTION = 32
-
-#: cap on buffered vote tallies for transactions this replica is not itself
-#: blocked on (pre-arrivals from clusters that reached the marker first)
-_VOTE_BUFFER_CAP = 64
+#: (epoch, client, timestamp) identifying one cross-shard transaction's votes
+TxnKey = Tuple[int, NodeId, int]
 
 #: cap on *tentative* collations (sub-reply fragments buffered before this
 #: replica's own marker execution names the touched set)
@@ -132,24 +122,6 @@ _COLLATION_BUFFER_CAP = 64
 #: cap on distinct not-yet-certified fragment collectors per collation (a
 #: Byzantine sender varying the body gets one collector per digest)
 _COLLECTOR_CAP = 32
-
-
-@dataclass
-class _PendingTxn:
-    """A cross-shard transaction blocked at its marker slot.
-
-    The commit decision needs every peer shard's certified read-set
-    observations; until they arrive, execution past the marker is gated
-    (the next batch could read keys the transaction is about to write).
-    """
-
-    request: ClientRequest
-    local: ShardLocalBatch
-    touched: List[int]
-    reads: Dict[str, Any]
-    writes: Dict[str, Any]
-    #: own-shard read-set observations at the cut
-    observed: Dict[str, Any]
 
 
 @dataclass
@@ -172,6 +144,73 @@ class _Collation:
     full: Dict[int, Certificate] = field(default_factory=dict)
     full_bodies: Dict[int, SubReplyBody] = field(default_factory=dict)
     reply: Optional[CrossShardReply] = None
+
+
+class _RangeExchange(ShareExchange):
+    """Range handoff: each replica of the losing cluster sends the moved
+    range's state (:class:`RangeHandoff`), keyed ``(epoch, lo, hi)``."""
+
+    label = "range-fetch"
+
+    def parse(self, message: RangeHandoff):
+        return ((message.epoch, message.lo, message.hi), message.source_shard,
+                handoff_payload(message.epoch, message.lo, message.hi,
+                                message.source_shard, message.target_shard,
+                                message.state_digest),
+                (message.entries, message.reply_table))
+
+    def vet(self, message: RangeHandoff, payload, blob, awaited: bool):
+        entries, reply_table = blob
+        digest = self.node.crypto.digest(
+            entries + reply_table, size_hint=len(entries) + len(reply_table))
+        if digest != message.state_digest:
+            return None
+        if not awaited and message.epoch <= self.node.epoch:
+            # A share for a cut already behind us that we are not blocked
+            # on: a late duplicate of an installed handoff (the remaining
+            # source replicas' redundant sends) or a range that was never
+            # ours to gain.  Nothing left to install.
+            return None
+        return digest
+
+    def fetch_for(self, key: RangeKey) -> RangeFetch:
+        epoch, lo, hi = key
+        return RangeFetch(epoch=epoch, target_shard=self.node.shard, lo=lo,
+                          hi=hi, replica=self.node.node_id)
+
+    def fetch_key(self, message: RangeFetch) -> RangeKey:
+        return (message.epoch, message.lo, message.hi)
+
+
+class _VoteExchange(ShareExchange):
+    """Cross-shard vote round: each replica of a touched cluster sends its
+    read-set observations at the marker (:class:`CrossShardVote`), keyed
+    ``(epoch, client, timestamp)``."""
+
+    label = "vote-fetch"
+
+    def parse(self, message: CrossShardVote):
+        return ((message.epoch, message.client, message.timestamp),
+                message.shard,
+                vote_payload(message.client, message.timestamp, message.shard,
+                             message.epoch, message.observed),
+                dict(message.observed))
+
+    def vet(self, message: CrossShardVote, payload, blob, awaited: bool):
+        last = self.node.reply_table.get(message.client)
+        if (message.client not in self.node.client_ids
+                or last is not None and message.timestamp <= last.timestamp):
+            return None  # unknown client, or the transaction resolved here
+        return self.node.crypto.digest(payload)
+
+    def fetch_for(self, key: TxnKey) -> CrossShardVoteFetch:
+        epoch, client, timestamp = key
+        return CrossShardVoteFetch(client=client, timestamp=timestamp,
+                                   epoch=epoch, shard=self.node.shard,
+                                   replica=self.node.node_id)
+
+    def fetch_key(self, message: CrossShardVoteFetch) -> TxnKey:
+        return (message.epoch, message.client, message.timestamp)
 
 
 class ShardExecutionNode(ExecutionNode):
@@ -202,15 +241,13 @@ class ShardExecutionNode(ExecutionNode):
         self._route_votes: Dict[int, Dict[NodeId, _RouteBinding]] = {}
         #: shard_seq -> the accepted (f+1 / g+1 vouched) (digest, epoch)
         self._route_accepted: Dict[int, _RouteBinding] = {}
-        #: inbound moved ranges not yet installed: range -> source cluster
-        self._awaiting_ranges: Dict[RangeKey, int] = {}
-        #: handoff shares received: range -> sender -> state digest
-        self._handoff_votes: Dict[RangeKey, Dict[NodeId, bytes]] = {}
-        #: handoff bytes by (range, digest): (entries, reply table)
-        self._handoff_data: Dict[Tuple[RangeKey, bytes], Tuple[bytes, bytes]] = {}
-        #: outbound handoffs kept for re-serving RangeFetch requests
-        self._outbound_handoffs: Dict[RangeKey, RangeHandoff] = {}
-        #: checkpoint deferred because it fell on a cut awaiting its ranges
+        self._ranges = _RangeExchange(self)
+        self._votes = _VoteExchange(self)
+        #: the exchange whose shares this replica is blocked waiting for at
+        #: a cut (inbound ranges of a map change, or a cross-shard
+        #: transaction's peer votes); None lets in-order execution proceed
+        self._blocked_on: Optional[ShareExchange] = None
+        #: checkpoint that fell on the blocked cut's slot
         self._deferred_checkpoint: Optional[int] = None
         #: multi-log hooks (set by the multi-log system wiring; both stay
         #: None in single-log deployments).  ``on_config_marker(node, op)``
@@ -222,14 +259,6 @@ class ShardExecutionNode(ExecutionNode):
         self.log_of_shard = None
 
         # ---------------- Cross-shard operation state. ---------------- #
-        #: transaction blocked at its marker awaiting peer-shard votes
-        self._awaiting_txn: Optional[_PendingTxn] = None
-        #: vote tallies: txn key -> shard -> voter -> observation digest
-        self._xs_votes: Dict[TxnKey, Dict[int, Dict[NodeId, bytes]]] = {}
-        #: observation data by (txn key, shard, digest)
-        self._xs_vote_data: Dict[Tuple[TxnKey, int, bytes], Dict[str, Any]] = {}
-        #: own outbound votes kept for re-serving fetches (insertion order)
-        self._xs_outbound_votes: Dict[TxnKey, CrossShardVote] = {}
         #: latest own sub-reply per client (duplicate-marker resends)
         self._xs_sub_replies: Dict[NodeId, CrossShardSubReply] = {}
         #: collation state per (client, timestamp) -- keyed exactly, so a
@@ -242,13 +271,11 @@ class ShardExecutionNode(ExecutionNode):
         self.epoch_cuts_applied = 0
         self.ranges_sent = 0
         self.ranges_installed = 0
-        self.range_fetches = 0
         self.cross_shard_executed = 0
         self.cross_shard_commits = 0
         self.cross_shard_aborts = 0
         self.cross_shard_epoch_aborts = 0
         self.cross_shard_replies_sent = 0
-        self.vote_fetches = 0
 
         # Observability (passive: never charges, never schedules).
         self._h_vote_round = self.metrics.histogram("crossshard.vote_round_ms")
@@ -256,9 +283,14 @@ class ShardExecutionNode(ExecutionNode):
         self._c_handoff_bytes = self.metrics.counter("rebalance.handoff_bytes")
         self._c_handoff_ranges = self.metrics.counter("rebalance.handoff_ranges")
         self.metrics.register_probe("shardexec.state", self._shard_exec_probe)
-        #: vote-round open times keyed by transaction, cut-blocked times by epoch
-        self._vote_opened_at: Dict[TxnKey, float] = {}
-        self._cut_blocked_at: Dict[int, float] = {}
+
+    @property
+    def range_fetches(self) -> int:
+        return self._ranges.fetches
+
+    @property
+    def vote_fetches(self) -> int:
+        return self._votes.fetches
 
     def _shard_exec_probe(self) -> dict:
         """Snapshot of the shard replica's ad-hoc counters for the registry."""
@@ -277,7 +309,7 @@ class ShardExecutionNode(ExecutionNode):
             "cross_shard_epoch_aborts": self.cross_shard_epoch_aborts,
             "cross_shard_replies_sent": self.cross_shard_replies_sent,
             "vote_fetches": self.vote_fetches,
-            "awaiting_ranges": len(self._awaiting_ranges),
+            "awaiting_ranges": len(self._ranges.awaiting),
         }
 
     # ------------------------------------------------------------------ #
@@ -299,15 +331,19 @@ class ShardExecutionNode(ExecutionNode):
                                                            ShardLocalBatch):
                 self.handle_sharded_batch(sender, message.batch.to_sharded_batch())
         elif isinstance(message, RangeHandoff):
-            self.handle_range_handoff(sender, message)
+            if message.target_shard != self.shard:
+                self.misroutes += 1
+            elif self._ranges.receive(sender, message):
+                self._advance_cut()
         elif isinstance(message, RangeFetch):
-            self.handle_range_fetch(sender, message)
+            self._ranges.serve(sender, message)
         elif isinstance(message, CrossShardSubReply):
             self.handle_cross_shard_sub_reply(sender, message)
         elif isinstance(message, CrossShardVote):
-            self.handle_cross_shard_vote(sender, message)
+            if self._votes.receive(sender, message):
+                self._advance_cut()
         elif isinstance(message, CrossShardVoteFetch):
-            self.handle_cross_shard_vote_fetch(sender, message)
+            self._votes.serve(sender, message)
         else:
             super().on_message(sender, message)
 
@@ -544,7 +580,7 @@ class ShardExecutionNode(ExecutionNode):
         peer shards' votes: the next batch may read keys whose state is
         still in flight from the losing cluster, or that the blocked
         transaction is about to write."""
-        return not self._awaiting_ranges and self._awaiting_txn is None
+        return self._blocked_on is None
 
     def _execute_batch(self, batch) -> None:
         if isinstance(batch, ShardLocalBatch):
@@ -595,36 +631,23 @@ class ShardExecutionNode(ExecutionNode):
             new_map = apply_map_change(old_map, change)
         if new_map is not None:
             registry.append(new_map)
+            inbound: List[Item] = []
             for moved in old_map.moved_ranges(new_map):
+                key = (new_map.epoch, moved.lo, moved.hi)
                 if moved.old_owner == self.shard:
-                    self._send_range(new_map.epoch, moved.lo, moved.hi,
-                                     moved.new_owner)
+                    self._send_range(key, moved.new_owner)
                 elif moved.new_owner == self.shard:
-                    self._awaiting_ranges[(new_map.epoch, moved.lo, moved.hi)] = \
-                        moved.old_owner
+                    inbound.append((key, moved.old_owner))
             self.epoch = new_map.epoch
             self.epoch_cuts_applied += 1
-            if self._awaiting_ranges:
-                self._cut_blocked_at[self.epoch] = self.now
-            self._prune_handoff_buffers()
-        # The marker's bookkeeping matches any other batch: it advances the
-        # shard-local sequence, is answered, and may fall on a checkpoint.
-        self.max_executed = local.seq
-        self.batches_executed += 1
-        body = self._make_reply_body(local.view, local.seq, ())
-        self.replies_by_seq[local.seq] = self._send_reply(body)
-        self._trim_reply_cache()
-        self._try_install_ranges()
-        if local.seq % self.config.checkpoint_interval == 0:
-            if self._awaiting_ranges:
-                # The checkpoint at a cut covers post-install state (the
-                # deterministic "state after the cut"); take it once the
-                # inbound ranges land.
-                self._deferred_checkpoint = local.seq
-            else:
-                self._take_checkpoint(local.seq)
-        if self._awaiting_ranges:
-            self._arm_range_fetch()
+            if inbound:
+                self._blocked_on = self._ranges
+                self._ranges.block(inbound, self._install_range,
+                                   self._h_cut_install.observe)
+            # Buffered shares that can never install: past epochs' late
+            # duplicates, or ranges that were never ours to gain.
+            self._ranges.prune(lambda key: key[0] > self.epoch)
+        self._finish_marker_slot(local, resume_first=True)
 
     def _execute_config_marker(self, local: ShardLocalBatch, op) -> None:
         """Execute a non-partition config marker at its shard-local slot.
@@ -635,18 +658,48 @@ class ShardExecutionNode(ExecutionNode):
         cut is about to repoint this cluster's upstream at a different
         agreement log.
         """
-        self.max_executed = local.seq
-        self.batches_executed += 1
-        body = self._make_reply_body(local.view, local.seq, ())
-        self.replies_by_seq[local.seq] = self._send_reply(body)
-        self._trim_reply_cache()
-        if local.seq % self.config.checkpoint_interval == 0:
-            if self._awaiting_ranges or self._awaiting_txn is not None:
-                self._deferred_checkpoint = local.seq
-            else:
-                self._take_checkpoint(local.seq)
+        self._finish_marker_slot(local)
         if self.on_config_marker is not None:
             self.on_config_marker(self, op)
+
+    def _finish_marker_slot(self, local: ShardLocalBatch,
+                            resume_first: bool = False) -> None:
+        """Everything a marker does at its slot besides its own semantics,
+        in one fixed order: the slot is answered with an empty reply bundle
+        (the pipeline settles like for any batch; a cross-shard client's
+        answer travels on the sub-reply path); a checkpoint falling on it
+        is taken, or deferred while the marker's cut is blocked; then the
+        cut gets the chance to resolve at once from shares that arrived
+        early.
+        """
+        self._answer_slot(local.view, local.seq, ())
+        if resume_first:
+            self._advance_cut()
+        if local.seq % self.config.checkpoint_interval == 0:
+            self._take_checkpoint(local.seq)
+        if self._blocked_on is not None:
+            self._blocked_on.arm()
+        self._advance_cut()
+
+    def _take_checkpoint(self, seq: int) -> None:
+        """A checkpoint on a blocked cut's slot waits for the cut to
+        resolve: it covers the state *after* the cut, so its digest is a
+        pure function of the agreed history, never of message timing."""
+        if self._blocked_on is not None:
+            self._deferred_checkpoint = seq
+        else:
+            super()._take_checkpoint(seq)
+
+    def _advance_cut(self) -> None:
+        """Consume certified shares; once the cut resolves, take the
+        checkpoint it deferred and resume in-order execution."""
+        if self._blocked_on is None or not self._blocked_on.advance():
+            return
+        self._blocked_on = None
+        seq, self._deferred_checkpoint = self._deferred_checkpoint, None
+        if seq is not None:
+            self._take_checkpoint(seq)
+        self._process_pending()
 
     # ------------------------------------------------------------------ #
     # Cross-shard operations at the consistent cut.
@@ -654,24 +707,6 @@ class ShardExecutionNode(ExecutionNode):
 
     def _key_owned(self, key: str) -> bool:
         return self.router.partitioner.shard_of_key(key, self.epoch) == self.shard
-
-    def _finish_marker_slot(self, local: ShardLocalBatch) -> None:
-        """Slot bookkeeping for a cross-shard marker (mirrors the map-change
-        marker's tail): the slot is answered with an empty reply bundle --
-        the pipeline settles normally, the client's answer travels on the
-        sub-reply path -- and a checkpoint falling on a blocked transaction
-        defers until the commit decision resolves, so a checkpoint digest
-        is always a pure function of the agreed history."""
-        self.max_executed = local.seq
-        self.batches_executed += 1
-        body = self._make_reply_body(local.view, local.seq, ())
-        self.replies_by_seq[local.seq] = self._send_reply(body)
-        self._trim_reply_cache()
-        if local.seq % self.config.checkpoint_interval == 0:
-            if self._awaiting_ranges or self._awaiting_txn is not None:
-                self._deferred_checkpoint = local.seq
-            else:
-                self._take_checkpoint(local.seq)
 
     def _execute_cross_shard(self, local: ShardLocalBatch,
                              touched: List[int]) -> None:
@@ -702,6 +737,17 @@ class ShardExecutionNode(ExecutionNode):
         if self.tracing:
             self.trace_event(request_trace_id(request.client, request.timestamp),
                              "execute")
+        outcome = self._cross_shard_outcome(local, request, operation, touched)
+        if outcome is not None:
+            self._complete_cross_shard(local, request, touched, *outcome)
+        self._finish_marker_slot(local)
+
+    def _cross_shard_outcome(self, local: ShardLocalBatch,
+                             request: ClientRequest, operation,
+                             touched: List[int]
+                             ) -> Optional[Tuple[str, Dict[str, Any]]]:
+        """This shard's ``(status, values)`` for a cross-shard operation, or
+        None for a transaction whose outcome now waits on its vote round."""
         pinned = operation.args.get("epoch")
         if pinned is not None and pinned != self.epoch:
             # The pinned epoch went stale under the operation (a rebalance
@@ -709,59 +755,40 @@ class ShardExecutionNode(ExecutionNode):
             # (pinned, cut-epoch) pair, so the abort is deterministic; the
             # sub-reply's epoch tells the client what to retry on.
             self.cross_shard_epoch_aborts += 1
-            self._complete_cross_shard(local, request, touched,
-                                       status="epoch-retry", values={})
-            self._finish_marker_slot(local)
-            return
+            return "epoch-retry", {}
         if operation.kind == "multi_get":
-            mine = [key for key in operation.args.get("keys", ())
-                    if self._key_owned(key)]
-            values = self.app.snapshot_read(mine)
-            self._complete_cross_shard(local, request, touched, "ok", values)
-            self._finish_marker_slot(local)
-            return
-        if operation.kind == "txn":
-            reads = dict(operation.args.get("reads", {}))
-            writes = dict(operation.args.get("writes", {}))
-            if reads and self.config.multilog.enabled:
-                # Read-validating transactions are refused under multi-log
-                # ordering: two such markers ordered inversely by two logs
-                # would deadlock their vote rounds (each cluster blocked at
-                # its marker waiting for votes the other only emits past its
-                # own block).  The refusal is a pure function of static
-                # config and marker content, so every touched replica
-                # refuses identically -- no vote round ever opens.  Clients
-                # fail these locally; this branch is defence in depth
-                # against one smuggled past a correct client.
-                self._complete_cross_shard(local, request, touched,
-                                           "error", {})
-                self._finish_marker_slot(local)
-                return
-            observed = self.app.snapshot_read(
-                [key for key in reads if self._key_owned(key)])
-            if not reads:
-                # Write-only transaction: the commit decision is vacuous on
-                # every shard, so no vote round -- each cluster applies its
-                # slice at the marker and the cut makes it atomic.
-                self.app.apply_writes({key: value for key, value in writes.items()
-                                       if self._key_owned(key)})
-                self.cross_shard_commits += 1
-                self._complete_cross_shard(local, request, touched,
-                                           "committed", {})
-                self._finish_marker_slot(local)
-                return
-            self._send_vote(request, observed, touched)
-            self._awaiting_txn = _PendingTxn(request=request, local=local,
-                                             touched=list(touched),
-                                             reads=reads, writes=writes,
-                                             observed=observed)
-            self._finish_marker_slot(local)
-            self._arm_vote_fetch()
-            self._try_resolve_txn()
-            return
-        # An unknown multi-key kind cannot be executed consistently.
-        self._complete_cross_shard(local, request, touched, "error", {})
-        self._finish_marker_slot(local)
+            return "ok", self.app.snapshot_read(
+                [key for key in operation.args.get("keys", ())
+                 if self._key_owned(key)])
+        if operation.kind != "txn":
+            # An unknown multi-key kind cannot be executed consistently.
+            return "error", {}
+        reads = dict(operation.args.get("reads", {}))
+        writes = {key: value
+                  for key, value in operation.args.get("writes", {}).items()
+                  if self._key_owned(key)}
+        if reads and self.config.multilog.enabled:
+            # Read-validating transactions are refused under multi-log
+            # ordering: two such markers ordered inversely by two logs
+            # would deadlock their vote rounds (each cluster blocked at
+            # its marker waiting for votes the other only emits past its
+            # own block).  The refusal is a pure function of static
+            # config and marker content, so every touched replica
+            # refuses identically -- no vote round ever opens.  Clients
+            # fail these locally; this branch is defence in depth
+            # against one smuggled past a correct client.
+            return "error", {}
+        observed = self.app.snapshot_read(
+            [key for key in reads if self._key_owned(key)])
+        if not reads:
+            # Write-only transaction: the commit decision is vacuous on
+            # every shard, so no vote round -- each cluster applies its
+            # slice at the marker and the cut makes it atomic.
+            self.app.apply_writes(writes)
+            self.cross_shard_commits += 1
+            return "committed", {}
+        self._open_vote_round(local, request, touched, reads, writes, observed)
+        return None
 
     def _complete_cross_shard(self, local: ShardLocalBatch,
                               request: ClientRequest, touched: List[int],
@@ -835,11 +862,20 @@ class ShardExecutionNode(ExecutionNode):
     # Cross-shard transactions: the read-set vote round.
     # ------------------------------------------------------------------ #
 
-    def _txn_key(self, request: ClientRequest) -> TxnKey:
-        return (request.client, request.timestamp, self.epoch)
+    def _open_vote_round(self, local: ShardLocalBatch, request: ClientRequest,
+                         touched: List[int], reads: Dict[str, Any],
+                         writes: Dict[str, Any],
+                         observed: Dict[str, Any]) -> None:
+        """Send this shard's read-set observations to the peer shards and
+        block until theirs are certified.
 
-    def _send_vote(self, request: ClientRequest, observed: Dict[str, Any],
-                   touched: List[int]) -> None:
+        The commit decision -- every read key's certified observation equals
+        its expected value -- is then a pure function of the agreed cut
+        state, evaluated identically by every correct replica of every
+        touched shard: aborts are deterministic and atomic by construction.
+        Until it is known, execution past the marker is gated (the next
+        batch could read keys the transaction is about to write).
+        """
         peers = [node for shard in touched if shard != self.shard
                  for node in self.shard_execution_ids[shard]]
         vote = CrossShardVote(
@@ -849,156 +885,32 @@ class ShardExecutionNode(ExecutionNode):
             authenticator=self.crypto.mac_authenticator(
                 vote_payload(request.client, request.timestamp, self.shard,
                              self.epoch, observed), peers))
-        key = self._txn_key(request)
-        self._xs_outbound_votes[key] = vote
-        while len(self._xs_outbound_votes) > _VOTE_RETENTION:
-            self._xs_outbound_votes.pop(next(iter(self._xs_outbound_votes)))
-        self._vote_opened_at[key] = self.now
+        key: TxnKey = (self.epoch, request.client, request.timestamp)
+        trace_id = request_trace_id(request.client, request.timestamp)
         if self.tracing:
-            self.trace_event(request_trace_id(request.client, request.timestamp),
-                             "vote_open")
-        self.multicast(peers, vote)
+            self.trace_event(trace_id, "vote_open")
+        self._votes.publish(key, vote, peers)
+        certified = dict(observed)
 
-    def handle_cross_shard_vote(self, sender: NodeId,
-                                message: CrossShardVote) -> None:
-        if sender != message.replica or message.shard == self.shard:
-            return
-        if not 0 <= message.shard < len(self.shard_execution_ids):
-            return
-        if sender not in self.shard_execution_ids[message.shard]:
-            return
-        if message.client not in self.client_ids:
-            return
-        if message.authenticator is None or not self.crypto.verify_mac(
-                vote_payload(message.client, message.timestamp, message.shard,
-                             message.epoch, message.observed),
-                message.authenticator):
-            return
-        last = self.reply_table.get(message.client)
-        if last is not None and message.timestamp <= last.timestamp:
-            return  # the transaction already resolved here
-        if not (self.epoch - _HANDOFF_RETENTION_EPOCHS <= message.epoch
-                <= self.epoch + _HANDOFF_RETENTION_EPOCHS):
-            return
-        key: TxnKey = (message.client, message.timestamp, message.epoch)
-        awaited = (self._awaiting_txn is not None
-                   and self._txn_key(self._awaiting_txn.request) == key)
-        if (not awaited and key not in self._xs_votes
-                and len(self._xs_votes) >= _VOTE_BUFFER_CAP):
-            return  # pre-arrival buffer full; the vote fetch recovers
-        digest = self.crypto.digest(
-            vote_payload(message.client, message.timestamp, message.shard,
-                         message.epoch, message.observed))
-        tallies = self._xs_votes.setdefault(key, {}).setdefault(
-            message.shard, {})
-        previous = tallies.get(sender)
-        tallies[sender] = digest
-        if (previous is not None and previous != digest
-                and previous not in tallies.values()):
-            # One tally per sender: an equivocating voter varying its
-            # observations must not leave one orphaned data blob per try.
-            self._xs_vote_data.pop((key, message.shard, previous), None)
-        self._xs_vote_data[(key, message.shard, digest)] = dict(message.observed)
-        self._try_resolve_txn()
+        def decide(elapsed_ms: float) -> None:
+            commit = all(certified.get(read_key) == expected
+                         for read_key, expected in reads.items())
+            if commit:
+                self.app.apply_writes(writes)
+                self.cross_shard_commits += 1
+            else:
+                self.cross_shard_aborts += 1
+            self._h_vote_round.observe(elapsed_ms)
+            if self.tracing:
+                self.trace_event(trace_id, "vote_done")
+            self._complete_cross_shard(local, request, touched,
+                                       "committed" if commit else "aborted",
+                                       observed)
 
-    def _certified_fragment(self, key: TxnKey,
-                            shard: int) -> Optional[Dict[str, Any]]:
-        """``shard``'s read-set observations, once ``g + 1`` of its replicas
-        sent matching votes."""
-        tallies = self._xs_votes.get(key, {}).get(shard, {})
-        for digest in set(tallies.values()):
-            support = sum(1 for seen in tallies.values() if seen == digest)
-            if (support >= self.config.reply_quorum
-                    and (key, shard, digest) in self._xs_vote_data):
-                return self._xs_vote_data[(key, shard, digest)]
-        return None
-
-    def _try_resolve_txn(self) -> None:
-        """Resolve the blocked transaction once every peer shard's read-set
-        observations are certified.
-
-        The commit decision -- every read key's certified observation equals
-        its expected value -- is a pure function of the agreed cut state,
-        evaluated identically by every correct replica of every touched
-        shard: aborts are deterministic and atomic by construction.
-        """
-        pending = self._awaiting_txn
-        if pending is None:
-            return
-        key = self._txn_key(pending.request)
-        observed_all = dict(pending.observed)
-        for shard in pending.touched:
-            if shard == self.shard:
-                continue
-            fragment = self._certified_fragment(key, shard)
-            if fragment is None:
-                return  # still waiting
-            observed_all.update(fragment)
-        commit = all(observed_all.get(read_key) == expected
-                     for read_key, expected in pending.reads.items())
-        if commit:
-            self.app.apply_writes({write_key: value
-                                   for write_key, value in pending.writes.items()
-                                   if self._key_owned(write_key)})
-            self.cross_shard_commits += 1
-        else:
-            self.cross_shard_aborts += 1
-        opened_at = self._vote_opened_at.pop(key, None)
-        if opened_at is not None:
-            self._h_vote_round.observe(self.now - opened_at)
-        if self.tracing:
-            self.trace_event(
-                request_trace_id(pending.request.client,
-                                 pending.request.timestamp), "vote_done")
-        self._awaiting_txn = None
-        self._xs_votes.pop(key, None)
-        self._xs_vote_data = {
-            stored: data for stored, data in self._xs_vote_data.items()
-            if stored[0] != key
-        }
-        self._complete_cross_shard(pending.local, pending.request,
-                                   pending.touched,
-                                   "committed" if commit else "aborted",
-                                   pending.observed)
-        if self._deferred_checkpoint is not None and not self._awaiting_ranges:
-            seq = self._deferred_checkpoint
-            self._deferred_checkpoint = None
-            self._take_checkpoint(seq)
-        self._process_pending()
-
-    def _arm_vote_fetch(self) -> None:
-        self.set_timer(self.config.timers.execution_fetch_ms,
-                       self._on_vote_fetch_timeout,
-                       label=f"{self.node_id}:vote-fetch")
-
-    def _on_vote_fetch_timeout(self) -> None:
-        pending = self._awaiting_txn
-        if pending is None:
-            return
-        key = self._txn_key(pending.request)
-        for shard in pending.touched:
-            if shard == self.shard or self._certified_fragment(key, shard):
-                continue
-            self.vote_fetches += 1
-            self.multicast(self.shard_execution_ids[shard],
-                           CrossShardVoteFetch(client=pending.request.client,
-                                               timestamp=pending.request.timestamp,
-                                               epoch=self.epoch,
-                                               shard=self.shard,
-                                               replica=self.node_id))
-        self._arm_vote_fetch()
-
-    def handle_cross_shard_vote_fetch(self, sender: NodeId,
-                                      message: CrossShardVoteFetch) -> None:
-        """Re-serve a stored vote to a blocked replica that missed it."""
-        if sender != message.replica:
-            return
-        if not any(sender in ids for ids in self.shard_execution_ids):
-            return
-        stored = self._xs_outbound_votes.get(
-            (message.client, message.timestamp, message.epoch))
-        if stored is not None:
-            self.send(sender, stored)
+        self._blocked_on = self._votes
+        self._votes.block(
+            [(key, shard) for shard in touched if shard != self.shard],
+            lambda item, fragment: certified.update(fragment), decide)
 
     # ------------------------------------------------------------------ #
     # Cross-shard sub-reply collation.
@@ -1095,11 +1007,10 @@ class ShardExecutionNode(ExecutionNode):
             self.cross_shard_replies_sent += 1
 
     # ------------------------------------------------------------------ #
-    # Range handoff: losing side.
+    # Range handoff.
     # ------------------------------------------------------------------ #
 
-    def _send_range(self, epoch: int, lo: Optional[str], hi: Optional[str],
-                    target_shard: int) -> None:
+    def _send_range(self, key: RangeKey, target_shard: int) -> None:
         """Extract a moved range as of the cut and share it with the gainers.
 
         The extraction *removes* the range locally -- ownership moved, and a
@@ -1109,6 +1020,7 @@ class ShardExecutionNode(ExecutionNode):
         """
         if not self.shard_execution_ids:
             return
+        epoch, lo, hi = key
         entries = self.app.extract_range(lo, hi)
         reply_table = self._serialized_reply_table()
         digest = self.crypto.digest(entries + reply_table,
@@ -1122,99 +1034,14 @@ class ShardExecutionNode(ExecutionNode):
                                entries=entries, reply_table=reply_table,
                                state_digest=digest, replica=self.node_id,
                                authenticator=authenticator)
-        self._outbound_handoffs[(epoch, lo, hi)] = message
-        self._outbound_handoffs = {
-            key: kept for key, kept in self._outbound_handoffs.items()
-            if key[0] > epoch - _HANDOFF_RETENTION_EPOCHS
-        }
-        self.multicast(targets, message)
+        self._ranges.publish(key, message, targets)
         self.ranges_sent += 1
         self._c_handoff_ranges.inc()
         self._c_handoff_bytes.inc(len(entries) + len(reply_table))
 
-    def handle_range_fetch(self, sender: NodeId, message: RangeFetch) -> None:
-        """Re-serve a stored handoff to a gaining replica that missed it."""
-        if sender != message.replica:
-            return
-        if not any(sender in ids for ids in self.shard_execution_ids):
-            return
-        stored = self._outbound_handoffs.get((message.epoch, message.lo, message.hi))
-        if stored is not None and stored.target_shard == message.target_shard:
-            self.send(sender, stored)
-
-    # ------------------------------------------------------------------ #
-    # Range handoff: gaining side.
-    # ------------------------------------------------------------------ #
-
-    def handle_range_handoff(self, sender: NodeId, message: RangeHandoff) -> None:
-        if message.target_shard != self.shard or not self.shard_execution_ids:
-            self.misroutes += 1
-            return
-        if not 0 <= message.source_shard < len(self.shard_execution_ids):
-            return
-        if (sender != message.replica
-                or sender not in self.shard_execution_ids[message.source_shard]):
-            return
-        if message.authenticator is None or not self.crypto.verify_mac(
-                handoff_payload(message.epoch, message.lo, message.hi,
-                                message.source_shard, message.target_shard,
-                                message.state_digest),
-                message.authenticator):
-            return
-        # Bound the buffer: shares are useful only near this replica's own
-        # epoch (a little behind: a late duplicate; a little ahead: a
-        # pre-arrival for a cut we have not executed yet).  Anything else --
-        # including a flood of fabricated far-future ranges from a single
-        # Byzantine source replica -- is dropped, mirroring the route-vote
-        # acceptance window.
-        if not (self.epoch - _HANDOFF_RETENTION_EPOCHS <= message.epoch
-                <= self.epoch + _HANDOFF_RETENTION_EPOCHS):
-            return
-        digest = self.crypto.digest(
-            message.entries + message.reply_table,
-            size_hint=len(message.entries) + len(message.reply_table))
-        if digest != message.state_digest:
-            return
-        key: RangeKey = (message.epoch, message.lo, message.hi)
-        if key not in self._awaiting_ranges:
-            if message.epoch <= self.epoch:
-                # A share for a cut already behind us that we are not
-                # blocked on: a late duplicate of an installed handoff (the
-                # remaining source replicas' redundant sends) or a range
-                # that was never ours to gain.  Nothing left to install.
-                return
-            if len(self._handoff_data) >= _HANDOFF_BUFFER_CAP:
-                return  # pre-arrival buffer is full; RangeFetch recovers
-        self._handoff_votes.setdefault(key, {})[sender] = message.state_digest
-        self._handoff_data[(key, message.state_digest)] = (message.entries,
-                                                           message.reply_table)
-        self._try_install_ranges()
-
-    def _try_install_ranges(self) -> None:
-        """Install every awaited range with ``g + 1`` matching shares."""
-        installed = False
-        for key in list(self._awaiting_ranges):
-            votes = self._handoff_votes.get(key, {})
-            for digest in set(votes.values()):
-                support = sum(1 for seen in votes.values() if seen == digest)
-                if (support >= self.config.checkpoint_quorum
-                        and (key, digest) in self._handoff_data):
-                    self._install_range(key, digest)
-                    installed = True
-                    break
-        if installed and not self._awaiting_ranges:
-            blocked_at = self._cut_blocked_at.pop(self.epoch, None)
-            if blocked_at is not None:
-                self._h_cut_install.observe(self.now - blocked_at)
-            if self._deferred_checkpoint is not None:
-                seq = self._deferred_checkpoint
-                self._deferred_checkpoint = None
-                self._take_checkpoint(seq)
-            self._process_pending()
-
-    def _install_range(self, key: RangeKey, digest: bytes) -> None:
-        entries, reply_table = self._handoff_data[(key, digest)]
-        _, lo, hi = key
+    def _install_range(self, item: Item, blob: Tuple[bytes, bytes]) -> None:
+        (_, lo, hi), _ = item
+        entries, reply_table = blob
         self.app.install_range(lo, hi, entries)
         # Merge the source cluster's dedup table timestamp-monotonically: a
         # request executed there pre-cut must be answered from the table
@@ -1224,45 +1051,7 @@ class ShardExecutionNode(ExecutionNode):
             current = self.reply_table.get(reply.client)
             if current is None or current.timestamp < reply.timestamp:
                 self.reply_table[reply.client] = reply
-        del self._awaiting_ranges[key]
-        self._handoff_votes.pop(key, None)
-        self._handoff_data = {
-            stored: data for stored, data in self._handoff_data.items()
-            if stored[0] != key
-        }
         self.ranges_installed += 1
-
-    def _prune_handoff_buffers(self) -> None:
-        """Drop buffered shares that can never install: past epochs whose
-        ranges this replica is not awaiting (late duplicates of installed
-        handoffs, or ranges that were never ours to gain)."""
-        def live(key: RangeKey) -> bool:
-            return key in self._awaiting_ranges or key[0] > self.epoch
-
-        self._handoff_votes = {
-            key: votes for key, votes in self._handoff_votes.items() if live(key)
-        }
-        self._handoff_data = {
-            stored: data for stored, data in self._handoff_data.items()
-            if live(stored[0])
-        }
-
-    def _arm_range_fetch(self) -> None:
-        self.set_timer(self.config.timers.execution_fetch_ms,
-                       self._on_range_fetch_timeout,
-                       label=f"{self.node_id}:range-fetch")
-
-    def _on_range_fetch_timeout(self) -> None:
-        if not self._awaiting_ranges:
-            return
-        for (epoch, lo, hi), source in self._awaiting_ranges.items():
-            if not 0 <= source < len(self.shard_execution_ids):
-                continue
-            self.range_fetches += 1
-            self.multicast(self.shard_execution_ids[source],
-                           RangeFetch(epoch=epoch, target_shard=self.shard,
-                                      lo=lo, hi=hi, replica=self.node_id))
-        self._arm_range_fetch()
 
     # ------------------------------------------------------------------ #
     # Checkpoints carry the epoch (state transfer must land in the right
@@ -1288,18 +1077,16 @@ class ShardExecutionNode(ExecutionNode):
         if not extra:
             return
         self.epoch = int(json.loads(extra.decode())["epoch"])
-        # A checkpoint is never taken while ranges are in flight (cuts defer
-        # it), so the restored state carries every range of its epoch: any
-        # handoff this replica was blocked on is already folded in, and the
-        # buffered shares for it are dead weight (a future cut's shares are
-        # re-fetchable via RangeFetch if they get dropped here).
-        self._awaiting_ranges.clear()
-        self._deferred_checkpoint = None
-        self._prune_handoff_buffers()
-        # Likewise, checkpoints defer while a cross-shard transaction is
-        # blocked, so the restored state already carries its outcome (and
-        # the restored reply table carries its exactly-once fragment).
-        self._awaiting_txn = None
+        # A checkpoint is never taken while a cut is blocked (cuts defer
+        # it), so the restored state carries the outcome of whatever cut
+        # this replica was blocked at -- every range of its epoch installed,
+        # the transaction decided and its exactly-once fragment in the
+        # restored reply table -- and the buffered shares for it are dead
+        # weight (a future cut's shares are re-fetchable if dropped here).
+        if self._blocked_on is not None:
+            self._blocked_on.unblock()
+            self._blocked_on = self._deferred_checkpoint = None
+        self._ranges.prune(lambda key: key[0] > self.epoch)
 
     # ------------------------------------------------------------------ #
     # Replies carry the shard id and epoch; vote tables are garbage
@@ -1313,7 +1100,17 @@ class ShardExecutionNode(ExecutionNode):
 
     def _trim_recent(self) -> None:
         super()._trim_recent()
-        self._trim_cross_shard()
+        # Vote tallies and collations of operations already resolved here go
+        # (the reply table records the resolution; late duplicates replay it).
+        def live(client: NodeId, timestamp: int) -> bool:
+            last = self.reply_table.get(client)
+            return last is None or timestamp > last.timestamp
+
+        self._votes.prune(lambda key: live(key[1], key[2]))
+        self._xs_collations = {
+            key: collation for key, collation in self._xs_collations.items()
+            if live(*key) or key[1] == self.reply_table[key[0]].timestamp
+        }
         horizon = self.max_executed - 2 * self.config.checkpoint_interval
         if horizon <= 0:
             return
@@ -1323,24 +1120,4 @@ class ShardExecutionNode(ExecutionNode):
         self._route_accepted = {
             seq: binding for seq, binding in self._route_accepted.items()
             if seq > horizon
-        }
-
-    def _trim_cross_shard(self) -> None:
-        """Drop vote tallies and collations for operations already resolved
-        here (the reply table records the resolution; late duplicates
-        replay it)."""
-        def live(key) -> bool:
-            last = self.reply_table.get(key[0])
-            return last is None or key[1] > last.timestamp
-
-        self._xs_votes = {
-            key: tallies for key, tallies in self._xs_votes.items() if live(key)
-        }
-        self._xs_vote_data = {
-            stored: data for stored, data in self._xs_vote_data.items()
-            if live(stored[0])
-        }
-        self._xs_collations = {
-            key: collation for key, collation in self._xs_collations.items()
-            if live(key) or key[1] == self.reply_table[key[0]].timestamp
         }

@@ -262,13 +262,17 @@ class ShardRouterQueue(MessageQueue):
                                                         epoch=self.epoch)
             self._note_load(batch)
         shards = self._owned_route_targets(batch, shards)
+        self._send_parts(batch, shards)
+        if change is not None:
+            self._apply_cut(change)
+
+    def _send_parts(self, batch: OrderedBatch, shards) -> None:
+        """Give ``batch`` the next shard-local slot of each of ``shards``
+        and send it there; with no shard to send to (every request was
+        excluded, or the targets all live in another log's group) the slot
+        is vacuously answered."""
         if not shards:
-            # Every request was excluded: the slot is vacuously answered so
-            # the pipeline accounting never waits on a reply nobody owes.
-            self._answered.add(batch.seq)
-            while (self.highest_reply_seq + 1) in self._answered:
-                self.highest_reply_seq += 1
-                self._answered.discard(self.highest_reply_seq)
+            self._vacuous_answer(batch.seq)
             return
         self._parts_outstanding[batch.seq] = len(shards)
         for shard in shards:
@@ -282,15 +286,21 @@ class ShardRouterQueue(MessageQueue):
                                   timeout_ms=self.config.timers.agreement_retransmit_ms)
             self.shard_pending[(shard, shard_seq)] = pending
             # Unlike the unsharded queue, every agreement node multicasts the
-            # envelope immediately (ignoring primary_sends_first): shard_seq
+            # envelope immediately (not the primary first): shard_seq
             # is not covered by the agreement certificate, so execution
             # replicas accept a routing binding only after f + 1 distinct
             # agreement nodes vouch for it -- the extra sends are what let
             # that quorum form without waiting for retransmission timeouts.
             self._send_to_shard(shard, envelope)
             self._arm_shard_timer(pending)
-        if change is not None:
-            self._apply_cut(change)
+
+    def _vacuous_answer(self, seq: int) -> None:
+        """Mark a slot nobody owes a reply for as answered, so the pipeline
+        accounting never waits on it."""
+        self._answered.add(seq)
+        while (self.highest_reply_seq + 1) in self._answered:
+            self.highest_reply_seq += 1
+            self._answered.discard(self.highest_reply_seq)
 
     def _owned_route_targets(self, batch: OrderedBatch, shards):
         """The subset of ``shards`` this queue actually routes to.
@@ -396,8 +406,7 @@ class ShardRouterQueue(MessageQueue):
         """Serve a client retransmission from the cache or pending sends."""
         request: ClientRequest = request_certificate.payload
         cached = self.cache.get(request.client)
-        if (self.config.use_reply_cache and cached is not None
-                and cached.reply.timestamp >= request.timestamp):
+        if cached is not None and cached.reply.timestamp >= request.timestamp:
             self.owner.send(request.client, cached)
             self.cache_hits += 1
             return RetryOutcome.HANDLED
@@ -636,10 +645,9 @@ class ShardRouterQueue(MessageQueue):
         # Forward each client its reply and update the cache.
         for reply in body.replies:
             client_reply = ClientReply(reply=reply, body=body, certificate=certificate)
-            if self.config.use_reply_cache:
-                cached = self.cache.get(reply.client)
-                if cached is None or cached.reply.timestamp <= reply.timestamp:
-                    self.cache[reply.client] = client_reply
+            cached = self.cache.get(reply.client)
+            if cached is None or cached.reply.timestamp <= reply.timestamp:
+                self.cache[reply.client] = client_reply
             self.owner.send(reply.client, client_reply)
             self.replies_forwarded += 1
         self._notify_pipeline_progress()

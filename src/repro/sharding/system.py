@@ -44,7 +44,6 @@ SHARD_THRESHOLD_GROUP_PREFIX = "execution-replies-shard"
 
 def sharded_topology(clients: List[NodeId], agreement: List[NodeId],
                      shard_execution_ids: List[List[NodeId]],
-                     allow_client_execution: bool = True,
                      cross_shard_links: bool = False) -> Topology:
     """Physical wiring of the sharded deployment.
 
@@ -61,8 +60,7 @@ def sharded_topology(clients: List[NodeId], agreement: List[NodeId],
     for shard_ids in shard_execution_ids:
         topo.add_links(agreement, shard_ids)
         topo.add_links(shard_ids, shard_ids)
-        if allow_client_execution:
-            topo.add_links(clients, shard_ids)
+        topo.add_links(clients, shard_ids)
     if cross_shard_links:
         for i, left in enumerate(shard_execution_ids):
             for right in shard_execution_ids[i + 1:]:
@@ -126,11 +124,6 @@ class ShardedSystem(SimulatedSystem):
         self.network.topology = sharded_topology(
             clients=self.client_ids, agreement=self.agreement_ids,
             shard_execution_ids=self.shard_execution_ids,
-            # Cross-shard assembled replies flow execution -> client, so
-            # cross-shard deployments keep the client links even without
-            # the direct-reply optimisation.
-            allow_client_execution=(config.direct_execution_reply
-                                    or config.cross_shard.enabled),
             cross_shard_links=(config.rebalance.enabled
                                or config.cross_shard.enabled))
 

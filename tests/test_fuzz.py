@@ -424,6 +424,24 @@ class TestCorpusAndArtifacts:
         assert report.ok
         assert report.seeds == len(seeds)
 
+    def test_corpus_regression_compare_lists_moved_digests(self, tmp_path,
+                                                           capsys):
+        from repro.fuzz.__main__ import main
+        corpus = tmp_path / "corpus"
+        seeds = seed_schedules("sharded", num_requests=20)[:2]
+        save_corpus(corpus, seeds)
+        report = tmp_path / "parent.json"
+        base = ["corpus-regression", "--corpus-dir", str(corpus)]
+        assert main(base + ["--out", str(report)]) == 0
+        assert main(base + ["--compare", str(report)]) == 0
+        earlier = json.loads(report.read_text())
+        moved = earlier["replays"][0]
+        moved["replay_digest"] = "0" * 64
+        report.write_text(json.dumps(earlier))
+        capsys.readouterr()
+        assert main(base + ["--compare", str(report)]) == 1
+        assert moved["schedule_digest"][:12] in capsys.readouterr().err
+
     def test_save_schedule_is_idempotent(self, tmp_path):
         first = save_schedule(tmp_path, LYING_SCHEDULE)
         second = save_schedule(tmp_path, LYING_SCHEDULE)

@@ -390,13 +390,13 @@ class TestHandoffFaults:
         propose(system, MapChange(kind="split", parent_epoch=0,
                                   key=skew_key(8), owner=1))
         # Peers installed; the partitioned replica is blocked awaiting.
-        assert blocked._awaiting_ranges
+        assert blocked._blocked_on is not None
         assert blocked.epoch == 1
         for node in system.execution_cluster(1)[1:]:
             assert node.ranges_installed == 1
         system.network.faults.heal_all()
         system.run(300.0)
-        assert not blocked._awaiting_ranges
+        assert blocked._blocked_on is None
         assert blocked.ranges_installed == 1
         assert blocked.range_fetches > 0
         assert cluster_digests(system, 1) == {blocked.app.state_digest()}
