@@ -23,6 +23,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..net.message import Message
+from ..sim.scheduler import Timer
 from ..util.ids import NodeId
 
 #: shares are accepted this many partition-map epochs either side of the
@@ -60,10 +61,8 @@ class ShareExchange:
         self.outbound: Dict[Hashable, Message] = {}
         #: the shares this replica is blocked waiting for, in fetch order
         self.awaiting: Dict[Item, None] = {}
-        #: what the fetch timer asks for: ``awaiting``, plus shares that
-        #: certified with an *empty* blob (the hand-written vote round
-        #: tested the certified observations for truth, not for presence)
-        self._fetching: Dict[Item, None] = {}
+        #: the one fetch timer of the blocked cut
+        self._timer: Optional[Timer] = None
         self._on_share: Callable[[Item, Any], None] = None
         self._on_resolved: Callable[[float], None] = None
         self._blocked_at = 0.0
@@ -102,30 +101,46 @@ class ShareExchange:
         ``on_share`` as it certifies and calls ``on_resolved`` (with the
         milliseconds spent blocked) after the last."""
         self.awaiting = dict.fromkeys(items)
-        self._fetching = dict(self.awaiting)
         self._on_share, self._on_resolved = on_share, on_resolved
         self._blocked_at = self.node.now
 
     def advance(self) -> bool:
         """Consume newly certified awaited shares; True once that resolved
-        the cut."""
+        the cut.  While shares are missing the fetch timer runs."""
         if not self.awaiting:
             return False
         for item in list(self.awaiting):
             blob = self._take_certified(item)
             if blob is not None:
                 del self.awaiting[item]
-                if blob:
-                    del self._fetching[item]
                 self._on_share(item, blob)
         if self.awaiting:
+            self._arm()
             return False
+        self.unblock()
         self._on_resolved(self.node.now - self._blocked_at)
         return True
 
     def unblock(self) -> None:
-        """Forget the cut (a restored checkpoint already holds its outcome)."""
+        """Stop waiting and cancel the fetch timer (also how a restored
+        checkpoint, which already holds the cut's outcome, forgets it)."""
         self.awaiting = {}
+        if self._timer is not None:
+            self._timer.cancel()
+
+    def _arm(self) -> None:
+        if self._timer is None or not self._timer.active:
+            self._timer = self.node.set_timer(
+                self.node.config.timers.execution_fetch_ms,
+                self._on_fetch_timeout,
+                label=f"{self.node.node_id}:{self.label}")
+
+    def _on_fetch_timeout(self) -> None:
+        for key, shard in self.awaiting:
+            self.fetches += 1
+            self.node.multicast(self.node.shard_execution_ids[shard],
+                                self.fetch_for(key))
+        self._arm()
 
     def _take_certified(self, item: Item) -> Optional[Any]:
         """The item's data once ``g + 1`` senders of its cluster sent
@@ -198,20 +213,3 @@ class ShareExchange:
         if stored is not None:
             self.node.send(sender, stored)
 
-    # ------------------------------------------------------------------ #
-    # The fetch timer.
-    # ------------------------------------------------------------------ #
-
-    def arm(self) -> None:
-        self.node.set_timer(self.node.config.timers.execution_fetch_ms,
-                            self._on_fetch_timeout,
-                            label=f"{self.node.node_id}:{self.label}")
-
-    def _on_fetch_timeout(self) -> None:
-        if not self.awaiting:
-            return
-        for key, shard in self._fetching:
-            self.fetches += 1
-            self.node.multicast(self.node.shard_execution_ids[shard],
-                                self.fetch_for(key))
-        self.arm()

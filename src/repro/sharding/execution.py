@@ -647,7 +647,7 @@ class ShardExecutionNode(ExecutionNode):
             # Buffered shares that can never install: past epochs' late
             # duplicates, or ranges that were never ours to gain.
             self._ranges.prune(lambda key: key[0] > self.epoch)
-        self._finish_marker_slot(local, resume_first=True)
+        self._finish_marker_slot(local)
 
     def _execute_config_marker(self, local: ShardLocalBatch, op) -> None:
         """Execute a non-partition config marker at its shard-local slot.
@@ -662,8 +662,7 @@ class ShardExecutionNode(ExecutionNode):
         if self.on_config_marker is not None:
             self.on_config_marker(self, op)
 
-    def _finish_marker_slot(self, local: ShardLocalBatch,
-                            resume_first: bool = False) -> None:
+    def _finish_marker_slot(self, local: ShardLocalBatch) -> None:
         """Everything a marker does at its slot besides its own semantics,
         in one fixed order: the slot is answered with an empty reply bundle
         (the pipeline settles like for any batch; a cross-shard client's
@@ -673,12 +672,8 @@ class ShardExecutionNode(ExecutionNode):
         early.
         """
         self._answer_slot(local.view, local.seq, ())
-        if resume_first:
-            self._advance_cut()
         if local.seq % self.config.checkpoint_interval == 0:
             self._take_checkpoint(local.seq)
-        if self._blocked_on is not None:
-            self._blocked_on.arm()
         self._advance_cut()
 
     def _take_checkpoint(self, seq: int) -> None:

@@ -38,8 +38,10 @@ from repro.config import (
     SystemConfig,
 )
 from repro.errors import ConfigurationError
+from repro.net.network import DROP
 from repro.sharding import (
     CrossShardReply,
+    CrossShardVote,
     MapChange,
     ShardedSystem,
     cross_shard_request_of,
@@ -488,6 +490,55 @@ class TestMarkerAcrossViewChange:
 # ---------------------------------------------------------------------- #
 # The mixed workload and its snapshot audit.
 # ---------------------------------------------------------------------- #
+
+
+class TestVoteFetchTimer:
+    def vote_fetches(self, system):
+        return sum(node.vote_fetches
+                   for cluster in system.shard_execution_nodes
+                   for node in cluster)
+
+    def test_fault_free_vote_rounds_never_fetch(self):
+        """Every vote round of a fault-free run resolves from the votes
+        that were sent; a fetch timer armed for one transaction must not
+        outlive it and fire into a later one."""
+        system = make_system(num_shards=4, num_clients=8)
+        for operation in seed_operations(KEY_SPACE, 4):
+            system.invoke(operation)
+        operations = mixed_cross_shard_operations(
+            600, key_space=KEY_SPACE, num_shards=4, multi_fraction=0.3,
+            seed=11)
+        run_crossshard_window(system, operations=operations,
+                              duration_ms=1_500.0, warmup_ms=100.0)
+        system.run(2_000.0)
+        voted = sum(node.cross_shard_commits + node.cross_shard_aborts
+                    for node in system.execution_cluster(0))
+        assert voted > 20
+        assert self.vote_fetches(system) == 0
+
+    def test_dropped_votes_are_recovered_through_the_fetch(self):
+        system = make_system()
+        left, right = key_on(system, 0), key_on(system, 1)
+        system.invoke(put(left, "base"))
+        start = system.scheduler.now
+
+        def drop_first_votes(source, destination, message):
+            if (isinstance(message, CrossShardVote)
+                    and system.scheduler.now < start + 15.0):
+                return DROP
+            return None
+
+        system.network.add_tap(drop_first_votes)
+        record = system.invoke(transaction(reads={left: "base"},
+                                           writes={left: "L2", right: "R2"}))
+        assert record.result.value["committed"] is True
+        assert cluster_value(system, 0, left) == "L2"
+        assert cluster_value(system, 1, right) == "R2"
+        assert self.vote_fetches(system) > 0
+        # Recovered, and quiet again: no timer keeps firing afterwards.
+        settled = self.vote_fetches(system)
+        system.run(500.0)
+        assert self.vote_fetches(system) == settled
 
 
 class TestWorkloadAudit:

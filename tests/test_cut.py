@@ -188,3 +188,37 @@ def test_outbound_shares_are_bounded_and_re_served_to_cluster_members_only():
     exchange.serve(CLUSTERS[1][0], SimpleNamespace(
         fetch=(3, "unknown"), replica=CLUSTERS[1][0]))
     assert node.sent == []
+
+
+def test_one_fetch_timer_per_blocked_cut():
+    exchange, _, _ = blocked_exchange(items=(((10, "x"), 1), ((10, "y"), 2)))
+    node = exchange.node
+    assert not exchange.advance()
+    assert not exchange.advance()
+    assert len(node.timers) == 1 and node.timers[0].active
+    node.timers[0].fire()
+    # Fetches go to every replica of each missing share's source cluster,
+    # and the timer re-arms while the cut stays blocked.
+    assert exchange.fetches == 2
+    assert [target for target, _ in node.sent] == CLUSTERS[1] + CLUSTERS[2]
+    assert len(node.timers) == 2 and node.timers[1].active
+    for shard, name in ((1, "x"), (2, "y")):
+        for sender in CLUSTERS[shard][:2]:
+            exchange.receive(sender, share(sender, shard=shard, name=name))
+    assert exchange.advance()
+    assert not node.timers[1].active  # cancelled, not left to fire
+    assert len(node.timers) == 2
+
+
+def test_restore_from_checkpoint_clears_the_block_and_the_timer():
+    exchange, delivered, resolved = blocked_exchange()
+    node = exchange.node
+    assert not exchange.advance()
+    timer = node.timers[0]
+    exchange.unblock()
+    assert not exchange.awaiting and not timer.active
+    # A late quorum for the forgotten cut is not delivered to anyone.
+    for sender in CLUSTERS[1][:2]:
+        exchange.receive(sender, share(sender))
+    assert not exchange.advance()
+    assert delivered == [] and resolved == []

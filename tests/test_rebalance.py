@@ -36,14 +36,18 @@ from repro.config import (
 )
 from repro.errors import ConfigurationError
 from repro.messages.agreement import OrderedBatch
+from repro.net.network import DROP
 from repro.sharding import (
     MapChange,
     PartitionMap,
     PartitionMapRegistry,
+    RangeHandoff,
     ShardedBatch,
     ShardedSystem,
     apply_map_change,
+    map_change_of,
 )
+from repro.sharding.messages import handoff_payload
 from repro.workloads import (
     equal_range_boundaries,
     migrating_hot_range_operations,
@@ -425,6 +429,104 @@ class TestHandoffFaults:
         assert crashed.epoch == 1
         assert crashed.state_transfers >= 1
         assert cluster_digests(system, 1) == {crashed.app.state_digest()}
+
+
+class TestCutCheckpoint:
+    def test_cut_checkpoint_covers_post_install_pre_resume_state(self):
+        """The marker reaches one gaining replica *after* the handoff shares
+        and while successor batches are already pending.  Its checkpoint at
+        the cut must still be taken over the state right after the install,
+        not after the successors ran: every correct replica records the same
+        digest for every checkpoint, and no checkpoint is ever taken for a
+        slot other than the one just executed."""
+        system = make_system(checkpoint_interval=1)
+        for index in range(0, 32, 4):
+            system.invoke(put(skew_key(index), f"v{index}"),
+                          client_index=index % 4)
+        slow = system.execution_node(1, 0)
+
+        def hold_marker_back(source, destination, message):
+            if (destination == slow.node_id
+                    and isinstance(message, ShardedBatch)
+                    and map_change_of(
+                        message.batch.request_certificates) is not None):
+                return DROP  # peers' BatchTransfer delivers it a little later
+            return None
+
+        system.network.add_tap(hold_marker_back)
+        taken, digests = [], {}
+        for node in system.execution_cluster(1):
+            def recording(seq, node=node, original=node._take_checkpoint):
+                taken.append((seq, node.max_executed))
+                original(seq)
+                if seq in node.checkpoints:
+                    digests.setdefault(seq, {})[node.node_id] = \
+                        node.checkpoints[seq].digest
+            node._take_checkpoint = recording
+        installed_before_marker = []
+        original_execute = slow._execute_map_change
+
+        def execute_marker(local, change):
+            installed_before_marker.append(bool(slow._ranges.tallies))
+            original_execute(local, change)
+        slow._execute_map_change = execute_marker
+
+        primary = system.agreement_replicas[0]
+        assert primary.propose_map_change(
+            MapChange(kind="split", parent_epoch=0, key=skew_key(8), owner=1))
+        for index in range(8):
+            system.submit(put(skew_key(40 + index), f"after-{index}"),
+                          client_index=index % 4)
+        system.run(400.0)
+
+        assert installed_before_marker == [True]  # the shares did pre-arrive
+        assert slow.ranges_installed == 1 and slow.epoch == 1
+        assert slow.max_executed == system.execution_node(1, 1).max_executed
+        assert all(seq == max_executed for seq, max_executed in taken)
+        assert digests and all(len(set(by_node.values())) == 1
+                               and len(by_node) == 3
+                               for by_node in digests.values())
+
+
+class TestByzantineHandoffSource:
+    def test_equivocating_source_replica_buffers_one_blob(self):
+        """One Byzantine replica of the losing cluster sends 100 distinct,
+        validly MACed handoffs for the awaited range: the gainer keeps one
+        blob from it, and installs what the honest ``g + 1`` certify."""
+        system = make_system()
+        for index in range(0, 32, 4):
+            system.invoke(put(skew_key(index), f"v{index}"),
+                          client_index=index % 4)
+        blocked = system.execution_node(1, 0)
+        liar, *honest = system.execution_cluster(0)
+        for source in honest:
+            system.network.faults.partition(blocked.node_id, source.node_id)
+        propose(system, MapChange(kind="split", parent_epoch=0,
+                                  key=skew_key(8), owner=1))
+        assert blocked._blocked_on is not None
+        (item,) = blocked._ranges.awaiting
+        (epoch, lo, hi), source_shard = item
+        targets = [node.node_id for node in system.execution_cluster(1)]
+        for attempt in range(100):
+            entries = b"forged-%d" % attempt
+            digest = liar.crypto.digest(entries)
+            forged = RangeHandoff(
+                epoch=epoch, source_shard=source_shard, target_shard=1,
+                lo=lo, hi=hi, entries=entries, reply_table=b"",
+                state_digest=digest, replica=liar.node_id,
+                authenticator=liar.crypto.mac_authenticator(
+                    handoff_payload(epoch, lo, hi, source_shard, 1, digest),
+                    targets))
+            blocked.deliver(liar.node_id, forged, forged.wire_size())
+            system.run(1.0)
+        assert blocked._blocked_on is not None
+        assert list(blocked._ranges.tallies[item]) == [liar.node_id]
+        system.network.faults.heal_all()
+        system.run(300.0)
+        assert blocked._blocked_on is None
+        assert blocked.ranges_installed == 1
+        assert not blocked._ranges.tallies
+        assert cluster_digests(system, 1) == {blocked.app.state_digest()}
 
 
 class TestCutAcrossViewChange:
