@@ -263,17 +263,18 @@ class ExecutionNode(Process):
             request: ClientRequest = certificate.payload
             replies.append(self._execute_request(batch, request))
         self._h_exec_batch.observe(len(batch.request_certificates))
-        self._answer_slot(batch.view, batch.seq, replies)
-        if batch.seq % self.config.checkpoint_interval == 0:
-            self._take_checkpoint(batch.seq)
+        self._finish_slot(batch.view, batch.seq, replies)
 
-    def _answer_slot(self, view: int, seq: int, replies) -> None:
-        """Advance to ``seq`` and send (and cache) its reply bundle."""
+    def _finish_slot(self, view: int, seq: int, replies) -> None:
+        """Advance to ``seq``, send (and cache) its reply bundle, and take
+        the checkpoint if one falls on it."""
         self.max_executed = seq
         self.batches_executed += 1
-        body = self._make_reply_body(view, seq, tuple(replies))
+        body = self._make_reply_body(view, seq, replies)
         self.replies_by_seq[seq] = self._send_reply(body)
         self._trim_reply_cache()
+        if seq % self.config.checkpoint_interval == 0:
+            self._take_checkpoint(seq)
 
     def _execute_request(self, batch: OrderedBatch, request: ClientRequest) -> ReplyBody:
         last = self.reply_table.get(request.client)

@@ -117,14 +117,17 @@ class ShareExchange:
         if self.awaiting:
             self._arm()
             return False
+        on_resolved = self._on_resolved
         self.unblock()
-        self._on_resolved(self.node.now - self._blocked_at)
+        on_resolved(self.node.now - self._blocked_at)
         return True
 
     def unblock(self) -> None:
         """Stop waiting and cancel the fetch timer (also how a restored
         checkpoint, which already holds the cut's outcome, forgets it)."""
         self.awaiting = {}
+        # The callbacks close over the marker's batch; let it go.
+        self._on_share = self._on_resolved = None
         if self._timer is not None:
             self._timer.cancel()
 

@@ -671,9 +671,7 @@ class ShardExecutionNode(ExecutionNode):
         cut gets the chance to resolve at once from shares that arrived
         early.
         """
-        self._answer_slot(local.view, local.seq, ())
-        if local.seq % self.config.checkpoint_interval == 0:
-            self._take_checkpoint(local.seq)
+        self._finish_slot(local.view, local.seq, ())
         self._advance_cut()
 
     def _take_checkpoint(self, seq: int) -> None:
