@@ -7,7 +7,8 @@ four shards per agreement log:
    K = 1, 2 and 4 agreement logs (offered load and key space scale with
    K), single-group traffic only.  K = 1 is the plain sharded deployment
    (one 3f+1 cluster ordering every shard's feed); K > 1 partitions the
-   ordering plane with :class:`~repro.multilog.MultiLogSystem`.
+   ordering plane -- the same :class:`~repro.sharding.ShardedSystem`
+   builder, with ``multilog.num_logs = K``.
    Acceptance: K = 4 sustains >= 2x the K = 1 committed-requests/sec --
    if splitting the agreement plane four ways cannot even double
    throughput, the ordering plane was never the bottleneck being bought.
@@ -51,7 +52,6 @@ from repro.config import (
     TimerConfig,
 )
 from repro.sharding import ShardedSystem
-from repro.multilog import MultiLogSystem
 from repro.workloads import (
     audit_cross_group_consistency,
     equal_range_boundaries,
@@ -106,16 +106,11 @@ def build_system(num_logs: int, seed: int, *, cross: bool = False):
         observability=current_observability())
     if cross:
         kwargs["cross_shard"] = CrossShardConfig(enabled=True)
-    if num_logs == 1:
-        config = SystemConfig.sharded(
-            num_shards, "range", equal_range_boundaries(key_space, num_shards),
-            **kwargs)
-        return ShardedSystem(config, KeyValueStore, seed=seed)
     config = SystemConfig.multilog_sharded(
         num_logs=num_logs, num_shards=num_shards, strategy="range",
         range_boundaries=equal_range_boundaries(key_space, num_shards),
         **kwargs)
-    return MultiLogSystem(config, KeyValueStore, seed=seed)
+    return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
 def run_window(system, num_logs: int, multi_fraction: float, label: str, *,
@@ -179,11 +174,9 @@ def section_cross_group(quick: bool, seed: int, workload_seed: int,
     system.run(300.0)
     audit = audit_cross_group_consistency(
         system.clients, key_space=key_space, num_shards=num_shards,
-        log_of_shard=lambda shard: system.log_registry.latest.log_of(shard))
+        log_of_shard=system.log_registry.log_of)
     ratio = mixed.completed_per_sec / max(single_group_per_sec, 1e-9)
-    queues = [system.log_queue(log, index)
-              for log in range(CROSS_LOGS)
-              for index in range(len(system.log_agreement_ids[log]))]
+    queues = system.message_queues
     markers = max(queue.cross_log_markers for queue in queues)
     cuts = max(queue.cuts_broadcast for queue in queues)
     fallovers = sum(queue.cut_fallovers for queue in queues)

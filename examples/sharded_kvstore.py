@@ -18,11 +18,17 @@ cross-shard operations enabled, a multi-key snapshot read then spans the
 freshly split ranges at a consistent cut: one marker in the agreed order,
 one certified fragment per touched cluster, one assembled reply.
 
+The third act builds the *same* system class with two agreement logs
+(``multilog.num_logs = 2``): each log orders its own group of shards, a
+write-only transaction spanning both groups is released at one cross-log
+cut, and a shard is moved from one log to the other while the service keeps
+answering.
+
 Run with:  python examples/sharded_kvstore.py
 """
 
 from repro import ShardedSystem, SystemConfig
-from repro.apps.kvstore import KeyValueStore, get, multi_get, put
+from repro.apps.kvstore import KeyValueStore, get, multi_get, put, transaction
 from repro.config import CrossShardConfig, RebalanceConfig
 from repro.workloads import equal_range_boundaries
 from repro.workloads.skew import skew_key
@@ -77,6 +83,36 @@ def rebalancing_demo() -> None:
           f"cursor: {client.epoch}")
 
 
+def multi_log_demo() -> None:
+    key_space, num_logs, num_shards = 64, 2, 4
+    config = SystemConfig.multilog_sharded(
+        num_logs=num_logs, num_shards=num_shards, strategy="range",
+        range_boundaries=equal_range_boundaries(key_space, num_shards),
+        num_clients=2, checkpoint_interval=16,
+        cross_shard=CrossShardConfig(enabled=True))
+    system = ShardedSystem(config, KeyValueStore, seed=3)
+    print(f"Two agreement logs over {num_shards} shards (same builder, "
+          f"multilog.num_logs={num_logs}):")
+    print(f"  log map: {system.log_registry.latest.assignment}")
+    keys = [skew_key(index) for index in (4, 20, 36, 52)]  # one per shard
+    record = system.invoke(transaction(
+        reads={}, writes={key: "stamped" for key in keys}))
+    assert record.result.value["committed"]
+    print(f"  write-only txn over shards "
+          f"{[system.shard_of_key(key) for key in keys]} committed at one "
+          f"cross-log cut ({system.message_queues[0].cross_log_markers} "
+          f"marker held for its cut)")
+    moving = 1
+    assert system.propose_log_map_change(shard=moving, target_log=1)
+    system.run_until(lambda: system.log_registry.latest_epoch == 1, 10_000.0,
+                     "the log-map cut")
+    record = system.invoke(get(keys[moving]))
+    assert record.result.value["value"] == "stamped"
+    print(f"  shard {moving} moved to log {system.log_registry.log_of(moving)}; "
+          f"log map: {system.log_registry.latest.assignment}; "
+          f"get {keys[moving]} -> {record.result.value['value']!r}")
+
+
 def main() -> None:
     config = SystemConfig.sharded(num_shards=2, num_clients=2,
                                   checkpoint_interval=8)
@@ -123,6 +159,8 @@ def main() -> None:
 
     print()
     rebalancing_demo()
+    print()
+    multi_log_demo()
 
 
 if __name__ == "__main__":

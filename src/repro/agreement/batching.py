@@ -34,6 +34,14 @@ from ..util.ids import NodeId
 #: up to the default ``max_bundle``
 _BUNDLE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
+#: additive step of the AIMD bundle controller
+BUNDLE_INCREASE = 1
+#: requests in flight (ordered but unanswered) at or above which the
+#: system counts as congested -- with closed-loop clients the backlog
+#: accumulates *in the pipeline*, not in the batcher, so the controller
+#: must watch both.
+CONGESTION_REQUESTS = 1
+
 
 class StaticBundleController:
     """Fixed bundle size (the paper's ``bundle_size`` configuration)."""
@@ -98,10 +106,10 @@ class AdaptiveBundleController:
         return max(self.config.min_bundle, int(self._size))
 
     def on_take(self, backlog_before: int, taken: int, in_flight: int = 0) -> None:
-        congested = in_flight >= self.config.congestion_requests
+        congested = in_flight >= CONGESTION_REQUESTS
         if backlog_before - taken > 0 or in_flight + taken > self.current:
             self._size = min(float(self.config.max_bundle),
-                             self._size + self.config.increase)
+                             self._size + BUNDLE_INCREASE)
             self.increases += 1
         elif taken * 2 <= self.current and not congested:
             self._size = max(float(self.config.min_bundle),

@@ -60,6 +60,19 @@ _RTT_ALPHA = 0.125
 _RTT_GATHER_FRACTION = 0.5
 #: floor of the RTT-derived gather window (ms)
 _MIN_GATHER_MS = 0.5
+#: quiet-gap flush window (ms) used instead of ``timers.batch_timeout_ms``
+#: when at most one batch is in flight: long enough to cover the
+#: reply-to-resubmission round trip of a closed-loop client cohort, and
+#: each arrival during the gather pushes the flush out by another
+#: ``GATHER_MS`` (a debounce that captures the whole burst), bounded by
+#: ``timers.batch_timeout_ms`` from the start of the gather.  At
+#: ``min_bundle`` every take happens at arrival time and this window is
+#: never armed, so light-load latency is untouched.
+GATHER_MS = 6.0
+#: upper bound on the view-change escalation delay (ms); a cap below
+#: ``timers.view_change_ms`` is treated as ``view_change_ms`` (the backoff
+#: never undercuts the base timer)
+VIEW_CHANGE_BACKOFF_CAP_MS = 6400.0
 
 
 class AgreementReplica(Process):
@@ -651,12 +664,12 @@ class AgreementReplica(Process):
         With ``PipelineConfig.rtt_gather`` the window tracks the measured
         commit round trip -- long enough to cover the reply-to-resubmission
         turnaround of closed-loop clients, short enough not to idle a fast
-        deployment -- instead of the static ``BatchingConfig.gather_ms``.
+        deployment -- instead of the static :data:`GATHER_MS`.
         """
         if self.config.pipeline.rtt_gather and self._rtt_ewma is not None:
             return min(max(_RTT_GATHER_FRACTION * self._rtt_ewma, _MIN_GATHER_MS),
                        self.config.timers.batch_timeout_ms)
-        return self.config.batching.gather_ms
+        return GATHER_MS
 
     def _requests_in_flight(self) -> int:
         """Requests assigned a sequence number but not yet answered by
@@ -1156,7 +1169,7 @@ class AgreementReplica(Process):
         timers = self.config.timers
         delay = timers.view_change_ms * (
             timers.view_change_backoff ** (self._view_change_attempts + 1))
-        return min(delay, max(timers.view_change_backoff_cap_ms,
+        return min(delay, max(VIEW_CHANGE_BACKOFF_CAP_MS,
                               timers.view_change_ms))
 
     def _on_view_change_timeout(self, attempted_view: int) -> None:

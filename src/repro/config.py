@@ -100,7 +100,6 @@ class NetworkConfig:
     duplicate_probability: float = 0.0
     reorder_probability: float = 0.0
     corrupt_probability: float = 0.0
-    bandwidth_bytes_per_ms: float = 12_500.0  # 100 Mbit/s
 
     def validate(self) -> None:
         for name in ("drop_probability", "duplicate_probability",
@@ -112,8 +111,6 @@ class NetworkConfig:
             raise ConfigurationError(
                 "network delays must satisfy 0 <= min_delay_ms <= max_delay_ms"
             )
-        if self.bandwidth_bytes_per_ms <= 0:
-            raise ConfigurationError("bandwidth_bytes_per_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -200,8 +197,8 @@ class PipelineConfig:
     rtt_gather:
         Derive the adaptive-batching idle-gather window from an EWMA of the
         measured order-to-reply round trip instead of the static
-        ``BatchingConfig.gather_ms``, so the group-commit debounce tracks
-        the deployment's actual reply turnaround.
+        ``repro.agreement.replica.GATHER_MS``, so the group-commit debounce
+        tracks the deployment's actual reply turnaround.
     """
 
     per_shard_depth: Optional[int] = None
@@ -358,9 +355,10 @@ class MultiLogConfig:
     Parameters
     ----------
     num_logs:
-        Number of independent agreement logs.  ``1`` degenerates to the
-        single-log separated architecture (no coordination machinery at
-        all).  Requires ``sharding.num_shards`` to be divisible by
+        Number of independent agreement logs.  ``1`` is the single-log
+        sharded deployment: :class:`repro.sharding.ShardedSystem` builds it
+        from the same code, with no coordination machinery wired in at
+        all.  Requires ``sharding.num_shards`` to be divisible by
         ``num_logs`` so groups start out equal; ``LogMapChange`` operations
         may make them unequal later.
     """
@@ -425,7 +423,7 @@ class BatchingConfig:
     (:attr:`SystemConfig.bundle_size`, swept by Figure 5).  ``mode="adaptive"``
     replaces it with an AIMD controller on queue depth: every time the
     primary drains a bundle and backlog remains, the bundle size grows
-    additively (by ``increase``) up to ``max_bundle``; every time the queue
+    additively (by one) up to ``max_bundle``; every time the queue
     drains with a partial bundle (a batch-timeout fire under light load) it
     shrinks multiplicatively (by ``decrease_factor``) toward ``min_bundle``.
     The batch timeout is unchanged in either mode, so adaptive bundling can
@@ -435,22 +433,7 @@ class BatchingConfig:
     mode: str = "static"
     min_bundle: int = 1
     max_bundle: int = 64
-    increase: int = 1
     decrease_factor: float = 0.5
-    #: requests in flight (ordered but unanswered) at or above which the
-    #: system counts as congested -- with closed-loop clients the backlog
-    #: accumulates *in the pipeline*, not in the batcher, so the controller
-    #: must watch both.
-    congestion_requests: int = 1
-    #: quiet-gap flush window (ms) used instead of ``timers.batch_timeout_ms``
-    #: when at most one batch is in flight: long enough to cover the
-    #: reply-to-resubmission round trip of a closed-loop client cohort, and
-    #: each arrival during the gather pushes the flush out by another
-    #: ``gather_ms`` (a debounce that captures the whole burst), bounded by
-    #: ``timers.batch_timeout_ms`` from the start of the gather.  At
-    #: ``min_bundle`` every take happens at arrival time and this window is
-    #: never armed, so light-load latency is untouched.
-    gather_ms: float = 6.0
     #: per-shard batch *timeouts*: a shard's partial-bundle fill window may
     #: stretch up to ``timeout_scale_max`` times ``timers.batch_timeout_ms``
     #: while the shard is congested -- a hot shard under deep backlog can
@@ -473,14 +456,8 @@ class BatchingConfig:
             raise ConfigurationError("min_bundle must be at least 1")
         if self.max_bundle < self.min_bundle:
             raise ConfigurationError("max_bundle must be >= min_bundle")
-        if self.increase < 1:
-            raise ConfigurationError("increase must be at least 1")
         if not 0.0 < self.decrease_factor < 1.0:
             raise ConfigurationError("decrease_factor must be in (0, 1)")
-        if self.congestion_requests < 1:
-            raise ConfigurationError("congestion_requests must be at least 1")
-        if self.gather_ms <= 0:
-            raise ConfigurationError("gather_ms must be positive")
         if self.timeout_scale_max < 1.0:
             raise ConfigurationError("timeout_scale_max must be at least 1.0")
         if self.demote_idle_ms is not None and self.demote_idle_ms <= 0:
@@ -612,10 +589,6 @@ class TimerConfig:
     #: escalation re-votes after ``view_change_ms * view_change_backoff**k``
     #: so cascading view changes under a long partition don't thrash
     view_change_backoff: float = 2.0
-    #: upper bound on the escalation delay; a cap below ``view_change_ms``
-    #: is treated as ``view_change_ms`` (the backoff never undercuts the
-    #: base timer)
-    view_change_backoff_cap_ms: float = 6400.0
     batch_timeout_ms: float = 1.0
     #: proactive primary rotation: after this many *stable checkpoints* in
     #: the current view, every replica starts a planned view change to the

@@ -242,6 +242,10 @@ class ClientNode(Process):
         self._pending = None
         if pending.callback is not None:
             pending.callback(record)
+        self._issue_next_queued()
+
+    def _issue_next_queued(self) -> None:
+        """The single outstanding request is done: issue the next one."""
         if self._queue:
             operation, timestamp, callback, submitted_at = self._queue.pop(0)
             self._issue(operation, timestamp, callback, issued_at=submitted_at)

@@ -27,7 +27,7 @@ the :class:`~repro.runtime.interface.Runtime` seam guarantees on *every*
 backend, which is why it runs unmodified over real sockets:
 
 * Its handlers are atomic (no interleaving on one node), so quorum
-  accumulation in ``_ReplyCollector`` needs no locking anywhere.
+  accumulation in ``QuorumCollector`` needs no locking anywhere.
 * Retransmission timers rely only on one-shot ``call_after`` semantics and
   ``Timer.cancel()``; nothing assumes virtual time or same-instant firing
   order.
@@ -42,13 +42,12 @@ backend, which is why it runs unmodified over real sockets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..agreement.local import LocalExecutor, RetryOutcome
 from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
-from ..errors import ProtocolError
 from ..messages.agreement import OrderedBatch
 from ..messages.reply import BatchReply, BatchReplyBody, ClientReply
 from ..messages.request import ClientRequest
@@ -61,48 +60,56 @@ from ..util.ids import NodeId
 
 @dataclass
 class PendingSend:
-    """Book-keeping for one batch awaiting its reply certificate."""
+    """Book-keeping for one message awaiting its answer.
 
-    batch: OrderedBatch
+    ``fire`` (the retransmission timer's callback) calls the queue's *named*
+    timer entry point, ``_on_retransmit_timeout`` or a sibling: that is
+    where the performance ledger's spans charge timer work to the queue.
+    """
+
+    batch: Any
+    fire: Callable[[], None]
+    label: str
+    timeout_ms: float
     timer: Optional[Timer] = None
-    timeout_ms: float = 0.0
     retransmissions: int = 0
 
 
 @dataclass
-class _ReplyCollector:
-    """Accumulates partial reply certificates until a quorum is reached."""
+class QuorumCollector:
+    """Accumulates partial certificates over one body until a quorum of
+    its signers is reached (reply bodies here; sequence bindings in
+    :mod:`repro.multilog.queue`)."""
 
-    body: BatchReplyBody
+    body: Any
     certificate: Certificate
     done: bool = False
 
 
-class MessageQueue(LocalExecutor):
-    """Local state machine of one agreement node in the separated architecture."""
+class QueueCore(LocalExecutor):
+    """What every queue hosted by an agreement replica is made of.
+
+    The per-client reply cache, the statistics, and the steps all the
+    queues repeat: send-and-count, retransmit with exponential backoff,
+    serve a client retransmission from the cache, assemble and forward a
+    reply certificate.  *Where* batches go is what :class:`MessageQueue`
+    (one cluster, primary-first ``OrderedBatch``) and
+    :class:`~repro.sharding.queue.ShardRouterQueue` (per-shard envelopes
+    from every replica) each add.
+    """
 
     def __init__(self, owner: Process, config: SystemConfig,
-                 execution_ids: List[NodeId], downstream: List[NodeId],
-                 client_ids: List[NodeId],
-                 threshold_group: Optional[str] = None) -> None:
+                 client_ids: List[NodeId]) -> None:
         #: the agreement replica process hosting this queue; provides
         #: send/set_timer/charge and the crypto provider.
         self.owner = owner
         self.config = config
-        self.execution_ids = list(execution_ids)
-        #: where ordered batches are sent: the execution nodes directly, or
-        #: the bottom row of the privacy firewall.
-        self.downstream = list(downstream)
         self.client_ids = list(client_ids)
-        self.threshold_group = threshold_group
 
         self.max_n = 0
-        self.pending_sends: Dict[int, PendingSend] = {}
         #: optional per-client cache of the latest full reply certificate
         self.cache: Dict[NodeId, ClientReply] = {}
         self.highest_reply_seq = 0
-        #: partial-certificate assembly, keyed by (seq, body digest)
-        self._collectors: Dict[Tuple[int, bytes], _ReplyCollector] = {}
 
         # Statistics used by benchmarks and tests.
         self.batches_sent = 0
@@ -119,7 +126,6 @@ class MessageQueue(LocalExecutor):
         """Snapshot of the queue's ad-hoc counters for the metrics registry."""
         return {
             "max_n": self.max_n,
-            "pending_sends": len(self.pending_sends),
             "batches_sent": self.batches_sent,
             "replies_forwarded": self.replies_forwarded,
             "retransmissions": self.retransmissions,
@@ -135,130 +141,76 @@ class MessageQueue(LocalExecutor):
                 self.owner.trace_event(
                     request_trace_id(request.client, request.timestamp), event)
 
-    # ------------------------------------------------------------------ #
-    # Helpers.
-    # ------------------------------------------------------------------ #
-
     @property
     def crypto(self):
         return self.owner.crypto  # type: ignore[attr-defined]
 
-    def _send_downstream(self, batch: OrderedBatch) -> None:
-        self.owner.multicast(self.downstream, batch)
+    # ------------------------------------------------------------------ #
+    # Sending and retransmitting.
+    # ------------------------------------------------------------------ #
+
+    def _send(self, targets: List[NodeId], batch) -> None:
+        self.owner.multicast(targets, batch)
         self.batches_sent += 1
         self._c_batches_sent.inc()
 
-    # ------------------------------------------------------------------ #
-    # LocalExecutor interface (called by the agreement replica).
-    # ------------------------------------------------------------------ #
+    def _arm(self, pending: PendingSend) -> None:
+        pending.timer = self.owner.set_timer(pending.timeout_ms, pending.fire,
+                                             label=pending.label)
 
-    def execute_batch(self, seq: int, view: int,
-                      request_certificates: Tuple[Certificate, ...],
-                      agreement_certificate: Certificate,
-                      nondet: NonDetInput) -> None:
-        """The BASE library's ``msgQueue.insert(request cert, agreement cert)``."""
-        batch = OrderedBatch(seq=seq, view=view,
-                             request_certificates=tuple(request_certificates),
-                             agreement_certificate=agreement_certificate,
-                             nondet=nondet)
-        self.max_n = max(self.max_n, seq)
-        if self.owner.tracing:
-            self._trace_requests(batch.request_certificates, "release")
-        pending = PendingSend(batch=batch,
-                              timeout_ms=self.config.timers.agreement_retransmit_ms)
-        self.pending_sends[seq] = pending
-        # Optimisation from the paper: on first insertion only the current
-        # primary multicasts the batch downstream; every node retransmits if
-        # the timeout expires before the reply certificate arrives.
-        if self._owner_is_primary(view):
-            self._send_downstream(batch)
-        self._arm_timer(pending)
-
-    def _owner_is_primary(self, view: int) -> bool:
-        primary_of = getattr(self.owner, "primary_of", None)
-        if primary_of is None:
-            return True
-        return primary_of(view) == self.owner.node_id
-
-    def _arm_timer(self, pending: PendingSend) -> None:
-        seq = pending.batch.seq
-        pending.timer = self.owner.set_timer(
-            pending.timeout_ms,
-            lambda seq=seq: self._on_retransmit_timeout(seq),
-            label=f"{self.owner.node_id}:mq-retransmit:{seq}",
-        )
-
-    def _on_retransmit_timeout(self, seq: int) -> None:
-        pending = self.pending_sends.get(seq)
-        if pending is None:
-            return
-        self._send_downstream(pending.batch)
+    def _back_off(self, pending: PendingSend) -> None:
+        """What follows every timer-driven resend: count it, double the
+        timeout (exponential backoff, as in the paper), re-arm."""
         self.retransmissions += 1
         pending.retransmissions += 1
-        # Exponential backoff, as in the paper.
         pending.timeout_ms *= 2
-        self._arm_timer(pending)
+        self._arm(pending)
 
-    def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
-        """Handle a client-initiated retransmission (BASE's ``retryHint``)."""
-        request: ClientRequest = request_certificate.payload
+    # ------------------------------------------------------------------ #
+    # Client retransmissions (BASE's ``retryHint``).
+    # ------------------------------------------------------------------ #
+
+    def _serve_from_cache(self, request: ClientRequest) -> bool:
+        """Answer a retransmitted request from the reply cache if it holds
+        this (or a later) reply for the client."""
         cached = self.cache.get(request.client)
-        if cached is not None and cached.reply.timestamp >= request.timestamp:
-            self.owner.send(request.client, cached)
-            self.cache_hits += 1
-            return RetryOutcome.HANDLED
-        for pending in self.pending_sends.values():
-            for cert in pending.batch.request_certificates:
-                pending_request: ClientRequest = cert.payload
-                if (pending_request.client == request.client
-                        and pending_request.timestamp == request.timestamp):
-                    self._send_downstream(pending.batch)
-                    self.retransmissions += 1
-                    return RetryOutcome.HANDLED
-        return RetryOutcome.NEED_ORDER
+        if cached is None or cached.reply.timestamp < request.timestamp:
+            return False
+        self.owner.send(request.client, cached)
+        self.cache_hits += 1
+        return True
+
+    @staticmethod
+    def _carries(batch: OrderedBatch, request: ClientRequest) -> bool:
+        """Whether a pending batch holds the retransmitted request (config
+        markers ride batches too and carry no client timestamp)."""
+        for certificate in batch.request_certificates:
+            pending_request = certificate.payload
+            if (isinstance(pending_request, ClientRequest)
+                    and pending_request.client == request.client
+                    and pending_request.timestamp == request.timestamp):
+                return True
+        return False
 
     def highest_ready_seq(self) -> Optional[int]:
         return self.highest_reply_seq
 
-    def on_stable_checkpoint(self, seq: int) -> None:
-        # The reply cache is explicitly excluded from checkpoints and pending
-        # sends are only dropped when their reply arrives, so a stable
-        # agreement checkpoint requires no action here.
-        return None
-
     # ------------------------------------------------------------------ #
-    # Reply certificates from the execution cluster / privacy firewall.
+    # Reply certificates.
     # ------------------------------------------------------------------ #
 
-    def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
-        """Handle a (partial or full) reply certificate flowing back down."""
-        body = message.body
-        certificate = message.certificate
-        if body.seq != message.seq:
-            return
-        full = self._assemble(sender, body, certificate)
-        if full is None:
-            return
-        self._accept_reply(body, full)
-
-    def _assemble(self, sender: NodeId, body: BatchReplyBody,
-                  certificate: Certificate) -> Optional[Certificate]:
-        """Merge partial certificates until ``g + 1`` signers (or a threshold
-        signature) vouch for the reply body; returns the full certificate."""
-        return self._assemble_into(self._collectors, (), body, certificate,
-                                   universe=self.execution_ids,
-                                   default_group=self.threshold_group)
-
-    def _assemble_into(self, collectors: Dict[tuple, _ReplyCollector],
+    def _assemble_into(self, collectors: Dict[tuple, QuorumCollector],
                        key_prefix: tuple, body: BatchReplyBody,
                        certificate: Certificate, universe: List[NodeId],
                        default_group: Optional[str]) -> Optional[Certificate]:
-        """Shared partial-certificate assembly.
+        """Merge partial certificates until ``g + 1`` signers (or a threshold
+        signature) vouch for the reply body; returns the full certificate.
 
         ``universe`` is the set of execution replicas allowed to contribute
-        the ``g + 1`` matching authenticators (the whole cluster here; one
-        shard's replicas in :class:`~repro.sharding.queue.ShardRouterQueue`),
-        and ``key_prefix`` namespaces the collector table accordingly.
+        the ``g + 1`` matching authenticators (the whole cluster in
+        :class:`MessageQueue`; one shard's replicas in
+        :class:`~repro.sharding.queue.ShardRouterQueue`), and ``key_prefix``
+        namespaces the collector table accordingly.
         """
         threshold = certificate.scheme is AuthenticationScheme.THRESHOLD
         if threshold and certificate.threshold_signature is not None:
@@ -272,7 +224,7 @@ class MessageQueue(LocalExecutor):
         if collector is None:
             group = ((certificate.threshold_group or default_group)
                      if threshold else None)
-            collector = _ReplyCollector(body=body, certificate=Certificate(
+            collector = QuorumCollector(body=body, certificate=Certificate(
                 payload=body, scheme=certificate.scheme, threshold_group=group))
             collectors[key] = collector
         # Once assembled the certificate has been forwarded inside reply
@@ -292,6 +244,118 @@ class MessageQueue(LocalExecutor):
         collector.done = True
         return collector.certificate
 
+    def _forward_replies(self, body: BatchReplyBody,
+                         certificate: Certificate) -> None:
+        """Forward each client its reply and update the cache, then tell
+        the hosting replica that pipeline capacity was freed (the
+        group-commit trigger for adaptive bundling)."""
+        for reply in body.replies:
+            client_reply = ClientReply(reply=reply, body=body, certificate=certificate)
+            cached = self.cache.get(reply.client)
+            if cached is None or cached.reply.timestamp <= reply.timestamp:
+                self.cache[reply.client] = client_reply
+            self.owner.send(reply.client, client_reply)
+            self.replies_forwarded += 1
+            self._c_replies_forwarded.inc()
+        hook = getattr(self.owner, "on_pipeline_progress", None)
+        if hook is not None:
+            hook()
+
+
+class MessageQueue(QueueCore):
+    """Local state machine of one agreement node in the separated architecture.
+
+    A stable agreement checkpoint requires no action here: the reply cache
+    is explicitly excluded from checkpoints, and pending sends are only
+    dropped when their reply arrives.
+    """
+
+    def __init__(self, owner: Process, config: SystemConfig,
+                 execution_ids: List[NodeId], downstream: List[NodeId],
+                 client_ids: List[NodeId],
+                 threshold_group: Optional[str] = None) -> None:
+        super().__init__(owner, config, client_ids)
+        self.execution_ids = list(execution_ids)
+        #: where ordered batches are sent: the execution nodes directly, or
+        #: the bottom row of the privacy firewall.
+        self.downstream = list(downstream)
+        self.threshold_group = threshold_group
+        self.pending_sends: Dict[int, PendingSend] = {}
+        #: partial-certificate assembly, keyed by (seq, body digest)
+        self._collectors: Dict[Tuple[int, bytes], QuorumCollector] = {}
+
+    def _queue_probe(self) -> dict:
+        return {**super()._queue_probe(),
+                "pending_sends": len(self.pending_sends)}
+
+    # ------------------------------------------------------------------ #
+    # LocalExecutor interface (called by the agreement replica).
+    # ------------------------------------------------------------------ #
+
+    def execute_batch(self, seq: int, view: int,
+                      request_certificates: Tuple[Certificate, ...],
+                      agreement_certificate: Certificate,
+                      nondet: NonDetInput) -> None:
+        """The BASE library's ``msgQueue.insert(request cert, agreement cert)``."""
+        batch = OrderedBatch(seq=seq, view=view,
+                             request_certificates=tuple(request_certificates),
+                             agreement_certificate=agreement_certificate,
+                             nondet=nondet)
+        self.max_n = max(self.max_n, seq)
+        if self.owner.tracing:
+            self._trace_requests(batch.request_certificates, "release")
+        pending = PendingSend(
+            batch=batch, fire=lambda: self._on_retransmit_timeout(seq),
+            label=f"{self.owner.node_id}:mq-retransmit:{seq}",
+            timeout_ms=self.config.timers.agreement_retransmit_ms)
+        self.pending_sends[seq] = pending
+        # Optimisation from the paper: on first insertion only the current
+        # primary multicasts the batch downstream; every node retransmits if
+        # the timeout expires before the reply certificate arrives.
+        if self._owner_is_primary(view):
+            self._send(self.downstream, batch)
+        self._arm(pending)
+
+    def _owner_is_primary(self, view: int) -> bool:
+        primary_of = getattr(self.owner, "primary_of", None)
+        if primary_of is None:
+            return True
+        return primary_of(view) == self.owner.node_id
+
+    def _on_retransmit_timeout(self, seq: int) -> None:
+        pending = self.pending_sends.get(seq)
+        if pending is not None:
+            self._send(self.downstream, pending.batch)
+            self._back_off(pending)
+
+    def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
+        """Handle a client-initiated retransmission (BASE's ``retryHint``)."""
+        request: ClientRequest = request_certificate.payload
+        if self._serve_from_cache(request):
+            return RetryOutcome.HANDLED
+        for pending in self.pending_sends.values():
+            if self._carries(pending.batch, request):
+                self._send(self.downstream, pending.batch)
+                self.retransmissions += 1
+                return RetryOutcome.HANDLED
+        return RetryOutcome.NEED_ORDER
+
+    # ------------------------------------------------------------------ #
+    # Reply certificates from the execution cluster / privacy firewall.
+    # ------------------------------------------------------------------ #
+
+    def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
+        """Handle a (partial or full) reply certificate flowing back down."""
+        body = message.body
+        if body.seq != message.seq:
+            return
+        full = self._assemble_into(self._collectors, (), body,
+                                   message.certificate,
+                                   universe=self.execution_ids,
+                                   default_group=self.threshold_group)
+        if full is not None:
+            self._accept_reply(body, full)
+
     def _accept_reply(self, body: BatchReplyBody, certificate: Certificate) -> None:
         """A full reply certificate for ``body.seq`` has been assembled."""
         seq = body.seq
@@ -306,20 +370,4 @@ class MessageQueue(LocalExecutor):
         self._collectors = {
             key: value for key, value in self._collectors.items() if key[0] > horizon
         }
-        # Forward each client its reply and update the cache.
-        for reply in body.replies:
-            client_reply = ClientReply(reply=reply, body=body, certificate=certificate)
-            cached = self.cache.get(reply.client)
-            if cached is None or cached.reply.timestamp <= reply.timestamp:
-                self.cache[reply.client] = client_reply
-            self.owner.send(reply.client, client_reply)
-            self.replies_forwarded += 1
-            self._c_replies_forwarded.inc()
-        self._notify_pipeline_progress()
-
-    def _notify_pipeline_progress(self) -> None:
-        """Tell the hosting replica that pipeline capacity was freed (the
-        group-commit trigger for adaptive bundling)."""
-        hook = getattr(self.owner, "on_pipeline_progress", None)
-        if hook is not None:
-            hook()
+        self._forward_replies(body, certificate)

@@ -37,7 +37,6 @@ from ..config import (
     TimerConfig,
 )
 from ..faults import FaultInjector, FaultPlan, make_behaviour
-from ..multilog import MultiLogSystem
 from ..net.faults import LinkFault
 from ..sharding.messages import MapChange
 from ..sharding.system import ShardedSystem
@@ -82,7 +81,7 @@ class ScenarioSpec:
     num_clients: int = 3
     rebalance: bool = False
     cross_shard: bool = False
-    #: > 1 builds a MultiLogSystem partitioning the ordering plane
+    #: > 1 partitions the ordering plane into that many agreement logs
     num_logs: int = 1
 
     @property
@@ -277,15 +276,11 @@ def _install_log_move(system, event: ScheduleEvent) -> None:
     silently dropped -- a no-op gene, like a structurally stale map_change.
     On single-log systems the gene is always a no-op.
     """
-    propose = getattr(system, "propose_log_map_change", None)
-    if propose is None:
-        return
-
     def fire() -> None:
         shard = event.key_index % system.num_shards
         target = event.owner % system.num_logs
         try:
-            propose(shard, target)
+            system.propose_log_map_change(shard, target)
         except Exception:
             pass
 
@@ -375,11 +370,10 @@ def _system_counters(system: ShardedSystem) -> Dict[str, int]:
     counters["handoffs"] = handoffs
     counters["range_fetches"] = fetches
     counters["state_transfers"] = transfers
-    # Multi-log coordination counters: only present on MultiLogSystem runs,
-    # so single-log corpus seeds keep their fingerprints and digests.
-    log_registry = getattr(system, "log_registry", None)
-    if log_registry is not None:
-        counters["log_epoch"] = log_registry.latest_epoch
+    # Multi-log coordination counters: only present on runs with several
+    # logs, so single-log corpus seeds keep their fingerprints and digests.
+    if system.config.multilog.enabled:
+        counters["log_epoch"] = system.log_registry.latest_epoch
         for name in ("cross_log_markers", "bindings_sent", "cuts_broadcast",
                      "cut_fallovers", "invalid_cuts", "log_map_cuts"):
             counters[name] = sum(getattr(queue, name)
@@ -470,10 +464,7 @@ def run_schedule(schedule: FaultSchedule, *,
         raise ValueError(f"invalid schedule: {problems}")
     spec = scenario(schedule.scenario)
     config = spec.make_config()
-    if spec.num_logs > 1:
-        system = MultiLogSystem(config, KeyValueStore, seed=schedule.seed)
-    else:
-        system = ShardedSystem(config, KeyValueStore, seed=schedule.seed)
+    system = ShardedSystem(config, KeyValueStore, seed=schedule.seed)
     if weaken_reply_quorum:
         for client in system.clients:
             client.reply_quorum = config.g  # test-only planted bug

@@ -261,8 +261,7 @@ class SnapshotConsistencyOracle(Oracle):
 
     def check(self, system, *, completed_all: bool = True,
               context: Optional[RunContext] = None) -> List[OracleViolation]:
-        log_registry = getattr(system, "log_registry", None)
-        if log_registry is not None:
+        if system.config.multilog.enabled:
             partitioner = system.router.partitioner
 
             def shard_of_key(key):
@@ -272,7 +271,7 @@ class SnapshotConsistencyOracle(Oracle):
 
             audit = audit_cross_group_consistency(
                 system.clients, shard_of_key=shard_of_key,
-                log_of_shard=lambda shard: log_registry.latest.log_of(shard))
+                log_of_shard=system.log_registry.log_of)
         else:
             audit = audit_snapshot_consistency(system.clients)
         violations: List[OracleViolation] = []

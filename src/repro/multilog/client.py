@@ -1,121 +1,11 @@
-"""Clients of the multi-log deployment.
+"""The shard-aware client under its multi-log name.
 
-A :class:`MultiLogClient` keeps one view cursor *per agreement log* and
-submits each request to the log that orders its shard's feed (judged by the
-newest log map the client knows).  A cross-group operation is submitted to
-**every** touched log -- each one must order the marker before the
-cross-log cut can release it -- and completes through the same
-sub-certified assembled reply as a single-log cross-shard operation (the
-collator shard's cluster reaches the other touched clusters over the
-cross-shard links, whichever logs order them).
-
-On a retransmission timeout the client re-derives the owning log from the
-latest map: if a log-map change moved the shard mid-flight, the retry goes
-to the *new* owner's cluster, where the reply table serves a cached answer
-if the original already executed -- at-most-once execution is preserved by
-the execution replicas' dedup exactly as within one log, so retargeting
-costs a retry but never a double execution.
+:class:`~repro.sharding.client.ShardAwareClient` keeps one view cursor per
+agreement log, so there is no separate multi-log client any more.
 """
 
-from __future__ import annotations
-
-from typing import Callable, Dict, List, Optional, Tuple
-
-from ..config import SystemConfig
-from ..core.client import CompletedRequest
-from ..crypto.keys import Keystore
-from ..sim.scheduler import Scheduler
-from ..statemachine.interface import Operation
-from ..util.ids import NodeId
 from ..sharding.client import ShardAwareClient
-from ..sharding.router import ShardRouter
-from .logmap import LogMapRegistry
 
-
-class MultiLogClient(ShardAwareClient):
-    """A shard-aware client that routes submissions between K logs."""
-
-    def __init__(self, node_id: NodeId, scheduler: Scheduler,
-                 config: SystemConfig, keystore: Keystore,
-                 log_agreement_ids: List[List[NodeId]],
-                 request_verifiers: List[NodeId],
-                 shard_execution_ids: List[List[NodeId]],
-                 router: ShardRouter, log_registry: LogMapRegistry,
-                 shard_threshold_groups: Optional[List[str]] = None) -> None:
-        super().__init__(node_id=node_id, scheduler=scheduler, config=config,
-                         keystore=keystore,
-                         agreement_ids=list(log_agreement_ids[0]),
-                         request_verifiers=request_verifiers,
-                         shard_execution_ids=shard_execution_ids,
-                         router=router,
-                         shard_threshold_groups=shard_threshold_groups)
-        self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
-        self.log_registry = log_registry
-        # Sub-reply fragments of a cross-group operation carry marker
-        # sequence numbers from *different* logs' sequence spaces; the
-        # verifier relaxes the op_seq equality to per-log equality.
-        self.log_of_shard = lambda shard: self.log_registry.latest.log_of(shard)
-        #: last known primary view per log (the inherited ``_last_known_view``
-        #: always describes ``_current_log``)
-        self._log_views: Dict[int, int] = {}
-        self._current_log = 0
-        #: the logs the outstanding request was submitted to
-        self._touched_logs: Tuple[int, ...] = ()
-        self.log_retargets = 0
-
-    def _retarget_log(self, log: int) -> None:
-        """Point the inherited submission machinery at ``log``'s cluster."""
-        if log == self._current_log:
-            return
-        self._log_views[self._current_log] = self._last_known_view
-        self._current_log = log
-        self.agreement_ids = list(self.log_agreement_ids[log])
-        self._last_known_view = self._log_views.get(log, 0)
-        self.log_retargets += 1
-
-    def _touched_logs_of(self, operation: Operation) -> Tuple[int, ...]:
-        shards = self.router.shards_of_operation_keys(operation,
-                                                      epoch=self.epoch)
-        lmap = self.log_registry.latest
-        return tuple(sorted({lmap.log_of(shard) for shard in shards}))
-
-    def _issue(self, operation: Operation, timestamp: int,
-               callback: Optional[Callable[[CompletedRequest], None]],
-               issued_at: Optional[float] = None) -> None:
-        logs = self._touched_logs_of(operation)
-        self._retarget_log(logs[0])
-        self._touched_logs = logs
-        super()._issue(operation, timestamp, callback, issued_at=issued_at)
-        # A cross-group marker must be *ordered by every touched log*: the
-        # inherited submission reached logs[0]'s primary guess; copy the
-        # same signed envelope to each other touched log's.  (Guard against
-        # a local failure having already popped the next queued request.)
-        pending = self._pending
-        if (len(logs) > 1 and pending is not None
-                and pending.timestamp == timestamp):
-            for log in logs[1:]:
-                cluster = self.log_agreement_ids[log]
-                view = self._log_views.get(log, 0)
-                self.send(cluster[view % len(cluster)], pending.envelope)
-
-    def _on_timeout(self, timestamp: int) -> None:
-        pending = self._pending
-        if pending is None or pending.timestamp != timestamp:
-            super()._on_timeout(timestamp)
-            return
-        # Re-derive the owning logs from the newest map: a log-map change
-        # may have moved a shard mid-flight, and the new owner's cluster is
-        # the one that can still answer (its reply tables dedup a request
-        # the old owner already executed).
-        cross = self._pending_cross
-        operation = (cross["operation"] if cross is not None
-                     else self._pending_operation)
-        if operation is not None:
-            self._touched_logs = self._touched_logs_of(operation)
-            self._retarget_log(self._touched_logs[0])
-        super()._on_timeout(timestamp)
-        pending = self._pending
-        if pending is None or len(self._touched_logs) <= 1:
-            return
-        for log in self._touched_logs[1:]:
-            self.multicast(self.log_agreement_ids[log], pending.envelope)
+# Alias kept only because the frozen performance ledger
+# (benchmarks/ledger/spans.py::TARGETS) resolves this module and name.
+MultiLogClient = ShardAwareClient

@@ -116,6 +116,10 @@ class LogMapRegistry:
     def latest(self) -> LogMap:
         return self._maps[-1]
 
+    def log_of(self, shard: int) -> int:
+        """The log ordering ``shard``'s feed under the newest map."""
+        return self._maps[-1].assignment[shard]
+
     def map_for(self, log_epoch: int) -> LogMap:
         if not 0 <= log_epoch < len(self._maps):
             raise KeyError(f"no log map for epoch {log_epoch}")

@@ -42,10 +42,10 @@ intervention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
+from ..core.message_queue import PendingSend, QuorumCollector
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
 from ..net.message import Message
@@ -71,15 +71,6 @@ CUT_META_HORIZON = 64
 #: (or silent) coordinating primary delays a cross-group operation by at
 #: most one timer round
 CUT_FALLOVER_SCALE = 2.0
-
-
-@dataclass
-class _BindingCollector:
-    """Accumulates one log's binding partials for one body digest."""
-
-    body: CrossLogBindingBody
-    certificate: Certificate
-    done: bool = False
 
 
 class MultiLogRouterQueue(ShardRouterQueue):
@@ -112,10 +103,10 @@ class MultiLogRouterQueue(ShardRouterQueue):
         #: frozen value object, so keying by it groups matching partials
         #: without charging a digest per absorbed copy
         self._binding_acc: Dict[Tuple[MarkerKey, int, CrossLogBindingBody],
-                                _BindingCollector] = {}
+                                QuorumCollector] = {}
         #: certified bindings per (marker, log)
         self._certified: Dict[Tuple[MarkerKey, int],
-                              List[_BindingCollector]] = {}
+                              List[QuorumCollector]] = {}
         #: markers currently holding the release frontier:
         #: marker -> (touched logs, own seq, trace id)
         self._held: Dict[MarkerKey, Tuple[Tuple[int, ...], int, str]] = {}
@@ -125,11 +116,9 @@ class MultiLogRouterQueue(ShardRouterQueue):
         self._verified_cuts: Dict[MarkerKey, CrossLogCut] = {}
         #: markers whose cut this (primary) queue already broadcast
         self._cuts_sent: set = set()
-        self._binding_timers: Dict[MarkerKey, Timer] = {}
-        self._binding_timeouts: Dict[MarkerKey, float] = {}
+        #: binding retransmission state, present exactly while a marker holds
+        self._binding_sends: Dict[MarkerKey, PendingSend] = {}
         self._fallover_timers: Dict[MarkerKey, Timer] = {}
-        #: log-epoch cursor snapshots at checkpoint cuts (transfer state)
-        self._log_sync_snapshots: Dict[int, int] = {}
 
         #: test hooks modelling a Byzantine coordinating primary: stay
         #: silent, or collate a tampered cut (mirrors the agreement-side
@@ -295,7 +284,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
             self._maybe_reserve_cut(key)
             return
         if collector is None:
-            collector = _BindingCollector(
+            collector = QuorumCollector(
                 body=body, certificate=Certificate(
                     payload=body, scheme=binding.certificate.scheme))
             self._binding_acc[acc_key] = collector
@@ -531,8 +520,12 @@ class MultiLogRouterQueue(ShardRouterQueue):
             self._ensure_bound(batch, key, seq)
             if self.owner.tracing:
                 self.owner.trace_event(trace_id, "coordinate_open")
-            self._arm_binding_retransmit(
-                key, self.config.timers.agreement_retransmit_ms)
+            pending = PendingSend(
+                batch=key, fire=lambda key=key: self._on_binding_retransmit(key),
+                label=f"{self.owner.node_id}:xlog-binding",
+                timeout_ms=self.config.timers.agreement_retransmit_ms)
+            self._binding_sends[key] = pending
+            self._arm(pending)
             self._maybe_coordinate(key)
         cut = self._verified_cuts.get(key)
         if cut is not None and self._cut_matches_hold(cut, touched, seq):
@@ -566,22 +559,16 @@ class MultiLogRouterQueue(ShardRouterQueue):
                                                         log=self.log,
                                                         seq=seq))
 
-    def _arm_binding_retransmit(self, key: MarkerKey,
-                                timeout_ms: float) -> None:
-        self._binding_timeouts[key] = timeout_ms
-        self._binding_timers[key] = self.owner.set_timer(
-            timeout_ms, lambda key=key: self._on_binding_retransmit(key),
-            label=f"{self.owner.node_id}:xlog-binding")
-
     def _on_binding_retransmit(self, key: MarkerKey) -> None:
-        self._binding_timers.pop(key, None)
-        if key not in self._held:
-            return
-        binding = self._bound.get(key)
-        if binding is not None:
-            self.owner.multicast(self.all_agreement_ids, binding)
-            self.retransmissions += 1
-        self._arm_binding_retransmit(key, self._binding_timeouts[key] * 2)
+        pending = self._binding_sends.get(key)
+        if pending is not None:
+            # The binding is looked up when the timer fires, not when it is
+            # armed: a marker re-ordered while it holds is re-bound to its
+            # new sequence number, and that binding is the one peers need.
+            binding = self._bound.get(key)
+            if binding is not None:
+                self.owner.multicast(self.all_agreement_ids, binding)
+            self._back_off(pending)
 
     def _route_batch(self, batch: OrderedBatch) -> None:
         change = log_map_change_of(batch.request_certificates)
@@ -610,10 +597,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
         frontier, continuing its shard-local sequence space exactly where
         the source log stopped.
         """
-        staged_at = self._staged_at.pop(batch.seq, None)
-        if staged_at is not None:
-            self._h_stall.observe(self.owner.now - staged_at)
-        self._c_released.inc()
+        self._observe_release(batch)
         key = change.marker_key()
         current = self._log_map()
         if (not change.well_formed(self.num_shards, self.num_logs)
@@ -655,10 +639,9 @@ class MultiLogRouterQueue(ShardRouterQueue):
             self._cut_meta[key] = (held[0], held[1])
             if self.owner.tracing:
                 self.owner.trace_event(held[2], "coordinate_done")
-        timer = self._binding_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        self._binding_timeouts.pop(key, None)
+        pending = self._binding_sends.pop(key, None)
+        if pending is not None:
+            pending.timer.cancel()
         timer = self._fallover_timers.pop(key, None)
         if timer is not None:
             timer.cancel()
@@ -687,24 +670,8 @@ class MultiLogRouterQueue(ShardRouterQueue):
     # Checkpoint state transfer: the log-epoch cursor travels too.
     # ------------------------------------------------------------------ #
 
-    def _note_checkpoint_cut(self, seq: int) -> None:
-        super()._note_checkpoint_cut(seq)
-        if seq % self.config.checkpoint_interval == 0:
-            self._log_sync_snapshots[seq] = self.log_epoch
-
-    def on_stable_checkpoint(self, seq: int) -> None:
-        super().on_stable_checkpoint(seq)
-        self._log_sync_snapshots = {
-            cut: epoch for cut, epoch in self._log_sync_snapshots.items()
-            if cut > seq
-        }
-
-    def checkpoint_sync_state(self, seq: int):
-        state = super().checkpoint_sync_state(seq)
-        log_epoch = self._log_sync_snapshots.get(seq)
-        if state and log_epoch is not None:
-            state = state + (("log_epoch", log_epoch),)
-        return state
+    def _frontier_state(self):
+        return super()._frontier_state() + (("log_epoch", self.log_epoch),)
 
     def sync_to_checkpoint(self, seq: int, sync_state) -> None:
         state = dict(sync_state)

@@ -17,6 +17,9 @@ from ..sim.rand import DeterministicRandom
 from ..util.ids import NodeId
 from .message import CorruptedMessage, Message
 
+#: link bandwidth of the simulated network: 100 Mbit/s
+BANDWIDTH_BYTES_PER_MS = 12_500.0
+
 
 @dataclass
 class DeliveryPlan:
@@ -120,7 +123,7 @@ class NetworkFaultModel:
     def base_delay(self, size_bytes: int) -> float:
         """Propagation plus transmission delay for a message of ``size_bytes``."""
         propagation = self.rng.uniform(self.config.min_delay_ms, self.config.max_delay_ms)
-        transmission = size_bytes / self.config.bandwidth_bytes_per_ms
+        transmission = size_bytes / BANDWIDTH_BYTES_PER_MS
         return propagation + transmission
 
     def plan(self, source: NodeId, destination: NodeId, message: Message) -> DeliveryPlan:

@@ -21,7 +21,7 @@ while ordering capacity stays fixed.
 * :mod:`~repro.sharding.client` -- clients that collect the ``g + 1`` reply
   quorum from the owning shard only;
 * :mod:`~repro.sharding.system` -- :class:`ShardedSystem`, the deployment
-  builder.
+  builder (``multilog.num_logs`` agreement clusters, one by default).
 """
 
 from .client import ShardAwareClient

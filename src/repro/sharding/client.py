@@ -22,12 +22,26 @@ authenticators from *that* shard's replicas, so a forged epoch buys an
 attacker nothing the fault bounds didn't already concede.  A reply naming a
 shard no known epoch supports is counted as misrouted, exactly like a wrong
 shard was before rebalancing existed.
+
+**Several agreement logs.**  The client keeps one view cursor *per log* and
+submits each request to the log that orders its shard's feed (judged by the
+newest log map the client knows).  A cross-group operation is submitted to
+**every** touched log -- each one must order the marker before the
+cross-log cut can release it -- and completes through the same
+sub-certified assembled reply as within one log.  On a retransmission
+timeout the owning logs are re-derived from the latest map: if a log-map
+change moved the shard mid-flight, the retry goes to the *new* owner's
+cluster, where the reply table serves a cached answer if the original
+already executed -- at-most-once execution is preserved by the execution
+replicas' dedup exactly as within one log, so retargeting costs a retry but
+never a double execution.  With one log there is one cursor and nothing is
+ever retargeted.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
 from ..core.client import ClientNode, CompletedRequest
@@ -40,19 +54,22 @@ from ..util.ids import NodeId
 from .messages import CrossShardReply, SubReplyBody, sub_reply_rounds_consistent
 from .router import ShardRouter
 
+if TYPE_CHECKING:  # repro.multilog imports this module for its client alias
+    from ..multilog.logmap import LogMapRegistry
+
 
 class ShardAwareClient(ClientNode):
     """A client that routes requests to shards and votes per-shard replies."""
 
     def __init__(self, node_id: NodeId, scheduler: Scheduler, config: SystemConfig,
-                 keystore: Keystore, agreement_ids: List[NodeId],
+                 keystore: Keystore, log_agreement_ids: List[List[NodeId]],
                  request_verifiers: List[NodeId],
                  shard_execution_ids: List[List[NodeId]],
-                 router: ShardRouter,
+                 router: ShardRouter, log_registry: LogMapRegistry,
                  shard_threshold_groups: Optional[List[str]] = None) -> None:
         all_execution = [node for shard in shard_execution_ids for node in shard]
         super().__init__(node_id=node_id, scheduler=scheduler, config=config,
-                         keystore=keystore, agreement_ids=agreement_ids,
+                         keystore=keystore, agreement_ids=log_agreement_ids[0],
                          request_verifiers=request_verifiers,
                          reply_quorum=config.reply_quorum,
                          reply_universe=all_execution,
@@ -63,10 +80,19 @@ class ShardAwareClient(ClientNode):
         #: this client's partition-map epoch cursor (advanced only by
         #: consistent, authenticated newer-epoch replies)
         self.epoch = 0
-        #: multi-log hook (set by the multi-log wiring): shard -> log,
-        #: used to group sub-reply fragments whose op_seq lives in per-log
-        #: sequence spaces.  None in single-log deployments.
-        self.log_of_shard = None
+        self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
+        self.log_registry = log_registry
+        #: shard -> log, used to group sub-reply fragments of a cross-group
+        #: operation, whose marker sequence numbers come from *different*
+        #: logs' sequence spaces.  None with one log: the verifier then
+        #: insists on one global op_seq.
+        self.log_of_shard = (log_registry.log_of
+                             if config.multilog.enabled else None)
+        #: last known primary view per log (the inherited ``_last_known_view``
+        #: always describes ``_current_log``)
+        self._log_views: Dict[int, int] = {}
+        self._current_log = 0
+        self.log_retargets = 0
         self._expected_shard: Optional[int] = None
         self._pending_operation: Optional[Operation] = None
         #: in-flight cross-shard operation: the original (unstamped)
@@ -94,6 +120,7 @@ class ShardAwareClient(ClientNode):
         self._pending_operation = operation
         touched = self.router.shards_of_operation_keys(operation,
                                                        epoch=self.epoch)
+        logs = self._aim_at_logs(touched)
         if len(touched) > 1:
             problem = self._cross_shard_problem(operation)
             if problem is not None:
@@ -109,6 +136,40 @@ class ShardAwareClient(ClientNode):
             self._pending_cross = None
             self._expect_shard(touched[0])
         super()._issue(operation, timestamp, callback, issued_at=issued_at)
+        # A cross-group marker must be *ordered by every touched log*: the
+        # inherited submission reached logs[0]'s primary guess; copy the
+        # same signed envelope to each other touched log's.
+        for log in logs[1:]:
+            cluster = self.log_agreement_ids[log]
+            view = self._log_views.get(log, 0)
+            self.send(cluster[view % len(cluster)], self._pending.envelope)
+
+    def _aim_at_logs(self, shards: List[int]) -> Tuple[int, ...]:
+        """Point the inherited submission machinery at the first log that
+        orders one of ``shards`` (by the newest log map); returns them all."""
+        logs = tuple(sorted({self.log_registry.log_of(shard)
+                             for shard in shards}))
+        if logs[0] != self._current_log:
+            self._log_views[self._current_log] = self._last_known_view
+            self._current_log = logs[0]
+            self.agreement_ids = self.log_agreement_ids[logs[0]]
+            self._last_known_view = self._log_views.get(logs[0], 0)
+            self.log_retargets += 1
+        return logs
+
+    def _on_timeout(self, timestamp: int) -> None:
+        pending = self._pending
+        if pending is None or pending.timestamp != timestamp:
+            return
+        # Re-derive the owning logs from the newest map: a log-map change
+        # may have moved a shard mid-flight, and the new owner's cluster is
+        # the one that can still answer (its reply tables dedup a request
+        # the old owner already executed).
+        logs = self._aim_at_logs(self.router.shards_of_operation_keys(
+            self._pending_operation, epoch=self.epoch))
+        super()._on_timeout(timestamp)
+        for log in logs[1:]:
+            self.multicast(self.log_agreement_ids[log], pending.envelope)
 
     def _cross_shard_problem(self, operation: Operation) -> Optional[str]:
         """Why a multi-shard operation cannot be issued (None = it can)."""
@@ -143,11 +204,7 @@ class ShardAwareClient(ClientNode):
         self.completed.append(record)
         if callback is not None:
             callback(record)
-        if self._queue:
-            queued, queued_timestamp, queued_callback, submitted_at = \
-                self._queue.pop(0)
-            self._issue(queued, queued_timestamp, queued_callback,
-                        issued_at=submitted_at)
+        self._issue_next_queued()
 
     def _issue_cross_shard(self, operation: Operation,
                            touched: List[int]) -> Operation:

@@ -249,14 +249,16 @@ class ShardExecutionNode(ExecutionNode):
         self._blocked_on: Optional[ShareExchange] = None
         #: checkpoint that fell on the blocked cut's slot
         self._deferred_checkpoint: Optional[int] = None
-        #: multi-log hooks (set by the multi-log system wiring; both stay
-        #: None in single-log deployments).  ``on_config_marker(node, op)``
-        #: runs after a non-partition config marker's slot bookkeeping --
-        #: it is how a log-map cut repoints this cluster's upstream log.
+        #: multi-log hooks (set by the system wiring when there are several
+        #: agreement logs; both stay None with one).
+        #: ``on_config_marker(node, op)`` runs after a non-partition config
+        #: marker's slot bookkeeping -- it is how a log-map cut repoints
+        #: this cluster's upstream log and advances ``log_map_epoch``.
         #: ``log_of_shard(shard) -> log`` groups cross-shard sub-reply
         #: fragments whose op_seq lives in per-log sequence spaces.
         self.on_config_marker = None
         self.log_of_shard = None
+        self.log_map_epoch = 0
 
         # ---------------- Cross-shard operation state. ---------------- #
         #: latest own sub-reply per client (duplicate-marker resends)

@@ -55,11 +55,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..agreement.local import RetryOutcome
-from ..config import AuthenticationScheme, SystemConfig
-from ..core.message_queue import MessageQueue, PendingSend, _ReplyCollector
+from ..config import SystemConfig
+from ..core.message_queue import PendingSend, QueueCore, QuorumCollector
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
-from ..messages.reply import BatchReply, BatchReplyBody, ClientReply
+from ..messages.reply import BatchReply, BatchReplyBody
 from ..messages.request import ClientRequest
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
@@ -72,17 +72,14 @@ from .router import ShardRouter
 ShardPart = Tuple[int, int]
 
 
-class ShardRouterQueue(MessageQueue):
+class ShardRouterQueue(QueueCore):
     """Local state machine of one agreement node in the sharded architecture."""
 
     def __init__(self, owner: Process, config: SystemConfig,
                  shard_execution_ids: List[List[NodeId]],
                  client_ids: List[NodeId], router: ShardRouter,
                  shard_threshold_groups: Optional[List[str]] = None) -> None:
-        all_execution = [node for shard in shard_execution_ids for node in shard]
-        super().__init__(owner=owner, config=config, execution_ids=all_execution,
-                         downstream=all_execution, client_ids=client_ids,
-                         threshold_group=None)
+        super().__init__(owner, config, client_ids)
         self.router = router
         self.shard_execution_ids = [list(ids) for ids in shard_execution_ids]
         self.shard_threshold_groups = shard_threshold_groups
@@ -104,7 +101,7 @@ class ShardRouterQueue(MessageQueue):
         #: global sequence numbers fully answered above the watermark
         self._answered: Set[int] = set()
         #: reply-certificate assembly, keyed by (shard, shard_seq, body digest)
-        self._shard_collectors: Dict[Tuple[int, int, bytes], _ReplyCollector] = {}
+        self._shard_collectors: Dict[Tuple[int, int, bytes], QuorumCollector] = {}
 
         #: this node's partition-map epoch cursor: the epoch governing the
         #: *next* released batch (advanced exactly at map-change markers)
@@ -121,12 +118,12 @@ class ShardRouterQueue(MessageQueue):
         self.map_changes_rejected = 0
         self.cross_shard_markers = 0
 
-        #: frontier snapshots at checkpoint cuts: global seq -> (per-shard
-        #: next sequence numbers, epoch cursor), captured the moment the
+        #: frontier snapshots at checkpoint cuts: global seq -> transferable
+        #: state (:meth:`_frontier_state`), captured the moment the
         #: release frontier crosses the cut so the snapshot is a pure
         #: function of the released prefix (release may run ahead of the
         #: delivery pass that emits the checkpoint vote)
-        self._sync_snapshots: Dict[int, Tuple[Tuple[int, ...], int]] = {}
+        self._sync_snapshots: Dict[int, Tuple[Tuple[str, object], ...]] = {}
 
         # Observability (passive): time each batch spends buffered between
         # staging (local commit) and release along the per-shard frontier.
@@ -216,10 +213,7 @@ class ShardRouterQueue(MessageQueue):
 
     def _route_batch(self, batch: OrderedBatch) -> None:
         """Advance the per-shard frontiers over one released batch."""
-        staged_at = self._staged_at.pop(batch.seq, None)
-        if staged_at is not None:
-            self._h_stall.observe(self.owner.now - staged_at)
-        self._c_released.inc()
+        self._observe_release(batch)
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")
         change = map_change_of(batch.request_certificates)
@@ -266,6 +260,12 @@ class ShardRouterQueue(MessageQueue):
         if change is not None:
             self._apply_cut(change)
 
+    def _observe_release(self, batch: OrderedBatch) -> None:
+        staged_at = self._staged_at.pop(batch.seq, None)
+        if staged_at is not None:
+            self._h_stall.observe(self.owner.now - staged_at)
+        self._c_released.inc()
+
     def _send_parts(self, batch: OrderedBatch, shards) -> None:
         """Give ``batch`` the next shard-local slot of each of ``shards``
         and send it there; with no shard to send to (every request was
@@ -282,22 +282,40 @@ class ShardRouterQueue(MessageQueue):
                                     batch=batch, epoch=self.epoch,
                                     log=self._ordering_log())
             self._unanswered[shard][shard_seq] = batch.seq
-            pending = PendingSend(batch=envelope,
-                                  timeout_ms=self.config.timers.agreement_retransmit_ms)
-            self.shard_pending[(shard, shard_seq)] = pending
+            part = (shard, shard_seq)
+            pending = PendingSend(
+                batch=envelope,
+                fire=lambda part=part: self._on_shard_retransmit_timeout(part),
+                label=f"{self.owner.node_id}:mq-retransmit:s{shard}:{shard_seq}",
+                timeout_ms=self.config.timers.agreement_retransmit_ms)
+            self.shard_pending[part] = pending
             # Unlike the unsharded queue, every agreement node multicasts the
             # envelope immediately (not the primary first): shard_seq
             # is not covered by the agreement certificate, so execution
             # replicas accept a routing binding only after f + 1 distinct
             # agreement nodes vouch for it -- the extra sends are what let
             # that quorum form without waiting for retransmission timeouts.
-            self._send_to_shard(shard, envelope)
-            self._arm_shard_timer(pending)
+            self._send_envelope(envelope)
+            self._arm(pending)
 
     def _vacuous_answer(self, seq: int) -> None:
         """Mark a slot nobody owes a reply for as answered, so the pipeline
         accounting never waits on it."""
         self._answered.add(seq)
+        self._advance_reply_watermark()
+
+    def _advance_reply_watermark(self) -> None:
+        """Advance the pipeline back-pressure watermark
+        (:meth:`highest_ready_seq`).
+
+        With sharding, replies complete out of global order (a fast shard can
+        answer global sequence 9 before a slow one answers 3), so the
+        watermark is the highest *contiguously* answered global sequence
+        number -- the conservative bound that keeps the paper's pipeline
+        invariant (at most ``P`` unanswered sequence numbers) intact.  With
+        ``PipelineConfig.per_shard_depth`` the agreement replica bypasses
+        this global floor and gates on :meth:`shard_outstanding` instead.
+        """
         while (self.highest_reply_seq + 1) in self._answered:
             self.highest_reply_seq += 1
             self._answered.discard(self.highest_reply_seq)
@@ -379,89 +397,46 @@ class ShardRouterQueue(MessageQueue):
         self.epoch_cuts += 1
         self.load_window.reset()
 
-    def _send_to_shard(self, shard: int, envelope: ShardedBatch) -> None:
-        self.owner.multicast(self.shard_execution_ids[shard], envelope)
-        self.batches_sent += 1
-
-    def _arm_shard_timer(self, pending: PendingSend) -> None:
-        envelope: ShardedBatch = pending.batch
-        part = (envelope.shard, envelope.shard_seq)
-        pending.timer = self.owner.set_timer(
-            pending.timeout_ms,
-            lambda part=part: self._on_shard_retransmit_timeout(part),
-            label=f"{self.owner.node_id}:mq-retransmit:s{part[0]}:{part[1]}",
-        )
+    def _send_envelope(self, envelope: ShardedBatch) -> None:
+        self._send(self.shard_execution_ids[envelope.shard], envelope)
 
     def _on_shard_retransmit_timeout(self, part: ShardPart) -> None:
         pending = self.shard_pending.get(part)
-        if pending is None:
-            return
-        self._send_to_shard(part[0], pending.batch)
-        self.retransmissions += 1
-        pending.retransmissions += 1
-        pending.timeout_ms *= 2
-        self._arm_shard_timer(pending)
+        if pending is not None:
+            self._send_envelope(pending.batch)
+            self._back_off(pending)
 
     def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
         """Serve a client retransmission from the cache or pending sends."""
         request: ClientRequest = request_certificate.payload
-        cached = self.cache.get(request.client)
-        if cached is not None and cached.reply.timestamp >= request.timestamp:
-            self.owner.send(request.client, cached)
-            self.cache_hits += 1
+        if self._serve_from_cache(request):
             return RetryOutcome.HANDLED
-        if (self.config.cross_shard.enabled
-                and self.router.is_cross_shard(request, epoch=self.epoch)):
-            # A cross-shard marker has one pending part per *touched* shard
-            # and every touched cluster contributes to the answer: resend
-            # them all.  Duplicate markers reaching an execution replica
-            # that already executed make it re-serve its cached sub-reply
-            # (and any assembled reply), which is also how a crashed
-            # collator's duty falls over to the other touched clusters.
-            handled = False
-            for part, pending in self.shard_pending.items():
-                envelope: ShardedBatch = pending.batch
-                for cert in envelope.batch.request_certificates:
-                    pending_request: ClientRequest = cert.payload
-                    if (isinstance(pending_request, ClientRequest)
-                            and pending_request.client == request.client
-                            and pending_request.timestamp == request.timestamp):
-                        self._send_to_shard(part[0], envelope)
-                        self.retransmissions += 1
-                        handled = True
-            return RetryOutcome.HANDLED if handled else RetryOutcome.NEED_ORDER
+        # A cross-shard marker has one pending part per *touched* shard
+        # and every touched cluster contributes to the answer: resend
+        # them all.  Duplicate markers reaching an execution replica
+        # that already executed make it re-serve its cached sub-reply
+        # (and any assembled reply), which is also how a crashed
+        # collator's duty falls over to the other touched clusters.
+        every_part = (self.config.cross_shard.enabled
+                      and self.router.is_cross_shard(request, epoch=self.epoch))
         # A multi-shard bundle has one pending part per owning shard, each
         # carrying the full request list; resend only to the shard that owns
         # the retransmitted request -- the others cannot regenerate its
         # reply.  Ownership is judged by the *current* epoch; a part routed
         # pre-cut for a since-moved key is retransmitted by its own
         # pending-send timer regardless.
-        owner = self.router.shard_of_request(request, epoch=self.epoch)
-        for part, pending in self.shard_pending.items():
-            if part[0] != owner:
-                continue
-            envelope: ShardedBatch = pending.batch
-            for cert in envelope.batch.request_certificates:
-                pending_request: ClientRequest = cert.payload
-                if (pending_request.client == request.client
-                        and pending_request.timestamp == request.timestamp):
-                    self._send_to_shard(owner, envelope)
-                    self.retransmissions += 1
-                    return RetryOutcome.HANDLED
-        return RetryOutcome.NEED_ORDER
-
-    def highest_ready_seq(self) -> Optional[int]:
-        """Pipeline back-pressure watermark.
-
-        With sharding, replies complete out of global order (a fast shard can
-        answer global sequence 9 before a slow one answers 3), so the
-        watermark is the highest *contiguously* answered global sequence
-        number -- the conservative bound that keeps the paper's pipeline
-        invariant (at most ``P`` unanswered sequence numbers) intact.  With
-        ``PipelineConfig.per_shard_depth`` the agreement replica bypasses
-        this global floor and gates on :meth:`shard_outstanding` instead.
-        """
-        return self.highest_reply_seq
+        owner = (None if every_part
+                 else self.router.shard_of_request(request, epoch=self.epoch))
+        outcome = RetryOutcome.NEED_ORDER
+        for (shard, _), pending in self.shard_pending.items():
+            if ((every_part or shard == owner)
+                    and self._carries(pending.batch.batch, request)):
+                self._send_envelope(pending.batch)
+                self.retransmissions += 1
+                outcome = RetryOutcome.HANDLED
+                if not every_part:
+                    break
+        return outcome
 
     def seq_answered(self, seq: int) -> bool:
         """Whether every shard part of global sequence ``seq`` is answered
@@ -487,18 +462,19 @@ class ShardRouterQueue(MessageQueue):
         prefix, identical on every correct replica.
         """
         if seq % self.config.checkpoint_interval == 0:
-            self._sync_snapshots[seq] = (tuple(self._next_shard_seq), self.epoch)
+            self._sync_snapshots[seq] = self._frontier_state()
+
+    def _frontier_state(self) -> Tuple[Tuple[str, object], ...]:
+        """The per-shard sequence counters and the epoch cursor.  A replica
+        that adopts these assigns the same ``(shard, shard_seq)`` pairs to
+        future batches as the replicas that actually released the gap."""
+        return (("frontiers", tuple(self._next_shard_seq)),
+                ("epoch", self.epoch))
 
     def checkpoint_sync_state(self, seq: int) -> Tuple[Tuple[str, object], ...]:
-        """Transferable frontier state at the checkpoint cut: the per-shard
-        sequence counters and the epoch cursor.  A replica that adopts these
-        assigns the same ``(shard, shard_seq)`` pairs to future batches as
-        the replicas that actually released the gap."""
-        snapshot = self._sync_snapshots.get(seq)
-        if snapshot is None:
-            return ()  # not a checkpoint boundary (defensive)
-        frontiers, epoch = snapshot
-        return (("frontiers", frontiers), ("epoch", epoch))
+        """Transferable frontier state at the checkpoint cut (empty when
+        ``seq`` is not a checkpoint boundary -- defensive)."""
+        return self._sync_snapshots.get(seq, ())
 
     def on_stable_checkpoint(self, seq: int) -> None:
         self._sync_snapshots = {
@@ -544,9 +520,7 @@ class ShardRouterQueue(MessageQueue):
         if seq > self.highest_reply_seq:
             self.highest_reply_seq = seq
             self._answered = {n for n in self._answered if n > seq}
-            while (self.highest_reply_seq + 1) in self._answered:
-                self.highest_reply_seq += 1
-                self._answered.discard(self.highest_reply_seq)
+            self._advance_reply_watermark()
 
     def cross_shard_probe(self):
         """The agreement replica's cross-shard request probe.
@@ -594,21 +568,14 @@ class ShardRouterQueue(MessageQueue):
         if shard is None or not 0 <= shard < self.num_shards:
             self.misrouted_replies += 1
             return
-        full = self._assemble_shard(body, message.certificate)
-        if full is None:
-            return
-        self._accept_shard_reply(body, full)
-
-    def _assemble_shard(self, body: BatchReplyBody,
-                        certificate: Certificate) -> Optional[Certificate]:
-        """Merge partials until ``g + 1`` *same-shard* signers vouch for the body."""
-        shard = body.shard
-        default_group = (self.shard_threshold_groups[shard]
-                         if self.shard_threshold_groups is not None else None)
-        return self._assemble_into(self._shard_collectors, (shard,), body,
-                                   certificate,
-                                   universe=self.shard_execution_ids[shard],
-                                   default_group=default_group)
+        # Merge partials until ``g + 1`` *same-shard* signers vouch for it.
+        groups = self.shard_threshold_groups
+        full = self._assemble_into(
+            self._shard_collectors, (shard,), body, message.certificate,
+            universe=self.shard_execution_ids[shard],
+            default_group=groups[shard] if groups is not None else None)
+        if full is not None:
+            self._accept_shard_reply(body, full)
 
     def _accept_shard_reply(self, body: BatchReplyBody,
                             certificate: Certificate) -> None:
@@ -633,21 +600,11 @@ class ShardRouterQueue(MessageQueue):
                     self._answered.add(global_seq)
             else:
                 self._parts_outstanding[global_seq] = remaining
-        while (self.highest_reply_seq + 1) in self._answered:
-            self.highest_reply_seq += 1
-            self._answered.discard(self.highest_reply_seq)
+        self._advance_reply_watermark()
         # Garbage collect assembly state for old parts of this shard.
         horizon = shard_seq - self.config.pipeline_depth
         self._shard_collectors = {
             key: value for key, value in self._shard_collectors.items()
             if key[0] != shard or key[1] > horizon
         }
-        # Forward each client its reply and update the cache.
-        for reply in body.replies:
-            client_reply = ClientReply(reply=reply, body=body, certificate=certificate)
-            cached = self.cache.get(reply.client)
-            if cached is None or cached.reply.timestamp <= reply.timestamp:
-                self.cache[reply.client] = client_reply
-            self.owner.send(reply.client, client_reply)
-            self.replies_forwarded += 1
-        self._notify_pipeline_progress()
+        self._forward_replies(body, certificate)

@@ -1,22 +1,39 @@
 """System assembly for the sharded architecture.
 
 :class:`ShardedSystem` extends :class:`~repro.core.system.SimulatedSystem`
-with the paper's separation taken one step further: a single ``3f + 1``
-agreement cluster orders *all* requests, and ``num_shards`` independent
-``2g + 1`` execution clusters -- each with its own application state, reply
-cache, checkpoint protocol, and state transfer -- execute the per-shard
-subsequences that the deterministic shard routers carve out of the global
-order.  Execution capacity therefore grows horizontally with the number of
-shards while the agreement cluster stays fixed, which is exactly what the
-separation of agreement from execution buys: ordering does not need to know
-*what* it orders, so it does not need to grow with application state or load.
+with the paper's separation taken one step further: a ``3f + 1`` agreement
+cluster orders requests, and ``num_shards`` independent ``2g + 1`` execution
+clusters -- each with its own application state, reply cache, checkpoint
+protocol, and state transfer -- execute the per-shard subsequences that the
+deterministic shard routers carve out of the agreed order.  Execution
+capacity therefore grows horizontally with the number of shards while the
+agreement cluster stays fixed, which is exactly what the separation of
+agreement from execution buys: ordering does not need to know *what* it
+orders, so it does not need to grow with application state or load.
+
+For the same reason the number of agreement clusters is a parameter too:
+``config.multilog.num_logs = K`` builds ``K`` independent ``3f + 1``
+clusters ("logs"), each running the full agreement protocol over its own
+sequence space and feeding the shards the epoch-versioned
+:class:`~repro.multilog.logmap.LogMap` assigns it.  With ``K = 1`` the map
+never changes and every agreement node hosts a plain
+:class:`~repro.sharding.queue.ShardRouterQueue`; with ``K > 1`` they host
+:class:`~repro.multilog.queue.MultiLogRouterQueue`, which adds the
+cross-log coordination round for operations spanning log groups.
 
 The restricted topology mirrors the physical wiring this deployment would
-use: clients talk to the agreement cluster (and, for the direct-reply
-optimisation, to execution replicas), the agreement cluster talks to every
-execution replica, and execution replicas talk only to *their own shard's*
-peers -- there is no cross-shard link, so shard isolation is enforced by the
-network just like the privacy firewall's wiring is.
+use: clients talk to every agreement cluster (a request goes to the log
+owning its shard; a log-map change may retarget it mid-flight) and, for the
+direct-reply optimisation, to execution replicas; agreement replicas of all
+logs are wired to each other (bindings and cuts cross logs) and to every
+execution replica (after a move, a different log feeds the cluster); and
+execution replicas talk only to *their own shard's* peers -- there is no
+cross-shard link, so shard isolation is enforced by the network just like
+the privacy firewall's wiring is.  Fault bounds are per cluster: ``f``
+Byzantine agreement replicas *per log* and ``g`` Byzantine execution
+replicas *per shard* -- the coordination round never assembles a quorum
+across clusters (every binding certificate is checked against the named
+log's own membership).
 """
 
 from __future__ import annotations
@@ -27,6 +44,9 @@ from ..agreement.replica import AgreementReplica
 from ..config import AuthenticationScheme, SystemConfig
 from ..core.system import SimulatedSystem
 from ..errors import ConfigurationError
+from ..multilog.logmap import LogMapRegistry, initial_log_map
+from ..multilog.messages import LMC_MARKER, LogMapChange
+from ..multilog.queue import MultiLogRouterQueue
 from ..net.topology import Topology
 from ..sim.process import Process
 from ..statemachine.interface import StateMachine
@@ -69,7 +89,7 @@ def sharded_topology(clients: List[NodeId], agreement: List[NodeId],
 
 
 class ShardedSystem(SimulatedSystem):
-    """One agreement cluster in front of ``num_shards`` execution clusters.
+    """``K`` agreement logs in front of ``num_shards`` execution clusters.
 
     ``app_factory`` is called once per execution replica (``num_shards *
     (2g + 1)`` times); each shard's replicas evolve their own partition of
@@ -90,7 +110,9 @@ class ShardedSystem(SimulatedSystem):
             )
         super().__init__(config, seed=seed)
         count = num_clients if num_clients is not None else config.num_clients
+        num_logs = config.multilog.num_logs
         num_shards = config.sharding.num_shards
+        log_size = config.num_agreement_nodes
         cluster_size = config.num_execution_nodes
 
         if key_extractor is None:
@@ -99,8 +121,16 @@ class ShardedSystem(SimulatedSystem):
         self.router = ShardRouter(make_partitioner(config.sharding),
                                   key_extractor, multi_key_extractor)
         self.obs.register_global_probe("shard_router", self.router.snapshot)
+        self.log_registry = LogMapRegistry(initial_log_map(num_shards,
+                                                           num_logs))
+        self.obs.register_global_probe("log_map", self.log_registry.snapshot)
 
-        self.agreement_ids = [agreement_id(i) for i in range(config.num_agreement_nodes)]
+        self.log_agreement_ids: List[List[NodeId]] = [
+            [agreement_id(log * log_size + i) for i in range(log_size)]
+            for log in range(num_logs)
+        ]
+        self.agreement_ids = [node for ids in self.log_agreement_ids
+                              for node in ids]
         self.shard_execution_ids: List[List[NodeId]] = [
             [execution_id(shard * cluster_size + j) for j in range(cluster_size)]
             for shard in range(num_shards)
@@ -121,6 +151,10 @@ class ShardedSystem(SimulatedSystem):
         self.shard_threshold_groups = shard_threshold_groups
 
         # ---------------- Topology. ---------------- #
+        # The agreement ids are flattened over the logs: bindings and cuts
+        # flow between every pair of agreement replicas across log
+        # boundaries, and every log may come to feed any shard after a
+        # log-map change.
         self.network.topology = sharded_topology(
             clients=self.client_ids, agreement=self.agreement_ids,
             shard_execution_ids=self.shard_execution_ids,
@@ -133,36 +167,55 @@ class ShardedSystem(SimulatedSystem):
             cluster: List[ShardExecutionNode] = []
             group = (shard_threshold_groups[shard]
                      if shard_threshold_groups is not None else None)
+            owner_ids = self.log_agreement_ids[self.log_registry.log_of(shard)]
             for node_id in shard_ids:
                 node = ShardExecutionNode(
                     node_id=node_id, scheduler=self.scheduler, config=config,
                     keystore=self.keystore, state_machine=app_factory(),
-                    agreement_ids=self.agreement_ids, execution_ids=shard_ids,
-                    client_ids=self.client_ids, upstream=self.agreement_ids,
+                    agreement_ids=owner_ids, execution_ids=shard_ids,
+                    client_ids=self.client_ids, upstream=owner_ids,
                     shard=shard, router=self.router, threshold_group=group,
                     shard_execution_ids=self.shard_execution_ids,
                 )
+                if config.multilog.enabled:
+                    # Log-map hooks: every execution cluster meets every
+                    # log-map cut at one deterministic slot of its own
+                    # ordered feed; the moved shard's replicas repoint their
+                    # upstream log right after replying under the old one.
+                    # With one log both stay None: sub-reply fragments are
+                    # then grouped by the strict global-``op_seq`` rule.
+                    node.on_config_marker = self._on_config_marker
+                    node.log_of_shard = self.log_registry.log_of
                 cluster.append(node)
                 self.network.register(node)
             self.shard_execution_nodes.append(cluster)
 
-        # ---------------- Agreement cluster with shard routers. -------- #
+        # ---------------- K agreement clusters with shard routers. ----- #
         cert_verifiers = self.agreement_ids + self.execution_ids
         self.message_queues: List[ShardRouterQueue] = []
         self.agreement_replicas: List[AgreementReplica] = []
-        for node_id in self.agreement_ids:
+        for index, node_id in enumerate(self.agreement_ids):
+            log = index // log_size
             replica = AgreementReplica(
                 node_id=node_id, scheduler=self.scheduler, config=config,
                 keystore=self.keystore, local=None,  # type: ignore[arg-type]
-                agreement_ids=self.agreement_ids, client_ids=self.client_ids,
-                cert_verifiers=cert_verifiers,
+                agreement_ids=self.log_agreement_ids[log],
+                client_ids=self.client_ids, cert_verifiers=cert_verifiers,
             )
-            queue = ShardRouterQueue(
+            routing = dict(
                 owner=replica, config=config,
                 shard_execution_ids=self.shard_execution_ids,
                 client_ids=self.client_ids, router=self.router,
                 shard_threshold_groups=shard_threshold_groups,
             )
+            if config.multilog.enabled:
+                queue = MultiLogRouterQueue(
+                    log=log, log_agreement_ids=self.log_agreement_ids,
+                    log_registry=self.log_registry, **routing)
+            else:
+                # One log has nobody to coordinate with: no bindings, no
+                # cuts, and no ``log`` field on the wire.
+                queue = ShardRouterQueue(**routing)
             replica.local = queue
             if config.pipeline.per_shard_depth is not None:
                 # Skew-aware concurrency: single-shard bundles with per-shard
@@ -184,6 +237,10 @@ class ShardedSystem(SimulatedSystem):
             self.message_queues.append(queue)
             self.agreement_replicas.append(replica)
             self.network.register(replica)
+        self.log_replicas: List[List[AgreementReplica]] = [
+            self.agreement_replicas[first:first + log_size]
+            for first in range(0, len(self.agreement_replicas), log_size)
+        ]
 
         # ---------------- Clients. ---------------- #
         request_verifiers = self.agreement_ids + self.execution_ids
@@ -191,18 +248,80 @@ class ShardedSystem(SimulatedSystem):
         for node_id in self.client_ids:
             client = ShardAwareClient(
                 node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore, agreement_ids=self.agreement_ids,
+                keystore=self.keystore,
+                log_agreement_ids=self.log_agreement_ids,
                 request_verifiers=request_verifiers,
                 shard_execution_ids=self.shard_execution_ids,
-                router=self.router,
+                router=self.router, log_registry=self.log_registry,
                 shard_threshold_groups=shard_threshold_groups,
             )
             self.clients.append(client)
             self.network.register(client)
 
     # ------------------------------------------------------------------ #
+    # Log-map reconfiguration.
+    # ------------------------------------------------------------------ #
+
+    def _on_config_marker(self, node: ShardExecutionNode, op) -> None:
+        """Execution-node hook: a log-map cut reached ``node``'s slot."""
+        if not isinstance(op, LogMapChange):
+            return
+        if op.parent_log_epoch != node.log_map_epoch:
+            return  # stale/duplicate cut: deterministic no-op
+        node.log_map_epoch += 1
+        if op.shard == node.shard:
+            owner_ids = list(self.log_agreement_ids[op.target_log])
+            node.agreement_ids = owner_ids
+            node.upstream = owner_ids
+
+    def propose_log_map_change(self, shard: int, target_log: int) -> bool:
+        """Order one shard's move between log groups through *every* log.
+
+        Each log's current primary proposes the same change into its own
+        log; every queue holds the marker at its release head until the
+        cross-log cut certifies that all logs committed it.  The driver
+        serializes changes -- one at a time, proposed only when every log
+        is quiescent enough to accept (all preconditions re-checked inside
+        :meth:`~repro.agreement.replica.AgreementReplica.propose_map_change`
+        would pass) -- because two *concurrent* log-map cuts could be
+        ordered inversely by two logs and deadlock each other's frontiers;
+        see ROADMAP for the MVBA-style cut-ordering follow-up.  With one
+        log there is nowhere to move a shard, so every proposal is refused.
+        """
+        parent = self.log_registry.latest_epoch
+        change = LogMapChange(shard=shard, target_log=target_log,
+                              parent_log_epoch=parent)
+        if not change.well_formed(self.num_shards, self.num_logs):
+            return False
+        if self.log_registry.log_of(shard) == target_log:
+            return False
+        if any(queue.log_epoch != parent or any(
+                key[0] == LMC_MARKER for key in queue._held)
+               for queue in self.message_queues):
+            return False  # a previous change is still cutting
+        primaries: List[AgreementReplica] = []
+        for replicas in self.log_replicas:
+            primary = next(
+                (replica for replica in replicas
+                 if replica.is_primary and not replica._view_changing
+                 and not replica.log.has_pending_config_op()
+                 and replica.next_seq <= replica.log.high_watermark), None)
+            if primary is None:
+                return False
+            primaries.append(primary)
+        # All preconditions hold and nothing runs between the checks and
+        # the proposals (the simulator is single-threaded), so either every
+        # log orders the change or none does.
+        return all(primary.propose_map_change(change)
+                   for primary in primaries)
+
+    # ------------------------------------------------------------------ #
     # Accessors and fault injection.
     # ------------------------------------------------------------------ #
+
+    @property
+    def num_logs(self) -> int:
+        return len(self.log_agreement_ids)
 
     @property
     def num_shards(self) -> int:
@@ -217,15 +336,20 @@ class ShardedSystem(SimulatedSystem):
     def agreement_replica(self, index: int) -> AgreementReplica:
         return self.agreement_replicas[index]
 
+    def log_primary(self, log: int) -> Optional[AgreementReplica]:
+        """The replica currently acting as ``log``'s primary (if any)."""
+        return next((replica for replica in self.log_replicas[log]
+                     if replica.is_primary), None)
+
     def execution_cluster(self, shard: int) -> List[ShardExecutionNode]:
         return self.shard_execution_nodes[shard]
 
     def execution_node(self, shard: int, index: int) -> ShardExecutionNode:
         return self.shard_execution_nodes[shard][index]
 
-    def crash_agreement(self, index: int) -> None:
-        """Crash one agreement replica (tolerated for up to ``f``)."""
-        self.agreement_replicas[index].crash()
+    def crash_agreement(self, index: int, log: int = 0) -> None:
+        """Crash one agreement replica of ``log`` (up to ``f`` per log)."""
+        self.log_replicas[log][index].crash()
 
     def crash_execution(self, shard: int, index: int) -> None:
         """Crash one execution replica of ``shard`` (up to ``g`` per shard)."""

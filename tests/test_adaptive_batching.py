@@ -12,6 +12,7 @@ import pytest
 
 from conftest import FAST_TIMERS, make_config
 from repro.agreement.batching import (
+    CONGESTION_REQUESTS,
     AdaptiveBundleController,
     Batcher,
     StaticBundleController,
@@ -69,7 +70,7 @@ class TestControllerUnit:
         # A small timer-forced take while requests are still in flight is
         # the normal gathering step of a saturated loop, not light load.
         controller.on_take(backlog_before=2, taken=2,
-                           in_flight=ADAPTIVE.congestion_requests)
+                           in_flight=CONGESTION_REQUESTS)
         assert controller.current == grown
 
     def test_respects_bounds(self):

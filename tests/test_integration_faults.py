@@ -9,6 +9,7 @@ view change); retransmission bridges lossy links between the clusters.
 import pytest
 
 from conftest import make_config
+from repro.agreement.replica import VIEW_CHANGE_BACKOFF_CAP_MS
 from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import KeyValueStore, get, put
 from repro.config import AuthenticationScheme, NetworkConfig
@@ -87,7 +88,7 @@ class TestViewChangeDefences:
         assert delays[0] == timers.view_change_ms * timers.view_change_backoff
         assert all(later >= earlier
                    for earlier, later in zip(delays, delays[1:]))
-        assert delays[-1] == max(timers.view_change_backoff_cap_ms,
+        assert delays[-1] == max(VIEW_CHANGE_BACKOFF_CAP_MS,
                                  timers.view_change_ms)
 
     def test_target_selection_skips_recently_deposed_primaries(self, config):

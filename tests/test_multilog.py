@@ -24,6 +24,8 @@ The safety-critical properties of the partitioned ordering plane:
 from __future__ import annotations
 
 import dataclasses
+import functools
+from pathlib import Path
 
 import pytest
 
@@ -32,13 +34,16 @@ from repro.apps.kvstore import KeyValueStore, get, put, transaction
 from repro.config import CrossShardConfig, SystemConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.faults import LinkFault
-from repro.fuzz import FaultSchedule, ScheduleEvent, run_schedule
+from repro.fuzz import FaultSchedule, ScheduleEvent, load_corpus, run_schedule
+from repro.fuzz.harness import ScenarioSpec
 from repro.fuzz.oracles import ExactlyOnceOracle
-from repro.multilog import MultiLogSystem
+from repro.sharding import ShardedSystem
+from repro.sharding.queue import ShardRouterQueue
 from repro.workloads import equal_range_boundaries, seed_operations
 from repro.workloads.crossshard import audit_key
 from repro.workloads.skew import skew_key
 
+CORPUS_DIR = Path(__file__).parent.parent / "benchmarks" / "fuzz_corpus"
 KEY_SPACE = 64
 NUM_LOGS = 2
 NUM_SHARDS = 4
@@ -55,7 +60,7 @@ def make_system(num_logs=NUM_LOGS, num_shards=NUM_SHARDS, num_clients=4,
         num_logs=num_logs, num_shards=num_shards, strategy="range",
         range_boundaries=equal_range_boundaries(KEY_SPACE, num_shards),
         **kwargs)
-    return MultiLogSystem(config, KeyValueStore, seed=seed)
+    return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
 def seed_system(system):
@@ -93,14 +98,55 @@ def key_on(system, shard):
 # ---------------------------------------------------------------------- #
 
 
+def _corpus_seed(scenario_name):
+    """The first committed corpus seed aimed at ``scenario_name``."""
+    return next(schedule for schedule in load_corpus(CORPUS_DIR)
+                if schedule.scenario == scenario_name)
+
+
 class TestConstruction:
-    def test_refuses_single_log(self):
-        from repro.errors import ConfigurationError
-        config = SystemConfig.multilog_sharded(
-            num_logs=1, num_shards=2, strategy="range",
-            range_boundaries=equal_range_boundaries(KEY_SPACE, 2))
-        with pytest.raises(ConfigurationError):
-            MultiLogSystem(config, KeyValueStore)
+    def test_one_log_is_the_plain_sharded_deployment(self):
+        system = make_system(num_logs=1, num_shards=2)
+        assert system.num_logs == 1
+        assert system.log_replicas == [system.agreement_replicas]
+        assert all(type(queue) is ShardRouterQueue
+                   for queue in all_queues(system))
+        # One log has no per-log sequence spaces to tell apart.
+        assert all(client.log_of_shard is None for client in system.clients)
+        assert all(node.log_of_shard is None
+                   for node in system.execution_cluster(0))
+        assert not system.propose_log_map_change(shard=1, target_log=0)
+        record = system.invoke(cross_group_txn("one-log", num_shards=2))
+        assert record.result.value.get("committed") is True
+        assert all(client.log_retargets == 0 for client in system.clients)
+
+    @pytest.mark.parametrize("scenario_name",
+                             ["sharded", "rebalance", "crossshard"])
+    def test_one_log_config_replays_to_the_sharded_digest(self, scenario_name,
+                                                          monkeypatch):
+        """The number of logs is a parameter, not a class: a deployment
+        described as ``multilog_sharded(num_logs=1, ...)`` is
+        indistinguishable, event for event, from ``sharded(...)``."""
+        schedule = _corpus_seed(scenario_name)
+        scenario_config = ScenarioSpec.make_config
+
+        def through(build):
+            def make_config(spec):
+                base = scenario_config(spec)
+                overrides = {
+                    field.name: getattr(base, field.name)
+                    for field in dataclasses.fields(base)
+                    if field.name not in ("sharding", "multilog")}
+                return build(base.sharding.num_shards, base.sharding.strategy,
+                             base.sharding.range_boundaries, **overrides)
+            return make_config
+
+        digests = []
+        for build in (SystemConfig.sharded,
+                      functools.partial(SystemConfig.multilog_sharded, 1)):
+            monkeypatch.setattr(ScenarioSpec, "make_config", through(build))
+            digests.append(run_schedule(schedule).replay_digest)
+        assert digests[0] == digests[1]
 
     def test_single_group_requests_stay_in_their_log(self):
         system = make_system()
@@ -129,7 +175,7 @@ class TestViewChangeAtomicity:
         # order its leg of the marker after a view change, so the cut is
         # necessarily assembled across the old view (log 0's binding) and
         # the new one (log 1's), and the view change is guaranteed.
-        system.log_primary(1).crash()
+        system.crash_agreement(0, log=1)  # the primary of log 1's view 0
         client.submit(cross_group_txn("vc-stamp"))
         system.run_until(lambda: len(client.completed) == before + 1, 30_000.0,
                          "cross-group txn after view change")

@@ -23,7 +23,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import validate_schema  # noqa: E402  (benchmarks/ is not a package)
 
-from conftest import make_config
+from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.analysis.critical_path import (
     STAGES,
     critical_path_breakdown,
@@ -32,7 +32,8 @@ from repro.analysis.critical_path import (
 )
 from repro.analysis.metrics import percentile, summarize_latencies
 from repro.apps.counter import CounterService, increment
-from repro.config import ObservabilityConfig
+from repro.apps.kvstore import KeyValueStore, put
+from repro.config import ObservabilityConfig, SystemConfig
 from repro.core import SeparatedSystem
 from repro.obs import MetricsRegistry, TraceEvent, Tracer, read_trace_jsonl
 from repro.obs.registry import (
@@ -43,6 +44,7 @@ from repro.obs.registry import (
     NOOP_GAUGE,
     NOOP_HISTOGRAM,
 )
+from repro.sharding import ShardedSystem
 
 OBS_ON = ObservabilityConfig(metrics=True, tracing=True)
 
@@ -238,6 +240,23 @@ class TestZeroOverhead:
         # Ad-hoc crypto counters (the *_cached tallies) ride along.
         assert "digest" in snapshot["crypto_ops"]
         assert "wire_cache" in snapshot["global"]
+
+    def test_sharded_queue_counts_sends_and_forwards_too(self):
+        """The router queue sends and forwards through the same helpers as
+        the unsharded queue, so the registry's counters move with the
+        queue's plain attributes (they used to stay 0 on sharded runs)."""
+        config = SystemConfig.sharded(
+            2, num_clients=2, pipeline_depth=16, checkpoint_interval=8,
+            bundle_size=1, timers=FAST_TIMERS, crypto=CHEAP_CRYPTO,
+            observability=OBS_ON)
+        system = ShardedSystem(config, KeyValueStore, seed=44)
+        for index in range(4):
+            system.invoke(put(f"key-{index}", "v"))
+        counters = system.metrics_snapshot()["nodes"]["A0"]["counters"]
+        assert counters["queue.batches_sent"] == 4
+        assert counters["queue.replies_forwarded"] == 4
+        queue = system.message_queues[0]
+        assert (queue.batches_sent, queue.replies_forwarded) == (4, 4)
 
 
 # ---------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import make_config
 from repro.agreement.batching import AdaptiveBundleController, Batcher
+from repro.agreement.replica import GATHER_MS
 from repro.apps.kvstore import KeyValueStore, extract_key, put
 from repro.config import BatchingConfig, PipelineConfig, ShardingConfig, SystemConfig
 from repro.errors import ConfigurationError, LivenessTimeoutError
@@ -302,10 +303,9 @@ class TestPerShardBatching:
         assert primary._rtt_ewma is not None and primary._rtt_ewma > 0
         window = primary._gather_window()
         assert 0 < window <= system.config.timers.batch_timeout_ms
-        # Without the switch the static gather_ms is used.
+        # Without the switch the static window is used.
         static = ShardedSystem(global_config(), KeyValueStore, seed=56)
-        assert (static.agreement_replicas[0]._gather_window()
-                == static.config.batching.gather_ms)
+        assert static.agreement_replicas[0]._gather_window() == GATHER_MS
 
 
 class TestAcceptanceWindow:
