@@ -24,9 +24,17 @@ SHA-256 payload digest plus the verification parameters:
   exactly as it would without the cache.
 * a per-certificate fact ``(payload_digest, scheme, signers, required,
   universe)`` records "at least ``required`` of ``signers`` (restricted to
-  ``universe``) vouch for ``payload_digest``".
+  ``universe``) vouch for ``payload_digest``".  ``signers`` and ``universe``
+  are frozensets of node ids.
 * a combined-threshold fact ``(group, payload_digest, signature)`` includes
   the signature bytes themselves, so a forged group signature can never hit.
+
+Node ids and sets of them are the part of a fact that is the same for the
+whole deployment, while the id *objects* a verification sees are private to
+the message they arrived in (on the asyncio backend every frame is unpickled
+into fresh ones).  A stored fact therefore refers to the cache's one copy of
+each id and set (:meth:`VerifiedCertificateCache.add`), not to the message's:
+a full cache holds a dozen ids, not four thousand.
 
 Failures are **never cached** -- neither negatively (which would let a
 Byzantine sender poison the cache and suppress a later legitimate
@@ -42,7 +50,9 @@ account for them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Tuple
+from typing import Dict, Hashable, Tuple
+
+from ..util.ids import NodeId
 
 #: a memoised verification fact (see module docstring for the key shapes)
 CacheKey = Tuple[Hashable, ...]
@@ -58,6 +68,8 @@ class VerifiedCertificateCache:
         self.hits = 0
         self.misses = 0
         self._facts: "OrderedDict[CacheKey, None]" = OrderedDict()
+        #: the one copy of each node id and node set that stored facts hold
+        self._shared: Dict[Hashable, Hashable] = {}
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -72,7 +84,18 @@ class VerifiedCertificateCache:
         return False
 
     def add(self, key: CacheKey) -> None:
-        """Record a *successful* verification (failures must never be added)."""
+        """Record a *successful* verification (failures must never be added).
+
+        Only stored facts reach the table of shared ids and sets, so a failed
+        verification leaves no trace there either; it is bounded as the facts
+        are, by starting over (facts keep what they already hold).
+        """
+        shared = self._shared
+        if len(shared) >= self.capacity:
+            shared.clear()
+        key = tuple([shared.setdefault(part, part)
+                     if type(part) is NodeId or type(part) is frozenset else part
+                     for part in key])
         self._facts[key] = None
         self._facts.move_to_end(key)
         while len(self._facts) > self.capacity:
@@ -80,6 +103,7 @@ class VerifiedCertificateCache:
 
     def clear(self) -> None:
         self._facts.clear()
+        self._shared.clear()
         self.hits = 0
         self.misses = 0
 

@@ -1,14 +1,19 @@
-"""Cryptographic digests.
+"""Cryptographic digests and the MAC primitive.
 
 The paper assumes a collision- and preimage-resistant digest function (SHA-1
 in 2003); we use SHA-256.  Digests are computed over the canonical encoding
 of protocol values so that all correct nodes derive identical digests from
 identical logical messages.
+
+:func:`mac` is the one keyed primitive: MAC entries, the simulated
+signatures and shares, the pool's verification jobs and the key schedule all
+go through it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 from typing import Any
 
 from ..util.encoding import canonical_encode
@@ -28,6 +33,11 @@ def digest(value: Any) -> bytes:
     elif not isinstance(value, bytes):
         value = canonical_encode(value)
     return hashlib.sha256(value).digest()
+
+
+def mac(key: bytes, data: bytes) -> bytes:
+    """HMAC-SHA-256 of ``data`` under ``key``, in one call into OpenSSL."""
+    return hmac.digest(key, data, "sha256")
 
 
 def digest_hex(value: Any) -> str:

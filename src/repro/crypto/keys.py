@@ -14,24 +14,29 @@ protocol: protocol code only touches it through a per-node
 operations the paper's trust model allows that node to perform.  Byzantine
 nodes therefore cannot forge other nodes' authenticators, matching the
 assumption that cryptography is not subverted.
+
+Every key is a pure function of the master secret and of names, so each is
+derived the first time somebody asks for it and remembered: a pair secret
+costs three derivation MACs once per pair, not once per message.  Nothing is
+derived ahead of use -- a peer is registered by the first request that
+involves it -- so building a deployment derives only the keys it asks for.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..errors import CryptoError, UnknownKeyError
 from ..util.ids import NodeId
+from .digest import mac
 
 
 def _derive(master: bytes, *labels: str) -> bytes:
     """Derive a sub-key from ``master`` and a label path."""
     material = master
     for label in labels:
-        material = hmac.new(material, label.encode("utf-8"), hashlib.sha256).digest()
+        material = mac(material, label.encode("utf-8"))
     return material
 
 
@@ -43,12 +48,18 @@ class ThresholdGroup:
     members: FrozenSet[NodeId]
     threshold: int
     group_key: bytes = field(repr=False)
+    _shares: Dict[NodeId, bytes] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def share_key(self, member: NodeId) -> bytes:
         """The signing share held by ``member``."""
-        if member not in self.members:
-            raise UnknownKeyError(f"{member} is not a member of threshold group {self.name}")
-        return _derive(self.group_key, "share", member.name)
+        share = self._shares.get(member)
+        if share is None:
+            if member not in self.members:
+                raise UnknownKeyError(
+                    f"{member} is not a member of threshold group {self.name}")
+            share = self._shares[member] = _derive(self.group_key, "share", member.name)
+        return share
 
 
 class Keystore:
@@ -57,6 +68,8 @@ class Keystore:
     def __init__(self, master_secret: bytes = b"repro-master-secret") -> None:
         self._master = master_secret
         self._nodes: Dict[NodeId, bytes] = {}
+        #: pair secrets by the two names, stored under both orders
+        self._pairs: Dict[Tuple[str, str], bytes] = {}
         self._groups: Dict[str, ThresholdGroup] = {}
 
     # ------------------------------------------------------------------ #
@@ -85,10 +98,14 @@ class Keystore:
         not-yet-registered peer simply provisions that peer's key material, the
         same way a real deployment distributes shared secrets ahead of time.
         """
-        self.register_node(a)
-        self.register_node(b)
-        first, second = sorted((a, b))
-        return _derive(self._master, "pair", first.name, second.name)
+        secret = self._pairs.get((a.name, b.name))
+        if secret is None:
+            self.register_node(a)
+            self.register_node(b)
+            first, second = sorted((a, b))
+            secret = _derive(self._master, "pair", first.name, second.name)
+            self._pairs[a.name, b.name] = self._pairs[b.name, a.name] = secret
+        return secret
 
     # ------------------------------------------------------------------ #
     # Threshold groups.
@@ -104,18 +121,17 @@ class Keystore:
             )
         for member in members_set:
             self.register_node(member)
-        group = ThresholdGroup(
+        existing = self._groups.get(name)
+        if existing is not None:
+            if existing.members != members_set or existing.threshold != threshold:
+                raise CryptoError(f"threshold group {name} already exists with different parameters")
+            return existing
+        group = self._groups[name] = ThresholdGroup(
             name=name,
             members=members_set,
             threshold=threshold,
             group_key=_derive(self._master, "group", name),
         )
-        existing = self._groups.get(name)
-        if existing is not None:
-            if existing.members != group.members or existing.threshold != group.threshold:
-                raise CryptoError(f"threshold group {name} already exists with different parameters")
-            return existing
-        self._groups[name] = group
         return group
 
     def threshold_group(self, name: str) -> ThresholdGroup:

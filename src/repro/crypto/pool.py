@@ -34,7 +34,6 @@ fallback-to-inline is the same code path minus the executor.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -47,7 +46,7 @@ from ..net.message import Message
 from ..util.ids import NodeId
 from ..util.wirecache import wire_memo
 from .certificate import Certificate
-from .digest import digest
+from .digest import digest, mac
 from .keys import Keystore
 
 #: one verification: HMAC(secret, data) must equal token; ``burn_ms`` is the
@@ -84,8 +83,7 @@ def verify_jobs(jobs: Sequence[VerifyJob]) -> List[bool]:
     results: List[bool] = []
     for secret, data, token, burn_ms in jobs:
         spin(burn_ms)
-        expected = hmac.new(secret, data, hashlib.sha256).digest()
-        results.append(hmac.compare_digest(expected, token))
+        results.append(hmac.compare_digest(mac(secret, data), token))
     return results
 
 
@@ -141,8 +139,8 @@ def extract_verify_jobs(node: NodeId, keystore: Keystore, costs: CryptoCosts,
     Returns parallel lists: ``jobs[i]`` proves (or refutes) the fact that
     would be cached under ``keys[i]``.  Authenticators the node cannot
     check -- MAC vectors with no entry for it, signers with no registered
-    key, shares from non-members -- produce no job; the node's inline
-    verification rejects those itself, as it always did.  ``burn_ms`` is
+    key, shares from non-members, tokens of the wrong type -- produce no
+    job; the node's inline verification rejects those itself.  ``burn_ms`` is
     the provider's virtual charge for the operation scaled by
     ``charge_scale``, so the pool burns exactly the cost the node no
     longer pays inline.
@@ -159,8 +157,9 @@ def extract_verify_jobs(node: NodeId, keystore: Keystore, costs: CryptoCosts,
             for auth in cert.authenticators.values():
                 if not auth.covers(pd):
                     continue
-                token = (auth.token or {}).get(node.name)
-                if token is None:
+                token = (auth.token.get(node.name)
+                         if isinstance(auth.token, dict) else None)
+                if not isinstance(token, bytes):
                     continue
                 secret = keystore.pair_secret(auth.signer, node)
                 jobs.append((secret, pd, token,
@@ -189,8 +188,8 @@ def extract_verify_jobs(node: NodeId, keystore: Keystore, costs: CryptoCosts,
                 jobs.append((group.share_key(auth.signer), b"share:" + pd,
                              auth.token, costs.mac_ms * charge_scale))
                 keys.append(("share", cert.threshold_group, auth.signer, pd))
-            if cert.threshold_signature is not None:
-                sig = bytes(cert.threshold_signature)
+            sig = cert.threshold_signature
+            if isinstance(sig, bytes):
                 jobs.append((group.group_key, b"combined:" + pd, sig,
                              costs.threshold_verify_ms * charge_scale))
                 keys.append(("tsig", cert.threshold_group, pd, sig))

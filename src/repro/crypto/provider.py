@@ -16,7 +16,6 @@ benchmarks (Figure 4).
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -27,7 +26,7 @@ from ..util.ids import NodeId
 from ..util.wirecache import wire_memo
 from .cache import VerifiedCertificateCache
 from .certificate import Authenticator, Certificate
-from .digest import digest
+from .digest import digest, mac
 from .keys import Keystore
 
 ChargeFn = Callable[[float], None]
@@ -40,10 +39,6 @@ def _noop_charge(_: float) -> None:
 
 def _noop_record(_: str) -> None:
     return None
-
-
-def _hmac(key: bytes, data: bytes) -> bytes:
-    return hmac.new(key, data, hashlib.sha256).digest()
 
 
 class CryptoProvider:
@@ -118,10 +113,10 @@ class CryptoProvider:
                           destinations: Iterable[NodeId]) -> Authenticator:
         """Produce a MAC-vector authenticator for ``payload`` to ``destinations``."""
         payload_digest = self.payload_digest(payload)
-        tokens: Dict[str, bytes] = {}
-        for destination in destinations:
-            secret = self.keystore.pair_secret(self.node, destination)
-            tokens[destination.name] = _hmac(secret, payload_digest)
+        node, pair_secret = self.node, self.keystore.pair_secret
+        tokens: Dict[str, bytes] = {
+            destination.name: mac(pair_secret(node, destination), payload_digest)
+            for destination in destinations}
         self._charge(self.costs.mac_ms)
         self._record("mac_sign")
         return Authenticator(signer=self.node, scheme=AuthenticationScheme.MAC,
@@ -143,12 +138,12 @@ class CryptoProvider:
             return True
         if not authenticator.covers(payload_digest):
             return False
-        token = authenticator.token or {}
-        entry = token.get(self.node.name)
-        if entry is None:
+        token = authenticator.token
+        entry = token.get(self.node.name) if isinstance(token, dict) else None
+        if not isinstance(entry, bytes):
             return False
         secret = self.keystore.pair_secret(authenticator.signer, self.node)
-        expected = _hmac(secret, payload_digest)
+        expected = mac(secret, payload_digest)
         self._charge(self.costs.mac_ms)
         self._record("mac_verify")
         ok = hmac.compare_digest(entry, expected)
@@ -164,7 +159,7 @@ class CryptoProvider:
         """Sign ``payload`` with this node's private key."""
         payload_digest = self.payload_digest(payload)
         key = self.keystore.private_key(self.node)
-        signature = _hmac(key, b"sig:" + payload_digest)
+        signature = mac(key, b"sig:" + payload_digest)
         self._charge(self.costs.signature_sign_ms)
         self._record("signature_sign")
         return Authenticator(signer=self.node, scheme=AuthenticationScheme.SIGNATURE,
@@ -179,13 +174,14 @@ class CryptoProvider:
         if self.cache is not None and self.cache.seen(cache_key):
             self._record("signature_verify_cached")
             return True
-        if not authenticator.covers(payload_digest):
+        if not authenticator.covers(payload_digest) or not isinstance(
+                authenticator.token, bytes):
             return False
         try:
             key = self.keystore.private_key(authenticator.signer)
         except CryptoError:
             return False
-        expected = _hmac(key, b"sig:" + payload_digest)
+        expected = mac(key, b"sig:" + payload_digest)
         self._charge(self.costs.signature_verify_ms)
         self._record("signature_verify")
         ok = hmac.compare_digest(authenticator.token, expected)
@@ -202,7 +198,7 @@ class CryptoProvider:
         group = self.keystore.threshold_group(group_name)
         share_key = group.share_key(self.node)
         payload_digest = self.payload_digest(payload)
-        share = _hmac(share_key, b"share:" + payload_digest)
+        share = mac(share_key, b"share:" + payload_digest)
         self._charge(self.costs.threshold_share_ms)
         self._record("threshold_share")
         return Authenticator(signer=self.node, scheme=AuthenticationScheme.THRESHOLD,
@@ -221,9 +217,10 @@ class CryptoProvider:
         if self.cache is not None and self.cache.seen(cache_key):
             self._record("threshold_share_verify_cached")
             return True
-        if not authenticator.covers(payload_digest):
+        if not authenticator.covers(payload_digest) or not isinstance(
+                authenticator.token, bytes):
             return False
-        expected = _hmac(group.share_key(authenticator.signer), b"share:" + payload_digest)
+        expected = mac(group.share_key(authenticator.signer), b"share:" + payload_digest)
         self._charge(self.costs.mac_ms)
         self._record("threshold_share_verify")
         ok = hmac.compare_digest(authenticator.token, expected)
@@ -254,7 +251,7 @@ class CryptoProvider:
             )
         self._charge(self.costs.threshold_combine_ms)
         self._record("threshold_combine")
-        return _hmac(group.group_key, b"combined:" + payload_digest)
+        return mac(group.group_key, b"combined:" + payload_digest)
 
     def verify_threshold_signature(self, payload: Any, signature: bytes,
                                    group_name: str) -> bool:
@@ -263,13 +260,15 @@ class CryptoProvider:
         The cache key includes the signature bytes themselves, so a forged
         group signature can never hit a fact proven for the genuine one.
         """
+        if not isinstance(signature, bytes):
+            return False
         group = self.keystore.threshold_group(group_name)
         payload_digest = self.payload_digest(payload)
-        cache_key = ("tsig", group_name, payload_digest, bytes(signature))
+        cache_key = ("tsig", group_name, payload_digest, signature)
         if self.cache is not None and self.cache.seen(cache_key):
             self._record("threshold_verify_cached")
             return True
-        expected = _hmac(group.group_key, b"combined:" + payload_digest)
+        expected = mac(group.group_key, b"combined:" + payload_digest)
         self._charge(self.costs.threshold_verify_ms)
         self._record("threshold_verify")
         ok = hmac.compare_digest(signature, expected)
@@ -341,20 +340,21 @@ class CryptoProvider:
                 certificate.payload, certificate.threshold_signature,
                 certificate.threshold_group,
             )
+        allowed = None if universe is None else frozenset(universe)
         cache_key = None
         if self.cache is not None:
             cache_key = (
                 "cert",
                 self.payload_digest(certificate.payload),
                 certificate.scheme.value,
-                frozenset(signer.name for signer in certificate.authenticators),
+                certificate.signers,
                 required,
-                None if universe is None else frozenset(n.name for n in universe),
+                allowed,
             )
             if self.cache.seen(cache_key):
                 self._record("certificate_cached")
                 return True
-        ok = len(self.valid_signers(certificate, universe)) >= required
+        ok = len(self.valid_signers(certificate, allowed)) >= required
         if ok and cache_key is not None:
             self.cache.add(cache_key)
         return ok

@@ -12,6 +12,10 @@ retransmission timer per answered batch, and without compaction those dead
 entries would accumulate and slow every push/pop by a growing log factor.
 Compaction preserves the (time, sequence) order keys, so rebuilding the heap
 never changes the firing order.
+
+The heap holds ``(time, sequence, event)`` tuples: sequences are unique, so a
+comparison is decided by the first two members, in C, and never reaches the
+event.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -28,9 +32,9 @@ from ..errors import SimulationError
 _COMPACTION_MIN_SIZE = 64
 
 
-@dataclass(order=True, slots=True)
+@dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback (a handle: two events are equal when identical).
 
     ``cancelled`` events stay in the heap but are skipped when popped; the
     owning queue is notified so its live-event counter stays exact and it
@@ -39,13 +43,13 @@ class Event:
 
     time: float
     sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[[], None]
+    label: str = ""
+    cancelled: bool = False
     #: set by the scheduler when the callback runs (used by Timer.active)
-    fired: bool = field(compare=False, default=False)
+    fired: bool = False
     #: the queue currently holding this event (None once popped)
-    queue: Optional["EventQueue"] = field(compare=False, default=None, repr=False)
+    queue: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the scheduler will skip it."""
@@ -60,7 +64,7 @@ class EventQueue:
     """Priority queue of :class:`Event` objects keyed by virtual time."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
         self._cancelled_in_heap = 0
@@ -78,14 +82,14 @@ class EventQueue:
             raise SimulationError("cannot schedule an event before time zero")
         event = Event(time=time, sequence=next(self._counter),
                       callback=callback, label=label, queue=self)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.sequence, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or None if the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             event.queue = None
             if not event.cancelled:
                 self._live -= 1
@@ -95,12 +99,12 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).queue = None
+        while self._heap and self._heap[0][2].cancelled:
+            heapq.heappop(self._heap)[2].queue = None
             self._cancelled_in_heap -= 1
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     # ------------------------------------------------------------------ #
     # Lazy-deletion accounting.
@@ -121,9 +125,9 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without its cancelled entries."""
-        for event in self._heap:
-            if event.cancelled:
-                event.queue = None
-        self._heap = [event for event in self._heap if not event.cancelled]
+        for entry in self._heap:
+            if entry[2].cancelled:
+                entry[2].queue = None
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0

@@ -8,13 +8,22 @@ value object that encodes the node's role and its index within its cluster.
 Privacy-firewall filters additionally carry their row in the filter array
 (row 0 is adjacent to the agreement cluster, the top row is adjacent to the
 execution cluster); the index is the column within the row.
+
+An id is consulted far more often than it is made: its name labels every MAC
+vector entry and every charged digest, its hash keys every per-node table,
+its order fixes every "deterministic signer order".  All three are pure
+functions of the three fields, so a :class:`NodeId` computes them once, when
+it is constructed or unpickled, and carries them beside the fields.  They are
+not part of its pickle: replies and range handoffs are pickled with the ids
+inside them, and those sizes feed checkpoint digests and virtual time, so the
+pickled bytes are exactly those of the three fields.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional
 
 
 class Role(enum.Enum):
@@ -27,13 +36,11 @@ class Role(enum.Enum):
     SERVER = "server"  # unreplicated baseline server
 
     def short(self) -> str:
-        return {
-            Role.CLIENT: "C",
-            Role.AGREEMENT: "A",
-            Role.EXECUTION: "E",
-            Role.FIREWALL: "F",
-            Role.SERVER: "S",
-        }[self]
+        return _SHORT[self._value_]
+
+
+_SHORT = {"client": "C", "agreement": "A", "execution": "E", "firewall": "F",
+          "server": "S"}
 
 
 @dataclass(frozen=True)
@@ -43,34 +50,35 @@ class NodeId:
     The ordering (role, row, index) is arbitrary but total, which lets node
     ids be used as dictionary keys and sorted deterministically -- important
     for reproducible simulations.
+
+    ``name`` is the human-readable form, e.g. ``A0``, ``E2``, ``F1.0``,
+    ``C3``; it, the hash and the sort key are derived once (see the module
+    docstring) and are not dataclass fields.
     """
 
     role: Role
     index: int
     row: Optional[int] = None
 
-    def _sort_key(self) -> tuple:
-        return (self.role.value, -1 if self.row is None else self.row, self.index)
-
     def __lt__(self, other: "NodeId") -> bool:
         if not isinstance(other, NodeId):
             return NotImplemented
-        return self._sort_key() < other._sort_key()
+        return self._sort_key < other._sort_key
 
     def __le__(self, other: "NodeId") -> bool:
         if not isinstance(other, NodeId):
             return NotImplemented
-        return self._sort_key() <= other._sort_key()
+        return self._sort_key <= other._sort_key
 
     def __gt__(self, other: "NodeId") -> bool:
         if not isinstance(other, NodeId):
             return NotImplemented
-        return self._sort_key() > other._sort_key()
+        return self._sort_key > other._sort_key
 
     def __ge__(self, other: "NodeId") -> bool:
         if not isinstance(other, NodeId):
             return NotImplemented
-        return self._sort_key() >= other._sort_key()
+        return self._sort_key >= other._sort_key
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -79,13 +87,26 @@ class NodeId:
             raise ValueError("firewall nodes must specify a row")
         if self.role is not Role.FIREWALL and self.row is not None:
             raise ValueError("only firewall nodes carry a row")
+        self._derive()
 
-    @property
-    def name(self) -> str:
-        """Human-readable name, e.g. ``A0``, ``E2``, ``F1.0``, ``C3``."""
-        if self.role is Role.FIREWALL:
-            return f"{self.role.short()}{self.row}.{self.index}"
-        return f"{self.role.short()}{self.index}"
+    def _derive(self) -> None:
+        """Compute what is read on every message from the three fields."""
+        role, index, row = self.role, self.index, self.row
+        short = role.short()
+        derived = self.__dict__
+        derived["name"] = f"{short}{index}" if row is None else f"{short}{row}.{index}"
+        derived["_hash"] = hash((role, index, row))
+        derived["_sort_key"] = (role._value_, -1 if row is None else row, index)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"role": self.role, "index": self.index, "row": self.row}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._derive()
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

@@ -1,18 +1,22 @@
 """Tests for the cryptographic substrate: digests, keys, MACs, signatures,
 threshold signatures, and authentication certificates."""
 
+import dataclasses
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import AuthenticationScheme, CryptoCosts
 from repro.crypto.certificate import Certificate
+from repro.crypto.pool import extract_verify_jobs, verify_jobs
 from repro.crypto.digest import combine_digests, digest, digest_hex
 from repro.crypto.keys import Keystore
 from repro.crypto.provider import CryptoProvider
 from repro.errors import CertificateError, CryptoError, UnknownKeyError, VerificationError
 from repro.messages.request import ClientRequest
 from repro.statemachine.interface import Operation
-from repro.util.ids import agreement_id, client_id, execution_id
+from repro.util.ids import agreement_id, client_id, execution_id, firewall_id
 
 
 @pytest.fixture
@@ -282,3 +286,191 @@ class TestCostAccounting:
         assert "threshold_share" in ops
         # The threshold share must be the dominant cost (15 ms by default).
         assert max(charges) == pytest.approx(15.0)
+
+
+#: key material and tokens computed at the commit before the key schedule was
+#: memoised and the MAC primitive became ``hmac.digest``: same bytes, fewer calls
+GOLDEN_PAIR_SECRETS = {
+    (client_id(3), agreement_id(0)):
+        "d5c1d0876f14cf0c8e995c76948bec28ca6321b2dc8955a0ca8bbd0d4e7b9475",
+    (execution_id(2), agreement_id(1)):
+        "e1a2567fcfe29d60be7adbfd9ab3e55bf28fce7d292a22780dbbb2a3bb193063",
+    (firewall_id(1, 0), execution_id(0)):
+        "02d74f12d0a276c7a52f4af81b6362fea65c605cacb36b6385cb6c53fe7b60ab",
+}
+GOLDEN_PAYLOAD = {"op": "put", "key": "k", "value": b"v", "n": 7}
+
+
+@pytest.fixture
+def counted_macs(monkeypatch):
+    """Calls of the one MAC primitive, whoever makes them."""
+    calls = []
+    real = hmac.digest
+
+    def counting(key, data, algorithm):
+        calls.append(data)
+        return real(key, data, algorithm)
+
+    monkeypatch.setattr(hmac, "digest", counting)
+    return calls
+
+
+class TestGoldenKeysAndTokens:
+    def _exec_group(self, keystore):
+        return keystore.create_threshold_group(
+            "exec", [execution_id(i) for i in range(4)], 2)
+
+    @pytest.mark.parametrize("pair", list(GOLDEN_PAIR_SECRETS),
+                             ids=lambda pair: f"{pair[0].name}-{pair[1].name}")
+    def test_pair_secrets(self, keystore, pair):
+        a, b = pair
+        assert not keystore.is_registered(a) and not keystore.is_registered(b)
+        assert keystore.pair_secret(a, b).hex() == GOLDEN_PAIR_SECRETS[pair]
+        assert keystore.pair_secret(b, a).hex() == GOLDEN_PAIR_SECRETS[pair]
+        assert keystore.is_registered(a) and keystore.is_registered(b)
+
+    def test_private_share_and_group_keys(self, keystore):
+        group = self._exec_group(keystore)
+        assert group.group_key.hex() == (
+            "6295e45033add65512a6374c43feef2493351498efbb6f2c6fb64dde38bc1877")
+        assert group.share_key(execution_id(1)).hex() == (
+            "b7757c62a466c5980c5aa746df05a0256457d11c1f0e68f9aa85e953063d0fe5")
+        keystore.register_node(agreement_id(0))
+        assert keystore.private_key(agreement_id(0)).hex() == (
+            "b652e01b48a4bd852dafea3fc7e3dde372d1f9f6eeb2051883b8eb99bdbb51c3")
+
+    def test_tokens(self, keystore):
+        self._exec_group(keystore)
+        node = provider(keystore, execution_id(1))
+        auth = node.mac_authenticator(GOLDEN_PAYLOAD, [agreement_id(0), client_id(3)])
+        assert auth.payload_digest.hex() == (
+            "3d35b4d9e9533d24a35f07b5fb1d7b369792a5b76b829e9d67351be86649b61a")
+        assert {name: token.hex() for name, token in auth.token.items()} == {
+            "A0": "72265538d28d03713be9fc72aa4359f5eaa207c105856ec012aa8f18a3c10e9a",
+            "C3": "30a892f579f1ecf9513dc6ac36ec9a9118f4f435bd18ae7f8e261926115c25ee",
+        }
+        assert list(auth.token) == ["A0", "C3"]
+        assert node.sign(GOLDEN_PAYLOAD).token.hex() == (
+            "70b4e3cacf8fae8a2c1ef59578d41898e4805f551be73376b082182d19ebbdc3")
+        assert node.threshold_share(GOLDEN_PAYLOAD, "exec").token.hex() == (
+            "a9d365173dcad3237e00f7adc42e8706adc4e7060383e0479a2578d4373adcf8")
+        shares = [provider(keystore, execution_id(i)).threshold_share(GOLDEN_PAYLOAD, "exec")
+                  for i in (0, 1)]
+        assert node.threshold_combine(GOLDEN_PAYLOAD, "exec", shares).hex() == (
+            "826493a9d2ceeda1d58e52631431652575c963744aa59f9a09bde916e10018b8")
+
+
+class TestKeysAreDerivedOnce:
+    """Counts, not timings: what a message costs in MACs once the deployment's
+    keys have been asked for once."""
+
+    def test_repeated_pair_costs_no_mac(self, keystore, counted_macs):
+        a, b = client_id(0), agreement_id(1)
+        secret = keystore.pair_secret(a, b)
+        # one MAC per label: node/<name> twice, then pair/<first>/<second>
+        assert len(counted_macs) == 2 + 2 + 3
+        assert keystore.pair_secret(a, b) is secret
+        assert keystore.pair_secret(b, a) is secret
+        assert len(counted_macs) == 7
+
+    def test_share_and_group_keys_cost_no_mac_when_repeated(self, keystore, counted_macs):
+        members = [execution_id(i) for i in range(3)]
+        group = keystore.create_threshold_group("g", members, 2)
+        share = group.share_key(members[0])
+        derived = len(counted_macs)
+        assert keystore.create_threshold_group("g", members, 2) is group
+        assert group.share_key(members[0]) is share
+        assert len(counted_macs) == derived
+
+    def test_mac_authenticator_costs_one_mac_per_destination(self, keystore, counted_macs):
+        signer = provider(keystore, client_id(0))
+        verifier = provider(keystore, agreement_id(2))
+        destinations = [agreement_id(i) for i in range(4)]
+        signer.mac_authenticator(sample_request(0), destinations)
+        del counted_macs[:]
+        request = sample_request(1)
+        auth = signer.mac_authenticator(request, destinations)
+        assert counted_macs == [auth.payload_digest] * 4
+        del counted_macs[:]
+        assert verifier.verify_mac(request, auth)
+        assert counted_macs == [auth.payload_digest]
+        assert verifier.verify_mac(request, auth)   # a proven fact: no MAC at all
+        assert len(counted_macs) == 1
+
+    def test_certificate_facts_hold_ids_and_share_their_sets(self, keystore):
+        client = provider(keystore, client_id(0))
+        execs = [execution_id(i) for i in range(3)]
+        certificates = []
+        for tag in range(2):
+            cert = Certificate(payload=sample_request(tag), scheme=AuthenticationScheme.MAC)
+            for node in execs[:2]:
+                provider(keystore, node).authenticate(cert, [client_id(0)])
+            assert client.verify_certificate(cert, 2, execs)
+            certificates.append(cert)
+        hits = client.cache.hits
+        assert client.verify_certificate(certificates[0], 2, list(execs))
+        assert client.cache.hits == hits + 1
+        facts = [key for key in client.cache._facts if key[0] == "cert"]
+        assert len(facts) == 2
+        (_, _, _, signers_a, _, universe_a), (_, _, _, signers_b, _, universe_b) = facts
+        assert signers_a == frozenset(execs[:2]) and universe_a == frozenset(execs)
+        assert signers_a is signers_b and universe_a is universe_b
+        assert all(node.name is node.name for node in signers_a)
+
+
+MALFORMED_TOKENS = [b"raw", ["A0"], {"A0": "str"}, {"A0": 7}, "str", 7, None]
+
+
+class TestMalformedTokens:
+    """A token of the wrong shape is a failed verification, not an exception
+    out of the node's handler (every provider here has a cold cache)."""
+
+    @pytest.mark.parametrize("token", MALFORMED_TOKENS, ids=repr)
+    def test_verify_mac(self, keystore, token):
+        request = sample_request()
+        auth = provider(keystore, client_id(0)).mac_authenticator(request, [agreement_id(0)])
+        forged = dataclasses.replace(auth, token=token)
+        assert not provider(keystore, agreement_id(0)).verify_mac(request, forged)
+
+    @pytest.mark.parametrize("token", MALFORMED_TOKENS[1:], ids=repr)
+    def test_verify_signature(self, keystore, token):
+        request = sample_request()
+        auth = provider(keystore, execution_id(0)).sign(request)
+        forged = dataclasses.replace(auth, token=token)
+        assert not provider(keystore, client_id(0)).verify_signature(request, forged)
+
+    @pytest.mark.parametrize("token", MALFORMED_TOKENS[1:], ids=repr)
+    def test_verify_threshold_share_and_signature(self, keystore, token):
+        members = [execution_id(i) for i in range(3)]
+        keystore.create_threshold_group("exec", members, 2)
+        request = sample_request()
+        share = provider(keystore, members[0]).threshold_share(request, "exec")
+        forged = dataclasses.replace(share, token=token)
+        verifier = provider(keystore, agreement_id(0))
+        assert not verifier.verify_threshold_share(request, forged, "exec")
+        assert not verifier.verify_threshold_signature(request, token, "exec")
+        with pytest.raises(VerificationError):
+            verifier.threshold_combine(request, "exec", [forged, forged])
+
+    @pytest.mark.parametrize("token", MALFORMED_TOKENS, ids=repr)
+    def test_certificate_does_not_verify_and_gives_the_pool_no_job(self, keystore, token):
+        request = sample_request()
+        signer = provider(keystore, client_id(0))
+        keystore.create_threshold_group("exec", [client_id(0)], 1)
+        for scheme in AuthenticationScheme:
+            cert = signer.new_certificate(request, scheme, [agreement_id(0)],
+                                          threshold_group="exec")
+            good_jobs, _ = extract_verify_jobs(agreement_id(0), keystore,
+                                               CryptoCosts(), cert)
+            assert verify_jobs(good_jobs) == [True]
+            (auth,) = cert.authenticators.values()
+            cert.authenticators[auth.signer] = dataclasses.replace(auth, token=token)
+            if scheme is AuthenticationScheme.THRESHOLD:
+                cert.threshold_signature = token
+            if scheme is not AuthenticationScheme.MAC and token == b"raw":
+                continue    # well-typed, merely wrong: the pool checks and refutes it
+            jobs, keys = extract_verify_jobs(agreement_id(0), keystore,
+                                             CryptoCosts(), cert)
+            assert jobs == [] and keys == []
+            assert not provider(keystore, agreement_id(0)).verify_certificate(
+                cert, 1, [client_id(0)])

@@ -6,6 +6,8 @@ up to ``f`` faults with ``3f + 1`` replicas (including a faulty primary, via
 view change); retransmission bridges lossy links between the clusters.
 """
 
+import dataclasses
+
 import pytest
 
 from conftest import make_config
@@ -14,8 +16,10 @@ from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import KeyValueStore, get, put
 from repro.config import AuthenticationScheme, NetworkConfig
 from repro.core import CoupledSystem, SeparatedSystem
+from repro.crypto.certificate import Certificate
 from repro.errors import LivenessTimeoutError
 from repro.faults import CorruptReplyBehaviour, FaultInjector, FaultPlan, make_byzantine
+from repro.messages.request import RequestEnvelope
 
 
 class TestCrashFaults:
@@ -137,6 +141,38 @@ class TestByzantineExecutionFaults:
         make_byzantine(system, CorruptReplyBehaviour(system.execution_nodes[1].node_id))
         with pytest.raises(LivenessTimeoutError):
             system.invoke(increment(1), timeout_ms=2_000.0)
+
+
+class TestMalformedAuthenticators:
+    @pytest.mark.parametrize("shape", [
+        lambda name: b"raw", lambda name: [name], lambda name: {name: "str"},
+        lambda name: {name: 7}, lambda name: "str", lambda name: None,
+    ], ids=["bytes", "list", "str-entry", "int-entry", "str", "none"])
+    def test_ill_typed_request_token_is_refused_and_others_commit(self, config, shape):
+        """A request certificate whose MAC vector has the wrong shape fails
+        verification at every replica it reaches; no handler raises."""
+        system = SeparatedSystem(config, CounterService, seed=41)
+        victim = system.clients[0].node_id
+
+        def rewrite_token(source, destination, message):
+            if source != victim or not isinstance(message, RequestEnvelope):
+                return None
+            genuine = message.certificate
+            forged = Certificate(payload=genuine.payload, scheme=genuine.scheme)
+            for authenticator in genuine.authenticators.values():
+                forged.add(dataclasses.replace(authenticator,
+                                               token=shape(destination.name)))
+            return RequestEnvelope(certificate=forged)
+
+        system.network.add_tap(rewrite_token)
+        system.submit(increment(100), client_index=0)
+        values = [system.invoke(increment(1), client_index=1).result.value
+                  for _ in range(3)]
+        assert values == [1, 2, 3]
+        assert not system.clients[0].completed
+        system.network.remove_tap(rewrite_token)
+        system.run_until(lambda: bool(system.clients[0].completed), 5_000.0)
+        assert system.invoke(read_counter(), client_index=1).result.value == 103
 
 
 class TestLossyNetwork:

@@ -56,6 +56,17 @@ class TestEventQueue:
         events = [queue2.push(1.0, lambda: None) for _ in range(5)]
         assert [e.sequence for e in events] == sorted(e.sequence for e in events)
 
+    def test_heap_order_never_consults_an_event(self):
+        """Entries are ordered by (time, sequence) alone: events define no
+        ordering of their own, so no comparison can reach Python code."""
+        queue = EventQueue()
+        pushed = [queue.push(float(t), lambda: None) for t in (2, 1, 1, 3, 1, 2)]
+        assert type(pushed[0]).__lt__ is object.__lt__
+        popped = [queue.pop() for _ in pushed]
+        assert [(e.time, e.sequence) for e in popped] == sorted(
+            (e.time, e.sequence) for e in pushed)
+        assert pushed[1] != pushed[2] and len(set(pushed)) == len(pushed)
+
     def test_cancelled_events_are_skipped(self):
         queue = EventQueue()
         fired = []
