@@ -768,6 +768,20 @@ class SystemConfig:
         return self.g + 1
 
     @property
+    def direct_replies(self) -> bool:
+        """Whether execution replicas answer clients themselves.
+
+        The paper's 'execution nodes send replies directly to clients'
+        optimisation: only valid without the privacy firewall (clients may
+        not talk to execution nodes through the firewall topology) and only
+        useful for MAC certificates, where the client can count matching
+        partials itself.  Both ends read it: where it holds, the agreement
+        nodes' queues cache the assembled certificate and relay nothing.
+        """
+        return (not self.use_privacy_firewall
+                and self.authentication is AuthenticationScheme.MAC)
+
+    @property
     def checkpoint_quorum(self) -> int:
         """Execution checkpoint proof of stability needs ``g + 1`` vouchers."""
         return self.g + 1

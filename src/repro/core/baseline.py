@@ -26,6 +26,7 @@ from ..statemachine.interface import StateMachine
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId, Role, agreement_id, client_id
 from .client import ClientNode
+from .message_queue import CachedReply
 from .system import SimulatedSystem
 
 
@@ -40,7 +41,7 @@ class DirectExecutor(LocalExecutor):
         #: the hosting agreement replica; set via :meth:`bind_owner`.
         self.owner: Optional[AgreementReplica] = None
         #: last reply sent to each client (exactly-once semantics)
-        self.reply_cache: Dict[NodeId, ClientReply] = {}
+        self.reply_cache: Dict[NodeId, CachedReply] = {}
         self.last_executed_seq = 0
         self.requests_executed = 0
 
@@ -62,21 +63,21 @@ class DirectExecutor(LocalExecutor):
             replies.append(self._execute_request(seq, view, request, nondet))
         body = BatchReplyBody(view=view, seq=seq, replies=tuple(replies))
         reply_certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
-        reply_certificate.add(self.owner.crypto.mac_authenticator(body, self.client_ids))
+        reply_certificate.add(self.owner.crypto.mac_authenticator(
+            body, [reply.client for reply in replies]))
         for reply in replies:
-            message = ClientReply(reply=reply, body=body, certificate=reply_certificate)
             cached = self.reply_cache.get(reply.client)
             if cached is None or cached.reply.timestamp <= reply.timestamp:
-                self.reply_cache[reply.client] = message
-            self.owner.send(reply.client, message)
+                self.reply_cache[reply.client] = CachedReply(reply, reply_certificate)
+            self.owner.send(reply.client,
+                            ClientReply.for_client(reply_certificate, reply.client))
         self.last_executed_seq = seq
 
     def _execute_request(self, seq: int, view: int, request: ClientRequest,
                          nondet: NonDetInput) -> ReplyBody:
         assert self.owner is not None
         cached = self.reply_cache.get(request.client)
-        last_timestamp = cached.reply.timestamp if cached is not None else -1
-        if request.timestamp > last_timestamp:
+        if cached is None or request.timestamp > cached.reply.timestamp:
             operation = request.operation_for(Role.AGREEMENT)
             result = self.app.execute(operation, nondet)
             self.owner.charge(self.config.app_processing_ms + result.processing_ms)
@@ -84,7 +85,6 @@ class DirectExecutor(LocalExecutor):
             return ReplyBody(view=view, seq=seq, timestamp=request.timestamp,
                              client=request.client, result=result)
         # Retransmission: reply with the cached timestamp and body.
-        assert cached is not None
         return ReplyBody(view=view, seq=seq, timestamp=cached.reply.timestamp,
                          client=request.client, result=cached.reply.result)
 
@@ -93,7 +93,8 @@ class DirectExecutor(LocalExecutor):
         request: ClientRequest = request_certificate.payload
         cached = self.reply_cache.get(request.client)
         if cached is not None and cached.reply.timestamp >= request.timestamp:
-            self.owner.send(request.client, cached)
+            self.owner.send(request.client, ClientReply.for_client(
+                cached.certificate, request.client))
             return RetryOutcome.HANDLED
         return RetryOutcome.NEED_ORDER
 

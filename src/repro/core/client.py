@@ -22,7 +22,7 @@ from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..crypto.keys import Keystore
 from ..crypto.provider import CryptoProvider
-from ..messages.reply import BatchReplyBody, ClientReply
+from ..messages.reply import BatchReplyBody, ClientReply, ReplyBody
 from ..messages.request import ClientRequest, EncryptedBody, RequestEnvelope
 from ..net.message import Message
 from ..obs import request_trace_id
@@ -62,7 +62,6 @@ class _PendingRequest:
     timeout_ms: float = 0.0
     retransmissions: int = 0
     collectors: Dict[bytes, Certificate] = field(default_factory=dict)
-    bodies: Dict[bytes, BatchReplyBody] = field(default_factory=dict)
 
 
 class ClientNode(Process):
@@ -188,22 +187,27 @@ class ClientNode(Process):
             self.handle_reply(sender, message)
 
     def handle_reply(self, sender: NodeId, message: ClientReply) -> None:
-        pending = self._pending
-        if pending is None:
+        own = self._answer_to_pending(message)
+        if own is None:
             return
-        reply = message.reply
-        if reply.client != self.node_id or reply.timestamp != pending.timestamp:
+        if self._collect(self._pending, message.certificate) is None:
             return
-        body = message.body
-        own = body.reply_for(self.node_id)
-        if own is None or own.timestamp != reply.timestamp:
-            return
-        certificate = self._collect(pending, body, message.certificate)
-        if certificate is None:
-            return
-        self._complete(pending, reply, body)
+        self._complete(self._pending, own, message.body)
 
-    def _collect(self, pending: _PendingRequest, body: BatchReplyBody,
+    def _answer_to_pending(self, message: ClientReply) -> Optional[ReplyBody]:
+        """The reply to the outstanding request that ``message``'s certified
+        body carries, if any.  It is read out of the very object the
+        authenticators are then verified over, never from beside it."""
+        pending = self._pending
+        body = message.body
+        if pending is None or not isinstance(body, BatchReplyBody):
+            return None
+        own = body.reply_for(self.node_id)
+        if own is None or own.timestamp != pending.timestamp:
+            return None
+        return own
+
+    def _collect(self, pending: _PendingRequest,
                  certificate: Certificate) -> Optional[Certificate]:
         """Merge partial certificates until the reply quorum is reached."""
         if certificate.scheme is AuthenticationScheme.THRESHOLD:
@@ -212,12 +216,12 @@ class ClientNode(Process):
             if self.crypto.verify_certificate(certificate, self.reply_quorum):
                 return certificate
             return None
+        body = certificate.payload
         digest = self.crypto.payload_digest(body)
         collector = pending.collectors.get(digest)
         if collector is None:
             collector = Certificate(payload=body, scheme=certificate.scheme)
             pending.collectors[digest] = collector
-            pending.bodies[digest] = body
         collector.merge(certificate)
         valid = self.crypto.valid_signers(collector, self.reply_universe)
         if len(valid) >= self.reply_quorum:

@@ -324,26 +324,19 @@ class ExecutionNode(Process):
             certificate.add(self.crypto.sign(body))
         else:
             certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
-            destinations = self.agreement_ids + self.client_ids
+            # One MAC per node that may verify this bundle: the agreement
+            # nodes and the clients it answers, not every client there is.
+            destinations = self.agreement_ids + [reply.client
+                                                 for reply in body.replies]
             certificate.add(self.crypto.mac_authenticator(body, destinations))
-        message = BatchReply(seq=body.seq, body=body, certificate=certificate,
+        message = BatchReply(seq=body.seq, certificate=certificate,
                              sender=self.node_id)
         self.multicast(self.upstream, message)
-        if self._may_reply_directly():
+        if self.config.direct_replies:
             for reply in body.replies:
                 self.send(reply.client,
-                          ClientReply(reply=reply, body=body, certificate=certificate))
+                          ClientReply.for_client(certificate, reply.client))
         return message
-
-    def _may_reply_directly(self) -> bool:
-        """The 'execution nodes send replies directly to clients' optimisation.
-
-        Only valid without the privacy firewall (clients may not talk to
-        execution nodes through the firewall topology) and only useful for MAC
-        certificates, where the client can count matching partials itself.
-        """
-        return (not self.config.use_privacy_firewall
-                and self.config.authentication is AuthenticationScheme.MAC)
 
     def _trim_reply_cache(self) -> None:
         horizon = self.max_executed - 2 * self.config.pipeline_depth

@@ -12,8 +12,12 @@ optional per-client reply cache ``cache_c``.
   backoff.
 * When a valid reply certificate with ``g + 1`` execution authenticators (or
   one threshold signature) arrives, the queue drops the pending entries for
-  that and all lower sequence numbers, cancels their timers, forwards the
-  reply to the client, and optionally caches it.
+  that and all lower sequence numbers, cancels their timers and caches the
+  certificate.  Where the execution replicas answer clients themselves
+  (``SystemConfig.direct_replies``) that is all: the clients already hold
+  the replies, and a relay would be a second copy of each.  Otherwise
+  (privacy firewall, threshold or signature certificates) the queue relays
+  each client its reply.
 * ``retryHint`` serves client-initiated retransmissions from the cache, or
   resends the pending certificates, or reports that agreement must be re-run.
 * Pipeline back-pressure: the agreement replica will not start sequence
@@ -43,13 +47,13 @@ backend, which is why it runs unmodified over real sockets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..agreement.local import LocalExecutor, RetryOutcome
 from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
-from ..messages.reply import BatchReply, BatchReplyBody, ClientReply
+from ..messages.reply import BatchReply, ClientReply, ReplyBody
 from ..messages.request import ClientRequest
 from ..obs import request_trace_id
 from ..sim.process import Process
@@ -75,15 +79,26 @@ class PendingSend:
     retransmissions: int = 0
 
 
+class CachedReply(NamedTuple):
+    """A client's latest reply and the full certificate over the bundle it
+    came in (the client's own view of it is cut when it asks)."""
+
+    reply: ReplyBody
+    certificate: Certificate
+
+
 @dataclass
 class QuorumCollector:
-    """Accumulates partial certificates over one body until a quorum of
+    """Accumulates partial certificates over one payload until a quorum of
     its signers is reached (reply bodies here; sequence bindings in
     :mod:`repro.multilog.queue`)."""
 
-    body: Any
     certificate: Certificate
     done: bool = False
+
+    @property
+    def body(self) -> Any:
+        return self.certificate.payload
 
 
 class QueueCore(LocalExecutor):
@@ -107,8 +122,8 @@ class QueueCore(LocalExecutor):
         self.client_ids = list(client_ids)
 
         self.max_n = 0
-        #: optional per-client cache of the latest full reply certificate
-        self.cache: Dict[NodeId, ClientReply] = {}
+        #: per-client cache of the latest certified reply
+        self.cache: Dict[NodeId, CachedReply] = {}
         self.highest_reply_seq = 0
 
         # Statistics used by benchmarks and tests.
@@ -176,7 +191,8 @@ class QueueCore(LocalExecutor):
         cached = self.cache.get(request.client)
         if cached is None or cached.reply.timestamp < request.timestamp:
             return False
-        self.owner.send(request.client, cached)
+        self.owner.send(request.client, ClientReply.for_client(
+            cached.certificate, request.client))
         self.cache_hits += 1
         return True
 
@@ -200,11 +216,12 @@ class QueueCore(LocalExecutor):
     # ------------------------------------------------------------------ #
 
     def _assemble_into(self, collectors: Dict[tuple, QuorumCollector],
-                       key_prefix: tuple, body: BatchReplyBody,
-                       certificate: Certificate, universe: List[NodeId],
+                       key_prefix: tuple, certificate: Certificate,
+                       universe: List[NodeId],
                        default_group: Optional[str]) -> Optional[Certificate]:
         """Merge partial certificates until ``g + 1`` signers (or a threshold
-        signature) vouch for the reply body; returns the full certificate.
+        signature) vouch for the reply body ``certificate`` is over; returns
+        the full certificate.
 
         ``universe`` is the set of execution replicas allowed to contribute
         the ``g + 1`` matching authenticators (the whole cluster in
@@ -212,6 +229,7 @@ class QueueCore(LocalExecutor):
         :class:`~repro.sharding.queue.ShardRouterQueue`), and ``key_prefix``
         namespaces the collector table accordingly.
         """
+        body = certificate.payload
         threshold = certificate.scheme is AuthenticationScheme.THRESHOLD
         if threshold and certificate.threshold_signature is not None:
             if self.crypto.verify_certificate(certificate, self.config.reply_quorum):
@@ -224,7 +242,7 @@ class QueueCore(LocalExecutor):
         if collector is None:
             group = ((certificate.threshold_group or default_group)
                      if threshold else None)
-            collector = QuorumCollector(body=body, certificate=Certificate(
+            collector = QuorumCollector(Certificate(
                 payload=body, scheme=certificate.scheme, threshold_group=group))
             collectors[key] = collector
         # Once assembled the certificate has been forwarded inside reply
@@ -244,19 +262,21 @@ class QueueCore(LocalExecutor):
         collector.done = True
         return collector.certificate
 
-    def _forward_replies(self, body: BatchReplyBody,
-                         certificate: Certificate) -> None:
-        """Forward each client its reply and update the cache, then tell
-        the hosting replica that pipeline capacity was freed (the
-        group-commit trigger for adaptive bundling)."""
-        for reply in body.replies:
-            client_reply = ClientReply(reply=reply, body=body, certificate=certificate)
+    def _forward_replies(self, certificate: Certificate) -> None:
+        """Cache the certified bundle for each client it answers, relay it
+        unless the execution replicas reply directly, then tell the hosting
+        replica that pipeline capacity was freed (the group-commit trigger
+        for adaptive bundling)."""
+        relay = not self.config.direct_replies
+        for reply in certificate.payload.replies:
             cached = self.cache.get(reply.client)
             if cached is None or cached.reply.timestamp <= reply.timestamp:
-                self.cache[reply.client] = client_reply
-            self.owner.send(reply.client, client_reply)
-            self.replies_forwarded += 1
-            self._c_replies_forwarded.inc()
+                self.cache[reply.client] = CachedReply(reply, certificate)
+            if relay:
+                self.owner.send(reply.client, ClientReply.for_client(
+                    certificate, reply.client))
+                self.replies_forwarded += 1
+                self._c_replies_forwarded.inc()
         hook = getattr(self.owner, "on_pipeline_progress", None)
         if hook is not None:
             hook()
@@ -346,19 +366,18 @@ class MessageQueue(QueueCore):
 
     def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
         """Handle a (partial or full) reply certificate flowing back down."""
-        body = message.body
-        if body.seq != message.seq:
+        if not message.well_formed:
             return
-        full = self._assemble_into(self._collectors, (), body,
+        full = self._assemble_into(self._collectors, (),
                                    message.certificate,
                                    universe=self.execution_ids,
                                    default_group=self.threshold_group)
         if full is not None:
-            self._accept_reply(body, full)
+            self._accept_reply(full)
 
-    def _accept_reply(self, body: BatchReplyBody, certificate: Certificate) -> None:
-        """A full reply certificate for ``body.seq`` has been assembled."""
-        seq = body.seq
+    def _accept_reply(self, certificate: Certificate) -> None:
+        """A full reply certificate for its body's ``seq`` has been assembled."""
+        seq = certificate.payload.seq
         self.highest_reply_seq = max(self.highest_reply_seq, seq)
         # Drop pending entries for this and all lower sequence numbers.
         for pending_seq in [s for s in self.pending_sends if s <= seq]:
@@ -370,4 +389,4 @@ class MessageQueue(QueueCore):
         self._collectors = {
             key: value for key, value in self._collectors.items() if key[0] > horizon
         }
-        self._forward_replies(body, certificate)
+        self._forward_replies(certificate)

@@ -57,6 +57,7 @@ class SimulatedSystem:
         self.scheduler.obs = self.obs
         self.obs.register_global_probe("wire_cache", WIRE_CACHE.snapshot)
         self.network = self.runtime.network
+        self.obs.register_global_probe("net_census", self.network.stats.census)
         self.clients: List[ClientNode] = []
 
     # ------------------------------------------------------------------ #

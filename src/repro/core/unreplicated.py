@@ -60,7 +60,8 @@ class UnreplicatedServer(Process):
 
     def _handle_request(self, request: ClientRequest) -> None:
         cached = self.reply_cache.get(request.client)
-        if cached is not None and cached.reply.timestamp >= request.timestamp:
+        if (cached is not None
+                and cached.body.replies[0].timestamp >= request.timestamp):
             self.send(request.client, cached)
             return
         operation = request.operation_for(Role.SERVER)
@@ -74,7 +75,7 @@ class UnreplicatedServer(Process):
         body = BatchReplyBody(view=0, seq=seq, replies=(reply,))
         certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
         certificate.add(self.crypto.mac_authenticator(body, [request.client]))
-        message = ClientReply(reply=reply, body=body, certificate=certificate)
+        message = ClientReply(certificate)
         self.reply_cache[request.client] = message
         self.send(request.client, message)
 

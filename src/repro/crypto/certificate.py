@@ -104,6 +104,15 @@ class Certificate(WireMemoised):
             self.threshold_signature = other.threshold_signature
             self.threshold_group = other.threshold_group
 
+    def with_payload(self, payload: Any) -> "Certificate":
+        """This certificate's evidence attached to ``payload``: another
+        rendering of the same statement (a reply bundle as one client sees
+        it).  The evidence only verifies if the two have the same digest."""
+        return Certificate(payload=payload, scheme=self.scheme,
+                           authenticators=dict(self.authenticators),
+                           threshold_group=self.threshold_group,
+                           threshold_signature=self.threshold_signature)
+
     # ------------------------------------------------------------------ #
     # Queries.
     # ------------------------------------------------------------------ #

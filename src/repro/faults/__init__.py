@@ -16,6 +16,7 @@ from .injector import FaultEvent, FaultInjector, FaultPlan
 from .byzantine import (
     ByzantineBehaviour,
     CorruptReplyBehaviour,
+    ForgedReplyBehaviour,
     LeakPlaintextBehaviour,
     LyingReplyBehaviour,
     STRATEGIES,
@@ -30,6 +31,7 @@ __all__ = [
     "FaultPlan",
     "ByzantineBehaviour",
     "CorruptReplyBehaviour",
+    "ForgedReplyBehaviour",
     "LeakPlaintextBehaviour",
     "LyingReplyBehaviour",
     "STRATEGIES",

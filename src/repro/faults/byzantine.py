@@ -8,6 +8,9 @@ node's internal bookkeeping intact:
 
 * :class:`CorruptReplyBehaviour` -- the node reports wrong results for every
   request it executes (an integrity attack the reply quorum must mask);
+* :class:`ForgedReplyBehaviour` -- the node rewrites only what a *client*
+  reads out of the replies it sends, relays or serves from its cache, under
+  the genuine certificate (the attack an agreement node can mount);
 * :class:`LyingReplyBehaviour` -- like :class:`CorruptReplyBehaviour`, but
   the node *re-authenticates* the corrupted body with its own genuine keys.
   This is the strongest reply attack the fault model admits: the lie carries
@@ -50,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..config import AuthenticationScheme
 from ..core.system import SimulatedSystem
+from ..crypto.certificate import Certificate
 from ..messages.agreement import PrePrepare
 from ..messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
 from ..messages.request import EncryptedBody
@@ -123,24 +127,47 @@ class CorruptReplyBehaviour(ByzantineBehaviour):
         self.corrupt_value = corrupt_value
 
     def _corrupt_body(self, body: BatchReplyBody) -> BatchReplyBody:
+        """``body`` with a wrong result in every reply it carries (sibling
+        digests in a client's view are left as they are)."""
         corrupted = tuple(
             ReplyBody(view=reply.view, seq=reply.seq, timestamp=reply.timestamp,
                       client=reply.client,
                       result=OperationResult(value=self.corrupt_value, size=16))
+            if isinstance(reply, ReplyBody) else reply
             for reply in body.replies
         )
         return BatchReplyBody(view=body.view, seq=body.seq, replies=corrupted,
                               shard=body.shard, epoch=body.epoch)
 
+    def _corrupt(self, message: Message) -> Certificate:
+        """The genuine evidence of ``message`` over its corrupted body."""
+        return message.certificate.with_payload(self._corrupt_body(message.body))
+
     def transform(self, destination: NodeId, message: Message) -> Optional[Message]:
         if isinstance(message, BatchReply):
-            body = self._corrupt_body(message.body)
-            return BatchReply(seq=message.seq, body=body,
-                              certificate=message.certificate, sender=message.sender)
+            return BatchReply(seq=message.seq, certificate=self._corrupt(message),
+                              sender=message.sender)
         if isinstance(message, ClientReply):
-            body = self._corrupt_body(message.body)
-            reply = body.reply_for(message.reply.client) or message.reply
-            return ClientReply(reply=reply, body=body, certificate=message.certificate)
+            return ClientReply(self._corrupt(message))
+        return None
+
+
+class ForgedReplyBehaviour(CorruptReplyBehaviour):
+    """Forge only what a client reads out of a reply.
+
+    Every ``ClientReply`` passing through the node -- sent directly,
+    relayed, or served from an agreement node's cache -- keeps its genuine
+    certificate, sibling digests and header, and carries a forged result
+    under the right client and timestamp.  A client that completes with
+    anything the ``g + 1`` authenticators do not cover returns the forgery:
+    one Byzantine agreement node is then enough to break the reply
+    guarantee.  Replies towards the agreement cluster are left alone, so the
+    node stays a plausible participant.
+    """
+
+    def transform(self, destination: NodeId, message: Message) -> Optional[Message]:
+        if isinstance(message, ClientReply):
+            return super().transform(destination, message)
         return None
 
 
@@ -168,23 +195,17 @@ class LyingReplyBehaviour(CorruptReplyBehaviour):
     def transform(self, destination: NodeId, message: Message) -> Optional[Message]:
         if self._crypto is None:
             return None
+        if not isinstance(message, (BatchReply, ClientReply)):
+            return None
+        if message.certificate.scheme is not AuthenticationScheme.MAC:
+            return None
+        certificate = self._crypto.new_certificate(
+            self._corrupt_body(message.body), AuthenticationScheme.MAC,
+            [destination])
         if isinstance(message, ClientReply):
-            if message.certificate.scheme is not AuthenticationScheme.MAC:
-                return None
-            body = self._corrupt_body(message.body)
-            reply = body.reply_for(message.reply.client) or message.reply
-            certificate = self._crypto.new_certificate(
-                body, AuthenticationScheme.MAC, [destination])
-            return ClientReply(reply=reply, body=body, certificate=certificate)
-        if isinstance(message, BatchReply):
-            if message.certificate.scheme is not AuthenticationScheme.MAC:
-                return None
-            body = self._corrupt_body(message.body)
-            certificate = self._crypto.new_certificate(
-                body, AuthenticationScheme.MAC, [destination])
-            return BatchReply(seq=message.seq, body=body,
-                              certificate=certificate, sender=message.sender)
-        return None
+            return ClientReply(certificate)
+        return BatchReply(seq=message.seq, certificate=certificate,
+                          sender=message.sender)
 
 
 class LeakPlaintextBehaviour(ByzantineBehaviour):
@@ -204,8 +225,10 @@ class LeakPlaintextBehaviour(ByzantineBehaviour):
 
     def transform(self, destination: NodeId, message: Message) -> Optional[Message]:
         if isinstance(message, BatchReply):
-            return BatchReply(seq=message.seq, body=self._expose(message.body),
-                              certificate=message.certificate, sender=message.sender)
+            return BatchReply(
+                seq=message.seq, sender=message.sender,
+                certificate=message.certificate.with_payload(
+                    self._expose(message.body)))
         return None
 
 
@@ -377,6 +400,7 @@ class SlowPrimaryBehaviour(ByzantineBehaviour):
 STRATEGIES: Dict[str, Type[ByzantineBehaviour]] = {
     "silent": SilentBehaviour,
     "corrupt_reply": CorruptReplyBehaviour,
+    "forged_reply": ForgedReplyBehaviour,
     "lying_reply": LyingReplyBehaviour,
     "leak_plaintext": LeakPlaintextBehaviour,
     "equivocating_primary": EquivocatingPrimaryBehaviour,

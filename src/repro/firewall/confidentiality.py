@@ -89,7 +89,7 @@ class ConfidentialityAuditor:
     def _inspect(self, source: NodeId, destination: NodeId, message: Message) -> None:
         if isinstance(message, (BatchReply, ClientReply)):
             body = message.body
-            for reply in body.replies:
+            for reply in body.carried:
                 if not isinstance(reply.result, EncryptedBody):
                     self.leaks.append(LeakObservation(
                         source=source, destination=destination, seq=body.seq,

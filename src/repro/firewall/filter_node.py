@@ -183,6 +183,8 @@ class FilterNode(Process):
         in the top row and verifying the group signature elsewhere."""
         certificate = message.certificate
         body = message.body
+        if not message.well_formed:
+            return None
         if certificate.scheme is not AuthenticationScheme.THRESHOLD:
             # The privacy firewall requires threshold reply certificates.
             return None
@@ -209,7 +211,7 @@ class FilterNode(Process):
         if collector.threshold_signature is not None:
             # Already assembled (and sent, so its wire form is memoised):
             # re-forward the completed certificate instead of mutating it.
-            return BatchReply(seq=message.seq, body=body, certificate=collector,
+            return BatchReply(seq=message.seq, certificate=collector,
                               sender=self.node_id)
         collector.merge(certificate)
         valid = self.crypto.valid_signers(collector, self.execution_ids)
@@ -218,7 +220,7 @@ class FilterNode(Process):
         if collector.threshold_signature is None:
             collector.threshold_signature = self.crypto.threshold_combine(
                 body, self.threshold_group, collector.authenticator_list())
-        return BatchReply(seq=message.seq, body=body, certificate=collector,
+        return BatchReply(seq=message.seq, certificate=collector,
                           sender=self.node_id)
 
     # ------------------------------------------------------------------ #

@@ -35,6 +35,11 @@ MUTATION_STRATEGIES = ("silent", "corrupt_reply", "lying_reply")
 PRIMARY_STRATEGIES = ("slow_primary", "censoring_primary",
                       "equivocating_primary")
 
+#: client-facing strategies: meaningful on any node that hands replies to
+#: clients -- execution replicas directly, agreement nodes when they relay
+#: or serve a retransmission from their cache
+CLIENT_FACING_STRATEGIES = ("forged_reply",)
+
 
 def time_horizon_ms(num_requests: int) -> float:
     """Virtual-time horizon mutated event times are drawn from.
@@ -70,9 +75,12 @@ def random_event(rng: random.Random, spec: ScenarioSpec,
         # Pick the strategy first: reply attacks need an execution node,
         # ordering-plane attacks an agreement node (a primary attack tap on
         # an execution node would never see a PRE-PREPARE).
-        strategy = rng.choice(MUTATION_STRATEGIES + PRIMARY_STRATEGIES)
+        strategy = rng.choice(MUTATION_STRATEGIES + PRIMARY_STRATEGIES
+                              + CLIENT_FACING_STRATEGIES)
         if strategy in PRIMARY_STRATEGIES:
             node = rng.choice(refs["agreement"])
+        elif strategy in CLIENT_FACING_STRATEGIES:
+            node = rng.choice(refs["agreement"] + refs["execution"])
         else:
             node = rng.choice(refs["execution"])
         return ScheduleEvent(kind="byzantine", at_ms=at_ms,
@@ -201,15 +209,24 @@ def seed_schedules(scenario_name: str, num_requests: int) -> List[FaultSchedule]
     base = FaultSchedule(scenario=scenario_name, num_requests=num_requests)
     refs = spec.node_refs()
     horizon = time_horizon_ms(num_requests)
+    # ``refs["execution"]`` is shard-major: shard 0's replicas lead
+    cluster_size = len(refs["execution"]) // spec.num_shards
     archetypes = [
         base,  # the benign schedule: baseline coverage
         base.with_events([ScheduleEvent(kind="crash", at_ms=10.0,
                                         duration_ms=horizon,
                                         node=refs["execution"][0])]),
-        base.with_events([ScheduleEvent(kind="byzantine", at_ms=0.0,
-                                        duration_ms=4.0 * horizon,
-                                        node=refs["execution"][0],
-                                        strategy="lying_reply")]),
+        # A liar whose honest peers reach one client late: the lie is the
+        # first direct reply that client sees, every time, so sub-quorum
+        # acceptance shows without an arrival-order race.
+        base.with_events(
+            [ScheduleEvent(kind="byzantine", at_ms=0.0,
+                           duration_ms=4.0 * horizon,
+                           node=refs["execution"][0], strategy="lying_reply")]
+            + [ScheduleEvent(kind="link_fault", at_ms=0.0,
+                             duration_ms=4.0 * horizon, a=honest,
+                             b=refs["clients"][0], delay_ms=5.0)
+               for honest in refs["execution"][1:cluster_size]]),
         base.with_events([ScheduleEvent(kind="link_fault", at_ms=5.0,
                                         duration_ms=horizon,
                                         a=refs["agreement"][0],

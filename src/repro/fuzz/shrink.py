@@ -9,6 +9,7 @@ schedule *still* violates:
 2. **narrow windows** -- halve each remaining event's ``duration_ms``;
 3. **demote strategies** -- replace a Byzantine strategy with the next
    milder one (``lying_reply -> corrupt_reply -> silent``;
+   ``forged_reply -> silent``;
    ``equivocating_primary -> censoring_primary -> slow_primary -> silent``)
    and zero link-fault knobs one at a time.
 
@@ -27,6 +28,7 @@ from .schedule import FaultSchedule, ScheduleEvent
 
 #: demotion ladder (mildest last); a strategy not on the ladder is left alone
 _DEMOTIONS = {"lying_reply": "corrupt_reply", "corrupt_reply": "silent",
+              "forged_reply": "silent",
               "equivocating_primary": "censoring_primary",
               "censoring_primary": "slow_primary",
               "slow_primary": "silent"}

@@ -22,7 +22,7 @@ from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
-from ..util.wirecache import wire_of
+from ..util.wirecache import WireMemoised, wire_digest, wire_of
 from .request import EncryptedBody
 
 
@@ -67,9 +67,27 @@ class ReplyBody(Message):
         return isinstance(self.result, EncryptedBody)
 
 
+class _CarriedMemo(WireMemoised):
+    """Slot for :attr:`BatchReplyBody.carried`.  Not a field: like the wire
+    memo it is left out of pickles, comparison and the constructor."""
+
+    __slots__ = ("_carried",)
+
+
 @dataclass(frozen=True, slots=True)
-class BatchReplyBody(Message):
+class BatchReplyBody(_CarriedMemo, Message):
     """All replies for one batch; the payload the reply certificate covers.
+
+    **Certified form.**  What the ``g + 1`` authenticators cover is the
+    header (``v, n, shard?, epoch?``) plus the ordered list of *per-reply
+    digests*, not the replies themselves.  An entry of ``replies`` is
+    therefore either a :class:`ReplyBody` carried in full or, in a
+    :meth:`view_for` one client, the 32-byte digest standing in for a
+    sibling's reply: the view has the digest of the full body, so every
+    authenticator made over the bundle verifies over the view, and the
+    carried reply is bound structurally -- its digest is *computed* into
+    the authenticated list, so altering it, a sibling digest or their order
+    invalidates every correct authenticator.
 
     ``shard`` identifies the execution cluster that produced the reply in
     sharded deployments (``repro.sharding``), in which case ``seq`` is that
@@ -85,7 +103,7 @@ class BatchReplyBody(Message):
 
     view: int
     seq: int
-    replies: Tuple[ReplyBody, ...]
+    replies: Tuple[Union[ReplyBody, bytes], ...]
     shard: Optional[int] = None
     epoch: Optional[int] = None
 
@@ -93,7 +111,8 @@ class BatchReplyBody(Message):
         fields: Dict[str, Any] = {
             "v": self.view,
             "n": self.seq,
-            "replies": [wire_of(reply) for reply in self.replies],
+            "replies": [wire_digest(reply) if isinstance(reply, ReplyBody) else reply
+                        for reply in self.replies],
         }
         if self.shard is not None:
             fields["shard"] = self.shard
@@ -102,65 +121,109 @@ class BatchReplyBody(Message):
         return fields
 
     @property
+    def carried(self) -> Tuple[ReplyBody, ...]:
+        """The replies present in full (all of them, outside a view);
+        filtered out of ``replies`` once per object."""
+        try:
+            return self._carried
+        except AttributeError:
+            carried = tuple(reply for reply in self.replies
+                            if isinstance(reply, ReplyBody))
+            object.__setattr__(self, "_carried", carried)
+            return carried
+
+    @property
+    def complete(self) -> bool:
+        """Whether every reply is carried in full: what execution replicas
+        send and what anything that serves several clients must hold (a view
+        has the same digest, so the digest cannot tell them apart)."""
+        return len(self.carried) == len(self.replies)
+
+    @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        return sum(reply.padding_bytes for reply in self.replies)
+        # The wire dict names the carried replies by digest only, but they
+        # are hashed to make it and travel with it.
+        return sum(reply.wire_size() for reply in self.carried)
 
     def reply_for(self, client: NodeId) -> Optional[ReplyBody]:
-        """The reply addressed to ``client``, if any."""
-        for reply in self.replies:
+        """The reply addressed to ``client``, if carried."""
+        for reply in self.carried:
             if reply.client == client:
                 return reply
         return None
 
+    def view_for(self, client: NodeId) -> "BatchReplyBody":
+        """This body as ``client`` needs it: its own reply in full, every
+        sibling as its digest.  Same certified form, same digest."""
+        return BatchReplyBody(
+            view=self.view, seq=self.seq, shard=self.shard, epoch=self.epoch,
+            replies=tuple(
+                reply if not isinstance(reply, ReplyBody) or reply.client == client
+                else wire_digest(reply) for reply in self.replies))
+
+
+class _CertifiedReplies:
+    """What the two reply messages share: a certificate over the small
+    certified form of its :class:`BatchReplyBody` and beside it -- once --
+    the replies that body carries in full."""
+
+    certificate: Certificate
+
+    @property
+    def body(self) -> BatchReplyBody:
+        """The certified body.  Whatever is read out of a reply message is
+        read from here, so nothing unauthenticated rides along."""
+        return self.certificate.payload
+
+    def payload_fields(self) -> Dict[str, Any]:
+        return {
+            "replies": [wire_of(reply) for reply in self.body.carried],
+            "certificate": wire_of(self.certificate),
+        }
+
+    @property
+    def padding_bytes(self) -> int:  # type: ignore[override]
+        return sum(reply.padding_bytes for reply in self.body.carried)
+
 
 @dataclass(frozen=True)
-class BatchReply(Message):
+class BatchReply(_CertifiedReplies, Message):
     """Reply message flowing from the execution cluster towards the clients.
 
-    ``certificate`` covers ``body`` (a :class:`BatchReplyBody`).  Execution
-    nodes send it with their own single authenticator (a *partial* reply
-    certificate); the agreement cluster, the privacy firewall's top row, or
-    the client assembles partials into a full certificate with ``g + 1``
-    distinct signers or one combined threshold signature.
+    Execution nodes send it with their own single authenticator (a *partial*
+    reply certificate); the agreement cluster, the privacy firewall's top
+    row, or the client assembles partials into a full certificate with
+    ``g + 1`` distinct signers or one combined threshold signature.
     """
 
     seq: int
-    body: BatchReplyBody
     certificate: Certificate
     sender: NodeId
 
     def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "n": self.seq,
-            "body": wire_of(self.body),
-            "certificate": wire_of(self.certificate),
-            "sender": self.sender.name,
-        }
+        return {"n": self.seq, **super().payload_fields(),
+                "sender": self.sender.name}
 
     @property
-    def padding_bytes(self) -> int:  # type: ignore[override]
-        return self.body.padding_bytes
+    def well_formed(self) -> bool:
+        """Whether a correct execution replica could have sent this: a
+        complete bundle under the sequence number the message names.
+        Whoever assembles partials checks it first -- a client's view has
+        the bundle's digest, and a certificate assembled on top of one
+        could not serve the other clients."""
+        body = self.body
+        return (isinstance(body, BatchReplyBody) and body.seq == self.seq
+                and body.complete)
 
 
 @dataclass(frozen=True)
-class ClientReply(Message):
-    """Reply certificate as relayed to one client.
+class ClientReply(_CertifiedReplies, Message):
+    """A reply certificate as one client receives it: the certificate over
+    that client's :meth:`~BatchReplyBody.view_for` of the bundle."""
 
-    Contains the full batch body (needed to verify the certificate, which
-    covers the bundle) plus the client's own reply extracted from it.
-    """
-
-    reply: ReplyBody
-    body: BatchReplyBody
     certificate: Certificate
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "reply": wire_of(self.reply),
-            "body": wire_of(self.body),
-            "certificate": wire_of(self.certificate),
-        }
-
-    @property
-    def padding_bytes(self) -> int:  # type: ignore[override]
-        return self.reply.padding_bytes
+    @classmethod
+    def for_client(cls, certificate: Certificate, client: NodeId) -> "ClientReply":
+        """``certificate`` (over a bundle) as ``client`` receives it."""
+        return cls(certificate.with_payload(certificate.payload.view_for(client)))

@@ -284,9 +284,8 @@ class MultiLogRouterQueue(ShardRouterQueue):
             self._maybe_reserve_cut(key)
             return
         if collector is None:
-            collector = QuorumCollector(
-                body=body, certificate=Certificate(
-                    payload=body, scheme=binding.certificate.scheme))
+            collector = QuorumCollector(Certificate(
+                payload=body, scheme=binding.certificate.scheme))
             self._binding_acc[acc_key] = collector
         if collector.done:
             return

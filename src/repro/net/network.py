@@ -56,10 +56,22 @@ class NetworkStats:
     bytes_sent: int = 0
     drops_by_topology: int = 0
     drops_by_tap: int = 0
+    #: the census: sends and modelled wire bytes per message type
     per_type: Dict[str, int] = field(default_factory=dict)
+    bytes_per_type: Dict[str, int] = field(default_factory=dict)
 
-    def record_type(self, type_name: str) -> None:
-        self.per_type[type_name] = self.per_type.get(type_name, 0) + 1
+    def record_send(self, message: Message) -> None:
+        """Count one transmission of ``message`` (after the taps)."""
+        name, size = message.type_name(), message.wire_size()
+        self.sends += 1
+        self.bytes_sent += size
+        self.per_type[name] = self.per_type.get(name, 0) + 1
+        self.bytes_per_type[name] = self.bytes_per_type.get(name, 0) + size
+
+    def census(self) -> Dict[str, Dict[str, int]]:
+        """``{type: {"sends", "bytes"}}`` for the metrics snapshot."""
+        return {name: {"sends": count, "bytes": self.bytes_per_type[name]}
+                for name, count in sorted(self.per_type.items())}
 
 
 class _DropSentinel:
@@ -160,9 +172,7 @@ class Network:
                 return
             if replacement is not None:
                 message = replacement
-        self.stats.sends += 1
-        self.stats.record_type(message.type_name())
-        self.stats.bytes_sent += message.wire_size()
+        self.stats.record_send(message)
 
         target = self._processes.get(destination)
         if target is None:

@@ -329,9 +329,7 @@ class RealTimeNetwork:
                 return
             if replacement is not None:
                 message = replacement
-        self.stats.sends += 1
-        self.stats.record_type(message.type_name())
-        self.stats.bytes_sent += message.wire_size()
+        self.stats.record_send(message)
         if destination not in self._processes:
             return
         started = time.perf_counter()

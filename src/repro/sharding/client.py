@@ -270,14 +270,11 @@ class ShardAwareClient(ClientNode):
         nothing: the cross-shard path stays armed until a real quorum
         completes the request.
         """
-        pending = self._pending
         cross = self._pending_cross
-        body = message.body
-        if (pending is None or cross is None or body.epoch is None
-                or body.shard is None):
+        if cross is None or self._answer_to_pending(message) is None:
             return False
-        if (message.reply.client != self.node_id
-                or message.reply.timestamp != pending.timestamp):
+        body = message.body
+        if body.epoch is None or body.shard is None:
             return False
         if body.epoch < cross["pinned"]:
             return False
@@ -455,13 +452,10 @@ class ShardAwareClient(ClientNode):
         authenticators from the named shard's replicas, which correct nodes
         only produce for bodies (epoch included) they actually executed.
         """
-        pending = self._pending
-        body = message.body
-        if (pending is None or body.epoch is None or body.epoch <= self.epoch
-                or body.shard is None):
+        if self._answer_to_pending(message) is None:
             return
-        if (message.reply.client != self.node_id
-                or message.reply.timestamp != pending.timestamp):
+        body = message.body
+        if body.epoch is None or body.epoch <= self.epoch or body.shard is None:
             return
         registry = getattr(self.router.partitioner, "registry", None)
         if registry is None or not registry.has_epoch(body.epoch):
@@ -478,9 +472,5 @@ class ShardAwareClient(ClientNode):
 
     def _is_misrouted(self, message: ClientReply) -> bool:
         """A reply for our outstanding request claiming the wrong shard."""
-        pending = self._pending
-        if pending is None or message.reply.timestamp != pending.timestamp:
-            return False
-        if message.reply.client != self.node_id:
-            return False
-        return message.body.shard != self._expected_shard
+        return (self._answer_to_pending(message) is not None
+                and message.body.shard != self._expected_shard)

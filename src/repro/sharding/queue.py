@@ -59,7 +59,7 @@ from ..config import SystemConfig
 from ..core.message_queue import PendingSend, QueueCore, QuorumCollector
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
-from ..messages.reply import BatchReply, BatchReplyBody
+from ..messages.reply import BatchReply
 from ..messages.request import ClientRequest
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
@@ -561,25 +561,24 @@ class ShardRouterQueue(QueueCore):
     # ------------------------------------------------------------------ #
 
     def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
-        body = message.body
-        if body.seq != message.seq:
+        if not message.well_formed:
             return
-        shard = body.shard
+        shard = message.body.shard
         if shard is None or not 0 <= shard < self.num_shards:
             self.misrouted_replies += 1
             return
         # Merge partials until ``g + 1`` *same-shard* signers vouch for it.
         groups = self.shard_threshold_groups
         full = self._assemble_into(
-            self._shard_collectors, (shard,), body, message.certificate,
+            self._shard_collectors, (shard,), message.certificate,
             universe=self.shard_execution_ids[shard],
             default_group=groups[shard] if groups is not None else None)
         if full is not None:
-            self._accept_shard_reply(body, full)
+            self._accept_shard_reply(full)
 
-    def _accept_shard_reply(self, body: BatchReplyBody,
-                            certificate: Certificate) -> None:
+    def _accept_shard_reply(self, certificate: Certificate) -> None:
         """A full reply certificate for shard part ``(body.shard, body.seq)``."""
+        body = certificate.payload
         shard, shard_seq = body.shard, body.seq
         # The shard executes in shard-local order, so a reply for shard_seq
         # settles every part of this shard at or below it.
@@ -607,4 +606,4 @@ class ShardRouterQueue(QueueCore):
             key: value for key, value in self._shard_collectors.items()
             if key[0] != shard or key[1] > horizon
         }
-        self._forward_replies(body, certificate)
+        self._forward_replies(certificate)

@@ -195,6 +195,15 @@ def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[Wire
     return memo
 
 
+def wire_digest(child: WireMemoised) -> bytes:
+    """SHA-256 of ``child``'s canonical encoding, for a parent whose wire
+    form names the child by digest instead of embedding it."""
+    memo = wire_memo(child, "digest", count=False)
+    if memo is not None:
+        return memo.digest
+    return hashlib.sha256(canonical_encode(child.to_wire())).digest()
+
+
 def wire_of(child: Any) -> Any:
     """The wire-dict value for an object nested in a message.
 

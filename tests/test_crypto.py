@@ -397,6 +397,24 @@ class TestKeysAreDerivedOnce:
         assert verifier.verify_mac(request, auth)   # a proven fact: no MAC at all
         assert len(counted_macs) == 1
 
+    def test_reply_mac_vector_addresses_the_bundle_not_the_deployment(self, counted_macs):
+        """A one-request reply bundle is MACed for the 3f + 1 agreement
+        nodes and the one client it answers -- 5 HMACs, however many clients
+        the deployment has (it used to be 4 + num_clients)."""
+        from conftest import make_config
+        from repro.apps.counter import CounterService, increment
+        from repro.core import SeparatedSystem
+
+        system = SeparatedSystem(make_config(num_clients=8), CounterService, seed=5)
+        system.invoke(increment(1))
+        node = system.execution_nodes[0]
+        body = node.replies_by_seq[1].body
+        del counted_macs[:]
+        sent = node._send_reply(body)
+        (authenticator,) = sent.certificate.authenticators.values()
+        assert counted_macs == [authenticator.payload_digest] * 5
+        assert sorted(authenticator.token) == ["A0", "A1", "A2", "A3", "C0"]
+
     def test_certificate_facts_hold_ids_and_share_their_sets(self, keystore):
         client = provider(keystore, client_id(0))
         execs = [execution_id(i) for i in range(3)]

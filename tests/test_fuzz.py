@@ -50,11 +50,17 @@ import validate_schema  # noqa: E402  (benchmarks/ is not a package)
 
 
 #: the planted-bug attack: one replica lies (re-signs corrupted replies) for
-#: the whole run; g + 1 matching authenticators mask it, g accept it
+#: the whole run and its two honest peers reach client 0 five milliseconds
+#: late, so the lie is the first direct reply that client sees every time;
+#: g + 1 matching authenticators mask it, g accept it
 LYING_SCHEDULE = FaultSchedule(
     scenario="sharded", seed=0, workload_seed=0, num_requests=30,
     events=(ScheduleEvent(kind="byzantine", at_ms=0.0, duration_ms=440.0,
-                          node="execution:0:0", strategy="lying_reply"),))
+                          node="execution:0:0", strategy="lying_reply"),
+            ScheduleEvent(kind="link_fault", at_ms=0.0, duration_ms=440.0,
+                          a="execution:0:1", b="client:0", delay_ms=5.0),
+            ScheduleEvent(kind="link_fault", at_ms=0.0, duration_ms=440.0,
+                          a="execution:0:2", b="client:0", delay_ms=5.0)))
 
 #: named race 1: a split fires, then the handoff source crashes mid-transfer
 CRASH_DURING_HANDOFF = FaultSchedule(
@@ -241,6 +247,22 @@ class TestFixedSchedules:
         result = run_schedule(LYING_SCHEDULE)
         assert result.completed_all
         assert result.violations == []
+
+    def test_forging_agreement_node_is_masked(self):
+        """An agreement node forging what it serves from its reply cache,
+        while a lossy link makes one client depend on that cache."""
+        schedule = FaultSchedule(
+            scenario="sharded", seed=3, workload_seed=3, num_requests=30,
+            events=(ScheduleEvent(kind="byzantine", at_ms=0.0, duration_ms=440.0,
+                                  node="agreement:0", strategy="forged_reply"),
+                    ScheduleEvent(kind="link_fault", at_ms=0.0, duration_ms=200.0,
+                                  a="execution:0:1", b="client:0", drop=1.0),
+                    ScheduleEvent(kind="link_fault", at_ms=0.0, duration_ms=200.0,
+                                  a="execution:0:2", b="client:0", drop=1.0)))
+        result = run_schedule(schedule)
+        assert result.completed_all
+        assert result.violations == []
+        assert result.stats["retransmissions"] > 0
 
     def test_lying_replica_caught_with_weakened_quorum(self):
         result = run_schedule(LYING_SCHEDULE, weaken_reply_quorum=True)

@@ -10,16 +10,26 @@ import dataclasses
 
 import pytest
 
-from conftest import make_config
+from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.agreement.replica import VIEW_CHANGE_BACKOFF_CAP_MS
 from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import KeyValueStore, get, put
-from repro.config import AuthenticationScheme, NetworkConfig
+from repro.config import AuthenticationScheme, NetworkConfig, SystemConfig
 from repro.core import CoupledSystem, SeparatedSystem
 from repro.crypto.certificate import Certificate
 from repro.errors import LivenessTimeoutError
-from repro.faults import CorruptReplyBehaviour, FaultInjector, FaultPlan, make_byzantine
+from repro.faults import (
+    CorruptReplyBehaviour,
+    FaultInjector,
+    FaultPlan,
+    ForgedReplyBehaviour,
+    LyingReplyBehaviour,
+    make_byzantine,
+)
+from repro.messages.reply import ClientReply
 from repro.messages.request import RequestEnvelope
+from repro.net.network import DROP
+from repro.sharding import ShardedSystem
 
 
 class TestCrashFaults:
@@ -141,6 +151,126 @@ class TestByzantineExecutionFaults:
         make_byzantine(system, CorruptReplyBehaviour(system.execution_nodes[1].node_id))
         with pytest.raises(LivenessTimeoutError):
             system.invoke(increment(1), timeout_ms=2_000.0)
+
+
+def _plain_system(scheme, seed):
+    return SeparatedSystem(make_config(authentication=scheme), KeyValueStore,
+                           seed=seed)
+
+
+def _sharded_system(scheme, seed):
+    config = SystemConfig.sharded(
+        2, num_clients=2, pipeline_depth=16, checkpoint_interval=8,
+        bundle_size=1, timers=FAST_TIMERS, crypto=CHEAP_CRYPTO,
+        authentication=scheme)
+    return ShardedSystem(config, KeyValueStore, seed=seed)
+
+
+class TestForgedReplies:
+    """One Byzantine *agreement* node must not be able to choose what a
+    client reads.  It holds genuine ``g + 1`` certificates (it assembles
+    them) and hands replies to clients (relayed, or from its cache on a
+    retransmission), so anything a client took from beside the certified
+    body -- a separate ``reply`` field, a body the threshold branch never
+    compared with the signed payload -- was the forger's to write."""
+
+    @pytest.mark.parametrize("build", [_plain_system, _sharded_system],
+                             ids=["plain", "sharded"])
+    @pytest.mark.parametrize("scheme", [AuthenticationScheme.MAC,
+                                        AuthenticationScheme.THRESHOLD],
+                             ids=lambda scheme: scheme.value)
+    def test_forged_result_under_a_genuine_certificate_is_refused(self, build,
+                                                                  scheme):
+        system = build(scheme, seed=51)
+        client = system.clients[0]
+        system.invoke(put("k", "genuine"))
+        forger = system.agreement_ids[0]
+        behaviour = make_byzantine(
+            system, ForgedReplyBehaviour(forger, corrupt_value="FORGED"))
+
+        # Every honest node's reply to the client is held back: whatever
+        # the client hears, it hears from the forger alone.
+        def hold_back(source, destination, message):
+            if isinstance(message, ClientReply) and source != forger:
+                return DROP
+            return None
+
+        system.network.add_tap(hold_back)
+        client.submit(get("k"))
+        system.run(400.0)   # several retransmission rounds
+        assert behaviour.messages_affected > 0
+        assert len(client.completed) == 1, client.completed[-1].result
+        system.network.remove_tap(hold_back)
+        system.run_until(lambda: len(client.completed) == 2, 5_000.0)
+        assert client.completed[-1].result.value["value"] == "genuine"
+
+
+class TestLivenessWithoutTheRelay:
+    """Where execution replies directly (MAC, no firewall) the agreement
+    nodes relay nothing; a client that misses its direct replies is served
+    from their caches when it retransmits."""
+
+    def test_all_direct_replies_lost(self, config):
+        system = SeparatedSystem(config, CounterService, seed=61)
+        executors = set(system.execution_ids)
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if source in executors and isinstance(message, ClientReply)
+            else None)
+        record = system.invoke(increment(1))
+        assert record.result.value == 1
+        client = system.clients[0]
+        assert client.retransmissions >= 1
+        system.run(50.0)
+        assert all(queue.cache_hits >= 1 for queue in system.message_queues)
+        assert all(queue.replies_forwarded == 0
+                   for queue in system.message_queues)
+        assert len(client.completed) == 1
+        assert [node.requests_executed for node in system.execution_nodes] \
+            == [1, 1, 1]
+
+    def test_a_liar_and_a_lost_direct_reply(self, config):
+        """One of three direct replies is a re-signed lie and one is lost:
+        the single honest one is below quorum, the cached certificate is
+        not."""
+        system = SeparatedSystem(config, CounterService, seed=62)
+        liar, muted = system.execution_ids[0], system.execution_ids[1]
+        make_byzantine(system, LyingReplyBehaviour(liar))
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if source == muted and isinstance(message, ClientReply)
+            else None)
+        values = [system.invoke(increment(1)).result.value for _ in range(3)]
+        assert values == [1, 2, 3]
+        assert sum(queue.cache_hits for queue in system.message_queues) >= 3
+        assert system.clients[0].retransmissions >= 3
+
+    def test_primary_crashes_mid_request(self, config):
+        """Open loop across a crash of the primary (the ledger's failover
+        phase in small): every request completes exactly once, and no
+        agreement node ever relayed a reply."""
+        system = SeparatedSystem(make_config(num_clients=4), CounterService,
+                                 seed=63)
+        sent = 24
+        for index in range(sent):
+            system.scheduler.call_at(
+                system.now + 5.0 * index,
+                lambda index=index: system.submit(increment(1),
+                                                  client_index=index % 4),
+                label="open-loop")
+        system.scheduler.call_at(system.now + 42.0,
+                                 lambda: system.crash_agreement(0),
+                                 label="crash")
+        system.run_until(lambda: system.total_completed() == sent, 30_000.0)
+        assert sorted(record.result.value for client in system.clients
+                      for record in client.completed) \
+            == list(range(1, sent + 1))
+        assert {replica.view for replica in system.agreement_replicas
+                if not replica.crashed} != {0}
+        assert all(queue.replies_forwarded == 0
+                   for queue in system.message_queues)
+        assert {node.requests_executed for node in system.execution_nodes} \
+            == {sent}
 
 
 class TestMalformedAuthenticators:

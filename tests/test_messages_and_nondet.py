@@ -5,6 +5,7 @@ import pickle
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import AuthenticationScheme
 from repro.crypto.certificate import Certificate
@@ -144,10 +145,108 @@ class TestReplyMessages:
 
     def test_client_reply_padding(self):
         body = self._body()
-        message = ClientReply(reply=body.replies[0], body=body,
-                              certificate=Certificate(payload=body,
-                                                      scheme=AuthenticationScheme.MAC))
+        message = ClientReply(Certificate(payload=body,
+                                          scheme=AuthenticationScheme.MAC))
         assert message.padding_bytes == 40
+
+
+def _bundle(values, shard=None, epoch=None):
+    """A reply bundle answering clients C0..Cn-1 with ``values``."""
+    replies = tuple(
+        ReplyBody(view=2, seq=7, timestamp=10 + index, client=client_id(index),
+                  result=OperationResult(value=value, size=len(str(value))))
+        for index, value in enumerate(values))
+    return BatchReplyBody(view=2, seq=7, replies=replies, shard=shard, epoch=epoch)
+
+
+def _certified(body, keystore, signers=2):
+    """``body`` under MAC authenticators of ``signers`` execution replicas,
+    addressed to every client it answers."""
+    certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
+    clients = [reply.client for reply in body.replies]
+    for index in range(signers):
+        CryptoProvider(execution_id(index), keystore).authenticate(
+            certificate, clients)
+    return certificate
+
+
+_values = st.lists(st.one_of(st.integers(), st.text(max_size=40),
+                             st.dictionaries(st.text(max_size=4), st.integers(),
+                                             max_size=3)),
+                   min_size=1, max_size=8)
+
+
+class TestClientViewOfABundle:
+    """The certified form of a bundle is its header plus per-reply digests,
+    so a client can be handed its own reply and 32 bytes per sibling."""
+
+    @given(values=_values, data=st.data(),
+           shard=st.one_of(st.none(), st.integers(0, 7)))
+    @settings(max_examples=60, deadline=None)
+    def test_view_has_the_bundle_digest_and_nothing_else_does(self, values, data, shard):
+        keystore = Keystore()
+        body = _bundle(values, shard=shard, epoch=None if shard is None else 3)
+        index = data.draw(st.integers(0, len(values) - 1))
+        client = client_id(index)
+        view = body.view_for(client)
+        assert digest(view.to_wire()) == digest(body.to_wire())
+        assert view.carried == (body.replies[index],)
+        assert view.reply_for(client) is body.replies[index]
+        assert all(isinstance(entry, bytes) and len(entry) == 32
+                   for position, entry in enumerate(view.replies)
+                   if position != index)
+        assert not view.complete or len(values) == 1
+
+        verifier = CryptoProvider(client, keystore)
+        certificate = _certified(body, keystore)
+        assert len(verifier.valid_signers(certificate.with_payload(view))) == 2
+
+        def rejected(replies):
+            tampered = BatchReplyBody(view=view.view, seq=view.seq, shard=view.shard,
+                                      epoch=view.epoch, replies=tuple(replies))
+            return CryptoProvider(client, keystore).valid_signers(
+                certificate.with_payload(tampered)) == []
+
+        own = body.replies[index]
+        altered = ReplyBody(view=own.view, seq=own.seq, timestamp=own.timestamp,
+                            client=own.client,
+                            result=OperationResult(value="FORGED", size=own.result.size))
+        assert rejected(altered if position == index else entry
+                        for position, entry in enumerate(view.replies))
+        if len(values) > 1:
+            sibling = (index + 1) % len(values)
+            flipped = bytes([view.replies[sibling][0] ^ 1]) + view.replies[sibling][1:]
+            assert rejected(flipped if position == sibling else entry
+                            for position, entry in enumerate(view.replies))
+            swapped = list(view.replies)
+            swapped[index], swapped[sibling] = swapped[sibling], swapped[index]
+            assert rejected(swapped)
+
+    def test_pickled_client_reply_leaves_the_siblings_out(self):
+        """What the asyncio backend puts on the wire for one client of a
+        bundle of eight 4 KB results (every sibling's result used to ride
+        along: ~33 KB)."""
+        keystore = Keystore()
+        body = _bundle([f"{index:04d}".ljust(4096, "x") for index in range(8)])
+        certificate = _certified(body, keystore)
+        full = pickle.dumps(BatchReply(seq=7, certificate=certificate,
+                                       sender=execution_id(0)),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(full) > 8 * 4096
+        message = ClientReply(certificate.with_payload(body.view_for(client_id(3))))
+        frame = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(frame) < 8 * 1024
+        for index in range(8):
+            assert (f"{index:04d}xxxx".encode() in frame) == (index == 3)
+        received = pickle.loads(frame)
+        assert received.body.reply_for(client_id(3)).result.value == body.replies[3].result.value
+        assert len(CryptoProvider(client_id(3), keystore).valid_signers(
+            received.certificate)) == 2
+
+    def test_incomplete_bundle_is_not_taken_for_a_complete_one(self):
+        body = _bundle(["a", "b"])
+        assert body.complete and not body.view_for(client_id(0)).complete
+        assert body.view_for(client_id(0)).reply_for(client_id(1)) is None
 
 
 class TestOrderedBatch:
@@ -310,8 +409,8 @@ def golden_messages():
 
     built = [
         plain, envelope, replies[0], reply_body,
-        BatchReply(seq=9, body=reply_body, certificate=reply_cert, sender=execution[0]),
-        ClientReply(reply=replies[0], body=reply_body, certificate=reply_cert),
+        BatchReply(seq=9, certificate=reply_cert, sender=execution[0]),
+        ClientReply(reply_cert.with_payload(reply_body.view_for(client_id(0)))),
         cert_body, pre_prepare,
         Prepare(view=1, seq=9, batch_digest=b"\x07" * 32, replica=agreement[2]),
         CommitMsg(view=1, seq=9, batch_digest=b"\x07" * 32, replica=agreement[2],
@@ -361,13 +460,17 @@ def golden_messages():
 #: computed with the straightforward encoder and no memoisation (the commit
 #: before the fast encoder and the splice nodes).  A wrong splice, a changed
 #: field or a reordered dict shows up here under the class's name.
+#: The three reply entries are the exception: they were regenerated when the
+#: certified form of a bundle became its header plus per-reply digests (a
+#: body 1087 -> 1169 with its replies counted as carried bytes, a
+#: ``BatchReply`` 3072 -> 2159, one client's ``ClientReply`` 3356 -> 1648).
 GOLDEN_WIRE = {
     "ClientRequest": (577, "846aaae68c5144c23c0561799319a0e220a78f48d23ffbb25b3ecc058ca540fb"),
     "RequestEnvelope": (1382, "e1943594feafb6703b5c5c8a24330eef4122a01f8a3c861923296f4710d0458a"),
     "ReplyBody": (407, "f796164a66bc842e4b2c86c17536e59d063e28d06174b381b2caf603d6fd0d93"),
-    "BatchReplyBody": (1087, "871288e6881a0b1bdd7ba79be8449e9ebe8f46c8946941b3ee1e06ed21465d46"),
-    "BatchReply": (3072, "0b0d90492189a8a036afcb37a563e566e82f1860fe5837cfb018ce40ed90e85d"),
-    "ClientReply": (3356, "8777566c691cb6444740f91b141aec00a297d09c34a7630bf2cc39c53d0c0fa5"),
+    "BatchReplyBody": (1169, "575916da1a84e46dc75bc41f864055059cad6bcf8744c422d1b4409d4d998681"),
+    "BatchReply": (2159, "191dbb2e250366305134426e75cbea6b15382a0b2448cece76087637e6a7aea5"),
+    "ClientReply": (1648, "2c258b1e0c082d7f01ee94e9dbb1a1679d618b558511d23bb4a9bc2e29dd01db"),
     "AgreementCertBody": (346, "5b93058ee959bf760044c4266c6222445d283120978112a7d6d12f7bddb4ea21"),
     "PrePrepare": (2743, "8d50261ef4cf828abaea9aaffe14f162a4501ba47d21d7815c612ad08e25cde0"),
     "Prepare": (226, "e1dbff63fcbb31cd92eceacb0dbc718d1cf3debb37d13c05f7d05b8655cb910c"),

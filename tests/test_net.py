@@ -192,6 +192,9 @@ class TestNetwork:
         scheduler.run()
         assert network.stats.sends == 2
         assert network.stats.per_type["_Probe"] == 2
+        size = _Probe().wire_size()
+        assert network.stats.bytes_sent == 2 * size
+        assert network.stats.census() == {"_Probe": {"sends": 2, "bytes": 2 * size}}
 
     def test_broadcast_skips_self(self):
         scheduler, network, a, b = self._build()

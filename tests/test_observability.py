@@ -33,7 +33,7 @@ from repro.analysis.critical_path import (
 from repro.analysis.metrics import percentile, summarize_latencies
 from repro.apps.counter import CounterService, increment
 from repro.apps.kvstore import KeyValueStore, put
-from repro.config import ObservabilityConfig, SystemConfig
+from repro.config import AuthenticationScheme, ObservabilityConfig, SystemConfig
 from repro.core import SeparatedSystem
 from repro.obs import MetricsRegistry, TraceEvent, Tracer, read_trace_jsonl
 from repro.obs.registry import (
@@ -227,36 +227,42 @@ class TestZeroOverhead:
         assert system.metrics_snapshot() == {}
         assert system.trace_events() == []
 
-    def test_enabled_system_surfaces_hot_path_metrics(self):
-        system = obs_system(seed=44)
+    @pytest.mark.parametrize("scheme, relayed", [
+        (AuthenticationScheme.THRESHOLD, 4), (AuthenticationScheme.MAC, 0)])
+    def test_enabled_system_surfaces_hot_path_metrics(self, scheme, relayed):
+        """Agreement nodes relay replies only where execution does not
+        answer clients itself (threshold here; MAC replies go direct)."""
+        system = obs_system(seed=44, authentication=scheme)
         for _ in range(4):
             system.invoke(increment(1))
         snapshot = system.metrics_snapshot()
         nodes = snapshot["nodes"]
         queue_counters = nodes["A0"]["counters"]
         assert queue_counters["queue.batches_sent"] == 4
-        assert queue_counters["queue.replies_forwarded"] == 4
+        assert queue_counters["queue.replies_forwarded"] == relayed
         assert "agreement.state" in nodes["A0"]["probes"]
         # Ad-hoc crypto counters (the *_cached tallies) ride along.
         assert "digest" in snapshot["crypto_ops"]
         assert "wire_cache" in snapshot["global"]
 
-    def test_sharded_queue_counts_sends_and_forwards_too(self):
+    @pytest.mark.parametrize("scheme, relayed", [
+        (AuthenticationScheme.THRESHOLD, 4), (AuthenticationScheme.MAC, 0)])
+    def test_sharded_queue_counts_sends_and_forwards_too(self, scheme, relayed):
         """The router queue sends and forwards through the same helpers as
         the unsharded queue, so the registry's counters move with the
         queue's plain attributes (they used to stay 0 on sharded runs)."""
         config = SystemConfig.sharded(
             2, num_clients=2, pipeline_depth=16, checkpoint_interval=8,
             bundle_size=1, timers=FAST_TIMERS, crypto=CHEAP_CRYPTO,
-            observability=OBS_ON)
+            observability=OBS_ON, authentication=scheme)
         system = ShardedSystem(config, KeyValueStore, seed=44)
         for index in range(4):
             system.invoke(put(f"key-{index}", "v"))
         counters = system.metrics_snapshot()["nodes"]["A0"]["counters"]
         assert counters["queue.batches_sent"] == 4
-        assert counters["queue.replies_forwarded"] == 4
+        assert counters["queue.replies_forwarded"] == relayed
         queue = system.message_queues[0]
-        assert (queue.batches_sent, queue.replies_forwarded) == (4, 4)
+        assert (queue.batches_sent, queue.replies_forwarded) == (4, relayed)
 
 
 # ---------------------------------------------------------------------- #

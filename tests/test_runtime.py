@@ -105,6 +105,10 @@ class TestBackendParity:
             assert transport.frames_sent > 0
             assert transport.frames_delivered > 0
             assert transport.bytes_on_wire > 0
+            # the model-level census is kept on this backend too
+            stats = system.network.stats
+            assert sum(stats.bytes_per_type.values()) == stats.bytes_sent
+            assert stats.census()["ClientReply"]["sends"] == 3
         finally:
             system.close()
 

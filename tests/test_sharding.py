@@ -259,9 +259,8 @@ class TestMisrouteRejection:
         def relabel(source, destination, message):
             if source != liar or not isinstance(message, ClientReply):
                 return None
-            body = dataclasses.replace(message.body, shard=1)
-            return ClientReply(reply=message.reply, body=body,
-                               certificate=message.certificate)
+            return ClientReply(message.certificate.with_payload(
+                dataclasses.replace(message.body, shard=1)))
 
         system.network.add_tap(relabel)
         record = system.invoke(put(key, "v"))
