@@ -20,9 +20,10 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 from ..config import AuthenticationScheme
 from ..errors import CertificateError
 from ..util.ids import NodeId
-from ..util.wirecache import WireMemoised, wire_of
+from ..util.wirecache import WireMemoised, pickle_by_fields, wire_of
 
 
+@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class Authenticator:
     """One node's evidence that it vouches for a payload digest.

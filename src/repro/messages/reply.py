@@ -22,10 +22,11 @@ from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
-from ..util.wirecache import WireMemoised, wire_digest, wire_of
+from ..util.wirecache import WireMemoised, pickle_by_fields, wire_digest, wire_of
 from .request import EncryptedBody
 
 
+@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class ReplyBody(Message):
     """The per-request reply fields: ``(v, n, t, c, r)``.
@@ -74,6 +75,7 @@ class _CarriedMemo(WireMemoised):
     __slots__ = ("_carried",)
 
 
+@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class BatchReplyBody(_CarriedMemo, Message):
     """All replies for one batch; the payload the reply certificate covers.

@@ -1,4 +1,4 @@
-"""The real runtime: asyncio tasks, localhost TCP, wall-clock timers.
+"""The real runtime: asyncio callbacks, localhost TCP, wall-clock timers.
 
 This backend runs the *same* protocol objects the simulator runs -- nodes,
 message queues, certificates, caches, all untouched -- but replaces the
@@ -10,7 +10,14 @@ three simulated substrates with real ones:
 * **transport**: :class:`RealTimeNetwork` gives every registered node an
   asyncio TCP server on ``127.0.0.1`` and ships each message as a
   length-prefixed pickled ``(sender, message)`` frame over a per-link
-  connection;
+  connection.  Both ends are ``asyncio.Protocol`` callbacks, so there is one
+  hop from the wire to the handler: ``send`` writes the frame to the link's
+  transport, and the receiving connection's ``data_received`` cuts what
+  arrived into frames, unpickles each and calls the node's ``deliver``
+  before it returns -- no task switch and no queue in between.  A multicast
+  is pickled once, not once per destination, and the size a node is told it
+  received is the frame's length on the wire (``ProcessStats.bytes_received``
+  counts real bytes here, canonical bytes on the simulator);
 * **cost**: virtual-time charges optionally burn real CPU
   (``RuntimeConfig.charge_scale``), and inbound certificate verification
   can be offloaded to a process pool (:class:`repro.crypto.pool.CryptoPool`)
@@ -22,16 +29,20 @@ boundary-module docstrings in ``sim/`` and ``net/`` state):
 * per-node handler atomicity -- the loop is single-threaded and handlers
   are synchronous, so a node never observes two handlers interleaved;
 * per-link FIFO -- one TCP connection per (source, destination) ordered
-  pair, and a dispatcher that awaits each frame's (optional) pool
-  pre-verification before reading the next, so pipelining crypto never
-  reorders a link;
+  pair whose frames are dispatched in the order they are cut from the
+  stream; with the crypto pool on they wait in one FIFO per connection,
+  each for its own pre-verification and for every frame before it, so
+  pipelining crypto never reorders a link;
 * timer semantics -- ``call_at``/``call_after`` handles expose
   ``deadline`` / ``active`` / ``cancel()``, and a cancelled timer never
   fires;
 * at-most-once delivery, crashed nodes drop everything, taps observe
   (and may replace or drop) every send before transmission;
 * the success-only verification-cache contract -- the pool records only
-  facts that verified, under the provider's own keys.
+  facts that verified, under the provider's own keys;
+* a handler's exception reaches the driver -- the first one raised by a
+  message handler or a timer callback is re-raised from ``run`` /
+  ``run_until`` (the simulator's ``step`` simply propagates it).
 
 Deliberately **not** preserved: determinism (real scheduling and real
 sockets race; the simulator remains the substrate for tests and fuzzing)
@@ -40,7 +51,12 @@ devices; here latency is the real localhost stack).  Transport trust:
 frames are ``pickle`` on a loopback socket, which is only safe because the
 transport is process-local test infrastructure -- the Byzantine threat
 model is enforced where it always was, by certificate verification at the
-protocol layer, never by the transport.
+protocol layer, never by the transport.  What the transport does guarantee
+is that bytes it cannot read cost one connection, not the node: a length
+prefix above ``MAX_FRAME_BYTES`` or a body that does not unpickle to a
+``(NodeId, Message)`` pair is counted (``TransportStats.frames_rejected``)
+and that connection closed.  The backlog of a link whose receiver is slow is
+still unbounded (it sits in the transport's write buffer).
 """
 
 from __future__ import annotations
@@ -48,8 +64,9 @@ from __future__ import annotations
 import asyncio
 import pickle
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..config import SystemConfig
 from ..crypto.keys import Keystore
@@ -65,6 +82,9 @@ from ..util.ids import NodeId
 from .interface import Runtime
 
 _HEADER = 4  # frame length prefix, big-endian
+#: a longer frame is a corrupt or hostile stream, not a message: the largest
+#: real ones (state transfers, range handoffs) are a few hundred kilobytes
+MAX_FRAME_BYTES = 1 << 24
 
 
 class RealTimer:
@@ -108,6 +128,9 @@ class RealTimeScheduler:
         self.poll_interval_ms = poll_interval_ms
         self._origin = self.loop.time()
         self._events_processed = 0
+        #: the first exception a message handler or timer callback raised,
+        #: until a drive (or ``close``) re-raises it
+        self._failure: Optional[BaseException] = None
         #: async hooks run at the start of every drive (transport startup)
         self._start_hooks: List[Callable[[], Awaitable[None]]] = []
 
@@ -133,6 +156,23 @@ class RealTimeScheduler:
         """Called by the transport once per delivered message."""
         self._events_processed += 1
 
+    def record_failure(self, exc: BaseException) -> None:
+        """Keep the first exception a handler or timer callback raised.
+
+        The simulator's ``step`` lets such an exception propagate to whoever
+        drives it; a loop callback has no caller to propagate to (asyncio
+        would log it and carry on, and BFT would mask the silent node), so
+        it is kept here and re-raised from ``run`` / ``run_until``.
+        """
+        if self._failure is None:
+            self._failure = exc
+
+    def raise_failure(self) -> None:
+        """Raise (once) what :meth:`record_failure` kept, if anything."""
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
+
     def call_at(self, when: float, callback: Callable[[], None],
                 label: str = "") -> RealTimer:
         """Arm ``callback`` for absolute time ``when`` (clamped to now).
@@ -149,7 +189,10 @@ class RealTimeScheduler:
                 return
             timer._fired = True
             self._events_processed += 1
-            callback()
+            try:
+                callback()
+            except Exception as exc:
+                self.record_failure(exc)
 
         timer._handle = self.loop.call_later(delay, _fire)
         return timer
@@ -196,6 +239,7 @@ class RealTimeScheduler:
     def _drive(self, coro) -> None:
         asyncio.set_event_loop(self.loop)
         self.loop.run_until_complete(self._with_startup(coro))
+        self.raise_failure()
 
     async def _with_startup(self, coro):
         for hook in self._start_hooks:
@@ -211,7 +255,7 @@ class RealTimeScheduler:
                     description: str) -> None:
         interval = self.poll_interval_ms / 1000.0
         while True:
-            if predicate():
+            if self._failure is not None or predicate():
                 return
             if self.now >= deadline:
                 raise LivenessTimeoutError(
@@ -220,8 +264,11 @@ class RealTimeScheduler:
             await asyncio.sleep(interval)
 
     def close(self) -> None:
+        """Close the loop; a failure nobody drove the loop to see is raised
+        here rather than lost."""
         if not self.loop.is_closed():
             self.loop.close()
+        self.raise_failure()
 
 
 @dataclass
@@ -230,6 +277,10 @@ class TransportStats:
 
     frames_sent: int = 0
     frames_delivered: int = 0
+    #: frames a node could not read (over-long prefix, body that does not
+    #: unpickle to a ``(NodeId, Message)`` pair) or a sender refused to write
+    #: (longer than ``MAX_FRAME_BYTES``); each is dropped, never raised
+    frames_rejected: int = 0
     bytes_on_wire: int = 0
     serialize_ms: float = 0.0
     deserialize_ms: float = 0.0
@@ -237,9 +288,80 @@ class TransportStats:
     def snapshot(self) -> dict:
         return {"frames_sent": self.frames_sent,
                 "frames_delivered": self.frames_delivered,
+                "frames_rejected": self.frames_rejected,
                 "bytes_on_wire": self.bytes_on_wire,
                 "serialize_ms": round(self.serialize_ms, 3),
                 "deserialize_ms": round(self.deserialize_ms, 3)}
+
+
+class _Outbound(asyncio.Protocol):
+    """Sending end of one (source, destination) link.
+
+    Frames written while the connection is still being made wait in
+    ``backlog`` and go out, in order, from ``connection_made``.  Nothing is
+    ever read on this end.
+    """
+
+    def __init__(self) -> None:
+        self.transport: Optional[asyncio.Transport] = None
+        self.backlog: List[bytes] = []
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self.backlog:
+            transport.write(b"".join(self.backlog))
+            self.backlog.clear()
+
+    def write(self, frame: bytes) -> None:
+        if self.transport is None:
+            self.backlog.append(frame)
+        else:
+            self.transport.write(frame)
+
+
+class _Inbound(asyncio.Protocol):
+    """Receiving end of one connection accepted by ``process``'s server:
+    splits the byte stream into frames and hands each to the network."""
+
+    def __init__(self, network: "RealTimeNetwork", process: Process) -> None:
+        self.network = network
+        self.process = process
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = b""
+        #: crypto pool on: decoded frames waiting, in order, for their
+        #: pre-verification, and the task working through them
+        self.pending: Deque[Tuple[NodeId, Message, int]] = deque()
+        self.drainer: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.network._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.network._inbound.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._buffer:
+            data = self._buffer + data
+        position, end = 0, len(data)
+        while end - position >= _HEADER:
+            body = position + _HEADER
+            size = int.from_bytes(data[position:body], "big")
+            if size > MAX_FRAME_BYTES:
+                return self._reject()
+            if end - body < size:
+                break
+            position = body + size
+            if not self.network._receive(self, data[body:position]):
+                return self._reject()
+        self._buffer = data[position:]
+
+    def _reject(self) -> None:
+        """Not a stream one of our links wrote: count it and close this
+        connection deliberately; the node's other links are unaffected."""
+        self.network.transport.frames_rejected += 1
+        self._buffer = b""
+        self.transport.close()
 
 
 class RealTimeNetwork:
@@ -248,12 +370,15 @@ class RealTimeNetwork:
     API-compatible with :class:`repro.net.network.Network`: registration,
     topology enforcement, taps, stats, ``send``/``broadcast``.  Each
     registered node owns one TCP server; each (source, destination) pair
-    that ever sends gets one outbound connection fed by a FIFO queue, so
-    link ordering matches TCP's.  ``send`` is synchronous (protocol code
-    is synchronous): it enqueues the encoded frame and returns; pump tasks
-    move frames onto sockets, and per-node server handlers decode, run the
-    optional crypto-pool pre-verification, and call ``deliver`` -- all on
-    the scheduler's event loop.
+    that ever sends gets one outbound connection, so link ordering is
+    TCP's.  ``send`` is synchronous (protocol code is synchronous): it
+    writes the length-prefixed frame to the link's transport and returns.
+    The receiving connection's ``data_received`` splits what arrived into
+    frames, and each frame is decoded and handed to the destination's
+    ``deliver`` before the callback returns -- all on the scheduler's event
+    loop, with no task or queue in between.  With the crypto pool on, a
+    connection's decoded frames instead wait in one FIFO for their
+    pre-verification; that is the only difference between the two modes.
     """
 
     def __init__(self, scheduler: RealTimeScheduler,
@@ -271,14 +396,20 @@ class RealTimeNetwork:
         self.keystore = keystore
         self.config = config
         self._charge_scale = config.runtime.charge_scale if config else 0.0
+        self._pooled = pool is not None and pool.enabled and keystore is not None
         self._processes: Dict[NodeId, Process] = {}
         self._taps: List[MessageTap] = []
         self._servers: Dict[NodeId, asyncio.base_events.Server] = {}
         self._ports: Dict[NodeId, int] = {}
-        self._links: Dict[Tuple[NodeId, NodeId], asyncio.Queue] = {}
-        self._pumped: Set[Tuple[NodeId, NodeId]] = set()
+        self._links: Dict[Tuple[NodeId, NodeId], _Outbound] = {}
+        #: links opened before their destination's server had a port
+        self._unconnected: List[Tuple[_Outbound, NodeId]] = []
+        self._inbound: Set[_Inbound] = set()
         self._tasks: Set[asyncio.Task] = set()
-        self._writers: List[asyncio.StreamWriter] = []
+        #: the last frame pickled: (source, message, dispatch stamp, bytes).
+        #: A multicast sends one message object to every destination within
+        #: one dispatch, so it is pickled once; see :meth:`_frame`.
+        self._last_frame: Tuple[Any, Any, int, bytes] = (None, None, -1, b"")
         self._closed = False
         scheduler.add_start_hook(self._start)
 
@@ -330,22 +461,46 @@ class RealTimeNetwork:
             if replacement is not None:
                 message = replacement
         self.stats.record_send(message)
-        if destination not in self._processes:
+        # Once teardown has begun nothing new is written or connected.
+        if destination not in self._processes or self._closed:
             return
-        started = time.perf_counter()
-        frame = pickle.dumps((source, message), protocol=pickle.HIGHEST_PROTOCOL)
-        self.transport.serialize_ms += (time.perf_counter() - started) * 1000.0
+        frame = self._frame(source, message)
+        if len(frame) > MAX_FRAME_BYTES + _HEADER:
+            # The receiver would close the link on it; lose the one message.
+            self.transport.frames_rejected += 1
+            return
         self.transport.frames_sent += 1
-        self.transport.bytes_on_wire += len(frame) + _HEADER
-        link = (source, destination)
-        queue = self._links.get(link)
-        if queue is None:
-            queue = self._links[link] = asyncio.Queue()
-        queue.put_nowait(frame)
-        # A link first used mid-run gets its pump immediately; links used
-        # before the first drive are pumped by the startup hook.
-        if link not in self._pumped and self.scheduler.loop.is_running():
-            self._spawn_pump(link)
+        self.transport.bytes_on_wire += len(frame)
+        link = self._links.get((source, destination))
+        if link is None:
+            link = self._links[source, destination] = _Outbound()
+            if destination in self._ports:
+                self._connect(link, destination)
+            else:
+                self._unconnected.append((link, destination))
+        link.write(frame)
+
+    def _frame(self, source: NodeId, message: Message) -> bytes:
+        """The length-prefixed pickle of ``(source, message)``.
+
+        Remembers the last one by object identity, for the length of one
+        dispatch (the stamp, as in ``AgreementReplica._prune_answered``):
+        the sends of a multicast follow each other inside one outbox flush
+        with no protocol code between them.  A tap that substitutes a
+        message for one destination returns another object, which gets a
+        frame of its own.
+        """
+        stamp = self.scheduler.events_processed
+        last_source, last_message, last_stamp, frame = self._last_frame
+        if (last_message is message and last_source is source
+                and last_stamp == stamp):
+            return frame
+        started = time.perf_counter()
+        body = pickle.dumps((source, message), protocol=pickle.HIGHEST_PROTOCOL)
+        self.transport.serialize_ms += (time.perf_counter() - started) * 1000.0
+        frame = len(body).to_bytes(_HEADER, "big") + body
+        self._last_frame = (source, message, stamp, frame)
+        return frame
 
     def broadcast(self, source: NodeId, destinations: List[NodeId],
                   message: Message) -> None:
@@ -354,82 +509,93 @@ class RealTimeNetwork:
                 self.send(source, destination, message)
 
     # ------------------------------------------------------------------ #
-    # Startup / transport tasks (run inside the event loop).
+    # Startup and connections (inside the event loop).
     # ------------------------------------------------------------------ #
 
     async def _start(self) -> None:
-        """Idempotent per-drive startup: servers for every registered node,
-        pumps for every link that already has traffic queued."""
-        for node_id in list(self._processes):
+        """Idempotent per-drive startup: a server for every registered node,
+        a connection for every link that was written to before it."""
+        loop = self.scheduler.loop
+        for node_id, process in list(self._processes.items()):
             if node_id not in self._servers:
-                await self._start_server(node_id)
-        for link in list(self._links):
-            if link not in self._pumped:
-                self._spawn_pump(link)
+                server = await loop.create_server(
+                    lambda process=process: _Inbound(self, process),
+                    "127.0.0.1", 0)
+                self._servers[node_id] = server
+                self._ports[node_id] = server.sockets[0].getsockname()[1]
+        unconnected, self._unconnected = self._unconnected, []
+        for link, destination in unconnected:
+            self._connect(link, destination)
 
-    async def _start_server(self, node_id: NodeId) -> None:
-        # A plain callback, not a coroutine: the handler task is created
-        # and registered here, at accept time, so ``aclose`` can cancel it
-        # even if it has not run yet.
-        server = await asyncio.start_server(
-            lambda reader, writer, node_id=node_id: self._spawn(
-                self._serve(node_id, reader, writer), f"serve:{node_id}"),
-            "127.0.0.1", 0)
-        self._servers[node_id] = server
-        self._ports[node_id] = server.sockets[0].getsockname()[1]
-
-    def _spawn(self, coro, name: str) -> None:
+    def _spawn(self, coro, name: str) -> asyncio.Task:
         task = self.scheduler.loop.create_task(coro, name=name)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
-    def _spawn_pump(self, link: Tuple[NodeId, NodeId]) -> None:
-        self._pumped.add(link)
-        self._spawn(self._pump(link), f"pump:{link[0]}->{link[1]}")
+    def _connect(self, link: _Outbound, destination: NodeId) -> None:
+        async def connect() -> None:
+            try:
+                await self.scheduler.loop.create_connection(
+                    lambda: link, "127.0.0.1", self._ports[destination])
+            except OSError as exc:
+                # Refused by a server that teardown has closed: the link's
+                # frames are lost like any sent to a node that is gone.
+                # At any other time the run has failed.
+                if not self._closed:
+                    self.scheduler.record_failure(exc)
 
-    async def _pump(self, link: Tuple[NodeId, NodeId]) -> None:
-        """Move frames from one link's queue onto its TCP connection."""
-        _, destination = link
-        queue = self._links[link]
-        _, writer = await asyncio.open_connection(
-            "127.0.0.1", self._ports[destination])
-        self._writers.append(writer)
-        while True:
-            frame = await queue.get()
-            writer.write(len(frame).to_bytes(_HEADER, "big") + frame)
-            await writer.drain()
+        self._spawn(connect(), f"connect:{destination}")
 
-    async def _serve(self, node_id: NodeId, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Per-inbound-connection reader: decode, pre-verify, deliver.
+    # ------------------------------------------------------------------ #
+    # Receiving.
+    # ------------------------------------------------------------------ #
 
-        Frames on one connection are dispatched strictly in order (the
-        pool pre-verification is awaited before the next read), so the
-        per-link FIFO the sender's TCP stream provides survives dispatch.
-        """
-        self._writers.append(writer)
+    def _receive(self, connection: _Inbound, body: bytes) -> bool:
+        """Decode one frame and pass it on; ``False`` if it cannot be read."""
+        started = time.perf_counter()
         try:
-            while True:
-                header = await reader.readexactly(_HEADER)
-                frame = await reader.readexactly(int.from_bytes(header, "big"))
-                started = time.perf_counter()
-                sender, message = pickle.loads(frame)
-                self.transport.deserialize_ms += (
-                    time.perf_counter() - started) * 1000.0
-                await self._dispatch(node_id, sender, message)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            return
+            sender, message = pickle.loads(body)
+        except Exception:  # whatever unpickling bytes we did not write raises
+            return False
+        self.transport.deserialize_ms += (time.perf_counter() - started) * 1000.0
+        if not isinstance(sender, NodeId) or not isinstance(message, Message):
+            return False
+        size = _HEADER + len(body)
+        if not self._pooled:
+            self._dispatch(connection.process, sender, message, size)
+            return True
+        connection.pending.append((sender, message, size))
+        if connection.drainer is None:
+            connection.drainer = self._spawn(
+                self._drain(connection), f"drain:{connection.process.node_id}")
+        return True
 
-    async def _dispatch(self, node_id: NodeId, sender: NodeId,
-                        message: Message) -> None:
-        target = self._processes.get(node_id)
-        if target is None:
-            return
-        await self._preverify(target, message)
+    async def _drain(self, connection: _Inbound) -> None:
+        """Crypto pool on: pre-verify and dispatch a connection's frames one
+        after the other, so pipelining crypto never reorders a link."""
+        try:
+            while connection.pending:
+                sender, message, size = connection.pending.popleft()
+                await self._preverify(connection.process, message)
+                self._dispatch(connection.process, sender, message, size)
+        except Exception as exc:  # a broken pool must not vanish with the task
+            self.scheduler.record_failure(exc)
+        finally:
+            connection.drainer = None
+
+    def _dispatch(self, target: Process, sender: NodeId, message: Message,
+                  size: int) -> None:
+        """Hand one received message to its node.  ``size`` is what the
+        frame took on the wire: the receiver does not encode the message
+        just to measure it."""
         self.transport.frames_delivered += 1
         self.stats.deliveries += 1
         self.scheduler.note_dispatch()
-        target.deliver(sender, message, message.wire_size())
+        try:
+            target.deliver(sender, message, size)
+        except Exception as exc:
+            self.scheduler.record_failure(exc)
 
     async def _preverify(self, target: Process, message: Message) -> None:
         """Warm the destination's verification cache from the crypto pool.
@@ -438,21 +604,18 @@ class RealTimeNetwork:
         contract); anything else is left for the node's inline checks.
         Facts already cached are skipped, so nothing is ever paid twice.
         """
-        pool, keystore = self.pool, self.keystore
-        if pool is None or not pool.enabled or keystore is None:
-            return
         crypto = getattr(target, "crypto", None)
         if crypto is None or crypto.cache is None:
             return
         jobs, keys = extract_verify_jobs(
-            target.node_id, keystore, crypto.costs, message,
+            target.node_id, self.keystore, crypto.costs, message,
             charge_scale=self._charge_scale)
         fresh = [(job, key) for job, key in zip(jobs, keys)
                  if not crypto.cache.seen(key)]
         if not fresh:
             return
-        results = await pool.run(self.scheduler.loop,
-                                 [job for job, _ in fresh])
+        results = await self.pool.run(self.scheduler.loop,
+                                      [job for job, _ in fresh])
         for (_, key), ok in zip(fresh, results):
             if ok:
                 crypto.cache.add(key)
@@ -466,25 +629,27 @@ class RealTimeNetwork:
             return
         self._closed = True
         # Stop accepting first.  An accept already in flight needs no more
-        # I/O to hand its connection to ``_spawn``; the loop is private to
-        # this runtime, so any task that is not ours is such an accept, and
-        # waiting for it means the cancellation below misses no handler.
-        # A pump still connecting is refused from here on: it stays in
-        # ``tasks`` so that its error is collected, not logged.
+        # I/O to reach ``connection_made``, and a connect in flight is made
+        # or refused at once; the loop is private to this runtime, so every
+        # other task on it is one of those or a pool drain, which is
+        # cancelled.  Awaiting them all leaves no task pending and no
+        # exception unretrieved when the loop closes.
         for server in self._servers.values():
             server.close()
-        tasks = set(self._tasks)
-        accepting = asyncio.all_tasks() - tasks - {asyncio.current_task()}
-        if accepting:
-            await asyncio.wait(accepting)
-        tasks |= self._tasks
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        for writer in self._writers:
-            writer.close()
+        for connection in self._inbound:
+            if connection.drainer is not None:
+                connection.drainer.cancel()
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        await asyncio.gather(*others, return_exceptions=True)
+        # abort, not close: what is still buffered has nowhere to go
+        for link in self._links.values():
+            if link.transport is not None:
+                link.transport.abort()
+        for connection in list(self._inbound):
+            connection.transport.abort()
         for server in self._servers.values():
             await server.wait_closed()
+        await asyncio.sleep(0)  # let the aborted transports close their sockets
 
 
 class AsyncioRuntime(Runtime):

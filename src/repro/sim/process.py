@@ -2,12 +2,34 @@
 
 Each protocol participant (client, agreement replica, execution replica,
 firewall filter, baseline server) is a :class:`Process`.  A process handles
-one message or timer at a time: if a delivery arrives while the node is busy
-it is deferred until the node frees up.  While handling a message the process
-*charges* virtual processing time -- cryptographic operations, application
-execution, per-message overhead -- and the sum of those charges determines
-when the node becomes free again and when its outgoing messages actually hit
-the network.
+one message or timer at a time: a delivery or timer that arrives while the
+node is busy is parked in the node's FIFO *inbox* and handled when the node
+frees up.  While handling a message the process *charges* virtual processing
+time -- cryptographic operations, application execution, per-message
+overhead -- and the sum of those charges determines when the node becomes
+free again and when its outgoing messages actually hit the network.
+
+The inbox
+---------
+Handlers run in the order work arrived at the node.  Work that finds the
+node idle runs at once.  Work that finds it busy -- inside a handler, before
+``busy_until``, or with earlier work still parked -- is appended to the
+inbox.  A busy period that leaves anything to do ends in *one* event at
+``busy_until``, the wake: it flushes what the period's handler sent and runs
+exactly one parked item (one handler per scheduler event, so
+``events_processed`` changes between any two handlers), whose end arms the
+next wake at the new ``busy_until``.  The wake is armed by the handler's end
+if there is an outbox or an inbox by then, else by the first item parked.
+So ``k`` items parked behind one handler cost ``k`` events, flushes
+included.  They used to cost ``k(k+1)/2`` beside the flushes: every parked
+item was an event of its own that fired at ``busy_until``, found the node
+busy with its predecessor and scheduled itself again.  Those events fired in
+arrival order too, after the outbox flush of the handler they waited for, so
+the order of handlers is the same with one exception: work whose event fell
+on the exact floating-point instant a busy period ended could run before, or
+between, the items parked during that period, depending on when its event
+had been put on the queue; it now queues behind them like any other later
+arrival.
 
 This per-node serialization is what makes the throughput experiments
 (Figure 5) meaningful: an execution node that spends 15 ms producing a
@@ -22,26 +44,29 @@ preserve these invariants, which protocol code relies on:
 
 * **Handler atomicity.**  ``on_message`` / timer callbacks never interleave
   on one node: a handler runs to completion before the next delivery or
-  timer fire is processed.  The simulator gets this from busy-deferral on a
-  single event queue; the asyncio backend from synchronous handlers on a
-  single-threaded loop.
+  timer fire is processed.  Every backend gets this from the inbox (work
+  that arrives inside a handler is parked) on a single thread of control:
+  the simulator's event queue, or the asyncio backend's loop.
 * **Send-after-handler.**  Messages sent inside a handler enter the network
   when the handler's charged work completes (the outbox flush), never
   mid-handler -- so a node's outbound messages reflect its post-handler
   state.
 * **Charges are exclusive occupancy.**  ``charge(ms)`` models work that
   occupies the node: under the simulator it extends ``busy_until`` (later
-  deliveries defer); under a real backend it may burn CPU instead (the
-  ``_burn`` hook).  Either way, a verification that hits the certificate
-  cache charges nothing.
+  deliveries wait in the inbox); under a real backend it may burn CPU
+  instead (the ``_burn`` hook).  Either way, a verification that hits the
+  certificate cache charges nothing.
 * **Crash semantics.**  A crashed node silently drops deliveries, timer
-  fires, and sends; ``recover()`` only clears the flag.
+  fires, and sends, and its inbox is dropped by the wake that finds it
+  crashed; ``recover()`` only clears the flag.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..errors import SimulationError
 from ..util.ids import NodeId
@@ -103,6 +128,12 @@ class Process:
         self._in_handler = False
         self._pending_cost = 0.0
         self._outbox: List[Tuple[NodeId, "Message"]] = []
+        #: deliveries (argument tuples) and timer callbacks that arrived
+        #: while the node was busy, oldest first; see the module docstring
+        self._inbox: Deque = deque()
+        self._wake_armed = False
+        self._wake_label = f"{node_id}:wake"
+        self._flush_label = f"{node_id}:flush"
 
     # ------------------------------------------------------------------ #
     # Wiring.
@@ -129,18 +160,15 @@ class Process:
     def deliver(self, sender: NodeId, message: "Message", size: int) -> None:
         """Called by the network when a message arrives at this node.
 
-        If the node is busy the delivery is deferred to ``busy_until``;
-        otherwise the handler runs immediately.  Crashed nodes drop
-        everything silently.
+        If the node is busy, or earlier work is still parked, the delivery
+        waits in the inbox; otherwise the handler runs immediately.  Crashed
+        nodes drop everything silently.
         """
         if self.crashed:
             return
-        if self._busy_until > self.now + 1e-12 or self._in_handler:
-            self.scheduler.call_at(
-                max(self._busy_until, self.now),
-                lambda: self.deliver(sender, message, size),
-                label=f"{self.node_id}:deferred-delivery",
-            )
+        if (self._wake_armed or self._in_handler
+                or self._busy_until > self.now + 1e-12):
+            self._park((sender, message, size))
             return
         self.stats.messages_received += 1
         self.stats.bytes_received += size
@@ -150,15 +178,55 @@ class Process:
         """Run a timer callback under the same busy/cost accounting as messages."""
         if self.crashed:
             return
-        if self._busy_until > self.now + 1e-12 or self._in_handler:
-            self.scheduler.call_at(
-                max(self._busy_until, self.now),
-                lambda: self.fire_timer(callback),
-                label=f"{self.node_id}:deferred-timer",
-            )
+        if (self._wake_armed or self._in_handler
+                or self._busy_until > self.now + 1e-12):
+            self._park(callback)
             return
         self.stats.timer_fires += 1
         self._run_handler(callback)
+
+    def _park(self, item) -> None:
+        """Queue a delivery (an argument tuple) or a timer callback."""
+        self._inbox.append(item)
+        # Inside a handler ``busy_until`` is not known yet: its end arms.
+        if not self._wake_armed and not self._in_handler:
+            self._arm_wake()
+
+    def _arm_wake(self, outbox: Sequence[Tuple[NodeId, "Message"]] = ()) -> None:
+        """Schedule the one event that ends the current busy period: it
+        flushes ``outbox`` (what the period's handler sent) and takes up the
+        inbox."""
+        self._wake_armed = True
+        self.scheduler.call_at(
+            max(self._busy_until, self.now),
+            (lambda: self._wake(outbox)) if outbox else self._wake,
+            label=self._flush_label if outbox else self._wake_label)
+
+    def _wake(self, outbox: Sequence[Tuple[NodeId, "Message"]] = ()) -> None:
+        """The busy period has ended: send what its handler left in the
+        outbox, then run the oldest parked item.
+
+        The item re-enters through :meth:`deliver` / :meth:`fire_timer`,
+        which count it and -- through :meth:`_run_handler` -- arm the wake
+        for whatever is still parked.
+        """
+        self._wake_armed = False
+        self._flush(outbox)
+        if self.crashed:
+            self._inbox.clear()
+            return
+        if not self._inbox:
+            return
+        if self._busy_until > self.now + 1e-12:
+            # A charge outside a handler extended the busy period, or a
+            # wall-clock timer fired a hair early.
+            self._arm_wake()
+            return
+        item = self._inbox.popleft()
+        if type(item) is tuple:
+            self.deliver(*item)
+        else:
+            self.fire_timer(item)
 
     def _run_handler(self, handler: Callable[[], None]) -> None:
         """Run ``handler`` with cost accounting and deferred sends."""
@@ -176,17 +244,15 @@ class Process:
         self.stats.busy_ms += self._pending_cost
         self.stats.handler_invocations += 1
         outbox, self._outbox = self._outbox, []
-        if not outbox:
-            return
-        if completion <= self.now + 1e-12:
+        if outbox and completion <= self.now + 1e-12:
             self._flush(outbox)
-        else:
-            self.scheduler.call_at(
-                completion, lambda: self._flush(outbox),
-                label=f"{self.node_id}:flush",
-            )
+            outbox = ()
+        # Nothing armed a wake while the handler ran (work that arrived
+        # inside it was parked without one), so this is the period's only one.
+        if outbox or self._inbox:
+            self._arm_wake(outbox)
 
-    def _flush(self, outbox: List[Tuple[NodeId, "Message"]]) -> None:
+    def _flush(self, outbox: Sequence[Tuple[NodeId, "Message"]]) -> None:
         if self.crashed or self.network is None:
             return
         for destination, message in outbox:

@@ -35,9 +35,11 @@ through :func:`wire_of`, which stands a
 :class:`~repro.util.encoding.Spliced` node in the wire dict; the encoder
 replaces the node with the child's memoised bytes.  A request certificate is
 thus encoded once, not once per enclosing ``RequestEnvelope`` /
-``PrePrepare`` / ``OrderedBatch`` / digest, and on the asyncio backend the
-``wire_size()`` taken when a frame is dispatched leaves every nested payload
-encoded for the ``payload_digest`` calls that follow.
+``PrePrepare`` / ``OrderedBatch`` / digest.  A sender sizes every message
+it transmits (the census), which leaves the nested payloads encoded for the
+copies it sends next; a receiver on the asyncio backend is told the frame's
+length instead, so it encodes only the payloads it goes on to digest -- each
+once, through the same memos.
 
 **Charging.**  The memo carries the names of the nodes that have already
 been *charged* virtual hashing time for this object, so the cost model stays
@@ -56,7 +58,8 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Set
+from dataclasses import fields
+from typing import Any, Deque, Dict, List, Optional, Set
 
 from .encoding import Spliced, canonical_encode
 
@@ -138,12 +141,37 @@ class WireCache:
 WIRE_CACHE = WireCache()
 
 
+def pickle_by_fields(cls):
+    """Class decorator (outside ``@dataclass(frozen=True, slots=True)``):
+    pickle state is the list of field values, read through a tuple of names
+    made once per class.
+
+    The stdlib gives such classes the same state (so the bytes do not
+    change: checkpoint digests are taken over pickled reply tables) but
+    finds the names with ``dataclasses.fields(self)`` for every object of
+    every frame.
+    """
+    names = tuple(field.name for field in fields(cls))
+    set_slot = object.__setattr__  # the class is frozen
+
+    def __getstate__(self) -> List[Any]:
+        return [getattr(self, name) for name in names]
+
+    def __setstate__(self, state: List[Any]) -> None:
+        for name, value in zip(names, state):
+            set_slot(self, name, value)
+
+    cls.__getstate__ = __getstate__
+    cls.__setstate__ = __setstate__
+    return cls
+
+
 class WireMemoised:
     """Base of objects whose ``to_wire()`` encoding is memoised on themselves.
 
     Subclasses either keep a ``__dict__`` or are frozen ``slots=True``
-    dataclasses (whose generated ``__getstate__`` lists fields only), so the
-    memo is never part of a pickle.
+    dataclasses (whose ``__getstate__`` lists fields only, see
+    :func:`pickle_by_fields`), so the memo is never part of a pickle.
     """
 
     __slots__ = ("_wire",)

@@ -251,3 +251,36 @@ class TestMessageCensus:
         assert set(stats.bytes_per_type) == set(stats.per_type)
         assert sum(stats.bytes_per_type.values()) == stats.bytes_sent > bytes_before
         assert system.metrics_snapshot()["global"]["net_census"] == stats.census()
+
+    def test_fault_free_events_per_commit(self):
+        """What the simulator executes for those 43 sends, by kind of event:
+        a delivery per send, and one event at the end of a busy period that
+        left something to do -- a ``flush`` if its handler sent anything
+        (which also takes up the next parked message), a ``wake`` if there
+        are only parked messages.  Before the inbox a parked message cost a
+        re-deferral per handler that ran ahead of it.  One closed-loop
+        client, seed 12, eight commits -- the counts repeat exactly, so the
+        next diet starts by lowering a number here."""
+        system = SeparatedSystem(make_config(checkpoint_interval=1_000),
+                                 CounterService, seed=12)
+        system.invoke(increment(1))
+        system.run(50.0)
+        kinds = {}
+        pop = system.scheduler.queue.pop
+
+        def counting_pop():
+            event = pop()
+            if event is not None:
+                kind = ("deliver" if event.label.startswith("deliver:")
+                        else event.label.rsplit(":", 1)[-1])
+                kinds[kind] = kinds.get(kind, 0) + 1
+            return event
+
+        system.scheduler.queue.pop = counting_pop
+        before = system.scheduler.events_processed
+        commits = 8
+        for _ in range(commits):
+            system.invoke(increment(1))
+        system.run(50.0)
+        assert kinds == {"deliver": 43 * commits, "flush": 87, "wake": 40}
+        assert system.scheduler.events_processed - before == 471   # 58.9 per commit

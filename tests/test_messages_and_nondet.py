@@ -548,6 +548,64 @@ class TestGoldenWireForms:
             WIRE_CACHE.configure(enabled=True)
 
 
+#: ``(length, sha256)`` of ``pickle.dumps(obj, HIGHEST_PROTOCOL)`` for one
+#: instance of every frozen ``slots=True`` class, computed while they still
+#: had the stdlib's ``fields()``-walking ``__getstate__``.  Frames, handoffs
+#: and the reply tables under checkpoint digests are pickles of these, so
+#: ``pickle_by_fields`` may change how fast the state is listed, not the
+#: bytes.  (``Authenticator`` is the one inside the golden ``CrossShardVote``.)
+GOLDEN_SLOTTED_PICKLES = {
+    "Authenticator": (361, "049a871cdd76c47ecdec3151f02983b50be179f04ef8cd54628260c1e7168ba7"),
+    "ClientRequest": (319, "b24732670b46cb68035fa2f1cb7216b4d16cfbd466ceef4cd493fc2c50c793b4"),
+    "ReplyBody": (274, "558eeda177d1df48e38fe89f1cc97e1db49142ae092156082b78aaa47854f129"),
+    "BatchReplyBody": (529, "d94b5615be4d7ff450d72afc997b505878577045291c961e713de7e52da093e8"),
+    "SubReplyBody": (188, "db23f8e07ad859d4f2e1fd77ecd860a4b2fa23bc8337c1c2008d410ecce023d4"),
+    "CrossLogBindingBody": (85, "2b519e7be7db98ba4b95cd2814f00a3d0e80dc529c3d48095f0d1a40d28b9943"),
+}
+
+
+class TestSlottedPickles:
+    @pytest.fixture(scope="class")
+    def instances(self):
+        messages = golden_messages()
+        return {"Authenticator": messages["CrossShardVote"].authenticator,
+                **{name: messages[name] for name in GOLDEN_SLOTTED_PICKLES
+                   if name != "Authenticator"}}
+
+    def test_every_slotted_dataclass_is_in_the_table(self):
+        import dataclasses
+        import importlib
+        import pkgutil
+
+        import repro
+
+        slotted = set()
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name, cls in vars(module).items():
+                if (dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                        and cls.__module__ == module.__name__
+                        and "__slots__" in vars(cls)
+                        and cls.__dataclass_params__.frozen):
+                    slotted.add(name)
+        assert slotted == set(GOLDEN_SLOTTED_PICKLES)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SLOTTED_PICKLES))
+    def test_pickled_bytes_are_the_stdlib_ones(self, instances, name):
+        import hashlib
+
+        instance = instances[name]
+        pickled = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
+        assert (len(pickled), hashlib.sha256(pickled).hexdigest()) == \
+            GOLDEN_SLOTTED_PICKLES[name]
+        copy = pickle.loads(pickled)
+        assert type(copy) is type(instance)
+        assert pickle.dumps(copy, protocol=pickle.HIGHEST_PROTOCOL) == pickled
+        # the hooks are the per-class ones, not the stdlib's fields() walkers
+        assert type(instance).__getstate__.__module__ == "repro.util.wirecache"
+        assert type(instance).__setstate__.__module__ == "repro.util.wirecache"
+
+
 class TestWireMemo:
     def _certificate(self):
         keystore = Keystore()

@@ -14,7 +14,11 @@ from __future__ import annotations
 import asyncio
 import gc
 import logging
+import pickle
+import socket
 import warnings
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,14 +30,24 @@ from repro.config import (
     CryptoPoolConfig,
     RuntimeConfig,
     SystemConfig,
+    TimerConfig,
 )
 from repro.core.system import SeparatedSystem
 from repro.crypto.pool import CryptoPool, extract_verify_jobs, verify_jobs
 from repro.crypto.provider import CryptoProvider
+from repro.crypto.keys import Keystore
 from repro.errors import ConfigurationError, LivenessTimeoutError, SimulationError
-from repro.runtime import SimRuntime, build_runtime
-from repro.runtime.asyncio_rt import AsyncioRuntime, RealTimeScheduler
-from repro.util.ids import agreement_id, execution_id
+from repro.net.message import Message
+from repro.net.network import DROP
+from repro.runtime import SimRuntime, asyncio_rt, build_runtime
+from repro.runtime.asyncio_rt import (
+    MAX_FRAME_BYTES,
+    AsyncioRuntime,
+    RealTimeScheduler,
+    _Inbound,
+)
+from repro.sim.process import Process
+from repro.util.ids import agreement_id, client_id, execution_id, server_id
 
 
 def _runtime_config(backend: str, pool: bool = False,
@@ -64,9 +78,22 @@ def _run_backend(runtime: RuntimeConfig):
     try:
         values = _workload(system)
         states = [node.app.snapshot() for node in system.execution_nodes]
+        if runtime.crypto_pool.enabled:
+            # the frames really went through the pool's pre-verification
+            assert system.network.pool.stats.verified > 0
     finally:
         system.close()
     return values, states
+
+
+def _complaints(caplog, caught):
+    """What asyncio logged and Python warned about abandoned tasks, pending
+    exceptions and unclosed transports."""
+    complaints = [record.getMessage() for record in caplog.records
+                  if record.levelno >= logging.WARNING]
+    complaints += [str(warning.message) for warning in caught
+                   if issubclass(warning.category, (RuntimeWarning, ResourceWarning))]
+    return complaints
 
 
 class TestBackendParity:
@@ -129,11 +156,260 @@ class TestBackendParity:
                     system.close()
                 del system
                 gc.collect()  # an abandoned task complains when collected
-        complaints = [record.getMessage() for record in caplog.records
-                      if record.levelno >= logging.WARNING]
-        complaints += [str(warning.message) for warning in caught
-                       if issubclass(warning.category, (RuntimeWarning, ResourceWarning))]
-        assert complaints == []
+        assert _complaints(caplog, caught) == []
+
+    @pytest.mark.parametrize("during_close", [True, False])
+    def test_close_with_a_link_that_never_connected(self, caplog, during_close):
+        """A first send on a link that nobody used, (a) from a timer that
+        fires while ``close()`` is already shutting the servers -- dropped --
+        and (b) just before ``close()``, so that its connect is still in
+        flight and is then refused: either way teardown awaits what it
+        started and nothing is logged when the loop is collected."""
+        with caplog.at_level(logging.DEBUG, logger="asyncio"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            system = SeparatedSystem(
+                make_config(runtime=_runtime_config("asyncio")),
+                KeyValueStore, seed=0)
+            try:
+                system.invoke(put("k", "v"), timeout_ms=30_000)
+                network = system.network
+                link = (agreement_id(0), client_id(1))   # client 1 never spoke
+                assert link not in network._links
+                frames = network.transport.frames_sent
+                send = lambda: network.send(*link, _Numbered(0))
+                if during_close:
+                    system.scheduler.call_after(0.0, send)
+                else:
+                    send()
+            finally:
+                system.close()
+            assert network.transport.frames_sent == frames + (not during_close)
+            assert (link in network._links) == (not during_close)
+            del system, network, send
+            gc.collect()
+        assert _complaints(caplog, caught) == []
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_handler_exception_reaches_the_driver(self, backend):
+        """A handler that raises must fail the run on either backend, not
+        turn its node into a silent replica that BFT then masks."""
+        system = SeparatedSystem(make_config(runtime=_runtime_config(backend)),
+                                 KeyValueStore, seed=5)
+        broken = system.execution_nodes[1]
+
+        def on_message(sender, message):
+            raise RuntimeError("handler bug")
+
+        try:
+            system.invoke(put("before", "ok"), timeout_ms=30_000)
+            broken.on_message = on_message
+            with pytest.raises(RuntimeError, match="handler bug"):
+                system.invoke(put("k", "v"), timeout_ms=30_000)
+            del broken.on_message
+        finally:
+            system.close()
+
+    def test_timer_exception_reaches_the_driver_or_close(self):
+        def boom():
+            raise RuntimeError("timer bug")
+
+        scheduler = RealTimeScheduler(seed=0)
+        try:
+            scheduler.call_after(0.0, boom)
+            with pytest.raises(RuntimeError, match="timer bug"):
+                scheduler.run_until(lambda: False, timeout=5_000.0)
+            scheduler.run(until=scheduler.now + 1.0)   # raised once, not again
+        finally:
+            scheduler.close()
+        # a timer that fires while the loop runs for the last time, in close()
+        runtime = AsyncioRuntime(make_config(runtime=_runtime_config("asyncio")), seed=0)
+        runtime.scheduler.call_after(0.0, boom)
+        with pytest.raises(RuntimeError, match="timer bug"):
+            runtime.close()
+        assert runtime.scheduler.loop.is_closed()
+
+
+# ---------------------------------------------------------------------- #
+# The transport on its own: framing, ordering, the frame memo, bad input.
+# ---------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class _Numbered(Message):
+    number: int
+
+    def payload_fields(self):
+        return {"n": self.number}
+
+
+@dataclass(frozen=True)
+class _Padded(_Numbered):
+    padding: bytes = b""
+
+
+class _Recording(Process):
+    def __init__(self, node_id, scheduler):
+        super().__init__(node_id, scheduler)
+        self.numbers = []
+
+    def on_message(self, sender, message):
+        self.numbers.append(message.number)
+
+
+def _frame(sender, message) -> bytes:
+    body = pickle.dumps((sender, message), protocol=pickle.HIGHEST_PROTOCOL)
+    return len(body).to_bytes(4, "big") + body
+
+
+@pytest.fixture
+def runtime():
+    runtime = AsyncioRuntime(make_config(runtime=_runtime_config("asyncio")),
+                             seed=0)
+    yield runtime
+    runtime.close()
+
+
+def _nodes(runtime, count):
+    nodes = [_Recording(server_id(index), runtime.scheduler)
+             for index in range(count)]
+    for node in nodes:
+        runtime.network.register(node)
+    return nodes
+
+
+class TestTransport:
+    @pytest.mark.parametrize("chunking", ["bytes", "header-split", "body-split",
+                                          "one-chunk"])
+    def test_frames_survive_any_chunking(self, runtime, chunking):
+        (node,) = _nodes(runtime, 1)
+        stream = b"".join(_frame(client_id(0), _Numbered(number))
+                          for number in range(100))
+        first = len(_frame(client_id(0), _Numbered(0)))
+        chunks = {
+            "bytes": [stream[i:i + 1] for i in range(len(stream))],
+            "header-split": [stream[:first + 2], stream[first + 2:]],
+            "body-split": [stream[:first + 9], stream[first + 9:-3], stream[-3:]],
+            "one-chunk": [stream],
+        }[chunking]
+        connection = _Inbound(runtime.network, node)
+        for chunk in chunks:
+            connection.data_received(chunk)
+        assert node.numbers == list(range(100))
+        # what a node is told it received is what the frames took on the wire
+        assert node.stats.bytes_received == len(stream)
+        assert runtime.network.transport.frames_delivered == 100
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_a_link_is_fifo(self, pool):
+        """1000 frames on one link arrive in order -- with the pool on even
+        when the first frame's pre-verification takes longer than the rest."""
+        runtime = AsyncioRuntime(
+            make_config(runtime=_runtime_config("asyncio", pool=pool)), seed=0,
+            keystore=Keystore())
+        try:
+            sender, receiver = _nodes(runtime, 2)
+            verified = []
+
+            async def preverify(target, message):
+                await asyncio.sleep(0.05 if message.number == 0 else 0.0)
+                verified.append(message.number)
+
+            runtime.network._preverify = preverify
+            for number in range(1000):
+                sender.send(receiver.node_id, _Numbered(number))
+            runtime.run_until(lambda: len(receiver.numbers) == 1000, 30_000.0)
+            assert receiver.numbers == list(range(1000))
+            # one receive path: the pool only adds the wait
+            assert verified == (list(range(1000)) if pool else [])
+        finally:
+            runtime.close()
+
+    def test_tap_substituting_for_one_destination(self, runtime):
+        sender, *receivers = _nodes(runtime, 4)
+        forged = _Numbered(2)
+        runtime.network.add_tap(
+            lambda source, destination, message:
+            forged if destination == receivers[1].node_id
+            else DROP if destination == receivers[2].node_id else None)
+        sender.multicast([node.node_id for node in receivers], _Numbered(1))
+        runtime.run_until(lambda: receivers[0].numbers and receivers[1].numbers,
+                          30_000.0)
+        runtime.run(20.0)
+        assert [node.numbers for node in receivers] == [[1], [2], []]
+        assert runtime.network.transport.frames_sent == 2
+
+    def test_a_multicast_is_pickled_once(self, monkeypatch):
+        """One ``pickle.dumps`` per distinct ``(source, message)`` of a
+        fault-free commit, while every destination still gets its frame.
+        The substitute module has the three names the ledger's tracer
+        provides, so the transport may use no others."""
+        timers = TimerConfig(client_retransmit_ms=5_000.0,
+                             agreement_retransmit_ms=2_000.0)
+        system = SeparatedSystem(
+            make_config(runtime=_runtime_config("asyncio"), timers=timers,
+                        checkpoint_interval=1_000), KeyValueStore, seed=4)
+        try:
+            system.invoke(put("warm", "up"), timeout_ms=30_000)
+            system.run(30.0)
+            sent, dumped = [], []
+
+            def dumps(obj, protocol):
+                dumped.append(obj)
+                return pickle.dumps(obj, protocol=protocol)
+
+            monkeypatch.setattr(asyncio_rt, "pickle", SimpleNamespace(
+                dumps=dumps, loads=pickle.loads,
+                HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+            system.network.add_tap(
+                lambda source, destination, message: sent.append((source, message)))
+            frames = system.network.transport.frames_sent
+            system.invoke(put("k", "v"), timeout_ms=30_000)
+            system.run(30.0)
+            assert system.network.transport.frames_sent - frames == len(sent) == 43
+            distinct = {(source, id(message)) for source, message in sent}
+            assert len(dumped) == len(distinct) == 16
+            assert system.network.transport.frames_delivered == \
+                system.network.transport.frames_sent
+        finally:
+            system.close()
+
+    def test_unreadable_frames_cost_one_connection_not_the_node(self):
+        system = SeparatedSystem(make_config(runtime=_runtime_config("asyncio")),
+                                 KeyValueStore, seed=6)
+        junk = [
+            b"\x00\x00\x00\x05hello",                        # body is no pickle
+            _frame(1, 2),                                      # no (NodeId, Message)
+            (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x",   # over-long prefix
+            _frame(client_id(0), _Numbered(1)) + b"\xff\xff\xff\xff",
+        ]
+        try:
+            system.invoke(put("a", "1"), timeout_ms=30_000)
+            port = system.network._ports[execution_id(0)]
+            for data in junk:
+                with socket.create_connection(("127.0.0.1", port)) as sock:
+                    sock.sendall(data)
+            result = system.invoke(put("b", "2"), timeout_ms=30_000)
+            system.run(20.0)
+            assert result.result.error is None
+            assert system.network.transport.frames_rejected == len(junk)
+            states = [node.app.snapshot() for node in system.execution_nodes]
+            assert states[0] == states[1] == states[2] == {"a": "1", "b": "2"}
+        finally:
+            system.close()
+
+    def test_over_long_message_is_refused_by_the_sender(self, runtime, monkeypatch):
+        """The receiver would close the link on it, and every later message
+        on that link would be lost with it."""
+        sender, receiver = _nodes(runtime, 2)
+        small = len(_frame(sender.node_id, _Numbered(1)))
+        monkeypatch.setattr(asyncio_rt, "MAX_FRAME_BYTES", small + 10)
+        sender.send(receiver.node_id, _Numbered(1))
+        sender.send(receiver.node_id, _Padded(2, b"x" * 200))
+        sender.send(receiver.node_id, _Numbered(3))
+        runtime.run_until(lambda: len(receiver.numbers) == 2, 30_000.0)
+        assert receiver.numbers == [1, 3]
+        assert runtime.network.transport.frames_rejected == 1
+        assert runtime.network.transport.frames_sent == 2
 
 
 class TestCryptoPool:

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import LivenessTimeoutError, SimulationError
 from repro.sim.clock import VirtualClock
@@ -359,3 +360,248 @@ class TestProcess:
         a.send(b.node_id, _EchoMessage("one"))
         scheduler.run()
         assert 0.0 < b.stats.utilization(scheduler.now + 100.0) <= 1.0
+
+
+# ---------------------------------------------------------------------- #
+# The inbox, against the re-deferring deliveries it replaced.
+# ---------------------------------------------------------------------- #
+
+class _Recorder:
+    """Stands in for the network: notes when each outbox flush reaches it."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+        self.sent = []
+
+    def send(self, source, destination, message):
+        self.sent.append((self.scheduler.now, message.text))
+
+
+class _ScriptedProcess(Process):
+    """Handles item ``name`` as ``script[name] = (cost, timer)`` says: charge
+    ``cost``, send one message (unless ``silent``), and -- if ``timer`` is
+    ``(delay, item)`` -- set a timer that handles ``item`` in turn."""
+
+    silent = False
+
+    def __init__(self, scheduler, script):
+        super().__init__(server_id(0), scheduler)
+        self.script = script
+        self.attach_network(_Recorder(scheduler))
+        #: (start time, item, events_processed at the start)
+        self.handled = []
+
+    def on_message(self, sender, message):
+        self.handle(message.text)
+
+    def handle(self, item):
+        self.handled.append((self.now, item, self.scheduler.events_processed))
+        cost, timer = self.script[item]
+        self.charge(cost)
+        if not self.silent:
+            self.send(client_id(0), _EchoMessage(item))
+        if timer is not None:
+            delay, timer_item = timer
+            self.set_timer(delay, lambda: self.handle(timer_item))
+
+
+class _ReDeferringProcess(_ScriptedProcess):
+    """The reference: ``deliver`` / ``fire_timer`` as they were before the
+    inbox.  Work that finds the node busy becomes an event of its own at
+    ``busy_until`` and schedules itself again each time it finds the node
+    still busy.
+
+    ``tied`` is set when fresh work arrives at the very instant parked work
+    is due -- the one case where this order depended on when each event had
+    been put on the queue, and where the inbox (arrival order) differs.
+    """
+
+    def __init__(self, scheduler, script):
+        super().__init__(scheduler, script)
+        self.waiting = []   # due time of every deferred event not yet fired
+        self.tied = False
+
+    def deliver(self, sender, message, size, fresh=True):
+        if self.crashed:
+            return
+        if self._arrives_busy(fresh):
+            self._defer(lambda: self.deliver(sender, message, size, fresh=False))
+            return
+        self.stats.messages_received += 1
+        self.stats.bytes_received += size
+        self._run_handler(lambda: self.on_message(sender, message))
+
+    def fire_timer(self, callback, fresh=True):
+        if self.crashed:
+            return
+        if self._arrives_busy(fresh):
+            self._defer(lambda: self.fire_timer(callback, fresh=False))
+            return
+        self.stats.timer_fires += 1
+        self._run_handler(callback)
+
+    def _arrives_busy(self, fresh):
+        if fresh and any(due <= self.now + 1e-12 for due in self.waiting):
+            self.tied = True
+        return self._busy_until > self.now + 1e-12 or self._in_handler
+
+    def _defer(self, retry):
+        due = max(self._busy_until, self.now)
+        self.waiting.append(due)
+
+        def fire():
+            self.waiting.remove(due)
+            retry()
+
+        self.scheduler.call_at(due, fire, label="deferred-delivery")
+
+
+def _drive(cls, arrivals, outage=None, silent=False):
+    """One node of class ``cls`` fed ``arrivals`` -- ``(time, cost, timer)``
+    with ``timer`` None or ``(delay, cost)`` -- and crashed / recovered at
+    the two times of ``outage`` (or never)."""
+    scheduler = Scheduler(seed=0)
+    script = {}
+    for index, (_, cost, timer) in enumerate(arrivals):
+        script[f"m{index}"] = (cost, timer and (timer[0], f"t{index}"))
+        if timer:
+            script[f"t{index}"] = (timer[1], None)
+    node = cls(scheduler, script)
+    node.silent = silent
+    if outage:
+        scheduler.call_at(outage[0], node.crash)
+        scheduler.call_at(outage[1], node.recover)
+    for index, (time, _, _) in enumerate(arrivals):
+        scheduler.call_at(time, lambda index=index: node.deliver(
+            client_id(0), _EchoMessage(f"m{index}"), 10 + index))
+    scheduler.run()
+    return node
+
+
+#: zero (a handler that charges nothing runs at the instant it is woken) and
+#: costs whose sums seldom land on the half-millisecond grid of the arrivals
+_COSTS = st.sampled_from([0.0, 0.0, 0.3, 0.71, 1.93, 4.37])
+_TIMERS = st.one_of(st.none(), st.tuples(
+    st.sampled_from([0.0, 0.21, 1.3, 5.1]), _COSTS))
+_ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 24).map(lambda tick: tick * 0.5), _COSTS, _TIMERS),
+    min_size=1, max_size=14)
+_OUTAGES = st.one_of(st.none(), st.tuples(
+    st.integers(0, 40), st.integers(1, 40)).map(
+        lambda pair: (pair[0] * 0.25 + 0.1, (pair[0] + pair[1]) * 0.25 + 0.1)))
+
+
+class TestInbox:
+    @given(_ARRIVALS, _OUTAGES)
+    @settings(max_examples=300, deadline=None)
+    def test_same_handlers_at_the_same_times_as_re_deferring(self, arrivals, outage):
+        reference = _drive(_ReDeferringProcess, arrivals, outage)
+        assume(not reference.tied)
+        node = _drive(_ScriptedProcess, arrivals, outage)
+        assert ([entry[:2] for entry in node.handled]
+                == [entry[:2] for entry in reference.handled])
+        assert node.stats == reference.stats
+        assert node.network.sent == reference.network.sent   # flush times
+        assert not node._inbox
+        # one handler per scheduler event, none before the node is free
+        stamps = [entry[2] for entry in node.handled]
+        assert len(set(stamps)) == len(stamps)
+        for (start, item, _), (next_start, _, _) in zip(node.handled, node.handled[1:]):
+            assert next_start >= start + node.script[item][0] - 1e-9
+
+    def test_work_arriving_as_the_node_frees_up_queues_behind_the_parked(self):
+        """The tie the property test leaves out: ``m2`` arrives at the very
+        instant the node is due to take up the parked ``m1``.  Its event was
+        put on the queue first, so re-deferring ran it first; the inbox runs
+        what arrived first."""
+        arrivals = [(0.0, 2.0, None), (1.0, 1.0, None), (2.0, 1.0, None)]
+        reference = _drive(_ReDeferringProcess, arrivals)
+        node = _drive(_ScriptedProcess, arrivals)
+        assert reference.tied
+        assert [item for _, item, _ in reference.handled] == ["m0", "m2", "m1"]
+        assert [(time, item) for time, item, _ in node.handled] == [
+            (0.0, "m0"), (2.0, "m1"), (3.0, "m2")]
+
+    @pytest.mark.parametrize("silent", [True, False])
+    @pytest.mark.parametrize("parked", [1, 5, 12])
+    def test_a_busy_period_ends_in_one_event(self, parked, silent):
+        """``k`` messages parked behind one handler: a wake each, and the
+        wake is the event that flushes what the handler before it sent --
+        where re-deferring paid a flush per handler and ``k(k+1)/2``
+        deferrals."""
+        arrivals = [(0.0, 10.0, None)] + [(0.5 + 0.5 * index, 10.0, None)
+                                          for index in range(parked)]
+        node = _drive(_ScriptedProcess, arrivals, silent=silent)
+        reference = _drive(_ReDeferringProcess, arrivals, silent=silent)
+        # silent: nothing to flush.  Otherwise the last handler's flush has
+        # no wake to ride on.
+        assert node.scheduler.events_processed == (
+            (parked + 1) + parked + (0 if silent else 1))
+        assert reference.scheduler.events_processed == (
+            (parked + 1) + parked * (parked + 1) // 2
+            + (0 if silent else parked + 1))
+        assert [time for time, _, _ in node.handled] == [
+            10.0 * index for index in range(parked + 1)]
+        assert node.network.sent == reference.network.sent
+
+    def test_zero_cost_handlers_still_get_an_event_each(self):
+        arrivals = [(0.0, 5.0, None)] + [(1.0, 0.0, None)] * 4
+        node = _drive(_ScriptedProcess, arrivals)
+        assert [time for time, _, _ in node.handled] == [0.0] + [5.0] * 4
+        stamps = [stamp for _, _, stamp in node.handled]
+        assert stamps == sorted(set(stamps))
+
+    def test_parked_timer_is_counted_once_and_runs_inside_fire_timer(self):
+        scheduler = Scheduler(seed=0)
+        inside = []
+
+        class Probed(_ScriptedProcess):
+            depth = 0
+
+            def fire_timer(self, callback):
+                Probed.depth += 1
+                try:
+                    super().fire_timer(callback)
+                finally:
+                    Probed.depth -= 1
+
+        node = Probed(scheduler, {"work": (5.0, None)})
+        node.deliver(client_id(0), _EchoMessage("work"), 1)
+        node.set_timer(1.0, lambda: inside.append((node.now, Probed.depth)))
+        scheduler.run()
+        assert inside == [(5.0, 1)]   # parked at 1.0, run at 5.0, wrapper on the stack
+        assert node.stats.timer_fires == 1
+        assert node.stats.handler_invocations == 2
+
+    def test_wake_of_a_crashed_node_drops_its_inbox(self):
+        scheduler = Scheduler(seed=0)
+        node = _ScriptedProcess(scheduler, {"a": (5.0, None), "b": (1.0, None),
+                                            "c": (1.0, None), "d": (1.0, None)})
+        node.deliver(client_id(0), _EchoMessage("a"), 1)
+        scheduler.call_at(1.0, lambda: node.deliver(client_id(0), _EchoMessage("b"), 1))
+        scheduler.call_at(2.0, lambda: node.deliver(client_id(0), _EchoMessage("c"), 1))
+        scheduler.call_at(3.0, node.crash)
+        scheduler.call_at(8.0, node.recover)
+        scheduler.call_at(9.0, lambda: node.deliver(client_id(0), _EchoMessage("d"), 1))
+        scheduler.run()
+        assert [(time, item) for time, item, _ in node.handled] == [(0.0, "a"), (9.0, "d")]
+        assert not node._inbox
+        assert node.stats.messages_received == 2
+
+    def test_delivery_inside_a_handler_waits_for_it_to_end(self):
+        scheduler = Scheduler(seed=0)
+        order = []
+
+        class Reentrant(_ScriptedProcess):
+            def handle(self, item):
+                order.append(("start", item, self.now))
+                if item == "outer":
+                    self.deliver(client_id(0), _EchoMessage("inner"), 1)
+                super().handle(item)
+                order.append(("end", item))
+
+        node = Reentrant(scheduler, {"outer": (2.0, None), "inner": (0.0, None)})
+        node.deliver(client_id(0), _EchoMessage("outer"), 1)
+        scheduler.run()
+        assert order == [("start", "outer", 0.0), ("end", "outer"),
+                         ("start", "inner", 2.0), ("end", "inner")]
