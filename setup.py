@@ -12,4 +12,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

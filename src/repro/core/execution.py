@@ -44,6 +44,7 @@ from ..sim.scheduler import Scheduler
 from ..statemachine.interface import OperationResult, StateMachine
 from ..statemachine.nondet import AbstractionLayer
 from ..util.ids import NodeId, Role
+from ..util.seqtable import SeqTable
 
 
 @dataclass
@@ -97,8 +98,8 @@ class ExecutionNode(Process):
         self.max_executed = 0
         self.pending: Dict[int, OrderedBatch] = {}
         self.reply_table: Dict[NodeId, ReplyBody] = {}
-        self.replies_by_seq: Dict[int, BatchReply] = {}
-        self.recent_batches: Dict[int, OrderedBatch] = {}
+        self.replies_by_seq: SeqTable[int, BatchReply] = SeqTable()
+        self.recent_batches: SeqTable[int, OrderedBatch] = SeqTable()
         self.checkpoints: Dict[int, StoredCheckpoint] = {}
         self.stable_checkpoint: Optional[StoredCheckpoint] = None
         self._checkpoint_votes: Dict[int, Dict[NodeId, ExecCheckpointShare]] = {}
@@ -339,20 +340,12 @@ class ExecutionNode(Process):
         return message
 
     def _trim_reply_cache(self) -> None:
-        horizon = self.max_executed - 2 * self.config.pipeline_depth
-        if horizon <= 0:
-            return
-        self.replies_by_seq = {
-            seq: reply for seq, reply in self.replies_by_seq.items() if seq > horizon
-        }
+        self.replies_by_seq.trim(
+            self.max_executed - 2 * self.config.pipeline_depth)
 
     def _trim_recent(self) -> None:
-        horizon = self.max_executed - 2 * self.config.checkpoint_interval
-        if horizon <= 0:
-            return
-        self.recent_batches = {
-            seq: batch for seq, batch in self.recent_batches.items() if seq > horizon
-        }
+        self.recent_batches.trim(
+            self.max_executed - 2 * self.config.checkpoint_interval)
 
     # ------------------------------------------------------------------ #
     # Checkpoints and proof of stability.
@@ -435,9 +428,7 @@ class ExecutionNode(Process):
             if seq >= stable_seq
         }
         self.pending = {seq: b for seq, b in self.pending.items() if seq > stable_seq}
-        self.recent_batches = {
-            seq: b for seq, b in self.recent_batches.items() if seq > stable_seq
-        }
+        self.recent_batches.trim(stable_seq)
 
     # ------------------------------------------------------------------ #
     # Intra-cluster retransmission and state transfer.

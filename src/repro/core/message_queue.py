@@ -47,6 +47,7 @@ backend, which is why it runs unmodified over real sockets:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..agreement.local import LocalExecutor, RetryOutcome
@@ -60,6 +61,7 @@ from ..sim.process import Process
 from ..sim.scheduler import Timer
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
+from ..util.seqtable import SeqTable
 
 
 @dataclass
@@ -215,9 +217,8 @@ class QueueCore(LocalExecutor):
     # Reply certificates.
     # ------------------------------------------------------------------ #
 
-    def _assemble_into(self, collectors: Dict[tuple, QuorumCollector],
-                       key_prefix: tuple, certificate: Certificate,
-                       universe: List[NodeId],
+    def _assemble_into(self, collectors: Dict[Tuple[int, bytes], QuorumCollector],
+                       certificate: Certificate, universe: List[NodeId],
                        default_group: Optional[str]) -> Optional[Certificate]:
         """Merge partial certificates until ``g + 1`` signers (or a threshold
         signature) vouch for the reply body ``certificate`` is over; returns
@@ -226,8 +227,8 @@ class QueueCore(LocalExecutor):
         ``universe`` is the set of execution replicas allowed to contribute
         the ``g + 1`` matching authenticators (the whole cluster in
         :class:`MessageQueue`; one shard's replicas in
-        :class:`~repro.sharding.queue.ShardRouterQueue`), and ``key_prefix``
-        namespaces the collector table accordingly.
+        :class:`~repro.sharding.queue.ShardRouterQueue`, which keeps one
+        collector table per shard accordingly).
         """
         body = certificate.payload
         threshold = certificate.scheme is AuthenticationScheme.THRESHOLD
@@ -237,7 +238,7 @@ class QueueCore(LocalExecutor):
             return None
         # A partial (MAC / signature authenticator, or threshold share):
         # merge, count distinct execution signers, combine shares at quorum.
-        key = key_prefix + (body.seq, self.crypto.payload_digest(body))
+        key = (body.seq, self.crypto.payload_digest(body))
         collector = collectors.get(key)
         if collector is None:
             group = ((certificate.threshold_group or default_group)
@@ -302,7 +303,8 @@ class MessageQueue(QueueCore):
         self.threshold_group = threshold_group
         self.pending_sends: Dict[int, PendingSend] = {}
         #: partial-certificate assembly, keyed by (seq, body digest)
-        self._collectors: Dict[Tuple[int, bytes], QuorumCollector] = {}
+        self._collectors: SeqTable[Tuple[int, bytes], QuorumCollector] = \
+            SeqTable(seq_of=itemgetter(0))
 
     def _queue_probe(self) -> dict:
         return {**super()._queue_probe(),
@@ -368,8 +370,7 @@ class MessageQueue(QueueCore):
         """Handle a (partial or full) reply certificate flowing back down."""
         if not message.well_formed:
             return
-        full = self._assemble_into(self._collectors, (),
-                                   message.certificate,
+        full = self._assemble_into(self._collectors, message.certificate,
                                    universe=self.execution_ids,
                                    default_group=self.threshold_group)
         if full is not None:
@@ -385,8 +386,5 @@ class MessageQueue(QueueCore):
             if pending.timer is not None:
                 pending.timer.cancel()
         # Garbage collect assembly state for old sequence numbers.
-        horizon = seq - self.config.pipeline_depth
-        self._collectors = {
-            key: value for key, value in self._collectors.items() if key[0] > horizon
-        }
+        self._collectors.trim(seq - self.config.pipeline_depth)
         self._forward_replies(certificate)

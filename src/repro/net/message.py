@@ -49,13 +49,15 @@ class Message(WireMemoised):
         return type(self).__name__
 
     def wire_size(self) -> int:
-        """Estimated size in bytes as transmitted on the network.
+        """Size in bytes of the canonical encoding: what the simulated
+        network transmits, and what hashing a payload is charged by.
 
         Messages are immutable, so the canonical encoding is made once per
         object (:mod:`repro.util.wirecache`).  Asking for the size keeps the
-        size only: this is what a transport asks of the outermost message of
-        a frame, which nothing splices or digests and whose bytes repeat its
-        children's.
+        size only: this is what the simulated network asks of the outermost
+        message it carries, which nothing splices or digests and whose bytes
+        repeat its children's.  The asyncio transport never asks: it counts
+        the frames it pickles.
         """
         memo = wire_memo(self, "size")
         size = (memo.size if memo is not None

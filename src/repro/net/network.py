@@ -27,6 +27,11 @@ replacement must preserve, because protocol code assumes them:
 * **Crash drops.**  Delivery to a crashed process is silently discarded
   at delivery time (not send time -- a node that crashes mid-flight
   still loses the message).
+* **Counted once, in the backend's own bytes.**  Every send that passes
+  the taps is counted by :meth:`NetworkStats.record_send` with the size
+  the backend already has: the message's canonical wire size here (the
+  fault model's delays are computed from it), the frame's length over
+  sockets.
 * **Fault-model scope.**  Configured delays, drops, partitions, and
   reordering are a *simulator* feature: a real transport inherits the
   loss/latency behaviour of its substrate instead, and tests that shape
@@ -49,20 +54,28 @@ from .topology import Topology
 
 @dataclass
 class NetworkStats:
-    """Aggregate counters for a simulation run."""
+    """Aggregate counters for a run, kept by either backend's network.
+
+    Every byte count is in the bytes of the backend that keeps it: the
+    canonical wire size on the simulator, where it is computed anyway to
+    drive the bandwidth model; the length of the pickled frame on
+    asyncio, where ``bytes_sent`` therefore equals
+    ``TransportStats.bytes_on_wire`` and nothing is encoded to be measured.
+    """
 
     sends: int = 0
     deliveries: int = 0
     bytes_sent: int = 0
     drops_by_topology: int = 0
     drops_by_tap: int = 0
-    #: the census: sends and modelled wire bytes per message type
+    #: the census: sends and bytes per message type
     per_type: Dict[str, int] = field(default_factory=dict)
     bytes_per_type: Dict[str, int] = field(default_factory=dict)
 
-    def record_send(self, message: Message) -> None:
-        """Count one transmission of ``message`` (after the taps)."""
-        name, size = message.type_name(), message.wire_size()
+    def record_send(self, message: Message, size: int) -> None:
+        """Count one transmission of ``message`` (after the taps), ``size``
+        bytes in the sending backend's own measure."""
+        name = message.type_name()
         self.sends += 1
         self.bytes_sent += size
         self.per_type[name] = self.per_type.get(name, 0) + 1
@@ -172,7 +185,7 @@ class Network:
                 return
             if replacement is not None:
                 message = replacement
-        self.stats.record_send(message)
+        self.stats.record_send(message, message.wire_size())
 
         target = self._processes.get(destination)
         if target is None:

@@ -10,14 +10,20 @@ three simulated substrates with real ones:
 * **transport**: :class:`RealTimeNetwork` gives every registered node an
   asyncio TCP server on ``127.0.0.1`` and ships each message as a
   length-prefixed pickled ``(sender, message)`` frame over a per-link
-  connection.  Both ends are ``asyncio.Protocol`` callbacks, so there is one
-  hop from the wire to the handler: ``send`` writes the frame to the link's
-  transport, and the receiving connection's ``data_received`` cuts what
-  arrived into frames, unpickles each and calls the node's ``deliver``
-  before it returns -- no task switch and no queue in between.  A multicast
-  is pickled once, not once per destination, and the size a node is told it
-  received is the frame's length on the wire (``ProcessStats.bytes_received``
-  counts real bytes here, canonical bytes on the simulator);
+  connection.  Both ends are protocol callbacks, so there is one hop from
+  the wire to the handler: ``send`` writes the frame to the link's
+  transport, and the receiving connection -- an ``asyncio.BufferedProtocol``
+  whose reads all land in one preallocated buffer, see :class:`_Inbound` --
+  cuts what arrived into frames, unpickles each and calls the node's
+  ``deliver`` before ``buffer_updated`` returns: no task switch, no queue
+  and no per-read allocation in between.  A multicast is pickled once, not
+  once per destination.  **Every byte count of this backend is in frame
+  bytes**: ``send`` counts the length of the frame it made (so
+  ``NetworkStats.bytes_sent`` equals ``TransportStats.bytes_on_wire``), and
+  the size a node is told it received is the frame's length too
+  (``ProcessStats.bytes_received``); no message is canonical-encoded just to
+  be measured.  On the simulator the same counters are in canonical bytes,
+  which is what its bandwidth model runs on;
 * **cost**: virtual-time charges optionally burn real CPU
   (``RuntimeConfig.charge_scale``), and inbound certificate verification
   can be offloaded to a process pool (:class:`repro.crypto.pool.CryptoPool`)
@@ -66,7 +72,8 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import (Any, Awaitable, Callable, Deque, Dict, List, Optional, Set,
+                    Tuple, Union)
 
 from ..config import SystemConfig
 from ..crypto.keys import Keystore
@@ -85,6 +92,12 @@ _HEADER = 4  # frame length prefix, big-endian
 #: a longer frame is a corrupt or hostile stream, not a message: the largest
 #: real ones (state transfers, range handoffs) are a few hundred kilobytes
 MAX_FRAME_BYTES = 1 << 24
+#: every read of every connection of the process lands here (see
+#: :class:`_Inbound`): what a plain ``asyncio.Protocol`` is handed instead is
+#: a ``bytes`` of this size allocated, and shrunk, per read
+READ_BUFFER_BYTES = 1 << 18
+_READ_BUFFER = bytearray(READ_BUFFER_BYTES)
+_READ_VIEW = memoryview(_READ_BUFFER)
 
 
 class RealTimer:
@@ -273,7 +286,7 @@ class RealTimeScheduler:
 
 @dataclass
 class TransportStats:
-    """Real-transport counters (in addition to the model-level NetworkStats)."""
+    """Real-transport counters, beside the ``NetworkStats`` both backends keep."""
 
     frames_sent: int = 0
     frames_delivered: int = 0
@@ -319,15 +332,30 @@ class _Outbound(asyncio.Protocol):
             self.transport.write(frame)
 
 
-class _Inbound(asyncio.Protocol):
+class _Inbound(asyncio.BufferedProtocol):
     """Receiving end of one connection accepted by ``process``'s server:
-    splits the byte stream into frames and hands each to the network."""
+    splits the byte stream into frames and hands each to the network.
+
+    Reads land in the process-wide ``_READ_BUFFER``.  That is safe because
+    the loop calls ``get_buffer``, ``recv_into`` and ``buffer_updated`` back
+    to back on its one thread, and ``buffer_updated`` has consumed what
+    arrived before it returns: every whole frame is unpickled (straight from
+    a slice of the buffer) and dispatched or, with the crypto pool on,
+    queued as the *decoded* message, so nothing reads the buffer after the
+    callback.  What a read leaves unfinished is the connection's own: a
+    frame whose length is known moves to ``_body``, a ``bytearray`` of that
+    length which later reads fill in place (of a long frame only what the
+    first read held is ever copied); a length prefix cut short waits in
+    ``_carry`` and is put back in front of the next read.
+    """
 
     def __init__(self, network: "RealTimeNetwork", process: Process) -> None:
         self.network = network
         self.process = process
         self.transport: Optional[asyncio.Transport] = None
-        self._buffer = b""
+        self._carry = b""
+        self._body: Optional[bytearray] = None
+        self._filled = 0
         #: crypto pool on: decoded frames waiting, in order, for their
         #: pre-verification, and the task working through them
         self.pending: Deque[Tuple[NodeId, Message, int]] = deque()
@@ -340,27 +368,47 @@ class _Inbound(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.network._inbound.discard(self)
 
-    def data_received(self, data: bytes) -> None:
-        if self._buffer:
-            data = self._buffer + data
-        position, end = 0, len(data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._body is not None:
+            return memoryview(self._body)[self._filled:]
+        carried = len(self._carry)
+        if not carried:
+            return _READ_VIEW
+        _READ_BUFFER[:carried] = self._carry
+        return _READ_VIEW[carried:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._body is not None:
+            self._filled += nbytes
+            if self._filled == len(self._body):
+                body, self._body = self._body, None
+                if not self.network._receive(self, body):
+                    self._reject()
+            return
+        data, position, end = _READ_VIEW, 0, len(self._carry) + nbytes
         while end - position >= _HEADER:
             body = position + _HEADER
             size = int.from_bytes(data[position:body], "big")
             if size > MAX_FRAME_BYTES:
                 return self._reject()
             if end - body < size:
-                break
+                # The rest is still to come: later reads go straight into
+                # the frame's own buffer (see ``get_buffer``).
+                self._carry = b""
+                self._body = bytearray(size)
+                self._filled = end - body
+                self._body[:self._filled] = data[body:end]
+                return
             position = body + size
             if not self.network._receive(self, data[body:position]):
                 return self._reject()
-        self._buffer = data[position:]
+        self._carry = bytes(data[position:end]) if position < end else b""
 
     def _reject(self) -> None:
         """Not a stream one of our links wrote: count it and close this
         connection deliberately; the node's other links are unaffected."""
         self.network.transport.frames_rejected += 1
-        self._buffer = b""
+        self._carry, self._body = b"", None
         self.transport.close()
 
 
@@ -372,13 +420,14 @@ class RealTimeNetwork:
     registered node owns one TCP server; each (source, destination) pair
     that ever sends gets one outbound connection, so link ordering is
     TCP's.  ``send`` is synchronous (protocol code is synchronous): it
-    writes the length-prefixed frame to the link's transport and returns.
-    The receiving connection's ``data_received`` splits what arrived into
-    frames, and each frame is decoded and handed to the destination's
-    ``deliver`` before the callback returns -- all on the scheduler's event
-    loop, with no task or queue in between.  With the crypto pool on, a
-    connection's decoded frames instead wait in one FIFO for their
-    pre-verification; that is the only difference between the two modes.
+    makes the length-prefixed frame, counts its length, writes it to the
+    link's transport and returns.  The receiving connection's
+    ``buffer_updated`` splits what arrived into frames, and each frame is
+    decoded and handed to the destination's ``deliver`` before the callback
+    returns -- all on the scheduler's event loop, with no task or queue in
+    between.  With the crypto pool on, a connection's decoded frames instead
+    wait in one FIFO for their pre-verification; that is the only difference
+    between the two modes.
     """
 
     def __init__(self, scheduler: RealTimeScheduler,
@@ -460,11 +509,11 @@ class RealTimeNetwork:
                 return
             if replacement is not None:
                 message = replacement
-        self.stats.record_send(message)
+        frame = self._frame(source, message)
+        self.stats.record_send(message, len(frame))
         # Once teardown has begun nothing new is written or connected.
         if destination not in self._processes or self._closed:
             return
-        frame = self._frame(source, message)
         if len(frame) > MAX_FRAME_BYTES + _HEADER:
             # The receiver would close the link on it; lose the one message.
             self.transport.frames_rejected += 1
@@ -551,7 +600,8 @@ class RealTimeNetwork:
     # Receiving.
     # ------------------------------------------------------------------ #
 
-    def _receive(self, connection: _Inbound, body: bytes) -> bool:
+    def _receive(self, connection: _Inbound,
+                 body: Union[memoryview, bytearray]) -> bool:
         """Decode one frame and pass it on; ``False`` if it cannot be read."""
         started = time.perf_counter()
         try:

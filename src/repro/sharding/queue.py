@@ -52,6 +52,7 @@ Byzantine nodes total.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..agreement.local import RetryOutcome
@@ -64,6 +65,7 @@ from ..messages.request import ClientRequest
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
+from ..util.seqtable import SeqTable
 from .messages import ShardedBatch, cross_shard_request_of, map_change_of
 from .rebalance import ShardLoadWindow, apply_map_change
 from .router import ShardRouter
@@ -100,8 +102,9 @@ class ShardRouterQueue(QueueCore):
         self._parts_outstanding: Dict[int, int] = {}
         #: global sequence numbers fully answered above the watermark
         self._answered: Set[int] = set()
-        #: reply-certificate assembly, keyed by (shard, shard_seq, body digest)
-        self._shard_collectors: Dict[Tuple[int, int, bytes], QuorumCollector] = {}
+        #: reply-certificate assembly, per shard, keyed by (shard_seq, body digest)
+        self._shard_collectors: List[SeqTable[Tuple[int, bytes], QuorumCollector]] = [
+            SeqTable(seq_of=itemgetter(0)) for _ in range(self.num_shards)]
 
         #: this node's partition-map epoch cursor: the epoch governing the
         #: *next* released batch (advanced exactly at map-change markers)
@@ -570,7 +573,7 @@ class ShardRouterQueue(QueueCore):
         # Merge partials until ``g + 1`` *same-shard* signers vouch for it.
         groups = self.shard_threshold_groups
         full = self._assemble_into(
-            self._shard_collectors, (shard,), message.certificate,
+            self._shard_collectors[shard], message.certificate,
             universe=self.shard_execution_ids[shard],
             default_group=groups[shard] if groups is not None else None)
         if full is not None:
@@ -601,9 +604,6 @@ class ShardRouterQueue(QueueCore):
                 self._parts_outstanding[global_seq] = remaining
         self._advance_reply_watermark()
         # Garbage collect assembly state for old parts of this shard.
-        horizon = shard_seq - self.config.pipeline_depth
-        self._shard_collectors = {
-            key: value for key, value in self._shard_collectors.items()
-            if key[0] != shard or key[1] > horizon
-        }
+        self._shard_collectors[shard].trim(
+            shard_seq - self.config.pipeline_depth)
         self._forward_replies(certificate)

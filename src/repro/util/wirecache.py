@@ -1,10 +1,10 @@
 """Per-object memoisation of wire forms: encode once, splice everywhere.
 
 Every hot path re-derives the same facts about a message over and over: its
-canonical wire size (charged by the network for every ``send``), the SHA-256
-digest of its wire form (recomputed by every verification that touches the
-payload), and the bytes themselves whenever the message is nested inside
-another one.  All are pure functions of the canonical encoding of
+canonical wire size (what the simulated network charges for a ``send``),
+the SHA-256 digest of its wire form (recomputed by every verification that
+touches the payload), and the bytes themselves whenever the message is
+nested inside another one.  All are pure functions of the canonical encoding of
 ``to_wire()``, and protocol objects are immutable once built -- the one
 exception, :class:`~repro.crypto.certificate.Certificate`, drops its memo
 whenever it is mutated -- so each object needs to be encoded exactly once.
@@ -22,11 +22,12 @@ idea of a message's bytes or digest is never trusted.
 are wanted for one thing only: to be spliced into a parent, which happens
 within milliseconds of the first encoding, while the object itself may sit
 in a log or a retransmission cache until the next checkpoint.  So
-``wire_size()`` keeps no bytes at all (the outermost message of a frame is
-only ever sized, and its bytes would be a second copy of everything nested
-in it), and :data:`WIRE_CACHE` lets the bytes of all but the most recently
-encoded objects go (:meth:`WireCache.keep`; on the ledger's workloads half
-the default capacity re-encodes 0.3% more, the default nothing).
+``wire_size()`` keeps no bytes at all (the simulated network only ever sizes
+the outermost message it carries, and its bytes would be a second copy of
+everything nested in it), and :data:`WIRE_CACHE` lets the bytes of all but
+the most recently encoded objects go (:meth:`WireCache.keep`; on the
+ledger's workloads half the default capacity re-encodes 0.3% more, the
+default nothing).
 Size, digest and charges stay; whoever asks for old bytes again pays for
 one more encoding.
 
@@ -35,11 +36,12 @@ through :func:`wire_of`, which stands a
 :class:`~repro.util.encoding.Spliced` node in the wire dict; the encoder
 replaces the node with the child's memoised bytes.  A request certificate is
 thus encoded once, not once per enclosing ``RequestEnvelope`` /
-``PrePrepare`` / ``OrderedBatch`` / digest.  A sender sizes every message
-it transmits (the census), which leaves the nested payloads encoded for the
-copies it sends next; a receiver on the asyncio backend is told the frame's
-length instead, so it encodes only the payloads it goes on to digest -- each
-once, through the same memos.
+``PrePrepare`` / ``OrderedBatch`` / digest.  The simulated network sizes
+every message it carries (the size drives its bandwidth model and is the
+census), which leaves the nested payloads encoded for whoever digests them
+next.  The asyncio transport sizes nothing: sender and receiver both count
+the frame's length, so a node there encodes only the payloads it goes on to
+digest -- each once, through the same memos.
 
 **Charging.**  The memo carries the names of the nodes that have already
 been *charged* virtual hashing time for this object, so the cost model stays
@@ -188,10 +190,10 @@ class WireMemoised:
 def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[WireMemo]:
     """The memo of ``obj`` holding what the caller needs; None when disabled.
 
-    ``need`` is ``"size"`` (``size`` only: what a transport asks of the
-    outermost message of a frame, whose bytes nobody wants and would be a
-    second copy of everything nested in it), ``"bytes"`` (``data`` too) or
-    ``"digest"`` (``digest`` too).  Whatever is missing is made by encoding
+    ``need`` is ``"size"`` (``size`` only: what the simulated network asks
+    of the outermost message it carries, whose bytes nobody wants and would
+    be a second copy of everything nested in it), ``"bytes"`` (``data``
+    too) or ``"digest"`` (``digest`` too).  Whatever is missing is made by encoding
     ``obj.to_wire()``, children spliced from their own memos.
 
     ``count`` feeds the hit/miss counters, which keep their old meaning:

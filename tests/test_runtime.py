@@ -16,8 +16,11 @@ import gc
 import logging
 import pickle
 import socket
+import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import cycle, zip_longest
 from types import SimpleNamespace
 
 import pytest
@@ -250,10 +253,14 @@ class _Padded(_Numbered):
 class _Recording(Process):
     def __init__(self, node_id, scheduler):
         super().__init__(node_id, scheduler)
-        self.numbers = []
+        self.messages = []
+
+    @property
+    def numbers(self):
+        return [message.number for message in self.messages]
 
     def on_message(self, sender, message):
-        self.numbers.append(message.number)
+        self.messages.append(message)
 
 
 def _frame(sender, message) -> bytes:
@@ -267,6 +274,38 @@ def runtime():
                              seed=0)
     yield runtime
     runtime.close()
+
+
+def _feed(connection, chunk, read_limit=None):
+    """Hand ``chunk`` to ``connection`` the way the event loop does: ask for
+    a buffer, fill as much of it as one ``recv_into`` of at most
+    ``read_limit`` bytes would, report how much that was."""
+    chunk = memoryview(chunk)
+    while len(chunk):
+        buffer = connection.get_buffer(-1)
+        assert len(buffer) > 0
+        count = min(len(buffer), len(chunk), read_limit or len(chunk))
+        buffer[:count] = chunk[:count]
+        connection.buffer_updated(count)
+        chunk = chunk[count:]
+
+
+@contextmanager
+def _allocation_peak():
+    """Yields a list that ends up holding the most bytes allocated at once,
+    above what was allocated on entry, while the block ran."""
+    peak = []
+    already = tracemalloc.is_tracing()
+    if not already:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        yield peak
+        peak.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        if not already:
+            tracemalloc.stop()
 
 
 def _nodes(runtime, count):
@@ -293,11 +332,71 @@ class TestTransport:
         }[chunking]
         connection = _Inbound(runtime.network, node)
         for chunk in chunks:
-            connection.data_received(chunk)
+            _feed(connection, chunk)
         assert node.numbers == list(range(100))
         # what a node is told it received is what the frames took on the wire
         assert node.stats.bytes_received == len(stream)
         assert runtime.network.transport.frames_delivered == 100
+
+    def test_connections_interleave_through_the_one_read_buffer(self, runtime):
+        """Two connections each cut off mid-frame -- inside a length prefix,
+        inside a body -- while the other's reads land in the same buffer:
+        what a read leaves unfinished is the connection's own."""
+        nodes = _nodes(runtime, 2)
+        streams = [b"".join(
+            _frame(client_id(index), _Padded(number, bytes([65 + index]) * (number * 53 % 700)))
+            for number in range(60)) for index in range(2)]
+        connections = [_Inbound(runtime.network, node) for node in nodes]
+
+        def pieces(stream, sizes):
+            position = 0
+            for size in cycle(sizes):
+                if position >= len(stream):
+                    return
+                yield stream[position:position + size]
+                position += size
+
+        for turn in zip_longest(pieces(streams[0], (1, 2, 3, 5, 97, 701, 4099)),
+                                pieces(streams[1], (2, 5, 1, 97, 3, 701, 4099))):
+            for connection, piece in zip(connections, turn):
+                if piece:
+                    _feed(connection, piece)
+        for index, node in enumerate(nodes):
+            assert node.numbers == list(range(60))
+            assert all(message.padding == bytes([65 + index]) * (message.number * 53 % 700)
+                       for message in node.messages)
+            assert node.stats.bytes_received == len(streams[index])
+
+    def test_a_long_frame_is_assembled_in_place(self, runtime):
+        """A frame many reads long costs its own bytes and the message made
+        of them -- not a new, longer copy of everything so far per read."""
+        (node,) = _nodes(runtime, 1)
+        padding = b"0123456789abcdef" * (1 << 18)   # 4 MB
+        stream = (_frame(client_id(0), _Numbered(1))
+                  + _frame(client_id(0), _Padded(2, padding))
+                  + _frame(client_id(0), _Numbered(3)))
+        connection = _Inbound(runtime.network, node)
+        with _allocation_peak() as peak:
+            _feed(connection, stream, read_limit=1 << 18)
+        assert node.numbers == [1, 2, 3]
+        assert node.messages[1].padding == padding
+        assert node.stats.bytes_received == len(stream)
+        assert peak[0] < 3 * len(padding)
+
+    def test_a_read_allocates_what_arrived_not_what_it_could_have_held(self, runtime):
+        """Over real sockets: a plain ``asyncio.Protocol`` is handed a
+        ``bytes`` allocated at the loop's full read size, 256 KB, for every
+        read, however little arrived."""
+        sender, receiver = _nodes(runtime, 2)
+        sender.send(receiver.node_id, _Numbered(0))
+        runtime.run_until(lambda: receiver.numbers == [0], 30_000.0)
+        with _allocation_peak() as peak:
+            for number in range(1, 101):
+                sender.send(receiver.node_id, _Numbered(number))
+                runtime.run_until(lambda: len(receiver.messages) == number + 1,
+                                  30_000.0)
+        assert receiver.numbers == list(range(101))
+        assert peak[0] < 64 * 1024
 
     @pytest.mark.parametrize("pool", [False, True])
     def test_a_link_is_fifo(self, pool):
@@ -372,6 +471,67 @@ class TestTransport:
                 system.network.transport.frames_sent
         finally:
             system.close()
+
+    def test_every_byte_count_is_in_frame_bytes(self, monkeypatch):
+        """Sent, on the wire and received are one number on this backend,
+        and no message is encoded just to be measured: none of the objects
+        handed to ``send`` is ever asked for its canonical size."""
+        sent, sized = [], set()
+        wire_size = Message.wire_size
+
+        def counting(message):
+            sized.add(id(message))
+            return wire_size(message)
+
+        monkeypatch.setattr(Message, "wire_size", counting)
+        system = SeparatedSystem(make_config(runtime=_runtime_config("asyncio")),
+                                 KeyValueStore, seed=8)
+        try:
+            system.network.add_tap(
+                lambda source, destination, message: sent.append(message))
+            _workload(system)
+            stats, transport = system.network.stats, system.network.transport
+            processes = [system.network.process(node_id)
+                         for node_id in system.network.node_ids]
+            system.run(30.0)
+            system.run_until(      # every frame written handled by its node
+                lambda: transport.frames_delivered == transport.frames_sent
+                and not any(process._inbox for process in processes), 30_000.0)
+            assert stats.sends == transport.frames_sent == len(sent) > 0
+            assert (stats.bytes_sent == transport.bytes_on_wire
+                    == sum(process.stats.bytes_received for process in processes))
+            assert sum(stats.bytes_per_type.values()) == stats.bytes_sent
+            assert sized                      # payloads are still sized to be digested
+            assert not sized & {id(message) for message in sent}
+        finally:
+            system.close()
+
+    def test_the_simulator_still_counts_canonical_bytes(self):
+        sent = []
+        system = SeparatedSystem(make_config(), KeyValueStore, seed=8)
+        system.network.add_tap(
+            lambda source, destination, message: sent.append(message))
+        _workload(system)
+        stats = system.network.stats
+        assert stats.bytes_sent == sum(message.wire_size() for message in sent)
+        census = stats.census()
+        for name in census:
+            of_type = [m for m in sent if m.type_name() == name]
+            assert census[name] == {"sends": len(of_type),
+                                    "bytes": sum(m.wire_size() for m in of_type)}
+
+    def test_sends_that_reach_nobody_are_counted_once(self, runtime):
+        (sender,) = _nodes(runtime, 1)
+        network = runtime.network
+        size = len(_frame(sender.node_id, _Numbered(1)))
+        network.send(sender.node_id, server_id(9), _Numbered(1))   # never registered
+        assert (network.stats.sends, network.stats.bytes_sent) == (1, size)
+        runtime.close()
+        network.send(sender.node_id, sender.node_id, _Numbered(2))  # after close
+        assert (network.stats.sends, network.stats.bytes_sent) == (2, 2 * size)
+        assert network.stats.census() == {"_Numbered": {"sends": 2, "bytes": 2 * size}}
+        assert network.transport.snapshot()["frames_sent"] == 0
+        assert network.transport.snapshot()["bytes_on_wire"] == 0
 
     def test_unreadable_frames_cost_one_connection_not_the_node(self):
         system = SeparatedSystem(make_config(runtime=_runtime_config("asyncio")),

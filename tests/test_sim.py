@@ -1,7 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import LivenessTimeoutError, SimulationError
 from repro.sim.clock import VirtualClock
@@ -412,8 +412,10 @@ class _ReDeferringProcess(_ScriptedProcess):
     still busy.
 
     ``tied`` is set when fresh work arrives at the very instant parked work
-    is due -- the one case where this order depended on when each event had
-    been put on the queue, and where the inbox (arrival order) differs.
+    is due, or the outbox of the handler before it is due to be flushed --
+    the one case where this order depended on when each event had been put
+    on the queue, and where the inbox (arrival order, after the flush)
+    differs.
     """
 
     def __init__(self, scheduler, script):
@@ -441,7 +443,11 @@ class _ReDeferringProcess(_ScriptedProcess):
         self._run_handler(callback)
 
     def _arrives_busy(self, fresh):
-        if fresh and any(due <= self.now + 1e-12 for due in self.waiting):
+        # Nothing is ever parked here, so an armed wake is a pending flush,
+        # due at ``busy_until``.
+        if fresh and (any(due <= self.now + 1e-12 for due in self.waiting)
+                      or (self._wake_armed
+                          and self._busy_until <= self.now + 1e-12)):
             self.tied = True
         return self._busy_until > self.now + 1e-12 or self._in_handler
 
@@ -491,8 +497,20 @@ _OUTAGES = st.one_of(st.none(), st.tuples(
         lambda pair: (pair[0] * 0.25 + 0.1, (pair[0] + pair[1]) * 0.25 + 0.1)))
 
 
+#: a timer falls due at the instant (the last one: to the ulp, 8.399999999999999
+#: against 8.4) the handler before it is due to flush its outbox
+_FLUSH_TIES = (
+    [(0.5, 0.0, (1.3, 0.0)), (1.5, 0.0, (0.0, 0.3))],
+    [(0.0, 0.3, (1.3, 0.3)), (0.0, 0.0, (1.3, 0.0))],
+    [(3.0, 0.3, (5.1, 0.3)), (3.0, 0.0, (5.1, 0.0))],
+)
+
+
 class TestInbox:
     @given(_ARRIVALS, _OUTAGES)
+    @example(_FLUSH_TIES[0], None)
+    @example(_FLUSH_TIES[1], None)
+    @example(_FLUSH_TIES[2], None)
     @settings(max_examples=300, deadline=None)
     def test_same_handlers_at_the_same_times_as_re_deferring(self, arrivals, outage):
         reference = _drive(_ReDeferringProcess, arrivals, outage)
@@ -521,6 +539,29 @@ class TestInbox:
         assert [item for _, item, _ in reference.handled] == ["m0", "m2", "m1"]
         assert [(time, item) for time, item, _ in node.handled] == [
             (0.0, "m0"), (2.0, "m1"), (3.0, "m2")]
+
+    @pytest.mark.parametrize("arrivals, sent, reference_sent", [
+        (_FLUSH_TIES[0], ["m0", "m1", "t1", "t0"], ["m0", "m1", "t0", "t1"]),
+        (_FLUSH_TIES[1], ["m0", "m1", "t0", "t1"], ["m0", "m1", "t1", "t0"]),
+        (_FLUSH_TIES[2], ["m0", "m1", "t0", "t1"], ["m0", "m1", "t1", "t0"]),
+    ])
+    def test_work_arriving_as_an_outbox_is_due_runs_after_the_flush(
+            self, arrivals, sent, reference_sent):
+        """The same tie against a flush: a timer falls due at the instant
+        the handler before it is due to send.  Its event was put on the
+        queue first, so re-deferring ran (and, costing nothing, sent) it
+        first; the inbox ends the busy period -- flush included -- before
+        it takes up anything new."""
+        reference = _drive(_ReDeferringProcess, arrivals)
+        node = _drive(_ScriptedProcess, arrivals)
+        assert reference.tied
+        assert [item for _, item in reference.network.sent] == reference_sent
+        assert [item for _, item in node.network.sent] == sent
+        # a handler's sends leave at the end of its own busy period
+        ends = {item: start + node.script[item][0]
+                for start, item, _ in node.handled}
+        assert [time for time, _ in node.network.sent] == pytest.approx(
+            [ends[item] for item in sent])
 
     @pytest.mark.parametrize("silent", [True, False])
     @pytest.mark.parametrize("parked", [1, 5, 12])

@@ -1,10 +1,12 @@
-"""Tests for utilities: node ids, canonical encoding, quorum arithmetic."""
+"""Tests for utilities: node ids, canonical encoding, quorum arithmetic,
+the sequence-number table."""
 
 import dataclasses
 import enum
 import pickle
 import struct
 from collections import OrderedDict, namedtuple
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from repro.util.quorum import (
     max_execution_faults,
     reply_quorum,
 )
+from repro.util.seqtable import SeqTable
 
 
 class TestNodeIds:
@@ -407,3 +410,59 @@ class TestQuorums:
         size = execution_cluster_size(g)
         quorum = reply_quorum(g)
         assert 2 * quorum > size
+
+
+#: what the protocol does to its per-sequence-number windows: insert under a
+#: sequence number (late and Byzantine ones land anywhere), drop one entry,
+#: move the horizon (a queue's moves with the reply just assembled, so it
+#: also goes back)
+_SEQS = st.integers(-3, 40)
+_TABLE_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _SEQS, st.sampled_from([b"a", b"b", b"c"])),
+    st.tuples(st.just("delete"), _SEQS, st.sampled_from([b"a", b"b", b"c"])),
+    st.tuples(st.just("trim"), _SEQS, st.none())), max_size=60)
+
+
+class TestSeqTable:
+    @pytest.mark.parametrize("keyed", ["seq", "seq-and-digest"])
+    @given(steps=_TABLE_STEPS)
+    @settings(max_examples=200, deadline=None)
+    def test_same_contents_as_rebuilding_after_every_step(self, keyed, steps):
+        """Against the comprehension each trim used to be, entry order
+        included (``recent_batches.values()`` is iterated)."""
+        if keyed == "seq":
+            table, key_of, seq_of = SeqTable(), (lambda seq, tag: seq), (lambda key: key)
+        else:
+            table, key_of, seq_of = (SeqTable(seq_of=itemgetter(0)),
+                                     (lambda seq, tag: (seq, tag)), itemgetter(0))
+        model = {}
+        for number, (step, seq, tag) in enumerate(steps):
+            if step == "insert":
+                table[key_of(seq, tag)] = model[key_of(seq, tag)] = number
+            elif step == "delete":
+                table.pop(key_of(seq, tag), None)
+                model.pop(key_of(seq, tag), None)
+            else:
+                table.trim(seq)
+                model = {key: value for key, value in model.items()
+                         if seq_of(key) > seq}
+            assert list(table.items()) == list(model.items())
+        # nothing is remembered about entries that are gone
+        table.trim(40)
+        assert not table and not table._heap
+
+    def test_trim_pops_only_what_fell_below(self):
+        popped = []
+
+        class Watched(SeqTable):
+            def pop(self, key, default=None):
+                popped.append(key)
+                return super().pop(key, default)
+
+        table = Watched()
+        for seq in range(1, 129):
+            table[seq] = seq
+        table.trim(0)
+        table.trim(1)
+        table.trim(1)
+        assert popped == [1] and len(table) == 127
