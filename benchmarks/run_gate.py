@@ -67,7 +67,7 @@ def _ordering_summary(results: Dict) -> str:
     return (f"K-log scaling {results['scaling']['scaling_ratio']:.2f}x, "
             f"cross-group ratio {cross['cross_ratio']:.2f}, "
             f"{cross['torn_groups']} torn groups, "
-            f"{cross['cut_fallovers']} fallovers")
+            f"{cross['bindings_served']} bindings asked for")
 
 
 def _realtime_summary(results: Dict) -> str:

@@ -332,10 +332,10 @@ class AgreementReplica(Process):
         else:
             # Messages the agreement protocol itself does not speak are
             # offered to the local state machine (the multi-log router queue
-            # handles cross-log bindings and cuts this way); anything still
-            # unknown or corrupted is dropped silently, as the Byzantine
-            # fault model requires correct nodes to tolerate arbitrary
-            # garbage.
+            # handles cross-log bindings and their fetches this way);
+            # anything still unknown or corrupted is dropped silently, as
+            # the Byzantine fault model requires correct nodes to tolerate
+            # arbitrary garbage.
             handler = getattr(self.local, "on_unknown_message", None)
             if handler is not None:
                 handler(sender, message)

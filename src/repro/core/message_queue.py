@@ -91,9 +91,8 @@ class CachedReply(NamedTuple):
 
 @dataclass
 class QuorumCollector:
-    """Accumulates partial certificates over one payload until a quorum of
-    its signers is reached (reply bodies here; sequence bindings in
-    :mod:`repro.multilog.queue`)."""
+    """Accumulates partial certificates over one reply body until a quorum
+    of its signers is reached."""
 
     certificate: Certificate
     done: bool = False

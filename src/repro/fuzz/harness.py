@@ -123,7 +123,7 @@ class ScenarioSpec:
         operations: List = []
         if self.num_logs > 1:
             # Cross-group mix: multi-shard markers span log groups, so the
-            # schedule races bindings, cuts, and fallover against faults.
+            # schedule races bindings and their fetches against faults.
             return mixed_cross_group_operations(
                 num_requests, key_space=KEY_SPACE, num_shards=self.num_shards,
                 multi_fraction=0.25, seed=workload_seed)
@@ -374,8 +374,8 @@ def _system_counters(system: ShardedSystem) -> Dict[str, int]:
     # logs, so single-log corpus seeds keep their fingerprints and digests.
     if system.config.multilog.enabled:
         counters["log_epoch"] = system.log_registry.latest_epoch
-        for name in ("cross_log_markers", "bindings_sent", "cuts_broadcast",
-                     "cut_fallovers", "invalid_cuts", "log_map_cuts"):
+        for name in ("cross_log_markers", "bindings_sent", "bindings_served",
+                     "bindings_rejected", "log_map_cuts"):
             counters[name] = sum(getattr(queue, name)
                                  for queue in system.message_queues)
     return counters

@@ -12,8 +12,8 @@ per-log sequence bindings (see :mod:`repro.multilog.queue`).
 
 from .client import MultiLogClient
 from .logmap import LogMap, LogMapRegistry, initial_log_map
-from .messages import (CrossLogBinding, CrossLogBindingBody, CrossLogCut,
-                       LogMapChange, log_map_change_of)
+from .messages import (CrossLogBinding, CrossLogBindingBody,
+                       CrossLogBindingFetch, LogMapChange, log_map_change_of)
 from .queue import MultiLogRouterQueue
 
 
@@ -28,7 +28,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "CrossLogBinding", "CrossLogBindingBody", "CrossLogCut", "LogMap",
-    "LogMapChange", "LogMapRegistry", "MultiLogClient", "MultiLogRouterQueue",
-    "MultiLogSystem", "initial_log_map", "log_map_change_of",
+    "CrossLogBinding", "CrossLogBindingBody", "CrossLogBindingFetch",
+    "LogMap", "LogMapChange", "LogMapRegistry", "MultiLogClient",
+    "MultiLogRouterQueue", "MultiLogSystem", "initial_log_map",
+    "log_map_change_of",
 ]

@@ -3,22 +3,10 @@
 A cross-group operation (a multi-shard read or write-only transaction whose
 shards span log groups) and a :class:`LogMapChange` (moving a shard between
 groups) must release at **one consistent cut** over the ``K`` independent
-agreement orders.  The protocol is a deterministic validated-agreement step
-built from two artifacts:
-
-* :class:`CrossLogBinding` -- each agreement replica of a touched log binds
-  the marker to the sequence number *its own log* committed it at, by
-  authenticating a sender-agnostic :class:`CrossLogBindingBody` (mirroring
-  the checkpoint / sub-reply payload discipline).  ``f + 1`` matching
-  bodies from one log's replicas certify that log's binding: at least one
-  correct replica vouches for the sequence number, and a committed batch
-  survives view changes at its sequence number, so the binding is stable.
-
-* :class:`CrossLogCut` -- the per-log sequence vector, carried as one
-  certified binding body per touched log.  The coordinating log's primary
-  collates and broadcasts it (PR 5's collator discipline lifted to the
-  ordering plane); any replica can *verify* it independently, and a
-  Byzantine coordinator falls over to the backups' timers.
+agreement orders.  One artifact certifies the cut -- ``f + 1`` matching
+:class:`CrossLogBinding` s per touched log -- and every queue certifies it
+for itself; :class:`CrossLogBindingFetch` asks for a binding that did not
+arrive (the round is described in :mod:`repro.multilog.queue`).
 
 Marker identity on the wire is a small list (``["xs", client, timestamp]``
 for client markers, ``["lmc", shard, target, parent]`` for log-map
@@ -45,6 +33,22 @@ LMC_MARKER = "lmc"
 #: ("lmc", shard, target_log, parent_log_epoch)
 MarkerKey = Tuple
 
+#: leaf types after the kind, per marker kind
+_MARKER_SHAPES = {XS_MARKER: (str, int), LMC_MARKER: (int, int, int)}
+
+
+def marker_key_of(marker: Any) -> Optional[MarkerKey]:
+    """``marker`` as received off the wire as a (hashable) key, or None if
+    it is not one of the two marker shapes (``bool`` is not an ``int``)."""
+    if not isinstance(marker, (tuple, list)) or not marker:
+        return None
+    shape = (_MARKER_SHAPES.get(marker[0])
+             if isinstance(marker[0], str) else None)
+    if shape is None or len(marker) != len(shape) + 1 or any(
+            type(leaf) is not kind for leaf, kind in zip(marker[1:], shape)):
+        return None
+    return tuple(marker)
+
 
 @dataclass(frozen=True)
 class LogMapChange(ConfigOperation):
@@ -52,12 +56,11 @@ class LogMapChange(ConfigOperation):
 
     ``parent_log_epoch`` names the map the change applies to; applying it
     produces the map of ``parent_log_epoch + 1``.  Every log's primary
-    proposes the same change into its own log; each queue holds the marker
-    at its release head until the cross-log cut certifies that every log
-    committed it, then applies the change -- so all ``K`` orders cross the
-    epoch boundary at one consistent cut.  Validity is judged at the cut
-    against the releasing queue's current log epoch: a change whose parent
-    is no longer current is a deterministic no-op on every correct node.
+    proposes the same change into its own log and each queue holds it at
+    its release head until every other log's binding is certified -- so all
+    ``K`` orders cross the epoch boundary at one consistent cut.  A change
+    whose parent is no longer the releasing queue's epoch is a
+    deterministic no-op on every correct node.
     """
 
     shard: int
@@ -105,15 +108,10 @@ class CrossLogBindingBody(Message):
     Sender-agnostic (like checkpoint and sub-reply payloads): every correct
     replica of ``log`` that commits the marker at ``seq`` authenticates the
     same bytes, so ``f + 1`` matching authenticators certify the binding.
-    Client markers bind at *commit* (staging) time -- the sequence number
-    is already fixed, and binding before release is what keeps two markers
-    ordered inversely by two logs from deadlocking each other's frontiers.
-    A :class:`LogMapChange` binds at its *release head* instead, where
-    ``shard_frontier`` -- the shard-local sequence number the marker itself
-    receives on the moved shard's feed, i.e. the source log's final
-    envelope -- is deterministic; the target log adopts it so the shard's
-    local order continues without a gap or an overlap (exactly-once across
-    the move).
+    ``shard_frontier`` is set by the source log of a :class:`LogMapChange`
+    only: the shard-local sequence number the marker itself receives on the
+    moved shard's feed (the source log's final envelope), which the target
+    log adopts.
     """
 
     marker: MarkerKey
@@ -134,10 +132,10 @@ class CrossLogBindingBody(Message):
 class CrossLogBinding(Message):
     """One replica's partial certificate over a :class:`CrossLogBindingBody`.
 
-    Multicast to every agreement replica of every log (the MAC vector
-    covers them all), so each queue can assemble every touched log's
-    ``f + 1``-vouched binding independently -- the coordinator's collated
-    :class:`CrossLogCut` is a fast path, never a trust root.
+    Multicast to the agreement replicas of every *other* log (the MAC
+    vector covers exactly them: own-log peers witness the commit
+    themselves), so each queue assembles every other touched log's
+    ``f + 1``-vouched binding independently.
     """
 
     body: CrossLogBindingBody
@@ -153,35 +151,18 @@ class CrossLogBinding(Message):
 
 
 @dataclass(frozen=True)
-class CrossLogCut(Message):
-    """The coordinating log's collated cut: one certified binding per log.
+class CrossLogBindingFetch(Message):
+    """A holding queue asking the receiver for its binding of ``marker``.
 
-    ``bodies[i]`` / ``certificates[i]`` belong to ``logs[i]`` (ascending).
-    A receiver trusts nothing about the sender: it re-verifies every
-    binding certificate against the named log's membership (``f + 1``
-    distinct valid signers over the body) and, for its own log, that the
-    bound sequence number matches the marker it is actually holding -- a
-    Byzantine coordinator can therefore delay a release, never misplace
-    one.
+    Unauthenticated beyond the link it arrived on: the answer is a binding
+    that was multicast anyway, sent once, to an agreement replica.
     """
 
     marker: MarkerKey
-    logs: Tuple[int, ...]
-    bodies: Tuple[CrossLogBindingBody, ...]
-    certificates: Tuple[Certificate, ...]
     sender: NodeId
 
     def payload_fields(self) -> Dict[str, Any]:
         return {
-            "xlog-cut": list(self.marker),
-            "logs": list(self.logs),
-            "bodies": [wire_of(body) for body in self.bodies],
-            "certificates": [wire_of(cert) for cert in self.certificates],
+            "xlog-fetch": list(self.marker),
             "sender": self.sender.name,
         }
-
-    def body_for(self, log: int) -> Optional[CrossLogBindingBody]:
-        for body in self.bodies:
-            if body.log == log:
-                return body
-        return None

@@ -4,27 +4,25 @@ Each agreement replica of log ``l`` hosts a :class:`MultiLogRouterQueue` --
 a :class:`~repro.sharding.queue.ShardRouterQueue` that routes only the
 shards of its own log group (judged by the epoch-versioned
 :class:`~repro.multilog.logmap.LogMap`) and adds the **cross-log
-coordination round** for operations spanning groups:
+coordination round** for operations spanning groups.  The round has one
+artifact, the :class:`~repro.multilog.messages.CrossLogBinding`, and one
+release rule, which every queue applies for itself:
 
-* When a *cross-shard marker* commits (stages), the queue binds it to the
-  sequence number its own log assigned -- a
-  :class:`~repro.multilog.messages.CrossLogBinding` multicast to every
-  agreement replica of every log.  Binding at commit time (not at release)
-  is what keeps two markers ordered inversely by two logs from deadlocking
-  each other's release frontiers: the sequence number is already fixed
-  when the binding is emitted, regardless of release order.
+* *Publish.*  When a cross-shard marker commits (stages), the queue binds
+  it to the sequence number its own log assigned and multicasts the
+  binding to the agreement replicas of every other log.  Binding at commit
+  time (not at release) keeps two markers ordered inversely by two logs
+  from deadlocking each other's release frontiers: the sequence number is
+  fixed when the binding is emitted, regardless of release order.
 
-* When the marker reaches the queue's *release head* and its touched
-  shards span several log groups, the frontier **holds** until one
-  consistent cut is certified: either a verified
-  :class:`~repro.multilog.messages.CrossLogCut` from the coordinating
-  log's primary (the lowest touched log -- PR 5's collator discipline
-  lifted to the ordering plane), or the queue's own assembly of ``f + 1``
-  matching bindings from every other touched log.  Either way the release
-  is backed by the same evidence, so a Byzantine coordinator can delay a
-  release but never misplace one; its silence falls over to the backups'
-  timers (``CUT_FALLOVER_SCALE x agreement_retransmit_ms``), counted in
-  :attr:`cut_fallovers`.
+* *Tally, certify, hold.*  Received bindings are tallied one per sender; a
+  log's binding is certified once ``f + 1`` of its members sent matching
+  bodies whose MACs verify here (checked when the count reaches the
+  quorum, usually before this log has committed the marker itself).  When
+  the marker reaches the *release head* and its touched shards span
+  several log groups, the frontier **holds** until every other touched
+  log's binding is certified.  Nothing else releases a marker, so no
+  single replica -- of this log or another -- can misplace one.
 
 * A :class:`~repro.multilog.messages.LogMapChange` is ordered by *every*
   log and binds at its release head, where the source log's binding
@@ -33,44 +31,55 @@ coordination round** for operations spanning groups:
   adopts the frontier at the cut, so the moved shard's local order
   continues gap- and overlap-free (exactly-once across the move).
 
-Liveness is self-driving: a holding queue retransmits its own binding with
-backoff; a queue that already released answers a retransmitted binding
-with its own (and the coordinating primary re-serves the collated cut), so
-a replica that missed the original multicast recovers without operator
-intervention.
+* *Ask and serve.*  A holding queue's timer asks, with backoff, the
+  members of the logs it still lacks
+  (:class:`~repro.multilog.messages.CrossLogBindingFetch`); a queue that
+  has its own binding for the marker sends it back.  A binding never
+  causes a send, so the round cannot loop, and a replica that missed the
+  multicast recovers whatever the arrival order was.
+
+docs/ARCHITECTURE.md ("Cuts") records why this round has the shape of
+:class:`~repro.sharding.cut.ShareExchange` but is not hosted on it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
-from ..core.message_queue import PendingSend, QuorumCollector
-from ..crypto.certificate import Certificate
+from ..core.message_queue import PendingSend
+from ..crypto.certificate import Authenticator, Certificate
 from ..messages.agreement import OrderedBatch
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sim.process import Process
-from ..sim.scheduler import Timer
 from ..sharding.messages import cross_shard_request_of
 from ..sharding.queue import ShardRouterQueue
 from ..sharding.router import ShardRouter
 from ..util.ids import NodeId
 from .logmap import LogMap, LogMapRegistry
-from .messages import (LMC_MARKER, XS_MARKER, CrossLogBinding,
-                       CrossLogBindingBody, CrossLogCut, LogMapChange,
-                       MarkerKey, client_marker_key, log_map_change_of)
+from .messages import (XS_MARKER, CrossLogBinding, CrossLogBindingBody,
+                       CrossLogBindingFetch, LogMapChange, MarkerKey,
+                       client_marker_key, log_map_change_of, marker_key_of)
 
-#: released coordination records retained (so the coordinating primary can
-#: re-serve a cut, and released queues can answer binding retransmissions)
-CUT_META_HORIZON = 64
+#: released markers whose own binding stays servable to a still-holding
+#: peer.  Also what is buffered ahead of a hold -- bindings tallied per
+#: *sender* (no replica can evict another's), markers certified: a fetch
+#: recovers what that drops
+BOUND_RETENTION = 64
 
-#: the coordinator log's backups arm their fallover timer at this multiple
-#: of ``timers.agreement_retransmit_ms`` once their own binding collation
-#: completes; on expiry they broadcast the cut themselves, so a Byzantine
-#: (or silent) coordinating primary delays a cross-group operation by at
-#: most one timer round
-CUT_FALLOVER_SCALE = 2.0
+
+@dataclass
+class _Hold:
+    """One marker holding the release frontier."""
+
+    touched: Tuple[int, ...]
+    seq: int
+    #: log-map changes: the log whose binding carries the shard frontier
+    source: Optional[int]
+    #: the ask timer, alive exactly while the marker holds
+    fetch: PendingSend
 
 
 class MultiLogRouterQueue(ShardRouterQueue):
@@ -90,48 +99,35 @@ class MultiLogRouterQueue(ShardRouterQueue):
         self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
         self.log_registry = log_registry
         self.num_logs = len(log_agreement_ids)
-        self.all_agreement_ids = [node for ids in log_agreement_ids
-                                  for node in ids]
+        #: who a binding goes to (own-log peers witness the commit themselves)
+        self.peer_ids = [node for other, ids in enumerate(log_agreement_ids)
+                         if other != log for node in ids]
         #: this node's log-map epoch cursor: the epoch governing the *next*
         #: released batch (advanced exactly at log-map-change cuts)
         self.log_epoch = 0
 
         #: own emitted binding per marker (kept after release so this queue
-        #: can answer a still-coordinating peer's retransmission)
+        #: can serve a still-holding peer's fetch)
         self._bound: Dict[MarkerKey, CrossLogBinding] = {}
-        #: binding assembly, keyed by (marker, log, body) -- the body is a
-        #: frozen value object, so keying by it groups matching partials
-        #: without charging a digest per absorbed copy
-        self._binding_acc: Dict[Tuple[MarkerKey, int, CrossLogBindingBody],
-                                QuorumCollector] = {}
-        #: certified bindings per (marker, log)
-        self._certified: Dict[Tuple[MarkerKey, int],
-                              List[QuorumCollector]] = {}
-        #: markers currently holding the release frontier:
-        #: marker -> (touched logs, own seq, trace id)
-        self._held: Dict[MarkerKey, Tuple[Tuple[int, ...], int, str]] = {}
-        #: released coordination records (bounded): marker -> (touched, seq)
-        self._cut_meta: Dict[MarkerKey, Tuple[Tuple[int, ...], int]] = {}
-        #: structurally verified cuts observed, by marker
-        self._verified_cuts: Dict[MarkerKey, CrossLogCut] = {}
-        #: markers whose cut this (primary) queue already broadcast
-        self._cuts_sent: set = set()
-        #: binding retransmission state, present exactly while a marker holds
-        self._binding_sends: Dict[MarkerKey, PendingSend] = {}
-        self._fallover_timers: Dict[MarkerKey, Timer] = {}
-
-        #: test hooks modelling a Byzantine coordinating primary: stay
-        #: silent, or collate a tampered cut (mirrors the agreement-side
-        #: ``request_liveness_defence`` fault-injection idiom)
-        self.suppress_cut_broadcast = False
-        self.corrupt_cut_broadcast = False
+        #: bindings received: sender -> marker -> (body, the sender's own
+        #: authenticator), oldest first.  One live entry per sender and
+        #: marker: an equivocating sender replaces its entry, never adds one
+        self._tallies: Dict[NodeId, Dict[MarkerKey, tuple]] = {
+            node: {} for node in self.peer_ids}
+        #: markers currently holding the release frontier
+        self._held: Dict[MarkerKey, _Hold] = {}
+        #: certified bindings of markers not released yet: marker -> log
+        #: -> body, oldest first (bounded, but for held markers)
+        self._certified: Dict[MarkerKey, Dict[int, CrossLogBindingBody]] = {}
+        #: the same of markers released through a hold (bounded): one its
+        #: log orders again, under a retransmission, releases on it
+        self._released: Dict[MarkerKey, Dict[int, CrossLogBindingBody]] = {}
 
         # Statistics.
         self.cross_log_markers = 0
         self.bindings_sent = 0
-        self.cuts_broadcast = 0
-        self.cut_fallovers = 0
-        self.invalid_cuts = 0
+        self.bindings_served = 0
+        self.bindings_rejected = 0
         self.log_map_cuts = 0
         self.log_map_changes_rejected = 0
 
@@ -146,9 +142,8 @@ class MultiLogRouterQueue(ShardRouterQueue):
             "log_epoch": self.log_epoch,
             "cross_log_markers": self.cross_log_markers,
             "bindings_sent": self.bindings_sent,
-            "cuts_broadcast": self.cuts_broadcast,
-            "cut_fallovers": self.cut_fallovers,
-            "invalid_cuts": self.invalid_cuts,
+            "bindings_served": self.bindings_served,
+            "bindings_rejected": self.bindings_rejected,
             "log_map_cuts": self.log_map_cuts,
             "log_map_changes_rejected": self.log_map_changes_rejected,
             "held_markers": len(self._held),
@@ -173,6 +168,12 @@ class MultiLogRouterQueue(ShardRouterQueue):
         """``f + 1``: at least one correct replica vouches per log."""
         return self.config.f + 1
 
+    def _applies(self, change: LogMapChange) -> bool:
+        """Whether a log-map change moves anything at this queue's epoch."""
+        return (change.well_formed(self.num_shards, self.num_logs)
+                and change.parent_log_epoch == self.log_epoch
+                and self._log_map().log_of(change.shard) != change.target_log)
+
     def _coordination_of(self, batch: OrderedBatch):
         """``(marker key, touched logs)`` if ``batch`` needs a cut here.
 
@@ -184,11 +185,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
         """
         change = log_map_change_of(batch.request_certificates)
         if change is not None:
-            if not change.well_formed(self.num_shards, self.num_logs):
-                return None
-            if change.parent_log_epoch != self.log_epoch:
-                return None
-            if self._log_map().log_of(change.shard) == change.target_log:
+            if not self._applies(change):
                 return None
             return change.marker_key(), tuple(range(self.num_logs))
         request = self._cross_shard_marker_of(batch)
@@ -242,265 +239,122 @@ class MultiLogRouterQueue(ShardRouterQueue):
     def _emit_binding(self, key: MarkerKey,
                       body: CrossLogBindingBody) -> None:
         certificate = self.crypto.new_certificate(
-            body, AuthenticationScheme.MAC, self.all_agreement_ids)
+            body, AuthenticationScheme.MAC, self.peer_ids)
         binding = CrossLogBinding(body=body, certificate=certificate,
                                   sender=self.owner.node_id)
         self._bound[key] = binding
         self.bindings_sent += 1
-        self.owner.multicast(self.all_agreement_ids, binding)
-        # multicast excludes self: absorb the own partial directly.
-        self._absorb_binding(binding)
+        self.owner.multicast(self.peer_ids, binding)
 
     # ------------------------------------------------------------------ #
-    # Binding assembly and cut collation.
+    # Binding admission, tally and certification.
     # ------------------------------------------------------------------ #
 
     def on_unknown_message(self, sender: NodeId, message: Message) -> None:
         """Cross-log traffic offered by the hosting agreement replica."""
         if isinstance(message, CrossLogBinding):
-            self._absorb_binding(message)
-        elif isinstance(message, CrossLogCut):
-            self._absorb_cut(message)
+            self._absorb_binding(sender, message)
+        elif isinstance(message, CrossLogBindingFetch):
+            self._serve_binding(sender, message)
 
-    def _absorb_binding(self, binding: CrossLogBinding) -> None:
+    def _vet_binding(self, sender: NodeId, binding: CrossLogBinding):
+        """``(marker key, body, the sender's authenticator)`` of a binding
+        that is well-typed, names another log in range and comes, on the
+        wire and in its fields, from a member of that log; else None."""
         body = binding.body
-        if (not isinstance(body, CrossLogBindingBody)
-                or not 0 <= body.log < self.num_logs or body.seq <= 0):
-            return
-        key = tuple(body.marker)
-        acc_key = (key, body.log, body)
-        collector = self._binding_acc.get(acc_key)
-        duplicate = (collector is not None
-                     and binding.sender in collector.certificate.signers)
-        if (duplicate and binding.sender != self.owner.node_id
-                and key in self._cut_meta and key in self._bound):
-            # Only a *retransmitted* binding (a partial this queue already
-            # merged) marks its sender as still coordinating a marker this
-            # queue released: re-serve our own binding (the sender's
-            # original copy may have been lost) and, as the coordinating
-            # primary, the collated cut.  First copies are never answered,
-            # so two released queues cannot ping-pong answers forever.
-            self.owner.send(binding.sender, self._bound[key])
-            self._maybe_reserve_cut(key)
-            return
-        if collector is None:
-            collector = QuorumCollector(Certificate(
-                payload=body, scheme=binding.certificate.scheme))
-            self._binding_acc[acc_key] = collector
-        if collector.done:
-            return
-        collector.certificate.merge(binding.certificate)
-        membership = self.log_agreement_ids[body.log]
-        if collector.certificate.count(membership) < self._quorum():
-            return  # cannot reach quorum yet: defer the MAC verification
-        valid = self.crypto.valid_signers(collector.certificate, membership)
-        if len(valid) < self._quorum():
-            return
-        collector.done = True
-        self._certified.setdefault((key, body.log), []).append(collector)
-        self._on_binding_certified(key)
+        if not isinstance(body, CrossLogBindingBody) or binding.sender != sender:
+            return None
+        key = marker_key_of(body.marker)
+        frontier = body.shard_frontier
+        if (key is None or type(body.log) is not int
+                or type(body.seq) is not int or body.seq <= 0
+                or not (frontier is None
+                        or (type(frontier) is int and frontier > 0))
+                or not 0 <= body.log < self.num_logs or body.log == self.log
+                or sender not in self.log_agreement_ids[body.log]):
+            return None
+        authenticators = getattr(binding.certificate, "authenticators", None)
+        authenticator = (authenticators.get(sender)
+                         if isinstance(authenticators, dict) else None)
+        if (not isinstance(authenticator, Authenticator)
+                or authenticator.signer != sender):
+            return None
+        return key, body, authenticator
 
-    def _on_binding_certified(self, key: MarkerKey) -> None:
-        if key in self._held:
+    def _absorb_binding(self, sender: NodeId,
+                        binding: CrossLogBinding) -> None:
+        vetted = self._vet_binding(sender, binding)
+        if vetted is None:
+            self.bindings_rejected += 1
+            return
+        key, body, authenticator = vetted
+        held = key in self._held
+        if not held and key in self._released:
+            return  # a late copy: the marker released on f + 1 others
+        if self._certified.get(key, {}).get(body.log) == body:
+            return  # a late copy: certified on f + 1 others
+        tally = self._tallies[sender]
+        tally.pop(key, None)
+        tally[key] = (body, authenticator)
+        if not held and len(tally) > BOUND_RETENTION:
+            del tally[next(kept for kept in tally if kept not in self._held)]
+        if self._certify(key, body) and held:
             self._advance_release_frontier()
-        self._maybe_coordinate(key)
 
-    def _release_ready(self, key: MarkerKey,
-                       touched: Tuple[int, ...]) -> bool:
-        """Own assembly: a certified binding from every *other* touched
-        log (this queue witnesses its own log's commit directly).  For a
-        log-map change the source log's binding must carry the moved
-        shard's frontier."""
-        source = self._lmc_source(key)
-        for log in touched:
-            if log == self.log:
-                continue
-            entries = self._certified.get((key, log))
-            if not entries:
-                return False
-            if log == source and all(entry.body.shard_frontier is None
-                                     for entry in entries):
-                return False
+    def _certify(self, key: MarkerKey, body: CrossLogBindingBody) -> bool:
+        """Certify ``body`` as its log's binding of the marker once
+        ``f + 1`` members of that log sent it under MACs that verify here."""
+        members = self.log_agreement_ids[body.log]
+        matching: Dict[NodeId, Authenticator] = {}
+        for peer in members:
+            entry = self._tallies[peer].get(key)
+            if entry is not None and entry[0] == body:
+                matching[peer] = entry[1]
+        if len(matching) < self._quorum():
+            return False  # cannot reach quorum yet: defer the MAC verification
+        certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC,
+                                  authenticators=matching)
+        if len(self.crypto.valid_signers(certificate, members)) < self._quorum():
+            return False
+        self._certified.setdefault(key, {})[body.log] = body
+        if len(self._certified) > BOUND_RETENTION:
+            del self._certified[next(kept for kept in self._certified
+                                     if kept not in self._held)]
         return True
 
-    def _lmc_source(self, key: MarkerKey) -> Optional[int]:
-        """The log a log-map change moves its shard *from* -- judged at the
-        change's parent epoch, so the answer stays right after the cut has
-        already advanced this queue's cursor."""
-        if key and key[0] == LMC_MARKER:
-            parent = key[3]
-            if self.log_registry.has_epoch(parent):
-                return self.log_registry.map_for(parent).log_of(key[1])
-            return self._log_map().log_of(key[1])
-        return None
+    def _lacking(self, key: MarkerKey, hold: _Hold) -> List[int]:
+        """The *other* touched logs without a certified binding yet (this
+        queue witnesses its own log's commit directly).  A log-map change's
+        source log counts only with the moved shard's frontier."""
+        certified = self._certified.get(key, {})
+        return [log for log in hold.touched if log != self.log and (
+            log not in certified or (log == hold.source and
+                                     certified[log].shard_frontier is None))]
 
-    def _cut_matches_hold(self, cut: CrossLogCut, touched: Tuple[int, ...],
-                          seq: int) -> bool:
-        if tuple(cut.logs) != tuple(touched):
-            return False
-        own = cut.body_for(self.log)
-        if own is None or own.seq != seq:
-            return False
-        source = self._lmc_source(tuple(cut.marker))
-        if source is not None and source != self.log:
-            body = cut.body_for(source)
-            if body is None or body.shard_frontier is None:
-                return False
-        return True
+    # ------------------------------------------------------------------ #
+    # Ask and serve.
+    # ------------------------------------------------------------------ #
 
-    def _maybe_coordinate(self, key: MarkerKey) -> None:
-        """Coordinator duties of the lowest touched log's replicas."""
-        meta = self._held.get(key) or self._cut_meta.get(key)
-        if meta is None:
-            return
-        touched, seq = meta[0], meta[1]
-        if not touched or min(touched) != self.log:
-            return
-        if not self._release_ready(key, touched):
-            return
-        if not any(entry.body.seq == seq
-                   for entry in self._certified.get((key, self.log), [])):
-            return  # own log's binding not yet certified for this instance
-        if getattr(self.owner, "is_primary", False):
-            if key not in self._cuts_sent and not self.suppress_cut_broadcast:
-                self._broadcast_cut(key, touched, seq)
-        elif key not in self._fallover_timers and key not in self._verified_cuts:
-            self._arm_cut_fallover(
-                key, (CUT_FALLOVER_SCALE
-                      * self.config.timers.agreement_retransmit_ms))
+    def _on_binding_retransmit(self, key: MarkerKey) -> None:
+        """The holding queue's timer: ask the logs still lacking."""
+        hold = self._held[key]
+        self.owner.multicast(
+            [node for log in self._lacking(key, hold)
+             for node in self.log_agreement_ids[log]],
+            CrossLogBindingFetch(marker=key, sender=self.owner.node_id))
+        self._back_off(hold.fetch)
 
-    def _build_cut(self, key: MarkerKey, touched: Tuple[int, ...],
-                   seq: int) -> Optional[CrossLogCut]:
-        source = self._lmc_source(key)
-        bodies: List[CrossLogBindingBody] = []
-        certificates: List[Certificate] = []
-        for log in sorted(touched):
-            entries = self._certified.get((key, log), [])
-            if log == self.log:
-                entries = [entry for entry in entries if entry.body.seq == seq]
-            if log == source:
-                entries = [entry for entry in entries
-                           if entry.body.shard_frontier is not None]
-            if not entries:
-                return None
-            bodies.append(entries[0].body)
-            certificates.append(entries[0].certificate)
-        return CrossLogCut(marker=key, logs=tuple(sorted(touched)),
-                           bodies=tuple(bodies),
-                           certificates=tuple(certificates),
-                           sender=self.owner.node_id)
-
-    def _broadcast_cut(self, key: MarkerKey, touched: Tuple[int, ...],
-                       seq: int) -> None:
-        cut = self._build_cut(key, touched, seq)
-        if cut is None:
+    def _serve_binding(self, sender: NodeId,
+                       fetch: CrossLogBindingFetch) -> None:
+        """Send the asker, a replica of another log, this queue's latest
+        binding for the marker (its log may have ordered it again), if any."""
+        key = marker_key_of(fetch.marker)
+        if key is None or fetch.sender != sender or sender not in self._tallies:
             return
-        if self.corrupt_cut_broadcast:
-            # Byzantine collation: misreport another log's sequence number.
-            # The body no longer matches its certificate, so every correct
-            # receiver rejects the cut (invalid_cuts) and releases through
-            # its own assembly instead.
-            tampered = tuple(
-                CrossLogBindingBody(marker=body.marker, log=body.log,
-                                    seq=body.seq + 1,
-                                    shard_frontier=body.shard_frontier)
-                if body.log != self.log else body
-                for body in cut.bodies)
-            cut = CrossLogCut(marker=cut.marker, logs=cut.logs,
-                              bodies=tampered,
-                              certificates=cut.certificates,
-                              sender=cut.sender)
-        else:
-            self._verified_cuts[key] = cut
-        self._cuts_sent.add(key)
-        self.cuts_broadcast += 1
-        targets = [node for log in touched
-                   for node in self.log_agreement_ids[log]]
-        self.owner.multicast(targets, cut)
-
-    def _maybe_reserve_cut(self, key: MarkerKey) -> None:
-        """Re-serve an already-collated cut (the coordinating primary's
-        answer to a binding retransmitted by a still-holding peer)."""
-        if not getattr(self.owner, "is_primary", False):
-            return
-        if self.suppress_cut_broadcast or key not in self._cuts_sent:
-            return
-        cut = self._verified_cuts.get(key)
-        if cut is None:
-            return
-        targets = [node for log in cut.logs
-                   for node in self.log_agreement_ids[log]]
-        self.owner.multicast(targets, cut)
-
-    def _arm_cut_fallover(self, key: MarkerKey, timeout_ms: float) -> None:
-        self._fallover_timers[key] = self.owner.set_timer(
-            timeout_ms, lambda key=key: self._on_cut_fallover(key),
-            label=f"{self.owner.node_id}:xlog-cut-fallover")
-
-    def _on_cut_fallover(self, key: MarkerKey) -> None:
-        self._fallover_timers.pop(key, None)
-        if key in self._verified_cuts or key in self._cuts_sent:
-            return
-        meta = self._held.get(key) or self._cut_meta.get(key)
-        if meta is None:
-            return
-        touched, seq = meta[0], meta[1]
-        if not self._release_ready(key, touched):
-            return  # assembly regressed is impossible; binding still missing
-        self.cut_fallovers += 1
-        self._broadcast_cut(key, touched, seq)
-
-    def _absorb_cut(self, cut: CrossLogCut) -> None:
-        key = tuple(cut.marker)
-        if key in self._verified_cuts or (key not in self._held
-                                          and key in self._cut_meta):
-            return  # already verified, or released without needing the cut
-        if not self._verify_cut(cut):
-            self.invalid_cuts += 1
-            return
-        self._verified_cuts[key] = cut
-        timer = self._fallover_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        held = self._held.get(key)
-        if held is not None:
-            touched, seq = held[0], held[1]
-            if self._cut_matches_hold(cut, touched, seq):
-                self._advance_release_frontier()
-            else:
-                # Valid certificates collated for the wrong instance or
-                # touched set: never release on it (own assembly will).
-                self.invalid_cuts += 1
-
-    def _verify_cut(self, cut: CrossLogCut) -> bool:
-        """Structural verification -- trust only the ``f + 1`` signers."""
-        if (len(cut.logs) != len(cut.bodies)
-                or len(cut.logs) != len(cut.certificates)):
-            return False
-        if list(cut.logs) != sorted(set(cut.logs)) or len(cut.logs) < 2:
-            return False
-        for log, body, certificate in zip(cut.logs, cut.bodies,
-                                          cut.certificates):
-            if not 0 <= log < self.num_logs:
-                return False
-            if not isinstance(body, CrossLogBindingBody) or body.log != log:
-                return False
-            if tuple(body.marker) != tuple(cut.marker):
-                return False
-            if certificate.payload != body:
-                return False
-            if any(entry.body == body for entry in
-                   self._certified.get((tuple(cut.marker), log), [])):
-                # This queue already certified an identical binding for the
-                # log; the cut's copy needs no second MAC verification.  (A
-                # tampered body never matches: the free payload-equality
-                # check above already rejected it.)
-                continue
-            valid = self.crypto.valid_signers(certificate,
-                                              self.log_agreement_ids[log])
-            if len(valid) < self._quorum():
-                return False
-        return True
+        binding = self._bound.get(key)
+        if binding is not None:
+            self.bindings_served += 1
+            self.owner.send(sender, binding)
 
     # ------------------------------------------------------------------ #
     # Release frontier: holds and routing.
@@ -511,78 +365,62 @@ class MultiLogRouterQueue(ShardRouterQueue):
         if coordination is None:
             return False
         key, touched = coordination
-        seq = batch.seq
-        held = self._held.get(key)
-        if held is None or held[1] != seq:
-            trace_id = self._marker_trace_id(key)
-            self._held[key] = (touched, seq, trace_id)
-            self._ensure_bound(batch, key, seq)
-            if self.owner.tracing:
-                self.owner.trace_event(trace_id, "coordinate_open")
-            pending = PendingSend(
-                batch=key, fire=lambda key=key: self._on_binding_retransmit(key),
+        hold = self._held.get(key) or self._open_hold(batch, key, touched)
+        return bool(self._lacking(key, hold))
+
+    def _open_hold(self, batch: OrderedBatch, key: MarkerKey,
+                   touched: Tuple[int, ...]) -> _Hold:
+        change = log_map_change_of(batch.request_certificates)
+        hold = self._held[key] = _Hold(
+            touched=touched, seq=batch.seq,
+            source=(None if change is None
+                    else self._log_map().log_of(change.shard)),
+            fetch=PendingSend(
+                batch=key, fire=lambda: self._on_binding_retransmit(key),
                 label=f"{self.owner.node_id}:xlog-binding",
-                timeout_ms=self.config.timers.agreement_retransmit_ms)
-            self._binding_sends[key] = pending
-            self._arm(pending)
-            self._maybe_coordinate(key)
-        cut = self._verified_cuts.get(key)
-        if cut is not None and self._cut_matches_hold(cut, touched, seq):
-            return False
-        if self._release_ready(key, touched):
-            return False
-        return True
+                timeout_ms=self.config.timers.agreement_retransmit_ms))
+        if key in self._released:
+            # Ordered again by this log: what released it then stands.
+            self._certified[key] = dict(self._released[key])
+        self._ensure_bound(change, key, hold)
+        if self.owner.tracing:
+            self.owner.trace_event(self._marker_trace_id(key),
+                                   "coordinate_open")
+        self._arm(hold.fetch)
+        return hold
 
     def _marker_trace_id(self, key: MarkerKey) -> str:
         if key[0] == XS_MARKER:
             return request_trace_id(key[1], key[2])
         return f"logmove:{key[1]}:{key[3]}"
 
-    def _ensure_bound(self, batch: OrderedBatch, key: MarkerKey,
-                      seq: int) -> None:
-        if key[0] == LMC_MARKER:
-            change = log_map_change_of(batch.request_certificates)
-            frontier = None
-            if self._log_map().log_of(change.shard) == self.log:
-                # The marker itself is this shard's next (and, from this
-                # log, final) envelope.
-                frontier = self._next_shard_seq[change.shard] + 1
-            self._emit_binding(key, CrossLogBindingBody(
-                marker=key, log=self.log, seq=seq, shard_frontier=frontier))
-            return
+    def _ensure_bound(self, change: Optional[LogMapChange], key: MarkerKey,
+                      hold: _Hold) -> None:
+        """A log-map change binds here, at its release head; a client
+        marker was bound at staging, unless a checkpoint sync skipped that
+        pass or its log ordered it again since."""
+        frontier = None
+        if hold.source == self.log:
+            # The marker itself is this shard's next (and, from this log,
+            # final) envelope.
+            frontier = self._next_shard_seq[change.shard] + 1
         bound = self._bound.get(key)
-        if bound is None or bound.body.seq != seq:
-            # Normally bound at staging; re-bind defensively (a checkpoint
-            # sync can skip the staging pass for a later-re-ordered marker).
-            self._emit_binding(key, CrossLogBindingBody(marker=key,
-                                                        log=self.log,
-                                                        seq=seq))
-
-    def _on_binding_retransmit(self, key: MarkerKey) -> None:
-        pending = self._binding_sends.get(key)
-        if pending is not None:
-            # The binding is looked up when the timer fires, not when it is
-            # armed: a marker re-ordered while it holds is re-bound to its
-            # new sequence number, and that binding is the one peers need.
-            binding = self._bound.get(key)
-            if binding is not None:
-                self.owner.multicast(self.all_agreement_ids, binding)
-            self._back_off(pending)
+        if change is not None or bound is None or bound.body.seq != hold.seq:
+            self._emit_binding(key, CrossLogBindingBody(
+                marker=key, log=self.log, seq=hold.seq,
+                shard_frontier=frontier))
 
     def _route_batch(self, batch: OrderedBatch) -> None:
         change = log_map_change_of(batch.request_certificates)
         if change is not None:
             self._route_log_map_change(batch, change)
             return
-        key = None
         request = self._cross_shard_marker_of(batch)
-        if request is not None:
-            key = client_marker_key(request)
-            if key in self._held:
-                self.cross_log_markers += 1
+        key = None if request is None else client_marker_key(request)
+        if key in self._held:
+            self.cross_log_markers += 1
         super()._route_batch(batch)
-        if key is not None:
-            self._finish_coordination(key)
+        self._finish_coordination(key)  # a no-op unless the marker held
 
     def _route_log_map_change(self, batch: OrderedBatch,
                               change: LogMapChange) -> None:
@@ -599,71 +437,40 @@ class MultiLogRouterQueue(ShardRouterQueue):
         self._observe_release(batch)
         key = change.marker_key()
         current = self._log_map()
-        if (not change.well_formed(self.num_shards, self.num_logs)
-                or change.parent_log_epoch != self.log_epoch
-                or current.log_of(change.shard) == change.target_log):
+        if not self._applies(change):
             self.log_map_changes_rejected += 1
             self._vacuous_answer(batch.seq)
             self._finish_coordination(key)
             return
-        frontier = None
-        if self.log == change.target_log:
-            frontier = self._frontier_from_evidence(
-                key, current.log_of(change.shard))
         self._send_parts(batch, [shard for shard in range(self.num_shards)
                                  if current.log_of(shard) == self.log])
         new_map = current.move(change.shard, change.target_log)
         self.log_registry.append(new_map)
         self.log_epoch = new_map.log_epoch
         self.log_map_cuts += 1
-        if frontier is not None:
-            self._next_shard_seq[change.shard] = frontier
+        if self.log == change.target_log:
+            # What the hold certified of the source log (never this one).
+            source = self._certified[key][current.log_of(change.shard)]
+            self._next_shard_seq[change.shard] = source.shard_frontier
         self._finish_coordination(key)
 
-    def _frontier_from_evidence(self, key: MarkerKey,
-                                source: int) -> Optional[int]:
-        cut = self._verified_cuts.get(key)
-        if cut is not None:
-            body = cut.body_for(source)
-            if body is not None and body.shard_frontier is not None:
-                return body.shard_frontier
-        for entry in self._certified.get((key, source), []):
-            if entry.body.shard_frontier is not None:
-                return entry.body.shard_frontier
-        return None  # unreachable: the release hold requires the evidence
-
     def _finish_coordination(self, key: MarkerKey) -> None:
-        held = self._held.pop(key, None)
-        if held is not None:
-            self._cut_meta[key] = (held[0], held[1])
-            if self.owner.tracing:
-                self.owner.trace_event(held[2], "coordinate_done")
-        pending = self._binding_sends.pop(key, None)
-        if pending is not None:
-            pending.timer.cancel()
-        timer = self._fallover_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        self._prune_coordination_state()
-
-    def _prune_coordination_state(self) -> None:
-        """Bound the released-marker bookkeeping (local liveness state
-        only -- never part of any agreed or certified artifact, so pruning
-        differences between replicas cannot diverge the protocol)."""
-        while len(self._cut_meta) > CUT_META_HORIZON:
-            stale = next(iter(self._cut_meta))
-            self._cut_meta.pop(stale, None)
+        hold = self._held.pop(key, None)
+        if hold is None:
+            return
+        hold.fetch.timer.cancel()
+        if self.owner.tracing:
+            self.owner.trace_event(self._marker_trace_id(key),
+                                   "coordinate_done")
+        for tally in self._tallies.values():
+            tally.pop(key, None)
+        # Local liveness state, never part of an agreed artifact: replicas
+        # that prune differently cannot diverge the protocol.
+        self._released[key] = self._certified.pop(key, {})
+        if len(self._released) > BOUND_RETENTION:
+            stale = next(iter(self._released))
+            del self._released[stale]
             self._bound.pop(stale, None)
-            self._verified_cuts.pop(stale, None)
-            self._cuts_sent.discard(stale)
-            self._certified = {
-                acc_key: entries for acc_key, entries in
-                self._certified.items() if acc_key[0] != stale
-            }
-            self._binding_acc = {
-                acc_key: collector for acc_key, collector in
-                self._binding_acc.items() if acc_key[0] != stale
-            }
 
     # ------------------------------------------------------------------ #
     # Checkpoint state transfer: the log-epoch cursor travels too.
@@ -680,4 +487,8 @@ class MultiLogRouterQueue(ShardRouterQueue):
             # Maps themselves derive from the agreed change history
             # (shared registry); only the cursor transfers.
             self.log_epoch = log_epoch
+        # A hold the checkpoint passed is over: others released the marker.
+        for key in [key for key, hold in self._held.items()
+                    if hold.seq <= seq]:
+            self._finish_coordination(key)
         super().sync_to_checkpoint(seq, sync_state)

@@ -196,8 +196,8 @@ class ShardRouterQueue(QueueCore):
         """Release staged batches in global order until a gap (or a hold).
 
         ``_release_hold`` lets a subclass pause the frontier at a specific
-        batch -- the multi-log queue holds a cross-group marker until its
-        certified cross-log cut arrives -- and resume by calling this method
+        batch -- the multi-log queue holds a cross-group marker until it has
+        certified the cross-log cut -- and resume by calling this method
         again once the hold clears.  The base queue never holds, so this is
         exactly the old contiguous release loop.
         """

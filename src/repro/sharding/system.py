@@ -25,7 +25,7 @@ The restricted topology mirrors the physical wiring this deployment would
 use: clients talk to every agreement cluster (a request goes to the log
 owning its shard; a log-map change may retarget it mid-flight) and, for the
 direct-reply optimisation, to execution replicas; agreement replicas of all
-logs are wired to each other (bindings and cuts cross logs) and to every
+logs are wired to each other (bindings and fetches cross logs) and to every
 execution replica (after a move, a different log feeds the cluster); and
 execution replicas talk only to *their own shard's* peers -- there is no
 cross-shard link, so shard isolation is enforced by the network just like

@@ -37,7 +37,7 @@ from repro.messages.request import ClientRequest, EncryptedBody, RequestEnvelope
 from repro.multilog.messages import (
     CrossLogBinding,
     CrossLogBindingBody,
-    CrossLogCut,
+    CrossLogBindingFetch,
     LogMapChange,
 )
 from repro.sharding.messages import (
@@ -450,8 +450,7 @@ def golden_messages():
         LogMapChange(shard=2, target_log=1, parent_log_epoch=0),
         binding_body,
         CrossLogBinding(body=binding_body, certificate=binding_cert, sender=agreement[0]),
-        CrossLogCut(marker=("C0", 7), logs=(0, 1), bodies=(binding_body,),
-                    certificates=(binding_cert,), sender=agreement[0]),
+        CrossLogBindingFetch(marker=("C0", 7), sender=agreement[1]),
     ]
     return {type(message).__name__: message for message in built}
 
@@ -463,7 +462,9 @@ def golden_messages():
 #: The three reply entries are the exception: they were regenerated when the
 #: certified form of a bundle became its header plus per-reply digests (a
 #: body 1087 -> 1169 with its replies counted as carried bytes, a
-#: ``BatchReply`` 3072 -> 2159, one client's ``ClientReply`` 3356 -> 1648).
+#: ``BatchReply`` 3072 -> 2159, one client's ``ClientReply`` 3356 -> 1648),
+#: and ``CrossLogBindingFetch`` is younger than the table: its entry is
+#: ``canonical_encode(to_wire())`` on the day the message was added.
 GOLDEN_WIRE = {
     "ClientRequest": (577, "846aaae68c5144c23c0561799319a0e220a78f48d23ffbb25b3ecc058ca540fb"),
     "RequestEnvelope": (1382, "e1943594feafb6703b5c5c8a24330eef4122a01f8a3c861923296f4710d0458a"),
@@ -498,7 +499,7 @@ GOLDEN_WIRE = {
     "LogMapChange": (196, "6a2ed63ad2b0e79bcfa607fd1e42b5cd5c435b3fbb4944fe649f05a5b3324c19"),
     "CrossLogBindingBody": (236, "c40b955253be6ceb61745c6fef902200e6ba8c6f1f16322e3a515c63c3cc6da7"),
     "CrossLogBinding": (1280, "10ee98585f70b88133a8d7eac7ccdc6271c88fdee7a4e7a5b0f39c8f5d8d4c52"),
-    "CrossLogCut": (1406, "a12b06c1cbaad032d3ccbadc2a8dfb33adea282baf291c0b2882606335e934e2"),
+    "CrossLogBindingFetch": (174, "4ce3c4216129e453491113f4cf1a29d12228cc5ac6d69d5eb4678401074e9f96"),
 }
 
 

@@ -6,10 +6,12 @@ The safety-critical properties of the partitioned ordering plane:
   groups) is released at one cross-log cut even when a touched log changes
   view mid-coordination -- the marker commits atomically under the new
   primary or not at all;
-* a Byzantine coordinating primary cannot wedge or corrupt the cut: a
-  silent coordinator is fallen over (every touched log's backups collate
-  the cut themselves), and a tampered cut broadcast is rejected by the
-  binding certificates and released through each queue's own assembly;
+* every queue certifies the cut itself from ``f + 1`` matching bindings per
+  other touched log, so one lying log member can neither misplace a marker
+  nor move a shard frontier, and garbage bindings are counted, not raised;
+* a queue that missed bindings asks for them and is served whatever the
+  arrival order was, and a binding never causes a send -- released queues
+  cannot answer each other forever;
 * a shard moving between log groups (`propose_log_map_change`) preserves
   exactly-once execution for traffic racing the move -- the epoch-versioned
   LogMap cut retargets clients and execution feeds without re-executing or
@@ -31,12 +33,17 @@ import pytest
 
 from conftest import CHEAP_CRYPTO, FAST_TIMERS
 from repro.apps.kvstore import KeyValueStore, get, put, transaction
-from repro.config import CrossShardConfig, SystemConfig
+from repro.config import AuthenticationScheme, CrossShardConfig, SystemConfig
+from repro.crypto.certificate import Certificate
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.faults import LinkFault
 from repro.fuzz import FaultSchedule, ScheduleEvent, load_corpus, run_schedule
 from repro.fuzz.harness import ScenarioSpec
 from repro.fuzz.oracles import ExactlyOnceOracle
+from repro.multilog import (CrossLogBinding, CrossLogBindingBody,
+                            CrossLogBindingFetch, MultiLogRouterQueue)
+from repro.multilog.queue import BOUND_RETENTION
+from repro.net.network import DROP
 from repro.sharding import ShardedSystem
 from repro.sharding.queue import ShardRouterQueue
 from repro.workloads import equal_range_boundaries, seed_operations
@@ -159,6 +166,24 @@ class TestConstruction:
         # Neither request spanned log groups, so no coordination ran.
         assert all(queue.cross_log_markers == 0 for queue in all_queues(system))
 
+    def test_only_a_request_crossing_log_groups_is_coordinated(self):
+        system = make_system()
+        seed_system(system)
+        # Shards 0 and 1 both belong to log 0: a multi-shard marker, bound
+        # like any other, but released without waiting for anybody.
+        record = system.invoke(transaction(reads={}, writes={
+            audit_key(KEY_SPACE, NUM_SHARDS, shard): "in-group"
+            for shard in (0, 1)}))
+        assert record.result.value.get("committed") is True
+        assert all(queue.cross_log_markers == 0 for queue in all_queues(system))
+        record = system.invoke(cross_group_txn("across"))
+        assert record.result.value.get("committed") is True
+        system.run(500.0)
+        assert all(queue.cross_log_markers == 1 for queue in all_queues(system))
+        # Fault-free, every binding arrives by itself: nobody asks.
+        assert all(queue.bindings_served == 0 and queue.bindings_rejected == 0
+                   for queue in all_queues(system))
+
 
 # ---------------------------------------------------------------------- #
 # Marker atomicity across a view change in one touched log.
@@ -193,51 +218,266 @@ class TestViewChangeAtomicity:
 
 
 # ---------------------------------------------------------------------- #
-# Byzantine coordinating primary: fallover and corrupt-cut rejection.
+# Ask and serve: a queue that missed bindings asks; nobody else sends.
 # ---------------------------------------------------------------------- #
 
 
-class TestByzantineCoordinator:
-    def test_silent_coordinator_falls_over(self):
-        system = make_system()
-        seed_system(system)
-        # The coordinator is the lowest touched log's primary (log 0).
-        system.log_primary(0).local.suppress_cut_broadcast = True
-        record = system.invoke(cross_group_txn("quiet"), timeout_ms=30_000.0)
-        assert record.result.value.get("committed") is True
-        # Let the backups' fallover timers fire: one of them collates and
-        # broadcasts the cut the silent coordinator withheld.
-        system.run(2_000.0)
-        assert sum(queue.cut_fallovers for queue in all_queues(system)) > 0
-        for shard in range(system.num_shards):
-            assert audit_value(system, shard) == "quiet"
+def cross_log_sends(system):
+    return sum(entry["sends"]
+               for name, entry in system.network.stats.census().items()
+               if name.startswith("CrossLog"))
 
-    def test_corrupt_cut_broadcast_rejected_and_released(self):
-        system = make_system()
-        seed_system(system)
-        coordinator = system.log_primary(0)
-        coordinator.local.corrupt_cut_broadcast = True
-        # Slow the log-0 backups' bindings toward one log-1 backup: the
-        # tampered cut (fast link from the coordinator) reaches it while it
-        # is still holding -- a released queue skips cut verification
-        # entirely, so only a still-holding one exercises the rejection.
-        victim = next(replica for replica in system.log_replicas[1]
-                      if not replica.is_primary)
-        injector = FaultInjector(system)
+
+def cut_off_victim(system, heal_ms, own_delay_ms=0.0):
+    """Drop log 0's cross-log traffic to one log-1 backup for ``heal_ms``
+    (and optionally slow the victim's own links to log 0); returns the
+    victim and the virtual time of the heal."""
+    victim = next(replica for replica in system.log_replicas[1]
+                  if not replica.is_primary)
+    log0 = {replica.node_id for replica in system.log_replicas[0]}
+    heal_at = system.now + heal_ms
+
+    def tap(source, destination, message):
+        if (source in log0 and destination == victim.node_id
+                and type(message).__name__.startswith("CrossLog")
+                and system.now < heal_at):
+            return DROP
+        return None
+
+    system.network.add_tap(tap)
+    if own_delay_ms:
         plan = FaultPlan()
         for replica in system.log_replicas[0]:
-            if replica is not coordinator:
-                plan.link_fault(replica.node_id, victim.node_id,
-                                LinkFault(extra_delay_ms=60.0), at_ms=0.0)
-        injector.install(plan)
-        record = system.invoke(cross_group_txn("tamper"), timeout_ms=30_000.0)
+            plan.link_fault(victim.node_id, replica.node_id,
+                            LinkFault(extra_delay_ms=own_delay_ms), at_ms=0.0)
+        FaultInjector(system).install(plan)
+    return victim, heal_at
+
+
+class TestAskAndServe:
+    @pytest.mark.parametrize("heal_ms", [30.0, 150.0, 300.0])
+    def test_no_answer_storm_after_a_heal(self, heal_ms):
+        system = make_system()
+        seed_system(system)
+        victim, heal_at = cut_off_victim(system, heal_ms)
+        record = system.invoke(cross_group_txn("storm"), timeout_ms=30_000.0)
         assert record.result.value.get("committed") is True
-        system.run(2_000.0)
-        # The tampered cut was rejected against the f+1-signer binding
-        # certificates; the slow queue released through its own assembly.
-        assert sum(queue.invalid_cuts for queue in all_queues(system)) > 0
+        system.run_until(
+            lambda: system.now >= heal_at and not victim.local._held,
+            5_000.0, "the victim releasing after the heal")
+        assert victim.local.cross_log_markers == 1
+        assert sum(queue.bindings_served for queue in all_queues(system)) > 0
+        # Released queues have nothing left to say to each other: a binding
+        # never causes a send, so the idle system stays idle.
+        system.run(30_000.0)
+        assert cross_log_sends(system) < 100
         for shard in range(system.num_shards):
-            assert audit_value(system, shard) == "tamper"
+            assert audit_value(system, shard) == "storm"
+
+    def test_nobody_is_stranded_by_arrival_order(self):
+        system = make_system()
+        seed_system(system)
+        # The victim's own bindings reach log 0 late, after log 0's queues
+        # already certified log 1 on the other replicas' f + 1: who gets
+        # served must not depend on whose copy came first.
+        victim, heal_at = cut_off_victim(system, 150.0, own_delay_ms=5.0)
+        record = system.invoke(cross_group_txn("late"), timeout_ms=30_000.0)
+        assert record.result.value.get("committed") is True
+        system.run_until(lambda: system.now >= heal_at + 1_000.0, 5_000.0)
+        assert [queue.owner.node_id for queue in all_queues(system)
+                if queue._held] == []
+        assert victim.local.cross_log_markers == 1
+
+    def test_a_fetch_costs_at_most_one_binding(self):
+        system = make_system()
+        seed_system(system)
+        system.invoke(cross_group_txn("fetch"))
+        server, asker, bystander = (system.log_replicas[0][1],
+                                    system.log_replicas[1][1],
+                                    system.log_replicas[1][2])
+        marker = next(iter(server.local._bound))
+        idle = cross_log_sends(system)
+        client = system.clients[0]
+        refused = [
+            # a marker nobody bound, and one that is not a marker at all
+            (asker, CrossLogBindingFetch(marker=("xs", "C9", 99),
+                                         sender=asker.node_id)),
+            (asker, CrossLogBindingFetch(marker=("xs", ["C0"], 1),
+                                         sender=asker.node_id)),
+            # not an agreement replica
+            (client, CrossLogBindingFetch(marker=marker,
+                                          sender=client.node_id)),
+            # naming somebody else as the asker
+            (asker, CrossLogBindingFetch(marker=marker,
+                                         sender=bystander.node_id)),
+        ]
+        for source, fetch in refused:
+            source.send(server.node_id, fetch)
+        system.run(50.0)
+        assert cross_log_sends(system) == idle + len(refused)
+        assert server.local.bindings_served == 0
+        for _ in range(5):
+            asker.send(server.node_id, CrossLogBindingFetch(
+                marker=marker, sender=asker.node_id))
+        system.run(50.0)
+        # Five fetches, five bindings, all to the asker -- and none of
+        # them made the asker (which released long ago) say anything.
+        assert server.local.bindings_served == 5
+        assert cross_log_sends(system) == idle + len(refused) + 10
+
+
+    def test_a_checkpoint_sync_past_a_held_marker_ends_the_hold(self):
+        system = make_system()
+        seed_system(system)
+        # Log 1 cannot commit its leg without 2f + 1 replicas: log 0 holds.
+        for replica in system.log_replicas[1][:2]:
+            replica.crash()
+        system.clients[0].submit(cross_group_txn("synced"))
+        queue = system.log_replicas[0][1].local
+        system.run_until(lambda: bool(queue._held), 5_000.0, "log 0 holding")
+        (marker, hold), = queue._held.items()
+        # The rest of log 0 moved on and certified a checkpoint: the batch
+        # is released as far as this queue is concerned, and it must stop
+        # asking for it.
+        queue.sync_to_checkpoint(hold.seq, ())
+        assert not queue._held and not hold.fetch.timer.active
+        assert queue._bound[marker].body.seq == hold.seq  # still servable
+
+
+# ---------------------------------------------------------------------- #
+# Byzantine log members: lies do not certify, garbage does not raise.
+# ---------------------------------------------------------------------- #
+
+
+def make_liar(replica, **lie):
+    """``replica`` binds every marker to ``seq + 1`` (and ``lie``), under
+    its own valid MACs."""
+    honest_emit = replica.local._emit_binding
+
+    def emit(key, body):
+        honest_emit(key, dataclasses.replace(body, seq=body.seq + 1, **lie))
+
+    replica.local._emit_binding = emit
+
+
+@pytest.fixture
+def certified_at_release(monkeypatch):
+    """``{queue's node: {log: certified body}}`` of every hold released."""
+    seen = {}
+    finish = MultiLogRouterQueue._finish_coordination
+
+    def record(queue, key):
+        hold = queue._held.get(key)
+        if hold is not None:
+            seen[queue.owner.node_id] = dict(queue._certified[key])
+        finish(queue, key)
+
+    monkeypatch.setattr(MultiLogRouterQueue, "_finish_coordination", record)
+    return seen
+
+
+class TestLyingLogMember:
+    def test_one_liar_cannot_place_a_client_marker(self, certified_at_release):
+        system = make_system()
+        seed_system(system)
+        liar, honest = system.log_replicas[0][1], system.log_replicas[0][2]
+        make_liar(liar)
+        record = system.invoke(cross_group_txn("lie"), timeout_ms=30_000.0)
+        assert record.result.value.get("committed") is True
+        system.run(500.0)
+        (marker, bound), = honest.local._bound.items()
+        assert liar.local._bound[marker].body.seq == bound.body.seq + 1
+        for replica in system.log_replicas[1]:
+            assert certified_at_release[replica.node_id] == {0: bound.body}
+        assert all(queue.cross_log_markers == 1 and not queue._held
+                   for queue in all_queues(system))
+        for shard in range(system.num_shards):
+            assert audit_value(system, shard) == "lie"
+        assert ExactlyOnceOracle().check(system, completed_all=True) == []
+
+    def test_one_liar_cannot_move_a_shard_frontier(self, certified_at_release):
+        system = make_system()
+        seed_system(system)
+        moving = 1  # owned by log 0; the liar is a member of the source log
+        for index in range(6):
+            system.invoke(put(key_on(system, moving), f"before{index}"))
+        liar, honest = system.log_replicas[0][1], system.log_replicas[0][2]
+        make_liar(liar, shard_frontier=1_000)
+        assert system.propose_log_map_change(moving, 1)
+        system.run_until(
+            lambda: all(queue.log_epoch == 1 for queue in all_queues(system)),
+            30_000.0, "the log-map cut")
+        (marker, bound), = honest.local._bound.items()
+        assert liar.local._bound[marker].body.shard_frontier == 1_000
+        for replica in system.log_replicas[1]:
+            assert certified_at_release[replica.node_id] == {0: bound.body}
+            assert (replica.local._next_shard_seq[moving]
+                    == bound.body.shard_frontier)
+        # The moved shard's order continues gap-free under its new log.
+        record = system.invoke(put(key_on(system, moving), "after"))
+        assert record.result.error is None
+        assert system.invoke(
+            get(key_on(system, moving))).result.value["value"] == "after"
+        assert ExactlyOnceOracle().check(system, completed_all=True) == []
+
+
+class TestBindingAdmission:
+    def _binding(self, sender, **fields):
+        body = CrossLogBindingBody(**{
+            "marker": ("xs", "C0", 1), "log": 0, "seq": 3, **fields})
+        return CrossLogBinding(
+            body=body, sender=sender.node_id,
+            certificate=sender.crypto.new_certificate(
+                body, AuthenticationScheme.MAC, []))
+
+    def test_ill_typed_bindings_are_counted_not_raised(self):
+        system = make_system()
+        sender, target = system.log_replicas[0][1], system.log_replicas[1][1]
+        garbage = [
+            self._binding(sender, log="0"),
+            self._binding(sender, seq=None),
+            self._binding(sender, shard_frontier=True),
+            self._binding(sender, marker=("xs", ["C0"], 1)),  # unhashable
+            self._binding(sender, marker=("xs", "C0")),
+            self._binding(sender, log=1),  # not a member of the log it names
+            dataclasses.replace(self._binding(sender),
+                                sender=system.log_replicas[0][2].node_id),
+            # no authenticator of the sender's own, or somebody else's
+            # filed under the sender's name
+            dataclasses.replace(self._binding(sender), certificate=Certificate(
+                payload=None, scheme=AuthenticationScheme.MAC)),
+            dataclasses.replace(self._binding(sender), certificate=Certificate(
+                payload=None, scheme=AuthenticationScheme.MAC,
+                authenticators={sender.node_id: self._binding(
+                    target).certificate.authenticators[target.node_id]})),
+        ]
+        for binding in garbage:
+            sender.send(target.node_id, binding)
+        system.run(50.0)
+        assert target.local.bindings_rejected == len(garbage)
+        assert not any(target.local._tallies.values())
+        assert cross_log_sends(system) == len(garbage)  # nobody answered
+
+    def test_one_sender_cannot_fill_the_tally(self):
+        system = make_system()
+        seed_system(system)
+        flooder, target = system.log_replicas[0][1], system.log_replicas[1][1]
+        for stamp in range(1, 5_001):
+            flooder.send(target.node_id,
+                         self._binding(flooder, marker=("xs", "C9", stamp)))
+        system.run(50.0)
+        tallies = target.local._tallies
+        assert len(tallies[flooder.node_id]) == BOUND_RETENTION
+        assert target.local.bindings_rejected == 0
+        # ... and evicted only itself: the honest members' bindings of a
+        # real marker are all there when it reaches the release head, so
+        # nobody has to ask.
+        record = system.invoke(cross_group_txn("flooded"))
+        assert record.result.value.get("committed") is True
+        system.run(500.0)
+        assert all(len(tally) <= BOUND_RETENTION
+                   for tally in tallies.values())
+        assert sum(queue.bindings_served for queue in all_queues(system)) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -316,8 +556,19 @@ class TestMultilogFuzzScenario:
         # The schedule exercised the coordination machinery, not just the
         # per-log fast path.
         assert result.stats["cross_log_markers"] > 0
-        assert result.stats["cuts_broadcast"] > 0
+        assert result.stats["bindings_sent"] > 0
         assert result.stats["log_epoch"] == 1  # the log_move gene landed
+
+    def test_committed_partition_seed_exercises_ask_and_serve(self):
+        """One log-1 replica cut off from log 0 around cross-group markers:
+        the PR-time corpus replay covers the fetch path."""
+        schedule = next(
+            schedule for schedule in load_corpus(CORPUS_DIR)
+            if schedule.scenario == "multilog"
+            and all(event.kind == "partition" for event in schedule.events))
+        result = run_schedule(schedule)
+        assert result.completed_all and result.ok
+        assert result.stats["bindings_served"] > 0
 
     def test_bit_identical_replay(self):
         first = run_schedule(MULTILOG_SCHEDULE)

@@ -81,12 +81,14 @@ def _two_logs():
     system = sharded_system(num_logs=2, num_shards=4,
                             cross_shard=CrossShardConfig(enabled=True))
     # Log 1 cannot commit its leg of a cross-group marker without 2f + 1
-    # replicas, so log 0's queues hold the marker and keep re-sending
-    # their binding.
+    # replicas, so log 0's queues hold the marker and keep asking log 1
+    # for its binding.
     stalled = system.log_replicas[1][:2]
     marker = transaction(reads={}, writes={
         audit_key(KEY_SPACE, 4, shard): "stamp" for shard in range(4)})
-    return system, marker, lambda queue: queue._binding_sends, stalled
+    return (system, marker,
+            lambda queue: {key: hold.fetch
+                           for key, hold in queue._held.items()}, stalled)
 
 
 class TestRetransmitBackoff:
