@@ -44,7 +44,6 @@ from repro.config import (
     BatchingConfig,
     CryptoCosts,
     PerfConfig,
-    PipelineConfig,
     SystemConfig,
     TimerConfig,
 )
@@ -95,7 +94,7 @@ def print_section(title: str) -> None:
 
 
 def build_sharded(perf: PerfConfig, num_shards: int = 4, seed: int = 42,
-                  pipeline: PipelineConfig = None) -> ShardedSystem:
+                  per_shard_windows: bool = False) -> ShardedSystem:
     import dataclasses
 
     # A 5 ms bundle-fill window lets the adaptive controller assemble
@@ -112,7 +111,7 @@ def build_sharded(perf: PerfConfig, num_shards: int = 4, seed: int = 42,
         checkpoint_interval=64, app_processing_ms=1.0,
         timers=timers, crypto=HOTPATH_CRYPTO,
         batching=ADAPTIVE, perf=perf,
-        pipeline=pipeline if pipeline is not None else PipelineConfig(),
+        per_shard_windows=per_shard_windows,
         observability=current_observability())
     return ShardedSystem(config, KeyValueStore, seed=seed)
 
@@ -128,7 +127,7 @@ def crypto_totals(system) -> Dict[str, int]:
 
 def run_hotpath_workload(fast_path: bool, num_requests: int, seed: int = 42,
                          workload_seed: int = 7,
-                         pipeline: PipelineConfig = None,
+                         per_shard_windows: bool = False,
                          trace_output: Path = None):
     """One uniform 4-shard kvstore run; returns (result, metrics dict).
 
@@ -140,7 +139,7 @@ def run_hotpath_workload(fast_path: bool, num_requests: int, seed: int = 42,
     """
     _set_fast_path(fast_path)
     system = build_sharded(PerfConfig() if fast_path else FASTPATH_OFF, seed=seed,
-                           pipeline=pipeline)
+                           per_shard_windows=per_shard_windows)
     events_before = system.scheduler.events_processed
     wall_start = time.perf_counter()
     result = run_multishard_workload(
@@ -279,7 +278,8 @@ def section_batching(quick: bool) -> Dict:
                                reply_bytes=1024, drain_ms=3_000.0)
         high[str(bundle)] = result.achieved_throughput_rps
         max_bundle_seen[str(bundle)] = max(
-            replica.batcher.largest_batch for replica in system.agreement_replicas)
+            replica.proposer.batcher.largest_batch
+            for replica in system.agreement_replicas)
 
     low: Dict[str, float] = {}
     low_requests = 20 if quick else 40

@@ -5,10 +5,9 @@ workload (80% of requests to the hottest quarter of the key space, i.e.
 shard 0):
 
 1. **skew** -- committed-requests/second over a fixed window with skew-aware
-   concurrency (``PipelineConfig(per_shard_depth=..., ooo_shard_delivery=True,
-   rtt_gather=True)``, the ``SystemConfig.sharded`` default) versus the
-   single global contiguous watermark (``PipelineConfig()``, the
-   pre-skew-aware behaviour).  Acceptance: >= 1.5x at 4 shards.  The
+   concurrency (``per_shard_windows=True``, the ``SystemConfig.sharded``
+   default) versus the single global contiguous watermark
+   (``per_shard_windows=False``, the pre-skew-aware behaviour).  Acceptance: >= 1.5x at 4 shards.  The
    per-shard committed breakdown shows *where* the win comes from: under
    the global watermark the hot shard's unanswered batches hold window
    slots that starve the cold shards.
@@ -43,7 +42,6 @@ from repro.analysis import format_table
 from repro.apps.kvstore import KeyValueStore
 from repro.config import (
     BatchingConfig,
-    PipelineConfig,
     SystemConfig,
     TimerConfig,
 )
@@ -76,10 +74,6 @@ SKEW_TIMERS = TimerConfig(client_retransmit_ms=5_000.0,
                           execution_fetch_ms=50.0, view_change_ms=20_000.0,
                           batch_timeout_ms=5.0)
 
-PER_SHARD_PIPELINE = PipelineConfig(per_shard_depth=WINDOW_DEPTH,
-                                    ooo_shard_delivery=True, rtt_gather=True)
-GLOBAL_PIPELINE = PipelineConfig()
-
 
 def print_section(title: str) -> None:
     print()
@@ -88,7 +82,7 @@ def print_section(title: str) -> None:
     print("=" * 78)
 
 
-def build_skew_system(pipeline: PipelineConfig, seed: int) -> ShardedSystem:
+def build_skew_system(per_shard_windows: bool, seed: int) -> ShardedSystem:
     config = SystemConfig.sharded(
         NUM_SHARDS, strategy="range",
         range_boundaries=equal_range_boundaries(KEY_SPACE, NUM_SHARDS),
@@ -96,7 +90,8 @@ def build_skew_system(pipeline: PipelineConfig, seed: int) -> ShardedSystem:
         checkpoint_interval=64, app_processing_ms=1.0,
         timers=SKEW_TIMERS, crypto=HOTPATH_CRYPTO,
         batching=BatchingConfig(mode="adaptive", min_bundle=1, max_bundle=64),
-        pipeline=pipeline, observability=current_observability())
+        per_shard_windows=per_shard_windows,
+        observability=current_observability())
     return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
@@ -118,9 +113,9 @@ def section_skew(quick: bool, seed: int, workload_seed: int,
 
     runs = {}
     systems = {}
-    for label, pipeline in (("global watermark", GLOBAL_PIPELINE),
-                            ("per-shard windows", PER_SHARD_PIPELINE)):
-        system = build_skew_system(pipeline, seed=seed)
+    for label, per_shard_windows in (("global watermark", False),
+                                     ("per-shard windows", True)):
+        system = build_skew_system(per_shard_windows, seed=seed)
         systems[label] = system
         runs[label] = run_skew_window(
             system, operations=operations, client_shards=affinity,
@@ -172,13 +167,12 @@ def section_skew(quick: bool, seed: int, workload_seed: int,
 def section_uniform(quick: bool, seed: int, workload_seed: int,
                     hotpath_baseline: Path) -> Dict:
     num_requests = 96 if quick else 240
-    depth_64 = PipelineConfig(per_shard_depth=64, ooo_shard_delivery=True,
-                              rtt_gather=True)
     _, with_global = run_hotpath_workload(True, num_requests, seed,
                                           workload_seed,
-                                          pipeline=GLOBAL_PIPELINE)
+                                          per_shard_windows=False)
     _, with_pershard = run_hotpath_workload(True, num_requests, seed,
-                                            workload_seed, pipeline=depth_64)
+                                            workload_seed,
+                                            per_shard_windows=True)
     throughput_ratio = (with_pershard["throughput_rps"]
                         / max(with_global["throughput_rps"], 1e-9))
 

@@ -14,12 +14,23 @@ observability outputs themselves::
 
 Any other difference means instrumentation leaked into the simulation
 (e.g. an instrument charged time or consumed randomness) and fails CI.
+
+The same comparison proves a refactor ("Proving a refactor" in
+docs/BENCHMARKS.md, step 2).  With ``--against BASE_DIR`` nothing runs:
+the ``BENCH_<name>.json`` and ``TRACE_<name>.jsonl`` a ``run_gate.py``
+leg left in the current directory are compared with the ones the same leg
+left in ``BASE_DIR`` on the parent commit -- the results outside the
+volatile fields, the trace byte for byte -- and one line per leg goes to
+stdout and, inside GitHub Actions, to ``$GITHUB_STEP_SUMMARY``::
+
+    PYTHONPATH=src python benchmarks/check_overhead.py --against ../base-out skew
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,26 +69,28 @@ def strip_volatile(value):
     return value
 
 
-def deep_diff(a, b, path: str = "$") -> List[str]:
-    """Paths at which two stripped JSON values differ (empty = identical)."""
+def deep_diff(a, b, path: str = "$",
+              names=("obs-off run", "obs-on run")) -> List[str]:
+    """Paths at which two stripped JSON values differ (empty = identical);
+    ``names`` says where a key missing on the other side was found."""
     if type(a) is not type(b):
         return [f"{path}: type {type(a).__name__} != {type(b).__name__}"]
     if isinstance(a, dict):
         diffs: List[str] = []
         for key in sorted(set(a) | set(b)):
             if key not in a:
-                diffs.append(f"{path}.{key}: only in obs-off run")
+                diffs.append(f"{path}.{key}: only in {names[1]}")
             elif key not in b:
-                diffs.append(f"{path}.{key}: only in obs-on run")
+                diffs.append(f"{path}.{key}: only in {names[0]}")
             else:
-                diffs.extend(deep_diff(a[key], b[key], f"{path}.{key}"))
+                diffs.extend(deep_diff(a[key], b[key], f"{path}.{key}", names))
         return diffs
     if isinstance(a, list):
         if len(a) != len(b):
             return [f"{path}: length {len(a)} != {len(b)}"]
         diffs = []
         for index, (left, right) in enumerate(zip(a, b)):
-            diffs.extend(deep_diff(left, right, f"{path}[{index}]"))
+            diffs.extend(deep_diff(left, right, f"{path}[{index}]", names))
         return diffs
     if a != b:
         return [f"{path}: {a!r} != {b!r}"]
@@ -128,13 +141,45 @@ def check_overhead(name: str, quick: bool, keep_outputs: bool = True) -> int:
     return 0
 
 
+def compare_against(base_dir: Path, name: str) -> int:
+    """Compare one leg's artifacts here with those in ``base_dir``."""
+    bench, trace = f"BENCH_{name}.json", f"TRACE_{name}.jsonl"
+    missing = [str(directory / file) for directory in (base_dir, Path.cwd())
+               for file in (bench, trace) if not (directory / file).exists()]
+    same = False
+    if missing:
+        line = f"{name}: missing {', '.join(missing)}"
+    else:
+        diffs = deep_diff(
+            strip_volatile(json.loads((base_dir / bench).read_text())),
+            strip_volatile(json.loads(Path(bench).read_text())),
+            names=("base", "head"))
+        same_trace = (base_dir / trace).read_bytes() == Path(trace).read_bytes()
+        results = ("equal outside VOLATILE_KEYS" if not diffs
+                   else f"{len(diffs)} field(s) differ, first {diffs[0]}")
+        line = (f"{name}: {bench} {results}; {trace} "
+                f"{'byte-identical' if same_trace else 'differs'}")
+        same = not diffs and same_trace
+    print(line)
+    step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if step_summary:
+        with open(step_summary, "a", encoding="utf-8") as handle:
+            handle.write(f"- {line}\n")
+    return 0 if same else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench", choices=sorted(SCRIPTS),
                         help="which gate leg to compare")
     parser.add_argument("--quick", action="store_true",
                         help="smaller windows for CI smoke runs")
+    parser.add_argument("--against", metavar="BASE_DIR", type=Path,
+                        help="compare this directory's gate artifacts with "
+                             "BASE_DIR's instead of running anything")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return compare_against(args.against, args.bench)
     return check_overhead(args.bench, quick=args.quick)
 
 

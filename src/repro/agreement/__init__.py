@@ -1,8 +1,9 @@
 """BASE-style Byzantine agreement library.
 
 The agreement cluster orders client requests with a PBFT-style three-phase
-protocol run by ``3f + 1`` replicas, batches (bundles) requests, checkpoints
-its log, and changes views when the primary appears faulty.  It does **not**
+protocol run by ``3f + 1`` replicas (:class:`AgreementReplica`), batches
+(bundles) requests in each replica's :class:`Proposer`, checkpoints its log,
+and changes views when the primary appears faulty.  It does **not**
 execute requests against the application: instead each replica "executes" an
 ordered batch against a pluggable *local state machine*
 (:class:`~repro.agreement.local.LocalExecutor`).
@@ -19,6 +20,7 @@ ordered batch against a pluggable *local state machine*
 from .local import LocalExecutor, RetryOutcome
 from .log import AgreementLog, LogEntry
 from .batching import Batcher
+from .proposer import Proposer
 from .replica import AgreementReplica
 
 __all__ = [
@@ -27,5 +29,6 @@ __all__ = [
     "AgreementLog",
     "LogEntry",
     "Batcher",
+    "Proposer",
     "AgreementReplica",
 ]

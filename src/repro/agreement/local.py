@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..crypto.certificate import Certificate
+from ..messages.request import ClientRequest
 from ..statemachine.nondet import NonDetInput
 
 
@@ -101,11 +102,22 @@ class LocalExecutor(ABC):
 
     def shard_outstanding(self, shard: int) -> int:
         """Batches sent towards execution shard ``shard`` but not yet
-        answered (0 when the executor is not sharded).  The agreement
-        replica combines this with its own proposal tracking to size the
-        per-shard pipeline windows
-        (:attr:`repro.config.PipelineConfig.per_shard_depth`)."""
+        answered (0 when the executor is not sharded).  The proposer
+        combines this with its own proposals to size the per-shard windows
+        (:attr:`repro.config.SystemConfig.per_shard_windows`)."""
         return 0
+
+    def request_shard(self, request: ClientRequest) -> Optional[int]:
+        """The shard that will execute ``request`` (its bundle queue and
+        admission window at the proposer), or ``None`` when the executor
+        does not shard."""
+        return None
+
+    def cross_shards(self, request: ClientRequest) -> Optional[List[int]]:
+        """The ascending shards a cross-shard ``request`` touches -- the
+        proposer orders it alone, as a marker whose sequence number is a
+        consistent cut over them -- or ``None`` for any other request."""
+        return None
 
     def on_stable_checkpoint(self, seq: int) -> None:
         """Notification that the agreement cluster's checkpoint at ``seq`` is stable."""

@@ -38,12 +38,6 @@ class LogEntry:
     #: its position in the log is an epoch cut, and at most one such entry
     #: may be in flight at a time (the proposer checks the log first)
     config_op: bool = False
-    #: the batch is a cross-shard operation marker (a single client-request
-    #: certificate whose keys span execution clusters): its position in the
-    #: log is the operation's consistent cut.  Unlike config operations,
-    #: any number of markers may be in flight -- the release frontier
-    #: serialises their cuts for free
-    cross_shard: bool = False
 
     def batch_digest(self) -> Optional[bytes]:
         if self.pre_prepare is None:
@@ -108,14 +102,6 @@ class AgreementLog:
     def note_config_op(self, view: int, seq: int) -> None:
         """Mark the entry at ``(view, seq)`` as carrying a config operation."""
         self.entry(view, seq).config_op = True
-
-    def note_cross_shard(self, view: int, seq: int) -> None:
-        """Mark the entry at ``(view, seq)`` as a cross-shard marker."""
-        self.entry(view, seq).cross_shard = True
-
-    def cross_shard_count(self) -> int:
-        """Live cross-shard marker entries (introspection for tests)."""
-        return sum(1 for entry in self._entries.values() if entry.cross_shard)
 
     def pending_config_seqs(self) -> List[int]:
         """Sequence numbers of config operations not yet delivered.

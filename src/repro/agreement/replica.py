@@ -19,7 +19,9 @@ Liskov, as the BASE library does):
 
 The replica also implements checkpointing with watermarks, garbage
 collection, and a view-change protocol that re-proposes prepared batches so
-that an agreed ordering survives a faulty primary.
+that an agreed ordering survives a faulty primary.  What goes into the next
+batch, and when, is the primary-side policy of its
+:class:`~repro.agreement.proposer.Proposer`, built with the replica.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..crypto.keys import Keystore
 from ..crypto.provider import CryptoProvider
-from ..errors import ProtocolError
 from ..messages.agreement import (
     AgreementCertBody,
     AgreementCheckpoint,
@@ -47,28 +48,13 @@ from ..messages.request import ClientRequest, RequestEnvelope
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sim.process import Process
-from ..sim.scheduler import Scheduler, Timer
-from ..statemachine.nondet import NonDeterminismResolver, NonDetInput
+from ..sim.scheduler import Scheduler
+from ..statemachine.nondet import NonDeterminismResolver
 from ..util.ids import NodeId
-from .batching import ANY_SHARD, Batcher, make_bundle_controller
-from .local import LocalExecutor, RetryOutcome
+from .local import LocalExecutor
 from .log import AgreementLog, LogEntry
+from .proposer import Proposer
 
-#: EWMA smoothing factor for the measured order-to-reply round trip
-_RTT_ALPHA = 0.125
-#: the RTT-derived gather window is this fraction of the smoothed round trip
-_RTT_GATHER_FRACTION = 0.5
-#: floor of the RTT-derived gather window (ms)
-_MIN_GATHER_MS = 0.5
-#: quiet-gap flush window (ms) used instead of ``timers.batch_timeout_ms``
-#: when at most one batch is in flight: long enough to cover the
-#: reply-to-resubmission round trip of a closed-loop client cohort, and
-#: each arrival during the gather pushes the flush out by another
-#: ``GATHER_MS`` (a debounce that captures the whole burst), bounded by
-#: ``timers.batch_timeout_ms`` from the start of the gather.  At
-#: ``min_bundle`` every take happens at arrival time and this window is
-#: never armed, so light-load latency is untouched.
-GATHER_MS = 6.0
 #: upper bound on the view-change escalation delay (ms); a cap below
 #: ``timers.view_change_ms`` is treated as ``view_change_ms`` (the backoff
 #: never undercuts the base timer)
@@ -100,9 +86,9 @@ class AgreementReplica(Process):
         self.view = 0
         self.next_seq = 1
         self.log = AgreementLog(config.checkpoint_interval)
-        self.batcher = Batcher(controller=make_bundle_controller(config),
-                               metrics=self.metrics)
-        self._adaptive_batching = config.batching.mode == "adaptive"
+        #: hand batches to the local executor's staging buffer at commit
+        #: (per-shard windows release each shard along its own frontier)
+        self._stage_at_commit = config.per_shard_windows
         #: observability instruments (shared no-ops when metrics are off)
         self._h_batch_size = self.metrics.histogram(
             "agreement.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128))
@@ -114,47 +100,12 @@ class AgreementReplica(Process):
             "view_changes_completed": self.view_changes_completed,
             "primaries_deposed": self.primaries_deposed,
             "checkpoint_syncs": self.checkpoint_syncs,
-            "cross_shard_ordered": self.cross_shard_ordered,
-            "rtt_ewma_ms": self._rtt_ewma,
+            "cross_shard_ordered": self.proposer.cross_shard_ordered,
+            "rtt_ewma_ms": self.proposer.rtt_ewma,
             "cert_cache_hits": self.crypto.cache.hits if self.crypto.cache else 0,
             "cert_cache_misses": self.crypto.cache.misses if self.crypto.cache else 0,
         })
         self.nondet = NonDeterminismResolver()
-
-        #: highest timestamp ordered (assigned a sequence number) per client
-        self.ordered_timestamp: Dict[NodeId, int] = {}
-        #: client requests whose delivery we are waiting for (liveness timer)
-        self._request_deadlines: Dict[Tuple[NodeId, int], Timer] = {}
-        self._batch_timer: Optional[Timer] = None
-        #: request count per own-proposed batch still awaiting its reply
-        #: (the adaptive-batching congestion signal)
-        self._inflight_batch_sizes: Dict[int, int] = {}
-        #: per own-proposed batch: destination shard -> owned request count
-        #: (sizes the per-shard pipeline windows and bundle controllers)
-        self._inflight_shard_requests: Dict[int, Dict[int, int]] = {}
-        #: proposal time per own batch awaiting its reply (RTT sampling)
-        self._batch_sent_at: Dict[int, float] = {}
-        #: smoothed order-to-reply round trip (None until the first sample)
-        self._rtt_ewma: Optional[float] = None
-        #: simulator event stamp of the last in-flight prune (one scan per event)
-        self._prune_stamp: Optional[int] = None
-        #: deterministic request -> shard mapping (set by the sharded system
-        #: when per-shard pipelining is configured; None = global pipeline)
-        self._shard_classifier = None
-        #: cross-shard probe: request -> touched shard list (len >= 2) or
-        #: None, judged at the live partition-map epoch (set by the sharded
-        #: system when cross-shard operations are enabled)
-        self._cross_shard_probe = None
-        #: cross-shard requests awaiting their single-certificate marker
-        #: batch (drained ahead of the per-shard bundles)
-        self._cross_shard_pending: List[Certificate] = []
-        #: rebalance controller + load observer (set by the sharded system
-        #: when dynamic rebalancing is configured)
-        self._rebalancer = None
-        self._rebalance_observe = None
-        #: absolute bound on the current idle-gather window (None when no
-        #: idle gather is in progress)
-        self._gather_deadline: Optional[float] = None
 
         # View change state.
         self._view_change_votes: Dict[int, Dict[NodeId, ViewChange]] = {}
@@ -166,11 +117,6 @@ class AgreementReplica(Process):
         #: recently-deposed primaries: node -> last view through which the
         #: local target selection skips it
         self._deposed_until: Dict[NodeId, int] = {}
-        #: censorship-resistant request path master switch.  Test-only: the
-        #: fuzz harness clears it to plant the "censoring primary never
-        #: triggers forwarding or a view change" liveness bug the
-        #: bounded-progress oracle must catch.  Never clear it elsewhere.
-        self.request_liveness_defence = True
         #: digest-verified transferable frontier state from checkpoint votes,
         #: keyed by (seq, state_digest); consulted on checkpoint state
         #: transfer, pruned as checkpoints stabilise
@@ -185,10 +131,11 @@ class AgreementReplica(Process):
         self.batches_delivered = 0
         self.requests_delivered = 0
         self.view_changes_completed = 0
-        self.cross_shard_ordered = 0
         self.primaries_deposed = 0
         self.checkpoint_syncs = 0
         self.planned_rotations = 0
+
+        self.proposer = Proposer(self)
 
     # ------------------------------------------------------------------ #
     # Role helpers.
@@ -227,89 +174,13 @@ class AgreementReplica(Process):
     def is_primary(self) -> bool:
         return self.primary_of(self.view) == self.node_id
 
-    def enable_per_shard_batching(self, classifier) -> None:
-        """Partition the pending-request FIFO by destination shard.
-
-        ``classifier`` maps a :class:`ClientRequest` to its owning shard
-        (the shard router's deterministic mapping; with rebalancing it reads
-        the router queue's live epoch, so freshly admitted requests queue by
-        the current map).  The primary then forms single-shard bundles,
-        sizes each shard's bundles with its own AIMD controller, and admits
-        sequence numbers against per-shard pipeline windows
-        (:attr:`repro.config.PipelineConfig.per_shard_depth`) instead of the
-        global contiguous watermark.
-        """
-        self._shard_classifier = classifier
-        self.batcher = Batcher(
-            controller=make_bundle_controller(self.config),
-            classifier=lambda cert: classifier(cert.payload),
-            controller_factory=lambda: make_bundle_controller(self.config),
-            demote_idle_ms=self.config.batching.demote_idle_ms,
-            metrics=self.metrics)
-
-    def enable_cross_shard(self, probe) -> None:
-        """Install the cross-shard request probe (``repro.sharding``).
-
-        ``probe`` maps a :class:`ClientRequest` to the ascending list of
-        shards its keys touch at the hosting router queue's live epoch, or
-        ``None`` for single-shard requests.  A cross-shard request is then
-        ordered exactly like a config operation -- alone, as a
-        single-certificate batch -- so its sequence number is a
-        deterministic consistent cut over every touched shard's release
-        frontier.
-        """
-        self._cross_shard_probe = probe
-
-    def _probe_cross_shard(self, request) -> Optional[List[int]]:
-        if self._cross_shard_probe is None:
-            return None
-        if not isinstance(request, ClientRequest):
-            return None
-        return self._cross_shard_probe(request)
-
-    def attach_rebalancer(self, controller, observe) -> None:
-        """Install a rebalance controller (``repro.sharding.rebalance``).
-
-        ``observe()`` returns ``(load_window, current_map)`` from the local
-        shard router queue; the replica polls it on a timer and -- when it
-        is the primary -- orders the controller's proposed map change
-        through the agreement log as a config operation.  Backups carry the
-        controller too (any of them may become primary) but stay silent.
-        """
-        self._rebalancer = controller
-        self._rebalance_observe = observe
-        self._arm_rebalance_timer()
-
-    def _arm_rebalance_timer(self) -> None:
-        self.set_timer(self.config.rebalance.check_interval_ms,
-                       self._on_rebalance_check,
-                       label=f"{self.node_id}:rebalance-check")
-
-    def _on_rebalance_check(self) -> None:
-        if self._rebalancer is None:
-            return
-        self._arm_rebalance_timer()
-        if not self.is_primary or self._view_changing:
-            return
-        if self.log.has_pending_config_op():
-            return  # one epoch cut at a time
-        window, pmap = self._rebalance_observe()
-        change = self._rebalancer.propose(window, pmap, now=self.now)
-        if change is not None and self.propose_map_change(change):
-            self._rebalancer.note_ordered(change, now=self.now)
-
-    @property
-    def _per_shard_admission(self) -> bool:
-        return (self.config.pipeline.per_shard_depth is not None
-                and self._shard_classifier is not None)
-
     # ------------------------------------------------------------------ #
     # Message dispatch.
     # ------------------------------------------------------------------ #
 
     def on_message(self, sender: NodeId, message: Message) -> None:
         if isinstance(message, RequestEnvelope):
-            self.handle_request(sender, message)
+            self.proposer.handle_request(message)
         elif isinstance(message, PrePrepare):
             self.handle_pre_prepare(sender, message)
         elif isinstance(message, Prepare):
@@ -341,418 +212,11 @@ class AgreementReplica(Process):
                 handler(sender, message)
             return
 
-    # ------------------------------------------------------------------ #
-    # Client requests.
-    # ------------------------------------------------------------------ #
-
-    def handle_request(self, sender: NodeId, envelope: RequestEnvelope) -> None:
-        certificate = envelope.certificate
-        request = certificate.payload
-        if not isinstance(request, ClientRequest):
-            return
-        if request.client not in self.client_ids:
-            return
-        if not self.crypto.verify_certificate(certificate, 1, [request.client]):
-            return
-
-        last_ordered = self.ordered_timestamp.get(request.client, -1)
-        if request.timestamp <= last_ordered:
-            # Retransmission of a request we have already ordered: let the
-            # local state machine serve a cached reply or resend pending
-            # certificates; only re-run agreement if it has no trace of it.
-            outcome = self.local.retry_hint(certificate)
-            if outcome is RetryOutcome.HANDLED:
-                return
-        self._admit_request(certificate, request)
-
-    def _admit_request(self, certificate: Certificate, request: ClientRequest) -> None:
-        if self._probe_cross_shard(request) is not None:
-            added = self._admit_cross_shard(certificate, request)
-        else:
-            added = self.batcher.add(certificate, now=self.now)
-        if not added:
-            return
-        if self.tracing:
-            self.trace_event(request_trace_id(request.client, request.timestamp),
-                             "admit")
-        self._arm_request_deadline(request)
-        if self.is_primary:
-            self.maybe_make_batch()
-        elif self.request_liveness_defence:
-            # Forward to the primary so a request sent to a backup still makes
-            # progress (Castro-Liskov optimisation); the deadline timer
-            # triggers a view change if the primary never orders it.
-            self.send(self.primary_of(self.view),
-                      RequestEnvelope(certificate=certificate))
-
-    def _admit_cross_shard(self, certificate: Certificate,
-                           request: ClientRequest) -> bool:
-        """Queue a cross-shard request for its own marker batch.
-
-        Cross-shard requests bypass the per-shard bundles: a marker must be
-        the *only* certificate of its batch, so that its sequence number is
-        a clean cut (the same single-certificate discipline config
-        operations use).  Duplicates (a retransmission racing the pending
-        marker) are folded like the batcher folds them.
-        """
-        for pending in self._cross_shard_pending:
-            queued: ClientRequest = pending.payload
-            if (queued.client == request.client
-                    and queued.timestamp == request.timestamp):
-                return False
-        self._cross_shard_pending.append(certificate)
-        return True
-
-    def _drop_cross_shard_pending(self, client: NodeId, timestamp: int) -> None:
-        self._cross_shard_pending = [
-            certificate for certificate in self._cross_shard_pending
-            if not (certificate.payload.client == client
-                    and certificate.payload.timestamp <= timestamp)
-        ]
-
-    def _arm_request_deadline(self, request: ClientRequest) -> None:
-        if not self.request_liveness_defence:
-            return
-        key = (request.client, request.timestamp)
-        if key in self._request_deadlines and self._request_deadlines[key].active:
-            return
-        timer = self.set_timer(
-            self.config.timers.view_change_ms,
-            lambda key=key: self._on_request_timeout(key),
-            label=f"{self.node_id}:request-deadline",
-        )
-        self._request_deadlines[key] = timer
-
-    def _clear_request_deadline(self, client: NodeId, timestamp: int) -> None:
-        for key in [k for k in self._request_deadlines
-                    if k[0] == client and k[1] <= timestamp]:
-            self._request_deadlines[key].cancel()
-            del self._request_deadlines[key]
-
-    def _on_request_timeout(self, key: Tuple[NodeId, int]) -> None:
-        if key not in self._request_deadlines:
-            return
-        del self._request_deadlines[key]
-        client, timestamp = key
-        if self.ordered_timestamp.get(client, -1) >= timestamp:
-            return
-        self.start_view_change(self.next_view_target(self.view))
-
-    # ------------------------------------------------------------------ #
-    # Primary: batching and PRE-PREPARE.
-    # ------------------------------------------------------------------ #
-
-    def maybe_make_batch(self) -> None:
-        """Create a batch now if a full bundle is ready, else arm the batch timer."""
-        if not self.is_primary or self._view_changing:
-            return
-        self._drain_bundles(full_only=True)
-        if self._has_pending_work():
-            timeout = self.config.timers.batch_timeout_ms
-            if (self._adaptive_batching and self._admissible_work()
-                    and self._batches_in_flight() <= 1):
-                # Group commit with double buffering: at most one batch is
-                # awaiting execution, so a long bundle-fill wait would idle
-                # the execution cluster -- the next bundle's agreement round
-                # should overlap the current bundle's execution.  Gather with
-                # a debounced quiet-gap window: each arrival extends the
-                # flush by the gather window so the whole burst of client
-                # re-submissions following a reply lands in one bundle, and
-                # the batch-timeout bound caps the total gather time.
-                if self._gather_deadline is None:
-                    self._gather_deadline = self.now + timeout
-                timeout = min(max(self._gather_deadline - self.now, 0.0),
-                              self._gather_window())
-                self._cancel_batch_timer()
-            if self._batch_timer is None or not self._batch_timer.active:
-                self._batch_timer = self.set_timer(
-                    timeout, self._on_batch_timeout,
-                    label=f"{self.node_id}:batch-timeout")
-            elif self._batch_timer.deadline > self.now + timeout + 1e-9:
-                # An earlier (longer) flush deadline is superseded.
-                self._batch_timer.cancel()
-                self._batch_timer = self.set_timer(
-                    timeout, self._on_batch_timeout,
-                    label=f"{self.node_id}:batch-timeout")
-        else:
-            # The queue drained through full-bundle takes: a timer armed for
-            # an earlier (now ordered) request must not linger, or it fires
-            # mid-gathering of the *next* bundle and flushes it prematurely.
-            self._cancel_batch_timer()
-            self._gather_deadline = None
-
-    def _drain_bundles(self, full_only: bool) -> None:
-        """Order every admissible bundle (full bundles only, or -- on a
-        flush timeout -- partial ones too).
-
-        Queues are scanned in cross-shard FIFO order, but a queue whose
-        shard window is full does not block the queues behind it: that
-        head-of-line independence is what lets cold shards keep flowing
-        while a hot shard's pipeline is at capacity.
-        """
-        self._prune_answered()
-        self._drain_cross_shard()
-        progressed = True
-        while progressed:
-            progressed = False
-            shards = (self.batcher.full_shards() if full_only
-                      else self.batcher.shards())
-            for shard in shards:
-                if self._can_start(self.next_seq, shard=shard):
-                    self._make_batch(shard=shard)
-                    progressed = True
-                    break
-
-    def _drain_cross_shard(self) -> None:
-        """Order every admissible pending cross-shard marker (FIFO).
-
-        A marker is always a complete "bundle" of one, so it drains on
-        every pass -- full-bundle and flush alike.  A queued request whose
-        keys collapsed onto a single shard since admission (a rebalance
-        merged them) is handed to the ordinary batcher instead.
-        """
-        while self._cross_shard_pending:
-            certificate = self._cross_shard_pending[0]
-            request: ClientRequest = certificate.payload
-            touched = self._probe_cross_shard(request)
-            if touched is None:
-                self._cross_shard_pending.pop(0)
-                self.batcher.add(certificate, now=self.now)
-                continue
-            if not self._can_start_cross(self.next_seq, touched):
-                return
-            self._cross_shard_pending.pop(0)
-            self._gather_deadline = None
-            seq = self._order_batch([certificate])
-            self.log.note_cross_shard(self.view, seq)
-            if self._shard_classifier is not None:
-                self._inflight_shard_requests[seq] = {shard: 1
-                                                      for shard in touched}
-            self.cross_shard_ordered += 1
-
-    def _can_start_cross(self, seq: int, touched: List[int]) -> bool:
-        """Admission check for a cross-shard marker.
-
-        The marker occupies one slot in *every* touched shard's local
-        sequence, so per-shard admission requires room in each touched
-        window; the log's ``[h, h + L]`` watermark window applies as
-        always.
-        """
-        if seq > self.log.high_watermark:
-            return False
-        if self._per_shard_admission:
-            depth = self.config.pipeline.per_shard_depth
-            return all(self._shard_in_flight(shard) < depth
-                       for shard in touched)
-        return self._can_start(seq, shard=None)
-
-    def _has_pending_work(self) -> bool:
-        """Pending requests anywhere: the per-shard bundles or the
-        cross-shard marker queue."""
-        return self.batcher.has_work() or bool(self._cross_shard_pending)
-
-    def _admissible_work(self) -> bool:
-        """Whether any pending queue could be ordered right now."""
-        if self._cross_shard_pending:
-            request = self._cross_shard_pending[0].payload
-            touched = self._probe_cross_shard(request)
-            if touched is None or self._can_start_cross(self.next_seq, touched):
-                return True
-        return any(self._can_start(self.next_seq, shard=shard)
-                   for shard in self.batcher.shards())
-
-    def _cancel_batch_timer(self) -> None:
-        if self._batch_timer is not None and self._batch_timer.active:
-            self._batch_timer.cancel()
-
-    def on_pipeline_progress(self) -> None:
-        """Called by the local state machine when a reply certificate frees
-        pipeline capacity: the primary immediately considers a new batch (the
-        group-commit trigger for adaptive bundling)."""
-        self._prune_answered()
-        if self.is_primary and not self._view_changing:
-            self.maybe_make_batch()
-
-    @property
-    def _per_shard_timeouts(self) -> bool:
-        """Per-shard batch timeouts (``BatchingConfig.timeout_scale_max``):
-        a congested shard's partial bundle gets a stretched fill window
-        while cold shards keep the base flush latency."""
-        return (self.config.batching.timeout_scale_max > 1.0
-                and self._shard_classifier is not None)
-
-    def _on_batch_timeout(self) -> None:
-        if not self.is_primary or self._view_changing:
-            return
-        base = self.config.timers.batch_timeout_ms
-        if self._per_shard_timeouts:
-            # Flush full bundles everywhere, but partial bundles only on the
-            # shards whose own fill window has expired -- a hot shard's
-            # stretched window is still running, so its partial bundle keeps
-            # gathering while cold shards flush at the base latency.
-            self._drain_bundles(full_only=True)
-            for shard in self.batcher.due_shards(self.now, base):
-                if self._can_start(self.next_seq, shard=shard):
-                    self._make_batch(shard=shard)
-            if self._has_pending_work():
-                deadline = self.batcher.next_flush_deadline(base)
-                delay = base if deadline is None else min(
-                    max(deadline - self.now, 0.05 * base), base)
-                self._batch_timer = self.set_timer(
-                    delay, self._on_batch_timeout,
-                    label=f"{self.node_id}:batch-timeout")
-            return
-        self._drain_bundles(full_only=False)
-        if self._has_pending_work():
-            # Pipeline is full: try again shortly.
-            self._batch_timer = self.set_timer(
-                base,
-                self._on_batch_timeout,
-                label=f"{self.node_id}:batch-timeout",
-            )
-
-    def _can_start(self, seq: int, shard=ANY_SHARD) -> bool:
-        """Watermark and pipeline back-pressure check for a new sequence number.
-
-        ``shard`` is the candidate bundle's queue key (per-shard batching
-        keeps single-shard queues, so it is also the only shard the bundle
-        touches).  With per-shard pipelining the bundle is admitted when
-        that shard is within its own ``per_shard_depth`` window -- the
-        global contiguous answered floor is not consulted, so one slow
-        shard's unanswered batches never gate another shard's admission.
-        The agreement log's ``[h, h + L]`` watermark window still bounds
-        the log in both modes.
-        """
-        if seq > self.log.high_watermark:
-            return False
-        if (self._per_shard_admission and shard is not ANY_SHARD
-                and shard is not None):
-            depth = self.config.pipeline.per_shard_depth
-            return self._shard_in_flight(shard) < depth
-        ready = self.local.highest_ready_seq()
-        floor = ready if ready is not None else self.log.last_delivered_seq
-        return seq <= floor + self.config.pipeline_depth
-
-    def _prune_answered(self) -> None:
-        """Drop in-flight tracking for answered batches, sampling their
-        order-to-reply round trip into the gather-window EWMA.
-
-        Memoised per simulator event: answers only arrive through message
-        events, so within one callback the in-flight set can only grow
-        (new proposals are unanswered by construction) and one scan
-        suffices no matter how many admission checks the pass makes.
-        """
-        stamp = self.scheduler.events_processed
-        if stamp == self._prune_stamp:
-            return
-        self._prune_stamp = stamp
-        ready = self.local.highest_ready_seq()
-        floor = ready if ready is not None else self.log.last_delivered_seq
-        for seq in [s for s in self._inflight_batch_sizes
-                    if s <= floor or self.local.seq_answered(s)]:
-            del self._inflight_batch_sizes[seq]
-            self._inflight_shard_requests.pop(seq, None)
-            sent_at = self._batch_sent_at.pop(seq, None)
-            if sent_at is not None:
-                sample = self.now - sent_at
-                self._rtt_ewma = sample if self._rtt_ewma is None else (
-                    (1.0 - _RTT_ALPHA) * self._rtt_ewma + _RTT_ALPHA * sample)
-
-    def _gather_window(self) -> float:
-        """The idle-gather (group-commit debounce) window.
-
-        With ``PipelineConfig.rtt_gather`` the window tracks the measured
-        commit round trip -- long enough to cover the reply-to-resubmission
-        turnaround of closed-loop clients, short enough not to idle a fast
-        deployment -- instead of the static :data:`GATHER_MS`.
-        """
-        if self.config.pipeline.rtt_gather and self._rtt_ewma is not None:
-            return min(max(_RTT_GATHER_FRACTION * self._rtt_ewma, _MIN_GATHER_MS),
-                       self.config.timers.batch_timeout_ms)
-        return GATHER_MS
-
-    def _requests_in_flight(self) -> int:
-        """Requests assigned a sequence number but not yet answered by
-        execution -- the pipeline-congestion signal for adaptive bundle
-        sizing (the demand one bundle could have absorbed)."""
-        self._prune_answered()
-        return sum(self._inflight_batch_sizes.values())
-
-    def _batches_in_flight(self) -> int:
-        """Batches assigned a sequence number but not yet answered."""
-        self._prune_answered()
-        return len(self._inflight_batch_sizes)
-
-    def _shard_in_flight(self, shard: int) -> int:
-        """Batches in flight that touch ``shard``: own proposals not yet
-        answered, cross-checked against the router queue's released-but-
-        unanswered count (which also covers batches proposed by an earlier
-        primary)."""
-        self._prune_answered()
-        own = sum(1 for by_shard in self._inflight_shard_requests.values()
-                  if shard in by_shard)
-        return max(own, self.local.shard_outstanding(shard))
-
-    def _shard_requests_in_flight(self, shard: int) -> int:
-        """Requests in flight owned by ``shard`` (its bundle controller's
-        congestion signal)."""
-        self._prune_answered()
-        return sum(by_shard.get(shard, 0)
-                   for by_shard in self._inflight_shard_requests.values())
-
-    def _make_batch(self, shard=ANY_SHARD) -> None:
-        if shard is not ANY_SHARD and shard is not None:
-            in_flight = self._shard_requests_in_flight(shard)
-        else:
-            in_flight = self._requests_in_flight()
-        requests = self.batcher.take(in_flight=in_flight, shard=shard,
-                                     now=self.now)
-        if not requests:
-            return
-        # Any take ends the current idle-gather episode; the next gather
-        # starts a fresh batch-timeout bound (leaving the old deadline in
-        # place would shrink later gather windows to zero once it passed).
-        self._gather_deadline = None
-        seq = self._order_batch(requests)
-        if (self._shard_classifier is not None and shard is not ANY_SHARD
-                and shard is not None):
-            # Per-shard queues are single-shard: the queue key is the owner.
-            self._inflight_shard_requests[seq] = {shard: len(requests)}
-
-    def propose_map_change(self, change: ConfigOperation) -> bool:
-        """Order a partition-map change through the agreement log.
-
-        The change rides the normal agreement path as a single-certificate
-        batch signed by this primary; its sequence number is the epoch cut.
-        Admission bypasses the per-shard pipeline windows (the cut must not
-        queue behind the very hot shard it is trying to relieve) but still
-        respects the log's ``[h, h + L]`` watermark window, and at most one
-        config operation may be in flight at a time -- a second concurrent
-        cut would deterministically no-op anyway (its parent epoch goes
-        stale), so proposing it would burn a sequence number for nothing.
-        """
-        if not self.is_primary or self._view_changing:
-            return False
-        if self.log.has_pending_config_op():
-            return False
-        if self.next_seq > self.log.high_watermark:
-            return False
-        certificate = self.crypto.new_certificate(
-            change,
-            AuthenticationScheme.SIGNATURE
-            if self.config.authentication is AuthenticationScheme.SIGNATURE
-            else AuthenticationScheme.MAC,
-            self.cert_verifiers)
-        seq = self._order_batch([certificate])
-        self.log.note_config_op(self.view, seq)
-        return True
-
-    def _order_batch(self, requests: List[Certificate]) -> int:
-        """Assign the next sequence number to ``requests`` and pre-prepare it."""
+    def pre_prepare(self, requests: List[Certificate]) -> None:
+        """Assign the next sequence number to ``requests`` (the proposer's
+        batch) and multicast the PRE-PREPARE."""
         seq = self.next_seq
         self.next_seq += 1
-        self._inflight_batch_sizes[seq] = len(requests)
-        self._batch_sent_at[seq] = self.now
         self._h_batch_size.observe(len(requests))
         if self.tracing:
             self._trace_batch(requests, "order")
@@ -766,7 +230,6 @@ class AgreementReplica(Process):
         self.multicast(self.agreement_ids, pre_prepare)
         # The primary's pre-prepare counts as its prepare.
         self._try_prepared(entry)
-        return seq
 
     def _trace_batch(self, requests, event: str) -> None:
         """Record a span event for every client request of one batch."""
@@ -802,9 +265,6 @@ class AgreementReplica(Process):
         entry.pre_prepare = message
         if self._is_config_batch(message.requests):
             entry.config_op = True
-        elif (len(message.requests) == 1 and
-              self._probe_cross_shard(message.requests[0].payload) is not None):
-            entry.cross_shard = True
         self.nondet.accept(message.nondet)
         prepare = Prepare(view=self.view, seq=message.seq,
                           batch_digest=message.batch_digest, replica=self.node_id)
@@ -946,16 +406,16 @@ class AgreementReplica(Process):
         entry.committed = True
         if self.tracing and entry.pre_prepare is not None:
             self._trace_batch(entry.pre_prepare.requests, "commit")
-        sent_at = self._batch_sent_at.get(entry.seq)
-        if sent_at is not None:
-            self._h_agree_ms.observe(self.now - sent_at)
-        if self.config.pipeline.ooo_shard_delivery:
+        proposal = self.proposer.inflight.get(entry.seq)
+        if proposal is not None:
+            self._h_agree_ms.observe(self.now - proposal.sent_at)
+        if self._stage_at_commit:
             self._stage_committed(entry)
         self._deliver_in_order()
 
     def _stage_committed(self, entry: LogEntry) -> None:
         """Hand a just-committed batch to the local executor's out-of-order
-        staging buffer (``PipelineConfig.ooo_shard_delivery``).
+        staging buffer (``SystemConfig.per_shard_windows``).
 
         The content of a locally *committed* entry is fixed forever (any
         later view must preserve it), so the executor may learn it even
@@ -1020,19 +480,11 @@ class AgreementReplica(Process):
         self.requests_delivered += len(entry.pre_prepare.requests)
         self._c_batches.inc()
         self._c_requests.inc(len(entry.pre_prepare.requests))
-        for request_cert in entry.pre_prepare.requests:
-            request = request_cert.payload
-            if not isinstance(request, ClientRequest):
-                continue  # config operations carry no client bookkeeping
-            previous = self.ordered_timestamp.get(request.client, -1)
-            self.ordered_timestamp[request.client] = max(previous, request.timestamp)
-            self.batcher.remove(request.client, request.timestamp)
-            self._drop_cross_shard_pending(request.client, request.timestamp)
-            self._clear_request_deadline(request.client, request.timestamp)
+        self.proposer.on_delivered(entry.pre_prepare.requests)
         if self.log.is_checkpoint_seq(entry.seq):
             self._emit_checkpoint(entry.seq)
         if self.is_primary:
-            self.maybe_make_batch()
+            self.proposer.maybe_make_batch()
 
     # ------------------------------------------------------------------ #
     # Checkpoints.
@@ -1107,17 +559,14 @@ class AgreementReplica(Process):
         frontier, hand the local queue the digest-verified frontier state a
         checkpoint vote carried (the 2f+1 quorum contains at least f+1
         correct voters, so a verified copy always arrived), and drop armed
-        request deadlines -- a genuinely starved request re-arms on the
-        client's next retransmission.
+        request deadlines.
         """
         self.log.last_delivered_seq = seq
         self.next_seq = max(self.next_seq, seq + 1)
         self.checkpoint_syncs += 1
         sync_state = self._checkpoint_sync_states.get((seq, state_digest), ())
         self.local.sync_to_checkpoint(seq, sync_state)
-        for timer in self._request_deadlines.values():
-            timer.cancel()
-        self._request_deadlines.clear()
+        self.proposer.on_checkpoint_sync()
 
     # ------------------------------------------------------------------ #
     # View changes.
@@ -1259,7 +708,7 @@ class AgreementReplica(Process):
                             max((p.seq for p in pre_prepares), default=0) + 1)
         # Give the NEW-VIEW a head start so backups are already in the new
         # view when the first fresh PRE-PREPARE reaches them.
-        self.set_timer(2.0, self.maybe_make_batch,
+        self.set_timer(2.0, self.proposer.maybe_make_batch,
                        label=f"{self.node_id}:new-view-batch")
 
     def handle_new_view(self, sender: NodeId, message: NewView) -> None:
@@ -1280,26 +729,7 @@ class AgreementReplica(Process):
         self._stable_checkpoints_in_view = 0
         self.view_changes_completed += 1
         self.next_seq = max(self.next_seq, self.log.last_delivered_seq + 1)
-        # Proposals of the old view may have been discarded by the view
-        # change; keeping them in the in-flight tables would count phantom
-        # batches against the pipeline windows forever.  The router queue's
-        # own released-but-unanswered counts still back-pressure whatever
-        # genuinely survived.
-        self._inflight_batch_sizes.clear()
-        self._inflight_shard_requests.clear()
-        self._batch_sent_at.clear()
-        # Requests that were pending when the view changed must be re-ordered
-        # in the new view; the primary picks them up from the batcher and the
-        # backups re-arm their deadlines so that a still-faulty primary (or a
-        # lost pre-prepare) triggers the next view change.
-        for certificate in (self.batcher.pending_requests()
-                            + self._cross_shard_pending):
-            request = certificate.payload
-            if isinstance(request, ClientRequest):
-                self._arm_request_deadline(request)
-        if self.is_primary:
-            self.set_timer(2.0, self.maybe_make_batch,
-                           label=f"{self.node_id}:enter-view-batch")
+        self.proposer.on_view_entered()
 
     def _adopt_new_view_batches(self, pre_prepares: Tuple[PrePrepare, ...]) -> None:
         for pre_prepare in pre_prepares:

@@ -164,56 +164,6 @@ class ShardingConfig:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Skew-aware concurrency between the agreement and execution clusters.
-
-    The paper's pipeline bound is a single *global* window: agreement will
-    not start sequence number ``n`` until the highest **contiguously**
-    answered sequence number has reached ``n - P``
-    (:attr:`SystemConfig.pipeline_depth`).  With sharded execution that one
-    watermark serialises every shard behind the slowest one: a hot shard's
-    unanswered batch freezes the contiguous frontier, and cold shards stop
-    being admitted even though their own pipelines are empty.  The switches
-    here decouple the shards:
-
-    Parameters
-    ----------
-    per_shard_depth:
-        When set, the primary admits a new sequence number as soon as every
-        shard *touched by the candidate bundle* has fewer than
-        ``per_shard_depth`` of its own batches in flight (ordered or sent
-        but not yet answered), instead of gating on the global contiguous
-        answered floor.  Safety is unchanged: the agreement log's
-        ``[h, h + L]`` watermark window still bounds how far the log may
-        run ahead of the stable checkpoint.  ``None`` keeps the paper's
-        global watermark.
-    ooo_shard_delivery:
-        Let each agreement node hand a batch to its shard router as soon as
-        the batch *commits* (even when an earlier sequence number has not
-        committed locally yet); the router buffers out-of-order arrivals
-        and releases each shard's parts along a per-shard frontier over the
-        global order.  Shard-local sequence numbers stay deterministic
-        because the frontier is a pure function of the committed prefix.
-    rtt_gather:
-        Derive the adaptive-batching idle-gather window from an EWMA of the
-        measured order-to-reply round trip instead of the static
-        ``repro.agreement.replica.GATHER_MS``, so the group-commit debounce
-        tracks the deployment's actual reply turnaround.
-    """
-
-    per_shard_depth: Optional[int] = None
-    ooo_shard_delivery: bool = False
-    rtt_gather: bool = False
-
-    def validate(self) -> None:
-        if self.per_shard_depth is not None and self.per_shard_depth < 1:
-            raise ConfigurationError(
-                "per_shard_depth must be at least 1 (or None for the global "
-                "pipeline watermark)"
-            )
-
-
-@dataclass(frozen=True)
 class RebalanceConfig:
     """Dynamic shard rebalancing (``repro.sharding.rebalance``).
 
@@ -633,6 +583,23 @@ class SystemConfig:
     pipeline_depth:
         The paper's ``P``: maximum number of agreement-certificate sequence
         numbers outstanding (unanswered) between the clusters.
+    per_shard_windows:
+        Skew-aware concurrency for sharded execution.  The paper's pipeline
+        bound is one *global* window: sequence number ``n`` waits until the
+        highest contiguously answered one reaches ``n - pipeline_depth``,
+        which with shards serialises every shard behind the slowest (a hot
+        shard's unanswered batch freezes the frontier, and cold shards stop
+        being admitted although their own pipelines are empty).  When set,
+        the primary keeps one bundle FIFO per shard its queue names and
+        admits a batch as soon as every shard it touches has fewer than
+        ``pipeline_depth`` batches in flight; each replica stages a batch
+        with its shard router the moment it commits, and the router
+        releases each shard along its own frontier over the global order;
+        and the adaptive-batching gather window follows the measured
+        order-to-reply round trip.  Safety is unchanged: the log's
+        ``[h, h + L]`` watermark window still bounds how far agreement runs
+        ahead of the stable checkpoint.  :meth:`sharded` turns it on; off
+        is the paper's global watermark (the skew benchmark's reference).
     checkpoint_interval:
         The paper's ``CP_FREQ``: execution nodes checkpoint after executing
         request ``n`` whenever ``n % checkpoint_interval == 0``.
@@ -646,6 +613,7 @@ class SystemConfig:
     h: int = 1
     num_clients: int = 4
     pipeline_depth: int = 64
+    per_shard_windows: bool = False
     checkpoint_interval: int = 128
     bundle_size: int = 1
     authentication: AuthenticationScheme = AuthenticationScheme.MAC
@@ -661,7 +629,6 @@ class SystemConfig:
     multilog: MultiLogConfig = field(default_factory=MultiLogConfig)
     perf: PerfConfig = field(default_factory=PerfConfig)
     batching: BatchingConfig = field(default_factory=BatchingConfig)
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     seed: int = 0
@@ -730,7 +697,6 @@ class SystemConfig:
         self.cross_shard.validate()
         self.multilog.validate()
         self.batching.validate()
-        self.pipeline.validate()
         self.runtime.validate()
 
     # ------------------------------------------------------------------ #
@@ -873,26 +839,19 @@ class SystemConfig:
                 range_boundaries: tuple = (), **overrides: object) -> "SystemConfig":
         """Separated architecture with ``num_shards`` execution clusters.
 
-        Sharded deployments default to skew-aware concurrency (per-shard
-        pipeline windows sized like the global ``pipeline_depth``,
-        out-of-order shard delivery, and the RTT-derived gather window);
-        pass ``pipeline=PipelineConfig()`` to get the single global
-        watermark back (the pre-sharding behaviour, and the baseline the
-        skew benchmark compares against).
+        Sharded deployments default to skew-aware concurrency
+        (``per_shard_windows``); pass ``per_shard_windows=False`` to get the
+        single global watermark back (the pre-sharding behaviour, and the
+        baseline the skew benchmark compares against).
         """
         defaults: dict = dict(
             f=1, g=1, deployment=Deployment.DIFFERENT,
             authentication=AuthenticationScheme.MAC,
-            use_privacy_firewall=False,
+            use_privacy_firewall=False, per_shard_windows=True,
             sharding=ShardingConfig(num_shards=num_shards, strategy=strategy,
                                     range_boundaries=tuple(range_boundaries)),
         )
         defaults.update(overrides)
-        if "pipeline" not in defaults:
-            depth = defaults.get("pipeline_depth",
-                                 SystemConfig.__dataclass_fields__["pipeline_depth"].default)
-            defaults["pipeline"] = PipelineConfig(
-                per_shard_depth=int(depth), ooo_shard_delivery=True, rtt_gather=True)
         return SystemConfig(**defaults)
 
     @staticmethod
@@ -901,8 +860,8 @@ class SystemConfig:
                          **overrides: object) -> "SystemConfig":
         """Sharded separated architecture with ``num_logs`` agreement logs.
 
-        Delegates to :meth:`sharded` (so multi-log deployments inherit the
-        skew-aware pipeline defaults) and partitions the ``num_shards``
+        Delegates to :meth:`sharded` (so multi-log deployments inherit
+        per-shard windows) and partitions the ``num_shards``
         execution clusters into ``num_logs`` equal contiguous groups.
         """
         defaults: dict = dict(multilog=MultiLogConfig(num_logs=num_logs))

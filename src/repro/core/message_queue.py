@@ -277,9 +277,7 @@ class QueueCore(LocalExecutor):
                     certificate, reply.client))
                 self.replies_forwarded += 1
                 self._c_replies_forwarded.inc()
-        hook = getattr(self.owner, "on_pipeline_progress", None)
-        if hook is not None:
-            hook()
+        self.owner.proposer.on_pipeline_progress()
 
 
 class MessageQueue(QueueCore):

@@ -30,7 +30,6 @@ from ..config import (
     CrossShardConfig,
     MultiLogConfig,
     ObservabilityConfig,
-    PipelineConfig,
     RebalanceConfig,
     ShardingConfig,
     SystemConfig,
@@ -91,15 +90,14 @@ class ScenarioSpec:
     def make_config(self) -> SystemConfig:
         return SystemConfig(
             f=1, g=1, h=1, num_clients=self.num_clients, pipeline_depth=16,
-            checkpoint_interval=8, bundle_size=1, timers=_TIMERS,
+            per_shard_windows=True, checkpoint_interval=8, bundle_size=1,
+            timers=_TIMERS,
             crypto=_CRYPTO,
             multilog=MultiLogConfig(num_logs=self.num_logs),
             sharding=ShardingConfig(
                 num_shards=self.num_shards, strategy="range",
                 range_boundaries=equal_range_boundaries(KEY_SPACE,
                                                         self.num_shards)),
-            pipeline=PipelineConfig(per_shard_depth=16,
-                                    ooo_shard_delivery=True, rtt_gather=True),
             rebalance=_MANUAL_REBALANCE if self.rebalance else RebalanceConfig(),
             cross_shard=CrossShardConfig(enabled=self.cross_shard),
             observability=ObservabilityConfig(metrics=True, tracing=True),
@@ -257,7 +255,7 @@ def _install_map_change(system: ShardedSystem, event: ScheduleEvent) -> None:
             change = MapChange(kind="merge", parent_epoch=parent,
                                key=boundaries[event.key_index % len(boundaries)])
         try:
-            primary.propose_map_change(change)
+            primary.proposer.propose_map_change(change)
         except Exception:
             # A racing proposal may be structurally stale by fire time;
             # adversarial schedules treat that as a no-op gene.
@@ -453,11 +451,12 @@ def run_schedule(schedule: FaultSchedule, *,
     (:class:`~repro.faults.byzantine.LyingReplyBehaviour`) can then satisfy.
     It must never be set outside the planted-bug demonstration.
 
-    ``disable_forwarding_defence`` is the liveness twin: it switches off the
-    censorship-resistant request path at every agreement backup (no request
-    forwarding, no per-request deadlines escalating to a view change), so a
-    censoring or silent primary starves requests forever -- the planted bug
-    the :class:`~repro.fuzz.oracles.BoundedProgressOracle` must catch.
+    ``disable_forwarding_defence`` is the liveness twin: it stubs out the
+    censorship-resistant request path of every agreement replica's proposer
+    (no forwarding to the primary, no per-request deadlines escalating to a
+    view change), so a censoring or silent primary starves requests
+    forever -- the planted bug the
+    :class:`~repro.fuzz.oracles.BoundedProgressOracle` must catch.
     """
     problems = schedule.validate()
     if problems:
@@ -470,7 +469,9 @@ def run_schedule(schedule: FaultSchedule, *,
             client.reply_quorum = config.g  # test-only planted bug
     if disable_forwarding_defence:
         for replica in system.agreement_replicas:
-            replica.request_liveness_defence = False  # test-only planted bug
+            # test-only planted bug
+            replica.proposer._forward_to_primary = lambda certificate: None
+            replica.proposer._arm_request_deadline = lambda request: None
 
     # Fault-free seed phase: scenario setup operations complete before any
     # schedule event installs, so event times are anchored at the start of

@@ -407,14 +407,12 @@ class ShardExecutionNode(ExecutionNode):
         """Whether a routed slot is near enough to buffer.
 
         The window is generous (twice the checkpoint interval, or twice the
-        configured pipeline window if that is larger) so it never
-        constrains a healthy pipeline; it exists purely to keep the
-        route-vote and pending tables bounded against floods.
+        pipeline window if that is larger) so it never constrains a healthy
+        pipeline; it exists purely to keep the route-vote and pending
+        tables bounded against floods.
         """
-        depth = self.config.pipeline.per_shard_depth
-        if depth is None:
-            depth = self.config.pipeline_depth
-        window = max(2 * self.config.checkpoint_interval, 2 * depth)
+        window = max(2 * self.config.checkpoint_interval,
+                     2 * self.config.pipeline_depth)
         return shard_seq <= self.max_executed + window
 
     def _binding_vouched(self, votes: Dict[NodeId, _RouteBinding],

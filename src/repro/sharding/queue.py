@@ -10,8 +10,8 @@ and every correct agreement node computes the same ``(s, shard_seq)`` pair.
 No extra agreement round is needed to shard -- the paper's separation
 already provides the total order, and routing is a pure function of it.
 
-Batches may be *staged* out of global order (``stage_batch``, used by
-``PipelineConfig.ooo_shard_delivery``: a replica hands a batch over the
+Batches may be *staged* out of global order (``stage_batch``, used with
+``SystemConfig.per_shard_windows``: a replica hands a batch over the
 moment it commits locally, even while an earlier sequence number is still
 gathering commit votes).  The queue buffers such arrivals and releases each
 shard's parts along a **per-shard frontier over the global order**: a batch
@@ -41,7 +41,16 @@ released requests per cluster and per key over the current observation
 window (reset at each cut, so the window always describes the live map).
 Counting at release time means the counters are a pure function of the
 committed prefix -- identical on every correct replica at the same log
-position -- so the primary's proposals are reproducible.
+position -- so the primary's proposals are reproducible.  The rebalance
+controller lives here too, beside the window it reads: every queue polls
+it on a timer, and the one whose replica is the primary has the change
+ordered by that replica's proposer.
+
+The proposer asks this queue what a request is
+(:meth:`ShardRouterQueue.request_shard`,
+:meth:`ShardRouterQueue.cross_shards`), judged at the live epoch, so a
+freshly admitted request queues by the map that will route it; routing at
+release stays authoritative if the epoch moves in between.
 
 Reply certificates are assembled per shard: ``g + 1`` matching
 authenticators must come from the replicas of the shard named inside the
@@ -67,7 +76,7 @@ from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
 from ..util.seqtable import SeqTable
 from .messages import ShardedBatch, cross_shard_request_of, map_change_of
-from .rebalance import ShardLoadWindow, apply_map_change
+from .rebalance import RebalanceController, ShardLoadWindow, apply_map_change
 from .router import ShardRouter
 
 #: (shard, shard-local sequence number)
@@ -136,6 +145,15 @@ class ShardRouterQueue(QueueCore):
         self._g_staged = owner.metrics.gauge("shardqueue.staged_depth")
         owner.metrics.register_probe("shardqueue.state", self._shard_probe)
 
+        #: the rebalance controller (any replica may become primary, so
+        #: every queue carries one; only the primary's proposes)
+        self.rebalancer: Optional[RebalanceController] = None
+        if config.rebalance.enabled:
+            self.rebalancer = RebalanceController(config.rebalance)
+            owner.metrics.register_probe("rebalance.controller",
+                                         self.rebalancer.snapshot)
+            self._arm_rebalance_check()
+
     def _shard_probe(self) -> dict:
         """Snapshot of the router queue's ad-hoc counters and occupancy."""
         return {
@@ -177,7 +195,7 @@ class ShardRouterQueue(QueueCore):
         are therefore a pure function of the committed prefix -- identical
         on every correct replica no matter how far out of order the commits
         completed locally -- which is what keeps sharding agreement-free
-        even with ``PipelineConfig.ooo_shard_delivery``.
+        even with staging at commit (``SystemConfig.per_shard_windows``).
         """
         if seq <= self._released_seq or seq in self._staged:
             return
@@ -316,8 +334,8 @@ class ShardRouterQueue(QueueCore):
         watermark is the highest *contiguously* answered global sequence
         number -- the conservative bound that keeps the paper's pipeline
         invariant (at most ``P`` unanswered sequence numbers) intact.  With
-        ``PipelineConfig.per_shard_depth`` the agreement replica bypasses
-        this global floor and gates on :meth:`shard_outstanding` instead.
+        ``SystemConfig.per_shard_windows`` the proposer bypasses this
+        global floor and gates on :meth:`shard_outstanding` instead.
         """
         while (self.highest_reply_seq + 1) in self._answered:
             self.highest_reply_seq += 1
@@ -525,32 +543,19 @@ class ShardRouterQueue(QueueCore):
             self._answered = {n for n in self._answered if n > seq}
             self._advance_reply_watermark()
 
-    def cross_shard_probe(self):
-        """The agreement replica's cross-shard request probe.
+    def request_shard(self, request: ClientRequest) -> int:
+        """The shard ``request`` routes to at this queue's live epoch."""
+        return self.router.shard_of_request(request, epoch=self.epoch)
 
-        Maps a client request to the ascending list of shards its keys
-        touch at this queue's live epoch (None for single-shard requests),
-        so the primary orders multi-shard requests as single-certificate
-        marker batches.  Classification at *release* time -- by this very
-        queue -- stays authoritative: if the epoch moves between ordering
-        and release, the release-epoch touched set routes the marker.
-        """
-        def probe(request: ClientRequest):
-            if not self.router.is_cross_shard(request, epoch=self.epoch):
-                return None
-            return self.router.shards_of_operation_keys(request.operation,
-                                                        epoch=self.epoch)
-
-        return probe
-
-    def request_classifier(self):
-        """The deterministic request -> shard mapping (for the primary's
-        per-shard batching and admission).  Reads this queue's live epoch,
-        so freshly admitted requests are queued by the map that will route
-        them; requests already queued under an older epoch are re-judged at
-        release time, where routing is authoritative."""
-        return lambda request: self.router.shard_of_request(request,
-                                                            epoch=self.epoch)
+    def cross_shards(self, request: ClientRequest) -> Optional[List[int]]:
+        """The shards a multi-shard ``request`` touches at the live epoch
+        (``None`` for a single-shard one, or with cross-shard operations
+        off)."""
+        if not (self.config.cross_shard.enabled
+                and self.router.is_cross_shard(request, epoch=self.epoch)):
+            return None
+        return self.router.shards_of_operation_keys(request.operation,
+                                                    epoch=self.epoch)
 
     def load_observation(self):
         """The rebalance controller's inputs: the current observation
@@ -558,6 +563,23 @@ class ShardRouterQueue(QueueCore):
         registry = getattr(self.router.partitioner, "registry", None)
         pmap = registry.map_for(self.epoch) if registry is not None else None
         return self.load_window, pmap
+
+    def _arm_rebalance_check(self) -> None:
+        self.owner.set_timer(self.config.rebalance.check_interval_ms,
+                             self._on_rebalance_check,
+                             label=f"{self.owner.node_id}:rebalance-check")
+
+    def _on_rebalance_check(self) -> None:
+        """Poll the controller; a primary free to order a config operation
+        (one epoch cut at a time) proposes what it suggests."""
+        self._arm_rebalance_check()
+        proposer = self.owner.proposer
+        if not proposer.can_propose_config():
+            return
+        window, pmap = self.load_observation()
+        change = self.rebalancer.propose(window, pmap, now=self.owner.now)
+        if change is not None and proposer.propose_map_change(change):
+            self.rebalancer.note_ordered(change, now=self.owner.now)
 
     # ------------------------------------------------------------------ #
     # Reply certificates from the execution clusters.

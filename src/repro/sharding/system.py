@@ -55,7 +55,6 @@ from .client import ShardAwareClient
 from .execution import ShardExecutionNode
 from .partitioner import make_partitioner
 from .queue import ShardRouterQueue
-from .rebalance import RebalanceController
 from .router import KeyExtractor, ShardRouter
 
 #: name prefix of each shard's threshold-signature group
@@ -217,23 +216,6 @@ class ShardedSystem(SimulatedSystem):
                 # cuts, and no ``log`` field on the wire.
                 queue = ShardRouterQueue(**routing)
             replica.local = queue
-            if config.pipeline.per_shard_depth is not None:
-                # Skew-aware concurrency: single-shard bundles with per-shard
-                # AIMD controllers and per-shard admission windows (the
-                # classifier reads the queue's live partition-map epoch).
-                replica.enable_per_shard_batching(queue.request_classifier())
-            if config.cross_shard.enabled:
-                # Multi-shard requests are ordered as single-certificate
-                # consistent-cut markers (classified at the queue's live
-                # epoch).
-                replica.enable_cross_shard(queue.cross_shard_probe())
-            if config.rebalance.enabled:
-                # Every replica hosts a rebalance controller (any of them
-                # may become primary); only the current primary proposes.
-                controller = RebalanceController(config.rebalance)
-                replica.attach_rebalancer(controller, queue.load_observation)
-                replica.metrics.register_probe("rebalance.controller",
-                                               controller.snapshot)
             self.message_queues.append(queue)
             self.agreement_replicas.append(replica)
             self.network.register(replica)
@@ -280,10 +262,10 @@ class ShardedSystem(SimulatedSystem):
         Each log's current primary proposes the same change into its own
         log; every queue holds the marker at its release head until the
         cross-log cut certifies that all logs committed it.  The driver
-        serializes changes -- one at a time, proposed only when every log
-        is quiescent enough to accept (all preconditions re-checked inside
-        :meth:`~repro.agreement.replica.AgreementReplica.propose_map_change`
-        would pass) -- because two *concurrent* log-map cuts could be
+        serializes changes -- one at a time, proposed only when every log's
+        primary is free to order a config operation
+        (:meth:`~repro.agreement.proposer.Proposer.can_propose_config`) --
+        because two *concurrent* log-map cuts could be
         ordered inversely by two logs and deadlock each other's frontiers;
         see ROADMAP for the MVBA-style cut-ordering follow-up.  With one
         log there is nowhere to move a shard, so every proposal is refused.
@@ -301,18 +283,15 @@ class ShardedSystem(SimulatedSystem):
             return False  # a previous change is still cutting
         primaries: List[AgreementReplica] = []
         for replicas in self.log_replicas:
-            primary = next(
-                (replica for replica in replicas
-                 if replica.is_primary and not replica._view_changing
-                 and not replica.log.has_pending_config_op()
-                 and replica.next_seq <= replica.log.high_watermark), None)
+            primary = next((replica for replica in replicas
+                            if replica.proposer.can_propose_config()), None)
             if primary is None:
                 return False
             primaries.append(primary)
         # All preconditions hold and nothing runs between the checks and
         # the proposals (the simulator is single-threaded), so either every
         # log orders the change or none does.
-        return all(primary.propose_map_change(change)
+        return all(primary.proposer.propose_map_change(change)
                    for primary in primaries)
 
     # ------------------------------------------------------------------ #
@@ -386,8 +365,8 @@ class ShardedSystem(SimulatedSystem):
 
     def map_changes(self) -> List:
         """Map changes proposed so far (split/merge/move counters per
-        replica's controller; index 0 is usually the primary)."""
-        return [replica._rebalancer for replica in self.agreement_replicas]
+        queue's controller; index 0 is usually the primary's)."""
+        return [queue.rebalancer for queue in self.message_queues]
 
     def requests_executed_by_shard(self) -> List[int]:
         """Requests executed per shard (max over each shard's correct nodes)."""

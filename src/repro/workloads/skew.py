@@ -7,7 +7,7 @@ of requests to the hottest ``hot_key_fraction`` of the key space, which a
 range partitioner maps to one shard) plus Zipf-distributed variants, and a
 fixed-window driver that measures *committed requests per second* while the
 skew is live -- the quantity the per-shard pipeline windows
-(:class:`repro.config.PipelineConfig`) are designed to protect.
+(:attr:`repro.config.SystemConfig.per_shard_windows`) are designed to protect.
 
 The driver uses **shard-affine closed-loop clients**: each client works one
 shard's keys, so a client stuck behind the hot shard never head-of-line

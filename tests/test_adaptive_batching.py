@@ -129,22 +129,22 @@ class TestAdaptiveIntegration:
     def test_bundles_grow_under_overload(self):
         system = run_burst(overload_system())
         primary = system.agreement_replicas[0]
-        assert primary.batcher.largest_batch > 1
-        assert primary.batcher.controller.increases > 0
+        assert primary.proposer.batcher.largest_batch > 1
+        assert primary.proposer.batcher.controller.increases > 0
         # Bundling actually amortised agreement: fewer batches than requests.
         assert primary.batches_delivered < 64
 
     def test_bundles_shrink_when_load_stops(self):
         system = run_burst(overload_system())
         primary = system.agreement_replicas[0]
-        grown = primary.batcher.controller.current
+        grown = primary.proposer.batcher.controller.current
         assert grown > 1
         # Sparse follow-up traffic: one request at a time, fully drained.
         for i in range(8):
             system.invoke(null_operation(tag=1000 + i), client_index=0)
             system.run(50.0)
-        assert primary.batcher.controller.current == 1
-        assert primary.batcher.controller.decreases > 0
+        assert primary.proposer.batcher.controller.current == 1
+        assert primary.proposer.batcher.controller.decreases > 0
 
     def test_latency_bound_at_light_load(self):
         """At light load adaptive bundling must cost no extra latency even
@@ -168,9 +168,9 @@ class TestAdaptiveIntegration:
         def trajectory(seed):
             system = run_burst(overload_system(seed=seed))
             primary = system.agreement_replicas[0]
-            return (primary.batcher.total_batches,
-                    primary.batcher.largest_batch,
-                    primary.batcher.controller.current,
+            return (primary.proposer.batcher.total_batches,
+                    primary.proposer.batcher.largest_batch,
+                    primary.proposer.batcher.controller.current,
                     tuple(round(l, 9) for l in system.all_latencies_ms()))
 
         for seed in (3, 21):
@@ -185,6 +185,6 @@ class TestAdaptiveIntegration:
                                          distribution="uniform", seed=9)
         assert result.completed == 64
         primary = system.agreement_replicas[0]
-        assert primary.batcher.largest_batch > 1
+        assert primary.proposer.batcher.largest_batch > 1
         # Both shards executed work carved from the grown bundles.
         assert all(count > 0 for count in result.requests_by_shard)

@@ -33,7 +33,6 @@ from repro.apps.kvstore import (
 )
 from repro.config import (
     CrossShardConfig,
-    PipelineConfig,
     ShardingConfig,
     SystemConfig,
 )
@@ -66,8 +65,7 @@ def make_system(num_shards=2, num_clients=4, seed=33, cross_shard=None,
         sharding=ShardingConfig(
             num_shards=num_shards, strategy="range",
             range_boundaries=equal_range_boundaries(KEY_SPACE, num_shards)),
-        pipeline=PipelineConfig(per_shard_depth=16, ooo_shard_delivery=True,
-                                rtt_gather=True),
+        per_shard_windows=True,
         cross_shard=cross_shard or CrossShardConfig(enabled=True),
         **overrides)
     return ShardedSystem(config, KeyValueStore, seed=seed)
@@ -242,7 +240,7 @@ class TestEpochRace:
         # upper half keeps its owner -- so the operation stays cross-shard
         # at epoch 1 and the stale pin is the only problem).
         primary = system.agreement_replicas[0]
-        assert primary.propose_map_change(
+        assert primary.proposer.propose_map_change(
             MapChange(kind="split", parent_epoch=0, key=skew_key(56), owner=1))
         system.run(300.0)
         assert system.partition_epoch() == 1
@@ -266,7 +264,7 @@ class TestEpochRace:
         system.invoke(put(left, "L"))
         system.invoke(put(right, "R"))
         primary = system.agreement_replicas[0]
-        assert primary.propose_map_change(
+        assert primary.proposer.propose_map_change(
             MapChange(kind="split", parent_epoch=0, key=skew_key(56), owner=1))
         system.run(300.0)
         client = system.clients[0]
@@ -287,7 +285,7 @@ class TestEpochRace:
                                                           retry_limit=0))
         left, right = skew_key(4), skew_key(40)
         primary = system.agreement_replicas[0]
-        assert primary.propose_map_change(
+        assert primary.proposer.propose_map_change(
             MapChange(kind="split", parent_epoch=0, key=skew_key(56), owner=1))
         system.run(300.0)
         record = system.invoke(multi_get([left, right]))
@@ -304,7 +302,7 @@ class TestEpochRace:
         # an ordinary single-shard request and the client must accept the
         # ordinary certified reply (the cross expectation collapses).
         primary = system.agreement_replicas[0]
-        assert primary.propose_map_change(
+        assert primary.proposer.propose_map_change(
             MapChange(kind="split", parent_epoch=0, key=skew_key(8), owner=1))
         system.run(400.0)
         assert system.shard_of_key(left) == 1

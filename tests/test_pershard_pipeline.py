@@ -18,10 +18,10 @@ import pytest
 
 from conftest import make_config
 from repro.agreement.batching import AdaptiveBundleController, Batcher
-from repro.agreement.replica import GATHER_MS
+from repro.agreement.proposer import GATHER_MS
 from repro.apps.kvstore import KeyValueStore, extract_key, put
-from repro.config import BatchingConfig, PipelineConfig, ShardingConfig, SystemConfig
-from repro.errors import ConfigurationError, LivenessTimeoutError
+from repro.config import BatchingConfig, ShardingConfig, SystemConfig
+from repro.errors import LivenessTimeoutError
 from repro.messages.agreement import OrderedBatch
 from repro.sharding import ShardedBatch, ShardedSystem
 from repro.sharding.queue import ShardRouterQueue
@@ -34,12 +34,11 @@ def keys_of_shard(system, shard, count, universe=200):
     return keys[:count]
 
 
-def pershard_config(num_shards=2, depth=4, ooo=True, **overrides):
+def pershard_config(num_shards=2, depth=4, **overrides):
     defaults = dict(
         pipeline_depth=depth,
         sharding=ShardingConfig(num_shards=num_shards),
-        pipeline=PipelineConfig(per_shard_depth=depth, ooo_shard_delivery=ooo,
-                                rtt_gather=True),
+        per_shard_windows=True,
     )
     defaults.update(overrides)
     return make_config(**defaults)
@@ -49,7 +48,6 @@ def global_config(num_shards=2, depth=4, **overrides):
     defaults = dict(
         pipeline_depth=depth,
         sharding=ShardingConfig(num_shards=num_shards),
-        pipeline=PipelineConfig(),
     )
     defaults.update(overrides)
     return make_config(**defaults)
@@ -69,21 +67,14 @@ def batches_by_global_seq(system):
     return batches
 
 
-class TestPipelineConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            make_config(pipeline=PipelineConfig(per_shard_depth=0))
-        # None (global watermark) and positive depths are fine.
-        make_config(pipeline=PipelineConfig())
-        make_config(pipeline=PipelineConfig(per_shard_depth=1))
-
-    def test_sharded_constructor_defaults_to_skew_aware(self):
-        config = SystemConfig.sharded(4, pipeline_depth=8)
-        assert config.pipeline.per_shard_depth == 8
-        assert config.pipeline.ooo_shard_delivery
-        assert config.pipeline.rtt_gather
-        explicit = SystemConfig.sharded(4, pipeline=PipelineConfig())
-        assert explicit.pipeline.per_shard_depth is None
+class TestPerShardWindows:
+    def test_sharded_constructor_defaults_to_per_shard_windows(self):
+        assert SystemConfig.sharded(4, pipeline_depth=8).per_shard_windows
+        assert SystemConfig.multilog_sharded(2, 4).per_shard_windows
+        explicit = SystemConfig.sharded(4, per_shard_windows=False)
+        assert not explicit.per_shard_windows
+        # The paper's single global watermark everywhere else.
+        assert not make_config().per_shard_windows
 
 
 class TestStalledShard:
@@ -294,18 +285,18 @@ class TestPerShardBatching:
         assert batcher.contains(client_id(0), 3)
         assert not batcher.contains(client_id(0), 2)
 
-    def test_rtt_gather_window_tracks_measured_round_trip(self):
+    def test_gather_window_tracks_measured_round_trip(self):
         system = ShardedSystem(pershard_config(), KeyValueStore, seed=56)
         key = keys_of_shard(system, 0, 1)[0]
         for i in range(4):
             system.invoke(put(key, f"v{i}"))
-        primary = system.agreement_replicas[0]
-        assert primary._rtt_ewma is not None and primary._rtt_ewma > 0
-        window = primary._gather_window()
+        proposer = system.agreement_replicas[0].proposer
+        assert proposer.rtt_ewma is not None and proposer.rtt_ewma > 0
+        window = proposer._gather_window()
         assert 0 < window <= system.config.timers.batch_timeout_ms
-        # Without the switch the static window is used.
+        # Without per-shard windows the static window is used.
         static = ShardedSystem(global_config(), KeyValueStore, seed=56)
-        assert static.agreement_replicas[0]._gather_window() == GATHER_MS
+        assert static.agreement_replicas[0].proposer._gather_window() == GATHER_MS
 
 
 class TestAcceptanceWindow:

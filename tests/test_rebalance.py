@@ -30,7 +30,6 @@ from repro.apps.kvstore import KeyValueStore, get, put
 from repro.config import (
     AuthenticationScheme,
     BatchingConfig,
-    PipelineConfig,
     RebalanceConfig,
     ShardingConfig,
     SystemConfig,
@@ -72,8 +71,7 @@ def make_system(num_shards=2, rebalance=MANUAL, num_clients=4, seed=21,
         sharding=ShardingConfig(
             num_shards=num_shards, strategy="range",
             range_boundaries=equal_range_boundaries(KEY_SPACE, num_shards)),
-        pipeline=PipelineConfig(per_shard_depth=16, ooo_shard_delivery=True,
-                                rtt_gather=True),
+        per_shard_windows=True,
         rebalance=rebalance,
         **overrides)
     return ShardedSystem(config, KeyValueStore, seed=seed)
@@ -81,7 +79,7 @@ def make_system(num_shards=2, rebalance=MANUAL, num_clients=4, seed=21,
 
 def propose(system, change):
     primary = system.agreement_replicas[0]
-    assert primary.propose_map_change(change)
+    assert primary.proposer.propose_map_change(change)
     system.run(300.0)
 
 
@@ -474,7 +472,7 @@ class TestCutCheckpoint:
         slow._execute_map_change = execute_marker
 
         primary = system.agreement_replicas[0]
-        assert primary.propose_map_change(
+        assert primary.proposer.propose_map_change(
             MapChange(kind="split", parent_epoch=0, key=skew_key(8), owner=1))
         for index in range(8):
             system.submit(put(skew_key(40 + index), f"after-{index}"),
@@ -542,7 +540,7 @@ class TestCutAcrossViewChange:
             system.invoke(put(skew_key(index), f"v{index}"),
                           client_index=index % 4)
         primary = system.agreement_replicas[0]
-        assert primary.propose_map_change(
+        assert primary.proposer.propose_map_change(
             MapChange(kind="split", parent_epoch=0, key=skew_key(8), owner=1))
         registry = system.router.partitioner.registry
         system.run(0.5)            # proposed, but the cut is still in flight
@@ -637,7 +635,7 @@ class TestExactlyOnceAcrossCuts:
                 lambda: system.total_completed() >= cut * num_requests // 4,
                 timeout_ms=60_000.0, description="traffic before the cut")
             # The primary refuses while its log window is full.
-            system.run_until(lambda: primary.propose_map_change(change),
+            system.run_until(lambda: primary.proposer.propose_map_change(change),
                              timeout_ms=60_000.0,
                              description="the primary admits the cut")
             assert system.total_completed() < num_requests
@@ -650,6 +648,37 @@ class TestExactlyOnceAcrossCuts:
 
         assert [registry.map_for(epoch).num_ranges for epoch in range(3)] \
             == [4, 5, 4]
+        assert_exactly_once(system, num_requests)
+
+    def test_next_primary_controller_cuts_after_the_primary_dies(self):
+        """The controller lives in every replica's queue: once the primary
+        that made the first cut dies, its successor's controller proposes
+        and cuts the next split of the migrating hotspot by itself."""
+        rebalance = RebalanceConfig(enabled=True, check_interval_ms=15.0,
+                                    cooldown_ms=40.0, hot_ratio=1.3,
+                                    cold_ratio=0.8, min_window_requests=24)
+        system = make_system(num_shards=4, rebalance=rebalance,
+                             num_clients=16, seed=33)
+        num_requests = 1200
+        operations = migrating_hot_range_operations(
+            num_requests, key_space=KEY_SPACE, num_phases=3,
+            hot_key_fraction=0.25, seed=9)
+        for index, operation in enumerate(operations):
+            system.submit(operation, client_index=index % 16)
+        registry = system.router.partitioner.registry
+        system.run_until(lambda: registry.latest_epoch >= 1, 60_000.0,
+                         description="the first primary's cut")
+        cut_before_crash = registry.latest_epoch
+        system.crash_agreement(0)
+        system.run_until(lambda: system.total_completed() == num_requests,
+                         timeout_ms=120_000.0,
+                         description="all requests complete after the crash")
+        system.run(300.0)
+
+        successor = system.agreement_replicas[1]
+        assert successor.is_primary and successor.view >= 1
+        assert system.map_changes()[1].splits_proposed >= 1
+        assert registry.latest_epoch > cut_before_crash
         assert_exactly_once(system, num_requests)
 
 

@@ -141,7 +141,7 @@ class TestRetryHint:
             enabled=True, min_window_requests=10**9))
         for node in system.execution_cluster(0)[:2]:
             node.crash()  # shard 0 cannot answer: its marker part stays pending
-        assert system.agreement_replicas[0].propose_map_change(MapChange(
+        assert system.agreement_replicas[0].proposer.propose_map_change(MapChange(
             kind="split", parent_epoch=0, key=skew_key(8), owner=1))
         queue = system.message_queues[0]
         system.run_until(
