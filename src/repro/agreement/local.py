@@ -73,10 +73,14 @@ class LocalExecutor(ABC):
 
         return digest({"local-state-at": seq, "sync": sync_state})
 
-    def checkpoint_sync_state(self, seq: int) -> Tuple[Tuple[str, object], ...]:
+    def checkpoint_sync_state(
+            self, seq: int) -> Optional[Tuple[Tuple[str, object], ...]]:
         """Transferable frontier state at the checkpoint cut (key/value
         pairs).  Deterministic across correct replicas at the same cut; the
-        default executor carries none."""
+        default executor carries none.  ``None`` means "not yet": the
+        executor cannot describe the cut until it has processed every batch
+        below it, and then calls the hosting replica's
+        ``on_checkpoint_cut(seq)``, which casts the deferred vote."""
         return ()
 
     def highest_ready_seq(self) -> Optional[int]:

@@ -26,7 +26,7 @@ batch, and when, is the primary-side policy of its
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
@@ -122,6 +122,9 @@ class AgreementReplica(Process):
         #: transfer, pruned as checkpoints stabilise
         self._checkpoint_sync_states: Dict[Tuple[int, bytes],
                                            Tuple[Tuple[str, Any], ...]] = {}
+        #: delivered checkpoint cuts the local queue cannot describe yet
+        #: (its release frontier holds below them): voted when it can
+        self._deferred_checkpoints: Set[int] = set()
 
         #: stable checkpoints observed since entering the current view
         #: (drives proactive primary rotation when the knob is set)
@@ -492,6 +495,12 @@ class AgreementReplica(Process):
 
     def _emit_checkpoint(self, seq: int) -> None:
         sync_state = self.local.checkpoint_sync_state(seq)
+        if sync_state is None:
+            # The queue's release frontier is held below the cut (a
+            # cross-log marker): a vote now would certify the cut without
+            # the frontier a lagging replica adopts, so vote once it can.
+            self._deferred_checkpoints.add(seq)
+            return
         digest = self.local.checkpoint_digest(seq)
         message = AgreementCheckpoint(seq=seq, state_digest=digest,
                                       replica=self.node_id,
@@ -500,6 +509,13 @@ class AgreementReplica(Process):
         self._checkpoint_sync_states[(seq, digest)] = sync_state
         self.multicast(self.agreement_ids, message)
         self._try_stable(seq, digest)
+
+    def on_checkpoint_cut(self, seq: int) -> None:
+        """The local queue's release frontier crossed the checkpoint cut at
+        ``seq``: cast the vote its delivery deferred, if any."""
+        if seq in self._deferred_checkpoints:
+            self._deferred_checkpoints.discard(seq)
+            self._emit_checkpoint(seq)
 
     def handle_checkpoint(self, sender: NodeId, message: AgreementCheckpoint) -> None:
         if sender != message.replica or sender not in self.agreement_ids:
@@ -527,6 +543,8 @@ class AgreementReplica(Process):
                 key: state for key, state in self._checkpoint_sync_states.items()
                 if key[0] > seq
             }
+            self._deferred_checkpoints = {
+                cut for cut in self._deferred_checkpoints if cut > seq}
             self._maybe_rotate_primary()
 
     def _maybe_rotate_primary(self) -> None:

@@ -477,13 +477,16 @@ class ShardRouterQueue(QueueCore):
         """Snapshot the routing frontiers when release crosses a checkpoint.
 
         Captured here -- not when the checkpoint vote is emitted -- because
-        out-of-order staging lets the release frontier run ahead of the
-        hosting replica's contiguous delivery pass: the vote must describe
-        the state at exactly the cut, a pure function of the released
-        prefix, identical on every correct replica.
+        the release frontier and the hosting replica's contiguous delivery
+        pass run apart: out-of-order staging lets release run ahead, and a
+        held cross-log marker keeps it behind.  The vote must describe the
+        state at exactly the cut, a pure function of the released prefix,
+        identical on every correct replica; a vote delivery had to defer is
+        cast now.
         """
         if seq % self.config.checkpoint_interval == 0:
             self._sync_snapshots[seq] = self._frontier_state()
+            self.owner.on_checkpoint_cut(seq)
 
     def _frontier_state(self) -> Tuple[Tuple[str, object], ...]:
         """The per-shard sequence counters and the epoch cursor.  A replica
@@ -492,9 +495,12 @@ class ShardRouterQueue(QueueCore):
         return (("frontiers", tuple(self._next_shard_seq)),
                 ("epoch", self.epoch))
 
-    def checkpoint_sync_state(self, seq: int) -> Tuple[Tuple[str, object], ...]:
-        """Transferable frontier state at the checkpoint cut (empty when
-        ``seq`` is not a checkpoint boundary -- defensive)."""
+    def checkpoint_sync_state(
+            self, seq: int) -> Optional[Tuple[Tuple[str, object], ...]]:
+        """Transferable frontier state at the checkpoint cut, or ``None``
+        while the release frontier has not reached it yet."""
+        if seq > self._released_seq:
+            return None
         return self._sync_snapshots.get(seq, ())
 
     def on_stable_checkpoint(self, seq: int) -> None:

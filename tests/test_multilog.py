@@ -537,6 +537,87 @@ class TestLogMapChange:
 
 
 # ---------------------------------------------------------------------- #
+# Checkpoints while the release frontier holds.
+# ---------------------------------------------------------------------- #
+
+
+def frontier(replica):
+    queue = replica.local
+    return list(queue._next_shard_seq), queue.log_epoch
+
+
+class TestCheckpointAcrossAHold:
+    def test_no_stable_checkpoint_above_a_held_frontier_without_its_state(self):
+        system = make_system()
+        # Log 1 cannot commit its leg without 2f + 1 replicas: log 0 holds
+        # the marker at its release head while it keeps committing.
+        for replica in system.log_replicas[1][:2]:
+            replica.crash()
+        system.clients[0].submit(cross_group_txn("held"))
+        for index in range(12):
+            system.clients[1 + index % 3].submit(
+                put(key_on(system, index % 2), f"v{index}"))
+        system.run(400.0)
+        for replica in system.log_replicas[0]:
+            queue = replica.local
+            assert queue._held
+            stable = replica.log.stable_seq
+            # A vote describes the cut it names, so the quorum certifies
+            # the frontier a lagging replica adopts -- never "nothing".
+            assert (stable <= queue._released_seq
+                    or queue.checkpoint_sync_state(stable) not in (None, ()))
+
+    def test_a_lagging_replica_adopts_the_frontier_it_missed(self):
+        timers = dataclasses.replace(FAST_TIMERS, client_retransmit_ms=10_000.0)
+        system = make_system(timers=timers)
+        seed_system(system)
+        victim = system.log_replicas[0][3]
+        log0 = {replica.node_id for replica in system.log_replicas[0]}
+        log1 = {replica.node_id for replica in system.log_replicas[1]}
+        cut_off = {"victim": True, "bindings": True}
+
+        def tap(source, destination, message):
+            # The victim hears checkpoint votes only; log 0 hears no binding
+            # from log 1, so it holds the marker while committing behind it.
+            name = type(message).__name__
+            if (cut_off["victim"] and destination == victim.node_id
+                    and name != "AgreementCheckpoint"):
+                return DROP
+            if (cut_off["bindings"] and source in log1 and destination in log0
+                    and name == "CrossLogBinding"):
+                return DROP
+            return None
+
+        system.network.add_tap(tap)
+        primary = system.log_primary(0)
+        behind = primary.next_seq - 1
+        interval = system.config.checkpoint_interval
+        cut = (behind // interval + 1) * interval
+        # The marker and the puts behind it fill log 0 up to the next
+        # checkpoint exactly, so the victim misses nothing after it.
+        system.clients[0].submit(cross_group_txn("lag"))
+        for index in range(cut - behind - 1):
+            system.clients[1 + index % 3].submit(
+                put(key_on(system, index % 2), f"w{index}"))
+        system.run_until(lambda: primary.log.last_delivered_seq == cut,
+                         5_000.0, "log 0 committing behind the held marker")
+        system.run(100.0)
+        cut_off["bindings"] = False
+        system.run_until(lambda: victim.log.stable_seq >= cut, 5_000.0,
+                         "the victim adopting the checkpoint")
+        assert victim.checkpoint_syncs == 1
+        cut_off["victim"] = False
+        for index in range(6):
+            system.invoke(put(key_on(system, index % 2), f"after{index}"),
+                          client_index=1 + index % 3, timeout_ms=5_000.0)
+        system.run(1_000.0)
+        peers = [frontier(replica) for replica in system.log_replicas[0]
+                 if replica is not victim]
+        assert peers == [peers[0]] * len(peers)
+        assert frontier(victim) == peers[0]
+
+
+# ---------------------------------------------------------------------- #
 # Fuzz scenario: bit-identical replay over the coordination machinery.
 # ---------------------------------------------------------------------- #
 
