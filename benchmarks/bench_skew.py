@@ -7,10 +7,11 @@ shard 0):
 1. **skew** -- committed-requests/second over a fixed window with skew-aware
    concurrency (``per_shard_windows=True``, the ``SystemConfig.sharded``
    default) versus the single global contiguous watermark
-   (``per_shard_windows=False``, the pre-skew-aware behaviour).  Acceptance: >= 1.5x at 4 shards.  The
-   per-shard committed breakdown shows *where* the win comes from: under
-   the global watermark the hot shard's unanswered batches hold window
-   slots that starve the cold shards.
+   (``per_shard_windows=False``, the pre-skew-aware behaviour).
+   Acceptance: >= 1.5x at 4 shards.  The per-shard committed breakdown
+   shows *where* the win comes from: under the global watermark the hot
+   shard's unanswered batches hold window slots that starve the cold
+   shards.
 2. **uniform** -- the hot-path uniform workload (identical configuration to
    ``bench_hotpath.py``'s crypto section) with per-shard pipelining on vs
    off: throughput must not regress, and certificate-verification crypto

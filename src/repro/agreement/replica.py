@@ -86,9 +86,6 @@ class AgreementReplica(Process):
         self.view = 0
         self.next_seq = 1
         self.log = AgreementLog(config.checkpoint_interval)
-        #: hand batches to the local executor's staging buffer at commit
-        #: (per-shard windows release each shard along its own frontier)
-        self._stage_at_commit = config.per_shard_windows
         #: observability instruments (shared no-ops when metrics are off)
         self._h_batch_size = self.metrics.histogram(
             "agreement.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128))
@@ -412,7 +409,7 @@ class AgreementReplica(Process):
         proposal = self.proposer.inflight.get(entry.seq)
         if proposal is not None:
             self._h_agree_ms.observe(self.now - proposal.sent_at)
-        if self._stage_at_commit:
+        if self.config.per_shard_windows:
             self._stage_committed(entry)
         self._deliver_in_order()
 

@@ -91,8 +91,7 @@ class ScenarioSpec:
         return SystemConfig(
             f=1, g=1, h=1, num_clients=self.num_clients, pipeline_depth=16,
             per_shard_windows=True, checkpoint_interval=8, bundle_size=1,
-            timers=_TIMERS,
-            crypto=_CRYPTO,
+            timers=_TIMERS, crypto=_CRYPTO,
             multilog=MultiLogConfig(num_logs=self.num_logs),
             sharding=ShardingConfig(
                 num_shards=self.num_shards, strategy="range",
