@@ -126,6 +126,11 @@ class LocalExecutor(ABC):
     def on_stable_checkpoint(self, seq: int) -> None:
         """Notification that the agreement cluster's checkpoint at ``seq`` is stable."""
 
+    def on_view_entered(self, view: int) -> None:
+        """Notification that the hosting replica entered ``view``.  An
+        executor whose first sends come from the primary alone hands the new
+        primary what the old one may never have sent."""
+
     def sync_to_checkpoint(self, seq: int,
                            sync_state: Tuple[Tuple[str, object], ...]) -> None:
         """The hosting replica state-transferred its delivery frontier to a

@@ -95,6 +95,14 @@ class AgreementLog:
                 best[entry_seq] = entry
         return [best[s] for s in sorted(best)]
 
+    def pre_prepares_before(self, view: int, above: int) -> List[PrePrepare]:
+        """Pre-prepares of views before ``view`` at sequence numbers above
+        ``above``, in (view, sequence number) order."""
+        return [entry.pre_prepare for (entry_view, seq), entry
+                in sorted(self._entries.items())
+                if entry_view < view and seq > above
+                and entry.pre_prepare is not None]
+
     # ------------------------------------------------------------------ #
     # Config operations (partition-map changes).
     # ------------------------------------------------------------------ #

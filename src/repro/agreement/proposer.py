@@ -126,20 +126,24 @@ class Proposer:
 
     def _admit(self, certificate: Certificate, request: ClientRequest) -> None:
         replica = self.replica
-        if replica.local.cross_shards(request) is not None:
-            added = self._queue_marker(certificate, request)
-        else:
-            added = self.batcher.add(certificate, now=replica.now)
-        if not added:
+        if not self._enqueue(certificate, request):
             return
         if replica.tracing:
             replica.trace_event(request_trace_id(request.client, request.timestamp),
                                 "admit")
-        self._arm_request_deadline(request)
+        self._arm_request_deadline((request.client, request.timestamp))
         if replica.is_primary:
             self.maybe_make_batch()
         else:
             self._forward_to_primary(certificate)
+
+    def _enqueue(self, certificate: Certificate, request: ClientRequest) -> bool:
+        """Queue a request for a batch -- a marker alone if it crosses
+        shards; False if it is queued already."""
+        replica = self.replica
+        if replica.local.cross_shards(request) is not None:
+            return self._queue_marker(certificate, request)
+        return self.batcher.add(certificate, now=replica.now)
 
     def _queue_marker(self, certificate: Certificate,
                       request: ClientRequest) -> bool:
@@ -162,8 +166,8 @@ class Proposer:
         replica.send(replica.primary_of(replica.view),
                      RequestEnvelope(certificate=certificate))
 
-    def _arm_request_deadline(self, request: ClientRequest) -> None:
-        key = (request.client, request.timestamp)
+    def _arm_request_deadline(self, key: Tuple[NodeId, int]) -> None:
+        """Arm the deadline of request ``(client, timestamp)`` unless it runs."""
         if key in self._request_deadlines and self._request_deadlines[key].active:
             return
         self._request_deadlines[key] = self.replica.set_timer(
@@ -210,21 +214,40 @@ class Proposer:
             timer.cancel()
         self._request_deadlines.clear()
 
-    def on_view_entered(self) -> None:
-        """Forget the old view's proposals (the view change may have
+    def on_view_entered(self, dropped: Sequence[Certificate] = ()) -> None:
+        """Start the view over.
+
+        The old view's proposals are forgotten (the view change may have
         discarded them; the router queue's released-but-unanswered counts
-        still back-pressure whatever survived) and re-arm the deadlines of
-        pending requests, which the new primary picks up: a still-faulty
-        primary (or a lost pre-prepare) triggers the next view change."""
+        still back-pressure whatever survived) and the ``dropped`` requests
+        of pre-prepares it did discard are queued again.  Every pending
+        request gets a full deadline: one armed in the old view would fire
+        moments into this one and depose a primary that had no time to act.
+        A backup hands its queue to the new primary, which may never have
+        seen it (a deposed primary's queue is exactly what it failed to
+        order); a still-faulty primary triggers the next view change.
+        """
         replica = self.replica
         self.inflight.clear()
-        for certificate in self.batcher.pending_requests() + self._markers:
+        for certificate in dropped:
             request = certificate.payload
-            if isinstance(request, ClientRequest):
-                self._arm_request_deadline(request)
+            if request.timestamp > self.ordered_timestamp.get(request.client, -1):
+                self._enqueue(certificate, request)
+        for timer in self._request_deadlines.values():
+            timer.cancel()
+        queued = self.batcher.pending_requests() + self._markers
+        pending = list(self._request_deadlines)
+        pending += [(certificate.payload.client, certificate.payload.timestamp)
+                    for certificate in queued]
+        self._request_deadlines.clear()
+        for key in dict.fromkeys(pending):
+            self._arm_request_deadline(key)
         if replica.is_primary:
             replica.set_timer(2.0, self.maybe_make_batch,
                               label=f"{replica.node_id}:enter-view-batch")
+            return
+        for certificate in queued:
+            self._forward_to_primary(certificate)
 
     def on_pipeline_progress(self) -> None:
         """A reply certificate freed pipeline capacity: the primary

@@ -123,9 +123,10 @@ class AgreementReplica(Process):
         #: (its release frontier holds below them): voted when it can
         self._deferred_checkpoints: Set[int] = set()
 
-        #: stable checkpoints observed since entering the current view
-        #: (drives proactive primary rotation when the knob is set)
-        self._stable_checkpoints_in_view = 0
+        #: the stable checkpoint the current view started from: the highest
+        #: ``last_stable_seq`` in the view-change quorum its NEW-VIEW was
+        #: built from (proactive primary rotation counts from here)
+        self._view_start_seq = 0
 
         # Statistics used by benchmarks.
         self.batches_delivered = 0
@@ -547,17 +548,21 @@ class AgreementReplica(Process):
     def _maybe_rotate_primary(self) -> None:
         """Proactive rotation: planned view change every N stable checkpoints.
 
-        Every correct replica counts the same stable checkpoints within a
-        view, so all 3f+1 reach the rotation threshold and vote for the
-        same next view without any replica having to accuse the primary --
-        the view change assembles exactly like a failure-driven one, but
-        the outgoing primary is not marked deposed.
+        Counted in sequence numbers from the view's starting checkpoint,
+        which every replica of the view takes from the same view-change
+        quorum: all 3f+1 reach the same rotation checkpoint -- however far
+        behind a replica's own stable checkpoint was when it entered the
+        view, or however late one of its checkpoints stabilises -- and vote
+        for the same next view without any replica having to accuse the
+        primary.  The view change assembles exactly like a failure-driven
+        one, but the outgoing primary is not marked deposed.
         """
         interval = self.config.timers.rotation_interval_checkpoints
         if interval is None or self._view_changing:
             return
-        self._stable_checkpoints_in_view += 1
-        if self._stable_checkpoints_in_view >= interval:
+        rotate_at = (self._view_start_seq
+                     + interval * self.config.checkpoint_interval)
+        if self.log.stable_seq >= rotate_at:
             self.planned_rotations += 1
             self.start_view_change(self.next_view_target(self.view),
                                    planned=True)
@@ -716,7 +721,7 @@ class AgreementReplica(Process):
         new_view = NewView(view=view,
                            view_change_replicas=tuple(sorted(r.name for r in votes)),
                            pre_prepares=pre_prepares, primary=self.node_id)
-        self._enter_view(view)
+        self._enter_view(view, min_stable, pre_prepares)
         self.multicast(self.agreement_ids, new_view)
         self._adopt_new_view_batches(pre_prepares)
         self.next_seq = max(self.next_seq, self.log.last_delivered_seq + 1,
@@ -731,20 +736,53 @@ class AgreementReplica(Process):
             return
         if sender != self.primary_of(message.view) or message.primary != sender:
             return
-        self._enter_view(message.view)
+        quorum = [vote.last_stable_seq for replica, vote
+                  in self._view_change_votes.get(message.view, {}).items()
+                  if replica.name in message.view_change_replicas]
+        self._enter_view(message.view, max(quorum, default=self.log.stable_seq),
+                         message.pre_prepares)
         self._adopt_new_view_batches(message.pre_prepares)
 
-    def _enter_view(self, view: int) -> None:
+    def _enter_view(self, view: int, start_seq: int,
+                    pre_prepares: Tuple[PrePrepare, ...]) -> None:
+        """Enter ``view``, which starts from the stable checkpoint
+        ``start_seq`` and carries ``pre_prepares`` forward."""
         if self.tracing:
             self.trace_event(f"view-change:{view}", "view_change_end")
+        dropped = self._dropped_requests(view, start_seq, pre_prepares)
         self.view = view
         self._view_changing = False
         self._target_view = view
         self._view_change_attempts = 0
-        self._stable_checkpoints_in_view = 0
+        self._view_start_seq = start_seq
         self.view_changes_completed += 1
         self.next_seq = max(self.next_seq, self.log.last_delivered_seq + 1)
-        self.proposer.on_view_entered()
+        self.proposer.on_view_entered(dropped)
+        self.local.on_view_entered(view)
+
+    def _dropped_requests(self, view: int, start_seq: int,
+                          pre_prepares: Tuple[PrePrepare, ...]
+                          ) -> List[Certificate]:
+        """Client requests an earlier view pre-prepared above the new view's
+        starting checkpoint and this replica's delivery frontier that the
+        NEW-VIEW does not carry forward.  Such a batch committed nowhere (a
+        committed one is carried), and nobody would order its requests
+        again before their clients retransmit -- the common case is a
+        planned rotation overtaking the outgoing primary's last proposal."""
+        carried = {(certificate.payload.client, certificate.payload.timestamp)
+                   for pre_prepare in pre_prepares
+                   for certificate in pre_prepare.requests
+                   if isinstance(certificate.payload, ClientRequest)}
+        dropped: Dict[Tuple[NodeId, int], Certificate] = {}
+        floor = max(start_seq, self.log.last_delivered_seq)
+        for pre_prepare in self.log.pre_prepares_before(view, floor):
+            for certificate in pre_prepare.requests:
+                request = certificate.payload
+                if isinstance(request, ClientRequest):
+                    key = (request.client, request.timestamp)
+                    if key not in carried:
+                        dropped.setdefault(key, certificate)
+        return list(dropped.values())
 
     def _adopt_new_view_batches(self, pre_prepares: Tuple[PrePrepare, ...]) -> None:
         for pre_prepare in pre_prepares:

@@ -540,12 +540,14 @@ class TimerConfig:
     #: so cascading view changes under a long partition don't thrash
     view_change_backoff: float = 2.0
     batch_timeout_ms: float = 1.0
-    #: proactive primary rotation: after this many *stable checkpoints* in
-    #: the current view, every replica starts a planned view change to the
-    #: next primary (riding the ordinary view-change path, so the handover
-    #: inherits its safety argument wholesale).  All correct replicas count
-    #: the same stable checkpoints, so the rotation quorum forms without any
-    #: extra coordination.  ``None`` (the default) never rotates.
+    #: proactive primary rotation: once the stable checkpoint is this many
+    #: checkpoint intervals past the view's starting checkpoint (the highest
+    #: one in the view-change quorum its NEW-VIEW was built from), every
+    #: replica starts a planned view change to the next primary (riding the
+    #: ordinary view-change path, so the handover inherits its safety
+    #: argument wholesale).  All correct replicas count from the same
+    #: starting checkpoint, so the rotation quorum forms without any extra
+    #: coordination.  ``None`` (the default) never rotates.
     rotation_interval_checkpoints: Optional[int] = None
 
     def validate(self) -> None:

@@ -241,11 +241,15 @@ class ExecutionNode(Process):
         if self._fetching.get(seq):
             return
         self._fetching[seq] = True
-        self.multicast([n for n in self.execution_ids if n != self.node_id],
+        self.multicast(self._fetch_targets(seq),
                        FetchBatch(seq=seq, replica=self.node_id))
         self.set_timer(self.config.timers.execution_fetch_ms,
                        lambda seq=seq: self._retry_missing(seq),
                        label=f"{self.node_id}:fetch:{seq}")
+
+    def _fetch_targets(self, seq: int) -> List[NodeId]:
+        """Who is asked for a missing batch: the cluster's peers."""
+        return [n for n in self.execution_ids if n != self.node_id]
 
     def _retry_missing(self, seq: int) -> None:
         self._fetching.pop(seq, None)

@@ -106,12 +106,12 @@ class QueueCore(LocalExecutor):
     """What every queue hosted by an agreement replica is made of.
 
     The per-client reply cache, the statistics, and the steps all the
-    queues repeat: send-and-count, retransmit with exponential backoff,
-    serve a client retransmission from the cache, assemble and forward a
-    reply certificate.  *Where* batches go is what :class:`MessageQueue`
-    (one cluster, primary-first ``OrderedBatch``) and
+    queues repeat: send-and-count, the primary-first rule, retransmit with
+    exponential backoff, serve a client retransmission from the cache,
+    assemble and forward a reply certificate.  *Where* batches go is what
+    :class:`MessageQueue` (one cluster, ``OrderedBatch``) and
     :class:`~repro.sharding.queue.ShardRouterQueue` (per-shard envelopes
-    from every replica) each add.
+    from the primary, vouchers from the others) each add.
     """
 
     def __init__(self, owner: Process, config: SystemConfig,
@@ -169,6 +169,15 @@ class QueueCore(LocalExecutor):
         self.owner.multicast(targets, batch)
         self.batches_sent += 1
         self._c_batches_sent.inc()
+
+    def _owner_is_primary(self, view: int) -> bool:
+        """Whether the hosting replica is ``view``'s primary: the one node
+        that sends a batch's body downstream on first release (the paper's
+        primary-first discipline; the others only retransmit)."""
+        primary_of = getattr(self.owner, "primary_of", None)
+        if primary_of is None:
+            return True
+        return primary_of(view) == self.owner.node_id
 
     def _arm(self, pending: PendingSend) -> None:
         pending.timer = self.owner.set_timer(pending.timeout_ms, pending.fire,
@@ -334,12 +343,6 @@ class MessageQueue(QueueCore):
         if self._owner_is_primary(view):
             self._send(self.downstream, batch)
         self._arm(pending)
-
-    def _owner_is_primary(self, view: int) -> bool:
-        primary_of = getattr(self.owner, "primary_of", None)
-        if primary_of is None:
-            return True
-        return primary_of(view) == self.owner.node_id
 
     def _on_retransmit_timeout(self, seq: int) -> None:
         pending = self.pending_sends.get(seq)

@@ -25,11 +25,15 @@ release rule, which every queue applies for itself:
   single replica -- of this log or another -- can misplace one.
 
 * A :class:`~repro.multilog.messages.LogMapChange` is ordered by *every*
-  log and binds at its release head, where the source log's binding
-  carries the moved shard's frontier (the shard-local sequence number of
-  the marker itself -- the source's final envelope); the target log
-  adopts the frontier at the cut, so the moved shard's local order
-  continues gap- and overlap-free (exactly-once across the move).
+  log and binds at staging too, as soon as every batch below it is staged.
+  The source log's binding carries the moved shard's frontier (the
+  shard-local sequence number of the marker itself -- the source's final
+  envelope), which is by then a pure function of the staged prefix; the
+  target log adopts the frontier at the cut, so the moved shard's local
+  order continues gap- and overlap-free (exactly-once across the move).
+  Binding at the release head instead could wait behind a held client
+  marker whose other log cannot order it while its own release holds the
+  change.
 
 * *Ask and serve.*  A holding queue's timer asks, with backoff, the
   members of the logs it still lacks
@@ -45,7 +49,7 @@ docs/ARCHITECTURE.md ("Cuts") records why this round has the shape of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
 from ..core.message_queue import PendingSend
@@ -54,7 +58,7 @@ from ..messages.agreement import OrderedBatch
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sim.process import Process
-from ..sharding.messages import cross_shard_request_of
+from ..sharding.messages import config_op_of, cross_shard_request_of
 from ..sharding.queue import ShardRouterQueue
 from ..sharding.router import ShardRouter
 from ..util.ids import NodeId
@@ -116,6 +120,8 @@ class MultiLogRouterQueue(ShardRouterQueue):
             node: {} for node in self.peer_ids}
         #: markers currently holding the release frontier
         self._held: Dict[MarkerKey, _Hold] = {}
+        #: staged log-map changes not bound yet, by sequence number
+        self._unbound_changes: Set[int] = set()
         #: certified bindings of markers not released yet: marker -> log
         #: -> body, oldest first (bounded, but for held markers)
         self._certified: Dict[MarkerKey, Dict[int, CrossLogBindingBody]] = {}
@@ -160,6 +166,16 @@ class MultiLogRouterQueue(ShardRouterQueue):
     def _owned_route_targets(self, batch: OrderedBatch, shards):
         lmap = self._log_map()
         return [shard for shard in shards if lmap.log_of(shard) == self.log]
+
+    def _route_targets(self, batch: OrderedBatch) -> List[int]:
+        """A log-map change goes to every shard this log owns *pre-cut* (a
+        stale one to none); anything else routes as in the base queue."""
+        change = log_map_change_of(batch.request_certificates)
+        if change is None:
+            return super()._route_targets(batch)
+        if not self._applies(change):
+            return []
+        return self._owned_route_targets(batch, range(self.num_shards))
 
     def _ordering_log(self):
         return self.log
@@ -206,11 +222,16 @@ class MultiLogRouterQueue(ShardRouterQueue):
     def stage_batch(self, seq: int, view: int, request_certificates,
                     agreement_certificate, nondet) -> None:
         if seq > self._released_seq and seq not in self._staged:
-            self._maybe_bind_marker(seq, tuple(request_certificates))
+            certificates = tuple(request_certificates)
+            self._maybe_bind_marker(seq, certificates)
+            if log_map_change_of(certificates) is not None:
+                self._unbound_changes.add(seq)
         super().stage_batch(seq=seq, view=view,
                             request_certificates=request_certificates,
                             agreement_certificate=agreement_certificate,
                             nondet=nondet)
+        if self._unbound_changes:
+            self._bind_staged_change()
 
     def _maybe_bind_marker(self, seq: int, certificates) -> None:
         """Bind a committing cross-shard marker to its sequence number.
@@ -236,6 +257,47 @@ class MultiLogRouterQueue(ShardRouterQueue):
         self._emit_binding(key, CrossLogBindingBody(marker=key, log=self.log,
                                                     seq=seq))
 
+    def _bind_staged_change(self) -> None:
+        """Bind the lowest staged log-map change once every batch below it
+        is staged.
+
+        Binding at the release head instead would close a cycle: the
+        change's head can sit behind a held cross-group marker whose other
+        log cannot order that marker while its own release holds the same
+        change.  Once the prefix is staged, the moved shard's frontier is
+        already a pure function of it: the shard's counter, plus the parts
+        the staged-but-unreleased batches below the change route to it,
+        plus one for the change's own (the source log's final) envelope.
+        Another config operation in that stretch would move the epochs the
+        stretch routes under; the change then binds at its release head.
+        """
+        seq = min(self._unbound_changes)
+        parts = [0] * self.num_shards
+        for below in range(self._released_seq + 1, seq):
+            batch = self._staged.get(below)
+            if batch is None:
+                return  # a gap: the next staging tries again
+            if config_op_of(batch.request_certificates) is not None:
+                self._unbound_changes.discard(seq)
+                return
+            for shard in self._route_targets(batch):
+                parts[shard] += 1
+        self._unbound_changes.discard(seq)
+        change = log_map_change_of(self._staged[seq].request_certificates)
+        if self._applies(change):
+            self._emit_binding(change.marker_key(), self._change_binding(
+                change, seq, self._next_shard_seq[change.shard]
+                + parts[change.shard] + 1))
+
+    def _change_binding(self, change: LogMapChange, seq: int,
+                        frontier: int) -> CrossLogBindingBody:
+        """This log's binding of a log-map change at ``seq``: the source
+        log's carries the moved shard's ``frontier``."""
+        source = self._log_map().log_of(change.shard) == self.log
+        return CrossLogBindingBody(marker=change.marker_key(), log=self.log,
+                                   seq=seq,
+                                   shard_frontier=frontier if source else None)
+
     def _emit_binding(self, key: MarkerKey,
                       body: CrossLogBindingBody) -> None:
         certificate = self.crypto.new_certificate(
@@ -251,11 +313,14 @@ class MultiLogRouterQueue(ShardRouterQueue):
     # ------------------------------------------------------------------ #
 
     def on_unknown_message(self, sender: NodeId, message: Message) -> None:
-        """Cross-log traffic offered by the hosting agreement replica."""
+        """Cross-log traffic offered by the hosting agreement replica (the
+        rest is the base queue's)."""
         if isinstance(message, CrossLogBinding):
             self._absorb_binding(sender, message)
         elif isinstance(message, CrossLogBindingFetch):
             self._serve_binding(sender, message)
+        else:
+            super().on_unknown_message(sender, message)
 
     def _vet_binding(self, sender: NodeId, binding: CrossLogBinding):
         """``(marker key, body, the sender's authenticator)`` of a binding
@@ -396,26 +461,28 @@ class MultiLogRouterQueue(ShardRouterQueue):
 
     def _ensure_bound(self, change: Optional[LogMapChange], key: MarkerKey,
                       hold: _Hold) -> None:
-        """A log-map change binds here, at its release head; a client
-        marker was bound at staging, unless a checkpoint sync skipped that
-        pass or its log ordered it again since."""
-        frontier = None
-        if hold.source == self.log:
-            # The marker itself is this shard's next (and, from this log,
-            # final) envelope.
-            frontier = self._next_shard_seq[change.shard] + 1
+        """A marker binds at staging; at its release head it binds only if
+        that pass was skipped (a checkpoint sync, a config operation below a
+        log-map change) or its log ordered it again since."""
+        self._unbound_changes.discard(hold.seq)
         bound = self._bound.get(key)
-        if change is not None or bound is None or bound.body.seq != hold.seq:
-            self._emit_binding(key, CrossLogBindingBody(
-                marker=key, log=self.log, seq=hold.seq,
-                shard_frontier=frontier))
+        if bound is not None and bound.body.seq == hold.seq:
+            return
+        if change is None:
+            body = CrossLogBindingBody(marker=key, log=self.log, seq=hold.seq)
+        else:
+            # The marker itself is the moved shard's next (and, from the
+            # source log, final) envelope.
+            body = self._change_binding(
+                change, hold.seq, self._next_shard_seq[change.shard] + 1)
+        self._emit_binding(key, body)
 
     def _route_batch(self, batch: OrderedBatch) -> None:
         change = log_map_change_of(batch.request_certificates)
         if change is not None:
             self._route_log_map_change(batch, change)
             return
-        request = self._cross_shard_marker_of(batch)
+        request = self._cross_shard_marker_of(batch) if self._held else None
         key = None if request is None else client_marker_key(request)
         if key in self._held:
             self.cross_log_markers += 1
@@ -435,6 +502,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
         the source log stopped.
         """
         self._observe_release(batch)
+        self._unbound_changes.discard(batch.seq)
         key = change.marker_key()
         current = self._log_map()
         if not self._applies(change):
@@ -442,8 +510,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
             self._vacuous_answer(batch.seq)
             self._finish_coordination(key)
             return
-        self._send_parts(batch, [shard for shard in range(self.num_shards)
-                                 if current.log_of(shard) == self.log])
+        self._send_parts(batch, self._route_targets(batch))
         new_map = current.move(change.shard, change.target_log)
         self.log_registry.append(new_map)
         self.log_epoch = new_map.log_epoch
@@ -491,4 +558,6 @@ class MultiLogRouterQueue(ShardRouterQueue):
         for key in [key for key, hold in self._held.items()
                     if hold.seq <= seq]:
             self._finish_coordination(key)
+        self._unbound_changes = {change for change in self._unbound_changes
+                                 if change > seq}
         super().sync_to_checkpoint(seq, sync_state)

@@ -34,6 +34,7 @@ from .messages import (
     MapChange,
     RangeFetch,
     RangeHandoff,
+    RouteVoucher,
     ShardedBatch,
     ShardLocalBatch,
     SubReplyBody,
@@ -73,6 +74,7 @@ __all__ = [
     "RangeFetch",
     "RangeHandoff",
     "RebalanceController",
+    "RouteVoucher",
     "ShardAwareClient",
     "ShardedBatch",
     "ShardedSystem",

@@ -27,11 +27,17 @@ derived, not signed, so a single Byzantine agreement node could relabel a
 genuinely committed batch with a wrong slot or a stale epoch and scramble
 the shard's execution order or key ownership.  To prevent this, a replica
 accepts a ``(shard_seq, epoch, batch)`` binding only once ``f + 1`` distinct
-agreement nodes have sent the identical envelope -- every correct agreement
-node computes the same deterministic assignment, so ``f + 1`` matching votes
-always include a correct one.  Bindings served by shard peers (the gap-fetch
-protocol) need ``g + 1`` distinct peer votes instead; a recovering replica
-that cannot gather them simply waits for the next stable checkpoint, whose
+agreement nodes have vouched for it -- every correct agreement node computes
+the same deterministic assignment, so ``f + 1`` matching votes always
+include a correct one.  The primary's envelope carries the body and a vote;
+every other agreement node's :class:`~repro.sharding.messages.RouteVoucher`
+carries the same vote without the body.  A body waits, one per slot and
+binding, for the vote that completes its binding; a vouched slot whose body
+has not come within one fetch period is asked of the shard's peers and of
+the vouchers, any one of whose copies then suffices.  Bindings served by
+shard peers alone need
+``g + 1`` distinct peer votes instead; a recovering replica that cannot
+gather them simply waits for the next stable checkpoint, whose
 ``g + 1``-signed proof certifies everything below it.
 
 **Epoch cuts and range handoff.**  A rebalancing map change reaches every
@@ -80,7 +86,7 @@ from ..messages.reply import BatchReplyBody, ReplyBody
 from ..messages.request import ClientRequest
 from ..net.message import Message
 from ..obs import request_trace_id
-from ..sim.scheduler import Scheduler
+from ..sim.scheduler import Scheduler, Timer
 from ..statemachine.interface import OperationResult, StateMachine
 from ..util.ids import NodeId, Role
 from .cut import Item, ShareExchange
@@ -92,6 +98,7 @@ from .messages import (
     MapChange,
     RangeFetch,
     RangeHandoff,
+    RouteVoucher,
     ShardedBatch,
     ShardLocalBatch,
     SubReplyBody,
@@ -241,6 +248,12 @@ class ShardExecutionNode(ExecutionNode):
         self._route_votes: Dict[int, Dict[NodeId, _RouteBinding]] = {}
         #: shard_seq -> the accepted (f+1 / g+1 vouched) (digest, epoch)
         self._route_accepted: Dict[int, _RouteBinding] = {}
+        #: shard_seq -> binding -> the body an envelope brought for it,
+        #: held until the binding is vouched
+        self._route_bodies: Dict[int, Dict[_RouteBinding, ShardLocalBatch]] = {}
+        #: slots whose body is (or was) awaited one fetch period before it
+        #: is asked for: shard_seq -> that period's timer
+        self._bodies_awaited: Dict[int, Timer] = {}
         self._ranges = _RangeExchange(self)
         self._votes = _VoteExchange(self)
         #: the exchange whose shares this replica is blocked waiting for at
@@ -321,6 +334,8 @@ class ShardExecutionNode(ExecutionNode):
     def on_message(self, sender: NodeId, message: Message) -> None:
         if isinstance(message, ShardedBatch):
             self.handle_sharded_batch(sender, message)
+        elif isinstance(message, RouteVoucher):
+            self.handle_route_voucher(sender, message)
         elif isinstance(message, OrderedBatch):
             # A raw (unrouted) batch has no shard-local sequence number; in a
             # sharded deployment it can only come from a confused or Byzantine
@@ -365,7 +380,6 @@ class ShardExecutionNode(ExecutionNode):
         if local is None:
             self.misroutes += 1
             return
-        seq = message.shard_seq
         # Vote on (agreement-certificate *body* digest, epoch, log): the
         # body (view, global seq, batch digest, nondet) is identical across
         # correct senders -- each sender's assembled certificate carries a
@@ -376,7 +390,30 @@ class ShardExecutionNode(ExecutionNode):
         # ordering log than its slot: a stale/forged label never gathers
         # f + 1 matching votes.
         digest = self.crypto.payload_digest(message.batch.agreement_certificate.payload)
-        binding = (digest, message.epoch, message.log)
+        self._vote_route(sender, message.shard_seq,
+                         (digest, message.epoch, message.log), local)
+
+    def handle_route_voucher(self, sender: NodeId, message: RouteVoucher) -> None:
+        """A binding without its body: a vote exactly like an envelope's."""
+        if message.shard != self.shard:
+            self.misroutes += 1
+            return
+        if not self._within_acceptance_window(message.shard_seq):
+            return
+        self._vote_route(sender, message.shard_seq,
+                         (message.digest, message.epoch, message.log), None)
+
+    def _vote_route(self, sender: NodeId, seq: int, binding: _RouteBinding,
+                    local: Optional[ShardLocalBatch]) -> None:
+        """Count ``sender``'s vote for ``binding`` at slot ``seq``, keep the
+        body an envelope brought, and accept the slot once the binding is
+        vouched and a body for it is held.
+
+        A body whose binding is not vouched yet waits, one per slot and
+        binding, for the voucher that completes ``f + 1``; only bindings
+        some voter still holds keep theirs, so a Byzantine sender varying
+        its label replaces its body rather than adding one.
+        """
         votes = self._route_votes.setdefault(seq, {})
         repeat = votes.get(sender) == binding
         votes[sender] = binding
@@ -387,7 +424,7 @@ class ShardExecutionNode(ExecutionNode):
             # sender -- that is a genuine retransmission, meaning our earlier
             # reply was lost; first contacts from other agreement nodes are
             # just their initial (now redundant) sends.
-            if repeat:
+            if repeat and local is not None:
                 self._resend_replies(local)
             return
         accepted = self._route_accepted.get(seq)
@@ -397,11 +434,51 @@ class ShardExecutionNode(ExecutionNode):
                 if accepted[0] == binding[0]:
                     self.stale_epoch_batches += 1
             return
+        bodies = self._route_bodies.setdefault(seq, {})
+        if local is not None:
+            held = set(votes.values())
+            for stale in [kept for kept in bodies if kept not in held]:
+                del bodies[stale]
+            bodies[binding] = local
         if not self._binding_vouched(votes, binding):
             return
-        self.handle_ordered_batch(local)
-        if local.seq in self.pending or self.max_executed >= local.seq:
-            self._route_accepted[seq] = binding
+        local = bodies.get(binding)
+        if local is not None:
+            self.handle_ordered_batch(local)
+            if local.seq in self.pending or self.max_executed >= local.seq:
+                self._route_accepted[seq] = binding
+                del self._route_bodies[seq]
+                awaited = self._bodies_awaited.get(seq)
+                if awaited is not None and awaited.active:
+                    awaited.cancel()
+                    del self._fetching[seq]
+                return
+            del bodies[binding]  # it failed validation; a later copy may not
+        self._request_missing(seq)
+
+    def _request_missing(self, seq: int) -> None:
+        """Ask for a missing slot -- but the body of a slot agreement nodes
+        already vote for is on its way from the primary, which alone sends
+        it and which the network may deliver out of order, late or not at
+        all: it gets one fetch period first."""
+        if (seq not in self._route_votes or seq in self._bodies_awaited
+                or self._fetching.get(seq)):
+            super()._request_missing(seq)
+            return
+        self._fetching[seq] = True
+        self._bodies_awaited[seq] = self.set_timer(
+            self.config.timers.execution_fetch_ms,
+            lambda: self._retry_missing(seq),
+            label=f"{self.node_id}:await-body:{seq}")
+
+    def _fetch_targets(self, seq: int) -> List[NodeId]:
+        """The peers, and the agreement nodes that vouched for the slot:
+        until the slot is answered each still holds the envelope, which it
+        sends back (a primary that state-transferred past the batch never
+        sent its body at all)."""
+        voters = [voter for voter in self._route_votes.get(seq, ())
+                  if voter in self.agreement_ids]
+        return super()._fetch_targets(seq) + voters
 
     def _within_acceptance_window(self, shard_seq: int) -> bool:
         """Whether a routed slot is near enough to buffer.
@@ -606,6 +683,7 @@ class ShardExecutionNode(ExecutionNode):
                 self.stale_epoch_batches += 1
                 self._route_accepted.pop(batch.seq, None)
                 self._route_votes.pop(batch.seq, None)
+                self._route_bodies.pop(batch.seq, None)
                 self._request_missing(batch.seq)
                 return
             touched = self._cross_touched(batch.full_request_certificates,
@@ -1112,5 +1190,13 @@ class ShardExecutionNode(ExecutionNode):
         }
         self._route_accepted = {
             seq: binding for seq, binding in self._route_accepted.items()
+            if seq > horizon
+        }
+        self._route_bodies = {
+            seq: bodies for seq, bodies in self._route_bodies.items()
+            if seq > horizon
+        }
+        self._bodies_awaited = {
+            seq: timer for seq, timer in self._bodies_awaited.items()
             if seq > horizon
         }

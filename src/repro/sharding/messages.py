@@ -9,7 +9,10 @@ as it delivers batches in global order -- the shard's execution replicas
 order, checkpoint, and state-transfer entirely in this local sequence space.
 ``epoch`` is the partition-map epoch the batch was routed under; it is part
 of the ``f + 1``-vouched route binding, so a single Byzantine agreement node
-can no more relabel a batch's epoch than its slot.
+can no more relabel a batch's epoch than its slot.  Only the binding needs
+``f + 1`` senders, not the body: on first release the primary's queue sends
+the envelope and every other queue a :class:`RouteVoucher` -- the binding
+with the agreement-certificate body's digest in place of the batch.
 
 :class:`ShardLocalBatch` is the execution-side view of a routed batch: the
 same interface as :class:`~repro.messages.agreement.OrderedBatch` but with
@@ -185,6 +188,36 @@ class ShardedBatch(Message):
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
         return self.batch.padding_bytes
+
+
+@dataclass(frozen=True)
+class RouteVoucher(Message):
+    """A routing binding without the batch: one agreement node's vote that
+    slot ``(shard, shard_seq)`` holds the batch whose agreement-certificate
+    body has digest ``digest``, routed under ``epoch`` by ``log``.
+
+    Only the primary's queue sends the :class:`ShardedBatch` body on first
+    release; every other queue sends this in its place.  An execution
+    replica counts it exactly like an envelope's vote, and the ``f + 1``-th
+    matching vote accepts the body it holds for that binding.
+    """
+
+    shard: int
+    shard_seq: int
+    digest: bytes
+    epoch: int = 0
+    log: Optional[int] = None
+
+    def payload_fields(self) -> Dict[str, Any]:
+        fields = {
+            "voucher": self.shard,
+            "shard_seq": self.shard_seq,
+            "epoch": self.epoch,
+            "d": self.digest,
+        }
+        if self.log is not None:
+            fields["log"] = self.log
+        return fields
 
 
 @dataclass(frozen=True)

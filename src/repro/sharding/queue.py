@@ -24,6 +24,18 @@ A batch touching requests of several shards (possible when ``bundle_size >
 1``) is sent to *every* owning shard; each shard executes only the subset it
 owns, so cross-shard bundles cost bandwidth but never violate ownership.
 
+**One body per replica.**  ``shard_seq`` is not covered by the agreement
+certificate, so an execution replica accepts a routing binding only once
+``f + 1`` agreement nodes vouch for it -- but only the binding needs
+``f + 1`` senders, not the body.  As in the paper's message queue, the
+primary's queue sends the :class:`~repro.sharding.messages.ShardedBatch` on
+first release; every other queue sends a
+:class:`~repro.sharding.messages.RouteVoucher` (the binding with the digest
+of the agreement-certificate body in place of the batch).  Every queue arms
+the retransmission timer, a retransmission sends the envelope, and a queue
+whose replica enters a view as its primary sends the envelope of every part
+still pending.
+
 **Epoch cuts.**  With dynamic rebalancing, a
 :class:`~repro.sharding.messages.MapChange` config operation occupies one
 global sequence number, and the release frontier gives it deterministic cut
@@ -69,13 +81,16 @@ from ..config import SystemConfig
 from ..core.message_queue import PendingSend, QueueCore, QuorumCollector
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
+from ..messages.checkpoint import FetchBatch
 from ..messages.reply import BatchReply
 from ..messages.request import ClientRequest
+from ..net.message import Message
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
 from ..util.seqtable import SeqTable
-from .messages import ShardedBatch, cross_shard_request_of, map_change_of
+from .messages import (RouteVoucher, ShardedBatch, cross_shard_request_of,
+                       map_change_of)
 from .rebalance import RebalanceController, ShardLoadWindow, apply_map_change
 from .router import ShardRouter
 
@@ -238,29 +253,40 @@ class ShardRouterQueue(QueueCore):
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")
         change = map_change_of(batch.request_certificates)
+        if change is None:
+            if self._cross_shard_marker_of(batch) is not None:
+                self.cross_shard_markers += 1
+            self._note_load(batch)
+        self._send_parts(batch, self._route_targets(batch))
         if change is not None:
-            # A map-change marker is routed to *every* cluster -- each one
-            # assigns it the next shard-local sequence number, so each
-            # cluster's replicas meet the epoch cut at a deterministic point
-            # in their own execution order (clusters untouched by the move
-            # just bump their epoch and reply).  The envelope is stamped
-            # with the epoch the marker *closes*.
+            self._apply_cut(change)
+
+    def _route_targets(self, batch: OrderedBatch) -> List[int]:
+        """The shards ``batch`` is routed to when it is released under this
+        queue's current epochs: a pure function of the batch and the epoch
+        cursors, so it also tells what a staged batch *will* route to.
+
+        A map-change marker goes to *every* cluster -- each one assigns it
+        the next shard-local sequence number, so each cluster's replicas
+        meet the epoch cut at a deterministic point in their own execution
+        order (clusters untouched by the move just bump their epoch and
+        reply); its envelope is stamped with the epoch the marker *closes*.
+        A cross-shard marker goes to every cluster its keys touch at the
+        release epoch -- the release frontier has already fed each of those
+        shards every earlier batch of the agreed order, so the marker's slot
+        in each shard's local sequence is a consistent cut over the global
+        prefix (the operation's own *pinned* epoch is judged against the
+        routing epoch at execution, where a mismatch aborts
+        deterministically).  Any other batch goes to the shards owning its
+        requests.
+        """
+        certificates = batch.request_certificates
+        if map_change_of(certificates) is not None:
             shards = list(range(self.num_shards))
         elif (cross := self._cross_shard_marker_of(batch)) is not None:
-            # A cross-shard marker is routed to every cluster its keys
-            # touch *at the release epoch* -- the release frontier has
-            # already fed each of those shards every earlier batch of the
-            # agreed order, so the marker's slot in each shard's local
-            # sequence is a consistent cut over the global prefix.  The
-            # routing epoch rides in the vouched binding like any other
-            # batch; the operation's own *pinned* epoch is judged against
-            # it at execution, where a mismatch aborts deterministically.
             shards = self.router.shards_of_operation_keys(cross.operation,
                                                           epoch=self.epoch)
-            self.cross_shard_markers += 1
-            self._note_load(batch)
         else:
-            certificates = batch.request_certificates
             if self.config.cross_shard.enabled and len(certificates) > 1:
                 # A cross-shard request smuggled into a mixed bundle (only
                 # a faulty primary builds one -- honest primaries order
@@ -275,11 +301,7 @@ class ShardRouterQueue(QueueCore):
                                                            epoch=self.epoch)))
             shards = self.router.shards_of_certificates(certificates,
                                                         epoch=self.epoch)
-            self._note_load(batch)
-        shards = self._owned_route_targets(batch, shards)
-        self._send_parts(batch, shards)
-        if change is not None:
-            self._apply_cut(change)
+        return self._owned_route_targets(batch, shards)
 
     def _observe_release(self, batch: OrderedBatch) -> None:
         staged_at = self._staged_at.pop(batch.seq, None)
@@ -291,17 +313,23 @@ class ShardRouterQueue(QueueCore):
         """Give ``batch`` the next shard-local slot of each of ``shards``
         and send it there; with no shard to send to (every request was
         excluded, or the targets all live in another log's group) the slot
-        is vacuously answered."""
+        is vacuously answered.  Only the primary's queue sends the
+        envelope; every other queue sends a :class:`RouteVoucher` for the
+        same slot ("One body per replica" above), and every queue arms the
+        retransmission timer."""
         if not shards:
             self._vacuous_answer(batch.seq)
             return
         self._parts_outstanding[batch.seq] = len(shards)
+        sends_body = self._owner_is_primary(self.owner.view)
+        digest = (None if sends_body else
+                  self.crypto.payload_digest(batch.agreement_certificate.payload))
+        log = self._ordering_log()
         for shard in shards:
             self._next_shard_seq[shard] += 1
             shard_seq = self._next_shard_seq[shard]
             envelope = ShardedBatch(shard=shard, shard_seq=shard_seq,
-                                    batch=batch, epoch=self.epoch,
-                                    log=self._ordering_log())
+                                    batch=batch, epoch=self.epoch, log=log)
             self._unanswered[shard][shard_seq] = batch.seq
             part = (shard, shard_seq)
             pending = PendingSend(
@@ -310,14 +338,21 @@ class ShardRouterQueue(QueueCore):
                 label=f"{self.owner.node_id}:mq-retransmit:s{shard}:{shard_seq}",
                 timeout_ms=self.config.timers.agreement_retransmit_ms)
             self.shard_pending[part] = pending
-            # Unlike the unsharded queue, every agreement node multicasts the
-            # envelope immediately (not the primary first): shard_seq
-            # is not covered by the agreement certificate, so execution
-            # replicas accept a routing binding only after f + 1 distinct
-            # agreement nodes vouch for it -- the extra sends are what let
-            # that quorum form without waiting for retransmission timeouts.
-            self._send_envelope(envelope)
+            if sends_body:
+                self._send_envelope(envelope)
+            else:
+                voucher = RouteVoucher(shard=shard, shard_seq=shard_seq,
+                                       digest=digest, epoch=self.epoch, log=log)
+                self.owner.multicast(self.shard_execution_ids[shard], voucher)
             self._arm(pending)
+
+    def on_view_entered(self, view: int) -> None:
+        """A replica that enters a view as its primary sends the envelope of
+        every part still pending: the old primary, crashed or censoring, may
+        never have sent the bodies its backups only vouched for."""
+        if self._owner_is_primary(view):
+            for pending in self.shard_pending.values():
+                self._send_envelope(pending.batch)
 
     def _vacuous_answer(self, seq: int) -> None:
         """Mark a slot nobody owes a reply for as answered, so the pipeline
@@ -426,6 +461,18 @@ class ShardRouterQueue(QueueCore):
         if pending is not None:
             self._send_envelope(pending.batch)
             self._back_off(pending)
+
+    def on_unknown_message(self, sender: NodeId, message: Message) -> None:
+        """An execution replica that holds vouchers for a slot but not its
+        body asks the vouchers too: answer with the pending envelope."""
+        if not isinstance(message, FetchBatch) or message.replica != sender:
+            return
+        shard = next((shard for shard, ids in enumerate(self.shard_execution_ids)
+                      if sender in ids), None)
+        pending = self.shard_pending.get((shard, message.seq))
+        if pending is not None:
+            self.owner.send(sender, pending.batch)
+            self.retransmissions += 1
 
     def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
         """Serve a client retransmission from the cache or pending sends."""

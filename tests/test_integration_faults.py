@@ -14,7 +14,8 @@ from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.agreement.replica import VIEW_CHANGE_BACKOFF_CAP_MS
 from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import KeyValueStore, get, put
-from repro.config import AuthenticationScheme, NetworkConfig, SystemConfig
+from repro.config import (AuthenticationScheme, NetworkConfig, SystemConfig,
+                          TimerConfig)
 from repro.core import CoupledSystem, SeparatedSystem
 from repro.crypto.certificate import Certificate
 from repro.errors import LivenessTimeoutError
@@ -26,10 +27,13 @@ from repro.faults import (
     LyingReplyBehaviour,
     make_byzantine,
 )
+from repro.messages.agreement import Prepare
 from repro.messages.reply import ClientReply
 from repro.messages.request import RequestEnvelope
 from repro.net.network import DROP
 from repro.sharding import ShardedSystem
+from repro.workloads import equal_range_boundaries
+from repro.workloads.skew import skew_key
 
 
 class TestCrashFaults:
@@ -336,3 +340,99 @@ class TestLossyNetwork:
         record = system.invoke(increment(1), timeout_ms=30_000.0)
         assert record.result.value == 1
         assert sum(q.retransmissions for q in system.message_queues) > 0
+
+
+#: the failover benchmark's timers: a 150 ms view-change fuse, clients
+#: that retransmit after 240 ms
+FAILOVER_TIMERS = TimerConfig(client_retransmit_ms=240.0,
+                              agreement_retransmit_ms=60.0,
+                              execution_fetch_ms=20.0, view_change_ms=150.0,
+                              batch_timeout_ms=1.0)
+
+
+class TestViewEntry:
+    """What a replica does on entering a view: every request deadline runs
+    a full fuse from there, and a backup hands its queue to the new
+    primary."""
+
+    def _loaded_system(self, seed=0, num_clients=24):
+        config = SystemConfig.sharded(
+            2, strategy="range", range_boundaries=equal_range_boundaries(64, 2),
+            num_clients=num_clients, pipeline_depth=16,
+            checkpoint_interval=64, app_processing_ms=1.0,
+            timers=FAILOVER_TIMERS, crypto=CHEAP_CRYPTO)
+        system = ShardedSystem(config, KeyValueStore, seed=seed)
+        for index in range(40 * num_clients):
+            system.submit(put(skew_key(index % 64), f"v{index}"),
+                          client_index=index % num_clients)
+        return system
+
+    def test_live_replicas_commit_while_the_primary_stays_crashed(self):
+        """The primary crashes for good under load.  Deadlines armed in view
+        0 used to fire in a burst right after each view change, deposing
+        every new primary before it could act, until the target view came
+        round to the dead one; now the three live replicas settle on a live
+        primary and commit long before a client gives up twice."""
+        system = self._loaded_system()
+        system.run(400.0)
+        system.crash_agreement(0)
+        crashed_at, before = system.now, system.total_completed()
+        system.run_until(lambda: system.total_completed() >= before + 200,
+                         2 * FAILOVER_TIMERS.client_retransmit_ms
+                         + FAILOVER_TIMERS.view_change_ms,
+                         "steady commits with the primary down")
+        assert system.agreement_replicas[0].crashed
+        live = system.agreement_replicas[1:]
+        assert len({replica.view for replica in live}) == 1
+        assert not live[0].primary_of(live[0].view) == system.agreement_ids[0]
+        assert system.now - crashed_at < 700.0
+
+    def test_view_entry_rearms_deadlines_and_forwards_the_queue(self):
+        system = SeparatedSystem(make_config(), CounterService, seed=64)
+        system.crash_agreement(0)
+        system.submit(increment(1))
+        backup = system.agreement_replicas[2]
+        system.run_until(lambda: backup.proposer.batcher.has_work(), 1_000.0,
+                         "the request queued at a backup")
+        forwarded = []
+        system.network.add_tap(
+            lambda source, destination, message:
+            forwarded.append((system.now, destination))
+            if source == backup.node_id
+            and isinstance(message, RequestEnvelope) else None)
+        system.run_until(lambda: backup.view >= 1, 5_000.0, "view 1")
+        entered = system.now
+        assert forwarded[-1] == (entered, backup.primary_of(backup.view))
+        deadlines = backup.proposer._request_deadlines.values()
+        assert deadlines and all(
+            timer.deadline >= entered + FAST_TIMERS.view_change_ms
+            for timer in deadlines if timer.active)
+
+    def test_a_proposal_the_view_change_drops_is_queued_again(self):
+        """A batch pre-prepared but not yet prepared when the view changes
+        is not carried into the NEW-VIEW.  Every replica that saw it queues
+        its requests again, so the new primary orders them without waiting
+        for the client to retransmit (a planned rotation overtaking the
+        outgoing primary's last proposal is the common case)."""
+        system = SeparatedSystem(make_config(), CounterService, seed=65)
+        client = system.clients[0]
+        system.invoke(increment(1))
+        healed = []
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if isinstance(message, Prepare) and not healed else None)
+        client.submit(increment(1))
+        system.run_until(
+            lambda: all(replica.log.existing_entry(0, 2) is not None
+                        and replica.log.existing_entry(0, 2).pre_prepare
+                        is not None for replica in system.agreement_replicas),
+            1_000.0, "the proposal pre-prepared everywhere")
+        healed.append(True)
+        for replica in system.agreement_replicas:
+            replica.start_view_change(1, planned=True)
+        system.run_until(lambda: len(client.completed) == 2,
+                         FAST_TIMERS.client_retransmit_ms / 2,
+                         "the dropped request ordered in view 1")
+        assert client.retransmissions == 0
+        assert client.completed[-1].result.value == 2
+        assert {replica.view for replica in system.agreement_replicas} == {1}

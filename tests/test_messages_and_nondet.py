@@ -48,6 +48,7 @@ from repro.sharding.messages import (
     MapChange,
     RangeFetch,
     RangeHandoff,
+    RouteVoucher,
     ShardedBatch,
     ShardLocalBatch,
     SubReplyBody,
@@ -430,6 +431,7 @@ def golden_messages():
                       proof=checkpoint_proof, replica=execution[0], extra=b"xx"),
         MapChange(kind="split", parent_epoch=3, key="m", owner=2),
         ShardedBatch(shard=1, shard_seq=4, batch=batch, epoch=3, log=0),
+        RouteVoucher(shard=1, shard_seq=4, digest=b"\x08" * 32, epoch=3, log=0),
         ShardLocalBatch(shard=1, seq=4, global_seq=9, view=1,
                         request_certificates=requests[:1],
                         full_request_certificates=requests,
@@ -463,8 +465,9 @@ def golden_messages():
 #: certified form of a bundle became its header plus per-reply digests (a
 #: body 1087 -> 1169 with its replies counted as carried bytes, a
 #: ``BatchReply`` 3072 -> 2159, one client's ``ClientReply`` 3356 -> 1648),
-#: and ``CrossLogBindingFetch`` is younger than the table: its entry is
-#: ``canonical_encode(to_wire())`` on the day the message was added.
+#: and ``CrossLogBindingFetch`` and ``RouteVoucher`` are younger than the
+#: table: their entries are ``canonical_encode(to_wire())`` on the day each
+#: message was added.
 GOLDEN_WIRE = {
     "ClientRequest": (577, "846aaae68c5144c23c0561799319a0e220a78f48d23ffbb25b3ecc058ca540fb"),
     "RequestEnvelope": (1382, "e1943594feafb6703b5c5c8a24330eef4122a01f8a3c861923296f4710d0458a"),
@@ -488,6 +491,7 @@ GOLDEN_WIRE = {
     "StateTransfer": (1393, "d26cd6b1484d385bab90c75c01284aff3e2ca1af1f2cab1880ca7908bc2ee53d"),
     "MapChange": (258, "809ced739e308131c7ed1c61b5b9251d1644d6ab4c6dc6b8501daebdf7e5bbb2"),
     "ShardedBatch": (4618, "e3f4f3afcfc69cb12528e7bf78c5911a63b198436f40f17ce62d66177b1f0091"),
+    "RouteVoucher": (278, "49918a107f39cbbbfa5f5d6786cc95732f5c50ac4678f7ac0083fa074e5d8f74"),
     "ShardLocalBatch": (4487, "067c7ec33d9d33d2c46f6fb2626aad9b996b9f44d7849ba5b951e960838d119c"),
     "RangeHandoff": (343, "ae44a626f9b0c85f2eb5a76cf3448baa9ffb40794c60e36305d7d58c24e7c475"),
     "SubReplyBody": (469, "70db5de770e107be3135d2c1f943810af7637def42b53cecd16219f6c83b8dae"),

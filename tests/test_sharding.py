@@ -7,6 +7,7 @@ checkpoint independence, and safety with one Byzantine execution node *per
 shard* -- the fault bound the per-shard ``g + 1`` reply quorum buys.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -19,9 +20,11 @@ from repro.faults.byzantine import CorruptReplyBehaviour, make_byzantine
 from repro.messages.agreement import OrderedBatch
 from repro.messages.reply import BatchReplyBody, ClientReply
 from repro.net.message import Message
+from repro.net.network import DROP
 from repro.sharding import (
     HashPartitioner,
     KeyRangePartitioner,
+    RouteVoucher,
     ShardedBatch,
     ShardedSystem,
     make_partitioner,
@@ -152,22 +155,24 @@ class TestShardedEndToEnd:
             assert system.invoke(get(f"key{i}")).result.value["value"] == i
 
 
+def captured_envelope(system):
+    """A valid routed batch for shard 0, rebuilt from a replica's log."""
+    key = keys_of_shard(system, 0, 1)[0]
+    system.invoke(put(key, "v"))
+    node = system.execution_node(0, 0)
+    local = node.recent_batches[node.max_executed]
+    batch = OrderedBatch(seq=local.global_seq, view=local.view,
+                         request_certificates=local.full_request_certificates,
+                         agreement_certificate=local.agreement_certificate,
+                         nondet=local.nondet)
+    return ShardedBatch(shard=0, shard_seq=local.seq, batch=batch)
+
+
 class TestMisrouteRejection:
-    def _captured_envelope(self, system):
-        """A valid routed batch for shard 0, rebuilt from a replica's log."""
-        key = keys_of_shard(system, 0, 1)[0]
-        system.invoke(put(key, "v"))
-        node = system.execution_node(0, 0)
-        local = node.recent_batches[node.max_executed]
-        batch = OrderedBatch(seq=local.global_seq, view=local.view,
-                             request_certificates=local.full_request_certificates,
-                             agreement_certificate=local.agreement_certificate,
-                             nondet=local.nondet)
-        return ShardedBatch(shard=0, shard_seq=local.seq, batch=batch)
 
     def test_wrong_shard_envelope_is_rejected(self):
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=35)
-        envelope = self._captured_envelope(system)
+        envelope = captured_envelope(system)
         victim = system.execution_node(1, 0)
         executed_before = victim.requests_executed
         victim.handle_sharded_batch(system.agreement_ids[0], envelope)  # shard 0's
@@ -179,7 +184,7 @@ class TestMisrouteRejection:
         requests by relabelling the envelope: the replica re-derives ownership
         with its own router and finds nothing it owns."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=36)
-        envelope = self._captured_envelope(system)
+        envelope = captured_envelope(system)
         forged = ShardedBatch(shard=1, shard_seq=1, batch=envelope.batch)
         victim = system.execution_node(1, 0)
         executed_before = victim.requests_executed
@@ -194,7 +199,7 @@ class TestMisrouteRejection:
         Byzantine agreement node must not be able to bind a genuine batch to
         a wrong slot: bindings are accepted only with f + 1 matching votes."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=43)
-        envelope = self._captured_envelope(system)
+        envelope = captured_envelope(system)
         victim = system.execution_node(0, 0)
         # Replay the (genuine, already executed) batch at a future slot,
         # repeatedly, from one agreement node: never accepted.
@@ -210,20 +215,33 @@ class TestMisrouteRejection:
         victim.handle_sharded_batch(system.agreement_ids[1], forged)
         assert forged.shard_seq in victim.pending
 
-    def test_byzantine_agreement_router_cannot_scramble_a_shard(self):
-        """End to end: one agreement node relabels every envelope it sends
-        with a wrong slot; the other 3 correct nodes' matching envelopes form
-        the f + 1 quorum, the forged bindings never do, and the shard executes
-        the agreed order."""
+    @pytest.mark.parametrize("liar_index", [1, 0], ids=["backup", "primary"])
+    def test_byzantine_agreement_router_cannot_scramble_a_shard(self,
+                                                                 liar_index):
+        """End to end: one agreement node relabels every routing message it
+        sends with a wrong slot -- a backup's vouchers, or the primary's
+        envelopes, the only bodies sent on first release.  The forged
+        bindings never gather f + 1 votes; the correct nodes' do, and the
+        shard executes the agreed order (under a lying primary, from the
+        envelopes the backups resend when no reply comes)."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=44)
-        liar = system.agreement_ids[1]
+        liar = system.agreement_ids[liar_index]
+        honest = system.agreement_ids[2]
+        relabelled = collections.Counter()
+        agreed = {}
 
         def skew_slot(source, destination, message):
-            if source != liar or not isinstance(message, ShardedBatch):
+            if not isinstance(message, (ShardedBatch, RouteVoucher)):
                 return None
-            return ShardedBatch(shard=message.shard,
-                                shard_seq=message.shard_seq + 2,
-                                batch=message.batch)
+            if source == honest:
+                agreed[(message.shard, message.shard_seq)] = (
+                    message.digest if isinstance(message, RouteVoucher) else
+                    system.agreement_replicas[2].crypto.payload_digest(
+                        message.batch.agreement_certificate.payload))
+            if source != liar:
+                return None
+            relabelled[type(message).__name__] += 1
+            return dataclasses.replace(message, shard_seq=message.shard_seq + 2)
 
         system.network.add_tap(skew_slot)
         for i in range(8):
@@ -231,19 +249,29 @@ class TestMisrouteRejection:
             assert record.result.value == {"stored": True}
         for i in range(8):
             assert system.invoke(get(f"key{i}")).result.value["value"] == i
-        # No forged slot was ever accepted: every executed slot is contiguous
-        # and every replica of a shard agrees on what it executed.
+        # The lie ran in the liar's role: vouchers from a backup, bodies
+        # from the primary.
+        role = "ShardedBatch" if liar_index == 0 else "RouteVoucher"
+        assert relabelled[role] > 0
+        # Every slot a replica accepted is bound to the batch the correct
+        # nodes routed there; every replica of a shard executed the same.
         for shard in range(system.num_shards):
             executed = {node.max_executed for node in system.execution_cluster(shard)}
             assert len(executed) == 1
             for node in system.execution_cluster(shard):
                 assert not node.pending
+                assert node._route_accepted
+                for slot, (digest, _, _) in node._route_accepted.items():
+                    assert agreed[(shard, slot)] == digest
+        if liar_index == 0:
+            assert all(queue.retransmissions > 0
+                       for queue in system.message_queues[1:])
 
     def test_raw_ordered_batch_is_rejected(self):
         """Unrouted batches carry no shard-local sequence number and must not
         enter a shard's pipeline."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=37)
-        envelope = self._captured_envelope(system)
+        envelope = captured_envelope(system)
         victim = system.execution_node(1, 1)
         victim.on_message(system.agreement_ids[0], envelope.batch)
         assert victim.misroutes == 1
@@ -255,17 +283,138 @@ class TestMisrouteRejection:
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=38)
         key = keys_of_shard(system, 0, 1)[0]
         liar = system.execution_node(0, 0).node_id
+        relabelled = []
 
         def relabel(source, destination, message):
-            if source != liar or not isinstance(message, ClientReply):
+            if not isinstance(message, ClientReply):
                 return None
+            if source != liar:
+                # The correct replicas' direct replies are lost until the
+                # liar's is on the wire, so it reaches a client that is
+                # still waiting, whichever replica executes first.
+                return None if relabelled else DROP
+            relabelled.append(message)
             return ClientReply(message.certificate.with_payload(
                 dataclasses.replace(message.body, shard=1)))
 
         system.network.add_tap(relabel)
         record = system.invoke(put(key, "v"))
         assert record.result.value == {"stored": True}
+        assert relabelled
         assert system.clients[0].misrouted_replies >= 1
+
+
+class TestRouteVouchers:
+    """The primary routes each batch's body; the other agreement nodes vouch
+    for its slot with a digest (:class:`RouteVoucher`)."""
+
+    def test_fault_free_census(self):
+        """One body per execution replica per routed part, from the primary,
+        and a voucher from each of the 3f backups."""
+        system = ShardedSystem(sharded_config(checkpoint_interval=1_000),
+                               KeyValueStore, seed=45)
+        received = collections.Counter()
+
+        def count(source, destination, message):
+            if isinstance(message, (ShardedBatch, RouteVoucher)):
+                received[(type(message).__name__, destination,
+                          (message.shard, message.shard_seq))] += 1
+            return None
+
+        system.network.add_tap(count)
+        for i in range(8):
+            system.invoke(put(f"key{i}", i))
+        system.run(50.0)
+        parts = {part for _, _, part in received}
+        assert len(parts) == 8
+        f = system.config.f
+        for shard, shard_seq in parts:
+            for node in system.execution_cluster(shard):
+                assert received[("ShardedBatch", node.node_id,
+                                 (shard, shard_seq))] == 1
+                assert received[("RouteVoucher", node.node_id,
+                                 (shard, shard_seq))] == 3 * f
+        per_type = system.network.stats.per_type
+        replicas = system.config.num_execution_nodes
+        assert per_type["ShardedBatch"] == replicas * len(parts)
+        assert per_type["RouteVoucher"] == 3 * f * replicas * len(parts)
+
+    def test_vouchers_bind_the_body_an_envelope_brought(self):
+        """Vouchers alone never execute a slot; the f + 1-th matching vote
+        accepts the body the envelope brought, whichever came first, and a
+        voucher for another batch counts for nothing."""
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=46)
+        envelope = captured_envelope(system)
+        victim = system.execution_node(0, 0)
+        digest = victim.crypto.payload_digest(
+            envelope.batch.agreement_certificate.payload)
+        slot = envelope.shard_seq + 1
+        first, second, third = system.agreement_ids[:3]
+        for voter in (first, second):
+            victim.handle_route_voucher(voter, RouteVoucher(
+                shard=0, shard_seq=slot, digest=digest))
+        assert slot not in victim._route_accepted  # vouched, but no body
+        victim.handle_route_voucher(third, RouteVoucher(
+            shard=0, shard_seq=slot + 1, digest=b"\x00" * 32))
+        victim.handle_sharded_batch(third, ShardedBatch(
+            shard=0, shard_seq=slot + 1, batch=envelope.batch))
+        assert slot + 1 not in victim._route_accepted  # 1 vote for it
+        victim.handle_sharded_batch(third, dataclasses.replace(
+            envelope, shard_seq=slot))
+        assert victim._route_accepted[slot] == (digest, 0, None)
+        assert victim.max_executed == slot
+
+    def test_vouched_slot_without_a_body_is_fetched_from_peers(self):
+        """A replica the primary's bodies do not reach holds only vouchers;
+        one fetch period later it asks its peers for the body, and one
+        peer's copy is enough: the binding is already vouched."""
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=47)
+        key = keys_of_shard(system, 0, 1)[0]
+        cut_off = system.execution_node(0, 0)
+        primary = system.agreement_ids[0]
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if (source, destination) == (primary, cut_off.node_id)
+            and isinstance(message, ShardedBatch) else None)
+        system.invoke(put(key, "v"))
+        system.run_until(lambda: cut_off.max_executed == 1, 1_000.0,
+                         "the cut-off replica catching up")
+        assert cut_off.app.snapshot() == {key: "v"}
+        assert cut_off._bodies_awaited  # it waited before asking
+        assert cut_off.state_transfers == 0  # a peer's batch, not its state
+
+    def test_primary_body_that_does_not_match_the_vouched_digest(self):
+        """The primary sends every replica a body whose agreement
+        certificate is not the one its backups vouch for: nothing from it
+        binds, and the agreed batch executes from a backup's envelope."""
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=48)
+        primary = system.agreement_replicas[0]
+        forged = set()
+
+        def equivocate(source, destination, message):
+            if source != primary.node_id or not isinstance(message, ShardedBatch):
+                return None
+            certificate = message.batch.agreement_certificate
+            body = dataclasses.replace(certificate.payload,
+                                       batch_digest=b"\x00" * 32)
+            forged.add(primary.crypto.payload_digest(body))
+            return dataclasses.replace(message, batch=dataclasses.replace(
+                message.batch, agreement_certificate=certificate.with_payload(
+                    body)))
+
+        system.network.add_tap(equivocate)
+        for i in range(4):
+            assert system.invoke(put(f"key{i}", i)).result.value == {"stored": True}
+        for i in range(4):
+            assert system.invoke(get(f"key{i}")).result.value["value"] == i
+        assert forged
+        for node in [node for cluster in system.shard_execution_nodes
+                     for node in cluster]:
+            assert node._route_accepted
+            assert not {digest for digest, _, _
+                        in node._route_accepted.values()} & forged
+        assert all(queue.retransmissions > 0
+                   for queue in system.message_queues[1:])
 
 
 class TestPerShardFaultTolerance:
