@@ -36,7 +36,7 @@ from ..messages.checkpoint import (
     checkpoint_payload,
 )
 from ..messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
-from ..messages.request import ClientRequest, EncryptedBody
+from ..messages.request import ClientRequest, EncryptedBody, RequestEnvelope
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sim.process import Process
@@ -110,6 +110,8 @@ class ExecutionNode(Process):
         self.batches_executed = 0
         self.duplicate_requests = 0
         self.state_transfers = 0
+        #: forwarded client retransmissions answered from the reply table
+        self.retries_answered = 0
 
         # Observability (passive: never charges, never schedules).
         self._h_exec_batch = self.metrics.histogram(
@@ -145,6 +147,8 @@ class ExecutionNode(Process):
             self.handle_checkpoint_share(sender, message)
         elif isinstance(message, StateTransfer):
             self.handle_state_transfer(sender, message)
+        elif isinstance(message, RequestEnvelope):
+            self.handle_forwarded_request(sender, message)
         else:
             return
 
@@ -317,8 +321,8 @@ class ExecutionNode(Process):
         return EncryptedBody(result, readers=frozenset({Role.CLIENT, Role.EXECUTION}),
                              size=max(result.size, 64))
 
-    def _send_reply(self, body: BatchReplyBody) -> BatchReply:
-        """Build this node's partial reply certificate and send it upstream."""
+    def _partial_certificate(self, body: BatchReplyBody) -> Certificate:
+        """This node's partial reply certificate over ``body``."""
         if self.config.authentication is AuthenticationScheme.THRESHOLD:
             certificate = Certificate(payload=body,
                                       scheme=AuthenticationScheme.THRESHOLD,
@@ -334,14 +338,61 @@ class ExecutionNode(Process):
             destinations = self.agreement_ids + [reply.client
                                                  for reply in body.replies]
             certificate.add(self.crypto.mac_authenticator(body, destinations))
+        return certificate
+
+    def _upstream_primary(self, view: int) -> NodeId:
+        """The upstream node that is ``view``'s primary (``upstream`` lists
+        the agreement nodes in their rotation order)."""
+        return self.upstream[view % len(self.upstream)]
+
+    def _send_reply(self, body: BatchReplyBody) -> BatchReply:
+        """Build this node's partial reply certificate and send it upstream.
+
+        Where clients get their replies directly, only the primary of the
+        body's view gets the bundle (its queue caches it for client
+        retransmissions); the other agreement nodes need a quorum of
+        matching digests and get the bodiless form, one object for all of
+        them.  The returned (cached) message is always the full bundle.
+        """
+        certificate = self._partial_certificate(body)
         message = BatchReply(seq=body.seq, certificate=certificate,
                              sender=self.node_id)
-        self.multicast(self.upstream, message)
-        if self.config.direct_replies:
-            for reply in body.replies:
-                self.send(reply.client,
-                          ClientReply.for_client(certificate, reply.client))
+        if not (self.config.direct_replies and body.replies):
+            self.multicast(self.upstream, message)
+            return message
+        primary = self._upstream_primary(body.view)
+        self.send(primary, message)
+        bodiless = BatchReply(
+            seq=body.seq, sender=self.node_id,
+            certificate=certificate.with_payload(body.view_for(None)))
+        self.multicast([node for node in self.upstream if node != primary],
+                       bodiless)
+        for reply in body.replies:
+            self.send(reply.client,
+                      ClientReply.for_client(certificate, reply.client))
         return message
+
+    def handle_forwarded_request(self, sender: NodeId,
+                                 envelope: RequestEnvelope) -> None:
+        """An agreement node passes on a client retransmission it can
+        answer neither from its cache nor from a pending send.  If the
+        reply table holds this request's reply (or a later one), answer
+        the client directly with a fresh partial certificate over it;
+        otherwise ignore the message."""
+        certificate = envelope.certificate
+        request = certificate.payload
+        if (sender not in self.agreement_ids
+                or not isinstance(request, ClientRequest)
+                or request.client not in self.client_ids):
+            return
+        last = self.reply_table.get(request.client)
+        if last is None or last.timestamp < request.timestamp:
+            return
+        if not self.crypto.verify_certificate(certificate, 1, [request.client]):
+            return
+        body = self._make_reply_body(last.view, last.seq, (last,))
+        self.send(request.client, ClientReply(self._partial_certificate(body)))
+        self.retries_answered += 1
 
     def _trim_reply_cache(self) -> None:
         self.replies_by_seq.trim(

@@ -15,11 +15,18 @@ optional per-client reply cache ``cache_c``.
   that and all lower sequence numbers, cancels their timers and caches the
   certificate.  Where the execution replicas answer clients themselves
   (``SystemConfig.direct_replies``) that is all: the clients already hold
-  the replies, and a relay would be a second copy of each.  Otherwise
-  (privacy firewall, threshold or signature certificates) the queue relays
+  the replies, and a relay would be a second copy of each.  There, too,
+  only the primary of the body's view receives the bundle and caches it;
+  every other queue receives the bodiless certified form (header plus
+  per-reply digests, same digest), which retires pending sends and frees
+  the pipeline and nothing else.  Otherwise (privacy firewall, threshold
+  or signature certificates) every queue receives the bundle and relays
   each client its reply.
 * ``retryHint`` serves client-initiated retransmissions from the cache, or
-  resends the pending certificates, or reports that agreement must be re-run.
+  resends the pending certificates, or reports that agreement must be
+  re-run.  With direct replies a queue that can do neither of the first
+  two first forwards the client's signed request to the execution replicas,
+  which answer it from their reply tables if they hold the reply.
 * Pipeline back-pressure: the agreement replica will not start sequence
   number ``n`` until the queue has seen a reply for ``n - P``
   (:meth:`highest_ready_seq`).
@@ -55,7 +62,7 @@ from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
 from ..messages.reply import BatchReply, ClientReply, ReplyBody
-from ..messages.request import ClientRequest
+from ..messages.request import ClientRequest, RequestEnvelope
 from ..obs import request_trace_id
 from ..sim.process import Process
 from ..sim.scheduler import Timer
@@ -132,6 +139,7 @@ class QueueCore(LocalExecutor):
         self.replies_forwarded = 0
         self.retransmissions = 0
         self.cache_hits = 0
+        self.requests_forwarded = 0
 
         # Observability (passive: never charges, never schedules).
         self._c_batches_sent = owner.metrics.counter("queue.batches_sent")
@@ -225,6 +233,14 @@ class QueueCore(LocalExecutor):
     # Reply certificates.
     # ------------------------------------------------------------------ #
 
+    def _admissible(self, message: BatchReply) -> bool:
+        """Whether to assemble ``message``: well formed, and carrying the
+        whole bundle unless replicas reply directly -- where the queue must
+        relay, a bodiless partial arriving first would leave it an
+        assembled certificate with nothing to relay."""
+        return message.well_formed and (message.body.complete
+                                        or self.config.direct_replies)
+
     def _assemble_into(self, collectors: Dict[Tuple[int, bytes], QuorumCollector],
                        certificate: Certificate, universe: List[NodeId],
                        default_group: Optional[str]) -> Optional[Certificate]:
@@ -275,18 +291,32 @@ class QueueCore(LocalExecutor):
         """Cache the certified bundle for each client it answers, relay it
         unless the execution replicas reply directly, then tell the hosting
         replica that pipeline capacity was freed (the group-commit trigger
-        for adaptive bundling)."""
+        for adaptive bundling).  A bodiless certificate (what a backup gets
+        where replicas reply directly) has nothing to cache or relay."""
         relay = not self.config.direct_replies
-        for reply in certificate.payload.replies:
-            cached = self.cache.get(reply.client)
-            if cached is None or cached.reply.timestamp <= reply.timestamp:
-                self.cache[reply.client] = CachedReply(reply, certificate)
-            if relay:
-                self.owner.send(reply.client, ClientReply.for_client(
-                    certificate, reply.client))
-                self.replies_forwarded += 1
-                self._c_replies_forwarded.inc()
+        body = certificate.payload
+        if body.complete:
+            for reply in body.replies:
+                cached = self.cache.get(reply.client)
+                if cached is None or cached.reply.timestamp <= reply.timestamp:
+                    self.cache[reply.client] = CachedReply(reply, certificate)
+                if relay:
+                    self.owner.send(reply.client, ClientReply.for_client(
+                        certificate, reply.client))
+                    self.replies_forwarded += 1
+                    self._c_replies_forwarded.inc()
         self.owner.proposer.on_pipeline_progress()
+
+    def _forward_request(self, request_certificate: Certificate,
+                         replicas: List[NodeId]) -> None:
+        """Pass a client retransmission this queue can answer neither from
+        its cache nor from a pending send on to the execution ``replicas``
+        (direct replies only): each one whose reply table holds the reply
+        answers the client itself."""
+        if self.config.direct_replies:
+            self.owner.multicast(replicas,
+                                 RequestEnvelope(certificate=request_certificate))
+            self.requests_forwarded += 1
 
 
 class MessageQueue(QueueCore):
@@ -360,6 +390,7 @@ class MessageQueue(QueueCore):
                 self._send(self.downstream, pending.batch)
                 self.retransmissions += 1
                 return RetryOutcome.HANDLED
+        self._forward_request(request_certificate, self.execution_ids)
         return RetryOutcome.NEED_ORDER
 
     # ------------------------------------------------------------------ #
@@ -368,7 +399,7 @@ class MessageQueue(QueueCore):
 
     def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
         """Handle a (partial or full) reply certificate flowing back down."""
-        if not message.well_formed:
+        if not self._admissible(message):
             return
         full = self._assemble_into(self._collectors, message.certificate,
                                    universe=self.execution_ids,

@@ -25,8 +25,12 @@ from ..util.wirecache import WireMemoised, pickle_by_fields, wire_of
 
 @pickle_by_fields
 @dataclass(frozen=True, slots=True)
-class Authenticator:
+class Authenticator(WireMemoised):
     """One node's evidence that it vouches for a payload digest.
+
+    One authenticator rides in several certificates (a reply's is in the
+    bundle's, the bodiless form's and each client's view), so its encoding
+    is memoised like a message's; pickles carry the fields only.
 
     ``token`` is scheme-dependent:
 

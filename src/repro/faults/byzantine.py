@@ -61,6 +61,7 @@ from ..net.message import Message
 from ..net.network import DROP
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
+from ..util.wirecache import wire_digest
 
 
 class ByzantineBehaviour:
@@ -122,20 +123,39 @@ class CorruptReplyBehaviour(ByzantineBehaviour):
     :class:`LyingReplyBehaviour` for the re-signing variant).
     """
 
+    #: how many genuine -> corrupted reply digests are remembered
+    LIES_KEPT = 1024
+
     def __init__(self, node: NodeId, corrupt_value: object = "CORRUPTED") -> None:
         super().__init__(node)
         self.corrupt_value = corrupt_value
+        #: digest of each reply corrupted lately -> its corruption's digest
+        self._lies: Dict[bytes, bytes] = {}
+
+    def _corrupt_reply(self, reply: ReplyBody) -> ReplyBody:
+        corrupted = ReplyBody(
+            view=reply.view, seq=reply.seq, timestamp=reply.timestamp,
+            client=reply.client,
+            result=OperationResult(value=self.corrupt_value, size=16))
+        self._lies[wire_digest(reply)] = wire_digest(corrupted)
+        if len(self._lies) > self.LIES_KEPT:
+            del self._lies[next(iter(self._lies))]
+        return corrupted
 
     def _corrupt_body(self, body: BatchReplyBody) -> BatchReplyBody:
         """``body`` with a wrong result in every reply it carries (sibling
-        digests in a client's view are left as they are)."""
-        corrupted = tuple(
-            ReplyBody(view=reply.view, seq=reply.seq, timestamp=reply.timestamp,
-                      client=reply.client,
-                      result=OperationResult(value=self.corrupt_value, size=16))
-            if isinstance(reply, ReplyBody) else reply
-            for reply in body.replies
-        )
+        digests in a client's view are left as they are).  A bodiless body
+        -- what an agreement node other than the primary gets -- carries
+        none, so each of its digests becomes the digest of the reply's
+        corruption: the bundle went out first, to the primary, and was
+        corrupted on its way."""
+        if body.replies and not body.carried:
+            corrupted = tuple(self._lies.get(digest, digest)
+                              for digest in body.replies)
+        else:
+            corrupted = tuple(
+                self._corrupt_reply(reply) if isinstance(reply, ReplyBody)
+                else reply for reply in body.replies)
         return BatchReplyBody(view=body.view, seq=body.seq, replies=corrupted,
                               shard=body.shard, epoch=body.epoch)
 

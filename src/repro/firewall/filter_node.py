@@ -183,7 +183,8 @@ class FilterNode(Process):
         in the top row and verifying the group signature elsewhere."""
         certificate = message.certificate
         body = message.body
-        if not message.well_formed:
+        if not (message.well_formed and body.complete):
+            # The firewall relays every reply: it needs the whole bundle.
             return None
         if certificate.scheme is not AuthenticationScheme.THRESHOLD:
             # The privacy firewall requires threshold reply certificates.

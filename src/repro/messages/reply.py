@@ -11,6 +11,16 @@ bundle; a single threshold signature (or set of MAC authenticators) therefore
 amortises over every reply in the bundle.  With ``bundle_size=1`` this is
 exactly the per-request reply certificate of the paper's protocol
 description.
+
+The certificate covers the bundle's *certified form* (header plus per-reply
+digests, see :class:`BatchReplyBody`), so one set of authenticators travels
+with three renderings of one body: the complete bundle, each client's
+:meth:`~BatchReplyBody.view_for` (its own reply, siblings as digests) and
+the *bodiless* form (every reply as its digest, ``view_for(None)``).  Where
+execution replicas answer clients directly, a replica sends the complete
+bundle only to the primary of the body's view, whose queue caches it for
+retransmissions, and the bodiless form to the other agreement nodes, which
+need a quorum of matching digests and nothing else.
 """
 
 from __future__ import annotations
@@ -154,9 +164,10 @@ class BatchReplyBody(_CarriedMemo, Message):
                 return reply
         return None
 
-    def view_for(self, client: NodeId) -> "BatchReplyBody":
+    def view_for(self, client: Optional[NodeId]) -> "BatchReplyBody":
         """This body as ``client`` needs it: its own reply in full, every
-        sibling as its digest.  Same certified form, same digest."""
+        sibling as its digest (with ``None``, every reply as its digest: the
+        bodiless form).  Same certified form, same digest."""
         return BatchReplyBody(
             view=self.view, seq=self.seq, shard=self.shard, epoch=self.epoch,
             replies=tuple(
@@ -195,7 +206,9 @@ class BatchReply(_CertifiedReplies, Message):
     Execution nodes send it with their own single authenticator (a *partial*
     reply certificate); the agreement cluster, the privacy firewall's top
     row, or the client assembles partials into a full certificate with
-    ``g + 1`` distinct signers or one combined threshold signature.
+    ``g + 1`` distinct signers or one combined threshold signature.  With
+    direct replies the body is complete towards the view's primary and
+    bodiless towards the other agreement nodes (module docstring).
     """
 
     seq: int
@@ -208,14 +221,15 @@ class BatchReply(_CertifiedReplies, Message):
 
     @property
     def well_formed(self) -> bool:
-        """Whether a correct execution replica could have sent this: a
-        complete bundle under the sequence number the message names.
-        Whoever assembles partials checks it first -- a client's view has
-        the bundle's digest, and a certificate assembled on top of one
-        could not serve the other clients."""
+        """Whether a correct execution replica could have sent this: under
+        the sequence number the message names, a complete bundle (what the
+        view's primary gets) or a bodiless one (what every other agreement
+        node gets).  Whoever assembles partials checks it first: a client's
+        view has the bundle's digest too, and a certificate assembled on
+        one could serve no other client."""
         body = self.body
         return (isinstance(body, BatchReplyBody) and body.seq == self.seq
-                and body.complete)
+                and (body.complete or not body.carried))
 
 
 @dataclass(frozen=True)

@@ -504,6 +504,12 @@ class ShardRouterQueue(QueueCore):
                 outcome = RetryOutcome.HANDLED
                 if not every_part:
                     break
+        if outcome is RetryOutcome.NEED_ORDER and not every_part:
+            # The owning shard's reply tables may hold the reply this
+            # queue has no body for; a cross-shard marker is re-served by
+            # its own path (above) once re-ordered.
+            self._forward_request(request_certificate,
+                                  self.shard_execution_ids[owner])
         return outcome
 
     def seq_answered(self, seq: int) -> bool:
@@ -639,7 +645,7 @@ class ShardRouterQueue(QueueCore):
     # ------------------------------------------------------------------ #
 
     def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
-        if not message.well_formed:
+        if not self._admissible(message):
             return
         shard = message.body.shard
         if shard is None or not 0 <= shard < self.num_shards:

@@ -28,7 +28,7 @@ from repro.faults import (
     make_byzantine,
 )
 from repro.messages.agreement import Prepare
-from repro.messages.reply import ClientReply
+from repro.messages.reply import BatchReply, ClientReply
 from repro.messages.request import RequestEnvelope
 from repro.net.network import DROP
 from repro.sharding import ShardedSystem
@@ -211,8 +211,10 @@ class TestForgedReplies:
 
 class TestLivenessWithoutTheRelay:
     """Where execution replies directly (MAC, no firewall) the agreement
-    nodes relay nothing; a client that misses its direct replies is served
-    from their caches when it retransmits."""
+    nodes relay nothing, and only the primary holds reply bundles; a client
+    that misses its direct replies is served from the primary's cache when
+    it retransmits, and the other agreement nodes pass its request on to
+    the execution replicas, which answer from their reply tables."""
 
     def test_all_direct_replies_lost(self, config):
         system = SeparatedSystem(config, CounterService, seed=61)
@@ -226,7 +228,12 @@ class TestLivenessWithoutTheRelay:
         client = system.clients[0]
         assert client.retransmissions >= 1
         system.run(50.0)
-        assert all(queue.cache_hits >= 1 for queue in system.message_queues)
+        primary, *backups = system.message_queues
+        assert primary.cache_hits >= 1 and primary.requests_forwarded == 0
+        assert all(queue.cache_hits == 0 and queue.requests_forwarded >= 1
+                   for queue in backups)
+        assert all(node.retries_answered >= len(backups)
+                   for node in system.execution_nodes)
         assert all(queue.replies_forwarded == 0
                    for queue in system.message_queues)
         assert len(client.completed) == 1
@@ -248,6 +255,130 @@ class TestLivenessWithoutTheRelay:
         assert values == [1, 2, 3]
         assert sum(queue.cache_hits for queue in system.message_queues) >= 3
         assert system.clients[0].retransmissions >= 3
+
+    def test_a_liar_lies_to_the_backups_too(self, config):
+        """A lying replica's bodiless certificate names the digests of its
+        corrupted replies, not the genuine ones: with one more replica
+        muted towards the agreement cluster, no backup can retire the slot
+        on the liar's word."""
+        system = SeparatedSystem(config, CounterService, seed=66)
+        liar, muted = system.execution_ids[0], system.execution_ids[1]
+        make_byzantine(system, LyingReplyBehaviour(liar))
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if source == muted and isinstance(message, BatchReply)
+            else None)
+        system.clients[0].submit(increment(1))
+        system.run(30.0)
+        assert all(node.max_executed == 1 for node in system.execution_nodes)
+        for queue in system.message_queues[1:]:
+            assert queue.highest_reply_seq == 0 and 1 in queue.pending_sends
+
+    def test_only_the_primary_caches_bundles(self, config):
+        """The backups assemble the bodiless form: it retires their pending
+        sends and advances their pipelines, and leaves nothing to cache."""
+        system = SeparatedSystem(config, CounterService, seed=67)
+        client = system.clients[0].node_id
+        for _ in range(3):
+            system.invoke(increment(1))
+        system.run(20.0)
+        primary, *backups = system.message_queues
+        assert primary.cache[client].reply.result.value == 3
+        for queue in backups:
+            assert queue.cache == {}
+            assert queue.highest_reply_seq == primary.highest_reply_seq == 3
+            assert queue.pending_sends == {}
+        # Nor does a bodiless certificate handed straight to the primary's
+        # queue displace what it caches.
+        cached = primary.cache[client]
+        bodiless = cached.certificate.with_payload(
+            cached.certificate.payload.view_for(None))
+        primary._forward_replies(bodiless)
+        assert primary.cache[client] is cached
+
+    def test_relaying_queues_assemble_bundles_only(self, threshold_config):
+        """Where the queues relay (threshold certificates here) every queue
+        still gets the bundle, and a bodiless partial is refused: assembled
+        first, it would leave a certificate with nothing to relay."""
+        system = SeparatedSystem(threshold_config, CounterService, seed=70)
+        system.invoke(increment(1))
+        message = system.execution_nodes[0].replies_by_seq[1]
+        bodiless = BatchReply(seq=message.seq, sender=message.sender,
+                              certificate=message.certificate.with_payload(
+                                  message.body.view_for(None)))
+        assert bodiless.well_formed
+        for queue in system.message_queues:
+            assert queue._admissible(message) and not queue._admissible(bodiless)
+            assert queue.replies_forwarded == 1
+
+    def test_primary_crashes_after_execution(self, config):
+        """The primary, the one agreement node holding the bundle, crashes
+        once the replicas have executed, and every direct reply is lost: the
+        client completes through a backup that passes its retransmission on
+        to the replicas, before any view change."""
+        system = SeparatedSystem(config, CounterService, seed=68)
+        client = system.clients[0]
+        primary = system.agreement_replicas[0]
+        executors = set(system.execution_ids)
+        lost = []
+
+        def lose_direct_replies(source, destination, message):
+            if (source in executors and isinstance(message, ClientReply)
+                    and not primary.crashed):
+                lost.append(message)
+                return DROP
+            return None
+
+        system.network.add_tap(lose_direct_replies)
+        client.submit(increment(1))
+        system.run_until(lambda: len(lost) == 3, 1_000.0)
+        system.crash_agreement(0)
+        system.run_until(lambda: client.completed, 5_000.0)
+        assert client.completed[0].result.value == 1
+        assert client.completed[0].view == 0
+        assert sum(queue.requests_forwarded
+                   for queue in system.message_queues[1:]) >= 1
+        assert sum(node.retries_answered for node in system.execution_nodes) >= 2
+        assert [node.requests_executed for node in system.execution_nodes] \
+            == [1, 1, 1]
+
+    def test_a_replayed_request_yields_only_what_the_table_holds(self, config):
+        """A Byzantine agreement node replaying a client's signed requests
+        to the replicas gets the client nothing the reply tables did not
+        already hold: an old request is answered with the latest reply, one
+        not executed yet is ignored, and nothing executes."""
+        system = SeparatedSystem(config, CounterService, seed=69)
+        client = system.clients[0]
+        envelopes = []
+        system.network.add_tap(
+            lambda source, destination, message:
+            envelopes.append(message)
+            if source == client.node_id and isinstance(message, RequestEnvelope)
+            else None)
+        system.invoke(increment(1))
+        system.invoke(increment(1))
+        # The third request never reaches the agreement cluster.
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if source == client.node_id else None)
+        client.submit(increment(1))
+        old, unexecuted = envelopes[0], envelopes[-1]
+        assert (old.request.timestamp, unexecuted.request.timestamp) == (1, 3)
+        answers = []
+        system.network.add_tap(
+            lambda source, destination, message:
+            answers.append(message) if isinstance(message, ClientReply) else None)
+        executed = [node.requests_executed for node in system.execution_nodes]
+        byzantine = system.agreement_replicas[1]
+        byzantine.multicast(system.execution_ids, unexecuted)
+        byzantine.multicast(system.execution_ids, old)
+        system.run(5.0)
+        assert [node.requests_executed for node in system.execution_nodes] == executed
+        assert len(answers) == 3
+        for answer in answers:
+            (reply,) = answer.body.replies
+            assert (reply.timestamp, reply.result.value) == (2, 2)
+        assert client.outstanding and len(client.completed) == 2
 
     def test_primary_crashes_mid_request(self, config):
         """Open loop across a crash of the primary (the ledger's failover

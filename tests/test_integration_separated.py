@@ -224,7 +224,8 @@ CENSUS_PER_COMMIT = {
     "Prepare": 9,           # each backup -> the 3f others
     "CommitMsg": 12,        # every agreement node -> the 3f others
     "OrderedBatch": 3,      # primary -> 2g + 1 execution replicas
-    "BatchReply": 12,       # every execution replica -> every agreement node
+    "BatchReply": 12,       # every execution replica -> every agreement node:
+                            # the bundle to the primary, bodiless to the rest
     "ClientReply": 3,       # every execution replica -> the client, directly
 }
 

@@ -249,6 +249,36 @@ class TestClientViewOfABundle:
         assert body.complete and not body.view_for(client_id(0)).complete
         assert body.view_for(client_id(0)).reply_for(client_id(1)) is None
 
+    def test_a_reply_message_carries_every_reply_or_none(self):
+        """What a correct replica sends the agreement cluster: the bundle
+        (to the primary) or the bodiless form (to everyone else).  A body
+        carrying some replies but not all is what a client's view looks
+        like, and no queue assembles over one."""
+        keystore = Keystore()
+        body = _bundle(["a", "b", "c"])
+        certificate = _certified(body, keystore)
+
+        def message(rendering, seq=7):
+            return BatchReply(seq=seq, certificate=certificate.with_payload(rendering),
+                              sender=execution_id(0))
+
+        bodiless = body.view_for(None)
+        assert bodiless.carried == () and not bodiless.complete
+        assert digest(bodiless.to_wire()) == digest(body.to_wire())
+        assert message(body).well_formed and message(bodiless).well_formed
+        assert not message(body.view_for(client_id(1))).well_formed
+        some = BatchReplyBody(view=2, seq=7, replies=(body.replies[0], body.replies[1],
+                                                      bodiless.replies[2]))
+        assert not message(some).well_formed
+        assert not message(bodiless, seq=8).well_formed
+        # with one reply in the bundle, the client's view is the bundle
+        single = _bundle(["a"])
+        assert BatchReply(seq=7, certificate=_certified(single, keystore).with_payload(
+            single.view_for(client_id(0))), sender=execution_id(0)).well_formed
+        # the bodiless frame holds no result at all
+        frame = pickle.dumps(message(bodiless), protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"OperationResult" not in frame
+
 
 class TestOrderedBatch:
     def test_cert_body_accessor(self):
@@ -506,6 +536,16 @@ GOLDEN_WIRE = {
     "CrossLogBindingFetch": (174, "4ce3c4216129e453491113f4cf1a29d12228cc5ac6d69d5eb4678401074e9f96"),
 }
 
+#: The bodiless rendering (``view_for(None)``) of the golden bundle, which
+#: agreement nodes other than the primary receive where replicas answer
+#: clients directly, pinned beside the table (which keeps one entry per
+#: class).  The body has the bundle's digest and encoding but no padding,
+#: since it carries no reply; the ``BatchReply`` around it lists no replies.
+GOLDEN_BODILESS = {
+    "BatchReplyBody": (324, "575916da1a84e46dc75bc41f864055059cad6bcf8744c422d1b4409d4d998681"),
+    "BatchReply": (1314, "b7aeb2e00d88941cdf66f0c54144442b9d3c9a9f99f8e50bfd4f92e7d0110c7f"),
+}
+
 
 class TestGoldenWireForms:
     @pytest.fixture(scope="class")
@@ -540,6 +580,17 @@ class TestGoldenWireForms:
             assert message.wire_size() == size
             assert provider.payload_digest(message).hex() == digest_hex
         assert digest(message.to_wire()).hex() == digest_hex
+
+    def test_bodiless_reply_forms(self, messages):
+        bundle, reply = messages["BatchReplyBody"], messages["BatchReply"]
+        body = bundle.view_for(None)
+        bodiless = BatchReply(seq=reply.seq, sender=reply.sender,
+                              certificate=reply.certificate.with_payload(body))
+        for name, message in (("BatchReplyBody", body), ("BatchReply", bodiless)):
+            assert (message.wire_size(), digest(message.to_wire()).hex()) \
+                == GOLDEN_BODILESS[name]
+        assert digest(body.to_wire()) == digest(bundle.to_wire())
+        assert body.wire_size() == GOLDEN_WIRE["BatchReplyBody"][0] - bundle.padding_bytes
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_WIRE))
     def test_same_bytes_with_the_memo_switched_off(self, name):

@@ -12,6 +12,7 @@ verify inline with identical outcomes.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
 import logging
 import pickle
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import make_config
+from conftest import FAST_TIMERS, make_config
 from repro.apps.kvstore import KeyValueStore, delete, get, put
 from repro.config import (
     AuthenticationScheme,
@@ -40,6 +41,7 @@ from repro.crypto.pool import CryptoPool, extract_verify_jobs, verify_jobs
 from repro.crypto.provider import CryptoProvider
 from repro.crypto.keys import Keystore
 from repro.errors import ConfigurationError, LivenessTimeoutError, SimulationError
+from repro.messages.reply import ClientReply
 from repro.net.message import Message
 from repro.net.network import DROP
 from repro.runtime import SimRuntime, asyncio_rt, build_runtime
@@ -192,6 +194,58 @@ class TestBackendParity:
             del system, network, send
             gc.collect()
         assert _complaints(caplog, caught) == []
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["inline", "pool"])
+    def test_lost_direct_replies(self, pool, monkeypatch):
+        """Every direct reply of the first round is lost on the real
+        backend: the client's retransmission completes through the
+        primary's cache or through a backup that passes the request on to
+        the replicas, and with the crypto pool on the forwarded envelope's
+        client MAC is among the jobs it pre-verifies for a replica."""
+        extracted = []
+        extract = asyncio_rt.extract_verify_jobs
+
+        def recording(node, keystore, costs, message, charge_scale=0.0):
+            jobs, keys = extract(node, keystore, costs, message,
+                                 charge_scale=charge_scale)
+            extracted.append((node, type(message).__name__, len(jobs)))
+            return jobs, keys
+
+        monkeypatch.setattr(asyncio_rt, "extract_verify_jobs", recording)
+        # The retransmission must find the request executed and answered,
+        # even in asyncio's (slow) debug mode.
+        timers = dataclasses.replace(FAST_TIMERS, client_retransmit_ms=1_000.0)
+        system = SeparatedSystem(
+            make_config(runtime=_runtime_config("asyncio", pool=pool),
+                        timers=timers),
+            KeyValueStore, seed=9)
+        client = system.clients[0]
+        executors = set(system.execution_ids)
+        lost = []
+
+        def lose_first_round(source, destination, message):
+            if (source in executors and isinstance(message, ClientReply)
+                    and len(lost) < len(executors)):
+                lost.append(message)
+                return DROP
+            return None
+
+        system.network.add_tap(lose_first_round)
+        try:
+            record = system.invoke(put("k", "v"), timeout_ms=30_000)
+            assert record.result.value == {"stored": True}
+            assert client.retransmissions >= 1
+            system.run_until(
+                lambda: all(node.retries_answered >= 1
+                            for node in system.execution_nodes), 30_000)
+            primary, *backups = system.message_queues
+            assert primary.cache_hits >= 1
+            assert all(queue.requests_forwarded >= 1 for queue in backups)
+            forwarded = [jobs for node, name, jobs in extracted
+                         if node in executors and name == "RequestEnvelope"]
+            assert (len(forwarded) >= 3 and min(forwarded) >= 1) == pool
+        finally:
+            system.close()
 
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
     def test_handler_exception_reaches_the_driver(self, backend):
@@ -466,7 +520,10 @@ class TestTransport:
             system.run(30.0)
             assert system.network.transport.frames_sent - frames == len(sent) == 43
             distinct = {(source, id(message)) for source, message in sent}
-            assert len(dumped) == len(distinct) == 16
+            # 19: each execution replica sends two reply objects upstream,
+            # the bundle to the primary and one bodiless form multicast to
+            # the three backups.
+            assert len(dumped) == len(distinct) == 19
             assert system.network.transport.frames_delivered == \
                 system.network.transport.frames_sent
         finally:
