@@ -47,6 +47,21 @@ from ..util.ids import NodeId, Role
 from ..util.seqtable import SeqTable
 
 
+def encode_reply_table(table: Dict[NodeId, ReplyBody]) -> bytes:
+    """Canonical serialization of a client-dedup reply table.
+
+    Shared by checkpoint digests and range handoffs: both sides of the
+    exactly-once argument must encode the table identically.
+    """
+    return pickle.dumps(sorted(
+        (client.name, reply) for client, reply in table.items()))
+
+
+def decode_reply_table(blob: bytes) -> List[ReplyBody]:
+    """The replies of an :func:`encode_reply_table` blob, in its order."""
+    return [reply for _, reply in pickle.loads(blob)]
+
+
 @dataclass
 class StoredCheckpoint:
     """A checkpoint (application state + reply table) awaiting or past stability.
@@ -176,8 +191,15 @@ class ExecutionNode(Process):
             self._request_missing(self.max_executed + 1)
 
     def _validate_batch(self, batch: OrderedBatch) -> bool:
+        return (self._agreed(batch, batch.seq, batch.request_certificates)
+                and self._requests_valid(batch.request_certificates,
+                                         batch.request_certificates))
+
+    def _agreed(self, batch, seq: int, certificates: Tuple[Certificate, ...]) -> bool:
+        """Whether ``batch``'s agreement certificate commits exactly
+        ``certificates`` at ``seq`` in ``batch.view``."""
         body = batch.agreement_certificate.payload
-        if getattr(body, "seq", None) != batch.seq or getattr(body, "view", None) != batch.view:
+        if getattr(body, "seq", None) != seq or getattr(body, "view", None) != batch.view:
             return False
         if not self.crypto.verify_certificate(batch.agreement_certificate,
                                               self.config.agreement_quorum,
@@ -185,19 +207,20 @@ class ExecutionNode(Process):
             return False
         expected = self.crypto.digest({
             "batch": [self.crypto.payload_digest(cert.payload)
-                      for cert in batch.request_certificates],
+                      for cert in certificates],
         })
-        if expected != body.batch_digest:
+        return expected == body.batch_digest
+
+    def _requests_valid(self, certificates: Tuple[Certificate, ...],
+                        verified: Tuple[Certificate, ...]) -> bool:
+        """Whether every certificate carries a known client's request, and
+        the client authenticators of ``verified`` (a subset) check out."""
+        if not all(isinstance(cert.payload, ClientRequest)
+                   and cert.payload.client in self.client_ids
+                   for cert in certificates):
             return False
-        for certificate in batch.request_certificates:
-            request = certificate.payload
-            if not isinstance(request, ClientRequest):
-                return False
-            if request.client not in self.client_ids:
-                return False
-            if not self.crypto.verify_certificate(certificate, 1, [request.client]):
-                return False
-        return True
+        return all(self.crypto.verify_certificate(cert, 1, [cert.payload.client])
+                   for cert in verified)
 
     def _resend_replies(self, batch: OrderedBatch) -> None:
         cached = self.replies_by_seq.get(batch.seq)
@@ -406,17 +429,6 @@ class ExecutionNode(Process):
     # Checkpoints and proof of stability.
     # ------------------------------------------------------------------ #
 
-    def _serialized_reply_table(self) -> bytes:
-        """Canonical serialization of the client-dedup reply table.
-
-        Shared by checkpoint digests and (in the sharded subclass) range
-        handoffs: both sides of the exactly-once argument must encode the
-        table identically.
-        """
-        return pickle.dumps(sorted(
-            (client.name, reply) for client, reply in self.reply_table.items()
-        ))
-
     def _checkpoint_extra(self) -> bytes:
         """Subsystem state folded into checkpoints beyond the application
         (the sharded nodes serialize their partition-map epoch here)."""
@@ -428,7 +440,7 @@ class ExecutionNode(Process):
 
     def _take_checkpoint(self, seq: int) -> None:
         app_state = self.app.checkpoint()
-        reply_table = self._serialized_reply_table()
+        reply_table = encode_reply_table(self.reply_table)
         extra = self._checkpoint_extra()
         digest = self.crypto.digest(
             app_state + reply_table + extra,
@@ -530,10 +542,8 @@ class ExecutionNode(Process):
             return
         # Restore: application state, reply table, and sequence number.
         self.app.restore(message.app_state)
-        restored: Dict[NodeId, ReplyBody] = {}
-        for client_name, reply in pickle.loads(message.reply_table):
-            restored[reply.client] = reply
-        self.reply_table = restored
+        self.reply_table = {reply.client: reply
+                            for reply in decode_reply_table(message.reply_table)}
         self.max_executed = message.seq
         self._restore_extra(message.extra)
         self.pending = {seq: b for seq, b in self.pending.items() if seq > message.seq}

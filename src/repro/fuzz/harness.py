@@ -361,8 +361,8 @@ def _system_counters(system: ShardedSystem) -> Dict[str, int]:
     handoffs = fetches = transfers = 0
     for cluster in system.shard_execution_nodes:
         for node in cluster:
-            handoffs += node.ranges_installed
-            fetches += node.range_fetches
+            handoffs += node.handoffs.installed
+            fetches += node.handoffs.fetches
             transfers += node.state_transfers
     counters["handoffs"] = handoffs
     counters["range_fetches"] = fetches

@@ -11,15 +11,18 @@ members of that cluster, near its own epoch and within a bounded buffer,
 keeps one blob per sender and takes the data as certified once ``g + 1``
 senders vouch for one digest; a replica that reaches the marker first
 blocks on the shares it misses and re-asks for them on a timer.  A subclass
-only says what a share of its kind looks like.  A replica is blocked on at
-most one exchange at a time -- being blocked is what stops it from reaching
-the next marker; which one, and the checkpoint it owes once unblocked, is
-the replica's own state.
+says what a share of its kind looks like and what its marker does: the two
+are the replica's cut participants, :class:`~repro.sharding.handoff.RangeHandoffs`
+and :class:`~repro.sharding.crossshard.CrossShardOperations`.  A replica is
+blocked at most at one marker slot at a time -- being blocked is what stops
+it from reaching the next marker -- and everything in flight for that slot
+is one :class:`Cut` record on the participant that blocked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..net.message import Message
@@ -42,12 +45,31 @@ OUTBOUND_RETENTION = 32
 Item = Tuple[Hashable, int]
 
 
+@dataclass
+class Cut:
+    """The marker slot a replica is blocked at: everything in flight for it."""
+
+    #: the shares still missing, in fetch order
+    awaiting: Dict[Item, None]
+    #: called with each item's data as it certifies
+    on_share: Callable[[Item, Any], None]
+    #: called with the milliseconds spent blocked once the last certified
+    on_resolved: Callable[[float], None]
+    #: when the replica blocked
+    since: float
+    #: the one fetch timer
+    timer: Optional[Timer] = None
+    #: the checkpoint that fell on the slot, taken once the cut resolves
+    #: (it covers the state after the cut, never one that depends on timing)
+    checkpoint: Optional[int] = None
+
+
 class ShareExchange:
     """Certified exchange of one kind of share between execution clusters.
 
-    ``node`` is the owning shard replica; its ``epoch``, ``shard``,
-    ``shard_execution_ids``, ``crypto``, ``config`` and its send / timer
-    primitives are what the exchange uses of it.
+    ``node`` is the shard replica a subclass is a cut participant of; its
+    ``epoch``, ``shard``, ``shard_execution_ids``, ``crypto``, ``config``
+    and its send / timer primitives are what the exchange uses of it.
     """
 
     #: suffix of the fetch timer's label
@@ -59,14 +81,15 @@ class ShareExchange:
         self.tallies: Dict[Item, Dict[NodeId, Tuple[bytes, Any]]] = {}
         #: own shares kept for re-serving fetches (insertion order)
         self.outbound: Dict[Hashable, Message] = {}
-        #: the shares this replica is blocked waiting for, in fetch order
-        self.awaiting: Dict[Item, None] = {}
-        #: the one fetch timer of the blocked cut
-        self._timer: Optional[Timer] = None
-        self._on_share: Callable[[Item, Any], None] = None
-        self._on_resolved: Callable[[float], None] = None
-        self._blocked_at = 0.0
+        #: the marker slot this participant blocks the replica at, if any
+        self.cut: Optional[Cut] = None
         self.fetches = 0
+
+    @property
+    def awaiting(self) -> Dict[Item, None]:
+        """The shares the replica is blocked waiting for here (empty while
+        this participant does not block it)."""
+        return self.cut.awaiting if self.cut is not None else {}
 
     # ------------------------------------------------------------------ #
     # What a subclass defines.
@@ -97,43 +120,40 @@ class ShareExchange:
     def block(self, items: Iterable[Item],
               on_share: Callable[[Item, Any], None],
               on_resolved: Callable[[float], None]) -> None:
-        """Start waiting for ``items``; :meth:`advance` hands each to
+        """Block the replica on ``items``; :meth:`advance` hands each to
         ``on_share`` as it certifies and calls ``on_resolved`` (with the
         milliseconds spent blocked) after the last."""
-        self.awaiting = dict.fromkeys(items)
-        self._on_share, self._on_resolved = on_share, on_resolved
-        self._blocked_at = self.node.now
+        self.cut = Cut(awaiting=dict.fromkeys(items), on_share=on_share,
+                       on_resolved=on_resolved, since=self.node.now)
 
     def advance(self) -> bool:
         """Consume newly certified awaited shares; True once that resolved
         the cut.  While shares are missing the fetch timer runs."""
-        if not self.awaiting:
+        cut = self.cut
+        if cut is None:
             return False
-        for item in list(self.awaiting):
+        for item in list(cut.awaiting):
             blob = self._take_certified(item)
             if blob is not None:
-                del self.awaiting[item]
-                self._on_share(item, blob)
-        if self.awaiting:
-            self._arm()
+                del cut.awaiting[item]
+                cut.on_share(item, blob)
+        if cut.awaiting:
+            self._arm(cut)
             return False
-        on_resolved = self._on_resolved
         self.unblock()
-        on_resolved(self.node.now - self._blocked_at)
+        cut.on_resolved(self.node.now - cut.since)
         return True
 
     def unblock(self) -> None:
-        """Stop waiting and cancel the fetch timer (also how a restored
-        checkpoint, which already holds the cut's outcome, forgets it)."""
-        self.awaiting = {}
-        # The callbacks close over the marker's batch; let it go.
-        self._on_share = self._on_resolved = None
-        if self._timer is not None:
-            self._timer.cancel()
+        """Forget the cut and cancel its fetch timer (also how a restored
+        checkpoint, which already holds the cut's outcome, drops it)."""
+        if self.cut is not None and self.cut.timer is not None:
+            self.cut.timer.cancel()
+        self.cut = None
 
-    def _arm(self) -> None:
-        if self._timer is None or not self._timer.active:
-            self._timer = self.node.set_timer(
+    def _arm(self, cut: Cut) -> None:
+        if cut.timer is None or not cut.timer.active:
+            cut.timer = self.node.set_timer(
                 self.node.config.timers.execution_fetch_ms,
                 self._on_fetch_timeout,
                 label=f"{self.node.node_id}:{self.label}")
@@ -143,7 +163,7 @@ class ShareExchange:
             self.fetches += 1
             self.node.multicast(self.node.shard_execution_ids[shard],
                                 self.fetch_for(key))
-        self._arm()
+        self._arm(self.cut)
 
     def _take_certified(self, item: Item) -> Optional[Any]:
         """The item's data once ``g + 1`` senders of its cluster sent

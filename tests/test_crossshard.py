@@ -150,7 +150,7 @@ class TestConsistentCut:
             "values": {key: index for index, key in enumerate(keys)}}
         # every cluster executed the marker exactly once
         for shard in range(4):
-            executed = {node.cross_shard_executed
+            executed = {node.cross_shard.executed
                         for node in system.execution_cluster(shard)}
             assert executed == {1}
 
@@ -174,7 +174,7 @@ class TestConsistentCut:
         assert record.result.value["observed"] == {left: "actual"}
         assert cluster_value(system, 0, left) == "actual"
         assert cluster_value(system, 1, right) is None
-        aborts = {node.cross_shard_aborts
+        aborts = {node.cross_shard.aborts
                   for cluster in system.shard_execution_nodes
                   for node in cluster}
         assert aborts == {1}
@@ -186,7 +186,7 @@ class TestConsistentCut:
         assert record.result.value["committed"] is True
         assert cluster_value(system, 0, left) == 1
         assert cluster_value(system, 1, right) == 2
-        fetches = sum(node.vote_fetches
+        fetches = sum(node.cross_shard.fetches
                       for cluster in system.shard_execution_nodes
                       for node in cluster)
         assert fetches == 0
@@ -253,7 +253,7 @@ class TestEpochRace:
         assert record.result.value == {"values": {left: "L", right: "R"}}
         assert client.cross_shard_retries == 1
         assert client.epoch == 1
-        epoch_aborts = sum(node.cross_shard_epoch_aborts
+        epoch_aborts = sum(node.cross_shard.epoch_aborts
                            for cluster in system.shard_execution_nodes
                            for node in cluster)
         assert epoch_aborts > 0
@@ -393,7 +393,7 @@ class TestCollatorFaults:
         assert client.completed[-1].result.value == {
             "values": {mid: "M", high: "H"}}
         assert client.retransmissions > 0
-        fallover_senders = sum(node.cross_shard_replies_sent
+        fallover_senders = sum(node.cross_shard.replies_sent
                                for node in system.execution_cluster(2))
         assert fallover_senders > 0
 
@@ -444,11 +444,11 @@ class TestExactlyOnce:
         record = system.invoke(transaction(reads={left: 0},
                                            writes={left: 1, right: 1}))
         assert record.result.value["committed"] is True
-        executed_before = {node.node_id: node.cross_shard_executed
+        executed_before = {node.node_id: node.cross_shard.executed
                            for cluster in system.shard_execution_nodes
                            for node in cluster}
         system.run(500.0)
-        executed_after = {node.node_id: node.cross_shard_executed
+        executed_after = {node.node_id: node.cross_shard.executed
                           for cluster in system.shard_execution_nodes
                           for node in cluster}
         assert executed_before == executed_after
@@ -480,7 +480,7 @@ class TestMarkerAcrossViewChange:
         assert max(replica.view for replica in live) >= 1
         system.run(500.0)  # drain retransmitted duplicates
         for shard in (0, 1):
-            executed = {node.cross_shard_executed
+            executed = {node.cross_shard.executed
                         for node in system.execution_cluster(shard)}
             assert executed == {1}
 
@@ -492,7 +492,7 @@ class TestMarkerAcrossViewChange:
 
 class TestVoteFetchTimer:
     def vote_fetches(self, system):
-        return sum(node.vote_fetches
+        return sum(node.cross_shard.fetches
                    for cluster in system.shard_execution_nodes
                    for node in cluster)
 
@@ -509,7 +509,7 @@ class TestVoteFetchTimer:
         run_crossshard_window(system, operations=operations,
                               duration_ms=1_500.0, warmup_ms=100.0)
         system.run(2_000.0)
-        voted = sum(node.cross_shard_commits + node.cross_shard_aborts
+        voted = sum(node.cross_shard.commits + node.cross_shard.aborts
                     for node in system.execution_cluster(0))
         assert voted > 20
         assert self.vote_fetches(system) == 0

@@ -222,3 +222,22 @@ def test_restore_from_checkpoint_clears_the_block_and_the_timer():
         exchange.receive(sender, share(sender))
     assert not exchange.advance()
     assert delivered == [] and resolved == []
+
+
+def test_a_blocked_slot_is_one_record():
+    """Everything in flight for the blocked marker slot -- what is missing,
+    the callbacks, the fetch timer and the checkpoint that fell on the slot
+    -- is the exchange's one cut record; resolving drops it whole."""
+    exchange, delivered, resolved = blocked_exchange()
+    node = exchange.node
+    cut = exchange.cut
+    assert list(cut.awaiting) == [((10, "x"), 1)] and cut.checkpoint is None
+    cut.checkpoint = 40
+    node.now = 30.0
+    assert not exchange.advance()
+    assert cut.timer is node.timers[0]
+    for sender in CLUSTERS[1][:2]:
+        exchange.receive(sender, share(sender))
+    assert exchange.advance()
+    assert exchange.cut is None and not exchange.awaiting
+    assert resolved == [30.0] and not cut.timer.active

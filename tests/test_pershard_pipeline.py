@@ -316,7 +316,7 @@ class TestAcceptanceWindow:
         flood = ShardedBatch(shard=0, shard_seq=far, batch=batch)
         for agreement_id in system.agreement_ids:
             node.handle_sharded_batch(agreement_id, flood)
-        assert far not in node._route_votes
+        assert far not in node._slots
         assert far not in node.pending
         # A slot just inside the window is still buffered normally.
         near = ShardedBatch(shard=0, shard_seq=node.max_executed + 2,

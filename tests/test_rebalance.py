@@ -64,6 +64,12 @@ KEY_SPACE = 64
 MANUAL = RebalanceConfig(enabled=True, min_window_requests=10**9)
 
 
+def accepted_routes(node):
+    """Shard-local slot -> the route binding the replica accepted."""
+    return {seq: slot.accepted for seq, slot in node._slots.items()
+            if slot.accepted is not None}
+
+
 def make_system(num_shards=2, rebalance=MANUAL, num_clients=4, seed=21,
                 **overrides):
     config = make_config(
@@ -209,8 +215,8 @@ class TestEpochCut:
         for index in (8, 16, 24):
             assert skew_key(index) in gainer.app.snapshot()
             assert skew_key(index) not in loser.app.snapshot()
-        assert gainer.ranges_installed == 1
-        assert loser.ranges_sent == 1
+        assert gainer.handoffs.installed == 1
+        assert loser.handoffs.sent == 1
         # Reads and writes of moved keys complete against the new owner.
         record = system.invoke(get(skew_key(16)))
         assert record.result.value["value"] == "v16"
@@ -293,7 +299,7 @@ class TestByzantineEpoch:
         for _ in range(3):
             victim.handle_sharded_batch(system.agreement_ids[0], forged)
         assert victim.requests_executed == executed
-        assert forged.shard_seq not in victim._route_accepted
+        assert forged.shard_seq not in accepted_routes(victim)
         assert forged.shard_seq not in victim.pending
 
     def test_stale_epoch_rejected_even_with_many_vouchers(self):
@@ -376,7 +382,7 @@ class TestHandoffFaults:
                                   key=skew_key(8), owner=1))
         # g+1 matching shares from the surviving source replicas suffice.
         for node in system.execution_cluster(1):
-            assert node.ranges_installed == 1
+            assert node.handoffs.installed == 1
             assert node.epoch == 1
         assert system.invoke(get(skew_key(12))).result.value["value"] == "v12"
 
@@ -394,15 +400,15 @@ class TestHandoffFaults:
         propose(system, MapChange(kind="split", parent_epoch=0,
                                   key=skew_key(8), owner=1))
         # Peers installed; the partitioned replica is blocked awaiting.
-        assert blocked._blocked_on is not None
+        assert blocked._blocked() is blocked.handoffs
         assert blocked.epoch == 1
         for node in system.execution_cluster(1)[1:]:
-            assert node.ranges_installed == 1
+            assert node.handoffs.installed == 1
         system.network.faults.heal_all()
         system.run(300.0)
-        assert blocked._blocked_on is None
-        assert blocked.ranges_installed == 1
-        assert blocked.range_fetches > 0
+        assert blocked._blocked() is None
+        assert blocked.handoffs.installed == 1
+        assert blocked.handoffs.fetches > 0
         assert cluster_digests(system, 1) == {blocked.app.state_digest()}
 
     def test_crashed_gainer_recovers_via_state_transfer_with_epoch(self):
@@ -472,12 +478,12 @@ class TestCutCheckpoint:
                         node.checkpoints[seq].digest
             node._take_checkpoint = recording
         installed_before_marker = []
-        original_execute = slow._execute_map_change
+        original_execute = slow.handoffs.execute
 
-        def execute_marker(local, change):
-            installed_before_marker.append(bool(slow._ranges.tallies))
-            original_execute(local, change)
-        slow._execute_map_change = execute_marker
+        def execute_marker(change):
+            installed_before_marker.append(bool(slow.handoffs.tallies))
+            original_execute(change)
+        slow.handoffs.execute = execute_marker
 
         primary = system.agreement_replicas[0]
         assert primary.proposer.propose_map_change(
@@ -488,7 +494,7 @@ class TestCutCheckpoint:
         system.run(400.0)
 
         assert installed_before_marker == [True]  # the shares did pre-arrive
-        assert slow.ranges_installed == 1 and slow.epoch == 1
+        assert slow.handoffs.installed == 1 and slow.epoch == 1
         assert slow.max_executed == system.execution_node(1, 1).max_executed
         assert all(seq == max_executed for seq, max_executed in taken)
         assert digests and all(len(set(by_node.values())) == 1
@@ -511,8 +517,8 @@ class TestByzantineHandoffSource:
             system.network.faults.partition(blocked.node_id, source.node_id)
         propose(system, MapChange(kind="split", parent_epoch=0,
                                   key=skew_key(8), owner=1))
-        assert blocked._blocked_on is not None
-        (item,) = blocked._ranges.awaiting
+        assert blocked._blocked() is blocked.handoffs
+        (item,) = blocked.handoffs.awaiting
         (epoch, lo, hi), source_shard = item
         targets = [node.node_id for node in system.execution_cluster(1)]
         for attempt in range(100):
@@ -527,13 +533,13 @@ class TestByzantineHandoffSource:
                     targets))
             blocked.deliver(liar.node_id, forged, forged.wire_size())
             system.run(1.0)
-        assert blocked._blocked_on is not None
-        assert list(blocked._ranges.tallies[item]) == [liar.node_id]
+        assert blocked._blocked() is blocked.handoffs
+        assert list(blocked.handoffs.tallies[item]) == [liar.node_id]
         system.network.faults.heal_all()
         system.run(300.0)
-        assert blocked._blocked_on is None
-        assert blocked.ranges_installed == 1
-        assert not blocked._ranges.tallies
+        assert blocked._blocked() is None
+        assert blocked.handoffs.installed == 1
+        assert not blocked.handoffs.tallies
         assert cluster_digests(system, 1) == {blocked.app.state_digest()}
 
 

@@ -18,6 +18,7 @@ from repro.config import AuthenticationScheme, ShardingConfig
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import CorruptReplyBehaviour, make_byzantine
 from repro.messages.agreement import OrderedBatch
+from repro.messages.checkpoint import BatchTransfer
 from repro.messages.reply import BatchReplyBody, ClientReply
 from repro.net.message import Message
 from repro.net.network import DROP
@@ -29,6 +30,12 @@ from repro.sharding import (
     ShardedSystem,
     make_partitioner,
 )
+
+
+def accepted_routes(node):
+    """Shard-local slot -> the route binding the replica accepted."""
+    return {seq: slot.accepted for seq, slot in node._slots.items()
+            if slot.accepted is not None}
 
 
 def sharded_config(num_shards=2, **overrides):
@@ -209,7 +216,7 @@ class TestMisrouteRejection:
         for _ in range(3):
             victim.handle_sharded_batch(byzantine, forged)
         assert forged.shard_seq not in victim.pending
-        assert forged.shard_seq not in victim._route_accepted
+        assert forged.shard_seq not in accepted_routes(victim)
         # A second distinct agreement node vouching for the same binding
         # reaches f + 1 = 2 and the batch enters the pipeline.
         victim.handle_sharded_batch(system.agreement_ids[1], forged)
@@ -260,8 +267,8 @@ class TestMisrouteRejection:
             assert len(executed) == 1
             for node in system.execution_cluster(shard):
                 assert not node.pending
-                assert node._route_accepted
-                for slot, (digest, _, _) in node._route_accepted.items():
+                assert accepted_routes(node)
+                for slot, (digest, _, _) in accepted_routes(node).items():
                     assert agreed[(shard, slot)] == digest
         if liar_index == 0:
             assert all(queue.retransmissions > 0
@@ -353,15 +360,15 @@ class TestRouteVouchers:
         for voter in (first, second):
             victim.handle_route_voucher(voter, RouteVoucher(
                 shard=0, shard_seq=slot, digest=digest))
-        assert slot not in victim._route_accepted  # vouched, but no body
+        assert slot not in accepted_routes(victim)  # vouched, but no body
         victim.handle_route_voucher(third, RouteVoucher(
             shard=0, shard_seq=slot + 1, digest=b"\x00" * 32))
         victim.handle_sharded_batch(third, ShardedBatch(
             shard=0, shard_seq=slot + 1, batch=envelope.batch))
-        assert slot + 1 not in victim._route_accepted  # 1 vote for it
+        assert slot + 1 not in accepted_routes(victim)  # 1 vote for it
         victim.handle_sharded_batch(third, dataclasses.replace(
             envelope, shard_seq=slot))
-        assert victim._route_accepted[slot] == (digest, 0, None)
+        assert accepted_routes(victim)[slot] == (digest, 0, None)
         assert victim.max_executed == slot
 
     def test_vouched_slot_without_a_body_is_fetched_from_peers(self):
@@ -380,7 +387,8 @@ class TestRouteVouchers:
         system.run_until(lambda: cut_off.max_executed == 1, 1_000.0,
                          "the cut-off replica catching up")
         assert cut_off.app.snapshot() == {key: "v"}
-        assert cut_off._bodies_awaited  # it waited before asking
+        # it waited before asking
+        assert any(slot.awaited for slot in cut_off._slots.values())
         assert cut_off.state_transfers == 0  # a peer's batch, not its state
 
     def test_primary_body_that_does_not_match_the_vouched_digest(self):
@@ -410,11 +418,95 @@ class TestRouteVouchers:
         assert forged
         for node in [node for cluster in system.shard_execution_nodes
                      for node in cluster]:
-            assert node._route_accepted
+            assert accepted_routes(node)
             assert not {digest for digest, _, _
-                        in node._route_accepted.values()} & forged
+                        in accepted_routes(node).values()} & forged
         assert all(queue.retransmissions > 0
                    for queue in system.message_queues[1:])
+
+
+class TestRouteSlots:
+    """A replica keeps one record per shard-local slot: each voter's
+    binding, the bodies held for bindings not vouched yet, the accepted
+    binding, and the fetch period its body was awaited."""
+
+    def test_one_record_from_first_vote_to_acceptance(self):
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=49)
+        envelope = captured_envelope(system)
+        victim = system.execution_node(0, 0)
+        slot = envelope.shard_seq + 1
+        first, second = system.agreement_ids[:2]
+        victim.handle_sharded_batch(first, dataclasses.replace(
+            envelope, shard_seq=slot))
+        record = victim._slots[slot]
+        (binding,) = record.votes.values()
+        assert list(record.votes) == [first]
+        assert list(record.bodies) == [binding] and record.accepted is None
+        victim.handle_route_voucher(second, RouteVoucher(
+            shard=0, shard_seq=slot, digest=binding[0]))
+        assert victim._slots[slot] is record
+        assert record.accepted == binding and not record.bodies
+        assert victim.max_executed == slot
+
+    def test_records_are_trimmed_with_the_recent_batch_window(self):
+        system = ShardedSystem(sharded_config(checkpoint_interval=4),
+                               KeyValueStore, seed=50)
+        key = keys_of_shard(system, 0, 1)[0]
+        for i in range(20):
+            system.invoke(put(key, i))
+        node = system.execution_node(0, 0)
+        horizon = node.max_executed - 2 * system.config.checkpoint_interval
+        assert horizon > 0
+        assert node._slots and min(node._slots) >= horizon
+
+
+class TestOneBatchCheck:
+    """Ownership is judged once, when a body becomes a shard-local batch;
+    acceptance checks authenticity only."""
+
+    def test_validation_asks_the_router_nothing(self, monkeypatch):
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=51)
+        captured_envelope(system)
+        node = system.execution_node(0, 0)
+        local = node.recent_batches[node.max_executed]
+
+        def consulted(*args, **kwargs):
+            raise AssertionError("the router was asked at validation")
+
+        for name in ("shard_of_request", "is_cross_shard",
+                     "shards_of_operation_keys"):
+            monkeypatch.setattr(node.router, name, consulted)
+        assert node._validate_batch(local)
+        assert not node._validate_batch(dataclasses.replace(
+            local, global_seq=local.global_seq + 1))
+
+    def test_a_peer_transfer_is_localized_afresh(self):
+        """A peer's transfer carries the peer's own owned subset; the
+        receiver discards it and derives the subset itself, so a doctored
+        claim changes nothing."""
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=47)
+        key = keys_of_shard(system, 0, 1)[0]
+        cut_off = system.execution_node(0, 0)
+        primary = system.agreement_ids[0]
+        doctored = []
+
+        def tap(source, destination, message):
+            if destination != cut_off.node_id:
+                return None
+            if source == primary and isinstance(message, ShardedBatch):
+                return DROP
+            if isinstance(message, BatchTransfer):
+                doctored.append(message)
+                return dataclasses.replace(message, batch=dataclasses.replace(
+                    message.batch, request_certificates=()))
+            return None
+
+        system.network.add_tap(tap)
+        system.invoke(put(key, "v"))
+        system.run_until(lambda: cut_off.max_executed == 1, 1_000.0,
+                         "the cut-off replica catching up")
+        assert doctored
+        assert cut_off.app.snapshot() == {key: "v"}
 
 
 class TestPerShardFaultTolerance:
