@@ -3,7 +3,7 @@
 Every other benchmark in this directory measures *virtual* time inside the
 deterministic simulator.  This one runs the identical protocol stack on the
 asyncio backend (``RuntimeConfig(backend="asyncio")``): replicas are asyncio
-tasks exchanging pickled wire messages over real 127.0.0.1 TCP sockets,
+tasks exchanging wire-codec frames over real 127.0.0.1 TCP sockets,
 timers are wall-clock, and every virtual millisecond the cost model charges
 is burned as real CPU (``charge_scale``), so the configured crypto weights
 shape wall-clock throughput the way they shape simulated throughput.

@@ -487,10 +487,10 @@ class RuntimeConfig:
     ``backend="sim"`` (the default) is the deterministic virtual-time
     simulator every test, benchmark, and fuzz campaign runs on.
     ``backend="asyncio"`` runs the same protocol objects as asyncio tasks
-    exchanging pickled wire messages over real localhost TCP sockets, with
-    wall-clock timers; see :mod:`repro.runtime.asyncio_rt` for the
-    invariants it preserves and the ones (determinism, fault injection)
-    it deliberately gives up.
+    exchanging codec frames (:mod:`repro.net.codec`) over real localhost
+    TCP sockets, with wall-clock timers; see :mod:`repro.runtime.asyncio_rt`
+    for the invariants it preserves and the ones (determinism, fault
+    injection) it deliberately gives up.
 
     ``charge_scale``
         Real-runtime cost emulation: every virtual millisecond a node

@@ -18,7 +18,6 @@ peers.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +36,7 @@ from ..messages.checkpoint import (
 )
 from ..messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
 from ..messages.request import ClientRequest, EncryptedBody, RequestEnvelope
+from ..net.codec import decode_reply_table, encode_reply_table
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sim.process import Process
@@ -45,21 +45,6 @@ from ..statemachine.interface import OperationResult, StateMachine
 from ..statemachine.nondet import AbstractionLayer
 from ..util.ids import NodeId, Role
 from ..util.seqtable import SeqTable
-
-
-def encode_reply_table(table: Dict[NodeId, ReplyBody]) -> bytes:
-    """Canonical serialization of a client-dedup reply table.
-
-    Shared by checkpoint digests and range handoffs: both sides of the
-    exactly-once argument must encode the table identically.
-    """
-    return pickle.dumps(sorted(
-        (client.name, reply) for client, reply in table.items()))
-
-
-def decode_reply_table(blob: bytes) -> List[ReplyBody]:
-    """The replies of an :func:`encode_reply_table` blob, in its order."""
-    return [reply for _, reply in pickle.loads(blob)]
 
 
 @dataclass

@@ -31,8 +31,8 @@ SHA-256 payload digest plus the verification parameters:
 
 Node ids and sets of them are the part of a fact that is the same for the
 whole deployment, while the id *objects* a verification sees are private to
-the message they arrived in (on the asyncio backend every frame is unpickled
-into fresh ones).  A stored fact therefore refers to the cache's one copy of
+the message they arrived in (on the asyncio backend a frame's ids are the
+codec's interned ones only up to its cap, and every set is built afresh).  A stored fact therefore refers to the cache's one copy of
 each id and set (:meth:`VerifiedCertificateCache.add`), not to the message's:
 a full cache holds a dozen ids, not four thousand.
 

@@ -20,17 +20,16 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 from ..config import AuthenticationScheme
 from ..errors import CertificateError
 from ..util.ids import NodeId
-from ..util.wirecache import WireMemoised, pickle_by_fields, wire_of
+from ..util.wirecache import WireMemoised, wire_of
 
 
-@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class Authenticator(WireMemoised):
     """One node's evidence that it vouches for a payload digest.
 
     One authenticator rides in several certificates (a reply's is in the
     bundle's, the bodiless form's and each client's view), so its encoding
-    is memoised like a message's; pickles carry the fields only.
+    is memoised like a message's; frames carry the fields only.
 
     ``token`` is scheme-dependent:
 

@@ -69,6 +69,16 @@ class TopologyError(NetworkError):
     paper's restricted-communication requirement."""
 
 
+class DecodeError(NetworkError):
+    """Bytes from a peer are not a complete, canonical frame or reply table
+    of the wire codec (:mod:`repro.net.codec`)."""
+
+
+class EncodeError(NetworkError):
+    """A value has no wire form in the codec: a type it cannot name, or a
+    number, length or nesting outside the format's ranges."""
+
+
 class FirewallError(ReproError):
     """A privacy-firewall filter node detected a protocol violation."""
 

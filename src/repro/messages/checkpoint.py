@@ -20,7 +20,6 @@ from ..crypto.certificate import Authenticator, Certificate
 from ..net.message import Message
 from ..util.ids import NodeId
 from ..util.wirecache import wire_of
-from .agreement import OrderedBatch
 
 
 def checkpoint_payload(seq: int, state_digest: bytes) -> Dict[str, Any]:
@@ -83,9 +82,11 @@ class FetchBatch(Message):
 
 @dataclass(frozen=True)
 class BatchTransfer(Message):
-    """Answer to :class:`FetchBatch`: the ordered batch itself."""
+    """Answer to :class:`FetchBatch`: the ordered batch itself -- an
+    :class:`OrderedBatch`, or on a shard replica the
+    :class:`~repro.sharding.messages.ShardLocalBatch` standing in for one."""
 
-    batch: OrderedBatch
+    batch: Message
     replica: NodeId
 
     def payload_fields(self) -> Dict[str, Any]:

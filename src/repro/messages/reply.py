@@ -32,11 +32,10 @@ from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
-from ..util.wirecache import WireMemoised, pickle_by_fields, wire_digest, wire_of
+from ..util.wirecache import WireMemoised, wire_digest, wire_of
 from .request import EncryptedBody
 
 
-@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class ReplyBody(Message):
     """The per-request reply fields: ``(v, n, t, c, r)``.
@@ -80,12 +79,11 @@ class ReplyBody(Message):
 
 class _CarriedMemo(WireMemoised):
     """Slot for :attr:`BatchReplyBody.carried`.  Not a field: like the wire
-    memo it is left out of pickles, comparison and the constructor."""
+    memo it is left out of frames, comparison and the constructor."""
 
     __slots__ = ("_carried",)
 
 
-@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class BatchReplyBody(_CarriedMemo, Message):
     """All replies for one batch; the payload the reply certificate covers.

@@ -22,7 +22,7 @@ from ..errors import FirewallError
 from ..net.message import Message
 from ..statemachine.interface import Operation
 from ..util.ids import NodeId, Role
-from ..util.wirecache import pickle_by_fields, wire_of
+from ..util.wirecache import wire_of
 from ..crypto.certificate import Certificate
 from ..crypto.digest import digest
 
@@ -79,7 +79,6 @@ class EncryptedBody:
         return f"<EncryptedBody {self.ciphertext_digest.hex()[:12]} size={self.size}>"
 
 
-@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class ClientRequest(Message):
     """``REQUEST`` message issued by a client.

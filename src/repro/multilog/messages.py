@@ -23,7 +23,7 @@ from ..messages.agreement import ConfigOperation
 from ..messages.request import ClientRequest
 from ..net.message import Message
 from ..util.ids import NodeId
-from ..util.wirecache import pickle_by_fields, wire_of
+from ..util.wirecache import wire_of
 
 #: marker-key kinds
 XS_MARKER = "xs"
@@ -100,7 +100,6 @@ def client_marker_key(request: ClientRequest) -> MarkerKey:
     return (XS_MARKER, request.client.name, request.timestamp)
 
 
-@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class CrossLogBindingBody(Message):
     """One log's binding of a marker to its own committed sequence number.

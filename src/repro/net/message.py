@@ -57,7 +57,7 @@ class Message(WireMemoised):
         size only: this is what the simulated network asks of the outermost
         message it carries, which nothing splices or digests and whose bytes
         repeat its children's.  The asyncio transport never asks: it counts
-        the frames it pickles.
+        the frames it encodes.
         """
         memo = wire_memo(self, "size")
         size = (memo.size if memo is not None

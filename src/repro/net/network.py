@@ -58,7 +58,7 @@ class NetworkStats:
 
     Every byte count is in the bytes of the backend that keeps it: the
     canonical wire size on the simulator, where it is computed anyway to
-    drive the bandwidth model; the length of the pickled frame on
+    drive the bandwidth model; the length of the codec frame on
     asyncio, where ``bytes_sent`` therefore equals
     ``TransportStats.bytes_on_wire`` and nothing is encoded to be measured.
     """

@@ -9,14 +9,15 @@ three simulated substrates with real ones:
   ``loop.call_later``;
 * **transport**: :class:`RealTimeNetwork` gives every registered node an
   asyncio TCP server on ``127.0.0.1`` and ships each message as a
-  length-prefixed pickled ``(sender, message)`` frame over a per-link
+  length-prefixed frame of the wire codec (:mod:`repro.net.codec`: the
+  sender's code, the message's class tag, its fields) over a per-link
   connection.  Both ends are protocol callbacks, so there is one hop from
   the wire to the handler: ``send`` writes the frame to the link's
   transport, and the receiving connection -- an ``asyncio.BufferedProtocol``
   whose reads all land in one preallocated buffer, see :class:`_Inbound` --
-  cuts what arrived into frames, unpickles each and calls the node's
+  cuts what arrived into frames, decodes each and calls the node's
   ``deliver`` before ``buffer_updated`` returns: no task switch, no queue
-  and no per-read allocation in between.  A multicast is pickled once, not
+  and no per-read allocation in between.  A multicast is encoded once, not
   once per destination.  **Every byte count of this backend is in frame
   bytes**: ``send`` counts the length of the frame it made (so
   ``NetworkStats.bytes_sent`` equals ``TransportStats.bytes_on_wire``), and
@@ -53,22 +54,36 @@ boundary-module docstrings in ``sim/`` and ``net/`` state):
 Deliberately **not** preserved: determinism (real scheduling and real
 sockets race; the simulator remains the substrate for tests and fuzzing)
 and the network fault model (``NetworkConfig`` delays/drops are simulation
-devices; here latency is the real localhost stack).  Transport trust:
-frames are ``pickle`` on a loopback socket, which is only safe because the
-transport is process-local test infrastructure -- the Byzantine threat
-model is enforced where it always was, by certificate verification at the
-protocol layer, never by the transport.  What the transport does guarantee
-is that bytes it cannot read cost one connection, not the node: a length
-prefix above ``MAX_FRAME_BYTES`` or a body that does not unpickle to a
-``(NodeId, Message)`` pair is counted (``TransportStats.frames_rejected``)
-and that connection closed.  The backlog of a link whose receiver is slow is
-still unbounded (it sits in the transport's write buffer).
+devices; here latency is the real localhost stack).
+
+Transport trust.  The Byzantine threat model is enforced where it always
+was, by certificate verification at the protocol layer; what the transport
+guarantees is narrower and holds for any bytes a peer writes:
+
+* decoding builds nothing but values of the codec's registered types --
+  no class, function or object the frame names by itself -- and accepts a
+  frame only if it decodes completely, canonically (it re-encodes to the
+  bytes received) and to a registered ``Message`` (see the codec's
+  docstring for what is checked);
+* a connection carries one sender: links are one per (source,
+  destination), so the first frame binds the connection to the sender it
+  names, and a later frame naming another is a forgery.  As on the
+  simulator, where ``sender`` is always the true source, one stream cannot
+  speak for several nodes (``handle_checkpoint_share``, for one, compares
+  ``sender`` with ``share.replica``).  Loopback connections are not
+  authenticated, so the first frame's sender is taken as named; that
+  authenticity still comes from the certificates;
+* bytes it cannot read cost one connection, not the node: a length prefix
+  above ``MAX_FRAME_BYTES``, a body the codec refuses or a second sender is
+  counted (``TransportStats.frames_rejected``) and that connection closed.
+
+The backlog of a link whose receiver is slow is still unbounded (it sits in
+the transport's write buffer).
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -78,7 +93,9 @@ from typing import (Any, Awaitable, Callable, Deque, Dict, List, Optional, Set,
 from ..config import SystemConfig
 from ..crypto.keys import Keystore
 from ..crypto.pool import CryptoPool, extract_verify_jobs, spin
-from ..errors import LivenessTimeoutError, NetworkError, SimulationError
+from ..errors import (DecodeError, LivenessTimeoutError, NetworkError,
+                      SimulationError)
+from ..net.codec import default_codec
 from ..net.message import Message
 from ..net.network import DROP, MessageTap, NetworkStats
 from ..net.topology import Topology
@@ -290,9 +307,10 @@ class TransportStats:
 
     frames_sent: int = 0
     frames_delivered: int = 0
-    #: frames a node could not read (over-long prefix, body that does not
-    #: unpickle to a ``(NodeId, Message)`` pair) or a sender refused to write
-    #: (longer than ``MAX_FRAME_BYTES``); each is dropped, never raised
+    #: frames a node could not read (over-long prefix, body the codec
+    #: refuses, a sender other than the connection's first) or a sender
+    #: refused to write (longer than ``MAX_FRAME_BYTES``); each is dropped,
+    #: never raised
     frames_rejected: int = 0
     bytes_on_wire: int = 0
     serialize_ms: float = 0.0
@@ -339,8 +357,8 @@ class _Inbound(asyncio.BufferedProtocol):
     Reads land in the process-wide ``_READ_BUFFER``.  That is safe because
     the loop calls ``get_buffer``, ``recv_into`` and ``buffer_updated`` back
     to back on its one thread, and ``buffer_updated`` has consumed what
-    arrived before it returns: every whole frame is unpickled (straight from
-    a slice of the buffer) and dispatched or, with the crypto pool on,
+    arrived before it returns: every whole frame is decoded (each field
+    copied out of the buffer) and dispatched or, with the crypto pool on,
     queued as the *decoded* message, so nothing reads the buffer after the
     callback.  What a read leaves unfinished is the connection's own: a
     frame whose length is known moves to ``_body``, a ``bytearray`` of that
@@ -356,6 +374,8 @@ class _Inbound(asyncio.BufferedProtocol):
         self._carry = b""
         self._body: Optional[bytearray] = None
         self._filled = 0
+        #: the sender the first frame named: one link carries one source
+        self.sender: Optional[NodeId] = None
         #: crypto pool on: decoded frames waiting, in order, for their
         #: pre-verification, and the task working through them
         self.pending: Deque[Tuple[NodeId, Message, int]] = deque()
@@ -444,6 +464,7 @@ class RealTimeNetwork:
         self.pool = pool
         self.keystore = keystore
         self.config = config
+        self.codec = default_codec()
         self._charge_scale = config.runtime.charge_scale if config else 0.0
         self._pooled = pool is not None and pool.enabled and keystore is not None
         self._processes: Dict[NodeId, Process] = {}
@@ -455,9 +476,9 @@ class RealTimeNetwork:
         self._unconnected: List[Tuple[_Outbound, NodeId]] = []
         self._inbound: Set[_Inbound] = set()
         self._tasks: Set[asyncio.Task] = set()
-        #: the last frame pickled: (source, message, dispatch stamp, bytes).
+        #: the last frame encoded: (source, message, dispatch stamp, bytes).
         #: A multicast sends one message object to every destination within
-        #: one dispatch, so it is pickled once; see :meth:`_frame`.
+        #: one dispatch, so it is encoded once; see :meth:`_frame`.
         self._last_frame: Tuple[Any, Any, int, bytes] = (None, None, -1, b"")
         self._closed = False
         scheduler.add_start_hook(self._start)
@@ -530,7 +551,7 @@ class RealTimeNetwork:
         link.write(frame)
 
     def _frame(self, source: NodeId, message: Message) -> bytes:
-        """The length-prefixed pickle of ``(source, message)``.
+        """The length-prefixed codec frame of ``message`` from ``source``.
 
         Remembers the last one by object identity, for the length of one
         dispatch (the stamp, as in ``AgreementReplica._prune_answered``):
@@ -545,7 +566,7 @@ class RealTimeNetwork:
                 and last_stamp == stamp):
             return frame
         started = time.perf_counter()
-        body = pickle.dumps((source, message), protocol=pickle.HIGHEST_PROTOCOL)
+        body = self.codec.encode_frame(source, message)
         self.transport.serialize_ms += (time.perf_counter() - started) * 1000.0
         frame = len(body).to_bytes(_HEADER, "big") + body
         self._last_frame = (source, message, stamp, frame)
@@ -602,14 +623,18 @@ class RealTimeNetwork:
 
     def _receive(self, connection: _Inbound,
                  body: Union[memoryview, bytearray]) -> bool:
-        """Decode one frame and pass it on; ``False`` if it cannot be read."""
+        """Decode one frame and pass it on; ``False`` if it cannot be read
+        or names another sender than the connection's first frame did."""
         started = time.perf_counter()
         try:
-            sender, message = pickle.loads(body)
-        except Exception:  # whatever unpickling bytes we did not write raises
+            sender, message = self.codec.decode_frame(body)
+        except DecodeError:
             return False
         self.transport.deserialize_ms += (time.perf_counter() - started) * 1000.0
-        if not isinstance(sender, NodeId) or not isinstance(message, Message):
+        bound = connection.sender
+        if bound is None:
+            connection.sender = sender
+        elif sender is not bound and sender != bound:
             return False
         size = _HEADER + len(body)
         if not self._pooled:

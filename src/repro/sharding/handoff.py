@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..core.execution import decode_reply_table, encode_reply_table
+from ..net.codec import decode_reply_table, encode_reply_table
 from .cut import Item, ShareExchange
 from .messages import MapChange, RangeFetch, RangeHandoff, handoff_payload
 from .rebalance import apply_map_change

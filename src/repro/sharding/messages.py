@@ -57,7 +57,7 @@ from ..messages.request import ClientRequest, EncryptedBody
 from ..net.message import Message
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
-from ..util.wirecache import pickle_by_fields, wire_of
+from ..util.wirecache import wire_of
 
 #: MapChange.kind values
 MAP_CHANGE_KINDS = ("split", "merge", "move")
@@ -340,7 +340,6 @@ class RangeHandoff(Message):
         return len(self.entries) + len(self.reply_table)
 
 
-@pickle_by_fields
 @dataclass(frozen=True, slots=True)
 class SubReplyBody(Message):
     """One shard's fragment of a cross-shard operation's result.

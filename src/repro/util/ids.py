@@ -11,19 +11,24 @@ execution cluster); the index is the column within the row.
 
 An id is consulted far more often than it is made: its name labels every MAC
 vector entry and every charged digest, its hash keys every per-node table,
-its order fixes every "deterministic signer order".  All three are pure
-functions of the three fields, so a :class:`NodeId` computes them once, when
-it is constructed or unpickled, and carries them beside the fields.  They are
-not part of its pickle: replies and range handoffs are pickled with the ids
-inside them, and those sizes feed checkpoint digests and virtual time, so the
-pickled bytes are exactly those of the three fields.
+its order fixes every "deterministic signer order", and its *wire code*
+stands for it in every frame and reply table (:mod:`repro.net.codec`).  All
+four are pure functions of the three fields, so a :class:`NodeId` computes
+them once, when it is constructed, and carries them beside the fields.
+
+The wire code is one unsigned 32-bit number: the role's position in
+:class:`Role` in the top four bits, ``row + 1`` (0 for no row) in the next
+eight and the index in the low twenty.  It is a bijection between codes and
+valid ids, so a decoder that reads a code rebuilds exactly the id that was
+written (:func:`node_of_code`); an id outside those ranges has no code and
+cannot be sent.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 
 class Role(enum.Enum):
@@ -41,6 +46,10 @@ class Role(enum.Enum):
 
 _SHORT = {"client": "C", "agreement": "A", "execution": "E", "firewall": "F",
           "server": "S"}
+_ROLES = tuple(Role)
+_ROLE_CODE = {role: position << 28 for position, role in enumerate(_ROLES)}
+_MAX_ROW = 0xFE
+_MAX_INDEX = 0xFFFFF
 
 
 @dataclass(frozen=True)
@@ -97,13 +106,9 @@ class NodeId:
         derived["name"] = f"{short}{index}" if row is None else f"{short}{row}.{index}"
         derived["_hash"] = hash((role, index, row))
         derived["_sort_key"] = (role._value_, -1 if row is None else row, index)
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"role": self.role, "index": self.index, "row": self.row}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._derive()
+        in_range = index <= _MAX_INDEX and (row is None or 0 <= row <= _MAX_ROW)
+        derived["_code"] = (_ROLE_CODE[role] | (0 if row is None else row + 1) << 20
+                            | index) if in_range else None
 
     def __hash__(self) -> int:
         return self._hash
@@ -113,6 +118,16 @@ class NodeId:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"NodeId({self.name})"
+
+
+def node_of_code(code: int) -> NodeId:
+    """The id whose wire code is ``code``; ``ValueError`` if there is none
+    (a role position past :class:`Role`, or a row where the role has none
+    or none where it needs one -- the last two by ``__post_init__``)."""
+    position, row = code >> 28, (code >> 20) & 0xFF
+    if position >= len(_ROLES):
+        raise ValueError(f"no role at position {position}")
+    return NodeId(_ROLES[position], code & _MAX_INDEX, None if row == 0 else row - 1)
 
 
 def make_node_id(role: Role, index: int, row: Optional[int] = None) -> NodeId:

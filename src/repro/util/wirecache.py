@@ -14,9 +14,9 @@ messages and certificates one slot holding a :class:`WireMemo` (the size,
 the digest once somebody asked for it, the nodes already charged for it,
 and -- for a while -- the encoded bytes).  The memo therefore lives exactly
 as long as the object and pins nothing: a message the protocol has dropped
-is freed at once.  It is never pickled -- frames and checkpoints carry
-fields only, so a receiver encodes what it received itself and a peer's
-idea of a message's bytes or digest is never trusted.
+is freed at once.  It never travels -- frames and checkpoints carry fields
+only (:mod:`repro.net.codec`), so a receiver encodes what it received
+itself and a peer's idea of a message's bytes or digest is never trusted.
 
 **How long the bytes are kept.**  Bytes are what memory goes on, and they
 are wanted for one thing only: to be spliced into a parent, which happens
@@ -60,8 +60,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import fields
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Deque, Optional, Set
 
 from .encoding import Spliced, canonical_encode
 
@@ -143,37 +142,11 @@ class WireCache:
 WIRE_CACHE = WireCache()
 
 
-def pickle_by_fields(cls):
-    """Class decorator (outside ``@dataclass(frozen=True, slots=True)``):
-    pickle state is the list of field values, read through a tuple of names
-    made once per class.
-
-    The stdlib gives such classes the same state (so the bytes do not
-    change: checkpoint digests are taken over pickled reply tables) but
-    finds the names with ``dataclasses.fields(self)`` for every object of
-    every frame.
-    """
-    names = tuple(field.name for field in fields(cls))
-    set_slot = object.__setattr__  # the class is frozen
-
-    def __getstate__(self) -> List[Any]:
-        return [getattr(self, name) for name in names]
-
-    def __setstate__(self, state: List[Any]) -> None:
-        for name, value in zip(names, state):
-            set_slot(self, name, value)
-
-    cls.__getstate__ = __getstate__
-    cls.__setstate__ = __setstate__
-    return cls
-
-
 class WireMemoised:
     """Base of objects whose ``to_wire()`` encoding is memoised on themselves.
 
-    Subclasses either keep a ``__dict__`` or are frozen ``slots=True``
-    dataclasses (whose ``__getstate__`` lists fields only, see
-    :func:`pickle_by_fields`), so the memo is never part of a pickle.
+    The memo is a slot, not a field: the wire codec carries fields only
+    (:mod:`repro.net.codec`), so it never travels.
     """
 
     __slots__ = ("_wire",)
@@ -182,9 +155,6 @@ class WireMemoised:
         """Canonical encoding of ``to_wire()`` (what a parent splices in)."""
         memo = wire_memo(self, "bytes", count=False)
         return memo.data if memo is not None else canonical_encode(self.to_wire())
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return self.__dict__
 
 
 def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[WireMemo]:

@@ -1,8 +1,8 @@
 """Tests for message formats, encrypted bodies, and nondeterminism handling."""
 
 import gc
-import pickle
 import weakref
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,7 @@ from repro.messages.checkpoint import (
 )
 from repro.messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
 from repro.messages.request import ClientRequest, EncryptedBody, RequestEnvelope
+from repro.net.codec import default_codec
 from repro.multilog.messages import (
     CrossLogBinding,
     CrossLogBindingBody,
@@ -223,23 +224,23 @@ class TestClientViewOfABundle:
             swapped[index], swapped[sibling] = swapped[sibling], swapped[index]
             assert rejected(swapped)
 
-    def test_pickled_client_reply_leaves_the_siblings_out(self):
+    def test_client_reply_frame_leaves_the_siblings_out(self):
         """What the asyncio backend puts on the wire for one client of a
         bundle of eight 4 KB results (every sibling's result used to ride
         along: ~33 KB)."""
         keystore = Keystore()
+        codec = default_codec()
         body = _bundle([f"{index:04d}".ljust(4096, "x") for index in range(8)])
         certificate = _certified(body, keystore)
-        full = pickle.dumps(BatchReply(seq=7, certificate=certificate,
-                                       sender=execution_id(0)),
-                            protocol=pickle.HIGHEST_PROTOCOL)
+        full = codec.encode_frame(execution_id(0), BatchReply(
+            seq=7, certificate=certificate, sender=execution_id(0)))
         assert len(full) > 8 * 4096
         message = ClientReply(certificate.with_payload(body.view_for(client_id(3))))
-        frame = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = codec.encode_frame(execution_id(0), message)
         assert len(frame) < 8 * 1024
         for index in range(8):
             assert (f"{index:04d}xxxx".encode() in frame) == (index == 3)
-        received = pickle.loads(frame)
+        _, received = codec.decode_frame(frame)
         assert received.body.reply_for(client_id(3)).result.value == body.replies[3].result.value
         assert len(CryptoProvider(client_id(3), keystore).valid_signers(
             received.certificate)) == 2
@@ -276,8 +277,10 @@ class TestClientViewOfABundle:
         assert BatchReply(seq=7, certificate=_certified(single, keystore).with_payload(
             single.view_for(client_id(0))), sender=execution_id(0)).well_formed
         # the bodiless frame holds no result at all
-        frame = pickle.dumps(message(bodiless), protocol=pickle.HIGHEST_PROTOCOL)
-        assert b"OperationResult" not in frame
+        codec = default_codec()
+        frame = codec.encode_frame(execution_id(0), message(bodiless))
+        received = codec.decode_frame(frame)[1].body
+        assert received.replies == bodiless.replies and received.carried == ()
 
 
 class TestOrderedBatch:
@@ -604,64 +607,6 @@ class TestGoldenWireForms:
             WIRE_CACHE.configure(enabled=True)
 
 
-#: ``(length, sha256)`` of ``pickle.dumps(obj, HIGHEST_PROTOCOL)`` for one
-#: instance of every frozen ``slots=True`` class, computed while they still
-#: had the stdlib's ``fields()``-walking ``__getstate__``.  Frames, handoffs
-#: and the reply tables under checkpoint digests are pickles of these, so
-#: ``pickle_by_fields`` may change how fast the state is listed, not the
-#: bytes.  (``Authenticator`` is the one inside the golden ``CrossShardVote``.)
-GOLDEN_SLOTTED_PICKLES = {
-    "Authenticator": (361, "049a871cdd76c47ecdec3151f02983b50be179f04ef8cd54628260c1e7168ba7"),
-    "ClientRequest": (319, "b24732670b46cb68035fa2f1cb7216b4d16cfbd466ceef4cd493fc2c50c793b4"),
-    "ReplyBody": (274, "558eeda177d1df48e38fe89f1cc97e1db49142ae092156082b78aaa47854f129"),
-    "BatchReplyBody": (529, "d94b5615be4d7ff450d72afc997b505878577045291c961e713de7e52da093e8"),
-    "SubReplyBody": (188, "db23f8e07ad859d4f2e1fd77ecd860a4b2fa23bc8337c1c2008d410ecce023d4"),
-    "CrossLogBindingBody": (85, "2b519e7be7db98ba4b95cd2814f00a3d0e80dc529c3d48095f0d1a40d28b9943"),
-}
-
-
-class TestSlottedPickles:
-    @pytest.fixture(scope="class")
-    def instances(self):
-        messages = golden_messages()
-        return {"Authenticator": messages["CrossShardVote"].authenticator,
-                **{name: messages[name] for name in GOLDEN_SLOTTED_PICKLES
-                   if name != "Authenticator"}}
-
-    def test_every_slotted_dataclass_is_in_the_table(self):
-        import dataclasses
-        import importlib
-        import pkgutil
-
-        import repro
-
-        slotted = set()
-        for info in pkgutil.walk_packages(repro.__path__, "repro."):
-            module = importlib.import_module(info.name)
-            for name, cls in vars(module).items():
-                if (dataclasses.is_dataclass(cls) and isinstance(cls, type)
-                        and cls.__module__ == module.__name__
-                        and "__slots__" in vars(cls)
-                        and cls.__dataclass_params__.frozen):
-                    slotted.add(name)
-        assert slotted == set(GOLDEN_SLOTTED_PICKLES)
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN_SLOTTED_PICKLES))
-    def test_pickled_bytes_are_the_stdlib_ones(self, instances, name):
-        import hashlib
-
-        instance = instances[name]
-        pickled = pickle.dumps(instance, protocol=pickle.HIGHEST_PROTOCOL)
-        assert (len(pickled), hashlib.sha256(pickled).hexdigest()) == \
-            GOLDEN_SLOTTED_PICKLES[name]
-        copy = pickle.loads(pickled)
-        assert type(copy) is type(instance)
-        assert pickle.dumps(copy, protocol=pickle.HIGHEST_PROTOCOL) == pickled
-        # the hooks are the per-class ones, not the stdlib's fields() walkers
-        assert type(instance).__getstate__.__module__ == "repro.util.wirecache"
-        assert type(instance).__setstate__.__module__ == "repro.util.wirecache"
-
-
 class TestWireMemo:
     def _certificate(self):
         keystore = Keystore()
@@ -703,17 +648,18 @@ class TestWireMemo:
         # ``N`` becomes ``b`` + an 8-byte length + the 32 bytes
         assert cert.wire_size() == size - 1 + (1 + 8 + 32)
 
-    def test_pickle_carries_no_memo(self):
+    def test_frames_carry_no_memo(self):
         _, cert = self._certificate()
+        codec = default_codec()
         for message in (cert.payload,                       # slotted dataclass
                         RequestEnvelope(certificate=cert),  # dataclass with a dict
                         cert):                              # mutable certificate
-            before = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+            before = codec.encode(Any, message)
             encoded = message.encoded()
             assert message._wire.data == encoded
-            after = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-            assert len(after) == len(before)
-            copy = pickle.loads(after)
+            after = codec.encode(Any, message)
+            assert after == before
+            copy = codec.decode(Any, after)
             assert copy == message
             assert getattr(copy, "_wire", None) is None
             # the receiver's own encoding of what it received is the same

@@ -15,14 +15,12 @@ import asyncio
 import dataclasses
 import gc
 import logging
-import pickle
 import socket
 import tracemalloc
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import cycle, zip_longest
-from types import SimpleNamespace
 
 import pytest
 
@@ -42,6 +40,7 @@ from repro.crypto.provider import CryptoProvider
 from repro.crypto.keys import Keystore
 from repro.errors import ConfigurationError, LivenessTimeoutError, SimulationError
 from repro.messages.reply import ClientReply
+from repro.net.codec import default_codec
 from repro.net.message import Message
 from repro.net.network import DROP
 from repro.runtime import SimRuntime, asyncio_rt, build_runtime
@@ -52,6 +51,7 @@ from repro.runtime.asyncio_rt import (
     _Inbound,
 )
 from repro.sim.process import Process
+from repro.statemachine.interface import Operation
 from repro.util.ids import agreement_id, client_id, execution_id, server_id
 
 
@@ -304,6 +304,10 @@ class _Padded(_Numbered):
     padding: bytes = b""
 
 
+default_codec().register(_Numbered, 250)
+default_codec().register(_Padded, 251)
+
+
 class _Recording(Process):
     def __init__(self, node_id, scheduler):
         super().__init__(node_id, scheduler)
@@ -318,7 +322,7 @@ class _Recording(Process):
 
 
 def _frame(sender, message) -> bytes:
-    body = pickle.dumps((sender, message), protocol=pickle.HIGHEST_PROTOCOL)
+    body = default_codec().encode_frame(sender, message)
     return len(body).to_bytes(4, "big") + body
 
 
@@ -491,11 +495,9 @@ class TestTransport:
         assert [node.numbers for node in receivers] == [[1], [2], []]
         assert runtime.network.transport.frames_sent == 2
 
-    def test_a_multicast_is_pickled_once(self, monkeypatch):
-        """One ``pickle.dumps`` per distinct ``(source, message)`` of a
-        fault-free commit, while every destination still gets its frame.
-        The substitute module has the three names the ledger's tracer
-        provides, so the transport may use no others."""
+    def test_a_multicast_is_encoded_once(self, monkeypatch):
+        """One ``encode_frame`` per distinct ``(source, message)`` of a
+        fault-free commit, while every destination still gets its frame."""
         timers = TimerConfig(client_retransmit_ms=5_000.0,
                              agreement_retransmit_ms=2_000.0)
         system = SeparatedSystem(
@@ -504,15 +506,15 @@ class TestTransport:
         try:
             system.invoke(put("warm", "up"), timeout_ms=30_000)
             system.run(30.0)
-            sent, dumped = [], []
+            sent, encoded = [], []
+            codec = system.network.codec
+            encode_frame = codec.encode_frame
 
-            def dumps(obj, protocol):
-                dumped.append(obj)
-                return pickle.dumps(obj, protocol=protocol)
+            def counting(source, message):
+                encoded.append((source, message))
+                return encode_frame(source, message)
 
-            monkeypatch.setattr(asyncio_rt, "pickle", SimpleNamespace(
-                dumps=dumps, loads=pickle.loads,
-                HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+            monkeypatch.setattr(codec, "encode_frame", counting)
             system.network.add_tap(
                 lambda source, destination, message: sent.append((source, message)))
             frames = system.network.transport.frames_sent
@@ -523,7 +525,7 @@ class TestTransport:
             # 19: each execution replica sends two reply objects upstream,
             # the bundle to the primary and one bodiless form multicast to
             # the three backups.
-            assert len(dumped) == len(distinct) == 19
+            assert len(encoded) == len(distinct) == 19
             assert system.network.transport.frames_delivered == \
                 system.network.transport.frames_sent
         finally:
@@ -593,11 +595,17 @@ class TestTransport:
     def test_unreadable_frames_cost_one_connection_not_the_node(self):
         system = SeparatedSystem(make_config(runtime=_runtime_config("asyncio")),
                                  KeyValueStore, seed=6)
+        codec = default_codec()
+        not_a_message = (client_id(0)._code.to_bytes(4, "little")
+                         + bytes([codec.tag_of(Operation)])
+                         + codec.encode(Operation, put("c", "3")))
+        trailing = codec.encode_frame(client_id(0), _Numbered(1)) + b"\x00"
         junk = [
-            b"\x00\x00\x00\x05hello",                        # body is no pickle
-            _frame(1, 2),                                      # no (NodeId, Message)
+            b"\x00\x00\x00\x05hello",                        # body is no frame
+            len(not_a_message).to_bytes(4, "big") + not_a_message,
             (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"x",   # over-long prefix
             _frame(client_id(0), _Numbered(1)) + b"\xff\xff\xff\xff",
+            len(trailing).to_bytes(4, "big") + trailing,       # a byte too many
         ]
         try:
             system.invoke(put("a", "1"), timeout_ms=30_000)
@@ -613,6 +621,30 @@ class TestTransport:
             assert states[0] == states[1] == states[2] == {"a": "1", "b": "2"}
         finally:
             system.close()
+
+    def test_a_connection_carries_one_sender(self, runtime):
+        """Links are one per (source, destination), so a frame naming
+        another sender than the connection's first one is a forgery: it is
+        rejected and that connection closed, and the node reads on."""
+        sender, receiver = _nodes(runtime, 2)
+        sender.send(receiver.node_id, _Numbered(0))
+        runtime.run_until(lambda: receiver.numbers == [0], 30_000.0)
+        port = runtime.network._ports[receiver.node_id]
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(_frame(client_id(0), _Numbered(1))
+                         + _frame(client_id(0), _Numbered(2))
+                         + _frame(sender.node_id, _Numbered(3))
+                         + _frame(client_id(0), _Numbered(4)))
+            runtime.run_until(
+                lambda: runtime.network.transport.frames_rejected == 1, 30_000.0)
+            runtime.run(runtime.scheduler.now + 20.0)
+            sock.settimeout(10.0)
+            assert sock.recv(1) == b""          # closed by the receiver
+        assert receiver.numbers == [0, 1, 2]
+        assert [type(m) for m in receiver.messages] == [_Numbered] * 3
+        sender.send(receiver.node_id, _Numbered(5))
+        runtime.run_until(lambda: receiver.numbers == [0, 1, 2, 5], 30_000.0)
+        assert runtime.network.transport.frames_rejected == 1
 
     def test_over_long_message_is_refused_by_the_sender(self, runtime, monkeypatch):
         """The receiver would close the link on it, and every later message

@@ -3,7 +3,6 @@ the sequence-number table."""
 
 import dataclasses
 import enum
-import pickle
 import struct
 from collections import OrderedDict, namedtuple
 from operator import itemgetter
@@ -20,6 +19,7 @@ from repro.util.ids import (
     client_id,
     execution_id,
     firewall_id,
+    node_of_code,
     server_id,
 )
 from repro.util.quorum import (
@@ -79,66 +79,45 @@ class TestNodeIds:
             node.name = "A0"
 
 
-#: ``pickle.dumps(node, protocol=4)`` after the two header bytes, taken at the
-#: commit before the name, hash and sort key were cached on the id.  Replies
-#: and range handoffs are pickled with ids inside them and those sizes feed
-#: checkpoint digests and virtual time, so these bytes must not move.
-GOLDEN_PICKLES = {
-    client_id(3): (
-        b"\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.util.ids\x94\x8c\x06NodeId"
-        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04role\x94h\x00\x8c\x04Role\x94\x93\x94"
-        b"\x8c\x06client\x94\x85\x94R\x94\x8c\x05index\x94K\x03\x8c\x03row\x94Nub."),
-    agreement_id(0): (
-        b"\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.util.ids\x94\x8c\x06NodeId"
-        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04role\x94h\x00\x8c\x04Role\x94\x93\x94"
-        b"\x8c\tagreement\x94\x85\x94R\x94\x8c\x05index\x94K\x00\x8c\x03row\x94Nub."),
-    execution_id(2): (
-        b"\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.util.ids\x94\x8c\x06NodeId"
-        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04role\x94h\x00\x8c\x04Role\x94\x93\x94"
-        b"\x8c\texecution\x94\x85\x94R\x94\x8c\x05index\x94K\x02\x8c\x03row\x94Nub."),
-    firewall_id(1, 0): (
-        b"\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.util.ids\x94\x8c\x06NodeId"
-        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04role\x94h\x00\x8c\x04Role\x94\x93\x94"
-        b"\x8c\x08firewall\x94\x85\x94R\x94\x8c\x05index\x94K\x00\x8c\x03row\x94K\x01ub."),
-    server_id(): (
-        b"\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x0erepro.util.ids\x94\x8c\x06NodeId"
-        b"\x94\x93\x94)\x81\x94}\x94(\x8c\x04role\x94h\x00\x8c\x04Role\x94\x93\x94"
-        b"\x8c\x06server\x94\x85\x94R\x94\x8c\x05index\x94K\x00\x8c\x03row\x94Nub."),
+#: the wire code of each id (role position, row + 1, index: see
+#: ``repro.util.ids``): frames and reply tables name ids by it, and the
+#: reply tables sit under checkpoint digests, so these must not move
+GOLDEN_CODES = {
+    client_id(3): 0x00000003,
+    agreement_id(0): 0x10000000,
+    execution_id(2): 0x20000002,
+    firewall_id(1, 0): 0x30200000,
+    server_id(): 0x40000000,
 }
-#: five ids in one pickle: the field names and the classes are written once
-#: and referred to afterwards, which a hand-built state dict could break
-GOLDEN_PICKLED_LIST = (
-    b"\x80\x04\x95\xea\x00\x00\x00\x00\x00\x00\x00]\x94(\x8c\x0erepro.util.ids\x94"
-    b"\x8c\x06NodeId\x94\x93\x94)\x81\x94}\x94(\x8c\x04role\x94h\x01\x8c\x04Role\x94"
-    b"\x93\x94\x8c\x06client\x94\x85\x94R\x94\x8c\x05index\x94K\x03\x8c\x03row\x94Nub"
-    b"h\x03)\x81\x94}\x94(h\x06h\x08\x8c\tagreement\x94\x85\x94R\x94h\x0cK\x00h\rNub"
-    b"h\x03)\x81\x94}\x94(h\x06h\x08\x8c\texecution\x94\x85\x94R\x94h\x0cK\x02h\rNub"
-    b"h\x03)\x81\x94}\x94(h\x06h\x08\x8c\x08firewall\x94\x85\x94R\x94h\x0cK\x00h\rK"
-    b"\x01ubh\x03)\x81\x94}\x94(h\x06h\x08\x8c\x06server\x94\x85\x94R\x94h\x0cK\x00h\rN"
-    b"ube.")
 
 
-class TestNodeIdPickle:
-    @pytest.mark.parametrize("protocol", sorted({pickle.DEFAULT_PROTOCOL,
-                                                 pickle.HIGHEST_PROTOCOL}))
-    @pytest.mark.parametrize("node", list(GOLDEN_PICKLES), ids=lambda n: n.name)
-    def test_pickled_bytes_are_the_three_fields(self, node, protocol):
-        pickled = pickle.dumps(node, protocol=protocol)
-        assert pickled == bytes([0x80, protocol]) + GOLDEN_PICKLES[node]
-        copy = pickle.loads(pickled)
-        assert pickle.dumps(copy, protocol=protocol) == pickled
+class TestNodeIdWireCode:
+    @pytest.mark.parametrize("node", list(GOLDEN_CODES), ids=lambda n: n.name)
+    def test_code_is_the_three_fields(self, node):
+        assert node._code == GOLDEN_CODES[node]
+        assert node_of_code(node._code) == node
 
-    def test_ids_sharing_one_pickle(self):
-        assert pickle.dumps(list(GOLDEN_PICKLES), protocol=4) == GOLDEN_PICKLED_LIST
+    def test_ids_outside_the_code_ranges_have_none(self):
+        assert client_id(0xFFFFF)._code == 0xFFFFF
+        assert client_id(0x100000)._code is None
+        assert firewall_id(0xFE, 0)._code == 0x3FF00000
+        assert firewall_id(0xFF, 0)._code is None
 
-    @pytest.mark.parametrize("node", list(GOLDEN_PICKLES), ids=lambda n: n.name)
-    def test_unpickled_id_is_interchangeable_with_a_constructed_one(self, node):
-        copy = pickle.loads(pickle.dumps(node))
+    @pytest.mark.parametrize("code", [0x50000000, 0xF0000000,   # no such role
+                                      0x00100000,                # row on a client
+                                      0x30000001])               # firewall, no row
+    def test_a_code_of_no_id_is_refused(self, code):
+        with pytest.raises(ValueError):
+            node_of_code(code)
+
+    @pytest.mark.parametrize("node", list(GOLDEN_CODES), ids=lambda n: n.name)
+    def test_decoded_id_is_interchangeable_with_a_constructed_one(self, node):
+        copy = node_of_code(node._code)
         assert copy is not node and copy == node
         assert copy.name == node.name
         assert hash(copy) == hash(node) == hash((node.role, node.index, node.row))
         assert {node: 1}[copy] == 1
-        others = list(GOLDEN_PICKLES) + [agreement_id(1), firewall_id(0, 1)]
+        others = list(GOLDEN_CODES) + [agreement_id(1), firewall_id(0, 1)]
         assert sorted(others + [copy]) == sorted(others + [node])
         assert not copy < node and copy <= node and copy >= node
 
