@@ -16,7 +16,7 @@ is its own voter) and the unreplicated server (quorum of one), configured by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
@@ -43,6 +43,10 @@ class CompletedRequest:
     completed_at_ms: float
     seq: int
     view: int
+    #: for a cross-shard operation under multi-log ordering, ``(shard,
+    #: log)`` for each touched shard: the log that ordered the marker at
+    #: that shard's feed, as the shard's certified fragment says
+    groups: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def latency_ms(self) -> float:
@@ -165,13 +169,7 @@ class ClientNode(Process):
         pending = self._pending
         if pending is None or pending.timestamp != timestamp:
             return
-        # Retransmissions go to every agreement node and ask all of them to reply.
-        retry_request = ClientRequest(
-            operation=pending.envelope.request.operation,
-            timestamp=pending.timestamp, client=self.node_id, all_replicas=True)
-        certificate = self.crypto.new_certificate(
-            retry_request, AuthenticationScheme.MAC, self.request_verifiers)
-        pending.envelope = RequestEnvelope(certificate=certificate)
+        # A retransmission is the same signed request, to every agreement node.
         self.multicast(self.agreement_ids, pending.envelope)
         self.retransmissions += 1
         pending.retransmissions += 1
@@ -228,12 +226,14 @@ class ClientNode(Process):
             return collector
         return None
 
-    def _complete(self, pending: _PendingRequest, reply, body: BatchReplyBody) -> None:
+    def _complete(self, pending: _PendingRequest, reply, body: BatchReplyBody,
+                  groups: Tuple[Tuple[int, int], ...] = ()) -> None:
         result = reply.result_for(Role.CLIENT)
         record = CompletedRequest(
             timestamp=pending.timestamp, operation=pending.operation,
             result=result, issued_at_ms=pending.issued_at_ms,
             completed_at_ms=self.now, seq=reply.seq, view=reply.view,
+            groups=groups,
         )
         self.completed.append(record)
         if self.tracing:

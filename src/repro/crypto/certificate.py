@@ -20,7 +20,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 from ..config import AuthenticationScheme
 from ..errors import CertificateError
 from ..util.ids import NodeId
-from ..util.wirecache import WireMemoised, wire_of
+from ..util.wirecache import WireMemoised
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,7 +29,7 @@ class Authenticator(WireMemoised):
 
     One authenticator rides in several certificates (a reply's is in the
     bundle's, the bodiless form's and each client's view), so its encoding
-    is memoised like a message's; frames carry the fields only.
+    is memoised like a message's.
 
     ``token`` is scheme-dependent:
 
@@ -49,23 +49,13 @@ class Authenticator(WireMemoised):
         """Whether this authenticator was produced over ``payload_digest``."""
         return self.payload_digest == payload_digest
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Canonical-encodable representation (used when a certificate is
-        embedded inside another authenticated message)."""
-        return {
-            "signer": self.signer.name,
-            "scheme": self.scheme.value,
-            "payload_digest": self.payload_digest,
-            "token": self.token,
-        }
-
 
 @dataclass
 class Certificate(WireMemoised):
     """A payload plus the authenticators collected for it.
 
-    The payload may be any canonical-encodable value; protocol code normally
-    stores a :class:`~repro.net.message.Message`.  For threshold-signed
+    The payload may be any value the wire codec can encode; protocol code
+    normally stores a :class:`~repro.net.message.Message`.  For threshold-signed
     certificates the individual shares are replaced (or complemented) by a
     single ``threshold_signature`` representing the whole group.
 
@@ -139,21 +129,6 @@ class Certificate(WireMemoised):
 
     def has_threshold_signature(self) -> bool:
         return self.threshold_signature is not None
-
-    def to_wire(self) -> Dict[str, Any]:
-        """Canonical-encodable representation of the certificate."""
-        payload = wire_of(self.payload) if hasattr(self.payload, "to_wire") else self.payload
-        return {
-            "payload": payload,
-            "scheme": self.scheme.value,
-            "authenticators": [wire_of(a) for a in self.authenticator_list()],
-            "threshold_group": self.threshold_group,
-            "threshold_signature": self.threshold_signature,
-        }
-
-    def wire_size(self) -> int:
-        """Estimated size of this certificate on the wire."""
-        return len(self.encoded()) + getattr(self.payload, "padding_bytes", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         signer_names = ",".join(sorted(s.name for s in self.authenticators))

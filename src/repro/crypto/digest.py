@@ -1,9 +1,11 @@
 """Cryptographic digests and the MAC primitive.
 
 The paper assumes a collision- and preimage-resistant digest function (SHA-1
-in 2003); we use SHA-256.  Digests are computed over the canonical encoding
-of protocol values so that all correct nodes derive identical digests from
-identical logical messages.
+in 2003); we use SHA-256.  Digests are computed over the wire codec's
+encoding of protocol values (:func:`repro.util.encoding.canonical_encode`),
+which has one encoding per value, so all correct nodes derive identical
+digests from identical logical messages -- and a node digests the very bytes
+a frame carries.
 
 :func:`mac` is the one keyed primitive: MAC entries, the simulated
 signatures and shares, the pool's verification jobs and the key schedule all
@@ -17,19 +19,24 @@ import hmac
 from typing import Any
 
 from ..util.encoding import canonical_encode
+from ..util.wirecache import WireMemoised, wire_digest
 
 DIGEST_SIZE = 32
 
 
 def digest(value: Any) -> bytes:
-    """Return the SHA-256 digest of ``value``'s canonical encoding.
+    """Return the SHA-256 digest of ``value``'s encoding.
 
     ``bytes`` values are hashed as they are (``bytearray`` and
-    ``memoryview`` after a copy); anything else is first passed through
+    ``memoryview`` after a copy); a message, certificate or authenticator
+    through its memo (:func:`repro.util.wirecache.wire_digest`); anything
+    else is first passed through
     :func:`repro.util.encoding.canonical_encode`.
     """
     if isinstance(value, (bytearray, memoryview)):
         value = bytes(value)
+    elif isinstance(value, WireMemoised):
+        return wire_digest(value)
     elif not isinstance(value, bytes):
         value = canonical_encode(value)
     return hashlib.sha256(value).digest()

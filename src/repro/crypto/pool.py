@@ -91,14 +91,14 @@ def _payload_digest(payload: Any) -> bytes:
     """The digest a :class:`CryptoProvider` would compute for ``payload``.
 
     Uses the same per-message memo (protocol messages are immutable) and
-    the same canonical encoding, so the cache keys built from it are
+    the same encoding, so the cache keys built from it are
     byte-identical to the ones the destination node will look up.
     Charges nothing: the node still pays its own digest cost inline.
     """
     memo = wire_memo(payload, "digest") if isinstance(payload, Message) else None
     if memo is not None:
         return memo.digest
-    return digest(payload.to_wire() if hasattr(payload, "to_wire") else payload)
+    return digest(payload)
 
 
 def iter_certificates(obj: Any, _depth: int = 0) -> Iterator[Certificate]:

@@ -102,8 +102,7 @@ class CryptoProvider:
             self._record("digest")
             return memo.digest
         size = payload.wire_size() if hasattr(payload, "wire_size") else None
-        return self.digest(payload.to_wire() if hasattr(payload, "to_wire") else payload,
-                           size_hint=size)
+        return self.digest(payload, size_hint=size)
 
     # ------------------------------------------------------------------ #
     # MAC authenticators.

@@ -95,7 +95,7 @@ class ConfidentialityAuditor:
                         source=source, destination=destination, seq=body.seq,
                         description="plaintext reply body crossed the firewall boundary",
                     ))
-                    result_digest = digest(reply.result.to_wire())
+                    result_digest = digest(reply.result)
                 else:
                     result_digest = reply.result.ciphertext_digest
                 self.reply_observations.append(ReplyObservation(

@@ -44,6 +44,7 @@ from ..util.ids import Role
 from ..workloads.crossshard import (
     audit_cross_group_consistency,
     audit_snapshot_consistency,
+    reads_under_no_log_map,
 )
 
 
@@ -254,7 +255,10 @@ class SnapshotConsistencyOracle(Oracle):
     On a multi-log system the untorn promise is *per log group*:
     independent agreement logs may order two concurrent cross-group
     markers inversely (serialising them is the deferred MVBA cut-ordering
-    follow-up), so only stamps served by shards of one log must agree.
+    follow-up), so only stamps served by shards of one log must agree --
+    one log under the log map the read executed under, which a log-map
+    change may have replaced since.  A read whose fragments name groups
+    that no log map had is a violation of its own.
     """
 
     name = "snapshot-consistency"
@@ -269,12 +273,21 @@ class SnapshotConsistencyOracle(Oracle):
                     return None
                 return partitioner.shard_of_key(key)
 
+            registry = system.log_registry
             audit = audit_cross_group_consistency(
                 system.clients, shard_of_key=shard_of_key,
-                log_of_shard=system.log_registry.log_of)
+                log_of_shard=registry.log_of)
+            stray = reads_under_no_log_map(
+                system.clients, [registry.map_for(epoch).assignment
+                                 for epoch in range(registry.latest_epoch + 1)])
         else:
             audit = audit_snapshot_consistency(system.clients)
+            stray = 0
         violations: List[OracleViolation] = []
+        if stray:
+            violations.append(self._violation(
+                f"{stray} multi-shard reads were served by log groups no "
+                "log map had (a read torn across log epochs)"))
         if audit.torn_reads:
             violations.append(self._violation(
                 f"{audit.torn_reads}/{audit.audited_reads} multi-shard "

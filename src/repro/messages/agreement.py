@@ -15,14 +15,18 @@ the two artefacts the rest of the system consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 from ..crypto.certificate import Authenticator, Certificate
 from ..net.message import Message
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
-from ..util.wirecache import wire_of
+
+
+def body_bytes(certificates: Tuple[Certificate, ...]) -> int:
+    """The body bytes the requests of ``certificates`` model."""
+    return sum(getattr(cert.payload, "padding_bytes", 0) for cert in certificates)
 
 
 class ConfigOperation(Message):
@@ -51,14 +55,6 @@ class AgreementCertBody(Message):
     batch_digest: bytes
     nondet: NonDetInput
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "n": self.seq,
-            "d": self.batch_digest,
-            "nondet": wire_of(self.nondet),
-        }
-
 
 @dataclass(frozen=True)
 class PrePrepare(Message):
@@ -71,18 +67,9 @@ class PrePrepare(Message):
     nondet: NonDetInput
     primary: NodeId
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "n": self.seq,
-            "d": self.batch_digest,
-            "nondet": wire_of(self.nondet),
-            "primary": self.primary.name,
-        }
-
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        return sum(cert.wire_size() for cert in self.requests)
+        return body_bytes(self.requests)
 
 
 @dataclass(frozen=True)
@@ -93,14 +80,6 @@ class Prepare(Message):
     seq: int
     batch_digest: bytes
     replica: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "n": self.seq,
-            "d": self.batch_digest,
-            "i": self.replica.name,
-        }
 
 
 @dataclass(frozen=True)
@@ -119,14 +98,6 @@ class CommitMsg(Message):
     replica: NodeId
     cert_authenticator: Optional["Authenticator"] = None
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "n": self.seq,
-            "d": self.batch_digest,
-            "i": self.replica.name,
-        }
-
 
 @dataclass(frozen=True)
 class AgreementCheckpoint(Message):
@@ -136,23 +107,14 @@ class AgreementCheckpoint(Message):
     (for the message queue: per-shard sequence frontiers and the epoch
     cursor), so a replica that fell behind the stable checkpoint can adopt
     it from any vote matching the certified digest (PBFT state transfer).
-    It rides outside the authenticated fields: its integrity comes from
-    recomputing ``state_digest`` over the claimed state at the receiver,
-    not from the vote's authenticator, so the authenticated bytes are those
-    of a plain checkpoint vote.
+    Its integrity comes from recomputing ``state_digest`` over the claimed
+    state at the receiver.
     """
 
     seq: int
     state_digest: bytes
     replica: NodeId
     sync_state: Tuple[Tuple[str, Any], ...] = ()
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "n": self.seq,
-            "d": self.state_digest,
-            "i": self.replica.name,
-        }
 
 
 @dataclass(frozen=True)
@@ -165,12 +127,9 @@ class PreparedProof(Message):
     requests: Tuple[Certificate, ...]
     nondet: NonDetInput
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "n": self.seq,
-            "d": self.batch_digest,
-        }
+    @property
+    def padding_bytes(self) -> int:  # type: ignore[override]
+        return body_bytes(self.requests)
 
 
 @dataclass(frozen=True)
@@ -195,16 +154,9 @@ class ViewChange(Message):
     replica: NodeId
     planned: bool = False
 
-    def payload_fields(self) -> Dict[str, Any]:
-        fields = {
-            "v": self.new_view,
-            "h": self.last_stable_seq,
-            "prepared": [wire_of(p) for p in self.prepared],
-            "i": self.replica.name,
-        }
-        if self.planned:  # omitted when False: failure votes keep their bytes
-            fields["p"] = 1
-        return fields
+    @property
+    def padding_bytes(self) -> int:  # type: ignore[override]
+        return sum(proof.padding_bytes for proof in self.prepared)
 
 
 @dataclass(frozen=True)
@@ -220,13 +172,9 @@ class NewView(Message):
     pre_prepares: Tuple[PrePrepare, ...]
     primary: NodeId
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "vc": list(self.view_change_replicas),
-            "pp": [wire_of(p) for p in self.pre_prepares],
-            "primary": self.primary.name,
-        }
+    @property
+    def padding_bytes(self) -> int:  # type: ignore[override]
+        return sum(pre_prepare.padding_bytes for pre_prepare in self.pre_prepares)
 
 
 @dataclass(frozen=True)
@@ -246,20 +194,9 @@ class OrderedBatch(Message):
     agreement_certificate: Certificate
     nondet: NonDetInput
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "n": self.seq,
-            "v": self.view,
-            "requests": [wire_of(cert) for cert in self.request_certificates],
-            "agreement": wire_of(self.agreement_certificate),
-        }
-
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        return sum(
-            getattr(cert.payload, "padding_bytes", 0)
-            for cert in self.request_certificates
-        )
+        return body_bytes(self.request_certificates)
 
     @property
     def cert_body(self) -> AgreementCertBody:

@@ -14,12 +14,11 @@ answer with either the :class:`BatchTransfer` of that batch or a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..crypto.certificate import Authenticator, Certificate
 from ..net.message import Message
 from ..util.ids import NodeId
-from ..util.wirecache import wire_of
 
 
 def checkpoint_payload(seq: int, state_digest: bytes) -> Dict[str, Any]:
@@ -45,13 +44,6 @@ class ExecCheckpointShare(Message):
     replica: NodeId
     authenticator: Optional["Authenticator"] = None
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "n": self.seq,
-            "d": self.state_digest,
-            "i": self.replica.name,
-        }
-
 
 @dataclass(frozen=True)
 class ExecCheckpointProof(Message):
@@ -61,13 +53,6 @@ class ExecCheckpointProof(Message):
     state_digest: bytes
     certificate: Certificate
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "n": self.seq,
-            "d": self.state_digest,
-            "certificate": wire_of(self.certificate),
-        }
-
 
 @dataclass(frozen=True)
 class FetchBatch(Message):
@@ -75,9 +60,6 @@ class FetchBatch(Message):
 
     seq: int
     replica: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {"n": self.seq, "i": self.replica.name}
 
 
 @dataclass(frozen=True)
@@ -88,12 +70,6 @@ class BatchTransfer(Message):
 
     batch: Message
     replica: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "batch": wire_of(self.batch),
-            "i": self.replica.name,
-        }
 
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
@@ -117,17 +93,3 @@ class StateTransfer(Message):
     #: subsystem state beyond the application (e.g. the sharded nodes'
     #: partition-map epoch); covered by the checkpoint digest
     extra: bytes = b""
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "n": self.seq,
-            "app_digest_len": len(self.app_state),
-            "reply_table_len": len(self.reply_table),
-            "extra_len": len(self.extra),
-            "proof": wire_of(self.proof),
-            "i": self.replica.name,
-        }
-
-    @property
-    def padding_bytes(self) -> int:  # type: ignore[override]
-        return len(self.app_state) + len(self.reply_table) + len(self.extra)

@@ -13,26 +13,27 @@ exactly the per-request reply certificate of the paper's protocol
 description.
 
 The certificate covers the bundle's *certified form* (header plus per-reply
-digests, see :class:`BatchReplyBody`), so one set of authenticators travels
-with three renderings of one body: the complete bundle, each client's
-:meth:`~BatchReplyBody.view_for` (its own reply, siblings as digests) and
-the *bodiless* form (every reply as its digest, ``view_for(None)``).  Where
-execution replicas answer clients directly, a replica sends the complete
-bundle only to the primary of the body's view, whose queue caches it for
-retransmissions, and the bodiless form to the other agreement nodes, which
-need a quorum of matching digests and nothing else.
+digests: the bodiless view, see :class:`BatchReplyBody`), so one set of
+authenticators travels with three renderings of one body: the complete
+bundle, each client's :meth:`~BatchReplyBody.view_for` (its own reply,
+siblings as digests) and the *bodiless* form (every reply as its digest,
+``view_for(None)``).  Where execution replicas answer clients directly, a
+replica sends the complete bundle only to the primary of the body's view,
+whose queue caches it for retransmissions, and the bodiless form to the
+other agreement nodes, which need a quorum of matching digests and nothing
+else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
-from ..util.wirecache import WireMemoised, wire_digest, wire_of
+from ..util.wirecache import WireMemoised, wire_digest
 from .request import EncryptedBody
 
 
@@ -52,19 +53,8 @@ class ReplyBody(Message):
     client: NodeId
     result: Union[OperationResult, EncryptedBody]
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "v": self.view,
-            "n": self.seq,
-            "t": self.timestamp,
-            "c": self.client.name,
-            "r": wire_of(self.result),
-        }
-
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        if isinstance(self.result, EncryptedBody):
-            return self.result.size
         return self.result.size
 
     def result_for(self, role: Role) -> OperationResult:
@@ -89,8 +79,10 @@ class BatchReplyBody(_CarriedMemo, Message):
     """All replies for one batch; the payload the reply certificate covers.
 
     **Certified form.**  What the ``g + 1`` authenticators cover is the
-    header (``v, n, shard?, epoch?``) plus the ordered list of *per-reply
-    digests*, not the replies themselves.  An entry of ``replies`` is
+    header (``v, n, shard, epoch``) plus the ordered list of *per-reply
+    digests*, not the replies themselves: the body digests as its bodiless
+    view (:meth:`authenticated_form`), the one protocol object whose
+    digest is not that of its own bytes.  An entry of ``replies`` is
     therefore either a :class:`ReplyBody` carried in full or, in a
     :meth:`view_for` one client, the 32-byte digest standing in for a
     sibling's reply: the view has the digest of the full body, so every
@@ -108,7 +100,7 @@ class BatchReplyBody(_CarriedMemo, Message):
     expectations -- without invalidating every correct authenticator: a
     certified newer epoch is how a client with a stale map learns, safely,
     that a rebalance moved its key.  Unsharded deployments leave both
-    ``None`` and their wire format is unchanged.
+    ``None``.
     """
 
     view: int
@@ -116,19 +108,6 @@ class BatchReplyBody(_CarriedMemo, Message):
     replies: Tuple[Union[ReplyBody, bytes], ...]
     shard: Optional[int] = None
     epoch: Optional[int] = None
-
-    def payload_fields(self) -> Dict[str, Any]:
-        fields: Dict[str, Any] = {
-            "v": self.view,
-            "n": self.seq,
-            "replies": [wire_digest(reply) if isinstance(reply, ReplyBody) else reply
-                        for reply in self.replies],
-        }
-        if self.shard is not None:
-            fields["shard"] = self.shard
-        if self.epoch is not None:
-            fields["epoch"] = self.epoch
-        return fields
 
     @property
     def carried(self) -> Tuple[ReplyBody, ...]:
@@ -151,9 +130,11 @@ class BatchReplyBody(_CarriedMemo, Message):
 
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        # The wire dict names the carried replies by digest only, but they
-        # are hashed to make it and travel with it.
-        return sum(reply.wire_size() for reply in self.carried)
+        return sum(reply.padding_bytes for reply in self.carried)
+
+    def authenticated_form(self) -> "BatchReplyBody":
+        """The bodiless view: what the reply certificate covers."""
+        return self.view_for(None) if self.carried else self
 
     def reply_for(self, client: NodeId) -> Optional[ReplyBody]:
         """The reply addressed to ``client``, if carried."""
@@ -174,9 +155,8 @@ class BatchReplyBody(_CarriedMemo, Message):
 
 
 class _CertifiedReplies:
-    """What the two reply messages share: a certificate over the small
-    certified form of its :class:`BatchReplyBody` and beside it -- once --
-    the replies that body carries in full."""
+    """What the two reply messages share: a certificate over a
+    :class:`BatchReplyBody`, whose carried replies travel once, inside it."""
 
     certificate: Certificate
 
@@ -186,15 +166,9 @@ class _CertifiedReplies:
         read from here, so nothing unauthenticated rides along."""
         return self.certificate.payload
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "replies": [wire_of(reply) for reply in self.body.carried],
-            "certificate": wire_of(self.certificate),
-        }
-
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        return sum(reply.padding_bytes for reply in self.body.carried)
+        return self.body.padding_bytes
 
 
 @dataclass(frozen=True)
@@ -212,10 +186,6 @@ class BatchReply(_CertifiedReplies, Message):
     seq: int
     certificate: Certificate
     sender: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {"n": self.seq, **super().payload_fields(),
-                "sender": self.sender.name}
 
     @property
     def well_formed(self) -> bool:

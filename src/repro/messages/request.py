@@ -8,21 +8,20 @@ enough, since a client can only hurt itself by issuing bad requests).
 When the privacy firewall is deployed, request and reply *bodies* must be
 encrypted so that agreement and filter nodes cannot read them; only the
 client and the execution nodes hold the decryption key.  :class:`EncryptedBody`
-models that end-to-end encryption: the simulation carries the plaintext but
-only reveals it to nodes whose role is in the reader set, and its wire form
-exposes nothing but a digest and a size.
+models that end-to-end encryption: the simulation carries the plaintext (the
+frames do too, standing in for the ciphertext) but only reveals it to nodes
+whose role is in the reader set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional, Union
+from typing import Any, FrozenSet, Optional, Union
 
 from ..errors import FirewallError
 from ..net.message import Message
 from ..statemachine.interface import Operation
 from ..util.ids import NodeId, Role
-from ..util.wirecache import wire_of
 from ..crypto.certificate import Certificate
 from ..crypto.digest import digest
 
@@ -47,8 +46,7 @@ class EncryptedBody:
                  size: Optional[int] = None) -> None:
         self._plaintext = plaintext
         self.readers = readers
-        wire = plaintext.to_wire() if hasattr(plaintext, "to_wire") else plaintext
-        self.ciphertext_digest = digest(wire)
+        self.ciphertext_digest = digest(plaintext)
         if size is not None:
             self.size = size
         elif hasattr(plaintext, "body_size"):
@@ -67,14 +65,6 @@ class EncryptedBody:
     def can_open(self, role: Role) -> bool:
         return role in self.readers
 
-    def to_wire(self) -> Dict[str, Any]:
-        """Wire form: digest and size only (the ciphertext is opaque)."""
-        return {
-            "encrypted": True,
-            "digest": self.ciphertext_digest,
-            "size": self.size,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<EncryptedBody {self.ciphertext_digest.hex()[:12]} size={self.size}>"
 
@@ -85,23 +75,12 @@ class ClientRequest(Message):
 
     ``operation`` is either a plain :class:`~repro.statemachine.interface.Operation`
     or an :class:`EncryptedBody` wrapping one (privacy-firewall deployments).
-    ``timestamp`` is the client's monotonically increasing request timestamp;
-    ``all_replicas`` indicates whether every agreement node should relay the
-    reply (set on retransmissions) or only the designated one.
+    ``timestamp`` is the client's monotonically increasing request timestamp.
     """
 
     operation: Union[Operation, EncryptedBody]
     timestamp: int
     client: NodeId
-    all_replicas: bool = False
-    reply_to: Optional[NodeId] = None
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "o": wire_of(self.operation),
-            "t": self.timestamp,
-            "c": self.client.name,
-        }
 
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
@@ -132,9 +111,6 @@ class RequestEnvelope(Message):
     """
 
     certificate: "Certificate"
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {"certificate": wire_of(self.certificate)}
 
     @property
     def request(self) -> ClientRequest:

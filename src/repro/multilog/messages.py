@@ -16,14 +16,13 @@ changes), derivable by every queue from the batch content alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..crypto.certificate import Certificate
 from ..messages.agreement import ConfigOperation
 from ..messages.request import ClientRequest
 from ..net.message import Message
 from ..util.ids import NodeId
-from ..util.wirecache import wire_of
 
 #: marker-key kinds
 XS_MARKER = "xs"
@@ -66,13 +65,6 @@ class LogMapChange(ConfigOperation):
     shard: int
     target_log: int
     parent_log_epoch: int
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "log-map-change": self.shard,
-            "target_log": self.target_log,
-            "parent_log_epoch": self.parent_log_epoch,
-        }
 
     def well_formed(self, num_shards: int, num_logs: int) -> bool:
         """Structural sanity (semantic validity is judged at the cut)."""
@@ -118,14 +110,6 @@ class CrossLogBindingBody(Message):
     seq: int
     shard_frontier: Optional[int] = None
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "xlog-bind": list(self.marker),
-            "log": self.log,
-            "n": self.seq,
-            "frontier": self.shard_frontier,
-        }
-
 
 @dataclass(frozen=True)
 class CrossLogBinding(Message):
@@ -141,13 +125,6 @@ class CrossLogBinding(Message):
     certificate: Certificate
     sender: NodeId
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "body": wire_of(self.body),
-            "certificate": wire_of(self.certificate),
-            "sender": self.sender.name,
-        }
-
 
 @dataclass(frozen=True)
 class CrossLogBindingFetch(Message):
@@ -159,9 +136,3 @@ class CrossLogBindingFetch(Message):
 
     marker: MarkerKey
     sender: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "xlog-fetch": list(self.marker),
-            "sender": self.sender.name,
-        }

@@ -1,13 +1,16 @@
-"""The wire codec: typed, strict bytes for everything that crosses a node.
+"""The wire codec: typed, strict bytes, the one byte form of a protocol value.
 
 Two things leave a node as bytes and come back as objects: the frames of
 the asyncio transport (:mod:`repro.runtime.asyncio_rt`) and the reply
 tables that checkpoints, state transfers and range handoffs carry
 (:func:`encode_reply_table`).  Both go through one :class:`Codec`, built
-from a registry of wire types.  It is *not* the canonical encoding under
-digests and MACs (:mod:`repro.util.encoding`): that one is self-describing
-so that any value can be authenticated, this one is only ever read by a
-decoder that already knows the types.
+from a registry of wire types.  Its tagged form (:meth:`Codec.encode_tagged`,
+:func:`repro.util.encoding.canonical_encode`) is also what digests, MACs,
+signatures and the simulator's sizes are taken over, so a frame carries
+each payload in exactly the bytes its digest covers.  Nested messages,
+certificates and authenticators are spliced from their memos when their
+bytes are there, and memoised when encoded here
+(:mod:`repro.util.wirecache`).
 
 **Format.**  Each registered class has a stable one-byte tag
 (:func:`standard_types`), and its encoder and decoder are compiled once,
@@ -22,8 +25,12 @@ and a registered class as its fields (its exact type is required).
 Fields typed ``Any``, ``Union`` or ``Message`` take the *tagged* form: one
 tag byte, then ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``tuple``, ``list``, ``dict``, ``NodeId``, a registered enum or a
-registered class.  Nothing else can be named, so a peer cannot make the
-receiver build an arbitrary object.  A frame is the sender's code, the
+registered class.  An ``int`` there is 8 bytes, like a typed one, unless
+it does not fit: then it is a 4-byte length and its shortest little-endian
+two's complement (at least 9 bytes), so application values of any size --
+a counter's result, an operation's argument -- have their one encoding.
+Nothing else can be named, so a peer cannot make the receiver build an
+arbitrary object.  A frame is the sender's code, the
 message's class tag and the message.
 
 Two hot paths are typed: a registered object in the tagged form (a
@@ -38,8 +45,11 @@ written -- the property the tests hold it to is that an accepted frame
 re-encodes to exactly the bytes received.  It reads the whole input and
 nothing beyond it; a length or count is checked against what is left
 before anything is allocated for it; booleans, presence bytes, enum
-positions and node codes must be valid; dict keys and set members must be
-distinct (set members in increasing order); the tagged form nests at most
+positions and node codes must be valid; an int in the long form must be
+in its shortest form and not fit in 8 bytes; dict items and set members must be
+in increasing order of their encodings (a MAC vector's in increasing order
+of node code), which is the order the encoders write them in, whatever the
+order a dict was filled in; the tagged form nests at most
 :data:`MAX_DEPTH` deep; a token in the tagged form must not be one the MAC
 form would have carried.  Anything else raises :class:`DecodeError`, and
 nothing else is raised.  Objects are built without their constructor
@@ -66,6 +76,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..errors import DecodeError, EncodeError
 from ..util.ids import NodeId, Role, node_of_code
+from ..util.wirecache import WIRE_CACHE, WireMemoised, remember
 from .message import Message
 
 #: deepest nesting of the tagged form (containers and objects in ``Any``
@@ -79,7 +90,7 @@ MAX_MACS = 255
 
 # The tagged form's tags.
 (T_NONE, T_FALSE, T_TRUE, T_INT, T_FLOAT, T_STR, T_BYTES, T_TUPLE, T_LIST,
- T_DICT, T_NODE, T_ENUM, T_OBJ) = range(13)
+ T_DICT, T_NODE, T_ENUM, T_OBJ, T_BIGINT) = range(14)
 # ``Authenticator.token``'s two forms.
 TOKEN_MACS, TOKEN_VALUE = 0, 1
 
@@ -190,9 +201,9 @@ class _Source:
 
 class Codec:
     """A registry of wire types and the encoders and decoders compiled for
-    them (module docstring).  :func:`default_codec` is the one the
-    transport and the reply tables use; tests register their own message
-    classes on it with :meth:`register`."""
+    them (module docstring).  :func:`default_codec` is the process's one
+    codec; tests register their own message classes on it with
+    :meth:`register`."""
 
     def __init__(self) -> None:
         enums, classes = standard_types()
@@ -214,12 +225,14 @@ class Codec:
                         (T_BYTES, self._dec_bytes), (T_TUPLE, self._dec_tuple),
                         (T_LIST, self._dec_list), (T_DICT, self._dec_dict),
                         (T_NODE, self._dec_node), (T_ENUM, self._dec_enum),
-                        (T_OBJ, self._dec_obj)):
+                        (T_OBJ, self._dec_obj), (T_BIGINT, self._dec_bigint)):
             self._any_decoders[tag] = fn
         #: class tag -> decoder, for the tagged form and for frames
         self._decoders: Dict[int, Callable] = {}
         self._frame_decoders: Dict[int, Callable] = {}
         self._encoders: Dict[type, Callable] = {}
+        #: a memoised class -> its tagged form's bytes (:func:`_memoised`)
+        self._memo_bytes: Dict[type, Callable] = {}
         self._values: Dict[Any, Tuple[Callable, Callable]] = {}
         self._ns: Dict[str, Any] = {
             "_new": object.__new__, "_set": object.__setattr__,
@@ -231,6 +244,7 @@ class Codec:
             "_values": self._any_decoders,
         }
         self._structs: Dict[str, str] = {}
+        self._keys: Dict[tuple, str] = {}
         for tag, kind in enums:
             self._register_enum(kind, tag)
         pending = []
@@ -324,7 +338,26 @@ class Codec:
             out += head
             encode(value, out, depth + 1)
 
+        if issubclass(cls, WireMemoised):
+            self._memo_bytes[cls], tagged, typed = _memoised(tagged)
+        else:
+            typed = encode
         self._any_encoders[cls] = tagged
+        self._ns[f"N{tag}"] = typed
+
+    def _key_order(self, spec: tuple) -> str:
+        """The name of a sort key for ``(key, value)`` items whose keys have
+        ``spec``: the key's encoding."""
+        name = self._keys.get(spec)
+        if name is None:
+            name = self._keys[spec] = f"K{len(self._keys)}"
+            src = _Source(f"def {name}(item, depth=0):")
+            src.emit("out = bytearray()")
+            self._gen_enc(src, spec, "item[0]")
+            self._flush_enc(src)
+            src.emit("return out")
+            exec(src.text(), self._ns)  # noqa: S102 - generated here
+        return name
 
     # ------------------------------------------------------------------ #
     # Types -> specs.
@@ -431,7 +464,9 @@ class Codec:
                 self._gen_enc(src, spec[1], item)
             else:
                 key, item = src.var("k"), src.var("x")
-                src.emit(f"for {key}, {item} in {value}.items():")
+                order = self._key_order(spec[1])
+                src.emit(f"for {key}, {item} in ({value}.items() if len({value}) < 2 "
+                         f"else sorted({value}.items(), key={order})):")
                 src.depth += 1
                 self._gen_enc(src, spec[1], key)
                 self._gen_enc(src, spec[2], item)
@@ -445,7 +480,7 @@ class Codec:
         elif kind == "cls":
             src.emit(f"if type({value}) is not C{spec[1]}: "
                      f"raise _wrong({value}, C{spec[1]})")
-            src.emit(f"E{spec[1]}({value}, out, depth)")
+            src.emit(f"N{spec[1]}({value}, out, depth)")
         elif kind in ("any", "token"):
             src.emit(f"_enc_{kind}({value}, out, depth)")
         else:
@@ -555,10 +590,18 @@ class Codec:
             src.emit(f"{target} = tuple({items})")
         elif kind == "dict":
             items, key, item = src.var("d"), src.var("k"), src.var("x")
+            start, last = src.var("s"), src.var("p")
             src.emit(f"{items} = {{}}")
+            src.emit(f"{last} = b''")
             src.emit(f"for _ in range({size}):")
             src.depth += 1
+            src.emit(f"{start} = pos")
             self._gen_dec(src, spec[1], key)
+            self._flush_dec(src)
+            src.emit(f"{start} = _bytes(data[{start}:pos])")
+            src.emit(f"if {start} <= {last}: "
+                     f"raise _bad('dict keys are in increasing order')")
+            src.emit(f"{last} = {start}")
             self._gen_dec(src, spec[2], item)
             self._flush_dec(src)
             src.emit(f"{items}[{key}] = {item}")
@@ -623,7 +666,12 @@ class Codec:
 
     @staticmethod
     def _enc_int(value, out, depth) -> None:
-        out += _Bq.pack(T_INT, value)
+        try:
+            out += _Bq.pack(T_INT, value)
+        except struct.error:
+            data = value.to_bytes(_bigint_size(value), "little", signed=True)
+            out += _BI.pack(T_BIGINT, len(data))
+            out += data
 
     @staticmethod
     def _enc_float(value, out, depth) -> None:
@@ -661,10 +709,16 @@ class Codec:
     def _enc_dict(self, value, out, depth) -> None:
         if depth >= MAX_DEPTH:
             raise EncodeError("nested too deep")
-        out += _BI.pack(T_DICT, len(value))
         encode = self._enc_any
+        items = []
         for key, item in value.items():
-            encode(key, out, depth + 1)
+            key_bytes = bytearray()
+            encode(key, key_bytes, depth + 1)
+            items.append((key_bytes, item))
+        items.sort(key=_first)
+        out += _BI.pack(T_DICT, len(value))
+        for key_bytes, item in items:
+            out += key_bytes
             encode(item, out, depth + 1)
 
     def _dec_any(self, data: bytes, pos: int, depth: int):
@@ -689,6 +743,17 @@ class Codec:
     @staticmethod
     def _dec_int(data, pos, depth):
         return _q.unpack_from(data, pos)[0], pos + 8
+
+    @staticmethod
+    def _dec_bigint(data, pos, depth):
+        size = _I.unpack_from(data, pos)[0]
+        pos += 4
+        if size > len(data) - pos:
+            raise DecodeError("a length runs past the end")
+        value = int.from_bytes(data[pos:pos + size], "little", signed=True)
+        if size <= 8 or size != _bigint_size(value):
+            raise DecodeError("an int in the shortest form it fits")
+        return value, pos + size
 
     @staticmethod
     def _dec_float(data, pos, depth):
@@ -755,8 +820,14 @@ class Codec:
             raise DecodeError("a count runs past the end")
         value = {}
         decode = self._dec_any
+        last = b""
         for _ in range(count):
+            start = pos
             key, pos = decode(data, pos, depth + 1)
+            key_bytes = bytes(data[start:pos])
+            if key_bytes <= last:
+                raise DecodeError("dict keys are in increasing order")
+            last = key_bytes
             value[key], pos = decode(data, pos, depth + 1)
         if len(value) != count:
             raise DecodeError("a key repeats")
@@ -771,13 +842,17 @@ class Codec:
         MAC form carries, else None."""
         if type(token) is not dict or len(token) > MAX_MACS:
             return None
-        pairs = []
+        items = []
         name_code = self._name_code
         for name, mac in token.items():
             code = name_code(name)
             if code is None or type(mac) is not bytes or len(mac) != MAC_BYTES:
                 return None
-            pairs += (code, mac)
+            items.append((code, mac))
+        items.sort(key=_first)
+        pairs = []
+        for item in items:
+            pairs += item
         return pairs
 
     def _enc_token(self, token: Any, out: bytearray, depth: int) -> None:
@@ -802,11 +877,14 @@ class Codec:
         pairs = vector.unpack_from(data, pos + 2)
         nodes, node = self.nodes, self._node
         token = {}
+        last = -1
         for index in range(0, 2 * count, 2):
             code = pairs[index]
+            if code <= last:
+                raise DecodeError("a MAC vector names its nodes in "
+                                  "increasing order of their codes")
+            last = code
             token[(nodes.get(code) or node(code)).name] = pairs[index + 1]
-        if len(token) != count:
-            raise DecodeError("a MAC vector names a node twice")
         return token, pos + 2 + vector.size
 
     # ------------------------------------------------------------------ #
@@ -818,7 +896,11 @@ class Codec:
         cls = type(message)
         try:
             out = bytearray(_HEAD.pack(sender._code, self._tags[cls]))
-            self._encoders[cls](message, out, 0)
+            memo_bytes = self._memo_bytes.get(cls)
+            if memo_bytes is not None:   # its tagged form's fields
+                out += memoryview(memo_bytes(message, 0))[2:]
+            else:
+                self._encoders[cls](message, out, 0)
         except (KeyError, AttributeError, TypeError, ValueError,
                 struct.error) as exc:
             raise EncodeError(f"{cls.__name__} from {sender!r}: {exc}") from exc
@@ -871,6 +953,24 @@ class Codec:
             raise EncodeError(f"{tp!r}: {exc}") from exc
         return bytes(out)
 
+    def encode_tagged(self, value: Any) -> bytes:
+        """``value`` in the tagged form: the one byte form of a protocol
+        value, under digests, MACs and the simulator's sizes.  Nested
+        objects already encoded are spliced from their memos (and those
+        encoded here are memoised); ``value`` itself is encoded afresh, its
+        memo left to :func:`repro.util.wirecache.wire_memo`."""
+        cls = type(value)
+        encode = self._encoders.get(cls)
+        if encode is None:
+            return self.encode(Any, value)
+        out = bytearray((T_OBJ, self._tags[cls]))
+        try:
+            encode(value, out, 1)
+        except (KeyError, AttributeError, TypeError, ValueError,
+                struct.error) as exc:
+            raise EncodeError(f"{cls.__name__}: {exc}") from exc
+        return bytes(out)
+
     def decode(self, tp: Any, data) -> Any:
         """The inverse of :meth:`encode`, as strict as :meth:`decode_frame`."""
         data = _readable(data)
@@ -891,6 +991,41 @@ def _readable(data):
     else through a view, so that each field is copied once, out of the
     input (a frame in the transport's shared read buffer is never kept)."""
     return data if type(data) is bytes else memoryview(data)
+
+
+def _first(item: tuple) -> Any:
+    return item[0]
+
+
+def _bigint_size(value: int) -> int:
+    """Bytes in the shortest two's complement form of ``value``."""
+    return ((value if value >= 0 else ~value).bit_length() + 8) // 8
+
+
+def _memoised(tagged: Callable):
+    """The tagged and typed encoders of a :class:`WireMemoised` class and
+    the function both splice from: an object's tagged form, from its memo
+    when its bytes are there, else encoded and memoised."""
+    cache = WIRE_CACHE
+
+    def memo_bytes(value, depth):
+        memo = getattr(value, "_wire", None)
+        if memo is not None and memo.data is not None and cache.enabled:
+            return memo.data
+        out = bytearray()
+        tagged(value, out, depth)
+        data = bytes(out)
+        if cache.enabled:
+            remember(value, memo, data)
+        return data
+
+    def tagged_memoised(value, out, depth):
+        out += memo_bytes(value, depth)
+
+    def typed_memoised(value, out, depth):
+        out += memoryview(memo_bytes(value, depth))[2:]   # after the head
+
+    return memo_bytes, tagged_memoised, typed_memoised
 
 
 def _wrong_type(value: Any, expected: type) -> EncodeError:

@@ -29,7 +29,7 @@ replacement must preserve, because protocol code assumes them:
   still loses the message).
 * **Counted once, in the backend's own bytes.**  Every send that passes
   the taps is counted by :meth:`NetworkStats.record_send` with the size
-  the backend already has: the message's canonical wire size here (the
+  the backend already has: the message's ``wire_size()`` here (the
   fault model's delays are computed from it), the frame's length over
   sockets.
 * **Fault-model scope.**  Configured delays, drops, partitions, and
@@ -57,7 +57,7 @@ class NetworkStats:
     """Aggregate counters for a run, kept by either backend's network.
 
     Every byte count is in the bytes of the backend that keeps it: the
-    canonical wire size on the simulator, where it is computed anyway to
+    ``wire_size()`` on the simulator, where it is computed anyway to
     drive the bandwidth model; the length of the codec frame on
     asyncio, where ``bytes_sent`` therefore equals
     ``TransportStats.bytes_on_wire`` and nothing is encoded to be measured.

@@ -22,9 +22,10 @@ three simulated substrates with real ones:
   bytes**: ``send`` counts the length of the frame it made (so
   ``NetworkStats.bytes_sent`` equals ``TransportStats.bytes_on_wire``), and
   the size a node is told it received is the frame's length too
-  (``ProcessStats.bytes_received``); no message is canonical-encoded just to
-  be measured.  On the simulator the same counters are in canonical bytes,
-  which is what its bandwidth model runs on;
+  (``ProcessStats.bytes_received``); no message is sized just to be
+  measured.  On the simulator the same counters are ``wire_size()`` (the
+  codec encoding plus modelled body bytes), which is what its bandwidth
+  model runs on;
 * **cost**: virtual-time charges optionally burn real CPU
   (``RuntimeConfig.charge_scale``), and inbound certificate verification
   can be offloaded to a process pool (:class:`repro.crypto.pool.CryptoPool`)

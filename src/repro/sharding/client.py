@@ -295,12 +295,12 @@ class ShardAwareClient(ClientNode):
         self._expect_shard(shards[0])
         return True
 
-    def _complete(self, pending, reply, body) -> None:
+    def _complete(self, pending, reply, body, groups=()) -> None:
         # Any completion -- assembled cross-shard reply, collapsed ordinary
         # quorum, or local failure -- retires the cross expectation before
         # the next queued submission issues.
         self._pending_cross = None
-        super()._complete(pending, reply, body)
+        super()._complete(pending, reply, body, groups)
 
     # ------------------------------------------------------------------ #
     # Cross-shard replies.
@@ -357,7 +357,8 @@ class ShardAwareClient(ClientNode):
         else:
             result = OperationResult(value=None,
                                      error=f"cross-shard {first.status}")
-        self._complete_cross(pending, first.view, first.op_seq, result)
+        self._complete_cross(pending, first.view, first.op_seq, result, tuple(
+            (body.shard, body.log) for body in bodies if body.log is not None))
 
     def _verified_sub_bodies(self, message: CrossShardReply,
                              timestamp: int) -> Optional[List[SubReplyBody]]:
@@ -433,14 +434,15 @@ class ShardAwareClient(ClientNode):
             self._pending_cross["retries"] = retries
 
     def _complete_cross(self, pending, view: int, seq: int,
-                        result: OperationResult) -> None:
+                        result: OperationResult,
+                        groups: Tuple[Tuple[int, int], ...] = ()) -> None:
         reply = ReplyBody(view=view, seq=seq, timestamp=pending.timestamp,
                           client=self.node_id, result=result)
         body = BatchReplyBody(view=view, seq=seq, replies=(reply,),
                               shard=self._expected_shard, epoch=self.epoch)
         self._pending_cross = None
         self.cross_shard_completed += 1
-        self._complete(pending, reply, body)
+        self._complete(pending, reply, body, groups)
 
     def _maybe_advance_epoch(self, message: ClientReply) -> None:
         """Adopt a newer epoch claimed by a reply for our pending request.

@@ -52,12 +52,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from ..crypto.certificate import Authenticator, Certificate
-from ..messages.agreement import AgreementCertBody, ConfigOperation, OrderedBatch
+from ..messages.agreement import (AgreementCertBody, ConfigOperation,
+                                  OrderedBatch, body_bytes)
 from ..messages.request import ClientRequest, EncryptedBody
 from ..net.message import Message
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
-from ..util.wirecache import wire_of
 
 #: MapChange.kind values
 MAP_CHANGE_KINDS = ("split", "merge", "move")
@@ -86,15 +86,6 @@ class MapChange(ConfigOperation):
     key: str
     to_key: Optional[str] = None
     owner: Optional[int] = None
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "map-change": self.kind,
-            "parent_epoch": self.parent_epoch,
-            "key": self.key,
-            "to_key": self.to_key,
-            "owner": self.owner,
-        }
 
     def well_formed(self, num_clusters: int) -> bool:
         """Structural sanity (semantic validity is judged at the cut)."""
@@ -170,20 +161,8 @@ class ShardedBatch(Message):
     #: route binding; map-change markers carry the epoch they *close*)
     epoch: int = 0
     #: agreement log that ordered the batch (part of the vouched route
-    #: binding under multi-log ordering; None in single-log deployments,
-    #: where the field stays off the wire)
+    #: binding under multi-log ordering; None in single-log deployments)
     log: Optional[int] = None
-
-    def payload_fields(self) -> Dict[str, Any]:
-        fields = {
-            "shard": self.shard,
-            "shard_seq": self.shard_seq,
-            "epoch": self.epoch,
-            "batch": wire_of(self.batch),
-        }
-        if self.log is not None:
-            fields["log"] = self.log
-        return fields
 
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
@@ -207,17 +186,6 @@ class RouteVoucher(Message):
     digest: bytes
     epoch: int = 0
     log: Optional[int] = None
-
-    def payload_fields(self) -> Dict[str, Any]:
-        fields = {
-            "voucher": self.shard,
-            "shard_seq": self.shard_seq,
-            "epoch": self.epoch,
-            "d": self.digest,
-        }
-        if self.log is not None:
-            fields["log"] = self.log
-        return fields
 
 
 @dataclass(frozen=True)
@@ -243,26 +211,11 @@ class ShardLocalBatch(Message):
     #: agreement log the batch arrived from (None in single-log deployments)
     log: Optional[int] = None
 
-    def payload_fields(self) -> Dict[str, Any]:
-        fields = {
-            "shard": self.shard,
-            "n": self.seq,
-            "gn": self.global_seq,
-            "v": self.view,
-            "epoch": self.epoch,
-            "requests": [wire_of(cert) for cert in self.full_request_certificates],
-            "agreement": wire_of(self.agreement_certificate),
-        }
-        if self.log is not None:
-            fields["log"] = self.log
-        return fields
-
     @property
     def padding_bytes(self) -> int:  # type: ignore[override]
-        return sum(
-            getattr(cert.payload, "padding_bytes", 0)
-            for cert in self.full_request_certificates
-        )
+        # both request tuples are encoded, the owned ones a second time
+        return (body_bytes(self.request_certificates)
+                + body_bytes(self.full_request_certificates))
 
     @property
     def cert_body(self) -> AgreementCertBody:
@@ -324,20 +277,6 @@ class RangeHandoff(Message):
     replica: NodeId
     authenticator: Optional["Authenticator"] = None
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "from": self.source_shard,
-            "to": self.target_shard,
-            "lo": self.lo,
-            "hi": self.hi,
-            "d": self.state_digest,
-            "i": self.replica.name,
-        }
-
-    @property
-    def padding_bytes(self) -> int:  # type: ignore[override]
-        return len(self.entries) + len(self.reply_table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,21 +311,6 @@ class SubReplyBody(Message):
     #: the certified body lets verifiers group fragments by the map that
     #: was actually in force at execution, not the map they see later.
     log: Optional[int] = None
-
-    def payload_fields(self) -> Dict[str, Any]:
-        fields = {
-            "xs-reply": self.status,
-            "c": self.client.name,
-            "t": self.timestamp,
-            "shard": self.shard,
-            "epoch": self.epoch,
-            "v": self.view,
-            "n": self.op_seq,
-            "values": {key: self.values[key] for key in sorted(self.values)},
-        }
-        if self.log is not None:
-            fields["log"] = self.log
-        return fields
 
 
 def sub_reply_rounds_consistent(bodies, log_of_shard=None) -> bool:
@@ -438,13 +362,6 @@ class CrossShardSubReply(Message):
     certificate: Certificate
     sender: NodeId
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "body": wire_of(self.body),
-            "certificate": wire_of(self.certificate),
-            "sender": self.sender.name,
-        }
-
 
 def vote_payload(client: NodeId, timestamp: int, shard: int, epoch: int,
                  observed: Dict[str, Any]) -> Dict[str, Any]:
@@ -485,17 +402,6 @@ class CrossShardVote(Message):
     replica: NodeId
     authenticator: Optional["Authenticator"] = None
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "xs-vote": self.shard,
-            "c": self.client.name,
-            "t": self.timestamp,
-            "epoch": self.epoch,
-            "observed": {key: self.observed[key]
-                         for key in sorted(self.observed)},
-            "i": self.replica.name,
-        }
-
 
 @dataclass(frozen=True)
 class CrossShardVoteFetch(Message):
@@ -512,15 +418,6 @@ class CrossShardVoteFetch(Message):
     epoch: int
     shard: int
     replica: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "xs-vote-fetch": self.shard,
-            "c": self.client.name,
-            "t": self.timestamp,
-            "epoch": self.epoch,
-            "i": self.replica.name,
-        }
 
 
 @dataclass(frozen=True)
@@ -544,19 +441,6 @@ class CrossShardReply(Message):
     assembled: Dict[str, Any]
     sender: NodeId
 
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "xs-assembled": self.status,
-            "c": self.client.name,
-            "t": self.timestamp,
-            "epoch": self.epoch,
-            "collator": self.collator_shard,
-            "subs": [wire_of(cert) for cert in self.sub_certificates],
-            "assembled": {key: self.assembled[key]
-                          for key in sorted(self.assembled)},
-            "sender": self.sender.name,
-        }
-
 
 @dataclass(frozen=True)
 class RangeFetch(Message):
@@ -573,12 +457,3 @@ class RangeFetch(Message):
     lo: Optional[str]
     hi: Optional[str]
     replica: NodeId
-
-    def payload_fields(self) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "to": self.target_shard,
-            "lo": self.lo,
-            "hi": self.hi,
-            "i": self.replica.name,
-        }

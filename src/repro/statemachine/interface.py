@@ -36,14 +36,6 @@ class Operation:
     body_size: int = 0
     reply_size: int = 0
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "args": self.args,
-            "body_size": self.body_size,
-            "reply_size": self.reply_size,
-        }
-
 
 @dataclass(frozen=True)
 class OperationResult:
@@ -58,13 +50,6 @@ class OperationResult:
     size: int = 0
     processing_ms: float = 0.0
     error: Optional[str] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "value": self.value,
-            "size": self.size,
-            "error": self.error,
-        }
 
 
 class StateMachine(ABC):

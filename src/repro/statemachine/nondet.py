@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..errors import ProtocolError
 
@@ -37,9 +37,6 @@ class NonDetInput:
 
     timestamp_ms: float
     random_bits: bytes
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"timestamp_ms": self.timestamp_ms, "random_bits": self.random_bits}
 
     @staticmethod
     def empty() -> "NonDetInput":

@@ -1,4 +1,4 @@
-"""Small shared utilities: node identifiers, canonical encoding, quorum math."""
+"""Small shared utilities: node identifiers, the byte form of values, quorum math."""
 
 from .ids import NodeId, Role, make_node_id
 from .encoding import canonical_encode, estimate_size

@@ -1,22 +1,25 @@
 """Per-object memoisation of wire forms: encode once, splice everywhere.
 
 Every hot path re-derives the same facts about a message over and over: its
-canonical wire size (what the simulated network charges for a ``send``),
-the SHA-256 digest of its wire form (recomputed by every verification that
-touches the payload), and the bytes themselves whenever the message is
-nested inside another one.  All are pure functions of the canonical encoding of
-``to_wire()``, and protocol objects are immutable once built -- the one
-exception, :class:`~repro.crypto.certificate.Certificate`, drops its memo
-whenever it is mutated -- so each object needs to be encoded exactly once.
+wire size (what the simulated network charges for a ``send``), the SHA-256
+digest of its bytes (recomputed by every verification that touches the
+payload), and the bytes themselves whenever the message is nested inside
+another one.  All are pure functions of one byte form -- the codec's tagged
+encoding (:func:`repro.util.encoding.canonical_encode`), which is also what
+the asyncio frames carry -- and protocol objects are immutable once built --
+the one exception, :class:`~repro.crypto.certificate.Certificate`, drops its
+memo whenever it is mutated -- so each object needs to be encoded exactly
+once.
 
 **Where the memo lives.**  On the object: :class:`WireMemoised` gives
-messages and certificates one slot holding a :class:`WireMemo` (the size,
-the digest once somebody asked for it, the nodes already charged for it,
-and -- for a while -- the encoded bytes).  The memo therefore lives exactly
-as long as the object and pins nothing: a message the protocol has dropped
-is freed at once.  It never travels -- frames and checkpoints carry fields
-only (:mod:`repro.net.codec`), so a receiver encodes what it received
-itself and a peer's idea of a message's bytes or digest is never trusted.
+messages, certificates and authenticators one slot holding a
+:class:`WireMemo` (the size, the digest once somebody asked for it, the
+nodes already charged for it, and -- for a while -- the encoded bytes).  The
+memo therefore lives exactly as long as the object and pins nothing: a
+message the protocol has dropped is freed at once.  It never travels --
+frames carry fields only (:mod:`repro.net.codec`), so a receiver encodes
+what it received itself and a peer's idea of a message's bytes or digest is
+never trusted.
 
 **How long the bytes are kept.**  Bytes are what memory goes on, and they
 are wanted for one thing only: to be spliced into a parent, which happens
@@ -25,23 +28,25 @@ in a log or a retransmission cache until the next checkpoint.  So
 ``wire_size()`` keeps no bytes at all (the simulated network only ever sizes
 the outermost message it carries, and its bytes would be a second copy of
 everything nested in it), and :data:`WIRE_CACHE` lets the bytes of all but
-the most recently encoded objects go (:meth:`WireCache.keep`; on the
-ledger's workloads half the default capacity re-encodes 0.3% more, the
-default nothing).
-Size, digest and charges stay; whoever asks for old bytes again pays for
-one more encoding.
+the most recently encoded objects go (:meth:`WireCache.keep`).  Size,
+digest and charges stay; whoever asks for old bytes again pays for one more
+encoding.
 
-**Composition.**  A parent's ``payload_fields()`` names each nested object
-through :func:`wire_of`, which stands a
-:class:`~repro.util.encoding.Spliced` node in the wire dict; the encoder
-replaces the node with the child's memoised bytes.  A request certificate is
-thus encoded once, not once per enclosing ``RequestEnvelope`` /
-``PrePrepare`` / ``OrderedBatch`` / digest.  The simulated network sizes
-every message it carries (the size drives its bandwidth model and is the
-census), which leaves the nested payloads encoded for whoever digests them
-next.  The asyncio transport sizes nothing: sender and receiver both count
-the frame's length, so a node there encodes only the payloads it goes on to
-digest -- each once, through the same memos.
+**Composition.**  The codec splices a nested memoised object from its memo
+when its bytes are there, and otherwise encodes it and memoises what it
+wrote (:func:`remember`).  A request certificate is thus encoded
+once, not once per enclosing ``RequestEnvelope`` / ``PrePrepare`` /
+``OrderedBatch`` / frame / digest.  The simulated network sizes every
+message it carries (the size drives its bandwidth model and is the census),
+which leaves the nested payloads encoded for whoever digests them next.
+The asyncio transport sizes nothing: sender and receiver both count the
+frame's length, so a node there encodes the payloads it goes on to digest
+and the messages it sends, each once, and splices them from then on.
+
+**What a digest covers.**  The object's bytes, save for one class: a reply
+bundle digests as its bodiless view
+(:meth:`WireMemoised.authenticated_form`, see
+:class:`~repro.messages.reply.BatchReplyBody`).
 
 **Charging.**  The memo carries the names of the nodes that have already
 been *charged* virtual hashing time for this object, so the cost model stays
@@ -60,9 +65,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Any, Deque, Optional, Set
+from typing import Deque, Optional, Set
 
-from .encoding import Spliced, canonical_encode
+from .encoding import canonical_encode
 
 
 class WireMemo:
@@ -71,12 +76,12 @@ class WireMemo:
     __slots__ = ("size", "data", "digest", "_charged")
 
     def __init__(self, size: int) -> None:
-        #: length of the canonical encoding of ``obj.to_wire()`` (the wire
-        #: size, without padding)
+        #: length of the object's encoding (the wire size, without the
+        #: modelled body bytes)
         self.size = size
         #: the encoding itself, while :data:`WIRE_CACHE` keeps it
         self.data: Optional[bytes] = None
-        #: SHA-256 of the encoding, once somebody asked for it
+        #: SHA-256 of the authenticated form, once somebody asked for it
         self.digest: Optional[bytes] = None
         self._charged: Optional[Set[str]] = None
 
@@ -143,7 +148,7 @@ WIRE_CACHE = WireCache()
 
 
 class WireMemoised:
-    """Base of objects whose ``to_wire()`` encoding is memoised on themselves.
+    """Base of objects whose encoding is memoised on themselves.
 
     The memo is a slot, not a field: the wire codec carries fields only
     (:mod:`repro.net.codec`), so it never travels.
@@ -151,10 +156,19 @@ class WireMemoised:
 
     __slots__ = ("_wire",)
 
-    def encoded(self) -> bytes:
-        """Canonical encoding of ``to_wire()`` (what a parent splices in)."""
-        memo = wire_memo(self, "bytes", count=False)
-        return memo.data if memo is not None else canonical_encode(self.to_wire())
+    def authenticated_form(self) -> "WireMemoised":
+        """What a digest of this object covers: the object itself, unless a
+        class says otherwise."""
+        return self
+
+
+def remember(obj: WireMemoised, memo: Optional[WireMemo], data: bytes) -> None:
+    """Memoise ``data``, just encoded, as ``obj``'s bytes (``memo`` is what
+    ``obj`` held, if anything)."""
+    if memo is None:
+        memo = WireMemo(len(data))
+        object.__setattr__(obj, "_wire", memo)
+    WIRE_CACHE.keep(memo, data)
 
 
 def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[WireMemo]:
@@ -163,12 +177,11 @@ def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[Wire
     ``need`` is ``"size"`` (``size`` only: what the simulated network asks
     of the outermost message it carries, whose bytes nobody wants and would
     be a second copy of everything nested in it), ``"bytes"`` (``data``
-    too) or ``"digest"`` (``digest`` too).  Whatever is missing is made by encoding
-    ``obj.to_wire()``, children spliced from their own memos.
+    too) or ``"digest"`` (``digest`` too).  Whatever is missing is made by
+    encoding ``obj``, children spliced from their own memos.
 
     ``count`` feeds the hit/miss counters, which keep their old meaning:
-    protocol code asking for a message's size or digest.  A parent asking
-    for a child's bytes while it is itself being encoded is not counted.
+    protocol code asking for a message's size or digest.
     """
     cache = WIRE_CACHE
     if not cache.enabled:
@@ -182,7 +195,7 @@ def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[Wire
         data = memo.data
     if data is None:
         cache.misses += count
-        data = canonical_encode(obj.to_wire())
+        data = canonical_encode(obj)
         if memo is None:
             memo = WireMemo(len(data))
             object.__setattr__(obj, "_wire", memo)
@@ -191,27 +204,15 @@ def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[Wire
     else:
         cache.hits += count
     if need == "digest":
-        memo.digest = hashlib.sha256(data).digest()
+        form = obj.authenticated_form()
+        memo.digest = (hashlib.sha256(data).digest() if form is obj
+                       else wire_digest(form))
     return memo
 
 
-def wire_digest(child: WireMemoised) -> bytes:
-    """SHA-256 of ``child``'s canonical encoding, for a parent whose wire
-    form names the child by digest instead of embedding it."""
-    memo = wire_memo(child, "digest", count=False)
+def wire_digest(obj: WireMemoised) -> bytes:
+    """SHA-256 of ``obj``'s authenticated form, memoised."""
+    memo = wire_memo(obj, "digest", count=False)
     if memo is not None:
         return memo.digest
-    return hashlib.sha256(canonical_encode(child.to_wire())).digest()
-
-
-def wire_of(child: Any) -> Any:
-    """The wire-dict value for an object nested in a message.
-
-    Every ``payload_fields()`` / ``to_wire()`` that embeds another object's
-    wire form goes through here: memoised objects are spliced in by their
-    encoded bytes, anything else contributes its ``to_wire()`` dict.  The
-    encoding is the same either way.
-    """
-    if isinstance(child, WireMemoised):
-        return Spliced(child)
-    return child.to_wire()
+    return hashlib.sha256(canonical_encode(obj.authenticated_form())).digest()

@@ -253,6 +253,13 @@ def audit_cross_group_consistency(clients, *, key_space: int = 0,
     single slot of its order.  A within-group tear is therefore still a
     protocol violation and is what this audit counts.
 
+    A read is grouped by the logs its certified fragments name
+    (``CompletedRequest.groups``): those of the log map it executed under,
+    not the latest one, so a read released before a log-map change is
+    grouped by the map before it.  A read recorded without groups is
+    grouped by ``log_of_shard``.  That the named groups are some log
+    epoch's map is :func:`reads_under_no_log_map`'s check.
+
     ``shard_of_key`` (audit key -> shard, or ``None`` to skip the key)
     overrides the default equal-range audit-key table -- callers holding a
     live partitioner can resolve ownership without knowing the key space.
@@ -276,19 +283,32 @@ def audit_cross_group_consistency(clients, *, key_space: int = 0,
             if not is_audit_read(operation) or not isinstance(value, dict):
                 continue
             values = value.get("values", {})
+            audited += 1
+            group_of = dict(record.groups).get if record.groups else log_of_shard
             by_log = {}
             for key in operation.args["keys"]:
                 shard = shard_of_key(key)
                 if shard is None:
                     continue
-                by_log.setdefault(log_of_shard(shard), []).append(
-                    values.get(key))
-            audited += 1
+                by_log.setdefault(group_of(shard), []).append(values.get(key))
             if any(len(set(stamps)) > 1 for stamps in by_log.values()):
                 torn += 1
     return AuditResult(audited_reads=audited, torn_reads=torn,
                        committed_txns=committed, aborted_txns=aborted,
                        conflict_commits=conflict_commits)
+
+
+def reads_under_no_log_map(clients, log_maps) -> int:
+    """How many completed reads name fragment groups (``(shard, log)``
+    pairs, ``CompletedRequest.groups``) that no assignment in ``log_maps``
+    (each log epoch's, oldest first) has: a read served across log epochs,
+    whose per-group promise :func:`audit_cross_group_consistency` cannot
+    judge."""
+    return sum(
+        1 for client in clients for record in client.completed
+        if record.groups and not any(
+            all(assignment[shard] == log for shard, log in record.groups)
+            for assignment in log_maps))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import pkgutil
 import tracemalloc
+import typing
 from pathlib import Path
 from typing import Any, Tuple
 
@@ -15,10 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.crypto.certificate import Authenticator, Certificate
+from repro.crypto.digest import digest
+from repro.crypto.pool import iter_certificates
 from repro.errors import DecodeError, EncodeError
 from repro.messages.agreement import ConfigOperation, ViewChange
 from repro.messages.checkpoint import BatchTransfer, checkpoint_payload
-from repro.messages.reply import ReplyBody
+from repro.messages.reply import BatchReplyBody, ReplyBody
 from repro.messages.request import EncryptedBody
 from repro.net import codec as codec_module
 from repro.net.codec import (MAX_DEPTH, T_OBJ, T_TUPLE, Codec, decode_reply_table,
@@ -27,6 +30,7 @@ from repro.net.message import CorruptedMessage, Message
 from repro.sharding.messages import handoff_payload, vote_payload
 from repro.statemachine.interface import Operation, OperationResult
 from repro.statemachine.nondet import NonDetInput
+from repro.util.encoding import canonical_encode, estimate_size
 from repro.util.ids import Role, agreement_id, client_id, execution_id, firewall_id
 
 from test_messages_and_nondet import GOLDEN_WIRE, golden_messages
@@ -58,39 +62,39 @@ GOLDEN_TAGS = {
 GOLDEN_FRAMES = {
     "AgreementCertBody": (85, "723441526e0fdef130d9d3b0d89c437dc4c66be4b22208ed3db958bb41ae29b9"),
     "AgreementCheckpoint": (78, "b09f10cd3fa3fae7d26739114d01889bd25eabdf8a7772dd83e222a1fd225f83"),
-    "BatchReply": (420, "f9d92d88dd91e1ea7ce46643dbb3e9f69161f99e1759e0203c2b5de8c7a8b0b9"),
+    "BatchReply": (420, "e5904db36d4776f5683a2db4bf7cdd9595a7f6696a8fed4a7ef8d1229bbbe362"),
     "BatchReplyBody": (189, "3ad2c2e64702f32b47f6b6bf6e0783144373f531b5c7d8f5b1561059db4f5058"),
-    "BatchTransfer": (1194, "df1a2002f88553f6698be35fafca9fc0f5221969b300083312f9b184bf799da9"),
-    "ClientReply": (370, "4a57a73cad6cefcc3498cc165f826b4df49189fcef56dacb10d29849aeaf208a"),
-    "ClientRequest": (116, "7650e0ec3504a73d97ad099a8b87761ae38370ce0ddc89e1f7506a3bd0207210"),
-    "CommitMsg": (213, "2f3ef70a9645618e642e962aff91d8a3de6c59ab7cef02fc98e8c557aaa77337"),
-    "CrossLogBinding": (265, "54184f256dfd0baff957e174ca9e3aebda217bd785f2c8d4d9290eb9fbe55c92"),
+    "BatchTransfer": (1190, "5d0a2d405b74541d1516120519e76a497e68a269e91935a1261f28a82e42722f"),
+    "ClientReply": (370, "5f6703111f4a99f4867fec576490de834fe0c9cdebbefd2bf6f0ad5cc8d5ba4c"),
+    "ClientRequest": (114, "d96fe9fd1be91481948ab280f290fb8259c0cb0130f89bf3c4e7805419d9c358"),
+    "CommitMsg": (213, "7be24e46698416c702de610cfdcd2e94d519772e16d8f09875d4870ecbe3991c"),
+    "CrossLogBinding": (265, "071ae1ab64a992c0cdf05c846f689fd8e8e97aeedd13b7cd93e9a84c7ff9c215"),
     "CrossLogBindingBody": (51, "cdd3d553e58d56c7375ec3e58f0b54ac4d7abd307d6854d30b584eb7ee3aee2e"),
     "CrossLogBindingFetch": (30, "60c578763dc7a8d83e22f7b888ac9b90c3a7f784e5d898964c802eeaecae10bc"),
-    "CrossShardReply": (265, "a5a5441de17961ea3d5d9ab9a00ade017f2f3636012ab4235e75c50880b73c29"),
-    "CrossShardSubReply": (305, "a14e3e0ba063d5322d56236dbb76c3170487ed7ed5cc756c25ffc2e5f401f43f"),
-    "CrossShardVote": (207, "95c514318ebd0cf3b6285a36daa9b4d1317cc6ba04d02704bece18a14068923a"),
+    "CrossShardReply": (265, "b31e06fa861f6160bbec855484160310f6f08a5dea13975ae863d1fdc0f6d3c9"),
+    "CrossShardSubReply": (305, "df3a559053df1a69d5c82e4f72aea23c3428725cf6a9c9be055ee655f4aef3ad"),
+    "CrossShardVote": (207, "4592c49e1c68ac9c862d8a7e77d6f6214743f8f0f4d47f1081c007cbfea9c9d6"),
     "CrossShardVoteFetch": (37, "80d89b01e75e69575d4d1feb1412b2ea998a52bd9380d9be13667362a8e2f925"),
-    "ExecCheckpointProof": (304, "d474b5d54584dc2afc77a083865e08aa3c3be12fc8caa993db038d802a46f6f3"),
+    "ExecCheckpointProof": (304, "d2a880859023313b11648975c072f7b2d7e70d7fa1d96a2546eaf8e88084f75a"),
     "ExecCheckpointShare": (54, "046acfdfcb12f22b78d45b469312cf639c771945a586a4edd1e54df3b424ccea"),
     "FetchBatch": (17, "6937e8074945060318a0c5b8dd01cad30d4b96ec474f4d8678144c35b88c860c"),
     "LogMapChange": (29, "3ca1971a85a7afaa2ece63b8c74c3c9d481750e521dbebaa9028d8535936fc7d"),
     "MapChange": (37, "ce6a1667ab61937fa238265535e15c4e68112f4d640036e489d4234e5bf244bc"),
-    "NewView": (712, "d08deaa0b3b871dddff69c034e80b49e6d2c3e169e5893c9c0d493e2393327b2"),
-    "OrderedBatch": (1188, "35f2cc0a484749b1baff159283e98596eed438d10f2d28468704f3c0ab6e84b7"),
-    "PrePrepare": (674, "75a05a267c0b0a52bcbd84e4356e6a2032045e94f2c5dda0a68cd65517769286"),
+    "NewView": (708, "ad93d75db17991a9df13ac563a3842a777a85b7da364f613cf8d258af10b2ad2"),
+    "OrderedBatch": (1184, "8100281d59f3ece7f2a73bb7b1a057a0e6ec3e53cb08e86caf5b69d400065887"),
+    "PrePrepare": (670, "5870d11482d2d5df80180c9f2ee04c15fedf47d1e5331fa55764b8f6488768af"),
     "Prepare": (61, "7bfc43b47745bf71c369103ae2160d0656319c1127b066863c33920ba4f7c783"),
-    "PreparedProof": (670, "6cf29ecc7249022b9b564f72ee8a4dab2e1df027a6610879c6ffe0b080e55c06"),
+    "PreparedProof": (666, "6770f5c74562190e7c67fe2e7a1947a704e73d87f7a451e29cfc3db5eed6a05c"),
     "RangeFetch": (32, "e50f3aa72f6d6558fbd4655574ea6b42c3825dd4890a59dddd9da20fb5e42d07"),
     "RangeHandoff": (92, "9fabd088e301f395711baed595e128d7de716afbfa44c43f0b34d7908beed4ae"),
     "ReplyBody": (74, "f11982668d1ea516d9e9b827949d213a55a86d2e08cf96eaeeb1755cde083a92"),
-    "RequestEnvelope": (316, "28ef66d479aef5ef6b9fc459224a4691dd4047243c186ee100c14c7b5a8fadfd"),
+    "RequestEnvelope": (314, "57cda965d56c6db655eda37937aad61cb1da3693ae5d64e57164e6a5578503a0"),
     "RouteVoucher": (74, "d9769d7f3355247e32625a8156d9d23899533c6ca026c6e93766db86f41e6a32"),
-    "ShardLocalBatch": (1528, "231aecff93b59bd31f1397da89d71b3d91ece7a51bf1c2975d1081851923e5c8"),
-    "ShardedBatch": (1221, "40cfb473f46e79b1e1da7dc0b7a581fa6b01d6f77871c7d6db01a16bcbeabc25"),
-    "StateTransfer": (365, "51828b4b5cb5fcc51d03cd5bf2ef83f352344636238fcf79770e8e32840ea0e9"),
-    "SubReplyBody": (107, "0eef098ea6c2795a5f1c0a3065867903388d474fcca6b8fa6724d477afd001f6"),
-    "ViewChange": (695, "325a3aedef5b66f9e49a43769ee061f888dbe2c4eb79b9713b3ef6a84e643bde"),
+    "ShardLocalBatch": (1522, "d0f12c92077ea8f4002bc85a26be86eb9f296fd420f607b9885205415258c4e2"),
+    "ShardedBatch": (1217, "2e37b47c2d5a92c0cb6403918f9393b8e3185d6b9e278410e7751265c3b7e5e0"),
+    "StateTransfer": (365, "4d8788c56b6085064249c54b1a09553e88b77069f874ae8a00a1c2156601e434"),
+    "SubReplyBody": (107, "4fda9755005a6a0e76a2a36b7a9b5e2a9d2012ee3c42cce2847ba4a80eb8a217"),
+    "ViewChange": (691, "a6007f8759fa93210d954d6722678421ed672a5c34a6a7f8172132e56a04fe26"),
 }
 
 
@@ -162,7 +166,7 @@ class TestRegistry:
         with pytest.raises(EncodeError):
             codec.encode(Any, {1, 2})
         with pytest.raises(EncodeError):
-            codec.encode(Any, 1 << 64)
+            codec.encode(Any, 1j)
 
 
 class TestGoldenFrames:
@@ -181,7 +185,35 @@ class TestGoldenFrames:
             assert message == messages[name]
         assert bytes(codec.encode_frame(sender, message)) == frames[name]
         # the authenticated form survives too: a receiver digests what it read
-        assert message.encoded() == messages[name].encoded()
+        assert canonical_encode(message) == canonical_encode(messages[name])
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WIRE))
+    def test_decoded_payloads_have_the_senders_digests(self, messages, frames, name):
+        _, message = default_codec().decode_frame(frames[name])
+        sent = [digest(cert.payload) for cert in iter_certificates(messages[name])]
+        assert [digest(cert.payload) for cert in iter_certificates(message)] == sent
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WIRE))
+    def test_each_payload_digest_is_that_of_a_slice_of_the_frame(
+            self, messages, frames, name):
+        """A certificate's payload is digested over bytes the frame carries
+        as they are, so a receiver could hash them where they arrived.  The
+        one exception is a reply bundle carrying replies: it digests as its
+        bodiless view, in which each carried reply stands as the digest of
+        its own slice of the frame."""
+        frame = frames[name]
+
+        def sliced(value):
+            data = canonical_encode(value)
+            return data in frame and hashlib.sha256(data).digest() == digest(value)
+
+        for cert in iter_certificates(messages[name]):
+            payload = cert.payload
+            if isinstance(payload, BatchReplyBody) and payload.carried:
+                assert all(sliced(reply) for reply in payload.carried)
+                assert digest(payload) == digest(payload.view_for(None))
+            else:
+                assert sliced(payload)
 
     def test_a_shard_replica_transfers_its_local_batch(self, messages):
         """``BatchTransfer.batch`` is an ``OrderedBatch`` or, between shard
@@ -401,6 +433,13 @@ class TestRobustness:
         (Any, bytes([codec_module.T_OBJ, 199])),            # no such class
         (Any, bytes([200])),                                # no such tag
         (Any, bytes([codec_module.T_STR]) + (2).to_bytes(4, "little") + b"\xc3\x28"),
+        # an int that fits in 8 bytes, and one not in its shortest form
+        (Any, bytes([codec_module.T_BIGINT]) + (9).to_bytes(4, "little")
+         + (5).to_bytes(9, "little")),
+        (Any, bytes([codec_module.T_BIGINT]) + (10).to_bytes(4, "little")
+         + (1 << 64).to_bytes(10, "little")),
+        (Any, bytes([codec_module.T_BIGINT]) + (10).to_bytes(4, "little")
+         + (-(1 << 64)).to_bytes(10, "little", signed=True)),
     ])
     def test_invalid_values_are_refused(self, tp, data):
         with pytest.raises(DecodeError):
@@ -408,7 +447,117 @@ class TestRobustness:
 
 
 # ---------------------------------------------------------------------- #
-# Nothing is unpickled any more.
+# One encoding per value: what digests and MACs are taken over.
+# ---------------------------------------------------------------------- #
+
+_keys = (st.none() | st.booleans() | st.integers()
+         | st.sampled_from([(1 << 63) - 1, 1 << 63, -(1 << 63), -(1 << 63) - 1,
+                            1 << 200, -(1 << 200)])
+         | st.text(max_size=8) | st.binary(max_size=8)
+         | st.sampled_from([Role.CLIENT, client_id(3), execution_id(0)]))
+_values = st.recursive(
+    _keys | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_keys, children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _reversed(value):
+    """``value`` with every dict's insertion order reversed."""
+    if isinstance(value, dict):
+        return {key: _reversed(value[key]) for key in reversed(list(value))}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reversed(item) for item in value)
+    return value
+
+
+class TestOneEncodingPerValue:
+    def test_the_byte_form_is_the_tagged_form(self):
+        value = {"b": [1, (2.5, None)], "a": b"x"}
+        data = default_codec().encode(Any, value)
+        assert canonical_encode(value) == data and estimate_size(value) == len(data)
+
+    @given(_values)
+    @settings(max_examples=150, deadline=None)
+    def test_same_encoding_whatever_the_dict_insertion_order(self, value):
+        assert canonical_encode(_reversed(value)) == canonical_encode(value)
+
+    def test_typed_dicts_are_ordered_too(self, messages):
+        sub = messages["SubReplyBody"]
+        flipped = dataclasses.replace(sub, values=_reversed(sub.values))
+        assert list(flipped.values) != list(sub.values)
+        assert canonical_encode(flipped) == canonical_encode(sub)
+        cert = messages["RequestEnvelope"].certificate
+        grown = Certificate(payload=cert.payload, scheme=cert.scheme)
+        for node, auth in reversed(list(messages["CrossLogBinding"].certificate
+                                        .authenticators.items())):
+            grown.authenticators[node] = auth
+        shuffled = Certificate(payload=cert.payload, scheme=cert.scheme,
+                               authenticators=_reversed(grown.authenticators))
+        assert canonical_encode(grown) == canonical_encode(shuffled)
+
+    def test_distinct_types_encode_differently(self):
+        for a, b in ((1, "1"), (True, 1), (b"x", "x"), (None, False), (1, 1.0),
+                     ([1, [2]], [[1], 2]), ([], [[]]), ((1,), [1]),
+                     (client_id(0), "C0"), (Role.CLIENT, "client")):
+            assert canonical_encode(a) != canonical_encode(b)
+
+    def test_what_the_codec_cannot_name_is_refused(self):
+        for bad in (object(), {1, 2}, 1j):
+            with pytest.raises(EncodeError):
+                canonical_encode(bad)
+
+    def test_ints_of_any_size_have_one_encoding(self):
+        codec = default_codec()
+        for value in ((1 << 63) - 1, -(1 << 63)):
+            assert len(canonical_encode(value)) == 9     # the 8-byte form
+        for value in (1 << 63, -(1 << 63) - 1, 1 << 64, -(1 << 64), 3 ** 200):
+            data = canonical_encode(value)
+            assert data[0] == codec_module.T_BIGINT
+            magnitude = value if value >= 0 else -value - 1
+            assert len(data) == 5 + magnitude.bit_length() // 8 + 1   # with a sign bit
+            assert codec.decode(Any, data) == value
+        assert canonical_encode(1 << 63) != canonical_encode(-(1 << 63))
+
+    @given(_values, _values)
+    @settings(max_examples=150, deadline=None)
+    def test_the_encoding_is_injective(self, a, b):
+        codec = default_codec()
+        data = canonical_encode(a)
+        assert codec.decode(Any, data) == a        # a left inverse
+        if data == canonical_encode(b):
+            assert a == b and type(a) is type(b)
+
+    @pytest.mark.parametrize("tp", [Any, typing.Dict[str, int]])
+    def test_dict_items_out_of_order_are_refused(self, tp):
+        codec = default_codec()
+        data = codec.encode(tp, {"a": 1, "bb": 2})
+        first = codec.encode(Any if tp is Any else str, "a")
+        second = codec.encode(Any if tp is Any else str, "bb")
+        value = codec.encode(Any if tp is Any else int, 1)
+        other = codec.encode(Any if tp is Any else int, 2)
+        swapped = data.replace(first + value + second + other,
+                               second + other + first + value)
+        assert swapped != data
+        with pytest.raises(DecodeError, match="increasing order"):
+            codec.decode(tp, swapped)
+
+    def test_a_mac_vector_out_of_order_is_refused(self, messages):
+        codec = default_codec()
+        auth = messages["CommitMsg"].cert_authenticator
+        data = codec.encode(Authenticator, auth)
+        entry = 4 + codec_module.MAC_BYTES
+        start = data.index(bytes([codec_module.TOKEN_MACS, len(auth.token)])) + 2
+        first, second = data[start:start + entry], data[start + entry:start + 2 * entry]
+        swapped = data[:start] + second + first + data[start + 2 * entry:]
+        with pytest.raises(DecodeError, match="increasing order"):
+            codec.decode(Authenticator, swapped)
+
+
+# ---------------------------------------------------------------------- #
+# Nothing is unpickled any more, and nothing has a second byte form.
 # ---------------------------------------------------------------------- #
 
 def test_no_module_imports_pickle():
@@ -422,4 +571,17 @@ def test_no_module_imports_pickle():
             if any(name.split(".")[0] in ("pickle", "_pickle", "cPickle")
                    for name in names):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
+def test_no_class_defines_a_second_byte_form():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                offenders += [
+                    f"{path.relative_to(SRC)}:{item.lineno} {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name in ("payload_fields", "to_wire")]
     assert offenders == []

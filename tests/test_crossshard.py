@@ -560,4 +560,4 @@ class TestWorkloadAudit:
     def test_workload_is_deterministic(self):
         ops_a = mixed_cross_shard_operations(100, num_shards=4, seed=9)
         ops_b = mixed_cross_shard_operations(100, num_shards=4, seed=9)
-        assert [op.to_wire() for op in ops_a] == [op.to_wire() for op in ops_b]
+        assert ops_a == ops_b

@@ -344,20 +344,20 @@ class TestGoldenKeysAndTokens:
         node = provider(keystore, execution_id(1))
         auth = node.mac_authenticator(GOLDEN_PAYLOAD, [agreement_id(0), client_id(3)])
         assert auth.payload_digest.hex() == (
-            "3d35b4d9e9533d24a35f07b5fb1d7b369792a5b76b829e9d67351be86649b61a")
+            "748145a4f5640eb15a5e2eec88a1797db04feb26fafdca8a426b359e15d99701")
         assert {name: token.hex() for name, token in auth.token.items()} == {
-            "A0": "72265538d28d03713be9fc72aa4359f5eaa207c105856ec012aa8f18a3c10e9a",
-            "C3": "30a892f579f1ecf9513dc6ac36ec9a9118f4f435bd18ae7f8e261926115c25ee",
+            "A0": "452140b7ade72b7f25bcff7a2931e8431d883c9de31fa03df56f9f24faff8165",
+            "C3": "93b78f8d3f7a68f6e2a52affeee0ac6c908a76ba3049d174d4086c7f53fd7142",
         }
         assert list(auth.token) == ["A0", "C3"]
         assert node.sign(GOLDEN_PAYLOAD).token.hex() == (
-            "70b4e3cacf8fae8a2c1ef59578d41898e4805f551be73376b082182d19ebbdc3")
+            "8c3f7a56d538afd524c1822dbf0d9dadbe132b8d00d6e29b386c1c42ada5ee5d")
         assert node.threshold_share(GOLDEN_PAYLOAD, "exec").token.hex() == (
-            "a9d365173dcad3237e00f7adc42e8706adc4e7060383e0479a2578d4373adcf8")
+            "f12775e3f2ef15fbedc2959f0ced15c622763db39629c2fea9ee6d2b8530a1a3")
         shares = [provider(keystore, execution_id(i)).threshold_share(GOLDEN_PAYLOAD, "exec")
                   for i in (0, 1)]
         assert node.threshold_combine(GOLDEN_PAYLOAD, "exec", shares).hex() == (
-            "826493a9d2ceeda1d58e52631431652575c963744aa59f9a09bde916e10018b8")
+            "24e09ca7703931589d6023123eac86f998820339eda8b28552dc6f79e0d53530")
 
 
 class TestKeysAreDerivedOnce:

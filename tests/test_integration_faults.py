@@ -240,6 +240,25 @@ class TestLivenessWithoutTheRelay:
         assert [node.requests_executed for node in system.execution_nodes] \
             == [1, 1, 1]
 
+    def test_a_retransmission_resends_the_signed_request(self, config):
+        """A client's retransmission timer signs nothing: every agreement
+        node is sent the very envelope the client signed the first time."""
+        system = SeparatedSystem(config, CounterService, seed=61)
+        client = system.clients[0]
+        sent = []
+        system.network.add_tap(
+            lambda source, destination, message:
+            sent.append(message) if source == client.node_id else None)
+        timestamp = client.submit(increment(1))
+        (envelope,) = sent
+        signed = client.stats.crypto_ops["mac_sign"]
+        client._on_timeout(timestamp)
+        assert client.stats.crypto_ops["mac_sign"] == signed
+        assert len(sent) == 1 + len(system.agreement_ids)
+        assert all(message is envelope for message in sent)
+        system.run_until(lambda: client.completed, 5_000.0)
+        assert client.completed[0].result.value == 1
+
     def test_a_liar_and_a_lost_direct_reply(self, config):
         """One of three direct replies is a re-signed lie and one is lost:
         the single honest one is below quorum, the cached certificate is

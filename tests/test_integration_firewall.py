@@ -160,7 +160,6 @@ class TestConfidentiality:
         system.run(100.0)
 
         from repro.apps.kvstore import KeyValueStore as Reference
-        from repro.crypto.digest import digest
         from repro.statemachine.nondet import NonDetInput
 
         reference = Reference()
@@ -169,10 +168,9 @@ class TestConfidentiality:
         for record, operation in zip(records, operations):
             expected = reference.execute(operation, NonDetInput.empty())
             assert record.result.value == expected.value
-            reference_digests[(client, record.timestamp)] = digest(
-                EncryptedBody(record.result,
-                              readers=frozenset({Role.CLIENT, Role.EXECUTION})
-                              ).to_wire())
+            reference_digests[(client, record.timestamp)] = EncryptedBody(
+                record.result, readers=frozenset({Role.CLIENT, Role.EXECUTION})
+            ).ciphertext_digest
         # Observed ciphertext digests must be consistent per (client, request):
         # the firewall never lets two different bodies through for one request.
         for (obs_client, timestamp), digests in auditor.observed_result_digests().items():

@@ -283,5 +283,5 @@ class TestMessageCensus:
         for _ in range(commits):
             system.invoke(increment(1))
         system.run(50.0)
-        assert kinds == {"deliver": 43 * commits, "flush": 87, "wake": 40}
-        assert system.scheduler.events_processed - before == 471   # 58.9 per commit
+        assert kinds == {"deliver": 43 * commits, "flush": 86, "wake": 35}
+        assert system.scheduler.events_processed - before == 465   # 58.1 per commit

@@ -18,9 +18,6 @@ class _Probe(Message):
     def __init__(self, size=16):
         self.size = size
 
-    def payload_fields(self):
-        return {"probe": True}
-
     def wire_size(self):
         return self.size
 

@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from repro.sim.events import EventQueue
 from repro.sim.process import Process
 from repro.sim.rand import DeterministicRandom
 from repro.sim.scheduler import Scheduler
+from repro.net.codec import default_codec
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.util.ids import client_id, server_id
@@ -277,12 +280,13 @@ class TestDeterministicRandom:
         assert all(rng.exponential(2.0) >= 0.0 for _ in range(50))
 
 
+@dataclass(frozen=True)
 class _EchoMessage(Message):
-    def __init__(self, text: str) -> None:
-        self.text = text
+    text: str
 
-    def payload_fields(self):
-        return {"text": self.text}
+
+# the simulator sizes what it carries by its encoding: the codec must know it
+default_codec().register(_EchoMessage, 210)
 
 
 class _EchoProcess(Process):

@@ -1,17 +1,13 @@
-"""Tests for utilities: node ids, canonical encoding, quorum arithmetic,
-the sequence-number table."""
+"""Tests for utilities: node ids, quorum arithmetic, the sequence-number
+table."""
 
 import dataclasses
-import enum
-import struct
-from collections import OrderedDict, namedtuple
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.util.encoding import Spliced, canonical_encode, estimate_size
 from repro.util.ids import (
     NodeId,
     Role,
@@ -120,233 +116,6 @@ class TestNodeIdWireCode:
         others = list(GOLDEN_CODES) + [agreement_id(1), firewall_id(0, 1)]
         assert sorted(others + [copy]) == sorted(others + [node])
         assert not copy < node and copy <= node and copy >= node
-
-
-encodable = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=20)
-    | st.binary(max_size=20)
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=20,
-)
-
-
-def reference_encode(value) -> bytes:
-    """The canonical encoding, written the straightforward way.
-
-    This was ``canonical_encode`` until the encoder was rewritten for speed;
-    it stays here as the definition the fast encoder must match byte for
-    byte (every digest, MAC and wire size in the system hangs off it).
-    """
-    out = bytearray()
-    _reference_into(value, out)
-    return bytes(out)
-
-
-def _reference_into(value, out: bytearray) -> None:
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, enum.Enum):
-        out += b"e"
-        _reference_into(value.__class__.__name__, out)
-        _reference_into(value.value, out)
-    elif isinstance(value, int):
-        encoded = str(value).encode("ascii")
-        out += b"i"
-        out += len(encoded).to_bytes(4, "big")
-        out += encoded
-    elif isinstance(value, float):
-        out += b"f"
-        out += struct.pack(">d", value)
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out += b"s"
-        out += len(encoded).to_bytes(8, "big")
-        out += encoded
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-        out += b"b"
-        out += len(data).to_bytes(8, "big")
-        out += data
-    elif isinstance(value, (list, tuple)):
-        out += b"l"
-        out += len(value).to_bytes(8, "big")
-        for item in value:
-            _reference_into(item, out)
-    elif isinstance(value, frozenset) or isinstance(value, set):
-        out += b"z"
-        items = sorted(reference_encode(item) for item in value)
-        out += len(items).to_bytes(8, "big")
-        for item in items:
-            out += len(item).to_bytes(8, "big")
-            out += item
-    elif isinstance(value, dict):
-        out += b"d"
-        items = sorted(
-            (reference_encode(k), reference_encode(v)) for k, v in value.items()
-        )
-        out += len(items).to_bytes(8, "big")
-        for key_bytes, value_bytes in items:
-            out += len(key_bytes).to_bytes(8, "big")
-            out += key_bytes
-            out += len(value_bytes).to_bytes(8, "big")
-            out += value_bytes
-    elif hasattr(value, "to_wire"):
-        out += b"w"
-        _reference_into(type(value).__name__, out)
-        _reference_into(value.to_wire(), out)
-    else:
-        raise TypeError(
-            f"canonical_encode does not support values of type {type(value).__name__}"
-        )
-
-
-class Colour(enum.Enum):
-    RED = "r"
-    DEPTH = 3
-
-
-class Level(enum.IntEnum):
-    LOW = 1
-
-
-class Label(str, enum.Enum):
-    X = "x"
-
-
-class Wired:
-    """An object the encoder meets directly (tag ``w``)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def to_wire(self):
-        return {"inner": self.inner, "n": 1}
-
-
-class WiredDict(dict):
-    """A dict first, whatever methods it has."""
-
-    def to_wire(self):  # pragma: no cover - must never be called
-        raise AssertionError("a dict subclass is encoded as a dict")
-
-
-class Count(int):
-    pass
-
-
-Pair = namedtuple("Pair", "left right")
-
-scalars = (
-    st.none() | st.booleans() | st.integers()
-    | st.integers(min_value=-20, max_value=1030)
-    | st.floats(allow_nan=False) | st.text(max_size=60) | st.binary(max_size=40)
-    | st.sampled_from([Colour.RED, Colour.DEPTH, Level.LOW, Label.X, Count(7),
-                       bytearray(b"ab"), memoryview(b"mv")])
-)
-hashable = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
-    | st.binary(max_size=8) | st.sampled_from([Colour.RED, Level.LOW]),
-    lambda children: st.lists(children, max_size=3).map(tuple)
-    | st.frozensets(children, max_size=3),
-    max_leaves=6,
-)
-any_value = st.recursive(
-    scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.tuples(children, children).map(lambda pair: Pair(*pair))
-    | st.dictionaries(hashable, children, max_size=4)
-    | st.dictionaries(st.text(max_size=8), children, max_size=3).map(OrderedDict)
-    | st.dictionaries(st.text(max_size=8), children, max_size=3).map(WiredDict)
-    | st.sets(hashable, max_size=4)
-    | st.frozensets(hashable, max_size=4)
-    | children.map(Wired),
-    max_leaves=25,
-)
-
-
-class TestFastEncoderMatchesReference:
-    @given(any_value)
-    @settings(max_examples=400, deadline=None)
-    def test_byte_for_byte(self, value):
-        expected = reference_encode(value)
-        assert canonical_encode(value) == expected
-        assert estimate_size(value) == len(expected)
-
-    def test_interned_strings_and_small_ints_at_their_edges(self):
-        for value in (-17, -16, 0, 1023, 1024, 10 ** 40, "", "k" * 48, "k" * 49,
-                      "\u00e9" * 48, ["k" * 48] * 3):
-            assert canonical_encode(value) == reference_encode(value)
-            assert canonical_encode(value) == reference_encode(value)
-
-    def test_nan_and_signed_zero(self):
-        for value in (float("nan"), -0.0, 0.0, float("inf")):
-            assert canonical_encode(value) == reference_encode(value)
-
-    def test_unsupported_types_raise_the_same_error(self):
-        for bad in (object(), 1j, {1: object()}, [Wired(object())]):
-            with pytest.raises(TypeError) as fast:
-                canonical_encode(bad)
-            with pytest.raises(TypeError) as slow:
-                reference_encode(bad)
-            assert str(fast.value) == str(slow.value)
-
-    def test_spliced_node_stands_for_the_wire_form(self):
-        class Child:
-            def to_wire(self):
-                return {"a": [1, 2], "b": None}
-
-            def encoded(self):
-                return canonical_encode(self.to_wire())
-
-        child = Child()
-        for spliced, plain in (
-            (Spliced(child), child.to_wire()),
-            ({"c": Spliced(child), "x": 1}, {"c": child.to_wire(), "x": 1}),
-            ([Spliced(child), Spliced(child)], [child.to_wire(), child.to_wire()]),
-        ):
-            assert canonical_encode(spliced) == reference_encode(plain)
-
-
-class TestCanonicalEncoding:
-    def test_deterministic_for_dict_ordering(self):
-        assert canonical_encode({"a": 1, "b": 2}) == canonical_encode({"b": 2, "a": 1})
-
-    def test_distinguishes_types(self):
-        assert canonical_encode(1) != canonical_encode("1")
-        assert canonical_encode(True) != canonical_encode(1)
-        assert canonical_encode(b"x") != canonical_encode("x")
-        assert canonical_encode(None) != canonical_encode(False)
-
-    def test_distinguishes_nesting(self):
-        assert canonical_encode([1, [2]]) != canonical_encode([[1], 2])
-        assert canonical_encode([]) != canonical_encode([[]])
-
-    def test_rejects_unsupported_types(self):
-        with pytest.raises(TypeError):
-            canonical_encode(object())
-
-    def test_estimate_size_positive(self):
-        assert estimate_size({"key": "value"}) > 0
-
-    @given(encodable)
-    @settings(max_examples=80, deadline=None)
-    def test_encoding_is_deterministic(self, value):
-        assert canonical_encode(value) == canonical_encode(value)
-
-    @given(encodable, encodable)
-    @settings(max_examples=80, deadline=None)
-    def test_distinct_values_encode_differently(self, a, b):
-        if canonical_encode(a) == canonical_encode(b):
-            # Injectivity: equal encodings only for equal values (ints/floats
-            # that compare equal, like 1 and 1.0, are still distinct types).
-            assert type(a) == type(b) or a == b
 
 
 class TestQuorums:
