@@ -80,9 +80,6 @@ class AgreementLog:
     def existing_entry(self, view: int, seq: int) -> Optional[LogEntry]:
         return self._entries.get((view, seq))
 
-    def entries_for_view(self, view: int) -> List[LogEntry]:
-        return [e for (v, _), e in sorted(self._entries.items()) if v == view]
-
     def prepared_entries_above(self, seq: int) -> List[LogEntry]:
         """All prepared-but-possibly-undelivered entries above ``seq``
         (across views) -- the evidence a view change must carry forward."""
@@ -174,6 +171,3 @@ class AgreementLog:
     def size(self) -> int:
         """Number of live log entries (post garbage collection)."""
         return len(self._entries)
-
-    def delivered_count(self) -> int:
-        return sum(1 for entry in self._entries.values() if entry.delivered)

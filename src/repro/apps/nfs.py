@@ -346,8 +346,5 @@ class NfsService(StateMachine):
     def exists(self, path: str) -> bool:
         return _normalize(path) in self._files
 
-    def file_count(self) -> int:
-        return len(self._files)
-
     def tree(self) -> List[str]:
         return sorted(self._files)

@@ -721,11 +721,6 @@ class SystemConfig:
         return self.sharding.num_shards
 
     @property
-    def total_execution_nodes(self) -> int:
-        """Execution replicas across all shards: ``num_shards * (2g + 1)``."""
-        return self.sharding.num_shards * self.num_execution_nodes
-
-    @property
     def agreement_quorum(self) -> int:
         """Authenticators required on an agreement certificate: ``2f + 1``."""
         return 2 * self.f + 1

@@ -138,9 +138,9 @@ class CoupledSystem(SimulatedSystem):
         for node_id in self.client_ids:
             client = ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore, agreement_ids=self.agreement_ids,
+                keystore=self.keystore, logs=[self.agreement_ids],
                 request_verifiers=self.agreement_ids,
-                reply_quorum=config.f + 1, reply_universe=self.agreement_ids,
+                reply_quorum=config.f + 1, reply_clusters=[self.agreement_ids],
             )
             self.clients.append(client)
             self.network.register(client)

@@ -12,7 +12,7 @@ so benchmarks can swap systems without changing the workload code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..agreement.replica import AgreementReplica
 from ..config import AuthenticationScheme, Deployment, SystemConfig
@@ -102,12 +102,6 @@ class SimulatedSystem:
                        description=f"reply for client {client.node_id}")
         return client.completed[-1]
 
-    def invoke_sequence(self, operations: Sequence[Operation], client_index: int = 0,
-                        timeout_ms: float = 60_000.0) -> List[CompletedRequest]:
-        """Submit ``operations`` one at a time from the same client."""
-        return [self.invoke(operation, client_index, timeout_ms)
-                for operation in operations]
-
     def submit(self, operation: Operation, client_index: int = 0) -> int:
         """Submit without waiting (the client queues behind its outstanding request)."""
         return self.clients[client_index].submit(operation)
@@ -135,11 +129,6 @@ class SimulatedSystem:
             for op, count in process.stats.crypto_ops.items():
                 totals[op] = totals.get(op, 0) + count
         return totals
-
-    def busy_ms_by_node(self) -> Dict[str, float]:
-        """Virtual processing time consumed per server node."""
-        return {process.node_id.name: process.stats.busy_ms
-                for process in self.server_processes()}
 
     def max_server_utilization(self, elapsed_ms: Optional[float] = None) -> float:
         """Utilisation of the busiest server node over ``elapsed_ms`` (default: now)."""
@@ -292,10 +281,10 @@ class SeparatedSystem(SimulatedSystem):
         for node_id in self.client_ids:
             client = ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore, agreement_ids=self.agreement_ids,
+                keystore=self.keystore, logs=[self.agreement_ids],
                 request_verifiers=request_verifiers,
-                reply_quorum=config.reply_quorum, reply_universe=self.execution_ids,
-                threshold_group=threshold_group,
+                reply_quorum=config.reply_quorum,
+                reply_clusters=[self.execution_ids],
                 encrypt_requests=config.use_privacy_firewall,
             )
             self.clients.append(client)

@@ -102,9 +102,9 @@ class UnreplicatedSystem(SimulatedSystem):
         for node_id in self.client_ids:
             client = ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore, agreement_ids=[self.server_id],
+                keystore=self.keystore, logs=[[self.server_id]],
                 request_verifiers=[self.server_id],
-                reply_quorum=1, reply_universe=[self.server_id],
+                reply_quorum=1, reply_clusters=[[self.server_id]],
             )
             self.clients.append(client)
             self.network.register(client)

@@ -127,9 +127,6 @@ class Certificate(WireMemoised):
         """Authenticators in deterministic (signer) order."""
         return [self.authenticators[s] for s in sorted(self.authenticators)]
 
-    def has_threshold_signature(self) -> bool:
-        return self.threshold_signature is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         signer_names = ",".join(sorted(s.name for s in self.authenticators))
         extra = " +threshold" if self.threshold_signature is not None else ""

@@ -40,16 +40,8 @@ class ProtocolError(ReproError):
     (wrong view, bad sequence number, duplicate with conflicting contents...)."""
 
 
-class InvalidMessageError(ProtocolError):
-    """A message failed structural validation before protocol processing."""
-
-
 class StateMachineError(ReproError):
     """The replicated application state machine rejected an operation."""
-
-
-class CheckpointError(ReproError):
-    """Checkpoint creation, certification, or restoration failed."""
 
 
 class SimulationError(ReproError):

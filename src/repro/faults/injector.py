@@ -136,17 +136,3 @@ class FaultInjector:
         for behaviour in list(self.active_behaviours):
             behaviour.uninstall(self.system)
         self.active_behaviours.clear()
-
-    # ------------------------------------------------------------------ #
-    # Convenience helpers used by benchmarks.
-    # ------------------------------------------------------------------ #
-
-    def crash_now(self, node: NodeId) -> None:
-        """Crash ``node`` immediately."""
-        self._process(node).crash()
-        self.applied.append(FaultEvent(at_ms=self.system.now, kind="crash", node=node))
-
-    def recover_now(self, node: NodeId) -> None:
-        """Clear the crash flag on ``node`` immediately."""
-        self._process(node).recover()
-        self.applied.append(FaultEvent(at_ms=self.system.now, kind="recover", node=node))

@@ -79,12 +79,6 @@ class FirewallArray:
     def node_at(self, row: int, column: int) -> FilterNode:
         return self.rows[row][column]
 
-    def extra_machines(self) -> int:
-        """Physical machines the firewall adds beyond the agreement cluster."""
-        rows = len(self.rows)
-        colocated = 1 if self.bottom_row_colocated else 0
-        return (rows - colocated) * self.config.firewall_columns
-
     # ------------------------------------------------------------------ #
     # Fault injection helpers.
     # ------------------------------------------------------------------ #
@@ -92,9 +86,6 @@ class FirewallArray:
     def crash(self, row: int, column: int) -> None:
         """Crash the filter at (row, column)."""
         self.node_at(row, column).crash()
-
-    def crash_count(self) -> int:
-        return sum(1 for node in self.nodes if node.crashed)
 
     def correct_cut_exists(self, faulty: Optional[List[NodeId]] = None) -> bool:
         """Whether some row consists entirely of non-faulty filters."""

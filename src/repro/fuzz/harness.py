@@ -333,9 +333,8 @@ def _bucket(value: int) -> int:
 
 
 def _system_counters(system: ShardedSystem) -> Dict[str, int]:
-    registry = getattr(system.router.partitioner, "registry", None)
     counters = {
-        "epoch": registry.latest_epoch if registry is not None else 0,
+        "epoch": system.router.partitioner.latest_epoch,
         "epoch_cuts": sum(queue.epoch_cuts for queue in system.message_queues),
         "view": max(replica.view for replica in system.agreement_replicas),
         "view_changes": sum(replica.view_changes_completed

@@ -63,9 +63,6 @@ class ReplyBody(Message):
             return self.result.open(role)
         return self.result
 
-    def result_is_encrypted(self) -> bool:
-        return isinstance(self.result, EncryptedBody)
-
 
 class _CarriedMemo(WireMemoised):
     """Slot for :attr:`BatchReplyBody.carried`.  Not a field: like the wire

@@ -95,9 +95,6 @@ class ClientRequest(Message):
             return self.operation.open(role)
         return self.operation
 
-    def body_is_encrypted(self) -> bool:
-        return isinstance(self.operation, EncryptedBody)
-
 
 @dataclass(frozen=True)
 class RequestEnvelope(Message):

@@ -1,11 +1,11 @@
-"""The shard-aware client under its multi-log name.
+"""The client under its multi-log name.
 
-:class:`~repro.sharding.client.ShardAwareClient` keeps one view cursor per
-agreement log, so there is no separate multi-log client any more.
+:class:`~repro.core.client.ClientNode` keeps one view cursor per agreement
+log, so there is no separate multi-log client.
 """
 
-from ..sharding.client import ShardAwareClient
+from ..core.client import ClientNode
 
 # Alias kept only because the frozen performance ledger
 # (benchmarks/ledger/spans.py::TARGETS) resolves this module and name.
-MultiLogClient = ShardAwareClient
+MultiLogClient = ClientNode

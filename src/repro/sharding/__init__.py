@@ -18,8 +18,9 @@ while ordering capacity stays fixed.
   in each agreement node;
 * :mod:`~repro.sharding.execution` -- shard execution replicas with misroute
   rejection and per-shard checkpoint/state-transfer lifecycles;
-* :mod:`~repro.sharding.client` -- clients that collect the ``g + 1`` reply
-  quorum from the owning shard only;
+* :mod:`~repro.sharding.client` -- the client's multi-shard operation part
+  (:class:`~repro.core.client.ClientNode` collects the ``g + 1`` reply
+  quorum from the owning shard only);
 * :mod:`~repro.sharding.system` -- :class:`ShardedSystem`, the deployment
   builder (``multilog.num_logs`` agreement clusters, one by default).
 """

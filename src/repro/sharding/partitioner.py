@@ -274,6 +274,11 @@ class Partitioner(ABC):
         partitioning is static)."""
         return 0
 
+    def has_epoch(self, epoch: int) -> bool:
+        """Whether partition-map ``epoch`` was agreed (a static
+        partitioning knows epoch 0 only)."""
+        return epoch == 0
+
     @abstractmethod
     def _shard_of(self, key: str, epoch: Optional[int]) -> int:
         """Shard owning a non-None key at ``epoch``."""
@@ -321,6 +326,9 @@ class KeyRangePartitioner(Partitioner):
     @property
     def latest_epoch(self) -> int:
         return self.registry.latest_epoch
+
+    def has_epoch(self, epoch: int) -> bool:
+        return self.registry.has_epoch(epoch)
 
     def map_for(self, epoch: int) -> PartitionMap:
         return self.registry.map_for(epoch)

@@ -581,9 +581,8 @@ class ShardRouterQueue(QueueCore):
         if frontiers is not None and len(frontiers) == self.num_shards:
             self._next_shard_seq = list(frontiers)
         epoch = state.get("epoch")
-        registry = getattr(self.router.partitioner, "registry", None)
-        if (epoch is not None and epoch > self.epoch and registry is not None
-                and registry.has_epoch(epoch)):
+        if (epoch is not None and epoch > self.epoch
+                and self.router.partitioner.has_epoch(epoch)):
             # The maps themselves are derived deterministically from the
             # agreed config-operation history (shared registry); only the
             # cursor needs transferring.

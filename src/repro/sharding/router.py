@@ -11,7 +11,7 @@ identically-configured one) runs in three places:
   that each request in a routed batch really belongs to it (misroute
   rejection: a Byzantine agreement node cannot make a shard execute a
   request it does not own);
-* in every :class:`~repro.sharding.client.ShardAwareClient`, to know which
+* in every sharded :class:`~repro.core.client.ClientNode`, to know which
   shard's ``g + 1`` reply quorum to wait for.
 
 Determinism across these sites is what makes sharding agreement-free: no

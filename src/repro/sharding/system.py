@@ -51,7 +51,7 @@ from ..net.topology import Topology
 from ..sim.process import Process
 from ..statemachine.interface import StateMachine
 from ..util.ids import NodeId, agreement_id, client_id, execution_id
-from .client import ShardAwareClient
+from ..core.client import ClientNode
 from .execution import ShardExecutionNode
 from .partitioner import make_partitioner
 from .queue import ShardRouterQueue
@@ -228,14 +228,14 @@ class ShardedSystem(SimulatedSystem):
         request_verifiers = self.agreement_ids + self.execution_ids
         self.clients = []
         for node_id in self.client_ids:
-            client = ShardAwareClient(
+            client = ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore,
-                log_agreement_ids=self.log_agreement_ids,
+                keystore=self.keystore, logs=self.log_agreement_ids,
                 request_verifiers=request_verifiers,
-                shard_execution_ids=self.shard_execution_ids,
-                router=self.router, log_registry=self.log_registry,
-                shard_threshold_groups=shard_threshold_groups,
+                reply_quorum=config.reply_quorum,
+                reply_clusters=self.shard_execution_ids, router=self.router,
+                log_of_shard=(self.log_registry.log_of
+                              if config.multilog.enabled else None),
             )
             self.clients.append(client)
             self.network.register(client)

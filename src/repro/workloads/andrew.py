@@ -52,10 +52,6 @@ class AndrewScale:
     file_size_bytes: int = 2048
     compile_ms_per_file: float = 1.0
 
-    @property
-    def total_files(self) -> int:
-        return self.directories * self.files_per_directory
-
 
 @dataclass
 class AndrewResult:
