@@ -178,9 +178,9 @@ def section_cross_group(quick: bool, seed: int, workload_seed: int,
     ratio = mixed.completed_per_sec / max(single_group_per_sec, 1e-9)
     queues = system.message_queues
     markers = max(queue.cross_log_markers for queue in queues)
-    sent = sum(queue.bindings_sent for queue in queues)
-    served = sum(queue.bindings_served for queue in queues)
-    rejected = sum(queue.bindings_rejected for queue in queues)
+    sent = sum(queue.cross_log.bindings_sent for queue in queues)
+    served = sum(queue.cross_log.bindings_served for queue in queues)
+    rejected = sum(queue.cross_log.bindings_rejected for queue in queues)
 
     print_section(f"Cross-group mix at K={CROSS_LOGS}: every marker ordered "
                   f"by each touched log, released at one cross-log cut")

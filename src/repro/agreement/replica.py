@@ -203,8 +203,8 @@ class AgreementReplica(Process):
                 handler(sender, message)
         else:
             # Messages the agreement protocol itself does not speak are
-            # offered to the local state machine (the multi-log router queue
-            # handles cross-log bindings and their fetches this way);
+            # offered to the local state machine (the router queue's
+            # cross-log round gets its bindings and fetches this way);
             # anything still unknown or corrupted is dropped silently, as
             # the Byzantine fault model requires correct nodes to tolerate
             # arbitrary garbage.

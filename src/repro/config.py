@@ -294,23 +294,24 @@ class MultiLogConfig:
 
     Cross-group operations (multi-shard reads/transactions whose keys span
     log groups, and ``LogMapChange`` config operations moving a shard
-    between groups) are ordered by a **cross-log coordination round**: every
-    touched log orders the same marker in its own log, each of its replicas
-    emits an ``f + 1``-vouchable sequence binding, and the lowest touched
-    log's primary collates the bindings into a certified *cut* (a per-log
-    sequence vector) at which every touched router queue releases the
-    marker.  Backups of the coordinator log fall the collation duty over on
-    a timer, mirroring the cross-shard collator discipline.
+    between groups) are released at one cut by a **cross-log coordination
+    round**: every touched log orders the same marker in its own log, each
+    of its replicas multicasts a MACed binding of the marker to its own
+    sequence number, and every router queue holds the marker at its
+    release head until it has itself certified ``f + 1`` matching
+    bindings from each other touched log.  There is no coordinator and
+    no collated cut message (:mod:`repro.multilog.queue`).
 
     Parameters
     ----------
     num_logs:
         Number of independent agreement logs.  ``1`` is the single-log
         sharded deployment: :class:`repro.sharding.ShardedSystem` builds it
-        from the same code, with no coordination machinery wired in at
-        all.  Requires ``sharding.num_shards`` to be divisible by
-        ``num_logs`` so groups start out equal; ``LogMapChange`` operations
-        may make them unequal later.
+        from the same code, and the round, built as everywhere, has no
+        peer to bind for and nothing to hold.  Requires
+        ``sharding.num_shards`` to be divisible by ``num_logs`` so groups
+        start out equal; ``LogMapChange`` operations may make them unequal
+        later.
     """
 
     num_logs: int = 1

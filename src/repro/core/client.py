@@ -126,8 +126,8 @@ class ClientNode(Process):
         self.reply_quorum = reply_quorum
         self.reply_clusters = [list(ids) for ids in reply_clusters]
         self.router = router
-        #: shard -> the log that orders its feed (newest log map); None with
-        #: one log, where sub-reply fragments share one global ``op_seq``
+        #: shard -> the log that orders its feed (newest log map); None in
+        #: the unsharded deployments, whose one log orders everything
         self.log_of_shard = log_of_shard
         self.encrypt_requests = encrypt_requests
         self.crypto = CryptoProvider(node_id, keystore, config.crypto,

@@ -53,6 +53,7 @@ backend, which is why it runs unmodified over real sockets:
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -232,6 +233,11 @@ class QueueCore(LocalExecutor):
     # ------------------------------------------------------------------ #
     # Reply certificates.
     # ------------------------------------------------------------------ #
+
+    @abstractmethod
+    def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
+        """An execution replica's partial certificate over a reply bundle
+        (the hosting replica hands every :class:`BatchReply` here)."""
 
     def _admissible(self, message: BatchReply) -> bool:
         """Whether to assemble ``message``: well formed, and carrying the

@@ -369,11 +369,14 @@ def _system_counters(system: ShardedSystem) -> Dict[str, int]:
     # Multi-log coordination counters: only present on runs with several
     # logs, so single-log corpus seeds keep their fingerprints and digests.
     if system.config.multilog.enabled:
+        queues = system.message_queues
         counters["log_epoch"] = system.log_registry.latest_epoch
-        for name in ("cross_log_markers", "bindings_sent", "bindings_served",
-                     "bindings_rejected", "log_map_cuts"):
-            counters[name] = sum(getattr(queue, name)
-                                 for queue in system.message_queues)
+        counters["cross_log_markers"] = sum(queue.cross_log_markers
+                                            for queue in queues)
+        for name in ("bindings_sent", "bindings_served", "bindings_rejected",
+                     "log_map_cuts"):
+            counters[name] = sum(getattr(queue.cross_log, name)
+                                 for queue in queues)
     return counters
 
 

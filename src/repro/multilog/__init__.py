@@ -14,7 +14,7 @@ from .client import MultiLogClient
 from .logmap import LogMap, LogMapRegistry, initial_log_map
 from .messages import (CrossLogBinding, CrossLogBindingBody,
                        CrossLogBindingFetch, LogMapChange, log_map_change_of)
-from .queue import MultiLogRouterQueue
+from .queue import CrossLogRound
 
 
 def __getattr__(name: str):
@@ -29,7 +29,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CrossLogBinding", "CrossLogBindingBody", "CrossLogBindingFetch",
-    "LogMap", "LogMapChange", "LogMapRegistry", "MultiLogClient",
-    "MultiLogRouterQueue", "MultiLogSystem", "initial_log_map",
-    "log_map_change_of",
+    "CrossLogRound", "LogMap", "LogMapChange", "LogMapRegistry",
+    "MultiLogClient", "MultiLogSystem", "initial_log_map", "log_map_change_of",
 ]

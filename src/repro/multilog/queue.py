@@ -1,12 +1,13 @@
-"""The multi-log shard-routing queue: cross-log cuts over K agreement orders.
+"""The cross-log round of a router queue: cross-log cuts over K agreement orders.
 
-Each agreement replica of log ``l`` hosts a :class:`MultiLogRouterQueue` --
-a :class:`~repro.sharding.queue.ShardRouterQueue` that routes only the
-shards of its own log group (judged by the epoch-versioned
-:class:`~repro.multilog.logmap.LogMap`) and adds the **cross-log
-coordination round** for operations spanning groups.  The round has one
-artifact, the :class:`~repro.multilog.messages.CrossLogBinding`, and one
-release rule, which every queue applies for itself:
+Every agreement replica of log ``l`` hosts a
+:class:`~repro.sharding.queue.ShardRouterQueue` that routes only the shards
+of its own log group (judged by the epoch-versioned
+:class:`~repro.multilog.logmap.LogMap`), and the queue builds one
+:class:`CrossLogRound`: the **cross-log coordination round** for operations
+spanning groups.  The round has one artifact, the
+:class:`~repro.multilog.messages.CrossLogBinding`, and one release rule,
+which every queue applies for itself:
 
 * *Publish.*  When a cross-shard marker commits (stages), the queue binds
   it to the sequence number its own log assigned and multicasts the
@@ -42,6 +43,10 @@ release rule, which every queue applies for itself:
   causes a send, so the round cannot loop, and a replica that missed the
   multicast recovers whatever the arrival order was.
 
+With one log the round has no peers and no marker spans two logs: it
+binds, holds and sends nothing, and the queue keeps the envelope's ``log``
+stamp and the checkpoint's ``log_epoch`` off the wire.
+
 docs/ARCHITECTURE.md ("Cuts") records why this round has the shape of
 :class:`~repro.sharding.cut.ShareExchange` but is not hosted on it.
 """
@@ -51,27 +56,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..config import AuthenticationScheme, SystemConfig
+from ..config import AuthenticationScheme
 from ..core.message_queue import PendingSend
 from ..crypto.certificate import Authenticator, Certificate
 from ..messages.agreement import OrderedBatch
 from ..net.message import Message
 from ..obs import request_trace_id
-from ..sim.process import Process
 from ..sharding.messages import config_op_of, cross_shard_request_of
-from ..sharding.queue import ShardRouterQueue
-from ..sharding.router import ShardRouter
 from ..util.ids import NodeId
 from .logmap import LogMap, LogMapRegistry
-from .messages import (XS_MARKER, CrossLogBinding, CrossLogBindingBody,
-                       CrossLogBindingFetch, LogMapChange, MarkerKey,
-                       client_marker_key, log_map_change_of, marker_key_of)
+from .messages import (LMC_MARKER, XS_MARKER, CrossLogBinding,
+                       CrossLogBindingBody, CrossLogBindingFetch, LogMapChange,
+                       MarkerKey, client_marker_key, log_map_change_of,
+                       marker_key_of)
 
 #: released markers whose own binding stays servable to a still-holding
 #: peer.  Also what is buffered ahead of a hold -- bindings tallied per
 #: *sender* (no replica can evict another's), markers certified: a fetch
 #: recovers what that drops
 BOUND_RETENTION = 64
+
+
+def __getattr__(name: str):
+    # ``MultiLogRouterQueue`` is an alias of the one router queue, kept only
+    # because the frozen performance ledger (benchmarks/ledger/spans.py)
+    # resolves this module and name.  Resolved on first use:
+    # ``repro.sharding.queue`` itself imports this module.
+    if name == "MultiLogRouterQueue":
+        from ..sharding.queue import ShardRouterQueue
+        return ShardRouterQueue
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -86,19 +100,12 @@ class _Hold:
     fetch: PendingSend
 
 
-class MultiLogRouterQueue(ShardRouterQueue):
-    """Local state machine of one agreement node of one log group."""
+class CrossLogRound:
+    """One router queue's part in the cross-log round of log ``log``."""
 
-    def __init__(self, owner: Process, config: SystemConfig,
-                 shard_execution_ids: List[List[NodeId]],
-                 client_ids: List[NodeId], router: ShardRouter,
-                 log: int, log_agreement_ids: List[List[NodeId]],
-                 log_registry: LogMapRegistry,
-                 shard_threshold_groups: Optional[List[str]] = None) -> None:
-        super().__init__(owner=owner, config=config,
-                         shard_execution_ids=shard_execution_ids,
-                         client_ids=client_ids, router=router,
-                         shard_threshold_groups=shard_threshold_groups)
+    def __init__(self, queue, log: int, log_agreement_ids: List[List[NodeId]],
+                 log_registry: LogMapRegistry) -> None:
+        self.queue = queue
         self.log = log
         self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
         self.log_registry = log_registry
@@ -106,6 +113,10 @@ class MultiLogRouterQueue(ShardRouterQueue):
         #: who a binding goes to (own-log peers witness the commit themselves)
         self.peer_ids = [node for other, ids in enumerate(log_agreement_ids)
                          if other != log for node in ids]
+        #: the log stamped into routed envelopes and carried through to
+        #: sub-reply fragments, whose marker sequence numbers live in per-log
+        #: spaces; None with one log, which keeps the field off the wire
+        self.stamp = log if self.peer_ids else None
         #: this node's log-map epoch cursor: the epoch governing the *next*
         #: released batch (advanced exactly at log-map-change cuts)
         self.log_epoch = 0
@@ -130,65 +141,51 @@ class MultiLogRouterQueue(ShardRouterQueue):
         self._released: Dict[MarkerKey, Dict[int, CrossLogBindingBody]] = {}
 
         # Statistics.
-        self.cross_log_markers = 0
         self.bindings_sent = 0
         self.bindings_served = 0
         self.bindings_rejected = 0
         self.log_map_cuts = 0
         self.log_map_changes_rejected = 0
 
-    # ------------------------------------------------------------------ #
-    # Probes.
-    # ------------------------------------------------------------------ #
-
-    def _shard_probe(self) -> dict:
-        probe = super()._shard_probe()
-        probe.update({
+    def probe(self) -> dict:
+        """The round's counters and occupancy, for the queue's probe."""
+        return {
             "log": self.log,
             "log_epoch": self.log_epoch,
-            "cross_log_markers": self.cross_log_markers,
             "bindings_sent": self.bindings_sent,
             "bindings_served": self.bindings_served,
             "bindings_rejected": self.bindings_rejected,
             "log_map_cuts": self.log_map_cuts,
             "log_map_changes_rejected": self.log_map_changes_rejected,
             "held_markers": len(self._held),
-        })
-        return probe
+        }
 
     # ------------------------------------------------------------------ #
-    # Helpers.
+    # What the queue asks.
     # ------------------------------------------------------------------ #
 
     def _log_map(self) -> LogMap:
         return self.log_registry.map_for(self.log_epoch)
 
-    def _owned_route_targets(self, batch: OrderedBatch, shards):
+    def owned(self, shards) -> List[int]:
+        """The subset of ``shards`` this log's group owns: a batch whose
+        targets all live in other groups falls through to the queue's
+        vacuous answer, so its pipeline never waits on a reply another
+        log's clusters owe."""
         lmap = self._log_map()
         return [shard for shard in shards if lmap.log_of(shard) == self.log]
 
-    def _route_targets(self, batch: OrderedBatch) -> List[int]:
-        """A log-map change goes to every shard this log owns *pre-cut* (a
-        stale one to none); anything else routes as in the base queue."""
-        change = log_map_change_of(batch.request_certificates)
-        if change is None:
-            return super()._route_targets(batch)
-        if not self._applies(change):
-            return []
-        return self._owned_route_targets(batch, range(self.num_shards))
-
-    def _ordering_log(self):
-        return self.log
-
-    def _quorum(self) -> int:
-        """``f + 1``: at least one correct replica vouches per log."""
-        return self.config.f + 1
-
-    def _applies(self, change: LogMapChange) -> bool:
+    def applies(self, change: LogMapChange) -> bool:
         """Whether a log-map change moves anything at this queue's epoch."""
-        return (change.well_formed(self.num_shards, self.num_logs)
+        return (change.well_formed(self.queue.num_shards, self.num_logs)
                 and change.parent_log_epoch == self.log_epoch
                 and self._log_map().log_of(change.shard) != change.target_log)
+
+    def changing(self, parent: int) -> bool:
+        """Whether a log-map change past epoch ``parent`` is in flight here:
+        the cursor moved off it, or a change holds the release frontier."""
+        return self.log_epoch != parent or any(
+            key[0] == LMC_MARKER for key in self._held)
 
     def _coordination_of(self, batch: OrderedBatch):
         """``(marker key, touched logs)`` if ``batch`` needs a cut here.
@@ -201,14 +198,15 @@ class MultiLogRouterQueue(ShardRouterQueue):
         """
         change = log_map_change_of(batch.request_certificates)
         if change is not None:
-            if not self._applies(change):
+            if not self.applies(change):
                 return None
             return change.marker_key(), tuple(range(self.num_logs))
-        request = self._cross_shard_marker_of(batch)
+        queue = self.queue
+        request = queue._cross_shard_marker_of(batch)
         if request is None:
             return None
-        shards = self.router.shards_of_operation_keys(request.operation,
-                                                      epoch=self.epoch)
+        shards = queue.router.shards_of_operation_keys(request.operation,
+                                                       epoch=queue.epoch)
         lmap = self._log_map()
         logs = tuple(sorted({lmap.log_of(shard) for shard in shards}))
         if len(logs) < 2:
@@ -219,19 +217,15 @@ class MultiLogRouterQueue(ShardRouterQueue):
     # Binding emission.
     # ------------------------------------------------------------------ #
 
-    def stage_batch(self, seq: int, view: int, request_certificates,
-                    agreement_certificate, nondet) -> None:
-        if seq > self._released_seq and seq not in self._staged:
-            certificates = tuple(request_certificates)
-            self._maybe_bind_marker(seq, certificates)
-            if log_map_change_of(certificates) is not None:
-                self._unbound_changes.add(seq)
-        super().stage_batch(seq=seq, view=view,
-                            request_certificates=request_certificates,
-                            agreement_certificate=agreement_certificate,
-                            nondet=nondet)
-        if self._unbound_changes:
-            self._bind_staged_change()
+    def on_stage(self, seq: int, certificates) -> None:
+        """A batch newly staged at ``seq``: bind it if it is a marker, and
+        note a log-map change to bind once the prefix below it is staged.
+        A queue with no other log has nobody to bind for."""
+        if not self.peer_ids:
+            return
+        self._maybe_bind_marker(seq, certificates)
+        if log_map_change_of(certificates) is not None:
+            self._unbound_changes.add(seq)
 
     def _maybe_bind_marker(self, seq: int, certificates) -> None:
         """Bind a committing cross-shard marker to its sequence number.
@@ -244,11 +238,12 @@ class MultiLogRouterQueue(ShardRouterQueue):
         their staging -- a within-group marker's bindings are simply never
         waited on.
         """
-        if not self.config.cross_shard.enabled:
+        queue = self.queue
+        if not queue.config.cross_shard.enabled:
             return
         request = cross_shard_request_of(certificates)
-        if request is None or not self.router.is_cross_shard(
-                request, epoch=self.epoch):
+        if request is None or not queue.router.is_cross_shard(
+                request, epoch=queue.epoch):
             return
         key = client_marker_key(request)
         bound = self._bound.get(key)
@@ -257,7 +252,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
         self._emit_binding(key, CrossLogBindingBody(marker=key, log=self.log,
                                                     seq=seq))
 
-    def _bind_staged_change(self) -> None:
+    def bind_staged_change(self) -> None:
         """Bind the lowest staged log-map change once every batch below it
         is staged.
 
@@ -271,22 +266,25 @@ class MultiLogRouterQueue(ShardRouterQueue):
         Another config operation in that stretch would move the epochs the
         stretch routes under; the change then binds at its release head.
         """
+        if not self._unbound_changes:
+            return
+        queue = self.queue
         seq = min(self._unbound_changes)
-        parts = [0] * self.num_shards
-        for below in range(self._released_seq + 1, seq):
-            batch = self._staged.get(below)
+        parts = [0] * queue.num_shards
+        for below in range(queue._released_seq + 1, seq):
+            batch = queue._staged.get(below)
             if batch is None:
                 return  # a gap: the next staging tries again
             if config_op_of(batch.request_certificates) is not None:
                 self._unbound_changes.discard(seq)
                 return
-            for shard in self._route_targets(batch):
+            for shard in queue._route_targets(batch):
                 parts[shard] += 1
         self._unbound_changes.discard(seq)
-        change = log_map_change_of(self._staged[seq].request_certificates)
-        if self._applies(change):
+        change = log_map_change_of(queue._staged[seq].request_certificates)
+        if self.applies(change):
             self._emit_binding(change.marker_key(), self._change_binding(
-                change, seq, self._next_shard_seq[change.shard]
+                change, seq, queue._next_shard_seq[change.shard]
                 + parts[change.shard] + 1))
 
     def _change_binding(self, change: LogMapChange, seq: int,
@@ -300,27 +298,25 @@ class MultiLogRouterQueue(ShardRouterQueue):
 
     def _emit_binding(self, key: MarkerKey,
                       body: CrossLogBindingBody) -> None:
-        certificate = self.crypto.new_certificate(
+        owner = self.queue.owner
+        certificate = owner.crypto.new_certificate(
             body, AuthenticationScheme.MAC, self.peer_ids)
         binding = CrossLogBinding(body=body, certificate=certificate,
-                                  sender=self.owner.node_id)
+                                  sender=owner.node_id)
         self._bound[key] = binding
         self.bindings_sent += 1
-        self.owner.multicast(self.peer_ids, binding)
+        owner.multicast(self.peer_ids, binding)
 
     # ------------------------------------------------------------------ #
     # Binding admission, tally and certification.
     # ------------------------------------------------------------------ #
 
-    def on_unknown_message(self, sender: NodeId, message: Message) -> None:
-        """Cross-log traffic offered by the hosting agreement replica (the
-        rest is the base queue's)."""
+    def on_message(self, sender: NodeId, message: Message) -> None:
+        """A :class:`CrossLogBinding` or :class:`CrossLogBindingFetch`."""
         if isinstance(message, CrossLogBinding):
             self._absorb_binding(sender, message)
-        elif isinstance(message, CrossLogBindingFetch):
-            self._serve_binding(sender, message)
         else:
-            super().on_unknown_message(sender, message)
+            self._serve_binding(sender, message)
 
     def _vet_binding(self, sender: NodeId, binding: CrossLogBinding):
         """``(marker key, body, the sender's authenticator)`` of a binding
@@ -364,22 +360,24 @@ class MultiLogRouterQueue(ShardRouterQueue):
         if not held and len(tally) > BOUND_RETENTION:
             del tally[next(kept for kept in tally if kept not in self._held)]
         if self._certify(key, body) and held:
-            self._advance_release_frontier()
+            self.queue._advance_release_frontier()
 
     def _certify(self, key: MarkerKey, body: CrossLogBindingBody) -> bool:
         """Certify ``body`` as its log's binding of the marker once
-        ``f + 1`` members of that log sent it under MACs that verify here."""
+        ``f + 1`` members of that log sent it under MACs that verify here
+        (at least one correct replica vouches per log)."""
         members = self.log_agreement_ids[body.log]
+        quorum = self.queue.config.f + 1
         matching: Dict[NodeId, Authenticator] = {}
         for peer in members:
             entry = self._tallies[peer].get(key)
             if entry is not None and entry[0] == body:
                 matching[peer] = entry[1]
-        if len(matching) < self._quorum():
+        if len(matching) < quorum:
             return False  # cannot reach quorum yet: defer the MAC verification
         certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC,
                                   authenticators=matching)
-        if len(self.crypto.valid_signers(certificate, members)) < self._quorum():
+        if len(self.queue.crypto.valid_signers(certificate, members)) < quorum:
             return False
         self._certified.setdefault(key, {})[body.log] = body
         if len(self._certified) > BOUND_RETENTION:
@@ -403,11 +401,11 @@ class MultiLogRouterQueue(ShardRouterQueue):
     def _on_binding_retransmit(self, key: MarkerKey) -> None:
         """The holding queue's timer: ask the logs still lacking."""
         hold = self._held[key]
-        self.owner.multicast(
+        self.queue.owner.multicast(
             [node for log in self._lacking(key, hold)
              for node in self.log_agreement_ids[log]],
-            CrossLogBindingFetch(marker=key, sender=self.owner.node_id))
-        self._back_off(hold.fetch)
+            CrossLogBindingFetch(marker=key, sender=self.queue.owner.node_id))
+        self.queue._back_off(hold.fetch)
 
     def _serve_binding(self, sender: NodeId,
                        fetch: CrossLogBindingFetch) -> None:
@@ -419,13 +417,18 @@ class MultiLogRouterQueue(ShardRouterQueue):
         binding = self._bound.get(key)
         if binding is not None:
             self.bindings_served += 1
-            self.owner.send(sender, binding)
+            self.queue.owner.send(sender, binding)
 
     # ------------------------------------------------------------------ #
-    # Release frontier: holds and routing.
+    # The release head: holds, the log-map cut, release.
     # ------------------------------------------------------------------ #
 
-    def _release_hold(self, batch: OrderedBatch) -> bool:
+    def holds(self, batch: OrderedBatch) -> bool:
+        """Whether the release frontier must pause before ``batch``: a
+        marker spanning log groups waits for every other touched log's
+        certified binding.  A queue with no other log waits for nobody."""
+        if not self.peer_ids:
+            return False
         coordination = self._coordination_of(batch)
         if coordination is None:
             return False
@@ -435,6 +438,7 @@ class MultiLogRouterQueue(ShardRouterQueue):
 
     def _open_hold(self, batch: OrderedBatch, key: MarkerKey,
                    touched: Tuple[int, ...]) -> _Hold:
+        queue = self.queue
         change = log_map_change_of(batch.request_certificates)
         hold = self._held[key] = _Hold(
             touched=touched, seq=batch.seq,
@@ -442,19 +446,20 @@ class MultiLogRouterQueue(ShardRouterQueue):
                     else self._log_map().log_of(change.shard)),
             fetch=PendingSend(
                 batch=key, fire=lambda: self._on_binding_retransmit(key),
-                label=f"{self.owner.node_id}:xlog-binding",
-                timeout_ms=self.config.timers.agreement_retransmit_ms))
+                label=f"{queue.owner.node_id}:xlog-binding",
+                timeout_ms=queue.config.timers.agreement_retransmit_ms))
         if key in self._released:
             # Ordered again by this log: what released it then stands.
             self._certified[key] = dict(self._released[key])
         self._ensure_bound(change, key, hold)
-        if self.owner.tracing:
-            self.owner.trace_event(self._marker_trace_id(key),
-                                   "coordinate_open")
-        self._arm(hold.fetch)
+        if queue.owner.tracing:
+            queue.owner.trace_event(self._marker_trace_id(key),
+                                    "coordinate_open")
+        queue._arm(hold.fetch)
         return hold
 
-    def _marker_trace_id(self, key: MarkerKey) -> str:
+    @staticmethod
+    def _marker_trace_id(key: MarkerKey) -> str:
         if key[0] == XS_MARKER:
             return request_trace_id(key[1], key[2])
         return f"logmove:{key[1]}:{key[3]}"
@@ -474,24 +479,19 @@ class MultiLogRouterQueue(ShardRouterQueue):
             # The marker itself is the moved shard's next (and, from the
             # source log, final) envelope.
             body = self._change_binding(
-                change, hold.seq, self._next_shard_seq[change.shard] + 1)
+                change, hold.seq, self.queue._next_shard_seq[change.shard] + 1)
         self._emit_binding(key, body)
 
-    def _route_batch(self, batch: OrderedBatch) -> None:
-        change = log_map_change_of(batch.request_certificates)
-        if change is not None:
-            self._route_log_map_change(batch, change)
-            return
-        request = self._cross_shard_marker_of(batch) if self._held else None
+    def held_marker(self, batch: OrderedBatch) -> Optional[MarkerKey]:
+        """The key of the client marker ``batch`` is, if it held here."""
+        if not self._held:
+            return None
+        request = self.queue._cross_shard_marker_of(batch)
         key = None if request is None else client_marker_key(request)
-        if key in self._held:
-            self.cross_log_markers += 1
-        super()._route_batch(batch)
-        self._finish_coordination(key)  # a no-op unless the marker held
+        return key if key in self._held else None
 
-    def _route_log_map_change(self, batch: OrderedBatch,
-                              change: LogMapChange) -> None:
-        """Route the change marker to this log's group and apply the cut.
+    def cut(self, batch: OrderedBatch, change: LogMapChange) -> None:
+        """Route a released log-map change to this log's group and apply it.
 
         Every log routes the marker to each shard it owns *pre-cut* (so
         every execution cluster meets the log-epoch boundary at a
@@ -499,18 +499,19 @@ class MultiLogRouterQueue(ShardRouterQueue):
         from the source log is its final one), then applies the new map.
         The target log additionally adopts the moved shard's certified
         frontier, continuing its shard-local sequence space exactly where
-        the source log stopped.
+        the source log stopped.  A stale or malformed change is rejected
+        and its slot answered vacuously, on every correct replica alike.
         """
-        self._observe_release(batch)
+        queue = self.queue
         self._unbound_changes.discard(batch.seq)
         key = change.marker_key()
         current = self._log_map()
-        if not self._applies(change):
+        if not self.applies(change):
             self.log_map_changes_rejected += 1
-            self._vacuous_answer(batch.seq)
-            self._finish_coordination(key)
+            queue._vacuous_answer(batch.seq)
+            self.finish(key)
             return
-        self._send_parts(batch, self._route_targets(batch))
+        queue._send_parts(batch, queue._route_targets(batch))
         new_map = current.move(change.shard, change.target_log)
         self.log_registry.append(new_map)
         self.log_epoch = new_map.log_epoch
@@ -518,17 +519,18 @@ class MultiLogRouterQueue(ShardRouterQueue):
         if self.log == change.target_log:
             # What the hold certified of the source log (never this one).
             source = self._certified[key][current.log_of(change.shard)]
-            self._next_shard_seq[change.shard] = source.shard_frontier
-        self._finish_coordination(key)
+            queue._next_shard_seq[change.shard] = source.shard_frontier
+        self.finish(key)
 
-    def _finish_coordination(self, key: MarkerKey) -> None:
+    def finish(self, key: Optional[MarkerKey]) -> None:
+        """The marker ``key`` released: end its hold, if it had one."""
         hold = self._held.pop(key, None)
         if hold is None:
             return
         hold.fetch.timer.cancel()
-        if self.owner.tracing:
-            self.owner.trace_event(self._marker_trace_id(key),
-                                   "coordinate_done")
+        owner = self.queue.owner
+        if owner.tracing:
+            owner.trace_event(self._marker_trace_id(key), "coordinate_done")
         for tally in self._tallies.values():
             tally.pop(key, None)
         # Local liveness state, never part of an agreed artifact: replicas
@@ -543,11 +545,12 @@ class MultiLogRouterQueue(ShardRouterQueue):
     # Checkpoint state transfer: the log-epoch cursor travels too.
     # ------------------------------------------------------------------ #
 
-    def _frontier_state(self):
-        return super()._frontier_state() + (("log_epoch", self.log_epoch),)
+    def frontier_state(self) -> Tuple[Tuple[str, object], ...]:
+        """The log-epoch cursor, for the checkpoint's sync state (nothing
+        with one log: its map never changes)."""
+        return (("log_epoch", self.log_epoch),) if self.peer_ids else ()
 
-    def sync_to_checkpoint(self, seq: int, sync_state) -> None:
-        state = dict(sync_state)
+    def sync_to_checkpoint(self, seq: int, state: dict) -> None:
         log_epoch = state.get("log_epoch")
         if (log_epoch is not None and log_epoch > self.log_epoch
                 and self.log_registry.has_epoch(log_epoch)):
@@ -557,7 +560,6 @@ class MultiLogRouterQueue(ShardRouterQueue):
         # A hold the checkpoint passed is over: others released the marker.
         for key in [key for key, hold in self._held.items()
                     if hold.seq <= seq]:
-            self._finish_coordination(key)
+            self.finish(key)
         self._unbound_changes = {change for change in self._unbound_changes
                                  if change > seq}
-        super().sync_to_checkpoint(seq, sync_state)

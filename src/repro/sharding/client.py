@@ -183,7 +183,7 @@ class CrossShardRequests:
                 isinstance(body, SubReplyBody) and body.client == client.node_id
                 and body.timestamp == pending.timestamp for body in bodies):
             return None
-        if not sub_reply_rounds_consistent(bodies, client.log_of_shard):
+        if not sub_reply_rounds_consistent(bodies):
             return None
         expected = client._shards_at(pending, bodies[0].epoch)
         if expected is None or sorted(body.shard for body in bodies) != expected:

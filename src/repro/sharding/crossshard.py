@@ -414,7 +414,7 @@ class CrossShardOperations(ShareExchange):
             return
         bodies = [collation.full[shard].payload for shard in collation.touched]
         first = bodies[0]
-        if not sub_reply_rounds_consistent(bodies, self.node.log_of_shard):
+        if not sub_reply_rounds_consistent(bodies):
             return  # mixed rounds; the marker resend converges them
         assembled: Dict[str, Any] = {}
         for body in bodies:

@@ -69,6 +69,7 @@ from ..messages.agreement import OrderedBatch
 from ..messages.checkpoint import BatchTransfer
 from ..messages.reply import BatchReplyBody, ReplyBody
 from ..messages.request import ClientRequest
+from ..multilog.messages import LogMapChange
 from ..net.message import Message
 from ..sim.scheduler import Scheduler, Timer
 from ..statemachine.interface import StateMachine
@@ -118,6 +119,7 @@ class ShardExecutionNode(ExecutionNode):
                  agreement_ids: List[NodeId], execution_ids: List[NodeId],
                  client_ids: List[NodeId], upstream: List[NodeId],
                  shard: int, router: ShardRouter,
+                 log_agreement_ids: List[List[NodeId]],
                  threshold_group: Optional[str] = None,
                  shard_execution_ids: Optional[List[List[NodeId]]] = None) -> None:
         super().__init__(node_id=node_id, scheduler=scheduler, config=config,
@@ -137,15 +139,10 @@ class ShardExecutionNode(ExecutionNode):
         self.epoch = 0
         #: route state per shard-local slot
         self._slots: Dict[int, _Slot] = {}
-        #: multi-log hooks (set by the system wiring when there are several
-        #: agreement logs; both stay None with one).
-        #: ``on_config_marker(node, op)`` runs after a non-partition config
-        #: marker's slot bookkeeping -- it is how a log-map cut repoints
-        #: this cluster's upstream log and advances ``log_map_epoch``.
-        #: ``log_of_shard(shard) -> log`` groups cross-shard sub-reply
-        #: fragments whose op_seq lives in per-log sequence spaces.
-        self.on_config_marker = None
-        self.log_of_shard = None
+        #: every agreement log's replica ids (a log-map cut may hand this
+        #: cluster's feed to another log)
+        self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
+        #: this replica's log-map epoch (bumps exactly at log-map cuts)
         self.log_map_epoch = 0
         #: the cut participants
         self.cross_shard = CrossShardOperations(self)
@@ -464,13 +461,13 @@ class ShardExecutionNode(ExecutionNode):
             change = map_change_of(certificates)
             if change is not None:
                 self.handoffs.execute(change)
-            # The slot bookkeeping runs *before* the ``on_config_marker``
-            # hook: the reply must travel under the membership that ordered
-            # the marker, because a log-map cut is about to repoint this
-            # cluster's upstream at a different agreement log.
+            # The slot bookkeeping runs *before* a log-map cut: the reply
+            # must travel under the membership that ordered the marker,
+            # because the cut may repoint this cluster's upstream at a
+            # different agreement log.
             self.finish_marker_slot(batch)
-            if change is None and self.on_config_marker is not None:
-                self.on_config_marker(self, config_op)
+            if isinstance(config_op, LogMapChange):
+                self._follow_log_map_change(config_op)
             return
         if batch.epoch != self.epoch:
             # Defence in depth: an accepted binding always matches the
@@ -488,6 +485,19 @@ class ShardExecutionNode(ExecutionNode):
             self.cross_shard.execute(batch, touched)
             return
         super()._execute_batch(batch)
+
+    def _follow_log_map_change(self, change: LogMapChange) -> None:
+        """A log-map cut reached this replica's slot (every cluster meets
+        it at one deterministic slot of its ordered feed): the moved
+        shard's replicas take their feed from the target log from here on.
+        A stale or duplicate cut is a deterministic no-op."""
+        if change.parent_log_epoch != self.log_map_epoch:
+            return
+        self.log_map_epoch += 1
+        if change.shard == self.shard:
+            owner_ids = list(self.log_agreement_ids[change.target_log])
+            self.agreement_ids = owner_ids
+            self.upstream = owner_ids
 
     def finish_marker_slot(self, local: ShardLocalBatch) -> None:
         """Everything a marker does at its slot besides its own semantics,

@@ -313,23 +313,20 @@ class SubReplyBody(Message):
     log: Optional[int] = None
 
 
-def sub_reply_rounds_consistent(bodies, log_of_shard=None) -> bool:
+def sub_reply_rounds_consistent(bodies) -> bool:
     """Whether a set of :class:`SubReplyBody` fragments form one answer.
 
     Every fragment of a cross-shard operation must report the same
-    ``status`` and ``epoch``.  With a single agreement log the marker has
-    one global sequence number, so ``op_seq`` must match everywhere too.
-    Under multi-log ordering each log assigns the marker its *own*
-    sequence number, so ``op_seq`` is only comparable within a log group
-    and the check relaxes to per-group equality.  Fragments group by the
-    certified ``log`` field they carry -- the log whose feed actually
-    delivered the marker to that shard, judged at execution -- so a
-    log-map change racing the marker cannot mis-group a shard that
-    legitimately executed under the old assignment (re-deriving the group
-    from the *current* map would wedge such an answer forever: cached
-    fragments never change).  ``log_of_shard`` (shard -> log at the
-    caller's current log epoch) remains the fallback for fragments from
-    peers that predate the stamp.
+    ``status`` and ``epoch``.  Each agreement log assigns the marker its
+    *own* sequence number, so ``op_seq`` must match within a log group.
+    Fragments group by the certified ``log`` field they carry -- the log
+    whose feed actually delivered the marker to that shard, judged at
+    execution -- so a log-map change racing the marker cannot mis-group a
+    shard that legitimately executed under the old assignment (re-deriving
+    the group from the *current* map would wedge such an answer forever:
+    cached fragments never change).  With one log no fragment carries the
+    field, and ``None`` is that log's one group: ``op_seq`` matches
+    everywhere.
     """
     bodies = list(bodies)
     if not bodies:
@@ -338,12 +335,9 @@ def sub_reply_rounds_consistent(bodies, log_of_shard=None) -> bool:
     if any(body.status != first.status or body.epoch != first.epoch
            for body in bodies):
         return False
-    if log_of_shard is None:
-        return all(body.op_seq == first.op_seq for body in bodies)
-    per_log: Dict[int, int] = {}
+    per_log: Dict[Optional[int], int] = {}
     for body in bodies:
-        log = body.log if body.log is not None else log_of_shard(body.shard)
-        if per_log.setdefault(log, body.op_seq) != body.op_seq:
+        if per_log.setdefault(body.log, body.op_seq) != body.op_seq:
             return False
     return True
 

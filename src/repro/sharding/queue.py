@@ -69,6 +69,11 @@ authenticators must come from the replicas of the shard named inside the
 (authenticated) reply body, so a quorum can never be assembled across
 clusters -- ``g`` Byzantine nodes *per shard* are tolerated, not ``g``
 Byzantine nodes total.
+
+**Several logs.**  The queue orders for one agreement log and routes only
+the shards the log map gives that log's group; markers spanning groups and
+log-map changes release at one cross-log cut, which the queue's
+:class:`~repro.multilog.queue.CrossLogRound` runs (idle with one log).
 """
 
 from __future__ import annotations
@@ -84,6 +89,10 @@ from ..messages.agreement import OrderedBatch
 from ..messages.checkpoint import FetchBatch
 from ..messages.reply import BatchReply
 from ..messages.request import ClientRequest
+from ..multilog.logmap import LogMapRegistry
+from ..multilog.messages import (CrossLogBinding, CrossLogBindingFetch,
+                                 log_map_change_of)
+from ..multilog.queue import CrossLogRound
 from ..net.message import Message
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
@@ -99,17 +108,23 @@ ShardPart = Tuple[int, int]
 
 
 class ShardRouterQueue(QueueCore):
-    """Local state machine of one agreement node in the sharded architecture."""
+    """Local state machine of one agreement node of log ``log`` in the
+    sharded architecture."""
 
     def __init__(self, owner: Process, config: SystemConfig,
                  shard_execution_ids: List[List[NodeId]],
                  client_ids: List[NodeId], router: ShardRouter,
+                 log: int, log_agreement_ids: List[List[NodeId]],
+                 log_registry: LogMapRegistry,
                  shard_threshold_groups: Optional[List[str]] = None) -> None:
         super().__init__(owner, config, client_ids)
         self.router = router
         self.shard_execution_ids = [list(ids) for ids in shard_execution_ids]
         self.shard_threshold_groups = shard_threshold_groups
         self.num_shards = router.num_shards
+        #: the cross-log round (binds, holds and sends nothing with one log)
+        self.cross_log = CrossLogRound(self, log, log_agreement_ids,
+                                       log_registry)
 
         #: per-shard next local sequence number (deterministic across replicas)
         self._next_shard_seq: List[int] = [0] * self.num_shards
@@ -144,6 +159,8 @@ class ShardRouterQueue(QueueCore):
         self.epoch_cuts = 0
         self.map_changes_rejected = 0
         self.cross_shard_markers = 0
+        #: client markers released through a cross-log hold
+        self.cross_log_markers = 0
 
         #: frontier snapshots at checkpoint cuts: global seq -> transferable
         #: state (:meth:`_frontier_state`), captured the moment the
@@ -181,6 +198,8 @@ class ShardRouterQueue(QueueCore):
             "shard_outstanding": [len(parts) for parts in self._unanswered],
             "staged_depth": len(self._staged),
             "load_window": self.load_window.snapshot(),
+            "cross_log_markers": self.cross_log_markers,
+            **self.cross_log.probe(),
         }
 
     # ------------------------------------------------------------------ #
@@ -211,47 +230,47 @@ class ShardRouterQueue(QueueCore):
         on every correct replica no matter how far out of order the commits
         completed locally -- which is what keeps sharding agreement-free
         even with staging at commit (``SystemConfig.per_shard_windows``).
+        A marker is bound for the cross-log round as it stages.
         """
-        if seq <= self._released_seq or seq in self._staged:
-            return
-        self.max_n = max(self.max_n, seq)
-        self._staged[seq] = OrderedBatch(
-            seq=seq, view=view,
-            request_certificates=tuple(request_certificates),
-            agreement_certificate=agreement_certificate, nondet=nondet)
-        self._staged_at[seq] = self.owner.now
-        if self.owner.tracing:
-            self._trace_requests(tuple(request_certificates), "stage")
-        self._advance_release_frontier()
-        self._g_staged.set(len(self._staged))
+        if seq > self._released_seq and seq not in self._staged:
+            certificates = tuple(request_certificates)
+            self.cross_log.on_stage(seq, certificates)
+            self.max_n = max(self.max_n, seq)
+            self._staged[seq] = OrderedBatch(
+                seq=seq, view=view, request_certificates=certificates,
+                agreement_certificate=agreement_certificate, nondet=nondet)
+            self._staged_at[seq] = self.owner.now
+            if self.owner.tracing:
+                self._trace_requests(certificates, "stage")
+            self._advance_release_frontier()
+            self._g_staged.set(len(self._staged))
+        self.cross_log.bind_staged_change()
 
     def _advance_release_frontier(self) -> None:
-        """Release staged batches in global order until a gap (or a hold).
-
-        ``_release_hold`` lets a subclass pause the frontier at a specific
-        batch -- the multi-log queue holds a cross-group marker until it has
-        certified the cross-log cut -- and resume by calling this method
-        again once the hold clears.  The base queue never holds, so this is
-        exactly the old contiguous release loop.
-        """
+        """Release staged batches in global order until a gap, or a marker
+        the cross-log round holds (the round calls this again once it has
+        certified the cut)."""
         while True:
             next_batch = self._staged.get(self._released_seq + 1)
-            if next_batch is None or self._release_hold(next_batch):
+            if next_batch is None or self.cross_log.holds(next_batch):
                 return
             self._released_seq += 1
             del self._staged[self._released_seq]
             self._route_batch(next_batch)
             self._note_checkpoint_cut(self._released_seq)
 
-    def _release_hold(self, batch: OrderedBatch) -> bool:
-        """Whether the frontier must pause before releasing ``batch``."""
-        return False
-
     def _route_batch(self, batch: OrderedBatch) -> None:
         """Advance the per-shard frontiers over one released batch."""
         self._observe_release(batch)
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")
+        log_change = log_map_change_of(batch.request_certificates)
+        if log_change is not None:
+            self.cross_log.cut(batch, log_change)
+            return
+        held = self.cross_log.held_marker(batch)
+        if held is not None:
+            self.cross_log_markers += 1
         change = map_change_of(batch.request_certificates)
         if change is None:
             if self._cross_shard_marker_of(batch) is not None:
@@ -260,6 +279,7 @@ class ShardRouterQueue(QueueCore):
         self._send_parts(batch, self._route_targets(batch))
         if change is not None:
             self._apply_cut(change)
+        self.cross_log.finish(held)
 
     def _route_targets(self, batch: OrderedBatch) -> List[int]:
         """The shards ``batch`` is routed to when it is released under this
@@ -277,12 +297,16 @@ class ShardRouterQueue(QueueCore):
         in each shard's local sequence is a consistent cut over the global
         prefix (the operation's own *pinned* epoch is judged against the
         routing epoch at execution, where a mismatch aborts
-        deterministically).  Any other batch goes to the shards owning its
-        requests.
+        deterministically).  A log-map change goes to every shard this log
+        owns *pre-cut* (a stale one to none).  Any other batch goes to the
+        shards owning its requests.  Only this log's group is routed to.
         """
         certificates = batch.request_certificates
-        if map_change_of(certificates) is not None:
-            shards = list(range(self.num_shards))
+        if (log_change := log_map_change_of(certificates)) is not None:
+            shards = (range(self.num_shards)
+                      if self.cross_log.applies(log_change) else ())
+        elif map_change_of(certificates) is not None:
+            shards = range(self.num_shards)
         elif (cross := self._cross_shard_marker_of(batch)) is not None:
             shards = self.router.shards_of_operation_keys(cross.operation,
                                                           epoch=self.epoch)
@@ -301,7 +325,7 @@ class ShardRouterQueue(QueueCore):
                                                            epoch=self.epoch)))
             shards = self.router.shards_of_certificates(certificates,
                                                         epoch=self.epoch)
-        return self._owned_route_targets(batch, shards)
+        return self.cross_log.owned(shards)
 
     def _observe_release(self, batch: OrderedBatch) -> None:
         staged_at = self._staged_at.pop(batch.seq, None)
@@ -324,7 +348,7 @@ class ShardRouterQueue(QueueCore):
         sends_body = self._owner_is_primary(self.owner.view)
         digest = (None if sends_body else
                   self.crypto.payload_digest(batch.agreement_certificate.payload))
-        log = self._ordering_log()
+        log = self.cross_log.stamp
         for shard in shards:
             self._next_shard_seq[shard] += 1
             shard_seq = self._next_shard_seq[shard]
@@ -375,24 +399,6 @@ class ShardRouterQueue(QueueCore):
         while (self.highest_reply_seq + 1) in self._answered:
             self.highest_reply_seq += 1
             self._answered.discard(self.highest_reply_seq)
-
-    def _owned_route_targets(self, batch: OrderedBatch, shards):
-        """The subset of ``shards`` this queue actually routes to.
-
-        The base queue owns every shard.  A multi-log queue owns only its
-        log group's shards and filters here, so a batch whose targets all
-        live in other groups falls through to the vacuous-answer path and
-        the pipeline accounting never waits on a reply another log's
-        clusters owe.
-        """
-        return shards
-
-    def _ordering_log(self):
-        """The agreement log this queue orders for (stamped into routed
-        envelopes and carried through to sub-reply fragments, whose marker
-        sequence numbers live in per-log spaces).  None for the single-log
-        base queue, which keeps the field off the wire."""
-        return None
 
     def _cross_shard_marker_of(self, batch: OrderedBatch):
         """The batch's client request if it is a cross-shard marker here.
@@ -463,8 +469,12 @@ class ShardRouterQueue(QueueCore):
             self._back_off(pending)
 
     def on_unknown_message(self, sender: NodeId, message: Message) -> None:
-        """An execution replica that holds vouchers for a slot but not its
-        body asks the vouchers too: answer with the pending envelope."""
+        """Cross-log traffic is the round's.  An execution replica that
+        holds vouchers for a slot but not its body asks the vouchers too:
+        answer with the pending envelope."""
+        if isinstance(message, (CrossLogBinding, CrossLogBindingFetch)):
+            self.cross_log.on_message(sender, message)
+            return
         if not isinstance(message, FetchBatch) or message.replica != sender:
             return
         shard = next((shard for shard, ids in enumerate(self.shard_execution_ids)
@@ -542,11 +552,12 @@ class ShardRouterQueue(QueueCore):
             self.owner.on_checkpoint_cut(seq)
 
     def _frontier_state(self) -> Tuple[Tuple[str, object], ...]:
-        """The per-shard sequence counters and the epoch cursor.  A replica
-        that adopts these assigns the same ``(shard, shard_seq)`` pairs to
-        future batches as the replicas that actually released the gap."""
-        return (("frontiers", tuple(self._next_shard_seq)),
-                ("epoch", self.epoch))
+        """The per-shard sequence counters and the epoch cursors.  A
+        replica that adopts these assigns the same ``(shard, shard_seq)``
+        pairs to future batches as the replicas that actually released the
+        gap."""
+        return ((("frontiers", tuple(self._next_shard_seq)),
+                 ("epoch", self.epoch)) + self.cross_log.frontier_state())
 
     def checkpoint_sync_state(
             self, seq: int) -> Optional[Tuple[Tuple[str, object], ...]]:
@@ -577,6 +588,7 @@ class ShardRouterQueue(QueueCore):
         gap: they feed a rebalancing heuristic, not a safety argument.
         """
         state = dict(sync_state)
+        self.cross_log.sync_to_checkpoint(seq, state)
         frontiers = state.get("frontiers")
         if frontiers is not None and len(frontiers) == self.num_shards:
             self._next_shard_seq = list(frontiers)

@@ -15,11 +15,10 @@ For the same reason the number of agreement clusters is a parameter too:
 ``config.multilog.num_logs = K`` builds ``K`` independent ``3f + 1``
 clusters ("logs"), each running the full agreement protocol over its own
 sequence space and feeding the shards the epoch-versioned
-:class:`~repro.multilog.logmap.LogMap` assigns it.  With ``K = 1`` the map
-never changes and every agreement node hosts a plain
-:class:`~repro.sharding.queue.ShardRouterQueue`; with ``K > 1`` they host
-:class:`~repro.multilog.queue.MultiLogRouterQueue`, which adds the
-cross-log coordination round for operations spanning log groups.
+:class:`~repro.multilog.logmap.LogMap` assigns it.  Every agreement node
+hosts the one :class:`~repro.sharding.queue.ShardRouterQueue` for any
+``K``: its cross-log round coordinates the operations spanning log groups
+and is idle with ``K = 1``, and nothing here is wired differently for it.
 
 The restricted topology mirrors the physical wiring this deployment would
 use: clients talk to every agreement cluster (a request goes to the log
@@ -45,8 +44,7 @@ from ..config import AuthenticationScheme, SystemConfig
 from ..core.system import SimulatedSystem
 from ..errors import ConfigurationError
 from ..multilog.logmap import LogMapRegistry, initial_log_map
-from ..multilog.messages import LMC_MARKER, LogMapChange
-from ..multilog.queue import MultiLogRouterQueue
+from ..multilog.messages import LogMapChange
 from ..net.topology import Topology
 from ..sim.process import Process
 from ..statemachine.interface import StateMachine
@@ -175,16 +173,8 @@ class ShardedSystem(SimulatedSystem):
                     client_ids=self.client_ids, upstream=owner_ids,
                     shard=shard, router=self.router, threshold_group=group,
                     shard_execution_ids=self.shard_execution_ids,
+                    log_agreement_ids=self.log_agreement_ids,
                 )
-                if config.multilog.enabled:
-                    # Log-map hooks: every execution cluster meets every
-                    # log-map cut at one deterministic slot of its own
-                    # ordered feed; the moved shard's replicas repoint their
-                    # upstream log right after replying under the old one.
-                    # With one log both stay None: sub-reply fragments are
-                    # then grouped by the strict global-``op_seq`` rule.
-                    node.on_config_marker = self._on_config_marker
-                    node.log_of_shard = self.log_registry.log_of
                 cluster.append(node)
                 self.network.register(node)
             self.shard_execution_nodes.append(cluster)
@@ -201,20 +191,14 @@ class ShardedSystem(SimulatedSystem):
                 agreement_ids=self.log_agreement_ids[log],
                 client_ids=self.client_ids, cert_verifiers=cert_verifiers,
             )
-            routing = dict(
+            queue = ShardRouterQueue(
                 owner=replica, config=config,
                 shard_execution_ids=self.shard_execution_ids,
                 client_ids=self.client_ids, router=self.router,
+                log=log, log_agreement_ids=self.log_agreement_ids,
+                log_registry=self.log_registry,
                 shard_threshold_groups=shard_threshold_groups,
             )
-            if config.multilog.enabled:
-                queue = MultiLogRouterQueue(
-                    log=log, log_agreement_ids=self.log_agreement_ids,
-                    log_registry=self.log_registry, **routing)
-            else:
-                # One log has nobody to coordinate with: no bindings, no
-                # cuts, and no ``log`` field on the wire.
-                queue = ShardRouterQueue(**routing)
             replica.local = queue
             self.message_queues.append(queue)
             self.agreement_replicas.append(replica)
@@ -234,8 +218,7 @@ class ShardedSystem(SimulatedSystem):
                 request_verifiers=request_verifiers,
                 reply_quorum=config.reply_quorum,
                 reply_clusters=self.shard_execution_ids, router=self.router,
-                log_of_shard=(self.log_registry.log_of
-                              if config.multilog.enabled else None),
+                log_of_shard=self.log_registry.log_of,
             )
             self.clients.append(client)
             self.network.register(client)
@@ -243,18 +226,6 @@ class ShardedSystem(SimulatedSystem):
     # ------------------------------------------------------------------ #
     # Log-map reconfiguration.
     # ------------------------------------------------------------------ #
-
-    def _on_config_marker(self, node: ShardExecutionNode, op) -> None:
-        """Execution-node hook: a log-map cut reached ``node``'s slot."""
-        if not isinstance(op, LogMapChange):
-            return
-        if op.parent_log_epoch != node.log_map_epoch:
-            return  # stale/duplicate cut: deterministic no-op
-        node.log_map_epoch += 1
-        if op.shard == node.shard:
-            owner_ids = list(self.log_agreement_ids[op.target_log])
-            node.agreement_ids = owner_ids
-            node.upstream = owner_ids
 
     def propose_log_map_change(self, shard: int, target_log: int) -> bool:
         """Order one shard's move between log groups through *every* log.
@@ -277,8 +248,7 @@ class ShardedSystem(SimulatedSystem):
             return False
         if self.log_registry.log_of(shard) == target_log:
             return False
-        if any(queue.log_epoch != parent or any(
-                key[0] == LMC_MARKER for key in queue._held)
+        if any(queue.cross_log.changing(parent)
                for queue in self.message_queues):
             return False  # a previous change is still cutting
         primaries: List[AgreementReplica] = []

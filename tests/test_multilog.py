@@ -41,7 +41,8 @@ from repro.fuzz import FaultSchedule, ScheduleEvent, load_corpus, run_schedule
 from repro.fuzz.harness import ScenarioSpec
 from repro.fuzz.oracles import ExactlyOnceOracle
 from repro.multilog import (CrossLogBinding, CrossLogBindingBody,
-                            CrossLogBindingFetch, MultiLogRouterQueue)
+                            CrossLogBindingFetch, CrossLogRound)
+from repro.multilog.messages import LogMapChange
 from repro.multilog.queue import BOUND_RETENTION
 from repro.net.network import DROP
 from repro.sharding import ShardedSystem
@@ -118,14 +119,46 @@ class TestConstruction:
         assert system.log_replicas == [system.agreement_replicas]
         assert all(type(queue) is ShardRouterQueue
                    for queue in all_queues(system))
-        # One log has no per-log sequence spaces to tell apart.
-        assert all(client.log_of_shard is None for client in system.clients)
-        assert all(node.log_of_shard is None
-                   for node in system.execution_cluster(0))
+        # One log: every shard is its, and its round has nobody to bind
+        # for and no log to stamp on the wire.
+        assert all(client.log_of_shard(shard) == 0
+                   for client in system.clients for shard in range(2))
+        assert all(queue.cross_log.peer_ids == []
+                   and queue.cross_log.stamp is None
+                   for queue in all_queues(system))
         assert not system.propose_log_map_change(shard=1, target_log=0)
         record = system.invoke(cross_group_txn("one-log", num_shards=2))
         assert record.result.value.get("committed") is True
         assert all(client.log_retargets == 0 for client in system.clients)
+
+    def test_a_log_map_change_at_one_log_moves_nothing(self):
+        """A primary may order a log-map change directly, as a Byzantine
+        one could: with one log every queue rejects it and answers its slot
+        vacuously, and no execution replica changes its upstream."""
+        system = make_system(num_logs=1, num_shards=2)
+        seed_system(system)
+        nodes = [node for cluster in system.shard_execution_nodes
+                 for node in cluster]
+        upstreams = [list(node.upstream) for node in nodes]
+        primary = system.log_primary(0)
+        changes = [LogMapChange(shard=1, target_log=0, parent_log_epoch=0),
+                   LogMapChange(shard=0, target_log=1, parent_log_epoch=0)]
+        for rejected, change in enumerate(changes, start=1):
+            assert primary.proposer.propose_map_change(change)
+            seq = primary.next_seq - 1
+            system.run_until(
+                lambda: all(queue.seq_answered(seq)
+                            for queue in all_queues(system)),
+                5_000.0, "every queue answering the change's slot")
+            assert all(queue.cross_log.log_map_changes_rejected == rejected
+                       and queue.cross_log.log_map_cuts == 0
+                       and queue.cross_log.log_epoch == 0
+                       for queue in all_queues(system))
+        assert system.log_registry.latest_epoch == 0
+        assert [list(node.upstream) for node in nodes] == upstreams
+        assert all(node.log_map_epoch == 0 for node in nodes)
+        record = system.invoke(put(key_on(system, 1), "after"))
+        assert record.result.error is None
 
     @pytest.mark.parametrize("scenario_name",
                              ["sharded", "rebalance", "crossshard"])
@@ -181,7 +214,8 @@ class TestConstruction:
         system.run(500.0)
         assert all(queue.cross_log_markers == 1 for queue in all_queues(system))
         # Fault-free, every binding arrives by itself: nobody asks.
-        assert all(queue.bindings_served == 0 and queue.bindings_rejected == 0
+        assert all(queue.cross_log.bindings_served == 0
+                   and queue.cross_log.bindings_rejected == 0
                    for queue in all_queues(system))
 
 
@@ -263,10 +297,10 @@ class TestAskAndServe:
         record = system.invoke(cross_group_txn("storm"), timeout_ms=30_000.0)
         assert record.result.value.get("committed") is True
         system.run_until(
-            lambda: system.now >= heal_at and not victim.local._held,
+            lambda: system.now >= heal_at and not victim.local.cross_log._held,
             5_000.0, "the victim releasing after the heal")
         assert victim.local.cross_log_markers == 1
-        assert sum(queue.bindings_served for queue in all_queues(system)) > 0
+        assert sum(queue.cross_log.bindings_served for queue in all_queues(system)) > 0
         # Released queues have nothing left to say to each other: a binding
         # never causes a send, so the idle system stays idle.
         system.run(30_000.0)
@@ -285,7 +319,7 @@ class TestAskAndServe:
         assert record.result.value.get("committed") is True
         system.run_until(lambda: system.now >= heal_at + 1_000.0, 5_000.0)
         assert [queue.owner.node_id for queue in all_queues(system)
-                if queue._held] == []
+                if queue.cross_log._held] == []
         assert victim.local.cross_log_markers == 1
 
     def test_a_fetch_costs_at_most_one_binding(self):
@@ -295,7 +329,7 @@ class TestAskAndServe:
         server, asker, bystander = (system.log_replicas[0][1],
                                     system.log_replicas[1][1],
                                     system.log_replicas[1][2])
-        marker = next(iter(server.local._bound))
+        marker = next(iter(server.local.cross_log._bound))
         idle = cross_log_sends(system)
         client = system.clients[0]
         refused = [
@@ -315,14 +349,14 @@ class TestAskAndServe:
             source.send(server.node_id, fetch)
         system.run(50.0)
         assert cross_log_sends(system) == idle + len(refused)
-        assert server.local.bindings_served == 0
+        assert server.local.cross_log.bindings_served == 0
         for _ in range(5):
             asker.send(server.node_id, CrossLogBindingFetch(
                 marker=marker, sender=asker.node_id))
         system.run(50.0)
         # Five fetches, five bindings, all to the asker -- and none of
         # them made the asker (which released long ago) say anything.
-        assert server.local.bindings_served == 5
+        assert server.local.cross_log.bindings_served == 5
         assert cross_log_sends(system) == idle + len(refused) + 10
 
 
@@ -334,14 +368,16 @@ class TestAskAndServe:
             replica.crash()
         system.clients[0].submit(cross_group_txn("synced"))
         queue = system.log_replicas[0][1].local
-        system.run_until(lambda: bool(queue._held), 5_000.0, "log 0 holding")
-        (marker, hold), = queue._held.items()
+        system.run_until(lambda: bool(queue.cross_log._held), 5_000.0,
+                         "log 0 holding")
+        (marker, hold), = queue.cross_log._held.items()
         # The rest of log 0 moved on and certified a checkpoint: the batch
         # is released as far as this queue is concerned, and it must stop
         # asking for it.
         queue.sync_to_checkpoint(hold.seq, ())
-        assert not queue._held and not hold.fetch.timer.active
-        assert queue._bound[marker].body.seq == hold.seq  # still servable
+        assert not queue.cross_log._held and not hold.fetch.timer.active
+        # still servable
+        assert queue.cross_log._bound[marker].body.seq == hold.seq
 
 
 # ---------------------------------------------------------------------- #
@@ -352,27 +388,27 @@ class TestAskAndServe:
 def make_liar(replica, **lie):
     """``replica`` binds every marker to ``seq + 1`` (and ``lie``), under
     its own valid MACs."""
-    honest_emit = replica.local._emit_binding
+    honest_emit = replica.local.cross_log._emit_binding
 
     def emit(key, body):
         honest_emit(key, dataclasses.replace(body, seq=body.seq + 1, **lie))
 
-    replica.local._emit_binding = emit
+    replica.local.cross_log._emit_binding = emit
 
 
 @pytest.fixture
 def certified_at_release(monkeypatch):
     """``{queue's node: {log: certified body}}`` of every hold released."""
     seen = {}
-    finish = MultiLogRouterQueue._finish_coordination
+    finish = CrossLogRound.finish
 
-    def record(queue, key):
-        hold = queue._held.get(key)
+    def record(round_, key):
+        hold = round_._held.get(key)
         if hold is not None:
-            seen[queue.owner.node_id] = dict(queue._certified[key])
-        finish(queue, key)
+            seen[round_.queue.owner.node_id] = dict(round_._certified[key])
+        finish(round_, key)
 
-    monkeypatch.setattr(MultiLogRouterQueue, "_finish_coordination", record)
+    monkeypatch.setattr(CrossLogRound, "finish", record)
     return seen
 
 
@@ -385,11 +421,11 @@ class TestLyingLogMember:
         record = system.invoke(cross_group_txn("lie"), timeout_ms=30_000.0)
         assert record.result.value.get("committed") is True
         system.run(500.0)
-        (marker, bound), = honest.local._bound.items()
-        assert liar.local._bound[marker].body.seq == bound.body.seq + 1
+        (marker, bound), = honest.local.cross_log._bound.items()
+        assert liar.local.cross_log._bound[marker].body.seq == bound.body.seq + 1
         for replica in system.log_replicas[1]:
             assert certified_at_release[replica.node_id] == {0: bound.body}
-        assert all(queue.cross_log_markers == 1 and not queue._held
+        assert all(queue.cross_log_markers == 1 and not queue.cross_log._held
                    for queue in all_queues(system))
         for shard in range(system.num_shards):
             assert audit_value(system, shard) == "lie"
@@ -405,10 +441,11 @@ class TestLyingLogMember:
         make_liar(liar, shard_frontier=1_000)
         assert system.propose_log_map_change(moving, 1)
         system.run_until(
-            lambda: all(queue.log_epoch == 1 for queue in all_queues(system)),
+            lambda: all(queue.cross_log.log_epoch == 1
+                        for queue in all_queues(system)),
             30_000.0, "the log-map cut")
-        (marker, bound), = honest.local._bound.items()
-        assert liar.local._bound[marker].body.shard_frontier == 1_000
+        (marker, bound), = honest.local.cross_log._bound.items()
+        assert liar.local.cross_log._bound[marker].body.shard_frontier == 1_000
         for replica in system.log_replicas[1]:
             assert certified_at_release[replica.node_id] == {0: bound.body}
             assert (replica.local._next_shard_seq[moving]
@@ -463,8 +500,8 @@ class TestBindingAdmission:
         for binding in garbage:
             target.local.on_unknown_message(sender.node_id, binding)
         system.run(50.0)
-        assert target.local.bindings_rejected == len(garbage)
-        assert not any(target.local._tallies.values())
+        assert target.local.cross_log.bindings_rejected == len(garbage)
+        assert not any(target.local.cross_log._tallies.values())
         assert cross_log_sends(system) == 0  # nobody answered
 
     def test_one_sender_cannot_fill_the_tally(self):
@@ -475,9 +512,9 @@ class TestBindingAdmission:
             flooder.send(target.node_id,
                          self._binding(flooder, marker=("xs", "C9", stamp)))
         system.run(50.0)
-        tallies = target.local._tallies
+        tallies = target.local.cross_log._tallies
         assert len(tallies[flooder.node_id]) == BOUND_RETENTION
-        assert target.local.bindings_rejected == 0
+        assert target.local.cross_log.bindings_rejected == 0
         # ... and evicted only itself: the honest members' bindings of a
         # real marker are all there when it reaches the release head, so
         # nobody has to ask.
@@ -486,7 +523,7 @@ class TestBindingAdmission:
         system.run(500.0)
         assert all(len(tally) <= BOUND_RETENTION
                    for tally in tallies.values())
-        assert sum(queue.bindings_served for queue in all_queues(system)) == 0
+        assert sum(queue.cross_log.bindings_served for queue in all_queues(system)) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -529,7 +566,8 @@ class TestLogMapChange:
         system.run(500.0)  # quiesce retransmissions
         # The LogMap advanced one epoch and every queue reached it.
         assert system.log_registry.latest.log_of(moving) == 1
-        assert all(queue.log_epoch == 1 for queue in all_queues(system))
+        assert all(queue.cross_log.log_epoch == 1
+                   for queue in all_queues(system))
         # Exactly-once: the oracle audits duplicate completions and
         # replies no cluster stands behind.
         violations = ExactlyOnceOracle().check(system, completed_all=True)
@@ -612,7 +650,7 @@ class TestSnapshotGroupsOfTheReadsEpoch:
 
 def frontier(replica):
     queue = replica.local
-    return list(queue._next_shard_seq), queue.log_epoch
+    return list(queue._next_shard_seq), queue.cross_log.log_epoch
 
 
 class TestCheckpointAcrossAHold:
@@ -629,7 +667,7 @@ class TestCheckpointAcrossAHold:
         system.run(400.0)
         for replica in system.log_replicas[0]:
             queue = replica.local
-            assert queue._held
+            assert queue.cross_log._held
             stable = replica.log.stable_seq
             # A vote describes the cut it names, so the quorum certifies
             # the frontier a lagging replica adopts -- never "nothing".

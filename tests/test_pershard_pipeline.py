@@ -121,6 +121,8 @@ class TestOutOfOrderDelivery:
             owner=system.agreement_replicas[0], config=system.config,
             shard_execution_ids=system.shard_execution_ids,
             client_ids=system.client_ids, router=system.router,
+            log=0, log_agreement_ids=system.log_agreement_ids,
+            log_registry=system.log_registry,
             shard_threshold_groups=system.shard_threshold_groups)
 
     def test_staging_order_does_not_change_shard_seq_assignment(self):

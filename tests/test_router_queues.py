@@ -1,24 +1,29 @@
-"""What the three agreement-side queues share, and what they do not.
+"""What the two agreement-side queues share, and what they do not.
 
-:class:`~repro.core.message_queue.MessageQueue`,
-:class:`~repro.sharding.queue.ShardRouterQueue` and
-:class:`~repro.multilog.queue.MultiLogRouterQueue` send, retransmit and
+:class:`~repro.core.message_queue.MessageQueue` and
+:class:`~repro.sharding.queue.ShardRouterQueue` send, retransmit and
 forward through one set of helpers on
-:class:`~repro.core.message_queue.QueueCore`; the router queues are *not*
-message queues, so nothing of the unsharded wire protocol leaks into them.
+:class:`~repro.core.message_queue.QueueCore`; the router queue is *not* a
+message queue, so nothing of the unsharded wire protocol leaks into it.
+It is the one queue of the sharded deployment for any number of logs:
+nothing subclasses it.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.agreement.local import RetryOutcome
 from repro.apps.kvstore import KeyValueStore, put, transaction
 from repro.config import (AuthenticationScheme, CrossShardConfig,
                           RebalanceConfig, SystemConfig)
 from repro.core import SeparatedSystem
-from repro.core.message_queue import MessageQueue
+from repro.core.message_queue import MessageQueue, QueueCore
 from repro.messages.request import ClientRequest
 from repro.multilog.queue import MultiLogRouterQueue
 from repro.sharding import MapChange, ShardedSystem, map_change_of
@@ -27,6 +32,7 @@ from repro.workloads import equal_range_boundaries
 from repro.workloads.crossshard import audit_key
 from repro.workloads.skew import skew_key
 
+SRC = Path(repro.__file__).resolve().parent
 KEY_SPACE = 64
 
 
@@ -41,24 +47,44 @@ def sharded_system(num_logs=1, num_shards=2, seed=61, **overrides):
     return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
-class TestRouterQueueIsNotAMessageQueue:
-    #: the unsharded queue's members no router-queue code path can reach
-    #: (the primary-first rule, ``_owner_is_primary``, is shared: both
-    #: queues send a batch's body from the primary only)
-    UNREACHABLE = ("pending_sends", "_collectors", "downstream",
-                   "execution_ids", "threshold_group", "_send_downstream",
-                   "_arm_timer", "_on_retransmit_timeout",
-                   "_assemble", "_accept_reply")
+def unsharded_members():
+    """The members a live :class:`MessageQueue` has that
+    :class:`QueueCore` does not (the primary-first rule,
+    ``_owner_is_primary``, is shared: both queues send a batch's body from
+    the primary only)."""
+    queue = SeparatedSystem(make_config(), KeyValueStore,
+                            seed=60).message_queues[0]
+    core_class = type("Core", (QueueCore,), {
+        name: lambda *args: None for name in QueueCore.__abstractmethods__})
+    core = core_class(queue.owner, queue.config, queue.client_ids)
+    return sorted(set(dir(queue)) - set(dir(core)))
 
-    @pytest.mark.parametrize("num_logs, queue_class",
-                             [(1, ShardRouterQueue), (2, MultiLogRouterQueue)])
-    def test_router_queue_has_no_unsharded_members(self, num_logs, queue_class):
+
+class TestRouterQueueIsNotAMessageQueue:
+    @pytest.mark.parametrize("num_logs", [1, 2])
+    def test_router_queue_has_no_unsharded_members(self, num_logs):
         system = sharded_system(num_logs=num_logs, num_shards=2)
         queue = system.message_queues[0]
-        assert type(queue) is queue_class
+        assert type(queue) is ShardRouterQueue
         assert not isinstance(queue, MessageQueue)
-        leaked = [name for name in self.UNREACHABLE if hasattr(queue, name)]
-        assert leaked == []
+        members = unsharded_members()
+        assert {"pending_sends", "downstream",
+                "_on_retransmit_timeout"} <= set(members)
+        assert [name for name in members if hasattr(queue, name)] == []
+
+
+def test_nothing_under_src_subclasses_the_router_queue():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).split(".")[-1] in ("ShardRouterQueue",
+                                                         "MultiLogRouterQueue")
+                    for base in node.bases):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
+                                 f"{node.name}")
+    assert offenders == []
+    assert MultiLogRouterQueue is ShardRouterQueue
 
 
 # ---------------------------------------------------------------------- #
@@ -90,13 +116,14 @@ def _two_logs():
         audit_key(KEY_SPACE, 4, shard): "stamp" for shard in range(4)})
     return (system, marker,
             lambda queue: {key: hold.fetch
-                           for key, hold in queue._held.items()}, stalled)
+                           for key, hold in queue.cross_log._held.items()},
+            stalled)
 
 
 class TestRetransmitBackoff:
     @pytest.mark.parametrize("build, queue_class", [
         (_separated, MessageQueue), (_one_log, ShardRouterQueue),
-        (_two_logs, MultiLogRouterQueue)])
+        (_two_logs, ShardRouterQueue)])
     def test_resend_doubles_the_timeout_until_the_answer_cancels_it(
             self, build, queue_class):
         system, operation, pendings, stalled = build()
