@@ -109,12 +109,8 @@ class Proposer:
     def handle_request(self, envelope: RequestEnvelope) -> None:
         replica = self.replica
         certificate = envelope.certificate
-        request = certificate.payload
-        if not isinstance(request, ClientRequest):
-            return
-        if request.client not in replica.client_ids:
-            return
-        if not replica.crypto.verify_certificate(certificate, 1, [request.client]):
+        request = replica.crypto.authentic_request(certificate, replica.client_ids)
+        if request is None:
             return
         if request.timestamp <= self.ordered_timestamp.get(request.client, -1):
             # Retransmission of a request we have already ordered: let the

@@ -221,7 +221,7 @@ class AgreementReplica(Process):
         self._h_batch_size.observe(len(requests))
         if self.tracing:
             self._trace_batch(requests, "order")
-        batch_digest = self._batch_digest(requests)
+        batch_digest = self.crypto.batch_digest(requests)
         nondet = self.nondet.propose(self.now, seed=batch_digest)
         pre_prepare = PrePrepare(view=self.view, seq=seq, batch_digest=batch_digest,
                                  requests=tuple(requests), nondet=nondet,
@@ -239,10 +239,6 @@ class AgreementReplica(Process):
             if isinstance(request, ClientRequest):
                 self.trace_event(
                     request_trace_id(request.client, request.timestamp), event)
-
-    def _batch_digest(self, requests: List[Certificate]) -> bytes:
-        request_digests = [self.crypto.payload_digest(cert.payload) for cert in requests]
-        return self.crypto.digest({"batch": request_digests})
 
     # ------------------------------------------------------------------ #
     # Backups: PRE-PREPARE and PREPARE.
@@ -274,32 +270,36 @@ class AgreementReplica(Process):
         self._try_prepared(entry)
 
     def _validate_batch(self, message: PrePrepare) -> bool:
-        """Check request authenticity, digest binding, and nondet sanity."""
-        if not message.requests:
+        """Check request authenticity, digest binding, and nondet sanity.
+
+        A config-operation (map-change) batch gets structural checks only:
+        its one certificate must be signed by the proposing primary.
+        *Semantic* validity -- does the change still apply to the current
+        map? -- is deliberately deferred to the cut (release) point, where
+        every correct node evaluates it at the same position in the agreed
+        order; judging it here against each backup's possibly-lagging epoch
+        would let timing decide what must be deterministic.
+
+        A cross-shard request inside a mixed bundle is NOT rejected here
+        either: classification depends on the partition-map epoch, and a
+        backup whose router lags one cut behind the primary would refuse a
+        correct proposal.  The release-time router handles it instead --
+        judged at the deterministic release epoch, such a request is
+        excluded from routing and ownership everywhere, so it is never
+        executed against partial state and the client's retransmission
+        re-orders it as a proper marker.
+        """
+        requests = message.requests
+        if not requests:
             return False
-        if self._is_config_batch(message.requests):
-            return self._validate_config_batch(message)
-        for certificate in message.requests:
-            request = certificate.payload
-            if not isinstance(request, ClientRequest):
-                return False
-            if request.client not in self.client_ids:
-                return False
-            if not self.crypto.verify_certificate(certificate, 1, [request.client]):
-                return False
-        if self._batch_digest(list(message.requests)) != message.batch_digest:
-            return False
-        if not self.nondet.sanity_check(message.nondet, self.now):
-            return False
-        # A cross-shard request inside a mixed bundle is NOT rejected here:
-        # classification depends on the partition-map epoch, and a backup
-        # whose router lags one cut behind the primary would refuse a
-        # correct proposal.  The release-time router handles it instead --
-        # judged at the deterministic release epoch, such a request is
-        # excluded from routing and ownership everywhere, so it is never
-        # executed against partial state and the client's retransmission
-        # re-orders it as a proper marker.
-        return True
+        if self._is_config_batch(requests):
+            authentic = self.crypto.verify_certificate(requests[0], 1, [message.primary])
+        else:
+            authentic = all(self.crypto.authentic_request(certificate, self.client_ids)
+                            for certificate in requests)
+        return (authentic
+                and self.crypto.batch_digest(requests) == message.batch_digest
+                and self.nondet.sanity_check(message.nondet, self.now))
 
     @staticmethod
     def _is_config_batch(requests: Tuple[Certificate, ...]) -> bool:
@@ -311,26 +311,6 @@ class AgreementReplica(Process):
             return (len(requests) == 1
                     and isinstance(requests[0].payload, ConfigOperation))
         return False
-
-    def _validate_config_batch(self, message: PrePrepare) -> bool:
-        """Validate a config-operation (map-change) batch.
-
-        Structural checks only: the certificate must be signed by the
-        proposing primary and bound into the batch digest.  *Semantic*
-        validity -- does the change still apply to the current map? -- is
-        deliberately deferred to the cut (release) point, where every
-        correct node evaluates it at the same position in the agreed order;
-        judging it here against each backup's possibly-lagging epoch would
-        let timing decide what must be deterministic.
-        """
-        certificate = message.requests[0]
-        if not self.crypto.verify_certificate(certificate, 1, [message.primary]):
-            return False
-        if self._batch_digest(list(message.requests)) != message.batch_digest:
-            return False
-        if not self.nondet.sanity_check(message.nondet, self.now):
-            return False
-        return True
 
     def handle_prepare(self, sender: NodeId, message: Prepare) -> None:
         if message.view != self.view or self._view_changing:
@@ -712,7 +692,7 @@ class AgreementReplica(Process):
         for seq in range(floor + 1, max(best, default=floor)):
             if seq in best:
                 continue
-            digest = self._batch_digest(())
+            digest = self.crypto.batch_digest(())
             pre_prepares.append(PrePrepare(
                 view=view, seq=seq, batch_digest=digest, requests=(),
                 nondet=self.nondet.propose(self.now, seed=digest),

@@ -62,9 +62,8 @@ class DirectExecutor(LocalExecutor):
             request: ClientRequest = certificate.payload
             replies.append(self._execute_request(seq, view, request, nondet))
         body = BatchReplyBody(view=view, seq=seq, replies=tuple(replies))
-        reply_certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
-        reply_certificate.add(self.owner.crypto.mac_authenticator(
-            body, [reply.client for reply in replies]))
+        reply_certificate = self.owner.crypto.new_certificate(
+            body, AuthenticationScheme.MAC, [reply.client for reply in replies])
         for reply in replies:
             cached = self.reply_cache.get(reply.client)
             if cached is None or cached.reply.timestamp <= reply.timestamp:

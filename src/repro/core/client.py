@@ -104,7 +104,7 @@ class _PendingRequest:
     timer: Optional[Timer] = None
     timeout_ms: float = 0.0
     retransmissions: int = 0
-    collectors: Dict[bytes, Certificate] = field(default_factory=dict)
+    collectors: Dict[bytes, Optional[Certificate]] = field(default_factory=dict)
 
 
 class ClientNode(Process):
@@ -372,24 +372,16 @@ class ClientNode(Process):
 
     def _collect(self, pending: _PendingRequest,
                  certificate: Certificate) -> Optional[Certificate]:
-        """Merge partial certificates until the reply quorum is reached."""
+        """Merge partial certificates until the reply quorum is reached.  A
+        threshold certificate counts only with its group signature: the
+        client never combines shares."""
         if certificate.scheme is AuthenticationScheme.THRESHOLD:
-            if certificate.threshold_signature is None:
-                return None
-            if self.crypto.verify_certificate(certificate, self.reply_quorum):
-                return certificate
-            return None
-        body = certificate.payload
-        digest = self.crypto.payload_digest(body)
-        collector = pending.collectors.get(digest)
-        if collector is None:
-            collector = Certificate(payload=body, scheme=certificate.scheme)
-            pending.collectors[digest] = collector
-        collector.merge(certificate)
-        valid = self.crypto.valid_signers(collector, pending.universe)
-        if len(valid) >= self.reply_quorum:
-            return collector
-        return None
+            complete = (certificate.threshold_signature is not None
+                        and self.crypto.verify_certificate(certificate, self.reply_quorum))
+            return certificate if complete else None
+        return self.crypto.assemble(
+            pending.collectors, self.crypto.payload_digest(certificate.payload),
+            certificate, pending.universe, self.reply_quorum)
 
     def _complete(self, pending: _PendingRequest, result: OperationResult,
                   seq: int, view: int,

@@ -149,8 +149,6 @@ class ExecutionNode(Process):
             self.handle_state_transfer(sender, message)
         elif isinstance(message, RequestEnvelope):
             self.handle_forwarded_request(sender, message)
-        else:
-            return
 
     # ------------------------------------------------------------------ #
     # Ordered batches.
@@ -176,36 +174,21 @@ class ExecutionNode(Process):
             self._request_missing(self.max_executed + 1)
 
     def _validate_batch(self, batch: OrderedBatch) -> bool:
-        return (self._agreed(batch, batch.seq, batch.request_certificates)
-                and self._requests_valid(batch.request_certificates,
-                                         batch.request_certificates))
-
-    def _agreed(self, batch, seq: int, certificates: Tuple[Certificate, ...]) -> bool:
-        """Whether ``batch``'s agreement certificate commits exactly
-        ``certificates`` at ``seq`` in ``batch.view``."""
-        body = batch.agreement_certificate.payload
-        if getattr(body, "seq", None) != seq or getattr(body, "view", None) != batch.view:
-            return False
-        if not self.crypto.verify_certificate(batch.agreement_certificate,
-                                              self.config.agreement_quorum,
-                                              self.agreement_ids):
-            return False
-        expected = self.crypto.digest({
-            "batch": [self.crypto.payload_digest(cert.payload)
-                      for cert in certificates],
-        })
-        return expected == body.batch_digest
+        requests = batch.request_certificates
+        return (self.crypto.agreed_batch(batch.agreement_certificate, batch.seq,
+                                         batch.view, requests,
+                                         self.config.agreement_quorum, self.agreement_ids)
+                and self._requests_valid(requests, requests))
 
     def _requests_valid(self, certificates: Tuple[Certificate, ...],
                         verified: Tuple[Certificate, ...]) -> bool:
         """Whether every certificate carries a known client's request, and
         the client authenticators of ``verified`` (a subset) check out."""
-        if not all(isinstance(cert.payload, ClientRequest)
-                   and cert.payload.client in self.client_ids
-                   for cert in certificates):
-            return False
-        return all(self.crypto.verify_certificate(cert, 1, [cert.payload.client])
-                   for cert in verified)
+        clients = self.client_ids
+        return (all(self.crypto.client_request(cert, clients) is not None
+                    for cert in certificates)
+                and all(self.crypto.authentic_request(cert, clients) is not None
+                        for cert in verified))
 
     def _resend_replies(self, batch: OrderedBatch) -> None:
         cached = self.replies_by_seq.get(batch.seq)
@@ -330,23 +313,13 @@ class ExecutionNode(Process):
                              size=max(result.size, 64))
 
     def _partial_certificate(self, body: BatchReplyBody) -> Certificate:
-        """This node's partial reply certificate over ``body``."""
-        if self.config.authentication is AuthenticationScheme.THRESHOLD:
-            certificate = Certificate(payload=body,
-                                      scheme=AuthenticationScheme.THRESHOLD,
-                                      threshold_group=self.threshold_group)
-            certificate.add(self.crypto.threshold_share(body, self.threshold_group))
-        elif self.config.authentication is AuthenticationScheme.SIGNATURE:
-            certificate = Certificate(payload=body, scheme=AuthenticationScheme.SIGNATURE)
-            certificate.add(self.crypto.sign(body))
-        else:
-            certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
-            # One MAC per node that may verify this bundle: the agreement
-            # nodes and the clients it answers, not every client there is.
-            destinations = self.agreement_ids + [reply.client
-                                                 for reply in body.replies]
-            certificate.add(self.crypto.mac_authenticator(body, destinations))
-        return certificate
+        """This node's partial reply certificate over ``body``.  A MAC goes
+        to each node that may verify the bundle: the agreement nodes and
+        the clients it answers, not every client there is."""
+        scheme = self.config.authentication
+        return self.crypto.new_certificate(
+            body, scheme, self.agreement_ids + [reply.client for reply in body.replies],
+            self.threshold_group if scheme is AuthenticationScheme.THRESHOLD else None)
 
     def _upstream_primary(self, view: int) -> NodeId:
         """The upstream node that is ``view``'s primary (``upstream`` lists
@@ -388,15 +361,13 @@ class ExecutionNode(Process):
         the client directly with a fresh partial certificate over it;
         otherwise ignore the message."""
         certificate = envelope.certificate
-        request = certificate.payload
-        if (sender not in self.agreement_ids
-                or not isinstance(request, ClientRequest)
-                or request.client not in self.client_ids):
+        request = self.crypto.client_request(certificate, self.client_ids)
+        if sender not in self.agreement_ids or request is None:
             return
         last = self.reply_table.get(request.client)
         if last is None or last.timestamp < request.timestamp:
             return
-        if not self.crypto.verify_certificate(certificate, 1, [request.client]):
+        if self.crypto.authentic_request(certificate, self.client_ids) is None:
             return
         body = self._make_reply_body(last.view, last.seq, (last,))
         self.send(request.client, ClientReply(self._partial_certificate(body)))

@@ -38,7 +38,7 @@ the :class:`~repro.runtime.interface.Runtime` seam guarantees on *every*
 backend, which is why it runs unmodified over real sockets:
 
 * Its handlers are atomic (no interleaving on one node), so quorum
-  accumulation in ``QuorumCollector`` needs no locking anywhere.
+  accumulation (``CryptoProvider.assemble``) needs no locking anywhere.
 * Retransmission timers rely only on one-shot ``call_after`` semantics and
   ``Timer.cancel()``; nothing assumes virtual time or same-instant firing
   order.
@@ -95,19 +95,6 @@ class CachedReply(NamedTuple):
 
     reply: ReplyBody
     certificate: Certificate
-
-
-@dataclass
-class QuorumCollector:
-    """Accumulates partial certificates over one reply body until a quorum
-    of its signers is reached."""
-
-    certificate: Certificate
-    done: bool = False
-
-    @property
-    def body(self) -> Any:
-        return self.certificate.payload
 
 
 class QueueCore(LocalExecutor):
@@ -247,51 +234,23 @@ class QueueCore(LocalExecutor):
         return message.well_formed and (message.body.complete
                                         or self.config.direct_replies)
 
-    def _assemble_into(self, collectors: Dict[Tuple[int, bytes], QuorumCollector],
+    def _assemble_into(self, collectors: Dict[Tuple[int, bytes], Optional[Certificate]],
                        certificate: Certificate, universe: List[NodeId],
-                       default_group: Optional[str]) -> Optional[Certificate]:
-        """Merge partial certificates until ``g + 1`` signers (or a threshold
-        signature) vouch for the reply body ``certificate`` is over; returns
-        the full certificate.
-
-        ``universe`` is the set of execution replicas allowed to contribute
-        the ``g + 1`` matching authenticators (the whole cluster in
-        :class:`MessageQueue`; one shard's replicas in
-        :class:`~repro.sharding.queue.ShardRouterQueue`, which keeps one
-        collector table per shard accordingly).
-        """
+                       group: Optional[str]) -> Optional[Certificate]:
+        """The full certificate over the body ``certificate`` is over, once
+        ``g + 1`` replicas of ``universe`` (the cluster, or one shard's:
+        :class:`~repro.sharding.queue.ShardRouterQueue` keeps a table per
+        shard) or a threshold signature vouch for it.  Partials merge into
+        ``collectors`` by ``(seq, body digest)``; shares count in this
+        queue's ``group``, whatever group a partial names."""
         body = certificate.payload
-        threshold = certificate.scheme is AuthenticationScheme.THRESHOLD
-        if threshold and certificate.threshold_signature is not None:
-            if self.crypto.verify_certificate(certificate, self.config.reply_quorum):
-                return certificate
-            return None
-        # A partial (MAC / signature authenticator, or threshold share):
-        # merge, count distinct execution signers, combine shares at quorum.
-        key = (body.seq, self.crypto.payload_digest(body))
-        collector = collectors.get(key)
-        if collector is None:
-            group = ((certificate.threshold_group or default_group)
-                     if threshold else None)
-            collector = QuorumCollector(Certificate(
-                payload=body, scheme=certificate.scheme, threshold_group=group))
-            collectors[key] = collector
-        # Once assembled the certificate has been forwarded inside reply
-        # messages, which memoise their wire forms; merging further
-        # partials would mutate a sent certificate (and buys nothing).
-        if collector.done:
-            return None
-        collector.certificate.merge(certificate)
-        valid = self.crypto.valid_signers(collector.certificate, universe)
-        if len(valid) < self.config.reply_quorum:
-            return None
-        if threshold:
-            collector.certificate.threshold_signature = \
-                self.crypto.threshold_combine(
-                    body, collector.certificate.threshold_group,
-                    collector.certificate.authenticator_list())
-        collector.done = True
-        return collector.certificate
+        if (certificate.scheme is AuthenticationScheme.THRESHOLD
+                and certificate.threshold_signature is not None):
+            complete = self.crypto.verify_certificate(certificate, self.config.reply_quorum)
+            return certificate if complete else None
+        return self.crypto.assemble(
+            collectors, (body.seq, self.crypto.payload_digest(body)), certificate,
+            universe, self.config.reply_quorum, group)
 
     def _forward_replies(self, certificate: Certificate) -> None:
         """Cache the certified bundle for each client it answers, relay it
@@ -345,7 +304,7 @@ class MessageQueue(QueueCore):
         self.threshold_group = threshold_group
         self.pending_sends: Dict[int, PendingSend] = {}
         #: partial-certificate assembly, keyed by (seq, body digest)
-        self._collectors: SeqTable[Tuple[int, bytes], QuorumCollector] = \
+        self._collectors: SeqTable[Tuple[int, bytes], Optional[Certificate]] = \
             SeqTable(seq_of=itemgetter(0))
 
     def _queue_probe(self) -> dict:
@@ -408,8 +367,7 @@ class MessageQueue(QueueCore):
         if not self._admissible(message):
             return
         full = self._assemble_into(self._collectors, message.certificate,
-                                   universe=self.execution_ids,
-                                   default_group=self.threshold_group)
+                                   self.execution_ids, self.threshold_group)
         if full is not None:
             self._accept_reply(full)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..config import AuthenticationScheme, SystemConfig
-from ..crypto.certificate import Certificate
 from ..crypto.keys import Keystore
 from ..crypto.provider import CryptoProvider
 from ..messages.reply import BatchReplyBody, ClientReply, ReplyBody
@@ -48,15 +47,9 @@ class UnreplicatedServer(Process):
     def on_message(self, sender: NodeId, message: Message) -> None:
         if not isinstance(message, RequestEnvelope):
             return
-        certificate = message.certificate
-        request = certificate.payload
-        if not isinstance(request, ClientRequest):
-            return
-        if request.client not in self.client_ids:
-            return
-        if not self.crypto.verify_certificate(certificate, 1, [request.client]):
-            return
-        self._handle_request(request)
+        request = self.crypto.authentic_request(message.certificate, self.client_ids)
+        if request is not None:
+            self._handle_request(request)
 
     def _handle_request(self, request: ClientRequest) -> None:
         cached = self.reply_cache.get(request.client)
@@ -73,9 +66,8 @@ class UnreplicatedServer(Process):
         reply = ReplyBody(view=0, seq=seq, timestamp=request.timestamp,
                           client=request.client, result=result)
         body = BatchReplyBody(view=0, seq=seq, replies=(reply,))
-        certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
-        certificate.add(self.crypto.mac_authenticator(body, [request.client]))
-        message = ClientReply(certificate)
+        message = ClientReply(self.crypto.new_certificate(
+            body, AuthenticationScheme.MAC, [request.client]))
         self.reply_cache[request.client] = message
         self.send(request.client, message)
 

@@ -13,28 +13,26 @@ hashes it computed and MACs it checked itself).
 **Safety argument.**  Only *successes* are memoised, keyed by the full
 SHA-256 payload digest plus the verification parameters:
 
-* a per-authenticator fact ``(scheme, signer, payload_digest[, group])``
-  records "``signer`` vouches for ``payload_digest``".  Once that statement
-  has been established by one valid authenticator it is true forever, so a
-  later authenticator carrying the same ``(signer, digest)`` claim may be
-  accepted without re-checking its token: it asserts a fact this node has
-  already proven.  An adversary cannot use the cache to make a *new*
-  statement -- any forged authenticator for a digest/signer pair that was
-  never legitimately verified misses the cache and fails verification
-  exactly as it would without the cache.
-* a per-certificate fact ``(payload_digest, scheme, signers, required,
-  universe)`` records "at least ``required`` of ``signers`` (restricted to
-  ``universe``) vouch for ``payload_digest``".  ``signers`` and ``universe``
-  are frozensets of node ids.
-* a combined-threshold fact ``(group, payload_digest, signature)`` includes
-  the signature bytes themselves, so a forged group signature can never hit.
+* a per-authenticator fact (a :data:`~repro.crypto.provider.FactKey`:
+  tag, group, signer, payload digest) records "``signer`` vouches for
+  ``payload_digest``".  Once one valid authenticator established it, it is
+  true forever, so a later authenticator making the same claim is accepted
+  without re-checking its token.  An adversary cannot use the cache to make
+  a *new* statement: a forged authenticator for a claim never legitimately
+  verified misses the cache and fails exactly as it would without it.  A
+  group signature's fact holds the signature bytes in the signer's place,
+  so a forged one can never hit.
+* a per-certificate fact ``("cert", payload_digest, scheme, signers,
+  required, universe)`` records "at least ``required`` of ``signers``
+  (restricted to ``universe``) vouch for ``payload_digest``".
 
 Node ids and sets of them are the part of a fact that is the same for the
 whole deployment, while the id *objects* a verification sees are private to
 the message they arrived in (on the asyncio backend a frame's ids are the
-codec's interned ones only up to its cap, and every set is built afresh).  A stored fact therefore refers to the cache's one copy of
-each id and set (:meth:`VerifiedCertificateCache.add`), not to the message's:
-a full cache holds a dozen ids, not four thousand.
+codec's interned ones only up to its cap, and every set is built afresh).
+A stored fact therefore refers to the cache's one copy of each id and set
+(:meth:`VerifiedCertificateCache.add`), not to the message's: a full cache
+holds a dozen ids, not four thousand.
 
 Failures are **never cached** -- neither negatively (which would let a
 Byzantine sender poison the cache and suppress a later legitimate

@@ -12,16 +12,21 @@ layer observes:
 1. Before an inbound message is dispatched, :func:`extract_verify_jobs`
    walks it for :class:`~repro.crypto.certificate.Certificate` objects and
    flattens every authenticator the *receiving* node could check into a
-   self-contained job ``(secret, data, token, burn_ms)`` -- the same HMAC
-   comparison :class:`~repro.crypto.provider.CryptoProvider` would perform,
-   plus the real-time cost the provider would have charged for it.
+   self-contained job ``(secret, data, token, burn_ms)`` -- built from the
+   provider's own :class:`~repro.crypto.provider.Fact`, so it is the very
+   HMAC comparison :class:`~repro.crypto.provider.CryptoProvider` would
+   perform, plus the real-time cost the provider would have charged for it.
 2. The jobs run in worker processes (:func:`verify_jobs`; workers are
    stateless -- each job carries its key material, so nothing but bytes
    crosses the process boundary).
 3. Only the facts that verified **successfully** are recorded in the
    receiving node's :class:`~repro.crypto.cache.VerifiedCertificateCache`,
-   under exactly the keys the provider uses.  The node's own in-handler
-   verification then hits the cache and charges nothing.
+   under exactly the keys the provider uses -- by construction: the key,
+   key material, domain-separated data and cost of each fact are written
+   once, in :mod:`repro.crypto.provider`, and both sides read them from
+   there, so the pool cannot warm a key the provider never looks up.  The
+   node's own in-handler verification then hits the cache and charges
+   nothing.
 
 This preserves the cache's safety argument unchanged: failures are never
 cached (a forged authenticator is re-checked -- and rejected -- inline by
@@ -40,21 +45,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from ..config import AuthenticationScheme, CryptoCosts, CryptoPoolConfig
-from ..errors import CryptoError, UnknownKeyError
+from ..config import CryptoCosts, CryptoPoolConfig
+from ..errors import CryptoError
 from ..net.message import Message
 from ..util.ids import NodeId
 from ..util.wirecache import wire_memo
 from .certificate import Certificate
 from .digest import digest, mac
 from .keys import Keystore
+from .provider import FactKey, certificate_facts
 
 #: one verification: HMAC(secret, data) must equal token; ``burn_ms`` is the
 #: emulated real-time cost the worker burns before answering (0 burns nothing)
 VerifyJob = Tuple[bytes, bytes, bytes, float]
-
-#: the cache key the fact is recorded under on success (provider-compatible)
-CacheKey = Tuple
 
 
 def spin(milliseconds: float) -> None:
@@ -87,20 +90,6 @@ def verify_jobs(jobs: Sequence[VerifyJob]) -> List[bool]:
     return results
 
 
-def _payload_digest(payload: Any) -> bytes:
-    """The digest a :class:`CryptoProvider` would compute for ``payload``.
-
-    Uses the same per-message memo (protocol messages are immutable) and
-    the same encoding, so the cache keys built from it are
-    byte-identical to the ones the destination node will look up.
-    Charges nothing: the node still pays its own digest cost inline.
-    """
-    memo = wire_memo(payload, "digest") if isinstance(payload, Message) else None
-    if memo is not None:
-        return memo.digest
-    return digest(payload)
-
-
 def iter_certificates(obj: Any, _depth: int = 0) -> Iterator[Certificate]:
     """Yield every :class:`Certificate` reachable from a message object.
 
@@ -116,14 +105,10 @@ def iter_certificates(obj: Any, _depth: int = 0) -> Iterator[Certificate]:
         yield obj
         yield from iter_certificates(obj.payload, _depth + 1)
         return
-    if isinstance(obj, Message) or is_dataclass(obj):
-        for f in fields(obj) if is_dataclass(obj) else []:
+    if is_dataclass(obj):  # every wire message is one
+        for f in fields(obj):
             yield from iter_certificates(getattr(obj, f.name, None), _depth + 1)
-        if not is_dataclass(obj) and hasattr(obj, "__dict__"):
-            for value in vars(obj).values():
-                yield from iter_certificates(value, _depth + 1)
-        return
-    if isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)):
         for item in obj:
             yield from iter_certificates(item, _depth + 1)
     elif isinstance(obj, dict):
@@ -133,66 +118,37 @@ def iter_certificates(obj: Any, _depth: int = 0) -> Iterator[Certificate]:
 
 def extract_verify_jobs(node: NodeId, keystore: Keystore, costs: CryptoCosts,
                         message: Any, charge_scale: float = 0.0,
-                        ) -> Tuple[List[VerifyJob], List[CacheKey]]:
+                        ) -> Tuple[List[VerifyJob], List[FactKey]]:
     """Flatten every authenticator ``node`` could verify on ``message``.
 
-    Returns parallel lists: ``jobs[i]`` proves (or refutes) the fact that
-    would be cached under ``keys[i]``.  Authenticators the node cannot
-    check -- MAC vectors with no entry for it, signers with no registered
-    key, shares from non-members, tokens of the wrong type -- produce no
-    job; the node's inline verification rejects those itself.  ``burn_ms`` is
-    the provider's virtual charge for the operation scaled by
-    ``charge_scale``, so the pool burns exactly the cost the node no
-    longer pays inline.
+    Returns parallel lists: ``jobs[i]`` proves (or refutes) the fact the
+    provider caches under ``keys[i]``, both from its own
+    :func:`~repro.crypto.provider.certificate_facts`.  What the node cannot
+    check (no MAC entry for it, no key for the signer, group or member, a
+    token of the wrong type) makes no job: the node rejects it inline.
+    ``burn_ms`` is the provider's virtual charge for the check scaled by
+    ``charge_scale``: exactly the cost the node no longer pays inline.
     """
     jobs: List[VerifyJob] = []
-    keys: List[CacheKey] = []
+    keys: List[FactKey] = []
     seen_certs = set()
     for cert in iter_certificates(message):
         if id(cert) in seen_certs:
             continue
         seen_certs.add(id(cert))
-        pd = _payload_digest(cert.payload)
-        if cert.scheme is AuthenticationScheme.MAC:
-            for auth in cert.authenticators.values():
-                if not auth.covers(pd):
-                    continue
-                token = (auth.token.get(node.name)
-                         if isinstance(auth.token, dict) else None)
-                if not isinstance(token, bytes):
-                    continue
-                secret = keystore.pair_secret(auth.signer, node)
-                jobs.append((secret, pd, token,
-                             costs.mac_ms * charge_scale))
-                keys.append(("mac", auth.signer, pd))
-        elif cert.scheme is AuthenticationScheme.SIGNATURE:
-            for auth in cert.authenticators.values():
-                if not auth.covers(pd) or not isinstance(auth.token, bytes):
-                    continue
-                try:
-                    key = keystore.private_key(auth.signer)
-                except (CryptoError, UnknownKeyError):
-                    continue
-                jobs.append((key, b"sig:" + pd, auth.token,
-                             costs.signature_verify_ms * charge_scale))
-                keys.append(("sig", auth.signer, pd))
-        elif cert.scheme is AuthenticationScheme.THRESHOLD:
-            if cert.threshold_group is None or not keystore.has_threshold_group(
-                    cert.threshold_group):
+        # The provider's digest, uncharged: the node still pays its own
+        # digest cost inline.
+        memo = (wire_memo(cert.payload, "digest")
+                if isinstance(cert.payload, Message) else None)
+        payload_digest = memo.digest if memo is not None else digest(cert.payload)
+        for fact, key, token in certificate_facts(cert, payload_digest, node.name):
+            try:
+                secret = fact.material(keystore, node, key)
+            except CryptoError:
                 continue
-            group = keystore.threshold_group(cert.threshold_group)
-            for auth in cert.authenticators.values():
-                if (not auth.covers(pd) or auth.signer not in group.members
-                        or not isinstance(auth.token, bytes)):
-                    continue
-                jobs.append((group.share_key(auth.signer), b"share:" + pd,
-                             auth.token, costs.mac_ms * charge_scale))
-                keys.append(("share", cert.threshold_group, auth.signer, pd))
-            sig = cert.threshold_signature
-            if isinstance(sig, bytes):
-                jobs.append((group.group_key, b"combined:" + pd, sig,
-                             costs.threshold_verify_ms * charge_scale))
-                keys.append(("tsig", cert.threshold_group, pd, sig))
+            jobs.append((secret, fact.data(key), token,
+                         getattr(costs, fact.cost) * charge_scale))
+            keys.append(key)
     return jobs, keys
 
 

@@ -1,4 +1,4 @@
-"""Per-node cryptographic operations.
+"""Per-node cryptographic operations, and the one home of every certificate rule.
 
 A :class:`CryptoProvider` is bound to one node and exposes exactly the
 operations the paper's trust model allows that node to perform: hashing,
@@ -7,6 +7,14 @@ own threshold share, verifying anything, and combining ``k`` valid shares into
 a group signature.  It cannot produce another node's authenticator, which is
 how the simulation upholds the "cryptography is not subverted" assumption even
 for Byzantine nodes.
+
+Every hop of the separated architecture is gated by the same four
+certificate rules, each written here once: checking one fact
+(:meth:`CryptoProvider._check` over a :class:`Fact`, from which
+:mod:`repro.crypto.pool` builds its jobs too), binding a batch
+(:meth:`~CryptoProvider.agreed_batch`), authenticating a request
+(:meth:`~CryptoProvider.authentic_request`) and assembling a reply quorum
+(:meth:`~CryptoProvider.assemble`).
 
 Every operation charges its virtual-time cost (from
 :class:`repro.config.CryptoCosts`) through the ``charge`` callback -- usually
@@ -17,10 +25,12 @@ benchmarks (Figure 4).
 from __future__ import annotations
 
 import hmac
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+                    MutableMapping, NamedTuple, Optional, Sequence, Tuple)
 
 from ..config import AuthenticationScheme, CryptoCosts, PerfConfig
 from ..errors import CertificateError, CryptoError, VerificationError
+from ..messages.request import ClientRequest
 from ..net.message import Message
 from ..util.ids import NodeId
 from ..util.wirecache import wire_memo
@@ -32,12 +42,87 @@ from .keys import Keystore
 ChargeFn = Callable[[float], None]
 RecordFn = Callable[[str], None]
 
+#: a verification fact and its cache key: ``(tag, threshold group or None,
+#: signer -- a group signature's own bytes --, payload digest)``
+FactKey = Tuple[str, Optional[str], Any, bytes]
 
-def _noop_charge(_: float) -> None:
-    return None
+
+class Fact(NamedTuple):
+    """One kind of fact, "a signer vouches for a payload digest", proved by
+    ``token == HMAC(material, prefix + digest)``: the prefix separates the
+    domains of schemes that share a key.  ``cost`` names the
+    :class:`~repro.config.CryptoCosts` field a check costs, ``op`` and
+    ``cached_op`` the operations recorded for a check and a cache hit, and
+    ``material(keystore, verifier, key)`` raises :class:`CryptoError` for
+    a signer, group or member it does not know."""
+
+    tag: str
+    scheme: AuthenticationScheme
+    prefix: bytes
+    cost: str
+    op: str
+    cached_op: str
+    material: Callable[[Keystore, NodeId, FactKey], bytes]
+
+    def key(self, group: Optional[str], who: Any, payload_digest: bytes) -> FactKey:
+        return (self.tag, group, who, payload_digest)
+
+    def data(self, key: FactKey) -> bytes:
+        return self.prefix + key[3]
+
+    def token(self, keystore: Keystore, verifier: NodeId, key: FactKey) -> bytes:
+        """The token proving ``key`` to ``verifier`` (what its signer made)."""
+        return mac(self.material(keystore, verifier, key), self.data(key))
 
 
-def _noop_record(_: str) -> None:
+MAC_FACT = Fact("mac", AuthenticationScheme.MAC, b"", "mac_ms", "mac_verify",
+                "mac_verify_cached",
+                lambda keys, verifier, key: keys.pair_secret(key[2], verifier))
+SIGNATURE_FACT = Fact("sig", AuthenticationScheme.SIGNATURE, b"sig:",
+                      "signature_verify_ms", "signature_verify", "signature_verify_cached",
+                      lambda keys, verifier, key: keys.private_key(key[2]))
+SHARE_FACT = Fact("share", AuthenticationScheme.THRESHOLD, b"share:", "mac_ms",
+                  "threshold_share_verify", "threshold_share_verify_cached",
+                  lambda keys, verifier, key: keys.threshold_group(key[1]).share_key(key[2]))
+GROUP_FACT = Fact("tsig", AuthenticationScheme.THRESHOLD, b"combined:",
+                  "threshold_verify_ms", "threshold_verify", "threshold_verify_cached",
+                  lambda keys, verifier, key: keys.threshold_group(key[1]).group_key)
+#: the fact each scheme's authenticators assert
+FACT_OF_SCHEME = {fact.scheme: fact for fact in (MAC_FACT, SIGNATURE_FACT, SHARE_FACT)}
+
+
+def fact_token(fact: Fact, authenticator: Authenticator, payload_digest: bytes,
+               verifier_name: str) -> Optional[bytes]:
+    """What ``authenticator`` offers the verifier named ``verifier_name`` as
+    proof of ``fact`` over ``payload_digest``: None unless it is of the
+    fact's scheme, covers the digest and carries bytes for the verifier."""
+    if authenticator.scheme is not fact.scheme or not authenticator.covers(payload_digest):
+        return None
+    token = authenticator.token
+    if fact is MAC_FACT:
+        token = token.get(verifier_name) if isinstance(token, dict) else None
+    return token if isinstance(token, bytes) else None
+
+
+def certificate_facts(certificate: Certificate, payload_digest: bytes,
+                      verifier_name: str) -> Iterator[Tuple[Fact, FactKey, bytes]]:
+    """``(fact, key, token)`` for each fact on ``certificate`` the verifier
+    named ``verifier_name`` could check: one per authenticator, and a
+    threshold certificate's group signature."""
+    fact = FACT_OF_SCHEME.get(certificate.scheme)
+    if fact is None:
+        return
+    group = certificate.threshold_group if fact is SHARE_FACT else None
+    for authenticator in certificate.authenticators.values():
+        token = fact_token(fact, authenticator, payload_digest, verifier_name)
+        if token is not None:
+            yield fact, fact.key(group, authenticator.signer, payload_digest), token
+    signature = certificate.threshold_signature
+    if fact is SHARE_FACT and isinstance(signature, bytes):
+        yield GROUP_FACT, GROUP_FACT.key(group, signature, payload_digest), signature
+
+
+def _noop(_: Any) -> None:
     return None
 
 
@@ -59,8 +144,8 @@ class CryptoProvider:
         self.cache: Optional[VerifiedCertificateCache] = (
             VerifiedCertificateCache()
             if self.perf.verified_cert_cache else None)
-        self._charge = charge or _noop_charge
-        self._record = record or _noop_record
+        self._charge = charge or _noop
+        self._record = record or _noop
         keystore.register_node(node)
 
     def bind(self, charge: ChargeFn, record: RecordFn) -> None:
@@ -105,7 +190,70 @@ class CryptoProvider:
         return self.digest(payload, size_hint=size)
 
     # ------------------------------------------------------------------ #
-    # MAC authenticators.
+    # Checking one fact.
+    # ------------------------------------------------------------------ #
+
+    def _check(self, fact: Fact, key: FactKey, token: Optional[bytes]) -> bool:
+        """Whether ``token`` proves ``key`` to this node.  A fact proven
+        before is accepted uncharged (:mod:`repro.crypto.cache`); key
+        material this node cannot find fails the check, uncharged."""
+        cache = self.cache
+        if cache is not None and cache.seen(key):
+            self._record(fact.cached_op)
+            return True
+        if token is None:
+            return False
+        try:
+            expected = fact.token(self.keystore, self.node, key)
+        except CryptoError:
+            return False
+        self._charge(getattr(self.costs, fact.cost))
+        self._record(fact.op)
+        if not hmac.compare_digest(token, expected):
+            return False
+        if cache is not None:
+            cache.add(key)
+        return True
+
+    def _verify(self, fact: Fact, payload: Any, authenticator: Authenticator,
+                group: Optional[str] = None) -> bool:
+        """Check one authenticator over ``payload``: a share only from a
+        member of a group this node knows.  Those two tests come before the
+        payload digest, so such an authenticator costs no hashing."""
+        if authenticator.scheme is not fact.scheme or (
+                fact is SHARE_FACT and not (
+                    self.keystore.has_threshold_group(group)
+                    and authenticator.signer in self.keystore.threshold_group(group).members)):
+            return False
+        payload_digest = self.payload_digest(payload)
+        return self._check(fact, fact.key(group, authenticator.signer, payload_digest),
+                           fact_token(fact, authenticator, payload_digest, self.node.name))
+
+    def verify_mac(self, payload: Any, authenticator: Authenticator) -> bool:
+        """Verify the MAC entry addressed to this node."""
+        return self._verify(MAC_FACT, payload, authenticator)
+
+    def verify_signature(self, payload: Any, authenticator: Authenticator) -> bool:
+        """Verify another node's signature over ``payload``."""
+        return self._verify(SIGNATURE_FACT, payload, authenticator)
+
+    def verify_threshold_share(self, payload: Any, authenticator: Authenticator,
+                               group_name: str) -> bool:
+        """Verify that a share was produced by a group member over ``payload``."""
+        return self._verify(SHARE_FACT, payload, authenticator, group_name)
+
+    def verify_threshold_signature(self, payload: Any, signature: bytes,
+                                   group_name: str) -> bool:
+        """Verify a combined group signature over ``payload``.  The fact
+        includes the signature bytes, so a forged one never hits the cache."""
+        if (not isinstance(signature, bytes)
+                or not self.keystore.has_threshold_group(group_name)):
+            return False
+        key = GROUP_FACT.key(group_name, signature, self.payload_digest(payload))
+        return self._check(GROUP_FACT, key, signature)
+
+    # ------------------------------------------------------------------ #
+    # Producing authenticators.
     # ------------------------------------------------------------------ #
 
     def mac_authenticator(self, payload: Any,
@@ -121,111 +269,26 @@ class CryptoProvider:
         return Authenticator(signer=self.node, scheme=AuthenticationScheme.MAC,
                              payload_digest=payload_digest, token=tokens)
 
-    def verify_mac(self, payload: Any, authenticator: Authenticator) -> bool:
-        """Verify the MAC entry addressed to this node.
-
-        A cache hit means this node previously proved that the same signer
-        vouches for the same payload digest; re-asserting a proven fact is
-        accepted without charging (see :mod:`repro.crypto.cache`).
-        """
-        if authenticator.scheme is not AuthenticationScheme.MAC:
-            return False
-        payload_digest = self.payload_digest(payload)
-        key = ("mac", authenticator.signer, payload_digest)
-        if self.cache is not None and self.cache.seen(key):
-            self._record("mac_verify_cached")
-            return True
-        if not authenticator.covers(payload_digest):
-            return False
-        token = authenticator.token
-        entry = token.get(self.node.name) if isinstance(token, dict) else None
-        if not isinstance(entry, bytes):
-            return False
-        secret = self.keystore.pair_secret(authenticator.signer, self.node)
-        expected = mac(secret, payload_digest)
-        self._charge(self.costs.mac_ms)
-        self._record("mac_verify")
-        ok = hmac.compare_digest(entry, expected)
-        if ok and self.cache is not None:
-            self.cache.add(key)
-        return ok
-
-    # ------------------------------------------------------------------ #
-    # Public-key signatures (simulated).
-    # ------------------------------------------------------------------ #
+    def _own_token(self, fact: Fact, group: Optional[str], payload_digest: bytes) -> bytes:
+        return fact.token(self.keystore, self.node, fact.key(group, self.node, payload_digest))
 
     def sign(self, payload: Any) -> Authenticator:
         """Sign ``payload`` with this node's private key."""
         payload_digest = self.payload_digest(payload)
-        key = self.keystore.private_key(self.node)
-        signature = mac(key, b"sig:" + payload_digest)
+        signature = self._own_token(SIGNATURE_FACT, None, payload_digest)
         self._charge(self.costs.signature_sign_ms)
         self._record("signature_sign")
         return Authenticator(signer=self.node, scheme=AuthenticationScheme.SIGNATURE,
                              payload_digest=payload_digest, token=signature)
 
-    def verify_signature(self, payload: Any, authenticator: Authenticator) -> bool:
-        """Verify another node's signature over ``payload``."""
-        if authenticator.scheme is not AuthenticationScheme.SIGNATURE:
-            return False
-        payload_digest = self.payload_digest(payload)
-        cache_key = ("sig", authenticator.signer, payload_digest)
-        if self.cache is not None and self.cache.seen(cache_key):
-            self._record("signature_verify_cached")
-            return True
-        if not authenticator.covers(payload_digest) or not isinstance(
-                authenticator.token, bytes):
-            return False
-        try:
-            key = self.keystore.private_key(authenticator.signer)
-        except CryptoError:
-            return False
-        expected = mac(key, b"sig:" + payload_digest)
-        self._charge(self.costs.signature_verify_ms)
-        self._record("signature_verify")
-        ok = hmac.compare_digest(authenticator.token, expected)
-        if ok and self.cache is not None:
-            self.cache.add(cache_key)
-        return ok
-
-    # ------------------------------------------------------------------ #
-    # Threshold signatures (simulated k-of-n).
-    # ------------------------------------------------------------------ #
-
     def threshold_share(self, payload: Any, group_name: str) -> Authenticator:
         """Produce this node's signature share for ``payload`` in ``group_name``."""
-        group = self.keystore.threshold_group(group_name)
-        share_key = group.share_key(self.node)
         payload_digest = self.payload_digest(payload)
-        share = mac(share_key, b"share:" + payload_digest)
+        share = self._own_token(SHARE_FACT, group_name, payload_digest)
         self._charge(self.costs.threshold_share_ms)
         self._record("threshold_share")
         return Authenticator(signer=self.node, scheme=AuthenticationScheme.THRESHOLD,
                              payload_digest=payload_digest, token=share)
-
-    def verify_threshold_share(self, payload: Any, authenticator: Authenticator,
-                               group_name: str) -> bool:
-        """Verify that a share was produced by a group member over ``payload``."""
-        if authenticator.scheme is not AuthenticationScheme.THRESHOLD:
-            return False
-        group = self.keystore.threshold_group(group_name)
-        if authenticator.signer not in group.members:
-            return False
-        payload_digest = self.payload_digest(payload)
-        cache_key = ("share", group_name, authenticator.signer, payload_digest)
-        if self.cache is not None and self.cache.seen(cache_key):
-            self._record("threshold_share_verify_cached")
-            return True
-        if not authenticator.covers(payload_digest) or not isinstance(
-                authenticator.token, bytes):
-            return False
-        expected = mac(group.share_key(authenticator.signer), b"share:" + payload_digest)
-        self._charge(self.costs.mac_ms)
-        self._record("threshold_share_verify")
-        ok = hmac.compare_digest(authenticator.token, expected)
-        if ok and self.cache is not None:
-            self.cache.add(cache_key)
-        return ok
 
     def threshold_combine(self, payload: Any, group_name: str,
                           shares: Iterable[Authenticator]) -> bytes:
@@ -239,10 +302,8 @@ class CryptoProvider:
         """
         group = self.keystore.threshold_group(group_name)
         payload_digest = self.payload_digest(payload)
-        valid_signers = set()
-        for share in shares:
-            if self.verify_threshold_share(payload, share, group_name):
-                valid_signers.add(share.signer)
+        valid_signers = {share.signer for share in shares
+                         if self.verify_threshold_share(payload, share, group_name)}
         if len(valid_signers) < group.threshold:
             raise VerificationError(
                 f"threshold combine needs {group.threshold} valid shares, "
@@ -250,30 +311,7 @@ class CryptoProvider:
             )
         self._charge(self.costs.threshold_combine_ms)
         self._record("threshold_combine")
-        return mac(group.group_key, b"combined:" + payload_digest)
-
-    def verify_threshold_signature(self, payload: Any, signature: bytes,
-                                   group_name: str) -> bool:
-        """Verify a combined group signature over ``payload``.
-
-        The cache key includes the signature bytes themselves, so a forged
-        group signature can never hit a fact proven for the genuine one.
-        """
-        if not isinstance(signature, bytes):
-            return False
-        group = self.keystore.threshold_group(group_name)
-        payload_digest = self.payload_digest(payload)
-        cache_key = ("tsig", group_name, payload_digest, signature)
-        if self.cache is not None and self.cache.seen(cache_key):
-            self._record("threshold_verify_cached")
-            return True
-        expected = mac(group.group_key, b"combined:" + payload_digest)
-        self._charge(self.costs.threshold_verify_ms)
-        self._record("threshold_verify")
-        ok = hmac.compare_digest(signature, expected)
-        if ok and self.cache is not None:
-            self.cache.add(cache_key)
-        return ok
+        return self._own_token(GROUP_FACT, group_name, payload_digest)
 
     # ------------------------------------------------------------------ #
     # Certificates.
@@ -286,13 +324,11 @@ class CryptoProvider:
             certificate.add(self.mac_authenticator(certificate.payload, destinations))
         elif certificate.scheme is AuthenticationScheme.SIGNATURE:
             certificate.add(self.sign(certificate.payload))
-        elif certificate.scheme is AuthenticationScheme.THRESHOLD:
-            if certificate.threshold_group is None:
-                raise CertificateError("threshold certificate has no group name")
+        elif certificate.threshold_group is None:
+            raise CertificateError("threshold certificate has no group name")
+        else:
             certificate.add(self.threshold_share(certificate.payload,
                                                  certificate.threshold_group))
-        else:  # pragma: no cover - exhaustive over the enum
-            raise CertificateError(f"unknown scheme {certificate.scheme}")
         return certificate
 
     def new_certificate(self, payload: Any, scheme: AuthenticationScheme,
@@ -307,23 +343,12 @@ class CryptoProvider:
                       universe: Optional[Iterable[NodeId]] = None) -> List[NodeId]:
         """Return the distinct signers whose authenticators verify at this node."""
         allowed = None if universe is None else frozenset(universe)
-        valid: List[NodeId] = []
-        for authenticator in certificate.authenticator_list():
-            if allowed is not None and authenticator.signer not in allowed:
-                continue
-            if certificate.scheme is AuthenticationScheme.MAC:
-                ok = self.verify_mac(certificate.payload, authenticator)
-            elif certificate.scheme is AuthenticationScheme.SIGNATURE:
-                ok = self.verify_signature(certificate.payload, authenticator)
-            else:
-                if certificate.threshold_group is None:
-                    ok = False
-                else:
-                    ok = self.verify_threshold_share(certificate.payload, authenticator,
-                                                     certificate.threshold_group)
-            if ok:
-                valid.append(authenticator.signer)
-        return valid
+        fact = FACT_OF_SCHEME[certificate.scheme]
+        group = certificate.threshold_group if fact is SHARE_FACT else None
+        return [authenticator.signer
+                for authenticator in certificate.authenticator_list()
+                if (allowed is None or authenticator.signer in allowed)
+                and self._verify(fact, certificate.payload, authenticator, group)]
 
     def verify_certificate(self, certificate: Certificate, required: int,
                            universe: Optional[Iterable[NodeId]] = None) -> bool:
@@ -342,14 +367,8 @@ class CryptoProvider:
         allowed = None if universe is None else frozenset(universe)
         cache_key = None
         if self.cache is not None:
-            cache_key = (
-                "cert",
-                self.payload_digest(certificate.payload),
-                certificate.scheme.value,
-                certificate.signers,
-                required,
-                allowed,
-            )
+            cache_key = ("cert", self.payload_digest(certificate.payload),
+                         certificate.scheme.value, certificate.signers, required, allowed)
             if self.cache.seen(cache_key):
                 self._record("certificate_cached")
                 return True
@@ -366,3 +385,72 @@ class CryptoProvider:
             raise VerificationError(
                 f"{description} does not carry {required} valid authenticators"
             )
+
+    # ------------------------------------------------------------------ #
+    # Batches, requests and reply quorums.
+    # ------------------------------------------------------------------ #
+
+    def batch_digest(self, requests: Sequence[Certificate]) -> bytes:
+        """What an agreement certificate binds a batch by: the digest of its
+        ordered request digests."""
+        return self.digest({"batch": [self.payload_digest(certificate.payload)
+                                      for certificate in requests]})
+
+    def agreed_batch(self, certificate: Certificate, seq: int, view: int,
+                     requests: Sequence[Certificate], quorum: int,
+                     agreement_ids: Iterable[NodeId]) -> bool:
+        """Whether the agreement ``certificate`` (``quorum`` of
+        ``agreement_ids``) commits exactly ``requests`` at ``seq`` in ``view``."""
+        body = certificate.payload
+        if getattr(body, "seq", None) != seq or getattr(body, "view", None) != view:
+            return False
+        if not self.verify_certificate(certificate, quorum, agreement_ids):
+            return False
+        return self.batch_digest(requests) == body.batch_digest
+
+    @staticmethod
+    def client_request(certificate: Certificate,
+                       clients: Iterable[NodeId]) -> Optional[ClientRequest]:
+        """``certificate``'s request if one of ``clients`` made it (unverified)."""
+        request = certificate.payload
+        if isinstance(request, ClientRequest) and request.client in clients:
+            return request
+        return None
+
+    def authentic_request(self, certificate: Certificate,
+                          clients: Iterable[NodeId]) -> Optional[ClientRequest]:
+        """``certificate``'s request if one of ``clients`` made it and its
+        authenticator verifies here."""
+        request = self.client_request(certificate, clients)
+        if request is None or not self.verify_certificate(certificate, 1,
+                                                          [request.client]):
+            return None
+        return request
+
+    def assemble(self, table: MutableMapping[Hashable, Optional[Certificate]],
+                 key: Hashable, partial: Certificate, universe: Iterable[NodeId],
+                 quorum: int, group: Optional[str] = None) -> Optional[Certificate]:
+        """Merge ``partial`` into the certificate ``table`` assembles under
+        ``key`` (a threshold one in the caller's ``group``) and return it,
+        shares combined, once ``quorum`` signers of ``universe`` verify.  A
+        returned certificate may be on the wire: its key then maps to None
+        and later partials are dropped.  The caller owns the table: its
+        keys, trimming and any cap on new entries."""
+        if key in table:
+            collector = table[key]
+            if collector is None:
+                return None
+        else:
+            threshold = partial.scheme is AuthenticationScheme.THRESHOLD
+            collector = table[key] = Certificate(
+                payload=partial.payload, scheme=partial.scheme,
+                threshold_group=group if threshold else None)
+        collector.merge(partial)
+        if len(self.valid_signers(collector, universe)) < quorum:
+            return None
+        if collector.scheme is AuthenticationScheme.THRESHOLD:
+            collector.threshold_signature = self.threshold_combine(
+                collector.payload, collector.threshold_group,
+                collector.authenticator_list())
+        table[key] = None
+        return collector

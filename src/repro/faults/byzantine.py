@@ -282,12 +282,6 @@ class EquivocatingPrimaryBehaviour(ByzantineBehaviour):
         self._agreement_ids = list(system.agreement_ids)
         super().install(system)
 
-    def _batch_digest(self, requests) -> bytes:
-        return self._crypto.digest({
-            "batch": [self._crypto.payload_digest(cert.payload)
-                      for cert in requests],
-        })
-
     def _forge(self, message: PrePrepare) -> Optional[PrePrepare]:
         key = (message.view, message.seq)
         if key not in self._forged:
@@ -302,7 +296,7 @@ class EquivocatingPrimaryBehaviour(ByzantineBehaviour):
             else:
                 self._forged[key] = PrePrepare(
                     view=message.view, seq=message.seq,
-                    batch_digest=self._batch_digest(requests),
+                    batch_digest=self._crypto.batch_digest(requests),
                     requests=requests, nondet=message.nondet,
                     primary=message.primary)
         return self._forged[key]
@@ -346,12 +340,6 @@ class CensoringPrimaryBehaviour(ByzantineBehaviour):
             self.targets = tuple(system.client_ids[:1])
         super().install(system)
 
-    def _batch_digest(self, requests) -> bytes:
-        return self._crypto.digest({
-            "batch": [self._crypto.payload_digest(cert.payload)
-                      for cert in requests],
-        })
-
     def transform(self, destination: NodeId, message: Message) -> Optional[Message]:
         if not isinstance(message, PrePrepare) or self._crypto is None:
             return None
@@ -364,7 +352,7 @@ class CensoringPrimaryBehaviour(ByzantineBehaviour):
         if not kept:
             return DROP
         return PrePrepare(view=message.view, seq=message.seq,
-                          batch_digest=self._batch_digest(kept),
+                          batch_digest=self._crypto.batch_digest(kept),
                           requests=kept, nondet=message.nondet,
                           primary=message.primary)
 

@@ -19,19 +19,20 @@ reply counts as a covert channel.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Union
+from operator import itemgetter
+from typing import List, Optional, Union
 
 from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..crypto.keys import Keystore
 from ..crypto.provider import CryptoProvider
 from ..messages.agreement import OrderedBatch
-from ..messages.reply import BatchReply, BatchReplyBody
-from ..messages.request import ClientRequest
+from ..messages.reply import BatchReply
 from ..net.message import Message
 from ..sim.process import Process
 from ..sim.scheduler import Scheduler
 from ..util.ids import NodeId
+from ..util.seqtable import SeqTable
 
 
 class _Seen(enum.Enum):
@@ -69,10 +70,10 @@ class FilterNode(Process):
 
         self.max_n = 0
         #: state_n: None (absent), SEEN, or the full reply (body, certificate)
-        self.state: Dict[int, Union[_Seen, BatchReply]] = {}
+        self.state: SeqTable[int, Union[_Seen, BatchReply]] = SeqTable()
         #: top-row only: accumulation of threshold shares per (seq, body digest)
-        self._share_collectors: Dict[tuple, Certificate] = {}
-        self._share_bodies: Dict[tuple, BatchReplyBody] = {}
+        self._share_collectors: SeqTable[tuple, Optional[Certificate]] = \
+            SeqTable(seq_of=itemgetter(0))
 
         # Statistics used by tests and benchmarks.
         self.requests_forwarded = 0
@@ -90,8 +91,6 @@ class FilterNode(Process):
         elif isinstance(message, BatchReply):
             if sender in self.above or sender in self.execution_ids:
                 self.handle_reply_from_above(sender, message)
-        else:
-            return
 
     # ------------------------------------------------------------------ #
     # Requests flowing up.
@@ -130,23 +129,16 @@ class FilterNode(Process):
         self.multicast(self.above, batch)
 
     def _validate_batch(self, batch: OrderedBatch) -> bool:
-        """Filters verify certificates so garbage never crosses the firewall."""
-        body = batch.agreement_certificate.payload
-        if getattr(body, "seq", None) != batch.seq:
-            return False
-        if not self.crypto.verify_certificate(batch.agreement_certificate,
-                                              self.config.agreement_quorum,
-                                              self.agreement_ids):
-            return False
-        for certificate in batch.request_certificates:
-            request = certificate.payload
-            if not isinstance(request, ClientRequest):
-                return False
-            if request.client not in self.client_ids:
-                return False
-            if not self.crypto.verify_certificate(certificate, 1, [request.client]):
-                return False
-        return True
+        """Filters verify certificates so garbage never crosses the firewall:
+        the agreement certificate binds exactly this request list at this
+        sequence number and view, and every request is a known client's."""
+        requests = batch.request_certificates
+        return (self.crypto.agreed_batch(batch.agreement_certificate, batch.seq,
+                                         batch.view, requests,
+                                         self.config.agreement_quorum,
+                                         self.agreement_ids)
+                and all(self.crypto.authentic_request(certificate, self.client_ids)
+                        for certificate in requests))
 
     # ------------------------------------------------------------------ #
     # Replies flowing down.
@@ -162,20 +154,15 @@ class FilterNode(Process):
         self.max_n = max(self.max_n, seq)
         self._garbage_collect()
         current = self.state.get(seq)
+        # Remember the newest reply; multicast it only to a request seen and
+        # not yet answered -- at most one multicast per request seen (one
+        # arriving before any request waits until a request asks for it).
+        self.state[seq] = complete
         if isinstance(current, BatchReply):
-            # Already forwarded (or stored): store the newest but do not
-            # multicast again -- at most one multicast per request seen.
-            self.state[seq] = complete
             self.replies_filtered += 1
-            return
-        if current is SEEN:
+        elif current is SEEN:
             self.multicast(self.below, complete)
             self.replies_forwarded += 1
-            self.state[seq] = complete
-        else:
-            # Reply arrived before any request was seen: remember it but do
-            # not forward until a request asks for it.
-            self.state[seq] = complete
 
     def _complete_certificate(self, sender: NodeId,
                               message: BatchReply) -> Optional[BatchReply]:
@@ -201,28 +188,13 @@ class FilterNode(Process):
             return None
         if sender not in self.execution_ids:
             return None
-        key = (message.seq, self.crypto.payload_digest(body))
-        collector = self._share_collectors.get(key)
-        if collector is None:
-            collector = Certificate(payload=body,
-                                    scheme=AuthenticationScheme.THRESHOLD,
-                                    threshold_group=self.threshold_group)
-            self._share_collectors[key] = collector
-            self._share_bodies[key] = body
-        if collector.threshold_signature is not None:
-            # Already assembled (and sent, so its wire form is memoised):
-            # re-forward the completed certificate instead of mutating it.
-            return BatchReply(seq=message.seq, certificate=collector,
-                              sender=self.node_id)
-        collector.merge(certificate)
-        valid = self.crypto.valid_signers(collector, self.execution_ids)
-        if len(valid) < self.config.reply_quorum:
+        complete = self.crypto.assemble(
+            self._share_collectors, (message.seq, self.crypto.payload_digest(body)),
+            certificate, self.execution_ids, self.config.reply_quorum,
+            self.threshold_group)
+        if complete is None:
             return None
-        if collector.threshold_signature is None:
-            collector.threshold_signature = self.crypto.threshold_combine(
-                body, self.threshold_group, collector.authenticator_list())
-        return BatchReply(seq=message.seq, certificate=collector,
-                          sender=self.node_id)
+        return BatchReply(seq=message.seq, certificate=complete, sender=self.node_id)
 
     # ------------------------------------------------------------------ #
     # Housekeeping.
@@ -230,14 +202,6 @@ class FilterNode(Process):
 
     def _garbage_collect(self) -> None:
         horizon = self.max_n - self.config.pipeline_depth
-        if horizon <= 0:
-            return
-        self.state = {seq: value for seq, value in self.state.items() if seq >= horizon}
-        self._share_collectors = {
-            key: value for key, value in self._share_collectors.items()
-            if key[0] >= horizon
-        }
-        self._share_bodies = {
-            key: value for key, value in self._share_bodies.items()
-            if key[0] >= horizon
-        }
+        if horizon > 0:
+            self.state.trim(horizon - 1)
+            self._share_collectors.trim(horizon - 1)

@@ -63,7 +63,7 @@ class _Collation:
     timestamp: int
     #: touched shards, known once this replica executes its own marker slot
     touched: Optional[List[int]] = None
-    collectors: Dict[Tuple[int, bytes], Certificate] = field(default_factory=dict)
+    collectors: Dict[Tuple[int, bytes], Optional[Certificate]] = field(default_factory=dict)
     #: each touched shard's certified fragment (its payload is the body)
     full: Dict[int, Certificate] = field(default_factory=dict)
     reply: Optional[CrossShardReply] = None
@@ -231,8 +231,8 @@ class CrossShardOperations(ShareExchange):
         verifiers = [replica for shard in touched
                      for replica in node.shard_execution_ids[shard]]
         verifiers.append(request.client)
-        certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
-        certificate.add(node.crypto.mac_authenticator(body, verifiers))
+        certificate = node.crypto.new_certificate(body, AuthenticationScheme.MAC,
+                                                  verifiers)
         message = CrossShardSubReply(body=body, certificate=certificate,
                                      sender=node.node_id)
         self._sub_replies[request.client] = message
@@ -379,19 +379,14 @@ class CrossShardOperations(ShareExchange):
             # Already certified (and possibly embedded in a sent reply):
             # never merge into an assembled certificate again.
             return
-        digest = node.crypto.payload_digest(body)
-        collector_key = (body.shard, digest)
-        collector = collation.collectors.get(collector_key)
+        collector_key = (body.shard, node.crypto.payload_digest(body))
+        if (collector_key not in collation.collectors
+                and len(collation.collectors) >= _COLLECTOR_CAP):
+            return
+        collector = node.crypto.assemble(
+            collation.collectors, collector_key, message.certificate,
+            node.shard_execution_ids[body.shard], node.config.reply_quorum)
         if collector is None:
-            if len(collation.collectors) >= _COLLECTOR_CAP:
-                return
-            collector = Certificate(payload=body,
-                                    scheme=message.certificate.scheme)
-            collation.collectors[collector_key] = collector
-        collector.merge(message.certificate)
-        valid = node.crypto.valid_signers(collector,
-                                          node.shard_execution_ids[body.shard])
-        if len(valid) < node.config.reply_quorum:
             return
         collation.full[body.shard] = collector
         collation.collectors = {

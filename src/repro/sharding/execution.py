@@ -425,7 +425,9 @@ class ShardExecutionNode(ExecutionNode):
         and re-verifying requests another shard will execute adds no safety
         for this shard's own state."""
         certificates = batch.full_request_certificates
-        if not self._agreed(batch, batch.global_seq, certificates):
+        if not self.crypto.agreed_batch(batch.agreement_certificate, batch.global_seq,
+                                        batch.view, certificates,
+                                        self.config.agreement_quorum, self.agreement_ids):
             return False
         if config_op_of(certificates) is not None:
             return True

@@ -83,7 +83,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..agreement.local import RetryOutcome
 from ..config import SystemConfig
-from ..core.message_queue import PendingSend, QueueCore, QuorumCollector
+from ..core.message_queue import PendingSend, QueueCore
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
 from ..messages.checkpoint import FetchBatch
@@ -142,7 +142,7 @@ class ShardRouterQueue(QueueCore):
         #: global sequence numbers fully answered above the watermark
         self._answered: Set[int] = set()
         #: reply-certificate assembly, per shard, keyed by (shard_seq, body digest)
-        self._shard_collectors: List[SeqTable[Tuple[int, bytes], QuorumCollector]] = [
+        self._shard_collectors: List[SeqTable[Tuple[int, bytes], Optional[Certificate]]] = [
             SeqTable(seq_of=itemgetter(0)) for _ in range(self.num_shards)]
 
         #: this node's partition-map epoch cursor: the epoch governing the
@@ -666,8 +666,8 @@ class ShardRouterQueue(QueueCore):
         groups = self.shard_threshold_groups
         full = self._assemble_into(
             self._shard_collectors[shard], message.certificate,
-            universe=self.shard_execution_ids[shard],
-            default_group=groups[shard] if groups is not None else None)
+            self.shard_execution_ids[shard],
+            groups[shard] if groups is not None else None)
         if full is not None:
             self._accept_shard_reply(full)
 

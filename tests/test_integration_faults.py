@@ -28,10 +28,11 @@ from repro.faults import (
     make_byzantine,
 )
 from repro.messages.agreement import Prepare
-from repro.messages.reply import BatchReply, ClientReply
+from repro.messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
 from repro.messages.request import RequestEnvelope
 from repro.net.network import DROP
 from repro.sharding import ShardedSystem
+from repro.statemachine.interface import OperationResult
 from repro.workloads import equal_range_boundaries
 from repro.workloads.skew import skew_key
 
@@ -458,6 +459,46 @@ class TestMalformedAuthenticators:
         system.run_until(lambda: bool(system.clients[0].completed), 5_000.0)
         assert system.invoke(read_counter(), client_index=1).result.value == 103
 
+    def test_a_reply_naming_an_unknown_threshold_group_is_dropped(self, config):
+        """One Byzantine execution replica hands the client and a message
+        queue a "combined" reply certificate of a group nobody knows.  Key
+        material that cannot be found is a failed verification: both
+        deliveries are dropped, and the genuine reply completes the request."""
+        system = SeparatedSystem(config, CounterService, seed=41)
+        client = system.clients[0]
+        liar = system.execution_nodes[0]
+        timestamp = client.submit(increment(1))
+        body = BatchReplyBody(view=0, seq=1, replies=(ReplyBody(
+            view=0, seq=1, timestamp=timestamp, client=client.node_id,
+            result=OperationResult(value=999)),))
+        certificate = Certificate(payload=body, scheme=AuthenticationScheme.THRESHOLD,
+                                  threshold_group="no-such-group",
+                                  threshold_signature=bytes(32))
+        liar.send(client.node_id, ClientReply(certificate))
+        liar.send(system.agreement_ids[0],
+                  BatchReply(seq=1, certificate=certificate, sender=liar.node_id))
+        system.run_until(lambda: bool(client.completed), 5_000.0)
+        assert [record.result.value for record in client.completed] == [1]
+
+
+    def test_a_share_naming_another_group_cannot_stall_the_queue(self):
+        """The first share a message queue hears for a body names a group of
+        its sender's choosing; the queue counts shares in its own group, so
+        the genuine shares still certify the body."""
+        config = make_config(authentication=AuthenticationScheme.THRESHOLD)
+        system = SeparatedSystem(config, CounterService, seed=9)
+        queue = system.message_queues[0]
+        body = BatchReplyBody(view=0, seq=1, replies=(ReplyBody(
+            view=0, seq=1, timestamp=1, client=system.clients[0].node_id,
+            result=OperationResult(value=1)),))
+        for node, named in zip(system.execution_nodes,
+                               ("no-such-group", system.threshold_group)):
+            certificate = Certificate(payload=body, scheme=AuthenticationScheme.THRESHOLD,
+                                      threshold_group=named)
+            certificate.add(node.crypto.threshold_share(body, system.threshold_group))
+            queue.on_batch_reply(node.node_id, BatchReply(
+                seq=1, certificate=certificate, sender=node.node_id))
+        assert queue.highest_reply_seq == 1
 
 class TestLossyNetwork:
     def test_progress_over_lossy_links(self):

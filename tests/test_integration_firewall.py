@@ -21,6 +21,8 @@ from repro.core import SeparatedSystem
 from repro.errors import LivenessTimeoutError, TopologyError
 from repro.faults import CorruptReplyBehaviour, LeakPlaintextBehaviour, make_byzantine
 from repro.firewall.confidentiality import ConfidentialityAuditor
+from repro.net.network import DROP
+from repro.messages.agreement import OrderedBatch
 from repro.messages.reply import BatchReply, ClientReply
 from repro.messages.request import EncryptedBody, RequestEnvelope
 from repro.util.ids import Role
@@ -56,6 +58,36 @@ class TestFirewallOperation:
         system.run(50.0)
         assert any(node.requests_forwarded > 0 for node in system.firewall.nodes)
         assert any(node.replies_forwarded > 0 for node in system.firewall.nodes)
+
+    def test_a_bottom_filter_forwards_no_batch_its_certificate_does_not_bind(self):
+        """A genuine agreement certificate with another list of client-signed
+        requests crosses no row: the filter checks the view, the sequence
+        number and the digest of the request list, not only the quorum."""
+        system = firewall_system(CounterService)
+        victim = system.firewall.node_at(0, 0)
+        batches = []
+
+        def isolate(source, destination, message):
+            if destination != victim.node_id:
+                return None
+            if isinstance(message, OrderedBatch):
+                batches.append(message)
+            return DROP
+
+        system.network.add_tap(isolate)
+        for _ in range(2):
+            system.invoke(increment(1))
+        first = batches[0]
+        second = next(batch for batch in batches if batch.seq != first.seq)
+        forged = OrderedBatch(seq=second.seq, view=second.view,
+                              request_certificates=first.request_certificates,
+                              agreement_certificate=second.agreement_certificate,
+                              nondet=second.nondet)
+        sender = system.agreement_ids[0]
+        victim.on_message(sender, forged)
+        assert victim.requests_forwarded == 0
+        victim.on_message(sender, second)
+        assert victim.requests_forwarded == 1
 
     def test_topology_blocks_client_to_execution(self):
         system = firewall_system(CounterService)

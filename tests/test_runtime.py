@@ -40,7 +40,9 @@ from repro.crypto.pool import CryptoPool, extract_verify_jobs, verify_jobs
 from repro.crypto.provider import CryptoProvider
 from repro.crypto.keys import Keystore
 from repro.errors import ConfigurationError, LivenessTimeoutError, SimulationError
+from repro.messages.agreement import OrderedBatch
 from repro.messages.reply import ClientReply
+from repro.messages.request import ClientRequest
 from repro.net.codec import default_codec
 from repro.net.message import Message
 from repro.net.network import DROP
@@ -53,6 +55,7 @@ from repro.runtime.asyncio_rt import (
 )
 from repro.sim.process import Process
 from repro.statemachine.interface import Operation
+from repro.statemachine.nondet import NonDetInput
 from repro.util.ids import agreement_id, client_id, execution_id, server_id
 
 
@@ -728,6 +731,56 @@ class TestCryptoPool:
         kinds = sorted(key[0] for key in keys)
         assert kinds == ["share", "share", "tsig"]
         assert verify_jobs(jobs) == [True, True, True]
+
+    def test_warmed_facts_are_what_inline_verification_hits(self, keystore):
+        """One message carries a MAC, a signature and a threshold certificate
+        (shares and the combined signature).  Once the pool's jobs have
+        warmed a node's cache, the node's own checks of every one of them
+        charge nothing and record only cached operations: the pool warms
+        exactly the keys the provider looks up."""
+        costs = CryptoCosts()
+        members = [execution_id(i) for i in range(3)]
+        keystore.create_threshold_group("grp", members, threshold=2)
+        verifier_id = agreement_id(0)
+        request = ClientRequest(operation=Operation(kind="null", args={}),
+                                timestamp=1, client=client_id(0))
+        mac_cert = CryptoProvider(client_id(0), keystore, costs).new_certificate(
+            request, AuthenticationScheme.MAC, [verifier_id])
+        sig_cert = CryptoProvider(agreement_id(1), keystore, costs).new_certificate(
+            _Numbered(7), AuthenticationScheme.SIGNATURE, [])
+        sharers = [CryptoProvider(m, keystore, costs) for m in members[:2]]
+        body = _Numbered(8)
+        tsig_cert = sharers[0].new_certificate(
+            body, AuthenticationScheme.THRESHOLD, [], threshold_group="grp")
+        sharers[1].authenticate(tsig_cert, [])
+        tsig_cert.threshold_signature = sharers[1].threshold_combine(
+            body, "grp", tsig_cert.authenticator_list())
+        message = OrderedBatch(seq=1, view=0, request_certificates=(mac_cert, sig_cert),
+                               agreement_certificate=tsig_cert,
+                               nondet=NonDetInput.empty())
+        charges, ops = [], []
+        verifier = CryptoProvider(verifier_id, keystore, costs,
+                                  charge=charges.append, record=ops.append)
+        jobs, keys = extract_verify_jobs(verifier_id, keystore, costs, message)
+        assert sorted(key[0] for key in keys) == ["mac", "share", "share", "sig", "tsig"]
+        assert verify_jobs(jobs) == [True] * len(jobs)
+        for key in keys:
+            verifier.cache.add(key)
+        certificates = (mac_cert, sig_cert, tsig_cert)
+        for certificate in certificates:  # the node's own first hash of each
+            verifier.payload_digest(certificate.payload)
+        del charges[:], ops[:]
+        assert verifier.verify_certificate(mac_cert, 1, [client_id(0)])
+        assert verifier.verify_certificate(sig_cert, 1, [agreement_id(1)])
+        assert verifier.verify_certificate(tsig_cert, 2)
+        for certificate in certificates:
+            assert len(verifier.valid_signers(certificate)) == len(
+                certificate.authenticators)
+        assert charges == []
+        assert ops and all(op.endswith("_cached") for op in ops)
+        assert {"mac_verify_cached", "signature_verify_cached",
+                "threshold_share_verify_cached",
+                "threshold_verify_cached"} <= set(ops)
 
     def test_pool_requires_asyncio_backend(self):
         with pytest.raises(ConfigurationError):

@@ -3,6 +3,11 @@
 No class under ``src/`` is longer than 600 lines.  The classes already
 over the bound are listed with their size as a ceiling: they may shrink,
 never grow, and a class that drops under 600 lines leaves the list.
+
+Each certificate rule has one home, ``crypto/provider.py``: the
+domain-separation prefixes of the simulated signatures and the batch-digest
+formula appear nowhere else, nothing outside ``crypto/`` combines threshold
+shares, and the old per-queue quorum collector does not come back.
 """
 
 from __future__ import annotations
@@ -17,18 +22,24 @@ MAX_CLASS_LINES = 600
 #: ``path:class`` -> the most lines it may have
 CEILINGS = {
     "net/codec.py:Codec": 785,
-    "agreement/replica.py:AgreementReplica": 743,
+    "agreement/replica.py:AgreementReplica": 723,
 }
+PROVIDER = "crypto/provider.py"
+
+
+def modules():
+    """``(path relative to src/repro, parsed module)`` for every source file."""
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(), str(path))
 
 
 def class_sizes():
     """``path:class`` -> lines from its ``class`` line to its last line."""
     sizes = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                name = f"{path.relative_to(SRC).as_posix()}:{node.name}"
-                sizes[name] = node.end_lineno - node.lineno + 1
+                sizes[f"{path}:{node.name}"] = node.end_lineno - node.lineno + 1
     return sizes
 
 
@@ -39,3 +50,30 @@ def test_no_class_is_longer_than_600_lines():
     assert over == {}
     # A listed class that shrank under the bound no longer needs a ceiling.
     assert all(sizes.get(name, 0) > MAX_CLASS_LINES for name in CEILINGS)
+
+
+def test_every_certificate_rule_has_one_home():
+    prefixes, batch_digests, combiners, collectors = [], [], [], []
+    for path, tree in modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant)
+                    and node.value in (b"sig:", b"share:", b"combined:")):
+                prefixes.append(path)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "digest" and any(
+                        isinstance(arg, ast.Dict) and any(
+                            isinstance(key, ast.Constant) and key.value == "batch"
+                            for key in arg.keys)
+                        for arg in node.args):
+                    batch_digests.append(path)
+                elif name == "threshold_combine" and not path.startswith("crypto/"):
+                    combiners.append(path)
+            elif ((isinstance(node, ast.Name) and node.id == "QuorumCollector")
+                  or (isinstance(node, ast.ClassDef)
+                      and node.name == "QuorumCollector")):
+                collectors.append(path)
+    assert prefixes == [PROVIDER] * 3
+    assert batch_digests == [PROVIDER]
+    assert combiners == []
+    assert collectors == []
