@@ -107,7 +107,7 @@ class NetworkConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if self.min_delay_ms < 0 or self.max_delay_ms < self.min_delay_ms:
+        if not 0 <= self.min_delay_ms <= self.max_delay_ms:   # NaN too
             raise ConfigurationError(
                 "network delays must satisfy 0 <= min_delay_ms <= max_delay_ms"
             )

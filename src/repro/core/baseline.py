@@ -133,16 +133,13 @@ class CoupledSystem(SimulatedSystem):
             self.replicas.append(replica)
             self.network.register(replica)
 
-        self.clients: List[ClientNode] = []
         for node_id in self.client_ids:
-            client = ClientNode(
+            self._add_client(ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
                 keystore=self.keystore, logs=[self.agreement_ids],
                 request_verifiers=self.agreement_ids,
                 reply_quorum=config.f + 1, reply_clusters=[self.agreement_ids],
-            )
-            self.clients.append(client)
-            self.network.register(client)
+            ))
 
     # ------------------------------------------------------------------ #
     # Fault injection helpers.

@@ -147,6 +147,9 @@ class ClientNode(Process):
         self.epoch = 0
 
         self.completed: List[CompletedRequest] = []
+        #: called once per record appended to ``completed`` (the system
+        #: driver counts its clients' completions with it)
+        self.on_complete: Optional[Callable[[], None]] = None
         self.retransmissions = 0
         self.log_retargets = 0
         self.misrouted_replies = 0
@@ -261,7 +264,7 @@ class ClientNode(Process):
             result=OperationResult(value=None, error=error),
             issued_at_ms=self.now if issued_at is None else issued_at,
             completed_at_ms=self.now, seq=0, view=self._views[log])
-        self.completed.append(record)
+        self._record(record)
         if callback is not None:
             callback(record)
         self._issue_next_queued()
@@ -383,6 +386,11 @@ class ClientNode(Process):
             pending.collectors, self.crypto.payload_digest(certificate.payload),
             certificate, pending.universe, self.reply_quorum)
 
+    def _record(self, record: CompletedRequest) -> None:
+        self.completed.append(record)
+        if self.on_complete is not None:
+            self.on_complete()
+
     def _complete(self, pending: _PendingRequest, result: OperationResult,
                   seq: int, view: int,
                   groups: Tuple[Tuple[int, int], ...] = ()) -> None:
@@ -391,7 +399,7 @@ class ClientNode(Process):
             result=result, issued_at_ms=pending.issued_at_ms,
             completed_at_ms=self.now, seq=seq, view=view, groups=groups,
         )
-        self.completed.append(record)
+        self._record(record)
         if self.tracing:
             self.trace_event(request_trace_id(self.node_id, pending.timestamp),
                              "reply")

@@ -59,6 +59,7 @@ class SimulatedSystem:
         self.network = self.runtime.network
         self.obs.register_global_probe("net_census", self.network.stats.census)
         self.clients: List[ClientNode] = []
+        self._completed = 0
 
     # ------------------------------------------------------------------ #
     # Running the simulation.
@@ -107,8 +108,18 @@ class SimulatedSystem:
         return self.clients[client_index].submit(operation)
 
     def total_completed(self) -> int:
-        """Total requests completed across all clients."""
-        return sum(len(client.completed) for client in self.clients)
+        """Total requests completed across all clients (O(1): a run-until
+        predicate may ask after every event)."""
+        return self._completed
+
+    def _note_completion(self) -> None:
+        self._completed += 1
+
+    def _add_client(self, client: ClientNode) -> None:
+        """Make ``client`` one of this system's clients."""
+        client.on_complete = self._note_completion
+        self.clients.append(client)
+        self.network.register(client)
 
     def all_latencies_ms(self) -> List[float]:
         """Latencies of every completed request across all clients."""
@@ -277,18 +288,15 @@ class SeparatedSystem(SimulatedSystem):
 
         # ---------------- Clients. ---------------- #
         request_verifiers = self.agreement_ids + self.execution_ids + firewall_ids
-        self.clients = []
         for node_id in self.client_ids:
-            client = ClientNode(
+            self._add_client(ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
                 keystore=self.keystore, logs=[self.agreement_ids],
                 request_verifiers=request_verifiers,
                 reply_quorum=config.reply_quorum,
                 reply_clusters=[self.execution_ids],
                 encrypt_requests=config.use_privacy_firewall,
-            )
-            self.clients.append(client)
-            self.network.register(client)
+            ))
 
     # ------------------------------------------------------------------ #
     # Accessors and fault injection.

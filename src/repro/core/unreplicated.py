@@ -90,16 +90,13 @@ class UnreplicatedSystem(SimulatedSystem):
         )
         self.network.register(self.server)
 
-        self.clients: List[ClientNode] = []
         for node_id in self.client_ids:
-            client = ClientNode(
+            self._add_client(ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
                 keystore=self.keystore, logs=[[self.server_id]],
                 request_verifiers=[self.server_id],
                 reply_quorum=1, reply_clusters=[[self.server_id]],
-            )
-            self.clients.append(client)
-            self.network.register(client)
+            ))
 
     def server_processes(self):
         return [self.server]

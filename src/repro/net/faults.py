@@ -21,19 +21,6 @@ from .message import CorruptedMessage, Message
 BANDWIDTH_BYTES_PER_MS = 12_500.0
 
 
-@dataclass
-class DeliveryPlan:
-    """What the network decided to do with one transmission.
-
-    ``deliveries`` is a list of (delay_ms, message) pairs: an empty list means
-    the message was dropped, more than one entry means it was duplicated, and
-    a replaced message payload means corruption.
-    """
-
-    deliveries: List[Tuple[float, Message]]
-    dropped: bool
-
-
 @dataclass(frozen=True)
 class LinkFault:
     """Targeted fault knobs for one *directed* ``(src, dst)`` link.
@@ -59,7 +46,7 @@ class LinkFault:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"LinkFault.{name} must be in [0, 1]")
-        if self.extra_delay_ms < 0.0:
+        if not self.extra_delay_ms >= 0.0:   # NaN too
             raise ValueError("LinkFault.extra_delay_ms must be >= 0")
 
 
@@ -126,21 +113,35 @@ class NetworkFaultModel:
         transmission = size_bytes / BANDWIDTH_BYTES_PER_MS
         return propagation + transmission
 
-    def plan(self, source: NodeId, destination: NodeId, message: Message) -> DeliveryPlan:
-        """Decide drop/duplicate/delay/corrupt for one transmission."""
-        if self.is_partitioned(source, destination):
-            self.stats_dropped += 1
-            return DeliveryPlan(deliveries=[], dropped=True)
+    def plan(self, source: NodeId, destination: NodeId, message: Message,
+             size: int) -> List[Tuple[float, Message]]:
+        """Decide drop/duplicate/delay/corrupt for one transmission of
+        ``message`` (``size`` bytes on the wire).
 
-        link = self._link_faults.get((source, destination))
-        if self.rng.chance(self.config.drop_probability) or (
+        Returns ``(delay_ms, payload)`` pairs: none if the message was
+        dropped, more than one if it was duplicated, and a replaced payload
+        if it was corrupted.  A link with no partition, no link fault and a
+        fault-free configuration takes the early exit: its one draw, the
+        propagation delay, is the draw the full path would make.
+        """
+        if self._partitioned and self.is_partitioned(source, destination):
+            self.stats_dropped += 1
+            return []
+        link = self._link_faults.get((source, destination)) if self._link_faults else None
+        config = self.config
+        if link is None and not (
+                config.drop_probability or config.duplicate_probability
+                or config.reorder_probability or config.corrupt_probability):
+            self.stats_delivered += 1
+            return [(self.base_delay(size), message)]
+
+        if self.rng.chance(config.drop_probability) or (
                 link is not None and self.rng.chance(link.drop_probability)):
             self.stats_dropped += 1
-            return DeliveryPlan(deliveries=[], dropped=True)
+            return []
 
-        size = message.wire_size()
         copies = 1
-        if self.rng.chance(self.config.duplicate_probability):
+        if self.rng.chance(config.duplicate_probability):
             copies += 1
             self.stats_duplicated += 1
         if link is not None and self.rng.chance(link.duplicate_probability):
@@ -152,39 +153,28 @@ class NetworkFaultModel:
             delay = self.base_delay(size)
             if link is not None:
                 delay += link.extra_delay_ms
-            if self.rng.chance(self.config.reorder_probability) or (
+            if self.rng.chance(config.reorder_probability) or (
                     link is not None
                     and self.rng.chance(link.reorder_probability)):
                 # Reordering is modelled as extra delay on this copy.
-                delay += self.rng.uniform(0.0, 4.0 * self.config.max_delay_ms)
+                delay += self.rng.uniform(0.0, 4.0 * config.max_delay_ms)
             payload: Message = message
-            if self.rng.chance(self.config.corrupt_probability) or (
+            if self.rng.chance(config.corrupt_probability) or (
                     link is not None
                     and self.rng.chance(link.corrupt_probability)):
                 payload = CorruptedMessage(message.type_name(), size)
                 self.stats_corrupted += 1
             deliveries.append((delay, payload))
             self.stats_delivered += 1
-        return DeliveryPlan(deliveries=deliveries, dropped=False)
+        return deliveries
 
 
 class PerfectNetworkFaults(NetworkFaultModel):
-    """Reliable, low-jitter network used by unit tests."""
+    """Reliable, low-jitter network used by unit tests: the fault model with
+    a fixed delay and no probabilistic faults (partitions and link faults
+    still apply)."""
 
     def __init__(self, rng: Optional[DeterministicRandom] = None,
                  delay_ms: float = 0.1) -> None:
         config = NetworkConfig(min_delay_ms=delay_ms, max_delay_ms=delay_ms)
         super().__init__(config, rng or DeterministicRandom(0, "perfect-net"))
-
-    def plan(self, source: NodeId, destination: NodeId, message: Message) -> DeliveryPlan:
-        if self.is_partitioned(source, destination):
-            self.stats_dropped += 1
-            return DeliveryPlan(deliveries=[], dropped=True)
-        link = self._link_faults.get((source, destination))
-        if link is not None:
-            # A targeted link fault turns this "perfect" link unreliable;
-            # route through the full stochastic path for it.
-            return super().plan(source, destination, message)
-        delay = self.base_delay(message.wire_size())
-        self.stats_delivered += 1
-        return DeliveryPlan(deliveries=[(delay, message)], dropped=False)

@@ -3,9 +3,9 @@
 The :class:`Network` connects :class:`~repro.sim.process.Process` instances
 through a :class:`~repro.net.topology.Topology` and a
 :class:`~repro.net.faults.NetworkFaultModel`.  A ``send`` consults the
-topology (raising :class:`TopologyError` on forbidden links), asks the fault
-model what to do with the transmission, and schedules zero or more delivery
-events on the destination process.
+topology (raising :class:`TopologyError` on forbidden links), sizes the
+message once, asks the fault model what to do with the transmission, and
+schedules zero or more delivery events on the destination process.
 
 Runtime-backend contract
 ------------------------
@@ -178,27 +178,29 @@ class Network:
         """
         if self.enforce_topology:
             self.topology.check(source, destination)
-        for tap in list(self._taps):
-            replacement = tap(source, destination, message)
-            if replacement is DROP:
-                self.stats.drops_by_tap += 1
-                return
-            if replacement is not None:
-                message = replacement
-        self.stats.record_send(message, message.wire_size())
+        if self._taps:
+            for tap in list(self._taps):
+                replacement = tap(source, destination, message)
+                if replacement is DROP:
+                    self.stats.drops_by_tap += 1
+                    return
+                if replacement is not None:
+                    message = replacement
+        size = message.wire_size()
+        self.stats.record_send(message, size)
 
         target = self._processes.get(destination)
         if target is None:
             return
-        plan = self.faults.plan(source, destination, message)
-        for delay, payload in plan.deliveries:
-            size = payload.wire_size()
-            self.scheduler.call_after(
-                delay,
-                lambda payload=payload, size=size: target.deliver(source, payload, size),
-                label=f"deliver:{message.type_name()}:{source}->{destination}",
-            )
-            self.stats.deliveries += 1
+        deliveries = self.faults.plan(source, destination, message, size)
+        scheduler = self.scheduler
+        now = scheduler.now
+        for delay, payload in deliveries:
+            # one event per copy: ``target.deliver(source, payload, size)``;
+            # only a payload the fault model replaced is sized again
+            scheduler.post(now + delay, "deliver:", target.deliver, source, payload,
+                           size if payload is message else payload.wire_size())
+        self.stats.deliveries += len(deliveries)
 
     def broadcast(self, source: NodeId, destinations: List[NodeId], message: Message) -> None:
         """Send ``message`` from ``source`` to every node in ``destinations``."""

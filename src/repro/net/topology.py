@@ -15,7 +15,7 @@ which is how the simulation enforces the paper's physical-wiring requirement.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from ..errors import TopologyError
 from ..util.ids import NodeId
@@ -26,7 +26,9 @@ class Topology:
 
     def __init__(self, fully_connected: bool = True) -> None:
         self._fully_connected = fully_connected
-        self._links: Set[FrozenSet[NodeId]] = set()
+        #: node -> the nodes it shares a link with (links are unordered, so
+        #: each one is entered under both of its ends)
+        self._adjacent: Dict[NodeId, Set[NodeId]] = {}
         self._nodes: Set[NodeId] = set()
 
     @property
@@ -47,7 +49,8 @@ class Topology:
             return
         self._nodes.add(a)
         self._nodes.add(b)
-        self._links.add(frozenset((a, b)))
+        self._adjacent.setdefault(a, set()).add(b)
+        self._adjacent.setdefault(b, set()).add(a)
 
     def add_links(self, group_a: Iterable[NodeId], group_b: Iterable[NodeId]) -> None:
         """Allow every node in ``group_a`` to talk to every node in ``group_b``."""
@@ -58,11 +61,8 @@ class Topology:
 
     def allows(self, a: NodeId, b: NodeId) -> bool:
         """Return True iff ``a`` and ``b`` share a physical link."""
-        if a == b:
-            return True
-        if self._fully_connected:
-            return True
-        return frozenset((a, b)) in self._links
+        return (self._fully_connected or b in self._adjacent.get(a, ())
+                or a == b)
 
     def check(self, a: NodeId, b: NodeId) -> None:
         """Raise :class:`TopologyError` if ``a`` may not talk to ``b``."""
@@ -73,12 +73,7 @@ class Topology:
         """All nodes sharing a link with ``node`` (restricted topologies only)."""
         if self._fully_connected:
             return [other for other in sorted(self._nodes) if other != node]
-        found = []
-        for link in self._links:
-            if node in link:
-                (other,) = [n for n in link if n != node] or [node]
-                found.append(other)
-        return sorted(set(found))
+        return sorted(self._adjacent.get(node, ()))
 
     # ------------------------------------------------------------------ #
     # Builders.

@@ -228,6 +228,11 @@ class RealTimeScheduler:
         timer._handle = self.loop.call_later(delay, _fire)
         return timer
 
+    def post(self, when: float, label: str, callback: Callable[..., None],
+             *args) -> None:
+        """``callback(*args)`` at ``when``, with no handle."""
+        self.call_at(when, lambda: callback(*args), label)
+
     def call_after(self, delay: float, callback: Callable[[], None],
                    label: str = "") -> RealTimer:
         if delay < 0:

@@ -15,6 +15,8 @@ semantics):
 * ``call_at(when, callback, label)`` / ``call_after(delay, callback,
   label)`` returning timer handles with ``deadline``, ``active``, and
   ``cancel()``;
+* ``post(when, label, callback, *args)`` -- ``callback(*args)`` at
+  ``when``, for events nobody cancels (a node's end of a busy period);
 * ``events_processed`` -- a counter that increases between any two
   distinct dispatches (handlers use it as a cheap "same event?" stamp);
 * ``random`` -- a :class:`~repro.sim.rand.DeterministicRandom`;

@@ -210,18 +210,15 @@ class ShardedSystem(SimulatedSystem):
 
         # ---------------- Clients. ---------------- #
         request_verifiers = self.agreement_ids + self.execution_ids
-        self.clients = []
         for node_id in self.client_ids:
-            client = ClientNode(
+            self._add_client(ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
                 keystore=self.keystore, logs=self.log_agreement_ids,
                 request_verifiers=request_verifiers,
                 reply_quorum=config.reply_quorum,
                 reply_clusters=self.shard_execution_ids, router=self.router,
                 log_of_shard=self.log_registry.log_of,
-            )
-            self.clients.append(client)
-            self.network.register(client)
+            ))
 
     # ------------------------------------------------------------------ #
     # Log-map reconfiguration.

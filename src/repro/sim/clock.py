@@ -1,8 +1,8 @@
 """Virtual clock for the discrete-event simulator.
 
 Time is measured in virtual milliseconds as a float.  Only the scheduler is
-allowed to advance the clock; protocol code reads it through
-:meth:`VirtualClock.now`.
+allowed to advance the clock; protocol code reads it as ``now``, a plain
+attribute, because it is read on every handler and by most of them.
 """
 
 from __future__ import annotations
@@ -14,14 +14,10 @@ class VirtualClock:
     """Monotonically non-decreasing virtual clock."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
+        if not start >= 0:
             raise SimulationError("virtual time cannot start before zero")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
+        #: current virtual time in milliseconds (advanced by advance_to only)
+        self.now = float(start)
 
     def advance_to(self, when: float) -> None:
         """Advance the clock to ``when``.
@@ -30,12 +26,12 @@ class VirtualClock:
         event queue guarantees events are popped in timestamp order, so a
         violation here indicates a kernel bug rather than a protocol bug.
         """
-        if when < self._now - 1e-9:
+        if when < self.now - 1e-9:
             raise SimulationError(
-                f"cannot move the clock backwards from {self._now} to {when}"
+                f"cannot move the clock backwards from {self.now} to {when}"
             )
-        if when > self._now:
-            self._now = when
+        if when > self.now:
+            self.now = when
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"VirtualClock(now={self._now:.3f}ms)"
+        return f"VirtualClock(now={self.now:.3f}ms)"

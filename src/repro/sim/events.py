@@ -15,14 +15,16 @@ never changes the firing order.
 
 The heap holds ``(time, sequence, event)`` tuples: sequences are unique, so a
 comparison is decided by the first two members, in C, and never reaches the
-event.
+event.  An event carries its callback's arguments, so the simulator's own
+events -- a delivery is ``target.deliver(sender, message, size)`` -- cost
+the event and its heap entry, with no closure around the call.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -34,7 +36,8 @@ _COMPACTION_MIN_SIZE = 64
 
 @dataclass(eq=False, slots=True)
 class Event:
-    """A scheduled callback (a handle: two events are equal when identical).
+    """A scheduled call ``callback(*args)`` (a handle: two events are equal
+    when identical).
 
     ``cancelled`` events stay in the heap but are skipped when popped; the
     owning queue is notified so its live-event counter stays exact and it
@@ -43,13 +46,14 @@ class Event:
 
     time: float
     sequence: int
-    callback: Callable[[], None]
+    callback: Callable[..., None]
+    args: tuple = ()
     label: str = ""
+    #: the queue currently holding this event (None once popped)
+    queue: Optional["EventQueue"] = field(default=None, repr=False)
     cancelled: bool = False
     #: set by the scheduler when the callback runs (used by Timer.active)
     fired: bool = False
-    #: the queue currently holding this event (None once popped)
-    queue: Optional["EventQueue"] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the scheduler will skip it."""
@@ -76,20 +80,23 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self.peek_time() is not None
 
-    def push(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at virtual ``time`` and return the event handle."""
-        if time < 0:
-            raise SimulationError("cannot schedule an event before time zero")
-        event = Event(time=time, sequence=next(self._counter),
-                      callback=callback, label=label, queue=self)
-        heapq.heappush(self._heap, (time, event.sequence, event))
+    def push(self, time: float, callback: Callable[..., None], label: str = "",
+             args: tuple = ()) -> Event:
+        """Schedule ``callback(*args)`` at virtual ``time`` and return the
+        event handle."""
+        if not time >= 0:   # also refuses NaN, which would break the heap
+            raise SimulationError(f"cannot schedule an event at {time}")
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback, args, label, self)
+        heappush(self._heap, (time, sequence, event))
         self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or None if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             event.queue = None
             if not event.cancelled:
                 self._live -= 1
@@ -100,7 +107,7 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next live event without removing it."""
         while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)[2].queue = None
+            heappop(self._heap)[2].queue = None
             self._cancelled_in_heap -= 1
         if not self._heap:
             return None
@@ -129,5 +136,5 @@ class EventQueue:
             if entry[2].cancelled:
                 entry[2].queue = None
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         self._cancelled_in_heap = 0

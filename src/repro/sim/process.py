@@ -167,19 +167,20 @@ class Process:
         if self.crashed:
             return
         if (self._wake_armed or self._in_handler
-                or self._busy_until > self.now + 1e-12):
+                or self._busy_until > self.scheduler.now + 1e-12):
             self._park((sender, message, size))
             return
-        self.stats.messages_received += 1
-        self.stats.bytes_received += size
-        self._run_handler(lambda: self.on_message(sender, message))
+        stats = self.stats
+        stats.messages_received += 1
+        stats.bytes_received += size
+        self._run_handler(self.on_message, sender, message)
 
     def fire_timer(self, callback: Callable[[], None]) -> None:
         """Run a timer callback under the same busy/cost accounting as messages."""
         if self.crashed:
             return
         if (self._wake_armed or self._in_handler
-                or self._busy_until > self.now + 1e-12):
+                or self._busy_until > self.scheduler.now + 1e-12):
             self._park(callback)
             return
         self.stats.timer_fires += 1
@@ -197,10 +198,10 @@ class Process:
         flushes ``outbox`` (what the period's handler sent) and takes up the
         inbox."""
         self._wake_armed = True
-        self.scheduler.call_at(
-            max(self._busy_until, self.now),
-            (lambda: self._wake(outbox)) if outbox else self._wake,
-            label=self._flush_label if outbox else self._wake_label)
+        scheduler = self.scheduler
+        scheduler.post(max(self._busy_until, scheduler.now),
+                       self._flush_label if outbox else self._wake_label,
+                       self._wake, outbox)
 
     def _wake(self, outbox: Sequence[Tuple[NodeId, "Message"]] = ()) -> None:
         """The busy period has ended: send what its handler left in the
@@ -217,7 +218,7 @@ class Process:
             return
         if not self._inbox:
             return
-        if self._busy_until > self.now + 1e-12:
+        if self._busy_until > self.scheduler.now + 1e-12:
             # A charge outside a handler extended the busy period, or a
             # wall-clock timer fired a hair early.
             self._arm_wake()
@@ -228,23 +229,25 @@ class Process:
         else:
             self.fire_timer(item)
 
-    def _run_handler(self, handler: Callable[[], None]) -> None:
-        """Run ``handler`` with cost accounting and deferred sends."""
+    def _run_handler(self, handler: Callable[..., None], *args) -> None:
+        """Run ``handler(*args)`` with cost accounting and deferred sends."""
         if self._in_handler:
             raise SimulationError(f"{self.node_id} re-entered its handler")
         self._in_handler = True
         self._pending_cost = 0.0
-        self._outbox = []
+        self._outbox = outbox = []
         try:
-            handler()
+            handler(*args)
         finally:
             self._in_handler = False
-        completion = self.now + self._pending_cost
+        now = self.scheduler.now
+        cost = self._pending_cost
+        completion = now + cost
         self._busy_until = completion
-        self.stats.busy_ms += self._pending_cost
-        self.stats.handler_invocations += 1
-        outbox, self._outbox = self._outbox, []
-        if outbox and completion <= self.now + 1e-12:
+        stats = self.stats
+        stats.busy_ms += cost
+        stats.handler_invocations += 1
+        if outbox and completion <= now + 1e-12:
             self._flush(outbox)
             outbox = ()
         # Nothing armed a wake while the handler ran (work that arrived

@@ -1,6 +1,6 @@
 """The discrete-event scheduler.
 
-The scheduler owns the virtual clock and the event queue and is the only
+The scheduler is the virtual clock and owns the event queue; it is the only
 component allowed to advance time.  Protocol code interacts with it through
 :meth:`Scheduler.call_at` / :meth:`Scheduler.call_after` (one-shot callbacks)
 and the :class:`Timer` handles they return.
@@ -46,8 +46,9 @@ from .rand import DeterministicRandom
 class Timer:
     """Handle to a scheduled callback, supporting cancellation and queries."""
 
-    def __init__(self, scheduler: "Scheduler", event: Event) -> None:
-        self._scheduler = scheduler
+    __slots__ = ("_event",)
+
+    def __init__(self, event: Event) -> None:
         self._event = event
 
     @property
@@ -71,11 +72,15 @@ class Timer:
         self._event.cancel()
 
 
-class Scheduler:
-    """Discrete-event scheduler with a virtual clock and deterministic RNG."""
+class Scheduler(VirtualClock):
+    """Discrete-event scheduler with a virtual clock and deterministic RNG.
+
+    The scheduler is its own clock: ``now`` is an attribute of the object
+    every process holds, one hop away.
+    """
 
     def __init__(self, seed: int = 0) -> None:
-        self.clock = VirtualClock()
+        super().__init__()
         self.queue = EventQueue()
         self.random = DeterministicRandom(seed)
         #: observability hub processes pick their registries/tracer up from;
@@ -83,37 +88,35 @@ class Scheduler:
         #: The hub only ever *observes* (no charges, events, or RNG draws),
         #: so swapping it cannot change the simulation's virtual-time results.
         self.obs: ObservabilityHub = DISABLED_HUB
-        self._events_processed = 0
-        self._running = False
+        #: total number of events executed so far
+        self.events_processed = 0
 
     # ------------------------------------------------------------------ #
     # Time and scheduling primitives.
     # ------------------------------------------------------------------ #
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self.clock.now
-
-    @property
-    def events_processed(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_processed
-
     def call_at(self, when: float, callback: Callable[[], None], label: str = "") -> Timer:
         """Schedule ``callback`` at absolute virtual time ``when``."""
-        if when < self.now - 1e-9:
-            raise SimulationError(
-                f"cannot schedule an event at {when} (now is {self.now})"
-            )
-        event = self.queue.push(max(when, self.now), callback, label)
-        return Timer(self, event)
+        return Timer(self.post(when, label, callback))
 
     def call_after(self, delay: float, callback: Callable[[], None], label: str = "") -> Timer:
         """Schedule ``callback`` after ``delay`` virtual milliseconds."""
-        if delay < 0:
-            raise SimulationError("delay must be non-negative")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be non-negative, got {delay}")
         return self.call_at(self.now + delay, callback, label)
+
+    def post(self, when: float, label: str, callback: Callable[..., None],
+             *args) -> Event:
+        """Schedule ``callback(*args)`` at absolute virtual time ``when``.
+
+        The simulator's own events -- a delivery, the end of a node's busy
+        period -- are posted directly: nobody cancels them, so they get no
+        :class:`Timer`.
+        """
+        now = self.now
+        if not when >= now - 1e-9:   # NaN too: it would break the heap
+            raise SimulationError(f"cannot schedule an event at {when} (now is {now})")
+        return self.queue.push(when if when > now else now, callback, label, args)
 
     # ------------------------------------------------------------------ #
     # Running the simulation.
@@ -124,10 +127,13 @@ class Scheduler:
         event = self.queue.pop()
         if event is None:
             return False
-        self.clock.advance_to(event.time)
+        if event.time > self.now:   # advance_to, inline: once per event
+            self.now = event.time
+        else:
+            self.advance_to(event.time)
         event.fired = True
-        self._events_processed += 1
-        event.callback()
+        self.events_processed += 1
+        event.callback(*event.args)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -139,14 +145,14 @@ class Scheduler:
             if next_time is None:
                 break
             if until is not None and next_time > until:
-                self.clock.advance_to(until)
+                self.advance_to(until)
                 break
             if max_events is not None and processed >= max_events:
                 break
             self.step()
             processed += 1
         if until is not None and self.now < until and self.queue.peek_time() is None:
-            self.clock.advance_to(until)
+            self.advance_to(until)
         return self.now
 
     def run_until(self, predicate: Callable[[], bool], timeout: float,

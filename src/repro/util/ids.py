@@ -69,6 +69,12 @@ class NodeId:
     index: int
     row: Optional[int] = None
 
+    def __eq__(self, other: object) -> bool:
+        # one comparison of the prebuilt, unique sort key: no tuple per call
+        if other.__class__ is NodeId:
+            return self._sort_key == other._sort_key
+        return NotImplemented
+
     def __lt__(self, other: "NodeId") -> bool:
         if not isinstance(other, NodeId):
             return NotImplemented

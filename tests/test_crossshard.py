@@ -223,6 +223,9 @@ class TestConsistentCut:
                          description="queued oversized op fails locally")
         assert client.completed[-1].result.error is not None
         assert "max_keys" in client.completed[-1].result.error
+        # a local failure completes the request like a reply does
+        assert system.total_completed() == 2 == sum(
+            len(each.completed) for each in system.clients)
 
 
 # ---------------------------------------------------------------------- #

@@ -151,10 +151,10 @@ class TestFaultPlumbing:
         a, b = agreement_id(0), agreement_id(1)
         model.set_link_fault(a, b, LinkFault(drop_probability=1.0))
         message = CorruptedMessage("probe", 64)
-        assert model.plan(a, b, message).dropped
-        assert not model.plan(b, a, message).dropped
+        assert model.plan(a, b, message, 64) == []
+        assert model.plan(b, a, message, 64) != []
         model.clear_link_fault(a, b)
-        assert not model.plan(a, b, message).dropped
+        assert model.plan(a, b, message, 64) != []
 
     def test_link_fault_adds_directed_delay(self):
         model = NetworkFaultModel(NetworkConfig(min_delay_ms=0.1,
@@ -163,8 +163,8 @@ class TestFaultPlumbing:
         a, b = agreement_id(0), agreement_id(1)
         model.set_link_fault(a, b, LinkFault(extra_delay_ms=50.0))
         message = CorruptedMessage("probe", 64)
-        slow = model.plan(a, b, message).deliveries[0][0]
-        fast = model.plan(b, a, message).deliveries[0][0]
+        slow = model.plan(a, b, message, 64)[0][0]
+        fast = model.plan(b, a, message, 64)[0][0]
         assert slow >= 50.0 > fast
 
     def test_byzantine_window_installs_and_uninstalls(self):
@@ -398,8 +398,8 @@ class TestReorderGene:
         a, b = agreement_id(0), agreement_id(1)
         model.set_link_fault(a, b, LinkFault(reorder_probability=1.0))
         message = CorruptedMessage("probe", 64)
-        delayed = model.plan(a, b, message).deliveries[0][0]
-        plain = model.plan(b, a, message).deliveries[0][0]
+        delayed = model.plan(a, b, message, 64)[0][0]
+        plain = model.plan(b, a, message, 64)[0][0]
         assert delayed > plain
 
 

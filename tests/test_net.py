@@ -1,10 +1,12 @@
 """Tests for the simulated network: topology restriction and fault models."""
 
+from math import nan
+
 import pytest
 
 from repro.config import NetworkConfig
-from repro.errors import NetworkError, TopologyError
-from repro.net.faults import NetworkFaultModel, PerfectNetworkFaults
+from repro.errors import ConfigurationError, NetworkError, TopologyError
+from repro.net.faults import LinkFault, NetworkFaultModel, PerfectNetworkFaults
 from repro.net.message import CorruptedMessage, Message
 from repro.net.network import Network
 from repro.net.topology import Topology
@@ -91,42 +93,39 @@ class TestTopology:
 class TestFaultModels:
     def test_perfect_network_delivers_exactly_once(self):
         model = PerfectNetworkFaults(delay_ms=0.5)
-        plan = model.plan(client_id(0), agreement_id(0), _Probe())
-        assert not plan.dropped
-        assert len(plan.deliveries) == 1
+        deliveries = model.plan(client_id(0), agreement_id(0), _Probe(), 16)
+        assert len(deliveries) == 1
 
     def test_drop_probability_one_drops_everything(self):
         config = NetworkConfig(drop_probability=1.0)
         model = NetworkFaultModel(config, DeterministicRandom(1))
-        plan = model.plan(client_id(0), agreement_id(0), _Probe())
-        assert plan.dropped
-        assert plan.deliveries == []
+        assert model.plan(client_id(0), agreement_id(0), _Probe(), 16) == []
 
     def test_duplicate_probability_one_duplicates(self):
         config = NetworkConfig(duplicate_probability=1.0)
         model = NetworkFaultModel(config, DeterministicRandom(1))
-        plan = model.plan(client_id(0), agreement_id(0), _Probe())
-        assert len(plan.deliveries) == 2
+        deliveries = model.plan(client_id(0), agreement_id(0), _Probe(), 16)
+        assert len(deliveries) == 2
 
     def test_corruption_replaces_payload(self):
         config = NetworkConfig(corrupt_probability=1.0)
         model = NetworkFaultModel(config, DeterministicRandom(1))
-        plan = model.plan(client_id(0), agreement_id(0), _Probe())
-        assert all(isinstance(msg, CorruptedMessage) for _, msg in plan.deliveries)
+        deliveries = model.plan(client_id(0), agreement_id(0), _Probe(), 16)
+        assert all(isinstance(msg, CorruptedMessage) for _, msg in deliveries)
 
     def test_partition_blocks_link(self):
         model = PerfectNetworkFaults()
         model.partition(client_id(0), agreement_id(0))
-        plan = model.plan(client_id(0), agreement_id(0), _Probe())
-        assert plan.dropped
+        assert model.plan(client_id(0), agreement_id(0), _Probe(), 16) == []
         model.heal(client_id(0), agreement_id(0))
-        assert not model.plan(client_id(0), agreement_id(0), _Probe()).dropped
+        assert model.plan(client_id(0), agreement_id(0), _Probe(), 16) != []
 
     def test_larger_messages_take_longer(self):
         model = PerfectNetworkFaults(delay_ms=0.1)
-        small = model.plan(client_id(0), agreement_id(0), _Probe(size=100))
-        large = model.plan(client_id(0), agreement_id(0), _Probe(size=100_000))
-        assert large.deliveries[0][0] > small.deliveries[0][0]
+        small = model.plan(client_id(0), agreement_id(0), _Probe(size=100), 100)
+        large = model.plan(client_id(0), agreement_id(0), _Probe(size=100_000),
+                           100_000)
+        assert large[0][0] > small[0][0]
 
     def test_delay_within_bounds(self):
         config = NetworkConfig(min_delay_ms=1.0, max_delay_ms=2.0)
@@ -134,6 +133,76 @@ class TestFaultModels:
         for _ in range(50):
             delay = model.base_delay(0)
             assert 1.0 <= delay <= 2.0
+
+
+class TestFaultFreePlan:
+    """The fault-free early exit of ``plan`` is the general path's answer,
+    and nothing about the clean state is cached between sends."""
+
+    A, B = agreement_id(0), agreement_id(1)
+
+    @pytest.mark.parametrize("config", [
+        NetworkConfig(), NetworkConfig(min_delay_ms=1.0, max_delay_ms=3.0),
+        NetworkConfig(min_delay_ms=0.1, max_delay_ms=0.1)])
+    def test_clean_model_plans_as_the_full_path(self, config):
+        clean = NetworkFaultModel(config, DeterministicRandom(5, "plan"))
+        forced = NetworkFaultModel(config, DeterministicRandom(5, "plan"))
+        # a link fault of zero probabilities sends every transmission on
+        # the link down the full path, which changes nothing but the path
+        forced.set_link_fault(self.A, self.B, LinkFault())
+        probe = _Probe()
+        for size in range(0, 40_000, 97):
+            assert (clean.plan(self.A, self.B, probe, size)
+                    == forced.plan(self.A, self.B, probe, size))
+        assert clean.rng._rng.getstate() == forced.rng._rng.getstate()
+        assert clean.stats_delivered == forced.stats_delivered == 413
+
+    def test_partitions_and_link_faults_apply_from_the_next_send(self):
+        scheduler = Scheduler()
+        network = Network(scheduler, faults=NetworkFaultModel(
+            NetworkConfig(), DeterministicRandom(3, "net")))
+        a, b = _Sink(self.A, scheduler), _Sink(self.B, scheduler)
+        network.register(a)
+        network.register(b)
+        faults = network.faults
+
+        def delivered_after_send():
+            before = network.stats.deliveries
+            network.send(a.node_id, b.node_id, _Probe())
+            return network.stats.deliveries - before
+
+        assert delivered_after_send() == 1
+        faults.partition(self.B, self.A)
+        assert delivered_after_send() == 0
+        faults.heal(self.A, self.B)
+        assert delivered_after_send() == 1
+        faults.set_link_fault(self.A, self.B, LinkFault(drop_probability=1.0))
+        assert delivered_after_send() == 0
+        faults.clear_link_fault(self.A, self.B)
+        assert delivered_after_send() == 1
+        faults.set_link_fault(self.A, self.B, LinkFault(duplicate_probability=1.0))
+        assert delivered_after_send() == 2
+        faults.clear_link_faults()
+        assert delivered_after_send() == 1
+        scheduler.run()
+        assert len(b.received) == 6
+
+
+class TestNanIsRefused:
+    """NaN passes every ``<`` test; a NaN delay on a link or in the
+    configuration would put NaN on every delivery of the run."""
+
+    @pytest.mark.parametrize("field", ["min_delay_ms", "max_delay_ms"])
+    def test_network_config(self, field):
+        with pytest.raises(ConfigurationError):
+            NetworkConfig(**{field: nan}).validate()
+
+    def test_link_fault(self):
+        with pytest.raises(ValueError):
+            LinkFault(extra_delay_ms=nan).validate()
+        with pytest.raises(ValueError):
+            NetworkFaultModel(NetworkConfig(), DeterministicRandom(0)).set_link_fault(
+                agreement_id(0), agreement_id(1), LinkFault(extra_delay_ms=nan))
 
 
 class TestNetwork:

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 from dataclasses import dataclass
+from math import nan
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -167,7 +168,7 @@ class TestScheduler:
         misreported exactly this case)."""
         scheduler = Scheduler()
         timer = scheduler.call_after(1.0, lambda: None)
-        scheduler.clock.advance_to(1.0 + 1e-12)
+        scheduler.advance_to(1.0 + 1e-12)
         assert timer.active
         timer.cancel()
         assert not timer.active
@@ -219,6 +220,41 @@ class TestScheduler:
         scheduler.run()
         with pytest.raises(SimulationError):
             scheduler.call_at(1.0, lambda: None)
+
+    def test_nan_time_is_refused_where_it_enters(self):
+        """A NaN deadline compares false with everything: let into the heap
+        it breaks the heap order, and a later finite event pops out of turn
+        (here: "cannot move the clock backwards from 18.0 to 12.0", raised
+        by ``step`` far from the bad call).  Every way in refuses it."""
+        scheduler = Scheduler()
+        fired = []
+        for delay in [6, nan, 6, nan, 13, nan, 5, 18, 19, 15, 12, 18]:
+            if delay != delay:
+                with pytest.raises(SimulationError):
+                    scheduler.call_after(delay, lambda: None)
+            else:
+                scheduler.call_after(delay, lambda d=delay: fired.append(d))
+        for refused in (lambda: scheduler.call_at(nan, lambda: None),
+                        lambda: scheduler.post(nan, "deliver:", fired.append, 0),
+                        lambda: scheduler.queue.push(nan, lambda: None)):
+            with pytest.raises(SimulationError):
+                refused()
+        scheduler.run()
+        assert fired == [5, 6, 6, 12, 13, 15, 18, 18, 19]
+        assert scheduler.now == 19.0
+
+    def test_post_calls_with_its_arguments_in_schedule_order(self):
+        """The handle-less form: ``callback(*args)`` at ``when``, in
+        (time, sequence) order with timers, and never before now."""
+        scheduler = Scheduler()
+        order = []
+        scheduler.post(2.0, "deliver:", order.append, "post-2")
+        scheduler.call_at(1.0, lambda: order.append("timer-1"))
+        scheduler.post(1.0, "deliver:", order.append, "post-1")
+        scheduler.run()
+        assert order == ["timer-1", "post-1", "post-2"]
+        with pytest.raises(SimulationError):
+            scheduler.post(1.0, "deliver:", order.append, "late")
 
     def test_timer_cancellation(self):
         scheduler = Scheduler()
