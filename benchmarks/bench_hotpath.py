@@ -357,8 +357,7 @@ def section_micro(quick: bool) -> Dict:
     dict_rate = instantiation_rate(lambda t, s, c: DictEvent(time=t, sequence=s, callback=c))
 
     event = Event(time=0.0, sequence=0, callback=lambda: None)
-    auth = Authenticator(signer=execution_id(0), scheme=Scheme.MAC,
-                         payload_digest=b"\x00" * 32, token={})
+    auth = Authenticator(signer=execution_id(0), scheme=Scheme.MAC, token={})
 
     # Event-queue compaction: push retransmit-style timers, cancel most of
     # them (the reply-arrived pattern), and check the heap stays compact.

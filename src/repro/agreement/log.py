@@ -26,7 +26,7 @@ class LogEntry:
     pre_prepare: Optional[PrePrepare] = None
     prepares: Dict[NodeId, Prepare] = field(default_factory=dict)
     commits: Dict[NodeId, CommitMsg] = field(default_factory=dict)
-    commit_authenticators: Dict[NodeId, Authenticator] = field(default_factory=dict)
+    commit_authenticators: Dict[NodeId, Optional[Authenticator]] = field(default_factory=dict)
     prepared: bool = False
     committed: bool = False
     #: handed to the local executor's out-of-order staging buffer (the

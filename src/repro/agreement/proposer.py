@@ -400,7 +400,8 @@ class Proposer:
         """Order a partition-map change through the agreement log.
 
         The change rides the normal agreement path as a single-certificate
-        batch signed by this primary; its sequence number is the epoch cut.
+        batch signed by this primary for its backups (which check it) and
+        ``cert_verifiers``; its sequence number is the epoch cut.
         It bypasses the pipeline windows (the cut must not queue behind the
         very hot shard it is trying to relieve).
         """
@@ -412,7 +413,7 @@ class Proposer:
             AuthenticationScheme.SIGNATURE
             if self.config.authentication is AuthenticationScheme.SIGNATURE
             else AuthenticationScheme.MAC,
-            replica.cert_verifiers)
+            replica.agreement_ids + replica.cert_verifiers)
         seq = self._propose([certificate], {})
         replica.log.note_config_op(replica.view, seq)
         return True

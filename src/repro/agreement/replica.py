@@ -67,15 +67,16 @@ class AgreementReplica(Process):
     def __init__(self, node_id: NodeId, scheduler: Scheduler, config: SystemConfig,
                  keystore: Keystore, local: LocalExecutor,
                  agreement_ids: List[NodeId], client_ids: List[NodeId],
-                 cert_verifiers: Optional[List[NodeId]] = None) -> None:
+                 cert_verifiers: List[NodeId]) -> None:
         super().__init__(node_id, scheduler)
         self.config = config
         self.local = local
         self.agreement_ids = list(agreement_ids)
         self.client_ids = list(client_ids)
-        #: every node that must be able to verify agreement certificates
-        #: (agreement peers, execution nodes, and firewall filters).
-        self.cert_verifiers = list(cert_verifiers or agreement_ids)
+        #: the nodes that verify agreement certificates, which commit MAC
+        #: vectors address: execution replicas and firewall filters (none
+        #: under BASE, whose commits then carry no authenticator)
+        self.cert_verifiers = list(cert_verifiers)
         self.crypto = CryptoProvider(node_id, keystore, config.crypto,
                                      charge=self.charge,
                                      record=self.stats.record_crypto,
@@ -351,12 +352,12 @@ class AgreementReplica(Process):
                                  nondet=entry.pre_prepare.nondet)
 
     def _make_cert_authenticator(self, body: AgreementCertBody):
-        """Authenticator over the agreement-certificate body.
-
-        Agreement certificates always use MAC vectors or signatures (threshold
-        signatures are reserved for reply certificates); MAC vectors address
-        every node that may need to verify the certificate.
-        """
+        """Authenticator over the agreement-certificate body, None if no
+        node verifies agreement certificates.  Agreement certificates use
+        MAC vectors (to ``cert_verifiers``) or signatures; threshold
+        signatures are reserved for reply certificates."""
+        if not self.cert_verifiers:
+            return None
         if self.config.authentication is AuthenticationScheme.SIGNATURE:
             return self.crypto.sign(body)
         return self.crypto.mac_authenticator(body, self.cert_verifiers)
@@ -374,8 +375,7 @@ class AgreementReplica(Process):
             return
         entry = self.log.entry(self.view, message.seq)
         entry.commits[sender] = message
-        if message.cert_authenticator is not None:
-            entry.commit_authenticators[sender] = message.cert_authenticator
+        entry.commit_authenticators[sender] = message.cert_authenticator
         self._try_committed(entry)
 
     def _try_committed(self, entry: LogEntry) -> None:
@@ -439,7 +439,7 @@ class AgreementReplica(Process):
                     else AuthenticationScheme.MAC),
         )
         for replica, authenticator in entry.commit_authenticators.items():
-            if authenticator.scheme is certificate.scheme:
+            if authenticator is not None and authenticator.scheme is certificate.scheme:
                 certificate.authenticators[replica] = authenticator
         return certificate
 

@@ -126,7 +126,7 @@ class CoupledSystem(SimulatedSystem):
                 node_id=node_id, scheduler=self.scheduler, config=config,
                 keystore=self.keystore, local=executor,
                 agreement_ids=self.agreement_ids, client_ids=self.client_ids,
-                cert_verifiers=self.agreement_ids,
+                cert_verifiers=[],
             )
             executor.bind_owner(replica)
             self.executors.append(executor)

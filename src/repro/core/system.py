@@ -247,7 +247,7 @@ class SeparatedSystem(SimulatedSystem):
         # ---------------- Agreement cluster with message queues. ------- #
         downstream = (self.firewall.bottom_row_ids if config.use_privacy_firewall
                       else self.execution_ids)
-        cert_verifiers = self.agreement_ids + self.execution_ids + firewall_ids
+        cert_verifiers = self.execution_ids + firewall_ids
         self.message_queues: List[MessageQueue] = []
         self.agreement_replicas: List[AgreementReplica] = []
         for node_id in self.agreement_ids:

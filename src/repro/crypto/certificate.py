@@ -25,7 +25,9 @@ from ..util.wirecache import WireMemoised
 
 @dataclass(frozen=True, slots=True)
 class Authenticator(WireMemoised):
-    """One node's evidence that it vouches for a payload digest.
+    """One node's evidence that it vouches for a payload.  It names no
+    digest: a verifier checks ``token`` against its own digest of the
+    payload, so attached to another payload it fails.
 
     One authenticator rides in several certificates (a reply's is in the
     bundle's, the bodiless form's and each client's view), so its encoding
@@ -42,12 +44,7 @@ class Authenticator(WireMemoised):
 
     signer: NodeId
     scheme: AuthenticationScheme
-    payload_digest: bytes
     token: Any
-
-    def covers(self, payload_digest: bytes) -> bool:
-        """Whether this authenticator was produced over ``payload_digest``."""
-        return self.payload_digest == payload_digest
 
 
 @dataclass

@@ -91,12 +91,12 @@ GROUP_FACT = Fact("tsig", AuthenticationScheme.THRESHOLD, b"combined:",
 FACT_OF_SCHEME = {fact.scheme: fact for fact in (MAC_FACT, SIGNATURE_FACT, SHARE_FACT)}
 
 
-def fact_token(fact: Fact, authenticator: Authenticator, payload_digest: bytes,
+def fact_token(fact: Fact, authenticator: Authenticator,
                verifier_name: str) -> Optional[bytes]:
     """What ``authenticator`` offers the verifier named ``verifier_name`` as
-    proof of ``fact`` over ``payload_digest``: None unless it is of the
-    fact's scheme, covers the digest and carries bytes for the verifier."""
-    if authenticator.scheme is not fact.scheme or not authenticator.covers(payload_digest):
+    proof of ``fact`` (over the verifier's own payload digest, in the key):
+    None unless it is of the fact's scheme and carries bytes for it."""
+    if authenticator.scheme is not fact.scheme:
         return None
     token = authenticator.token
     if fact is MAC_FACT:
@@ -114,7 +114,7 @@ def certificate_facts(certificate: Certificate, payload_digest: bytes,
         return
     group = certificate.threshold_group if fact is SHARE_FACT else None
     for authenticator in certificate.authenticators.values():
-        token = fact_token(fact, authenticator, payload_digest, verifier_name)
+        token = fact_token(fact, authenticator, verifier_name)
         if token is not None:
             yield fact, fact.key(group, authenticator.signer, payload_digest), token
     signature = certificate.threshold_signature
@@ -227,7 +227,7 @@ class CryptoProvider:
             return False
         payload_digest = self.payload_digest(payload)
         return self._check(fact, fact.key(group, authenticator.signer, payload_digest),
-                           fact_token(fact, authenticator, payload_digest, self.node.name))
+                           fact_token(fact, authenticator, self.node.name))
 
     def verify_mac(self, payload: Any, authenticator: Authenticator) -> bool:
         """Verify the MAC entry addressed to this node."""
@@ -266,8 +266,7 @@ class CryptoProvider:
             for destination in destinations}
         self._charge(self.costs.mac_ms)
         self._record("mac_sign")
-        return Authenticator(signer=self.node, scheme=AuthenticationScheme.MAC,
-                             payload_digest=payload_digest, token=tokens)
+        return Authenticator(self.node, AuthenticationScheme.MAC, tokens)
 
     def _own_token(self, fact: Fact, group: Optional[str], payload_digest: bytes) -> bytes:
         return fact.token(self.keystore, self.node, fact.key(group, self.node, payload_digest))
@@ -278,8 +277,7 @@ class CryptoProvider:
         signature = self._own_token(SIGNATURE_FACT, None, payload_digest)
         self._charge(self.costs.signature_sign_ms)
         self._record("signature_sign")
-        return Authenticator(signer=self.node, scheme=AuthenticationScheme.SIGNATURE,
-                             payload_digest=payload_digest, token=signature)
+        return Authenticator(self.node, AuthenticationScheme.SIGNATURE, signature)
 
     def threshold_share(self, payload: Any, group_name: str) -> Authenticator:
         """Produce this node's signature share for ``payload`` in ``group_name``."""
@@ -287,8 +285,7 @@ class CryptoProvider:
         share = self._own_token(SHARE_FACT, group_name, payload_digest)
         self._charge(self.costs.threshold_share_ms)
         self._record("threshold_share")
-        return Authenticator(signer=self.node, scheme=AuthenticationScheme.THRESHOLD,
-                             payload_digest=payload_digest, token=share)
+        return Authenticator(self.node, AuthenticationScheme.THRESHOLD, share)
 
     def threshold_combine(self, payload: Any, group_name: str,
                           shares: Iterable[Authenticator]) -> bytes:

@@ -35,8 +35,8 @@ message's class tag and the message.
 
 Two hot paths are typed: a registered object in the tagged form (a
 certificate's payload, a request's operation) is handed straight to its
-class's compiled decoder, and an authenticator's MAC vector
-(``Authenticator.token``, a dict from node name to MAC) is a count and
+class's compiled decoder, and an authenticator (signer, scheme, token; no
+digest) carries a MAC vector (a dict from node name to MAC) as a count and
 ``(node code, 32-byte MAC)`` pairs read with one ``struct`` call --
 anything else there is the tagged form after a marker byte.
 
@@ -145,7 +145,7 @@ def standard_types():
     from ..statemachine.nondet import NonDetInput
 
     signed = (("signer", NodeId), ("scheme", AuthenticationScheme),
-              ("payload_digest", bytes), ("token", MacVector))
+              ("token", MacVector))
     sealed = (("_plaintext", Any), ("readers", typing.FrozenSet[Role]),
               ("size", int))
     enums = ((1, Role), (2, AuthenticationScheme))

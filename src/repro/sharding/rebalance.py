@@ -250,6 +250,10 @@ class RebalanceController:
             # ranges moves next to no state while shrinking the map.
             if range_loads[index] > ceiling or range_loads[index + 1] > ceiling:
                 continue
+            # A merge keeps the left owner: never idle a cluster by taking
+            # its last range (the next split would hand it one back).
+            if pmap.owners.count(pmap.owners[index + 1]) == 1:
+                continue
             if best is None or (range_loads[index] + range_loads[index + 1]
                                 < range_loads[best] + range_loads[best + 1]):
                 best = index

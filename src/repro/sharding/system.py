@@ -180,7 +180,7 @@ class ShardedSystem(SimulatedSystem):
             self.shard_execution_nodes.append(cluster)
 
         # ---------------- K agreement clusters with shard routers. ----- #
-        cert_verifiers = self.agreement_ids + self.execution_ids
+        cert_verifiers = self.execution_ids
         self.message_queues: List[ShardRouterQueue] = []
         self.agreement_replicas: List[AgreementReplica] = []
         for index, node_id in enumerate(self.agreement_ids):

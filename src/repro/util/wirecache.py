@@ -18,8 +18,8 @@ nodes already charged for it, and -- for a while -- the encoded bytes).  The
 memo therefore lives exactly as long as the object and pins nothing: a
 message the protocol has dropped is freed at once.  It never travels --
 frames carry fields only (:mod:`repro.net.codec`), so a receiver encodes
-what it received itself and a peer's idea of a message's bytes or digest is
-never trusted.
+what it received itself, and takes its own digests: no authenticator names
+one (:class:`~repro.crypto.certificate.Authenticator`).
 
 **How long the bytes are kept.**  Bytes are what memory goes on, and they
 are wanted for one thing only: to be spliced into a parent, which happens

@@ -15,6 +15,7 @@ from repro.config import AuthenticationScheme, PerfConfig
 from repro.crypto.cache import VerifiedCertificateCache
 from repro.crypto.certificate import Authenticator, Certificate
 from repro.crypto.keys import Keystore
+from repro.crypto.pool import extract_verify_jobs, verify_jobs
 from repro.crypto.provider import CryptoProvider
 from repro.messages.request import ClientRequest
 from repro.sharding import ShardedSystem
@@ -134,7 +135,6 @@ class TestByzantineForgery:
         forged = Certificate(payload=request, scheme=AuthenticationScheme.MAC)
         forged.add(Authenticator(
             signer=client_id(1), scheme=AuthenticationScheme.MAC,
-            payload_digest=verifier.payload_digest(request),
             token={agreement_id(0).name: b"\x00" * 32}))
         assert not verifier.verify_certificate(forged, 1, [client_id(1)])
         # Repeating the forgery still fails: failures are never cached.
@@ -151,7 +151,6 @@ class TestByzantineForgery:
         # signer must not make the forged one count toward a 2-quorum.
         certificate.add(Authenticator(
             signer=client_id(1), scheme=AuthenticationScheme.MAC,
-            payload_digest=verifier.payload_digest(request),
             token={execution_id(0).name: b"\x01" * 32}))
         assert not verifier.verify_certificate(certificate, 2)
 
@@ -162,6 +161,34 @@ class TestByzantineForgery:
         assert verifier.verify_mac(sample_request(0), auth)
         # Same signer, cached success -- but a different payload misses.
         assert not verifier.verify_mac(sample_request(1), auth)
+
+    @pytest.mark.parametrize("scheme", list(AuthenticationScheme),
+                             ids=lambda scheme: scheme.value)
+    def test_an_authenticator_over_another_payload_fails(self, keystore, scheme):
+        """An authenticator names no digest, so its token alone must refuse
+        a payload it was not made over: one made over P and attached to a
+        certificate over P' fails inline, and so does the crypto pool's job
+        for it, which therefore warms no cache fact."""
+        keystore.create_threshold_group(
+            "exec", [execution_id(i) for i in range(3)], 2)
+        signer, _, _ = recording_provider(keystore, execution_id(0))
+        verifier, _, _ = recording_provider(keystore, agreement_id(0))
+        original = signer.new_certificate(sample_request(0), scheme,
+                                          [agreement_id(0)], threshold_group="exec")
+        moved = original.with_payload(sample_request(1))
+
+        jobs, keys = extract_verify_jobs(agreement_id(0), keystore,
+                                         CHEAP_CRYPTO, moved)
+        results = verify_jobs(jobs)
+        assert len(jobs) == 1 and results == [False]
+        for key, ok in zip(keys, results):     # what the runtime warms
+            if ok:
+                verifier.cache.add(key)
+        assert len(verifier.cache) == 0
+        assert not verifier.verify_certificate(moved, 1, [execution_id(0)])
+        assert not verifier.verify_certificate(moved, 1, [execution_id(0)])
+        # the same authenticator over its own payload is genuine
+        assert verifier.verify_certificate(original, 1, [execution_id(0)])
 
 
 class TestEndToEndEquivalence:

@@ -62,39 +62,39 @@ GOLDEN_TAGS = {
 GOLDEN_FRAMES = {
     "AgreementCertBody": (85, "723441526e0fdef130d9d3b0d89c437dc4c66be4b22208ed3db958bb41ae29b9"),
     "AgreementCheckpoint": (78, "b09f10cd3fa3fae7d26739114d01889bd25eabdf8a7772dd83e222a1fd225f83"),
-    "BatchReply": (420, "e5904db36d4776f5683a2db4bf7cdd9595a7f6696a8fed4a7ef8d1229bbbe362"),
+    "BatchReply": (348, "cd7534c4af8a16a3b0e167a446b66259215e5a8458a097ff5a43235d77813f59"),
     "BatchReplyBody": (189, "3ad2c2e64702f32b47f6b6bf6e0783144373f531b5c7d8f5b1561059db4f5058"),
-    "BatchTransfer": (1190, "5d0a2d405b74541d1516120519e76a497e68a269e91935a1261f28a82e42722f"),
-    "ClientReply": (370, "5f6703111f4a99f4867fec576490de834fe0c9cdebbefd2bf6f0ad5cc8d5ba4c"),
+    "BatchTransfer": (1010, "123a1f649e75384b7b61c61100482bc2476aab5a165b4fcece93a5e8919d2724"),
+    "ClientReply": (298, "3621dac6306e59aa9c2c0b5abf478153c33acea856b1f5f1fc4029e28bb2e134"),
     "ClientRequest": (114, "d96fe9fd1be91481948ab280f290fb8259c0cb0130f89bf3c4e7805419d9c358"),
-    "CommitMsg": (213, "7be24e46698416c702de610cfdcd2e94d519772e16d8f09875d4870ecbe3991c"),
-    "CrossLogBinding": (265, "071ae1ab64a992c0cdf05c846f689fd8e8e97aeedd13b7cd93e9a84c7ff9c215"),
+    "CommitMsg": (177, "8c684911c32f789c1caf5fd921254bbd80db81eb57f5294ab5f3fe38ae69ac3e"),
+    "CrossLogBinding": (229, "73b805f8ea6f071660944b08bbbabf0a9cceac7399b346c1f5ffe696024bbdd2"),
     "CrossLogBindingBody": (51, "cdd3d553e58d56c7375ec3e58f0b54ac4d7abd307d6854d30b584eb7ee3aee2e"),
     "CrossLogBindingFetch": (30, "60c578763dc7a8d83e22f7b888ac9b90c3a7f784e5d898964c802eeaecae10bc"),
-    "CrossShardReply": (265, "b31e06fa861f6160bbec855484160310f6f08a5dea13975ae863d1fdc0f6d3c9"),
-    "CrossShardSubReply": (305, "df3a559053df1a69d5c82e4f72aea23c3428725cf6a9c9be055ee655f4aef3ad"),
-    "CrossShardVote": (207, "4592c49e1c68ac9c862d8a7e77d6f6214743f8f0f4d47f1081c007cbfea9c9d6"),
+    "CrossShardReply": (229, "b0c4a2daa25031d9c59b39323789b5fa36fc9ddbb574d79d9ab7240652b75ace"),
+    "CrossShardSubReply": (269, "543976f8bf8c4027fea6f64ec71d648ca5a3aa5e5e7ff9762a33aaa22e8a0dbe"),
+    "CrossShardVote": (171, "736485cb539efd42d6baebb621344cab57075a1c5a95897db8286129af301546"),
     "CrossShardVoteFetch": (37, "80d89b01e75e69575d4d1feb1412b2ea998a52bd9380d9be13667362a8e2f925"),
-    "ExecCheckpointProof": (304, "d2a880859023313b11648975c072f7b2d7e70d7fa1d96a2546eaf8e88084f75a"),
+    "ExecCheckpointProof": (232, "bffcf17d08c62e14e77b05c601ac6175b777fca927ec394c48d84ae8aba98f82"),
     "ExecCheckpointShare": (54, "046acfdfcb12f22b78d45b469312cf639c771945a586a4edd1e54df3b424ccea"),
     "FetchBatch": (17, "6937e8074945060318a0c5b8dd01cad30d4b96ec474f4d8678144c35b88c860c"),
     "LogMapChange": (29, "3ca1971a85a7afaa2ece63b8c74c3c9d481750e521dbebaa9028d8535936fc7d"),
     "MapChange": (37, "ce6a1667ab61937fa238265535e15c4e68112f4d640036e489d4234e5bf244bc"),
-    "NewView": (708, "ad93d75db17991a9df13ac563a3842a777a85b7da364f613cf8d258af10b2ad2"),
-    "OrderedBatch": (1184, "8100281d59f3ece7f2a73bb7b1a057a0e6ec3e53cb08e86caf5b69d400065887"),
-    "PrePrepare": (670, "5870d11482d2d5df80180c9f2ee04c15fedf47d1e5331fa55764b8f6488768af"),
+    "NewView": (636, "a94076ec83efdc4ef65638b68d2a43b51e9c77b47d0293de2673ae0556815a6c"),
+    "OrderedBatch": (1004, "826147d17b78a5eab9f37d326bfd9a92bd6914b41db856b32f2422d1d4b7c840"),
+    "PrePrepare": (598, "a31f2a8339e37b9d851e659494c35ad0db5936e5b51c5cdf1e6b6eb0d0e42e08"),
     "Prepare": (61, "7bfc43b47745bf71c369103ae2160d0656319c1127b066863c33920ba4f7c783"),
-    "PreparedProof": (666, "6770f5c74562190e7c67fe2e7a1947a704e73d87f7a451e29cfc3db5eed6a05c"),
+    "PreparedProof": (594, "0bbe08a887ec61c2e463e3352dc78d345b18858e69ac0529c59cd09c284f251d"),
     "RangeFetch": (32, "e50f3aa72f6d6558fbd4655574ea6b42c3825dd4890a59dddd9da20fb5e42d07"),
     "RangeHandoff": (92, "9fabd088e301f395711baed595e128d7de716afbfa44c43f0b34d7908beed4ae"),
     "ReplyBody": (74, "f11982668d1ea516d9e9b827949d213a55a86d2e08cf96eaeeb1755cde083a92"),
-    "RequestEnvelope": (314, "57cda965d56c6db655eda37937aad61cb1da3693ae5d64e57164e6a5578503a0"),
+    "RequestEnvelope": (278, "b19c0b43cf60b6a0a55c5653c0c7fe3d022b08b4e648575154d14eaedc4499c1"),
     "RouteVoucher": (74, "d9769d7f3355247e32625a8156d9d23899533c6ca026c6e93766db86f41e6a32"),
-    "ShardLocalBatch": (1522, "d0f12c92077ea8f4002bc85a26be86eb9f296fd420f607b9885205415258c4e2"),
-    "ShardedBatch": (1217, "2e37b47c2d5a92c0cb6403918f9393b8e3185d6b9e278410e7751265c3b7e5e0"),
-    "StateTransfer": (365, "4d8788c56b6085064249c54b1a09553e88b77069f874ae8a00a1c2156601e434"),
+    "ShardLocalBatch": (1306, "45b887daed986a0fbf2d8f1107ce91335502227b6303ae0aa2fc5d3b962aca4b"),
+    "ShardedBatch": (1037, "8b62ac3eb1506edae7f77975a944887480efe3080318c1fe29cbb5f20da1062c"),
+    "StateTransfer": (293, "d8c0c38ff3f6d18300bce9366a284fdcd985d4dfadc80f5990cbaf7a225dc518"),
     "SubReplyBody": (107, "4fda9755005a6a0e76a2a36b7a9b5e2a9d2012ee3c42cce2847ba4a80eb8a217"),
-    "ViewChange": (691, "a6007f8759fa93210d954d6722678421ed672a5c34a6a7f8172132e56a04fe26"),
+    "ViewChange": (619, "d3d6d91f6be8e49625c879154c9025dd8ccbe25dd512f9f8218b595887916c90"),
 }
 
 
@@ -412,15 +412,14 @@ class TestRobustness:
         assert isinstance(auth.token, dict)
         canonical = codec.encode(Authenticator, auth)
         assert codec.decode(Authenticator, canonical) == auth
-        head = canonical[:4 + 1 + 4 + 32]      # signer, scheme, digest; token next
+        head = canonical[:4 + 1]               # signer, scheme; token next
         assert canonical[len(head)] == codec_module.TOKEN_MACS
         tagged = head + bytes([codec_module.TOKEN_VALUE]) + codec.encode(Any, auth.token)
         with pytest.raises(DecodeError, match="MAC vector"):
             codec.decode(Authenticator, tagged)
         # what the MAC form cannot carry goes tagged and comes back
         for token in ({"A0": b"short"}, {"A01": b"x" * 32}, b"signature", None):
-            odd = Authenticator(signer=auth.signer, scheme=auth.scheme,
-                                payload_digest=auth.payload_digest, token=token)
+            odd = Authenticator(signer=auth.signer, scheme=auth.scheme, token=token)
             assert codec.decode(Authenticator, codec.encode(Authenticator, odd)) == odd
 
     @pytest.mark.parametrize("tp, data", [

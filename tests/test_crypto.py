@@ -343,7 +343,7 @@ class TestGoldenKeysAndTokens:
         self._exec_group(keystore)
         node = provider(keystore, execution_id(1))
         auth = node.mac_authenticator(GOLDEN_PAYLOAD, [agreement_id(0), client_id(3)])
-        assert auth.payload_digest.hex() == (
+        assert node.payload_digest(GOLDEN_PAYLOAD).hex() == (
             "748145a4f5640eb15a5e2eec88a1797db04feb26fafdca8a426b359e15d99701")
         assert {name: token.hex() for name, token in auth.token.items()} == {
             "A0": "452140b7ade72b7f25bcff7a2931e8431d883c9de31fa03df56f9f24faff8165",
@@ -390,10 +390,10 @@ class TestKeysAreDerivedOnce:
         del counted_macs[:]
         request = sample_request(1)
         auth = signer.mac_authenticator(request, destinations)
-        assert counted_macs == [auth.payload_digest] * 4
+        assert counted_macs == [digest(request)] * 4
         del counted_macs[:]
         assert verifier.verify_mac(request, auth)
-        assert counted_macs == [auth.payload_digest]
+        assert counted_macs == [digest(request)]
         assert verifier.verify_mac(request, auth)   # a proven fact: no MAC at all
         assert len(counted_macs) == 1
 
@@ -412,8 +412,97 @@ class TestKeysAreDerivedOnce:
         del counted_macs[:]
         sent = node._send_reply(body)
         (authenticator,) = sent.certificate.authenticators.values()
-        assert counted_macs == [authenticator.payload_digest] * 5
+        assert counted_macs == [digest(sent.certificate.payload)] * 5
         assert sorted(authenticator.token) == ["A0", "A1", "A2", "A3", "C0"]
+
+
+def _agreement_vectors(deployment):
+    """A system of ``deployment`` after two commits, and the agreement-
+    certificate authenticators its commits carried on the wire."""
+    from conftest import make_config
+    from repro.apps.counter import CounterService, increment
+    from repro.config import ShardingConfig
+    from repro.core import CoupledSystem, SeparatedSystem
+    from repro.messages.agreement import CommitMsg
+    from repro.sharding import ShardedSystem
+
+    overrides = {"firewall": dict(use_privacy_firewall=True,
+                                  authentication=AuthenticationScheme.THRESHOLD),
+                 "sharded": dict(sharding=ShardingConfig(num_shards=2))}
+    config = make_config(checkpoint_interval=1_000, **overrides.get(deployment, {}))
+    build = {"separated": SeparatedSystem, "firewall": SeparatedSystem,
+             "sharded": ShardedSystem, "base": CoupledSystem}[deployment]
+    system = build(config, CounterService, seed=5)
+    carried = []
+
+    def tap(src, dst, message):
+        if isinstance(message, CommitMsg):
+            carried.append(message.cert_authenticator)
+
+    system.network.add_tap(tap)
+    for _ in range(2):
+        system.invoke(increment(1))
+    return system, carried
+
+
+class TestWhoEachVectorAddresses:
+    """An agreement certificate is checked where a batch is executed or
+    filtered (``agreed_batch``), so a commit's authenticator addresses the
+    execution replicas, and the filter nodes behind a firewall -- never the
+    agreement nodes, which only count the commits."""
+
+    def test_a_separated_commit_costs_one_mac_per_execution_replica(self, counted_macs):
+        system, carried = _agreement_vectors("separated")
+        assert carried and all(sorted(auth.token) == ["E0", "E1", "E2"]
+                               for auth in carried)
+        replica = system.agreement_replicas[1]
+        body = replica._cert_body(replica.log.existing_entry(0, 1))
+        del counted_macs[:]
+        authenticator = replica._make_cert_authenticator(body)
+        assert counted_macs == [digest(body)] * 3
+        assert sorted(authenticator.token) == ["E0", "E1", "E2"]
+
+    @pytest.mark.parametrize("deployment", ["firewall", "sharded"])
+    def test_a_commit_names_the_nodes_that_check_agreement(self, deployment):
+        system, carried = _agreement_vectors(deployment)
+        checkers = system.execution_ids + (
+            system.firewall_ids if deployment == "firewall" else [])
+        assert carried and all(
+            sorted(auth.token) == sorted(node.name for node in checkers)
+            for auth in carried)
+
+    def test_a_base_commit_carries_no_authenticator(self):
+        system, carried = _agreement_vectors("base")
+        assert len(carried) == 2 * 12 and set(carried) == {None}
+
+    def test_a_map_change_still_names_the_agreement_nodes_and_commits(self):
+        from conftest import make_config
+        from repro.apps.kvstore import KeyValueStore
+        from repro.config import RebalanceConfig, ShardingConfig
+        from repro.messages.agreement import PrePrepare
+        from repro.sharding import MapChange, ShardedSystem
+
+        config = make_config(
+            sharding=ShardingConfig(num_shards=2, strategy="range",
+                                    range_boundaries=("m",)),
+            rebalance=RebalanceConfig(enabled=True, min_window_requests=10**9))
+        system = ShardedSystem(config, KeyValueStore, seed=21)
+        proposed = []
+
+        def tap(src, dst, message):
+            if isinstance(message, PrePrepare):
+                proposed.extend(message.requests)
+
+        system.network.add_tap(tap)
+        primary = system.agreement_replicas[0]
+        assert primary.proposer.propose_map_change(
+            MapChange(kind="split", parent_epoch=0, key="f", owner=1))
+        system.run(300.0)
+        assert system.partition_epoch() == 1
+        (certificate,) = {id(cert): cert for cert in proposed}.values()
+        (authenticator,) = certificate.authenticators.values()
+        assert sorted(authenticator.token) == sorted(
+            node.name for node in system.agreement_ids + system.execution_ids)
 
     def test_certificate_facts_hold_ids_and_share_their_sets(self, keystore):
         client = provider(keystore, client_id(0))

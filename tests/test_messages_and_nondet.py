@@ -500,39 +500,39 @@ def golden_messages():
 #: or a wrong splice shows up here under the class's name.
 GOLDEN_WIRE = {
     "ClientRequest": (239, "2d387e7bc4ba3d88805837c314210c7b8269235d1bf2e28860c5e0724fa41831"),
-    "RequestEnvelope": (439, "8bbbcbd0bd60278e5809af7ae22942c0c19d76fb3c15630ecde493a64aa6d634"),
+    "RequestEnvelope": (403, "f3da31231377318fac02f2d877418b61713fb4f139eed05b935ca7595f4db205"),
     "ReplyBody": (87, "6a7ad395155ff722cb0b74307d23b04bb5a0835a5295d3eb5c88b8979a0b63a6"),
     "BatchReplyBody": (266, "e3d79cde103aa9df0dde22e2bb3e16bc875d11dd4909b822dab04a2430576d28"),
-    "BatchReply": (497, "509aa0ab3ea35caa047467e643faba180b23a828efdd09244b076e90cfe34ab6"),
-    "ClientReply": (383, "72f90c0fb2dbd65f55588c6f1d513d5a7a953582ababba4fc100157d4fbec851"),
+    "BatchReply": (425, "509da308dacee9aa044d8b2800c987c07a33d0096944073eb3362fd714f4eb96"),
+    "ClientReply": (311, "f7586fa84814c8c8f6b0199393b420b876ba077c4dbdaf1eab76e87342bfcf6d"),
     "AgreementCertBody": (82, "f0aa5d2bd4f45d9007eeb3243e4fc8fc38a77d9def2a6fb4a9cfc5f4e14b6642"),
-    "PrePrepare": (859, "67aa33e4fd57cd4c0155769722d1830e233bbdb5d4b15eb0ceade8c3af7e19a6"),
+    "PrePrepare": (787, "7588557ad866069f4ea9b66fe5f9653e20aed9e8d5d5e6d3b88f95335cefc1cc"),
     "Prepare": (58, "e59a67eafa7ba3fd32e31fd1fde9e36e85d64a6b6a654d8cbaf2c5f00fe0776d"),
-    "CommitMsg": (210, "7970662235477143fa4a3405c288c9e040e5f4bdc29c2d7537c534fe5d58fb82"),
+    "CommitMsg": (174, "6a9ce017d1fafa66499a450ec9769e675a60a66d7084b0a24564520201474b7d"),
     "AgreementCheckpoint": (75, "bc64abc8d44f73eee8b1c2fcaa238b7d1b7a1bbbf6aa0e439b841c4f20a7706d"),
-    "PreparedProof": (855, "b68fe03032829878a45b87d63087bfb62decaeaa21c98dddf60ff5f27a3cac64"),
-    "ViewChange": (880, "92125008014cc1975042111dd535eb6be179a594ec47d8584f3e0e579ae02068"),
-    "NewView": (897, "dce1b39f23754fc4514b5df2c3c49778b3dba0eb0f70a1d4b589d61143e4c41f"),
-    "OrderedBatch": (1373, "3179b32998dc15e0fcb2e523006c562e3a2c405705ef8f02328b263ff423f693"),
+    "PreparedProof": (783, "143cb08907c1014a6d9bccc9f631eddbce65a748b074113b7be6c51a5ce4f481"),
+    "ViewChange": (808, "42b6338e475331c23e7bb8fe9bff750a479f4c338b870e5c52f94809371b99f1"),
+    "NewView": (825, "96e315f10e001a4738b388f520fc6b61799a0da4403dc4826dc6f90af9c068ea"),
+    "OrderedBatch": (1193, "0590cdda55566eeabd9eecd64e2f8374f9131c63398d0adc5ac60ecb942dc2bf"),
     "ExecCheckpointShare": (51, "65dc7064499701bb2b65c4c0fc07a3237e42f1f4c5a5973bc29f691c4210dd18"),
-    "ExecCheckpointProof": (301, "ac4fc6de6e60a36dc450c1fe20034af1e3703bbd2959f1268eda8bbb02f65619"),
+    "ExecCheckpointProof": (229, "369fd3a0ab8c71c3f9493d46a63eb22ae0f75ecde8ea4b3df94d3881814bf55a"),
     "FetchBatch": (14, "b63cc01f867905e8d504e40269f62f9dffa8d803811d4a552058a9e88a973e5d"),
-    "BatchTransfer": (1379, "b5eff91873663f63ac6647f71871e7e8f86f339831dda417b7e7eaf2cd0f3746"),
-    "StateTransfer": (362, "47dc0f4b587210515e7c18744b65306e29a1fe4743bf1ee3a3addd5c932c261a"),
+    "BatchTransfer": (1199, "52af824ff7946d9b58e8b1fa07e8b69672e8fea448c7d0eee242d8727f04b635"),
+    "StateTransfer": (290, "35c6b63bc520f07f5c1bdb57197fd01eef6a68ae18f6bbd2c745d412c4a39890"),
     "MapChange": (34, "bfaf564ce13813f0aed7069245b0de2ac7f62f9af94e9089457905ced82a8f2b"),
-    "ShardedBatch": (1406, "7ce52df25a74e737bfe5529ed08a4305f7de15b81a1235a58ad386ca0a500832"),
+    "ShardedBatch": (1226, "9dcba37d3d0f07cbffdefe94ddc075c238fac421d0993754fc31575ed27a4bfd"),
     "RouteVoucher": (71, "a35d99d48cd91955425fe49b3e45e9262180bbf2e5d587df957dc746cc6f2b0f"),
-    "ShardLocalBatch": (1839, "2a55620d46ccfb2017a3038ecbb099fe97663a9d3c437d179feee0f57d977182"),
+    "ShardLocalBatch": (1623, "f86607b3e009f3017592ef20eba7100fbab04d1e065b489a4f5833122db0b4c6"),
     "RangeHandoff": (89, "9bc5350aa60abf08d05c17f4be570ca259e91c30f268e6a6a2057f33793043f6"),
     "SubReplyBody": (104, "66cb83337bbfbe5b80d3c7b39da41f96b52895d454376a5bb174f103f265471f"),
-    "CrossShardSubReply": (302, "b8d783462a7a00acdea5a9d951f7c642e1a35337603ae65c533ee423d0955242"),
-    "CrossShardVote": (204, "1096304a9f135b5724b5a9cafbe437535727e649a64150ad9d0e48d6d820da01"),
+    "CrossShardSubReply": (266, "c57060ec3f952c565c68cad0cd6bb056796fe29dcfa546ebb5da690b5f0f4d14"),
+    "CrossShardVote": (168, "69517183d9572d062315e10d90367ad1b05ac653cc89a67740637e2ca137f777"),
     "CrossShardVoteFetch": (34, "57667b5b1c4692bf9a56c4acd1d4fd7f6a5b79b75aa6e353bd00201c59a608c0"),
-    "CrossShardReply": (262, "e46890366c8e2266837e513c17cc35aca3bddd51f07da4ba1bb76805075a643a"),
+    "CrossShardReply": (226, "4d93c0725b720338971f26b95b50862852081e85b2692c3ad71c5d0e7651ba25"),
     "RangeFetch": (29, "b06f36b6e2cc99e7e5a158be589eea8894b866fa64407cbaa3637e434054125b"),
     "LogMapChange": (26, "f32a82778825838687c64976bf33a11484b831553864d8ccf3e86930f35a0b9e"),
     "CrossLogBindingBody": (48, "1de3d17557edb411aa047e2cc3e6133c158c596abc9c3becd0e2aafe86247e0f"),
-    "CrossLogBinding": (262, "1b7ef7db31f264b23076d66f16b8859c5ac2d07dd97b899c47b3958b4c29091f"),
+    "CrossLogBinding": (226, "3651aa4c6bb5f009f06b183efc32f01bdd4019f80aa6f6d2b049e81b5ba4d8a6"),
     "CrossLogBindingFetch": (27, "08e0498714c10d59e49a4d05ab0433b7f1045e0c2ceac638294bcd3f7045817d"),
 }
 
@@ -543,7 +543,7 @@ GOLDEN_WIRE = {
 #: their modelled bytes.
 GOLDEN_BODILESS = {
     "BatchReplyBody": (114, "e3d79cde103aa9df0dde22e2bb3e16bc875d11dd4909b822dab04a2430576d28"),
-    "BatchReply": (345, "64825507020f362ca4c3dec745b7f37999a4bada15677276b34ef60fce98cb28"),
+    "BatchReply": (273, "e623ac42d84a99d536a18f4647b369906fdaaf13168f55166c3c46c8c9354c8c"),
 }
 
 

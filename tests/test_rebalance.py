@@ -50,6 +50,7 @@ from repro.sharding import (
     map_change_of,
 )
 from repro.sharding.messages import handoff_payload
+from repro.sharding.rebalance import RebalanceController, ShardLoadWindow
 from repro.statemachine.interface import OperationResult
 from repro.workloads import (
     equal_range_boundaries,
@@ -183,6 +184,45 @@ class TestRebalanceConfig:
             BatchingConfig(timeout_scale_max=0.5).validate()
         with pytest.raises(ConfigurationError):
             BatchingConfig(demote_idle_ms=0.0).validate()
+
+
+class TestMergePolicy:
+    """The controller merges adjacent cold ranges, and the merged range
+    keeps its left owner -- so it never merges away a cluster's last range:
+    that would idle the cluster until a split handed it a range back."""
+
+    CONFIG = RebalanceConfig(enabled=True, hot_ratio=1.6, cold_ratio=0.6,
+                             min_window_requests=96)
+
+    @staticmethod
+    def window(range_loads, pmap):
+        window = ShardLoadWindow(num_clusters=pmap.num_clusters)
+        for index, load in enumerate(range_loads):
+            lo, _ = pmap.range_bounds(index)
+            for _ in range(load):
+                window.note(pmap.owners[index], lo or skew_key(0))
+        return window
+
+    def test_a_cold_pair_is_not_merged_when_the_right_owner_would_own_nothing(self):
+        # The map and loads the controller saw before the flap at --seed 11
+        # of the quick migrating-hotspot leg: [16, 48) on cluster 1 and
+        # [48, ...) on cluster 3 are both cold, and the second is all
+        # cluster 3 owns.
+        pmap = PartitionMap(epoch=3,
+                            boundaries=tuple(skew_key(k) for k in (6, 10, 16, 48)),
+                            owners=(0, 1, 2, 1, 3), num_clusters=4)
+        loads = [136, 93, 143, 53, 34]
+        controller = RebalanceController(self.CONFIG)
+        assert controller.propose(self.window(loads, pmap), pmap, now=780.0) is None
+
+    def test_a_cold_pair_is_merged_when_the_right_owner_keeps_a_range(self):
+        pmap = PartitionMap(epoch=2,
+                            boundaries=tuple(skew_key(k) for k in (6, 10, 16, 32, 48)),
+                            owners=(0, 1, 2, 1, 2, 3), num_clusters=4)
+        loads = [130, 102, 137, 33, 38, 33]
+        change = RebalanceController(self.CONFIG).propose(
+            self.window(loads, pmap), pmap, now=540.0)
+        assert change == MapChange(kind="merge", parent_epoch=2, key=skew_key(32))
 
 
 # ---------------------------------------------------------------------- #
