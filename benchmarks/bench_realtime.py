@@ -8,23 +8,15 @@ timers are wall-clock, and every virtual millisecond the cost model charges
 is burned as real CPU (``charge_scale``), so the configured crypto weights
 shape wall-clock throughput the way they shape simulated throughput.
 
-Two legs, identical workload:
-
-* **inline** -- every certificate verification burns inside the single
-  event-loop thread (the whole cluster shares one core, as any
-  single-process deployment must);
-* **pool** -- inbound certificate verification is offloaded to a
-  ``ProcessPoolExecutor`` sized to the host (``CryptoPoolConfig``), warming
-  each node's ``VerifiedCertificateCache`` before dispatch, so verification
-  parallelises across cores.
-
-The headline number is the pool/inline committed/s **speedup**.  The gate
-requires it to clear the baseline floor (1.5x) *on hosts with at least 4
-cores* -- on smaller hosts there is nothing to parallelise onto and the
-artifact records the speedup as ungated, with the core count, so trajectory
-consumers can tell the difference.  A DAMOV-style breakdown of where wall
-time goes (serialisation, crypto burn, socket I/O, per-stage critical path)
-is embedded alongside.
+One closed-loop leg: every certificate is checked, and its cost burned,
+inside the receiving node's handler on the single event-loop thread (the
+whole cluster shares one core, as any single-process deployment must).  The
+headline number is committed requests per wall-clock second, recorded with
+the host's core count.  The gate is liveness -- every queued request
+commits -- and a committed/s floor that catches a hang, not a slowdown:
+wall-clock numbers on shared hosts are too noisy for more.  A DAMOV-style
+breakdown of where wall time goes (serialisation, crypto burn, socket I/O,
+per-stage critical path) is embedded alongside.
 
 Run via the single gate entrypoint::
 
@@ -39,15 +31,14 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from bench_common import (BENCH_TIMERS, collect_critical_path,
                           current_observability, obs_enabled, print_section,
                           set_observability)
 from repro.apps import kvstore
 from repro.apps.kvstore import KeyValueStore
-from repro.config import (CryptoCosts, CryptoPoolConfig, RuntimeConfig,
-                          SystemConfig)
+from repro.config import CryptoCosts, RuntimeConfig, SystemConfig
 from repro.core.system import SeparatedSystem
 
 #: real-time cost emulation: the stdlib HMACs standing in for MACs and
@@ -61,40 +52,36 @@ REALTIME_CRYPTO = CryptoCosts(mac_ms=0.4, signature_sign_ms=5.0,
                               signature_verify_ms=0.7)
 
 
-def build_system(pool: bool, seed: int, num_clients: int) -> SeparatedSystem:
+def build_system(seed: int, num_clients: int) -> SeparatedSystem:
     config = SystemConfig(
         f=1, g=1, num_clients=num_clients,
         crypto=REALTIME_CRYPTO, timers=BENCH_TIMERS,
         observability=current_observability(),
-        runtime=RuntimeConfig(
-            backend="asyncio", charge_scale=CHARGE_SCALE,
-            crypto_pool=CryptoPoolConfig(enabled=pool, workers=None)),
+        runtime=RuntimeConfig(backend="asyncio", charge_scale=CHARGE_SCALE),
     )
     return SeparatedSystem(config, KeyValueStore, seed=seed)
 
 
-def run_leg(pool: bool, seed: int, workload_seed: int, num_clients: int,
+def run_leg(seed: int, workload_seed: int, num_clients: int,
             requests_per_client: int, timeout_s: float,
-            trace_output: Optional[Path] = None) -> Dict:
-    """One closed-loop leg: every client queues its requests up front and
-    the loop runs until all of them commit; committed/s is wall-clock."""
-    label = "pool" if pool else "inline"
-    system = build_system(pool, seed=seed, num_clients=num_clients)
+            trace_output: Optional[Path] = None) -> Tuple[Dict, Optional[Dict]]:
+    """The closed loop: every client queues its requests up front and the
+    loop runs until all of them commit; committed/s is wall-clock.  Returns
+    the leg's figures and its critical-path breakdown (None without obs)."""
+    system = build_system(seed=seed, num_clients=num_clients)
     target = num_clients * requests_per_client
     try:
         started = time.perf_counter()
         for i in range(requests_per_client):
             for c in range(num_clients):
                 key = f"key-{(i * num_clients + c + workload_seed) % 16}"
-                system.submit(kvstore.put(key, f"v-{label}-{i}"),
-                              client_index=c)
+                system.submit(kvstore.put(key, f"v-{i}"), client_index=c)
         system.run_until(lambda: system.total_completed() >= target,
                          timeout_ms=timeout_s * 1000.0,
-                         description=f"{target} committed requests ({label})")
+                         description=f"{target} committed requests")
         wall_s = time.perf_counter() - started
         committed = system.total_completed()
         leg = {
-            "label": label,
             "committed": committed,
             "target": target,
             "wall_s": round(wall_s, 3),
@@ -102,19 +89,15 @@ def run_leg(pool: bool, seed: int, workload_seed: int, num_clients: int,
             "burned_busy_ms": round(sum(
                 p.stats.busy_ms for p in system.server_processes()), 1),
             "transport": system.network.transport.snapshot(),
-            "crypto_pool": system.runtime.pool.stats.snapshot(),
-            "workers": system.runtime.pool.workers if pool else 0,
         }
         critical_path = collect_critical_path(
             system, trace_output=trace_output,
-            title=f"realtime critical path ({label}, wall-clock ms)")
-        if critical_path is not None:
-            leg["critical_path"] = critical_path
-        print(f"  {label:6s}: {leg['committed_per_s']:8.1f} committed/s "
+            title="realtime critical path (wall-clock ms)")
+        print(f"  {leg['committed_per_s']:8.1f} committed/s "
               f"({committed}/{target} in {wall_s:.2f}s wall, "
               f"burned {leg['burned_busy_ms']:.0f}ms, "
               f"{leg['transport']['frames_delivered']} frames)")
-        return leg
+        return leg, critical_path
     finally:
         system.close()
 
@@ -128,20 +111,9 @@ def run_all(quick: bool, seed: int, workload_seed: int,
 
     print_section(f"Real runtime: wall-clock committed/s on localhost "
                   f"({cores} cores)")
-    inline = run_leg(False, seed, workload_seed, num_clients,
-                     requests_per_client, timeout_s)
-    pooled = run_leg(True, seed, workload_seed, num_clients,
-                     requests_per_client, timeout_s,
-                     trace_output=trace_output)
-    critical_path = pooled.pop("critical_path", None)
-    inline.pop("critical_path", None)
-
-    speedup = pooled["committed_per_s"] / max(inline["committed_per_s"], 1e-9)
-    speedup_gated = cores >= 4
-    gate_note = ("gated" if speedup_gated
-                 else "informational: nothing to parallelise onto below 4 cores")
-    print(f"  crypto-pool speedup: {speedup:.2f}x on {cores} cores "
-          f"({gate_note})")
+    leg, critical_path = run_leg(seed, workload_seed, num_clients,
+                                 requests_per_client, timeout_s,
+                                 trace_output=trace_output)
 
     results: Dict = {
         "benchmark": "realtime",
@@ -152,56 +124,34 @@ def run_all(quick: bool, seed: int, workload_seed: int,
         "observability": obs_enabled(),
         "cores": cores,
         "charge_scale": CHARGE_SCALE,
-        "realtime": {
-            "inline": inline,
-            "pool": pooled,
-            "speedup": round(speedup, 3),
-            "speedup_gated": speedup_gated,
-        },
+        "realtime": leg,
     }
     if critical_path is not None:
         results["critical_path"] = critical_path
-    liveness = (inline["committed"] >= inline["target"]
-                and pooled["committed"] >= pooled["target"])
-    results["pass"] = liveness
+    results["pass"] = leg["committed"] >= leg["target"]
     return results
 
 
 def check_regression(results: Dict, baseline_path: Path) -> int:
     """Gate wall-clock results against the committed baseline.
 
-    Wall-clock numbers on shared CI hosts are noisy, so the absolute
-    committed/s floor is a hang-catcher, not a performance bound; the real
-    gate is the relative pool/inline speedup, applied only where the host
-    has cores to parallelise onto.
+    Wall-clock numbers on shared CI hosts are noisy, so the committed/s
+    floor is a hang-catcher, not a performance bound.
     """
     if not baseline_path.exists():
         print(f"regression check: no baseline at {baseline_path}",
               file=sys.stderr)
         return 1
     baseline = json.loads(baseline_path.read_text())
-    realtime = results["realtime"]
-    status = 0
+    rate = results["realtime"]["committed_per_s"]
     floor = baseline["min_committed_per_s"]
-    for leg in ("inline", "pool"):
-        rate = realtime[leg]["committed_per_s"]
-        if rate < floor:
-            print(f"REGRESSION: {leg} committed/s {rate:.2f} below "
-                  f"hang-catcher floor {floor}", file=sys.stderr)
-            status = 1
-    if results["cores"] >= baseline["speedup_min_cores"]:
-        if realtime["speedup"] < baseline["min_speedup"]:
-            print(f"REGRESSION: crypto-pool speedup {realtime['speedup']:.2f}x "
-                  f"below {baseline['min_speedup']}x on {results['cores']} "
-                  f"cores", file=sys.stderr)
-            status = 1
-    else:
-        print(f"regression check: speedup gate skipped "
-              f"({results['cores']} cores < {baseline['speedup_min_cores']})")
-    print(f"regression check: speedup {realtime['speedup']:.2f}x, "
-          f"inline {realtime['inline']['committed_per_s']:.1f}/s, "
-          f"pool {realtime['pool']['committed_per_s']:.1f}/s — "
-          f"{'ok' if status == 0 else 'REGRESSED'}")
+    status = 0
+    if rate < floor:
+        print(f"REGRESSION: committed/s {rate:.2f} below hang-catcher floor "
+              f"{floor}", file=sys.stderr)
+        status = 1
+    print(f"regression check: {rate:.1f} committed/s on {results['cores']} "
+          f"cores — {'ok' if status == 0 else 'REGRESSED'}")
     return status
 
 
@@ -219,13 +169,13 @@ def main(argv=None) -> int:
                         help="disable the metrics registry and request tracing")
     parser.add_argument("--trace-output", type=Path,
                         default=Path("TRACE_realtime.jsonl"),
-                        help="JSONL destination for the pool leg's trace "
+                        help="JSONL destination for the leg's trace "
                              "(ignored with --no-obs)")
     parser.add_argument("--baseline", type=Path,
                         default=Path(__file__).parent / "realtime_baseline.json")
     parser.add_argument("--check-regression", action="store_true",
-                        help="fail on liveness loss or (on >=4-core hosts) "
-                             "a crypto-pool speedup below the baseline floor")
+                        help="fail on liveness loss or committed/s below the "
+                             "baseline's hang-catcher floor")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline gate thresholds")
     args = parser.parse_args(argv)
@@ -240,8 +190,6 @@ def main(argv=None) -> int:
     status = 0
     if args.update_baseline:
         baseline = {
-            "min_speedup": 1.5,
-            "speedup_min_cores": 4,
             "min_committed_per_s": 1.0,
             "mode": results["mode"],
         }

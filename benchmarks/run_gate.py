@@ -72,10 +72,9 @@ def _ordering_summary(results: Dict) -> str:
 
 def _realtime_summary(results: Dict) -> str:
     realtime = results["realtime"]
-    gate = ("gated" if realtime["speedup_gated"]
-            else f"ungated on {results['cores']} cores")
-    return (f"wall-clock {realtime['pool']['committed_per_s']:.1f} committed/s, "
-            f"crypto-pool speedup {realtime['speedup']:.2f}x ({gate})")
+    return (f"wall-clock {realtime['committed_per_s']:.1f} committed/s on "
+            f"{results['cores']} cores, "
+            f"{realtime['committed']}/{realtime['target']} committed")
 
 
 def _crossshard_summary(results: Dict) -> str:

@@ -450,38 +450,6 @@ class ObservabilityConfig:
 
 
 @dataclass(frozen=True)
-class CryptoPoolConfig:
-    """Parallel certificate verification for the real (asyncio) runtime.
-
-    When enabled, the asyncio transport pre-verifies the MAC / signature /
-    threshold authenticators carried by each inbound message in a
-    ``concurrent.futures.ProcessPoolExecutor`` *before* handing the message
-    to its destination node, and records the successful facts in that
-    node's :class:`~repro.crypto.cache.VerifiedCertificateCache`.  The
-    in-handler verification then hits the cache and charges nothing, so the
-    cryptographic work parallelises across cores while the protocol-level
-    verification semantics (success-only memoisation, per-node caches,
-    failures re-checked inline) are exactly those of the simulator.
-
-    The pool is meaningless under the virtual-time simulator -- simulated
-    crypto charges are bookkeeping, not CPU -- so ``enabled=True`` requires
-    ``RuntimeConfig.backend == "asyncio"``.
-
-    ``workers``
-        Process-pool size; ``None`` sizes it to ``os.cpu_count()``.
-    """
-
-    enabled: bool = False
-    workers: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                "crypto pool workers must be at least 1 (or None to size "
-                "the pool to the host)")
-
-
-@dataclass(frozen=True)
 class RuntimeConfig:
     """Which runtime backend executes the deployment.
 
@@ -510,7 +478,6 @@ class RuntimeConfig:
     backend: str = "sim"
     charge_scale: float = 0.0
     poll_interval_ms: float = 0.5
-    crypto_pool: CryptoPoolConfig = field(default_factory=CryptoPoolConfig)
 
     def validate(self) -> None:
         if self.backend not in ("sim", "asyncio"):
@@ -520,12 +487,6 @@ class RuntimeConfig:
             raise ConfigurationError("charge_scale must be non-negative")
         if self.poll_interval_ms <= 0:
             raise ConfigurationError("poll_interval_ms must be positive")
-        self.crypto_pool.validate()
-        if self.crypto_pool.enabled and self.backend != "asyncio":
-            raise ConfigurationError(
-                "the crypto pool parallelises real CPU work and therefore "
-                "requires the 'asyncio' runtime backend (simulated crypto "
-                "charges are virtual-time bookkeeping)")
 
 
 @dataclass(frozen=True)

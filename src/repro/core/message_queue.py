@@ -45,10 +45,9 @@ backend, which is why it runs unmodified over real sockets:
 * Duplicate replies and re-deliveries are handled by sequence-number
   checks, not by assuming exactly-once transport; the transport only
   promises *at most* once per send, per-link FIFO.
-* Reply-certificate verification goes through the node's
-  ``VerifiedCertificateCache``: a real backend's crypto pool pre-warms
-  that cache from worker processes, which is invisible here beyond the
-  verify call returning without charge.
+* Reply-certificate verification goes through the node's own
+  ``CryptoProvider`` and its ``VerifiedCertificateCache``, inside the
+  handler, on either backend.
 """
 
 from __future__ import annotations

@@ -45,8 +45,7 @@ class SimulatedSystem:
         # downstream (nodes, certificates, caches, drivers) is identical
         # across backends.
         self.runtime = build_runtime(
-            config, seed if seed is not None else config.seed,
-            keystore=self.keystore)
+            config, seed if seed is not None else config.seed)
         self.scheduler = self.runtime.scheduler
         # The observability hub must be installed before any Process is
         # constructed: each node captures its registry and tracing flag in
@@ -80,7 +79,7 @@ class SimulatedSystem:
         return self.scheduler.run_until(predicate, timeout_ms, description)
 
     def close(self) -> None:
-        """Release runtime resources (sockets, pools; a no-op on the simulator)."""
+        """Release runtime resources (sockets; a no-op on the simulator)."""
         self.runtime.close()
 
     def __enter__(self) -> "SimulatedSystem":

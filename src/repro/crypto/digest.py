@@ -8,8 +8,7 @@ digests from identical logical messages -- and a node digests the very bytes
 a frame carries.
 
 :func:`mac` is the one keyed primitive: MAC entries, the simulated
-signatures and shares, the pool's verification jobs and the key schedule all
-go through it.
+signatures and shares and the key schedule all go through it.
 """
 
 from __future__ import annotations

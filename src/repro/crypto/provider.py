@@ -10,8 +10,7 @@ for Byzantine nodes.
 
 Every hop of the separated architecture is gated by the same four
 certificate rules, each written here once: checking one fact
-(:meth:`CryptoProvider._check` over a :class:`Fact`, from which
-:mod:`repro.crypto.pool` builds its jobs too), binding a batch
+(:meth:`CryptoProvider._check` over a :class:`Fact`), binding a batch
 (:meth:`~CryptoProvider.agreed_batch`), authenticating a request
 (:meth:`~CryptoProvider.authentic_request`) and assembling a reply quorum
 (:meth:`~CryptoProvider.assemble`).
@@ -25,7 +24,7 @@ benchmarks (Figure 4).
 from __future__ import annotations
 
 import hmac
-from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator, List,
+from typing import (Any, Callable, Dict, Hashable, Iterable, List,
                     MutableMapping, NamedTuple, Optional, Sequence, Tuple)
 
 from ..config import AuthenticationScheme, CryptoCosts, PerfConfig
@@ -67,12 +66,9 @@ class Fact(NamedTuple):
     def key(self, group: Optional[str], who: Any, payload_digest: bytes) -> FactKey:
         return (self.tag, group, who, payload_digest)
 
-    def data(self, key: FactKey) -> bytes:
-        return self.prefix + key[3]
-
     def token(self, keystore: Keystore, verifier: NodeId, key: FactKey) -> bytes:
         """The token proving ``key`` to ``verifier`` (what its signer made)."""
-        return mac(self.material(keystore, verifier, key), self.data(key))
+        return mac(self.material(keystore, verifier, key), self.prefix + key[3])
 
 
 MAC_FACT = Fact("mac", AuthenticationScheme.MAC, b"", "mac_ms", "mac_verify",
@@ -102,24 +98,6 @@ def fact_token(fact: Fact, authenticator: Authenticator,
     if fact is MAC_FACT:
         token = token.get(verifier_name) if isinstance(token, dict) else None
     return token if isinstance(token, bytes) else None
-
-
-def certificate_facts(certificate: Certificate, payload_digest: bytes,
-                      verifier_name: str) -> Iterator[Tuple[Fact, FactKey, bytes]]:
-    """``(fact, key, token)`` for each fact on ``certificate`` the verifier
-    named ``verifier_name`` could check: one per authenticator, and a
-    threshold certificate's group signature."""
-    fact = FACT_OF_SCHEME.get(certificate.scheme)
-    if fact is None:
-        return
-    group = certificate.threshold_group if fact is SHARE_FACT else None
-    for authenticator in certificate.authenticators.values():
-        token = fact_token(fact, authenticator, verifier_name)
-        if token is not None:
-            yield fact, fact.key(group, authenticator.signer, payload_digest), token
-    signature = certificate.threshold_signature
-    if fact is SHARE_FACT and isinstance(signature, bytes):
-        yield GROUP_FACT, GROUP_FACT.key(group, signature, payload_digest), signature
 
 
 def _noop(_: Any) -> None:

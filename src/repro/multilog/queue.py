@@ -399,8 +399,12 @@ class CrossLogRound:
     # ------------------------------------------------------------------ #
 
     def _on_binding_retransmit(self, key: MarkerKey) -> None:
-        """The holding queue's timer: ask the logs still lacking."""
-        hold = self._held[key]
+        """The holding queue's timer: ask the logs still lacking.  A timer
+        that came due while its node was busy waits in the inbox, and the
+        hold may be released before it runs."""
+        hold = self._held.get(key)
+        if hold is None:
+            return
         self.queue.owner.multicast(
             [node for log in self._lacking(key, hold)
              for node in self.log_agreement_ids[log]],

@@ -5,9 +5,9 @@
 * ``backend="sim"`` -- the deterministic virtual-time simulator
   (:class:`~repro.runtime.sim_rt.SimRuntime`), the substrate every test,
   gate benchmark, and fuzz campaign runs on;
-* ``backend="asyncio"`` -- real localhost sockets, wall-clock timers, and
-  an optional process pool for parallel certificate verification
-  (:class:`~repro.runtime.asyncio_rt.AsyncioRuntime`).
+* ``backend="asyncio"`` -- real localhost sockets and wall-clock timers
+  (:class:`~repro.runtime.asyncio_rt.AsyncioRuntime`); every certificate is
+  still checked by the receiving node's handler, as on the simulator.
 
 See :mod:`repro.runtime.interface` for the contract a backend implements
 and ``docs/ARCHITECTURE.md`` for where the seam sits in the system.

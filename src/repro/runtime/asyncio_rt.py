@@ -27,9 +27,9 @@ three simulated substrates with real ones:
   codec encoding plus modelled body bytes), which is what its bandwidth
   model runs on;
 * **cost**: virtual-time charges optionally burn real CPU
-  (``RuntimeConfig.charge_scale``), and inbound certificate verification
-  can be offloaded to a process pool (:class:`repro.crypto.pool.CryptoPool`)
-  that warms each node's ``VerifiedCertificateCache`` before dispatch.
+  (``RuntimeConfig.charge_scale``) on the event-loop thread.  A certificate
+  is checked in one place, the receiving node's handler, through its
+  ``CryptoProvider``, exactly as on the simulator.
 
 Invariants preserved relative to the simulator (the contracts the
 boundary-module docstrings in ``sim/`` and ``net/`` state):
@@ -38,16 +38,12 @@ boundary-module docstrings in ``sim/`` and ``net/`` state):
   are synchronous, so a node never observes two handlers interleaved;
 * per-link FIFO -- one TCP connection per (source, destination) ordered
   pair whose frames are dispatched in the order they are cut from the
-  stream; with the crypto pool on they wait in one FIFO per connection,
-  each for its own pre-verification and for every frame before it, so
-  pipelining crypto never reorders a link;
+  stream;
 * timer semantics -- ``call_at``/``call_after`` handles expose
   ``deadline`` / ``active`` / ``cancel()``, and a cancelled timer never
   fires;
 * at-most-once delivery, crashed nodes drop everything, taps observe
   (and may replace or drop) every send before transmission;
-* the success-only verification-cache contract -- the pool records only
-  facts that verified, under the provider's own keys;
 * a handler's exception reaches the driver -- the first one raised by a
   message handler or a timer callback is re-raised from ``run`` /
   ``run_until`` (the simulator's ``step`` simply propagates it).
@@ -86,14 +82,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Awaitable, Callable, Deque, Dict, List, Optional, Set,
-                    Tuple, Union)
+from typing import (Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple,
+                    Union)
 
 from ..config import SystemConfig
-from ..crypto.keys import Keystore
-from ..crypto.pool import CryptoPool, extract_verify_jobs, spin
 from ..errors import (DecodeError, LivenessTimeoutError, NetworkError,
                       SimulationError)
 from ..net.codec import default_codec
@@ -210,8 +203,11 @@ class RealTimeScheduler:
 
         Unlike the simulator this never raises for a past deadline: real
         clocks drift between computing a deadline and arming it, so a
-        late timer simply fires as soon as the loop gets to it.
+        late timer simply fires as soon as the loop gets to it.  A NaN
+        deadline is refused, as on the simulator.
         """
+        if when != when:
+            raise SimulationError("timer deadline must be a number, got NaN")
         timer = RealTimer(max(when, self.now))
         delay = max(0.0, (when - self.now) / 1000.0)
 
@@ -235,7 +231,7 @@ class RealTimeScheduler:
 
     def call_after(self, delay: float, callback: Callable[[], None],
                    label: str = "") -> RealTimer:
-        if delay < 0:
+        if not delay >= 0:   # NaN too
             raise SimulationError("delay must be non-negative")
         return self.call_at(self.now + delay, callback, label)
 
@@ -364,12 +360,11 @@ class _Inbound(asyncio.BufferedProtocol):
     the loop calls ``get_buffer``, ``recv_into`` and ``buffer_updated`` back
     to back on its one thread, and ``buffer_updated`` has consumed what
     arrived before it returns: every whole frame is decoded (each field
-    copied out of the buffer) and dispatched or, with the crypto pool on,
-    queued as the *decoded* message, so nothing reads the buffer after the
-    callback.  What a read leaves unfinished is the connection's own: a
-    frame whose length is known moves to ``_body``, a ``bytearray`` of that
-    length which later reads fill in place (of a long frame only what the
-    first read held is ever copied); a length prefix cut short waits in
+    copied out of the buffer) and dispatched, so nothing reads the buffer
+    after the callback.  What a read leaves unfinished is the connection's
+    own: a frame whose length is known moves to ``_body``, a ``bytearray`` of
+    that length which later reads fill in place (of a long frame only what
+    the first read held is ever copied); a length prefix cut short waits in
     ``_carry`` and is put back in front of the next read.
     """
 
@@ -382,10 +377,6 @@ class _Inbound(asyncio.BufferedProtocol):
         self._filled = 0
         #: the sender the first frame named: one link carries one source
         self.sender: Optional[NodeId] = None
-        #: crypto pool on: decoded frames waiting, in order, for their
-        #: pre-verification, and the task working through them
-        self.pending: Deque[Tuple[NodeId, Message, int]] = deque()
-        self.drainer: Optional[asyncio.Task] = None
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
@@ -438,6 +429,18 @@ class _Inbound(asyncio.BufferedProtocol):
         self.transport.close()
 
 
+def _spin(milliseconds: float) -> None:
+    """Burn ``milliseconds`` of real CPU (the runtime's cost emulation).
+
+    A busy-wait on the monotonic clock rather than ``time.sleep``: the
+    emulated operation *occupies* the event loop's core, as the real one
+    would.
+    """
+    deadline = time.perf_counter() + milliseconds / 1000.0
+    while time.perf_counter() < deadline:
+        pass
+
+
 class RealTimeNetwork:
     """Message transport over real localhost TCP sockets.
 
@@ -451,28 +454,21 @@ class RealTimeNetwork:
     ``buffer_updated`` splits what arrived into frames, and each frame is
     decoded and handed to the destination's ``deliver`` before the callback
     returns -- all on the scheduler's event loop, with no task or queue in
-    between.  With the crypto pool on, a connection's decoded frames instead
-    wait in one FIFO for their pre-verification; that is the only difference
-    between the two modes.
+    between.
     """
 
     def __init__(self, scheduler: RealTimeScheduler,
                  topology: Optional[Topology] = None,
                  enforce_topology: bool = True,
-                 pool: Optional[CryptoPool] = None,
-                 keystore: Optional[Keystore] = None,
                  config: Optional[SystemConfig] = None) -> None:
         self.scheduler = scheduler
         self.topology = topology or Topology.full()
         self.enforce_topology = enforce_topology
         self.stats = NetworkStats()
         self.transport = TransportStats()
-        self.pool = pool
-        self.keystore = keystore
         self.config = config
         self.codec = default_codec()
         self._charge_scale = config.runtime.charge_scale if config else 0.0
-        self._pooled = pool is not None and pool.enabled and keystore is not None
         self._processes: Dict[NodeId, Process] = {}
         self._taps: List[MessageTap] = []
         self._servers: Dict[NodeId, asyncio.base_events.Server] = {}
@@ -501,7 +497,7 @@ class RealTimeNetwork:
         self.topology.add_node(process.node_id)
         if self._charge_scale > 0:
             scale = self._charge_scale
-            process._burn = lambda ms: spin(ms * scale)
+            process._burn = lambda ms: _spin(ms * scale)
 
     def process(self, node_id: NodeId) -> Process:
         try:
@@ -603,12 +599,6 @@ class RealTimeNetwork:
         for link, destination in unconnected:
             self._connect(link, destination)
 
-    def _spawn(self, coro, name: str) -> asyncio.Task:
-        task = self.scheduler.loop.create_task(coro, name=name)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
     def _connect(self, link: _Outbound, destination: NodeId) -> None:
         async def connect() -> None:
             try:
@@ -621,7 +611,10 @@ class RealTimeNetwork:
                 if not self._closed:
                     self.scheduler.record_failure(exc)
 
-        self._spawn(connect(), f"connect:{destination}")
+        task = self.scheduler.loop.create_task(
+            connect(), name=f"connect:{destination}")
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------------ #
     # Receiving.
@@ -642,28 +635,8 @@ class RealTimeNetwork:
             connection.sender = sender
         elif sender is not bound and sender != bound:
             return False
-        size = _HEADER + len(body)
-        if not self._pooled:
-            self._dispatch(connection.process, sender, message, size)
-            return True
-        connection.pending.append((sender, message, size))
-        if connection.drainer is None:
-            connection.drainer = self._spawn(
-                self._drain(connection), f"drain:{connection.process.node_id}")
+        self._dispatch(connection.process, sender, message, _HEADER + len(body))
         return True
-
-    async def _drain(self, connection: _Inbound) -> None:
-        """Crypto pool on: pre-verify and dispatch a connection's frames one
-        after the other, so pipelining crypto never reorders a link."""
-        try:
-            while connection.pending:
-                sender, message, size = connection.pending.popleft()
-                await self._preverify(connection.process, message)
-                self._dispatch(connection.process, sender, message, size)
-        except Exception as exc:  # a broken pool must not vanish with the task
-            self.scheduler.record_failure(exc)
-        finally:
-            connection.drainer = None
 
     def _dispatch(self, target: Process, sender: NodeId, message: Message,
                   size: int) -> None:
@@ -678,29 +651,6 @@ class RealTimeNetwork:
         except Exception as exc:
             self.scheduler.record_failure(exc)
 
-    async def _preverify(self, target: Process, message: Message) -> None:
-        """Warm the destination's verification cache from the crypto pool.
-
-        Only facts that verified are recorded (the cache's success-only
-        contract); anything else is left for the node's inline checks.
-        Facts already cached are skipped, so nothing is ever paid twice.
-        """
-        crypto = getattr(target, "crypto", None)
-        if crypto is None or crypto.cache is None:
-            return
-        jobs, keys = extract_verify_jobs(
-            target.node_id, self.keystore, crypto.costs, message,
-            charge_scale=self._charge_scale)
-        fresh = [(job, key) for job, key in zip(jobs, keys)
-                 if not crypto.cache.seen(key)]
-        if not fresh:
-            return
-        results = await self.pool.run(self.scheduler.loop,
-                                      [job for job, _ in fresh])
-        for (_, key), ok in zip(fresh, results):
-            if ok:
-                crypto.cache.add(key)
-
     # ------------------------------------------------------------------ #
     # Teardown.
     # ------------------------------------------------------------------ #
@@ -712,14 +662,10 @@ class RealTimeNetwork:
         # Stop accepting first.  An accept already in flight needs no more
         # I/O to reach ``connection_made``, and a connect in flight is made
         # or refused at once; the loop is private to this runtime, so every
-        # other task on it is one of those or a pool drain, which is
-        # cancelled.  Awaiting them all leaves no task pending and no
-        # exception unretrieved when the loop closes.
+        # other task on it is one of those.  Awaiting them all leaves no
+        # task pending and no exception unretrieved when the loop closes.
         for server in self._servers.values():
             server.close()
-        for connection in self._inbound:
-            if connection.drainer is not None:
-                connection.drainer.cancel()
         others = asyncio.all_tasks() - {asyncio.current_task()}
         await asyncio.gather(*others, return_exceptions=True)
         # abort, not close: what is still buffered has nowhere to go
@@ -734,19 +680,16 @@ class RealTimeNetwork:
 
 
 class AsyncioRuntime(Runtime):
-    """The asyncio backend: real scheduler + real network + crypto pool."""
+    """The asyncio backend: real scheduler + real network."""
 
     backend = "asyncio"
 
-    def __init__(self, config: SystemConfig, seed: int,
-                 keystore: Optional[Keystore] = None) -> None:
+    def __init__(self, config: SystemConfig, seed: int) -> None:
         self.config = config
         self.scheduler = RealTimeScheduler(
             seed, poll_interval_ms=config.runtime.poll_interval_ms)
-        self.pool = CryptoPool(config.runtime.crypto_pool)
         self.network = RealTimeNetwork(
-            self.scheduler, topology=Topology.full(),
-            pool=self.pool, keystore=keystore, config=config)
+            self.scheduler, topology=Topology.full(), config=config)
         self._closed = False
 
     def close(self) -> None:
@@ -757,5 +700,4 @@ class AsyncioRuntime(Runtime):
         if not loop.is_closed():
             asyncio.set_event_loop(loop)
             loop.run_until_complete(self.network.aclose())
-        self.pool.close()
         self.scheduler.close()

@@ -32,11 +32,10 @@ Its **network** must provide ``register`` / ``process`` / ``node_ids``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import SystemConfig
-    from ..crypto.keys import Keystore
 
 
 class Runtime:
@@ -60,7 +59,7 @@ class Runtime:
         return self.scheduler.run_until(predicate, timeout_ms, description)
 
     def close(self) -> None:
-        """Release backend resources (sockets, worker processes, loops)."""
+        """Release backend resources (sockets, loops)."""
 
     # -- context-manager sugar so drivers can scope a deployment ---------- #
 
@@ -71,13 +70,10 @@ class Runtime:
         self.close()
 
 
-def build_runtime(config: "SystemConfig", seed: int,
-                  keystore: Optional["Keystore"] = None) -> Runtime:
+def build_runtime(config: "SystemConfig", seed: int) -> Runtime:
     """Construct the backend selected by ``config.runtime.backend``.
 
-    ``keystore`` is only needed by the asyncio backend (its crypto pool
-    derives per-job key material in the dispatcher); the simulator ignores
-    it.  Imports are local so the default sim path never pays for asyncio
+    Imports are local so the default sim path never pays for asyncio
     machinery.
     """
     backend = config.runtime.backend
@@ -88,5 +84,5 @@ def build_runtime(config: "SystemConfig", seed: int,
     if backend == "asyncio":
         from .asyncio_rt import AsyncioRuntime
 
-        return AsyncioRuntime(config, seed, keystore=keystore)
+        return AsyncioRuntime(config, seed)
     raise ValueError(f"unknown runtime backend {backend!r}")  # pragma: no cover

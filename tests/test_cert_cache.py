@@ -15,7 +15,6 @@ from repro.config import AuthenticationScheme, PerfConfig
 from repro.crypto.cache import VerifiedCertificateCache
 from repro.crypto.certificate import Authenticator, Certificate
 from repro.crypto.keys import Keystore
-from repro.crypto.pool import extract_verify_jobs, verify_jobs
 from repro.crypto.provider import CryptoProvider
 from repro.messages.request import ClientRequest
 from repro.sharding import ShardedSystem
@@ -101,6 +100,99 @@ class TestHitMissAccounting:
         assert "mac_verify_cached" not in ops
 
 
+class TestEverySchemeCaches:
+    """Every kind of fact a node checks -- a MAC, a signature, a threshold
+    share and a combined group signature -- is charged the first time the
+    node checks it and read from its cache after."""
+
+    FACT_OPS = {AuthenticationScheme.MAC: "mac_verify",
+                AuthenticationScheme.SIGNATURE: "signature_verify",
+                AuthenticationScheme.THRESHOLD: "threshold_share_verify"}
+
+    @staticmethod
+    def _group(keystore):
+        members = [execution_id(i) for i in range(3)]
+        keystore.create_threshold_group("exec", members, 2)
+        return members
+
+    @pytest.mark.parametrize("scheme", list(AuthenticationScheme),
+                             ids=lambda scheme: scheme.value)
+    def test_each_authenticator_is_charged_once(self, keystore, scheme):
+        members = self._group(keystore)
+        first, second = (recording_provider(keystore, member)[0]
+                         for member in members[:2])
+        certificate = first.new_certificate(sample_request(), scheme,
+                                            [agreement_id(0)], threshold_group="exec")
+        second.authenticate(certificate, [agreement_id(0)])
+        verifier, charges, ops = recording_provider(keystore, agreement_id(0))
+        op = self.FACT_OPS[scheme]
+
+        assert sorted(verifier.valid_signers(certificate)) == members[:2]
+        assert ops.count(op) == 2 and charges
+        del charges[:], ops[:]
+        assert sorted(verifier.valid_signers(certificate)) == members[:2]
+        assert charges == []
+        assert [name for name in ops if name != "digest_cached"] == [op + "_cached"] * 2
+
+    def test_a_combined_signature_is_charged_once_and_a_forged_one_never_hits(
+            self, keystore):
+        members = self._group(keystore)
+        request = sample_request()
+        sharers = [recording_provider(keystore, member)[0] for member in members[:2]]
+        shares = [sharer.threshold_share(request, "exec") for sharer in sharers]
+        signature = sharers[0].threshold_combine(request, "exec", shares)
+        verifier, charges, ops = recording_provider(keystore, client_id(1))
+
+        assert verifier.verify_threshold_signature(request, signature, "exec")
+        charged = list(charges)
+        assert verifier.verify_threshold_signature(request, signature, "exec")
+        assert ops.count("threshold_verify") == 1
+        assert ops.count("threshold_verify_cached") == 1
+        assert charges == charged
+        # the fact names the signature bytes: a forgery checks, and fails
+        assert not verifier.verify_threshold_signature(
+            request, bytes(len(signature)), "exec")
+        assert ops.count("threshold_verify") == 2
+        assert len(charges) > len(charged)
+
+    def test_certificates_of_every_scheme_recheck_for_free(self, keystore):
+        """A MAC, a signature and a threshold certificate, each checked
+        whole and signer by signer: the second round charges nothing and
+        records only cached operations, of all four kinds."""
+        members = self._group(keystore)
+        verifier_id = agreement_id(0)
+        mac_cert = recording_provider(keystore, client_id(0))[0].new_certificate(
+            sample_request(0), AuthenticationScheme.MAC, [verifier_id])
+        sig_cert = recording_provider(keystore, agreement_id(1))[0].new_certificate(
+            sample_request(1), AuthenticationScheme.SIGNATURE, [])
+        sharers = [recording_provider(keystore, member)[0] for member in members[:2]]
+        tsig_cert = sharers[0].new_certificate(
+            sample_request(2), AuthenticationScheme.THRESHOLD, [],
+            threshold_group="exec")
+        sharers[1].authenticate(tsig_cert, [])
+        tsig_cert.threshold_signature = sharers[1].threshold_combine(
+            tsig_cert.payload, "exec", tsig_cert.authenticator_list())
+        verifier, charges, ops = recording_provider(keystore, verifier_id)
+
+        def check_all():
+            assert verifier.verify_certificate(mac_cert, 1, [client_id(0)])
+            assert verifier.verify_certificate(sig_cert, 1, [agreement_id(1)])
+            assert verifier.verify_certificate(tsig_cert, 2)
+            for certificate in (mac_cert, sig_cert, tsig_cert):
+                assert len(verifier.valid_signers(certificate)) == len(
+                    certificate.authenticators)
+
+        check_all()
+        assert charges
+        del charges[:], ops[:]
+        check_all()
+        assert charges == []
+        assert ops and all(name.endswith("_cached") for name in ops)
+        assert {"mac_verify_cached", "signature_verify_cached",
+                "threshold_share_verify_cached",
+                "threshold_verify_cached"} <= set(ops)
+
+
 class TestNoCrossNodeLeakage:
     def test_each_node_pays_for_its_own_first_verification(self, keystore):
         """A node must not benefit from another node's verification."""
@@ -167,8 +259,7 @@ class TestByzantineForgery:
     def test_an_authenticator_over_another_payload_fails(self, keystore, scheme):
         """An authenticator names no digest, so its token alone must refuse
         a payload it was not made over: one made over P and attached to a
-        certificate over P' fails inline, and so does the crypto pool's job
-        for it, which therefore warms no cache fact."""
+        certificate over P' fails, and caches no fact."""
         keystore.create_threshold_group(
             "exec", [execution_id(i) for i in range(3)], 2)
         signer, _, _ = recording_provider(keystore, execution_id(0))
@@ -177,15 +268,8 @@ class TestByzantineForgery:
                                           [agreement_id(0)], threshold_group="exec")
         moved = original.with_payload(sample_request(1))
 
-        jobs, keys = extract_verify_jobs(agreement_id(0), keystore,
-                                         CHEAP_CRYPTO, moved)
-        results = verify_jobs(jobs)
-        assert len(jobs) == 1 and results == [False]
-        for key, ok in zip(keys, results):     # what the runtime warms
-            if ok:
-                verifier.cache.add(key)
-        assert len(verifier.cache) == 0
         assert not verifier.verify_certificate(moved, 1, [execution_id(0)])
+        assert len(verifier.cache) == 0
         assert not verifier.verify_certificate(moved, 1, [execution_id(0)])
         # the same authenticator over its own payload is genuine
         assert verifier.verify_certificate(original, 1, [execution_id(0)])

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.crypto.certificate import Authenticator, Certificate
 from repro.crypto.digest import digest
-from repro.crypto.pool import iter_certificates
 from repro.errors import DecodeError, EncodeError
 from repro.messages.agreement import ConfigOperation, ViewChange
 from repro.messages.checkpoint import BatchTransfer, checkpoint_payload
@@ -37,6 +36,24 @@ from test_messages_and_nondet import GOLDEN_WIRE, golden_messages
 
 SRC = Path(repro.__file__).resolve().parent
 SENDER = agreement_id(0)
+
+
+def iter_certificates(value):
+    """Every certificate a message carries, nested ones included (an
+    ordered batch carries request certificates inside its payload)."""
+    if isinstance(value, Certificate):
+        yield value
+        yield from iter_certificates(value.payload)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from iter_certificates(getattr(value, field.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from iter_certificates(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from iter_certificates(item)
+
 
 #: every wire class's tag.  A tag is the class's name on the wire: a frame
 #: written by one build must mean the same to another, so none may move.

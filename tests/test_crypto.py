@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import AuthenticationScheme, CryptoCosts
 from repro.crypto.certificate import Certificate
-from repro.crypto.pool import extract_verify_jobs, verify_jobs
 from repro.crypto.digest import combine_digests, digest, digest_hex
 from repro.crypto.keys import Keystore
 from repro.crypto.provider import CryptoProvider
@@ -504,7 +503,7 @@ class TestWhoEachVectorAddresses:
         assert sorted(authenticator.token) == sorted(
             node.name for node in system.agreement_ids + system.execution_ids)
 
-    def test_certificate_facts_hold_ids_and_share_their_sets(self, keystore):
+    def test_cert_facts_hold_ids_and_share_their_sets(self, keystore):
         client = provider(keystore, client_id(0))
         execs = [execution_id(i) for i in range(3)]
         certificates = []
@@ -560,24 +559,18 @@ class TestMalformedTokens:
             verifier.threshold_combine(request, "exec", [forged, forged])
 
     @pytest.mark.parametrize("token", MALFORMED_TOKENS, ids=repr)
-    def test_certificate_does_not_verify_and_gives_the_pool_no_job(self, keystore, token):
+    def test_certificate_does_not_verify(self, keystore, token):
         request = sample_request()
         signer = provider(keystore, client_id(0))
         keystore.create_threshold_group("exec", [client_id(0)], 1)
         for scheme in AuthenticationScheme:
             cert = signer.new_certificate(request, scheme, [agreement_id(0)],
                                           threshold_group="exec")
-            good_jobs, _ = extract_verify_jobs(agreement_id(0), keystore,
-                                               CryptoCosts(), cert)
-            assert verify_jobs(good_jobs) == [True]
+            assert provider(keystore, agreement_id(0)).verify_certificate(
+                cert, 1, [client_id(0)])
             (auth,) = cert.authenticators.values()
             cert.authenticators[auth.signer] = dataclasses.replace(auth, token=token)
             if scheme is AuthenticationScheme.THRESHOLD:
                 cert.threshold_signature = token
-            if scheme is not AuthenticationScheme.MAC and token == b"raw":
-                continue    # well-typed, merely wrong: the pool checks and refutes it
-            jobs, keys = extract_verify_jobs(agreement_id(0), keystore,
-                                             CryptoCosts(), cert)
-            assert jobs == [] and keys == []
             assert not provider(keystore, agreement_id(0)).verify_certificate(
                 cert, 1, [client_id(0)])

@@ -322,6 +322,22 @@ class TestAskAndServe:
                 if queue.cross_log._held] == []
         assert victim.local.cross_log_markers == 1
 
+    def test_a_binding_timer_that_outlives_its_hold_asks_nobody(self):
+        """A hold's timer that came due while its node was busy waits in the
+        inbox and may run after the hold was released (seen on the asyncio
+        backend): it finds no hold, and sends and re-arms nothing."""
+        system = make_system()
+        seed_system(system)
+        system.invoke(cross_group_txn("outlived"))
+        system.run(50.0)
+        for queue in all_queues(system):
+            released = queue.cross_log._released
+            assert released and not queue.cross_log._held
+            retransmissions = queue.retransmissions
+            queue.cross_log._on_binding_retransmit(next(iter(released)))
+            assert queue.retransmissions == retransmissions
+        assert "CrossLogBindingFetch" not in system.network.stats.census()
+
     def test_a_fetch_costs_at_most_one_binding(self):
         system = make_system()
         seed_system(system)

@@ -1,17 +1,13 @@
-"""The runtime seam: backend parity, the crypto pool, real-time scheduler.
+"""The runtime seam: backend parity, the transport, real-time scheduler.
 
 The headline contract is *parity*: the same workload pushed through the
 virtual-time simulator and the asyncio real-socket backend must commit the
 same application state and return the same results (timing aside) -- the
 protocol stack is byte-for-byte the same code, only the substrate changes.
-The crypto pool additionally must be invisible to the protocol: enabled, it
-warms verification caches from worker processes; disabled, the same jobs
-verify inline with identical outcomes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import gc
 import logging
@@ -24,25 +20,14 @@ from itertools import cycle, zip_longest
 
 import pytest
 
-from conftest import FAST_TIMERS, make_config
+from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.apps.counter import CounterService, increment, read_counter
-from repro.apps.kvstore import KeyValueStore, delete, get, put
-from repro.config import (
-    AuthenticationScheme,
-    CryptoCosts,
-    CryptoPoolConfig,
-    RuntimeConfig,
-    SystemConfig,
-    TimerConfig,
-)
+from repro.apps.kvstore import (KeyValueStore, delete, get, multi_get, put,
+                                transaction)
+from repro.config import CrossShardConfig, RuntimeConfig, SystemConfig, TimerConfig
 from repro.core.system import SeparatedSystem
-from repro.crypto.pool import CryptoPool, extract_verify_jobs, verify_jobs
-from repro.crypto.provider import CryptoProvider
-from repro.crypto.keys import Keystore
 from repro.errors import ConfigurationError, LivenessTimeoutError, SimulationError
-from repro.messages.agreement import OrderedBatch
 from repro.messages.reply import ClientReply
-from repro.messages.request import ClientRequest
 from repro.net.codec import default_codec
 from repro.net.message import Message
 from repro.net.network import DROP
@@ -53,17 +38,14 @@ from repro.runtime.asyncio_rt import (
     RealTimeScheduler,
     _Inbound,
 )
+from repro.sharding.system import ShardedSystem
 from repro.sim.process import Process
 from repro.statemachine.interface import Operation
-from repro.statemachine.nondet import NonDetInput
 from repro.util.ids import agreement_id, client_id, execution_id, server_id
 
 
-def _runtime_config(backend: str, pool: bool = False,
-                    charge_scale: float = 0.0) -> RuntimeConfig:
-    return RuntimeConfig(
-        backend=backend, charge_scale=charge_scale,
-        crypto_pool=CryptoPoolConfig(enabled=pool, workers=2))
+def _runtime_config(backend: str, charge_scale: float = 0.0) -> RuntimeConfig:
+    return RuntimeConfig(backend=backend, charge_scale=charge_scale)
 
 
 def _workload(system: SeparatedSystem, requests: int = 8):
@@ -87,9 +69,32 @@ def _run_backend(runtime: RuntimeConfig):
     try:
         values = _workload(system)
         states = [node.app.snapshot() for node in system.execution_nodes]
-        if runtime.crypto_pool.enabled:
-            # the frames really went through the pool's pre-verification
-            assert system.network.pool.stats.verified > 0
+    finally:
+        system.close()
+    return values, states
+
+
+def _run_sharded(backend: str):
+    config = SystemConfig.multilog_sharded(
+        num_logs=2, num_shards=4, strategy="range",
+        range_boundaries=["key-2", "key-4", "key-6"],
+        cross_shard=CrossShardConfig(enabled=True), num_clients=2,
+        timers=FAST_TIMERS, crypto=CHEAP_CRYPTO,
+        runtime=_runtime_config(backend))
+    system = ShardedSystem(config, KeyValueStore, seed=13)
+    operations = [put(f"key-{i}", f"v{i}") for i in range(8)] + [
+        multi_get(["key-1", "key-3", "key-5", "key-7"]),
+        transaction(reads={}, writes={"key-0": "t0", "key-6": "t6"})]
+    try:
+        values = []
+        for index, operation in enumerate(operations):
+            result = system.invoke(operation, client_index=index % 2,
+                                   timeout_ms=30_000).result
+            assert result.error is None
+            values.append(result.value)
+        states = [node.app.snapshot()
+                  for cluster in system.shard_execution_nodes
+                  for node in cluster]
     finally:
         system.close()
     return values, states
@@ -116,21 +121,38 @@ class TestBackendParity:
         finally:
             real.close()
 
-    def test_same_committed_state_across_backends(self):
+    @pytest.mark.parametrize("charge_scale", [0.0, 0.01])
+    def test_same_committed_state_across_backends(self, charge_scale):
+        """Charges are free at scale 0; above it every one is burned as
+        real CPU on the event loop (the cost emulation's path)."""
         sim_values, sim_states = _run_backend(_runtime_config("sim"))
-        real_values, real_states = _run_backend(_runtime_config("asyncio"))
+        real_values, real_states = _run_backend(
+            _runtime_config("asyncio", charge_scale=charge_scale))
         assert real_values == sim_values
         # Every execution replica converged to the same store, and the
         # stores agree across backends.
         assert all(state == sim_states[0] for state in sim_states)
         assert real_states == sim_states
 
-    def test_pool_enabled_backend_matches_simulator(self):
-        sim_values, sim_states = _run_backend(_runtime_config("sim"))
-        pool_values, pool_states = _run_backend(
-            _runtime_config("asyncio", pool=True, charge_scale=0.01))
-        assert pool_values == sim_values
-        assert pool_states == sim_states
+    def test_sharded_two_log_deployment_matches_across_backends(self):
+        """Four range shards ordered by two agreement logs: point writes,
+        a read of all four shards and a write transaction across both log
+        groups return the same results and leave every shard replica with
+        the same store on either backend."""
+        sim_values, sim_states = _run_sharded("sim")
+        real_values, real_states = _run_sharded("asyncio")
+        assert real_values == sim_values
+        assert sim_values[-2:] == [
+            {"values": {"key-1": "v1", "key-3": "v3", "key-5": "v5",
+                        "key-7": "v7"}},
+            {"committed": True, "observed": {}}]
+        assert real_states == sim_states
+        assert sim_states[0] == {"key-0": "t0", "key-1": "v1"}
+        assert sim_states[-1] == {"key-6": "t6", "key-7": "v7"}
+
+    def test_an_unknown_backend_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            RuntimeConfig(backend="threads").validate()
 
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
     def test_a_counter_past_64_bits(self, backend):
@@ -217,29 +239,16 @@ class TestBackendParity:
             gc.collect()
         assert _complaints(caplog, caught) == []
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["inline", "pool"])
-    def test_lost_direct_replies(self, pool, monkeypatch):
+    def test_lost_direct_replies(self):
         """Every direct reply of the first round is lost on the real
         backend: the client's retransmission completes through the
         primary's cache or through a backup that passes the request on to
-        the replicas, and with the crypto pool on the forwarded envelope's
-        client MAC is among the jobs it pre-verifies for a replica."""
-        extracted = []
-        extract = asyncio_rt.extract_verify_jobs
-
-        def recording(node, keystore, costs, message, charge_scale=0.0):
-            jobs, keys = extract(node, keystore, costs, message,
-                                 charge_scale=charge_scale)
-            extracted.append((node, type(message).__name__, len(jobs)))
-            return jobs, keys
-
-        monkeypatch.setattr(asyncio_rt, "extract_verify_jobs", recording)
+        the replicas."""
         # The retransmission must find the request executed and answered,
         # even in asyncio's (slow) debug mode.
         timers = dataclasses.replace(FAST_TIMERS, client_retransmit_ms=1_000.0)
         system = SeparatedSystem(
-            make_config(runtime=_runtime_config("asyncio", pool=pool),
-                        timers=timers),
+            make_config(runtime=_runtime_config("asyncio"), timers=timers),
             KeyValueStore, seed=9)
         client = system.clients[0]
         executors = set(system.execution_ids)
@@ -263,9 +272,6 @@ class TestBackendParity:
             primary, *backups = system.message_queues
             assert primary.cache_hits >= 1
             assert all(queue.requests_forwarded >= 1 for queue in backups)
-            forwarded = [jobs for node, name, jobs in extracted
-                         if node in executors and name == "RequestEnvelope"]
-            assert (len(forwarded) >= 3 and min(forwarded) >= 1) == pool
         finally:
             system.close()
 
@@ -475,30 +481,13 @@ class TestTransport:
         assert receiver.numbers == list(range(101))
         assert peak[0] < 64 * 1024
 
-    @pytest.mark.parametrize("pool", [False, True])
-    def test_a_link_is_fifo(self, pool):
-        """1000 frames on one link arrive in order -- with the pool on even
-        when the first frame's pre-verification takes longer than the rest."""
-        runtime = AsyncioRuntime(
-            make_config(runtime=_runtime_config("asyncio", pool=pool)), seed=0,
-            keystore=Keystore())
-        try:
-            sender, receiver = _nodes(runtime, 2)
-            verified = []
-
-            async def preverify(target, message):
-                await asyncio.sleep(0.05 if message.number == 0 else 0.0)
-                verified.append(message.number)
-
-            runtime.network._preverify = preverify
-            for number in range(1000):
-                sender.send(receiver.node_id, _Numbered(number))
-            runtime.run_until(lambda: len(receiver.numbers) == 1000, 30_000.0)
-            assert receiver.numbers == list(range(1000))
-            # one receive path: the pool only adds the wait
-            assert verified == (list(range(1000)) if pool else [])
-        finally:
-            runtime.close()
+    def test_a_link_is_fifo(self, runtime):
+        """1000 frames on one link arrive in order."""
+        sender, receiver = _nodes(runtime, 2)
+        for number in range(1000):
+            sender.send(receiver.node_id, _Numbered(number))
+        runtime.run_until(lambda: len(receiver.numbers) == 1000, 30_000.0)
+        assert receiver.numbers == list(range(1000))
 
     def test_tap_substituting_for_one_destination(self, runtime):
         sender, *receivers = _nodes(runtime, 4)
@@ -680,116 +669,6 @@ class TestTransport:
         assert runtime.network.transport.frames_sent == 2
 
 
-class TestCryptoPool:
-    def _mac_jobs(self, keystore, costs):
-        signer = agreement_id(0)
-        verifier = execution_id(0)
-        provider = CryptoProvider(signer, keystore, costs=costs)
-        certificate = provider.new_certificate(
-            {"op": "bind", "seq": 4}, AuthenticationScheme.MAC,
-            destinations=[verifier, execution_id(1)])
-        return extract_verify_jobs(verifier, keystore, costs, certificate)
-
-    def test_inline_fallback_matches_pool(self, keystore):
-        costs = CryptoCosts()
-        jobs, keys = self._mac_jobs(keystore, costs)
-        assert len(jobs) == len(keys) == 1
-        assert keys[0][0] == "mac"
-        inline = verify_jobs(jobs)
-        disabled = CryptoPool(CryptoPoolConfig(enabled=False))
-        assert disabled.run_inline(jobs) == inline == [True]
-        assert disabled.stats.inline_batches == 1
-        pooled = CryptoPool(CryptoPoolConfig(enabled=True, workers=2))
-        loop = asyncio.new_event_loop()
-        try:
-            assert loop.run_until_complete(pooled.run(loop, jobs)) == inline
-            assert pooled.stats.batches == 1
-        finally:
-            pooled.close()
-            loop.close()
-
-    def test_forged_token_is_rejected(self, keystore):
-        costs = CryptoCosts()
-        jobs, _ = self._mac_jobs(keystore, costs)
-        secret, data, token, burn = jobs[0]
-        forged = (secret, data, bytes(len(token)), burn)
-        assert verify_jobs([jobs[0], forged]) == [True, False]
-
-    def test_threshold_jobs_extracted(self, keystore):
-        costs = CryptoCosts()
-        members = [execution_id(i) for i in range(3)]
-        keystore.create_threshold_group("grp", members, threshold=2)
-        providers = [CryptoProvider(m, keystore, costs=costs) for m in members]
-        certificate = providers[0].new_certificate(
-            {"reply": 1}, AuthenticationScheme.THRESHOLD,
-            destinations=members, threshold_group="grp")
-        providers[1].authenticate(certificate, members)
-        certificate.threshold_signature = providers[1].threshold_combine(
-            certificate.payload, "grp", certificate.authenticator_list())
-        jobs, keys = extract_verify_jobs(agreement_id(0), keystore, costs,
-                                         certificate)
-        kinds = sorted(key[0] for key in keys)
-        assert kinds == ["share", "share", "tsig"]
-        assert verify_jobs(jobs) == [True, True, True]
-
-    def test_warmed_facts_are_what_inline_verification_hits(self, keystore):
-        """One message carries a MAC, a signature and a threshold certificate
-        (shares and the combined signature).  Once the pool's jobs have
-        warmed a node's cache, the node's own checks of every one of them
-        charge nothing and record only cached operations: the pool warms
-        exactly the keys the provider looks up."""
-        costs = CryptoCosts()
-        members = [execution_id(i) for i in range(3)]
-        keystore.create_threshold_group("grp", members, threshold=2)
-        verifier_id = agreement_id(0)
-        request = ClientRequest(operation=Operation(kind="null", args={}),
-                                timestamp=1, client=client_id(0))
-        mac_cert = CryptoProvider(client_id(0), keystore, costs).new_certificate(
-            request, AuthenticationScheme.MAC, [verifier_id])
-        sig_cert = CryptoProvider(agreement_id(1), keystore, costs).new_certificate(
-            _Numbered(7), AuthenticationScheme.SIGNATURE, [])
-        sharers = [CryptoProvider(m, keystore, costs) for m in members[:2]]
-        body = _Numbered(8)
-        tsig_cert = sharers[0].new_certificate(
-            body, AuthenticationScheme.THRESHOLD, [], threshold_group="grp")
-        sharers[1].authenticate(tsig_cert, [])
-        tsig_cert.threshold_signature = sharers[1].threshold_combine(
-            body, "grp", tsig_cert.authenticator_list())
-        message = OrderedBatch(seq=1, view=0, request_certificates=(mac_cert, sig_cert),
-                               agreement_certificate=tsig_cert,
-                               nondet=NonDetInput.empty())
-        charges, ops = [], []
-        verifier = CryptoProvider(verifier_id, keystore, costs,
-                                  charge=charges.append, record=ops.append)
-        jobs, keys = extract_verify_jobs(verifier_id, keystore, costs, message)
-        assert sorted(key[0] for key in keys) == ["mac", "share", "share", "sig", "tsig"]
-        assert verify_jobs(jobs) == [True] * len(jobs)
-        for key in keys:
-            verifier.cache.add(key)
-        certificates = (mac_cert, sig_cert, tsig_cert)
-        for certificate in certificates:  # the node's own first hash of each
-            verifier.payload_digest(certificate.payload)
-        del charges[:], ops[:]
-        assert verifier.verify_certificate(mac_cert, 1, [client_id(0)])
-        assert verifier.verify_certificate(sig_cert, 1, [agreement_id(1)])
-        assert verifier.verify_certificate(tsig_cert, 2)
-        for certificate in certificates:
-            assert len(verifier.valid_signers(certificate)) == len(
-                certificate.authenticators)
-        assert charges == []
-        assert ops and all(op.endswith("_cached") for op in ops)
-        assert {"mac_verify_cached", "signature_verify_cached",
-                "threshold_share_verify_cached",
-                "threshold_verify_cached"} <= set(ops)
-
-    def test_pool_requires_asyncio_backend(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(runtime=RuntimeConfig(
-                backend="sim", crypto_pool=CryptoPoolConfig(enabled=True)))
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(backend="threads").validate()
-
-
 class TestRealTimeScheduler:
     def test_timers_fire_in_order_and_cancel(self):
         scheduler = RealTimeScheduler(seed=0, poll_interval_ms=0.5)
@@ -829,3 +708,19 @@ class TestRealTimeScheduler:
             assert scheduler.now >= before + 5.0
         finally:
             scheduler.close()
+
+    def test_a_nan_deadline_is_refused(self):
+        """As on the simulator: a NaN deadline is a caller's bug, and armed
+        it would fire at once."""
+        scheduler = RealTimeScheduler(seed=0)
+        fired = []
+        try:
+            for arm in (lambda: scheduler.call_at(float("nan"), lambda: fired.append(1)),
+                        lambda: scheduler.call_after(float("nan"), lambda: fired.append(2)),
+                        lambda: scheduler.post(float("nan"), "nan", fired.append, 3)):
+                with pytest.raises(SimulationError):
+                    arm()
+            scheduler.run(until=scheduler.now + 5.0)
+        finally:
+            scheduler.close()
+        assert fired == []
