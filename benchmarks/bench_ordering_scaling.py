@@ -174,7 +174,7 @@ def section_cross_group(quick: bool, seed: int, workload_seed: int,
     system.run(300.0)
     audit = audit_cross_group_consistency(
         system.clients, key_space=key_space, num_shards=num_shards,
-        log_of_shard=system.log_registry.log_of)
+        log_of_shard=system.log_registry.latest.log_of)
     ratio = mixed.completed_per_sec / max(single_group_per_sec, 1e-9)
     queues = system.message_queues
     markers = max(queue.cross_log_markers for queue in queues)

@@ -108,7 +108,7 @@ def multi_log_demo() -> None:
                      "the log-map cut")
     record = system.invoke(get(keys[moving]))
     assert record.result.value["value"] == "stamped"
-    print(f"  shard {moving} moved to log {system.log_registry.log_of(moving)}; "
+    print(f"  shard {moving} moved to log {system.log_registry.latest.log_of(moving)}; "
           f"log map: {system.log_registry.latest.assignment}; "
           f"get {keys[moving]} -> {record.result.value['value']!r}")
 

@@ -36,6 +36,8 @@ _BUNDLE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 #: additive step of the AIMD bundle controller
 BUNDLE_INCREASE = 1
+#: multiplicative step of the AIMD bundle controller
+BUNDLE_DECREASE = 0.5
 #: requests in flight (ordered but unanswered) at or above which the
 #: system counts as congested -- with closed-loop clients the backlog
 #: accumulates *in the pipeline*, not in the batcher, so the controller
@@ -83,7 +85,7 @@ class AdaptiveBundleController:
       everything in flight -- more waiting would add latency for nothing.
     * **Multiplicative decrease**: if the flush timer fires with less than
       *half* a bundle waiting while the pipeline is idle, the load is
-      genuinely light and the size shrinks by ``decrease_factor`` toward
+      genuinely light and the size shrinks by ``BUNDLE_DECREASE`` toward
       ``min_bundle``.  (A nearly-full timer-forced take is the normal
       gathering step of a saturated closed loop; shrinking on it would
       collapse the bundle just when amortisation pays most.)
@@ -113,7 +115,7 @@ class AdaptiveBundleController:
             self.increases += 1
         elif taken * 2 <= self.current and not congested:
             self._size = max(float(self.config.min_bundle),
-                             self._size * self.config.decrease_factor)
+                             self._size * BUNDLE_DECREASE)
             self.decreases += 1
 
     def fill_timeout_scale(self) -> float:

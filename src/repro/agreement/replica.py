@@ -59,6 +59,10 @@ from .proposer import Proposer
 #: ``timers.view_change_ms`` is treated as ``view_change_ms`` (the backoff
 #: never undercuts the base timer)
 VIEW_CHANGE_BACKOFF_CAP_MS = 6400.0
+#: multiplier applied per failed view-change attempt: the k-th escalation
+#: re-votes after ``timers.view_change_ms * VIEW_CHANGE_BACKOFF**k``, so
+#: cascading view changes under a long partition don't thrash
+VIEW_CHANGE_BACKOFF = 2.0
 
 
 class AgreementReplica(Process):
@@ -617,7 +621,7 @@ class AgreementReplica(Process):
         """Backed-off re-vote delay for the current escalation attempt."""
         timers = self.config.timers
         delay = timers.view_change_ms * (
-            timers.view_change_backoff ** (self._view_change_attempts + 1))
+            VIEW_CHANGE_BACKOFF ** (self._view_change_attempts + 1))
         return min(delay, max(VIEW_CHANGE_BACKOFF_CAP_MS,
                               timers.view_change_ms))
 

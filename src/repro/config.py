@@ -202,9 +202,6 @@ class RebalanceConfig:
     min_window_requests:
         Minimum number of routed requests in the observation window before
         the controller acts (avoids deciding on noise).
-    max_ranges:
-        Upper bound on the number of key ranges a sequence of splits may
-        create (bounds the partition-map size).
     """
 
     enabled: bool = False
@@ -213,7 +210,6 @@ class RebalanceConfig:
     hot_ratio: float = 2.0
     cold_ratio: float = 0.5
     min_window_requests: int = 64
-    max_ranges: int = 64
 
     def validate(self) -> None:
         if self.check_interval_ms <= 0 or self.cooldown_ms < 0:
@@ -227,8 +223,6 @@ class RebalanceConfig:
             raise ConfigurationError("cold_ratio must be in (0, 1]")
         if self.min_window_requests < 1:
             raise ConfigurationError("min_window_requests must be at least 1")
-        if self.max_ranges < 2:
-            raise ConfigurationError("max_ranges must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -350,20 +344,11 @@ class PerfConfig:
         certificate (``2f + 1`` commits) proves that ``f + 1`` correct
         agreement replicas verified *every* request certificate in the
         batch, and the batch digest binds the non-owned payloads.
-    share_colocated_cache:
-        Under ``Deployment.SAME`` the agreement and execution roles that
-        share a physical machine share one
-        :class:`~repro.crypto.cache.VerifiedCertificateCache`: a machine
-        trusts its own verifications, so a request certificate checked by
-        the agreement role need not be re-checked by the co-located
-        execution role.  Has no effect under ``Deployment.DIFFERENT``
-        (separate machines never share verification state).
     """
 
     verified_cert_cache: bool = True
     digest_memo: bool = True
     shard_verify_owned_only: bool = True
-    share_colocated_cache: bool = True
 
 
 @dataclass(frozen=True)
@@ -376,7 +361,7 @@ class BatchingConfig:
     primary drains a bundle and backlog remains, the bundle size grows
     additively (by one) up to ``max_bundle``; every time the queue
     drains with a partial bundle (a batch-timeout fire under light load) it
-    shrinks multiplicatively (by ``decrease_factor``) toward ``min_bundle``.
+    shrinks multiplicatively (halves) toward ``min_bundle``.
     The batch timeout is unchanged in either mode, so adaptive bundling can
     never hold a request longer than ``timers.batch_timeout_ms``.
     """
@@ -384,7 +369,6 @@ class BatchingConfig:
     mode: str = "static"
     min_bundle: int = 1
     max_bundle: int = 64
-    decrease_factor: float = 0.5
     #: per-shard batch *timeouts*: a shard's partial-bundle fill window may
     #: stretch up to ``timeout_scale_max`` times ``timers.batch_timeout_ms``
     #: while the shard is congested -- a hot shard under deep backlog can
@@ -407,8 +391,6 @@ class BatchingConfig:
             raise ConfigurationError("min_bundle must be at least 1")
         if self.max_bundle < self.min_bundle:
             raise ConfigurationError("max_bundle must be >= min_bundle")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ConfigurationError("decrease_factor must be in (0, 1)")
         if self.timeout_scale_max < 1.0:
             raise ConfigurationError("timeout_scale_max must be at least 1.0")
         if self.demote_idle_ms is not None and self.demote_idle_ms <= 0:
@@ -470,14 +452,10 @@ class RuntimeConfig:
         crypto far heavier than the stdlib HMACs standing in for it --
         shapes wall-clock results too.  Cache-hit verifications charge
         nothing and therefore burn nothing, exactly as in the simulator.
-    ``poll_interval_ms``
-        How often (wall milliseconds) ``run_until`` re-checks its
-        predicate while the event loop runs.
     """
 
     backend: str = "sim"
     charge_scale: float = 0.0
-    poll_interval_ms: float = 0.5
 
     def validate(self) -> None:
         if self.backend not in ("sim", "asyncio"):
@@ -485,8 +463,6 @@ class RuntimeConfig:
                 f"runtime backend must be 'sim' or 'asyncio', got {self.backend!r}")
         if self.charge_scale < 0:
             raise ConfigurationError("charge_scale must be non-negative")
-        if self.poll_interval_ms <= 0:
-            raise ConfigurationError("poll_interval_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -497,10 +473,6 @@ class TimerConfig:
     agreement_retransmit_ms: float = 60.0
     execution_fetch_ms: float = 40.0
     view_change_ms: float = 400.0
-    #: multiplier applied per failed view-change attempt: the k-th
-    #: escalation re-votes after ``view_change_ms * view_change_backoff**k``
-    #: so cascading view changes under a long partition don't thrash
-    view_change_backoff: float = 2.0
     batch_timeout_ms: float = 1.0
     #: proactive primary rotation: once the stable checkpoint is this many
     #: checkpoint intervals past the view's starting checkpoint (the highest
@@ -523,10 +495,6 @@ class TimerConfig:
                 continue
             if getattr(self, fld.name) <= 0:
                 raise ConfigurationError(f"timer {fld.name} must be positive")
-        if self.view_change_backoff < 1.0:
-            raise ConfigurationError(
-                "view_change_backoff must be at least 1.0 (a shrinking "
-                "escalation timer would thrash under a long partition)")
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ class ClientNode(Process):
         """The shards ``operation`` touches at this client's epoch."""
         if self.router is None:
             return [None]
-        return self.router.shards_of_operation_keys(operation, epoch=self.epoch)
+        return self.router.touched(operation, self.epoch)
 
     def _aim(self, shards: List[Optional[int]]) -> Tuple[int, ...]:
         """The logs ordering ``shards`` (newest log map), ascending; the
@@ -351,8 +351,7 @@ class ClientNode(Process):
             return None
         if pending.cross is None:
             return [router.shard_of_operation(pending.operation, epoch)]
-        return router.shards_of_operation_keys(pending.cross.operation,
-                                               epoch=epoch)
+        return router.touched(pending.cross.operation, epoch)
 
     def _maybe_advance_epoch(self, message: ClientReply) -> None:
         """Adopt the newer epoch a reply to the pending ordinary request

@@ -275,8 +275,7 @@ class SeparatedSystem(SimulatedSystem):
         # replicas beyond the agreement cluster size (g > f deployments) get
         # their own machines and keep their own caches.
         if (config.deployment is Deployment.SAME
-                and config.perf.verified_cert_cache
-                and config.perf.share_colocated_cache):
+                and config.perf.verified_cert_cache):
             for replica, node in zip(self.agreement_replicas, self.execution_nodes):
                 node.crypto.cache = replica.crypto.cache
 

@@ -236,7 +236,7 @@ class ReplyTableAuditOracle(Oracle):
         if router is None:
             return clusters[0] if len(clusters) == 1 else None
         try:
-            shards = router.shards_of_operation_keys(record.operation, epoch=None)
+            shards = router.touched(record.operation)
         except (KeyError, AttributeError):
             return None
         if len(shards) != 1:
@@ -276,7 +276,7 @@ class SnapshotConsistencyOracle(Oracle):
             registry = system.log_registry
             audit = audit_cross_group_consistency(
                 system.clients, shard_of_key=shard_of_key,
-                log_of_shard=registry.log_of)
+                log_of_shard=registry.latest.log_of)
             stray = reads_under_no_log_map(
                 system.clients, [registry.map_for(epoch).assignment
                                  for epoch in range(registry.latest_epoch + 1)])

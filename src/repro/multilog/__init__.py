@@ -11,9 +11,9 @@ per-log sequence bindings (see :mod:`repro.multilog.queue`).
 """
 
 from .client import MultiLogClient
-from .logmap import LogMap, LogMapRegistry, initial_log_map
+from .logmap import LogMap, initial_log_map
 from .messages import (CrossLogBinding, CrossLogBindingBody,
-                       CrossLogBindingFetch, LogMapChange, log_map_change_of)
+                       CrossLogBindingFetch, LogMapChange)
 from .queue import CrossLogRound
 
 
@@ -29,6 +29,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CrossLogBinding", "CrossLogBindingBody", "CrossLogBindingFetch",
-    "CrossLogRound", "LogMap", "LogMapChange", "LogMapRegistry",
-    "MultiLogClient", "MultiLogSystem", "initial_log_map", "log_map_change_of",
+    "CrossLogRound", "LogMap", "LogMapChange", "MultiLogClient",
+    "MultiLogSystem", "initial_log_map",
 ]

@@ -3,9 +3,10 @@
 The multi-log deployment routes each execution shard's ordered feed through
 exactly one of ``K`` independent agreement logs.  :class:`LogMap` is the
 immutable assignment at one *log epoch* -- the ordering-plane analogue of
-:class:`~repro.sharding.partitioner.PartitionMap` -- and
-:class:`LogMapRegistry` is the shared append-only history every role of the
-deployment derives identically from the agreed ``LogMapChange`` history.
+:class:`~repro.sharding.partitioner.PartitionMap` -- and, like the partition
+map's, its history is one shared :class:`~repro.util.epochs.EpochRegistry`
+every role of the deployment derives identically from the agreed
+``LogMapChange`` history.
 
 A log-map change moves one shard between log groups; its position in the
 *cross-log cut* (every log orders the change marker, and each queue applies
@@ -16,7 +17,7 @@ epoch advance a consistent cut over all ``K`` orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..errors import ConfigurationError
 
@@ -32,7 +33,7 @@ class LogMap:
     fixed-cluster discipline).
     """
 
-    log_epoch: int
+    epoch: int
     assignment: Tuple[int, ...]
     num_logs: int
 
@@ -60,13 +61,13 @@ class LogMap:
                 f"shard {shard} is already ordered by log {target_log}")
         assignment = list(self.assignment)
         assignment[shard] = target_log
-        return LogMap(log_epoch=self.log_epoch + 1,
+        return LogMap(epoch=self.epoch + 1,
                       assignment=tuple(assignment), num_logs=self.num_logs)
 
     def snapshot(self) -> dict:
         """Observability snapshot (registered as a global probe)."""
         return {
-            "log_epoch": self.log_epoch,
+            "log_epoch": self.epoch,
             "num_logs": self.num_logs,
             "assignment": list(self.assignment),
         }
@@ -82,56 +83,6 @@ def initial_log_map(num_shards: int, num_logs: int) -> LogMap:
         raise ConfigurationError(
             f"{num_shards} shards cannot form {num_logs} equal log groups")
     group = num_shards // num_logs
-    return LogMap(log_epoch=0,
+    return LogMap(epoch=0,
                   assignment=tuple(s // group for s in range(num_shards)),
                   num_logs=num_logs)
-
-
-class LogMapRegistry:
-    """Append-only history of agreed log maps, indexed by log epoch.
-
-    Shared by every role of one simulated deployment (like the partition
-    map registry): the contents are a pure function of the agreed
-    ``LogMapChange`` history, so appends are idempotent by epoch -- a map
-    already derived by another role is confirmed, never replaced.  Per-node
-    log-epoch *cursors* live with the queue / execution / client roles;
-    the registry only answers "what was the map at epoch e".
-    """
-
-    def __init__(self, initial: LogMap) -> None:
-        if initial.log_epoch != 0:
-            raise ConfigurationError("the initial log map must be epoch 0")
-        self._maps: List[LogMap] = [initial]
-
-    @property
-    def latest_epoch(self) -> int:
-        return len(self._maps) - 1
-
-    @property
-    def latest(self) -> LogMap:
-        return self._maps[-1]
-
-    def log_of(self, shard: int) -> int:
-        """The log ordering ``shard``'s feed under the newest map."""
-        return self._maps[-1].assignment[shard]
-
-    def map_for(self, log_epoch: int) -> LogMap:
-        if not 0 <= log_epoch < len(self._maps):
-            raise KeyError(f"no log map for epoch {log_epoch}")
-        return self._maps[log_epoch]
-
-    def has_epoch(self, log_epoch: int) -> bool:
-        return 0 <= log_epoch < len(self._maps)
-
-    def append(self, new_map: LogMap) -> None:
-        """Record the map for ``latest_epoch + 1`` (idempotent by epoch)."""
-        if new_map.log_epoch <= self.latest_epoch:
-            return  # already derived by another role of this deployment
-        if new_map.log_epoch != self.latest_epoch + 1:
-            raise ConfigurationError(
-                f"log maps must be appended in epoch order (have "
-                f"{self.latest_epoch}, got {new_map.log_epoch})")
-        self._maps.append(new_map)
-
-    def snapshot(self) -> dict:
-        return self.latest.snapshot()

@@ -77,16 +77,6 @@ class LogMapChange(ConfigOperation):
                 self.parent_log_epoch)
 
 
-def log_map_change_of(
-        certificates: Tuple[Certificate, ...]) -> Optional[LogMapChange]:
-    """The log-map change carried by a batch, if it is one (same
-    single-certificate shape as :func:`~repro.sharding.messages.map_change_of`)."""
-    if (len(certificates) == 1
-            and isinstance(certificates[0].payload, LogMapChange)):
-        return certificates[0].payload
-    return None
-
-
 def client_marker_key(request: ClientRequest) -> MarkerKey:
     """Marker key of a cross-group client marker batch."""
     return (XS_MARKER, request.client.name, request.timestamp)

@@ -5,7 +5,10 @@ Every agreement replica of log ``l`` hosts a
 of its own log group (judged by the epoch-versioned
 :class:`~repro.multilog.logmap.LogMap`), and the queue builds one
 :class:`CrossLogRound`: the **cross-log coordination round** for operations
-spanning groups.  The round has one artifact, the
+spanning groups.  The round never classifies a batch itself: whether a
+batch is a marker or a log-map change, and which shards it touches, is the
+queue's router answer for it (:class:`~repro.sharding.router.BatchRoute`).
+The round has one artifact, the
 :class:`~repro.multilog.messages.CrossLogBinding`, and one release rule,
 which every queue applies for itself:
 
@@ -62,13 +65,13 @@ from ..crypto.certificate import Authenticator, Certificate
 from ..messages.agreement import OrderedBatch
 from ..net.message import Message
 from ..obs import request_trace_id
-from ..sharding.messages import config_op_of, cross_shard_request_of
+from ..sharding.router import CROSS_SHARD, LOG_MAP_CHANGE, BatchRoute
+from ..util.epochs import EpochRegistry
 from ..util.ids import NodeId
-from .logmap import LogMap, LogMapRegistry
+from .logmap import LogMap
 from .messages import (LMC_MARKER, XS_MARKER, CrossLogBinding,
                        CrossLogBindingBody, CrossLogBindingFetch, LogMapChange,
-                       MarkerKey, client_marker_key, log_map_change_of,
-                       marker_key_of)
+                       MarkerKey, client_marker_key, marker_key_of)
 
 #: released markers whose own binding stays servable to a still-holding
 #: peer.  Also what is buffered ahead of a hold -- bindings tallied per
@@ -104,7 +107,7 @@ class CrossLogRound:
     """One router queue's part in the cross-log round of log ``log``."""
 
     def __init__(self, queue, log: int, log_agreement_ids: List[List[NodeId]],
-                 log_registry: LogMapRegistry) -> None:
+                 log_registry: EpochRegistry[LogMap]) -> None:
         self.queue = queue
         self.log = log
         self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
@@ -187,48 +190,47 @@ class CrossLogRound:
         return self.log_epoch != parent or any(
             key[0] == LMC_MARKER for key in self._held)
 
-    def _coordination_of(self, batch: OrderedBatch):
-        """``(marker key, touched logs)`` if ``batch`` needs a cut here.
+    def _coordination_of(self, route: BatchRoute):
+        """``(marker key, touched logs)`` if the batch of ``route`` needs
+        a cut here.
 
-        Judged at this queue's release-head log epoch, so every correct
+        Judged at this queue's release-head epochs, so every correct
         replica of this log classifies identically at the same position of
         its own order.  A stale or malformed log-map change needs no cut
         (it is deterministically rejected at routing), and a multi-shard
         marker whose shards all live in one group releases immediately.
         """
-        change = log_map_change_of(batch.request_certificates)
-        if change is not None:
-            if not self.applies(change):
+        if route.kind == LOG_MAP_CHANGE:
+            if not self.applies(route.change):
                 return None
-            return change.marker_key(), tuple(range(self.num_logs))
-        queue = self.queue
-        request = queue._cross_shard_marker_of(batch)
-        if request is None:
+            return route.change.marker_key(), tuple(range(self.num_logs))
+        if route.kind != CROSS_SHARD:
             return None
-        shards = queue.router.shards_of_operation_keys(request.operation,
-                                                       epoch=queue.epoch)
         lmap = self._log_map()
-        logs = tuple(sorted({lmap.log_of(shard) for shard in shards}))
+        logs = tuple(sorted({lmap.log_of(shard) for shard in route.shards}))
         if len(logs) < 2:
             return None
-        return client_marker_key(request), logs
+        return client_marker_key(route.marker), logs
 
     # ------------------------------------------------------------------ #
     # Binding emission.
     # ------------------------------------------------------------------ #
 
-    def on_stage(self, seq: int, certificates) -> None:
-        """A batch newly staged at ``seq``: bind it if it is a marker, and
-        note a log-map change to bind once the prefix below it is staged.
-        A queue with no other log has nobody to bind for."""
+    def on_stage(self, batch: OrderedBatch) -> None:
+        """A batch newly staged: bind it if it is a marker, and note a
+        log-map change to bind once the prefix below it is staged.  A queue
+        with no other log has nobody to bind for."""
         if not self.peer_ids:
             return
-        self._maybe_bind_marker(seq, certificates)
-        if log_map_change_of(certificates) is not None:
-            self._unbound_changes.add(seq)
+        route = self.queue._route_of(batch)
+        if route.kind == CROSS_SHARD:
+            self._bind_marker(batch.seq, client_marker_key(route.marker))
+        elif route.kind == LOG_MAP_CHANGE:
+            self._unbound_changes.add(batch.seq)
 
-    def _maybe_bind_marker(self, seq: int, certificates) -> None:
-        """Bind a committing cross-shard marker to its sequence number.
+    def _bind_marker(self, seq: int, key: MarkerKey) -> None:
+        """Bind a committing cross-shard marker to its sequence number
+        (classified at the staging epoch).
 
         Emitted for *every* globally multi-shard marker, whether or not
         its shards span log groups here: emission is then a pure function
@@ -238,14 +240,6 @@ class CrossLogRound:
         their staging -- a within-group marker's bindings are simply never
         waited on.
         """
-        queue = self.queue
-        if not queue.config.cross_shard.enabled:
-            return
-        request = cross_shard_request_of(certificates)
-        if request is None or not queue.router.is_cross_shard(
-                request, epoch=queue.epoch):
-            return
-        key = client_marker_key(request)
         bound = self._bound.get(key)
         if bound is not None and bound.body.seq == seq:
             return
@@ -275,13 +269,14 @@ class CrossLogRound:
             batch = queue._staged.get(below)
             if batch is None:
                 return  # a gap: the next staging tries again
-            if config_op_of(batch.request_certificates) is not None:
+            route = queue._route_of(batch)
+            if route.change is not None:
                 self._unbound_changes.discard(seq)
                 return
-            for shard in queue._route_targets(batch):
+            for shard in self.owned(route.shards):
                 parts[shard] += 1
         self._unbound_changes.discard(seq)
-        change = log_map_change_of(queue._staged[seq].request_certificates)
+        change = queue._route_of(queue._staged[seq]).change
         if self.applies(change):
             self._emit_binding(change.marker_key(), self._change_binding(
                 change, seq, queue._next_shard_seq[change.shard]
@@ -433,19 +428,21 @@ class CrossLogRound:
         certified binding.  A queue with no other log waits for nobody."""
         if not self.peer_ids:
             return False
-        coordination = self._coordination_of(batch)
+        route = self.queue._route_of(batch)
+        coordination = self._coordination_of(route)
         if coordination is None:
             return False
         key, touched = coordination
-        hold = self._held.get(key) or self._open_hold(batch, key, touched)
+        hold = self._held.get(key) or self._open_hold(batch.seq, route, key,
+                                                      touched)
         return bool(self._lacking(key, hold))
 
-    def _open_hold(self, batch: OrderedBatch, key: MarkerKey,
+    def _open_hold(self, seq: int, route: BatchRoute, key: MarkerKey,
                    touched: Tuple[int, ...]) -> _Hold:
         queue = self.queue
-        change = log_map_change_of(batch.request_certificates)
+        change = route.change
         hold = self._held[key] = _Hold(
-            touched=touched, seq=batch.seq,
+            touched=touched, seq=seq,
             source=(None if change is None
                     else self._log_map().log_of(change.shard)),
             fetch=PendingSend(
@@ -486,15 +483,14 @@ class CrossLogRound:
                 change, hold.seq, self.queue._next_shard_seq[change.shard] + 1)
         self._emit_binding(key, body)
 
-    def held_marker(self, batch: OrderedBatch) -> Optional[MarkerKey]:
-        """The key of the client marker ``batch`` is, if it held here."""
-        if not self._held:
+    def held_marker(self, route: BatchRoute) -> Optional[MarkerKey]:
+        """The key of the client marker ``route`` names, if it held here."""
+        if not self._held or route.kind != CROSS_SHARD:
             return None
-        request = self.queue._cross_shard_marker_of(batch)
-        key = None if request is None else client_marker_key(request)
+        key = client_marker_key(route.marker)
         return key if key in self._held else None
 
-    def cut(self, batch: OrderedBatch, change: LogMapChange) -> None:
+    def cut(self, batch: OrderedBatch, route: BatchRoute) -> None:
         """Route a released log-map change to this log's group and apply it.
 
         Every log routes the marker to each shard it owns *pre-cut* (so
@@ -507,6 +503,7 @@ class CrossLogRound:
         and its slot answered vacuously, on every correct replica alike.
         """
         queue = self.queue
+        change = route.change
         self._unbound_changes.discard(batch.seq)
         key = change.marker_key()
         current = self._log_map()
@@ -515,10 +512,10 @@ class CrossLogRound:
             queue._vacuous_answer(batch.seq)
             self.finish(key)
             return
-        queue._send_parts(batch, queue._route_targets(batch))
+        queue._send_parts(batch, self.owned(route.shards))
         new_map = current.move(change.shard, change.target_log)
         self.log_registry.append(new_map)
-        self.log_epoch = new_map.log_epoch
+        self.log_epoch = new_map.epoch
         self.log_map_cuts += 1
         if self.log == change.target_log:
             # What the hold certified of the source log (never this one).

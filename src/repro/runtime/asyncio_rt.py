@@ -100,6 +100,9 @@ from ..util.ids import NodeId
 from .interface import Runtime
 
 _HEADER = 4  # frame length prefix, big-endian
+#: how often (wall milliseconds) ``run_until`` re-checks its predicate
+#: while the event loop runs
+POLL_INTERVAL_MS = 0.5
 #: a longer frame is a corrupt or hostile stream, not a message: the largest
 #: real ones (state transfers, range handoffs) are a few hundred kilobytes
 MAX_FRAME_BYTES = 1 << 24
@@ -145,11 +148,10 @@ class RealTimeScheduler:
     simulator backend uses.
     """
 
-    def __init__(self, seed: int = 0, poll_interval_ms: float = 0.5) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.loop = asyncio.new_event_loop()
         self.random = DeterministicRandom(seed)
         self.obs: ObservabilityHub = DISABLED_HUB
-        self.poll_interval_ms = poll_interval_ms
         self._origin = self.loop.time()
         self._events_processed = 0
         #: the first exception a message handler or timer callback raised,
@@ -285,7 +287,7 @@ class RealTimeScheduler:
 
     async def _poll(self, predicate: Callable[[], bool], deadline: float,
                     description: str) -> None:
-        interval = self.poll_interval_ms / 1000.0
+        interval = POLL_INTERVAL_MS / 1000.0
         while True:
             if self._failure is not None or predicate():
                 return
@@ -686,8 +688,7 @@ class AsyncioRuntime(Runtime):
 
     def __init__(self, config: SystemConfig, seed: int) -> None:
         self.config = config
-        self.scheduler = RealTimeScheduler(
-            seed, poll_interval_ms=config.runtime.poll_interval_ms)
+        self.scheduler = RealTimeScheduler(seed)
         self.network = RealTimeNetwork(
             self.scheduler, topology=Topology.full(), config=config)
         self._closed = False

@@ -12,8 +12,9 @@ while ordering capacity stays fixed.
 
 * :mod:`~repro.sharding.partitioner` -- deterministic hash / key-range
   partitioners;
-* :mod:`~repro.sharding.router` -- operation -> owning shard mapping shared
-  by agreement nodes, execution replicas, and clients;
+* :mod:`~repro.sharding.router` -- the routing rules (what a batch is,
+  which shard owns what at an epoch) shared by agreement nodes, execution
+  replicas, and clients;
 * :mod:`~repro.sharding.queue` -- the shard-routing message queue installed
   in each agreement node;
 * :mod:`~repro.sharding.execution` -- shard execution replicas with misroute
@@ -39,8 +40,6 @@ from .messages import (
     ShardedBatch,
     ShardLocalBatch,
     SubReplyBody,
-    cross_shard_request_of,
-    map_change_of,
 )
 from .partitioner import (
     DEFAULT_SHARD,
@@ -49,7 +48,6 @@ from .partitioner import (
     MovedRange,
     Partitioner,
     PartitionMap,
-    PartitionMapRegistry,
     make_partitioner,
 )
 from .queue import ShardRouterQueue
@@ -67,10 +65,8 @@ __all__ = [
     "KeyRangePartitioner",
     "MapChange",
     "SubReplyBody",
-    "cross_shard_request_of",
     "MovedRange",
     "PartitionMap",
-    "PartitionMapRegistry",
     "Partitioner",
     "RangeFetch",
     "RangeHandoff",
@@ -86,6 +82,5 @@ __all__ = [
     "ShardRouterQueue",
     "apply_map_change",
     "make_partitioner",
-    "map_change_of",
     "sharded_topology",
 ]

@@ -5,9 +5,10 @@ A :class:`ShardExecutionNode` is an ordinary
 replicas of *its own shard* and whose sequence space is the shard-local one
 assigned by the shard routers.  The node converts each incoming
 :class:`~repro.sharding.messages.ShardedBatch` into a
-:class:`~repro.sharding.messages.ShardLocalBatch` by re-deriving, with its own
-router *at the envelope's partition-map epoch*, the subset of requests it
-owns -- so the inherited pipeline (in-order execution, gap fetch, per-shard
+:class:`~repro.sharding.messages.ShardLocalBatch` holding the subset of
+requests it owns, which it asks its own router's batch question
+(:meth:`~repro.sharding.router.ShardRouter.route`) for *at the envelope's
+partition-map epoch* -- so the inherited pipeline (in-order execution, gap fetch, per-shard
 checkpoints, reply cache, state transfer) runs unchanged on shard-local
 sequence numbers, and a misrouted or tampered envelope is rejected rather
 than executed.
@@ -68,12 +69,12 @@ from ..crypto.keys import Keystore
 from ..messages.agreement import OrderedBatch
 from ..messages.checkpoint import BatchTransfer
 from ..messages.reply import BatchReplyBody, ReplyBody
-from ..messages.request import ClientRequest
 from ..multilog.messages import LogMapChange
 from ..net.message import Message
 from ..sim.scheduler import Scheduler, Timer
 from ..statemachine.interface import StateMachine
 from ..util.ids import NodeId
+from ..util.seqtable import SeqTable
 from .crossshard import CrossShardOperations
 from .cut import ShareExchange
 from .handoff import RangeHandoffs
@@ -86,11 +87,8 @@ from .messages import (
     RouteVoucher,
     ShardedBatch,
     ShardLocalBatch,
-    config_op_of,
-    cross_shard_request_of,
-    map_change_of,
 )
-from .router import ShardRouter
+from .router import CROSS_SHARD, LOG_MAP_CHANGE, MAP_CHANGE, ShardRouter
 
 #: vouched route binding for one shard-local slot: (agreement-certificate
 #: body digest, routing epoch, ordering log -- None outside multi-log)
@@ -138,7 +136,7 @@ class ShardExecutionNode(ExecutionNode):
         #: this replica's partition-map epoch (bumps exactly at cut markers)
         self.epoch = 0
         #: route state per shard-local slot
-        self._slots: Dict[int, _Slot] = {}
+        self._slots: SeqTable[int, _Slot] = SeqTable()
         #: every agreement log's replica ids (a log-map cut may hand this
         #: cluster's feed to another log)
         self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
@@ -353,23 +351,20 @@ class ShardExecutionNode(ExecutionNode):
     def _localize(self, message: ShardedBatch) -> Optional[ShardLocalBatch]:
         """Build this shard's view of the envelope (None if nothing is owned).
 
-        The three batch kinds differ only in the owned subset: an epoch-cut
-        marker owns no client requests (the cut semantics execute at its
-        shard-local slot), a cross-shard marker travels whole (each touched
-        cluster re-derives its owned key subset at execution), and an
-        ordinary batch owns the requests this node's router maps here.
+        The router's answer at the envelope's epoch says what the batch
+        owns here: a config marker owns no client requests (the cut
+        semantics execute at its shard-local slot), a cross-shard marker
+        travels whole to each touched cluster (each re-derives its owned
+        key subset at execution), and an ordinary batch owns the requests
+        the router maps here.  A batch owning nothing -- a marker addressed
+        to a cluster none of its keys live on, a forged future epoch -- is
+        a misroute.
         """
         batch = message.batch
-        if config_op_of(batch.request_certificates) is not None:
-            owned: Tuple = ()
-        elif self._cross_touched(batch.request_certificates,
-                                 message.epoch) is not None:
-            owned = batch.request_certificates
-        else:
-            owned = self._owned_requests(batch.request_certificates,
-                                         message.epoch)
-            if not owned:
-                return None
+        route = self.router.route(batch.request_certificates, message.epoch)
+        owned = route.owned(self.shard)
+        if not owned and route.change is None:
+            return None
         return ShardLocalBatch(
             shard=self.shard, seq=message.shard_seq, global_seq=batch.seq,
             view=batch.view, request_certificates=owned,
@@ -377,47 +372,11 @@ class ShardExecutionNode(ExecutionNode):
             agreement_certificate=batch.agreement_certificate,
             nondet=batch.nondet, epoch=message.epoch, log=message.log)
 
-    def _cross_touched(self, certificates: Tuple,
-                       epoch: int) -> Optional[List[int]]:
-        """The shards a cross-shard marker batch touches, if the batch is
-        one *this* cluster participates in (None otherwise: not a marker,
-        cross-shard disabled, an unknown epoch, or a marker addressed to a
-        cluster that owns none of its keys -- a misroute)."""
-        if not self.config.cross_shard.enabled:
-            return None
-        request = cross_shard_request_of(certificates)
-        if request is None:
-            return None
-        try:
-            touched = self.router.shards_of_operation_keys(request.operation,
-                                                           epoch)
-        except KeyError:
-            return None
-        if len(touched) < 2 or self.shard not in touched:
-            return None
-        return touched
-
-    def _owned_requests(self, certificates: Tuple, epoch: int) -> Tuple:
-        """The subset of a batch's request certificates this shard owns at
-        ``epoch`` (empty when the epoch is unknown -- a forged future epoch
-        cannot be judged, so nothing is owned under it).  A cross-shard
-        request inside a mixed batch is owned by nobody: markers travel
-        alone, so only a Byzantine sender builds such a batch."""
-        try:
-            return tuple(
-                cert for cert in certificates
-                if isinstance(cert.payload, ClientRequest)
-                and self.router.shard_of_request(cert.payload, epoch) == self.shard
-                and not (self.config.cross_shard.enabled
-                         and self.router.is_cross_shard(cert.payload, epoch))
-            )
-        except KeyError:
-            return ()
-
     def _validate_batch(self, batch: ShardLocalBatch) -> bool:
         """The agreement certificate covers the *global* sequence number and
         the digest of the full batch; a config marker carries no client
-        request.  Client authenticators are verified for the owned requests
+        request (it is the one local batch owning nothing).  Client
+        authenticators are verified for the owned requests
         only (a cross-shard marker's one request is owned whole) unless
         ``perf.shard_verify_owned_only`` is off: the agreement certificate
         carries 2f + 1 commits, so at least f + 1 *correct* agreement
@@ -429,7 +388,7 @@ class ShardExecutionNode(ExecutionNode):
                                         batch.view, certificates,
                                         self.config.agreement_quorum, self.agreement_ids):
             return False
-        if config_op_of(certificates) is not None:
+        if not batch.request_certificates:
             return True
         verified = (batch.request_certificates
                     if self.config.perf.shard_verify_owned_only
@@ -457,19 +416,17 @@ class ShardExecutionNode(ExecutionNode):
         return self._blocked() is None
 
     def _execute_batch(self, batch: ShardLocalBatch) -> None:
-        certificates = batch.full_request_certificates
-        config_op = config_op_of(certificates)
-        if config_op is not None:
-            change = map_change_of(certificates)
-            if change is not None:
-                self.handoffs.execute(change)
+        route = self.router.route(batch.full_request_certificates, batch.epoch)
+        if route.kind == MAP_CHANGE:
+            self.handoffs.execute(route.change)
+        if route.change is not None:
             # The slot bookkeeping runs *before* a log-map cut: the reply
             # must travel under the membership that ordered the marker,
             # because the cut may repoint this cluster's upstream at a
             # different agreement log.
             self.finish_marker_slot(batch)
-            if isinstance(config_op, LogMapChange):
-                self._follow_log_map_change(config_op)
+            if route.kind == LOG_MAP_CHANGE:
+                self._follow_log_map_change(route.change)
             return
         if batch.epoch != self.epoch:
             # Defence in depth: an accepted binding always matches the
@@ -482,9 +439,8 @@ class ShardExecutionNode(ExecutionNode):
             self._slots.pop(batch.seq, None)
             self._request_missing(batch.seq)
             return
-        touched = self._cross_touched(certificates, batch.epoch)
-        if touched is not None:
-            self.cross_shard.execute(batch, touched)
+        if route.kind == CROSS_SHARD:
+            self.cross_shard.execute(batch, route.shards)
             return
         super()._execute_batch(batch)
 
@@ -541,9 +497,9 @@ class ShardExecutionNode(ExecutionNode):
         the retrying client is waiting for the assembled reply, not the
         (empty) marker-slot bundle."""
         super()._resend_replies(batch)
-        request = cross_shard_request_of(batch.full_request_certificates)
-        if request is not None:
-            self.cross_shard.resend(request.client, request.timestamp)
+        route = self.router.route(batch.full_request_certificates, batch.epoch)
+        if route.kind == CROSS_SHARD:
+            self.cross_shard.resend(route.marker.client, route.marker.timestamp)
 
     # ------------------------------------------------------------------ #
     # Checkpoints carry the epoch (state transfer must land in the right
@@ -583,5 +539,4 @@ class ShardExecutionNode(ExecutionNode):
         self.cross_shard.trim()
         horizon = self.max_executed - 2 * self.config.checkpoint_interval
         if horizon > 0:
-            self._slots = {seq: slot for seq, slot in self._slots.items()
-                           if seq > horizon}
+            self._slots.trim(horizon)

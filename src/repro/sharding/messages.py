@@ -21,7 +21,10 @@ restricted to the requests this shard owns (recomputed locally, never
 trusted from the wire).  Because it quacks like an ``OrderedBatch``, the
 entire unsharded execution pipeline -- pending ordering, gap fetch,
 checkpointing, garbage collection, state transfer -- runs unmodified on
-shard-local sequence numbers.
+shard-local sequence numbers.  What a batch is (a config operation, a
+marker, an ordinary batch) and who owns what of it is never read off these
+messages' shape by their receivers: they ask the router
+(:mod:`repro.sharding.router`).
 
 :class:`MapChange` is the rebalancing config operation: the primary places
 it in an ordinary agreed batch, and its position in the global order *is*
@@ -54,7 +57,6 @@ from typing import Any, Dict, Optional, Tuple
 from ..crypto.certificate import Authenticator, Certificate
 from ..messages.agreement import (AgreementCertBody, ConfigOperation,
                                   OrderedBatch, body_bytes)
-from ..messages.request import ClientRequest, EncryptedBody
 from ..net.message import Message
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
@@ -97,57 +99,6 @@ class MapChange(ConfigOperation):
         if self.kind == "move":
             return self.to_key is not None and self.to_key != self.key
         return True
-
-
-def map_change_of(certificates: Tuple[Certificate, ...]) -> Optional[MapChange]:
-    """The map change carried by a batch, if it is a map-change batch.
-
-    A map-change batch contains exactly one certificate whose payload is a
-    :class:`MapChange`; anything else (including a change smuggled into a
-    mixed batch) is not a config operation.
-    """
-    if len(certificates) == 1 and isinstance(certificates[0].payload, MapChange):
-        return certificates[0].payload
-    return None
-
-
-def config_op_of(
-        certificates: Tuple[Certificate, ...]) -> Optional[ConfigOperation]:
-    """The config operation carried by a batch, if it is a config batch.
-
-    The generic form of :func:`map_change_of`: exactly one certificate
-    whose payload is *any* :class:`ConfigOperation` subclass (a partition
-    :class:`MapChange`, a multi-log ``LogMapChange``, ...).  Execution
-    nodes use this to treat every config marker uniformly -- no owned
-    requests, an empty-batch reply -- while the routing layer branches on
-    the concrete type.
-    """
-    if (len(certificates) == 1
-            and isinstance(certificates[0].payload, ConfigOperation)):
-        return certificates[0].payload
-    return None
-
-
-def cross_shard_request_of(
-        certificates: Tuple[Certificate, ...]) -> Optional[ClientRequest]:
-    """The client request of a *candidate* cross-shard marker batch.
-
-    Structural test only: a marker batch carries exactly one certificate
-    whose payload is a plain (unencrypted) :class:`ClientRequest` -- the
-    same single-certificate shape as a config operation, except the
-    certificate is the client's own.  Whether the request's keys actually
-    span shards is judged by the caller with its router at the governing
-    epoch; a multi-key operation whose keys all live on one shard routes
-    like any other request.
-    """
-    if len(certificates) != 1:
-        return None
-    request = certificates[0].payload
-    if not isinstance(request, ClientRequest):
-        return None
-    if isinstance(request.operation, EncryptedBody):
-        return None
-    return request
 
 
 @dataclass(frozen=True)

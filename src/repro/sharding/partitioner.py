@@ -13,11 +13,12 @@ of the fixed execution clusters.
 **Epochs.**  Dynamic rebalancing (``repro.sharding.rebalance``) evolves the
 map through *epochs*: a map change (split a range, merge two adjacent ones,
 move a boundary) agreed through the ordinary agreement log produces epoch
-``e + 1`` from epoch ``e``.  The append-only :class:`PartitionMapRegistry`
-keeps every map ever agreed, so a participant can answer "who owned key k at
-epoch e" for any epoch it has learned -- which is exactly what the
-deterministic cut semantics need: batches at or below the map-change batch in
-the agreed order route by epoch ``e``, batches above it by ``e + 1``.
+``e + 1`` from epoch ``e``.  The append-only
+:class:`~repro.util.epochs.EpochRegistry` keeps every map ever agreed, so a
+participant can answer "who owned key k at epoch e" for any epoch it has
+learned -- which is exactly what the deterministic cut semantics need:
+batches at or below the map-change batch in the agreed order route by epoch
+``e``, batches above it by ``e + 1``.
 
 Keyless operations (``key is None``) fall through to shard 0 so that every
 operation has a well-defined owner (rebalancing never moves the keyless
@@ -34,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..config import ShardingConfig
 from ..errors import ConfigurationError
+from ..util.epochs import EpochRegistry
 
 #: shard that owns operations without an extractable key
 DEFAULT_SHARD = 0
@@ -210,48 +212,6 @@ def key_in_range(key: str, lo: Optional[str], hi: Optional[str]) -> bool:
     return True
 
 
-class PartitionMapRegistry:
-    """Append-only history of agreed partition maps, indexed by epoch.
-
-    The registry contents are a pure function of the agreed config-operation
-    history, so every correct node derives the same sequence of maps;
-    appends are idempotent by epoch (a map already derived by another role
-    on the same simulated deployment is simply confirmed, never replaced).
-    """
-
-    def __init__(self, initial: PartitionMap) -> None:
-        if initial.epoch != 0:
-            raise ConfigurationError("the initial partition map must be epoch 0")
-        self._maps: List[PartitionMap] = [initial]
-
-    @property
-    def latest_epoch(self) -> int:
-        return len(self._maps) - 1
-
-    @property
-    def latest(self) -> PartitionMap:
-        return self._maps[-1]
-
-    def map_for(self, epoch: int) -> PartitionMap:
-        if not 0 <= epoch < len(self._maps):
-            raise KeyError(f"no partition map for epoch {epoch}")
-        return self._maps[epoch]
-
-    def has_epoch(self, epoch: int) -> bool:
-        return 0 <= epoch < len(self._maps)
-
-    def append(self, new_map: PartitionMap) -> None:
-        """Record the map for ``latest_epoch + 1`` (idempotent by epoch)."""
-        if new_map.epoch <= self.latest_epoch:
-            return  # already derived by another role of this deployment
-        if new_map.epoch != self.latest_epoch + 1:
-            raise ConfigurationError(
-                f"partition maps must be appended in epoch order (have "
-                f"{self.latest_epoch}, got {new_map.epoch})"
-            )
-        self._maps.append(new_map)
-
-
 class Partitioner(ABC):
     """Maps routing keys to shard indices in ``[0, num_shards)``."""
 
@@ -305,9 +265,9 @@ class KeyRangePartitioner(Partitioner):
     Constructed from ``num_shards - 1`` sorted split keys (the epoch-0 map
     assigns range ``i`` to cluster ``i``, reproducing the original static
     behaviour); rebalancing appends later epochs to the shared
-    :class:`PartitionMapRegistry`, and lookups take the epoch whose map
-    should answer -- per-node epoch cursors live with the queue, execution,
-    and client roles, never here.
+    :class:`~repro.util.epochs.EpochRegistry`, and lookups take the epoch
+    whose map should answer -- per-node epoch cursors live with the queue,
+    execution, and client roles, never here.
     """
 
     def __init__(self, boundaries: Sequence[str]) -> None:
@@ -316,12 +276,7 @@ class KeyRangePartitioner(Partitioner):
         initial = PartitionMap(epoch=0, boundaries=tuple(boundaries),
                                owners=tuple(range(num_shards)),
                                num_clusters=num_shards)
-        self.registry = PartitionMapRegistry(initial)
-
-    @property
-    def boundaries(self) -> Tuple[str, ...]:
-        """The *latest* map's boundaries (kept for introspection)."""
-        return self.registry.latest.boundaries
+        self.registry: EpochRegistry[PartitionMap] = EpochRegistry(initial)
 
     @property
     def latest_epoch(self) -> int:
@@ -329,9 +284,6 @@ class KeyRangePartitioner(Partitioner):
 
     def has_epoch(self, epoch: int) -> bool:
         return self.registry.has_epoch(epoch)
-
-    def map_for(self, epoch: int) -> PartitionMap:
-        return self.registry.map_for(epoch)
 
     def _shard_of(self, key: str, epoch: Optional[int]) -> int:
         pmap = (self.registry.latest if epoch is None

@@ -20,9 +20,14 @@ waiting for earlier batches to be *answered*, so a stalled shard never
 holds back another shard's feed -- and the shard-local sequence numbers
 assigned at release are a pure function of the committed prefix.
 
-A batch touching requests of several shards (possible when ``bundle_size >
-1``) is sent to *every* owning shard; each shard executes only the subset it
-owns, so cross-shard bundles cost bandwidth but never violate ownership.
+What a batch is and which shards own what of it is the router's answer
+(:meth:`~repro.sharding.router.ShardRouter.route`), asked once per batch at
+the queue's epoch cursor and kept from staging to release
+(:meth:`ShardRouterQueue._route_of`); the queue and its cross-log round only
+read it.  A batch touching requests of several shards (possible when
+``bundle_size > 1``) is sent to *every* owning shard; each shard executes
+only the subset it owns, so cross-shard bundles cost bandwidth but never
+violate ownership.
 
 **One body per replica.**  ``shard_seq`` is not covered by the agreement
 certificate, so an execution replica accepts a routing binding only once
@@ -60,9 +65,10 @@ ordered by that replica's proposer.
 
 The proposer asks this queue what a request is
 (:meth:`ShardRouterQueue.request_shard`,
-:meth:`ShardRouterQueue.cross_shards`), judged at the live epoch, so a
-freshly admitted request queues by the map that will route it; routing at
-release stays authoritative if the epoch moves in between.
+:meth:`ShardRouterQueue.cross_shards`): the router's operation question at
+the live epoch, so a freshly admitted request queues by the map that will
+route it; routing at release stays authoritative if the epoch moves in
+between.
 
 Reply certificates are assembled per shard: ``g + 1`` matching
 authenticators must come from the replicas of the shard named inside the
@@ -89,19 +95,19 @@ from ..messages.agreement import OrderedBatch
 from ..messages.checkpoint import FetchBatch
 from ..messages.reply import BatchReply
 from ..messages.request import ClientRequest
-from ..multilog.logmap import LogMapRegistry
-from ..multilog.messages import (CrossLogBinding, CrossLogBindingFetch,
-                                 log_map_change_of)
+from ..multilog.logmap import LogMap
+from ..multilog.messages import CrossLogBinding, CrossLogBindingFetch
 from ..multilog.queue import CrossLogRound
 from ..net.message import Message
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
+from ..util.epochs import EpochRegistry
 from ..util.ids import NodeId
 from ..util.seqtable import SeqTable
-from .messages import (RouteVoucher, ShardedBatch, cross_shard_request_of,
-                       map_change_of)
+from .messages import RouteVoucher, ShardedBatch
 from .rebalance import RebalanceController, ShardLoadWindow, apply_map_change
-from .router import ShardRouter
+from .router import (CROSS_SHARD, LOG_MAP_CHANGE, MAP_CHANGE, BatchRoute,
+                     ShardRouter)
 
 #: (shard, shard-local sequence number)
 ShardPart = Tuple[int, int]
@@ -115,7 +121,7 @@ class ShardRouterQueue(QueueCore):
                  shard_execution_ids: List[List[NodeId]],
                  client_ids: List[NodeId], router: ShardRouter,
                  log: int, log_agreement_ids: List[List[NodeId]],
-                 log_registry: LogMapRegistry,
+                 log_registry: EpochRegistry[LogMap],
                  shard_threshold_groups: Optional[List[str]] = None) -> None:
         super().__init__(owner, config, client_ids)
         self.router = router
@@ -130,12 +136,15 @@ class ShardRouterQueue(QueueCore):
         self._next_shard_seq: List[int] = [0] * self.num_shards
         #: committed batches staged out of global order, keyed by global seq
         self._staged: Dict[int, OrderedBatch] = {}
+        #: the router's answer for each staged batch (:meth:`_route_of`)
+        self._routes: Dict[int, BatchRoute] = {}
         #: highest global sequence number released to the shard frontiers
         #: (every batch at or below it has been routed)
         self._released_seq = 0
         #: book-keeping for batches awaiting their reply, keyed by shard part
         self.shard_pending: Dict[ShardPart, PendingSend] = {}
-        #: shard parts not yet answered, per shard: shard_seq -> global seq
+        #: shard parts not yet answered, per shard: shard_seq -> global seq,
+        #: in release order (which is shard-seq order)
         self._unanswered: List[Dict[int, int]] = [dict() for _ in range(self.num_shards)]
         #: global seq -> number of shard parts still awaiting a reply
         self._parts_outstanding: Dict[int, int] = {}
@@ -233,15 +242,15 @@ class ShardRouterQueue(QueueCore):
         A marker is bound for the cross-log round as it stages.
         """
         if seq > self._released_seq and seq not in self._staged:
-            certificates = tuple(request_certificates)
-            self.cross_log.on_stage(seq, certificates)
-            self.max_n = max(self.max_n, seq)
-            self._staged[seq] = OrderedBatch(
-                seq=seq, view=view, request_certificates=certificates,
+            batch = self._staged[seq] = OrderedBatch(
+                seq=seq, view=view,
+                request_certificates=tuple(request_certificates),
                 agreement_certificate=agreement_certificate, nondet=nondet)
+            self.cross_log.on_stage(batch)
+            self.max_n = max(self.max_n, seq)
             self._staged_at[seq] = self.owner.now
             if self.owner.tracing:
-                self._trace_requests(certificates, "stage")
+                self._trace_requests(batch.request_certificates, "stage")
             self._advance_release_frontier()
             self._g_staged.set(len(self._staged))
         self.cross_log.bind_staged_change()
@@ -259,73 +268,48 @@ class ShardRouterQueue(QueueCore):
             self._route_batch(next_batch)
             self._note_checkpoint_cut(self._released_seq)
 
+    def _route_of(self, batch: OrderedBatch) -> BatchRoute:
+        """The router's answer for ``batch`` at this queue's epoch cursor:
+        asked once per batch (again only if a cut moved the cursor since),
+        so staging, the release head and release all read one answer.  It
+        tells what a staged batch *will* route to, too: the answer is a
+        pure function of the batch and the epoch."""
+        route = self._routes.get(batch.seq)
+        if route is None or route.epoch != self.epoch:
+            route = self._routes[batch.seq] = self.router.route(
+                batch.request_certificates, self.epoch)
+        return route
+
     def _route_batch(self, batch: OrderedBatch) -> None:
-        """Advance the per-shard frontiers over one released batch."""
+        """Advance the per-shard frontiers over one released batch: its
+        parts go to the shards the router names that this log's group owns.
+
+        A map-change marker's envelope is stamped with the epoch the marker
+        *closes*.  A cross-shard marker's slot in each touched shard's local
+        sequence is a consistent cut over the global prefix: the release
+        frontier has already fed each of those shards every earlier batch
+        (the operation's own *pinned* epoch is judged against the routing
+        epoch at execution, where a mismatch aborts deterministically).
+        """
+        route = self._route_of(batch)
+        del self._routes[batch.seq]
         self._observe_release(batch)
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")
-        log_change = log_map_change_of(batch.request_certificates)
-        if log_change is not None:
-            self.cross_log.cut(batch, log_change)
+        if route.kind == LOG_MAP_CHANGE:
+            self.cross_log.cut(batch, route)
             return
-        held = self.cross_log.held_marker(batch)
+        held = self.cross_log.held_marker(route)
         if held is not None:
             self.cross_log_markers += 1
-        change = map_change_of(batch.request_certificates)
-        if change is None:
-            if self._cross_shard_marker_of(batch) is not None:
+        if route.kind != MAP_CHANGE:
+            if route.kind == CROSS_SHARD:
                 self.cross_shard_markers += 1
-            self._note_load(batch)
-        self._send_parts(batch, self._route_targets(batch))
-        if change is not None:
-            self._apply_cut(change)
+            self._note_load(route)
+        self._send_parts(batch, self.cross_log.owned(route.shards))
+        if route.kind == MAP_CHANGE:
+            self._apply_cut(route.change)
         self.cross_log.finish(held)
-
-    def _route_targets(self, batch: OrderedBatch) -> List[int]:
-        """The shards ``batch`` is routed to when it is released under this
-        queue's current epochs: a pure function of the batch and the epoch
-        cursors, so it also tells what a staged batch *will* route to.
-
-        A map-change marker goes to *every* cluster -- each one assigns it
-        the next shard-local sequence number, so each cluster's replicas
-        meet the epoch cut at a deterministic point in their own execution
-        order (clusters untouched by the move just bump their epoch and
-        reply); its envelope is stamped with the epoch the marker *closes*.
-        A cross-shard marker goes to every cluster its keys touch at the
-        release epoch -- the release frontier has already fed each of those
-        shards every earlier batch of the agreed order, so the marker's slot
-        in each shard's local sequence is a consistent cut over the global
-        prefix (the operation's own *pinned* epoch is judged against the
-        routing epoch at execution, where a mismatch aborts
-        deterministically).  A log-map change goes to every shard this log
-        owns *pre-cut* (a stale one to none).  Any other batch goes to the
-        shards owning its requests.  Only this log's group is routed to.
-        """
-        certificates = batch.request_certificates
-        if (log_change := log_map_change_of(certificates)) is not None:
-            shards = (range(self.num_shards)
-                      if self.cross_log.applies(log_change) else ())
-        elif map_change_of(certificates) is not None:
-            shards = range(self.num_shards)
-        elif (cross := self._cross_shard_marker_of(batch)) is not None:
-            shards = self.router.shards_of_operation_keys(cross.operation,
-                                                          epoch=self.epoch)
-        else:
-            if self.config.cross_shard.enabled and len(certificates) > 1:
-                # A cross-shard request smuggled into a mixed bundle (only
-                # a faulty primary builds one -- honest primaries order
-                # markers alone) is excluded from routing at the release
-                # epoch, the same epoch execution replicas judge ownership
-                # at: no shard ever executes it against partial state, and
-                # the client's retransmission re-orders it as a marker.
-                certificates = tuple(
-                    certificate for certificate in certificates
-                    if not (isinstance(certificate.payload, ClientRequest)
-                            and self.router.is_cross_shard(certificate.payload,
-                                                           epoch=self.epoch)))
-            shards = self.router.shards_of_certificates(certificates,
-                                                        epoch=self.epoch)
-        return self.cross_log.owned(shards)
 
     def _observe_release(self, batch: OrderedBatch) -> None:
         staged_at = self._staged_at.pop(batch.seq, None)
@@ -400,40 +384,9 @@ class ShardRouterQueue(QueueCore):
             self.highest_reply_seq += 1
             self._answered.discard(self.highest_reply_seq)
 
-    def _cross_shard_marker_of(self, batch: OrderedBatch):
-        """The batch's client request if it is a cross-shard marker here.
-
-        Judged at this queue's *release* epoch, so every correct replica
-        classifies identically at the same log position: a multi-key
-        request whose keys collapsed onto one shard (a rebalance merged
-        them between ordering and release) simply routes as a normal batch
-        and executes locally on that shard.
-        """
-        if not self.config.cross_shard.enabled:
-            return None
-        request = cross_shard_request_of(batch.request_certificates)
-        if request is None or not self.router.is_cross_shard(request,
-                                                             epoch=self.epoch):
-            return None
-        return request
-
-    def _note_load(self, batch: OrderedBatch) -> None:
+    def _note_load(self, route: BatchRoute) -> None:
         """Count one released batch into the rebalancer's load window."""
-        for certificate in batch.request_certificates:
-            request = certificate.payload
-            if not isinstance(request, ClientRequest):
-                continue
-            keys = self.router.keys_of_operation(request.operation)
-            if keys:
-                # Multi-key operation: every key loads its own cluster.
-                for key in keys:
-                    cluster = self.router.partitioner.shard_of_key(
-                        key, self.epoch)
-                    self.load_window.note(cluster, key)
-                    self.routed_by_shard[cluster] += 1
-                continue
-            key = self.router.routing_key(request)
-            cluster = self.router.shard_of_request(request, epoch=self.epoch)
+        for cluster, key in route.loads():
             self.load_window.note(cluster, key)
             self.routed_by_shard[cluster] += 1
 
@@ -495,16 +448,15 @@ class ShardRouterQueue(QueueCore):
         # that already executed make it re-serve its cached sub-reply
         # (and any assembled reply), which is also how a crashed
         # collator's duty falls over to the other touched clusters.
-        every_part = (self.config.cross_shard.enabled
-                      and self.router.is_cross_shard(request, epoch=self.epoch))
+        shards = self.router.targets(request.operation, self.epoch)
+        every_part = len(shards) > 1
         # A multi-shard bundle has one pending part per owning shard, each
         # carrying the full request list; resend only to the shard that owns
         # the retransmitted request -- the others cannot regenerate its
         # reply.  Ownership is judged by the *current* epoch; a part routed
         # pre-cut for a since-moved key is retransmitted by its own
         # pending-send timer regardless.
-        owner = (None if every_part
-                 else self.router.shard_of_request(request, epoch=self.epoch))
+        owner = None if every_part else shards[0]
         outcome = RetryOutcome.NEED_ORDER
         for (shard, _), pending in self.shard_pending.items():
             if ((every_part or shard == owner)
@@ -604,6 +556,7 @@ class ShardRouterQueue(QueueCore):
         for stale in [n for n in self._staged if n <= seq]:
             self._staged.pop(stale)
             self._staged_at.pop(stale, None)
+            self._routes.pop(stale, None)
         if seq > self._released_seq:
             self._released_seq = seq
             self._advance_release_frontier()
@@ -614,18 +567,14 @@ class ShardRouterQueue(QueueCore):
             self._advance_reply_watermark()
 
     def request_shard(self, request: ClientRequest) -> int:
-        """The shard ``request`` routes to at this queue's live epoch."""
-        return self.router.shard_of_request(request, epoch=self.epoch)
+        """The shard owning ``request`` at this queue's live epoch."""
+        return self.router.shard_of_operation(request.operation, self.epoch)
 
     def cross_shards(self, request: ClientRequest) -> Optional[List[int]]:
-        """The shards a multi-shard ``request`` touches at the live epoch
-        (``None`` for a single-shard one, or with cross-shard operations
-        off)."""
-        if not (self.config.cross_shard.enabled
-                and self.router.is_cross_shard(request, epoch=self.epoch)):
-            return None
-        return self.router.shards_of_operation_keys(request.operation,
-                                                    epoch=self.epoch)
+        """The shards a cross-shard marker ``request`` touches at the live
+        epoch (``None`` for any other request)."""
+        shards = self.router.targets(request.operation, self.epoch)
+        return shards if len(shards) > 1 else None
 
     def load_observation(self):
         """The rebalance controller's inputs: the current observation
@@ -676,15 +625,17 @@ class ShardRouterQueue(QueueCore):
         body = certificate.payload
         shard, shard_seq = body.shard, body.seq
         # The shard executes in shard-local order, so a reply for shard_seq
-        # settles every part of this shard at or below it.
-        for part in [key for key in self.shard_pending
-                     if key[0] == shard and key[1] <= shard_seq]:
-            pending = self.shard_pending.pop(part)
+        # settles every part of this shard at or below it: the front of its
+        # table, which holds its parts in release (shard-seq) order.
+        unanswered = self._unanswered[shard]
+        while unanswered:
+            settled = next(iter(unanswered))
+            if settled > shard_seq:
+                break
+            global_seq = unanswered.pop(settled)
+            pending = self.shard_pending.pop((shard, settled))
             if pending.timer is not None:
                 pending.timer.cancel()
-        settled = [s for s in self._unanswered[shard] if s <= shard_seq]
-        for s in sorted(settled):
-            global_seq = self._unanswered[shard].pop(s)
             remaining = self._parts_outstanding.get(global_seq, 0) - 1
             if remaining <= 0:
                 self._parts_outstanding.pop(global_seq, None)

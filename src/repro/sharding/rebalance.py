@@ -35,6 +35,10 @@ from ..config import RebalanceConfig
 from .messages import MapChange
 from .partitioner import PartitionMap, key_in_range
 
+#: upper bound on the number of key ranges a sequence of splits may create
+#: (bounds the partition-map size)
+MAX_RANGES = 64
+
 
 def apply_map_change(pmap: PartitionMap, change: MapChange) -> Optional[PartitionMap]:
     """Apply ``change`` to ``pmap``; ``None`` if it is not applicable.
@@ -211,7 +215,7 @@ class RebalanceController:
 
     def _propose_split(self, window: ShardLoadWindow,
                        pmap: PartitionMap) -> Optional[MapChange]:
-        if pmap.num_ranges >= self.config.max_ranges:
+        if pmap.num_ranges >= MAX_RANGES:
             return None
         per_cluster = window.requests_by_cluster
         mean = window.total / max(len(per_cluster), 1)

@@ -43,11 +43,12 @@ from ..agreement.replica import AgreementReplica
 from ..config import AuthenticationScheme, SystemConfig
 from ..core.system import SimulatedSystem
 from ..errors import ConfigurationError
-from ..multilog.logmap import LogMapRegistry, initial_log_map
+from ..multilog.logmap import initial_log_map
 from ..multilog.messages import LogMapChange
 from ..net.topology import Topology
 from ..sim.process import Process
 from ..statemachine.interface import StateMachine
+from ..util.epochs import EpochRegistry
 from ..util.ids import NodeId, agreement_id, client_id, execution_id
 from ..core.client import ClientNode
 from .execution import ShardExecutionNode
@@ -116,10 +117,11 @@ class ShardedSystem(SimulatedSystem):
             key_extractor = getattr(app_factory, "extract_key", None)
         multi_key_extractor = getattr(app_factory, "extract_keys", None)
         self.router = ShardRouter(make_partitioner(config.sharding),
-                                  key_extractor, multi_key_extractor)
+                                  key_extractor, multi_key_extractor,
+                                  cross_shard=config.cross_shard.enabled)
         self.obs.register_global_probe("shard_router", self.router.snapshot)
-        self.log_registry = LogMapRegistry(initial_log_map(num_shards,
-                                                           num_logs))
+        self.log_registry = EpochRegistry(initial_log_map(num_shards,
+                                                          num_logs))
         self.obs.register_global_probe("log_map", self.log_registry.snapshot)
 
         self.log_agreement_ids: List[List[NodeId]] = [
@@ -164,7 +166,7 @@ class ShardedSystem(SimulatedSystem):
             cluster: List[ShardExecutionNode] = []
             group = (shard_threshold_groups[shard]
                      if shard_threshold_groups is not None else None)
-            owner_ids = self.log_agreement_ids[self.log_registry.log_of(shard)]
+            owner_ids = self.log_agreement_ids[self._log_of(shard)]
             for node_id in shard_ids:
                 node = ShardExecutionNode(
                     node_id=node_id, scheduler=self.scheduler, config=config,
@@ -217,12 +219,16 @@ class ShardedSystem(SimulatedSystem):
                 request_verifiers=request_verifiers,
                 reply_quorum=config.reply_quorum,
                 reply_clusters=self.shard_execution_ids, router=self.router,
-                log_of_shard=self.log_registry.log_of,
+                log_of_shard=self._log_of,
             ))
 
     # ------------------------------------------------------------------ #
     # Log-map reconfiguration.
     # ------------------------------------------------------------------ #
+
+    def _log_of(self, shard: int) -> int:
+        """The log ordering ``shard``'s feed under the newest log map."""
+        return self.log_registry.latest.log_of(shard)
 
     def propose_log_map_change(self, shard: int, target_log: int) -> bool:
         """Order one shard's move between log groups through *every* log.
@@ -243,7 +249,7 @@ class ShardedSystem(SimulatedSystem):
                               parent_log_epoch=parent)
         if not change.well_formed(self.num_shards, self.num_logs):
             return False
-        if self.log_registry.log_of(shard) == target_log:
+        if self._log_of(shard) == target_log:
             return False
         if any(queue.cross_log.changing(parent)
                for queue in self.message_queues):

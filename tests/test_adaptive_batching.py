@@ -12,6 +12,7 @@ import pytest
 
 from conftest import FAST_TIMERS, make_config
 from repro.agreement.batching import (
+    BUNDLE_DECREASE,
     CONGESTION_REQUESTS,
     AdaptiveBundleController,
     Batcher,
@@ -59,7 +60,7 @@ class TestControllerUnit:
         grown = controller.current
         assert grown > 2
         controller.on_take(backlog_before=1, taken=1, in_flight=0)
-        assert controller.current == max(1, int(grown * ADAPTIVE.decrease_factor))
+        assert controller.current == max(1, int(grown * BUNDLE_DECREASE))
 
     def test_partial_take_under_congestion_does_not_shrink(self):
         controller = AdaptiveBundleController(ADAPTIVE)
@@ -100,8 +101,6 @@ class TestControllerUnit:
             BatchingConfig(mode="magic").validate()
         with pytest.raises(ConfigurationError):
             BatchingConfig(mode="adaptive", min_bundle=4, max_bundle=2).validate()
-        with pytest.raises(ConfigurationError):
-            BatchingConfig(decrease_factor=1.5).validate()
 
     def test_batcher_exposes_controller_size(self):
         batcher = Batcher(1, controller=AdaptiveBundleController(ADAPTIVE))

@@ -367,15 +367,3 @@ class TestColocatedCacheSharing:
         for replica, node in zip(different.agreement_replicas,
                                  different.execution_nodes):
             assert node.crypto.cache is not replica.crypto.cache
-
-    def test_sharing_disabled_by_switch(self):
-        from repro.config import Deployment
-        from repro.core import SeparatedSystem
-
-        system = SeparatedSystem(
-            make_config(deployment=Deployment.SAME,
-                        perf=PerfConfig(share_colocated_cache=False)),
-            KeyValueStore, seed=22)
-        for replica, node in zip(system.agreement_replicas,
-                                 system.execution_nodes):
-            assert node.crypto.cache is not replica.crypto.cache

@@ -106,8 +106,8 @@ def test_a_view_change_in_one_log_redirects_only_that_logs_requests():
     log0, log1 = system.log_agreement_ids
     # Shards 0 and 1 belong to log 0, shards 2 and 3 to log 1.
     key0, key1 = skew_key(4), skew_key(52)
-    assert system.log_registry.log_of(system.shard_of_key(key0)) == 0
-    assert system.log_registry.log_of(system.shard_of_key(key1)) == 1
+    assert system.log_registry.latest.log_of(system.shard_of_key(key0)) == 0
+    assert system.log_registry.latest.log_of(system.shard_of_key(key1)) == 1
     system.invoke(put(key0, "a"))
     system.invoke(put(key1, "a"))
 

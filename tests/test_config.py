@@ -105,13 +105,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(timers=TimerConfig(batch_timeout_ms=0.0))
 
-    def test_view_change_backoff_must_not_shrink(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(timers=TimerConfig(view_change_backoff=0.5))
-        assert SystemConfig(
-            timers=TimerConfig(view_change_backoff=1.0)
-        ).timers.view_change_backoff == 1.0
-
 
 class TestConstructors:
     def test_paper_configurations_build(self):

@@ -32,19 +32,22 @@ from repro.apps.kvstore import (
     transaction,
 )
 from repro.config import (
+    AuthenticationScheme,
     CrossShardConfig,
     ShardingConfig,
     SystemConfig,
 )
 from repro.errors import ConfigurationError
+from repro.messages.request import ClientRequest
 from repro.net.network import DROP
 from repro.sharding import (
     CrossShardReply,
     CrossShardVote,
     MapChange,
+    ShardedBatch,
     ShardedSystem,
-    cross_shard_request_of,
 )
+from repro.sharding.router import CROSS_SHARD, ORDINARY
 from repro.statemachine.nondet import NonDetInput
 from repro.workloads import (
     audit_snapshot_consistency,
@@ -115,8 +118,9 @@ class TestKvstoreMultiKey:
         assert extract_keys(put("k", 1)) is None
         assert extract_keys(get("k")) is None
 
-    def test_cross_shard_request_of_requires_single_certificate(self):
-        assert cross_shard_request_of(()) is None
+    def test_an_empty_batch_is_no_marker(self):
+        route = make_system().router.route((), epoch=0)
+        assert route.kind == ORDINARY and route.shards == []
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -226,6 +230,62 @@ class TestConsistentCut:
         # a local failure completes the request like a reply does
         assert system.total_completed() == 2 == sum(
             len(each.completed) for each in system.clients)
+
+
+class TestSmuggledBundle:
+    """A cross-shard request inside a mixed bundle (only a faulty primary
+    builds one) is owned by nobody; the same request alone is a marker."""
+
+    def test_bundle_parts_are_ordinary_and_the_request_alone_is_a_marker(self):
+        config = make_config(
+            sharding=ShardingConfig(num_shards=2, strategy="range",
+                                    range_boundaries=("key-5",)),
+            cross_shard=CrossShardConfig(enabled=True))
+        system = ShardedSystem(config, KeyValueStore, seed=33)
+        system.invoke(put("key-0", 0))
+        ordered = system.execution_node(0, 0).recent_batches[1]
+        client = system.clients[0]
+
+        def certificate(timestamp, operation):
+            request = ClientRequest(operation=operation, timestamp=timestamp,
+                                    client=client.node_id)
+            return client.crypto.new_certificate(
+                request, AuthenticationScheme.MAC, client.request_verifiers)
+
+        low = certificate(10, put("key-1", 1))
+        high = certificate(11, put("key-7", 7))
+        spanning = certificate(12, multi_get(["key-2", "key-8"]))
+        envelopes = {}
+
+        def capture(source, destination, message):
+            if isinstance(message, ShardedBatch):
+                envelopes[message.shard] = message
+
+        system.network.add_tap(capture)
+        queue = system.message_queues[0]  # the primary's: it sends bodies
+
+        def release(certificates):
+            envelopes.clear()
+            queue.stage_batch(seq=queue._released_seq + 1, view=0,
+                              request_certificates=certificates,
+                              agreement_certificate=ordered.agreement_certificate,
+                              nondet=ordered.nondet)
+            return {shard: system.execution_node(shard, 0)._localize(envelope)
+                    for shard, envelope in envelopes.items()}
+
+        bundle = (low, high, spanning)
+        assert system.router.route(bundle, epoch=0).kind == ORDINARY
+        local = release(bundle)
+        assert sorted(local) == [0, 1] and queue.cross_shard_markers == 0
+        assert local[0].request_certificates == (low,)
+        assert local[1].request_certificates == (high,)
+
+        route = system.router.route((spanning,), epoch=0)
+        assert route.kind == CROSS_SHARD and route.shards == [0, 1]
+        local = release((spanning,))
+        assert sorted(local) == [0, 1] and queue.cross_shard_markers == 1
+        assert all(each.request_certificates == (spanning,)
+                   for each in local.values())
 
 
 # ---------------------------------------------------------------------- #

@@ -11,7 +11,8 @@ import dataclasses
 import pytest
 
 from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
-from repro.agreement.replica import VIEW_CHANGE_BACKOFF_CAP_MS
+from repro.agreement.replica import (VIEW_CHANGE_BACKOFF,
+                                     VIEW_CHANGE_BACKOFF_CAP_MS)
 from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import KeyValueStore, get, put
 from repro.config import (AuthenticationScheme, NetworkConfig, SystemConfig,
@@ -104,7 +105,7 @@ class TestViewChangeDefences:
         for attempts in range(6):
             replica._view_change_attempts = attempts
             delays.append(replica._escalation_delay_ms())
-        assert delays[0] == timers.view_change_ms * timers.view_change_backoff
+        assert delays[0] == timers.view_change_ms * VIEW_CHANGE_BACKOFF
         assert all(later >= earlier
                    for earlier, later in zip(delays, delays[1:]))
         assert delays[-1] == max(VIEW_CHANGE_BACKOFF_CAP_MS,

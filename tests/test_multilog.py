@@ -218,6 +218,35 @@ class TestConstruction:
                    and queue.cross_log.bindings_rejected == 0
                    for queue in all_queues(system))
 
+    def test_each_queue_asks_the_batch_question_once_per_batch(self):
+        """Staging, the cross-log round's hold and release read one router
+        answer per batch (the epoch never moves under multi-log ordering)."""
+        system = make_system()
+        router = system.router
+        asked = [0] * len(system.message_queues)
+
+        class Counting:
+            def __init__(self, index):
+                self.index = index
+
+            def __getattr__(self, name):
+                return getattr(router, name)
+
+            def route(self, certificates, epoch):
+                asked[self.index] += 1
+                return router.route(certificates, epoch)
+
+        for index, queue in enumerate(system.message_queues):
+            queue.router = Counting(index)
+        seed_system(system)
+        for stamp in ("first", "second"):
+            assert system.invoke(cross_group_txn(stamp)).result.value.get(
+                "committed") is True
+        system.run(500.0)
+        for queue, count in zip(system.message_queues, asked):
+            assert queue.cross_log_markers == 2
+            assert 0 < count <= queue._released_seq + len(queue._staged)
+
 
 # ---------------------------------------------------------------------- #
 # Marker atomicity across a view change in one touched log.
@@ -630,11 +659,12 @@ class TestSnapshotGroupsOfTheReadsEpoch:
         from repro.apps.kvstore import multi_get
         from repro.core.client import CompletedRequest
         from repro.fuzz.oracles import SnapshotConsistencyOracle
-        from repro.multilog.logmap import LogMap, LogMapRegistry
+        from repro.multilog.logmap import LogMap
         from repro.statemachine.interface import OperationResult
+        from repro.util.epochs import EpochRegistry
 
-        registry = LogMapRegistry(LogMap(log_epoch=0, assignment=(0, 0, 1, 1),
-                                         num_logs=2))
+        registry = EpochRegistry(LogMap(epoch=0, assignment=(0, 0, 1, 1),
+                                        num_logs=2))
         registry.append(registry.latest.move(2, 0))
         record = CompletedRequest(
             timestamp=9, operation=multi_get(list(self.KEYS)),

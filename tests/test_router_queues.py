@@ -26,7 +26,7 @@ from repro.core import SeparatedSystem
 from repro.core.message_queue import MessageQueue, QueueCore
 from repro.messages.request import ClientRequest
 from repro.multilog.queue import MultiLogRouterQueue
-from repro.sharding import MapChange, ShardedSystem, map_change_of
+from repro.sharding import MapChange, ShardedSystem
 from repro.sharding.queue import ShardRouterQueue
 from repro.workloads import equal_range_boundaries
 from repro.workloads.crossshard import audit_key
@@ -170,12 +170,14 @@ class TestRetryHint:
             enabled=True, min_window_requests=10**9))
         for node in system.execution_cluster(0)[:2]:
             node.crash()  # shard 0 cannot answer: its marker part stays pending
-        assert system.agreement_replicas[0].proposer.propose_map_change(MapChange(
-            kind="split", parent_epoch=0, key=skew_key(8), owner=1))
+        change = MapChange(kind="split", parent_epoch=0, key=skew_key(8),
+                           owner=1)
+        assert system.agreement_replicas[0].proposer.propose_map_change(change)
         queue = system.message_queues[0]
         system.run_until(
-            lambda: any(map_change_of(pending.batch.batch.request_certificates)
-                        for pending in queue.shard_pending.values()),
+            lambda: any(certificate.payload == change
+                        for pending in queue.shard_pending.values()
+                        for certificate in pending.batch.batch.request_certificates),
             5_000.0, "the marker pending at shard 0")
         client = system.clients[0]
         request = ClientRequest(operation=put(skew_key(0), "v"), timestamp=1,

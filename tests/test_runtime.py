@@ -671,7 +671,7 @@ class TestTransport:
 
 class TestRealTimeScheduler:
     def test_timers_fire_in_order_and_cancel(self):
-        scheduler = RealTimeScheduler(seed=0, poll_interval_ms=0.5)
+        scheduler = RealTimeScheduler(seed=0)
         fired = []
         scheduler.call_after(10.0, lambda: fired.append("late"))
         scheduler.call_after(1.0, lambda: fired.append("early"))
@@ -688,7 +688,7 @@ class TestRealTimeScheduler:
         assert scheduler.events_processed >= 2
 
     def test_run_until_timeout_raises(self):
-        scheduler = RealTimeScheduler(seed=0, poll_interval_ms=0.5)
+        scheduler = RealTimeScheduler(seed=0)
         try:
             with pytest.raises(LivenessTimeoutError):
                 scheduler.run_until(lambda: False, timeout=20.0,

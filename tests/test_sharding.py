@@ -473,8 +473,8 @@ class TestOneBatchCheck:
         def consulted(*args, **kwargs):
             raise AssertionError("the router was asked at validation")
 
-        for name in ("shard_of_request", "is_cross_shard",
-                     "shards_of_operation_keys"):
+        for name in ("route", "request_owners", "touched", "targets",
+                     "shard_of_operation"):
             monkeypatch.setattr(node.router, name, consulted)
         assert node._validate_batch(local)
         assert not node._validate_batch(dataclasses.replace(

@@ -8,6 +8,10 @@ Each certificate rule has one home, ``crypto/provider.py``: the
 domain-separation prefixes of the simulated signatures and the batch-digest
 formula appear nowhere else, nothing outside ``crypto/`` combines threshold
 shares, and the old per-queue quorum collector does not come back.
+
+Each routing rule has one home, ``sharding/router.py``: what a batch is
+and what each shard owns of it is asked of the router, never re-derived
+from the batch's shape or the request's keys elsewhere.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ CEILINGS = {
     "agreement/replica.py:AgreementReplica": 723,
 }
 PROVIDER = "crypto/provider.py"
+ROUTER = "sharding/router.py"
+#: the batch-shape helpers and the router's per-request classification:
+#: only the router calls (or defines) them
+ROUTING_RULES = {
+    "map_change_of", "config_op_of", "cross_shard_request_of",
+    "log_map_change_of", "is_cross_shard", "shards_of_operation_keys",
+    "shards_of_certificates", "shards_of_requests", "shard_of_request",
+    "request_owners", "_cross_shard_marker_of", "_cross_touched",
+    "_owned_requests",
+}
 
 
 def modules():
@@ -77,3 +91,20 @@ def test_every_certificate_rule_has_one_home():
     assert batch_digests == [PROVIDER]
     assert combiners == []
     assert collectors == []
+
+
+def test_every_routing_rule_has_one_home():
+    elsewhere = set()
+    for path, tree in modules():
+        if path == ROUTER:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            elif isinstance(node, ast.FunctionDef):
+                name = node.name
+            else:
+                continue
+            if name in ROUTING_RULES:
+                elsewhere.add(f"{path}:{name}")
+    assert sorted(elsewhere) == []
