@@ -15,6 +15,9 @@ Measures, on a 4-shard range-partitioned kvstore:
    their cut, so a multi-shard read observing two different stamps is a
    torn snapshot (must never happen), and a conflict transaction (wrong
    expected read value) must abort on every replica.
+3. **census** -- sends and bytes per completed operation of the mixed
+   run, per message type (``NetworkStats.census()``): the reply path's
+   traffic shows as ``CrossShardSubReply``, one per touched replica.
 
 Results go to ``BENCH_crossshard.json``; ``--quick`` shrinks the windows
 for CI smoke runs, ``--check-regression`` gates against
@@ -152,8 +155,6 @@ def section_audit(mixed_system) -> Dict:
     audit = audit_snapshot_consistency(mixed_system.clients)
     invalid = sum(client.invalid_cross_shard_replies
                   for client in mixed_system.clients)
-    equivocations = sum(client.collator_equivocations
-                        for client in mixed_system.clients)
 
     print_section("Snapshot-consistency audit over completed multi-shard replies")
     print(format_table(
@@ -170,11 +171,26 @@ def section_audit(mixed_system) -> Dict:
         "aborted_txns": audit.aborted_txns,
         "conflict_commits": audit.conflict_commits,
         "invalid_replies": invalid,
-        "collator_equivocations": equivocations,
         "audit_pass": (audit.consistent and audit.audited_reads > 0
                        and audit.committed_txns > 0
                        and audit.aborted_txns > 0),
     }
+
+
+def section_census(mixed_system) -> Dict:
+    """Sends and bytes per completed operation over the whole mixed run
+    (seeding, window and drain), per message type."""
+    completed = max(mixed_system.total_completed(), 1)
+    per_type = {name: {"sends_per_op": counts["sends"] / completed,
+                       "bytes_per_op": counts["bytes"] / completed}
+                for name, counts in mixed_system.network.stats.census().items()}
+    print_section("Census: sends and bytes per completed operation")
+    print(format_table(
+        ["message type", "sends/op", "bytes/op"],
+        [[name, row["sends_per_op"], row["bytes_per_op"]]
+         for name, row in sorted(per_type.items(),
+                                 key=lambda item: -item[1]["bytes_per_op"])]))
+    return {"completed": completed, "per_type": per_type}
 
 
 def run_all(quick: bool, seed: int, workload_seed: int,
@@ -189,9 +205,10 @@ def run_all(quick: bool, seed: int, workload_seed: int,
         "observability": obs_enabled(),
         "throughput": throughput,
         "audit": section_audit(mixed_system),
+        "census": section_census(mixed_system),
     }
     # Collect after the audit's drain so the trace covers the full stream,
-    # including every cross-shard vote round and collation (the mixed run is
+    # including every cross-shard vote round and fragment (the mixed run is
     # this benchmark's primary measured system).
     critical_path = collect_critical_path(
         mixed_system, trace_output,

@@ -34,6 +34,9 @@ BENCH_REQUIRED = {"benchmark": str, "mode": str, "seed": int,
 #: the six canonical critical-path stages (always present in a breakdown)
 REQUIRED_STAGES = ("admit", "batch", "agree", "release", "execute", "reply")
 
+#: per-message-type fields of an optional census, both numeric
+CENSUS_FIELDS = ("sends_per_op", "bytes_per_op")
+
 #: per-stage summary fields, all numeric
 STAGE_FIELDS = ("samples", "mean_ms", "p50_ms", "p99_ms", "p999_ms", "max_ms")
 
@@ -64,6 +67,7 @@ def validate_bench(results: Dict, require_critical_path: bool = True) -> List[st
             errors.append(f"results.{field}: expected {kind.__name__}, "
                           f"got {type(results[field]).__name__}")
 
+    errors += validate_census(results.get("census"))
     critical_path = results.get("critical_path")
     if critical_path is None:
         if require_critical_path:
@@ -88,6 +92,23 @@ def validate_bench(results: Dict, require_critical_path: bool = True) -> List[st
             if not _is_number(summary.get(field)):
                 errors.append(f"critical_path.stages.{stage}.{field}: "
                               "missing or not a number")
+    return errors
+
+
+def validate_census(census) -> List[str]:
+    """Violations in an optional ``census`` (sends and bytes per completed
+    operation, per message type); None means the artifact has none."""
+    if census is None:
+        return []
+    if not isinstance(census, dict) or not isinstance(census.get("per_type"), dict):
+        return ["census: not a JSON object with a 'per_type' object"]
+    errors = [] if _is_number(census.get("completed")) else [
+        "census.completed: missing or not a number"]
+    for name, row in census["per_type"].items():
+        if not isinstance(row, dict) or not all(
+                _is_number(row.get(field)) for field in CENSUS_FIELDS):
+            errors.append(f"census.per_type.{name}: needs numeric "
+                          + " and ".join(CENSUS_FIELDS))
     return errors
 
 

@@ -18,7 +18,8 @@ reply     execute -> reply         reply certificate assembly + client vote
 
 Three optional stages appear when the workload exercises them: ``vote``
 (``vote_open -> vote_done``, the cross-shard read-set vote round),
-``collate`` (``execute -> collate``, multi-shard sub-reply collation), and
+``collate`` (``execute -> collate``, until the client certifies the last
+touched shard's sub-reply fragments of a multi-shard operation), and
 ``coordinate`` (``coordinate_open -> coordinate_done``, the time a
 cross-group marker spends holding a multi-log release frontier while the
 cross-log cut certifies).

@@ -239,9 +239,9 @@ class CrossShardConfig:
     agreement sequence number is a deterministic **consistent cut**: every
     touched shard's release frontier reaches the marker with exactly the
     agreed prefix below it executed, each touched cluster executes its
-    sub-operation against that frontier state, and the lowest touched
-    shard's cluster collates the per-shard ``g + 1``-certified sub-replies
-    into one client reply.
+    sub-operation against that frontier state, and every replica of every
+    touched cluster sends the client its sub-reply fragment; the client
+    answers once ``g + 1`` matching fragments certify each touched shard.
 
     Parameters
     ----------

@@ -157,7 +157,6 @@ class ClientNode(Process):
         self.cross_shard_completed = 0
         self.cross_shard_retries = 0
         self.invalid_cross_shard_replies = 0
-        self.collator_equivocations = 0
         #: the multi-shard operation path, which only a router can take
         self.cross_shard = None
         if router is not None:
@@ -217,8 +216,9 @@ class ClientNode(Process):
         certificate = self.crypto.new_certificate(
             request, AuthenticationScheme.MAC, self.request_verifiers)
         envelope = RequestEnvelope(certificate=certificate)
-        # The lowest touched shard answers: the owner, or a multi-shard
-        # operation's deterministic collator (unsharded: the one cluster).
+        # The owner's cluster answers (unsharded: the one cluster); a
+        # multi-shard operation's fragments come from every touched cluster,
+        # and its shard matters only if its keys collapse onto one.
         self._pending = _PendingRequest(
             timestamp=timestamp, operation=operation, envelope=envelope,
             issued_at_ms=self.now if issued_at is None else issued_at,
@@ -306,7 +306,7 @@ class ClientNode(Process):
         if isinstance(message, ClientReply):
             self.handle_reply(sender, message)
         elif self.cross_shard is not None:
-            self.cross_shard.on_message(message)
+            self.cross_shard.on_message(sender, message)
 
     def handle_reply(self, sender: NodeId, message: ClientReply) -> None:
         own = self._answer_to_pending(message)
@@ -314,8 +314,8 @@ class ClientNode(Process):
             return
         pending, body = self._pending, message.body
         if pending.cross is not None:
-            # A multi-shard operation completes through the assembled reply;
-            # an ordinary one counts only if its keys collapsed onto one
+            # A multi-shard operation completes through its fragments; an
+            # ordinary reply counts only if its keys collapsed onto one
             # shard (sharding.client.CrossShardRequests.collapses).
             if not self.cross_shard.collapses(pending, body):
                 return

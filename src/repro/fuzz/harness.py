@@ -155,7 +155,7 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
     "sharded": ScenarioSpec(name="sharded"),
     # rebalance wiring live: map_change events race handoffs and cuts
     "rebalance": ScenarioSpec(name="rebalance", rebalance=True),
-    # cross-shard markers + rebalance: votes, collations, and cuts race
+    # cross-shard markers + rebalance: votes, fragments, and cuts race
     "crossshard": ScenarioSpec(name="crossshard", rebalance=True,
                                cross_shard=True),
     # two agreement logs over four shards: cross-group markers, cross-log
@@ -350,8 +350,6 @@ def _system_counters(system: ShardedSystem) -> Dict[str, int]:
                               for client in system.clients),
         "cross_retries": sum(client.cross_shard_retries
                              for client in system.clients),
-        "collator_equivocations": sum(client.collator_equivocations
-                                      for client in system.clients),
         "net_dropped": system.network.faults.stats_dropped,
         "net_duplicated": system.network.faults.stats_duplicated,
         "net_corrupted": system.network.faults.stats_corrupted,
@@ -386,7 +384,7 @@ def compute_fingerprint(system: ShardedSystem) -> frozenset:
     Tokens are (a) consecutive trace-event *edges* per request -- the path a
     request took through submit/admit/order/commit/stage/release/execute/
     vote/collate/reply, which shifts under retransmissions, view changes,
-    handoff stalls, and cross-shard fallover -- and (b) log2-bucketed
+    handoff stalls, and cross-shard re-serves -- and (b) log2-bucketed
     protocol counters (epochs, cuts, handoffs, fetches, drops, views).  A
     schedule is *novel* when it contributes a token no earlier schedule
     produced.

@@ -126,7 +126,7 @@ class ExactlyOnceOracle(Oracle):
                         f"({record.timestamp} after {last_timestamp})"))
                 last_timestamp = max(last_timestamp, record.timestamp)
             total_remote += len(_remote_records(client))
-            # Cross-shard operations complete through the collation path;
+            # Cross-shard operations complete through their fragments;
             # the per-cluster executed counters account for their markers
             # differently, so only ordinary completions are comparable.
             total_remote -= getattr(client, "cross_shard_completed", 0)
@@ -232,7 +232,7 @@ class ReplyTableAuditOracle(Oracle):
     def _owning_cluster(self, system, router, clusters, record):
         """The cluster whose reply table should hold the record (None when
         the request is not single-shard-auditable, e.g. cross-shard ops
-        whose tables hold a placeholder, not the collated result)."""
+        whose tables hold a placeholder, not the assembled result)."""
         if router is None:
             return clusters[0] if len(clusters) == 1 else None
         try:
@@ -243,7 +243,7 @@ class ReplyTableAuditOracle(Oracle):
             return None
         value = record.result.value
         if isinstance(value, dict) and ("values" in value or "committed" in value):
-            # Completed through the cross-shard collation path; the reply
+            # Completed through cross-shard fragments; the reply
             # table holds the sub-reply placeholder, not this value.
             return None
         return clusters[shards[0]]

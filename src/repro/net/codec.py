@@ -136,11 +136,11 @@ def standard_types():
     from ..messages.request import ClientRequest, EncryptedBody, RequestEnvelope
     from ..multilog.messages import (CrossLogBinding, CrossLogBindingBody,
                                      CrossLogBindingFetch, LogMapChange)
-    from ..sharding.messages import (CrossShardReply, CrossShardSubReply,
-                                     CrossShardVote, CrossShardVoteFetch,
-                                     MapChange, RangeFetch, RangeHandoff,
-                                     RouteVoucher, ShardedBatch,
-                                     ShardLocalBatch, SubReplyBody)
+    from ..sharding.messages import (CrossShardSubReply, CrossShardVote,
+                                     CrossShardVoteFetch, MapChange,
+                                     RangeFetch, RangeHandoff, RouteVoucher,
+                                     ShardedBatch, ShardLocalBatch,
+                                     SubReplyBody)
     from ..statemachine.interface import Operation, OperationResult
     from ..statemachine.nondet import NonDetInput
 
@@ -169,7 +169,8 @@ def standard_types():
         (44, RangeHandoff, None, None), (45, SubReplyBody, None, None),
         (46, CrossShardSubReply, None, None), (47, CrossShardVote, None, None),
         (48, CrossShardVoteFetch, None, None),
-        (49, CrossShardReply, None, None), (50, RangeFetch, None, None),
+        # 49 is retired (an assembled cross-shard reply): never reuse it
+        (50, RangeFetch, None, None),
         (60, LogMapChange, None, None), (61, CrossLogBindingBody, None, None),
         (62, CrossLogBinding, None, None),
         (63, CrossLogBindingFetch, None, None),

@@ -12,7 +12,10 @@ where ``t_ms`` is the virtual clock reading at the hop.  The event
 vocabulary (``submit``, ``admit``, ``order``, ``commit``, ``stage``,
 ``release``, ``execute``, ``vote_open``, ``vote_done``, ``collate``,
 ``reply``) is what the critical-path analyzer in
-:mod:`repro.analysis.critical_path` folds into per-stage durations.
+:mod:`repro.analysis.critical_path` folds into per-stage durations.  Most
+events are recorded where the request is; ``collate`` is recorded by the
+client, when the last touched shard's fragments of a multi-shard operation
+certify.
 
 Recording is strictly append-only observation: no charges, no timers, no
 RNG, no wall clock, so identical seeds produce byte-identical traces and a

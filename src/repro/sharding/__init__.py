@@ -29,7 +29,6 @@ while ordering capacity stays fixed.
 from .client import ShardAwareClient
 from .execution import ShardExecutionNode
 from .messages import (
-    CrossShardReply,
     CrossShardSubReply,
     CrossShardVote,
     CrossShardVoteFetch,
@@ -56,7 +55,6 @@ from .router import ShardRouter
 from .system import ShardedSystem, sharded_topology
 
 __all__ = [
-    "CrossShardReply",
     "CrossShardSubReply",
     "CrossShardVote",
     "CrossShardVoteFetch",

@@ -10,9 +10,10 @@ touches more than one shard:
   ordering) and pins the client's epoch cursor into the signed request --
   the cut judges it, so a rebalance racing the marker aborts
   deterministically instead of answering from a torn key -> shard map;
-* **on the assembled reply**, it trusts nothing but the per-shard
-  ``g + 1``-certified fragments: it re-derives the result from them and
-  rejects a collator whose summary disagrees;
+* **on its fragments**, it trusts nothing but what ``g + 1`` replicas of
+  each touched shard certify: every touched replica sends it its
+  sub-reply fragment, and it assembles the answer from the certified
+  fragments alone;
 * **on a certified epoch retry** (the pinned epoch went stale under a
   rebalance cut), it adopts the newer epoch and re-issues, up to the retry
   limit;
@@ -27,13 +28,17 @@ performance ledger's tracer (``benchmarks/ledger/spans.py``) resolves it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
+from ..config import AuthenticationScheme
 from ..core.client import ClientNode, _PendingRequest
+from ..crypto.certificate import Certificate
 from ..messages.reply import BatchReplyBody
 from ..net.message import Message
+from ..obs import request_trace_id
 from ..statemachine.interface import Operation, OperationResult
-from .messages import CrossShardReply, SubReplyBody, sub_reply_rounds_consistent
+from ..util.ids import NodeId
+from .messages import CrossShardSubReply, SubReplyBody, sub_reply_rounds_consistent
 
 ShardAwareClient = ClientNode
 
@@ -47,6 +52,13 @@ class CrossShardRequest:
     #: the client's epoch cursor when the request was signed
     pinned: int
     retries: int = 0
+    #: partial sub-certificates merged per ``(shard, body digest)``
+    collectors: Dict[Hashable, Optional[Certificate]] = dataclasses.field(
+        default_factory=dict)
+    #: each sender's live collector key: one per sender bounds ``collectors``
+    senders: Dict[NodeId, Hashable] = dataclasses.field(default_factory=dict)
+    #: each touched shard's certified fragment
+    certified: Dict[int, SubReplyBody] = dataclasses.field(default_factory=dict)
 
 
 class CrossShardRequests:
@@ -61,7 +73,6 @@ class CrossShardRequests:
             "cross_shard_completed": client.cross_shard_completed,
             "cross_shard_retries": client.cross_shard_retries,
             "invalid_cross_shard_replies": client.invalid_cross_shard_replies,
-            "collator_equivocations": client.collator_equivocations,
         })
 
     # ------------------------------------------------------------------ #
@@ -126,36 +137,71 @@ class CrossShardRequests:
         client._expect(pending, body.shard)
         return True
 
-    def on_message(self, message: Message) -> None:
-        """Accept an assembled cross-shard reply on sub-certificate evidence.
+    def on_message(self, sender: NodeId, message: Message) -> None:
+        """Count one touched replica's sub-reply fragment towards its shard.
 
-        The collator's summary is never trusted: the result is re-derived
-        from the per-shard certified fragments, and a reply whose summary
-        disagrees is rejected -- an equivocating collator is detected, not
-        believed.
+        Only the sender's own MAC counts, only towards the shard whose
+        cluster it belongs to, and each sender holds one live collector key:
+        a Byzantine replica varying its body moves its own entry, never
+        crowds out an honest one.  A fragment for another client or another
+        timestamp is dropped without being stored.
         """
         client = self.client
         pending = client._pending
-        if (not isinstance(message, CrossShardReply) or pending is None
-                or pending.cross is None or message.client != client.node_id
-                or message.timestamp != pending.timestamp):
+        if (not isinstance(message, CrossShardSubReply) or pending is None
+                or pending.cross is None):
             return
-        bodies = self._verified_sub_bodies(pending, message)
-        if bodies is None:
+        body = message.certificate.payload
+        mac = message.certificate.authenticators.get(sender)
+        if (not isinstance(body, SubReplyBody) or mac is None
+                or mac.scheme is not AuthenticationScheme.MAC
+                or body.client != client.node_id
+                or body.timestamp != pending.timestamp
+                or not 0 <= body.shard < len(client.reply_clusters)
+                or sender not in client.reply_clusters[body.shard]):
+            return
+        cross = pending.cross
+        key = (body.shard, client.crypto.payload_digest(body))
+        previous = cross.senders.get(sender)
+        cross.senders[sender] = key
+        if (previous not in (None, key)
+                and cross.collectors.get(previous) is not None
+                and previous not in cross.senders.values()):
+            del cross.collectors[previous]
+        partial = Certificate(payload=body, scheme=AuthenticationScheme.MAC,
+                              authenticators={sender: mac})
+        if client.crypto.assemble(cross.collectors, key, partial,
+                                  client.reply_clusters[body.shard],
+                                  client.reply_quorum) is None:
+            return
+        cross.certified[body.shard] = body
+        self._answer(pending, body)
+
+    def _answer(self, pending: _PendingRequest, body: SubReplyBody) -> None:
+        """Complete (or retry) once every shard the operation touches at the
+        newly certified fragment's epoch is certified in one round."""
+        client, cross = self.client, pending.cross
+        expected = client._shards_at(pending, body.epoch)
+        if expected is None or body.shard not in expected:
             client.invalid_cross_shard_replies += 1
             return
+        if any(shard not in cross.certified for shard in expected):
+            return
+        bodies = [cross.certified[shard] for shard in expected]
+        if not sub_reply_rounds_consistent(bodies):
+            client.invalid_cross_shard_replies += 1
+            return
+        if client.tracing:
+            client.trace_event(request_trace_id(client.node_id,
+                                                pending.timestamp), "collate")
         first = bodies[0]
-        merged: Dict[str, Any] = {}
-        for body in sorted(bodies, key=lambda body: body.shard):
-            merged.update(body.values)
-        if message.assembled != merged:
-            client.collator_equivocations += 1
-            client.invalid_cross_shard_replies += 1
-            return
         if first.status == "epoch-retry":
             self._retry(pending, first.epoch)
             return
         client._adopt_epoch(first.epoch)
+        merged: Dict[str, Any] = {}
+        for fragment in bodies:
+            merged.update(fragment.values)
         if first.status == "ok":
             result = OperationResult(value={"values": merged},
                                      size=16 + 16 * len(merged))
@@ -168,32 +214,8 @@ class CrossShardRequests:
             result = OperationResult(value=None,
                                      error=f"cross-shard {first.status}")
         self._complete(pending, result, first.op_seq, first.view, tuple(
-            (body.shard, body.log) for body in bodies if body.log is not None))
-
-    def _verified_sub_bodies(self, pending: _PendingRequest,
-                             message: CrossShardReply
-                             ) -> Optional[List[SubReplyBody]]:
-        """The certified fragments, if they form one answer: same status,
-        epoch and marker sequence number (per log), exactly the shards the
-        operation touches at that epoch, and ``g + 1`` valid signers on each
-        from its own shard's replicas."""
-        client = self.client
-        bodies = [certificate.payload for certificate in message.sub_certificates]
-        if not bodies or not all(
-                isinstance(body, SubReplyBody) and body.client == client.node_id
-                and body.timestamp == pending.timestamp for body in bodies):
-            return None
-        if not sub_reply_rounds_consistent(bodies):
-            return None
-        expected = client._shards_at(pending, bodies[0].epoch)
-        if expected is None or sorted(body.shard for body in bodies) != expected:
-            return None
-        for certificate, body in zip(message.sub_certificates, bodies):
-            signers = client.crypto.valid_signers(
-                certificate, client.reply_clusters[body.shard])
-            if len(signers) < client.config.reply_quorum:
-                return None
-        return bodies
+            (fragment.shard, fragment.log) for fragment in bodies
+            if fragment.log is not None))
 
     def _retry(self, pending: _PendingRequest, epoch: int) -> None:
         """A certified deterministic abort: the operation's pinned epoch

@@ -5,19 +5,19 @@ cluster it touches; each executes its slice at the marker's shard-local
 slot, so its state is the agreed prefix below the marker -- the consistent
 cut.  A read-validating transaction first exchanges certified read-set
 observations with the peer shards (the vote round, a
-:class:`~repro.sharding.cut.ShareExchange`).  Every touched cluster sends
-its certified sub-reply fragment to all of them, each collates, and the
-lowest touched shard answers the client; a duplicate marker re-serves both
-instead of re-executing, which is also the crashed-collator fallover.
+:class:`~repro.sharding.cut.ShareExchange`).  Every replica of every
+touched cluster then sends its sub-reply fragment to the client, which
+assembles ``g + 1`` matching fragments per shard
+(:class:`~repro.sharding.client.CrossShardRequests`); a duplicate marker
+or a genuine retransmission of the envelope re-sends the cached fragment
+instead of re-executing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import AuthenticationScheme
-from ..crypto.certificate import Certificate
 from ..messages.reply import ReplyBody
 from ..messages.request import ClientRequest
 from ..obs import request_trace_id
@@ -25,54 +25,22 @@ from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
 from .cut import ShareExchange
 from .messages import (
-    CrossShardReply,
     CrossShardSubReply,
     CrossShardVote,
     CrossShardVoteFetch,
     ShardLocalBatch,
     SubReplyBody,
-    sub_reply_rounds_consistent,
     vote_payload,
 )
 
 #: (epoch, client, timestamp) identifying one cross-shard transaction's votes
 TxnKey = Tuple[int, NodeId, int]
 
-#: cap on *tentative* collations (sub-reply fragments buffered before this
-#: replica's own marker execution names the touched set)
-_COLLATION_BUFFER_CAP = 64
-
-#: cap on distinct not-yet-certified fragment collectors per collation (a
-#: Byzantine sender varying the body gets one collector per digest)
-_COLLECTOR_CAP = 32
-
-
-@dataclass
-class _Collation:
-    """Per-client assembly state for one cross-shard operation's sub-replies.
-
-    Every touched cluster's replicas run one of these (not just the
-    collator's): partial sub-certificates are merged per ``(shard, body
-    digest)`` until ``g + 1`` distinct signers of that shard vouch for the
-    fragment, and once every touched shard is certified the assembled
-    reply is cached -- the collator sends it immediately, the other
-    clusters re-serve it when a duplicate marker signals the client is
-    still waiting (the crashed-collator fallover path).
-    """
-
-    timestamp: int
-    #: touched shards, known once this replica executes its own marker slot
-    touched: Optional[List[int]] = None
-    collectors: Dict[Tuple[int, bytes], Optional[Certificate]] = field(default_factory=dict)
-    #: each touched shard's certified fragment (its payload is the body)
-    full: Dict[int, Certificate] = field(default_factory=dict)
-    reply: Optional[CrossShardReply] = None
-
-
 class CrossShardOperations(ShareExchange):
     """Cross-shard vote round: each replica of a touched cluster sends its
     read-set observations at the marker (:class:`CrossShardVote`), keyed
-    ``(epoch, client, timestamp)``; plus the sub-reply collation."""
+    ``(epoch, client, timestamp)``; plus the sub-reply each replica sends
+    the client."""
 
     label = "vote-fetch"
 
@@ -80,14 +48,12 @@ class CrossShardOperations(ShareExchange):
         super().__init__(node)
         #: latest own sub-reply per client (duplicate-marker resends)
         self._sub_replies: Dict[NodeId, CrossShardSubReply] = {}
-        #: collation state per (client, timestamp) -- keyed exactly, so a
-        #: forged fragment with an inflated timestamp can only waste one
-        #: bounded tentative slot, never displace genuine assembly state
-        self._collations: Dict[Tuple[NodeId, int], _Collation] = {}
         self.executed = 0
         self.commits = 0
         self.aborts = 0
         self.epoch_aborts = 0
+        #: sub-reply fragments sent to clients, first sends and re-sends
+        #: (the ``cross_shard_replies_sent`` probe key)
         self.replies_sent = 0
         # Observability (passive: never charges, never schedules).
         self._h_vote_round = node.metrics.histogram("crossshard.vote_round_ms")
@@ -138,10 +104,8 @@ class CrossShardOperations(ShareExchange):
         last = node.reply_table.get(request.client)
         if last is not None and request.timestamp <= last.timestamp:
             # A re-ordered duplicate (the client retransmitted after losing
-            # the assembled reply): consume the slot and re-serve the cached
-            # sub-reply and collation instead of re-executing -- this resend
-            # path is also how a crashed collator's duty falls over to the
-            # surviving touched clusters.
+            # fragments): consume the slot and re-serve the cached sub-reply
+            # instead of re-executing.
             node.duplicate_requests += 1
             node.finish_marker_slot(local)
             self.resend(request.client, request.timestamp)
@@ -152,7 +116,7 @@ class CrossShardOperations(ShareExchange):
                              "execute")
         outcome = self._outcome(local, request, operation, touched)
         if outcome is not None:
-            self._complete(local, request, touched, *outcome)
+            self._complete(local, request, *outcome)
         node.finish_marker_slot(local)
 
     def _key_owned(self, key: str) -> bool:
@@ -208,16 +172,14 @@ class CrossShardOperations(ShareExchange):
         return None
 
     def _complete(self, local: ShardLocalBatch, request: ClientRequest,
-                  touched: List[int], status: str,
-                  values: Dict[str, Any]) -> None:
-        """Emit this shard's certified sub-reply fragment.
+                  status: str, values: Dict[str, Any]) -> None:
+        """Send the client this replica's sub-reply fragment.
 
         The fragment body is sender-agnostic, so ``g + 1`` matching partials
-        from this cluster certify it; partials go to *every* touched
-        cluster's replicas (each assembles the full collation) and the
-        exactly-once reply-table entry makes duplicates replay the cached
-        fragment instead of re-executing -- including across range handoffs,
-        which migrate the table.
+        from this cluster certify it at the client; the exactly-once
+        reply-table entry makes duplicates re-send the cached fragment
+        instead of re-executing -- including across range handoffs, which
+        migrate the table.
         """
         node = self.node
         body = SubReplyBody(client=request.client, timestamp=request.timestamp,
@@ -228,59 +190,22 @@ class CrossShardOperations(ShareExchange):
             view=local.view, seq=local.seq, timestamp=request.timestamp,
             client=request.client,
             result=OperationResult(value={"cross-shard": status}, size=8))
-        verifiers = [replica for shard in touched
-                     for replica in node.shard_execution_ids[shard]]
-        verifiers.append(request.client)
         certificate = node.crypto.new_certificate(body, AuthenticationScheme.MAC,
-                                                  verifiers)
-        message = CrossShardSubReply(body=body, certificate=certificate,
-                                     sender=node.node_id)
-        self._sub_replies[request.client] = message
-        collation = self._collations.setdefault(
-            (request.client, request.timestamp), _Collation(request.timestamp))
-        collation.touched = list(touched)
-        # Older operations of this client are retired (it runs one at a
-        # time); higher-timestamped tentative slots stay within their cap.
-        self._collations = {
-            stored_key: stored for stored_key, stored
-            in self._collations.items()
-            if stored_key[0] != request.client
-            or stored_key[1] >= request.timestamp
-        }
-        node.multicast(self._replicas_of(touched), message)
-        self.receive_sub_reply(node.node_id, message)
-        # A slow executor may find every fragment (its own shard's
-        # included) already certified from peers' partials; the touched set
-        # only became known here, so the assembly must be retried now.
-        self._try_collate(request.client, collation)
-
-    def _replicas_of(self, shards) -> List[NodeId]:
-        """Every replica of ``shards`` but this one."""
-        return [replica for shard in shards
-                for replica in self.node.shard_execution_ids[shard]
-                if replica != self.node.node_id]
+                                                  [request.client])
+        self._sub_replies[request.client] = CrossShardSubReply(
+            body=body, certificate=certificate, sender=node.node_id)
+        self.resend(request.client, request.timestamp)
 
     def resend(self, client: NodeId, timestamp: int) -> None:
-        """Re-serve the cached sub-reply (to the touched clusters) and, if
-        this cluster holds the complete collation, the assembled reply (to
-        the client) -- any surviving touched cluster answers a retrying
-        client, collator or not."""
+        """Send ``client`` the cached sub-reply for ``timestamp``, if any."""
         sub = self._sub_replies.get(client)
-        collation = self._collations.get((client, timestamp))
         if sub is not None and sub.body.timestamp == timestamp:
-            touched = (collation.touched
-                       if collation is not None and collation.touched else
-                       range(len(self.node.shard_execution_ids)))
-            self.node.multicast(self._replicas_of(touched), sub)
-        if (collation is not None and collation.timestamp == timestamp
-                and collation.reply is not None):
-            self.node.send(client, collation.reply)
+            self.node.send(client, sub)
             self.replies_sent += 1
 
     def trim(self) -> None:
-        """Drop vote tallies and collations of operations already resolved
-        here (the reply table records the resolution; late duplicates
-        replay it)."""
+        """Drop vote tallies of operations already resolved here (the reply
+        table records the resolution; late duplicates replay it)."""
         reply_table = self.node.reply_table
 
         def live(client: NodeId, timestamp: int) -> bool:
@@ -288,10 +213,6 @@ class CrossShardOperations(ShareExchange):
             return last is None or timestamp > last.timestamp
 
         self.prune(lambda key: live(key[1], key[2]))
-        self._collations = {
-            key: collation for key, collation in self._collations.items()
-            if live(*key) or key[1] == reply_table[key[0]].timestamp
-        }
 
     # ------------------------------------------------------------------ #
     # Cross-shard transactions: the read-set vote round.
@@ -339,90 +260,8 @@ class CrossShardOperations(ShareExchange):
             self._h_vote_round.observe(elapsed_ms)
             if node.tracing:
                 node.trace_event(trace_id, "vote_done")
-            self._complete(local, request, touched,
+            self._complete(local, request,
                            "committed" if commit else "aborted", observed)
 
         self.block([(key, shard) for shard in touched if shard != node.shard],
                    lambda item, fragment: certified.update(fragment), decide)
-
-    # ------------------------------------------------------------------ #
-    # Sub-reply collation.
-    # ------------------------------------------------------------------ #
-
-    def receive_sub_reply(self, sender: NodeId,
-                          message: CrossShardSubReply) -> None:
-        node = self.node
-        body = message.body
-        if sender != message.sender:
-            return
-        if not 0 <= body.shard < len(node.shard_execution_ids):
-            return
-        if sender not in node.shard_execution_ids[body.shard]:
-            return
-        if body.client not in node.client_ids:
-            return
-        last = node.reply_table.get(body.client)
-        if last is not None and body.timestamp < last.timestamp:
-            return  # stale fragment of an operation this client moved past
-        collation = self._collations.get((body.client, body.timestamp))
-        if collation is None:
-            # A tentative slot (own marker not executed yet): bounded, and
-            # refusing at the cap is recoverable -- a duplicate marker
-            # makes every touched replica re-serve its fragment.
-            tentative = sum(1 for stored in self._collations.values()
-                            if stored.touched is None)
-            if tentative >= _COLLATION_BUFFER_CAP:
-                return
-            collation = self._collations.setdefault(
-                (body.client, body.timestamp), _Collation(body.timestamp))
-        if body.shard in collation.full:
-            # Already certified (and possibly embedded in a sent reply):
-            # never merge into an assembled certificate again.
-            return
-        collector_key = (body.shard, node.crypto.payload_digest(body))
-        if (collector_key not in collation.collectors
-                and len(collation.collectors) >= _COLLECTOR_CAP):
-            return
-        collector = node.crypto.assemble(
-            collation.collectors, collector_key, message.certificate,
-            node.shard_execution_ids[body.shard], node.config.reply_quorum)
-        if collector is None:
-            return
-        collation.full[body.shard] = collector
-        collation.collectors = {
-            stored: cert for stored, cert in collation.collectors.items()
-            if stored[0] != body.shard
-        }
-        self._try_collate(body.client, collation)
-
-    def _try_collate(self, client: NodeId, collation: _Collation) -> None:
-        """Assemble the client reply once every touched shard is certified.
-
-        Every touched cluster assembles (the certified fragments reach them
-        all); only the deterministic collator -- the lowest touched shard --
-        sends unprompted.  The others hold the assembled reply and serve it
-        on a duplicate marker, which is the crashed-collator fallover.
-        """
-        if collation.touched is None or collation.reply is not None:
-            return
-        if any(shard not in collation.full for shard in collation.touched):
-            return
-        bodies = [collation.full[shard].payload for shard in collation.touched]
-        first = bodies[0]
-        if not sub_reply_rounds_consistent(bodies):
-            return  # mixed rounds; the marker resend converges them
-        assembled: Dict[str, Any] = {}
-        for body in bodies:
-            assembled.update(body.values)
-        collation.reply = CrossShardReply(
-            client=client, timestamp=collation.timestamp, status=first.status,
-            epoch=first.epoch, collator_shard=min(collation.touched),
-            sub_certificates=tuple(collation.full[shard]
-                                   for shard in collation.touched),
-            assembled=assembled, sender=self.node.node_id)
-        if self.node.tracing:
-            self.node.trace_event(request_trace_id(client, collation.timestamp),
-                                  "collate")
-        if self.node.shard == min(collation.touched):
-            self.node.send(client, collation.reply)
-            self.replies_sent += 1

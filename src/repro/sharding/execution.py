@@ -79,7 +79,6 @@ from .crossshard import CrossShardOperations
 from .cut import ShareExchange
 from .handoff import RangeHandoffs
 from .messages import (
-    CrossShardSubReply,
     CrossShardVote,
     CrossShardVoteFetch,
     RangeFetch,
@@ -195,8 +194,6 @@ class ShardExecutionNode(ExecutionNode):
                 self._advance_cut()
         elif isinstance(message, RangeFetch):
             self.handoffs.serve(sender, message)
-        elif isinstance(message, CrossShardSubReply):
-            self.cross_shard.receive_sub_reply(sender, message)
         elif isinstance(message, CrossShardVote):
             if self.cross_shard.receive(sender, message):
                 self._advance_cut()
@@ -493,9 +490,9 @@ class ShardExecutionNode(ExecutionNode):
         self._process_pending()
 
     def _resend_replies(self, batch) -> None:
-        """Also re-serve cross-shard artifacts on a genuine retransmission:
-        the retrying client is waiting for the assembled reply, not the
-        (empty) marker-slot bundle."""
+        """Also re-send the cached sub-reply on a genuine retransmission:
+        the retrying client is waiting for the fragment, not the (empty)
+        marker-slot bundle."""
         super()._resend_replies(batch)
         route = self.router.route(batch.full_request_certificates, batch.epoch)
         if route.kind == CROSS_SHARD:

@@ -38,15 +38,13 @@ transaction) is ordered as a single-certificate *marker* batch -- reusing
 the config-operation ordering discipline, but the certificate is the
 client's own request -- and its sequence number is a consistent cut.  The
 messages here carry the execution side of that protocol:
-:class:`SubReplyBody` is one shard's certified fragment of the result
-(``g + 1`` matching authenticators from that shard's replicas make it a
-sub-certificate), :class:`CrossShardSubReply` transports one replica's
-partial towards the touched clusters, :class:`CrossShardVote` /
-:class:`CrossShardVoteFetch` exchange read-set observations so every
-touched cluster reaches the same commit/abort decision for a transaction,
-and :class:`CrossShardReply` is the collator cluster's assembled reply --
-the per-shard sub-certificates it carries are what the client actually
-trusts, so an equivocating collator can misreport nothing.
+:class:`SubReplyBody` is one shard's fragment of the result (``g + 1``
+matching authenticators from that shard's replicas certify it),
+:class:`CrossShardSubReply` carries one replica's partial to the client,
+which assembles the answer from the certified fragments alone, and
+:class:`CrossShardVote` / :class:`CrossShardVoteFetch` exchange read-set
+observations so every touched cluster reaches the same commit/abort
+decision for a transaction.
 """
 
 from __future__ import annotations
@@ -297,10 +295,10 @@ def sub_reply_rounds_consistent(bodies) -> bool:
 class CrossShardSubReply(Message):
     """One replica's partial sub-certificate over a :class:`SubReplyBody`.
 
-    Multicast to every touched cluster's replicas (each of which assembles
-    ``g + 1`` matching partials per shard into a full sub-certificate) so
-    that any touched cluster can stand in for a crashed collator when the
-    client retransmits.
+    Sent, MAC'd for the client only, by every replica of every touched
+    cluster to the client, which completes once ``g + 1`` matching partials
+    certify each touched shard's fragment.  A duplicate marker or a genuine
+    retransmission of the envelope re-sends the cached partial.
     """
 
     body: SubReplyBody
@@ -363,28 +361,6 @@ class CrossShardVoteFetch(Message):
     epoch: int
     shard: int
     replica: NodeId
-
-
-@dataclass(frozen=True)
-class CrossShardReply(Message):
-    """The collator cluster's assembled reply for a cross-shard operation.
-
-    ``sub_certificates`` holds one full (``g + 1``-signer) certificate per
-    touched shard over that shard's :class:`SubReplyBody`; ``assembled`` is
-    the collator's merged result summary.  The client trusts only the
-    sub-certificates: it re-derives the result from the certified fragments
-    and rejects a reply whose summary disagrees (a Byzantine collator can
-    therefore delay an answer, never forge one).
-    """
-
-    client: NodeId
-    timestamp: int
-    status: str
-    epoch: int
-    collator_shard: int
-    sub_certificates: Tuple[Certificate, ...]
-    assembled: Dict[str, Any]
-    sender: NodeId
 
 
 @dataclass(frozen=True)

@@ -443,11 +443,10 @@ class ShardRouterQueue(QueueCore):
         if self._serve_from_cache(request):
             return RetryOutcome.HANDLED
         # A cross-shard marker has one pending part per *touched* shard
-        # and every touched cluster contributes to the answer: resend
-        # them all.  Duplicate markers reaching an execution replica
-        # that already executed make it re-serve its cached sub-reply
-        # (and any assembled reply), which is also how a crashed
-        # collator's duty falls over to the other touched clusters.
+        # and every touched cluster contributes a fragment of the answer:
+        # resend them all.  A duplicate marker reaching an execution
+        # replica that already executed makes it re-send its cached
+        # fragment to the client.
         shards = self.router.targets(request.operation, self.epoch)
         every_part = len(shards) > 1
         # A multi-shard bundle has one pending part per owning shard, each

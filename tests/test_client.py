@@ -7,9 +7,9 @@ epoch-claim rule.
   view change in one log redirects only that log's requests;
 * a reply's epoch claim is judged by one rule at all three places it can
   steer the client -- an ordinary reply, an ordinary reply to a multi-shard
-  operation whose keys collapsed onto one shard, and an assembled
-  cross-shard reply: an unknown epoch and an agreed epoch naming the wrong
-  shard are ignored, a consistent claim is adopted.
+  operation whose keys collapsed onto one shard, and ``g + 1`` certified
+  cross-shard fragments: an unknown epoch and an agreed epoch naming the
+  wrong shard are ignored, a consistent claim is adopted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.messages.request import RequestEnvelope
 from repro.multilog.client import MultiLogClient
 from repro.sharding import MapChange, ShardedSystem
 from repro.sharding.client import ShardAwareClient
-from repro.sharding.messages import CrossShardReply, SubReplyBody
+from repro.sharding.messages import CrossShardSubReply, SubReplyBody
 from repro.statemachine.interface import OperationResult
 from repro.workloads import equal_range_boundaries
 from repro.workloads.skew import skew_key
@@ -146,7 +146,7 @@ CLAIMS = [
     ("consistent", 1, 1, True),
 ]
 
-ENTRY_POINTS = ["ordinary", "collapsed", "assembled"]
+ENTRY_POINTS = ["ordinary", "collapsed", "fragments"]
 
 
 @pytest.fixture(scope="module")
@@ -181,18 +181,18 @@ def _ordinary_reply(client, timestamp, epoch, shard):
                                    scheme=AuthenticationScheme.MAC))
 
 
-def _assembled_reply(system, client, timestamp, epoch, shard):
-    """A collator's reply certified by ``g + 1`` of ``shard``'s replicas."""
+def _fragments(system, client, timestamp, epoch, shard):
+    """``(sender, fragment)`` from ``g + 1`` of ``shard``'s replicas."""
     body = SubReplyBody(client=client.node_id, timestamp=timestamp,
                         shard=shard, epoch=epoch, view=0, op_seq=5,
                         status="ok", values={})
-    certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
+    fragments = []
     for node in system.execution_cluster(shard)[:system.config.reply_quorum]:
+        certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
         certificate.add(node.crypto.mac_authenticator(body, [client.node_id]))
-    return CrossShardReply(client=client.node_id, timestamp=timestamp,
-                           status="ok", epoch=epoch, collator_shard=shard,
-                           sub_certificates=(certificate,), assembled={},
-                           sender=system.execution_cluster(shard)[0].node_id)
+        fragments.append((node.node_id, CrossShardSubReply(
+            body=body, certificate=certificate, sender=node.node_id)))
+    return fragments
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -213,13 +213,14 @@ def test_epoch_claim_rule(epoch_one_system, entry, label, epoch, shard,
         timestamp = client.submit(multi_get([MOVED, STAYS]))
         assert client._pending.cross is not None
     assert client._pending.shard == 0
-    sender = system.execution_cluster(shard)[0].node_id
-    if entry == "assembled":
-        client.on_message(sender, _assembled_reply(system, client, timestamp,
-                                                   epoch, shard))
+    if entry == "fragments":
+        for sender, fragment in _fragments(system, client, timestamp, epoch,
+                                           shard):
+            client.on_message(sender, fragment)
         assert (len(client.completed) == 1) is adopted
         assert client.invalid_cross_shard_replies == (0 if adopted else 1)
     else:
+        sender = system.execution_cluster(shard)[0].node_id
         client.on_message(sender, _ordinary_reply(client, timestamp, epoch,
                                                   shard))
         assert client._pending.shard == (shard if adopted else 0)

@@ -70,10 +70,14 @@ GOLDEN_TAGS = {
     "MapChange": 40, "ShardedBatch": 41, "RouteVoucher": 42,
     "ShardLocalBatch": 43, "RangeHandoff": 44, "SubReplyBody": 45,
     "CrossShardSubReply": 46, "CrossShardVote": 47, "CrossShardVoteFetch": 48,
-    "CrossShardReply": 49, "RangeFetch": 50,
+    "RangeFetch": 50,
     "LogMapChange": 60, "CrossLogBindingBody": 61, "CrossLogBinding": 62,
     "CrossLogBindingFetch": 63,
 }
+
+#: tags of message types that no longer exist: never reused (49 carried the
+#: assembled cross-shard reply)
+RETIRED_TAGS = frozenset({49})
 
 #: ``(length, sha256)`` of the frame of each golden message sent by A0.
 GOLDEN_FRAMES = {
@@ -88,7 +92,6 @@ GOLDEN_FRAMES = {
     "CrossLogBinding": (229, "73b805f8ea6f071660944b08bbbabf0a9cceac7399b346c1f5ffe696024bbdd2"),
     "CrossLogBindingBody": (51, "cdd3d553e58d56c7375ec3e58f0b54ac4d7abd307d6854d30b584eb7ee3aee2e"),
     "CrossLogBindingFetch": (30, "60c578763dc7a8d83e22f7b888ac9b90c3a7f784e5d898964c802eeaecae10bc"),
-    "CrossShardReply": (229, "b0c4a2daa25031d9c59b39323789b5fa36fc9ddbb574d79d9ab7240652b75ace"),
     "CrossShardSubReply": (269, "543976f8bf8c4027fea6f64ec71d648ca5a3aa5e5e7ff9762a33aaa22e8a0dbe"),
     "CrossShardVote": (171, "736485cb539efd42d6baebb621344cab57075a1c5a95897db8286129af301546"),
     "CrossShardVoteFetch": (37, "80d89b01e75e69575d4d1feb1412b2ea998a52bd9380d9be13667362a8e2f925"),
@@ -167,6 +170,7 @@ class TestRegistry:
                 if cls.__module__.startswith("repro.")}
         assert tags == GOLDEN_TAGS
         assert len(set(tags.values())) == len(tags)
+        assert RETIRED_TAGS.isdisjoint(tags.values())
 
     def test_a_taken_tag_or_class_is_refused(self):
         codec = Codec()

@@ -12,13 +12,17 @@ The safety-critical properties of a consistent-cut operation:
 * a marker racing a rebalance cut at the same position aborts
   deterministically -- every replica reports the stale pinned epoch
   identically -- and the client transparently retries on the new epoch;
-* a Byzantine collator equivocating on the assembled reply is detected:
-  the client trusts only the per-shard ``g + 1`` sub-certificates and
-  re-derives the result from them;
-* a collator that stops answering is not fatal: the client's
-  retransmission makes every surviving touched cluster re-serve the
-  assembled reply (fallover to the next-lowest shard).
+* every touched replica answers the client directly: a replica sending a
+  forged fragment is outvoted by its cluster's ``g + 1`` matching
+  fragments, a lost fragment is re-served on the client's
+  retransmission, and one crashed replica per touched cluster costs no
+  retransmission at all;
+* the client's fragment state is bounded: one live entry per sender, so a
+  flooding Byzantine replica can neither grow it nor crowd out the honest
+  fragments.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -37,15 +41,17 @@ from repro.config import (
     ShardingConfig,
     SystemConfig,
 )
+from repro.crypto.certificate import Certificate
 from repro.errors import ConfigurationError
 from repro.messages.request import ClientRequest
 from repro.net.network import DROP
 from repro.sharding import (
-    CrossShardReply,
+    CrossShardSubReply,
     CrossShardVote,
     MapChange,
     ShardedBatch,
     ShardedSystem,
+    SubReplyBody,
 )
 from repro.sharding.router import CROSS_SHARD, ORDINARY
 from repro.statemachine.nondet import NonDetInput
@@ -378,118 +384,178 @@ class TestEpochRace:
 
 
 # ---------------------------------------------------------------------- #
-# Byzantine collator and collator fallover.
+# The client assembles the touched clusters' fragments.
 # ---------------------------------------------------------------------- #
 
 
-def _patch_collator_sends(system, shard, rewrite):
-    """Intercept ``shard``'s outgoing assembled replies with ``rewrite``
-    (return None to drop the message)."""
-    for node in system.execution_cluster(shard):
-        original = node.send
-
-        def patched(destination, message, _original=original):
-            if isinstance(message, CrossShardReply):
-                message = rewrite(message)
-                if message is None:
-                    return
-            _original(destination, message)
-
-        node.send = patched
+def forged_fragment(node, client, timestamp, values, op_seq=0):
+    """A fragment of ``node``'s shard that ``node`` validly MACs for
+    ``client`` but whose body it made up."""
+    body = SubReplyBody(client=client.node_id, timestamp=timestamp,
+                        shard=node.shard, epoch=0, view=0, op_seq=op_seq,
+                        status="ok", values=values)
+    certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
+    certificate.add(node.crypto.mac_authenticator(body, [client.node_id]))
+    return CrossShardSubReply(body=body, certificate=certificate,
+                              sender=node.node_id)
 
 
-class TestCollatorFaults:
-    def test_equivocating_collator_is_detected_via_sub_certificates(self):
+class TestFragmentAssembly:
+    def test_one_multi_get_sends_one_fragment_per_touched_replica(self):
+        system = make_system()
+        left, right = key_on(system, 0), key_on(system, 1)
+        client = system.clients[0]
+        sent = []
+        system.network.add_tap(
+            lambda src, dst, message: sent.append((src, dst))
+            if isinstance(message, CrossShardSubReply) else None)
+        record = system.invoke(multi_get([left, right]))
+        assert record.result.error is None
+        touched = [node for shard in (0, 1)
+                   for node in system.shard_execution_ids[shard]]
+        assert len(sent) == 6 == len(touched)
+        assert sorted(src for src, _ in sent) == sorted(touched)
+        assert all(dst == client.node_id for _, dst in sent)
+
+    def test_a_forged_fragment_is_outvoted(self):
         system = make_system()
         left, right = key_on(system, 0), key_on(system, 1)
         system.invoke(put(left, "truth"))
         system.invoke(put(right, "truth"))
+        liar = system.execution_node(0, 0)
+        original = liar.send
+        forged = []
 
-        tampering = {"on": True}
+        def lie(destination, message):
+            if isinstance(message, CrossShardSubReply):
+                body = message.body
+                message = forged_fragment(liar, system.clients[0],
+                                          body.timestamp, {left: "forged"},
+                                          op_seq=body.op_seq)
+                forged.append(message)
+            original(destination, message)
 
-        def tamper(message):
-            if not tampering["on"]:
-                return message
-            forged = dict(message.assembled)
-            forged[left] = "forged"
-            return CrossShardReply(
-                client=message.client, timestamp=message.timestamp,
-                status=message.status, epoch=message.epoch,
-                collator_shard=message.collator_shard,
-                sub_certificates=message.sub_certificates,
-                assembled=forged, sender=message.sender)
+        liar.send = lie
+        record = system.invoke(multi_get([left, right]))
+        assert forged
+        assert record.result.value == {"values": {left: "truth",
+                                                  right: "truth"}}
+        assert all("forged" not in str(done.result.value)
+                   for done in system.clients[0].completed)
 
-        _patch_collator_sends(system, 0, tamper)
-        client = system.clients[0]
-        done = len(client.completed)
-        client.submit(multi_get([left, right]))
-        system.run(60.0)
-        # Before the first retransmission, only tampered replies arrived:
-        # every one was rejected on sub-certificate evidence.
-        assert client.collator_equivocations > 0
-        assert len(client.completed) == done
-        # The equivocating collator cannot block the operation either: the
-        # client's retransmission makes the honest non-collator cluster
-        # re-serve the genuine assembled reply (tampering stays on).
-        system.run_until(lambda: len(client.completed) == done + 1, 10_000.0,
-                         description="recovery from equivocating collator")
-        assert tampering["on"]
-        assert client.completed[-1].result.value == {
-            "values": {left: "truth", right: "truth"}}
-        assert client.collator_equivocations > 0
-
-    def test_crashed_collator_falls_over_to_next_lowest_shard(self):
-        system = make_system(num_shards=3)
-        mid, high = key_on(system, 1), key_on(system, 2)
-        system.invoke(put(mid, "M"))
-        system.invoke(put(high, "H"))
-        # The marker touches shards {1, 2}: shard 1 is the collator.  Its
-        # replicas assemble but never deliver (a collator crashing after
-        # the sub-reply broadcast); the client's retransmission makes the
-        # duplicate marker re-serve the assembled reply from shard 2.
-        _patch_collator_sends(system, 1, lambda message: None)
-        client = system.clients[0]
-        done = len(client.completed)
-        client.submit(multi_get([mid, high]))
-        system.run_until(lambda: len(client.completed) == done + 1, 20_000.0,
-                         description="collator fallover")
-        assert client.completed[-1].result.value == {
-            "values": {mid: "M", high: "H"}}
-        assert client.retransmissions > 0
-        fallover_senders = sum(node.cross_shard.replies_sent
-                               for node in system.execution_cluster(2))
-        assert fallover_senders > 0
-
-
-class TestByzantineFragments:
-    def test_forged_high_timestamp_fragment_cannot_wedge_collation(self):
-        from repro.config import AuthenticationScheme
-        from repro.crypto.certificate import Certificate
-        from repro.sharding import CrossShardSubReply, SubReplyBody
-
+    def test_lost_fragments_are_re_served_on_retransmission(self):
         system = make_system()
         left, right = key_on(system, 0), key_on(system, 1)
         system.invoke(put(left, "L"))
         system.invoke(put(right, "R"))
-        # A Byzantine replica floods every node with a validly-MACed
-        # fragment carrying an absurd timestamp; collation state is keyed
-        # per (client, timestamp), so the forgery occupies one bounded
-        # tentative slot and genuine operations assemble untouched.
-        byz = system.execution_node(1, 0)
-        everyone = [node for ids in system.shard_execution_ids for node in ids]
-        body = SubReplyBody(client=system.clients[0].node_id,
-                            timestamp=10 ** 9, shard=1, epoch=0, view=0,
-                            op_seq=999, status="ok", values={})
-        certificate = Certificate(payload=body,
-                                  scheme=AuthenticationScheme.MAC)
-        certificate.add(byz.crypto.mac_authenticator(body, everyone))
-        forged = CrossShardSubReply(body=body, certificate=certificate,
-                                    sender=byz.node_id)
-        byz.multicast([node for node in everyone if node != byz.node_id],
-                      forged)
-        system.run(50.0)
+        client = system.clients[0]
+        cluster = system.shard_execution_ids[0]
+        # Every first send of shard 0's fragments is lost: the client
+        # cannot certify shard 0 until its retransmission makes the
+        # replicas re-send their cached fragments.
+        system.network.add_tap(
+            lambda src, dst, message: DROP
+            if (isinstance(message, CrossShardSubReply) and src in cluster
+                and client.retransmissions == 0) else None)
+        sent_before = sum(node.cross_shard.replies_sent
+                          for node in system.execution_cluster(0))
+        record = system.invoke(multi_get([left, right]), timeout_ms=20_000.0)
+        assert record.result.value == {"values": {left: "L", right: "R"}}
+        assert client.retransmissions > 0
+        re_sent = sum(node.cross_shard.replies_sent
+                      for node in system.execution_cluster(0)) - sent_before
+        assert re_sent > len(cluster)
+
+    def test_one_crashed_replica_per_cluster_costs_no_retransmission(self):
+        system = make_system()
+        left, right = key_on(system, 0), key_on(system, 1)
+        system.invoke(put(left, "L"))
+        system.invoke(put(right, "R"))
+        system.crash_execution(0, 0)
+        system.crash_execution(1, 2)
+        client = system.clients[0]
         record = system.invoke(multi_get([left, right]))
         assert record.result.value == {"values": {left: "L", right: "R"}}
+        assert client.retransmissions == 0
+
+    def test_a_flooding_replica_cannot_grow_the_client_state(self):
+        system = make_system()
+        left, right = key_on(system, 0), key_on(system, 1)
+        system.invoke(put(left, "L"))
+        system.invoke(put(right, "R"))
+        client = system.clients[0]
+        byz = system.execution_node(1, 0)
+        sizes = []
+        assemble = client.cross_shard.on_message
+
+        def observed(sender, message):
+            assemble(sender, message)
+            if client._pending is not None and client._pending.cross:
+                sizes.append(len(client._pending.cross.collectors))
+
+        client.cross_shard.on_message = observed
+        timestamp = client.submit(multi_get([left, right]))
+        for index in range(200):
+            byz.send(client.node_id, forged_fragment(
+                byz, client, timestamp, {right: f"forged-{index}"}))
+        system.run_until(lambda: not client.outstanding, 10_000.0)
+        assert client.completed[-1].result.value == {
+            "values": {left: "L", right: "R"}}
+        senders = sum(len(cluster) for cluster in system.shard_execution_ids)
+        assert len(sizes) > 200 and max(sizes) <= senders
+
+
+class TestByzantineFragments:
+    def test_forged_high_timestamp_fragment_is_never_stored(self):
+        system = make_system()
+        left, right = key_on(system, 0), key_on(system, 1)
+        system.invoke(put(left, "L"))
+        system.invoke(put(right, "R"))
+        client = system.clients[0]
+        byz = system.execution_node(1, 0)
+        client.submit(multi_get([left, right]))
+        # A validly MACed fragment carrying an absurd timestamp: the client
+        # keys its assembly on the pending timestamp, so it stores nothing.
+        client.on_message(byz.node_id, forged_fragment(byz, client, 10 ** 9,
+                                                       {right: "forged"}))
+        cross = client._pending.cross
+        assert not cross.collectors and not cross.senders
+        system.run_until(lambda: not client.outstanding, 10_000.0)
+        assert client.completed[-1].result.value == {
+            "values": {left: "L", right: "R"}}
+
+    @pytest.mark.parametrize("misdirection",
+                             ["other-client", "other-timestamp",
+                              "foreign-shard"])
+    def test_a_fragment_the_pending_operation_cannot_use_is_never_stored(
+            self, misdirection):
+        """A validly MACed fragment for another client, for another
+        timestamp, or claiming a shard whose cluster the sender is not in
+        leaves the client's assembly state empty."""
+        system = make_system()
+        left, right = key_on(system, 0), key_on(system, 1)
+        system.invoke(put(left, "L"))
+        system.invoke(put(right, "R"))
+        client, other = system.clients[0], system.clients[1]
+        byz = system.execution_node(0, 0)
+        timestamp = client.submit(multi_get([left, right]))
+        body = forged_fragment(byz, client, timestamp, {left: "forged"}).body
+        if misdirection == "other-client":
+            body = replace(body, client=other.node_id)
+        elif misdirection == "other-timestamp":
+            body = replace(body, timestamp=timestamp + 1)
+        else:
+            body = replace(body, shard=1, values={right: "forged"})
+        certificate = Certificate(payload=body,
+                                  scheme=AuthenticationScheme.MAC)
+        certificate.add(byz.crypto.mac_authenticator(body, [client.node_id]))
+        client.on_message(byz.node_id, CrossShardSubReply(
+            body=body, certificate=certificate, sender=byz.node_id))
+        cross = client._pending.cross
+        assert not cross.collectors and not cross.senders
+        system.run_until(lambda: not client.outstanding, 10_000.0)
+        assert client.completed[-1].result.value == {
+            "values": {left: "L", right: "R"}}
 
 
 # ---------------------------------------------------------------------- #

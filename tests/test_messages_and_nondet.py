@@ -43,7 +43,6 @@ from repro.multilog.messages import (
     LogMapChange,
 )
 from repro.sharding.messages import (
-    CrossShardReply,
     CrossShardSubReply,
     CrossShardVote,
     CrossShardVoteFetch,
@@ -482,9 +481,6 @@ def golden_messages():
                        observed={"k": 1}, replica=execution[1], authenticator=vote),
         CrossShardVoteFetch(client=client_id(0), timestamp=7, epoch=3, shard=1,
                             replica=execution[2]),
-        CrossShardReply(client=client_id(0), timestamp=7, status="ok", epoch=3,
-                        collator_shard=1, sub_certificates=(sub_cert,),
-                        assembled={"b": 2, "a": None}, sender=execution[0]),
         RangeFetch(epoch=4, target_shard=1, lo=None, hi="m", replica=execution[1]),
         LogMapChange(shard=2, target_log=1, parent_log_epoch=0),
         binding_body,
@@ -528,7 +524,6 @@ GOLDEN_WIRE = {
     "CrossShardSubReply": (266, "c57060ec3f952c565c68cad0cd6bb056796fe29dcfa546ebb5da690b5f0f4d14"),
     "CrossShardVote": (168, "69517183d9572d062315e10d90367ad1b05ac653cc89a67740637e2ca137f777"),
     "CrossShardVoteFetch": (34, "57667b5b1c4692bf9a56c4acd1d4fd7f6a5b79b75aa6e353bd00201c59a608c0"),
-    "CrossShardReply": (226, "4d93c0725b720338971f26b95b50862852081e85b2692c3ad71c5d0e7651ba25"),
     "RangeFetch": (29, "b06f36b6e2cc99e7e5a158be589eea8894b866fa64407cbaa3637e434054125b"),
     "LogMapChange": (26, "f32a82778825838687c64976bf33a11484b831553864d8ccf3e86930f35a0b9e"),
     "CrossLogBindingBody": (48, "1de3d17557edb411aa047e2cc3e6133c158c596abc9c3becd0e2aafe86247e0f"),

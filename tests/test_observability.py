@@ -386,6 +386,15 @@ class TestSchemaValidation:
         assert any("'pass'" in error
                    for error in validate_schema.validate_bench(results))
 
+    def test_a_census_needs_numbers_per_message_type(self):
+        results = _valid_bench()
+        results["census"] = {"completed": 4, "per_type": {
+            "CrossShardSubReply": {"sends_per_op": 6.0, "bytes_per_op": 900.0}}}
+        assert validate_schema.validate_bench(results) == []
+        del results["census"]["per_type"]["CrossShardSubReply"]["bytes_per_op"]
+        assert any("census.per_type.CrossShardSubReply" in error
+                   for error in validate_schema.validate_bench(results))
+
     def test_valid_trace_lines_pass(self):
         lines = ['{"trace_id": "C0:1", "event": "submit", "node": "C0", "t_ms": 0.0}',
                  '{"trace_id": "C0:1", "event": "reply", "node": "C0", "t_ms": 2.5}']
