@@ -72,8 +72,8 @@ def test_fig6_andrew_configuration(benchmark, label):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5(a): the firewall's Andrew total reads 419.3 against "
-    "2 x 184.6 for BASE; the cause is not explained yet, and the bound "
+    "ROADMAP item 5(a): the firewall's Andrew total reads 343.9 against "
+    "2 x 168.5 for BASE; the cause is not explained yet, and the bound "
     "stays until it is"))
 def test_fig6_summary_table(benchmark):
     """Regenerate the whole table and check the paper's ordering."""

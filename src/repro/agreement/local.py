@@ -15,6 +15,7 @@ from abc import ABC, abstractmethod
 from typing import List, Optional, Tuple
 
 from ..crypto.certificate import Certificate
+from ..messages.agreement import AgreementCertBody
 from ..messages.request import ClientRequest
 from ..statemachine.nondet import NonDetInput
 
@@ -49,6 +50,16 @@ class LocalExecutor(ABC):
     def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
         """Handle a client-initiated retransmission of an old request."""
 
+    def route_body(self, body: AgreementCertBody,
+                   requests: Tuple[Certificate, ...]) -> Optional[AgreementCertBody]:
+        """The agreement-certificate body the hosting replica's COMMIT for
+        ``requests`` at ``body.seq`` covers.  An executor that does not
+        route answers ``body`` itself at once; a router answers the body
+        with the batch's route, or ``None`` until the committed prefix
+        below the batch fixes it (the replica asks again after each
+        delivery and after ``on_routes_resumed``)."""
+        return body
+
     def checkpoint_digest(self, seq: int) -> bytes:
         """Digest of the executor state at sequence number ``seq``.
 
@@ -78,9 +89,10 @@ class LocalExecutor(ABC):
         """Transferable frontier state at the checkpoint cut (key/value
         pairs).  Deterministic across correct replicas at the same cut; the
         default executor carries none.  ``None`` means "not yet": the
-        executor cannot describe the cut until it has processed every batch
-        below it, and then calls the hosting replica's
-        ``on_checkpoint_cut(seq)``, which casts the deferred vote."""
+        executor cannot describe the cut until its frontier there is known
+        (a log-map cut awaiting the source log's), and then calls the
+        hosting replica's ``on_routes_resumed(seq)``, which casts the
+        deferred vote."""
         return ()
 
     def highest_ready_seq(self) -> Optional[int]:

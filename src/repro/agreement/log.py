@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.certificate import Authenticator, Certificate
-from ..messages.agreement import CommitMsg, Prepare, PrePrepare
+from ..messages.agreement import AgreementCertBody, CommitMsg, Prepare, PrePrepare
 from ..util.ids import NodeId
 
 
@@ -28,11 +28,11 @@ class LogEntry:
     commits: Dict[NodeId, CommitMsg] = field(default_factory=dict)
     commit_authenticators: Dict[NodeId, Optional[Authenticator]] = field(default_factory=dict)
     prepared: bool = False
+    #: the certificate body this replica's COMMIT covers (set when it is
+    #: sent: once prepared, and -- with a routing queue -- once the batch
+    #: below is delivered, which fixes the route in the body)
+    cert_body: Optional[AgreementCertBody] = None
     committed: bool = False
-    #: handed to the local executor's out-of-order staging buffer (the
-    #: per-shard frontier releases it; independent of ``delivered``, which
-    #: tracks the contiguous in-order bookkeeping pass)
-    staged: bool = False
     delivered: bool = False
     #: the batch carries a config operation (e.g. a partition-map change):
     #: its position in the log is an epoch cut, and at most one such entry

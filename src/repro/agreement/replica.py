@@ -11,8 +11,11 @@ Liskov, as the BASE library does):
    ``PREPARE``;
 3. once a replica has the pre-prepare and ``2f`` matching prepares it is
    *prepared* and multicasts ``COMMIT`` carrying its authenticator over the
-   agreement-certificate body;
-4. once it has ``2f + 1`` matching commits it is *committed*: it assembles
+   agreement-certificate body -- where the local queue routes batches to
+   shards, a body naming the batch's route, so the COMMIT waits until the
+   batch below it is delivered (a committed prefix fixes the route);
+4. once it has ``2f + 1`` matching commits, its own among them, it is
+   *committed*: it assembles
    the agreement certificate ``<COMMIT, v, n, d, A>_{A,E,2f+1}`` out of the
    commit authenticators and "executes" the batch against its local state
    machine (message queue or direct executor) in sequence-number order.
@@ -340,17 +343,25 @@ class AgreementReplica(Process):
         if others < 2 * self.f:
             return
         entry.prepared = True
-        body = self._cert_body(entry)
+        self._commit(entry)
+        self._try_committed(entry)
+
+    def _commit(self, entry: LogEntry) -> None:
+        """Multicast this replica's COMMIT over the body the local queue
+        routes (a router's waits until the batch below is delivered)."""
+        body = self.local.route_body(self._cert_body(entry),
+                                     entry.pre_prepare.requests)
+        if body is None:
+            return
+        entry.cert_body = body
         authenticator = self._make_cert_authenticator(body)
-        commit = CommitMsg(view=entry.view, seq=entry.seq, batch_digest=digest,
+        commit = CommitMsg(view=entry.view, seq=entry.seq, batch_digest=body.batch_digest,
                            replica=self.node_id, cert_authenticator=authenticator)
         entry.commits[self.node_id] = commit
         entry.commit_authenticators[self.node_id] = authenticator
         self.multicast(self.agreement_ids, commit)
-        self._try_committed(entry)
 
     def _cert_body(self, entry: LogEntry) -> AgreementCertBody:
-        assert entry.pre_prepare is not None
         return AgreementCertBody(view=entry.view, seq=entry.seq,
                                  batch_digest=entry.pre_prepare.batch_digest,
                                  nondet=entry.pre_prepare.nondet)
@@ -383,49 +394,42 @@ class AgreementReplica(Process):
         self._try_committed(entry)
 
     def _try_committed(self, entry: LogEntry) -> None:
-        if entry.committed or not entry.prepared or entry.pre_prepare is None:
-            return
-        digest = entry.pre_prepare.batch_digest
-        if entry.commit_count(digest) < 2 * self.f + 1:
-            return
+        if self._mark_committed(entry):
+            self._deliver_in_order()
+
+    def _mark_committed(self, entry: LogEntry) -> bool:
+        """Whether ``entry`` just committed: ``2f + 1`` matching COMMITs,
+        this replica's own among them (so commits run in order)."""
+        if (entry.committed or entry.cert_body is None
+                or entry.commit_count(entry.cert_body.batch_digest) < 2 * self.f + 1):
+            return False
         entry.committed = True
-        if self.tracing and entry.pre_prepare is not None:
+        if self.tracing:
             self._trace_batch(entry.pre_prepare.requests, "commit")
         proposal = self.proposer.inflight.get(entry.seq)
         if proposal is not None:
             self._h_agree_ms.observe(self.now - proposal.sent_at)
-        if self.config.per_shard_windows:
-            self._stage_committed(entry)
-        self._deliver_in_order()
-
-    def _stage_committed(self, entry: LogEntry) -> None:
-        """Hand a just-committed batch to the local executor's out-of-order
-        staging buffer (``SystemConfig.per_shard_windows``).
-
-        The content of a locally *committed* entry is fixed forever (any
-        later view must preserve it), so the executor may learn it even
-        while an earlier sequence number is still gathering commit votes;
-        the shard router buffers the gap and releases each shard's parts
-        along its per-shard frontier.  Uncommitted entries are never staged
-        -- their content could still change across a view change.
-        """
-        stage = getattr(self.local, "stage_batch", None)
-        if stage is None or entry.staged or entry.pre_prepare is None:
-            return
-        entry.staged = True
-        stage(seq=entry.seq, view=entry.view,
-              request_certificates=entry.pre_prepare.requests,
-              agreement_certificate=self._assemble_certificate(entry),
-              nondet=entry.pre_prepare.nondet)
+        return True
 
     def _deliver_in_order(self) -> None:
-        """Deliver committed batches to the local state machine in order."""
+        """Deliver committed batches in order; each delivery fixes the next
+        batch's route, so a COMMIT that waited for it goes out."""
         while True:
-            next_seq = self.log.last_delivered_seq + 1
-            entry = self._committed_entry(next_seq)
+            seq = self.log.last_delivered_seq + 1
+            entry = self._committed_entry(seq) or self._commit_awaiting(seq)
             if entry is None:
                 return
             self._deliver(entry)
+
+    def _commit_awaiting(self, seq: int) -> Optional[LogEntry]:
+        """Send the COMMIT of the prepared batch at ``seq`` that waited for
+        its route; the entry if that committed it."""
+        entry = self.log.existing_entry(self.view, seq)
+        if (entry is None or self._view_changing or not entry.prepared
+                or entry.cert_body is not None):
+            return None
+        self._commit(entry)
+        return entry if self._mark_committed(entry) else None
 
     def _committed_entry(self, seq: int) -> Optional[LogEntry]:
         for view in range(self.view, -1, -1):
@@ -437,7 +441,7 @@ class AgreementReplica(Process):
     def _assemble_certificate(self, entry: LogEntry) -> Certificate:
         """Assemble the agreement certificate from the commit authenticators."""
         certificate = Certificate(
-            payload=self._cert_body(entry),
+            payload=entry.cert_body,
             scheme=(AuthenticationScheme.SIGNATURE
                     if self.config.authentication is AuthenticationScheme.SIGNATURE
                     else AuthenticationScheme.MAC),
@@ -449,16 +453,12 @@ class AgreementReplica(Process):
 
     def _deliver(self, entry: LogEntry) -> None:
         assert entry.pre_prepare is not None
-        # Entries already handed over at commit time (out-of-order staging)
-        # skip the hand-off: the executor has the batch, and reassembling
-        # the certificate here would be pure waste.
-        if not entry.staged:
-            self.local.execute_batch(
-                seq=entry.seq, view=entry.view,
-                request_certificates=entry.pre_prepare.requests,
-                agreement_certificate=self._assemble_certificate(entry),
-                nondet=entry.pre_prepare.nondet,
-            )
+        self.local.execute_batch(
+            seq=entry.seq, view=entry.view,
+            request_certificates=entry.pre_prepare.requests,
+            agreement_certificate=self._assemble_certificate(entry),
+            nondet=entry.pre_prepare.nondet,
+        )
         entry.delivered = True
         self.log.last_delivered_seq = entry.seq
         self.batches_delivered += 1
@@ -478,9 +478,9 @@ class AgreementReplica(Process):
     def _emit_checkpoint(self, seq: int) -> None:
         sync_state = self.local.checkpoint_sync_state(seq)
         if sync_state is None:
-            # The queue's release frontier is held below the cut (a
-            # cross-log marker): a vote now would certify the cut without
-            # the frontier a lagging replica adopts, so vote once it can.
+            # The queue's frontier at the cut awaits another log's (a
+            # log-map cut): a vote now would certify the cut without the
+            # frontier a lagging replica adopts, so vote once it can.
             self._deferred_checkpoints.add(seq)
             return
         digest = self.local.checkpoint_digest(seq)
@@ -492,12 +492,15 @@ class AgreementReplica(Process):
         self.multicast(self.agreement_ids, message)
         self._try_stable(seq, digest)
 
-    def on_checkpoint_cut(self, seq: int) -> None:
-        """The local queue's release frontier crossed the checkpoint cut at
-        ``seq``: cast the vote its delivery deferred, if any."""
+    def on_routes_resumed(self, seq: int) -> None:
+        """The local queue can route past ``seq`` again (a log-map cut got
+        its frontier): cast the checkpoint vote delivery deferred, if any,
+        and send the COMMIT that waited."""
         if seq in self._deferred_checkpoints:
             self._deferred_checkpoints.discard(seq)
             self._emit_checkpoint(seq)
+        if self._commit_awaiting(self.log.last_delivered_seq + 1) is not None:
+            self._deliver_in_order()
 
     def handle_checkpoint(self, sender: NodeId, message: AgreementCheckpoint) -> None:
         if sender != message.replica or sender not in self.agreement_ids:
@@ -571,6 +574,7 @@ class AgreementReplica(Process):
         sync_state = self._checkpoint_sync_states.get((seq, state_digest), ())
         self.local.sync_to_checkpoint(seq, sync_state)
         self.proposer.on_checkpoint_sync()
+        self.on_routes_resumed(seq)
 
     # ------------------------------------------------------------------ #
     # View changes.
@@ -775,7 +779,6 @@ class AgreementReplica(Process):
                 # Already delivered here: vote so laggards can assemble the
                 # prepare/commit quorums they need to catch up, but mark the
                 # slot consumed so commit never re-executes it locally.
-                entry.staged = True
                 entry.delivered = True
             if entry.pre_prepare is None:
                 entry.pre_prepare = pre_prepare

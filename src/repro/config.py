@@ -524,10 +524,10 @@ class SystemConfig:
         being admitted although their own pipelines are empty).  When set,
         the primary keeps one bundle FIFO per shard its queue names and
         admits a batch as soon as every shard it touches has fewer than
-        ``pipeline_depth`` batches in flight; each replica stages a batch
-        with its shard router the moment it commits, and the router
-        releases each shard along its own frontier over the global order;
-        and the adaptive-batching gather window follows the measured
+        ``pipeline_depth`` batches in flight, and the proposer gates on
+        each shard's own outstanding parts rather than the contiguously
+        answered global frontier; and the adaptive-batching gather window
+        follows the measured
         order-to-reply round trip.  Safety is unchanged: the log's
         ``[h, h + L]`` watermark window still bounds how far agreement runs
         ahead of the stable checkpoint.  :meth:`sharded` turns it on; off

@@ -324,7 +324,7 @@ class ClientNode(Process):
         if body.shard != pending.shard:
             self.misrouted_replies += 1
             return
-        if self._collect(pending, message.certificate) is None:
+        if self._collect(pending, sender, message.certificate) is None:
             return
         self._complete(pending, own.result_for(Role.CLIENT), own.seq, own.view)
 
@@ -372,18 +372,19 @@ class ClientNode(Process):
         pending.shard = shard
         pending.universe = self.reply_clusters[shard]
 
-    def _collect(self, pending: _PendingRequest,
+    def _collect(self, pending: _PendingRequest, sender: NodeId,
                  certificate: Certificate) -> Optional[Certificate]:
-        """Merge partial certificates until the reply quorum is reached.  A
-        threshold certificate counts only with its group signature: the
-        client never combines shares."""
+        """Merge each replica's own authenticator until the reply quorum is
+        reached.  A threshold certificate counts only with its group
+        signature: the client never combines shares."""
         if certificate.scheme is AuthenticationScheme.THRESHOLD:
             complete = (certificate.threshold_signature is not None
                         and self.crypto.verify_certificate(certificate, self.reply_quorum))
             return certificate if complete else None
         return self.crypto.assemble(
             pending.collectors, self.crypto.payload_digest(certificate.payload),
-            certificate, pending.universe, self.reply_quorum)
+            certificate, sender, pending.universe, self.reply_quorum,
+            self.config.authentication)
 
     def _record(self, record: CompletedRequest) -> None:
         self.completed.append(record)

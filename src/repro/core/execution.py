@@ -429,13 +429,14 @@ class ExecutionNode(Process):
         votes = self._checkpoint_votes.get(seq, {})
         matching = [share for share in votes.values()
                     if share.state_digest == checkpoint.digest
-                    and share.authenticator is not None]
+                    and share.authenticator is not None
+                    and share.authenticator.scheme is AuthenticationScheme.MAC]
         if len(matching) < self.config.checkpoint_quorum:
             return
         proof = Certificate(payload=checkpoint_payload(seq, checkpoint.digest),
-                            scheme=AuthenticationScheme.MAC)
-        for share in matching:
-            proof.add(share.authenticator)
+                            scheme=AuthenticationScheme.MAC,
+                            authenticators={share.authenticator.signer: share.authenticator
+                                            for share in matching})
         checkpoint.proof = proof
         self.stable_checkpoint = checkpoint
         self._garbage_collect(seq)

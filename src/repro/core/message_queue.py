@@ -103,9 +103,9 @@ class QueueCore(LocalExecutor):
     queues repeat: send-and-count, the primary-first rule, retransmit with
     exponential backoff, serve a client retransmission from the cache,
     assemble and forward a reply certificate.  *Where* batches go is what
-    :class:`MessageQueue` (one cluster, ``OrderedBatch``) and
-    :class:`~repro.sharding.queue.ShardRouterQueue` (per-shard envelopes
-    from the primary, vouchers from the others) each add.
+    :class:`MessageQueue` (one cluster) and
+    :class:`~repro.sharding.queue.ShardRouterQueue` (each batch's shards,
+    by the route its certificate names) each add.
     """
 
     def __init__(self, owner: Process, config: SystemConfig,
@@ -234,14 +234,16 @@ class QueueCore(LocalExecutor):
                                         or self.config.direct_replies)
 
     def _assemble_into(self, collectors: Dict[Tuple[int, bytes], Optional[Certificate]],
-                       certificate: Certificate, universe: List[NodeId],
+                       sender: NodeId, certificate: Certificate,
+                       universe: List[NodeId],
                        group: Optional[str]) -> Optional[Certificate]:
         """The full certificate over the body ``certificate`` is over, once
         ``g + 1`` replicas of ``universe`` (the cluster, or one shard's:
         :class:`~repro.sharding.queue.ShardRouterQueue` keeps a table per
-        shard) or a threshold signature vouch for it.  Partials merge into
-        ``collectors`` by ``(seq, body digest)``; shares count in this
-        queue's ``group``, whatever group a partial names."""
+        shard) or a threshold signature vouch for it.  Each sender's own
+        authenticator merges into ``collectors`` by ``(seq, body digest)``;
+        shares count in this queue's ``group``, whatever group a partial
+        names."""
         body = certificate.payload
         if (certificate.scheme is AuthenticationScheme.THRESHOLD
                 and certificate.threshold_signature is not None):
@@ -249,7 +251,8 @@ class QueueCore(LocalExecutor):
             return certificate if complete else None
         return self.crypto.assemble(
             collectors, (body.seq, self.crypto.payload_digest(body)), certificate,
-            universe, self.config.reply_quorum, group)
+            sender, universe, self.config.reply_quorum,
+            self.config.authentication, group)
 
     def _forward_replies(self, certificate: Certificate) -> None:
         """Cache the certified bundle for each client it answers, relay it
@@ -365,7 +368,7 @@ class MessageQueue(QueueCore):
         """Handle a (partial or full) reply certificate flowing back down."""
         if not self._admissible(message):
             return
-        full = self._assemble_into(self._collectors, message.certificate,
+        full = self._assemble_into(self._collectors, sender, message.certificate,
                                    self.execution_ids, self.threshold_group)
         if full is not None:
             self._accept_reply(full)

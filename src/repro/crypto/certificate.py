@@ -57,8 +57,9 @@ class Certificate(WireMemoised):
     single ``threshold_signature`` representing the whole group.
 
     A certificate is the one mutable protocol object -- collectors add
-    authenticators to it -- so every mutation drops its wire memo: assigning
-    a field does (``__setattr__``), and so do :meth:`add` and :meth:`merge`.
+    authenticators to it, inside :mod:`repro.crypto` only -- so every
+    mutation drops its wire memo: assigning a field does (``__setattr__``),
+    and so does :meth:`add`.
     Writing into ``authenticators`` directly is safe only while the
     certificate is being assembled, before anything has asked for its size.
     """
@@ -86,14 +87,6 @@ class Certificate(WireMemoised):
             )
         self.authenticators[authenticator.signer] = authenticator
         self._wire = None
-
-    def merge(self, other: "Certificate") -> None:
-        """Merge the authenticators of ``other`` (same payload) into this one."""
-        for authenticator in other.authenticators.values():
-            self.add(authenticator)
-        if other.threshold_signature is not None:
-            self.threshold_signature = other.threshold_signature
-            self.threshold_group = other.threshold_group
 
     def with_payload(self, payload: Any) -> "Certificate":
         """This certificate's evidence attached to ``payload``: another

@@ -124,6 +124,8 @@ class CryptoProvider:
             if self.perf.verified_cert_cache else None)
         self._charge = charge or _noop
         self._record = record or _noop
+        #: authenticators :meth:`assemble` dropped instead of merging
+        self.dropped_authenticators = 0
         keystore.register_node(node)
 
     def bind(self, charge: ChargeFn, record: RecordFn) -> None:
@@ -373,11 +375,16 @@ class CryptoProvider:
 
     def agreed_batch(self, certificate: Certificate, seq: int, view: int,
                      requests: Sequence[Certificate], quorum: int,
-                     agreement_ids: Iterable[NodeId]) -> bool:
+                     agreement_ids: Iterable[NodeId],
+                     slot: Optional[Tuple[int, int]] = None) -> bool:
         """Whether the agreement ``certificate`` (``quorum`` of
-        ``agreement_ids``) commits exactly ``requests`` at ``seq`` in ``view``."""
+        ``agreement_ids``) commits exactly ``requests`` at ``seq`` in
+        ``view`` -- and, given a shard replica's ``(shard, shard_seq)``
+        ``slot``, routes the batch to that slot."""
         body = certificate.payload
         if getattr(body, "seq", None) != seq or getattr(body, "view", None) != view:
+            return False
+        if slot is not None and slot not in getattr(body, "route", ()):
             return False
         if not self.verify_certificate(certificate, quorum, agreement_ids):
             return False
@@ -403,25 +410,51 @@ class CryptoProvider:
         return request
 
     def assemble(self, table: MutableMapping[Hashable, Optional[Certificate]],
-                 key: Hashable, partial: Certificate, universe: Iterable[NodeId],
-                 quorum: int, group: Optional[str] = None) -> Optional[Certificate]:
-        """Merge ``partial`` into the certificate ``table`` assembles under
-        ``key`` (a threshold one in the caller's ``group``) and return it,
-        shares combined, once ``quorum`` signers of ``universe`` verify.  A
-        returned certificate may be on the wire: its key then maps to None
-        and later partials are dropped.  The caller owns the table: its
-        keys, trimming and any cap on new entries."""
-        if key in table:
-            collector = table[key]
-            if collector is None:
-                return None
-        else:
-            threshold = partial.scheme is AuthenticationScheme.THRESHOLD
+                 key: Hashable, partial: Certificate, sender: NodeId,
+                 universe: Iterable[NodeId], quorum: int,
+                 scheme: AuthenticationScheme,
+                 group: Optional[str] = None) -> Optional[Certificate]:
+        """Merge ``sender``'s own authenticator in ``partial`` into the
+        certificate ``table`` assembles under ``key`` (of the caller's
+        ``scheme``; a threshold one in its ``group``) and return it, shares
+        combined, once ``quorum`` signers of ``universe`` verify.
+
+        Only that one authenticator, and only of ``scheme``, is merged:
+        whatever else a partial carries -- other signers' authenticators,
+        another scheme's -- is dropped and counted in
+        :attr:`dropped_authenticators`, so no sender can overwrite another
+        signer's entry or make the merge raise.  A sender outside
+        ``universe`` (an agreement node relaying a reply, or answering
+        from its cache) counts only with a certificate of ``scheme`` that
+        carries the quorum on its own.  A returned certificate may be on
+        the wire: its key then maps to None and later partials are dropped.
+        The caller owns the table: its keys, trimming and any cap on new
+        entries."""
+        if key in table and table[key] is None:
+            return None
+        allowed = frozenset(universe)
+        authenticators = partial.authenticators
+        if sender not in allowed:
+            if (partial.scheme is scheme
+                    and len(self.valid_signers(partial, allowed)) >= quorum):
+                table[key] = None
+                return partial
+            self.dropped_authenticators += len(authenticators)
+            return None
+        collector = table.get(key)
+        if collector is None:
             collector = table[key] = Certificate(
-                payload=partial.payload, scheme=partial.scheme,
-                threshold_group=group if threshold else None)
-        collector.merge(partial)
-        if len(self.valid_signers(collector, universe)) < quorum:
+                payload=partial.payload, scheme=scheme,
+                threshold_group=(group if scheme is AuthenticationScheme.THRESHOLD
+                                 else None))
+        own = authenticators.get(sender)
+        merged = (own is not None and own.signer == sender
+                  and own.scheme is scheme)
+        self.dropped_authenticators += len(authenticators) - merged
+        if not merged:
+            return None
+        collector.add(own)
+        if len(self.valid_signers(collector, allowed)) < quorum:
             return None
         if collector.scheme is AuthenticationScheme.THRESHOLD:
             collector.threshold_signature = self.threshold_combine(

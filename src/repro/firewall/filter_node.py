@@ -190,8 +190,8 @@ class FilterNode(Process):
             return None
         complete = self.crypto.assemble(
             self._share_collectors, (message.seq, self.crypto.payload_digest(body)),
-            certificate, self.execution_ids, self.config.reply_quorum,
-            self.threshold_group)
+            certificate, sender, self.execution_ids, self.config.reply_quorum,
+            AuthenticationScheme.THRESHOLD, self.threshold_group)
         if complete is None:
             return None
         return BatchReply(seq=message.seq, certificate=complete, sender=self.node_id)

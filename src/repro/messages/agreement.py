@@ -57,6 +57,24 @@ class AgreementCertBody(Message):
 
 
 @dataclass(frozen=True)
+class RoutedCertBody(AgreementCertBody):
+    """The agreement-certificate body of a deployment whose queues route:
+    it also names the batch's route, so the ``2f + 1`` COMMIT
+    authenticators cover everything an execution replica acts on.
+
+    ``route`` holds ``(shard, shard_seq)`` for each shard the batch has a
+    slot on (ascending), ``epoch`` is the partition-map epoch it was routed
+    under (a map-change marker's: the epoch it closes) and ``log`` the
+    agreement log that ordered it (None with one log).  Every correct
+    agreement node derives the same route from the committed prefix below
+    the batch, which is why its COMMIT waits for that prefix."""
+
+    route: Tuple[Tuple[int, int], ...]
+    epoch: int
+    log: Optional[int] = None
+
+
+@dataclass(frozen=True)
 class PrePrepare(Message):
     """Primary's PRE-PREPARE for a batch of request certificates."""
 

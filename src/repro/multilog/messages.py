@@ -91,7 +91,7 @@ class CrossLogBindingBody(Message):
     same bytes, so ``f + 1`` matching authenticators certify the binding.
     ``shard_frontier`` is set by the source log of a :class:`LogMapChange`
     only: the shard-local sequence number the marker itself receives on the
-    moved shard's feed (the source log's final envelope), which the target
+    moved shard's feed (the source log's final part there), which the target
     log adopts.
     """
 

@@ -12,12 +12,13 @@ The round has one artifact, the
 :class:`~repro.multilog.messages.CrossLogBinding`, and one release rule,
 which every queue applies for itself:
 
-* *Publish.*  When a cross-shard marker commits (stages), the queue binds
-  it to the sequence number its own log assigned and multicasts the
-  binding to the agreement replicas of every other log.  Binding at commit
-  time (not at release) keeps two markers ordered inversely by two logs
-  from deadlocking each other's release frontiers: the sequence number is
-  fixed when the binding is emitted, regardless of release order.
+* *Publish.*  When a cross-shard marker is routed -- the queue routes each
+  batch as it is delivered, right after it commits -- the queue binds it to
+  the sequence number its own log assigned and multicasts the binding to
+  the agreement replicas of every other log.  Binding at routing (not at
+  release) keeps two markers ordered inversely by two logs from
+  deadlocking each other's release frontiers: the sequence number is fixed
+  when the binding is emitted, regardless of release order.
 
 * *Tally, certify, hold.*  Received bindings are tallied one per sender; a
   log's binding is certified once ``f + 1`` of its members sent matching
@@ -29,15 +30,15 @@ which every queue applies for itself:
   single replica -- of this log or another -- can misplace one.
 
 * A :class:`~repro.multilog.messages.LogMapChange` is ordered by *every*
-  log and binds at staging too, as soon as every batch below it is staged.
-  The source log's binding carries the moved shard's frontier (the
-  shard-local sequence number of the marker itself -- the source's final
-  envelope), which is by then a pure function of the staged prefix; the
-  target log adopts the frontier at the cut, so the moved shard's local
-  order continues gap- and overlap-free (exactly-once across the move).
-  Binding at the release head instead could wait behind a held client
-  marker whose other log cannot order it while its own release holds the
-  change.
+  log, binds when delivered too, and is applied there.  The source log's
+  binding carries the moved shard's frontier: the slot of the change's own
+  part on that shard (the source's final one), which its certified route
+  names.  The target log routes past the change only once that binding is
+  certified (:attr:`CrossLogRound.awaiting`): it continues the moved
+  shard's local order exactly where the source stopped (exactly-once
+  across the move), and its certificates name the continued slots.  The
+  source log never waits on the target, and release holds never gate
+  routing, so the wait cannot close a cycle.
 
 * *Ask and serve.*  A holding queue's timer asks, with backoff, the
   members of the logs it still lacks
@@ -47,8 +48,8 @@ which every queue applies for itself:
   multicast recovers whatever the arrival order was.
 
 With one log the round has no peers and no marker spans two logs: it
-binds, holds and sends nothing, and the queue keeps the envelope's ``log``
-stamp and the checkpoint's ``log_epoch`` off the wire.
+binds, holds and sends nothing, and the queue keeps the certificate's
+``log`` and the checkpoint's ``log_epoch`` off the wire.
 
 docs/ARCHITECTURE.md ("Cuts") records why this round has the shape of
 :class:`~repro.sharding.cut.ShareExchange` but is not hosted on it.
@@ -57,12 +58,11 @@ docs/ARCHITECTURE.md ("Cuts") records why this round has the shape of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..config import AuthenticationScheme
 from ..core.message_queue import PendingSend
 from ..crypto.certificate import Authenticator, Certificate
-from ..messages.agreement import OrderedBatch
 from ..net.message import Message
 from ..obs import request_trace_id
 from ..sharding.router import CROSS_SHARD, LOG_MAP_CHANGE, BatchRoute
@@ -91,14 +91,22 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+class Cut(NamedTuple):
+    """The cross-log cut a routed batch's release waits for."""
+
+    key: MarkerKey
+    #: every log the cut spans
+    touched: Tuple[int, ...]
+    #: log-map changes: the log whose binding carries the shard frontier
+    source: Optional[int]
+
+
 @dataclass
 class _Hold:
     """One marker holding the release frontier."""
 
-    touched: Tuple[int, ...]
+    cut: Cut
     seq: int
-    #: log-map changes: the log whose binding carries the shard frontier
-    source: Optional[int]
     #: the ask timer, alive exactly while the marker holds
     fetch: PendingSend
 
@@ -116,13 +124,17 @@ class CrossLogRound:
         #: who a binding goes to (own-log peers witness the commit themselves)
         self.peer_ids = [node for other, ids in enumerate(log_agreement_ids)
                          if other != log for node in ids]
-        #: the log stamped into routed envelopes and carried through to
+        #: the log routed certificate bodies name, carried through to
         #: sub-reply fragments, whose marker sequence numbers live in per-log
         #: spaces; None with one log, which keeps the field off the wire
         self.stamp = log if self.peer_ids else None
         #: this node's log-map epoch cursor: the epoch governing the *next*
-        #: released batch (advanced exactly at log-map-change cuts)
+        #: delivered batch (advanced exactly at log-map-change cuts)
         self.log_epoch = 0
+        #: ``(change key, source log, moved shard)`` of a log-map change
+        #: this (target) log delivered and cannot route past before the
+        #: source log's certified frontier arrives
+        self.awaiting: Optional[Tuple[MarkerKey, int, int]] = None
 
         #: own emitted binding per marker (kept after release so this queue
         #: can serve a still-holding peer's fetch)
@@ -134,8 +146,6 @@ class CrossLogRound:
             node: {} for node in self.peer_ids}
         #: markers currently holding the release frontier
         self._held: Dict[MarkerKey, _Hold] = {}
-        #: staged log-map changes not bound yet, by sequence number
-        self._unbound_changes: Set[int] = set()
         #: certified bindings of markers not released yet: marker -> log
         #: -> body, oldest first (bounded, but for held markers)
         self._certified: Dict[MarkerKey, Dict[int, CrossLogBindingBody]] = {}
@@ -190,106 +200,90 @@ class CrossLogRound:
         return self.log_epoch != parent or any(
             key[0] == LMC_MARKER for key in self._held)
 
-    def _coordination_of(self, route: BatchRoute):
-        """``(marker key, touched logs)`` if the batch of ``route`` needs
-        a cut here.
+    # ------------------------------------------------------------------ #
+    # Routing: binding emission and the log-map cut.
+    # ------------------------------------------------------------------ #
 
-        Judged at this queue's release-head epochs, so every correct
-        replica of this log classifies identically at the same position of
-        its own order.  A stale or malformed log-map change needs no cut
-        (it is deterministically rejected at routing), and a multi-shard
-        marker whose shards all live in one group releases immediately.
+    def on_route(self, seq: int, route: BatchRoute,
+                 parts: Tuple[Tuple[int, int], ...]) -> Optional[Cut]:
+        """The round's part in a delivered batch's route (its certified
+        ``parts``, at ``seq``): bind a marker, apply a log-map change, and
+        return the cut the batch's release waits for -- None for a batch
+        that needs none: not a marker, a marker within one group, a stale
+        change.
+
+        Judged at this queue's epochs after the delivered prefix, so every
+        correct replica of this log classifies identically at the same
+        position of its order.
         """
+        self._bind(seq, route, parts)
         if route.kind == LOG_MAP_CHANGE:
-            if not self.applies(route.change):
-                return None
-            return route.change.marker_key(), tuple(range(self.num_logs))
-        if route.kind != CROSS_SHARD:
+            return self._route_change(seq, route.change)
+        if not self.peer_ids or route.kind != CROSS_SHARD:
             return None
         lmap = self._log_map()
         logs = tuple(sorted({lmap.log_of(shard) for shard in route.shards}))
-        if len(logs) < 2:
-            return None
-        return client_marker_key(route.marker), logs
+        return (Cut(client_marker_key(route.marker), logs, None)
+                if len(logs) > 1 else None)
 
-    # ------------------------------------------------------------------ #
-    # Binding emission.
-    # ------------------------------------------------------------------ #
+    def _bind(self, seq: int, route: BatchRoute,
+              parts: Tuple[Tuple[int, int], ...]) -> None:
+        """Bind a delivered marker to its sequence number.  A log-map
+        change's source log binds it with the moved shard's frontier -- the
+        change's own part there, its final one.
 
-    def on_stage(self, batch: OrderedBatch) -> None:
-        """A batch newly staged: bind it if it is a marker, and note a
-        log-map change to bind once the prefix below it is staged.  A queue
-        with no other log has nobody to bind for."""
+        A client binding is emitted for *every* globally multi-shard
+        marker, whether or not its shards span log groups here: emission
+        is then a pure function of the static partition map (rebalancing
+        is disabled under multi-log ordering), so all of a log's replicas
+        emit matching bodies no matter how a log-map change interleaves --
+        a within-group marker's bindings are simply never waited on.
+        """
         if not self.peer_ids:
             return
-        route = self.queue._route_of(batch)
         if route.kind == CROSS_SHARD:
-            self._bind_marker(batch.seq, client_marker_key(route.marker))
-        elif route.kind == LOG_MAP_CHANGE:
-            self._unbound_changes.add(batch.seq)
-
-    def _bind_marker(self, seq: int, key: MarkerKey) -> None:
-        """Bind a committing cross-shard marker to its sequence number
-        (classified at the staging epoch).
-
-        Emitted for *every* globally multi-shard marker, whether or not
-        its shards span log groups here: emission is then a pure function
-        of the static partition map (rebalancing is disabled under
-        multi-log ordering), so all of a log's replicas emit matching
-        bodies no matter how a racing log-map change interleaves with
-        their staging -- a within-group marker's bindings are simply never
-        waited on.
-        """
+            key, frontier = client_marker_key(route.marker), None
+        elif route.kind == LOG_MAP_CHANGE and self.applies(route.change):
+            key = route.change.marker_key()
+            source = self._log_map().log_of(route.change.shard) == self.log
+            frontier = dict(parts)[route.change.shard] if source else None
+        else:
+            return
         bound = self._bound.get(key)
-        if bound is not None and bound.body.seq == seq:
-            return
-        self._emit_binding(key, CrossLogBindingBody(marker=key, log=self.log,
-                                                    seq=seq))
+        if bound is None or bound.body.seq != seq:
+            self._emit_binding(key, CrossLogBindingBody(
+                marker=key, log=self.log, seq=seq, shard_frontier=frontier))
 
-    def bind_staged_change(self) -> None:
-        """Bind the lowest staged log-map change once every batch below it
-        is staged.
+    def _route_change(self, seq: int, change: LogMapChange) -> Optional[Cut]:
+        """Apply a delivered log-map change; a stale or malformed one is
+        rejected (its slot was answered vacuously), on every correct
+        replica alike.  The target log awaits the source's frontier before
+        routing on."""
+        if not self.applies(change):
+            self.log_map_changes_rejected += 1
+            return None
+        key = change.marker_key()
+        current = self._log_map()
+        source = current.log_of(change.shard)
+        new_map = current.move(change.shard, change.target_log)
+        self.log_registry.append(new_map)
+        self.log_epoch = new_map.epoch
+        self.log_map_cuts += 1
+        if self.log == change.target_log:
+            self.awaiting = (key, source, change.shard)
+            self._adopt_frontier()
+        return Cut(key, tuple(range(self.num_logs)), source)
 
-        Binding at the release head instead would close a cycle: the
-        change's head can sit behind a held cross-group marker whose other
-        log cannot order that marker while its own release holds the same
-        change.  Once the prefix is staged, the moved shard's frontier is
-        already a pure function of it: the shard's counter, plus the parts
-        the staged-but-unreleased batches below the change route to it,
-        plus one for the change's own (the source log's final) envelope.
-        Another config operation in that stretch would move the epochs the
-        stretch routes under; the change then binds at its release head.
-        """
-        if not self._unbound_changes:
-            return
-        queue = self.queue
-        seq = min(self._unbound_changes)
-        parts = [0] * queue.num_shards
-        for below in range(queue._released_seq + 1, seq):
-            batch = queue._staged.get(below)
-            if batch is None:
-                return  # a gap: the next staging tries again
-            route = queue._route_of(batch)
-            if route.change is not None:
-                self._unbound_changes.discard(seq)
-                return
-            for shard in self.owned(route.shards):
-                parts[shard] += 1
-        self._unbound_changes.discard(seq)
-        change = queue._route_of(queue._staged[seq]).change
-        if self.applies(change):
-            self._emit_binding(change.marker_key(), self._change_binding(
-                change, seq, queue._next_shard_seq[change.shard]
-                + parts[change.shard] + 1))
-
-    def _change_binding(self, change: LogMapChange, seq: int,
-                        frontier: int) -> CrossLogBindingBody:
-        """This log's binding of a log-map change at ``seq``: the source
-        log's carries the moved shard's ``frontier``."""
-        source = self._log_map().log_of(change.shard) == self.log
-        return CrossLogBindingBody(marker=change.marker_key(), log=self.log,
-                                   seq=seq,
-                                   shard_frontier=frontier if source else None)
+    def _adopt_frontier(self) -> bool:
+        """Continue the moved shard's order where the source log's
+        certified binding says it stopped, if it is here yet."""
+        key, source, shard = self.awaiting
+        body = self._certified.get(key, {}).get(source)
+        if body is None or body.shard_frontier is None:
+            return False
+        self.awaiting = None
+        self.queue._next_shard_seq[shard] = body.shard_frontier
+        return True
 
     def _emit_binding(self, key: MarkerKey,
                       body: CrossLogBindingBody) -> None:
@@ -354,7 +348,12 @@ class CrossLogRound:
         tally[key] = (body, authenticator)
         if not held and len(tally) > BOUND_RETENTION:
             del tally[next(kept for kept in tally if kept not in self._held)]
-        if self._certify(key, body) and held:
+        if not self._certify(key, body):
+            return
+        if (self.awaiting is not None and self.awaiting[0] == key
+                and self._adopt_frontier()):
+            self.queue.owner.on_routes_resumed(self.queue._routed_seq)
+        if held:
             self.queue._advance_release_frontier()
 
     def _certify(self, key: MarkerKey, body: CrossLogBindingBody) -> bool:
@@ -385,8 +384,8 @@ class CrossLogRound:
         queue witnesses its own log's commit directly).  A log-map change's
         source log counts only with the moved shard's frontier."""
         certified = self._certified.get(key, {})
-        return [log for log in hold.touched if log != self.log and (
-            log not in certified or (log == hold.source and
+        return [log for log in hold.cut.touched if log != self.log and (
+            log not in certified or (log == hold.cut.source and
                                      certified[log].shard_frontier is None))]
 
     # ------------------------------------------------------------------ #
@@ -419,32 +418,22 @@ class CrossLogRound:
             self.queue.owner.send(sender, binding)
 
     # ------------------------------------------------------------------ #
-    # The release head: holds, the log-map cut, release.
+    # The release head: holds and release.
     # ------------------------------------------------------------------ #
 
-    def holds(self, batch: OrderedBatch) -> bool:
-        """Whether the release frontier must pause before ``batch``: a
-        marker spanning log groups waits for every other touched log's
-        certified binding.  A queue with no other log waits for nobody."""
-        if not self.peer_ids:
+    def holds(self, seq: int, cut: Optional[Cut]) -> bool:
+        """Whether the release frontier must pause before the batch at
+        ``seq``: a cut waits for every other touched log's certified
+        binding.  A batch with no cut waits for nobody."""
+        if cut is None:
             return False
-        route = self.queue._route_of(batch)
-        coordination = self._coordination_of(route)
-        if coordination is None:
-            return False
-        key, touched = coordination
-        hold = self._held.get(key) or self._open_hold(batch.seq, route, key,
-                                                      touched)
-        return bool(self._lacking(key, hold))
+        hold = self._held.get(cut.key) or self._open_hold(seq, cut)
+        return bool(self._lacking(cut.key, hold))
 
-    def _open_hold(self, seq: int, route: BatchRoute, key: MarkerKey,
-                   touched: Tuple[int, ...]) -> _Hold:
-        queue = self.queue
-        change = route.change
+    def _open_hold(self, seq: int, cut: Cut) -> _Hold:
+        queue, key = self.queue, cut.key
         hold = self._held[key] = _Hold(
-            touched=touched, seq=seq,
-            source=(None if change is None
-                    else self._log_map().log_of(change.shard)),
+            cut=cut, seq=seq,
             fetch=PendingSend(
                 batch=key, fire=lambda: self._on_binding_retransmit(key),
                 label=f"{queue.owner.node_id}:xlog-binding",
@@ -452,7 +441,6 @@ class CrossLogRound:
         if key in self._released:
             # Ordered again by this log: what released it then stands.
             self._certified[key] = dict(self._released[key])
-        self._ensure_bound(change, key, hold)
         if queue.owner.tracing:
             queue.owner.trace_event(self._marker_trace_id(key),
                                     "coordinate_open")
@@ -464,64 +452,6 @@ class CrossLogRound:
         if key[0] == XS_MARKER:
             return request_trace_id(key[1], key[2])
         return f"logmove:{key[1]}:{key[3]}"
-
-    def _ensure_bound(self, change: Optional[LogMapChange], key: MarkerKey,
-                      hold: _Hold) -> None:
-        """A marker binds at staging; at its release head it binds only if
-        that pass was skipped (a checkpoint sync, a config operation below a
-        log-map change) or its log ordered it again since."""
-        self._unbound_changes.discard(hold.seq)
-        bound = self._bound.get(key)
-        if bound is not None and bound.body.seq == hold.seq:
-            return
-        if change is None:
-            body = CrossLogBindingBody(marker=key, log=self.log, seq=hold.seq)
-        else:
-            # The marker itself is the moved shard's next (and, from the
-            # source log, final) envelope.
-            body = self._change_binding(
-                change, hold.seq, self.queue._next_shard_seq[change.shard] + 1)
-        self._emit_binding(key, body)
-
-    def held_marker(self, route: BatchRoute) -> Optional[MarkerKey]:
-        """The key of the client marker ``route`` names, if it held here."""
-        if not self._held or route.kind != CROSS_SHARD:
-            return None
-        key = client_marker_key(route.marker)
-        return key if key in self._held else None
-
-    def cut(self, batch: OrderedBatch, route: BatchRoute) -> None:
-        """Route a released log-map change to this log's group and apply it.
-
-        Every log routes the marker to each shard it owns *pre-cut* (so
-        every execution cluster meets the log-epoch boundary at a
-        deterministic slot in its own order; the moved shard's envelope
-        from the source log is its final one), then applies the new map.
-        The target log additionally adopts the moved shard's certified
-        frontier, continuing its shard-local sequence space exactly where
-        the source log stopped.  A stale or malformed change is rejected
-        and its slot answered vacuously, on every correct replica alike.
-        """
-        queue = self.queue
-        change = route.change
-        self._unbound_changes.discard(batch.seq)
-        key = change.marker_key()
-        current = self._log_map()
-        if not self.applies(change):
-            self.log_map_changes_rejected += 1
-            queue._vacuous_answer(batch.seq)
-            self.finish(key)
-            return
-        queue._send_parts(batch, self.owned(route.shards))
-        new_map = current.move(change.shard, change.target_log)
-        self.log_registry.append(new_map)
-        self.log_epoch = new_map.epoch
-        self.log_map_cuts += 1
-        if self.log == change.target_log:
-            # What the hold certified of the source log (never this one).
-            source = self._certified[key][current.log_of(change.shard)]
-            queue._next_shard_seq[change.shard] = source.shard_frontier
-        self.finish(key)
 
     def finish(self, key: Optional[MarkerKey]) -> None:
         """The marker ``key`` released: end its hold, if it had one."""
@@ -558,9 +488,9 @@ class CrossLogRound:
             # Maps themselves derive from the agreed change history
             # (shared registry); only the cursor transfers.
             self.log_epoch = log_epoch
-        # A hold the checkpoint passed is over: others released the marker.
+        # A hold the checkpoint passed is over: others released the marker,
+        # and the frontier a log-map cut awaited is in the adopted state.
         for key in [key for key, hold in self._held.items()
                     if hold.seq <= seq]:
             self.finish(key)
-        self._unbound_changes = {change for change in self._unbound_changes
-                                 if change > seq}
+        self.awaiting = None

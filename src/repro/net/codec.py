@@ -127,7 +127,7 @@ def standard_types():
     from ..messages.agreement import (AgreementCertBody, AgreementCheckpoint,
                                       CommitMsg, NewView, OrderedBatch,
                                       PreparedProof, PrePrepare, Prepare,
-                                      ViewChange)
+                                      RoutedCertBody, ViewChange)
     from ..messages.checkpoint import (BatchTransfer, ExecCheckpointProof,
                                        ExecCheckpointShare, FetchBatch,
                                        StateTransfer)
@@ -138,9 +138,8 @@ def standard_types():
                                      CrossLogBindingFetch, LogMapChange)
     from ..sharding.messages import (CrossShardSubReply, CrossShardVote,
                                      CrossShardVoteFetch, MapChange,
-                                     RangeFetch, RangeHandoff, RouteVoucher,
-                                     ShardedBatch, ShardLocalBatch,
-                                     SubReplyBody)
+                                     RangeFetch, RangeHandoff,
+                                     ShardLocalBatch, SubReplyBody)
     from ..statemachine.interface import Operation, OperationResult
     from ..statemachine.nondet import NonDetInput
 
@@ -160,12 +159,14 @@ def standard_types():
         (22, Prepare, None, None), (23, CommitMsg, None, None),
         (24, AgreementCheckpoint, None, None), (25, PreparedProof, None, None),
         (26, ViewChange, None, None), (27, NewView, None, None),
-        (28, OrderedBatch, None, None),
+        (28, OrderedBatch, None, None), (29, RoutedCertBody, None, None),
         (30, ExecCheckpointShare, None, None),
         (31, ExecCheckpointProof, None, None), (32, FetchBatch, None, None),
         (33, BatchTransfer, None, None), (34, StateTransfer, None, None),
-        (40, MapChange, None, None), (41, ShardedBatch, None, None),
-        (42, RouteVoucher, None, None), (43, ShardLocalBatch, None, None),
+        (40, MapChange, None, None),
+        # 41 and 42 are retired (a routing envelope and its digest-only
+        # vote; the certificate covers the route now): never reuse them
+        (43, ShardLocalBatch, None, None),
         (44, RangeHandoff, None, None), (45, SubReplyBody, None, None),
         (46, CrossShardSubReply, None, None), (47, CrossShardVote, None, None),
         (48, CrossShardVoteFetch, None, None),

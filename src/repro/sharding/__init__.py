@@ -35,8 +35,6 @@ from .messages import (
     MapChange,
     RangeFetch,
     RangeHandoff,
-    RouteVoucher,
-    ShardedBatch,
     ShardLocalBatch,
     SubReplyBody,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "RangeFetch",
     "RangeHandoff",
     "RebalanceController",
-    "RouteVoucher",
     "ShardAwareClient",
-    "ShardedBatch",
     "ShardedSystem",
     "ShardExecutionNode",
     "ShardLoadWindow",

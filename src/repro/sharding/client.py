@@ -168,11 +168,10 @@ class CrossShardRequests:
                 and cross.collectors.get(previous) is not None
                 and previous not in cross.senders.values()):
             del cross.collectors[previous]
-        partial = Certificate(payload=body, scheme=AuthenticationScheme.MAC,
-                              authenticators={sender: mac})
-        if client.crypto.assemble(cross.collectors, key, partial,
-                                  client.reply_clusters[body.shard],
-                                  client.reply_quorum) is None:
+        if client.crypto.assemble(cross.collectors, key, message.certificate,
+                                  sender, client.reply_clusters[body.shard],
+                                  client.reply_quorum,
+                                  AuthenticationScheme.MAC) is None:
             return
         cross.certified[body.shard] = body
         self._answer(pending, body)

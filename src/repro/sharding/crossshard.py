@@ -9,7 +9,7 @@ observations with the peer shards (the vote round, a
 touched cluster then sends its sub-reply fragment to the client, which
 assembles ``g + 1`` matching fragments per shard
 (:class:`~repro.sharding.client.CrossShardRequests`); a duplicate marker
-or a genuine retransmission of the envelope re-sends the cached fragment
+or a genuine retransmission of the marker's batch re-sends the cached fragment
 instead of re-executing.
 """
 

@@ -4,44 +4,37 @@ A :class:`ShardExecutionNode` is an ordinary
 :class:`~repro.core.execution.ExecutionNode` whose peers are the ``2g + 1``
 replicas of *its own shard* and whose sequence space is the shard-local one
 assigned by the shard routers.  The node converts each incoming
-:class:`~repro.sharding.messages.ShardedBatch` into a
+:class:`~repro.messages.agreement.OrderedBatch` into a
 :class:`~repro.sharding.messages.ShardLocalBatch` holding the subset of
 requests it owns, which it asks its own router's batch question
-(:meth:`~repro.sharding.router.ShardRouter.route`) for *at the envelope's
-partition-map epoch* -- so the inherited pipeline (in-order execution, gap fetch, per-shard
-checkpoints, reply cache, state transfer) runs unchanged on shard-local
-sequence numbers, and a misrouted or tampered envelope is rejected rather
-than executed.
+(:meth:`~repro.sharding.router.ShardRouter.route`) for *at the certified
+partition-map epoch* -- so the inherited pipeline (in-order execution, gap
+fetch, per-shard checkpoints, reply cache, state transfer) runs unchanged
+on shard-local sequence numbers, and a misrouted or tampered batch is
+rejected rather than executed.
+
+**The certified route.**  The agreement certificate's body is a
+:class:`~repro.messages.agreement.RoutedCertBody`: besides the global
+sequence number and the batch digest, its ``2f + 1`` COMMIT authenticators
+cover the batch's slot on each shard, the routing epoch and the ordering
+log.  The replica takes its slot, the epoch and the log from that body, so
+a part -- from an agreement node's queue, or a peer's
+:class:`~repro.messages.checkpoint.BatchTransfer` -- is accepted exactly
+when :meth:`~repro.crypto.provider.CryptoProvider.agreed_batch` verifies it
+with the replica's own slot inside the certified route.  No single
+agreement node (nor ``f`` of them) can relabel a committed batch's slot,
+epoch or log: the relabelled body no longer verifies.
 
 Misroute rejection (counted in :attr:`ShardExecutionNode.misroutes`) fires
-when the envelope is addressed to a different shard, or when none of the
-batch's requests are owned by this shard at the claimed epoch (or the epoch
-itself is unknown -- a forged future epoch).
+when the batch's route gives this shard no slot, or when none of the
+batch's requests are owned by this shard at the certified epoch.
 
 **One batch check.**  Ownership is judged once per body, in
-``_localize``: every body -- an envelope's, or a peer's transfer, whose
-own filtering is discarded -- becomes a :class:`ShardLocalBatch` only
-there.  ``_validate_batch`` then checks authenticity alone, with the base
-class's check over the whole batch the agreement certificate binds.
-
-**Route authentication.**  The agreement certificate covers the *global*
-sequence number; the shard-local ``shard_seq`` and the routing ``epoch`` are
-derived, not signed, so a single Byzantine agreement node could relabel a
-genuinely committed batch with a wrong slot or a stale epoch and scramble
-the shard's execution order or key ownership.  To prevent this, a replica
-accepts a ``(shard_seq, epoch, batch)`` binding only once ``f + 1`` distinct
-agreement nodes have vouched for it -- every correct agreement node computes
-the same deterministic assignment, so ``f + 1`` matching votes always
-include a correct one.  The primary's envelope carries the body and a vote;
-every other agreement node's :class:`~repro.sharding.messages.RouteVoucher`
-carries the same vote without the body.  A body waits, one per slot and
-binding, for the vote that completes its binding; a vouched slot whose body
-has not come within one fetch period is asked of the shard's peers and of
-the vouchers, any one of whose copies then suffices.  Bindings served by
-shard peers alone need
-``g + 1`` distinct peer votes instead; a recovering replica that cannot
-gather them simply waits for the next stable checkpoint, whose
-``g + 1``-signed proof certifies everything below it.
+``_localize``: every body -- an agreement node's batch, or a peer's
+transfer, whose own filtering is discarded -- becomes a
+:class:`ShardLocalBatch` only there.  ``_validate_batch`` then checks
+authenticity alone, with the base class's check over the whole batch the
+agreement certificate binds.
 
 **Cuts.**  A map-change marker and a cross-shard marker each stop the
 replica at their slot until data from other execution clusters arrives.
@@ -60,21 +53,18 @@ already carries the outcome of.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..config import SystemConfig
 from ..core.execution import ExecutionNode
 from ..crypto.keys import Keystore
-from ..messages.agreement import OrderedBatch
-from ..messages.checkpoint import BatchTransfer
+from ..messages.agreement import OrderedBatch, RoutedCertBody
 from ..messages.reply import BatchReplyBody, ReplyBody
 from ..multilog.messages import LogMapChange
 from ..net.message import Message
-from ..sim.scheduler import Scheduler, Timer
+from ..sim.scheduler import Scheduler
 from ..statemachine.interface import StateMachine
 from ..util.ids import NodeId
-from ..util.seqtable import SeqTable
 from .crossshard import CrossShardOperations
 from .cut import ShareExchange
 from .handoff import RangeHandoffs
@@ -83,29 +73,9 @@ from .messages import (
     CrossShardVoteFetch,
     RangeFetch,
     RangeHandoff,
-    RouteVoucher,
-    ShardedBatch,
     ShardLocalBatch,
 )
 from .router import CROSS_SHARD, LOG_MAP_CHANGE, MAP_CHANGE, ShardRouter
-
-#: vouched route binding for one shard-local slot: (agreement-certificate
-#: body digest, routing epoch, ordering log -- None outside multi-log)
-_RouteBinding = Tuple[bytes, int, Optional[int]]
-
-
-@dataclass
-class _Slot:
-    """Everything the replica holds on one shard-local slot's route."""
-
-    #: each voter's binding (an envelope's sender or a voucher's)
-    votes: Dict[NodeId, _RouteBinding] = field(default_factory=dict)
-    #: the body an envelope brought per binding, held until it is vouched
-    bodies: Dict[_RouteBinding, ShardLocalBatch] = field(default_factory=dict)
-    #: the binding accepted (f + 1 / g + 1 vouched, body validated)
-    accepted: Optional[_RouteBinding] = None
-    #: the one fetch period the body was awaited before it was asked for
-    awaited: Optional[Timer] = None
 
 
 class ShardExecutionNode(ExecutionNode):
@@ -134,8 +104,8 @@ class ShardExecutionNode(ExecutionNode):
         self.stale_epoch_batches = 0
         #: this replica's partition-map epoch (bumps exactly at cut markers)
         self.epoch = 0
-        #: route state per shard-local slot
-        self._slots: SeqTable[int, _Slot] = SeqTable()
+        #: gaps given their one fetch period (:meth:`_request_missing`)
+        self._awaited: Set[int] = set()
         #: every agreement log's replica ids (a log-map cut may hand this
         #: cluster's feed to another log)
         self.log_agreement_ids = [list(ids) for ids in log_agreement_ids]
@@ -172,22 +142,7 @@ class ShardExecutionNode(ExecutionNode):
     # ------------------------------------------------------------------ #
 
     def on_message(self, sender: NodeId, message: Message) -> None:
-        if isinstance(message, ShardedBatch):
-            self.handle_sharded_batch(sender, message)
-        elif isinstance(message, RouteVoucher):
-            self.handle_route_voucher(sender, message)
-        elif isinstance(message, OrderedBatch):
-            # A raw (unrouted) batch has no shard-local sequence number; in a
-            # sharded deployment it can only come from a confused or Byzantine
-            # sender.
-            self.misroutes += 1
-        elif isinstance(message, BatchTransfer):
-            # Peer fetch responses re-enter through the vote path: the
-            # transferred binding counts as one peer vote, never as truth.
-            if sender in self.execution_ids and isinstance(message.batch,
-                                                           ShardLocalBatch):
-                self.handle_sharded_batch(sender, message.batch.to_sharded_batch())
-        elif isinstance(message, RangeHandoff):
+        if isinstance(message, RangeHandoff):
             if message.target_shard != self.shard:
                 self.misroutes += 1
             elif self.handoffs.receive(sender, message):
@@ -203,175 +158,70 @@ class ShardExecutionNode(ExecutionNode):
             super().on_message(sender, message)
 
     # ------------------------------------------------------------------ #
-    # Routes: f + 1 vouched bindings per shard-local slot.
+    # The batch check: ownership once, in _localize; authenticity, the
+    # certified slot included, at acceptance.
     # ------------------------------------------------------------------ #
 
-    def handle_sharded_batch(self, sender: NodeId, message: ShardedBatch) -> None:
-        if not self._routable(message):
-            return
-        local = self._localize(message)
+    def handle_ordered_batch(self, batch) -> None:
+        """An agreement node's batch, or a peer's transferred local view
+        (re-derived from the whole batch it carries), enters the pipeline
+        at this shard's certified slot."""
+        if isinstance(batch, ShardLocalBatch):
+            batch = batch.to_ordered_batch()
+        local = self._localize(batch)
         if local is None:
             self.misroutes += 1
             return
-        # Vote on (agreement-certificate *body* digest, epoch, log): the
-        # body (view, global seq, batch digest, nondet) is identical across
-        # correct senders -- each sender's assembled certificate carries a
-        # different authenticator set -- and it binds the batch content,
-        # which _validate_batch checks against it at acceptance time.  The
-        # epoch and ordering log ride in the vote so a single Byzantine
-        # agreement node can no more relabel a batch's routing epoch or its
-        # ordering log than its slot: a stale/forged label never gathers
-        # f + 1 matching votes.
-        digest = self.crypto.payload_digest(message.batch.agreement_certificate.payload)
-        self._vote_route(sender, message.shard_seq,
-                         (digest, message.epoch, message.log), local)
-
-    def handle_route_voucher(self, sender: NodeId, message: RouteVoucher) -> None:
-        """A binding without its body: a vote exactly like an envelope's."""
-        if self._routable(message):
-            self._vote_route(sender, message.shard_seq,
-                             (message.digest, message.epoch, message.log), None)
-
-    def _vote_route(self, sender: NodeId, seq: int, binding: _RouteBinding,
-                    local: Optional[ShardLocalBatch]) -> None:
-        """Count ``sender``'s vote for ``binding`` at slot ``seq``, keep the
-        body an envelope brought, and accept the slot once the binding is
-        vouched and a body for it is held.
-
-        A body whose binding is not vouched yet waits, one per slot and
-        binding, for the voucher that completes ``f + 1``; only bindings
-        some voter still holds keep theirs, so a Byzantine sender varying
-        its label replaces its body rather than adding one.
-        """
-        slot = self._slots.get(seq)
-        if slot is None:
-            slot = self._slots[seq] = _Slot()
-        repeat = slot.votes.get(sender) == binding
-        slot.votes[sender] = binding
-
-        if seq <= self.max_executed:
-            # Already executed (possibly via state transfer).  Resend the
-            # reply certificate only on a *repeat* envelope from the same
-            # sender -- that is a genuine retransmission, meaning our earlier
-            # reply was lost; first contacts from other agreement nodes are
-            # just their initial (now redundant) sends.
-            if repeat and local is not None:
-                self._resend_replies(local)
-            return
-        if slot.accepted is not None:
-            if slot.accepted != binding:
-                self.misroutes += 1
-                if slot.accepted[0] == binding[0]:
-                    self.stale_epoch_batches += 1
-            return
-        if local is not None:
-            held = set(slot.votes.values())
-            slot.bodies = {kept: body for kept, body in slot.bodies.items()
-                           if kept in held}
-            slot.bodies[binding] = local
-        if not self._binding_vouched(slot.votes, binding):
-            return
-        local = slot.bodies.get(binding)
-        if local is not None:
-            self.handle_ordered_batch(local)
-            if local.seq in self.pending or self.max_executed >= local.seq:
-                slot.accepted = binding
-                slot.bodies = {}
-                if slot.awaited is not None and slot.awaited.active:
-                    slot.awaited.cancel()
-                    del self._fetching[seq]
-                return
-            del slot.bodies[binding]  # it failed validation; a later copy may not
-        self._request_missing(seq)
+        super().handle_ordered_batch(local)
 
     def _request_missing(self, seq: int) -> None:
-        """Ask for a missing slot -- but the body of a slot agreement nodes
-        already vote for is on its way from the primary, which alone sends
-        it and which the network may deliver out of order, late or not at
-        all: it gets one fetch period first."""
-        slot = self._slots.get(seq)
-        if slot is None or slot.awaited is not None or self._fetching.get(seq):
+        """Give a gap one fetch period before asking the peers for it: a
+        link may deliver the batch that fills it after the one that
+        revealed it, and a peer's copy would then arrive only to be
+        answered again (a second reply bundle, a second fragment)."""
+        if seq in self._awaited:
             super()._request_missing(seq)
-            return
-        self._fetching[seq] = True
-        slot.awaited = self.set_timer(
-            self.config.timers.execution_fetch_ms,
-            lambda: self._retry_missing(seq),
-            label=f"{self.node_id}:await-body:{seq}")
+        elif not self._fetching.get(seq):
+            self._awaited.add(seq)
+            self._fetching[seq] = True
+            self.set_timer(self.config.timers.execution_fetch_ms,
+                           lambda: self._retry_missing(seq),
+                           label=f"{self.node_id}:await:{seq}")
 
-    def _fetch_targets(self, seq: int) -> List[NodeId]:
-        """The peers, and the agreement nodes that vouched for the slot:
-        until the slot is answered each still holds the envelope, which it
-        sends back (a primary that state-transferred past the batch never
-        sent its body at all)."""
-        slot = self._slots.get(seq)
-        voters = [voter for voter in (slot.votes if slot is not None else ())
-                  if voter in self.agreement_ids]
-        return super()._fetch_targets(seq) + voters
+    def _localize(self, batch: OrderedBatch) -> Optional[ShardLocalBatch]:
+        """Build this shard's view of ``batch`` at the slot, epoch and log
+        its certificate's route names (None if it names no slot here, or
+        nothing is owned).
 
-    def _routable(self, message) -> bool:
-        """Whether a route vote is addressed to this shard (else it is a
-        misroute) and its slot near enough to buffer.
-
-        The window bounds the route and pending tables: per-shard
-        pipelining lets the agreement cluster run far ahead in aggregate,
-        and a Byzantine agreement node could otherwise flood arbitrary
-        future slots.  It is generous (twice the checkpoint interval, or
-        twice the pipeline window if that is larger) so it never constrains
-        a healthy pipeline; legitimate far-ahead traffic is redelivered by
-        the router queues' retransmission timers once this replica catches
-        up (or it catches up wholesale via a stable checkpoint).
-        """
-        if message.shard != self.shard:
-            self.misroutes += 1
-            return False
-        window = max(2 * self.config.checkpoint_interval,
-                     2 * self.config.pipeline_depth)
-        return message.shard_seq <= self.max_executed + window
-
-    def _binding_vouched(self, votes: Dict[NodeId, _RouteBinding],
-                         binding: _RouteBinding) -> bool:
-        """``f + 1`` agreement senders or ``g + 1`` shard peers vouch for it."""
-        agreement_votes = sum(1 for voter, seen in votes.items()
-                              if seen == binding and voter in self.agreement_ids)
-        if agreement_votes >= self.config.f + 1:
-            return True
-        peer_votes = sum(1 for voter, seen in votes.items()
-                         if seen == binding and voter in self.execution_ids)
-        return peer_votes >= self.config.g + 1
-
-    # ------------------------------------------------------------------ #
-    # The batch check: ownership once, in _localize; authenticity at
-    # acceptance.
-    # ------------------------------------------------------------------ #
-
-    def _localize(self, message: ShardedBatch) -> Optional[ShardLocalBatch]:
-        """Build this shard's view of the envelope (None if nothing is owned).
-
-        The router's answer at the envelope's epoch says what the batch
+        The router's answer at the certified epoch says what the batch
         owns here: a config marker owns no client requests (the cut
         semantics execute at its shard-local slot), a cross-shard marker
         travels whole to each touched cluster (each re-derives its owned
         key subset at execution), and an ordinary batch owns the requests
         the router maps here.  A batch owning nothing -- a marker addressed
-        to a cluster none of its keys live on, a forged future epoch -- is
-        a misroute.
+        to a cluster none of its keys live on -- is a misroute.
         """
-        batch = message.batch
-        route = self.router.route(batch.request_certificates, message.epoch)
+        body = batch.cert_body
+        if not isinstance(body, RoutedCertBody):
+            return None
+        slot = dict(body.route).get(self.shard)
+        if slot is None:
+            return None
+        route = self.router.route(batch.request_certificates, body.epoch)
         owned = route.owned(self.shard)
         if not owned and route.change is None:
             return None
         return ShardLocalBatch(
-            shard=self.shard, seq=message.shard_seq, global_seq=batch.seq,
+            shard=self.shard, seq=slot, global_seq=batch.seq,
             view=batch.view, request_certificates=owned,
             full_request_certificates=batch.request_certificates,
             agreement_certificate=batch.agreement_certificate,
-            nondet=batch.nondet, epoch=message.epoch, log=message.log)
+            nondet=batch.nondet, epoch=body.epoch, log=body.log)
 
     def _validate_batch(self, batch: ShardLocalBatch) -> bool:
-        """The agreement certificate covers the *global* sequence number and
-        the digest of the full batch; a config marker carries no client
+        """The agreement certificate covers the *global* sequence number,
+        the digest of the full batch and the route, which must give this
+        shard the local batch's slot; a config marker carries no client
         request (it is the one local batch owning nothing).  Client
         authenticators are verified for the owned requests
         only (a cross-shard marker's one request is owned whole) unless
@@ -383,7 +233,8 @@ class ShardExecutionNode(ExecutionNode):
         certificates = batch.full_request_certificates
         if not self.crypto.agreed_batch(batch.agreement_certificate, batch.global_seq,
                                         batch.view, certificates,
-                                        self.config.agreement_quorum, self.agreement_ids):
+                                        self.config.agreement_quorum, self.agreement_ids,
+                                        slot=(self.shard, batch.seq)):
             return False
         if not batch.request_certificates:
             return True
@@ -426,14 +277,13 @@ class ShardExecutionNode(ExecutionNode):
                 self._follow_log_map_change(route.change)
             return
         if batch.epoch != self.epoch:
-            # Defence in depth: an accepted binding always matches the
+            # Defence in depth: a certified epoch always matches the
             # in-stream epoch (markers and batches share one ordered
-            # feed), so a mismatch here means the binding was forged
-            # past the vote somehow -- drop it and re-fetch the truth
-            # rather than execute under the wrong map.
+            # feed), so a mismatch here means the certificate was forged
+            # somehow -- drop it and re-fetch the truth rather than
+            # execute under the wrong map.
             self.misroutes += 1
             self.stale_epoch_batches += 1
-            self._slots.pop(batch.seq, None)
             self._request_missing(batch.seq)
             return
         if route.kind == CROSS_SHARD:
@@ -522,8 +372,8 @@ class ShardExecutionNode(ExecutionNode):
         self.handoffs.prune_past()
 
     # ------------------------------------------------------------------ #
-    # Replies carry the shard id and epoch; route and vote tables are
-    # garbage collected with the recent-batch window.
+    # Replies carry the shard id and epoch; cross-shard tables are garbage
+    # collected with the recent-batch window.
     # ------------------------------------------------------------------ #
 
     def _make_reply_body(self, view: int, seq: int,
@@ -534,6 +384,4 @@ class ShardExecutionNode(ExecutionNode):
     def _trim_recent(self) -> None:
         super()._trim_recent()
         self.cross_shard.trim()
-        horizon = self.max_executed - 2 * self.config.checkpoint_interval
-        if horizon > 0:
-            self._slots.trim(horizon)
+        self._awaited = {seq for seq in self._awaited if seq > self.max_executed}

@@ -1,18 +1,16 @@
 """Messages of the sharded execution subsystem.
 
-:class:`ShardedBatch` is what flows from the shard-routing message queues to
-one execution cluster: the *complete* globally-ordered batch (so the shard
-can verify the untampered agreement certificate) plus the routing header
-``(shard, shard_seq, epoch)``.  ``shard_seq`` is the shard's own contiguous
-sequence number, assigned deterministically by every correct agreement node
-as it delivers batches in global order -- the shard's execution replicas
-order, checkpoint, and state-transfer entirely in this local sequence space.
-``epoch`` is the partition-map epoch the batch was routed under; it is part
-of the ``f + 1``-vouched route binding, so a single Byzantine agreement node
-can no more relabel a batch's epoch than its slot.  Only the binding needs
-``f + 1`` senders, not the body: on first release the primary's queue sends
-the envelope and every other queue a :class:`RouteVoucher` -- the binding
-with the agreement-certificate body's digest in place of the batch.
+An execution cluster receives the plain
+:class:`~repro.messages.agreement.OrderedBatch` from the shard-routing
+message queues: the *complete* globally-ordered batch, whose agreement
+certificate (a :class:`~repro.messages.agreement.RoutedCertBody`) also
+names the batch's route -- its ``(shard, shard_seq)`` slot on each shard,
+the partition-map epoch and the ordering log.  ``shard_seq`` is the shard's
+own contiguous sequence number, assigned deterministically by every correct
+agreement node in global order and covered by the ``2f + 1`` COMMIT
+authenticators like the batch itself -- the shard's execution replicas
+order, checkpoint, and state-transfer entirely in this local sequence
+space.
 
 :class:`ShardLocalBatch` is the execution-side view of a routed batch: the
 same interface as :class:`~repro.messages.agreement.OrderedBatch` but with
@@ -100,44 +98,6 @@ class MapChange(ConfigOperation):
 
 
 @dataclass(frozen=True)
-class ShardedBatch(Message):
-    """Routing envelope: one globally-ordered batch addressed to one shard."""
-
-    shard: int
-    shard_seq: int
-    batch: OrderedBatch
-    #: partition-map epoch the batch was routed under (part of the vouched
-    #: route binding; map-change markers carry the epoch they *close*)
-    epoch: int = 0
-    #: agreement log that ordered the batch (part of the vouched route
-    #: binding under multi-log ordering; None in single-log deployments)
-    log: Optional[int] = None
-
-    @property
-    def padding_bytes(self) -> int:  # type: ignore[override]
-        return self.batch.padding_bytes
-
-
-@dataclass(frozen=True)
-class RouteVoucher(Message):
-    """A routing binding without the batch: one agreement node's vote that
-    slot ``(shard, shard_seq)`` holds the batch whose agreement-certificate
-    body has digest ``digest``, routed under ``epoch`` by ``log``.
-
-    Only the primary's queue sends the :class:`ShardedBatch` body on first
-    release; every other queue sends this in its place.  An execution
-    replica counts it exactly like an envelope's vote, and the ``f + 1``-th
-    matching vote accepts the body it holds for that binding.
-    """
-
-    shard: int
-    shard_seq: int
-    digest: bytes
-    epoch: int = 0
-    log: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class ShardLocalBatch(Message):
     """A shard's local view of a routed batch.
 
@@ -170,16 +130,13 @@ class ShardLocalBatch(Message):
     def cert_body(self) -> AgreementCertBody:
         return self.agreement_certificate.payload
 
-    def to_sharded_batch(self) -> ShardedBatch:
-        """Rebuild the routing envelope (peer fetches re-vote the binding)."""
-        return ShardedBatch(
-            shard=self.shard, shard_seq=self.seq, epoch=self.epoch,
-            log=self.log,
-            batch=OrderedBatch(seq=self.global_seq, view=self.view,
-                               request_certificates=self.full_request_certificates,
-                               agreement_certificate=self.agreement_certificate,
-                               nondet=self.nondet),
-        )
+    def to_ordered_batch(self) -> OrderedBatch:
+        """The globally-ordered batch this view was cut from (a peer's
+        transfer is localized afresh from it)."""
+        return OrderedBatch(seq=self.global_seq, view=self.view,
+                            request_certificates=self.full_request_certificates,
+                            agreement_certificate=self.agreement_certificate,
+                            nondet=self.nondet)
 
 
 def handoff_payload(epoch: int, lo: Optional[str], hi: Optional[str],
@@ -298,7 +255,7 @@ class CrossShardSubReply(Message):
     Sent, MAC'd for the client only, by every replica of every touched
     cluster to the client, which completes once ``g + 1`` matching partials
     certify each touched shard's fragment.  A duplicate marker or a genuine
-    retransmission of the envelope re-sends the cached partial.
+    retransmission of the marker's batch re-sends the cached partial.
     """
 
     body: SubReplyBody

@@ -10,53 +10,48 @@ and every correct agreement node computes the same ``(s, shard_seq)`` pair.
 No extra agreement round is needed to shard -- the paper's separation
 already provides the total order, and routing is a pure function of it.
 
-Batches may be *staged* out of global order (``stage_batch``, used with
-``SystemConfig.per_shard_windows``: a replica hands a batch over the
-moment it commits locally, even while an earlier sequence number is still
-gathering commit votes).  The queue buffers such arrivals and releases each
-shard's parts along a **per-shard frontier over the global order**: a batch
-reaches shard ``s`` as soon as every earlier batch is staged -- there is no
-waiting for earlier batches to be *answered*, so a stalled shard never
-holds back another shard's feed -- and the shard-local sequence numbers
-assigned at release are a pure function of the committed prefix.
+**The certificate covers the route.**  The hosting replica's COMMIT for
+``n`` authenticates a :class:`~repro.messages.agreement.RoutedCertBody`:
+the batch's ``(shard, shard_seq)`` slots, the partition-map epoch and the
+log, which this queue derives (:meth:`ShardRouterQueue.route_body`) once
+``n - 1`` is delivered.  A committed prefix is final -- a view change can
+null a batch that only prepared, never one that committed -- so the route
+is a pure function of agreed history, and ``2f + 1`` COMMIT authenticators
+vouch for the slot exactly as they vouch for the batch.  The replica
+delivers each batch right after it commits, in global order, and the queue
+routes it there (:meth:`ShardRouterQueue.execute_batch`): the counters
+advance to the certified slots.  An execution replica accepts a part when
+the certificate verifies with its own slot in the route, so the queue sends
+each touched cluster the plain :class:`~repro.messages.agreement.OrderedBatch`:
+the primary on first release, every queue again on its retransmission
+timer (as :class:`~repro.core.message_queue.MessageQueue` does), and a
+queue whose replica enters a view as its primary sends every part still
+pending, which the old primary may never have sent.
 
 What a batch is and which shards own what of it is the router's answer
 (:meth:`~repro.sharding.router.ShardRouter.route`), asked once per batch at
-the queue's epoch cursor and kept from staging to release
-(:meth:`ShardRouterQueue._route_of`); the queue and its cross-log round only
-read it.  A batch touching requests of several shards (possible when
-``bundle_size > 1``) is sent to *every* owning shard; each shard executes
-only the subset it owns, so cross-shard bundles cost bandwidth but never
-violate ownership.
-
-**One body per replica.**  ``shard_seq`` is not covered by the agreement
-certificate, so an execution replica accepts a routing binding only once
-``f + 1`` agreement nodes vouch for it -- but only the binding needs
-``f + 1`` senders, not the body.  As in the paper's message queue, the
-primary's queue sends the :class:`~repro.sharding.messages.ShardedBatch` on
-first release; every other queue sends a
-:class:`~repro.sharding.messages.RouteVoucher` (the binding with the digest
-of the agreement-certificate body in place of the batch).  Every queue arms
-the retransmission timer, a retransmission sends the envelope, and a queue
-whose replica enters a view as its primary sends the envelope of every part
-still pending.
+the queue's epoch cursor when its COMMIT is built and kept until delivery
+(:meth:`ShardRouterQueue._route_of`).  A batch touching requests of several
+shards (possible when ``bundle_size > 1``) is sent to *every* owning shard;
+each shard executes only the subset it owns, so cross-shard bundles cost
+bandwidth but never violate ownership.
 
 **Epoch cuts.**  With dynamic rebalancing, a
 :class:`~repro.sharding.messages.MapChange` config operation occupies one
-global sequence number, and the release frontier gives it deterministic cut
-semantics for free: every batch released before the marker is routed by the
-old partition map, the marker itself is routed to *every* cluster (each
+global sequence number, and routing in global order gives it deterministic
+cut semantics for free: every batch routed before the marker is routed by
+the old partition map, the marker itself is routed to *every* cluster (each
 assigns it the next shard-local sequence number, so each cluster meets the
 cut at a well-defined point in its own order), the queue applies the change
 (or deterministically no-ops it, if a concurrent cut made its parent epoch
-stale), and every batch after it routes by the new map.  Envelopes carry the
-routing epoch, which becomes part of the ``f + 1``-vouched route binding at
-the execution replicas.
+stale), and every batch after it routes by the new map.  The routed body
+names the epoch (a marker's: the one it closes), so the certificate covers
+it too.
 
 The queue also keeps the **per-shard load counters** the rebalancer reads:
-released requests per cluster and per key over the current observation
+routed requests per cluster and per key over the current observation
 window (reset at each cut, so the window always describes the live map).
-Counting at release time means the counters are a pure function of the
+Counting in the global order means the counters are a pure function of the
 committed prefix -- identical on every correct replica at the same log
 position -- so the primary's proposals are reproducible.  The rebalance
 controller lives here too, beside the window it reads: every queue polls
@@ -67,8 +62,7 @@ The proposer asks this queue what a request is
 (:meth:`ShardRouterQueue.request_shard`,
 :meth:`ShardRouterQueue.cross_shards`): the router's operation question at
 the live epoch, so a freshly admitted request queues by the map that will
-route it; routing at release stays authoritative if the epoch moves in
-between.
+route it; routing stays authoritative if the epoch moves in between.
 
 Reply certificates are assembled per shard: ``g + 1`` matching
 authenticators must come from the replicas of the shard named inside the
@@ -80,37 +74,50 @@ Byzantine nodes total.
 the shards the log map gives that log's group; markers spanning groups and
 log-map changes release at one cross-log cut, which the queue's
 :class:`~repro.multilog.queue.CrossLogRound` runs (idle with one log).
+Routing never waits on a cut's hold -- holds gate release only -- but the
+target log of a log-map change routes past the change only with the source
+log's certified frontier for the moved shard.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..agreement.local import RetryOutcome
 from ..config import SystemConfig
 from ..core.message_queue import PendingSend, QueueCore
 from ..crypto.certificate import Certificate
-from ..messages.agreement import OrderedBatch
-from ..messages.checkpoint import FetchBatch
+from ..messages.agreement import AgreementCertBody, OrderedBatch, RoutedCertBody
 from ..messages.reply import BatchReply
 from ..messages.request import ClientRequest
 from ..multilog.logmap import LogMap
 from ..multilog.messages import CrossLogBinding, CrossLogBindingFetch
-from ..multilog.queue import CrossLogRound
+from ..multilog.queue import CrossLogRound, Cut
 from ..net.message import Message
 from ..sim.process import Process
 from ..statemachine.nondet import NonDetInput
 from ..util.epochs import EpochRegistry
 from ..util.ids import NodeId
 from ..util.seqtable import SeqTable
-from .messages import RouteVoucher, ShardedBatch
 from .rebalance import RebalanceController, ShardLoadWindow, apply_map_change
 from .router import (CROSS_SHARD, LOG_MAP_CHANGE, MAP_CHANGE, BatchRoute,
                      ShardRouter)
 
 #: (shard, shard-local sequence number)
 ShardPart = Tuple[int, int]
+
+
+class _Routed(NamedTuple):
+    """A delivered batch on its way to release, and what routing fixed."""
+
+    batch: OrderedBatch
+    route: BatchRoute
+    #: the certified slots, one part per shard
+    parts: Tuple[ShardPart, ...]
+    #: the cross-log cut its release waits for, if any
+    cut: Optional[Cut]
 
 
 class ShardRouterQueue(QueueCore):
@@ -132,14 +139,21 @@ class ShardRouterQueue(QueueCore):
         self.cross_log = CrossLogRound(self, log, log_agreement_ids,
                                        log_registry)
 
-        #: per-shard next local sequence number (deterministic across replicas)
+        #: per-shard last assigned local sequence number (deterministic
+        #: across replicas)
         self._next_shard_seq: List[int] = [0] * self.num_shards
-        #: committed batches staged out of global order, keyed by global seq
-        self._staged: Dict[int, OrderedBatch] = {}
-        #: the router's answer for each staged batch (:meth:`_route_of`)
-        self._routes: Dict[int, BatchRoute] = {}
-        #: highest global sequence number released to the shard frontiers
-        #: (every batch at or below it has been routed)
+        #: highest global sequence number routed (delivered): the routes up
+        #: to it are fixed, so the next batch's can be derived
+        self._routed_seq = 0
+        #: the router's answer per sequence number, from the COMMIT that
+        #: certifies its route to delivery: seq -> (batch digest, answer)
+        self._routes: Dict[int, Tuple[bytes, BatchRoute]] = {}
+        #: routed bodies of delivered batches above the stable checkpoint
+        #: (a NEW-VIEW may re-propose one, and the replica commits it again)
+        self._bodies: Dict[int, RoutedCertBody] = {}
+        #: delivered batches not released yet (a cross-log hold), by seq
+        self._staged: Dict[int, _Routed] = {}
+        #: highest global sequence number released to the shards
         self._released_seq = 0
         #: book-keeping for batches awaiting their reply, keyed by shard part
         self.shard_pending: Dict[ShardPart, PendingSend] = {}
@@ -155,11 +169,11 @@ class ShardRouterQueue(QueueCore):
             SeqTable(seq_of=itemgetter(0)) for _ in range(self.num_shards)]
 
         #: this node's partition-map epoch cursor: the epoch governing the
-        #: *next* released batch (advanced exactly at map-change markers)
+        #: *next* routed batch (advanced exactly at map-change markers)
         self.epoch = 0
-        #: released-request load counters over the current observation window
+        #: routed-request load counters over the current observation window
         self.load_window = ShardLoadWindow(num_clusters=self.num_shards)
-        #: cumulative released requests per cluster (never reset; the
+        #: cumulative routed requests per cluster (never reset; the
         #: example and benchmarks read these for observability)
         self.routed_by_shard: List[int] = [0] * self.num_shards
 
@@ -171,15 +185,8 @@ class ShardRouterQueue(QueueCore):
         #: client markers released through a cross-log hold
         self.cross_log_markers = 0
 
-        #: frontier snapshots at checkpoint cuts: global seq -> transferable
-        #: state (:meth:`_frontier_state`), captured the moment the
-        #: release frontier crosses the cut so the snapshot is a pure
-        #: function of the released prefix (release may run ahead of the
-        #: delivery pass that emits the checkpoint vote)
-        self._sync_snapshots: Dict[int, Tuple[Tuple[str, object], ...]] = {}
-
         # Observability (passive): time each batch spends buffered between
-        # staging (local commit) and release along the per-shard frontier.
+        # delivery and release.
         self._staged_at: Dict[int, float] = {}
         self._h_stall = owner.metrics.histogram("shardqueue.frontier_stall_ms")
         self._c_released = owner.metrics.counter("shardqueue.batches_released")
@@ -215,152 +222,136 @@ class ShardRouterQueue(QueueCore):
     # LocalExecutor interface: routing agreed batches.
     # ------------------------------------------------------------------ #
 
+    def route_body(self, body: AgreementCertBody,
+                   requests: Tuple[Certificate, ...]) -> Optional[RoutedCertBody]:
+        """``body`` with the batch's route: its next slot on each shard it
+        goes to, the epoch cursor and the log.  Derivable for the batch
+        right above the routed prefix, unless a log-map cut awaits the
+        source log's frontier; a routed batch keeps its route (a NEW-VIEW
+        may re-propose it)."""
+        seq = body.seq
+        if seq <= self._routed_seq:
+            routed = self._bodies.get(seq)
+            if routed is None or routed.batch_digest != body.batch_digest:
+                return None
+            return dataclasses.replace(routed, view=body.view)
+        if seq > self._routed_seq + 1 or self.cross_log.awaiting is not None:
+            return None
+        route = self._route_of(seq, body.batch_digest, requests)
+        return RoutedCertBody(
+            view=body.view, seq=seq, batch_digest=body.batch_digest,
+            nondet=body.nondet, epoch=self.epoch, log=self.cross_log.stamp,
+            route=tuple((shard, self._next_shard_seq[shard] + 1)
+                        for shard in self._slotted(route)))
+
+    def _route_of(self, seq: int, batch_digest: bytes,
+                  requests: Tuple[Certificate, ...]) -> BatchRoute:
+        """The router's answer for the batch at ``seq`` at the epoch
+        cursor: asked once per batch (again only if a view change put
+        another batch there), so the COMMIT and delivery read one answer."""
+        cached = self._routes.get(seq)
+        if cached is None or cached[0] != batch_digest:
+            cached = self._routes[seq] = (batch_digest,
+                                          self.router.route(requests, self.epoch))
+        return cached[1]
+
+    def _slotted(self, route: BatchRoute) -> List[int]:
+        """The shards a batch gets a slot on: those the router names that
+        this log's group owns -- none for a log-map change that does not
+        apply here, or when the targets all live in another log's group."""
+        if route.kind == LOG_MAP_CHANGE and not self.cross_log.applies(route.change):
+            return []
+        return self.cross_log.owned(route.shards)
+
     def execute_batch(self, seq: int, view: int,
                       request_certificates: Tuple[Certificate, ...],
                       agreement_certificate: Certificate,
                       nondet: NonDetInput) -> None:
-        # The agreement replica's contiguous delivery pass; batches already
-        # staged (and released) through the out-of-order path are skipped.
-        self.stage_batch(seq=seq, view=view,
-                         request_certificates=request_certificates,
-                         agreement_certificate=agreement_certificate,
-                         nondet=nondet)
-
-    def stage_batch(self, seq: int, view: int,
-                    request_certificates: Tuple[Certificate, ...],
-                    agreement_certificate: Certificate,
-                    nondet: NonDetInput) -> None:
-        """Accept a *committed* batch in any global-sequence order.
-
-        Batches are buffered until every earlier global sequence number has
-        been staged, then released along the per-shard frontiers in global
-        order.  The shard-local sequence numbers assigned at release time
-        are therefore a pure function of the committed prefix -- identical
-        on every correct replica no matter how far out of order the commits
-        completed locally -- which is what keeps sharding agreement-free
-        even with staging at commit (``SystemConfig.per_shard_windows``).
-        A marker is bound for the cross-log round as it stages.
-        """
-        if seq > self._released_seq and seq not in self._staged:
-            batch = self._staged[seq] = OrderedBatch(
-                seq=seq, view=view,
-                request_certificates=tuple(request_certificates),
-                agreement_certificate=agreement_certificate, nondet=nondet)
-            self.cross_log.on_stage(batch)
-            self.max_n = max(self.max_n, seq)
-            self._staged_at[seq] = self.owner.now
-            if self.owner.tracing:
-                self._trace_requests(batch.request_certificates, "stage")
-            self._advance_release_frontier()
-            self._g_staged.set(len(self._staged))
-        self.cross_log.bind_staged_change()
-
-    def _advance_release_frontier(self) -> None:
-        """Release staged batches in global order until a gap, or a marker
-        the cross-log round holds (the round calls this again once it has
-        certified the cut)."""
-        while True:
-            next_batch = self._staged.get(self._released_seq + 1)
-            if next_batch is None or self.cross_log.holds(next_batch):
-                return
-            self._released_seq += 1
-            del self._staged[self._released_seq]
-            self._route_batch(next_batch)
-            self._note_checkpoint_cut(self._released_seq)
-
-    def _route_of(self, batch: OrderedBatch) -> BatchRoute:
-        """The router's answer for ``batch`` at this queue's epoch cursor:
-        asked once per batch (again only if a cut moved the cursor since),
-        so staging, the release head and release all read one answer.  It
-        tells what a staged batch *will* route to, too: the answer is a
-        pure function of the batch and the epoch."""
-        route = self._routes.get(batch.seq)
-        if route is None or route.epoch != self.epoch:
-            route = self._routes[batch.seq] = self.router.route(
-                batch.request_certificates, self.epoch)
-        return route
-
-    def _route_batch(self, batch: OrderedBatch) -> None:
-        """Advance the per-shard frontiers over one released batch: its
-        parts go to the shards the router names that this log's group owns.
-
-        A map-change marker's envelope is stamped with the epoch the marker
-        *closes*.  A cross-shard marker's slot in each touched shard's local
-        sequence is a consistent cut over the global prefix: the release
-        frontier has already fed each of those shards every earlier batch
-        (the operation's own *pinned* epoch is judged against the routing
-        epoch at execution, where a mismatch aborts deterministically).
-        """
-        route = self._route_of(batch)
-        del self._routes[batch.seq]
-        self._observe_release(batch)
-        if self.owner.tracing:
-            self._trace_requests(batch.request_certificates, "release")
-        if route.kind == LOG_MAP_CHANGE:
-            self.cross_log.cut(batch, route)
-            return
-        held = self.cross_log.held_marker(route)
-        if held is not None:
-            self.cross_log_markers += 1
-        if route.kind != MAP_CHANGE:
+        """Route a delivered batch -- the replica delivers each batch the
+        moment it commits, in global order -- by the route its certificate
+        carries, then release it unless a cross-log hold keeps it."""
+        body: RoutedCertBody = agreement_certificate.payload
+        batch = OrderedBatch(seq=seq, view=view,
+                             request_certificates=tuple(request_certificates),
+                             agreement_certificate=agreement_certificate,
+                             nondet=nondet)
+        route = self._route_of(seq, body.batch_digest, batch.request_certificates)
+        del self._routes[seq]
+        for shard, shard_seq in body.route:
+            self._next_shard_seq[shard] = shard_seq
+        self._routed_seq = seq
+        self._bodies[seq] = body
+        self.max_n = max(self.max_n, seq)
+        cut = self.cross_log.on_route(seq, route, body.route)
+        if route.kind == MAP_CHANGE:
+            self._apply_cut(route.change)
+        elif route.kind != LOG_MAP_CHANGE:
             if route.kind == CROSS_SHARD:
                 self.cross_shard_markers += 1
             self._note_load(route)
-        self._send_parts(batch, self.cross_log.owned(route.shards))
-        if route.kind == MAP_CHANGE:
-            self._apply_cut(route.change)
-        self.cross_log.finish(held)
+        self._staged[seq] = _Routed(batch, route, body.route, cut)
+        self._staged_at[seq] = self.owner.now
+        if self.owner.tracing:
+            self._trace_requests(batch.request_certificates, "stage")
+        self._advance_release_frontier()
 
-    def _observe_release(self, batch: OrderedBatch) -> None:
+    def _advance_release_frontier(self) -> None:
+        """Release routed batches in global order until one the cross-log
+        round holds (the round calls this again once it certified the cut)."""
+        while True:
+            routed = self._staged.get(self._released_seq + 1)
+            if routed is None or self.cross_log.holds(routed.batch.seq, routed.cut):
+                break
+            self._released_seq += 1
+            del self._staged[self._released_seq]
+            self._release(routed)
+        self._g_staged.set(len(self._staged))
+
+    def _release(self, routed: _Routed) -> None:
+        """Send a released batch's parts and end its cross-log hold."""
+        batch = routed.batch
         staged_at = self._staged_at.pop(batch.seq, None)
         if staged_at is not None:
             self._h_stall.observe(self.owner.now - staged_at)
         self._c_released.inc()
+        if self.owner.tracing:
+            self._trace_requests(batch.request_certificates, "release")
+        self._send_parts(batch, routed.parts)
+        if routed.cut is not None:
+            if routed.route.kind == CROSS_SHARD:
+                self.cross_log_markers += 1
+            self.cross_log.finish(routed.cut.key)
 
-    def _send_parts(self, batch: OrderedBatch, shards) -> None:
-        """Give ``batch`` the next shard-local slot of each of ``shards``
-        and send it there; with no shard to send to (every request was
-        excluded, or the targets all live in another log's group) the slot
-        is vacuously answered.  Only the primary's queue sends the
-        envelope; every other queue sends a :class:`RouteVoucher` for the
-        same slot ("One body per replica" above), and every queue arms the
-        retransmission timer."""
-        if not shards:
+    def _send_parts(self, batch: OrderedBatch, parts: Tuple[ShardPart, ...]) -> None:
+        """Send ``batch`` to the shard of each certified part; with no part
+        (every request was excluded, or the targets all live in another
+        log's group) the slot is vacuously answered.  Only the primary's
+        queue sends on first release; every queue arms the retransmission
+        timer."""
+        if not parts:
             self._vacuous_answer(batch.seq)
             return
-        self._parts_outstanding[batch.seq] = len(shards)
-        sends_body = self._owner_is_primary(self.owner.view)
-        digest = (None if sends_body else
-                  self.crypto.payload_digest(batch.agreement_certificate.payload))
-        log = self.cross_log.stamp
-        for shard in shards:
-            self._next_shard_seq[shard] += 1
-            shard_seq = self._next_shard_seq[shard]
-            envelope = ShardedBatch(shard=shard, shard_seq=shard_seq,
-                                    batch=batch, epoch=self.epoch, log=log)
+        self._parts_outstanding[batch.seq] = len(parts)
+        sends = self._owner_is_primary(self.owner.view)
+        for part in parts:
+            shard, shard_seq = part
             self._unanswered[shard][shard_seq] = batch.seq
-            part = (shard, shard_seq)
-            pending = PendingSend(
-                batch=envelope,
+            pending = self.shard_pending[part] = PendingSend(
+                batch=batch,
                 fire=lambda part=part: self._on_shard_retransmit_timeout(part),
                 label=f"{self.owner.node_id}:mq-retransmit:s{shard}:{shard_seq}",
                 timeout_ms=self.config.timers.agreement_retransmit_ms)
-            self.shard_pending[part] = pending
-            if sends_body:
-                self._send_envelope(envelope)
-            else:
-                voucher = RouteVoucher(shard=shard, shard_seq=shard_seq,
-                                       digest=digest, epoch=self.epoch, log=log)
-                self.owner.multicast(self.shard_execution_ids[shard], voucher)
+            if sends:
+                self._send(self.shard_execution_ids[shard], batch)
             self._arm(pending)
 
     def on_view_entered(self, view: int) -> None:
-        """A replica that enters a view as its primary sends the envelope of
-        every part still pending: the old primary, crashed or censoring, may
-        never have sent the bodies its backups only vouched for."""
+        """A replica that enters a view as its primary sends every part
+        still pending: the old primary, crashed or censoring, may never
+        have sent them."""
         if self._owner_is_primary(view):
-            for pending in self.shard_pending.values():
-                self._send_envelope(pending.batch)
+            for (shard, _), pending in self.shard_pending.items():
+                self._send(self.shard_execution_ids[shard], pending.batch)
 
     def _vacuous_answer(self, seq: int) -> None:
         """Mark a slot nobody owes a reply for as answered, so the pipeline
@@ -385,13 +376,13 @@ class ShardRouterQueue(QueueCore):
             self._answered.discard(self.highest_reply_seq)
 
     def _note_load(self, route: BatchRoute) -> None:
-        """Count one released batch into the rebalancer's load window."""
+        """Count one routed batch into the rebalancer's load window."""
         for cluster, key in route.loads():
             self.load_window.note(cluster, key)
             self.routed_by_shard[cluster] += 1
 
     def _apply_cut(self, change) -> None:
-        """Apply a released map change (or deterministically no-op it).
+        """Apply a routed map change (or deterministically no-op it).
 
         Runs at the same position of the global order on every correct
         replica, against the same current map -- so either all of them move
@@ -412,30 +403,16 @@ class ShardRouterQueue(QueueCore):
         self.epoch_cuts += 1
         self.load_window.reset()
 
-    def _send_envelope(self, envelope: ShardedBatch) -> None:
-        self._send(self.shard_execution_ids[envelope.shard], envelope)
-
     def _on_shard_retransmit_timeout(self, part: ShardPart) -> None:
         pending = self.shard_pending.get(part)
         if pending is not None:
-            self._send_envelope(pending.batch)
+            self._send(self.shard_execution_ids[part[0]], pending.batch)
             self._back_off(pending)
 
     def on_unknown_message(self, sender: NodeId, message: Message) -> None:
-        """Cross-log traffic is the round's.  An execution replica that
-        holds vouchers for a slot but not its body asks the vouchers too:
-        answer with the pending envelope."""
+        """Cross-log traffic is the round's."""
         if isinstance(message, (CrossLogBinding, CrossLogBindingFetch)):
             self.cross_log.on_message(sender, message)
-            return
-        if not isinstance(message, FetchBatch) or message.replica != sender:
-            return
-        shard = next((shard for shard, ids in enumerate(self.shard_execution_ids)
-                      if sender in ids), None)
-        pending = self.shard_pending.get((shard, message.seq))
-        if pending is not None:
-            self.owner.send(sender, pending.batch)
-            self.retransmissions += 1
 
     def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
         """Serve a client retransmission from the cache or pending sends."""
@@ -459,8 +436,8 @@ class ShardRouterQueue(QueueCore):
         outcome = RetryOutcome.NEED_ORDER
         for (shard, _), pending in self.shard_pending.items():
             if ((every_part or shard == owner)
-                    and self._carries(pending.batch.batch, request)):
-                self._send_envelope(pending.batch)
+                    and self._carries(pending.batch, request)):
+                self._send(self.shard_execution_ids[shard], pending.batch)
                 self.retransmissions += 1
                 outcome = RetryOutcome.HANDLED
                 if not every_part:
@@ -487,56 +464,39 @@ class ShardRouterQueue(QueueCore):
     # Checkpoint state transfer.
     # ------------------------------------------------------------------ #
 
-    def _note_checkpoint_cut(self, seq: int) -> None:
-        """Snapshot the routing frontiers when release crosses a checkpoint.
-
-        Captured here -- not when the checkpoint vote is emitted -- because
-        the release frontier and the hosting replica's contiguous delivery
-        pass run apart: out-of-order staging lets release run ahead, and a
-        held cross-log marker keeps it behind.  The vote must describe the
-        state at exactly the cut, a pure function of the released prefix,
-        identical on every correct replica; a vote delivery had to defer is
-        cast now.
-        """
-        if seq % self.config.checkpoint_interval == 0:
-            self._sync_snapshots[seq] = self._frontier_state()
-            self.owner.on_checkpoint_cut(seq)
-
     def _frontier_state(self) -> Tuple[Tuple[str, object], ...]:
         """The per-shard sequence counters and the epoch cursors.  A
         replica that adopts these assigns the same ``(shard, shard_seq)``
-        pairs to future batches as the replicas that actually released the
+        pairs to future batches as the replicas that actually routed the
         gap."""
         return ((("frontiers", tuple(self._next_shard_seq)),
                  ("epoch", self.epoch)) + self.cross_log.frontier_state())
 
     def checkpoint_sync_state(
             self, seq: int) -> Optional[Tuple[Tuple[str, object], ...]]:
-        """Transferable frontier state at the checkpoint cut, or ``None``
-        while the release frontier has not reached it yet."""
-        if seq > self._released_seq:
+        """Transferable frontier state at the checkpoint cut -- the replica
+        asks right after delivering it -- or ``None`` while a log-map cut
+        there awaits the source log's frontier."""
+        if seq != self._routed_seq or self.cross_log.awaiting is not None:
             return None
-        return self._sync_snapshots.get(seq, ())
+        return self._frontier_state()
 
     def on_stable_checkpoint(self, seq: int) -> None:
-        self._sync_snapshots = {
-            cut: snapshot for cut, snapshot in self._sync_snapshots.items()
-            if cut > seq
-        }
+        self._bodies = {n: body for n, body in self._bodies.items() if n > seq}
 
     def sync_to_checkpoint(self, seq: int,
                            sync_state: Tuple[Tuple[str, object], ...]) -> None:
         """Adopt a quorum-certified checkpoint cut this queue fell behind.
 
-        The skipped batches were released, routed, and answered by the
-        other replicas' queues; this queue will never see them.  Jumping
-        ``_released_seq`` alone would be unsound -- future batches would be
-        assigned stale shard-local sequence numbers that execution replicas
-        ignore, wedging this node the moment it becomes primary -- so the
-        digest-verified frontier state from the checkpoint votes is adopted
-        wholesale.  The reply watermark advances vacuously (the gap's
-        replies were collected elsewhere) and load counters simply miss the
-        gap: they feed a rebalancing heuristic, not a safety argument.
+        The skipped batches were routed and answered by the other replicas'
+        queues; this queue will never see them.  Jumping the routed prefix
+        alone would be unsound -- future batches would be given stale
+        shard-local slots, and this replica's COMMITs would never match its
+        peers' -- so the digest-verified frontier state from the checkpoint
+        votes is adopted wholesale.  The reply watermark advances vacuously
+        (the gap's replies were collected elsewhere) and load counters
+        simply miss the gap: they feed a rebalancing heuristic, not a
+        safety argument.
         """
         state = dict(sync_state)
         self.cross_log.sync_to_checkpoint(seq, state)
@@ -552,14 +512,14 @@ class ShardRouterQueue(QueueCore):
             self.epoch = epoch
             self.load_window.reset()
         self.max_n = max(self.max_n, seq)
+        self._routed_seq = max(self._routed_seq, seq)
+        self._routes = {n: cached for n, cached in self._routes.items() if n > seq}
         for stale in [n for n in self._staged if n <= seq]:
             self._staged.pop(stale)
             self._staged_at.pop(stale, None)
-            self._routes.pop(stale, None)
         if seq > self._released_seq:
             self._released_seq = seq
-            self._advance_release_frontier()
-        self._g_staged.set(len(self._staged))
+        self._advance_release_frontier()
         if seq > self.highest_reply_seq:
             self.highest_reply_seq = seq
             self._answered = {n for n in self._answered if n > seq}
@@ -613,7 +573,7 @@ class ShardRouterQueue(QueueCore):
         # Merge partials until ``g + 1`` *same-shard* signers vouch for it.
         groups = self.shard_threshold_groups
         full = self._assemble_into(
-            self._shard_collectors[shard], message.certificate,
+            self._shard_collectors[shard], sender, message.certificate,
             self.shard_execution_ids[shard],
             groups[shard] if groups is not None else None)
         if full is not None:

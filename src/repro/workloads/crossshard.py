@@ -249,7 +249,7 @@ def audit_cross_group_consistency(clients, *, key_space: int = 0,
     markers inversely (serialising them is the deferred MVBA cut-ordering
     work), so a snapshot read spanning log groups only promises per-group
     atomicity: all audit stamps served by shards of *one* log must be
-    equal -- each log releases a marker's envelopes to its own shards at a
+    equal -- each log releases a marker's parts to its own shards at a
     single slot of its order.  A within-group tear is therefore still a
     protocol violation and is what this audit counts.
 

@@ -15,6 +15,7 @@ epoch-claim rule.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -22,13 +23,14 @@ import pytest
 import repro
 from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.apps.kvstore import KeyValueStore, get, multi_get, put
-from repro.config import (AuthenticationScheme, CrossShardConfig,
+from repro.config import (AuthenticationScheme, CrossShardConfig, PerfConfig,
                           RebalanceConfig, ShardingConfig, SystemConfig)
 from repro.core import (ClientNode, CoupledSystem, SeparatedSystem,
                         UnreplicatedSystem)
 from repro.crypto.certificate import Certificate
 from repro.messages.reply import BatchReplyBody, ClientReply, ReplyBody
 from repro.messages.request import RequestEnvelope
+from repro.net.network import DROP
 from repro.multilog.client import MultiLogClient
 from repro.sharding import MapChange, ShardedSystem
 from repro.sharding.client import ShardAwareClient
@@ -226,3 +228,74 @@ def test_epoch_claim_rule(epoch_one_system, entry, label, epoch, shard,
         assert client._pending.shard == (shard if adopted else 0)
     assert client.epoch == (epoch if adopted else 0)
     assert client.epoch_advances == (1 if adopted else 0)
+
+
+# ---------------------------------------------------------------------- #
+# One merge rule: a reply counts only with its sender's own authenticator.
+# ---------------------------------------------------------------------- #
+
+
+def _withheld_replies(seed, **overrides):
+    """A separated system whose first write is ordered and executed, with
+    every direct reply to the client held back: ``(system, client,
+    [(sender, reply), ...])``."""
+    system = SeparatedSystem(make_config(**overrides), KeyValueStore, seed=seed)
+    held = []
+
+    def hold(source, destination, message):
+        if isinstance(message, ClientReply):
+            held.append((source, message))
+            return DROP
+        return None
+
+    system.network.add_tap(hold)
+    client = system.clients[0]
+    client.submit(put("k", "v"))
+    system.run(50.0)
+    assert len(held) >= 2 and not client.completed
+    return system, client, held
+
+
+def _executor(system, node_id):
+    return next(node for node in system.execution_nodes if node.node_id == node_id)
+
+
+class TestOneMergeRule:
+    def test_a_partial_of_another_scheme_is_dropped_not_raised(self):
+        """One execution replica's reply whose certificate carries a
+        signature in a MAC deployment used to raise out of the client's
+        handler (``Certificate.add``) once another reply had opened the
+        collector, stopping the run.  It is dropped and counted."""
+        system, client, held = _withheld_replies(seed=61)
+        (first, reply), (second, genuine) = held[:2]
+        client.on_message(first, reply)
+        payload = genuine.certificate.payload
+        odd = ClientReply(Certificate(
+            payload=payload, scheme=AuthenticationScheme.MAC,
+            authenticators={second: _executor(system, second).crypto.sign(payload)}))
+        client.on_message(second, odd)
+        assert client.crypto.dropped_authenticators == 1
+        assert not client.completed
+        client.on_message(second, genuine)
+        assert len(client.completed) == 1
+
+    def test_a_forged_authenticator_cannot_overwrite_another_signers(self):
+        """A replica's partial carrying, besides its own authenticator, a
+        forged one under another replica's name merges only its own: the
+        other replica's valid authenticator stays, and the quorum is
+        reached at once (checked with no verification cache, which would
+        otherwise remember the overwritten fact)."""
+        system, client, held = _withheld_replies(
+            seed=62, perf=PerfConfig(verified_cert_cache=False))
+        (first, reply), (second, genuine) = held[:2]
+        client.on_message(first, reply)
+        forged = dict(genuine.certificate.authenticators)
+        forged[first] = dataclasses.replace(
+            reply.certificate.authenticators[first],
+            token={name: b"\x00" * 32 for name in
+                   reply.certificate.authenticators[first].token})
+        client.on_message(second, ClientReply(Certificate(
+            payload=genuine.certificate.payload,
+            scheme=AuthenticationScheme.MAC, authenticators=forged)))
+        assert len(client.completed) == 1
+        assert client.crypto.dropped_authenticators == 1

@@ -64,10 +64,10 @@ GOLDEN_TAGS = {
     "BatchReplyBody": 13, "BatchReply": 14, "ClientReply": 15,
     "AgreementCertBody": 20, "PrePrepare": 21, "Prepare": 22, "CommitMsg": 23,
     "AgreementCheckpoint": 24, "PreparedProof": 25, "ViewChange": 26,
-    "NewView": 27, "OrderedBatch": 28,
+    "NewView": 27, "OrderedBatch": 28, "RoutedCertBody": 29,
     "ExecCheckpointShare": 30, "ExecCheckpointProof": 31, "FetchBatch": 32,
     "BatchTransfer": 33, "StateTransfer": 34,
-    "MapChange": 40, "ShardedBatch": 41, "RouteVoucher": 42,
+    "MapChange": 40,
     "ShardLocalBatch": 43, "RangeHandoff": 44, "SubReplyBody": 45,
     "CrossShardSubReply": 46, "CrossShardVote": 47, "CrossShardVoteFetch": 48,
     "RangeFetch": 50,
@@ -75,9 +75,10 @@ GOLDEN_TAGS = {
     "CrossLogBindingFetch": 63,
 }
 
-#: tags of message types that no longer exist: never reused (49 carried the
-#: assembled cross-shard reply)
-RETIRED_TAGS = frozenset({49})
+#: tags of message types that no longer exist: never reused (41 carried the
+#: routing envelope and 42 its digest-only route vote, before the agreement
+#: certificate covered the route; 49 the assembled cross-shard reply)
+RETIRED_TAGS = frozenset({41, 42, 49})
 
 #: ``(length, sha256)`` of the frame of each golden message sent by A0.
 GOLDEN_FRAMES = {
@@ -109,9 +110,8 @@ GOLDEN_FRAMES = {
     "RangeHandoff": (92, "9fabd088e301f395711baed595e128d7de716afbfa44c43f0b34d7908beed4ae"),
     "ReplyBody": (74, "f11982668d1ea516d9e9b827949d213a55a86d2e08cf96eaeeb1755cde083a92"),
     "RequestEnvelope": (278, "b19c0b43cf60b6a0a55c5653c0c7fe3d022b08b4e648575154d14eaedc4499c1"),
-    "RouteVoucher": (74, "d9769d7f3355247e32625a8156d9d23899533c6ca026c6e93766db86f41e6a32"),
-    "ShardLocalBatch": (1306, "45b887daed986a0fbf2d8f1107ce91335502227b6303ae0aa2fc5d3b962aca4b"),
-    "ShardedBatch": (1037, "8b62ac3eb1506edae7f77975a944887480efe3080318c1fe29cbb5f20da1062c"),
+    "RoutedCertBody": (138, "574b2e7f5d70c4a6fc3154e8f316cc56e873c5482a8dae1f988685a53187c5f0"),
+    "ShardLocalBatch": (1367, "9646104a1943ddef60e657aba0c5a489cf2e7e6b05c01747a61bf2847e4c03b7"),
     "StateTransfer": (293, "d8c0c38ff3f6d18300bce9366a284fdcd985d4dfadc80f5990cbaf7a225dc518"),
     "SubReplyBody": (107, "4fda9755005a6a0e76a2a36b7a9b5e2a9d2012ee3c42cce2847ba4a80eb8a217"),
     "ViewChange": (619, "d3d6d91f6be8e49625c879154c9025dd8ccbe25dd512f9f8218b595887916c90"),

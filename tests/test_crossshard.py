@@ -43,13 +43,13 @@ from repro.config import (
 )
 from repro.crypto.certificate import Certificate
 from repro.errors import ConfigurationError
+from repro.messages.agreement import AgreementCertBody, OrderedBatch
 from repro.messages.request import ClientRequest
 from repro.net.network import DROP
 from repro.sharding import (
     CrossShardSubReply,
     CrossShardVote,
     MapChange,
-    ShardedBatch,
     ShardedSystem,
     SubReplyBody,
 )
@@ -261,23 +261,30 @@ class TestSmuggledBundle:
         low = certificate(10, put("key-1", 1))
         high = certificate(11, put("key-7", 7))
         spanning = certificate(12, multi_get(["key-2", "key-8"]))
-        envelopes = {}
+        sent = {}
 
         def capture(source, destination, message):
-            if isinstance(message, ShardedBatch):
-                envelopes[message.shard] = message
+            if isinstance(message, OrderedBatch):
+                for shard, replicas in enumerate(system.shard_execution_ids):
+                    if destination in replicas:
+                        sent[shard] = message
 
         system.network.add_tap(capture)
         queue = system.message_queues[0]  # the primary's: it sends bodies
 
         def release(certificates):
-            envelopes.clear()
-            queue.stage_batch(seq=queue._released_seq + 1, view=0,
-                              request_certificates=certificates,
-                              agreement_certificate=ordered.agreement_certificate,
-                              nondet=ordered.nondet)
-            return {shard: system.execution_node(shard, 0)._localize(envelope)
-                    for shard, envelope in envelopes.items()}
+            sent.clear()
+            seq = queue._routed_seq + 1
+            body = queue.route_body(AgreementCertBody(
+                view=0, seq=seq, batch_digest=b"\x00" * 32,
+                nondet=ordered.nondet), certificates)
+            queue.execute_batch(seq=seq, view=0,
+                                request_certificates=certificates,
+                                agreement_certificate=Certificate(
+                                    payload=body, scheme=AuthenticationScheme.MAC),
+                                nondet=ordered.nondet)
+            return {shard: system.execution_node(shard, 0)._localize(batch)
+                    for shard, batch in sent.items()}
 
         bundle = (low, high, spanning)
         assert system.router.route(bundle, epoch=0).kind == ORDINARY

@@ -240,15 +240,6 @@ class TestCertificates:
         with pytest.raises(CertificateError):
             cert.add(auth)
 
-    def test_merge_accumulates_signers(self, keystore):
-        request = sample_request()
-        cert_a = Certificate(payload=request, scheme=AuthenticationScheme.MAC)
-        cert_b = Certificate(payload=request, scheme=AuthenticationScheme.MAC)
-        provider(keystore, execution_id(0)).authenticate(cert_a, [client_id(0)])
-        provider(keystore, execution_id(1)).authenticate(cert_b, [client_id(0)])
-        cert_a.merge(cert_b)
-        assert cert_a.count() == 2
-
     def test_require_certificate_raises(self, keystore):
         request = sample_request()
         cert = Certificate(payload=request, scheme=AuthenticationScheme.MAC)

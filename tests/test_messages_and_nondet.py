@@ -23,6 +23,7 @@ from repro.messages.agreement import (
     Prepare,
     PreparedProof,
     PrePrepare,
+    RoutedCertBody,
     ViewChange,
 )
 from repro.messages.checkpoint import (
@@ -49,8 +50,6 @@ from repro.sharding.messages import (
     MapChange,
     RangeFetch,
     RangeHandoff,
-    RouteVoucher,
-    ShardedBatch,
     ShardLocalBatch,
     SubReplyBody,
     vote_payload,
@@ -411,6 +410,12 @@ def golden_messages():
                           nondet=nondet)
     batch = OrderedBatch(seq=9, view=1, request_certificates=requests,
                          agreement_certificate=agreement_cert, nondet=nondet)
+    routed_body = RoutedCertBody(view=1, seq=9, batch_digest=b"\x07" * 32,
+                                 nondet=nondet, route=((0, 2), (1, 4)), epoch=3,
+                                 log=0)
+    routed_cert = Certificate(payload=routed_body, scheme=AuthenticationScheme.MAC)
+    for replica in replicas[:3]:
+        replica.authenticate(routed_cert, execution)
 
     replies = (
         ReplyBody(view=1, seq=9, timestamp=7, client=client_id(0),
@@ -448,7 +453,7 @@ def golden_messages():
         plain, envelope, replies[0], reply_body,
         BatchReply(seq=9, certificate=reply_cert, sender=execution[0]),
         ClientReply(reply_cert.with_payload(reply_body.view_for(client_id(0)))),
-        cert_body, pre_prepare,
+        cert_body, routed_body, pre_prepare,
         Prepare(view=1, seq=9, batch_digest=b"\x07" * 32, replica=agreement[2]),
         CommitMsg(view=1, seq=9, batch_digest=b"\x07" * 32, replica=agreement[2],
                   cert_authenticator=replicas[2].mac_authenticator(cert_body, execution)),
@@ -466,12 +471,11 @@ def golden_messages():
         StateTransfer(seq=64, app_state=b"app" * 10, reply_table=b"table",
                       proof=checkpoint_proof, replica=execution[0], extra=b"xx"),
         MapChange(kind="split", parent_epoch=3, key="m", owner=2),
-        ShardedBatch(shard=1, shard_seq=4, batch=batch, epoch=3, log=0),
-        RouteVoucher(shard=1, shard_seq=4, digest=b"\x08" * 32, epoch=3, log=0),
         ShardLocalBatch(shard=1, seq=4, global_seq=9, view=1,
                         request_certificates=requests[:1],
                         full_request_certificates=requests,
-                        agreement_certificate=agreement_cert, nondet=nondet, epoch=3),
+                        agreement_certificate=routed_cert, nondet=nondet, epoch=3,
+                        log=0),
         RangeHandoff(epoch=4, source_shard=0, target_shard=1, lo="a", hi=None,
                      entries=b"entries", reply_table=b"", state_digest=b"\x06" * 32,
                      replica=execution[0]),
@@ -502,6 +506,7 @@ GOLDEN_WIRE = {
     "BatchReply": (425, "509da308dacee9aa044d8b2800c987c07a33d0096944073eb3362fd714f4eb96"),
     "ClientReply": (311, "f7586fa84814c8c8f6b0199393b420b876ba077c4dbdaf1eab76e87342bfcf6d"),
     "AgreementCertBody": (82, "f0aa5d2bd4f45d9007eeb3243e4fc8fc38a77d9def2a6fb4a9cfc5f4e14b6642"),
+    "RoutedCertBody": (135, "fc7f7750f4ca189c39b326b8e9697f1d3d2b7db88839bddcd97a256088551ef0"),
     "PrePrepare": (787, "7588557ad866069f4ea9b66fe5f9653e20aed9e8d5d5e6d3b88f95335cefc1cc"),
     "Prepare": (58, "e59a67eafa7ba3fd32e31fd1fde9e36e85d64a6b6a654d8cbaf2c5f00fe0776d"),
     "CommitMsg": (174, "6a9ce017d1fafa66499a450ec9769e675a60a66d7084b0a24564520201474b7d"),
@@ -516,9 +521,7 @@ GOLDEN_WIRE = {
     "BatchTransfer": (1199, "52af824ff7946d9b58e8b1fa07e8b69672e8fea448c7d0eee242d8727f04b635"),
     "StateTransfer": (290, "35c6b63bc520f07f5c1bdb57197fd01eef6a68ae18f6bbd2c745d412c4a39890"),
     "MapChange": (34, "bfaf564ce13813f0aed7069245b0de2ac7f62f9af94e9089457905ced82a8f2b"),
-    "ShardedBatch": (1226, "9dcba37d3d0f07cbffdefe94ddc075c238fac421d0993754fc31575ed27a4bfd"),
-    "RouteVoucher": (71, "a35d99d48cd91955425fe49b3e45e9262180bbf2e5d587df957dc746cc6f2b0f"),
-    "ShardLocalBatch": (1623, "f86607b3e009f3017592ef20eba7100fbab04d1e065b489a4f5833122db0b4c6"),
+    "ShardLocalBatch": (1684, "449278646c0fd20dc80d3670aaa7fd64936fefc4c5fb33dcb7e3dbdc2db267f4"),
     "RangeHandoff": (89, "9bc5350aa60abf08d05c17f4be570ca259e91c30f268e6a6a2057f33793043f6"),
     "SubReplyBody": (104, "66cb83337bbfbe5b80d3c7b39da41f96b52895d454376a5bb174f103f265471f"),
     "CrossShardSubReply": (266, "c57060ec3f952c565c68cad0cd6bb056796fe29dcfa546ebb5da690b5f0f4d14"),
@@ -641,7 +644,7 @@ class TestWireMemo:
                                       [agreement_id(0)])
         return keystore, cert
 
-    def test_certificate_queries_follow_add_and_merge(self):
+    def test_certificate_queries_follow_add(self):
         keystore, cert = self._certificate()
         envelope_before = RequestEnvelope(certificate=cert)
         encoded = _encoded(cert)
@@ -656,13 +659,6 @@ class TestWireMemo:
         assert _encoded(cert) == _encoded(fresh)
         # a message built around the grown certificate sees the grown bytes
         assert RequestEnvelope(certificate=cert).wire_size() > outer
-
-        size = len(_encoded(cert))
-        third = Certificate(payload=cert.payload, scheme=cert.scheme)
-        CryptoProvider(client_id(2), keystore).authenticate(third, [agreement_id(0)])
-        cert.merge(third)
-        assert len(_encoded(cert)) > size
-        assert len(cert.authenticators) == 3
 
     def test_assigning_a_certificate_field_drops_the_memo(self):
         _, cert = self._certificate()

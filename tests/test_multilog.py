@@ -35,6 +35,7 @@ from conftest import CHEAP_CRYPTO, FAST_TIMERS
 from repro.apps.kvstore import KeyValueStore, get, put, transaction
 from repro.config import AuthenticationScheme, CrossShardConfig, SystemConfig
 from repro.crypto.certificate import Certificate
+from repro.messages.agreement import AgreementCheckpoint, OrderedBatch
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.faults import LinkFault
 from repro.fuzz import FaultSchedule, ScheduleEvent, load_corpus, run_schedule
@@ -487,6 +488,7 @@ class TestLyingLogMember:
         assert system.propose_log_map_change(moving, 1)
         system.run_until(
             lambda: all(queue.cross_log.log_epoch == 1
+                        and not queue.cross_log._held
                         for queue in all_queues(system)),
             30_000.0, "the log-map cut")
         (marker, bound), = honest.local.cross_log._bound.items()
@@ -627,14 +629,69 @@ class TestLogMapChange:
         record = system.invoke(get(key_on(system, moving)))
         assert record.result.value["value"] == last_value
 
+    def test_the_moved_shards_slots_continue_gap_free(self):
+        """The target log routes past the change only with the source
+        log's certified frontier: while the source's bindings are lost, the
+        target's writes to the moved shard wait (their COMMITs have no
+        route yet), and once the frontier arrives the moved shard's
+        certified parts are slots 1, 2, ... with no gap and no slot given
+        twice -- the source log's up to the change's own part, the target
+        log's after it."""
+        system = make_system()
+        moving = 1  # owned by log 0 initially; moves to log 1
+        source = {replica.node_id for replica in system.log_replicas[0]}
+        target = {replica.node_id for replica in system.log_replicas[1]}
+        lose_bindings = [True]
+        parts = {}
+
+        def tap(sender, destination, message):
+            if isinstance(message, OrderedBatch):
+                body = message.cert_body
+                slot = dict(body.route).get(moving)
+                if slot is not None:
+                    parts.setdefault(slot, set()).add((body.log, body.seq))
+            elif (lose_bindings[0] and isinstance(message, CrossLogBinding)
+                    and sender in source and destination in target):
+                return DROP
+            return None
+
+        system.network.add_tap(tap)
+        seed_system(system)
+        for index in range(4):
+            system.invoke(put(key_on(system, moving), f"before{index}"))
+        assert system.propose_log_map_change(moving, 1)
+        target_queues = [replica.local for replica in system.log_replicas[1]]
+        system.run_until(lambda: all(queue.cross_log.log_epoch == 1
+                                     for queue in target_queues),
+                         30_000.0, "the target log routing the change")
+        for index in range(2):
+            system.clients[index].submit(put(key_on(system, moving), f"during{index}"))
+        system.run(100.0)
+        assert all(queue.cross_log.awaiting is not None for queue in target_queues)
+        lose_bindings[0] = False
+        system.run_until(lambda: system.total_completed() >= len(
+            seed_operations(KEY_SPACE, system.num_shards)) + 6,
+            30_000.0, "the writes waiting for the frontier")
+        for index in range(4):
+            system.invoke(put(key_on(system, moving), f"after{index}"))
+        system.run(200.0)
+        assert sorted(parts) == list(range(1, len(parts) + 1))
+        assert all(len(owners) == 1 for owners in parts.values())
+        logs = [next(iter(parts[slot]))[0] for slot in sorted(parts)]
+        assert logs[0] == 0 and logs[-1] == 1 and logs == sorted(logs)
+        for node in system.execution_cluster(moving):
+            assert node.max_executed == len(parts)
+        assert {queue.cross_log.awaiting for queue in all_queues(system)} == {None}
+        assert ExactlyOnceOracle().check(system, completed_all=True) == []
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_change_behind_a_held_marker_binds_at_staging(self, seed):
+    def test_change_behind_a_held_marker_binds_when_routed(self, seed):
         """Corpus schedule 6a11dfd74c7d at other system seeds: one log
         orders a log-map change ahead of a cross-group marker, the other
         behind it.  Bound only at its release head, the change waited
         behind the marker, whose other log could not order it while its own
         release held the change -- a cycle every one of these seeds fell
-        into.  Bound as soon as the prefix below it is staged, it cuts."""
+        into.  Bound when routed (routing never waits on a hold), it cuts."""
         schedule = next(schedule for schedule in load_corpus(CORPUS_DIR)
                         if schedule.digest().startswith("6a11dfd74c7d"))
         result = run_schedule(dataclasses.replace(schedule, seed=seed))
@@ -700,8 +757,15 @@ def frontier(replica):
 
 
 class TestCheckpointAcrossAHold:
-    def test_no_stable_checkpoint_above_a_held_frontier_without_its_state(self):
+    def test_a_checkpoint_above_a_held_frontier_certifies_its_routed_state(self):
         system = make_system()
+        votes = {}
+
+        def record(source, destination, message):
+            if isinstance(message, AgreementCheckpoint):
+                votes[(source, message.seq)] = dict(message.sync_state)
+
+        system.network.add_tap(record)
         # Log 1 cannot commit its leg without 2f + 1 replicas: log 0 holds
         # the marker at its release head while it keeps committing.
         for replica in system.log_replicas[1][:2]:
@@ -715,10 +779,11 @@ class TestCheckpointAcrossAHold:
             queue = replica.local
             assert queue.cross_log._held
             stable = replica.log.stable_seq
-            # A vote describes the cut it names, so the quorum certifies
-            # the frontier a lagging replica adopts -- never "nothing".
-            assert (stable <= queue._released_seq
-                    or queue.checkpoint_sync_state(stable) not in (None, ()))
+            # Routing (and so checkpointing) runs past a release hold, and
+            # a vote describes the routed cut it names, so the quorum
+            # certifies the frontier a lagging replica adopts.
+            assert stable > queue._released_seq
+            assert votes[(replica.node_id, stable)]["frontiers"]
 
     def test_a_lagging_replica_adopts_the_frontier_it_missed(self):
         timers = dataclasses.replace(FAST_TIMERS, client_retransmit_ms=10_000.0)

@@ -6,13 +6,15 @@ The safety-critical properties:
 * a stalled shard must not stall admission for other shards (the tentpole),
   while the global-watermark configuration retains the old conservative
   behaviour;
-* shard-local sequence numbers stay deterministic across replicas no matter
-  how far out of commit order batches are staged;
+* shard-local sequence numbers stay deterministic across replicas: a
+  batch's route is derived only above the routed (committed) prefix;
 * misroute rejection at the execution replicas is unchanged by the
   per-shard frontier;
 * a hot shard's bundle controller grows without inflating cold shards'
   bundle sizes (the shared low-load controller stays at the minimum).
 """
+
+import dataclasses
 
 import pytest
 
@@ -22,8 +24,8 @@ from repro.agreement.proposer import GATHER_MS
 from repro.apps.kvstore import KeyValueStore, extract_key, put
 from repro.config import BatchingConfig, ShardingConfig, SystemConfig
 from repro.errors import LivenessTimeoutError
-from repro.messages.agreement import OrderedBatch
-from repro.sharding import ShardedBatch, ShardedSystem
+from repro.messages.agreement import AgreementCertBody, OrderedBatch
+from repro.sharding import ShardedSystem
 from repro.sharding.queue import ShardRouterQueue
 
 
@@ -65,6 +67,20 @@ def batches_by_global_seq(system):
                 agreement_certificate=local.agreement_certificate,
                 nondet=local.nondet)
     return batches
+
+
+def unrouted(batch):
+    """The certificate body ``batch``'s replica routed, before routing."""
+    body = batch.cert_body
+    return AgreementCertBody(view=body.view, seq=body.seq,
+                             batch_digest=body.batch_digest, nondet=body.nondet)
+
+
+def relabelled(batch, **fields):
+    """``batch`` under a certificate whose routed body says otherwise."""
+    certificate = batch.agreement_certificate
+    return dataclasses.replace(batch, agreement_certificate=certificate.with_payload(
+        dataclasses.replace(certificate.payload, **fields)))
 
 
 class TestPerShardWindows:
@@ -125,66 +141,35 @@ class TestOutOfOrderDelivery:
             log_registry=system.log_registry,
             shard_threshold_groups=system.shard_threshold_groups)
 
-    def test_staging_order_does_not_change_shard_seq_assignment(self):
-        """Replaying the same committed batches into two routers -- one in
-        global order, one scrambled -- must produce identical per-shard
-        frontiers: the assignment is a pure function of the committed
-        prefix, which is what keeps it consistent across replicas whose
-        commits complete in different orders."""
-        system = ShardedSystem(pershard_config(), KeyValueStore, seed=52)
-        keys = keys_of_shard(system, 0, 2) + keys_of_shard(system, 1, 2)
-        for i, key in enumerate([keys[0], keys[2], keys[1], keys[3]]):
-            system.invoke(put(key, f"v{i}"), client_index=i % 2)
-        batches = batches_by_global_seq(system)
-        assert len(batches) >= 4
-
-        in_order = self._fresh_queue(system)
-        scrambled = self._fresh_queue(system)
-        seqs = sorted(batches)
-        for seq in seqs:
-            batch = batches[seq]
-            in_order.stage_batch(seq=batch.seq, view=batch.view,
-                                 request_certificates=batch.request_certificates,
-                                 agreement_certificate=batch.agreement_certificate,
-                                 nondet=batch.nondet)
-        for seq in reversed(seqs):
-            batch = batches[seq]
-            scrambled.stage_batch(seq=batch.seq, view=batch.view,
-                                  request_certificates=batch.request_certificates,
-                                  agreement_certificate=batch.agreement_certificate,
-                                  nondet=batch.nondet)
-        assert scrambled._next_shard_seq == in_order._next_shard_seq
-        assert set(scrambled.shard_pending) == set(in_order.shard_pending)
-        for part, pending in in_order.shard_pending.items():
-            assert (scrambled.shard_pending[part].batch.batch.seq
-                    == pending.batch.batch.seq)
-
-    def test_gapped_batch_is_buffered_until_the_prefix_commits(self):
-        """A batch staged above a gap must not be released: the count of
-        earlier same-shard batches -- hence its shard_seq -- is unknown
-        until every earlier batch's content is fixed locally."""
+    def test_a_batch_gets_its_route_only_above_the_routed_prefix(self):
+        """A batch's slots count the earlier same-shard batches, so its
+        route is unknown until every earlier batch is routed (delivered,
+        hence committed): the queue answers no route above a gap, and the
+        replica's COMMIT waits for it."""
         system = ShardedSystem(pershard_config(), KeyValueStore, seed=53)
         keys = keys_of_shard(system, 0, 1) + keys_of_shard(system, 1, 1)
         for i, key in enumerate(keys):
             system.invoke(put(key, f"v{i}"), client_index=i % 2)
         batches = batches_by_global_seq(system)
-        first, second = sorted(batches)[:2]
+        first, second = (batches[seq] for seq in sorted(batches)[:2])
 
         queue = self._fresh_queue(system)
-        late = batches[second]
-        queue.stage_batch(seq=late.seq, view=late.view,
-                          request_certificates=late.request_certificates,
-                          agreement_certificate=late.agreement_certificate,
-                          nondet=late.nondet)
-        assert queue._released_seq == 0
-        assert not queue.shard_pending
-        early = batches[first]
-        queue.stage_batch(seq=early.seq, view=early.view,
-                          request_certificates=early.request_certificates,
-                          agreement_certificate=early.agreement_certificate,
-                          nondet=early.nondet)
-        assert queue._released_seq == second
+        assert queue.route_body(unrouted(second), second.request_certificates) is None
+        assert queue.route_body(unrouted(first), first.request_certificates) \
+            == first.cert_body
+        self._deliver(queue, first)
+        assert queue.route_body(unrouted(second), second.request_certificates) \
+            == second.cert_body
+        self._deliver(queue, second)
+        assert queue._released_seq == second.seq
         assert len(queue.shard_pending) == 2
+
+    @staticmethod
+    def _deliver(queue, batch):
+        queue.execute_batch(seq=batch.seq, view=batch.view,
+                            request_certificates=batch.request_certificates,
+                            agreement_certificate=batch.agreement_certificate,
+                            nondet=batch.nondet)
 
     def test_shard_seq_assignment_identical_across_replicas_end_to_end(self):
         system = ShardedSystem(pershard_config(), KeyValueStore, seed=54)
@@ -207,23 +192,17 @@ class TestOutOfOrderDelivery:
         key = keys_of_shard(system, 0, 1)[0]
         system.invoke(put(key, "v"))
         node = system.execution_node(0, 0)
-        local = node.recent_batches[node.max_executed]
-        batch = OrderedBatch(seq=local.global_seq, view=local.view,
-                             request_certificates=local.full_request_certificates,
-                             agreement_certificate=local.agreement_certificate,
-                             nondet=local.nondet)
+        batch = node.recent_batches[node.max_executed].to_ordered_batch()
         victim = system.execution_node(1, 0)
         executed_before = victim.requests_executed
-        # Shard 0's envelope delivered to shard 1: rejected outright.
-        victim.handle_sharded_batch(system.agreement_ids[0],
-                                    ShardedBatch(shard=0, shard_seq=local.seq,
-                                                 batch=batch))
+        # Shard 0's batch delivered to shard 1: rejected outright.
+        victim.on_message(system.agreement_ids[0], batch)
         assert victim.misroutes == 1
         # Relabelled for shard 1: the victim re-derives ownership and finds
-        # nothing it owns, even with every agreement node "vouching".
-        forged = ShardedBatch(shard=1, shard_seq=1, batch=batch)
+        # nothing it owns, even from every agreement node.
+        forged = relabelled(batch, route=((1, 1),))
         for agreement_id in system.agreement_ids:
-            victim.handle_sharded_batch(agreement_id, forged)
+            victim.on_message(agreement_id, forged)
         assert victim.misroutes >= 2
         assert victim.requests_executed == executed_before
 
@@ -303,26 +282,17 @@ class TestPerShardBatching:
 
 class TestAcceptanceWindow:
     def test_far_future_slots_are_ignored_not_buffered(self):
-        """A Byzantine agreement node replaying a genuine batch at an
-        arbitrarily distant slot must not grow the vote/pending tables."""
+        """A Byzantine agreement node replaying a genuine batch relabelled
+        to an arbitrarily distant slot must not grow the pending table: the
+        relabelled route fails the certificate, even from every node."""
         system = ShardedSystem(pershard_config(), KeyValueStore, seed=57)
         key = keys_of_shard(system, 0, 1)[0]
         system.invoke(put(key, "v"))
         node = system.execution_node(0, 0)
-        local = node.recent_batches[node.max_executed]
-        batch = OrderedBatch(seq=local.global_seq, view=local.view,
-                             request_certificates=local.full_request_certificates,
-                             agreement_certificate=local.agreement_certificate,
-                             nondet=local.nondet)
+        batch = node.recent_batches[node.max_executed].to_ordered_batch()
         far = node.max_executed + 10_000
-        flood = ShardedBatch(shard=0, shard_seq=far, batch=batch)
+        flood = relabelled(batch, route=((0, far),))
         for agreement_id in system.agreement_ids:
-            node.handle_sharded_batch(agreement_id, flood)
-        assert far not in node._slots
+            node.on_message(agreement_id, flood)
         assert far not in node.pending
-        # A slot just inside the window is still buffered normally.
-        near = ShardedBatch(shard=0, shard_seq=node.max_executed + 2,
-                            batch=batch)
-        for agreement_id in system.agreement_ids[:2]:
-            node.handle_sharded_batch(agreement_id, near)
-        assert node.max_executed + 2 in node.pending
+        assert not node.pending

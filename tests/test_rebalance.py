@@ -22,6 +22,8 @@ The per-shard batch-timeout and controller-demotion satellites of the same
 PR are covered at the bottom.
 """
 
+import dataclasses
+
 import pytest
 
 from conftest import make_config
@@ -43,7 +45,6 @@ from repro.sharding import (
     MapChange,
     PartitionMap,
     RangeHandoff,
-    ShardedBatch,
     ShardedSystem,
     apply_map_change,
 )
@@ -69,12 +70,6 @@ def is_map_change(batch):
     certificates = batch.request_certificates
     return len(certificates) == 1 and isinstance(certificates[0].payload,
                                                  MapChange)
-
-
-def accepted_routes(node):
-    """Shard-local slot -> the route binding the replica accepted."""
-    return {seq: slot.accepted for seq, slot in node._slots.items()
-            if slot.accepted is not None}
 
 
 def make_system(num_shards=2, rebalance=MANUAL, num_clients=4, seed=21,
@@ -329,13 +324,16 @@ class TestByzantineEpoch:
         return system
 
     def _forged(self, system, victim, epoch):
+        """The victim's last batch relabelled to its next slot at
+        ``epoch``, under the authenticators of the genuine body."""
         local = victim.recent_batches[victim.max_executed]
-        batch = OrderedBatch(seq=local.global_seq, view=local.view,
-                             request_certificates=local.full_request_certificates,
-                             agreement_certificate=local.agreement_certificate,
-                             nondet=local.nondet)
-        return ShardedBatch(shard=victim.shard, shard_seq=victim.max_executed + 1,
-                            epoch=epoch, batch=batch)
+        certificate = local.agreement_certificate
+        body = dataclasses.replace(
+            certificate.payload, epoch=epoch,
+            route=((victim.shard, victim.max_executed + 1),))
+        return dataclasses.replace(
+            local.to_ordered_batch(),
+            agreement_certificate=certificate.with_payload(body))
 
     def test_single_byzantine_sender_cannot_bind_any_epoch(self):
         system = self.prepared_system()
@@ -343,26 +341,25 @@ class TestByzantineEpoch:
         executed = victim.requests_executed
         forged = self._forged(system, victim, epoch=1)
         for _ in range(3):
-            victim.handle_sharded_batch(system.agreement_ids[0], forged)
+            victim.on_message(system.agreement_ids[0], forged)
         assert victim.requests_executed == executed
-        assert forged.shard_seq not in accepted_routes(victim)
-        assert forged.shard_seq not in victim.pending
+        assert not victim.pending
 
-    def test_stale_epoch_rejected_even_with_many_vouchers(self):
+    def test_stale_epoch_rejected_from_every_sender(self):
         """Relabelling a genuine post-cut batch with the pre-cut epoch makes
         the victim re-derive ownership under the old map -- under which it
-        owns nothing -- so the envelope dies as a misroute no matter how
-        many agreement nodes appear to vouch for it."""
+        owns nothing -- so the batch dies as a misroute no matter how many
+        agreement nodes send it (nor would its certificate verify)."""
         system = self.prepared_system()
         victim = system.execution_node(1, 0)
         executed = victim.requests_executed
         misroutes = victim.misroutes
         stale = self._forged(system, victim, epoch=0)
         for agreement_id in system.agreement_ids:
-            victim.handle_sharded_batch(agreement_id, stale)
+            victim.on_message(agreement_id, stale)
         assert victim.misroutes > misroutes
         assert victim.requests_executed == executed
-        assert stale.shard_seq not in victim.pending
+        assert not victim.pending
 
     def test_forged_future_epoch_rejected(self):
         system = self.prepared_system()
@@ -371,10 +368,10 @@ class TestByzantineEpoch:
         misroutes = victim.misroutes
         future = self._forged(system, victim, epoch=99)
         for agreement_id in system.agreement_ids:
-            victim.handle_sharded_batch(agreement_id, future)
+            victim.on_message(agreement_id, future)
         assert victim.misroutes > misroutes
         assert victim.requests_executed == executed
-        assert future.shard_seq not in victim.pending
+        assert not victim.pending
 
 
 class TestClientAcrossCut:
@@ -501,8 +498,8 @@ class TestCutCheckpoint:
         def hold_marker_back(source, destination, message):
             if (destination == slow.node_id
                     and not any(message is late for late in held)
-                    and isinstance(message, ShardedBatch)
-                    and is_map_change(message.batch)):
+                    and isinstance(message, OrderedBatch)
+                    and is_map_change(message)):
                 # Delivered a little later (within one fetch period, so the
                 # replica does not ask its peers for it meanwhile).
                 held.append(message)

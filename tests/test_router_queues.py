@@ -177,7 +177,7 @@ class TestRetryHint:
         system.run_until(
             lambda: any(certificate.payload == change
                         for pending in queue.shard_pending.values()
-                        for certificate in pending.batch.batch.request_certificates),
+                        for certificate in pending.batch.request_certificates),
             5_000.0, "the marker pending at shard 0")
         client = system.clients[0]
         request = ClientRequest(operation=put(skew_key(0), "v"), timestamp=1,

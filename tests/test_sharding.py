@@ -13,11 +13,12 @@ import dataclasses
 import pytest
 
 from conftest import make_config
+from test_integration_separated import CENSUS_PER_COMMIT
 from repro.apps.kvstore import KeyValueStore, delete, extract_key, get, put
 from repro.config import AuthenticationScheme, ShardingConfig
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import CorruptReplyBehaviour, make_byzantine
-from repro.messages.agreement import OrderedBatch
+from repro.messages.agreement import AgreementCertBody, CommitMsg, OrderedBatch, Prepare
 from repro.messages.checkpoint import BatchTransfer
 from repro.messages.reply import BatchReplyBody, ClientReply
 from repro.net.message import Message
@@ -25,17 +26,9 @@ from repro.net.network import DROP
 from repro.sharding import (
     HashPartitioner,
     KeyRangePartitioner,
-    RouteVoucher,
-    ShardedBatch,
     ShardedSystem,
     make_partitioner,
 )
-
-
-def accepted_routes(node):
-    """Shard-local slot -> the route binding the replica accepted."""
-    return {seq: slot.accepted for seq, slot in node._slots.items()
-            if slot.accepted is not None}
 
 
 def sharded_config(num_shards=2, **overrides):
@@ -162,93 +155,102 @@ class TestShardedEndToEnd:
             assert system.invoke(get(f"key{i}")).result.value["value"] == i
 
 
-def captured_envelope(system):
-    """A valid routed batch for shard 0, rebuilt from a replica's log."""
+def captured_batch(system):
+    """A committed batch routed to shard 0, and its slot there, rebuilt
+    from a replica's log."""
     key = keys_of_shard(system, 0, 1)[0]
     system.invoke(put(key, "v"))
     node = system.execution_node(0, 0)
     local = node.recent_batches[node.max_executed]
-    batch = OrderedBatch(seq=local.global_seq, view=local.view,
-                         request_certificates=local.full_request_certificates,
-                         agreement_certificate=local.agreement_certificate,
-                         nondet=local.nondet)
-    return ShardedBatch(shard=0, shard_seq=local.seq, batch=batch)
+    return local.to_ordered_batch(), local.seq
+
+
+def relabelled(batch, **fields):
+    """``batch`` under a certificate whose (routed) body says otherwise:
+    the same authenticators over the relabelled body."""
+    certificate = batch.agreement_certificate
+    return dataclasses.replace(batch, agreement_certificate=certificate.with_payload(
+        dataclasses.replace(certificate.payload, **fields)))
 
 
 class TestMisrouteRejection:
 
-    def test_wrong_shard_envelope_is_rejected(self):
+    def test_a_batch_routed_to_another_shard_is_rejected(self):
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=35)
-        envelope = captured_envelope(system)
+        batch, _ = captured_batch(system)
         victim = system.execution_node(1, 0)
         executed_before = victim.requests_executed
-        victim.handle_sharded_batch(system.agreement_ids[0], envelope)  # shard 0's
+        victim.on_message(system.agreement_ids[0], batch)  # shard 0's
         assert victim.misroutes == 1
         assert victim.requests_executed == executed_before
 
-    def test_relabelled_envelope_is_rejected(self):
-        """A Byzantine agreement node cannot make shard 1 execute shard 0's
-        requests by relabelling the envelope: the replica re-derives ownership
-        with its own router and finds nothing it owns."""
-        system = ShardedSystem(sharded_config(), KeyValueStore, seed=36)
-        envelope = captured_envelope(system)
-        forged = ShardedBatch(shard=1, shard_seq=1, batch=envelope.batch)
-        victim = system.execution_node(1, 0)
-        executed_before = victim.requests_executed
-        for agreement_id in system.agreement_ids:  # even with "f+1 votes"
-            victim.handle_sharded_batch(agreement_id, forged)
-        assert victim.misroutes >= 1
-        assert victim.requests_executed == executed_before
-        assert 1 not in victim.pending
+    def test_an_unrouted_certificate_is_a_misroute(self):
+        """A certificate body that names no route gives no shard a slot."""
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=37)
+        batch, _ = captured_batch(system)
+        body = batch.cert_body
+        plain = dataclasses.replace(batch, agreement_certificate=(
+            batch.agreement_certificate.with_payload(AgreementCertBody(
+                view=body.view, seq=body.seq, batch_digest=body.batch_digest,
+                nondet=body.nondet))))
+        victim = system.execution_node(0, 1)
+        victim.on_message(system.agreement_ids[0], plain)
+        assert victim.misroutes == 1
 
-    def test_forged_shard_seq_needs_f_plus_one_vouchers(self):
-        """shard_seq is not covered by the agreement certificate, so a single
-        Byzantine agreement node must not be able to bind a genuine batch to
-        a wrong slot: bindings are accepted only with f + 1 matching votes."""
+    @pytest.mark.parametrize("senders", ["one", "all"])
+    @pytest.mark.parametrize("label", ["slot", "shard", "epoch", "log"])
+    def test_a_relabelled_route_is_refused(self, label, senders):
+        """The route is inside the certified body, so a committed batch
+        relabelled with another slot (here the next free one, or a slot on
+        the other shard), epoch or log no longer verifies -- from one
+        agreement node, or from every one of them: only ``2f + 1`` COMMIT
+        authenticators over the relabelled body could make it verify."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=43)
-        envelope = captured_envelope(system)
-        victim = system.execution_node(0, 0)
-        # Replay the (genuine, already executed) batch at a future slot,
-        # repeatedly, from one agreement node: never accepted.
-        forged = ShardedBatch(shard=0, shard_seq=envelope.shard_seq + 3,
-                              batch=envelope.batch)
-        byzantine = system.agreement_ids[0]
-        for _ in range(3):
-            victim.handle_sharded_batch(byzantine, forged)
-        assert forged.shard_seq not in victim.pending
-        assert forged.shard_seq not in accepted_routes(victim)
-        # A second distinct agreement node vouching for the same binding
-        # reaches f + 1 = 2 and the batch enters the pipeline.
-        victim.handle_sharded_batch(system.agreement_ids[1], forged)
-        assert forged.shard_seq in victim.pending
+        batch, slot = captured_batch(system)
+        route = {"slot": ((0, slot + 1),), "shard": ((1, 1),)}.get(
+            label, batch.cert_body.route)
+        fields = {"route": route}
+        if label == "epoch":
+            fields["epoch"] = batch.cert_body.epoch + 1
+        elif label == "log":
+            fields["log"] = 0
+        forged = relabelled(batch, **fields)
+        victims = [system.execution_node(shard, 0) for shard in (0, 1)]
+        executed = [victim.requests_executed for victim in victims]
+        voters = system.agreement_ids[:1 if senders == "one" else None]
+        for voter in voters:
+            for victim in victims:
+                victim.on_message(voter, forged)
+        for victim, before in zip(victims, executed):
+            assert not victim.pending
+            assert victim.requests_executed == before
+        assert victims[0].max_executed == slot
 
     @pytest.mark.parametrize("liar_index", [1, 0], ids=["backup", "primary"])
     def test_byzantine_agreement_router_cannot_scramble_a_shard(self,
                                                                  liar_index):
-        """End to end: one agreement node relabels every routing message it
-        sends with a wrong slot -- a backup's vouchers, or the primary's
-        envelopes, the only bodies sent on first release.  The forged
-        bindings never gather f + 1 votes; the correct nodes' do, and the
-        shard executes the agreed order (under a lying primary, from the
-        envelopes the backups resend when no reply comes)."""
+        """End to end: one agreement node relabels every batch it sends
+        with a wrong slot -- the primary's first sends, or a backup's
+        retransmissions (the primary's sends are lost here, so every
+        backup retransmits).  The relabelled bodies never verify; the
+        correct nodes' copies do, and every shard executes the agreed
+        order."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=44)
+        primary = system.agreement_ids[0]
         liar = system.agreement_ids[liar_index]
-        honest = system.agreement_ids[2]
-        relabelled = collections.Counter()
-        agreed = {}
+        forged = collections.Counter()
 
         def skew_slot(source, destination, message):
-            if not isinstance(message, (ShardedBatch, RouteVoucher)):
+            if not isinstance(message, OrderedBatch):
                 return None
-            if source == honest:
-                agreed[(message.shard, message.shard_seq)] = (
-                    message.digest if isinstance(message, RouteVoucher) else
-                    system.agreement_replicas[2].crypto.payload_digest(
-                        message.batch.agreement_certificate.payload))
+            if source == primary and liar_index != 0:
+                return DROP
             if source != liar:
                 return None
-            relabelled[type(message).__name__] += 1
-            return dataclasses.replace(message, shard_seq=message.shard_seq + 2)
+            forged[message.seq] += 1
+            body = message.cert_body
+            return relabelled(message, route=tuple(
+                (shard, shard_seq + 2) for shard, shard_seq in body.route))
 
         system.network.add_tap(skew_slot)
         for i in range(8):
@@ -256,32 +258,18 @@ class TestMisrouteRejection:
             assert record.result.value == {"stored": True}
         for i in range(8):
             assert system.invoke(get(f"key{i}")).result.value["value"] == i
-        # The lie ran in the liar's role: vouchers from a backup, bodies
-        # from the primary.
-        role = "ShardedBatch" if liar_index == 0 else "RouteVoucher"
-        assert relabelled[role] > 0
-        # Every slot a replica accepted is bound to the batch the correct
-        # nodes routed there; every replica of a shard executed the same.
+        assert forged
+        # Every replica of a shard executed the same slots, each under a
+        # certificate naming that slot: no relabelled body got in.
         for shard in range(system.num_shards):
             executed = {node.max_executed for node in system.execution_cluster(shard)}
             assert len(executed) == 1
             for node in system.execution_cluster(shard):
                 assert not node.pending
-                assert accepted_routes(node)
-                for slot, (digest, _, _) in accepted_routes(node).items():
-                    assert agreed[(shard, slot)] == digest
-        if liar_index == 0:
-            assert all(queue.retransmissions > 0
-                       for queue in system.message_queues[1:])
-
-    def test_raw_ordered_batch_is_rejected(self):
-        """Unrouted batches carry no shard-local sequence number and must not
-        enter a shard's pipeline."""
-        system = ShardedSystem(sharded_config(), KeyValueStore, seed=37)
-        envelope = captured_envelope(system)
-        victim = system.execution_node(1, 1)
-        victim.on_message(system.agreement_ids[0], envelope.batch)
-        assert victim.misroutes == 1
+                for slot, local in node.recent_batches.items():
+                    assert (shard, slot) in local.agreement_certificate.payload.route
+        assert all(queue.retransmissions > 0
+                   for queue in system.message_queues[1:])
 
     def test_client_rejects_reply_claiming_wrong_shard(self):
         """A reply relabelled with the wrong shard id is dropped by the client
@@ -311,21 +299,37 @@ class TestMisrouteRejection:
         assert system.clients[0].misrouted_replies >= 1
 
 
-class TestRouteVouchers:
-    """The primary routes each batch's body; the other agreement nodes vouch
-    for its slot with a digest (:class:`RouteVoucher`)."""
+def drop_first_batch_from(system, sender, destination):
+    """A tap losing the first batch ``sender`` sends ``destination``."""
+    dropped = []
+
+    def tap(source, target, message):
+        if (source, target) == (sender, destination) and not dropped \
+                and isinstance(message, OrderedBatch):
+            dropped.append(message)
+            return DROP
+        return None
+
+    system.network.add_tap(tap)
+    return dropped
+
+
+class TestCertifiedRoute:
+    """The agreement certificate covers each batch's route: the primary
+    sends each touched cluster the plain batch, and nothing else travels
+    for the route."""
 
     def test_fault_free_census(self):
-        """One body per execution replica per routed part, from the primary,
-        and a voucher from each of the 3f backups."""
+        """One batch per execution replica per routed part, from the
+        primary alone; no routing envelope and no route vote."""
         system = ShardedSystem(sharded_config(checkpoint_interval=1_000),
                                KeyValueStore, seed=45)
         received = collections.Counter()
 
         def count(source, destination, message):
-            if isinstance(message, (ShardedBatch, RouteVoucher)):
-                received[(type(message).__name__, destination,
-                          (message.shard, message.shard_seq))] += 1
+            if isinstance(message, OrderedBatch):
+                for part in message.cert_body.route:
+                    received[(source, destination, part)] += 1
             return None
 
         system.network.add_tap(count)
@@ -334,130 +338,31 @@ class TestRouteVouchers:
         system.run(50.0)
         parts = {part for _, _, part in received}
         assert len(parts) == 8
-        f = system.config.f
+        primary = system.agreement_ids[0]
         for shard, shard_seq in parts:
             for node in system.execution_cluster(shard):
-                assert received[("ShardedBatch", node.node_id,
-                                 (shard, shard_seq))] == 1
-                assert received[("RouteVoucher", node.node_id,
-                                 (shard, shard_seq))] == 3 * f
+                assert received[(primary, node.node_id, (shard, shard_seq))] == 1
+        assert {source for source, _, _ in received} == {primary}
         per_type = system.network.stats.per_type
-        replicas = system.config.num_execution_nodes
-        assert per_type["ShardedBatch"] == replicas * len(parts)
-        assert per_type["RouteVoucher"] == 3 * f * replicas * len(parts)
+        assert per_type["OrderedBatch"] == system.config.num_execution_nodes * 8
+        assert not {"ShardedBatch", "RouteVoucher"} & set(per_type)
 
-    def test_vouchers_bind_the_body_an_envelope_brought(self):
-        """Vouchers alone never execute a slot; the f + 1-th matching vote
-        accepts the body the envelope brought, whichever came first, and a
-        voucher for another batch counts for nothing."""
-        system = ShardedSystem(sharded_config(), KeyValueStore, seed=46)
-        envelope = captured_envelope(system)
-        victim = system.execution_node(0, 0)
-        digest = victim.crypto.payload_digest(
-            envelope.batch.agreement_certificate.payload)
-        slot = envelope.shard_seq + 1
-        first, second, third = system.agreement_ids[:3]
-        for voter in (first, second):
-            victim.handle_route_voucher(voter, RouteVoucher(
-                shard=0, shard_seq=slot, digest=digest))
-        assert slot not in accepted_routes(victim)  # vouched, but no body
-        victim.handle_route_voucher(third, RouteVoucher(
-            shard=0, shard_seq=slot + 1, digest=b"\x00" * 32))
-        victim.handle_sharded_batch(third, ShardedBatch(
-            shard=0, shard_seq=slot + 1, batch=envelope.batch))
-        assert slot + 1 not in accepted_routes(victim)  # 1 vote for it
-        victim.handle_sharded_batch(third, dataclasses.replace(
-            envelope, shard_seq=slot))
-        assert accepted_routes(victim)[slot] == (digest, 0, None)
-        assert victim.max_executed == slot
-
-    def test_vouched_slot_without_a_body_is_fetched_from_peers(self):
-        """A replica the primary's bodies do not reach holds only vouchers;
-        one fetch period later it asks its peers for the body, and one
-        peer's copy is enough: the binding is already vouched."""
+    def test_a_missed_slot_is_fetched_from_peers(self):
+        """A replica the primary's first batch does not reach learns of
+        the gap from the next one and fetches the slot from its peers; one
+        peer's copy is enough, because the certificate names the slot."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=47)
-        key = keys_of_shard(system, 0, 1)[0]
+        first, second = keys_of_shard(system, 0, 2)
         cut_off = system.execution_node(0, 0)
-        primary = system.agreement_ids[0]
-        system.network.add_tap(
-            lambda source, destination, message:
-            DROP if (source, destination) == (primary, cut_off.node_id)
-            and isinstance(message, ShardedBatch) else None)
-        system.invoke(put(key, "v"))
-        system.run_until(lambda: cut_off.max_executed == 1, 1_000.0,
+        dropped = drop_first_batch_from(system, system.agreement_ids[0],
+                                        cut_off.node_id)
+        system.invoke(put(first, "a"))
+        system.invoke(put(second, "b"))
+        system.run_until(lambda: cut_off.max_executed == 2, 1_000.0,
                          "the cut-off replica catching up")
-        assert cut_off.app.snapshot() == {key: "v"}
-        # it waited before asking
-        assert any(slot.awaited for slot in cut_off._slots.values())
+        assert dropped
+        assert cut_off.app.snapshot() == {first: "a", second: "b"}
         assert cut_off.state_transfers == 0  # a peer's batch, not its state
-
-    def test_primary_body_that_does_not_match_the_vouched_digest(self):
-        """The primary sends every replica a body whose agreement
-        certificate is not the one its backups vouch for: nothing from it
-        binds, and the agreed batch executes from a backup's envelope."""
-        system = ShardedSystem(sharded_config(), KeyValueStore, seed=48)
-        primary = system.agreement_replicas[0]
-        forged = set()
-
-        def equivocate(source, destination, message):
-            if source != primary.node_id or not isinstance(message, ShardedBatch):
-                return None
-            certificate = message.batch.agreement_certificate
-            body = dataclasses.replace(certificate.payload,
-                                       batch_digest=b"\x00" * 32)
-            forged.add(primary.crypto.payload_digest(body))
-            return dataclasses.replace(message, batch=dataclasses.replace(
-                message.batch, agreement_certificate=certificate.with_payload(
-                    body)))
-
-        system.network.add_tap(equivocate)
-        for i in range(4):
-            assert system.invoke(put(f"key{i}", i)).result.value == {"stored": True}
-        for i in range(4):
-            assert system.invoke(get(f"key{i}")).result.value["value"] == i
-        assert forged
-        for node in [node for cluster in system.shard_execution_nodes
-                     for node in cluster]:
-            assert accepted_routes(node)
-            assert not {digest for digest, _, _
-                        in accepted_routes(node).values()} & forged
-        assert all(queue.retransmissions > 0
-                   for queue in system.message_queues[1:])
-
-
-class TestRouteSlots:
-    """A replica keeps one record per shard-local slot: each voter's
-    binding, the bodies held for bindings not vouched yet, the accepted
-    binding, and the fetch period its body was awaited."""
-
-    def test_one_record_from_first_vote_to_acceptance(self):
-        system = ShardedSystem(sharded_config(), KeyValueStore, seed=49)
-        envelope = captured_envelope(system)
-        victim = system.execution_node(0, 0)
-        slot = envelope.shard_seq + 1
-        first, second = system.agreement_ids[:2]
-        victim.handle_sharded_batch(first, dataclasses.replace(
-            envelope, shard_seq=slot))
-        record = victim._slots[slot]
-        (binding,) = record.votes.values()
-        assert list(record.votes) == [first]
-        assert list(record.bodies) == [binding] and record.accepted is None
-        victim.handle_route_voucher(second, RouteVoucher(
-            shard=0, shard_seq=slot, digest=binding[0]))
-        assert victim._slots[slot] is record
-        assert record.accepted == binding and not record.bodies
-        assert victim.max_executed == slot
-
-    def test_records_are_trimmed_with_the_recent_batch_window(self):
-        system = ShardedSystem(sharded_config(checkpoint_interval=4),
-                               KeyValueStore, seed=50)
-        key = keys_of_shard(system, 0, 1)[0]
-        for i in range(20):
-            system.invoke(put(key, i))
-        node = system.execution_node(0, 0)
-        horizon = node.max_executed - 2 * system.config.checkpoint_interval
-        assert horizon > 0
-        assert node._slots and min(node._slots) >= horizon
 
 
 class TestOneBatchCheck:
@@ -466,7 +371,7 @@ class TestOneBatchCheck:
 
     def test_validation_asks_the_router_nothing(self, monkeypatch):
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=51)
-        captured_envelope(system)
+        captured_batch(system)
         node = system.execution_node(0, 0)
         local = node.recent_batches[node.max_executed]
 
@@ -479,34 +384,126 @@ class TestOneBatchCheck:
         assert node._validate_batch(local)
         assert not node._validate_batch(dataclasses.replace(
             local, global_seq=local.global_seq + 1))
+        # the certified route gives this shard the local batch's slot only
+        assert not node._validate_batch(dataclasses.replace(
+            local, seq=local.seq + 1))
 
     def test_a_peer_transfer_is_localized_afresh(self):
         """A peer's transfer carries the peer's own owned subset; the
         receiver discards it and derives the subset itself, so a doctored
         claim changes nothing."""
         system = ShardedSystem(sharded_config(), KeyValueStore, seed=47)
-        key = keys_of_shard(system, 0, 1)[0]
+        first, second = keys_of_shard(system, 0, 2)
         cut_off = system.execution_node(0, 0)
-        primary = system.agreement_ids[0]
+        drop_first_batch_from(system, system.agreement_ids[0], cut_off.node_id)
         doctored = []
 
         def tap(source, destination, message):
-            if destination != cut_off.node_id:
-                return None
-            if source == primary and isinstance(message, ShardedBatch):
-                return DROP
-            if isinstance(message, BatchTransfer):
+            if destination == cut_off.node_id and isinstance(message, BatchTransfer):
                 doctored.append(message)
                 return dataclasses.replace(message, batch=dataclasses.replace(
                     message.batch, request_certificates=()))
             return None
 
         system.network.add_tap(tap)
-        system.invoke(put(key, "v"))
-        system.run_until(lambda: cut_off.max_executed == 1, 1_000.0,
+        system.invoke(put(first, "a"))
+        system.invoke(put(second, "b"))
+        system.run_until(lambda: cut_off.max_executed == 2, 1_000.0,
                          "the cut-off replica catching up")
         assert doctored
-        assert cut_off.app.snapshot() == {key: "v"}
+        assert cut_off.app.snapshot() == {first: "a", second: "b"}
+
+
+class TestViewChangeHole:
+    def test_a_delivered_batch_is_committed_again_under_its_route(self):
+        """Two replicas deliver sequence 2; the other two never see its
+        COMMITs.  The primary crashes, and the NEW-VIEW re-proposes 2.  The
+        replica that delivered it commits it again with the route it
+        delivered (a laggard needs its COMMIT: only three replicas are
+        up), so the laggards deliver 2 and the next write completes."""
+        system = ShardedSystem(sharded_config(), KeyValueStore, seed=54)
+        first, second, third = keys_of_shard(system, 0, 3)
+        system.invoke(put(first, 1))
+        laggards = {replica.node_id for replica in system.agreement_replicas[2:]}
+        losing = [True]
+
+        def lose_commits(source, destination, message):
+            if (losing[0] and isinstance(message, CommitMsg)
+                    and message.seq == 2 and destination in laggards):
+                return DROP
+            return None
+
+        system.network.add_tap(lose_commits)
+        system.invoke(put(second, 2))
+        delivered = [replica.log.last_delivered_seq
+                     for replica in system.agreement_replicas]
+        assert delivered == [2, 2, 1, 1]
+        losing[0] = False
+        system.crash_agreement(0)
+        assert system.invoke(put(third, 3), timeout_ms=30_000.0).result.value \
+            == {"stored": True}
+        assert all(replica.view >= 1 and replica.log.last_delivered_seq >= 3
+                   for replica in system.agreement_replicas[1:])
+        for key, value in ((first, 1), (second, 2), (third, 3)):
+            assert system.invoke(get(key)).result.value["value"] == value
+
+    def test_a_nulled_batch_below_a_prepared_one_leaves_no_slot_hole(self):
+        """Sequence 1 pre-prepares but never prepares (its PREPAREs are
+        lost), sequence 2 prepares everywhere.  The NEW-VIEW nulls 1 and
+        carries 2.  Routes are derived from the committed prefix only --
+        2's COMMIT waited for 1, which never committed -- so the null batch
+        takes no slot, 2 takes shard 0's next one, and every shard's slots
+        stay dense (a route derived from the pre-prepared prefix would have
+        given 2 slot 2 and left slot 1 empty forever)."""
+        system = ShardedSystem(sharded_config(num_clients=2), KeyValueStore,
+                               seed=52)
+        keys = keys_of_shard(system, 0, 2)  # both batches route to shard 0
+
+        def lose_first_prepares(source, destination, message):
+            if (isinstance(message, Prepare) and message.view == 0
+                    and message.seq == 1):
+                return DROP
+            return None
+
+        system.network.add_tap(lose_first_prepares)
+        for index, key in enumerate(keys):
+            system.submit(put(key, index), client_index=index)
+        system.run_until(lambda: system.total_completed() >= 2, 30_000.0,
+                         "both writes across the view change")
+        system.run(200.0)
+        assert all(replica.view >= 1 for replica in system.agreement_replicas)
+        queues = system.message_queues
+        assert len({tuple(queue._next_shard_seq) for queue in queues}) == 1
+        for shard in range(system.num_shards):
+            for node in system.execution_cluster(shard):
+                assert not node.pending
+                assert node.max_executed == queues[0]._next_shard_seq[shard]
+                # every slot up to the last executed one was a real part
+                assert node.batches_executed == node.max_executed
+        for index, key in enumerate(keys):
+            assert system.invoke(get(key)).result.value["value"] == index
+
+
+class TestShardedCensus:
+    def test_sends_per_commit_carry_no_route_vote(self):
+        """An unbatched write to one shard of two sends what a separated
+        commit does, type by type (``TestMessageCensus``): the 2g + 1
+        replicas of the touched shard get the batch from the primary, and
+        nothing else is spent on the route."""
+        system = ShardedSystem(sharded_config(checkpoint_interval=1_000),
+                               KeyValueStore, seed=53)
+        keys = keys_of_shard(system, 0, 10)
+        system.invoke(put(keys[0], 0))
+        system.run(50.0)
+        before = dict(system.network.stats.per_type)
+        for index, key in enumerate(keys[1:]):
+            system.invoke(put(key, index))
+        system.run(50.0)
+        sent = {name: count - before.get(name, 0)
+                for name, count in system.network.stats.per_type.items()
+                if count - before.get(name, 0)}
+        per_commit = {name: count / 9 for name, count in sent.items()}
+        assert per_commit == CENSUS_PER_COMMIT
 
 
 class TestPerShardFaultTolerance:

@@ -7,7 +7,8 @@ never grow, and a class that drops under 600 lines leaves the list.
 Each certificate rule has one home, ``crypto/provider.py``: the
 domain-separation prefixes of the simulated signatures and the batch-digest
 formula appear nowhere else, nothing outside ``crypto/`` combines threshold
-shares, and the old per-queue quorum collector does not come back.
+shares or adds an authenticator to a certificate, and the old per-queue
+quorum collector does not come back.
 
 Each routing rule has one home, ``sharding/router.py``: what a batch is
 and what each shard owns of it is asked of the router, never re-derived
@@ -17,9 +18,16 @@ from the batch's shape or the request's keys elsewhere.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import repro
+from conftest import make_config
+from repro.apps.kvstore import KeyValueStore, multi_get, put
+from repro.config import AuthenticationScheme, CrossShardConfig, ShardingConfig
+from repro.core import SeparatedSystem
+from repro.crypto.certificate import Certificate
+from repro.sharding import ShardedSystem
 
 SRC = Path(repro.__file__).resolve().parent
 MAX_CLASS_LINES = 600
@@ -91,6 +99,36 @@ def test_every_certificate_rule_has_one_home():
     assert batch_digests == [PROVIDER]
     assert combiners == []
     assert collectors == []
+
+
+def test_certificates_are_filled_only_inside_crypto(monkeypatch):
+    """Quorums are assembled by one merge rule
+    (``CryptoProvider.assemble``): every call that adds an authenticator
+    to a certificate comes from ``crypto/`` -- for a client's replies, a
+    queue's, a firewall filter's shares and a client's cross-shard
+    fragments -- and there is no other way to merge two certificates."""
+    callers = set()
+    add = Certificate.add
+
+    def recording(certificate, authenticator):
+        caller = Path(sys._getframe(1).f_code.co_filename).resolve()
+        callers.add(caller.relative_to(SRC).parts[0])
+        add(certificate, authenticator)
+
+    monkeypatch.setattr(Certificate, "add", recording)
+    separated = SeparatedSystem(make_config(), KeyValueStore, seed=1)
+    firewall = SeparatedSystem(make_config(
+        authentication=AuthenticationScheme.THRESHOLD, use_privacy_firewall=True),
+        KeyValueStore, seed=1)
+    sharded = ShardedSystem(make_config(
+        sharding=ShardingConfig(num_shards=2, strategy="range",
+                                range_boundaries=("k5",)),
+        cross_shard=CrossShardConfig(enabled=True)), KeyValueStore, seed=1)
+    for system in (separated, firewall, sharded):
+        system.invoke(put("k1", "v"))
+    sharded.invoke(multi_get(["k1", "k7"]))
+    assert callers == {"crypto"}
+    assert not hasattr(Certificate, "merge")
 
 
 def test_every_routing_rule_has_one_home():
