@@ -55,9 +55,9 @@ class LocalExecutor(ABC):
         """The agreement-certificate body the hosting replica's COMMIT for
         ``requests`` at ``body.seq`` covers.  An executor that does not
         route answers ``body`` itself at once; a router answers the body
-        with the batch's route, or ``None`` until the committed prefix
-        below the batch fixes it (the replica asks again after each
-        delivery and after ``on_routes_resumed``)."""
+        with the batch's route, or ``None`` until the prefix below the
+        batch is routed (the replica asks again after each COMMIT it sends,
+        each delivery and ``on_routes_resumed``)."""
         return body
 
     def checkpoint_digest(self, seq: int) -> bytes:

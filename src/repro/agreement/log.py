@@ -30,7 +30,9 @@ class LogEntry:
     prepared: bool = False
     #: the certificate body this replica's COMMIT covers (set when it is
     #: sent: once prepared, and -- with a routing queue -- once the batch
-    #: below is delivered, which fixes the route in the body)
+    #: below is routed too, which fixes the route in the body; for a batch
+    #: a NEW-VIEW re-proposes that was delivered here, the body it was
+    #: delivered under)
     cert_body: Optional[AgreementCertBody] = None
     committed: bool = False
     delivered: bool = False

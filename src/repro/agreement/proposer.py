@@ -179,6 +179,11 @@ class Proposer:
         if self.ordered_timestamp.get(client, -1) >= timestamp:
             return
         replica = self.replica
+        if replica.is_primary:
+            # As in PBFT, only a backup suspects the primary: a primary
+            # voting alone stops proposing until the backups' own timers
+            # fire, which only stalls its view.
+            return
         replica.start_view_change(replica.next_view_target(replica.view))
 
     # ------------------------------------------------------------------ #

@@ -13,7 +13,7 @@ Liskov, as the BASE library does):
    *prepared* and multicasts ``COMMIT`` carrying its authenticator over the
    agreement-certificate body -- where the local queue routes batches to
    shards, a body naming the batch's route, so the COMMIT waits until the
-   batch below it is delivered (a committed prefix fixes the route);
+   batch below it is routed too (prepared in this view, or delivered);
 4. once it has ``2f + 1`` matching commits, its own among them, it is
    *committed*: it assembles
    the agreement certificate ``<COMMIT, v, n, d, A>_{A,E,2f+1}`` out of the
@@ -29,6 +29,7 @@ batch, and when, is the primary-side policy of its
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..config import AuthenticationScheme, SystemConfig
@@ -343,23 +344,31 @@ class AgreementReplica(Process):
         if others < 2 * self.f:
             return
         entry.prepared = True
-        self._commit(entry)
-        self._try_committed(entry)
+        self._commit_from(entry)
 
-    def _commit(self, entry: LogEntry) -> None:
-        """Multicast this replica's COMMIT over the body the local queue
-        routes (a router's waits until the batch below is delivered)."""
-        body = self.local.route_body(self._cert_body(entry),
-                                     entry.pre_prepare.requests)
-        if body is None:
-            return
-        entry.cert_body = body
-        authenticator = self._make_cert_authenticator(body)
-        commit = CommitMsg(view=entry.view, seq=entry.seq, batch_digest=body.batch_digest,
-                           replica=self.node_id, cert_authenticator=authenticator)
-        entry.commits[self.node_id] = commit
-        entry.commit_authenticators[self.node_id] = authenticator
-        self.multicast(self.agreement_ids, commit)
+    def _commit_from(self, entry: Optional[LogEntry]) -> None:
+        """Multicast the COMMITs of ``entry`` and the prepared batches after
+        it, in order, while the local queue routes them -- each over the
+        body the queue answers (its route, where the queue has routes), or
+        the one a re-proposed batch was delivered under here -- then
+        deliver what that committed."""
+        committed = False
+        while (entry is not None and entry.prepared
+               and self.node_id not in entry.commits and not self._view_changing):
+            body = entry.cert_body = entry.cert_body or self.local.route_body(
+                self._cert_body(entry), entry.pre_prepare.requests)
+            if body is None:
+                break
+            authenticator = self._make_cert_authenticator(body)
+            entry.commits[self.node_id] = CommitMsg(
+                view=entry.view, seq=entry.seq, batch_digest=body.batch_digest,
+                replica=self.node_id, cert_authenticator=authenticator)
+            entry.commit_authenticators[self.node_id] = authenticator
+            self.multicast(self.agreement_ids, entry.commits[self.node_id])
+            committed = self._mark_committed(entry) or committed
+            entry = self.log.existing_entry(self.view, entry.seq + 1)
+        if committed:
+            self._deliver_in_order()
 
     def _cert_body(self, entry: LogEntry) -> AgreementCertBody:
         return AgreementCertBody(view=entry.view, seq=entry.seq,
@@ -391,16 +400,12 @@ class AgreementReplica(Process):
         entry = self.log.entry(self.view, message.seq)
         entry.commits[sender] = message
         entry.commit_authenticators[sender] = message.cert_authenticator
-        self._try_committed(entry)
-
-    def _try_committed(self, entry: LogEntry) -> None:
         if self._mark_committed(entry):
             self._deliver_in_order()
 
     def _mark_committed(self, entry: LogEntry) -> bool:
-        """Whether ``entry`` just committed: ``2f + 1`` matching COMMITs,
-        this replica's own among them (so commits run in order)."""
-        if (entry.committed or entry.cert_body is None
+        """Whether ``entry`` just committed (2f + 1 COMMITs, its own too)."""
+        if (entry.committed or self.node_id not in entry.commits
                 or entry.commit_count(entry.cert_body.batch_digest) < 2 * self.f + 1):
             return False
         entry.committed = True
@@ -412,29 +417,16 @@ class AgreementReplica(Process):
         return True
 
     def _deliver_in_order(self) -> None:
-        """Deliver committed batches in order; each delivery fixes the next
-        batch's route, so a COMMIT that waited for it goes out."""
-        while True:
-            seq = self.log.last_delivered_seq + 1
-            entry = self._committed_entry(seq) or self._commit_awaiting(seq)
-            if entry is None:
-                return
+        """Deliver committed batches in order (and the COMMITs that waited
+        for a delivered config operation)."""
+        while (entry := self._committed_entry(self.log.last_delivered_seq + 1)):
             self._deliver(entry)
+            self._commit_from(self.log.existing_entry(self.view, entry.seq + 1))
 
-    def _commit_awaiting(self, seq: int) -> Optional[LogEntry]:
-        """Send the COMMIT of the prepared batch at ``seq`` that waited for
-        its route; the entry if that committed it."""
-        entry = self.log.existing_entry(self.view, seq)
-        if (entry is None or self._view_changing or not entry.prepared
-                or entry.cert_body is not None):
-            return None
-        self._commit(entry)
-        return entry if self._mark_committed(entry) else None
-
-    def _committed_entry(self, seq: int) -> Optional[LogEntry]:
+    def _committed_entry(self, seq: int, delivered: bool = False) -> Optional[LogEntry]:
         for view in range(self.view, -1, -1):
             entry = self.log.existing_entry(view, seq)
-            if entry is not None and entry.committed and not entry.delivered:
+            if entry is not None and entry.committed and entry.delivered == delivered:
                 return entry
         return None
 
@@ -493,14 +485,12 @@ class AgreementReplica(Process):
         self._try_stable(seq, digest)
 
     def on_routes_resumed(self, seq: int) -> None:
-        """The local queue can route past ``seq`` again (a log-map cut got
-        its frontier): cast the checkpoint vote delivery deferred, if any,
-        and send the COMMIT that waited."""
+        """The local queue routes past ``seq`` again (a log-map cut got its
+        frontier, or a sync): cast a deferred vote, send waiting COMMITs."""
         if seq in self._deferred_checkpoints:
             self._deferred_checkpoints.discard(seq)
             self._emit_checkpoint(seq)
-        if self._commit_awaiting(self.log.last_delivered_seq + 1) is not None:
-            self._deliver_in_order()
+        self._commit_from(self.log.existing_entry(self.view, seq + 1))
 
     def handle_checkpoint(self, sender: NodeId, message: AgreementCheckpoint) -> None:
         if sender != message.replica or sender not in self.agreement_ids:
@@ -780,6 +770,7 @@ class AgreementReplica(Process):
                 # prepare/commit quorums they need to catch up, but mark the
                 # slot consumed so commit never re-executes it locally.
                 entry.delivered = True
+                entry.cert_body = self._delivered_body(pre_prepare)
             if entry.pre_prepare is None:
                 entry.pre_prepare = pre_prepare
             if self._is_config_batch(pre_prepare.requests):
@@ -791,3 +782,13 @@ class AgreementReplica(Process):
                 entry.prepares[self.node_id] = prepare
                 self.multicast(self.agreement_ids, prepare)
             self._try_prepared(entry)
+
+    def _delivered_body(self, pre_prepare: PrePrepare) -> Optional[AgreementCertBody]:
+        """The body this replica delivered ``pre_prepare``'s batch under,
+        moved to its view (None if collected, or for another batch)."""
+        earlier = self._committed_entry(pre_prepare.seq, delivered=True)
+        body = None if earlier is None else earlier.cert_body
+        if body is None or (body.batch_digest, body.nondet) != (
+                pre_prepare.batch_digest, pre_prepare.nondet):
+            return None
+        return dataclasses.replace(body, view=pre_prepare.view)

@@ -66,8 +66,9 @@ class RoutedCertBody(AgreementCertBody):
     slot on (ascending), ``epoch`` is the partition-map epoch it was routed
     under (a map-change marker's: the epoch it closes) and ``log`` the
     agreement log that ordered it (None with one log).  Every correct
-    agreement node derives the same route from the committed prefix below
-    the batch, which is why its COMMIT waits for that prefix."""
+    agreement node derives the same route from the prefix below the batch
+    -- prepared in the batch's view, or delivered -- which is why its
+    COMMIT waits until the batch below it is routed."""
 
     route: Tuple[Tuple[int, int], ...]
     epoch: int

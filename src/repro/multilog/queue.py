@@ -12,10 +12,10 @@ The round has one artifact, the
 :class:`~repro.multilog.messages.CrossLogBinding`, and one release rule,
 which every queue applies for itself:
 
-* *Publish.*  When a cross-shard marker is routed -- the queue routes each
-  batch as it is delivered, right after it commits -- the queue binds it to
-  the sequence number its own log assigned and multicasts the binding to
-  the agreement replicas of every other log.  Binding at routing (not at
+* *Publish.*  When a cross-shard marker is delivered (the queue applies
+  each batch's route in global order), the queue binds it to the sequence
+  number its own log assigned and multicasts the binding to
+  the agreement replicas of every other log.  Binding at delivery (not at
   release) keeps two markers ordered inversely by two logs from
   deadlocking each other's release frontiers: the sequence number is fixed
   when the binding is emitted, regardless of release order.
@@ -282,7 +282,7 @@ class CrossLogRound:
         if body is None or body.shard_frontier is None:
             return False
         self.awaiting = None
-        self.queue._next_shard_seq[shard] = body.shard_frontier
+        self.queue.adopt_frontier(shard, body.shard_frontier)
         return True
 
     def _emit_binding(self, key: MarkerKey,

@@ -178,7 +178,13 @@ class ShardExecutionNode(ExecutionNode):
         """Give a gap one fetch period before asking the peers for it: a
         link may deliver the batch that fills it after the one that
         revealed it, and a peer's copy would then arrive only to be
-        answered again (a second reply bundle, a second fragment)."""
+        answered again (a second reply bundle, a second fragment).
+
+        Only the simulator's links reorder: ``NetworkFaultModel.base_delay``
+        (``net/faults.py``) draws each message's delay afresh, against the
+        per-link FIFO contract of ``net/network.py``.  Once simulated links
+        are FIFO this override and ``_awaited`` can go, and the base
+        node's immediate fetch serves both execution nodes."""
         if seq in self._awaited:
             super()._request_missing(seq)
         elif not self._fetching.get(seq):

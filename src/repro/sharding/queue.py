@@ -14,18 +14,24 @@ already provides the total order, and routing is a pure function of it.
 ``n`` authenticates a :class:`~repro.messages.agreement.RoutedCertBody`:
 the batch's ``(shard, shard_seq)`` slots, the partition-map epoch and the
 log, which this queue derives (:meth:`ShardRouterQueue.route_body`) once
-``n - 1`` is delivered.  A committed prefix is final -- a view change can
-null a batch that only prepared, never one that committed -- so the route
-is a pure function of agreed history, and ``2f + 1`` COMMIT authenticators
-vouch for the slot exactly as they vouch for the batch.  The replica
-delivers each batch right after it commits, in global order, and the queue
-routes it there (:meth:`ShardRouterQueue.execute_batch`): the counters
-advance to the certified slots.  An execution replica accepts a part when
-the certificate verifies with its own slot in the route, so the queue sends
-each touched cluster the plain :class:`~repro.messages.agreement.OrderedBatch`:
-the primary on first release, every queue again on its retransmission
-timer (as :class:`~repro.core.message_queue.MessageQueue` does), and a
-queue whose replica enters a view as its primary sends every part still
+``n - 1`` is routed: prepared in the replica's current view (routed
+*ahead*), or delivered.  A certificate over the route of ``n`` therefore
+means that ``f + 1`` correct replicas prepared every batch below it in
+``n``'s view, or delivered it -- PBFT's own condition for a batch to
+survive every view change -- so the prefix the route counts is final, and
+``2f + 1`` COMMIT authenticators vouch for the slot exactly as they vouch
+for the batch.  A view change drops the routes derived ahead (the batches
+prepared in the old view may be replaced), and routing ahead stops at a
+config operation until it is delivered, since the operation moves the
+epochs the next routes are derived at.  The replica delivers batches in
+global order and the queue applies each delivered batch's certified route
+there (:meth:`ShardRouterQueue.execute_batch`).  An execution replica
+accepts a part when the certificate verifies with its own slot in the
+route, so the queue sends each touched cluster the plain
+:class:`~repro.messages.agreement.OrderedBatch`: the primary on first
+release, every queue again on its retransmission timer (as
+:class:`~repro.core.message_queue.MessageQueue` does), and a queue whose
+replica enters a view as its primary sends every part still
 pending, which the old primary may never have sent.
 
 What a batch is and which shards own what of it is the router's answer
@@ -81,7 +87,6 @@ log's certified frontier for the moved shard.
 
 from __future__ import annotations
 
-import dataclasses
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -142,15 +147,19 @@ class ShardRouterQueue(QueueCore):
         #: per-shard last assigned local sequence number (deterministic
         #: across replicas)
         self._next_shard_seq: List[int] = [0] * self.num_shards
-        #: highest global sequence number routed (delivered): the routes up
-        #: to it are fixed, so the next batch's can be derived
+        #: highest global sequence number delivered: the routes up to it
+        #: are applied to ``_next_shard_seq`` and the epoch cursors
         self._routed_seq = 0
+        #: the routes derived ahead of delivery, over the batches the
+        #: hosting replica prepared in its view: the last one's sequence
+        #: number, the per-shard counters after it, and whether it was a
+        #: config operation (routing past one waits for its delivery)
+        self._ahead_seq = 0
+        self._ahead_counters: List[int] = [0] * self.num_shards
+        self._ahead_cut = False
         #: the router's answer per sequence number, from the COMMIT that
         #: certifies its route to delivery: seq -> (batch digest, answer)
         self._routes: Dict[int, Tuple[bytes, BatchRoute]] = {}
-        #: routed bodies of delivered batches above the stable checkpoint
-        #: (a NEW-VIEW may re-propose one, and the replica commits it again)
-        self._bodies: Dict[int, RoutedCertBody] = {}
         #: delivered batches not released yet (a cross-log hold), by seq
         self._staged: Dict[int, _Routed] = {}
         #: highest global sequence number released to the shards
@@ -226,23 +235,32 @@ class ShardRouterQueue(QueueCore):
                    requests: Tuple[Certificate, ...]) -> Optional[RoutedCertBody]:
         """``body`` with the batch's route: its next slot on each shard it
         goes to, the epoch cursor and the log.  Derivable for the batch
-        right above the routed prefix, unless a log-map cut awaits the
-        source log's frontier; a routed batch keeps its route (a NEW-VIEW
-        may re-propose it)."""
+        right above the ones routed ahead (or delivered), unless a config
+        operation routed ahead is not delivered yet or a log-map cut awaits
+        the source log's frontier."""
         seq = body.seq
-        if seq <= self._routed_seq:
-            routed = self._bodies.get(seq)
-            if routed is None or routed.batch_digest != body.batch_digest:
-                return None
-            return dataclasses.replace(routed, view=body.view)
-        if seq > self._routed_seq + 1 or self.cross_log.awaiting is not None:
+        if (seq != self._ahead_seq + 1 or self._ahead_cut
+                or self.cross_log.awaiting is not None):
             return None
         route = self._route_of(seq, body.batch_digest, requests)
+        parts = tuple((shard, self._ahead_counters[shard] + 1)
+                      for shard in self._slotted(route))
+        for shard, shard_seq in parts:
+            self._ahead_counters[shard] = shard_seq
+        self._ahead_seq = seq
+        self._ahead_cut = route.change is not None
         return RoutedCertBody(
             view=body.view, seq=seq, batch_digest=body.batch_digest,
-            nondet=body.nondet, epoch=self.epoch, log=self.cross_log.stamp,
-            route=tuple((shard, self._next_shard_seq[shard] + 1)
-                        for shard in self._slotted(route)))
+            nondet=body.nondet, route=parts, epoch=self.epoch,
+            log=self.cross_log.stamp)
+
+    def _route_ahead_from_delivered(self) -> None:
+        """Derive the next routes from the delivered prefix again (a view
+        change drops the batches prepared in the old view, a delivered
+        config operation moved the cursors, a sync jumped them)."""
+        self._ahead_seq = self._routed_seq
+        self._ahead_counters = list(self._next_shard_seq)
+        self._ahead_cut = False
 
     def _route_of(self, seq: int, batch_digest: bytes,
                   requests: Tuple[Certificate, ...]) -> BatchRoute:
@@ -267,9 +285,9 @@ class ShardRouterQueue(QueueCore):
                       request_certificates: Tuple[Certificate, ...],
                       agreement_certificate: Certificate,
                       nondet: NonDetInput) -> None:
-        """Route a delivered batch -- the replica delivers each batch the
-        moment it commits, in global order -- by the route its certificate
-        carries, then release it unless a cross-log hold keeps it."""
+        """Apply a delivered batch's certified route to the frontiers and
+        the epoch cursors (deliveries run in global order), then release it
+        unless a cross-log hold keeps it."""
         body: RoutedCertBody = agreement_certificate.payload
         batch = OrderedBatch(seq=seq, view=view,
                              request_certificates=tuple(request_certificates),
@@ -280,7 +298,6 @@ class ShardRouterQueue(QueueCore):
         for shard, shard_seq in body.route:
             self._next_shard_seq[shard] = shard_seq
         self._routed_seq = seq
-        self._bodies[seq] = body
         self.max_n = max(self.max_n, seq)
         cut = self.cross_log.on_route(seq, route, body.route)
         if route.kind == MAP_CHANGE:
@@ -289,6 +306,8 @@ class ShardRouterQueue(QueueCore):
             if route.kind == CROSS_SHARD:
                 self.cross_shard_markers += 1
             self._note_load(route)
+        if self._ahead_seq <= seq:
+            self._route_ahead_from_delivered()
         self._staged[seq] = _Routed(batch, route, body.route, cut)
         self._staged_at[seq] = self.owner.now
         if self.owner.tracing:
@@ -345,10 +364,18 @@ class ShardRouterQueue(QueueCore):
                 self._send(self.shard_execution_ids[shard], batch)
             self._arm(pending)
 
+    def adopt_frontier(self, shard: int, frontier: int) -> None:
+        """Continue ``shard``'s local order after ``frontier`` (a log-map
+        cut's certified source frontier, on the target log)."""
+        self._next_shard_seq[shard] = frontier
+        self._route_ahead_from_delivered()
+
     def on_view_entered(self, view: int) -> None:
-        """A replica that enters a view as its primary sends every part
-        still pending: the old primary, crashed or censoring, may never
-        have sent them."""
+        """Routes are derived afresh from the delivered prefix: the
+        batches prepared in the old view may be replaced.  A replica that
+        enters a view as its primary sends every part still pending: the
+        old primary, crashed or censoring, may never have sent them."""
+        self._route_ahead_from_delivered()
         if self._owner_is_primary(view):
             for (shard, _), pending in self.shard_pending.items():
                 self._send(self.shard_execution_ids[shard], pending.batch)
@@ -481,9 +508,6 @@ class ShardRouterQueue(QueueCore):
             return None
         return self._frontier_state()
 
-    def on_stable_checkpoint(self, seq: int) -> None:
-        self._bodies = {n: body for n, body in self._bodies.items() if n > seq}
-
     def sync_to_checkpoint(self, seq: int,
                            sync_state: Tuple[Tuple[str, object], ...]) -> None:
         """Adopt a quorum-certified checkpoint cut this queue fell behind.
@@ -513,6 +537,8 @@ class ShardRouterQueue(QueueCore):
             self.load_window.reset()
         self.max_n = max(self.max_n, seq)
         self._routed_seq = max(self._routed_seq, seq)
+        if self._ahead_seq < seq:
+            self._route_ahead_from_delivered()
         self._routes = {n: cached for n, cached in self._routes.items() if n > seq}
         for stale in [n for n in self._staged if n <= seq]:
             self._staged.pop(stale)

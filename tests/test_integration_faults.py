@@ -600,6 +600,30 @@ class TestViewEntry:
             timer.deadline >= entered + FAST_TIMERS.view_change_ms
             for timer in deadlines if timer.active)
 
+    def test_the_primary_never_votes_itself_out(self):
+        """Only a backup suspects the primary.  A request only the primary
+        heard of outlives its deadline there (its PREPAREs are lost, the
+        client has not retransmitted yet): the primary stays in its view.
+        A primary that voted alone stopped ordering until the backups'
+        own timers escalated.  The request commits once the client's
+        retransmission arms the backups' deadlines."""
+        timers = dataclasses.replace(FAST_TIMERS, client_retransmit_ms=1_000.0)
+        system = SeparatedSystem(make_config(timers=timers), CounterService,
+                                 seed=66)
+        primary = system.agreement_replicas[0]
+        healed = []
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if isinstance(message, Prepare) and not healed else None)
+        system.submit(increment(1))
+        system.run(2 * timers.view_change_ms)
+        assert system.total_completed() == 0
+        assert not primary._view_changing and primary.view == 0
+        healed.append(True)
+        system.run_until(lambda: system.total_completed() == 1,
+                         timers.client_retransmit_ms + 4 * timers.view_change_ms,
+                         "the request committed")
+
     def test_a_proposal_the_view_change_drops_is_queued_again(self):
         """A batch pre-prepared but not yet prepared when the view changes
         is not carried into the NEW-VIEW.  Every replica that saw it queues

@@ -143,26 +143,47 @@ class TestOutOfOrderDelivery:
 
     def test_a_batch_gets_its_route_only_above_the_routed_prefix(self):
         """A batch's slots count the earlier same-shard batches, so its
-        route is unknown until every earlier batch is routed (delivered,
-        hence committed): the queue answers no route above a gap, and the
-        replica's COMMIT waits for it."""
+        route is unknown until every earlier batch is routed (its COMMIT
+        built in this view, or delivered): the queue answers no route above
+        a gap, and the replica's COMMIT waits for it -- but not for the
+        batch below to commit."""
         system = ShardedSystem(pershard_config(), KeyValueStore, seed=53)
-        keys = keys_of_shard(system, 0, 1) + keys_of_shard(system, 1, 1)
-        for i, key in enumerate(keys):
-            system.invoke(put(key, f"v{i}"), client_index=i % 2)
-        batches = batches_by_global_seq(system)
-        first, second = (batches[seq] for seq in sorted(batches)[:2])
+        first, second = self._two_batches(system)
 
         queue = self._fresh_queue(system)
         assert queue.route_body(unrouted(second), second.request_certificates) is None
         assert queue.route_body(unrouted(first), first.request_certificates) \
             == first.cert_body
-        self._deliver(queue, first)
         assert queue.route_body(unrouted(second), second.request_certificates) \
             == second.cert_body
+        self._deliver(queue, first)
         self._deliver(queue, second)
         assert queue._released_seq == second.seq
         assert len(queue.shard_pending) == 2
+
+    def test_a_view_change_drops_the_routes_derived_ahead(self):
+        """Routes derived over batches prepared in a view are dropped when
+        the replica enters the next one (a NEW-VIEW may put other batches
+        there): the next route again waits for the batch below it."""
+        system = ShardedSystem(pershard_config(), KeyValueStore, seed=53)
+        first, second = self._two_batches(system)
+
+        queue = self._fresh_queue(system)
+        assert queue.route_body(unrouted(first), first.request_certificates) \
+            == first.cert_body
+        queue.on_view_entered(1)
+        assert queue.route_body(unrouted(second), second.request_certificates) is None
+        self._deliver(queue, first)
+        assert queue.route_body(unrouted(second), second.request_certificates) \
+            == second.cert_body
+
+    @staticmethod
+    def _two_batches(system):
+        keys = keys_of_shard(system, 0, 1) + keys_of_shard(system, 1, 1)
+        for i, key in enumerate(keys):
+            system.invoke(put(key, f"v{i}"), client_index=i % 2)
+        batches = batches_by_global_seq(system)
+        return (batches[seq] for seq in sorted(batches)[:2])
 
     @staticmethod
     def _deliver(queue, batch):

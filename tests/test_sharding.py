@@ -450,11 +450,12 @@ class TestViewChangeHole:
     def test_a_nulled_batch_below_a_prepared_one_leaves_no_slot_hole(self):
         """Sequence 1 pre-prepares but never prepares (its PREPAREs are
         lost), sequence 2 prepares everywhere.  The NEW-VIEW nulls 1 and
-        carries 2.  Routes are derived from the committed prefix only --
-        2's COMMIT waited for 1, which never committed -- so the null batch
-        takes no slot, 2 takes shard 0's next one, and every shard's slots
-        stay dense (a route derived from the pre-prepared prefix would have
-        given 2 slot 2 and left slot 1 empty forever)."""
+        carries 2.  Routes are derived over the prefix prepared in the view
+        (or delivered) -- 2's COMMIT waited for 1, which never prepared --
+        so the null batch takes no slot, 2 takes shard 0's next one, and
+        every shard's slots stay dense (a route derived from the
+        pre-prepared prefix would have given 2 slot 2 and left slot 1 empty
+        forever)."""
         system = ShardedSystem(sharded_config(num_clients=2), KeyValueStore,
                                seed=52)
         keys = keys_of_shard(system, 0, 2)  # both batches route to shard 0
