@@ -32,7 +32,7 @@ from ..errors import CertificateError, CryptoError, VerificationError
 from ..messages.request import ClientRequest
 from ..net.message import Message
 from ..util.ids import NodeId
-from ..util.wirecache import wire_memo
+from ..util.wirecache import WIRE_CACHE, wire_memo
 from .cache import VerifiedCertificateCache
 from .certificate import Authenticator, Certificate
 from .digest import digest, mac
@@ -52,8 +52,9 @@ class Fact(NamedTuple):
     domains of schemes that share a key.  ``cost`` names the
     :class:`~repro.config.CryptoCosts` field a check costs, ``op`` and
     ``cached_op`` the operations recorded for a check and a cache hit, and
-    ``material(keystore, verifier, key)`` raises :class:`CryptoError` for
-    a signer, group or member it does not know."""
+    ``material(crypto, key)`` -- the key material as the verifying
+    :class:`CryptoProvider` holds it -- raises :class:`CryptoError` for a
+    signer, group or member it does not know."""
 
     tag: str
     scheme: AuthenticationScheme
@@ -61,28 +62,29 @@ class Fact(NamedTuple):
     cost: str
     op: str
     cached_op: str
-    material: Callable[[Keystore, NodeId, FactKey], bytes]
+    material: Callable[["CryptoProvider", FactKey], bytes]
 
     def key(self, group: Optional[str], who: Any, payload_digest: bytes) -> FactKey:
         return (self.tag, group, who, payload_digest)
 
-    def token(self, keystore: Keystore, verifier: NodeId, key: FactKey) -> bytes:
-        """The token proving ``key`` to ``verifier`` (what its signer made)."""
-        return mac(self.material(keystore, verifier, key), self.prefix + key[3])
+    def token(self, crypto: "CryptoProvider", key: FactKey) -> bytes:
+        """The token proving ``key`` to ``crypto``'s node (what its signer
+        made)."""
+        return mac(self.material(crypto, key), self.prefix + key[3])
 
 
 MAC_FACT = Fact("mac", AuthenticationScheme.MAC, b"", "mac_ms", "mac_verify",
                 "mac_verify_cached",
-                lambda keys, verifier, key: keys.pair_secret(key[2], verifier))
+                lambda crypto, key: crypto.pair_secret(key[2]))
 SIGNATURE_FACT = Fact("sig", AuthenticationScheme.SIGNATURE, b"sig:",
                       "signature_verify_ms", "signature_verify", "signature_verify_cached",
-                      lambda keys, verifier, key: keys.private_key(key[2]))
+                      lambda crypto, key: crypto.keystore.private_key(key[2]))
 SHARE_FACT = Fact("share", AuthenticationScheme.THRESHOLD, b"share:", "mac_ms",
                   "threshold_share_verify", "threshold_share_verify_cached",
-                  lambda keys, verifier, key: keys.threshold_group(key[1]).share_key(key[2]))
+                  lambda crypto, key: crypto.keystore.threshold_group(key[1]).share_key(key[2]))
 GROUP_FACT = Fact("tsig", AuthenticationScheme.THRESHOLD, b"combined:",
                   "threshold_verify_ms", "threshold_verify", "threshold_verify_cached",
-                  lambda keys, verifier, key: keys.threshold_group(key[1]).group_key)
+                  lambda crypto, key: crypto.keystore.threshold_group(key[1]).group_key)
 #: the fact each scheme's authenticators assert
 FACT_OF_SCHEME = {fact.scheme: fact for fact in (MAC_FACT, SIGNATURE_FACT, SHARE_FACT)}
 
@@ -126,12 +128,21 @@ class CryptoProvider:
         self._record = record or _noop
         #: authenticators :meth:`assemble` dropped instead of merging
         self.dropped_authenticators = 0
+        #: the MAC secret shared with each peer, looked up once
+        self._secrets: Dict[NodeId, bytes] = {}
         keystore.register_node(node)
 
     def bind(self, charge: ChargeFn, record: RecordFn) -> None:
         """Attach the cost-accounting callbacks (done when a Process is built)."""
         self._charge = charge
         self._record = record
+
+    def pair_secret(self, peer: NodeId) -> bytes:
+        """The MAC secret this node shares with ``peer``."""
+        secret = self._secrets.get(peer)
+        if secret is None:
+            secret = self._secrets[peer] = self.keystore.pair_secret(self.node, peer)
+        return secret
 
     # ------------------------------------------------------------------ #
     # Digests.
@@ -184,7 +195,7 @@ class CryptoProvider:
         if token is None:
             return False
         try:
-            expected = fact.token(self.keystore, self.node, key)
+            expected = fact.token(self, key)
         except CryptoError:
             return False
         self._charge(getattr(self.costs, fact.cost))
@@ -195,19 +206,29 @@ class CryptoProvider:
             cache.add(key)
         return True
 
-    def _verify(self, fact: Fact, payload: Any, authenticator: Authenticator,
-                group: Optional[str] = None) -> bool:
-        """Check one authenticator over ``payload``: a share only from a
-        member of a group this node knows.  Those two tests come before the
-        payload digest, so such an authenticator costs no hashing."""
-        if authenticator.scheme is not fact.scheme or (
-                fact is SHARE_FACT and not (
-                    self.keystore.has_threshold_group(group)
-                    and authenticator.signer in self.keystore.threshold_group(group).members)):
-            return False
-        payload_digest = self.payload_digest(payload)
+    def _admits(self, fact: Fact, authenticator: Authenticator,
+                group: Optional[str]) -> bool:
+        """The tests that come before the payload digest, so an
+        authenticator failing them costs no hashing: its scheme is the
+        fact's, and a share comes from a member of a group this node
+        knows."""
+        return authenticator.scheme is fact.scheme and (
+            fact is not SHARE_FACT or (
+                self.keystore.has_threshold_group(group)
+                and authenticator.signer in self.keystore.threshold_group(group).members))
+
+    def _check_over(self, fact: Fact, payload_digest: bytes,
+                    authenticator: Authenticator, group: Optional[str]) -> bool:
+        """Check one admitted authenticator over ``payload_digest``."""
         return self._check(fact, fact.key(group, authenticator.signer, payload_digest),
                            fact_token(fact, authenticator, self.node.name))
+
+    def _verify(self, fact: Fact, payload: Any, authenticator: Authenticator,
+                group: Optional[str] = None) -> bool:
+        """Check one authenticator over ``payload``."""
+        return (self._admits(fact, authenticator, group)
+                and self._check_over(fact, self.payload_digest(payload),
+                                     authenticator, group))
 
     def verify_mac(self, payload: Any, authenticator: Authenticator) -> bool:
         """Verify the MAC entry addressed to this node."""
@@ -240,16 +261,16 @@ class CryptoProvider:
                           destinations: Iterable[NodeId]) -> Authenticator:
         """Produce a MAC-vector authenticator for ``payload`` to ``destinations``."""
         payload_digest = self.payload_digest(payload)
-        node, pair_secret = self.node, self.keystore.pair_secret
+        pair_secret = self.pair_secret
         tokens: Dict[str, bytes] = {
-            destination.name: mac(pair_secret(node, destination), payload_digest)
+            destination.name: mac(pair_secret(destination), payload_digest)
             for destination in destinations}
         self._charge(self.costs.mac_ms)
         self._record("mac_sign")
         return Authenticator(self.node, AuthenticationScheme.MAC, tokens)
 
     def _own_token(self, fact: Fact, group: Optional[str], payload_digest: bytes) -> bytes:
-        return fact.token(self.keystore, self.node, fact.key(group, self.node, payload_digest))
+        return fact.token(self, fact.key(group, self.node, payload_digest))
 
     def sign(self, payload: Any) -> Authenticator:
         """Sign ``payload`` with this node's private key."""
@@ -318,14 +339,28 @@ class CryptoProvider:
 
     def valid_signers(self, certificate: Certificate,
                       universe: Optional[Iterable[NodeId]] = None) -> List[NodeId]:
-        """Return the distinct signers whose authenticators verify at this node."""
+        """Return the distinct signers whose authenticators verify at this
+        node.  A message payload is digested once for the whole certificate
+        where a repeat would be free anyway (its memo is charged once per
+        node); any other payload is digested, and charged, per
+        authenticator."""
         allowed = None if universe is None else frozenset(universe)
         fact = FACT_OF_SCHEME[certificate.scheme]
         group = certificate.threshold_group if fact is SHARE_FACT else None
-        return [authenticator.signer
-                for authenticator in certificate.authenticator_list()
-                if (allowed is None or authenticator.signer in allowed)
-                and self._verify(fact, certificate.payload, authenticator, group)]
+        payload = certificate.payload
+        once = (self.perf.digest_memo and WIRE_CACHE.enabled
+                and isinstance(payload, Message))
+        payload_digest = None
+        signers = []
+        for authenticator in certificate.authenticator_list():
+            if ((allowed is not None and authenticator.signer not in allowed)
+                    or not self._admits(fact, authenticator, group)):
+                continue
+            if payload_digest is None or not once:
+                payload_digest = self.payload_digest(payload)
+            if self._check_over(fact, payload_digest, authenticator, group):
+                signers.append(authenticator.signer)
+        return signers
 
     def verify_certificate(self, certificate: Certificate, required: int,
                            universe: Optional[Iterable[NodeId]] = None) -> bool:
