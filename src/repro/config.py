@@ -668,8 +668,12 @@ class SystemConfig:
         optimisation: only valid without the privacy firewall (clients may
         not talk to execution nodes through the firewall topology) and only
         useful for MAC certificates, where the client can count matching
-        partials itself.  Both ends read it: where it holds, the agreement
-        nodes' queues cache the assembled certificate and relay nothing.
+        partials itself.  Both ends read it: where it holds, every
+        agreement node gets bodiless reply certificates (they retire its
+        pending sends and nothing else), ``g + 1`` of the ``2g + 1``
+        replicas carry each client its reply and the others send the
+        bodiless view, and a queue relays -- and caches -- only the answer
+        to a retransmission it passed on to the replicas.
         """
         return (not self.use_privacy_firewall
                 and self.authentication is AuthenticationScheme.MAC)

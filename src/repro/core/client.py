@@ -49,7 +49,7 @@ from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..crypto.keys import Keystore
 from ..crypto.provider import CryptoProvider
-from ..messages.reply import BatchReplyBody, ClientReply, ReplyBody
+from ..messages.reply import BatchReplyBody, ClientReply
 from ..messages.request import ClientRequest, EncryptedBody, RequestEnvelope
 from ..net.message import Message
 from ..obs import request_trace_id
@@ -105,6 +105,9 @@ class _PendingRequest:
     timeout_ms: float = 0.0
     retransmissions: int = 0
     collectors: Dict[bytes, Optional[Certificate]] = field(default_factory=dict)
+    #: per sender of ``universe``, its latest bodiless partial no carried
+    #: reply has opened a collector for yet, under its collector key
+    bodiless: Dict[NodeId, Tuple[bytes, Certificate]] = field(default_factory=dict)
 
 
 class ClientNode(Process):
@@ -309,37 +312,33 @@ class ClientNode(Process):
             self.cross_shard.on_message(sender, message)
 
     def handle_reply(self, sender: NodeId, message: ClientReply) -> None:
-        own = self._answer_to_pending(message)
-        if own is None:
-            return
         pending, body = self._pending, message.body
-        if pending.cross is not None:
-            # A multi-shard operation completes through its fragments; an
-            # ordinary reply counts only if its keys collapsed onto one
-            # shard (sharding.client.CrossShardRequests.collapses).
-            if not self.cross_shard.collapses(pending, body):
-                return
-        elif body.epoch is not None and body.epoch > self.epoch:
-            self._maybe_advance_epoch(message)
-        if body.shard != pending.shard:
-            self.misrouted_replies += 1
-            return
-        if self._collect(pending, sender, message.certificate) is None:
-            return
-        self._complete(pending, own.result_for(Role.CLIENT), own.seq, own.view)
-
-    def _answer_to_pending(self, message: ClientReply) -> Optional[ReplyBody]:
-        """The reply to the outstanding request that ``message``'s certified
-        body carries, if any.  It is read out of the very object the
-        authenticators are then verified over, never from beside it."""
-        pending = self._pending
-        body = message.body
         if pending is None or not isinstance(body, BatchReplyBody):
-            return None
-        own = body.reply_for(self.node_id)
-        if own is None or own.timestamp != pending.timestamp:
-            return None
-        return own
+            return
+        if body.replies and not body.carried:
+            full = self._collect_bodiless(pending, sender, message.certificate)
+        else:
+            own = body.reply_for(self.node_id)
+            if own is None or own.timestamp != pending.timestamp:
+                return
+            if pending.cross is not None:
+                # A multi-shard operation completes through its fragments;
+                # an ordinary reply counts only if its keys collapsed onto
+                # one shard (sharding.client.CrossShardRequests.collapses).
+                if not self.cross_shard.collapses(pending, body):
+                    return
+            elif body.epoch is not None and body.epoch > self.epoch:
+                self._maybe_advance_epoch(message)
+            if body.shard != pending.shard:
+                self.misrouted_replies += 1
+                return
+            full = self._collect(pending, sender, message.certificate)
+        if full is None:
+            return
+        # The reply is read out of the very object the authenticators were
+        # verified over, never from beside it.
+        own = full.payload.reply_for(self.node_id)
+        self._complete(pending, own.result_for(Role.CLIENT), own.seq, own.view)
 
     def _shards_at(self, pending: _PendingRequest,
                    epoch: Optional[int]) -> Optional[List[int]]:
@@ -381,10 +380,33 @@ class ClientNode(Process):
             complete = (certificate.threshold_signature is not None
                         and self.crypto.verify_certificate(certificate, self.reply_quorum))
             return certificate if complete else None
+        key = self.crypto.payload_digest(certificate.payload)
+        full = self._merge(pending, key, sender, certificate)
+        for waiting, (waiting_key, partial) in list(pending.bodiless.items()):
+            if full is None and waiting_key == key:
+                del pending.bodiless[waiting]
+                full = self._merge(pending, key, waiting, partial)
+        return full
+
+    def _collect_bodiless(self, pending: _PendingRequest, sender: NodeId,
+                          certificate: Certificate) -> Optional[Certificate]:
+        """Merge a bodiless partial (a digest reply: ``g`` of the ``2g + 1``
+        replicas send one) only into a collector a carried reply opened --
+        it names no result the client could read -- and keep the latest
+        from each replica until one does."""
+        if sender not in pending.universe:
+            return None
+        key = self.crypto.payload_digest(certificate.payload)
+        if key not in pending.collectors:
+            pending.bodiless[sender] = (key, certificate)
+            return None
+        return self._merge(pending, key, sender, certificate)
+
+    def _merge(self, pending: _PendingRequest, key: bytes, sender: NodeId,
+               certificate: Certificate) -> Optional[Certificate]:
         return self.crypto.assemble(
-            pending.collectors, self.crypto.payload_digest(certificate.payload),
-            certificate, sender, pending.universe, self.reply_quorum,
-            self.config.authentication)
+            pending.collectors, key, certificate, sender, pending.universe,
+            self.reply_quorum, self.config.authentication)
 
     def _record(self, record: CompletedRequest) -> None:
         self.completed.append(record)

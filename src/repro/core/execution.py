@@ -321,36 +321,38 @@ class ExecutionNode(Process):
             body, scheme, self.agreement_ids + [reply.client for reply in body.replies],
             self.threshold_group if scheme is AuthenticationScheme.THRESHOLD else None)
 
-    def _upstream_primary(self, view: int) -> NodeId:
-        """The upstream node that is ``view``'s primary (``upstream`` lists
-        the agreement nodes in their rotation order)."""
-        return self.upstream[view % len(self.upstream)]
+    def _carries_replies(self, seq: int) -> bool:
+        """Whether this replica answers ``seq``'s clients with their
+        replies: ``g + 1`` of the ``2g + 1`` do, the others send the
+        bodiless view (digest replies), rotating with ``seq``.  At most
+        ``g`` replicas are faulty, so one carried reply at least is
+        correct, and a client completes without asking again."""
+        index = self.execution_ids.index(self.node_id)
+        return (index - seq) % len(self.execution_ids) >= self.config.g
 
     def _send_reply(self, body: BatchReplyBody) -> BatchReply:
-        """Build this node's partial reply certificate and send it upstream.
+        """Build this node's partial reply certificate and send it.
 
-        Where clients get their replies directly, only the primary of the
-        body's view gets the bundle (its queue caches it for client
-        retransmissions); the other agreement nodes need a quorum of
-        matching digests and get the bodiless form, one object for all of
-        them.  The returned (cached) message is always the full bundle.
+        Where clients get their replies directly, every upstream node gets
+        the bodiless form -- a quorum of matching digests retires the slot,
+        and one object serves them all -- and each client its own view of
+        the bundle, or the bodiless form too (:meth:`_carries_replies`).
+        Otherwise every upstream node gets the whole bundle to relay.
+        Returns what went upstream, kept for resends.
         """
         certificate = self._partial_certificate(body)
+        if self.config.direct_replies and body.replies:
+            bodiless = certificate.with_payload(body.view_for(None))
+            clients = list(dict.fromkeys(reply.client for reply in body.replies))
+            if self._carries_replies(body.seq):
+                for client in clients:
+                    self.send(client, ClientReply.for_client(certificate, client))
+            else:
+                self.multicast(clients, ClientReply(bodiless))
+            certificate = bodiless
         message = BatchReply(seq=body.seq, certificate=certificate,
                              sender=self.node_id)
-        if not (self.config.direct_replies and body.replies):
-            self.multicast(self.upstream, message)
-            return message
-        primary = self._upstream_primary(body.view)
-        self.send(primary, message)
-        bodiless = BatchReply(
-            seq=body.seq, sender=self.node_id,
-            certificate=certificate.with_payload(body.view_for(None)))
-        self.multicast([node for node in self.upstream if node != primary],
-                       bodiless)
-        for reply in body.replies:
-            self.send(reply.client,
-                      ClientReply.for_client(certificate, reply.client))
+        self.multicast(self.upstream, message)
         return message
 
     def handle_forwarded_request(self, sender: NodeId,
@@ -358,8 +360,9 @@ class ExecutionNode(Process):
         """An agreement node passes on a client retransmission it can
         answer neither from its cache nor from a pending send.  If the
         reply table holds this request's reply (or a later one), answer
-        the client directly with a fresh partial certificate over it;
-        otherwise ignore the message."""
+        that node with a complete partial certificate over it, which its
+        queue relays to the client once ``g + 1`` match; otherwise ignore
+        the message."""
         certificate = envelope.certificate
         request = self.crypto.client_request(certificate, self.client_ids)
         if sender not in self.agreement_ids or request is None:
@@ -370,7 +373,8 @@ class ExecutionNode(Process):
         if self.crypto.authentic_request(certificate, self.client_ids) is None:
             return
         body = self._make_reply_body(last.view, last.seq, (last,))
-        self.send(request.client, ClientReply(self._partial_certificate(body)))
+        self.send(sender, BatchReply(seq=body.seq, sender=self.node_id,
+                                     certificate=self._partial_certificate(body)))
         self.retries_answered += 1
 
     def _trim_reply_cache(self) -> None:

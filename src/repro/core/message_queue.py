@@ -12,21 +12,24 @@ optional per-client reply cache ``cache_c``.
   backoff.
 * When a valid reply certificate with ``g + 1`` execution authenticators (or
   one threshold signature) arrives, the queue drops the pending entries for
-  that and all lower sequence numbers, cancels their timers and caches the
-  certificate.  Where the execution replicas answer clients themselves
-  (``SystemConfig.direct_replies``) that is all: the clients already hold
-  the replies, and a relay would be a second copy of each.  There, too,
-  only the primary of the body's view receives the bundle and caches it;
-  every other queue receives the bodiless certified form (header plus
-  per-reply digests, same digest), which retires pending sends and frees
-  the pipeline and nothing else.  Otherwise (privacy firewall, threshold
-  or signature certificates) every queue receives the bundle and relays
-  each client its reply.
+  that and all lower sequence numbers and cancels their timers.  One rule
+  decides the rest: a queue caches and relays every *complete* certificate
+  it assembles.  Where the execution replicas answer clients themselves
+  (``SystemConfig.direct_replies``) every queue receives the bodiless
+  certified form (header plus per-reply digests, same digest): it retires
+  pending sends and frees the pipeline, and there is nothing to cache or
+  relay -- the clients already hold the replies.  Otherwise (privacy
+  firewall, threshold or signature certificates) every queue receives the
+  bundle and relays each client its reply.
 * ``retryHint`` serves client-initiated retransmissions from the cache, or
   resends the pending certificates, or reports that agreement must be
   re-run.  With direct replies a queue that can do neither of the first
-  two first forwards the client's signed request to the execution replicas,
-  which answer it from their reply tables if they hold the reply.
+  two first forwards the client's signed request to the execution
+  replicas; each that holds the reply answers the queue with a complete
+  single-reply partial, and the queue relays the certificate to the
+  client (and caches it) once ``g + 1`` match.  Those partials are
+  assembled apart from the slot's bodiless collector, so the cost of the
+  optional cache is paid on retransmission only.
 * Pipeline back-pressure: the agreement replica will not start sequence
   number ``n`` until the queue has seen a reply for ``n - P``
   (:meth:`highest_ready_seq`).
@@ -44,7 +47,10 @@ backend, which is why it runs unmodified over real sockets:
   order.
 * Duplicate replies and re-deliveries are handled by sequence-number
   checks, not by assuming exactly-once transport; the transport only
-  promises *at most* once per send, per-link FIFO.
+  promises *at most* once per send.  Per-link order is the backend's:
+  the asyncio transport keeps send order (one TCP stream per directed
+  pair), the simulator keeps none (``net/network.py``), so nothing here
+  relies on it.
 * Reply-certificate verification goes through the node's own
   ``CryptoProvider`` and its ``VerifiedCertificateCache``, inside the
   handler, on either backend.
@@ -119,6 +125,9 @@ class QueueCore(LocalExecutor):
         self.max_n = 0
         #: per-client cache of the latest certified reply
         self.cache: Dict[NodeId, CachedReply] = {}
+        #: per client whose retransmission was passed on to the replicas,
+        #: the assembly of their answers (:meth:`_on_retry_answer`)
+        self._retries: Dict[NodeId, Dict[Tuple[int, bytes], Optional[Certificate]]] = {}
         self.highest_reply_seq = 0
 
         # Statistics used by benchmarks and tests.
@@ -255,35 +264,59 @@ class QueueCore(LocalExecutor):
             self.config.authentication, group)
 
     def _forward_replies(self, certificate: Certificate) -> None:
-        """Cache the certified bundle for each client it answers, relay it
-        unless the execution replicas reply directly, then tell the hosting
-        replica that pipeline capacity was freed (the group-commit trigger
-        for adaptive bundling).  A bodiless certificate (what a backup gets
-        where replicas reply directly) has nothing to cache or relay."""
-        relay = not self.config.direct_replies
+        """Cache a complete certified bundle for each client it answers and
+        relay each one its reply.  A bodiless certificate -- what every
+        queue assembles where the replicas answer clients directly -- has
+        nothing to cache or relay."""
         body = certificate.payload
-        if body.complete:
-            for reply in body.replies:
-                cached = self.cache.get(reply.client)
-                if cached is None or cached.reply.timestamp <= reply.timestamp:
-                    self.cache[reply.client] = CachedReply(reply, certificate)
-                if relay:
-                    self.owner.send(reply.client, ClientReply.for_client(
-                        certificate, reply.client))
-                    self.replies_forwarded += 1
-                    self._c_replies_forwarded.inc()
-        self.owner.proposer.on_pipeline_progress()
+        if not body.complete:
+            return
+        for reply in body.replies:
+            cached = self.cache.get(reply.client)
+            if cached is None or cached.reply.timestamp <= reply.timestamp:
+                self.cache[reply.client] = CachedReply(reply, certificate)
+            self.owner.send(reply.client, ClientReply.for_client(
+                certificate, reply.client))
+            self.replies_forwarded += 1
+            self._c_replies_forwarded.inc()
 
     def _forward_request(self, request_certificate: Certificate,
                          replicas: List[NodeId]) -> None:
         """Pass a client retransmission this queue can answer neither from
         its cache nor from a pending send on to the execution ``replicas``
         (direct replies only): each one whose reply table holds the reply
-        answers the client itself."""
+        answers this queue with a complete certificate over it.  Answers
+        already gathered for the client are kept: the backups pass the
+        primary the same retransmission again."""
         if self.config.direct_replies:
+            self._retries.setdefault(request_certificate.payload.client, {})
             self.owner.multicast(replicas,
                                  RequestEnvelope(certificate=request_certificate))
             self.requests_forwarded += 1
+
+    def _answers_a_retry(self, message: BatchReply) -> bool:
+        """Whether ``message`` is a replica's answer to a passed-on
+        retransmission: where replicas answer clients directly, it is the
+        one reply message that carries a reply upstream."""
+        return self.config.direct_replies and bool(message.body.carried)
+
+    def _on_retry_answer(self, sender: NodeId, message: BatchReply,
+                         universe: List[NodeId]) -> None:
+        """Assemble the replicas' answers to a retransmission this queue
+        passed on -- one reply each, for a client it passed one on for --
+        apart from the slot's bodiless collector: that key is the same when
+        the slot answered one request, and it completed long ago.  Once
+        ``g + 1`` match, cache the certificate and relay it."""
+        replies = message.body.replies
+        client = replies[0].client if len(replies) == 1 else None
+        table = self._retries.get(client)
+        if table is None:
+            return
+        full = self._assemble_into(table, sender, message.certificate,
+                                   universe, None)
+        if full is not None:
+            del self._retries[client]
+            self._forward_replies(full)
 
 
 class MessageQueue(QueueCore):
@@ -368,6 +401,9 @@ class MessageQueue(QueueCore):
         """Handle a (partial or full) reply certificate flowing back down."""
         if not self._admissible(message):
             return
+        if self._answers_a_retry(message):
+            self._on_retry_answer(sender, message, self.execution_ids)
+            return
         full = self._assemble_into(self._collectors, sender, message.certificate,
                                    self.execution_ids, self.threshold_group)
         if full is not None:
@@ -385,3 +421,4 @@ class MessageQueue(QueueCore):
         # Garbage collect assembly state for old sequence numbers.
         self._collectors.trim(seq - self.config.pipeline_depth)
         self._forward_replies(certificate)
+        self.owner.proposer.on_pipeline_progress()

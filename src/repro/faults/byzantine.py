@@ -54,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 from ..config import AuthenticationScheme
 from ..core.system import SimulatedSystem
 from ..crypto.certificate import Certificate
+from ..crypto.digest import digest as digest_of
 from ..messages.agreement import PrePrepare
 from ..messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
 from ..messages.request import EncryptedBody
@@ -145,12 +146,13 @@ class CorruptReplyBehaviour(ByzantineBehaviour):
     def _corrupt_body(self, body: BatchReplyBody) -> BatchReplyBody:
         """``body`` with a wrong result in every reply it carries (sibling
         digests in a client's view are left as they are).  A bodiless body
-        -- what an agreement node other than the primary gets -- carries
+        -- what every agreement node gets, and some clients -- carries
         none, so each of its digests becomes the digest of the reply's
-        corruption: the bundle went out first, to the primary, and was
-        corrupted on its way."""
+        corruption where one went out carried first, and a digest of no
+        genuine reply where none did."""
         if body.replies and not body.carried:
-            corrupted = tuple(self._lies.get(digest, digest)
+            corrupted = tuple(self._lies.get(digest)
+                              or digest_of(b"lie:" + digest)
                               for digest in body.replies)
         else:
             corrupted = tuple(

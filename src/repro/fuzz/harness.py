@@ -36,7 +36,9 @@ from ..config import (
     TimerConfig,
 )
 from ..faults import FaultInjector, FaultPlan, make_behaviour
+from ..messages.request import ClientRequest
 from ..net.faults import LinkFault
+from ..obs import request_trace_id
 from ..sharding.messages import MapChange
 from ..sharding.system import ShardedSystem
 from ..workloads.crossshard import (
@@ -476,55 +478,97 @@ def run_schedule(schedule: FaultSchedule, *,
     # schedule event installs, so event times are anchored at the start of
     # the racing traffic and oracle invariants hold from their baseline.
     prefix = spec.seed_prefix()
-    for index, operation in enumerate(prefix):
-        system.clients[index % len(system.clients)].submit(operation)
-    while system.total_completed() < len(prefix):
-        system.run(50.0)
-
-    injector = install_schedule(system, schedule)
     operations = spec.make_operations(schedule.workload_seed,
                                       schedule.num_requests)
-    for index, operation in enumerate(operations):
-        system.clients[index % len(system.clients)].submit(operation)
     expected = len(prefix) + len(operations)
 
     def done() -> bool:
         return system.total_completed() >= expected
 
     detector = NoProgressDetector()
-    detector.sample(system.now, system.total_completed())
-    elapsed = 0.0
-    while elapsed < budget_ms and not done():
-        system.run(50.0)
-        elapsed += 50.0
-        detector.sample(system.now, system.total_completed())
-    # Quiesce: recover everything, heal everything, end every Byzantine
-    # window -- then give retransmissions room to finish and recovered
-    # replicas time to catch up through state transfer (the fixed window
-    # runs even when every reply already arrived, so post-fault recovery
-    # machinery is part of every run's observable behaviour).
-    injector.heal_all()
-    healed_at = system.now
-    system.run(200.0)
-    settled = 200.0
-    detector.sample(system.now, system.total_completed())
-    while settled < settle_ms and not done():
-        system.run(50.0)
-        settled += 50.0
-        detector.sample(system.now, system.total_completed())
-    completed = system.total_completed()
-    completed_all = completed >= expected
+    healed_at = 0.0
+    raised: Optional[Exception] = None
+    try:
+        for index, operation in enumerate(prefix):
+            system.clients[index % len(system.clients)].submit(operation)
+        while system.total_completed() < len(prefix):
+            system.run(50.0)
 
-    context = RunContext(healed_at_ms=healed_at, final_time_ms=system.now,
-                         expected=expected, completed=completed)
-    violations = run_oracles(system, completed_all=completed_all,
-                             context=context)
+        injector = install_schedule(system, schedule)
+        for index, operation in enumerate(operations):
+            system.clients[index % len(system.clients)].submit(operation)
+
+        detector.sample(system.now, system.total_completed())
+        elapsed = 0.0
+        while elapsed < budget_ms and not done():
+            system.run(50.0)
+            elapsed += 50.0
+            detector.sample(system.now, system.total_completed())
+        # Quiesce: recover everything, heal everything, end every Byzantine
+        # window -- then give retransmissions room to finish and recovered
+        # replicas time to catch up through state transfer (the fixed
+        # window runs even when every reply already arrived, so post-fault
+        # recovery machinery is part of every run's observable behaviour).
+        injector.heal_all()
+        healed_at = system.now
+        system.run(200.0)
+        settled = 200.0
+        detector.sample(system.now, system.total_completed())
+        while settled < settle_ms and not done():
+            system.run(50.0)
+            settled += 50.0
+            detector.sample(system.now, system.total_completed())
+    except Exception as error:   # a handler raised: the run stops there
+        raised = error
+    completed = system.total_completed()
+    completed_all = raised is None and completed >= expected
+
+    fingerprint = compute_fingerprint(system) | {
+        f"ctr:stall:{_bucket(int(detector.longest_stall_ms))}"}
+    if raised is not None:
+        violations = [_raised_in_handler(system, raised)]
+        fingerprint |= {f"raised:{type(raised).__name__}"}
+    else:
+        context = RunContext(healed_at_ms=healed_at, final_time_ms=system.now,
+                             expected=expected, completed=completed)
+        violations = run_oracles(system, completed_all=completed_all,
+                                 context=context)
     stats = _system_counters(system)
     stats["longest_stall_ms"] = int(detector.longest_stall_ms)
     return RunResult(
         schedule=schedule, completed=completed, expected=expected,
         completed_all=completed_all, violations=violations,
-        fingerprint=compute_fingerprint(system) | {
-            f"ctr:stall:{_bucket(int(detector.longest_stall_ms))}"},
+        fingerprint=fingerprint,
         replay_digest=compute_replay_digest(system, completed_all),
         final_time_ms=system.now, stats=stats)
+
+
+def _raised_in_handler(system, error: Exception) -> OracleViolation:
+    """The violation a handler's exception is: it names the exception and
+    the event that raised it -- its scheduler label and, where it delivers
+    a client request or a reply, the request's trace id."""
+    event = system.scheduler.last_event
+    label = event.label if event is not None else "?"
+    # a delivery's args are (source, message, size)
+    trace = (_trace_id(event.args[1])
+             if event is not None and label == "deliver:" else None)
+    return OracleViolation(
+        "handler-exception",
+        f"{type(error).__name__}: {error} (event {label!r}, "
+        f"trace {trace or '-'}, at {system.now:.3f} ms)")
+
+
+def _trace_id(message) -> Optional[str]:
+    """The trace id of the first client request ``message`` carries or
+    answers, if any."""
+    certificates = getattr(message, "request_certificates", None)
+    if certificates is None:
+        certificate = getattr(message, "certificate", None)
+        certificates = () if certificate is None else (certificate,)
+    for certificate in certificates:
+        payload = certificate.payload
+        if isinstance(payload, ClientRequest):
+            return request_trace_id(payload.client, payload.timestamp)
+        for reply in getattr(payload, "carried", ()):
+            return request_trace_id(reply.client, reply.timestamp)
+    return None

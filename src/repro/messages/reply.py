@@ -17,11 +17,18 @@ digests: the bodiless view, see :class:`BatchReplyBody`), so one set of
 authenticators travels with three renderings of one body: the complete
 bundle, each client's :meth:`~BatchReplyBody.view_for` (its own reply,
 siblings as digests) and the *bodiless* form (every reply as its digest,
-``view_for(None)``).  Where execution replicas answer clients directly, a
-replica sends the complete bundle only to the primary of the body's view,
-whose queue caches it for retransmissions, and the bodiless form to the
-other agreement nodes, which need a quorum of matching digests and nothing
-else.
+``view_for(None)``).  Where execution replicas answer clients directly,
+each result crosses the wire ``g + 1`` times (PBFT's digest replies):
+
+* every agreement node gets a replica's bodiless form, one object for
+  all of them -- a quorum of matching digests retires the slot;
+* ``g + 1`` of the ``2g + 1`` replicas send each client its view, the
+  other ``g`` the bodiless form (which replicas rotates with the sequence
+  number), and the client counts a bodiless partial only towards a
+  collector a carried reply opened;
+* a retransmission the replicas answer through an agreement node gets a
+  complete single-reply bundle from each, which the node relays once
+  ``g + 1`` match.
 """
 
 from __future__ import annotations
@@ -176,8 +183,8 @@ class BatchReply(_CertifiedReplies, Message):
     reply certificate); the agreement cluster, the privacy firewall's top
     row, or the client assembles partials into a full certificate with
     ``g + 1`` distinct signers or one combined threshold signature.  With
-    direct replies the body is complete towards the view's primary and
-    bodiless towards the other agreement nodes (module docstring).
+    direct replies the body is bodiless, except in the answer to a
+    retransmission an agreement node passed on (module docstring).
     """
 
     seq: int
@@ -187,11 +194,10 @@ class BatchReply(_CertifiedReplies, Message):
     @property
     def well_formed(self) -> bool:
         """Whether a correct execution replica could have sent this: under
-        the sequence number the message names, a complete bundle (what the
-        view's primary gets) or a bodiless one (what every other agreement
-        node gets).  Whoever assembles partials checks it first: a client's
-        view has the bundle's digest too, and a certificate assembled on
-        one could serve no other client."""
+        the sequence number the message names, a complete bundle or a
+        bodiless one.  Whoever assembles partials checks it first: a
+        client's view has the bundle's digest too, and a certificate
+        assembled on one could serve no other client."""
         body = self.body
         return (isinstance(body, BatchReplyBody) and body.seq == self.seq
                 and (body.complete or not body.carried))
@@ -200,7 +206,8 @@ class BatchReply(_CertifiedReplies, Message):
 @dataclass(frozen=True)
 class ClientReply(_CertifiedReplies, Message):
     """A reply certificate as one client receives it: the certificate over
-    that client's :meth:`~BatchReplyBody.view_for` of the bundle."""
+    that client's :meth:`~BatchReplyBody.view_for` of the bundle, or over
+    the bodiless form (a digest reply)."""
 
     certificate: Certificate
 

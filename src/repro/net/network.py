@@ -14,10 +14,13 @@ This class is the network half of the
 :mod:`repro.runtime.asyncio_rt` substitutes for it.  Invariants a
 replacement must preserve, because protocol code assumes them:
 
-* **Per-link FIFO.**  Two messages sent ``a -> b`` are delivered in send
-  order (here: equal fault-model delays break ties by send order; over
-  real sockets: one ordered TCP stream per directed pair).  No ordering
-  is promised across *different* links.
+* **No per-link order here.**  Over real sockets two messages sent
+  ``a -> b`` arrive in send order (one ordered TCP stream per directed
+  pair).  The simulator promises no order, not even on one fault-free
+  link: :meth:`NetworkFaultModel.base_delay` draws each message's
+  propagation delay afresh, so a later send can overtake an earlier one
+  (``tests/test_sim.py::TestProcess::test_one_fault_free_link_does_not_keep_send_order``).
+  Protocol code must not rely on per-link order on either backend.
 * **At-most-once delivery.**  A ``send`` yields zero or one delivery --
   never duplicates.  Retransmission is the protocol's job.
 * **Taps before transport.**  Registered taps see every send in

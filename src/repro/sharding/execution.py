@@ -181,10 +181,10 @@ class ShardExecutionNode(ExecutionNode):
         answered again (a second reply bundle, a second fragment).
 
         Only the simulator's links reorder: ``NetworkFaultModel.base_delay``
-        (``net/faults.py``) draws each message's delay afresh, against the
-        per-link FIFO contract of ``net/network.py``.  Once simulated links
-        are FIFO this override and ``_awaited`` can go, and the base
-        node's immediate fetch serves both execution nodes."""
+        (``net/faults.py``) draws each message's delay afresh, and
+        ``net/network.py`` promises no per-link order.  Were simulated
+        links FIFO this override and ``_awaited`` could go, and the base
+        node's immediate fetch would serve both execution nodes."""
         if seq in self._awaited:
             super()._request_missing(seq)
         elif not self._fetching.get(seq):

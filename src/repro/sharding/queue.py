@@ -596,6 +596,9 @@ class ShardRouterQueue(QueueCore):
         if shard is None or not 0 <= shard < self.num_shards:
             self.misrouted_replies += 1
             return
+        if self._answers_a_retry(message):
+            self._on_retry_answer(sender, message, self.shard_execution_ids[shard])
+            return
         # Merge partials until ``g + 1`` *same-shard* signers vouch for it.
         groups = self.shard_threshold_groups
         full = self._assemble_into(
@@ -635,3 +638,4 @@ class ShardRouterQueue(QueueCore):
         self._shard_collectors[shard].trim(
             shard_seq - self.config.pipeline_depth)
         self._forward_replies(certificate)
+        self.owner.proposer.on_pipeline_progress()

@@ -90,6 +90,9 @@ class Scheduler(VirtualClock):
         self.obs: ObservabilityHub = DISABLED_HUB
         #: total number of events executed so far
         self.events_processed = 0
+        #: the event most recently taken up: while its callback runs, the
+        #: running one (what the caller of `run` reads when a handler raised)
+        self.last_event: Optional[Event] = None
 
     # ------------------------------------------------------------------ #
     # Time and scheduling primitives.
@@ -133,6 +136,7 @@ class Scheduler(VirtualClock):
             self.advance_to(event.time)
         event.fired = True
         self.events_processed += 1
+        self.last_event = event
         event.callback(*event.args)
         return True
 

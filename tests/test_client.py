@@ -19,6 +19,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
@@ -299,3 +300,93 @@ class TestOneMergeRule:
             scheme=AuthenticationScheme.MAC, authenticators=forged)))
         assert len(client.completed) == 1
         assert client.crypto.dropped_authenticators == 1
+
+
+# ---------------------------------------------------------------------- #
+# Digest replies: g of the 2g + 1 partials name the reply by its digest.
+# ---------------------------------------------------------------------- #
+
+_DIGEST_SYSTEMS = {}
+
+
+def _digest_system(g):
+    """One separated system per ``g``, its client answered by hand."""
+    if g not in _DIGEST_SYSTEMS:
+        _DIGEST_SYSTEMS[g] = SeparatedSystem(make_config(g=g), KeyValueStore,
+                                             seed=71)
+    return _DIGEST_SYSTEMS[g]
+
+
+def _partial(node, body, payload):
+    """``node``'s own partial certificate over ``body``, carrying
+    ``payload`` (a view of it)."""
+    certificate = Certificate(payload=payload, scheme=AuthenticationScheme.MAC)
+    certificate.add(node.crypto.mac_authenticator(body, node.agreement_ids + [
+        reply.client for reply in body.replies]))
+    return ClientReply(certificate)
+
+
+@st.composite
+def _arrivals(draw):
+    """``(g, kinds, order)``: each replica's partial -- ``carried``,
+    ``bodiless``, a re-signed carried ``lie`` (at most one) or ``lost``
+    (at most one) -- and the order the delivered ones arrive in."""
+    g = draw(st.sampled_from([1, 2]))
+    size = 2 * g + 1
+    kinds = draw(st.lists(st.sampled_from(["carried", "bodiless"]),
+                          min_size=size, max_size=size))
+    slots = draw(st.permutations(range(size)))
+    if draw(st.booleans()):
+        kinds[slots[0]] = "lie"
+    if draw(st.booleans()):
+        kinds[slots[1]] = "lost"
+    delivered = [index for index in range(size) if kinds[index] != "lost"]
+    return g, kinds, draw(st.permutations(delivered))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arrivals())
+def test_a_client_completes_on_g_plus_1_genuine_partials_one_carried(arrivals):
+    """The client completes with the genuine result exactly when ``g + 1``
+    genuine partials, at least one of them carried, have arrived; a
+    bodiless partial counts only towards a collector a carried reply
+    opened, and the lie is never the result."""
+    g, kinds, order = arrivals
+    system = _digest_system(g)
+    client, other = system.clients[0], system.clients[1]
+    nodes = system.execution_nodes
+    timestamp = client.submit(get("k"))
+    seq = timestamp
+
+    def reply(result, who=client, stamp=timestamp):
+        return ReplyBody(view=0, seq=seq, timestamp=stamp, client=who.node_id,
+                         result=OperationResult(value=result))
+
+    sibling = reply("sibling", other, 1)
+    genuine = BatchReplyBody(view=0, seq=seq,
+                             replies=(reply("genuine"), sibling))
+    lie = BatchReplyBody(view=0, seq=seq, replies=(reply("LIE"), sibling))
+    partials = {
+        "carried": lambda node: _partial(node, genuine,
+                                         genuine.view_for(client.node_id)),
+        "bodiless": lambda node: _partial(node, genuine, genuine.view_for(None)),
+        "lie": lambda node: _partial(node, lie, lie.view_for(client.node_id)),
+    }
+    done = len(client.completed)
+    arrived = {"carried": 0, "bodiless": 0}
+    try:
+        for index in order:
+            kind = kinds[index]
+            client.on_message(nodes[index].node_id, partials[kind](nodes[index]))
+            if kind in arrived:
+                arrived[kind] += 1
+            expected = (arrived["carried"] >= 1
+                        and arrived["carried"] + arrived["bodiless"] >= g + 1)
+            assert (len(client.completed) > done) is expected
+            if expected:
+                record = client.completed[-1]
+                assert record.timestamp == timestamp
+                assert record.result.value == "genuine"
+                break
+    finally:
+        client._pending = None   # the next example submits afresh

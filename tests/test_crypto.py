@@ -398,7 +398,8 @@ class TestKeysAreDerivedOnce:
         system = SeparatedSystem(make_config(num_clients=8), CounterService, seed=5)
         system.invoke(increment(1))
         node = system.execution_nodes[0]
-        body = node.replies_by_seq[1].body
+        last = node.reply_table[system.clients[0].node_id]
+        body = node._make_reply_body(last.view, last.seq, (last,))
         del counted_macs[:]
         sent = node._send_reply(body)
         (authenticator,) = sent.certificate.authenticators.values()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ import pytest
 from repro.apps.kvstore import KeyValueStore
 from repro.config import NetworkConfig
 from repro.faults import FaultInjector, FaultPlan, make_behaviour
+from repro.faults.byzantine import STRATEGIES, ByzantineBehaviour
 from repro.fuzz import (
     BoundedProgressOracle,
     ExactlyOnceOracle,
@@ -39,6 +41,7 @@ from repro.fuzz import (
     scenario,
     seed_schedules,
 )
+from repro.messages.agreement import OrderedBatch
 from repro.net.faults import LinkFault, NetworkFaultModel
 from repro.net.message import CorruptedMessage
 from repro.sharding.system import ShardedSystem
@@ -268,6 +271,43 @@ class TestFixedSchedules:
         result = run_schedule(LYING_SCHEDULE, weaken_reply_quorum=True)
         assert any(v.oracle == "reply-table-audit"
                    for v in result.violations)
+
+
+class _RaisingHandler(ByzantineBehaviour):
+    """Its node's handler raises on the first ordered batch it is handed:
+    a bug, not an attack, which the campaign must record and survive."""
+
+    def install(self, system) -> None:
+        process = system.network.process(self.node)
+        handle = process.on_message
+
+        def on_message(sender, message):
+            if isinstance(message, OrderedBatch):
+                raise RuntimeError("handler bug")
+            handle(sender, message)
+
+        process.on_message = on_message
+
+
+class TestRaisingHandlers:
+    def test_a_raising_handler_is_a_violation(self, monkeypatch):
+        """The exception does not escape ``run_schedule``: the run stops,
+        and its result names the exception and the event that raised it
+        -- a delivery of a batch, by the trace id of its first request."""
+        monkeypatch.setitem(STRATEGIES, "raising_handler", _RaisingHandler)
+        schedule = FaultSchedule(
+            scenario="sharded", num_requests=10,
+            events=(ScheduleEvent(kind="byzantine", at_ms=0.0, duration_ms=400.0,
+                                  node="execution:0:1",
+                                  strategy="raising_handler"),))
+        result = run_schedule(schedule)
+        (violation,) = result.violations
+        assert violation.oracle == "handler-exception"
+        assert re.match(r"RuntimeError: handler bug \(event 'deliver:', "
+                        r"trace C\d+:\d+, at [\d.]+ ms\)$", violation.detail)
+        assert not result.completed_all and result.completed < result.expected
+        assert "raised:RuntimeError" in result.fingerprint
+        assert run_schedule(schedule).replay_digest == result.replay_digest
 
 
 class TestOrderingPlaneAttacks:

@@ -213,10 +213,11 @@ class TestForgedReplies:
 
 class TestLivenessWithoutTheRelay:
     """Where execution replies directly (MAC, no firewall) the agreement
-    nodes relay nothing, and only the primary holds reply bundles; a client
-    that misses its direct replies is served from the primary's cache when
-    it retransmits, and the other agreement nodes pass its request on to
-    the execution replicas, which answer from their reply tables."""
+    nodes assemble bodiless certificates and relay nothing.  A client that
+    misses its direct replies retransmits; each agreement node passes the
+    request on to the execution replicas, which answer it with a complete
+    certificate over the reply from their tables, and the node relays
+    (and caches) it once ``g + 1`` match."""
 
     def test_all_direct_replies_lost(self, config):
         system = SeparatedSystem(config, CounterService, seed=61)
@@ -228,16 +229,15 @@ class TestLivenessWithoutTheRelay:
         record = system.invoke(increment(1))
         assert record.result.value == 1
         client = system.clients[0]
-        assert client.retransmissions >= 1
+        assert client.retransmissions == 1
         system.run(50.0)
-        primary, *backups = system.message_queues
-        assert primary.cache_hits >= 1 and primary.requests_forwarded == 0
-        assert all(queue.cache_hits == 0 and queue.requests_forwarded >= 1
-                   for queue in backups)
-        assert all(node.retries_answered >= len(backups)
+        queues = system.message_queues
+        # The primary also passes on the copies the backups forward it.
+        assert all(queue.requests_forwarded >= 1 and queue.replies_forwarded == 1
+                   and queue.cache[client.node_id].reply.timestamp == 1
+                   for queue in queues)
+        assert all(node.retries_answered >= len(queues)
                    for node in system.execution_nodes)
-        assert all(queue.replies_forwarded == 0
-                   for queue in system.message_queues)
         assert len(client.completed) == 1
         assert [node.requests_executed for node in system.execution_nodes] \
             == [1, 1, 1]
@@ -263,8 +263,8 @@ class TestLivenessWithoutTheRelay:
 
     def test_a_liar_and_a_lost_direct_reply(self, config):
         """One of three direct replies is a re-signed lie and one is lost:
-        the single honest one is below quorum, the cached certificate is
-        not."""
+        the single honest one is below quorum, and the relayed answer to
+        the retransmission is not -- the liar lies to the queues too."""
         system = SeparatedSystem(config, CounterService, seed=62)
         liar, muted = system.execution_ids[0], system.execution_ids[1]
         make_byzantine(system, LyingReplyBehaviour(liar))
@@ -274,48 +274,57 @@ class TestLivenessWithoutTheRelay:
             else None)
         values = [system.invoke(increment(1)).result.value for _ in range(3)]
         assert values == [1, 2, 3]
-        assert sum(queue.cache_hits for queue in system.message_queues) >= 3
+        assert sum(queue.replies_forwarded for queue in system.message_queues) >= 3
         assert system.clients[0].retransmissions >= 3
 
-    def test_a_liar_lies_to_the_backups_too(self, config):
-        """A lying replica's bodiless certificate names the digests of its
-        corrupted replies, not the genuine ones: with one more replica
-        muted towards the agreement cluster, no backup can retire the slot
-        on the liar's word."""
+    @pytest.mark.parametrize("liar_index", [0, 1],
+                             ids=["carrying-liar", "bodiless-liar"])
+    def test_a_liars_bodiless_word_retires_no_slot(self, config, liar_index):
+        """A lying replica's bodiless certificate names digests of no
+        genuine reply, whether it sent its client a carried lie first
+        (replica 0 carries seq 1) or only the bodiless view (replica 1):
+        with one more replica muted towards the agreement cluster, no
+        queue -- the primary's included -- retires the slot on its word."""
         system = SeparatedSystem(config, CounterService, seed=66)
-        liar, muted = system.execution_ids[0], system.execution_ids[1]
-        make_byzantine(system, LyingReplyBehaviour(liar))
+        nodes = system.execution_nodes
+        liar, muted = nodes[liar_index], nodes[liar_index + 1]
+        assert liar._carries_replies(1) is (liar_index == 0)
+        make_byzantine(system, LyingReplyBehaviour(liar.node_id))
         system.network.add_tap(
             lambda source, destination, message:
-            DROP if source == muted and isinstance(message, BatchReply)
+            DROP if source == muted.node_id and isinstance(message, BatchReply)
             else None)
         system.clients[0].submit(increment(1))
         system.run(30.0)
-        assert all(node.max_executed == 1 for node in system.execution_nodes)
-        for queue in system.message_queues[1:]:
+        assert all(node.max_executed == 1 for node in nodes)
+        for queue in system.message_queues:
             assert queue.highest_reply_seq == 0 and 1 in queue.pending_sends
 
-    def test_only_the_primary_caches_bundles(self, config):
-        """The backups assemble the bodiless form: it retires their pending
-        sends and advances their pipelines, and leaves nothing to cache."""
+    def test_no_queue_caches_on_the_fault_free_path(self, config):
+        """Every queue assembles the bodiless form: it retires pending
+        sends and advances the pipeline, and leaves nothing to cache or
+        relay."""
         system = SeparatedSystem(config, CounterService, seed=67)
         client = system.clients[0].node_id
         for _ in range(3):
             system.invoke(increment(1))
         system.run(20.0)
-        primary, *backups = system.message_queues
-        assert primary.cache[client].reply.result.value == 3
-        for queue in backups:
-            assert queue.cache == {}
-            assert queue.highest_reply_seq == primary.highest_reply_seq == 3
+        for queue in system.message_queues:
+            assert queue.cache == {} and queue.replies_forwarded == 0
+            assert queue.highest_reply_seq == 3
             assert queue.pending_sends == {}
-        # Nor does a bodiless certificate handed straight to the primary's
-        # queue displace what it caches.
+        # A complete certificate is cached and relayed; a bodiless one
+        # handed to the same queue displaces nothing.
+        primary = system.message_queues[0]
+        node = system.execution_nodes[0]
+        last = node.reply_table[client]
+        bundle = node._make_reply_body(last.view, last.seq, (last,))
+        certificate = Certificate(payload=bundle, scheme=AuthenticationScheme.MAC)
+        primary._forward_replies(certificate)
         cached = primary.cache[client]
-        bodiless = cached.certificate.with_payload(
-            cached.certificate.payload.view_for(None))
-        primary._forward_replies(bodiless)
-        assert primary.cache[client] is cached
+        assert cached.certificate is certificate and primary.replies_forwarded == 1
+        primary._forward_replies(certificate.with_payload(bundle.view_for(None)))
+        assert primary.cache[client] is cached and primary.replies_forwarded == 1
 
     def test_relaying_queues_assemble_bundles_only(self, threshold_config):
         """Where the queues relay (threshold certificates here) every queue
@@ -333,10 +342,10 @@ class TestLivenessWithoutTheRelay:
             assert queue.replies_forwarded == 1
 
     def test_primary_crashes_after_execution(self, config):
-        """The primary, the one agreement node holding the bundle, crashes
-        once the replicas have executed, and every direct reply is lost: the
-        client completes through a backup that passes its retransmission on
-        to the replicas, before any view change."""
+        """The primary crashes once the replicas have executed, and every
+        direct reply is lost: the client completes through a backup that
+        passes its retransmission on to the replicas, before any view
+        change."""
         system = SeparatedSystem(config, CounterService, seed=68)
         client = system.clients[0]
         primary = system.agreement_replicas[0]
@@ -365,9 +374,11 @@ class TestLivenessWithoutTheRelay:
 
     def test_a_replayed_request_yields_only_what_the_table_holds(self, config):
         """A Byzantine agreement node replaying a client's signed requests
-        to the replicas gets the client nothing the reply tables did not
-        already hold: an old request is answered with the latest reply, one
-        not executed yet is ignored, and nothing executes."""
+        to the replicas gets nothing the reply tables did not already hold:
+        an old request is answered with the latest reply, one not executed
+        yet is ignored, and nothing executes.  Nor does the client hear of
+        it: the node's queue passed no retransmission on, so it assembles
+        none of the answers."""
         system = SeparatedSystem(config, CounterService, seed=69)
         client = system.clients[0]
         envelopes = []
@@ -385,12 +396,16 @@ class TestLivenessWithoutTheRelay:
         client.submit(increment(1))
         old, unexecuted = envelopes[0], envelopes[-1]
         assert (old.request.timestamp, unexecuted.request.timestamp) == (1, 3)
-        answers = []
+        byzantine = system.agreement_replicas[1]
+        answers, relayed = [], []
         system.network.add_tap(
             lambda source, destination, message:
-            answers.append(message) if isinstance(message, ClientReply) else None)
+            answers.append(message)
+            if destination == byzantine.node_id and isinstance(message, BatchReply)
+            and message.body.carried
+            else relayed.append(message) if isinstance(message, ClientReply)
+            else None)
         executed = [node.requests_executed for node in system.execution_nodes]
-        byzantine = system.agreement_replicas[1]
         byzantine.multicast(system.execution_ids, unexecuted)
         byzantine.multicast(system.execution_ids, old)
         system.run(5.0)
@@ -399,6 +414,7 @@ class TestLivenessWithoutTheRelay:
         for answer in answers:
             (reply,) = answer.body.replies
             assert (reply.timestamp, reply.result.value) == (2, 2)
+        assert relayed == []
         assert client.outstanding and len(client.completed) == 2
 
     def test_primary_crashes_mid_request(self, config):

@@ -21,9 +21,13 @@ from repro.config import (
 )
 from repro.core import CoupledSystem, SeparatedSystem, UnreplicatedSystem
 from repro.crypto.certificate import Certificate
-from repro.messages.reply import BatchReply, BatchReplyBody, ReplyBody
+from repro.agreement.local import RetryOutcome
+from repro.messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
+from repro.messages.request import RequestEnvelope
+from repro.net.network import DROP
 from repro.statemachine.interface import OperationResult
 from repro.statemachine.nondet import NonDetInput
+from repro.util.wirecache import wire_digest
 
 
 def all_system_factories():
@@ -123,21 +127,44 @@ class TestSeparatedSafety:
         assert record.result.value == 1
 
     def test_message_queue_reply_cache_serves_duplicates(self, config):
+        """Fault-free, no queue caches: the certificates it assembles are
+        bodiless.  A queue that relayed the answer to a retransmission
+        caches it, and serves the next one from there."""
         system = SeparatedSystem(config, CounterService, seed=9)
-        system.invoke(increment(5))
-        # The client may have been satisfied by direct execution replies;
-        # let the partial certificates reach the agreement cluster too.
-        system.run(50.0)
-        queue = system.message_queues[0]
         client = system.clients[0]
-        cached = queue.cache.get(client.node_id)
-        assert cached is not None
-        assert cached.reply.timestamp == 1
+        executors = set(system.execution_ids)
+        system.invoke(increment(5))
+        system.run(50.0)
+        assert all(queue.cache == {} for queue in system.message_queues)
+        envelopes, relayed = [], []
 
-    def test_message_queue_ignores_a_bundle_with_replies_left_out(self, config):
-        """A client's view of a bundle has the bundle's digest; a queue that
-        assembled on top of one would cache a certificate it cannot serve
-        the other clients from."""
+        def watch(source, destination, message):
+            if source == client.node_id and isinstance(message, RequestEnvelope):
+                envelopes.append(message)
+            elif isinstance(message, ClientReply):
+                if source in executors:
+                    return DROP
+                relayed.append(source)
+            return None
+
+        system.network.add_tap(watch)
+        assert system.invoke(increment(5)).result.value == 10
+        system.run(50.0)
+        assert client.retransmissions == 1
+        queue = system.message_queues[0]
+        cached = queue.cache.get(client.node_id)
+        assert cached is not None and cached.reply.timestamp == 2
+        assert queue.retry_hint(envelopes[-1].certificate) is RetryOutcome.HANDLED
+        assert queue.cache_hits == 1
+        system.run(50.0)
+        assert relayed.count(queue.owner.node_id) == 2
+
+    def test_message_queue_assembles_the_bodiless_form(self, config):
+        """Where replicas answer clients directly a queue assembles the
+        bodiless form of a bundle.  A client's view (it has the bundle's
+        digest) is refused, and so is a complete bundle: the one complete
+        reply a queue takes is a replica's answer to a retransmission it
+        passed on."""
         system = SeparatedSystem(config, CounterService, seed=9)
         queue = system.message_queues[0]
         sender = system.execution_ids[0]
@@ -146,16 +173,16 @@ class TestSeparatedSafety:
                       result=OperationResult(value=index))
             for index, client in enumerate(system.clients))
         body = BatchReplyBody(view=0, seq=1, replies=replies)
-        for payload in (body.view_for(system.clients[0].node_id), "garbage"):
+        for payload in (body.view_for(system.clients[0].node_id), "garbage",
+                        body, body.view_for(None)):
             queue.on_batch_reply(sender, BatchReply(
                 seq=1, sender=sender,
                 certificate=Certificate(payload=payload,
                                         scheme=AuthenticationScheme.MAC)))
-            assert not queue._collectors
-        queue.on_batch_reply(sender, BatchReply(
-            seq=1, sender=sender,
-            certificate=Certificate(payload=body, scheme=AuthenticationScheme.MAC)))
+            assert not queue._retries
         assert len(queue._collectors) == 1
+        ((_, key),) = queue._collectors
+        assert key == wire_digest(body)
 
     def test_pipeline_backpressure_bounds_outstanding_batches(self):
         config = make_config(pipeline_depth=2, num_clients=4)
@@ -224,23 +251,54 @@ CENSUS_PER_COMMIT = {
     "Prepare": 9,           # each backup -> the 3f others
     "CommitMsg": 12,        # every agreement node -> the 3f others
     "OrderedBatch": 3,      # primary -> 2g + 1 execution replicas
-    "BatchReply": 12,       # every execution replica -> every agreement node:
-                            # the bundle to the primary, bodiless to the rest
-    "ClientReply": 3,       # every execution replica -> the client, directly
+    "BatchReply": 12,       # every execution replica -> every agreement
+                            # node, bodiless: one object for all four
+    "ClientReply": 3,       # every execution replica -> the client, directly:
+                            # g + 1 carry the reply, g send the bodiless view
 }
 
 #: simulated bytes per committed request, by type, in the same run.  Most
 #: are authenticators: an authenticator names no payload digest, and a
 #: commit's MAC vector addresses only the 2g + 1 execution replicas, the
 #: nodes that check agreement certificates (15,541 B before either cut).
+#: A result crosses the wire g + 1 times: the primary no longer gets the
+#: bundle and one direct reply is bodiless (10,969 B before; a counter's
+#: result is small, so the large-value census below shows the cut).
 BYTES_PER_COMMIT = {
     "RequestEnvelope": 340,
     "PrePrepare": 1284,
     "Prepare": 522,
     "CommitMsg": 2088,
     "OrderedBatch": 2502,
-    "BatchReply": 3363,
-    "ClientReply": 870,
+    "BatchReply": 3276,
+    "ClientReply": 841,
+}
+
+
+#: sends per committed request with bundles of 8 and 4 KB values (eight
+#: clients write, then read, their own key): one batch per phase.
+LARGE_CENSUS_PER_COMMIT = {
+    "RequestEnvelope": 1,
+    "PrePrepare": 0.375,
+    "Prepare": 1.125,
+    "CommitMsg": 1.5,
+    "OrderedBatch": 0.375,
+    "BatchReply": 1.5,
+    "ClientReply": 3,
+}
+
+#: simulated bytes per committed request in the same run.  A ``get``'s
+#: result is carried only by the g + 1 direct replies that carry it; when
+#: the primary got each bundle and every direct reply carried its result,
+#: BatchReply was 13,620 B and ClientReply 14,760 B (60,386 B in all).
+LARGE_BYTES_PER_COMMIT = {
+    "RequestEnvelope": 4496,
+    "PrePrepare": 13515.75,
+    "Prepare": 65.25,
+    "CommitMsg": 261,
+    "OrderedBatch": 13668,
+    "BatchReply": 1176,
+    "ClientReply": 10612,
 }
 
 
@@ -265,11 +323,55 @@ class TestMessageCensus:
         assert sum(CENSUS_PER_COMMIT.values()) == 43
         assert {name: (total - type_bytes_before.get(name, 0)) / commits
                 for name, total in stats.bytes_per_type.items()} == BYTES_PER_COMMIT
-        assert sum(BYTES_PER_COMMIT.values()) == 10_969
+        assert sum(BYTES_PER_COMMIT.values()) == 10_853
         # bytes are kept beside the counts, and the snapshot exposes both
         assert set(stats.bytes_per_type) == set(stats.per_type)
         assert sum(stats.bytes_per_type.values()) == stats.bytes_sent > bytes_before
         assert system.metrics_snapshot()["global"]["net_census"] == stats.census()
+
+    def test_large_values_cross_the_wire_g_plus_1_times(self):
+        """Bundles of 8, 4 KB values: every result's body travels in
+        exactly g + 1 frames, each a direct reply to its client, and in no
+        BatchReply -- the agreement nodes get bodiless certificates, and g
+        of the 2g + 1 replicas send the client the bodiless view."""
+        config = make_config(bundle_size=8, num_clients=8,
+                             checkpoint_interval=1_000)
+        system = SeparatedSystem(config, KeyValueStore, seed=12)
+        stats = system.network.stats
+        system.invoke(put("warm", "up"))
+        system.run(50.0)
+        carried = {}
+
+        def count_bodies(source, destination, message):
+            if isinstance(message, (BatchReply, ClientReply)):
+                for reply in message.body.carried:
+                    key = (reply.client, reply.timestamp)
+                    carried.setdefault(key, []).append(type(message).__name__)
+            return None
+
+        system.network.add_tap(count_bodies)
+        before, bytes_before = dict(stats.per_type), dict(stats.bytes_per_type)
+        value = "v" * 4096
+        for phase in (lambda index: put(f"k{index}", value),
+                      lambda index: get(f"k{index}")):
+            for index in range(8):
+                system.submit(phase(index), client_index=index)
+            system.run_until(lambda: not any(client.outstanding
+                                             for client in system.clients),
+                             timeout_ms=5_000.0, description="a phase completes")
+        system.run(50.0)
+        commits = 16
+        assert all(client.completed[-1].result.value == {"value": value,
+                                                         "found": True}
+                   for client in system.clients)
+        assert {name: (count - before.get(name, 0)) / commits
+                for name, count in stats.per_type.items()} == LARGE_CENSUS_PER_COMMIT
+        assert {name: (total - bytes_before.get(name, 0)) / commits
+                for name, total in stats.bytes_per_type.items()} == LARGE_BYTES_PER_COMMIT
+        assert sum(LARGE_BYTES_PER_COMMIT.values()) == 43_794
+        assert len(carried) == commits
+        assert all(frames == ["ClientReply"] * (config.g + 1)
+                   for frames in carried.values())
 
     def test_fault_free_events_per_commit(self):
         """What the simulator executes for those 43 sends, by kind of event:

@@ -241,9 +241,9 @@ class TestBackendParity:
 
     def test_lost_direct_replies(self):
         """Every direct reply of the first round is lost on the real
-        backend: the client's retransmission completes through the
-        primary's cache or through a backup that passes the request on to
-        the replicas."""
+        backend: the client's retransmission completes through an
+        agreement node that passes the request on to the replicas and
+        relays their certified answer."""
         # The retransmission must find the request executed and answered,
         # even in asyncio's (slow) debug mode.
         timers = dataclasses.replace(FAST_TIMERS, client_retransmit_ms=1_000.0)
@@ -269,9 +269,12 @@ class TestBackendParity:
             system.run_until(
                 lambda: all(node.retries_answered >= 1
                             for node in system.execution_nodes), 30_000)
-            primary, *backups = system.message_queues
-            assert primary.cache_hits >= 1
-            assert all(queue.requests_forwarded >= 1 for queue in backups)
+            queues = system.message_queues
+            system.run_until(
+                lambda: all(queue.replies_forwarded >= 1 for queue in queues),
+                30_000)
+            assert all(queue.requests_forwarded >= 1
+                       and client.node_id in queue.cache for queue in queues)
         finally:
             system.close()
 
@@ -530,10 +533,9 @@ class TestTransport:
             system.run(30.0)
             assert system.network.transport.frames_sent - frames == len(sent) == 43
             distinct = {(source, id(message)) for source, message in sent}
-            # 19: each execution replica sends two reply objects upstream,
-            # the bundle to the primary and one bodiless form multicast to
-            # the three backups.
-            assert len(encoded) == len(distinct) == 19
+            # 16: each execution replica multicasts one bodiless reply
+            # object to the four agreement nodes.
+            assert len(encoded) == len(distinct) == 16
             assert system.network.transport.frames_delivered == \
                 system.network.transport.frames_sent
         finally:

@@ -14,6 +14,8 @@ from repro.sim.rand import DeterministicRandom
 from repro.sim.scheduler import Scheduler
 from repro.net.codec import default_codec
 from repro.net.message import Message
+from repro.config import NetworkConfig
+from repro.net.faults import NetworkFaultModel
 from repro.net.network import Network
 from repro.util.ids import client_id, server_id
 
@@ -400,6 +402,26 @@ class TestProcess:
         a.send(b.node_id, _EchoMessage("one"))
         scheduler.run()
         assert 0.0 < b.stats.utilization(scheduler.now + 100.0) <= 1.0
+
+    def test_one_fault_free_link_does_not_keep_send_order(self):
+        """The simulator promises no per-link order: the fault model draws
+        each message's propagation delay afresh, so on one link with no
+        fault configured a later send overtakes an earlier one.  (Over
+        sockets a link is one TCP stream and keeps send order.)"""
+        scheduler = Scheduler(seed=2)
+        config = NetworkConfig()
+        assert not (config.drop_probability or config.duplicate_probability
+                    or config.reorder_probability or config.corrupt_probability)
+        network = Network(scheduler, faults=NetworkFaultModel(
+            config, scheduler.random.fork("network")))
+        a = _EchoProcess(client_id(0), scheduler)
+        b = _EchoProcess(server_id(0), scheduler)
+        network.register(a)
+        network.register(b)
+        a.send(b.node_id, _EchoMessage("one"))
+        a.send(b.node_id, _EchoMessage("two"))
+        scheduler.run()
+        assert [text for _, text, _ in b.received] == ["two", "one"]
 
 
 # ---------------------------------------------------------------------- #
