@@ -82,6 +82,13 @@ class AgreementLog:
     def existing_entry(self, view: int, seq: int) -> Optional[LogEntry]:
         return self._entries.get((view, seq))
 
+    def holds_pre_prepares(self, view: int, seq: int) -> bool:
+        """Whether ``view``'s pre-prepare is here for every sequence number
+        above the last delivered one up to ``seq``."""
+        return all(entry is not None and entry.pre_prepare is not None
+                   for entry in (self._entries.get((view, s)) for s in
+                                 range(self.last_delivered_seq + 1, seq + 1)))
+
     def prepared_entries_above(self, seq: int) -> List[LogEntry]:
         """All prepared-but-possibly-undelivered entries above ``seq``
         (across views) -- the evidence a view change must carry forward."""

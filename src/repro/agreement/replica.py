@@ -67,6 +67,10 @@ VIEW_CHANGE_BACKOFF_CAP_MS = 6400.0
 #: re-votes after ``timers.view_change_ms * VIEW_CHANGE_BACKOFF**k``, so
 #: cascading view changes under a long partition don't thrash
 VIEW_CHANGE_BACKOFF = 2.0
+#: how long a replica that holds every batch up to a stable checkpoint it
+#: has not delivered waits for their late COMMITs before it adopts the
+#: checkpoint by state transfer (ms)
+LATE_COMMIT_GRACE_MS = 5.0
 
 
 class AgreementReplica(Process):
@@ -203,24 +207,19 @@ class AgreementReplica(Process):
             self.handle_view_change(sender, message)
         elif isinstance(message, NewView):
             self.handle_new_view(sender, message)
-        elif isinstance(message, BatchReply):
-            # Separated architecture: reply certificates from the execution
-            # cluster (possibly via the privacy firewall) are handled by the
-            # message queue installed as the local state machine.
-            handler = getattr(self.local, "on_batch_reply", None)
-            if handler is not None:
-                handler(sender, message)
         else:
             # Messages the agreement protocol itself does not speak are
-            # offered to the local state machine (the router queue's
-            # cross-log round gets its bindings and fetches this way);
-            # anything still unknown or corrupted is dropped silently, as
-            # the Byzantine fault model requires correct nodes to tolerate
-            # arbitrary garbage.
-            handler = getattr(self.local, "on_unknown_message", None)
+            # offered to the local state machine: reply certificates from
+            # the execution cluster (possibly via the privacy firewall) to
+            # the message queue, the router queue's cross-log bindings and
+            # fetches too; anything still unknown or corrupted is dropped
+            # silently, as the Byzantine fault model requires correct nodes
+            # to tolerate arbitrary garbage.
+            handler = getattr(self.local, "on_batch_reply"
+                              if isinstance(message, BatchReply)
+                              else "on_unknown_message", None)
             if handler is not None:
                 handler(sender, message)
-            return
 
     def pre_prepare(self, requests: List[Certificate]) -> None:
         """Assign the next sequence number to ``requests`` (the proposer's
@@ -321,16 +320,19 @@ class AgreementReplica(Process):
                     and isinstance(requests[0].payload, ConfigOperation))
         return False
 
+    def _vote_entry(self, sender: NodeId, message: Any) -> Optional[LogEntry]:
+        """The entry a PREPARE or COMMIT votes in, None unless it counts."""
+        if (message.view != self.view or self._view_changing
+                or sender != message.replica or sender not in self.agreement_ids
+                or not self.log.in_watermarks(message.seq)):
+            return None
+        return self.log.entry(self.view, message.seq)
+
     def handle_prepare(self, sender: NodeId, message: Prepare) -> None:
-        if message.view != self.view or self._view_changing:
-            return
-        if sender != message.replica or sender not in self.agreement_ids:
-            return
-        if not self.log.in_watermarks(message.seq):
-            return
-        entry = self.log.entry(self.view, message.seq)
-        entry.prepares[sender] = message
-        self._try_prepared(entry)
+        entry = self._vote_entry(sender, message)
+        if entry is not None:
+            entry.prepares[sender] = message
+            self._try_prepared(entry)
 
     def _try_prepared(self, entry: LogEntry) -> None:
         if entry.prepared or entry.pre_prepare is None:
@@ -391,13 +393,9 @@ class AgreementReplica(Process):
     # ------------------------------------------------------------------ #
 
     def handle_commit(self, sender: NodeId, message: CommitMsg) -> None:
-        if message.view != self.view or self._view_changing:
+        entry = self._vote_entry(sender, message)
+        if entry is None:
             return
-        if sender != message.replica or sender not in self.agreement_ids:
-            return
-        if not self.log.in_watermarks(message.seq):
-            return
-        entry = self.log.entry(self.view, message.seq)
         entry.commits[sender] = message
         entry.commit_authenticators[sender] = message.cert_authenticator
         if self._mark_committed(entry):
@@ -432,16 +430,13 @@ class AgreementReplica(Process):
 
     def _assemble_certificate(self, entry: LogEntry) -> Certificate:
         """Assemble the agreement certificate from the commit authenticators."""
-        certificate = Certificate(
-            payload=entry.cert_body,
-            scheme=(AuthenticationScheme.SIGNATURE
-                    if self.config.authentication is AuthenticationScheme.SIGNATURE
-                    else AuthenticationScheme.MAC),
-        )
-        for replica, authenticator in entry.commit_authenticators.items():
-            if authenticator is not None and authenticator.scheme is certificate.scheme:
-                certificate.authenticators[replica] = authenticator
-        return certificate
+        scheme = (AuthenticationScheme.SIGNATURE
+                  if self.config.authentication is AuthenticationScheme.SIGNATURE
+                  else AuthenticationScheme.MAC)
+        return Certificate(payload=entry.cert_body, scheme=scheme, authenticators={
+            replica: authenticator
+            for replica, authenticator in entry.commit_authenticators.items()
+            if authenticator is not None and authenticator.scheme is scheme})
 
     def _deliver(self, entry: LogEntry) -> None:
         assert entry.pre_prepare is not None
@@ -506,21 +501,30 @@ class AgreementReplica(Process):
         self.log.add_checkpoint_vote(message.seq, sender, message.state_digest)
         self._try_stable(message.seq, message.state_digest)
 
-    def _try_stable(self, seq: int, digest: bytes) -> None:
-        if seq <= self.log.stable_seq:
+    def _try_stable(self, seq: int, digest: bytes, waited: bool = False) -> None:
+        if (seq <= self.log.stable_seq
+                or self.log.checkpoint_support(seq, digest) < 2 * self.f + 1):
             return
-        if self.log.checkpoint_support(seq, digest) >= 2 * self.f + 1:
-            self.log.mark_stable(seq)
-            if seq > self.log.last_delivered_seq:
-                self._sync_to_checkpoint(seq, digest)
-            self.local.on_stable_checkpoint(seq)
-            self._checkpoint_sync_states = {
-                key: state for key, state in self._checkpoint_sync_states.items()
-                if key[0] > seq
-            }
-            self._deferred_checkpoints = {
-                cut for cut in self._deferred_checkpoints if cut > seq}
-            self._maybe_rotate_primary()
+        behind = seq > self.log.last_delivered_seq
+        if (behind and not waited and not self._view_changing
+                and self.log.holds_pre_prepares(self.view, seq)):
+            # Every batch up to the cut is here, its COMMITs late: deliver
+            # them (a primary sends them downstream first), and sync only
+            # if the COMMITs do not come within the grace.
+            self.set_timer(LATE_COMMIT_GRACE_MS,
+                           lambda: self._try_stable(seq, digest, waited=True),
+                           label=f"{self.node_id}:late-commits")
+            return
+        self.log.mark_stable(seq)
+        if behind:
+            self._sync_to_checkpoint(seq, digest)
+        self.local.on_stable_checkpoint(seq)
+        self._checkpoint_sync_states = {
+            key: state for key, state in self._checkpoint_sync_states.items()
+            if key[0] > seq}
+        self._deferred_checkpoints = {
+            cut for cut in self._deferred_checkpoints if cut > seq}
+        self._maybe_rotate_primary()
 
     def _maybe_rotate_primary(self) -> None:
         """Proactive rotation: planned view change every N stable checkpoints.

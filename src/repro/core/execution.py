@@ -14,6 +14,13 @@ Two retransmission mechanisms fill sequence-number gaps: the agreement
 cluster re-multicasts unanswered batches, and the execution cluster's
 internal protocol fetches missing batches (or a newer stable checkpoint) from
 peers.
+
+A replica MACs each reply bundle once, for every node that may check it,
+and keeps that whole partial certificate (``replies_by_seq``); what it
+sends is cut per frame to the receiver's entry -- and, in the answer to a
+retransmission an agreement node passed on, the client's, since that node
+relays it (:mod:`repro.messages.reply`).  The request certificates of the
+batches it receives name only the nodes downstream of agreement.
 """
 
 from __future__ import annotations
@@ -193,7 +200,7 @@ class ExecutionNode(Process):
     def _resend_replies(self, batch: OrderedBatch) -> None:
         cached = self.replies_by_seq.get(batch.seq)
         if cached is not None:
-            self.multicast(self.upstream, cached)
+            self._send_upstream(cached)
             return
         # The batch-level reply was garbage collected; answer per client from
         # the reply table (each answer is a fresh partial certificate over the
@@ -334,26 +341,36 @@ class ExecutionNode(Process):
         """Build this node's partial reply certificate and send it.
 
         Where clients get their replies directly, every upstream node gets
-        the bodiless form -- a quorum of matching digests retires the slot,
-        and one object serves them all -- and each client its own view of
-        the bundle, or the bodiless form too (:meth:`_carries_replies`).
-        Otherwise every upstream node gets the whole bundle to relay.
-        Returns what went upstream, kept for resends.
+        the bodiless form -- a quorum of matching digests retires the slot
+        -- and each client its own view of the bundle, or the bodiless form
+        too (:meth:`_carries_replies`); every frame's MAC vector names its
+        receiver alone.  Otherwise every upstream node gets the whole
+        bundle to relay.  Returns what went upstream with the whole vector,
+        kept for resends.
         """
         certificate = self._partial_certificate(body)
         if self.config.direct_replies and body.replies:
             bodiless = certificate.with_payload(body.view_for(None))
-            clients = list(dict.fromkeys(reply.client for reply in body.replies))
-            if self._carries_replies(body.seq):
-                for client in clients:
-                    self.send(client, ClientReply.for_client(certificate, client))
-            else:
-                self.multicast(clients, ClientReply(bodiless))
+            carries = self._carries_replies(body.seq)
+            for client in dict.fromkeys(reply.client for reply in body.replies):
+                self.send(client, ClientReply.for_client(certificate, client)
+                          if carries else ClientReply(bodiless.addressed_to((client,))))
             certificate = bodiless
         message = BatchReply(seq=body.seq, certificate=certificate,
                              sender=self.node_id)
-        self.multicast(self.upstream, message)
+        self._send_upstream(message)
         return message
+
+    def _send_upstream(self, message: BatchReply) -> None:
+        """Send ``message`` to every upstream node: where clients get their
+        replies directly, each its own frame naming it alone (an agreement
+        node relays no bodiless certificate), the body shared; otherwise
+        the one object, which the firewall or the agreement nodes relay."""
+        if not self.config.direct_replies:
+            self.multicast(self.upstream, message)
+            return
+        for node, frame in zip(self.upstream, message.addressed_to_each(self.upstream)):
+            self.send(node, frame)
 
     def handle_forwarded_request(self, sender: NodeId,
                                  envelope: RequestEnvelope) -> None:
@@ -361,8 +378,9 @@ class ExecutionNode(Process):
         answer neither from its cache nor from a pending send.  If the
         reply table holds this request's reply (or a later one), answer
         that node with a complete partial certificate over it, which its
-        queue relays to the client once ``g + 1`` match; otherwise ignore
-        the message."""
+        queue relays to the client once ``g + 1`` match -- so its MAC
+        vector names that node and the client; otherwise ignore the
+        message."""
         certificate = envelope.certificate
         request = self.crypto.client_request(certificate, self.client_ids)
         if sender not in self.agreement_ids or request is None:
@@ -373,8 +391,10 @@ class ExecutionNode(Process):
         if self.crypto.authentic_request(certificate, self.client_ids) is None:
             return
         body = self._make_reply_body(last.view, last.seq, (last,))
+        certificate = self._partial_certificate(body).addressed_to(
+            (sender, request.client))
         self.send(sender, BatchReply(seq=body.seq, sender=self.node_id,
-                                     certificate=self._partial_certificate(body)))
+                                     certificate=certificate))
         self.retries_answered += 1
 
     def _trim_reply_cache(self) -> None:

@@ -126,8 +126,10 @@ class QueueCore(LocalExecutor):
         #: per-client cache of the latest certified reply
         self.cache: Dict[NodeId, CachedReply] = {}
         #: per client whose retransmission was passed on to the replicas,
-        #: the assembly of their answers (:meth:`_on_retry_answer`)
-        self._retries: Dict[NodeId, Dict[Tuple[int, bytes], Optional[Certificate]]] = {}
+        #: its timestamp and the assembly of their answers
+        #: (:meth:`_on_retry_answer`)
+        self._retries: Dict[NodeId, Tuple[int, Dict[Tuple[int, bytes],
+                                                     Optional[Certificate]]]] = {}
         self.highest_reply_seq = 0
 
         # Statistics used by benchmarks and tests.
@@ -173,6 +175,23 @@ class QueueCore(LocalExecutor):
         self.owner.multicast(targets, batch)
         self.batches_sent += 1
         self._c_batches_sent.inc()
+
+    def _ordered_batch(self, seq: int, view: int,
+                       request_certificates: Tuple[Certificate, ...],
+                       agreement_certificate: Certificate,
+                       nondet: NonDetInput) -> OrderedBatch:
+        """The batch a delivered slot sends downstream: one object, sent by
+        the primary first and by every queue on retransmission.  Its request
+        certificates are addressed to the nodes downstream that check them
+        (the replica's ``cert_verifiers``: execution replicas, filters,
+        shard replicas); the agreement nodes' entries were checked at
+        PRE-PREPARE and no node downstream could check them."""
+        verifiers = self.owner.cert_verifiers
+        return OrderedBatch(
+            seq=seq, view=view,
+            request_certificates=tuple([certificate.addressed_to(verifiers)
+                                        for certificate in request_certificates]),
+            agreement_certificate=agreement_certificate, nondet=nondet)
 
     def _owner_is_primary(self, view: int) -> bool:
         """Whether the hosting replica is ``view``'s primary: the one node
@@ -244,15 +263,16 @@ class QueueCore(LocalExecutor):
 
     def _assemble_into(self, collectors: Dict[Tuple[int, bytes], Optional[Certificate]],
                        sender: NodeId, certificate: Certificate,
-                       universe: List[NodeId],
-                       group: Optional[str]) -> Optional[Certificate]:
+                       universe: List[NodeId], group: Optional[str],
+                       relays: Tuple[NodeId, ...] = ()) -> Optional[Certificate]:
         """The full certificate over the body ``certificate`` is over, once
         ``g + 1`` replicas of ``universe`` (the cluster, or one shard's:
         :class:`~repro.sharding.queue.ShardRouterQueue` keeps a table per
         shard) or a threshold signature vouch for it.  Each sender's own
         authenticator merges into ``collectors`` by ``(seq, body digest)``;
         shares count in this queue's ``group``, whatever group a partial
-        names."""
+        names.  A MAC vector names this node and else only ``relays``, the
+        clients the queue relays the certificate to."""
         body = certificate.payload
         if (certificate.scheme is AuthenticationScheme.THRESHOLD
                 and certificate.threshold_signature is not None):
@@ -261,11 +281,13 @@ class QueueCore(LocalExecutor):
         return self.crypto.assemble(
             collectors, (body.seq, self.crypto.payload_digest(body)), certificate,
             sender, universe, self.config.reply_quorum,
-            self.config.authentication, group)
+            self.config.authentication, group, relays)
 
     def _forward_replies(self, certificate: Certificate) -> None:
         """Cache a complete certified bundle for each client it answers and
-        relay each one its reply.  A bodiless certificate -- what every
+        relay each one its reply, under a certificate that names that
+        client alone (:meth:`ClientReply.for_client`; the cache keeps the
+        whole one).  A bodiless certificate -- what every
         queue assembles where the replicas answer clients directly -- has
         nothing to cache or relay."""
         body = certificate.payload
@@ -285,14 +307,20 @@ class QueueCore(LocalExecutor):
         """Pass a client retransmission this queue can answer neither from
         its cache nor from a pending send on to the execution ``replicas``
         (direct replies only): each one whose reply table holds the reply
-        answers this queue with a complete certificate over it.  Answers
-        already gathered for the client are kept: the backups pass the
-        primary the same retransmission again."""
-        if self.config.direct_replies:
-            self._retries.setdefault(request_certificate.payload.client, {})
-            self.owner.multicast(replicas,
-                                 RequestEnvelope(certificate=request_certificate))
-            self.requests_forwarded += 1
+        answers this queue with a complete certificate over it.  A request
+        is passed on once while its answers are gathered: the backups pass
+        the primary the same retransmission again, and the client's next
+        one is re-ordered anyway (``RetryOutcome.NEED_ORDER``)."""
+        if not self.config.direct_replies:
+            return
+        request = request_certificate.payload
+        retry = self._retries.get(request.client)
+        if retry is not None and retry[0] >= request.timestamp:
+            return
+        self._retries[request.client] = (request.timestamp, {})
+        self.owner.multicast(replicas,
+                             RequestEnvelope(certificate=request_certificate))
+        self.requests_forwarded += 1
 
     def _answers_a_retry(self, message: BatchReply) -> bool:
         """Whether ``message`` is a replica's answer to a passed-on
@@ -309,11 +337,11 @@ class QueueCore(LocalExecutor):
         ``g + 1`` match, cache the certificate and relay it."""
         replies = message.body.replies
         client = replies[0].client if len(replies) == 1 else None
-        table = self._retries.get(client)
-        if table is None:
+        retry = self._retries.get(client)
+        if retry is None:
             return
-        full = self._assemble_into(table, sender, message.certificate,
-                                   universe, None)
+        full = self._assemble_into(retry[1], sender, message.certificate,
+                                   universe, None, (client,))
         if full is not None:
             del self._retries[client]
             self._forward_replies(full)
@@ -355,10 +383,8 @@ class MessageQueue(QueueCore):
                       agreement_certificate: Certificate,
                       nondet: NonDetInput) -> None:
         """The BASE library's ``msgQueue.insert(request cert, agreement cert)``."""
-        batch = OrderedBatch(seq=seq, view=view,
-                             request_certificates=tuple(request_certificates),
-                             agreement_certificate=agreement_certificate,
-                             nondet=nondet)
+        batch = self._ordered_batch(seq, view, request_certificates,
+                                    agreement_certificate, nondet)
         self.max_n = max(self.max_n, seq)
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")

@@ -22,6 +22,9 @@ from ..errors import CertificateError
 from ..util.ids import NodeId
 from ..util.wirecache import WireMemoised
 
+#: :meth:`Certificate.addressed_to`'s "keep the payload" default
+_SAME = object()
+
 
 @dataclass(frozen=True, slots=True)
 class Authenticator(WireMemoised):
@@ -36,7 +39,9 @@ class Authenticator(WireMemoised):
     ``token`` is scheme-dependent:
 
     * MAC: a mapping from destination node name to the MAC computed with the
-      pairwise secret shared by the signer and that destination;
+      pairwise secret shared by the signer and that destination -- in a
+      frame, only those of its receiver and of the nodes the receiver
+      relays it to (:meth:`Certificate.addressed_to`);
     * SIGNATURE: the signature bytes, verifiable by anyone;
     * THRESHOLD: this node's signature *share*, combinable into a group
       signature once ``k`` distinct shares are available.
@@ -47,7 +52,7 @@ class Authenticator(WireMemoised):
     token: Any
 
 
-@dataclass
+@dataclass(init=False)
 class Certificate(WireMemoised):
     """A payload plus the authenticators collected for it.
 
@@ -69,6 +74,19 @@ class Certificate(WireMemoised):
     authenticators: Dict[NodeId, Authenticator] = field(default_factory=dict)
     threshold_group: Optional[str] = None
     threshold_signature: Optional[bytes] = None
+
+    def __init__(self, payload: Any, scheme: AuthenticationScheme,
+                 authenticators: Optional[Dict[NodeId, Authenticator]] = None,
+                 threshold_group: Optional[str] = None,
+                 threshold_signature: Optional[bytes] = None) -> None:
+        # The fields in one step, not through __setattr__: a certificate is
+        # built per frame (addressed_to), and a new one has no memo to drop.
+        object.__setattr__(self, "__dict__", {
+            "payload": payload, "scheme": scheme,
+            "authenticators": {} if authenticators is None else authenticators,
+            "threshold_group": threshold_group,
+            "threshold_signature": threshold_signature})
+        object.__setattr__(self, "_wire", None)
 
     # ------------------------------------------------------------------ #
     # Mutation.
@@ -96,6 +114,33 @@ class Certificate(WireMemoised):
                            authenticators=dict(self.authenticators),
                            threshold_group=self.threshold_group,
                            threshold_signature=self.threshold_signature)
+
+    def addressed_to(self, nodes: Iterable[NodeId],
+                     payload: Any = _SAME) -> "Certificate":
+        """This certificate as a frame to ``nodes`` carries it -- its
+        receiver, and the nodes that receiver relays it to: each MAC vector
+        keeps only their entries, which every other node cannot check
+        anyway.  Signatures and shares are not vectors and stay whole.
+        ``payload`` attaches the evidence to another rendering, as
+        :meth:`with_payload` does; the payload object is shared, so its
+        wire memo is too and only the small wrapper is encoded again."""
+        authenticators = {}
+        for signer, authenticator in self.authenticators.items():
+            token = authenticator.token
+            if (authenticator.scheme is AuthenticationScheme.MAC
+                    and type(token) is dict):
+                kept = {}
+                for node in nodes:
+                    name = node.name
+                    if name in token:
+                        kept[name] = token[name]
+                if len(kept) < len(token):
+                    authenticator = Authenticator(authenticator.signer,
+                                                  authenticator.scheme, kept)
+            authenticators[signer] = authenticator
+        return Certificate(self.payload if payload is _SAME else payload,
+                           self.scheme, authenticators, self.threshold_group,
+                           self.threshold_signature)
 
     # ------------------------------------------------------------------ #
     # Queries.

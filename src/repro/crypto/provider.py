@@ -444,19 +444,36 @@ class CryptoProvider:
             return None
         return request
 
+    def addressed_here(self, authenticator: Authenticator,
+                       relays: Iterable[NodeId] = ()) -> bool:
+        """Whether ``authenticator`` is addressed as a frame to this node
+        must be: a MAC vector names this node, and besides it only
+        ``relays`` (the nodes this one relays the certificate to).  A
+        signature or a share is not a vector, and is."""
+        if authenticator.scheme is not AuthenticationScheme.MAC:
+            return True
+        token = authenticator.token
+        own = self.node.name
+        return (isinstance(token, dict) and own in token
+                and (len(token) == 1
+                     or token.keys() <= {own, *(node.name for node in relays)}))
+
     def assemble(self, table: MutableMapping[Hashable, Optional[Certificate]],
                  key: Hashable, partial: Certificate, sender: NodeId,
                  universe: Iterable[NodeId], quorum: int,
                  scheme: AuthenticationScheme,
-                 group: Optional[str] = None) -> Optional[Certificate]:
+                 group: Optional[str] = None,
+                 relays: Iterable[NodeId] = ()) -> Optional[Certificate]:
         """Merge ``sender``'s own authenticator in ``partial`` into the
         certificate ``table`` assembles under ``key`` (of the caller's
         ``scheme``; a threshold one in its ``group``) and return it, shares
         combined, once ``quorum`` signers of ``universe`` verify.
 
-        Only that one authenticator, and only of ``scheme``, is merged:
-        whatever else a partial carries -- other signers' authenticators,
-        another scheme's -- is dropped and counted in
+        Only that one authenticator, of ``scheme`` and addressed here
+        (:meth:`addressed_here`: a MAC vector names this node and else
+        only ``relays``), is merged: whatever else a partial carries --
+        other signers' authenticators, another scheme's, a vector cut for
+        another node -- is dropped and counted in
         :attr:`dropped_authenticators`, so no sender can overwrite another
         signer's entry or make the merge raise.  A sender outside
         ``universe`` (an agreement node relaying a reply, or answering
@@ -484,7 +501,7 @@ class CryptoProvider:
                                  else None))
         own = authenticators.get(sender)
         merged = (own is not None and own.signer == sender
-                  and own.scheme is scheme)
+                  and own.scheme is scheme and self.addressed_here(own, relays))
         self.dropped_authenticators += len(authenticators) - merged
         if not merged:
             return None

@@ -20,8 +20,8 @@ siblings as digests) and the *bodiless* form (every reply as its digest,
 ``view_for(None)``).  Where execution replicas answer clients directly,
 each result crosses the wire ``g + 1`` times (PBFT's digest replies):
 
-* every agreement node gets a replica's bodiless form, one object for
-  all of them -- a quorum of matching digests retires the slot;
+* every agreement node gets a replica's bodiless form -- a quorum of
+  matching digests retires the slot;
 * ``g + 1`` of the ``2g + 1`` replicas send each client its view, the
   other ``g`` the bodiless form (which replicas rotates with the sequence
   number), and the client counts a bodiless partial only towards a
@@ -29,18 +29,26 @@ each result crosses the wire ``g + 1`` times (PBFT's digest replies):
 * a retransmission the replicas answer through an agreement node gets a
   complete single-reply bundle from each, which the node relays once
   ``g + 1`` match.
+
+A replica MACs its partial for every node that may check it, once, and
+each frame carries the entries of its receiver and of the nodes that
+receiver relays it to (``Certificate.addressed_to``): a ``BatchReply`` to
+an agreement node names that node, a ``ClientReply`` -- direct, relayed
+or from a queue's cache -- its client, and a retry answer the queue and
+the client.  The frames share the body object and its wire memo, so only
+the small wrapper is encoded per destination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
-from ..util.wirecache import WireMemoised, wire_digest
+from ..util.wirecache import WireMemoised, same_size, wire_digest
 from .request import EncryptedBody
 
 
@@ -150,7 +158,12 @@ class BatchReplyBody(_CarriedMemo, Message):
     def view_for(self, client: Optional[NodeId]) -> "BatchReplyBody":
         """This body as ``client`` needs it: its own reply in full, every
         sibling as its digest (with ``None``, every reply as its digest: the
-        bodiless form).  Same certified form, same digest."""
+        bodiless form).  Same certified form, same digest.  A body that
+        carries only ``client``'s replies is its own view, digest memo and
+        all."""
+        if client is not None and all(reply.client == client
+                                      for reply in self.carried):
+            return self
         return BatchReplyBody(
             view=self.view, seq=self.seq, shard=self.shard, epoch=self.epoch,
             replies=tuple(
@@ -191,6 +204,26 @@ class BatchReply(_CertifiedReplies, Message):
     certificate: Certificate
     sender: NodeId
 
+    def addressed_to_each(self, nodes: List[NodeId]) -> List["BatchReply"]:
+        """This reply as a frame to each of ``nodes``, none of which relays
+        it: each MAC vector cut to that node's entry, the body (and its
+        wire memo) shared.  Where every vector names every one of them, each
+        frame keeps one entry per vector, and a node's code and a MAC are
+        fixed-width: the frames are equally long, and only the first is
+        encoded to size them all."""
+        frames = []
+        one_shape = True
+        for node in nodes:
+            frames.append(BatchReply(seq=self.seq, sender=self.sender,
+                                     certificate=self.certificate.addressed_to((node,))))
+            for authenticator in self.certificate.authenticators.values():
+                one_shape = (one_shape and type(authenticator.token) is dict
+                             and node.name in authenticator.token)
+        if one_shape:
+            for frame in frames[1:]:
+                same_size(frame, frames[0])
+        return frames
+
     @property
     def well_formed(self) -> bool:
         """Whether a correct execution replica could have sent this: under
@@ -213,5 +246,7 @@ class ClientReply(_CertifiedReplies, Message):
 
     @classmethod
     def for_client(cls, certificate: Certificate, client: NodeId) -> "ClientReply":
-        """``certificate`` (over a bundle) as ``client`` receives it."""
-        return cls(certificate.with_payload(certificate.payload.view_for(client)))
+        """``certificate`` (over a bundle) as ``client`` receives it: its
+        view of the bundle, each MAC vector cut to its own entry."""
+        return cls(certificate.addressed_to(
+            (client,), certificate.payload.view_for(client)))

@@ -289,10 +289,8 @@ class ShardRouterQueue(QueueCore):
         the epoch cursors (deliveries run in global order), then release it
         unless a cross-log hold keeps it."""
         body: RoutedCertBody = agreement_certificate.payload
-        batch = OrderedBatch(seq=seq, view=view,
-                             request_certificates=tuple(request_certificates),
-                             agreement_certificate=agreement_certificate,
-                             nondet=nondet)
+        batch = self._ordered_batch(seq, view, request_certificates,
+                                    agreement_certificate, nondet)
         route = self._route_of(seq, body.batch_digest, batch.request_certificates)
         del self._routes[seq]
         for shard, shard_seq in body.route:

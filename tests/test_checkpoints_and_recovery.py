@@ -1,11 +1,15 @@
 """Checkpointing, garbage collection, and state-transfer tests (Section 3.3)."""
 
+import dataclasses
+
 import pytest
 
 from conftest import make_config
 from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import KeyValueStore, get, put
 from repro.core import SeparatedSystem
+from repro.messages.agreement import AgreementCheckpoint, CommitMsg, OrderedBatch
+from repro.net.network import DROP
 
 
 class TestExecutionCheckpoints:
@@ -106,3 +110,54 @@ class TestStateTransfer:
         system.invoke(increment(1))
         final = system.invoke(read_counter())
         assert final.result.value == 7
+
+
+class TestLateCommitsAtACheckpoint:
+    def test_a_primary_delivers_what_it_holds_instead_of_syncing_past_it(self):
+        """The checkpoint votes for 8 overtake the COMMITs A0 needs for 7:
+        A0 holds every batch up to the cut, so it waits for the late
+        COMMITs and sends 7's batch downstream itself -- well inside the
+        retransmission timeout the backups would otherwise wait out --
+        instead of adopting the checkpoint by state transfer and skipping
+        the slots it is the first to send."""
+        timers = dataclasses.replace(make_config().timers,
+                                     agreement_retransmit_ms=1_000.0)
+        system = SeparatedSystem(make_config(checkpoint_interval=8, timers=timers),
+                                 CounterService, seed=54)
+        primary = system.agreement_replicas[0]
+        held, votes, sent_at = [], [], {}
+
+        def tap(source, destination, message):
+            if isinstance(message, OrderedBatch) and source == primary.node_id:
+                sent_at.setdefault(message.seq, system.now)
+            if destination != primary.node_id or held is None:
+                return None
+            if isinstance(message, CommitMsg) and message.seq == 7:
+                held.append((source, message))
+                return DROP
+            if isinstance(message, AgreementCheckpoint) and message.seq == 8:
+                votes.append(source)
+                if len(votes) == 2 * system.config.f + 1:
+                    system.scheduler.call_after(1.0, release)
+            return None
+
+        def release():
+            nonlocal held
+            late, held = held, None
+            for source, message in late:
+                system.network.send(source, primary.node_id, message)
+
+        system.network.add_tap(tap)
+        for _ in range(6):
+            system.invoke(increment(1))
+        ordered_at = system.now
+        system.submit(increment(1), client_index=0)   # slot 7
+        system.submit(increment(1), client_index=1)   # slot 8
+        system.run_until(lambda: 7 in sent_at, timeout_ms=500.0,
+                         description="A0 sends slot 7's batch")
+        assert held is None and len(votes) == 3
+        assert primary.checkpoint_syncs == 0
+        assert sent_at[7] - ordered_at < 20.0
+        system.run(50.0)
+        assert primary.log.stable_seq == 8
+        assert [node.max_executed for node in system.execution_nodes] == [8, 8, 8]

@@ -317,13 +317,15 @@ def _digest_system(g):
     return _DIGEST_SYSTEMS[g]
 
 
-def _partial(node, body, payload):
+def _partial(node, body, payload, client):
     """``node``'s own partial certificate over ``body``, carrying
-    ``payload`` (a view of it)."""
-    certificate = Certificate(payload=payload, scheme=AuthenticationScheme.MAC)
+    ``payload`` (a view of it), as the frame to ``client`` carries it: the
+    replica MACs for every node that may check the bundle, and the frame
+    keeps the client's entry alone."""
+    certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
     certificate.add(node.crypto.mac_authenticator(body, node.agreement_ids + [
         reply.client for reply in body.replies]))
-    return ClientReply(certificate)
+    return ClientReply(certificate.addressed_to((client.node_id,), payload))
 
 
 @st.composite
@@ -368,9 +370,11 @@ def test_a_client_completes_on_g_plus_1_genuine_partials_one_carried(arrivals):
     lie = BatchReplyBody(view=0, seq=seq, replies=(reply("LIE"), sibling))
     partials = {
         "carried": lambda node: _partial(node, genuine,
-                                         genuine.view_for(client.node_id)),
-        "bodiless": lambda node: _partial(node, genuine, genuine.view_for(None)),
-        "lie": lambda node: _partial(node, lie, lie.view_for(client.node_id)),
+                                         genuine.view_for(client.node_id), client),
+        "bodiless": lambda node: _partial(node, genuine, genuine.view_for(None),
+                                          client),
+        "lie": lambda node: _partial(node, lie, lie.view_for(client.node_id),
+                                     client),
     }
     done = len(client.completed)
     arrived = {"carried": 0, "bodiless": 0}

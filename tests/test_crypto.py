@@ -436,6 +436,44 @@ def _agreement_vectors(deployment):
     return system, carried
 
 
+def _wire_frames(lose_direct_replies=False):
+    """A separated system after one commit (its warm-up excluded), and
+    ``(source, destination, message)`` of every frame the commit sent;
+    with ``lose_direct_replies`` the replicas' replies to the client are
+    dropped, so it retransmits and the queues pass the request on."""
+    from conftest import make_config
+    from repro.apps.counter import CounterService, increment
+    from repro.core import SeparatedSystem
+    from repro.net.network import DROP
+
+    system = SeparatedSystem(make_config(checkpoint_interval=1_000),
+                             CounterService, seed=5)
+    system.invoke(increment(1))
+    system.run(50.0)
+    frames = []
+
+    def tap(src, dst, message):
+        if (lose_direct_replies and src in system.execution_ids
+                and type(message).__name__ == "ClientReply"):
+            return DROP
+        frames.append((src, dst, message))
+        return None
+
+    system.network.add_tap(tap)
+    system.invoke(increment(1))
+    system.run(50.0)
+    return system, frames
+
+
+def _names(carrier):
+    """Every node name the MAC vectors of ``carrier`` (a certificate, or a
+    reply message's) carry an entry for, sorted."""
+    certificate = getattr(carrier, "certificate", carrier)
+    names = {name for authenticator in certificate.authenticators.values()
+             for name in authenticator.token}
+    return sorted(names)
+
+
 class TestWhoEachVectorAddresses:
     """An agreement certificate is checked where a batch is executed or
     filtered (``agreed_batch``), so a commit's authenticator addresses the
@@ -494,6 +532,102 @@ class TestWhoEachVectorAddresses:
         (authenticator,) = certificate.authenticators.values()
         assert sorted(authenticator.token) == sorted(
             node.name for node in system.agreement_ids + system.execution_ids)
+
+    # A frame carries its receiver's entry and those of the nodes it relays
+    # to: checked on the frames of a fault-free commit and of a
+    # retransmission the queues pass on (every direct reply lost).
+
+    def test_a_batch_reply_names_only_the_agreement_node_it_goes_to(self):
+        system, frames = _wire_frames()
+        replies = [(dst, msg) for _, dst, msg in frames
+                   if type(msg).__name__ == "BatchReply"]
+        assert len(replies) == 3 * 4
+        assert all(_names(msg) == [dst.name] for dst, msg in replies)
+
+    def test_a_client_reply_names_only_its_client(self):
+        system, frames = _wire_frames()
+        replies = [(dst, msg) for _, dst, msg in frames
+                   if type(msg).__name__ == "ClientReply"]
+        assert len(replies) == 3
+        assert all(_names(msg) == [dst.name] for dst, msg in replies)
+
+    def test_a_retry_answer_names_the_queue_and_the_client(self):
+        system, frames = _wire_frames(lose_direct_replies=True)
+        client = system.clients[0].node_id
+        answers = [(dst, msg) for src, dst, msg in frames
+                   if type(msg).__name__ == "BatchReply" and msg.body.carried]
+        assert answers and all(_names(msg) == sorted([dst.name, client.name])
+                               for dst, msg in answers)
+        relayed = [(dst, msg) for src, dst, msg in frames
+                   if type(msg).__name__ == "ClientReply"
+                   and src in system.agreement_ids]
+        assert len(relayed) == len(system.agreement_ids)
+        assert all(len(msg.certificate.authenticators) == system.config.reply_quorum
+                   and _names(msg) == [client.name] for _, msg in relayed)
+
+    def test_a_downstream_request_certificate_names_no_agreement_node(self):
+        system, frames = _wire_frames()
+        batches = [msg for _, _, msg in frames
+                   if type(msg).__name__ == "OrderedBatch"]
+        assert batches and all(
+            _names(certificate) == ["E0", "E1", "E2"]
+            for batch in batches for certificate in batch.request_certificates)
+
+    def test_pre_prepare_and_commit_vectors_stay_whole(self):
+        """A backup re-validates a re-proposed request after a view change,
+        so a PRE-PREPARE's request certificates keep the agreement nodes'
+        entries; a backup that retransmits a batch assembles the agreement
+        certificate itself, so every COMMIT carries every execution
+        replica's entry -- neither is cut per receiver."""
+        system, frames = _wire_frames()
+        requests = [certificate for _, _, msg in frames
+                    if type(msg).__name__ == "PrePrepare"
+                    for certificate in msg.requests]
+        commits = [msg for _, _, msg in frames if type(msg).__name__ == "CommitMsg"]
+        verifiers = sorted(node.name for node in system.clients[0].request_verifiers)
+        assert requests and all(_names(cert) == verifiers for cert in requests)
+        assert len(commits) == 12 and all(
+            sorted(msg.cert_authenticator.token) == ["E0", "E1", "E2"]
+            for msg in commits)
+
+    def test_a_cut_keeps_the_named_entries_and_shares_the_payload(self, keystore):
+        """``addressed_to`` keeps each MAC vector's entries for the nodes it
+        names, leaves a vector it need not cut (and a signature) as the
+        very object it was, and attaches the same payload object."""
+        request = sample_request(0)
+        nodes = [agreement_id(0), agreement_id(1), execution_id(0)]
+        certificate = provider(keystore, client_id(0)).new_certificate(
+            request, AuthenticationScheme.MAC, nodes)
+        whole = certificate.authenticators[client_id(0)]
+        cut = certificate.addressed_to((execution_id(0), client_id(3)))
+        assert cut.payload is request and cut is not certificate
+        assert cut.authenticators[client_id(0)].token == {"E0": whole.token["E0"]}
+        assert certificate.authenticators[client_id(0)] is whole
+        assert certificate.addressed_to(nodes).authenticators[client_id(0)] is whole
+        signed = provider(keystore, agreement_id(2)).new_certificate(
+            request, AuthenticationScheme.SIGNATURE, [])
+        assert (signed.addressed_to(nodes[:1]).authenticators[agreement_id(2)]
+                is signed.authenticators[agreement_id(2)])
+
+    def test_frames_of_one_shape_are_sized_once_and_exactly(self):
+        """A bodiless reply cut for each agreement node: only the first
+        frame is encoded to size them, and every frame's size is the
+        length of its own encoding."""
+        from repro.messages.reply import BatchReply
+        from repro.util.encoding import canonical_encode
+
+        system, _ = _wire_frames()
+        node = system.execution_nodes[0]
+        last = node.reply_table[system.clients[0].node_id]
+        body = node._make_reply_body(last.view, last.seq, (last,))
+        whole = BatchReply(seq=body.seq, sender=node.node_id,
+                           certificate=node._partial_certificate(body).with_payload(
+                               body.view_for(None)))
+        frames = whole.addressed_to_each(system.agreement_ids)
+        assert all(frame.certificate.payload is whole.body for frame in frames)
+        assert all(frame._wire is not None for frame in frames)
+        assert all(frame.wire_size() == len(canonical_encode(frame))
+                   for frame in frames)
 
     def test_cert_facts_hold_ids_and_share_their_sets(self, keystore):
         client = provider(keystore, client_id(0))

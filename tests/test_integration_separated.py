@@ -252,7 +252,7 @@ CENSUS_PER_COMMIT = {
     "CommitMsg": 12,        # every agreement node -> the 3f others
     "OrderedBatch": 3,      # primary -> 2g + 1 execution replicas
     "BatchReply": 12,       # every execution replica -> every agreement
-                            # node, bodiless: one object for all four
+                            # node, bodiless, each frame naming its receiver
     "ClientReply": 3,       # every execution replica -> the client, directly:
                             # g + 1 carry the reply, g send the bodiless view
 }
@@ -263,15 +263,17 @@ CENSUS_PER_COMMIT = {
 #: nodes that check agreement certificates (15,541 B before either cut).
 #: A result crosses the wire g + 1 times: the primary no longer gets the
 #: bundle and one direct reply is bodiless (10,969 B before; a counter's
-#: result is small, so the large-value census below shows the cut).
+#: result is small, so the large-value census below shows the cut).  Each
+#: reply frame's MAC vector names its receiver alone, and a request
+#: certificate sent downstream names no agreement node.
 BYTES_PER_COMMIT = {
     "RequestEnvelope": 340,
     "PrePrepare": 1284,
     "Prepare": 522,
     "CommitMsg": 2088,
-    "OrderedBatch": 2502,
-    "BatchReply": 3276,
-    "ClientReply": 841,
+    "OrderedBatch": 2070,   # 2,502 while request vectors named the agreement nodes
+    "BatchReply": 1548,     # 3,276 while each carried the whole vector
+    "ClientReply": 409,     # 841 while each carried the whole vector
 }
 
 
@@ -290,15 +292,17 @@ LARGE_CENSUS_PER_COMMIT = {
 #: simulated bytes per committed request in the same run.  A ``get``'s
 #: result is carried only by the g + 1 direct replies that carry it; when
 #: the primary got each bundle and every direct reply carried its result,
-#: BatchReply was 13,620 B and ClientReply 14,760 B (60,386 B in all).
+#: BatchReply was 13,620 B and ClientReply 14,760 B (60,386 B in all);
+#: with every vector whole, OrderedBatch was 13,668 B, BatchReply 1,176 B
+#: and ClientReply 10,612 B (43,794 B in all).
 LARGE_BYTES_PER_COMMIT = {
     "RequestEnvelope": 4496,
     "PrePrepare": 13515.75,
     "Prepare": 65.25,
     "CommitMsg": 261,
-    "OrderedBatch": 13668,
-    "BatchReply": 1176,
-    "ClientReply": 10612,
+    "OrderedBatch": 13236,
+    "BatchReply": 582,
+    "ClientReply": 9424,
 }
 
 
@@ -323,7 +327,7 @@ class TestMessageCensus:
         assert sum(CENSUS_PER_COMMIT.values()) == 43
         assert {name: (total - type_bytes_before.get(name, 0)) / commits
                 for name, total in stats.bytes_per_type.items()} == BYTES_PER_COMMIT
-        assert sum(BYTES_PER_COMMIT.values()) == 10_853
+        assert sum(BYTES_PER_COMMIT.values()) == 8_261   # 10,853 before
         # bytes are kept beside the counts, and the snapshot exposes both
         assert set(stats.bytes_per_type) == set(stats.per_type)
         assert sum(stats.bytes_per_type.values()) == stats.bytes_sent > bytes_before
@@ -368,7 +372,7 @@ class TestMessageCensus:
                 for name, count in stats.per_type.items()} == LARGE_CENSUS_PER_COMMIT
         assert {name: (total - bytes_before.get(name, 0)) / commits
                 for name, total in stats.bytes_per_type.items()} == LARGE_BYTES_PER_COMMIT
-        assert sum(LARGE_BYTES_PER_COMMIT.values()) == 43_794
+        assert sum(LARGE_BYTES_PER_COMMIT.values()) == 41_580   # 43,794 before
         assert len(carried) == commits
         assert all(frames == ["ClientReply"] * (config.g + 1)
                    for frames in carried.values())

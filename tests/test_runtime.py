@@ -533,9 +533,10 @@ class TestTransport:
             system.run(30.0)
             assert system.network.transport.frames_sent - frames == len(sent) == 43
             distinct = {(source, id(message)) for source, message in sent}
-            # 16: each execution replica multicasts one bodiless reply
-            # object to the four agreement nodes.
-            assert len(encoded) == len(distinct) == 16
+            # 25: each execution replica sends each of the four agreement
+            # nodes its own bodiless reply, whose MAC vector names that node
+            # alone (16 when one object went to all four).
+            assert len(encoded) == len(distinct) == 25
             assert system.network.transport.frames_delivered == \
                 system.network.transport.frames_sent
         finally:
