@@ -47,8 +47,11 @@ class LocalExecutor(ABC):
         """
 
     @abstractmethod
-    def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
-        """Handle a client-initiated retransmission of an old request."""
+    def retry_hint(self, request_certificate: Certificate,
+                   relayed: bool = False) -> RetryOutcome:
+        """Handle a client-initiated retransmission of an old request;
+        ``relayed`` when a backup passed it to this primary rather than the
+        client sending it here."""
 
     def route_body(self, body: AgreementCertBody,
                    requests: Tuple[Certificate, ...]) -> Optional[AgreementCertBody]:

@@ -2,15 +2,16 @@
 
 One :class:`LogEntry` per sequence number tracks the pre-prepare, the prepare
 and commit votes received, and the delivery status.  The :class:`AgreementLog`
-also tracks checkpoint votes and the stable checkpoint, and implements the
-watermark window that bounds how far ahead of the stable checkpoint the
-protocol may run (PBFT's ``[h, h + L]`` window).
+also tracks checkpoint votes (and the transferable state they carry) and the
+stable checkpoint, and implements the watermark window that bounds how far
+ahead of the stable checkpoint the protocol may run (PBFT's ``[h, h + L]``
+window).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..crypto.certificate import Authenticator, Certificate
 from ..messages.agreement import AgreementCertBody, CommitMsg, Prepare, PrePrepare
@@ -67,6 +68,10 @@ class AgreementLog:
         self.last_delivered_seq = 0
         #: per-sequence-number checkpoint votes: seq -> replica -> digest
         self.checkpoint_votes: Dict[int, Dict[NodeId, bytes]] = {}
+        #: digest-verified transferable frontier state from checkpoint
+        #: votes, keyed by (seq, state_digest); consulted on checkpoint
+        #: state transfer, kept from the stable checkpoint up
+        self.sync_states: Dict[Tuple[int, bytes], Tuple[Tuple[str, Any], ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Entries.
@@ -82,12 +87,15 @@ class AgreementLog:
     def existing_entry(self, view: int, seq: int) -> Optional[LogEntry]:
         return self._entries.get((view, seq))
 
-    def holds_pre_prepares(self, view: int, seq: int) -> bool:
-        """Whether ``view``'s pre-prepare is here for every sequence number
-        above the last delivered one up to ``seq``."""
-        return all(entry is not None and entry.pre_prepare is not None
-                   for entry in (self._entries.get((view, s)) for s in
-                                 range(self.last_delivered_seq + 1, seq + 1)))
+    def lacks_only_commits(self, view: int, seq: int) -> bool:
+        """Whether delivery stops short of ``seq`` for want of COMMITs
+        alone: ``view``'s pre-prepare is here for every sequence number
+        above the last delivered one up to ``seq``, so the batches need not
+        be skipped by state transfer -- their COMMITs are late, most likely."""
+        return seq > self.last_delivered_seq and all(
+            entry is not None and entry.pre_prepare is not None
+            for entry in (self._entries.get((view, s))
+                          for s in range(self.last_delivered_seq + 1, seq + 1)))
 
     def prepared_entries_above(self, seq: int) -> List[LogEntry]:
         """All prepared-but-possibly-undelivered entries above ``seq``
@@ -171,6 +179,9 @@ class AgreementLog:
         }
         self.checkpoint_votes = {
             s: votes for s, votes in self.checkpoint_votes.items() if s > seq
+        }
+        self.sync_states = {
+            key: state for key, state in self.sync_states.items() if key[0] >= seq
         }
 
     # ------------------------------------------------------------------ #

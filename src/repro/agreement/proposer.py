@@ -106,7 +106,7 @@ class Proposer:
     # Admission.
     # ------------------------------------------------------------------ #
 
-    def handle_request(self, envelope: RequestEnvelope) -> None:
+    def handle_request(self, sender: NodeId, envelope: RequestEnvelope) -> None:
         replica = self.replica
         certificate = envelope.certificate
         request = replica.crypto.authentic_request(certificate, replica.client_ids)
@@ -116,7 +116,8 @@ class Proposer:
             # Retransmission of a request we have already ordered: let the
             # local state machine serve a cached reply or resend pending
             # certificates; only re-run agreement if it has no trace of it.
-            if replica.local.retry_hint(certificate) is RetryOutcome.HANDLED:
+            relayed = sender != request.client
+            if replica.local.retry_hint(certificate, relayed) is RetryOutcome.HANDLED:
                 return
         self._admit(certificate, request)
 

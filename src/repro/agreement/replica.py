@@ -67,10 +67,6 @@ VIEW_CHANGE_BACKOFF_CAP_MS = 6400.0
 #: re-votes after ``timers.view_change_ms * VIEW_CHANGE_BACKOFF**k``, so
 #: cascading view changes under a long partition don't thrash
 VIEW_CHANGE_BACKOFF = 2.0
-#: how long a replica that holds every batch up to a stable checkpoint it
-#: has not delivered waits for their late COMMITs before it adopts the
-#: checkpoint by state transfer (ms)
-LATE_COMMIT_GRACE_MS = 5.0
 
 
 class AgreementReplica(Process):
@@ -127,11 +123,6 @@ class AgreementReplica(Process):
         #: recently-deposed primaries: node -> last view through which the
         #: local target selection skips it
         self._deposed_until: Dict[NodeId, int] = {}
-        #: digest-verified transferable frontier state from checkpoint votes,
-        #: keyed by (seq, state_digest); consulted on checkpoint state
-        #: transfer, pruned as checkpoints stabilise
-        self._checkpoint_sync_states: Dict[Tuple[int, bytes],
-                                           Tuple[Tuple[str, Any], ...]] = {}
         #: delivered checkpoint cuts the local queue cannot describe yet
         #: (its release frontier holds below them): voted when it can
         self._deferred_checkpoints: Set[int] = set()
@@ -194,7 +185,7 @@ class AgreementReplica(Process):
 
     def on_message(self, sender: NodeId, message: Message) -> None:
         if isinstance(message, RequestEnvelope):
-            self.proposer.handle_request(message)
+            self.proposer.handle_request(sender, message)
         elif isinstance(message, PrePrepare):
             self.handle_pre_prepare(sender, message)
         elif isinstance(message, Prepare):
@@ -207,19 +198,24 @@ class AgreementReplica(Process):
             self.handle_view_change(sender, message)
         elif isinstance(message, NewView):
             self.handle_new_view(sender, message)
-        else:
-            # Messages the agreement protocol itself does not speak are
-            # offered to the local state machine: reply certificates from
-            # the execution cluster (possibly via the privacy firewall) to
-            # the message queue, the router queue's cross-log bindings and
-            # fetches too; anything still unknown or corrupted is dropped
-            # silently, as the Byzantine fault model requires correct nodes
-            # to tolerate arbitrary garbage.
-            handler = getattr(self.local, "on_batch_reply"
-                              if isinstance(message, BatchReply)
-                              else "on_unknown_message", None)
+        elif isinstance(message, BatchReply):
+            # Separated architecture: reply certificates from the execution
+            # cluster (possibly via the privacy firewall) are handled by the
+            # message queue installed as the local state machine.
+            handler = getattr(self.local, "on_batch_reply", None)
             if handler is not None:
                 handler(sender, message)
+        else:
+            # Messages the agreement protocol itself does not speak are
+            # offered to the local state machine (the router queue's
+            # cross-log round gets its bindings and fetches this way);
+            # anything still unknown or corrupted is dropped silently, as
+            # the Byzantine fault model requires correct nodes to tolerate
+            # arbitrary garbage.
+            handler = getattr(self.local, "on_unknown_message", None)
+            if handler is not None:
+                handler(sender, message)
+            return
 
     def pre_prepare(self, requests: List[Certificate]) -> None:
         """Assign the next sequence number to ``requests`` (the proposer's
@@ -320,19 +316,16 @@ class AgreementReplica(Process):
                     and isinstance(requests[0].payload, ConfigOperation))
         return False
 
-    def _vote_entry(self, sender: NodeId, message: Any) -> Optional[LogEntry]:
-        """The entry a PREPARE or COMMIT votes in, None unless it counts."""
-        if (message.view != self.view or self._view_changing
-                or sender != message.replica or sender not in self.agreement_ids
-                or not self.log.in_watermarks(message.seq)):
-            return None
-        return self.log.entry(self.view, message.seq)
-
     def handle_prepare(self, sender: NodeId, message: Prepare) -> None:
-        entry = self._vote_entry(sender, message)
-        if entry is not None:
-            entry.prepares[sender] = message
-            self._try_prepared(entry)
+        if message.view != self.view or self._view_changing:
+            return
+        if sender != message.replica or sender not in self.agreement_ids:
+            return
+        if not self.log.in_watermarks(message.seq):
+            return
+        entry = self.log.entry(self.view, message.seq)
+        entry.prepares[sender] = message
+        self._try_prepared(entry)
 
     def _try_prepared(self, entry: LogEntry) -> None:
         if entry.prepared or entry.pre_prepare is None:
@@ -393,9 +386,13 @@ class AgreementReplica(Process):
     # ------------------------------------------------------------------ #
 
     def handle_commit(self, sender: NodeId, message: CommitMsg) -> None:
-        entry = self._vote_entry(sender, message)
-        if entry is None:
+        if message.view != self.view or self._view_changing:
             return
+        if sender != message.replica or sender not in self.agreement_ids:
+            return
+        if not self.log.in_watermarks(message.seq):
+            return
+        entry = self.log.entry(self.view, message.seq)
         entry.commits[sender] = message
         entry.commit_authenticators[sender] = message.cert_authenticator
         if self._mark_committed(entry):
@@ -430,13 +427,16 @@ class AgreementReplica(Process):
 
     def _assemble_certificate(self, entry: LogEntry) -> Certificate:
         """Assemble the agreement certificate from the commit authenticators."""
-        scheme = (AuthenticationScheme.SIGNATURE
-                  if self.config.authentication is AuthenticationScheme.SIGNATURE
-                  else AuthenticationScheme.MAC)
-        return Certificate(payload=entry.cert_body, scheme=scheme, authenticators={
-            replica: authenticator
-            for replica, authenticator in entry.commit_authenticators.items()
-            if authenticator is not None and authenticator.scheme is scheme})
+        certificate = Certificate(
+            payload=entry.cert_body,
+            scheme=(AuthenticationScheme.SIGNATURE
+                    if self.config.authentication is AuthenticationScheme.SIGNATURE
+                    else AuthenticationScheme.MAC),
+        )
+        for replica, authenticator in entry.commit_authenticators.items():
+            if authenticator is not None and authenticator.scheme is certificate.scheme:
+                certificate.authenticators[replica] = authenticator
+        return certificate
 
     def _deliver(self, entry: LogEntry) -> None:
         assert entry.pre_prepare is not None
@@ -475,7 +475,7 @@ class AgreementReplica(Process):
                                       replica=self.node_id,
                                       sync_state=sync_state)
         self.log.add_checkpoint_vote(seq, self.node_id, digest)
-        self._checkpoint_sync_states[(seq, digest)] = sync_state
+        self.log.sync_states[(seq, digest)] = sync_state
         self.multicast(self.agreement_ids, message)
         self._try_stable(seq, digest)
 
@@ -491,40 +491,36 @@ class AgreementReplica(Process):
         if sender != message.replica or sender not in self.agreement_ids:
             return
         key = (message.seq, message.state_digest)
-        if key not in self._checkpoint_sync_states and message.seq > self.log.stable_seq:
+        if key not in self.log.sync_states and message.seq > self.log.stable_seq:
             # Keep the vote's transferable state only if it re-derives the
             # claimed digest: a Byzantine replica can echo the certified
             # digest but cannot forge frontier state that hashes to it.
             expected = self.local.sync_state_digest(message.seq, message.sync_state)
             if expected == message.state_digest:
-                self._checkpoint_sync_states[key] = message.sync_state
+                self.log.sync_states[key] = message.sync_state
         self.log.add_checkpoint_vote(message.seq, sender, message.state_digest)
         self._try_stable(message.seq, message.state_digest)
 
     def _try_stable(self, seq: int, digest: bytes, waited: bool = False) -> None:
-        if (seq <= self.log.stable_seq
-                or self.log.checkpoint_support(seq, digest) < 2 * self.f + 1):
+        if seq <= self.log.stable_seq:
             return
-        behind = seq > self.log.last_delivered_seq
-        if (behind and not waited and not self._view_changing
-                and self.log.holds_pre_prepares(self.view, seq)):
-            # Every batch up to the cut is here, its COMMITs late: deliver
-            # them (a primary sends them downstream first), and sync only
-            # if the COMMITs do not come within the grace.
-            self.set_timer(LATE_COMMIT_GRACE_MS,
-                           lambda: self._try_stable(seq, digest, waited=True),
-                           label=f"{self.node_id}:late-commits")
-            return
-        self.log.mark_stable(seq)
-        if behind:
-            self._sync_to_checkpoint(seq, digest)
-        self.local.on_stable_checkpoint(seq)
-        self._checkpoint_sync_states = {
-            key: state for key, state in self._checkpoint_sync_states.items()
-            if key[0] > seq}
-        self._deferred_checkpoints = {
-            cut for cut in self._deferred_checkpoints if cut > seq}
-        self._maybe_rotate_primary()
+        if self.log.checkpoint_support(seq, digest) >= 2 * self.f + 1:
+            if (not waited and not self._view_changing
+                    and self.log.lacks_only_commits(self.view, seq)):
+                # Deliver those batches -- a primary sends them downstream
+                # first -- and adopt the cut by state transfer only if their
+                # COMMITs miss half the retransmission a sync would cost.
+                self.set_timer(self.config.timers.agreement_retransmit_ms / 2,
+                               lambda: self._try_stable(seq, digest, waited=True),
+                               label=f"{self.node_id}:late-commits")
+                return
+            self.log.mark_stable(seq)
+            if seq > self.log.last_delivered_seq:
+                self._sync_to_checkpoint(seq, digest)
+            self.local.on_stable_checkpoint(seq)
+            self._deferred_checkpoints = {
+                cut for cut in self._deferred_checkpoints if cut > seq}
+            self._maybe_rotate_primary()
 
     def _maybe_rotate_primary(self) -> None:
         """Proactive rotation: planned view change every N stable checkpoints.
@@ -565,7 +561,7 @@ class AgreementReplica(Process):
         self.log.last_delivered_seq = seq
         self.next_seq = max(self.next_seq, seq + 1)
         self.checkpoint_syncs += 1
-        sync_state = self._checkpoint_sync_states.get((seq, state_digest), ())
+        sync_state = self.log.sync_states.get((seq, state_digest), ())
         self.local.sync_to_checkpoint(seq, sync_state)
         self.proposer.on_checkpoint_sync()
         self.on_routes_resumed(seq)

@@ -87,7 +87,8 @@ class DirectExecutor(LocalExecutor):
         return ReplyBody(view=view, seq=seq, timestamp=cached.reply.timestamp,
                          client=request.client, result=cached.reply.result)
 
-    def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
+    def retry_hint(self, request_certificate: Certificate,
+                   relayed: bool = False) -> RetryOutcome:
         assert self.owner is not None
         request: ClientRequest = request_certificate.payload
         cached = self.reply_cache.get(request.client)

@@ -126,10 +126,8 @@ class QueueCore(LocalExecutor):
         #: per-client cache of the latest certified reply
         self.cache: Dict[NodeId, CachedReply] = {}
         #: per client whose retransmission was passed on to the replicas,
-        #: its timestamp and the assembly of their answers
-        #: (:meth:`_on_retry_answer`)
-        self._retries: Dict[NodeId, Tuple[int, Dict[Tuple[int, bytes],
-                                                     Optional[Certificate]]]] = {}
+        #: the assembly of their answers (:meth:`_on_retry_answer`)
+        self._retries: Dict[NodeId, Dict[Tuple[int, bytes], Optional[Certificate]]] = {}
         self.highest_reply_seq = 0
 
         # Statistics used by benchmarks and tests.
@@ -303,24 +301,19 @@ class QueueCore(LocalExecutor):
             self._c_replies_forwarded.inc()
 
     def _forward_request(self, request_certificate: Certificate,
-                         replicas: List[NodeId]) -> None:
+                         replicas: List[NodeId], relayed: bool) -> None:
         """Pass a client retransmission this queue can answer neither from
         its cache nor from a pending send on to the execution ``replicas``
         (direct replies only): each one whose reply table holds the reply
-        answers this queue with a complete certificate over it.  A request
-        is passed on once while its answers are gathered: the backups pass
-        the primary the same retransmission again, and the client's next
-        one is re-ordered anyway (``RetryOutcome.NEED_ORDER``)."""
-        if not self.config.direct_replies:
-            return
-        request = request_certificate.payload
-        retry = self._retries.get(request.client)
-        if retry is not None and retry[0] >= request.timestamp:
-            return
-        self._retries[request.client] = (request.timestamp, {})
-        self.owner.multicast(replicas,
-                             RequestEnvelope(certificate=request_certificate))
-        self.requests_forwarded += 1
+        answers this queue with a complete certificate over it.  Only the
+        client's own copy is passed on, each time it comes: a copy a backup
+        ``relayed`` to the primary is one that backup's queue passed on
+        already.  Answers already gathered for the client are kept."""
+        if self.config.direct_replies and not relayed:
+            self._retries.setdefault(request_certificate.payload.client, {})
+            self.owner.multicast(replicas,
+                                 RequestEnvelope(certificate=request_certificate))
+            self.requests_forwarded += 1
 
     def _answers_a_retry(self, message: BatchReply) -> bool:
         """Whether ``message`` is a replica's answer to a passed-on
@@ -337,10 +330,10 @@ class QueueCore(LocalExecutor):
         ``g + 1`` match, cache the certificate and relay it."""
         replies = message.body.replies
         client = replies[0].client if len(replies) == 1 else None
-        retry = self._retries.get(client)
-        if retry is None:
+        table = self._retries.get(client)
+        if table is None:
             return
-        full = self._assemble_into(retry[1], sender, message.certificate,
+        full = self._assemble_into(table, sender, message.certificate,
                                    universe, None, (client,))
         if full is not None:
             del self._retries[client]
@@ -406,7 +399,8 @@ class MessageQueue(QueueCore):
             self._send(self.downstream, pending.batch)
             self._back_off(pending)
 
-    def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
+    def retry_hint(self, request_certificate: Certificate,
+                   relayed: bool = False) -> RetryOutcome:
         """Handle a client-initiated retransmission (BASE's ``retryHint``)."""
         request: ClientRequest = request_certificate.payload
         if self._serve_from_cache(request):
@@ -416,7 +410,7 @@ class MessageQueue(QueueCore):
                 self._send(self.downstream, pending.batch)
                 self.retransmissions += 1
                 return RetryOutcome.HANDLED
-        self._forward_request(request_certificate, self.execution_ids)
+        self._forward_request(request_certificate, self.execution_ids, relayed)
         return RetryOutcome.NEED_ORDER
 
     # ------------------------------------------------------------------ #

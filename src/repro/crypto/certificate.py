@@ -124,23 +124,21 @@ class Certificate(WireMemoised):
         ``payload`` attaches the evidence to another rendering, as
         :meth:`with_payload` does; the payload object is shared, so its
         wire memo is too and only the small wrapper is encoded again."""
+        names = [node.name for node in nodes]
         authenticators = {}
         for signer, authenticator in self.authenticators.items():
             token = authenticator.token
             if (authenticator.scheme is AuthenticationScheme.MAC
-                    and type(token) is dict):
-                kept = {}
-                for node in nodes:
-                    name = node.name
-                    if name in token:
-                        kept[name] = token[name]
+                    and isinstance(token, dict)):
+                kept = {name: token[name] for name in names if name in token}
                 if len(kept) < len(token):
                     authenticator = Authenticator(authenticator.signer,
                                                   authenticator.scheme, kept)
             authenticators[signer] = authenticator
-        return Certificate(self.payload if payload is _SAME else payload,
-                           self.scheme, authenticators, self.threshold_group,
-                           self.threshold_signature)
+        return Certificate(payload=self.payload if payload is _SAME else payload,
+                           scheme=self.scheme, authenticators=authenticators,
+                           threshold_group=self.threshold_group,
+                           threshold_signature=self.threshold_signature)
 
     # ------------------------------------------------------------------ #
     # Queries.

@@ -48,6 +48,7 @@ from ..crypto.certificate import Certificate
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
+from ..util.encoding import mac_form_size
 from ..util.wirecache import WireMemoised, same_size, wire_digest
 from .request import EncryptedBody
 
@@ -158,12 +159,7 @@ class BatchReplyBody(_CarriedMemo, Message):
     def view_for(self, client: Optional[NodeId]) -> "BatchReplyBody":
         """This body as ``client`` needs it: its own reply in full, every
         sibling as its digest (with ``None``, every reply as its digest: the
-        bodiless form).  Same certified form, same digest.  A body that
-        carries only ``client``'s replies is its own view, digest memo and
-        all."""
-        if client is not None and all(reply.client == client
-                                      for reply in self.carried):
-            return self
+        bodiless form).  Same certified form, same digest."""
         return BatchReplyBody(
             view=self.view, seq=self.seq, shard=self.shard, epoch=self.epoch,
             replies=tuple(
@@ -207,19 +203,17 @@ class BatchReply(_CertifiedReplies, Message):
     def addressed_to_each(self, nodes: List[NodeId]) -> List["BatchReply"]:
         """This reply as a frame to each of ``nodes``, none of which relays
         it: each MAC vector cut to that node's entry, the body (and its
-        wire memo) shared.  Where every vector names every one of them, each
-        frame keeps one entry per vector, and a node's code and a MAC are
-        fixed-width: the frames are equally long, and only the first is
+        wire memo) shared.  Where the codec carries every vector in its
+        MAC form, so it carries every cut of one too, as fixed-width pairs;
+        if each vector names every one of ``nodes``, each frame keeps one
+        pair per vector and the frames are equally long: only the first is
         encoded to size them all."""
-        frames = []
-        one_shape = True
-        for node in nodes:
-            frames.append(BatchReply(seq=self.seq, sender=self.sender,
-                                     certificate=self.certificate.addressed_to((node,))))
-            for authenticator in self.certificate.authenticators.values():
-                one_shape = (one_shape and type(authenticator.token) is dict
-                             and node.name in authenticator.token)
-        if one_shape:
+        frames = [BatchReply(seq=self.seq, sender=self.sender,
+                             certificate=self.certificate.addressed_to((node,)))
+                  for node in nodes]
+        if all(mac_form_size(authenticator.token) is not None
+               and all(node.name in authenticator.token for node in nodes)
+               for authenticator in self.certificate.authenticators.values()):
             for frame in frames[1:]:
                 same_size(frame, frames[0])
         return frames

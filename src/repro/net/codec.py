@@ -1048,6 +1048,16 @@ def default_codec() -> Codec:
     return Codec()
 
 
+def mac_form_size(token: Any) -> Optional[int]:
+    """The bytes an authenticator's ``token`` takes when the codec carries
+    it in the MAC form -- its kind and count, then fixed-width (node code,
+    MAC) pairs -- else None: the tagged form, whose length depends on the
+    value."""
+    if default_codec()._mac_pairs(token) is None:
+        return None
+    return 2 + _mac_vector(len(token)).size
+
+
 def encode_reply_table(table: Dict[NodeId, Any]) -> bytes:
     """A client-dedup reply table (client -> its last ``ReplyBody``) as the
     replies in the order of their clients' names.

@@ -439,7 +439,8 @@ class ShardRouterQueue(QueueCore):
         if isinstance(message, (CrossLogBinding, CrossLogBindingFetch)):
             self.cross_log.on_message(sender, message)
 
-    def retry_hint(self, request_certificate: Certificate) -> RetryOutcome:
+    def retry_hint(self, request_certificate: Certificate,
+                   relayed: bool = False) -> RetryOutcome:
         """Serve a client retransmission from the cache or pending sends."""
         request: ClientRequest = request_certificate.payload
         if self._serve_from_cache(request):
@@ -472,7 +473,7 @@ class ShardRouterQueue(QueueCore):
             # queue has no body for; a cross-shard marker is re-served by
             # its own path (above) once re-ordered.
             self._forward_request(request_certificate,
-                                  self.shard_execution_ids[owner])
+                                  self.shard_execution_ids[owner], relayed)
         return outcome
 
     def seq_answered(self, seq: int) -> bool:

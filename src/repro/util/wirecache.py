@@ -211,12 +211,14 @@ def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[Wire
 
 
 def same_size(obj: WireMemoised, model: WireMemoised) -> None:
-    """Give ``obj`` the encoded length of ``model`` without encoding it:
-    for objects of one shape whose encodings are equally long (frames cut
-    from one certificate for different receivers, each keeping as many
-    fixed-width MAC entries).  Only the size is shared; bytes and digests
-    stay each object's own, made when somebody asks.  ``model`` keeps its
-    bytes, so whoever frames it next splices them."""
+    """Give ``obj`` the encoded length of ``model`` without encoding it.
+    The caller vouches that the two encode equally long -- frames cut from
+    one certificate for different receivers, whose MAC vectors the codec
+    carries as as many fixed-width pairs
+    (:meth:`~repro.messages.reply.BatchReply.addressed_to_each` asks it).
+    Only the size is shared; bytes and digests stay each object's own, made
+    when somebody asks.  ``model`` keeps its bytes, so whoever frames it
+    next splices them."""
     memo = wire_memo(model, "bytes", count=False)
     if memo is not None and getattr(obj, "_wire", None) is None:
         object.__setattr__(obj, "_wire", WireMemo(memo.size))

@@ -147,7 +147,7 @@ class TestLocalExecutorDefaults:
                           agreement_certificate, nondet):
             return None
 
-        def retry_hint(self, request_certificate):
+        def retry_hint(self, request_certificate, relayed=False):
             return RetryOutcome.NEED_ORDER
 
     def test_default_checkpoint_digest_depends_only_on_seq(self):

@@ -286,23 +286,23 @@ class TestSmuggledBundle:
             return {shard: system.execution_node(shard, 0)._localize(batch)
                     for shard, batch in sent.items()}
 
-        def payloads(local):
-            # what each shard gets; its request certificates are addressed
-            # to the shard replicas, so they are other objects
-            return [certificate.payload for certificate in local.request_certificates]
+        def downstream(certificate):
+            # what a shard gets: the request certificate addressed to the
+            # nodes downstream of agreement
+            return certificate.addressed_to(queue.owner.cert_verifiers)
 
         bundle = (low, high, spanning)
         assert system.router.route(bundle, epoch=0).kind == ORDINARY
         local = release(bundle)
         assert sorted(local) == [0, 1] and queue.cross_shard_markers == 0
-        assert payloads(local[0]) == [low.payload]
-        assert payloads(local[1]) == [high.payload]
+        assert local[0].request_certificates == (downstream(low),)
+        assert local[1].request_certificates == (downstream(high),)
 
         route = system.router.route((spanning,), epoch=0)
         assert route.kind == CROSS_SHARD and route.shards == [0, 1]
         local = release((spanning,))
         assert sorted(local) == [0, 1] and queue.cross_shard_markers == 1
-        assert all(payloads(each) == [spanning.payload]
+        assert all(each.request_certificates == (downstream(spanning),)
                    for each in local.values())
 
 

@@ -465,6 +465,19 @@ def _wire_frames(lose_direct_replies=False):
     return system, frames
 
 
+def _bodiless_reply(system):
+    """Execution replica 0's bodiless ``BatchReply`` over the client's last
+    reply, its MAC vector whole."""
+    from repro.messages.reply import BatchReply
+
+    node = system.execution_nodes[0]
+    last = node.reply_table[system.clients[0].node_id]
+    body = node._make_reply_body(last.view, last.seq, (last,))
+    return BatchReply(seq=body.seq, sender=node.node_id,
+                      certificate=node._partial_certificate(body).with_payload(
+                          body.view_for(None)))
+
+
 def _names(carrier):
     """Every node name the MAC vectors of ``carrier`` (a certificate, or a
     reply message's) carry an entry for, sorted."""
@@ -609,23 +622,53 @@ class TestWhoEachVectorAddresses:
         assert (signed.addressed_to(nodes[:1]).authenticators[agreement_id(2)]
                 is signed.authenticators[agreement_id(2)])
 
-    def test_frames_of_one_shape_are_sized_once_and_exactly(self):
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_frames_of_one_shape_are_sized_once_and_exactly(self, g):
         """A bodiless reply cut for each agreement node: only the first
         frame is encoded to size them, and every frame's size is the
         length of its own encoding."""
-        from repro.messages.reply import BatchReply
+        from conftest import make_config
+        from repro.apps.counter import CounterService, increment
+        from repro.core import SeparatedSystem
         from repro.util.encoding import canonical_encode
 
-        system, _ = _wire_frames()
-        node = system.execution_nodes[0]
-        last = node.reply_table[system.clients[0].node_id]
-        body = node._make_reply_body(last.view, last.seq, (last,))
-        whole = BatchReply(seq=body.seq, sender=node.node_id,
-                           certificate=node._partial_certificate(body).with_payload(
-                               body.view_for(None)))
+        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
+        system.invoke(increment(1))
+        whole = _bodiless_reply(system)
         frames = whole.addressed_to_each(system.agreement_ids)
         assert all(frame.certificate.payload is whole.body for frame in frames)
-        assert all(frame._wire is not None for frame in frames)
+        assert all(frame._wire is not None and frame._wire.data is None
+                   for frame in frames[1:])
+        assert all(frame.wire_size() == len(canonical_encode(frame))
+                   for frame in frames)
+
+    @pytest.mark.parametrize("token", [
+        "lacking", "short-mac", "not-a-vector"])
+    def test_frames_of_other_shapes_are_each_encoded(self, token):
+        """Where the cut vectors differ in length, or the codec carries one
+        in the tagged form, no frame is sized from another."""
+        from conftest import make_config
+        from repro.apps.counter import CounterService, increment
+        from repro.core import SeparatedSystem
+        from repro.crypto.certificate import Authenticator
+        from repro.util.encoding import canonical_encode
+
+        system = SeparatedSystem(make_config(), CounterService, seed=5)
+        system.invoke(increment(1))
+        whole = _bodiless_reply(system)
+        (signer, own), = whole.certificate.authenticators.items()
+        last = system.agreement_ids[-1].name
+        vector = dict(own.token)
+        if token == "lacking":
+            del vector[last]
+        elif token == "short-mac":
+            vector[last] = vector[last][:8]
+        else:
+            vector = b"share"
+        whole.certificate.authenticators[signer] = Authenticator(
+            signer, own.scheme, vector)
+        frames = whole.addressed_to_each(system.agreement_ids)
+        assert all(getattr(frame, "_wire", None) is None for frame in frames)
         assert all(frame.wire_size() == len(canonical_encode(frame))
                    for frame in frames)
 

@@ -243,6 +243,29 @@ class TestLivenessWithoutTheRelay:
         assert [node.requests_executed for node in system.execution_nodes] \
             == [1, 1, 1]
 
+    def test_a_retransmission_whose_answers_are_lost_is_passed_on_again(self, config):
+        """The replicas' answers to the first passed-on retransmission are
+        lost, and so is every direct reply: the client's next
+        retransmission is passed on again, and its answers complete it."""
+        system = SeparatedSystem(config, CounterService, seed=61)
+        executors = set(system.execution_ids)
+        client = system.clients[0]
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if source in executors and (
+                isinstance(message, ClientReply)
+                or (isinstance(message, BatchReply) and message.body.carried
+                    and client.retransmissions < 2))
+            else None)
+        record = system.invoke(increment(1))
+        assert record.result.value == 1
+        assert client.retransmissions == 2
+        system.run(50.0)
+        assert all(queue.requests_forwarded == 2 and queue.replies_forwarded == 1
+                   for queue in system.message_queues)
+        assert [node.requests_executed for node in system.execution_nodes] \
+            == [1, 1, 1]
+
     def test_a_retransmission_resends_the_signed_request(self, config):
         """A client's retransmission timer signs nothing: every agreement
         node is sent the very envelope the client signed the first time."""
