@@ -94,6 +94,23 @@ class PendingSend:
     retransmissions: int = 0
 
 
+@dataclass(eq=False)
+class DeliveredBatch:
+    """A delivered slot as a queue keeps it until the slot's reply: what
+    the agreement library delivered, and the :class:`OrderedBatch` that
+    goes downstream, built the first time the queue sends it
+    (:meth:`QueueCore._ordered_batch`) and the one object from then on.
+    Fault-free only the primary's queue sends a slot, so a backup's never
+    builds one."""
+
+    seq: int
+    view: int
+    request_certificates: Tuple[Certificate, ...]
+    agreement_certificate: Certificate
+    nondet: NonDetInput
+    ordered: Optional[OrderedBatch] = None
+
+
 class CachedReply(NamedTuple):
     """A client's latest reply and the full certificate over the bundle it
     came in (the client's own view of it is cut when it asks)."""
@@ -169,27 +186,29 @@ class QueueCore(LocalExecutor):
     # Sending and retransmitting.
     # ------------------------------------------------------------------ #
 
-    def _send(self, targets: List[NodeId], batch) -> None:
-        self.owner.multicast(targets, batch)
+    def _send(self, targets: List[NodeId], batch: DeliveredBatch) -> None:
+        self.owner.multicast(targets, self._ordered_batch(batch))
         self.batches_sent += 1
         self._c_batches_sent.inc()
 
-    def _ordered_batch(self, seq: int, view: int,
-                       request_certificates: Tuple[Certificate, ...],
-                       agreement_certificate: Certificate,
-                       nondet: NonDetInput) -> OrderedBatch:
-        """The batch a delivered slot sends downstream: one object, sent by
-        the primary first and by every queue on retransmission.  Its request
-        certificates are addressed to the nodes downstream that check them
-        (the replica's ``cert_verifiers``: execution replicas, filters,
-        shard replicas); the agreement nodes' entries were checked at
-        PRE-PREPARE and no node downstream could check them."""
-        verifiers = self.owner.cert_verifiers
-        return OrderedBatch(
-            seq=seq, view=view,
-            request_certificates=tuple([certificate.addressed_to(verifiers)
-                                        for certificate in request_certificates]),
-            agreement_certificate=agreement_certificate, nondet=nondet)
+    def _ordered_batch(self, batch: DeliveredBatch) -> OrderedBatch:
+        """What a delivered slot sends downstream: one object, sent by the
+        primary first and by any queue on retransmission, built when first
+        sent.  Its request certificates are addressed to the nodes
+        downstream that check them (the replica's ``cert_verifiers``:
+        execution replicas, filters, shard replicas); the agreement nodes'
+        entries were checked at PRE-PREPARE and no node downstream could
+        check them."""
+        if batch.ordered is None:
+            verifiers = self.owner.cert_verifiers
+            batch.ordered = OrderedBatch(
+                seq=batch.seq, view=batch.view,
+                request_certificates=tuple([
+                    certificate.addressed_to(verifiers)
+                    for certificate in batch.request_certificates]),
+                agreement_certificate=batch.agreement_certificate,
+                nondet=batch.nondet)
+        return batch.ordered
 
     def _owner_is_primary(self, view: int) -> bool:
         """Whether the hosting replica is ``view``'s primary: the one node
@@ -228,7 +247,7 @@ class QueueCore(LocalExecutor):
         return True
 
     @staticmethod
-    def _carries(batch: OrderedBatch, request: ClientRequest) -> bool:
+    def _carries(batch: DeliveredBatch, request: ClientRequest) -> bool:
         """Whether a pending batch holds the retransmitted request (config
         markers ride batches too and carry no client timestamp)."""
         for certificate in batch.request_certificates:
@@ -376,8 +395,8 @@ class MessageQueue(QueueCore):
                       agreement_certificate: Certificate,
                       nondet: NonDetInput) -> None:
         """The BASE library's ``msgQueue.insert(request cert, agreement cert)``."""
-        batch = self._ordered_batch(seq, view, request_certificates,
-                                    agreement_certificate, nondet)
+        batch = DeliveredBatch(seq, view, request_certificates,
+                               agreement_certificate, nondet)
         self.max_n = max(self.max_n, seq)
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")

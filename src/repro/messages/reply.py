@@ -45,11 +45,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from ..crypto.certificate import Certificate
+from ..net.codec import memoise_cuts
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
-from ..util.encoding import mac_form_size
-from ..util.wirecache import WireMemoised, same_size, wire_digest
+from ..util.wirecache import WireMemoised, wire_digest
 from .request import EncryptedBody
 
 
@@ -203,19 +203,16 @@ class BatchReply(_CertifiedReplies, Message):
     def addressed_to_each(self, nodes: List[NodeId]) -> List["BatchReply"]:
         """This reply as a frame to each of ``nodes``, none of which relays
         it: each MAC vector cut to that node's entry, the body (and its
-        wire memo) shared.  Where the codec carries every vector in its
-        MAC form, so it carries every cut of one too, as fixed-width pairs;
-        if each vector names every one of ``nodes``, each frame keeps one
-        pair per vector and the frames are equally long: only the first is
-        encoded to size them all."""
+        wire memo) shared.  The frames differ in those entries only, so the
+        codec encodes the first and writes each other one's bytes from it
+        (:func:`~repro.net.codec.memoise_cuts`)."""
         frames = [BatchReply(seq=self.seq, sender=self.sender,
                              certificate=self.certificate.addressed_to((node,)))
                   for node in nodes]
-        if all(mac_form_size(authenticator.token) is not None
-               and all(node.name in authenticator.token for node in nodes)
-               for authenticator in self.certificate.authenticators.values()):
-            for frame in frames[1:]:
-                same_size(frame, frames[0])
+        memoise_cuts(frames, [
+            [authenticator.token
+             for authenticator in frame.certificate.authenticators.values()]
+            for frame in frames])
         return frames
 
     @property

@@ -12,6 +12,23 @@ certificates and authenticators are spliced from their memos when their
 bytes are there, and memoised when encoded here
 (:mod:`repro.util.wirecache`).
 
+**Decode once, encode once.**  A message nested in a frame -- a
+certificate's payload, a reply inside a bundle, a batch inside a
+``BatchTransfer`` -- is given a memo holding the slice of the frame it was
+decoded from (in the tagged form: a typed field's slice gets its class head
+in front).  That slice is its encoding, because the decoder accepts only
+what the encoder writes (below), so the receiver digests, checks and
+splices it without encoding it again.  The frame's root is not seeded (its
+bytes would be a copy of the whole frame, which nobody splices), nor are
+certificates and authenticators, which receivers check through their
+payloads' digests and rarely send on as they are.  Seeded bytes are kept
+under :data:`~repro.util.wirecache.WIRE_CACHE`'s budget, and nothing is
+seeded while it is off.  On the way out, frames cut from one message for
+several receivers (a reply naming each agreement node alone) are encoded
+once: :func:`memoise_cuts` encodes the first and writes each other one's
+bytes by putting that frame's ``(node code, MAC)`` pairs where the encoder
+recorded writing the first's.
+
 **Format.**  Each registered class has a stable one-byte tag
 (:func:`standard_types`), and its encoder and decoder are compiled once,
 from its dataclass field annotations, into straight-line Python.  Fields go
@@ -225,7 +242,7 @@ class Codec:
                         (T_TRUE, self._dec_true), (T_INT, self._dec_int),
                         (T_FLOAT, self._dec_float), (T_STR, self._dec_str),
                         (T_BYTES, self._dec_bytes), (T_TUPLE, self._dec_tuple),
-                        (T_LIST, self._dec_list), (T_DICT, self._dec_dict),
+                        (T_LIST, self._dec_items), (T_DICT, self._dec_dict),
                         (T_NODE, self._dec_node), (T_ENUM, self._dec_enum),
                         (T_OBJ, self._dec_obj), (T_BIGINT, self._dec_bigint)):
             self._any_decoders[tag] = fn
@@ -330,9 +347,10 @@ class Codec:
         encode, decode = self._ns[f"E{tag}"], self._ns[f"D{tag}"]
         self._encoders[cls] = encode
         self._decoders[tag] = decode
-        if issubclass(cls, Message):
-            self._frame_decoders[tag] = decode
         head = bytes((T_OBJ, tag))
+        if issubclass(cls, Message):   # nested in a frame, one keeps its bytes
+            self._frame_decoders[tag] = decode
+            self._decoders[tag], self._ns[f"D{tag}"] = _seeding(decode, head)
 
         def tagged(value, out, depth):
             if depth >= MAX_DEPTH:
@@ -810,9 +828,6 @@ class Codec:
         items, pos = self._dec_items(data, pos, depth)
         return tuple(items), pos
 
-    def _dec_list(self, data, pos, depth):
-        return self._dec_items(data, pos, depth)
-
     def _dec_dict(self, data, pos, depth):
         if depth >= MAX_DEPTH:
             raise DecodeError("nested too deep")
@@ -864,6 +879,8 @@ class Codec:
             self._enc_any(token, out, depth)
             return
         out += bytes((TOKEN_MACS, len(token)))
+        if _MARKS.recording:
+            _MARKS.append([out, len(out), token])
         out += _mac_vector(len(token)).pack(*pairs)
 
     def _dec_token(self, data: bytes, pos: int, depth: int):
@@ -1004,11 +1021,24 @@ def _bigint_size(value: int) -> int:
     return ((value if value >= 0 else ~value).bit_length() + 8) // 8
 
 
+class _Marks(list):
+    """Where :func:`memoise_cuts` saw MAC pairs written while it is
+    ``recording``: ``[buffer, offset, token]`` each.  A mark follows the
+    bytes it points into, from the buffer an object is encoded in to its
+    memo's bytes and on into each parent they are spliced into
+    (:func:`_memoised`), so it ends up pointing into the frame."""
+
+    recording = False
+
+
+_MARKS = _Marks()
+
+
 def _memoised(tagged: Callable):
     """The tagged and typed encoders of a :class:`WireMemoised` class and
     the function both splice from: an object's tagged form, from its memo
     when its bytes are there, else encoded and memoised."""
-    cache = WIRE_CACHE
+    cache, marks = WIRE_CACHE, _MARKS
 
     def memo_bytes(value, depth):
         memo = getattr(value, "_wire", None)
@@ -1017,17 +1047,57 @@ def _memoised(tagged: Callable):
         out = bytearray()
         tagged(value, out, depth)
         data = bytes(out)
+        if marks:
+            _move(marks, out, data, 0)
         if cache.enabled:
             remember(value, memo, data)
         return data
 
     def tagged_memoised(value, out, depth):
-        out += memo_bytes(value, depth)
+        data = memo_bytes(value, depth)
+        if marks:
+            _move(marks, data, out, len(out))
+        out += data
 
     def typed_memoised(value, out, depth):
-        out += memoryview(memo_bytes(value, depth))[2:]   # after the head
+        data = memo_bytes(value, depth)
+        if marks:
+            _move(marks, data, out, len(out) - 2)
+        out += memoryview(data)[2:]   # after the head
 
     return memo_bytes, tagged_memoised, typed_memoised
+
+
+def _move(marks: List[list], source, target, shift: int) -> None:
+    """Point the marks into ``source`` into ``target``, ``shift`` on."""
+    for mark in marks:
+        if mark[0] is source:
+            mark[0] = target
+            mark[1] += shift
+
+
+def _seeding(decode: Callable, head: bytes) -> Tuple[Callable, Callable]:
+    """``decode`` for a message nested in a frame, in the tagged form and
+    in a typed field: the object keeps the slice it was read from as its
+    memoised encoding, so the receiver digests, checks and splices it
+    without encoding it again.  A tagged value is read from right after
+    its class ``head``, which its slice takes in; a typed field has none,
+    so ``head`` is put in front."""
+    cache = WIRE_CACHE
+
+    def tagged(data, pos, depth):
+        value, end = decode(data, pos, depth)
+        if cache.enabled:
+            remember(value, None, bytes(data[pos - 2:end]))
+        return value, end
+
+    def typed(data, pos, depth):
+        value, end = decode(data, pos, depth)
+        if cache.enabled:
+            remember(value, None, head + data[pos:end])
+        return value, end
+
+    return tagged, typed
 
 
 def _wrong_type(value: Any, expected: type) -> EncodeError:
@@ -1048,14 +1118,48 @@ def default_codec() -> Codec:
     return Codec()
 
 
-def mac_form_size(token: Any) -> Optional[int]:
-    """The bytes an authenticator's ``token`` takes when the codec carries
-    it in the MAC form -- its kind and count, then fixed-width (node code,
-    MAC) pairs -- else None: the tagged form, whose length depends on the
-    value."""
-    if default_codec()._mac_pairs(token) is None:
-        return None
-    return 2 + _mac_vector(len(token)).size
+def memoise_cuts(frames: Sequence[Any], vectors: Sequence[Sequence[Any]]) -> None:
+    """Memoise the encodings of ``frames``: one message cut for several
+    receivers (:meth:`~repro.crypto.certificate.Certificate.addressed_to`),
+    alike save for the MAC vectors ``vectors[i]`` lists for frame ``i`` --
+    the same authenticators' vectors in the same order, each naming that
+    frame's receiver alone.  The first frame is encoded, and the encoder
+    records where it writes each listed vector's one ``(node code, MAC)``
+    pair (:data:`_MARKS`); every other frame's bytes are the first's with
+    its own pairs written there, which is what encoding it would write: the
+    pairs are fixed-width and nothing else differs.  Nothing is memoised
+    unless every listed vector is a one-pair vector of the MAC form and the
+    first frame's were all written here (not spliced from an
+    authenticator's memo); the frames are then encoded when somebody asks."""
+    if not WIRE_CACHE.enabled or len(frames) < 2:
+        return
+    codec = default_codec()
+    pairs = []
+    for listed in vectors:
+        frame_pairs = [codec._mac_pairs(token) for token in listed]
+        if len(listed) != len(vectors[0]) or any(
+                pair is None or len(pair) != 2 for pair in frame_pairs):
+            return
+        pairs.append(frame_pairs)
+    first = frames[0]
+    _MARKS.recording = True
+    try:
+        data = codec._memo_bytes[type(first)](first, 0)
+        offsets = {id(token): offset for buffer, offset, token in _MARKS
+                   if buffer is data}
+    finally:
+        _MARKS.recording = False
+        written = len(_MARKS)
+        _MARKS.clear()
+    if written != len(offsets) or sorted(offsets) != sorted(map(id, vectors[0])):
+        return
+    at = [offsets[id(token)] for token in vectors[0]]
+    pair = _mac_vector(1)
+    for frame, frame_pairs in zip(frames[1:], pairs[1:]):
+        out = bytearray(data)
+        for offset, (code, mac) in zip(at, frame_pairs):
+            pair.pack_into(out, offset, code, mac)
+        remember(frame, getattr(frame, "_wire", None), bytes(out))
 
 
 def encode_reply_table(table: Dict[NodeId, Any]) -> bytes:

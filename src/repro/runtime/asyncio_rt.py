@@ -18,7 +18,11 @@ three simulated substrates with real ones:
   cuts what arrived into frames, decodes each and calls the node's
   ``deliver`` before ``buffer_updated`` returns: no task switch, no queue
   and no per-read allocation in between.  A multicast is encoded once, not
-  once per destination.  **Every byte count of this backend is in frame
+  once per destination, and so are the frames a reply is cut into for each
+  agreement node (:func:`repro.net.codec.memoise_cuts`).  A message nested
+  in a received frame keeps the bytes it arrived in, so the receiver
+  digests, checks and forwards it without encoding it again; the frame
+  itself is not kept.  **Every byte count of this backend is in frame
   bytes**: ``send`` counts the length of the frame it made (so
   ``NetworkStats.bytes_sent`` equals ``TransportStats.bytes_on_wire``), and
   the size a node is told it received is the frame's length too
@@ -361,9 +365,9 @@ class _Inbound(asyncio.BufferedProtocol):
     Reads land in the process-wide ``_READ_BUFFER``.  That is safe because
     the loop calls ``get_buffer``, ``recv_into`` and ``buffer_updated`` back
     to back on its one thread, and ``buffer_updated`` has consumed what
-    arrived before it returns: every whole frame is decoded (each field
-    copied out of the buffer) and dispatched, so nothing reads the buffer
-    after the callback.  What a read leaves unfinished is the connection's
+    arrived before it returns: every whole frame is decoded (each field,
+    and each nested message's bytes, copied out of the buffer) and
+    dispatched, so nothing reads the buffer after the callback.  What a read leaves unfinished is the connection's
     own: a frame whose length is known moves to ``_body``, a ``bytearray`` of
     that length which later reads fill in place (of a long frame only what
     the first read held is ever copied); a length prefix cut short waits in

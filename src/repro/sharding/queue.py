@@ -92,9 +92,9 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..agreement.local import RetryOutcome
 from ..config import SystemConfig
-from ..core.message_queue import PendingSend, QueueCore
+from ..core.message_queue import DeliveredBatch, PendingSend, QueueCore
 from ..crypto.certificate import Certificate
-from ..messages.agreement import AgreementCertBody, OrderedBatch, RoutedCertBody
+from ..messages.agreement import AgreementCertBody, RoutedCertBody
 from ..messages.reply import BatchReply
 from ..messages.request import ClientRequest
 from ..multilog.logmap import LogMap
@@ -117,7 +117,7 @@ ShardPart = Tuple[int, int]
 class _Routed(NamedTuple):
     """A delivered batch on its way to release, and what routing fixed."""
 
-    batch: OrderedBatch
+    batch: DeliveredBatch
     route: BatchRoute
     #: the certified slots, one part per shard
     parts: Tuple[ShardPart, ...]
@@ -289,8 +289,8 @@ class ShardRouterQueue(QueueCore):
         the epoch cursors (deliveries run in global order), then release it
         unless a cross-log hold keeps it."""
         body: RoutedCertBody = agreement_certificate.payload
-        batch = self._ordered_batch(seq, view, request_certificates,
-                                    agreement_certificate, nondet)
+        batch = DeliveredBatch(seq, view, request_certificates,
+                               agreement_certificate, nondet)
         route = self._route_of(seq, body.batch_digest, batch.request_certificates)
         del self._routes[seq]
         for shard, shard_seq in body.route:
@@ -339,7 +339,7 @@ class ShardRouterQueue(QueueCore):
                 self.cross_log_markers += 1
             self.cross_log.finish(routed.cut.key)
 
-    def _send_parts(self, batch: OrderedBatch, parts: Tuple[ShardPart, ...]) -> None:
+    def _send_parts(self, batch: DeliveredBatch, parts: Tuple[ShardPart, ...]) -> None:
         """Send ``batch`` to the shard of each certified part; with no part
         (every request was excluded, or the targets all live in another
         log's group) the slot is vacuously answered.  Only the primary's

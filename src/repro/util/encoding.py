@@ -13,7 +13,7 @@ tracer that wraps them sees every encoding made for a digest or a size.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -29,20 +29,6 @@ def estimate_size(value: Any) -> int:
     """The length of ``value``'s encoding: its size on the wire, without
     the body bytes a message only models."""
     return len(canonical_encode(value))
-
-
-def mac_form_size(token: Any) -> Optional[int]:
-    """The bytes an authenticator's ``token`` takes in the codec's MAC form,
-    which carries a vector as fixed-width (node code, MAC) pairs; None when
-    the codec carries it in the tagged form
-    (:func:`repro.net.codec.mac_form_size`)."""
-    return _mac_form_size(token)
-
-
-def _mac_form_size(token: Any) -> Optional[int]:
-    global _mac_form_size
-    from ..net.codec import mac_form_size as _mac_form_size
-    return _mac_form_size(token)
 
 
 def _encode_tagged(value: Any) -> bytes:

@@ -17,9 +17,12 @@ messages, certificates and authenticators one slot holding a
 nodes already charged for it, and -- for a while -- the encoded bytes).  The
 memo therefore lives exactly as long as the object and pins nothing: a
 message the protocol has dropped is freed at once.  It never travels --
-frames carry fields only (:mod:`repro.net.codec`), so a receiver encodes
-what it received itself, and takes its own digests: no authenticator names
-one (:class:`~repro.crypto.certificate.Authenticator`).
+frames carry fields only, and a receiver takes its own digests: no
+authenticator names one (:class:`~repro.crypto.certificate.Authenticator`).
+What a receiver does get is the bytes: the decoder gives a message nested
+in a frame (a certificate's payload, a reply in a bundle) a memo holding
+the slice it was read from, which is its encoding, since the decoder
+accepts only what the encoder writes (:mod:`repro.net.codec`).
 
 **How long the bytes are kept.**  Bytes are what memory goes on, and they
 are wanted for one thing only: to be spliced into a parent, which happens
@@ -40,8 +43,11 @@ once, not once per enclosing ``RequestEnvelope`` / ``PrePrepare`` /
 message it carries (the size drives its bandwidth model and is the census),
 which leaves the nested payloads encoded for whoever digests them next.
 The asyncio transport sizes nothing: sender and receiver both count the
-frame's length, so a node there encodes the payloads it goes on to digest
-and the messages it sends, each once, and splices them from then on.
+frame's length.  A node there encodes the messages it makes, each once,
+and splices them from then on; what it received it digests, checks and
+sends on from the bytes it arrived in.  Frames cut from one message for
+several receivers, alike but for a MAC entry, are encoded once between
+them (:func:`repro.net.codec.memoise_cuts`).
 
 **What a digest covers.**  The object's bytes, save for one class: a reply
 bundle digests as its bodiless view
@@ -57,8 +63,8 @@ per-node honest: the first time a node digests a message it pays
 :data:`WIRE_CACHE` is the process-wide switch, the hit/miss counters and
 the byte budget; it references memos, never messages.
 ``configure(enabled=False)`` restores the uncached behaviour (nothing is
-stored, everything is encoded on demand) -- the benchmark harness uses it
-to measure the before/after delta.
+stored, nothing received keeps its bytes, everything is encoded on demand)
+-- the benchmark harness uses it to measure the before/after delta.
 """
 
 from __future__ import annotations
@@ -208,20 +214,6 @@ def wire_memo(obj: WireMemoised, need: str, count: bool = True) -> Optional[Wire
         memo.digest = (hashlib.sha256(data).digest() if form is obj
                        else wire_digest(form))
     return memo
-
-
-def same_size(obj: WireMemoised, model: WireMemoised) -> None:
-    """Give ``obj`` the encoded length of ``model`` without encoding it.
-    The caller vouches that the two encode equally long -- frames cut from
-    one certificate for different receivers, whose MAC vectors the codec
-    carries as as many fixed-width pairs
-    (:meth:`~repro.messages.reply.BatchReply.addressed_to_each` asks it).
-    Only the size is shared; bytes and digests stay each object's own, made
-    when somebody asks.  ``model`` keeps its bytes, so whoever frames it
-    next splices them."""
-    memo = wire_memo(model, "bytes", count=False)
-    if memo is not None and getattr(obj, "_wire", None) is None:
-        object.__setattr__(obj, "_wire", WireMemo(memo.size))
 
 
 def wire_digest(obj: WireMemoised) -> bytes:

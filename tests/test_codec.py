@@ -8,6 +8,7 @@ import importlib
 import pkgutil
 import tracemalloc
 import typing
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Tuple
 
@@ -24,13 +25,14 @@ from repro.messages.reply import BatchReplyBody, ReplyBody
 from repro.messages.request import EncryptedBody
 from repro.net import codec as codec_module
 from repro.net.codec import (MAX_DEPTH, T_OBJ, T_TUPLE, Codec, decode_reply_table,
-                             default_codec, encode_reply_table)
+                             default_codec, encode_reply_table, standard_types)
 from repro.net.message import CorruptedMessage, Message
 from repro.sharding.messages import handoff_payload, vote_payload
 from repro.statemachine.interface import Operation, OperationResult
 from repro.statemachine.nondet import NonDetInput
 from repro.util.encoding import canonical_encode, estimate_size
 from repro.util.ids import Role, agreement_id, client_id, execution_id, firewall_id
+from repro.util.wirecache import WIRE_CACHE
 
 from test_messages_and_nondet import GOLDEN_WIRE, golden_messages
 
@@ -141,6 +143,54 @@ def _has_sealed(obj) -> bool:
     if isinstance(obj, (tuple, list)):
         return any(_has_sealed(item) for item in obj)
     return False
+
+
+@contextmanager
+def cache_off():
+    """Encode and digest afresh, memos ignored, and seed nothing."""
+    WIRE_CACHE.configure(enabled=False)
+    try:
+        yield
+    finally:
+        WIRE_CACHE.configure(enabled=True)
+
+
+def nested_messages(value, root=True):
+    """Every message inside ``value`` but ``value`` itself: what the decoder
+    seeds a memo on.  Certificates, authenticators and the rest of the
+    registered classes are walked through, not yielded."""
+    if isinstance(value, Message) and not root:
+        yield value
+    if isinstance(value, EncryptedBody):
+        yield from nested_messages(value._plaintext, False)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from nested_messages(getattr(value, field.name), False)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from nested_messages(item, False)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from nested_messages(key, False)
+            yield from nested_messages(item, False)
+
+
+def check_seeded(message) -> int:
+    """A decoded ``message`` (a frame's root) kept no bytes, and each
+    message nested in it keeps bytes that are its fresh encoding, under
+    the digest a fresh copy of it has.  Returns how many were seeded."""
+    assert getattr(message, "_wire", None) is None
+    assert all(getattr(certificate, "_wire", None) is None
+               for certificate in iter_certificates(message))
+    seeded = list(nested_messages(message))
+    assert all(obj._wire.data is not None for obj in seeded)
+    with cache_off():
+        fresh = [canonical_encode(obj) for obj in seeded]
+        digests = [digest(default_codec().decode(Any, data)) for data in fresh]
+    for obj, data, expected in zip(seeded, fresh, digests):
+        assert obj._wire.data == data and obj._wire.size == len(data)
+        assert digest(obj) == expected
+    return len(seeded)
 
 
 # ---------------------------------------------------------------------- #
@@ -313,12 +363,16 @@ class TestReplyTable:
 
 def _decode_or_refuse(codec, data: bytes):
     """Decode ``data``; True if it was refused with :class:`DecodeError`
-    (anything else raised fails the test), else check the re-encoding."""
+    (anything else raised fails the test), else check that it is what a
+    fresh encoding writes and that the nested messages keep true bytes
+    (:func:`check_seeded`)."""
     try:
         sender, message = codec.decode_frame(data)
     except DecodeError:
         return True
-    assert bytes(codec.encode_frame(sender, message)) == data
+    with cache_off():
+        assert bytes(codec.encode_frame(sender, message)) == data
+    check_seeded(message)
     return False
 
 
@@ -464,6 +518,157 @@ class TestRobustness:
     def test_invalid_values_are_refused(self, tp, data):
         with pytest.raises(DecodeError):
             default_codec().decode(tp, data)
+
+
+# ---------------------------------------------------------------------- #
+# Decode once: a nested message keeps the bytes it arrived in.
+# ---------------------------------------------------------------------- #
+
+NODES = (agreement_id(0), execution_id(1), client_id(2), firewall_id(1, 2))
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=6) | st.binary(max_size=12)
+           | st.sampled_from(NODES + tuple(Role)))
+
+
+def _declared():
+    """Registered class -> ``(tag, its fields as (name, spec), build)``."""
+    codec = default_codec()
+    table = {}
+    for tag, cls, declared, build in standard_types()[1]:
+        if declared is None:
+            hints = typing.get_type_hints(cls)
+            declared = [(field.name, hints[field.name])
+                        for field in dataclasses.fields(cls)]
+        table[cls] = (tag, [(name, codec._spec(tp)) for name, tp in declared],
+                      build)
+    return table
+
+
+DECLARED = _declared()
+MESSAGE_CLASSES = sorted((cls for cls in DECLARED if issubclass(cls, Message)),
+                         key=lambda cls: cls.__name__)
+
+
+def _of(spec, depth):
+    """A strategy for the values a field of ``spec`` holds (the codec's
+    specs: :meth:`Codec._spec`)."""
+    kind = spec[0]
+    if kind == "int":
+        return st.integers(-(1 << 63), (1 << 63) - 1)
+    if kind == "float":
+        return st.floats()
+    if kind == "bool":
+        return st.booleans()
+    if kind == "bytes":
+        return st.binary(max_size=12)
+    if kind == "str":
+        return st.text(max_size=6)
+    if kind == "node":
+        return st.sampled_from(NODES)
+    if kind in ("enum", "fset"):
+        members = st.sampled_from(default_codec()._enums[spec[1]])
+        return members if kind == "enum" else st.frozensets(members)
+    if kind == "opt":
+        return st.none() | _of(spec[1], depth)
+    if kind == "seq":
+        return st.lists(_of(spec[1], depth), max_size=2).map(tuple)
+    if kind == "tuple":
+        return st.tuples(*(_of(item, depth) for item in spec[1]))
+    if kind == "dict":
+        return st.dictionaries(_of(spec[1], depth), _of(spec[2], depth), max_size=2)
+    if kind == "token":
+        return (st.dictionaries(st.sampled_from([node.name for node in NODES]),
+                                st.binary(min_size=32, max_size=32), max_size=3)
+                | st.binary(max_size=12))
+    if kind == "cls":
+        cls = next(cls for cls, (tag, _, _) in DECLARED.items() if tag == spec[1])
+        return _built(cls, depth + 1)
+    assert kind == "any"
+    if depth >= 3:
+        return _LEAVES
+    return _LEAVES | st.lists(_LEAVES, max_size=2).map(tuple) | st.sampled_from(
+        sorted(DECLARED, key=lambda cls: cls.__name__)).flatmap(
+            lambda cls: _built(cls, depth + 1))
+
+
+def _built(cls, depth=0):
+    """A strategy for objects of the registered class ``cls``, any field
+    values its wire form can carry."""
+    _, declared, build = DECLARED[cls]
+    values = st.tuples(*(_of(spec, depth) for _, spec in declared))
+    if build is not None:
+        return values.map(lambda args: build(*args))
+    return values.map(lambda args: cls(**{name: value for (name, _), value
+                                          in zip(declared, args)}))
+
+
+class TestDecodeOnce:
+    """A nested message keeps the slice of the frame it was decoded from as
+    its memoised encoding (:mod:`repro.net.codec`): it must be exactly
+    what a fresh encoding of it writes, under the same digest."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WIRE))
+    def test_golden_frames(self, frames, name):
+        _, message = default_codec().decode_frame(frames[name])
+        assert check_seeded(message) == len(list(nested_messages(message)))
+
+    def test_golden_frames_seed_their_payloads(self, frames):
+        seeded = {name: check_seeded(default_codec().decode_frame(frame)[1])
+                  for name, frame in frames.items()}
+        assert seeded["RequestEnvelope"] == 1 and seeded["ClientReply"] >= 2
+        assert seeded["BatchTransfer"] >= 1 and seeded["BatchReply"] >= 1
+
+    @pytest.mark.parametrize("cls", MESSAGE_CLASSES, ids=lambda cls: cls.__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_built_messages(self, cls, data):
+        message = data.draw(_built(cls))
+        codec = default_codec()
+        frame = bytes(codec.encode_frame(SENDER, message))
+        assert not _decode_or_refuse(codec, frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(GOLDEN_FRAMES)), data=st.data())
+    def test_a_changed_byte(self, frames, name, data):
+        """Any one byte changed: refused, or what it decodes to keeps true
+        bytes and digests."""
+        frame = bytearray(frames[name])
+        position = data.draw(st.integers(0, len(frame) - 1))
+        frame[position] = data.draw(st.integers(0, 255).filter(
+            lambda value: value != frame[position]))
+        _decode_or_refuse(default_codec(), bytes(frame))
+
+    def test_nothing_is_seeded_with_the_cache_off(self, frames):
+        with cache_off():
+            _, message = default_codec().decode_frame(frames["ClientReply"])
+        assert all(getattr(obj, "_wire", None) is None
+                   for obj in nested_messages(message))
+
+
+class TestEncodeOnce:
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_cut_frames_are_their_own_encodings(self, g):
+        """A bodiless reply cut for each agreement node: the first frame is
+        encoded and the others written from its bytes, so no other frame's
+        certificate is ever encoded; each frame's memoised bytes are what
+        a fresh encoding of it writes."""
+        from conftest import make_config
+        from repro.apps.counter import CounterService, increment
+        from repro.core import SeparatedSystem
+        from test_crypto import _bodiless_reply
+
+        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
+        system.invoke(increment(1))
+        whole = _bodiless_reply(system)
+        frames = whole.addressed_to_each(system.agreement_ids)
+        assert len(frames) == len(system.agreement_ids)
+        assert all(frame.certificate.payload is whole.body for frame in frames)
+        assert frames[0].certificate._wire is not None
+        assert all(frame.certificate._wire is None for frame in frames[1:])
+        memos = [frame._wire.data for frame in frames]
+        with cache_off():
+            assert [canonical_encode(frame) for frame in frames] == memos
+        assert len(set(memos)) == len(frames)
 
 
 # ---------------------------------------------------------------------- #

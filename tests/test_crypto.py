@@ -622,31 +622,13 @@ class TestWhoEachVectorAddresses:
         assert (signed.addressed_to(nodes[:1]).authenticators[agreement_id(2)]
                 is signed.authenticators[agreement_id(2)])
 
-    @pytest.mark.parametrize("g", [1, 2])
-    def test_frames_of_one_shape_are_sized_once_and_exactly(self, g):
-        """A bodiless reply cut for each agreement node: only the first
-        frame is encoded to size them, and every frame's size is the
-        length of its own encoding."""
-        from conftest import make_config
-        from repro.apps.counter import CounterService, increment
-        from repro.core import SeparatedSystem
-        from repro.util.encoding import canonical_encode
-
-        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
-        system.invoke(increment(1))
-        whole = _bodiless_reply(system)
-        frames = whole.addressed_to_each(system.agreement_ids)
-        assert all(frame.certificate.payload is whole.body for frame in frames)
-        assert all(frame._wire is not None and frame._wire.data is None
-                   for frame in frames[1:])
-        assert all(frame.wire_size() == len(canonical_encode(frame))
-                   for frame in frames)
-
     @pytest.mark.parametrize("token", [
         "lacking", "short-mac", "not-a-vector"])
     def test_frames_of_other_shapes_are_each_encoded(self, token):
         """Where the cut vectors differ in length, or the codec carries one
-        in the tagged form, no frame is sized from another."""
+        in the tagged form, no frame is written from another's bytes: each
+        is encoded when it is sent (the frames of one shape:
+        ``test_codec.py::TestEncodeOnce``)."""
         from conftest import make_config
         from repro.apps.counter import CounterService, increment
         from repro.core import SeparatedSystem

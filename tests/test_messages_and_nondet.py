@@ -56,6 +56,7 @@ from repro.sharding.messages import (
 )
 from repro.statemachine.interface import Operation, OperationResult
 from repro.statemachine.nondet import AbstractionLayer, NonDeterminismResolver, NonDetInput
+from repro.util.encoding import canonical_encode
 from repro.util.ids import Role, agreement_id, client_id, execution_id
 from repro.util.wirecache import WIRE_CACHE, wire_memo
 
@@ -682,9 +683,22 @@ class TestWireMemo:
             assert after == before
             copy = codec.decode(Any, after)
             assert copy == message
-            assert getattr(copy, "_wire", None) is None
+            # nothing of the sender's memo travels: a decoded message keeps
+            # the bytes it was read from, in a memo of its own, and nothing
+            # else (no digest, no charges); a certificate keeps none
+            memo = getattr(copy, "_wire", None)
+            if isinstance(copy, Certificate):
+                assert memo is None
+            else:
+                assert memo is not message._wire and memo.data == after
+                assert memo.digest is None and memo._charged is None
             # the receiver's own encoding of what it received is the same
             assert _encoded(copy) == encoded
+            WIRE_CACHE.configure(enabled=False)
+            try:
+                assert canonical_encode(copy) == encoded
+            finally:
+                WIRE_CACHE.configure(enabled=True)
 
     def test_wire_size_keeps_the_size_only(self):
         _, cert = self._certificate()

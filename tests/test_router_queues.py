@@ -25,6 +25,7 @@ from repro.config import (AuthenticationScheme, CrossShardConfig,
 from repro.core import SeparatedSystem
 from repro.core.message_queue import MessageQueue, QueueCore
 from repro.messages.request import ClientRequest
+from repro.net.network import DROP
 from repro.multilog.queue import MultiLogRouterQueue
 from repro.sharding import MapChange, ShardedSystem
 from repro.sharding.queue import ShardRouterQueue
@@ -185,3 +186,60 @@ class TestRetryHint:
         certificate = client.crypto.new_certificate(
             request, AuthenticationScheme.MAC, client.request_verifiers)
         assert queue.retry_hint(certificate) is RetryOutcome.NEED_ORDER
+
+
+# ---------------------------------------------------------------------- #
+# The batch a slot sends downstream is built when it is first sent.
+# ---------------------------------------------------------------------- #
+
+
+class TestDownstreamBatch:
+    @pytest.mark.parametrize("build", [
+        lambda: SeparatedSystem(make_config(), KeyValueStore, seed=62),
+        lambda: sharded_system()], ids=["separated", "one-log"])
+    def test_built_by_whoever_sends_it_first(self, build, monkeypatch):
+        """Fault-free only the primary's queue sends a slot downstream, so
+        no backup builds the cut batch; when the primary's copy is lost,
+        each backup builds it on its retransmission timer, and it is the
+        batch the primary would have sent, under the agreement certificate
+        that backup assembled."""
+        system = build()
+        built = []
+        ordered_batch = QueueCore._ordered_batch
+
+        def recording(queue, batch):
+            if batch.ordered is None:
+                built.append((queue.owner.node_id, batch.seq))
+            return ordered_batch(queue, batch)
+
+        monkeypatch.setattr(QueueCore, "_ordered_batch", recording)
+        primary = system.agreement_ids[0]
+        system.invoke(put("k", "v"))
+        assert built == [(primary, 1)]
+        sent = []
+
+        def tap(source, destination, message):
+            if type(message).__name__ == "OrderedBatch":
+                sent.append((source, message))
+                if source == primary:
+                    return DROP
+            return None
+
+        system.network.add_tap(tap)
+        system.invoke(put("k", "w"))
+        backups = system.agreement_ids[1:]
+        assert sorted(built[1:]) == sorted([(primary, 2)] + [
+            (backup, 2) for backup in backups])
+        by_source = {}
+        for source, message in sent:
+            by_source.setdefault(source, message)
+            assert message is by_source[source]   # one object per slot
+        assert set(backups) <= set(by_source)
+
+        def agreed(batch):
+            """All but the COMMIT authenticators each replica assembled."""
+            return (batch.seq, batch.view, batch.nondet, batch.request_certificates,
+                    batch.agreement_certificate.payload)
+
+        assert all(agreed(by_source[backup]) == agreed(by_source[primary])
+                   for backup in backups)

@@ -42,6 +42,7 @@ from repro.sharding.system import ShardedSystem
 from repro.sim.process import Process
 from repro.statemachine.interface import Operation
 from repro.util.ids import agreement_id, client_id, execution_id, server_id
+from repro.util.wirecache import WIRE_CACHE
 
 
 def _runtime_config(backend: str, charge_scale: float = 0.0) -> RuntimeConfig:
@@ -121,13 +122,21 @@ class TestBackendParity:
         finally:
             real.close()
 
-    @pytest.mark.parametrize("charge_scale", [0.0, 0.01])
-    def test_same_committed_state_across_backends(self, charge_scale):
+    @pytest.mark.parametrize("charge_scale, cached", [
+        pytest.param(0.0, True, id="0.0"), pytest.param(0.01, True, id="0.01"),
+        pytest.param(0.0, False, id="0.0-uncached")])
+    def test_same_committed_state_across_backends(self, charge_scale, cached):
         """Charges are free at scale 0; above it every one is burned as
-        real CPU on the event loop (the cost emulation's path)."""
+        real CPU on the event loop (the cost emulation's path).  With the
+        wire cache off nothing is memoised: every frame, digest and MAC is
+        over a fresh encoding, and no received message keeps its bytes."""
         sim_values, sim_states = _run_backend(_runtime_config("sim"))
-        real_values, real_states = _run_backend(
-            _runtime_config("asyncio", charge_scale=charge_scale))
+        WIRE_CACHE.configure(enabled=cached)
+        try:
+            real_values, real_states = _run_backend(
+                _runtime_config("asyncio", charge_scale=charge_scale))
+        finally:
+            WIRE_CACHE.configure(enabled=True)
         assert real_values == sim_values
         # Every execution replica converged to the same store, and the
         # stores agree across backends.
@@ -539,6 +548,64 @@ class TestTransport:
             assert len(encoded) == len(distinct) == 25
             assert system.network.transport.frames_delivered == \
                 system.network.transport.frames_sent
+        finally:
+            system.close()
+
+    def test_no_receiver_encodes_what_it_decoded(self, monkeypatch):
+        """On one unbatched commit every message nested in a received frame
+        -- a request, a reply bundle, a carried reply, an agreement body --
+        keeps the bytes it arrived in: whatever the receiver digests,
+        checks or sends on is spliced from them, never encoded again.  And
+        each execution replica encodes one of the frames its bodiless reply
+        goes upstream in; the others are written from its bytes."""
+        from test_codec import nested_messages
+
+        timers = TimerConfig(client_retransmit_ms=5_000.0,
+                             agreement_retransmit_ms=2_000.0)
+        system = SeparatedSystem(
+            make_config(runtime=_runtime_config("asyncio"), timers=timers,
+                        checkpoint_interval=1_000), KeyValueStore, seed=4)
+        try:
+            system.invoke(put("warm", "up"), timeout_ms=30_000)
+            system.run(30.0)
+            codec = system.network.codec
+            decode_frame, keep = codec.decode_frame, WIRE_CACHE.keep
+            decoded, kept, upstream = [], [], []
+
+            def decoding(body):
+                sender, message = decode_frame(body)
+                decoded.extend((obj, len(kept)) for obj in nested_messages(message))
+                return sender, message
+
+            def keeping(memo, data):
+                kept.append(memo)
+                keep(memo, data)
+
+            monkeypatch.setattr(codec, "decode_frame", decoding)
+            monkeypatch.setattr(WIRE_CACHE, "keep", keeping)
+            executors = set(system.execution_ids)
+            system.network.add_tap(
+                lambda source, destination, message: upstream.append(
+                    (source, message)) if source in executors
+                and type(message).__name__ == "BatchReply" else None)
+            system.invoke(put("k", "v"), timeout_ms=30_000)
+            system.run(30.0)
+            # 7 requests (the client's 4, 3 forwarded by backups), 3 agreement
+            # bodies, 12 + 3 reply bundles and 2 carried replies
+            assert len(decoded) == 27
+            # none was encoded after it was decoded: each was memoised as it
+            # was decoded
+            assert sum(memo is getattr(obj, "_wire", None)
+                       for obj, after in decoded for memo in kept[after:]) == 0
+            assert all(getattr(obj, "_wire", None) in kept[:after]
+                       for obj, after in decoded)
+            encoded = {}
+            for source, frame in upstream:
+                encoded.setdefault(source, []).append(
+                    frame.certificate._wire is not None)
+            assert sorted(encoded) == sorted(executors)
+            assert all(sorted(flags) == [False] * 3 + [True]
+                       for flags in encoded.values())
         finally:
             system.close()
 
