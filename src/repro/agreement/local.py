@@ -51,7 +51,8 @@ class LocalExecutor(ABC):
                    relayed: bool = False) -> RetryOutcome:
         """Handle a client-initiated retransmission of an old request;
         ``relayed`` when a backup passed it to this primary rather than the
-        client sending it here."""
+        client sending it here.  ``NEED_ORDER`` has the proposer order the
+        request again if the client sent this copy itself."""
 
     def route_body(self, body: AgreementCertBody,
                    requests: Tuple[Certificate, ...]) -> Optional[AgreementCertBody]:

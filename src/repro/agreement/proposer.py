@@ -115,9 +115,12 @@ class Proposer:
         if request.timestamp <= self.ordered_timestamp.get(request.client, -1):
             # Retransmission of a request we have already ordered: let the
             # local state machine serve a cached reply or resend pending
-            # certificates; only re-run agreement if it has no trace of it.
+            # certificates; only re-run agreement if it has no trace of it,
+            # and only for the client's own copy -- a copy a backup relayed
+            # is one more of that same retransmission.
             relayed = sender != request.client
-            if replica.local.retry_hint(certificate, relayed) is RetryOutcome.HANDLED:
+            if (replica.local.retry_hint(certificate, relayed) is RetryOutcome.HANDLED
+                    or relayed):
                 return
         self._admit(certificate, request)
 

@@ -266,6 +266,53 @@ class TestLivenessWithoutTheRelay:
         assert [node.requests_executed for node in system.execution_nodes] \
             == [1, 1, 1]
 
+    def test_a_retransmission_is_ordered_again_once(self, config):
+        """The one retransmission finds no queue holding the executed
+        request, so the primary orders it again -- for the client's own
+        copy only, not again for each copy a backup relays: each replica
+        executes one more batch, where it executed four more when every
+        copy was ordered (``duplicate_requests`` 4, ``batches_executed``
+        5)."""
+        system = SeparatedSystem(config, CounterService, seed=61)
+        executors = set(system.execution_ids)
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if source in executors and isinstance(message, ClientReply)
+            else None)
+        assert system.invoke(increment(1)).result.value == 1
+        assert system.clients[0].retransmissions == 1
+        system.run(50.0)
+        assert [(node.duplicate_requests, node.batches_executed)
+                for node in system.execution_nodes] == [(1, 2)] * 3
+
+    def test_a_retransmission_the_primary_only_hears_relayed(self, config):
+        """The client's first retransmission reaches the primary only
+        through the backups, and every answer to it is lost: nothing orders
+        it again, and the client's next retransmission -- which the primary
+        hears itself -- completes it."""
+        system = SeparatedSystem(config, CounterService, seed=61)
+        executors = set(system.execution_ids)
+        client = system.clients[0]
+        primary = system.agreement_ids[0]
+        system.network.add_tap(
+            lambda source, destination, message:
+            DROP if client.retransmissions < 2 and (
+                (source == client.node_id and destination == primary
+                 and client.retransmissions == 1)
+                or (source in executors and message.type_name() == "BatchReply"
+                    and message.body.carried))
+            else DROP if source in executors and isinstance(message, ClientReply)
+            else None)
+        record = system.invoke(increment(1))
+        assert record.result.value == 1
+        assert client.retransmissions == 2
+        system.run(50.0)
+        assert [node.requests_executed for node in system.execution_nodes] \
+            == [1, 1, 1]
+        # ordered again once: on the copy the client sent the primary
+        assert [node.batches_executed for node in system.execution_nodes] \
+            == [2, 2, 2]
+
     def test_a_retransmission_resends_the_signed_request(self, config):
         """A client's retransmission timer signs nothing: every agreement
         node is sent the very envelope the client signed the first time."""
