@@ -1147,13 +1147,13 @@ def memoise_cuts(frames: Sequence[Any], vectors: Sequence[Sequence[Any]]) -> Non
         data = codec._memo_bytes[type(first)](first, 0)
         offsets = {id(token): offset for buffer, offset, token in _MARKS
                    if buffer is data}
+        written = len(_MARKS)
     finally:
         _MARKS.recording = False
-        written = len(_MARKS)
         _MARKS.clear()
-    if written != len(offsets) or sorted(offsets) != sorted(map(id, vectors[0])):
-        return
-    at = [offsets[id(token)] for token in vectors[0]]
+    at = [offsets.get(id(token)) for token in vectors[0]]
+    if written != len(offsets) or len(offsets) != len(at) or None in at:
+        return   # a listed vector not written here, or written twice
     pair = _mac_vector(1)
     for frame, frame_pairs in zip(frames[1:], pairs[1:]):
         out = bytearray(data)
