@@ -36,7 +36,9 @@ receiver relays it to (``Certificate.addressed_to``): a ``BatchReply`` to
 an agreement node names that node, a ``ClientReply`` -- direct, relayed
 or from a queue's cache -- its client, and a retry answer the queue and
 the client.  The frames share the body object and its wire memo, so only
-the small wrapper is encoded per destination.
+the small wrapper is encoded per destination -- and the agreement nodes'
+frames, alike but for their one MAC entry, are encoded once between them
+(:meth:`BatchReply.addressed_to_each`).
 """
 
 from __future__ import annotations
