@@ -116,11 +116,12 @@ class Proposer:
             # Retransmission of a request we have already ordered: let the
             # local state machine serve a cached reply or resend pending
             # certificates; only re-run agreement if it has no trace of it,
-            # and only for the client's own copy -- a copy a backup relayed
-            # is one more of that same retransmission.
+            # and only at the primary, for the client's own copy -- a copy
+            # a backup relayed is one more of that same retransmission, and
+            # a backup's forward would be such a copy.
             relayed = sender != request.client
             if (replica.local.retry_hint(certificate, relayed) is RetryOutcome.HANDLED
-                    or relayed):
+                    or relayed or not replica.is_primary):
                 return
         self._admit(certificate, request)
 

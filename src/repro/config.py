@@ -670,7 +670,8 @@ class SystemConfig:
         useful for MAC certificates, where the client can count matching
         partials itself.  Both ends read it: where it holds, every
         agreement node gets bodiless reply certificates (they retire its
-        pending sends and nothing else), ``g + 1`` of the ``2g + 1``
+        pending sends and nothing else), assembled by the primary of the
+        slot's view and relayed to the others, ``g + 1`` of the ``2g + 1``
         replicas carry each client its reply and the others send the
         bodiless view, and a queue relays -- and caches -- only the answer
         to a retransmission it passed on to the replicas.

@@ -17,10 +17,15 @@ peers.
 
 A replica MACs each reply bundle once, for every node that may check it,
 and keeps that whole partial certificate (``replies_by_seq``); what it
-sends is cut per frame to the receiver's entry -- and, in the answer to a
-retransmission an agreement node passed on, the client's, since that node
-relays it (:mod:`repro.messages.reply`).  The request certificates of the
-batches it receives name only the nodes downstream of agreement.
+sends is cut per frame to the receiver's entry and those of the nodes the
+receiver relays it to (:mod:`repro.messages.reply`).  Where clients get
+their replies directly, a slot's bodiless partial goes upstream once, to
+the primary of the slot's view, which relays the completed certificate to
+the other agreement nodes -- so it names them all; a retransmitted batch
+is answered to every agreement node, each frame naming its receiver
+alone; and the answer to a retransmission an agreement node passed on
+names that node and the client.  The request certificates of the batches
+it receives name only the nodes downstream of agreement.
 """
 
 from __future__ import annotations
@@ -198,9 +203,13 @@ class ExecutionNode(Process):
                         for cert in verified))
 
     def _resend_replies(self, batch: OrderedBatch) -> None:
+        """Answer a retransmitted batch to every upstream node, each its
+        own frame: a queue retransmits because its reply did not come, so
+        the primary's relay is not waited for (a backup whose primary
+        crashed, stalls or withholds relays retires its sends here)."""
         cached = self.replies_by_seq.get(batch.seq)
         if cached is not None:
-            self._send_upstream(cached)
+            self._resend_upstream(cached)
             return
         # The batch-level reply was garbage collected; answer per client from
         # the reply table (each answer is a fresh partial certificate over the
@@ -214,7 +223,8 @@ class ExecutionNode(Process):
             last = self.reply_table.get(request.client)
             if last is None:
                 continue
-            self._send_reply(self._make_reply_body(last.view, last.seq, (last,)))
+            self._resend_upstream(self._send_reply(
+                self._make_reply_body(last.view, last.seq, (last,))))
 
     def _process_pending(self) -> None:
         while (self.max_executed + 1) in self.pending:
@@ -277,8 +287,9 @@ class ExecutionNode(Process):
         the checkpoint if one falls on it."""
         self.max_executed = seq
         self.batches_executed += 1
-        body = self._make_reply_body(view, seq, replies)
-        self.replies_by_seq[seq] = self._send_reply(body)
+        message = self._send_reply(self._make_reply_body(view, seq, replies))
+        self.replies_by_seq[seq] = message
+        self._send_upstream(message)
         self._trim_reply_cache()
         if seq % self.config.checkpoint_interval == 0:
             self._take_checkpoint(seq)
@@ -338,15 +349,15 @@ class ExecutionNode(Process):
         return (index - seq) % len(self.execution_ids) >= self.config.g
 
     def _send_reply(self, body: BatchReplyBody) -> BatchReply:
-        """Build this node's partial reply certificate and send it.
+        """Build this node's partial reply certificate, send the clients
+        theirs, and return what goes upstream.
 
-        Where clients get their replies directly, every upstream node gets
-        the bodiless form -- a quorum of matching digests retires the slot
-        -- and each client its own view of the bundle, or the bodiless form
-        too (:meth:`_carries_replies`); every frame's MAC vector names its
-        receiver alone.  Otherwise every upstream node gets the whole
-        bundle to relay.  Returns what went upstream with the whole vector,
-        kept for resends.
+        Where clients get their replies directly, each client gets its own
+        view of the bundle, or the bodiless form (:meth:`_carries_replies`),
+        under a vector naming it alone, and upstream goes the bodiless
+        form: a quorum of matching digests retires the slot.  Otherwise
+        upstream goes the whole bundle, to relay.  The vector of what is
+        returned is whole: it is kept for resends.
         """
         certificate = self._partial_certificate(body)
         if self.config.direct_replies and body.replies:
@@ -356,16 +367,28 @@ class ExecutionNode(Process):
                 self.send(client, ClientReply.for_client(certificate, client)
                           if carries else ClientReply(bodiless.addressed_to((client,))))
             certificate = bodiless
-        message = BatchReply(seq=body.seq, certificate=certificate,
-                             sender=self.node_id)
-        self._send_upstream(message)
-        return message
+        return BatchReply(seq=body.seq, certificate=certificate,
+                          sender=self.node_id)
 
     def _send_upstream(self, message: BatchReply) -> None:
-        """Send ``message`` to every upstream node: where clients get their
-        replies directly, each its own frame naming it alone (an agreement
-        node relays no bodiless certificate), the body shared; otherwise
-        the one object, which the firewall or the agreement nodes relay."""
+        """Send a slot's reply upstream the first time.  Where clients get
+        their replies directly, it goes to the primary of the slot's view
+        alone, its vector naming every upstream node: the primary's queue
+        completes the certificate and relays it to the others, each in a
+        frame cut to it.  Otherwise every upstream node gets the one
+        object, which the firewall or the agreement nodes relay on."""
+        if self.config.direct_replies:
+            upstream = self.upstream
+            self.send(upstream[message.body.view % len(upstream)], BatchReply(
+                seq=message.seq, sender=self.node_id,
+                certificate=message.certificate.addressed_to(upstream)))
+        else:
+            self.multicast(self.upstream, message)
+
+    def _resend_upstream(self, message: BatchReply) -> None:
+        """Send ``message`` again to every upstream node: where clients
+        get their replies directly, each its own frame naming it alone,
+        the body shared; otherwise the one object."""
         if not self.config.direct_replies:
             self.multicast(self.upstream, message)
             return

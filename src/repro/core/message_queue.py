@@ -15,10 +15,15 @@ optional per-client reply cache ``cache_c``.
   that and all lower sequence numbers and cancels their timers.  One rule
   decides the rest: a queue caches and relays every *complete* certificate
   it assembles.  Where the execution replicas answer clients themselves
-  (``SystemConfig.direct_replies``) every queue receives the bodiless
-  certified form (header plus per-reply digests, same digest): it retires
-  pending sends and frees the pipeline, and there is nothing to cache or
-  relay -- the clients already hold the replies.  Otherwise (privacy
+  (``SystemConfig.direct_replies``) a certificate is the bodiless certified
+  form (header plus per-reply digests, same digest): it retires pending
+  sends and frees the pipeline, and there is nothing to cache or relay to
+  a client -- the clients already hold the replies.  The replicas send
+  their partials to the primary of the slot's view alone, and its queue
+  relays the completed certificate to every other agreement node, which
+  verifies its ``g + 1`` authenticators; a queue whose primary never
+  relays retires the slot through its own retransmission timer, which
+  every replica answers to every agreement node.  Otherwise (privacy
   firewall, threshold or signature certificates) every queue receives the
   bundle and relays each client its reply.
 * ``retryHint`` serves client-initiated retransmissions from the cache, or
@@ -146,6 +151,8 @@ class QueueCore(LocalExecutor):
         #: the assembly of their answers (:meth:`_on_retry_answer`)
         self._retries: Dict[NodeId, Dict[Tuple[int, bytes], Optional[Certificate]]] = {}
         self.highest_reply_seq = 0
+        #: the other agreement nodes, once :meth:`_backups` needs them
+        self._others: Optional[Tuple[NodeId, ...]] = None
 
         # Statistics used by benchmarks and tests.
         self.batches_sent = 0
@@ -153,6 +160,8 @@ class QueueCore(LocalExecutor):
         self.retransmissions = 0
         self.cache_hits = 0
         self.requests_forwarded = 0
+        #: bodiless reply certificates relayed to the backups
+        self.certificates_relayed = 0
 
         # Observability (passive: never charges, never schedules).
         self._c_batches_sent = owner.metrics.counter("queue.batches_sent")
@@ -278,6 +287,19 @@ class QueueCore(LocalExecutor):
         return message.well_formed and (message.body.complete
                                         or self.config.direct_replies)
 
+    def _backups(self, view: int) -> Tuple[NodeId, ...]:
+        """Where this queue relays a bodiless reply certificate for a slot
+        delivered in ``view``: where the replicas answer clients directly
+        they send it to that view's primary alone, whose queue relays it to
+        the other agreement nodes; any other queue relays it nowhere."""
+        if not self.config.direct_replies or not self._owner_is_primary(view):
+            return ()
+        if self._others is None:
+            own = self.owner.node_id
+            self._others = tuple(node for node in self.owner.agreement_ids
+                                 if node != own)
+        return self._others
+
     def _assemble_into(self, collectors: Dict[Tuple[int, bytes], Optional[Certificate]],
                        sender: NodeId, certificate: Certificate,
                        universe: List[NodeId], group: Optional[str],
@@ -289,7 +311,8 @@ class QueueCore(LocalExecutor):
         authenticator merges into ``collectors`` by ``(seq, body digest)``;
         shares count in this queue's ``group``, whatever group a partial
         names.  A MAC vector names this node and else only ``relays``, the
-        clients the queue relays the certificate to."""
+        nodes the queue relays the certificate to: a slot's at the primary
+        of its view (:meth:`_backups`), a retry answer's client."""
         body = certificate.payload
         if (certificate.scheme is AuthenticationScheme.THRESHOLD
                 and certificate.threshold_signature is not None):
@@ -304,11 +327,13 @@ class QueueCore(LocalExecutor):
         """Cache a complete certified bundle for each client it answers and
         relay each one its reply, under a certificate that names that
         client alone (:meth:`ClientReply.for_client`; the cache keeps the
-        whole one).  A bodiless certificate -- what every
-        queue assembles where the replicas answer clients directly -- has
-        nothing to cache or relay."""
+        whole one).  A bodiless certificate -- what the queues assemble
+        where the replicas answer clients directly -- has nothing to cache
+        and no client to relay to: the primary of its view relays it to
+        each other agreement node (:meth:`_relay_to_backups`)."""
         body = certificate.payload
         if not body.complete:
+            self._relay_to_backups(certificate)
             return
         for reply in body.replies:
             cached = self.cache.get(reply.client)
@@ -318,6 +343,27 @@ class QueueCore(LocalExecutor):
                 certificate, reply.client))
             self.replies_forwarded += 1
             self._c_replies_forwarded.inc()
+
+    def _relay_to_backups(self, certificate: Certificate) -> None:
+        """Relay a bodiless reply certificate this queue completed as the
+        primary of its view to each backup it is good for -- every vector
+        names that backup (a resend names its receiver alone; a certificate
+        an agreement node handed over whole may carry anything beside its
+        ``g + 1``) -- in a frame cut to it.  The backup checks all ``g + 1``
+        authenticators, and retires its pending sends as if it had
+        assembled the certificate."""
+        tokens = [authenticator.token
+                  for authenticator in certificate.authenticators.values()]
+        backups = [node for node in self._backups(certificate.payload.view)
+                   if all(isinstance(token, dict) and node.name in token
+                          for token in tokens)]
+        if not backups:
+            return
+        relay = BatchReply(seq=certificate.payload.seq, certificate=certificate,
+                           sender=self.owner.node_id)
+        for node, frame in zip(backups, relay.addressed_to_each(backups)):
+            self.owner.send(node, frame)
+        self.certificates_relayed += 1
 
     def _forward_request(self, request_certificate: Certificate,
                          replicas: List[NodeId], relayed: bool) -> None:
@@ -444,7 +490,8 @@ class MessageQueue(QueueCore):
             self._on_retry_answer(sender, message, self.execution_ids)
             return
         full = self._assemble_into(self._collectors, sender, message.certificate,
-                                   self.execution_ids, self.threshold_group)
+                                   self.execution_ids, self.threshold_group,
+                                   self._backups(message.body.view))
         if full is not None:
             self._accept_reply(full)
 

@@ -20,8 +20,10 @@ siblings as digests) and the *bodiless* form (every reply as its digest,
 ``view_for(None)``).  Where execution replicas answer clients directly,
 each result crosses the wire ``g + 1`` times (PBFT's digest replies):
 
-* every agreement node gets a replica's bodiless form -- a quorum of
-  matching digests retires the slot;
+* the primary of the slot's view gets each replica's bodiless form -- a
+  quorum of matching digests retires the slot -- and relays the completed
+  certificate to every other agreement node (every replica answers a
+  retransmitted batch to every agreement node);
 * ``g + 1`` of the ``2g + 1`` replicas send each client its view, the
   other ``g`` the bodiless form (which replicas rotates with the sequence
   number), and the client counts a bodiless partial only towards a
@@ -32,13 +34,14 @@ each result crosses the wire ``g + 1`` times (PBFT's digest replies):
 
 A replica MACs its partial for every node that may check it, once, and
 each frame carries the entries of its receiver and of the nodes that
-receiver relays it to (``Certificate.addressed_to``): a ``BatchReply`` to
-an agreement node names that node, a ``ClientReply`` -- direct, relayed
+receiver relays it to (``Certificate.addressed_to``): a replica's
+``BatchReply`` to the primary names every agreement node, a relayed or
+resent one names its receiver alone, a ``ClientReply`` -- direct, relayed
 or from a queue's cache -- its client, and a retry answer the queue and
 the client.  The frames share the body object and its wire memo, so only
-the small wrapper is encoded per destination -- and the agreement nodes'
-frames, alike but for their one MAC entry, are encoded once between them
-(:meth:`BatchReply.addressed_to_each`).
+the small wrapper is encoded per destination -- and frames alike but for
+their MAC entries (the primary's relays, a replica's resends) are encoded
+once between them (:meth:`BatchReply.addressed_to_each`).
 """
 
 from __future__ import annotations
@@ -195,7 +198,9 @@ class BatchReply(_CertifiedReplies, Message):
     row, or the client assembles partials into a full certificate with
     ``g + 1`` distinct signers or one combined threshold signature.  With
     direct replies the body is bodiless, except in the answer to a
-    retransmission an agreement node passed on (module docstring).
+    retransmission an agreement node passed on, and the primary of the
+    slot's view relays the full certificate to the other agreement nodes
+    in one too (module docstring).
     """
 
     seq: int
@@ -207,7 +212,7 @@ class BatchReply(_CertifiedReplies, Message):
         it: each MAC vector cut to that node's entry, the body (and its
         wire memo) shared.  The frames differ in those entries only, so the
         codec encodes the first and writes each other one's bytes from it
-        (:func:`~repro.net.codec.memoise_cuts`)."""
+        when they are asked for (:func:`~repro.net.codec.memoise_cuts`)."""
         frames = [BatchReply(seq=self.seq, sender=self.sender,
                              certificate=self.certificate.addressed_to((node,)))
                   for node in nodes]

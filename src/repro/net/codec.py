@@ -24,10 +24,10 @@ certificates and authenticators, which receivers check through their
 payloads' digests and rarely send on as they are.  Seeded bytes are kept
 under :data:`~repro.util.wirecache.WIRE_CACHE`'s budget, and nothing is
 seeded while it is off.  On the way out, frames cut from one message for
-several receivers (a reply naming each agreement node alone) are encoded
-once: :func:`memoise_cuts` encodes the first and writes each other one's
-bytes by putting that frame's ``(node code, MAC)`` pairs where the encoder
-recorded writing the first's.
+several receivers (a reply certificate the primary relays to each backup)
+are encoded once: :func:`memoise_cuts` encodes the first, gives each other
+one its size, and writes its bytes when asked by putting that frame's
+``(node code, MAC)`` pairs where the encoder recorded writing the first's.
 
 **Format.**  Each registered class has a stable one-byte tag
 (:func:`standard_types`), and its encoder and decoder are compiled once,
@@ -93,7 +93,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..errors import DecodeError, EncodeError
 from ..util.ids import NodeId, Role, node_of_code
-from ..util.wirecache import WIRE_CACHE, WireMemoised, remember
+from ..util.wirecache import WIRE_CACHE, CutMemo, WireMemoised, remember
 from .message import Message
 
 #: deepest nesting of the tagged form (containers and objects in ``Any``
@@ -1125,12 +1125,14 @@ def memoise_cuts(frames: Sequence[Any], vectors: Sequence[Sequence[Any]]) -> Non
     the same authenticators' vectors in the same order, each naming that
     frame's receiver alone.  The first frame is encoded, and the encoder
     records where it writes each listed vector's one ``(node code, MAC)``
-    pair (:data:`_MARKS`); every other frame's bytes are the first's with
-    its own pairs written there, which is what encoding it would write: the
-    pairs are fixed-width and nothing else differs.  Nothing is memoised
-    unless every listed vector is a one-pair vector of the MAC form and the
-    first frame's were all written here (not spliced from an
-    authenticator's memo); the frames are then encoded when somebody asks."""
+    pair (:data:`_MARKS`); every other frame gets the first's size at once,
+    and its bytes, when somebody asks for them, are the first's with its
+    own pairs written there (:class:`~repro.util.wirecache.CutMemo`), which
+    is what encoding it would write: the pairs are fixed-width and nothing
+    else differs.  Nothing is memoised unless every listed vector is a
+    one-pair vector of the MAC form and the first frame's were all written
+    here (not spliced from an authenticator's memo); the frames are then
+    encoded when somebody asks."""
     if not WIRE_CACHE.enabled or len(frames) < 2:
         return
     codec = default_codec()
@@ -1154,12 +1156,17 @@ def memoise_cuts(frames: Sequence[Any], vectors: Sequence[Sequence[Any]]) -> Non
     at = [offsets.get(id(token)) for token in vectors[0]]
     if written != len(offsets) or len(offsets) != len(at) or None in at:
         return   # a listed vector not written here, or written twice
-    pair = _mac_vector(1)
     for frame, frame_pairs in zip(frames[1:], pairs[1:]):
-        out = bytearray(data)
-        for offset, (code, mac) in zip(at, frame_pairs):
-            pair.pack_into(out, offset, code, mac)
-        remember(frame, getattr(frame, "_wire", None), bytes(out))
+        object.__setattr__(frame, "_wire", CutMemo(
+            data, functools.partial(_write_pairs, at, frame_pairs)))
+
+
+def _write_pairs(at: List[int], pairs: List[Tuple[int, bytes]],
+                 out: bytearray) -> None:
+    """Put one ``(node code, MAC)`` pair at each offset of ``at``."""
+    pair = _mac_vector(1)
+    for offset, (code, mac) in zip(at, pairs):
+        pair.pack_into(out, offset, code, mac)
 
 
 def encode_reply_table(table: Dict[NodeId, Any]) -> bytes:

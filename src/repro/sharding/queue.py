@@ -603,7 +603,8 @@ class ShardRouterQueue(QueueCore):
         full = self._assemble_into(
             self._shard_collectors[shard], sender, message.certificate,
             self.shard_execution_ids[shard],
-            groups[shard] if groups is not None else None)
+            groups[shard] if groups is not None else None,
+            self._backups(message.body.view))
         if full is not None:
             self._accept_shard_reply(full)
 

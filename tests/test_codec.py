@@ -670,6 +670,35 @@ class TestEncodeOnce:
             assert [canonical_encode(frame) for frame in frames] == memos
         assert len(set(memos)) == len(frames)
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_a_relays_cut_frames_are_sized_not_written_on_the_simulator(self, g):
+        """The primary's relay of a reply certificate to each backup: the
+        first frame is encoded, every other one holds its size and no
+        bytes, since the simulator only sizes what it carries; asked for
+        them, it writes what a fresh encoding writes."""
+        from conftest import make_config
+        from repro.apps.counter import CounterService, increment
+        from repro.core import SeparatedSystem
+
+        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
+        primary = system.agreement_ids[0]
+        relayed = []
+        system.network.add_tap(
+            lambda source, destination, message: relayed.append(message)
+            if source == primary and type(message).__name__ == "BatchReply"
+            else None)
+        system.invoke(increment(1))
+        system.run(20.0)
+        first, *cuts = relayed
+        assert len(cuts) == len(system.agreement_ids) - 2
+        assert first._wire.data is not None
+        assert all(frame._wire.unwritten for frame in cuts)
+        with cache_off():
+            fresh = [canonical_encode(frame) for frame in cuts]
+        assert [frame._wire.size for frame in cuts] == [len(data) for data in fresh]
+        assert [frame._wire.data for frame in cuts] == fresh
+        assert not any(frame._wire.unwritten for frame in cuts)
+
 
 # ---------------------------------------------------------------------- #
 # One encoding per value: what digests and MACs are taken over.

@@ -551,11 +551,26 @@ class TestWhoEachVectorAddresses:
     # retransmission the queues pass on (every direct reply lost).
 
     def test_a_batch_reply_names_only_the_agreement_node_it_goes_to(self):
+        """Each replica's bodiless partial goes to the primary alone and
+        names it and the backups it relays the certificate to; each relay
+        carries the g + 1 authenticators, naming the backup it goes to.
+        (Before the primary relayed, each of the 3 x 4 upstream frames
+        named its receiver alone.)"""
         system, frames = _wire_frames()
-        replies = [(dst, msg) for _, dst, msg in frames
+        primary = system.agreement_ids[0]
+        replies = [(src, dst, msg) for src, dst, msg in frames
                    if type(msg).__name__ == "BatchReply"]
-        assert len(replies) == 3 * 4
-        assert all(_names(msg) == [dst.name] for dst, msg in replies)
+        upstream = [(dst, msg) for src, dst, msg in replies
+                    if src in system.execution_ids]
+        relayed = [(dst, msg) for src, dst, msg in replies if src == primary]
+        assert len(upstream) == 3 and len(relayed) == 3 == len(replies) - 3
+        everyone = sorted(node.name for node in system.agreement_ids)
+        assert all(dst == primary and _names(msg) == everyone
+                   for dst, msg in upstream)
+        assert sorted(dst for dst, _ in relayed) == system.agreement_ids[1:]
+        assert all(_names(msg) == [dst.name]
+                   and len(msg.certificate.authenticators) == system.config.reply_quorum
+                   for dst, msg in relayed)
 
     def test_a_client_reply_names_only_its_client(self):
         system, frames = _wire_frames()

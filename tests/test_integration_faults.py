@@ -213,11 +213,11 @@ class TestForgedReplies:
 
 class TestLivenessWithoutTheRelay:
     """Where execution replies directly (MAC, no firewall) the agreement
-    nodes assemble bodiless certificates and relay nothing.  A client that
-    misses its direct replies retransmits; each agreement node passes the
-    request on to the execution replicas, which answer it with a complete
-    certificate over the reply from their tables, and the node relays
-    (and caches) it once ``g + 1`` match."""
+    nodes assemble bodiless certificates and relay none to a client.  A
+    client that misses its direct replies retransmits; each agreement node
+    passes the request on to the execution replicas, which answer it with
+    a complete certificate over the reply from their tables, and the node
+    relays (and caches) it once ``g + 1`` match."""
 
     def test_all_direct_replies_lost(self, config):
         system = SeparatedSystem(config, CounterService, seed=61)
@@ -242,6 +242,39 @@ class TestLivenessWithoutTheRelay:
         assert len(client.completed) == 1
         assert [node.requests_executed for node in system.execution_nodes] \
             == [1, 1, 1]
+
+    def test_a_backup_does_not_forward_an_ordered_retransmission(self, config):
+        """A backup whose queue cannot serve a retransmission of an
+        executed request passes it on to the replicas and stops there: it
+        does not forward the copy to the primary (which would drop it), nor
+        queue the request or arm a deadline the ordered request could never
+        fire.  Only the primary orders it again, for the client's own
+        copy.  (Each of the three backups forwarded its copy before.)"""
+        system = SeparatedSystem(config, CounterService, seed=61)
+        executors = set(system.execution_ids)
+        client = system.clients[0]
+        primary, *backups = system.agreement_replicas
+        forwarded = []
+
+        def tap(source, destination, message):
+            if source in executors and isinstance(message, ClientReply):
+                return DROP
+            if (isinstance(message, RequestEnvelope)
+                    and source != client.node_id
+                    and destination == primary.node_id):
+                forwarded.append(source)
+            return None
+
+        system.network.add_tap(tap)
+        assert system.invoke(increment(1)).result.value == 1
+        assert client.retransmissions == 1
+        system.run(50.0)
+        assert forwarded == []
+        assert all(queue.requests_forwarded == 1 for queue in system.message_queues)
+        for backup in backups:
+            assert not backup.proposer.batcher.contains(client.node_id, 1)
+            assert (client.node_id, 1) not in backup.proposer._request_deadlines
+        assert [node.batches_executed for node in system.execution_nodes] == [2] * 3
 
     def test_a_retransmission_whose_answers_are_lost_is_passed_on_again(self, config):
         """The replicas' answers to the first passed-on retransmission are
@@ -413,10 +446,12 @@ class TestLivenessWithoutTheRelay:
             assert queue.replies_forwarded == 1
 
     def test_primary_crashes_after_execution(self, config):
-        """The primary crashes once the replicas have executed, and every
+        """The primary crashes once the replicas have executed -- before
+        their partials reach it, so it relays no certificate -- and every
         direct reply is lost: the client completes through a backup that
         passes its retransmission on to the replicas, before any view
-        change."""
+        change.  Every backup retires the slot through its own timer, and
+        after the view change the new primary's pipeline window advances."""
         system = SeparatedSystem(config, CounterService, seed=68)
         client = system.clients[0]
         primary = system.agreement_replicas[0]
@@ -442,6 +477,20 @@ class TestLivenessWithoutTheRelay:
         assert sum(node.retries_answered for node in system.execution_nodes) >= 2
         assert [node.requests_executed for node in system.execution_nodes] \
             == [1, 1, 1]
+        assert system.message_queues[0].certificates_relayed == 0
+        system.run(200.0)
+        assert all(queue.highest_reply_seq == 1 and queue.pending_sends == {}
+                   for queue in system.message_queues[1:])
+        values = [system.invoke(increment(1), timeout_ms=5_000.0).result.value
+                  for _ in range(3)]
+        assert values == [2, 3, 4]
+        new_primary = next(replica for replica in system.agreement_replicas[1:]
+                           if replica.is_primary)
+        queue = new_primary.local
+        assert new_primary.view > 0
+        system.run(50.0)
+        assert queue.highest_reply_seq == new_primary.log.last_delivered_seq >= 4
+        assert queue.pending_sends == {} and queue.certificates_relayed >= 3
 
     def test_a_replayed_request_yields_only_what_the_table_holds(self, config):
         """A Byzantine agreement node replaying a client's signed requests
@@ -514,6 +563,148 @@ class TestLivenessWithoutTheRelay:
                    for queue in system.message_queues)
         assert {node.requests_executed for node in system.execution_nodes} \
             == {sent}
+
+
+def _forge_relay(kind, message):
+    """A primary's relay to one backup as a faulty primary could frame it:
+    its MACs wrong (``"macs"``), or its authenticators attached to another
+    body (``"body"``)."""
+    certificate = message.certificate
+    if kind == "macs":
+        certificate = Certificate(
+            payload=certificate.payload, scheme=certificate.scheme,
+            authenticators={
+                signer: dataclasses.replace(authenticator, token={
+                    name: bytes(len(mac)) for name, mac in authenticator.token.items()})
+                for signer, authenticator in certificate.authenticators.items()})
+    else:
+        body = certificate.payload
+        certificate = certificate.with_payload(dataclasses.replace(
+            body, replies=tuple(b"\x01" * 32 for _ in body.replies)))
+    return BatchReply(seq=message.seq, certificate=certificate,
+                      sender=message.sender)
+
+
+class TestTheRelayedReplyCertificate:
+    """Where execution replies directly, each replica sends its bodiless
+    partial to the primary of the slot's view alone, and the primary
+    relays the completed certificate to each backup.  A backup checks all
+    ``g + 1`` authenticators of a relay, and one whose primary withholds or
+    forges it retires its pending sends through its own retransmission
+    timer, which every replica answers to every agreement node."""
+
+    def test_fault_free_every_backup_retires_on_the_relay(self, config):
+        system = SeparatedSystem(config, CounterService, seed=64)
+        for _ in range(3):
+            system.invoke(increment(1))
+        system.run(20.0)
+        primary, *backups = system.message_queues
+        assert primary.certificates_relayed == 3
+        for queue in system.message_queues:
+            assert queue.highest_reply_seq == 3 and queue.pending_sends == {}
+            assert queue.retransmissions == 0
+            assert queue.crypto.dropped_authenticators == 0
+
+    def test_a_primary_that_never_relays(self, config):
+        """(a) A tap drops every relay: each backup retires its sends when
+        its own timer makes the replicas answer it, and the run completes."""
+        system = SeparatedSystem(config, CounterService, seed=64)
+        primary = system.agreement_ids[0]
+        withheld = []
+
+        def withhold(source, destination, message):
+            if source == primary and isinstance(message, BatchReply):
+                withheld.append(destination)
+                return DROP
+            return None
+
+        system.network.add_tap(withhold)
+        values = [system.invoke(increment(1)).result.value for _ in range(3)]
+        assert values == [1, 2, 3]
+        system.run(500.0)
+        assert sorted(set(withheld)) == system.agreement_ids[1:]
+        for queue in system.message_queues[1:]:
+            assert queue.highest_reply_seq == 3 and queue.pending_sends == {}
+            assert queue.retransmissions >= 1
+        assert system.message_queues[0].retransmissions == 0
+
+    @pytest.mark.parametrize("kind", ["macs", "body"])
+    def test_a_forged_relay_is_refused_and_the_slot_stays_pending(self, config,
+                                                                   kind):
+        """(b) The primary relays authenticators that do not verify at the
+        backup, or that are over another body: the backup refuses the relay
+        and counts its ``g + 1`` authenticators, and the slot stays pending
+        until the backup's own timer retires it."""
+        system = SeparatedSystem(config, CounterService, seed=65)
+        primary = system.agreement_ids[0]
+        forged = []
+
+        def forge(source, destination, message):
+            if source == primary and isinstance(message, BatchReply):
+                forged.append(destination)
+                return _forge_relay(kind, message)
+            return None
+
+        system.network.add_tap(forge)
+        system.clients[0].submit(increment(1))
+        system.run(30.0)   # under agreement_retransmit_ms
+        assert sorted(forged) == system.agreement_ids[1:]
+        assert system.message_queues[0].highest_reply_seq == 1
+        for queue in system.message_queues[1:]:
+            assert queue.highest_reply_seq == 0 and 1 in queue.pending_sends
+            assert queue.crypto.dropped_authenticators == config.reply_quorum
+        system.run_until(lambda: all(queue.highest_reply_seq == 1
+                                     for queue in system.message_queues), 1_000.0)
+        assert system.clients[0].completed[0].result.value == 1
+
+    def test_a_relay_only_names_what_every_vector_names(self, config):
+        """A certificate the primary completed from resends -- each naming
+        it alone -- is good for no backup, so it relays nothing."""
+        system = SeparatedSystem(config, CounterService, seed=64)
+        system.invoke(increment(1))
+        system.run(20.0)
+        queue = system.message_queues[0]
+        relayed, sent = queue.certificates_relayed, []
+        system.network.add_tap(lambda source, destination, message:
+                               sent.append(message) if source == queue.owner.node_id
+                               else None)
+        node = system.execution_nodes[0]
+        last = node.reply_table[system.clients[0].node_id]
+        body = node._make_reply_body(last.view, 5, (last,))
+        for replica in system.execution_nodes:
+            whole = replica._partial_certificate(body).with_payload(
+                body.view_for(None))
+            queue.on_batch_reply(replica.node_id, BatchReply(
+                seq=5, sender=replica.node_id,
+                certificate=whole.addressed_to((queue.owner.node_id,))))
+        assert queue.highest_reply_seq == 5
+        assert queue.certificates_relayed == relayed and sent == []
+
+    def test_a_whole_certificate_with_junk_beside_it_relays_nothing(self, config):
+        """An agreement node hands the primary a certificate for a slot of
+        its view whose g + 1 genuine authenticators verify there, and a
+        junk one beside them: the primary retires the slot, relays nothing
+        (no vector of the junk names a backup) and raises nothing."""
+        system = SeparatedSystem(config, CounterService, seed=64)
+        system.invoke(increment(1))
+        system.run(20.0)
+        queue = system.message_queues[0]
+        relayed = queue.certificates_relayed
+        node = system.execution_nodes[0]
+        last = node.reply_table[system.clients[0].node_id]
+        body = node._make_reply_body(last.view, 6, (last,))
+        certificate = Certificate(payload=body.view_for(None),
+                                  scheme=AuthenticationScheme.MAC)
+        for replica in system.execution_nodes[:config.reply_quorum]:
+            certificate.add(replica._partial_certificate(body).authenticators[
+                replica.node_id])
+        junk = system.execution_nodes[-1].node_id
+        certificate.authenticators[junk] = dataclasses.replace(
+            certificate.authenticators[node.node_id], signer=junk, token=b"junk")
+        queue.on_batch_reply(system.agreement_ids[1], BatchReply(
+            seq=6, sender=system.agreement_ids[1], certificate=certificate))
+        assert queue.highest_reply_seq == 6
+        assert queue.certificates_relayed == relayed
 
 
 class TestMalformedAuthenticators:

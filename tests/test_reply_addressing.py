@@ -7,9 +7,12 @@ replicas' partial reply certificates -- an agreement node's message queue
 (``MessageQueue.on_batch_reply``) and the client (``ClientNode.handle_reply``)
 -- hold senders to it: a partial whose authenticator is not addressed to
 the receiver is dropped and counted in the receiver's
-``crypto.dropped_authenticators``, and never raises.  Whatever of that
-kind arrives, in whatever order, the collector completes exactly when
-``g + 1`` genuine trimmed partials have.
+``crypto.dropped_authenticators``, and never raises.  The primary of the
+slot's view relays the certificate to the other agreement nodes, so there
+a partial may name them too (a replica's first send does); at a backup, or
+naming any other node, it may not.  Whatever of that kind arrives, in
+whatever order, the collector completes exactly when ``g + 1`` genuine
+partials have.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ _SYSTEMS = {}
 
 
 def _system(g):
-    """One separated system per ``g``, its queue and client fed by hand."""
+    """One separated system per ``g``, its queues and client fed by hand."""
     if g not in _SYSTEMS:
         _SYSTEMS[g] = SeparatedSystem(make_config(g=g), KeyValueStore, seed=73)
     return _SYSTEMS[g]
@@ -58,15 +61,20 @@ def _junk(kind, node, certificate, receiver, other):
 
 @st.composite
 def _deliveries(draw):
-    """``(g, receiver, order)``: every replica's genuine partial and up to
-    six junk ones, ``(kind, replica index)``, in the order they arrive."""
+    """``(g, receiver, order)``: every replica's genuine partial -- at the
+    primary's queue, naming it alone (a resend) or every agreement node (a
+    first send), ``"relayed"`` -- and up to six junk ones, ``(kind,
+    replica index)``, in the order they arrive."""
     g = draw(st.sampled_from([1, 2]))
     size = 2 * g + 1
+    receiver = draw(st.sampled_from(["primary", "backup", "client"]))
+    genuine = ["genuine", "relayed"] if receiver == "primary" else ["genuine"]
     junk = draw(st.lists(st.tuples(st.sampled_from(JUNK),
                                    st.integers(0, size - 1)), max_size=6))
-    order = draw(st.permutations([("genuine", index) for index in range(size)]
-                                 + junk))
-    return g, draw(st.sampled_from(["queue", "client"])), order
+    order = draw(st.permutations(
+        [(draw(st.sampled_from(genuine)), index) for index in range(size)]
+        + junk))
+    return g, receiver, order
 
 
 @settings(max_examples=150, deadline=None)
@@ -76,7 +84,7 @@ def test_partials_not_addressed_here_are_dropped_and_counted(deliveries):
     system = _system(g)
     nodes = system.execution_nodes
     client, other_client = system.clients[0], system.clients[1]
-    queue = system.message_queues[0]
+    queue = system.message_queues[receiver == "backup"]
     seq = queue.highest_reply_seq + 1   # a slot no earlier example assembled
     timestamp = client.submit(get("k")) if receiver == "client" else 1
 
@@ -86,9 +94,11 @@ def test_partials_not_addressed_here_are_dropped_and_counted(deliveries):
 
     body = BatchReplyBody(view=0, seq=seq, replies=(
         reply("genuine", client, timestamp), reply("sibling", other_client, 1)))
-    if receiver == "queue":
+    if receiver != "client":
         here, crypto, payload = queue.owner.node_id, queue.crypto, body.view_for(None)
-        other = system.agreement_ids[1]
+        # the primary relays to the other agreement nodes, a backup to none
+        other = (other_client.node_id if receiver == "primary"
+                 else system.agreement_ids[2])
 
         def deliver(node, certificate):
             queue.on_batch_reply(node.node_id, BatchReply(
@@ -113,8 +123,9 @@ def test_partials_not_addressed_here_are_dropped_and_counted(deliveries):
             node = nodes[index]
             whole = node._partial_certificate(body).with_payload(payload)
             dropped = crypto.dropped_authenticators
-            if kind == "genuine":
-                deliver(node, whole.addressed_to((here,)))
+            if kind in ("genuine", "relayed"):
+                deliver(node, whole.addressed_to(
+                    system.agreement_ids if kind == "relayed" else (here,)))
                 genuine += 1
                 assert crypto.dropped_authenticators == dropped
             else:

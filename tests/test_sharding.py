@@ -489,8 +489,9 @@ class TestShardedCensus:
     def test_sends_per_commit_carry_no_route_vote(self):
         """An unbatched write to one shard of two sends what a separated
         commit does, type by type (``TestMessageCensus``): the 2g + 1
-        replicas of the touched shard get the batch from the primary, and
-        nothing else is spent on the route."""
+        replicas of the touched shard get the batch from the primary and
+        send it their bodiless partials, the primary relays the certificate
+        to each backup, and nothing else is spent on the route."""
         system = ShardedSystem(sharded_config(checkpoint_interval=1_000),
                                KeyValueStore, seed=53)
         keys = keys_of_shard(system, 0, 10)
