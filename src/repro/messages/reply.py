@@ -39,9 +39,9 @@ receiver relays it to (``Certificate.addressed_to``): a replica's
 resent one names its receiver alone, a ``ClientReply`` -- direct, relayed
 or from a queue's cache -- its client, and a retry answer the queue and
 the client.  The frames share the body object and its wire memo, so only
-the small wrapper is encoded per destination -- and frames alike but for
-their MAC entries (the primary's relays, a replica's resends) are encoded
-once between them (:meth:`BatchReply.addressed_to_each`).
+the small wrapper and its MAC entries are encoded per destination (the
+primary's relays and a replica's resends are cut by
+:meth:`BatchReply.addressed_to_each`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from ..crypto.certificate import Certificate
-from ..net.codec import memoise_cuts
 from ..net.message import Message
 from ..statemachine.interface import OperationResult
 from ..util.ids import NodeId, Role
@@ -210,17 +209,10 @@ class BatchReply(_CertifiedReplies, Message):
     def addressed_to_each(self, nodes: List[NodeId]) -> List["BatchReply"]:
         """This reply as a frame to each of ``nodes``, none of which relays
         it: each MAC vector cut to that node's entry, the body (and its
-        wire memo) shared.  The frames differ in those entries only, so the
-        codec encodes the first and writes each other one's bytes from it
-        when they are asked for (:func:`~repro.net.codec.memoise_cuts`)."""
-        frames = [BatchReply(seq=self.seq, sender=self.sender,
-                             certificate=self.certificate.addressed_to((node,)))
-                  for node in nodes]
-        memoise_cuts(frames, [
-            [authenticator.token
-             for authenticator in frame.certificate.authenticators.values()]
-            for frame in frames])
-        return frames
+        wire memo) shared."""
+        return [BatchReply(seq=self.seq, sender=self.sender,
+                           certificate=self.certificate.addressed_to((node,)))
+                for node in nodes]
 
     @property
     def well_formed(self) -> bool:

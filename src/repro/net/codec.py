@@ -23,11 +23,11 @@ bytes would be a copy of the whole frame, which nobody splices), nor are
 certificates and authenticators, which receivers check through their
 payloads' digests and rarely send on as they are.  Seeded bytes are kept
 under :data:`~repro.util.wirecache.WIRE_CACHE`'s budget, and nothing is
-seeded while it is off.  On the way out, frames cut from one message for
-several receivers (a reply certificate the primary relays to each backup)
-are encoded once: :func:`memoise_cuts` encodes the first, gives each other
-one its size, and writes its bytes when asked by putting that frame's
-``(node code, MAC)`` pairs where the encoder recorded writing the first's.
+seeded while it is off.  On the way out, nested messages are spliced
+from their memos, so frames cut from one message for several receivers (a
+reply certificate the primary relays to each backup) share their
+payload's bytes, and each encodes only its wrapper and its receiver's MAC
+entries.
 
 **Format.**  Each registered class has a stable one-byte tag
 (:func:`standard_types`), and its encoder and decoder are compiled once,
@@ -93,7 +93,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..errors import DecodeError, EncodeError
 from ..util.ids import NodeId, Role, node_of_code
-from ..util.wirecache import WIRE_CACHE, CutMemo, WireMemoised, remember
+from ..util.wirecache import WIRE_CACHE, WireMemoised, remember
 from .message import Message
 
 #: deepest nesting of the tagged form (containers and objects in ``Any``
@@ -879,8 +879,6 @@ class Codec:
             self._enc_any(token, out, depth)
             return
         out += bytes((TOKEN_MACS, len(token)))
-        if _MARKS.recording:
-            _MARKS.append([out, len(out), token])
         out += _mac_vector(len(token)).pack(*pairs)
 
     def _dec_token(self, data: bytes, pos: int, depth: int):
@@ -1021,24 +1019,11 @@ def _bigint_size(value: int) -> int:
     return ((value if value >= 0 else ~value).bit_length() + 8) // 8
 
 
-class _Marks(list):
-    """Where :func:`memoise_cuts` saw MAC pairs written while it is
-    ``recording``: ``[buffer, offset, token]`` each.  A mark follows the
-    bytes it points into, from the buffer an object is encoded in to its
-    memo's bytes and on into each parent they are spliced into
-    (:func:`_memoised`), so it ends up pointing into the frame."""
-
-    recording = False
-
-
-_MARKS = _Marks()
-
-
 def _memoised(tagged: Callable):
     """The tagged and typed encoders of a :class:`WireMemoised` class and
     the function both splice from: an object's tagged form, from its memo
     when its bytes are there, else encoded and memoised."""
-    cache, marks = WIRE_CACHE, _MARKS
+    cache = WIRE_CACHE
 
     def memo_bytes(value, depth):
         memo = getattr(value, "_wire", None)
@@ -1047,33 +1032,17 @@ def _memoised(tagged: Callable):
         out = bytearray()
         tagged(value, out, depth)
         data = bytes(out)
-        if marks:
-            _move(marks, out, data, 0)
         if cache.enabled:
             remember(value, memo, data)
         return data
 
     def tagged_memoised(value, out, depth):
-        data = memo_bytes(value, depth)
-        if marks:
-            _move(marks, data, out, len(out))
-        out += data
+        out += memo_bytes(value, depth)
 
     def typed_memoised(value, out, depth):
-        data = memo_bytes(value, depth)
-        if marks:
-            _move(marks, data, out, len(out) - 2)
-        out += memoryview(data)[2:]   # after the head
+        out += memoryview(memo_bytes(value, depth))[2:]   # after the head
 
     return memo_bytes, tagged_memoised, typed_memoised
-
-
-def _move(marks: List[list], source, target, shift: int) -> None:
-    """Point the marks into ``source`` into ``target``, ``shift`` on."""
-    for mark in marks:
-        if mark[0] is source:
-            mark[0] = target
-            mark[1] += shift
 
 
 def _seeding(decode: Callable, head: bytes) -> Tuple[Callable, Callable]:
@@ -1116,57 +1085,6 @@ def default_codec() -> Codec:
     """The process's codec over :func:`standard_types`, built on first use
     (it imports every message module)."""
     return Codec()
-
-
-def memoise_cuts(frames: Sequence[Any], vectors: Sequence[Sequence[Any]]) -> None:
-    """Memoise the encodings of ``frames``: one message cut for several
-    receivers (:meth:`~repro.crypto.certificate.Certificate.addressed_to`),
-    alike save for the MAC vectors ``vectors[i]`` lists for frame ``i`` --
-    the same authenticators' vectors in the same order, each naming that
-    frame's receiver alone.  The first frame is encoded, and the encoder
-    records where it writes each listed vector's one ``(node code, MAC)``
-    pair (:data:`_MARKS`); every other frame gets the first's size at once,
-    and its bytes, when somebody asks for them, are the first's with its
-    own pairs written there (:class:`~repro.util.wirecache.CutMemo`), which
-    is what encoding it would write: the pairs are fixed-width and nothing
-    else differs.  Nothing is memoised unless every listed vector is a
-    one-pair vector of the MAC form and the first frame's were all written
-    here (not spliced from an authenticator's memo); the frames are then
-    encoded when somebody asks."""
-    if not WIRE_CACHE.enabled or len(frames) < 2:
-        return
-    codec = default_codec()
-    pairs = []
-    for listed in vectors:
-        frame_pairs = [codec._mac_pairs(token) for token in listed]
-        if len(listed) != len(vectors[0]) or any(
-                pair is None or len(pair) != 2 for pair in frame_pairs):
-            return
-        pairs.append(frame_pairs)
-    first = frames[0]
-    _MARKS.recording = True
-    try:
-        data = codec._memo_bytes[type(first)](first, 0)
-        offsets = {id(token): offset for buffer, offset, token in _MARKS
-                   if buffer is data}
-        written = len(_MARKS)
-    finally:
-        _MARKS.recording = False
-        _MARKS.clear()
-    at = [offsets.get(id(token)) for token in vectors[0]]
-    if written != len(offsets) or len(offsets) != len(at) or None in at:
-        return   # a listed vector not written here, or written twice
-    for frame, frame_pairs in zip(frames[1:], pairs[1:]):
-        object.__setattr__(frame, "_wire", CutMemo(
-            data, functools.partial(_write_pairs, at, frame_pairs)))
-
-
-def _write_pairs(at: List[int], pairs: List[Tuple[int, bytes]],
-                 out: bytearray) -> None:
-    """Put one ``(node code, MAC)`` pair at each offset of ``at``."""
-    pair = _mac_vector(1)
-    for offset, (code, mac) in zip(at, pairs):
-        pair.pack_into(out, offset, code, mac)
 
 
 def encode_reply_table(table: Dict[NodeId, Any]) -> bytes:

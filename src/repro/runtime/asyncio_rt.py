@@ -18,9 +18,9 @@ three simulated substrates with real ones:
   cuts what arrived into frames, decodes each and calls the node's
   ``deliver`` before ``buffer_updated`` returns: no task switch, no queue
   and no per-read allocation in between.  A multicast is encoded once, not
-  once per destination, and so are the frames the primary cuts a reply
-  certificate into for each backup (:func:`repro.net.codec.memoise_cuts`).  A message nested
-  in a received frame keeps the bytes it arrived in, so the receiver
+  once per destination; the frames the primary cuts a reply certificate
+  into for each backup share the certificate's payload bytes.  A message
+  nested in a received frame keeps the bytes it arrived in, so the receiver
   digests, checks and forwards it without encoding it again; the frame
   itself is not kept.  **Every byte count of this backend is in frame
   bytes**: ``send`` counts the length of the frame it made (so

@@ -46,9 +46,8 @@ The asyncio transport sizes nothing: sender and receiver both count the
 frame's length.  A node there encodes the messages it makes, each once,
 and splices them from then on; what it received it digests, checks and
 sends on from the bytes it arrived in.  Frames cut from one message for
-several receivers, alike but for a MAC entry, are encoded once between
-them, and the others' bytes written from those when asked for
-(:func:`repro.net.codec.memoise_cuts`, :class:`CutMemo`).
+several receivers, alike but for a MAC entry, share the payload's memo,
+so each encodes only its wrapper.
 
 **What a digest covers.**  The object's bytes, save for one class: a reply
 bundle digests as its bodiless view
@@ -72,7 +71,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from typing import Callable, Deque, Optional, Set
+from typing import Deque, Optional, Set
 
 from .encoding import canonical_encode
 
@@ -152,43 +151,6 @@ class WireCache:
 
 #: the process-wide instance read by messages, crypto providers and benchmarks
 WIRE_CACHE = WireCache()
-
-
-#: the slot :class:`CutMemo` keeps its bytes in, under its ``data`` property
-_DATA = WireMemo.data
-
-
-class CutMemo(WireMemo):
-    """The memo of a frame cut from another one for another receiver
-    (:func:`repro.net.codec.memoise_cuts`).  Its size is the other's, known
-    at once; its bytes are written the first time somebody asks for them,
-    as a copy of ``source`` (the other's bytes) that ``patch`` puts this
-    frame's own MAC pairs into.  The simulator only sizes a frame, so there
-    nobody asks; the asyncio transport does, once, when it sends it."""
-
-    __slots__ = ("_source", "_patch")
-
-    def __init__(self, source: bytes, patch: Callable[[bytearray], None]) -> None:
-        self._source: Optional[bytes] = source
-        self._patch: Optional[Callable[[bytearray], None]] = patch
-        super().__init__(len(source))
-
-    @property
-    def unwritten(self) -> bool:
-        """Whether nobody has asked for the bytes yet."""
-        return self._source is not None
-
-    def _written(self) -> Optional[bytes]:
-        data = _DATA.__get__(self)
-        if data is None and self._source is not None:
-            out = bytearray(self._source)
-            self._patch(out)
-            self._source = self._patch = None
-            data = bytes(out)
-            WIRE_CACHE.keep(self, data)
-        return data
-
-    data = property(_written, _DATA.__set__)
 
 
 class WireMemoised:

@@ -645,59 +645,60 @@ class TestDecodeOnce:
                    for obj in nested_messages(message))
 
 
-class TestEncodeOnce:
+class TestRelayedReplyFrames:
     @pytest.mark.parametrize("g", [1, 2])
-    def test_cut_frames_are_their_own_encodings(self, g):
-        """A bodiless reply cut for each agreement node: the first frame is
-        encoded and the others written from its bytes, so no other frame's
-        certificate is ever encoded; each frame's memoised bytes are what
-        a fresh encoding of it writes."""
+    def test_each_backup_gets_its_own_frame(self, g, monkeypatch):
+        """On the asyncio backend, each ``BatchReply`` the primary relays a
+        reply certificate in decodes at its backup, carries MAC vectors
+        naming that backup alone, re-encodes to the bytes received and has
+        its ``g + 1`` authenticators verify there."""
         from conftest import make_config
         from repro.apps.counter import CounterService, increment
+        from repro.config import RuntimeConfig, TimerConfig
         from repro.core import SeparatedSystem
-        from test_crypto import _bodiless_reply
+        from repro.crypto.provider import CryptoProvider
+        from repro.messages.reply import BatchReply
 
-        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
-        system.invoke(increment(1))
-        whole = _bodiless_reply(system)
-        frames = whole.addressed_to_each(system.agreement_ids)
-        assert len(frames) == len(system.agreement_ids)
-        assert all(frame.certificate.payload is whole.body for frame in frames)
-        assert frames[0].certificate._wire is not None
-        assert all(frame.certificate._wire is None for frame in frames[1:])
-        memos = [frame._wire.data for frame in frames]
-        with cache_off():
-            assert [canonical_encode(frame) for frame in frames] == memos
-        assert len(set(memos)) == len(frames)
+        timers = TimerConfig(client_retransmit_ms=5_000.0,
+                             agreement_retransmit_ms=2_000.0)
+        system = SeparatedSystem(
+            make_config(g=g, timers=timers,
+                        runtime=RuntimeConfig(backend="asyncio")),
+            CounterService, seed=5)
+        try:
+            network = system.network
+            receive, received = network._receive, []
 
-    @pytest.mark.parametrize("g", [1, 2])
-    def test_a_relays_cut_frames_are_sized_not_written_on_the_simulator(self, g):
-        """The primary's relay of a reply certificate to each backup: the
-        first frame is encoded, every other one holds its size and no
-        bytes, since the simulator only sizes what it carries; asked for
-        them, it writes what a fresh encoding writes."""
-        from conftest import make_config
-        from repro.apps.counter import CounterService, increment
-        from repro.core import SeparatedSystem
+            def receiving(connection, body):
+                data = bytes(body)
+                accepted = receive(connection, body)
+                received.append((connection.process.node_id, data, accepted))
+                return accepted
 
-        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
-        primary = system.agreement_ids[0]
+            monkeypatch.setattr(network, "_receive", receiving)
+            system.invoke(increment(1), timeout_ms=30_000)
+            system.run(30.0)
+        finally:
+            system.close()
+        codec, primary = default_codec(), system.agreement_ids[0]
         relayed = []
-        system.network.add_tap(
-            lambda source, destination, message: relayed.append(message)
-            if source == primary and type(message).__name__ == "BatchReply"
-            else None)
-        system.invoke(increment(1))
-        system.run(20.0)
-        first, *cuts = relayed
-        assert len(cuts) == len(system.agreement_ids) - 2
-        assert first._wire.data is not None
-        assert all(frame._wire.unwritten for frame in cuts)
-        with cache_off():
-            fresh = [canonical_encode(frame) for frame in cuts]
-        assert [frame._wire.size for frame in cuts] == [len(data) for data in fresh]
-        assert [frame._wire.data for frame in cuts] == fresh
-        assert not any(frame._wire.unwritten for frame in cuts)
+        for receiver, body, accepted in received:
+            sender, message = codec.decode_frame(body)
+            if sender == primary and type(message) is BatchReply:
+                assert accepted
+                relayed.append((receiver, message, body))
+        assert sorted(receiver for receiver, _, _ in relayed) == \
+            sorted(system.agreement_ids[1:])
+        for receiver, message, body in relayed:
+            certificate = message.certificate
+            assert len(certificate.authenticators) == g + 1
+            assert all(list(authenticator.token) == [receiver.name]
+                       for authenticator in certificate.authenticators.values())
+            with cache_off():
+                assert bytes(codec.encode_frame(primary, message)) == body
+            verifier = CryptoProvider(receiver, system.keystore)
+            assert len(verifier.valid_signers(
+                certificate, system.execution_ids)) == g + 1
 
 
 # ---------------------------------------------------------------------- #

@@ -641,9 +641,9 @@ class TestWhoEachVectorAddresses:
         "lacking", "short-mac", "not-a-vector"])
     def test_frames_of_other_shapes_are_each_encoded(self, token):
         """Where the cut vectors differ in length, or the codec carries one
-        in the tagged form, no frame is written from another's bytes: each
-        is encoded when it is sent (the frames of one shape:
-        ``test_codec.py::TestEncodeOnce``)."""
+        in the tagged form, each frame is still cut and sized as its own
+        encoding (the relay's frames on the wire:
+        ``test_codec.py::TestRelayedReplyFrames``)."""
         from conftest import make_config
         from repro.apps.counter import CounterService, increment
         from repro.core import SeparatedSystem

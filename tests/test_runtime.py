@@ -567,9 +567,7 @@ class TestTransport:
         """On one unbatched commit every message nested in a received frame
         -- a request, a reply bundle, a carried reply, an agreement body --
         keeps the bytes it arrived in: whatever the receiver digests,
-        checks or sends on is spliced from them, never encoded again.  And
-        the primary encodes one of the frames it relays a reply certificate
-        in; the others are written from its bytes."""
+        checks or sends on is spliced from them, never encoded again."""
         from test_codec import nested_messages
 
         timers = TimerConfig(client_retransmit_ms=5_000.0,
@@ -582,7 +580,7 @@ class TestTransport:
             system.run(30.0)
             codec = system.network.codec
             decode_frame, keep = codec.decode_frame, WIRE_CACHE.keep
-            decoded, kept, relayed = [], [], []
+            decoded, kept = [], []
 
             def decoding(body):
                 sender, message = decode_frame(body)
@@ -595,11 +593,6 @@ class TestTransport:
 
             monkeypatch.setattr(codec, "decode_frame", decoding)
             monkeypatch.setattr(WIRE_CACHE, "keep", keeping)
-            primary = system.agreement_ids[0]
-            system.network.add_tap(
-                lambda source, destination, message: relayed.append(message)
-                if source == primary and type(message).__name__ == "BatchReply"
-                else None)
             system.invoke(put("k", "v"), timeout_ms=30_000)
             system.run(30.0)
             # 7 requests (the client's 4, 3 forwarded by backups), 3 agreement
@@ -612,8 +605,6 @@ class TestTransport:
                        for obj, after in decoded for memo in kept[after:]) == 0
             assert all(getattr(obj, "_wire", None) in kept[:after]
                        for obj, after in decoded)
-            assert [frame.certificate._wire is not None
-                    for frame in relayed] == [True, False, False]
         finally:
             system.close()
 
