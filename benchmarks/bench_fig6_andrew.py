@@ -72,9 +72,10 @@ def test_fig6_andrew_configuration(benchmark, label):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5(a): the firewall's Andrew total reads 343.9 against "
-    "2 x 168.5 for BASE; the cause is not explained yet, and the bound "
-    "stays until it is"))
+    "ROADMAP item 5(a): the firewall's Andrew total is above 2 x BASE's "
+    "(the current totals: docs/BENCHMARKS.md, 'Figure 6: the strict "
+    "xfail'); the cause is not explained yet, and the bound stays until "
+    "it is"))
 def test_fig6_summary_table(benchmark):
     """Regenerate the whole table and check the paper's ordering."""
     # Keep this table-producing check visible under --benchmark-only by

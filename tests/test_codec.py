@@ -654,15 +654,14 @@ class TestRelayedReplyFrames:
         its ``g + 1`` authenticators verify there."""
         from conftest import make_config
         from repro.apps.counter import CounterService, increment
-        from repro.config import RuntimeConfig, TimerConfig
+        from repro.config import RuntimeConfig
         from repro.core import SeparatedSystem
         from repro.crypto.provider import CryptoProvider
         from repro.messages.reply import BatchReply
+        from test_runtime import WALL_CLOCK_TIMERS
 
-        timers = TimerConfig(client_retransmit_ms=5_000.0,
-                             agreement_retransmit_ms=2_000.0)
         system = SeparatedSystem(
-            make_config(g=g, timers=timers,
+            make_config(g=g, timers=WALL_CLOCK_TIMERS,
                         runtime=RuntimeConfig(backend="asyncio")),
             CounterService, seed=5)
         try:
