@@ -647,6 +647,32 @@ class TestDecodeOnce:
 
 class TestRelayedReplyFrames:
     @pytest.mark.parametrize("g", [1, 2])
+    def test_cut_frames_are_their_own_encodings(self, g):
+        """A bodiless reply cut for each agreement node: every frame shares
+        the body, names its node alone in each MAC vector, and encodes --
+        the body spliced from its memo -- to what a fresh encoding of it
+        writes, each to bytes of its own and of the size it reports."""
+        from conftest import make_config
+        from repro.apps.counter import CounterService, increment
+        from repro.core import SeparatedSystem
+        from test_crypto import _bodiless_reply
+
+        system = SeparatedSystem(make_config(g=g), CounterService, seed=5)
+        system.invoke(increment(1))
+        whole = _bodiless_reply(system)
+        frames = whole.addressed_to_each(system.agreement_ids)
+        assert len(frames) == len(system.agreement_ids)
+        for frame, node in zip(frames, system.agreement_ids):
+            assert frame.certificate.payload is whole.body
+            assert all(list(authenticator.token) == [node.name]
+                       for authenticator in frame.certificate.authenticators.values())
+        encoded = [canonical_encode(frame) for frame in frames]
+        with cache_off():
+            assert [canonical_encode(frame) for frame in frames] == encoded
+        assert [frame.wire_size() for frame in frames] == [len(data) for data in encoded]
+        assert len(set(encoded)) == len(frames)
+
+    @pytest.mark.parametrize("g", [1, 2])
     def test_each_backup_gets_its_own_frame(self, g, monkeypatch):
         """On the asyncio backend, each ``BatchReply`` the primary relays a
         reply certificate in decodes at its backup, carries MAC vectors
