@@ -153,7 +153,7 @@ def main() -> None:
     print()
     print(f"All replies correct with one replica down per shard; "
           f"total requests executed: {system.total_requests_executed()}.")
-    print(f"Per-shard load counters: {system.shard_load_total()}   "
+    print(f"Requests executed per shard: {system.requests_executed_by_shard()}   "
           f"partition-map epoch: {system.partition_epoch()} "
           f"(hash partitioning never rebalances)")
 

@@ -7,7 +7,8 @@ The package implements, in simulation:
 * a BASE/PBFT-style Byzantine **agreement** library (``repro.agreement``),
 * the paper's **separated architecture**: agreement nodes host message
   queues, ``2g + 1`` execution replicas process ordered requests
-  (``repro.core``),
+  (``repro.core``; its deployment is the one-shard case of the sharded
+  builder in ``repro.sharding``),
 * the **privacy firewall** filter array (``repro.firewall``),
 * the substrates those need: a discrete-event simulator (``repro.sim``), an
   unreliable network (``repro.net``), cryptographic primitives with a cost
@@ -40,9 +41,6 @@ from .core import (
     ClientNode,
     CompletedRequest,
     CoupledSystem,
-    ExecutionNode,
-    MessageQueue,
-    SeparatedSystem,
     UnreplicatedSystem,
 )
 from .errors import (
@@ -54,7 +52,7 @@ from .errors import (
     ReproError,
     VerificationError,
 )
-from .sharding import ShardedSystem
+from .sharding import ExecutionNode, SeparatedSystem, ShardedSystem
 from .statemachine import NonDetInput, Operation, OperationResult, StateMachine
 
 __version__ = "1.0.0"
@@ -73,7 +71,6 @@ __all__ = [
     "CompletedRequest",
     "CoupledSystem",
     "ExecutionNode",
-    "MessageQueue",
     "SeparatedSystem",
     "UnreplicatedSystem",
     "CertificateError",

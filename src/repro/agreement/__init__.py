@@ -9,9 +9,10 @@ ordered batch against a pluggable *local state machine*
 (:class:`~repro.agreement.local.LocalExecutor`).
 
 * In the separated architecture the local state machine is the
-  :class:`~repro.core.message_queue.MessageQueue`, which relays ordered
-  batches to the execution cluster and relays reply certificates back to
-  clients -- exactly the four-line change to BASE the paper describes.
+  message queue (:class:`~repro.sharding.queue.ShardRouterQueue`), which
+  relays ordered batches to the execution cluster and relays reply
+  certificates back to clients -- exactly the four-line change to BASE the
+  paper describes.
 * In the coupled baseline (BASE/Same) the local state machine is the
   :class:`~repro.core.baseline.DirectExecutor`, which runs the application
   and replies to clients directly, reproducing the traditional architecture.

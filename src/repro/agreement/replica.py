@@ -629,9 +629,9 @@ class AgreementReplica(Process):
         self.start_view_change(self.next_view_target(attempted_view))
 
     def handle_view_change(self, sender: NodeId, message: ViewChange) -> None:
-        if sender != message.replica or sender not in self.agreement_ids:
-            return
-        if message.new_view <= self.view:
+        if (sender != message.replica or sender not in self.agreement_ids
+                or message.new_view <= self.view
+                or not message.within_watermarks(self.log.window)):
             return
         self._record_view_change(sender, message)
         votes = self._view_change_votes.get(message.new_view, {})
@@ -686,8 +686,8 @@ class AgreementReplica(Process):
         # (a censoring primary that *dropped* a pre-prepare leaves exactly
         # this gap).  An empty batch is agreed through the normal three
         # phases and releases as a vacuous slot downstream.
-        floor = min_stable
-        for seq in range(floor + 1, max(best, default=floor)):
+        floor, ceiling = min_stable, min_stable + self.log.window
+        for seq in range(floor + 1, min(max(best, default=floor), ceiling + 1)):
             if seq in best:
                 continue
             digest = self.crypto.batch_digest(())

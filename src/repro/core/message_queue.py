@@ -1,15 +1,17 @@
-"""The message queue installed as the agreement library's local state machine.
+"""What the message queue installed as the agreement library's local state
+machine is made of.
 
+The one queue is :class:`~repro.sharding.queue.ShardRouterQueue` (the
+paper's deployment is its one-shard case); this module holds its core.
 Section 3.2.1 of the paper: each agreement node hosts a message queue
 instance that stores ``maxN`` (the highest sequence number in any agreement
 certificate received), ``pendingSends`` (request/agreement certificates and
 retransmission timers for batches whose reply has not yet arrived), and an
 optional per-client reply cache ``cache_c``.
 
-* ``insert`` (here :meth:`MessageQueue.execute_batch`, the name the agreement
-  library calls) stores the certificates, multicasts them towards the
-  execution cluster, and arms a retransmission timer with exponential
-  backoff.
+* ``insert`` (here ``execute_batch``, the name the agreement library calls)
+  stores the certificates, multicasts them towards the execution cluster,
+  and arms a retransmission timer with exponential backoff.
 * When a valid reply certificate with ``g + 1`` execution authenticators (or
   one threshold signature) arrives, the queue drops the pending entries for
   that and all lower sequence numbers and cancels their timers.  One rule
@@ -65,10 +67,9 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from ..agreement.local import LocalExecutor, RetryOutcome
+from ..agreement.local import LocalExecutor
 from ..config import AuthenticationScheme, SystemConfig
 from ..crypto.certificate import Certificate
 from ..messages.agreement import OrderedBatch
@@ -79,7 +80,6 @@ from ..sim.process import Process
 from ..sim.scheduler import Timer
 from ..statemachine.nondet import NonDetInput
 from ..util.ids import NodeId
-from ..util.seqtable import SeqTable
 
 
 @dataclass
@@ -130,10 +130,9 @@ class QueueCore(LocalExecutor):
     The per-client reply cache, the statistics, and the steps all the
     queues repeat: send-and-count, the primary-first rule, retransmit with
     exponential backoff, serve a client retransmission from the cache,
-    assemble and forward a reply certificate.  *Where* batches go is what
-    :class:`MessageQueue` (one cluster) and
-    :class:`~repro.sharding.queue.ShardRouterQueue` (each batch's shards,
-    by the route its certificate names) each add.
+    assemble and forward a reply certificate.  *Where* batches go -- each
+    batch's shards, by the route its certificate names -- is what
+    :class:`~repro.sharding.queue.ShardRouterQueue` adds.
     """
 
     def __init__(self, owner: Process, config: SystemConfig,
@@ -223,10 +222,7 @@ class QueueCore(LocalExecutor):
         """Whether the hosting replica is ``view``'s primary: the one node
         that sends a batch's body downstream on first release (the paper's
         primary-first discipline; the others only retransmit)."""
-        primary_of = getattr(self.owner, "primary_of", None)
-        if primary_of is None:
-            return True
-        return primary_of(view) == self.owner.node_id
+        return self.owner.primary_of(view) == self.owner.node_id
 
     def _arm(self, pending: PendingSend) -> None:
         pending.timer = self.owner.set_timer(pending.timeout_ms, pending.fire,
@@ -305,9 +301,9 @@ class QueueCore(LocalExecutor):
                        universe: List[NodeId], group: Optional[str],
                        relays: Tuple[NodeId, ...] = ()) -> Optional[Certificate]:
         """The full certificate over the body ``certificate`` is over, once
-        ``g + 1`` replicas of ``universe`` (the cluster, or one shard's:
-        :class:`~repro.sharding.queue.ShardRouterQueue` keeps a table per
-        shard) or a threshold signature vouch for it.  Each sender's own
+        ``g + 1`` replicas of ``universe`` (one shard's cluster: the router
+        queue keeps a table per shard) or a threshold signature vouch for
+        it.  Each sender's own
         authenticator merges into ``collectors`` by ``(seq, body digest)``;
         shares count in this queue's ``group``, whatever group a partial
         names.  A MAC vector names this node and else only ``relays``, the
@@ -405,106 +401,12 @@ class QueueCore(LocalExecutor):
             self._forward_replies(full)
 
 
-class MessageQueue(QueueCore):
-    """Local state machine of one agreement node in the separated architecture.
-
-    A stable agreement checkpoint requires no action here: the reply cache
-    is explicitly excluded from checkpoints, and pending sends are only
-    dropped when their reply arrives.
-    """
-
-    def __init__(self, owner: Process, config: SystemConfig,
-                 execution_ids: List[NodeId], downstream: List[NodeId],
-                 client_ids: List[NodeId],
-                 threshold_group: Optional[str] = None) -> None:
-        super().__init__(owner, config, client_ids)
-        self.execution_ids = list(execution_ids)
-        #: where ordered batches are sent: the execution nodes directly, or
-        #: the bottom row of the privacy firewall.
-        self.downstream = list(downstream)
-        self.threshold_group = threshold_group
-        self.pending_sends: Dict[int, PendingSend] = {}
-        #: partial-certificate assembly, keyed by (seq, body digest)
-        self._collectors: SeqTable[Tuple[int, bytes], Optional[Certificate]] = \
-            SeqTable(seq_of=itemgetter(0))
-
-    def _queue_probe(self) -> dict:
-        return {**super()._queue_probe(),
-                "pending_sends": len(self.pending_sends)}
-
-    # ------------------------------------------------------------------ #
-    # LocalExecutor interface (called by the agreement replica).
-    # ------------------------------------------------------------------ #
-
-    def execute_batch(self, seq: int, view: int,
-                      request_certificates: Tuple[Certificate, ...],
-                      agreement_certificate: Certificate,
-                      nondet: NonDetInput) -> None:
-        """The BASE library's ``msgQueue.insert(request cert, agreement cert)``."""
-        batch = DeliveredBatch(seq, view, request_certificates,
-                               agreement_certificate, nondet)
-        self.max_n = max(self.max_n, seq)
-        if self.owner.tracing:
-            self._trace_requests(batch.request_certificates, "release")
-        pending = PendingSend(
-            batch=batch, fire=lambda: self._on_retransmit_timeout(seq),
-            label=f"{self.owner.node_id}:mq-retransmit:{seq}",
-            timeout_ms=self.config.timers.agreement_retransmit_ms)
-        self.pending_sends[seq] = pending
-        # Optimisation from the paper: on first insertion only the current
-        # primary multicasts the batch downstream; every node retransmits if
-        # the timeout expires before the reply certificate arrives.
-        if self._owner_is_primary(view):
-            self._send(self.downstream, batch)
-        self._arm(pending)
-
-    def _on_retransmit_timeout(self, seq: int) -> None:
-        pending = self.pending_sends.get(seq)
-        if pending is not None:
-            self._send(self.downstream, pending.batch)
-            self._back_off(pending)
-
-    def retry_hint(self, request_certificate: Certificate,
-                   relayed: bool = False) -> RetryOutcome:
-        """Handle a client-initiated retransmission (BASE's ``retryHint``)."""
-        request: ClientRequest = request_certificate.payload
-        if self._serve_from_cache(request):
-            return RetryOutcome.HANDLED
-        for pending in self.pending_sends.values():
-            if self._carries(pending.batch, request):
-                self._send(self.downstream, pending.batch)
-                self.retransmissions += 1
-                return RetryOutcome.HANDLED
-        self._forward_request(request_certificate, self.execution_ids, relayed)
-        return RetryOutcome.NEED_ORDER
-
-    # ------------------------------------------------------------------ #
-    # Reply certificates from the execution cluster / privacy firewall.
-    # ------------------------------------------------------------------ #
-
-    def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
-        """Handle a (partial or full) reply certificate flowing back down."""
-        if not self._admissible(message):
-            return
-        if self._answers_a_retry(message):
-            self._on_retry_answer(sender, message, self.execution_ids)
-            return
-        full = self._assemble_into(self._collectors, sender, message.certificate,
-                                   self.execution_ids, self.threshold_group,
-                                   self._backups(message.body.view))
-        if full is not None:
-            self._accept_reply(full)
-
-    def _accept_reply(self, certificate: Certificate) -> None:
-        """A full reply certificate for its body's ``seq`` has been assembled."""
-        seq = certificate.payload.seq
-        self.highest_reply_seq = max(self.highest_reply_seq, seq)
-        # Drop pending entries for this and all lower sequence numbers.
-        for pending_seq in [s for s in self.pending_sends if s <= seq]:
-            pending = self.pending_sends.pop(pending_seq)
-            if pending.timer is not None:
-                pending.timer.cancel()
-        # Garbage collect assembly state for old sequence numbers.
-        self._collectors.trim(seq - self.config.pipeline_depth)
-        self._forward_replies(certificate)
-        self.owner.proposer.on_pipeline_progress()
+def __getattr__(name: str):
+    # ``MessageQueue`` is an alias of the one router queue, kept only
+    # because the frozen performance ledger (benchmarks/ledger/spans.py)
+    # resolves this module and name.  Resolved on first use:
+    # ``repro.sharding.queue`` itself imports this module.
+    if name == "MessageQueue":
+        from ..sharding.queue import ShardRouterQueue
+        return ShardRouterQueue
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

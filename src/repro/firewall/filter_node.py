@@ -97,10 +97,12 @@ class FilterNode(Process):
     # ------------------------------------------------------------------ #
 
     def handle_batch_from_below(self, batch: OrderedBatch) -> None:
-        seq = batch.seq
-        if seq < self.max_n - self.config.pipeline_depth:
+        # The array fronts the one execution cluster (shard 0), whose
+        # replies count the shard-local slot the certified route gives it.
+        seq = dict(getattr(batch.cert_body, "route", ())).get(0)
+        if seq is None or seq < self.max_n - self.config.pipeline_depth:
             return
-        if not self._validate_batch(batch):
+        if not self._validate_batch(batch, seq):
             return
         self.max_n = max(self.max_n, seq)
         self._garbage_collect()
@@ -128,15 +130,16 @@ class FilterNode(Process):
             return
         self.multicast(self.above, batch)
 
-    def _validate_batch(self, batch: OrderedBatch) -> bool:
+    def _validate_batch(self, batch: OrderedBatch, slot: int) -> bool:
         """Filters verify certificates so garbage never crosses the firewall:
         the agreement certificate binds exactly this request list at this
-        sequence number and view, and every request is a known client's."""
+        sequence number and view, routed to ``slot``, and every request is
+        a known client's."""
         requests = batch.request_certificates
         return (self.crypto.agreed_batch(batch.agreement_certificate, batch.seq,
                                          batch.view, requests,
                                          self.config.agreement_quorum,
-                                         self.agreement_ids)
+                                         self.agreement_ids, slot=(0, slot))
                 and all(self.crypto.authentic_request(certificate, self.client_ids)
                         for certificate in requests))
 

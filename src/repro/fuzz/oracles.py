@@ -166,9 +166,7 @@ class ReplyTableAuditOracle(Oracle):
     def check(self, system, *, completed_all: bool = True,
               context: Optional[RunContext] = None) -> List[OracleViolation]:
         violations: List[OracleViolation] = []
-        clusters = getattr(system, "shard_execution_nodes", None)
-        if clusters is None:
-            clusters = [system.execution_nodes]
+        clusters = system.shard_execution_nodes
         for shard, cluster in enumerate(clusters):
             frontiers = {}
             for node in cluster:

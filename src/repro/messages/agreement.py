@@ -177,6 +177,15 @@ class ViewChange(Message):
     def padding_bytes(self) -> int:  # type: ignore[override]
         return sum(proof.padding_bytes for proof in self.prepared)
 
+    def within_watermarks(self, window: int) -> bool:
+        """Whether every proof lies in ``(last_stable_seq, last_stable_seq
+        + window]``: a correct replica prepares only inside its watermarks
+        (PBFT), so a vote with a proof outside them is dropped, and no vote
+        makes a new primary re-propose, or fill with null batches, past one
+        window above the checkpoint it names."""
+        low = self.last_stable_seq
+        return all(low < proof.seq <= low + window for proof in self.prepared)
+
 
 @dataclass(frozen=True)
 class NewView(Message):

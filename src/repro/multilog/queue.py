@@ -184,7 +184,9 @@ class CrossLogRound:
         """The subset of ``shards`` this log's group owns: a batch whose
         targets all live in other groups falls through to the queue's
         vacuous answer, so its pipeline never waits on a reply another
-        log's clusters owe."""
+        log's clusters owe.  With one log that is every shard."""
+        if not self.peer_ids:
+            return shards
         lmap = self._log_map()
         return [shard for shard in shards if lmap.log_of(shard) == self.log]
 

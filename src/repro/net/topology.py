@@ -124,26 +124,3 @@ class Topology:
         # Execution nodes talk among themselves (state transfer, checkpoints).
         topo.add_links(execution, execution)
         return topo
-
-    @staticmethod
-    def separate_clusters(clients: Iterable[NodeId],
-                          agreement: Iterable[NodeId],
-                          execution: Iterable[NodeId],
-                          allow_client_execution: bool = True) -> "Topology":
-        """Topology for the separated architecture without a firewall.
-
-        The optimisation in which execution nodes reply directly to clients
-        requires client<->execution links; pass ``allow_client_execution=False``
-        to force replies through the agreement cluster.
-        """
-        topo = Topology(fully_connected=False)
-        clients = list(clients)
-        agreement = list(agreement)
-        execution = list(execution)
-        topo.add_links(clients, agreement)
-        topo.add_links(agreement, agreement)
-        topo.add_links(agreement, execution)
-        topo.add_links(execution, execution)
-        if allow_client_execution:
-            topo.add_links(clients, execution)
-        return topo

@@ -70,7 +70,7 @@ guarantees is narrower and holds for any bytes a peer writes:
   destination), so the first frame binds the connection to the sender it
   names, and a later frame naming another is a forgery.  As on the
   simulator, where ``sender`` is always the true source, one stream cannot
-  speak for several nodes (``handle_checkpoint_share``, for one, compares
+  speak for several nodes (``Checkpoints.on_share``, for one, compares
   ``sender`` with ``share.replica``).  Loopback connections are not
   authenticated, so the first frame's sender is taken as named; that
   authenticity still comes from the certificates;

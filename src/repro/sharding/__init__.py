@@ -17,17 +17,18 @@ while ordering capacity stays fixed.
   replicas, and clients;
 * :mod:`~repro.sharding.queue` -- the shard-routing message queue installed
   in each agreement node;
-* :mod:`~repro.sharding.execution` -- shard execution replicas with misroute
+* :mod:`~repro.sharding.execution` -- the execution replicas, with misroute
   rejection and per-shard checkpoint/state-transfer lifecycles;
 * :mod:`~repro.sharding.client` -- the client's multi-shard operation part
   (:class:`~repro.core.client.ClientNode` collects the ``g + 1`` reply
   quorum from the owning shard only);
 * :mod:`~repro.sharding.system` -- :class:`ShardedSystem`, the deployment
-  builder (``multilog.num_logs`` agreement clusters, one by default).
+  builder (``multilog.num_logs`` agreement clusters, one by default), and
+  :class:`SeparatedSystem`, the paper's deployment: its one-shard case.
 """
 
 from .client import ShardAwareClient
-from .execution import ShardExecutionNode
+from .execution import ExecutionNode
 from .messages import (
     CrossShardSubReply,
     CrossShardVote,
@@ -50,13 +51,14 @@ from .partitioner import (
 from .queue import ShardRouterQueue
 from .rebalance import RebalanceController, ShardLoadWindow, apply_map_change
 from .router import ShardRouter
-from .system import ShardedSystem, sharded_topology
+from .system import SeparatedSystem, ShardedSystem, sharded_topology
 
 __all__ = [
     "CrossShardSubReply",
     "CrossShardVote",
     "CrossShardVoteFetch",
     "DEFAULT_SHARD",
+    "ExecutionNode",
     "HashPartitioner",
     "KeyRangePartitioner",
     "MapChange",
@@ -68,8 +70,8 @@ __all__ = [
     "RangeHandoff",
     "RebalanceController",
     "ShardAwareClient",
+    "SeparatedSystem",
     "ShardedSystem",
-    "ShardExecutionNode",
     "ShardLoadWindow",
     "ShardLocalBatch",
     "ShardRouter",

@@ -206,6 +206,8 @@ class CrossShardOperations(ShareExchange):
     def trim(self) -> None:
         """Drop vote tallies of operations already resolved here (the reply
         table records the resolution; late duplicates replay it)."""
+        if not self.tallies:
+            return
         reply_table = self.node.reply_table
 
         def live(client: NodeId, timestamp: int) -> bool:

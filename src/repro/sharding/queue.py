@@ -1,7 +1,7 @@
-"""The shard-routing message queue.
+"""The message queue: the agreement library's local state machine, routing.
 
-Each agreement node hosts a :class:`ShardRouterQueue` instead of the plain
-:class:`~repro.core.message_queue.MessageQueue`.  The agreement library
+Each agreement node hosts a :class:`ShardRouterQueue` (the paper's message
+queue, Section 3.2.1, is its one-shard case).  The agreement library
 establishes the same total order of committed batches on every correct
 replica, so each queue can assign per-shard sequence numbers
 *deterministically*: when the batch at global sequence ``n`` contains
@@ -29,8 +29,7 @@ there (:meth:`ShardRouterQueue.execute_batch`).  An execution replica
 accepts a part when the certificate verifies with its own slot in the
 route, so the queue sends each touched cluster the plain
 :class:`~repro.messages.agreement.OrderedBatch`: the primary on first
-release, every queue again on its retransmission timer (as
-:class:`~repro.core.message_queue.MessageQueue` does), and a queue whose
+release, every queue again on its retransmission timer, and a queue whose
 replica enters a view as its primary sends every part still
 pending, which the old primary may never have sent.
 
@@ -54,8 +53,8 @@ stale), and every batch after it routes by the new map.  The routed body
 names the epoch (a marker's: the one it closes), so the certificate covers
 it too.
 
-The queue also keeps the **per-shard load counters** the rebalancer reads:
-routed requests per cluster and per key over the current observation
+A queue with a rebalancer also keeps the **per-shard load counters** it
+reads: routed requests per cluster and per key over the current observation
 window (reset at each cut, so the window always describes the live map).
 Counting in the global order means the counters are a pure function of the
 committed prefix -- identical on every correct replica at the same log
@@ -134,10 +133,15 @@ class ShardRouterQueue(QueueCore):
                  client_ids: List[NodeId], router: ShardRouter,
                  log: int, log_agreement_ids: List[List[NodeId]],
                  log_registry: EpochRegistry[LogMap],
-                 shard_threshold_groups: Optional[List[str]] = None) -> None:
+                 shard_threshold_groups: Optional[List[str]] = None,
+                 downstream: Optional[List[List[NodeId]]] = None) -> None:
         super().__init__(owner, config, client_ids)
         self.router = router
         self.shard_execution_ids = [list(ids) for ids in shard_execution_ids]
+        #: where each shard's batches go: its execution replicas, or the
+        #: bottom row of the privacy firewall in front of them
+        self.downstream = ([list(ids) for ids in downstream]
+                           if downstream is not None else self.shard_execution_ids)
         self.shard_threshold_groups = shard_threshold_groups
         self.num_shards = router.num_shards
         #: the cross-log round (binds, holds and sends nothing with one log)
@@ -169,7 +173,8 @@ class ShardRouterQueue(QueueCore):
         #: shard parts not yet answered, per shard: shard_seq -> global seq,
         #: in release order (which is shard-seq order)
         self._unanswered: List[Dict[int, int]] = [dict() for _ in range(self.num_shards)]
-        #: global seq -> number of shard parts still awaiting a reply
+        #: global seq -> number of shard parts still awaiting a reply (kept
+        #: for batches of several parts)
         self._parts_outstanding: Dict[int, int] = {}
         #: global sequence numbers fully answered above the watermark
         self._answered: Set[int] = set()
@@ -180,10 +185,11 @@ class ShardRouterQueue(QueueCore):
         #: this node's partition-map epoch cursor: the epoch governing the
         #: *next* routed batch (advanced exactly at map-change markers)
         self.epoch = 0
-        #: routed-request load counters over the current observation window
+        #: routed-request load counters over the current observation window,
+        #: kept while a rebalancer reads them
         self.load_window = ShardLoadWindow(num_clusters=self.num_shards)
-        #: cumulative routed requests per cluster (never reset; the
-        #: example and benchmarks read these for observability)
+        #: cumulative routed requests per cluster (never reset; counted
+        #: beside the window)
         self.routed_by_shard: List[int] = [0] * self.num_shards
 
         # Statistics.
@@ -194,12 +200,6 @@ class ShardRouterQueue(QueueCore):
         #: client markers released through a cross-log hold
         self.cross_log_markers = 0
 
-        # Observability (passive): time each batch spends buffered between
-        # delivery and release.
-        self._staged_at: Dict[int, float] = {}
-        self._h_stall = owner.metrics.histogram("shardqueue.frontier_stall_ms")
-        self._c_released = owner.metrics.counter("shardqueue.batches_released")
-        self._g_staged = owner.metrics.gauge("shardqueue.staged_depth")
         owner.metrics.register_probe("shardqueue.state", self._shard_probe)
 
         #: the rebalance controller (any replica may become primary, so
@@ -291,8 +291,9 @@ class ShardRouterQueue(QueueCore):
         body: RoutedCertBody = agreement_certificate.payload
         batch = DeliveredBatch(seq, view, request_certificates,
                                agreement_certificate, nondet)
-        route = self._route_of(seq, body.batch_digest, batch.request_certificates)
-        del self._routes[seq]
+        cached = self._routes.pop(seq, None)
+        route = (cached[1] if cached is not None and cached[0] == body.batch_digest
+                 else self.router.route(request_certificates, self.epoch))
         for shard, shard_seq in body.route:
             self._next_shard_seq[shard] = shard_seq
         self._routed_seq = seq
@@ -303,14 +304,20 @@ class ShardRouterQueue(QueueCore):
         elif route.kind != LOG_MAP_CHANGE:
             if route.kind == CROSS_SHARD:
                 self.cross_shard_markers += 1
-            self._note_load(route)
+            if self.rebalancer is not None:
+                self._note_load(route)
         if self._ahead_seq <= seq:
             self._route_ahead_from_delivered()
-        self._staged[seq] = _Routed(batch, route, body.route, cut)
-        self._staged_at[seq] = self.owner.now
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "stage")
-        self._advance_release_frontier()
+        routed = _Routed(batch, route, body.route, cut)
+        if cut is None and not self._staged and seq == self._released_seq + 1:
+            # nothing holds the release frontier: release at once
+            self._released_seq = seq
+            self._release(routed)
+        else:
+            self._staged[seq] = routed
+            self._advance_release_frontier()
 
     def _advance_release_frontier(self) -> None:
         """Release routed batches in global order until one the cross-log
@@ -322,15 +329,10 @@ class ShardRouterQueue(QueueCore):
             self._released_seq += 1
             del self._staged[self._released_seq]
             self._release(routed)
-        self._g_staged.set(len(self._staged))
 
     def _release(self, routed: _Routed) -> None:
         """Send a released batch's parts and end its cross-log hold."""
         batch = routed.batch
-        staged_at = self._staged_at.pop(batch.seq, None)
-        if staged_at is not None:
-            self._h_stall.observe(self.owner.now - staged_at)
-        self._c_released.inc()
         if self.owner.tracing:
             self._trace_requests(batch.request_certificates, "release")
         self._send_parts(batch, routed.parts)
@@ -348,7 +350,8 @@ class ShardRouterQueue(QueueCore):
         if not parts:
             self._vacuous_answer(batch.seq)
             return
-        self._parts_outstanding[batch.seq] = len(parts)
+        if len(parts) > 1:
+            self._parts_outstanding[batch.seq] = len(parts)
         sends = self._owner_is_primary(self.owner.view)
         for part in parts:
             shard, shard_seq = part
@@ -359,7 +362,7 @@ class ShardRouterQueue(QueueCore):
                 label=f"{self.owner.node_id}:mq-retransmit:s{shard}:{shard_seq}",
                 timeout_ms=self.config.timers.agreement_retransmit_ms)
             if sends:
-                self._send(self.shard_execution_ids[shard], batch)
+                self._send(self.downstream[shard], batch)
             self._arm(pending)
 
     def adopt_frontier(self, shard: int, frontier: int) -> None:
@@ -376,7 +379,7 @@ class ShardRouterQueue(QueueCore):
         self._route_ahead_from_delivered()
         if self._owner_is_primary(view):
             for (shard, _), pending in self.shard_pending.items():
-                self._send(self.shard_execution_ids[shard], pending.batch)
+                self._send(self.downstream[shard], pending.batch)
 
     def _vacuous_answer(self, seq: int) -> None:
         """Mark a slot nobody owes a reply for as answered, so the pipeline
@@ -431,7 +434,7 @@ class ShardRouterQueue(QueueCore):
     def _on_shard_retransmit_timeout(self, part: ShardPart) -> None:
         pending = self.shard_pending.get(part)
         if pending is not None:
-            self._send(self.shard_execution_ids[part[0]], pending.batch)
+            self._send(self.downstream[part[0]], pending.batch)
             self._back_off(pending)
 
     def on_unknown_message(self, sender: NodeId, message: Message) -> None:
@@ -463,7 +466,7 @@ class ShardRouterQueue(QueueCore):
         for (shard, _), pending in self.shard_pending.items():
             if ((every_part or shard == owner)
                     and self._carries(pending.batch, request)):
-                self._send(self.shard_execution_ids[shard], pending.batch)
+                self._send(self.downstream[shard], pending.batch)
                 self.retransmissions += 1
                 outcome = RetryOutcome.HANDLED
                 if not every_part:
@@ -539,9 +542,7 @@ class ShardRouterQueue(QueueCore):
         if self._ahead_seq < seq:
             self._route_ahead_from_delivered()
         self._routes = {n: cached for n, cached in self._routes.items() if n > seq}
-        for stale in [n for n in self._staged if n <= seq]:
-            self._staged.pop(stale)
-            self._staged_at.pop(stale, None)
+        self._staged = {n: routed for n, routed in self._staged.items() if n > seq}
         if seq > self._released_seq:
             self._released_seq = seq
         self._advance_release_frontier()
@@ -591,7 +592,8 @@ class ShardRouterQueue(QueueCore):
     def on_batch_reply(self, sender: NodeId, message: BatchReply) -> None:
         if not self._admissible(message):
             return
-        shard = message.body.shard
+        body = message.body
+        shard = body.shard
         if shard is None or not 0 <= shard < self.num_shards:
             self.misrouted_replies += 1
             return
@@ -604,7 +606,7 @@ class ShardRouterQueue(QueueCore):
             self._shard_collectors[shard], sender, message.certificate,
             self.shard_execution_ids[shard],
             groups[shard] if groups is not None else None,
-            self._backups(message.body.view))
+            self._backups(body.view))
         if full is not None:
             self._accept_shard_reply(full)
 
@@ -624,15 +626,13 @@ class ShardRouterQueue(QueueCore):
             pending = self.shard_pending.pop((shard, settled))
             if pending.timer is not None:
                 pending.timer.cancel()
-            remaining = self._parts_outstanding.get(global_seq, 0) - 1
-            if remaining <= 0:
-                self._parts_outstanding.pop(global_seq, None)
-                if global_seq > self.highest_reply_seq:
-                    # A checkpoint sync may have moved the watermark past a
-                    # still-pending part; its late reply must not linger.
-                    self._answered.add(global_seq)
-            else:
+            remaining = self._parts_outstanding.pop(global_seq, 1) - 1
+            if remaining > 0:
                 self._parts_outstanding[global_seq] = remaining
+            elif global_seq > self.highest_reply_seq:
+                # A checkpoint sync may have moved the watermark past a
+                # still-pending part; its late reply must not linger.
+                self._answered.add(global_seq)
         self._advance_reply_watermark()
         # Garbage collect assembly state for old parts of this shard.
         self._shard_collectors[shard].trim(

@@ -20,7 +20,7 @@ while the others idle.  This module closes the loop:
    everything after it by epoch ``e + 1``.
 4. **Handoff** -- execution clusters hand the moved ranges' state off at
    their own in-stream cut points (see
-   :class:`~repro.sharding.execution.ShardExecutionNode`).
+   :class:`~repro.sharding.execution.ExecutionNode`).
 
 Every decision input is a deterministic function of the released (committed)
 traffic, so benchmark runs replay bit-identically for a given seed.

@@ -7,7 +7,7 @@ identically-configured one) runs in three places:
 
 * in every agreement node's :class:`~repro.sharding.queue.ShardRouterQueue`,
   to demultiplex the globally agreed sequence into per-shard subsequences;
-* in every :class:`~repro.sharding.execution.ShardExecutionNode`, to verify
+* in every :class:`~repro.sharding.execution.ExecutionNode`, to verify
   that each request in a routed batch really belongs to it (misroute
   rejection: a Byzantine agreement node cannot make a shard execute a
   request it does not own);
@@ -45,7 +45,7 @@ from ..messages.request import ClientRequest, EncryptedBody
 from ..multilog.messages import LogMapChange
 from ..statemachine.interface import Operation
 from .messages import MapChange
-from .partitioner import Partitioner
+from .partitioner import DEFAULT_SHARD, Partitioner
 
 #: extracts the routing key from an operation (None = keyless)
 KeyExtractor = Callable[[Operation], Optional[str]]
@@ -162,6 +162,10 @@ class ShardRouter:
         #: whether operations spanning shards are ordered as cross-shard
         #: markers (``CrossShardConfig.enabled``)
         self.cross_shard = cross_shard
+        #: with one shard every operation is shard 0's at every epoch, and
+        #: no question needs a key (the paper's deployment: behind the
+        #: privacy firewall the keys are encrypted)
+        self.one_shard = partitioner.num_shards == 1
         # Ad-hoc classification counters (the router instance is shared by
         # every role of one system, so these are system-wide totals; they
         # are surfaced through the observability hub's global probes).
@@ -192,10 +196,10 @@ class ShardRouter:
     def routing_key(self, operation: Operation) -> Optional[str]:
         """The routing key of an operation (None: keyless, or opaque).
 
-        An encrypted body (privacy-firewall deployments) hides the key from
-        the router; the configuration layer forbids combining sharding with
-        the firewall, so one here is a protocol violation and routes to the
-        default shard rather than crashing the router.
+        An encrypted body hides the key from the router.  The configuration
+        allows the privacy firewall only with one shard, where no key is
+        asked for; one anywhere else is a protocol violation and routes to
+        the default shard rather than crashing the router.
         """
         if isinstance(operation, EncryptedBody):
             return None
@@ -204,6 +208,8 @@ class ShardRouter:
     def shard_of_operation(self, operation: Operation,
                            epoch: Optional[int] = None) -> int:
         """The shard owning ``operation``'s routing key at ``epoch``."""
+        if self.one_shard:
+            return DEFAULT_SHARD
         return self.partitioner.shard_of_key(self.routing_key(operation), epoch)
 
     def keys_of_operation(self, operation: Operation) -> Optional[Tuple[str, ...]]:
@@ -220,7 +226,7 @@ class ShardRouter:
         the one shard owning it.  More than one shard is exactly the
         cross-shard condition.  Raises ``KeyError`` for an unknown epoch,
         like every other epoch-taking lookup."""
-        keys = self.keys_of_operation(operation)
+        keys = None if self.one_shard else self.keys_of_operation(operation)
         if keys:
             shards = sorted({self.partitioner.shard_of_key(key, epoch)
                              for key in keys})
@@ -277,6 +283,9 @@ class ShardRouter:
         """Each certificate's owner in an ordinary batch at ``epoch``: None
         for a payload that is no client request, for a cross-shard request
         (nobody's), and for every certificate at an unknown epoch."""
+        if self.one_shard:
+            return tuple(DEFAULT_SHARD if isinstance(certificate.payload, ClientRequest)
+                         else None for certificate in certificates)
         try:
             return tuple(self._owner(certificate.payload, epoch)
                          for certificate in certificates)

@@ -1,4 +1,4 @@
-"""System assembly for the sharded architecture.
+"""System assembly: the one deployment builder.
 
 :class:`ShardedSystem` extends :class:`~repro.core.system.SimulatedSystem`
 with the paper's separation taken one step further: a ``3f + 1`` agreement
@@ -33,6 +33,12 @@ Byzantine agreement replicas *per log* and ``g`` Byzantine execution
 replicas *per shard* -- the coordination round never assembles a quorum
 across clusters (every binding certificate is checked against the named
 log's own membership).
+
+With one shard and one log the builder makes the paper's deployment,
+:class:`SeparatedSystem`: nothing in it is wired differently, apart from
+what only one shard can have -- the privacy firewall between the
+agreement cluster and the execution cluster, and ``Deployment.SAME``'s
+shared machines.
 """
 
 from __future__ import annotations
@@ -40,9 +46,10 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..agreement.replica import AgreementReplica
-from ..config import AuthenticationScheme, SystemConfig
+from ..config import AuthenticationScheme, Deployment, SystemConfig
 from ..core.system import SimulatedSystem
 from ..errors import ConfigurationError
+from ..firewall.array import FirewallArray
 from ..multilog.logmap import initial_log_map
 from ..multilog.messages import LogMapChange
 from ..net.topology import Topology
@@ -51,7 +58,7 @@ from ..statemachine.interface import StateMachine
 from ..util.epochs import EpochRegistry
 from ..util.ids import NodeId, agreement_id, client_id, execution_id
 from ..core.client import ClientNode
-from .execution import ShardExecutionNode
+from .execution import ExecutionNode
 from .partitioner import make_partitioner
 from .queue import ShardRouterQueue
 from .router import KeyExtractor, ShardRouter
@@ -94,6 +101,13 @@ class ShardedSystem(SimulatedSystem):
     the application state.  ``key_extractor`` maps operations to routing keys
     (default: :func:`repro.apps.kvstore.extract_key` when the application
     class exposes one; keyless operations route to shard 0).
+
+    With one shard and one log this is the paper's deployment
+    (:class:`SeparatedSystem`), and two things only it can have are wired
+    here: the privacy firewall (every operation, encrypted or not, routes
+    to shard 0, so no router needs to read a key; the configuration
+    refuses the firewall anywhere else) and ``Deployment.SAME``, where
+    execution replica ``i`` shares agreement replica ``i``'s machine.
     """
 
     def __init__(self, config: SystemConfig,
@@ -101,11 +115,6 @@ class ShardedSystem(SimulatedSystem):
                  key_extractor: Optional[KeyExtractor] = None,
                  num_clients: Optional[int] = None,
                  seed: Optional[int] = None) -> None:
-        if config.use_privacy_firewall:
-            raise ConfigurationError(
-                "ShardedSystem does not support the privacy firewall "
-                "(the shard router must read operation keys)"
-            )
         super().__init__(config, seed=seed)
         count = num_clients if num_clients is not None else config.num_clients
         num_logs = config.multilog.num_logs
@@ -149,40 +158,64 @@ class ShardedSystem(SimulatedSystem):
                 shard_threshold_groups.append(group)
         self.shard_threshold_groups = shard_threshold_groups
 
+        # ---------------- Privacy firewall (one shard only). ---------- #
+        self.firewall: Optional[FirewallArray] = None
+        firewall_ids: List[NodeId] = []
+        downstream = self.shard_execution_ids
+        if config.use_privacy_firewall:
+            self.firewall = FirewallArray(
+                config=config, scheduler=self.scheduler, keystore=self.keystore,
+                agreement_ids=self.agreement_ids, execution_ids=self.execution_ids,
+                client_ids=self.client_ids,
+                threshold_group=shard_threshold_groups[0])
+            firewall_ids = self.firewall.node_ids
+            downstream = [self.firewall.bottom_row_ids]
+        self.firewall_ids = firewall_ids
+
         # ---------------- Topology. ---------------- #
         # The agreement ids are flattened over the logs: bindings and cuts
         # flow between every pair of agreement replicas across log
         # boundaries, and every log may come to feed any shard after a
         # log-map change.
-        self.network.topology = sharded_topology(
-            clients=self.client_ids, agreement=self.agreement_ids,
-            shard_execution_ids=self.shard_execution_ids,
-            cross_shard_links=(config.rebalance.enabled
-                               or config.cross_shard.enabled))
+        if self.firewall is not None:
+            self.network.topology = Topology.privacy_firewall(
+                clients=self.client_ids, agreement=self.agreement_ids,
+                firewall_rows=self.firewall.row_ids, execution=self.execution_ids)
+        elif config.deployment is Deployment.SAME:
+            self.network.topology = Topology.full()
+        else:
+            self.network.topology = sharded_topology(
+                clients=self.client_ids, agreement=self.agreement_ids,
+                shard_execution_ids=self.shard_execution_ids,
+                cross_shard_links=(config.rebalance.enabled
+                                   or config.cross_shard.enabled))
 
         # ---------------- Execution clusters (one per shard). ---------- #
-        self.shard_execution_nodes: List[List[ShardExecutionNode]] = []
+        self.shard_execution_nodes: List[List[ExecutionNode]] = []
         for shard, shard_ids in enumerate(self.shard_execution_ids):
-            cluster: List[ShardExecutionNode] = []
+            cluster: List[ExecutionNode] = []
             group = (shard_threshold_groups[shard]
                      if shard_threshold_groups is not None else None)
             owner_ids = self.log_agreement_ids[self._log_of(shard)]
+            upstream = (owner_ids if self.firewall is None
+                        else self.firewall.top_row_ids)
             for node_id in shard_ids:
-                node = ShardExecutionNode(
+                node = ExecutionNode(
                     node_id=node_id, scheduler=self.scheduler, config=config,
                     keystore=self.keystore, state_machine=app_factory(),
                     agreement_ids=owner_ids, execution_ids=shard_ids,
-                    client_ids=self.client_ids, upstream=owner_ids,
+                    client_ids=self.client_ids, upstream=upstream,
                     shard=shard, router=self.router, threshold_group=group,
                     shard_execution_ids=self.shard_execution_ids,
                     log_agreement_ids=self.log_agreement_ids,
+                    encrypt_replies=config.use_privacy_firewall,
                 )
                 cluster.append(node)
                 self.network.register(node)
             self.shard_execution_nodes.append(cluster)
 
         # ---------------- K agreement clusters with shard routers. ----- #
-        cert_verifiers = self.execution_ids
+        cert_verifiers = self.execution_ids + firewall_ids
         self.message_queues: List[ShardRouterQueue] = []
         self.agreement_replicas: List[AgreementReplica] = []
         for index, node_id in enumerate(self.agreement_ids):
@@ -200,6 +233,7 @@ class ShardedSystem(SimulatedSystem):
                 log=log, log_agreement_ids=self.log_agreement_ids,
                 log_registry=self.log_registry,
                 shard_threshold_groups=shard_threshold_groups,
+                downstream=downstream,
             )
             replica.local = queue
             self.message_queues.append(queue)
@@ -210,8 +244,27 @@ class ShardedSystem(SimulatedSystem):
             for first in range(0, len(self.agreement_replicas), log_size)
         ]
 
+        # ---------------- Co-located verification caches. -------------- #
+        # Under Deployment.SAME execution replica i runs on the machine of
+        # agreement replica i, and a machine trusts its own verifications:
+        # the two roles share one VerifiedCertificateCache, so a request
+        # certificate checked during agreement is a cache hit when the
+        # co-located execution role validates the ordered batch.  Execution
+        # replicas beyond the agreement cluster size (g > f deployments) get
+        # their own machines and keep their own caches.
+        if (config.deployment is Deployment.SAME
+                and config.perf.verified_cert_cache):
+            nodes = [node for cluster in self.shard_execution_nodes
+                     for node in cluster]
+            for replica, node in zip(self.agreement_replicas, nodes):
+                node.crypto.cache = replica.crypto.cache
+
+        if self.firewall is not None:
+            for node in self.firewall.nodes:
+                self.network.register(node)
+
         # ---------------- Clients. ---------------- #
-        request_verifiers = self.agreement_ids + self.execution_ids
+        request_verifiers = self.agreement_ids + self.execution_ids + firewall_ids
         for node_id in self.client_ids:
             self._add_client(ClientNode(
                 node_id=node_id, scheduler=self.scheduler, config=config,
@@ -220,6 +273,7 @@ class ShardedSystem(SimulatedSystem):
                 reply_quorum=config.reply_quorum,
                 reply_clusters=self.shard_execution_ids, router=self.router,
                 log_of_shard=self._log_of,
+                encrypt_requests=config.use_privacy_firewall,
             ))
 
     # ------------------------------------------------------------------ #
@@ -283,6 +337,8 @@ class ShardedSystem(SimulatedSystem):
         processes: List[Process] = list(self.agreement_replicas)
         for cluster in self.shard_execution_nodes:
             processes.extend(cluster)
+        if self.firewall is not None:
+            processes.extend(self.firewall.nodes)
         return processes
 
     def agreement_replica(self, index: int) -> AgreementReplica:
@@ -293,10 +349,10 @@ class ShardedSystem(SimulatedSystem):
         return next((replica for replica in self.log_replicas[log]
                      if replica.is_primary), None)
 
-    def execution_cluster(self, shard: int) -> List[ShardExecutionNode]:
+    def execution_cluster(self, shard: int) -> List[ExecutionNode]:
         return self.shard_execution_nodes[shard]
 
-    def execution_node(self, shard: int, index: int) -> ShardExecutionNode:
+    def execution_node(self, shard: int, index: int) -> ExecutionNode:
         return self.shard_execution_nodes[shard][index]
 
     def crash_agreement(self, index: int, log: int = 0) -> None:
@@ -306,6 +362,12 @@ class ShardedSystem(SimulatedSystem):
     def crash_execution(self, shard: int, index: int) -> None:
         """Crash one execution replica of ``shard`` (up to ``g`` per shard)."""
         self.shard_execution_nodes[shard][index].crash()
+
+    def crash_firewall(self, row: int, column: int) -> None:
+        """Crash one privacy-firewall filter (tolerated for up to ``h`` filters)."""
+        if self.firewall is None:
+            raise ConfigurationError("this deployment has no privacy firewall")
+        self.firewall.crash(row, column)
 
     def shard_of_key(self, key: str, epoch: Optional[int] = None) -> int:
         """The shard owning ``key`` (convenience for tests and demos)."""
@@ -325,11 +387,13 @@ class ShardedSystem(SimulatedSystem):
         return pmap
 
     def shard_load_window(self) -> List[int]:
-        """Released requests per cluster in the current observation window."""
+        """Released requests per cluster in the current observation window
+        (counted while rebalancing is on)."""
         return list(self.message_queues[0].load_window.requests_by_cluster)
 
     def shard_load_total(self) -> List[int]:
-        """Cumulative released requests per cluster since construction."""
+        """Cumulative released requests per cluster since construction
+        (counted while rebalancing is on)."""
         return list(self.message_queues[0].routed_by_shard)
 
     def epoch_cuts(self) -> int:
@@ -349,3 +413,38 @@ class ShardedSystem(SimulatedSystem):
     def total_requests_executed(self) -> int:
         """Requests executed across all shards."""
         return sum(self.requests_executed_by_shard())
+
+
+class SeparatedSystem(ShardedSystem):
+    """The paper's architecture: one agreement cluster in front of one
+    execution cluster, optionally behind the privacy firewall -- the
+    one-shard, one-log :class:`ShardedSystem`, with its one-index
+    accessors."""
+
+    def __init__(self, config: SystemConfig,
+                 app_factory: Callable[[], StateMachine],
+                 num_clients: Optional[int] = None,
+                 seed: Optional[int] = None) -> None:
+        if config.sharding.num_shards != 1 or config.multilog.num_logs != 1:
+            raise ConfigurationError(
+                "SeparatedSystem is the one-shard, one-log deployment; "
+                "build ShardedSystem for more")
+        super().__init__(config, app_factory, num_clients=num_clients, seed=seed)
+
+    @property
+    def execution_nodes(self) -> List[ExecutionNode]:
+        return self.shard_execution_nodes[0]
+
+    @property
+    def threshold_group(self) -> Optional[str]:
+        """The execution cluster's threshold-signature group (None unless
+        replies are threshold-signed)."""
+        groups = self.shard_threshold_groups
+        return groups[0] if groups is not None else None
+
+    def execution_node(self, index: int) -> ExecutionNode:  # type: ignore[override]
+        return self.shard_execution_nodes[0][index]
+
+    def crash_execution(self, index: int) -> None:  # type: ignore[override]
+        """Crash one execution replica (tolerated for up to ``g`` replicas)."""
+        self.shard_execution_nodes[0][index].crash()

@@ -20,11 +20,11 @@ class TestExecutionCheckpoints:
             system.invoke(increment(1))
         system.run(100.0)
         for node in system.execution_nodes:
-            assert node.stable_checkpoint is not None
-            assert node.stable_checkpoint.seq >= 4
-            assert node.stable_checkpoint.proof is not None
+            assert node.checkpoints.stable is not None
+            assert node.checkpoints.stable.seq >= 4
+            assert node.checkpoints.stable.proof is not None
             # Proof of stability carries at least g + 1 = 2 authenticators.
-            assert node.stable_checkpoint.proof.count() >= config.checkpoint_quorum
+            assert node.checkpoints.stable.proof.count() >= config.checkpoint_quorum
 
     def test_garbage_collection_bounds_state(self):
         config = make_config(checkpoint_interval=4, pipeline_depth=4)
@@ -33,8 +33,8 @@ class TestExecutionCheckpoints:
             system.invoke(increment(1))
         system.run(200.0)
         for node in system.execution_nodes:
-            stable = node.stable_checkpoint.seq
-            assert all(seq >= stable for seq in node.checkpoints)
+            stable = node.checkpoints.stable.seq
+            assert all(seq >= stable for seq in node.checkpoints.taken)
             assert all(seq > stable for seq in node.pending)
             # The per-sequence reply cache is trimmed to a bounded window.
             assert len(node.replies_by_seq) <= 2 * config.pipeline_depth + 1
@@ -45,9 +45,9 @@ class TestExecutionCheckpoints:
         for i in range(8):
             system.invoke(put(f"k{i}", i))
         system.run(200.0)
-        digests = {node.stable_checkpoint.seq: set() for node in system.execution_nodes}
+        digests = {node.checkpoints.stable.seq: set() for node in system.execution_nodes}
         for node in system.execution_nodes:
-            digests[node.stable_checkpoint.seq].add(node.stable_checkpoint.digest)
+            digests[node.checkpoints.stable.seq].add(node.checkpoints.stable.digest)
         for seq, values in digests.items():
             assert len(values) == 1
 

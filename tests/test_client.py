@@ -365,9 +365,11 @@ def test_a_client_completes_on_g_plus_1_genuine_partials_one_carried(arrivals):
                          result=OperationResult(value=result))
 
     sibling = reply("sibling", other, 1)
-    genuine = BatchReplyBody(view=0, seq=seq,
+    # the one execution cluster is shard 0, and its replies say so
+    genuine = BatchReplyBody(view=0, seq=seq, shard=0, epoch=0,
                              replies=(reply("genuine"), sibling))
-    lie = BatchReplyBody(view=0, seq=seq, replies=(reply("LIE"), sibling))
+    lie = BatchReplyBody(view=0, seq=seq, shard=0, epoch=0,
+                         replies=(reply("LIE"), sibling))
     partials = {
         "carried": lambda node: _partial(node, genuine,
                                          genuine.view_for(client.node_id), client),

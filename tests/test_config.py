@@ -9,6 +9,7 @@ from repro.config import (
     CryptoCosts,
     Deployment,
     NetworkConfig,
+    ShardingConfig,
     SystemConfig,
     TimerConfig,
 )
@@ -88,6 +89,24 @@ class TestValidation:
             SystemConfig(use_privacy_firewall=True,
                          authentication=AuthenticationScheme.THRESHOLD,
                          deployment=Deployment.SAME)
+
+    def test_the_firewall_builds_in_front_of_one_shard(self):
+        """The one refusal lives in the configuration: with one shard every
+        operation routes to shard 0 and no router reads a key, so the
+        sharded builder takes the firewall."""
+        from repro.apps.kvstore import KeyValueStore
+        from repro.sharding import ShardedSystem
+
+        system = ShardedSystem(SystemConfig.privacy_firewall(), KeyValueStore)
+        assert system.num_shards == 1 and system.firewall is not None
+        assert system.message_queues[0].downstream == [
+            system.firewall.bottom_row_ids]
+
+    def test_the_firewall_is_refused_in_front_of_two_shards(self):
+        with pytest.raises(ConfigurationError,
+                           match="the shard router must read operation keys"):
+            SystemConfig.privacy_firewall(
+                sharding=ShardingConfig(num_shards=2))
 
     def test_negative_app_processing_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -283,7 +283,7 @@ class TestSmuggledBundle:
                                 agreement_certificate=Certificate(
                                     payload=body, scheme=AuthenticationScheme.MAC),
                                 nondet=ordered.nondet)
-            return {shard: system.execution_node(shard, 0)._localize(batch)
+            return {shard: system.execution_node(shard, 0)._localize(batch)[0]
                     for shard, batch in sent.items()}
 
         def downstream(certificate):

@@ -1,9 +1,12 @@
-"""Agreement handlers are total, as a property.
+"""Agreement and execution handlers are total, as a property.
 
 A Byzantine peer can send an agreement replica any message the codec
 carries.  Whatever arrives, the replica drops it or handles it: no handler
 of the agreement plane (``AgreementReplica.on_message`` and the proposer it
-hands requests to) raises, and nothing the system runs after it does.
+hands requests to) raises, and nothing the system runs after it does.  The
+same holds for an execution replica (``ExecutionNode.on_message``, its
+checkpoints and its two cut participants), in the one-shard deployment and
+in a two-shard one.
 
 Each example starts from the golden frame of one agreement message
 (``tests/test_codec.py``), moved into a fresh system's view 0 so that,
@@ -11,8 +14,13 @@ unchanged, it is a message a correct peer could send there (its digests and
 its COMMIT authenticator recomputed), then changes one field -- a view, a
 sequence number, a signer, a scheme, the payload of a certificate, or the
 epoch, log or route of a ``RoutedCertBody`` put in one -- and delivers what
-the codec makes of it from a peer, in a ``SeparatedSystem`` and in a
-one-shard ``ShardedSystem``.
+the codec makes of it from a peer, in the one-shard deployment (the
+paper's ``SeparatedSystem``) and in a two-shard one.  An execution
+replica's examples start from the golden frames of what it takes, aligned
+the same way (an ordered batch certified by the shard's log at the
+receiver's slot, shares and fetches from the peers that send them), and
+change a sequence number, a view, a shard, an epoch, a log, a signer or a
+payload.
 """
 
 from __future__ import annotations
@@ -24,12 +32,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_config
 from repro.apps.kvstore import KeyValueStore
 from repro.config import AuthenticationScheme, ShardingConfig
-from repro.core import SeparatedSystem
 from repro.crypto.certificate import Certificate
 from repro.messages.agreement import (AgreementCertBody, CommitMsg, NewView,
-                                      PrePrepare, Prepare, ViewChange)
+                                      OrderedBatch, PrePrepare, Prepare,
+                                      RoutedCertBody, ViewChange)
+from repro.messages.checkpoint import (BatchTransfer, ExecCheckpointShare,
+                                       checkpoint_payload)
+from repro.messages.request import RequestEnvelope
 from repro.net.codec import default_codec
 from repro.sharding import ShardedSystem
+from repro.sharding.messages import CrossShardVote, vote_payload
 from repro.util.ids import agreement_id, client_id, execution_id
 from repro.util.wirecache import WIRE_CACHE
 
@@ -39,10 +51,19 @@ from test_messages_and_nondet import golden_messages
 AGREEMENT_MESSAGES = ("PrePrepare", "Prepare", "CommitMsg", "AgreementCheckpoint",
                       "ViewChange", "NewView", "RequestEnvelope")
 
+#: the messages an execution replica's handlers take: a batch (from an
+#: agreement node, or a peer's transfer), the cluster's checkpoint and
+#: catch-up protocol, a forwarded retransmission, and the cut participants'
+#: shares and fetches
+EXECUTION_MESSAGES = ("OrderedBatch", "BatchTransfer", "FetchBatch",
+                      "ExecCheckpointShare", "StateTransfer", "RequestEnvelope",
+                      "RangeHandoff", "RangeFetch", "CrossShardVote",
+                      "CrossShardVoteFetch")
+
 _GOLDEN = golden_messages()
 _SENDER = agreement_id(1)
 GOLDEN_FRAMES = {name: bytes(default_codec().encode_frame(_SENDER, _GOLDEN[name]))
-                 for name in AGREEMENT_MESSAGES}
+                 for name in AGREEMENT_MESSAGES + EXECUTION_MESSAGES}
 
 INTS = st.sampled_from([-(1 << 63), -1, 0, 1, 2, 3, 8, 9, 16, 17, 64,
                         1 << 31, (1 << 63) - 1])
@@ -57,13 +78,13 @@ VIEW, SEQ = ("view", "new_view"), ("seq", "last_stable_seq")
 #: signer and key (``None``), a NEW-VIEW's voters
 SIGNER = ("replica", "primary", "signer", None, "view_change_replicas")
 ROUTED = ("epoch", "log", "route")
+SHARD, EPOCH, LOG = (("shard", "source_shard", "target_shard"),
+                     ("epoch", "parent_epoch"), ("log",))
 
 
-def _build(sharded: bool):
-    config = (make_config(sharding=ShardingConfig(num_shards=1)) if sharded
-              else make_config())
-    return (ShardedSystem if sharded else SeparatedSystem)(
-        config, KeyValueStore, seed=29)
+def _build(shards: int, seed: int = 29):
+    return ShardedSystem(make_config(sharding=ShardingConfig(num_shards=shards)),
+                         KeyValueStore, seed=seed)
 
 
 def _decoded(name: str):
@@ -162,6 +183,9 @@ def _fields_of(message):
         "scheme": [spot for spot in spots if spot[1] == "scheme"],
         "payload": [spot for spot in spots
                     if spot[1] in ("payload", "cert_authenticator")],
+        "shard": [spot for spot in spots if spot[1] in SHARD],
+        "epoch": [spot for spot in spots if spot[1] in EPOCH],
+        "log": [spot for spot in spots if spot[1] in LOG],
     }
     kinds["routed"] = kinds["payload"]
     return {kind: found for kind, found in kinds.items() if found}
@@ -172,8 +196,10 @@ def _mutate(message, system, draw) -> None:
     kinds = _fields_of(message)
     kind = draw(st.sampled_from(sorted(kinds)))
     owner, field, old = draw(st.sampled_from(kinds[kind]))
-    if kind in ("view", "seq"):
+    if kind in ("view", "seq", "shard", "epoch"):
         _set(owner, field, draw(INTS))
+    elif kind == "log":
+        _set(owner, field, draw(st.none() | INTS))
     elif kind == "scheme":
         _set(owner, field, draw(st.sampled_from(list(AuthenticationScheme))))
     elif field is None:   # a certificate's authenticator under another signer
@@ -189,6 +215,9 @@ def _mutate(message, system, draw) -> None:
             replica = system.agreement_replicas[
                 system.agreement_ids.index(owner.replica)]
             body = replica.crypto.mac_authenticator(body, replica.cert_verifiers)
+        elif field == "authenticator":
+            # a share's replica vouches for another payload
+            body = draw(PAYLOADS)
         _set(owner, field, body)
 
 
@@ -211,7 +240,7 @@ def _deliveries(draw):
     one golden agreement message changed in one field, from the peer
     whose message it is (a request from its client or a backup relaying
     it) to another agreement replica."""
-    system = _build(sharded=draw(st.booleans()))
+    system = _build(draw(st.sampled_from([1, 2])))
     message = _aligned(_decoded(draw(st.sampled_from(AGREEMENT_MESSAGES))), system)
     sender = (getattr(message, "replica", None) or getattr(message, "primary", None)
               or draw(st.sampled_from([client_id(0)] + system.agreement_ids)))
@@ -227,4 +256,101 @@ def test_agreement_handlers_never_raise(delivery):
     system, sender, receiver, message = delivery
     replica = system.agreement_replicas[receiver]
     replica.deliver(sender, message, message.wire_size())
+    system.run(200.0)
+
+
+# ---------------------------------------------------------------------- #
+# The execution replica.
+# ---------------------------------------------------------------------- #
+
+
+def _request(system):
+    """The golden plain request, certified by its client for this system."""
+    client = system.clients[0]
+    return client.crypto.new_certificate(_GOLDEN["ClientRequest"],
+                                         AuthenticationScheme.MAC,
+                                         client.request_verifiers)
+
+
+def _ordered(system, shard):
+    """The golden batch as the log ordering ``shard`` would send it: its one
+    authentic request at sequence number 1 of view 0, routed to the shard's
+    first slot and certified by 2f + 1 agreement replicas."""
+    requests = (_request(system),)
+    replicas = system.log_replicas[0]
+    nondet = _GOLDEN["OrderedBatch"].nondet
+    body = RoutedCertBody(view=0, seq=1, nondet=nondet, route=((shard, 1),),
+                          epoch=0, batch_digest=replicas[0].crypto.batch_digest(requests))
+    certificate = Certificate(payload=body, scheme=AuthenticationScheme.MAC)
+    for replica in replicas[:system.config.agreement_quorum]:
+        certificate.add(replica.crypto.mac_authenticator(body, replica.cert_verifiers))
+    return OrderedBatch(seq=1, view=0, request_certificates=requests,
+                        agreement_certificate=certificate, nondet=nondet)
+
+
+def _aligned_for(message, system, node, sender):
+    """``message`` as ``sender`` could send it to execution replica
+    ``node``: a batch ordered for the node's shard, shares made by their
+    sender over their own payload, its own name in its ``replica`` field."""
+    source = system.shard_execution_nodes[
+        next(shard for shard, ids in enumerate(system.shard_execution_ids)
+             if sender in ids)][0] if sender in system.execution_ids else None
+    if isinstance(message, OrderedBatch):
+        return _ordered(system, node.shard)
+    if isinstance(message, BatchTransfer):
+        return BatchTransfer(batch=_ordered(system, node.shard), replica=sender)
+    if isinstance(message, RequestEnvelope):
+        return RequestEnvelope(certificate=_request(system))
+    if isinstance(message, ExecCheckpointShare):
+        signer = system.shard_execution_nodes[node.shard][
+            node.execution_ids.index(sender)]
+        return dataclasses.replace(
+            message, replica=sender, authenticator=signer.crypto.mac_authenticator(
+                checkpoint_payload(message.seq, message.state_digest),
+                node.execution_ids))
+    if isinstance(message, CrossShardVote):
+        signer = next(peer for cluster in system.shard_execution_nodes
+                      for peer in cluster if peer.node_id == sender)
+        payload = vote_payload(message.client, message.timestamp, signer.shard,
+                               message.epoch, message.observed)
+        return dataclasses.replace(
+            message, replica=sender, shard=signer.shard,
+            authenticator=signer.crypto.mac_authenticator(
+                payload, system.execution_ids))
+    changes = {"replica": sender} if hasattr(message, "replica") else {}
+    if hasattr(message, "target_shard"):
+        changes["target_shard"] = node.shard
+    if hasattr(message, "source_shard") and source is not None:
+        changes["source_shard"] = source.shard
+    return dataclasses.replace(message, **changes)
+
+
+@st.composite
+def _execution_deliveries(draw):
+    """``(system, sender, node, message)``: a fresh one- or two-shard
+    system, an execution replica of it, and one golden message it takes,
+    from the peer that sends it and changed in one field."""
+    shards = draw(st.sampled_from([1, 2]))
+    system = _build(shards, seed=31)
+    node = draw(st.sampled_from([node for cluster in system.shard_execution_nodes
+                                 for node in cluster]))
+    name = draw(st.sampled_from(EXECUTION_MESSAGES))
+    if name in ("OrderedBatch", "RequestEnvelope"):
+        senders = system.log_agreement_ids[0]
+    elif name in ("RangeHandoff", "RangeFetch", "CrossShardVote",
+                  "CrossShardVoteFetch") and shards > 1:
+        senders = system.shard_execution_ids[1 - node.shard]
+    else:
+        senders = [peer for peer in node.execution_ids if peer != node.node_id]
+    sender = draw(st.sampled_from(senders))
+    message = _aligned_for(_decoded(name), system, node, sender)
+    _mutate(message, system, draw)
+    return system, sender, node, _on_the_wire(sender, message)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_execution_deliveries())
+def test_execution_handlers_never_raise(delivery):
+    system, sender, node, message = delivery
+    node.deliver(sender, message, message.wire_size())
     system.run(200.0)

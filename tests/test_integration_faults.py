@@ -28,7 +28,7 @@ from repro.faults import (
     LyingReplyBehaviour,
     make_byzantine,
 )
-from repro.messages.agreement import Prepare
+from repro.messages.agreement import Prepare, PreparedProof, ViewChange
 from repro.messages.reply import BatchReply, BatchReplyBody, ClientReply, ReplyBody
 from repro.messages.request import RequestEnvelope
 from repro.net.network import DROP
@@ -118,6 +118,37 @@ class TestViewChangeDefences:
         replica._note_deposed(replica.primary_of(1), 0)
         assert replica.next_view_target(0) == 2
         assert replica.primaries_deposed == 1
+
+    def test_a_far_prepared_proof_costs_the_new_primary_nothing(self, config):
+        """Two aligned VIEW-CHANGE votes for view 1 reach its primary, one
+        with a proof at seq 100,000: a correct replica prepares only inside
+        its watermarks, so that vote is dropped -- the primary builds no
+        null batch for the numbers below it -- and the view change completes
+        on the correct votes."""
+        system = SeparatedSystem(config, CounterService, seed=35)
+        system.invoke(increment(1))
+        ids, primary = system.agreement_ids, system.agreement_replicas[1]
+        stable = primary.log.stable_seq
+        far = PreparedProof(view=0, seq=100_000,
+                            batch_digest=primary.crypto.batch_digest(()),
+                            requests=(), nondet=system.agreement_replicas[0]
+                            .nondet.propose(system.now, seed=b"far"))
+
+        def vote(index, prepared=()):
+            return ViewChange(new_view=1, last_stable_seq=stable,
+                              prepared=prepared, replica=ids[index])
+
+        for sender, message in ((ids[3], vote(3, (far,))), (ids[2], vote(2))):
+            primary.deliver(sender, message, message.wire_size())
+        system.run(1.0)
+        assert set(primary._view_change_votes[1]) == {ids[2]}
+        primary.deliver(ids[0], vote(0), vote(0).wire_size())
+        system.run(50.0)
+        assert primary.view == 1
+        assert primary.log.last_delivered_seq < 100
+        assert primary.log.size() < 100
+        assert system.invoke(increment(1)).result.value == 2
+        assert all(replica.view == 1 for replica in system.agreement_replicas)
 
     def test_deposed_skip_is_bounded_to_one_rotation(self, config):
         """If every candidate in the rotation was recently deposed,
@@ -209,6 +240,15 @@ class TestForgedReplies:
         system.network.remove_tap(hold_back)
         system.run_until(lambda: len(client.completed) == 2, 5_000.0)
         assert client.completed[-1].result.value["value"] == "genuine"
+
+
+def _assembled(queue, seq, payload) -> bool:
+    """Whether ``queue`` completed a reply certificate over ``payload`` for
+    slot ``seq`` of the one shard: a collector entry maps to None once its
+    certificate was returned."""
+    table = queue._shard_collectors[0]
+    key = (seq, queue.crypto.payload_digest(payload))
+    return key in table and table[key] is None
 
 
 class TestLivenessWithoutTheRelay:
@@ -402,7 +442,7 @@ class TestLivenessWithoutTheRelay:
         system.run(30.0)
         assert all(node.max_executed == 1 for node in nodes)
         for queue in system.message_queues:
-            assert queue.highest_reply_seq == 0 and 1 in queue.pending_sends
+            assert queue.highest_reply_seq == 0 and (0, 1) in queue.shard_pending
 
     def test_no_queue_caches_on_the_fault_free_path(self, config):
         """Every queue assembles the bodiless form: it retires pending
@@ -416,7 +456,7 @@ class TestLivenessWithoutTheRelay:
         for queue in system.message_queues:
             assert queue.cache == {} and queue.replies_forwarded == 0
             assert queue.highest_reply_seq == 3
-            assert queue.pending_sends == {}
+            assert queue.shard_pending == {}
         # A complete certificate is cached and relayed; a bodiless one
         # handed to the same queue displaces nothing.
         primary = system.message_queues[0]
@@ -479,7 +519,7 @@ class TestLivenessWithoutTheRelay:
             == [1, 1, 1]
         assert system.message_queues[0].certificates_relayed == 0
         system.run(200.0)
-        assert all(queue.highest_reply_seq == 1 and queue.pending_sends == {}
+        assert all(queue.highest_reply_seq == 1 and queue.shard_pending == {}
                    for queue in system.message_queues[1:])
         values = [system.invoke(increment(1), timeout_ms=5_000.0).result.value
                   for _ in range(3)]
@@ -490,7 +530,7 @@ class TestLivenessWithoutTheRelay:
         assert new_primary.view > 0
         system.run(50.0)
         assert queue.highest_reply_seq == new_primary.log.last_delivered_seq >= 4
-        assert queue.pending_sends == {} and queue.certificates_relayed >= 3
+        assert queue.shard_pending == {} and queue.certificates_relayed >= 3
 
     def test_a_replayed_request_yields_only_what_the_table_holds(self, config):
         """A Byzantine agreement node replaying a client's signed requests
@@ -601,7 +641,7 @@ class TestTheRelayedReplyCertificate:
         primary, *backups = system.message_queues
         assert primary.certificates_relayed == 3
         for queue in system.message_queues:
-            assert queue.highest_reply_seq == 3 and queue.pending_sends == {}
+            assert queue.highest_reply_seq == 3 and queue.shard_pending == {}
             assert queue.retransmissions == 0
             assert queue.crypto.dropped_authenticators == 0
 
@@ -624,7 +664,7 @@ class TestTheRelayedReplyCertificate:
         system.run(500.0)
         assert sorted(set(withheld)) == system.agreement_ids[1:]
         for queue in system.message_queues[1:]:
-            assert queue.highest_reply_seq == 3 and queue.pending_sends == {}
+            assert queue.highest_reply_seq == 3 and queue.shard_pending == {}
             assert queue.retransmissions >= 1
         assert system.message_queues[0].retransmissions == 0
 
@@ -651,7 +691,7 @@ class TestTheRelayedReplyCertificate:
         assert sorted(forged) == system.agreement_ids[1:]
         assert system.message_queues[0].highest_reply_seq == 1
         for queue in system.message_queues[1:]:
-            assert queue.highest_reply_seq == 0 and 1 in queue.pending_sends
+            assert queue.highest_reply_seq == 0 and (0, 1) in queue.shard_pending
             assert queue.crypto.dropped_authenticators == config.reply_quorum
         system.run_until(lambda: all(queue.highest_reply_seq == 1
                                      for queue in system.message_queues), 1_000.0)
@@ -677,7 +717,7 @@ class TestTheRelayedReplyCertificate:
             queue.on_batch_reply(replica.node_id, BatchReply(
                 seq=5, sender=replica.node_id,
                 certificate=whole.addressed_to((queue.owner.node_id,))))
-        assert queue.highest_reply_seq == 5
+        assert _assembled(queue, 5, body.view_for(None))
         assert queue.certificates_relayed == relayed and sent == []
 
     def test_a_whole_certificate_with_junk_beside_it_relays_nothing(self, config):
@@ -703,7 +743,7 @@ class TestTheRelayedReplyCertificate:
             certificate.authenticators[node.node_id], signer=junk, token=b"junk")
         queue.on_batch_reply(system.agreement_ids[1], BatchReply(
             seq=6, sender=system.agreement_ids[1], certificate=certificate))
-        assert queue.highest_reply_seq == 6
+        assert _assembled(queue, 6, body.view_for(None))
         assert queue.certificates_relayed == relayed
 
 
@@ -767,7 +807,7 @@ class TestMalformedAuthenticators:
         config = make_config(authentication=AuthenticationScheme.THRESHOLD)
         system = SeparatedSystem(config, CounterService, seed=9)
         queue = system.message_queues[0]
-        body = BatchReplyBody(view=0, seq=1, replies=(ReplyBody(
+        body = BatchReplyBody(view=0, seq=1, shard=0, epoch=0, replies=(ReplyBody(
             view=0, seq=1, timestamp=1, client=system.clients[0].node_id,
             result=OperationResult(value=1)),))
         for node, named in zip(system.execution_nodes,
@@ -777,7 +817,7 @@ class TestMalformedAuthenticators:
             certificate.add(node.crypto.threshold_share(body, system.threshold_group))
             queue.on_batch_reply(node.node_id, BatchReply(
                 seq=1, certificate=certificate, sender=node.node_id))
-        assert queue.highest_reply_seq == 1
+        assert _assembled(queue, 1, body)
 
 class TestLossyNetwork:
     def test_progress_over_lossy_links(self):

@@ -172,7 +172,7 @@ class TestSeparatedSafety:
             ReplyBody(view=0, seq=1, timestamp=1, client=client.node_id,
                       result=OperationResult(value=index))
             for index, client in enumerate(system.clients))
-        body = BatchReplyBody(view=0, seq=1, replies=replies)
+        body = BatchReplyBody(view=0, seq=1, replies=replies, shard=0, epoch=0)
         for payload in (body.view_for(system.clients[0].node_id), "garbage",
                         body, body.view_for(None)):
             queue.on_batch_reply(sender, BatchReply(
@@ -180,8 +180,8 @@ class TestSeparatedSafety:
                 certificate=Certificate(payload=payload,
                                         scheme=AuthenticationScheme.MAC)))
             assert not queue._retries
-        assert len(queue._collectors) == 1
-        ((_, key),) = queue._collectors
+        assert len(queue._shard_collectors[0]) == 1
+        ((_, key),) = queue._shard_collectors[0]
         assert key == wire_digest(body)
 
     def test_pipeline_backpressure_bounds_outstanding_batches(self):
@@ -270,15 +270,21 @@ CENSUS_PER_COMMIT = {
 #: certificate sent downstream names no agreement node.  The replicas send
 #: their bodiless partials to the primary alone, which relays the completed
 #: certificate to each backup (8,261 B while every replica sent every node).
+#: The deployment is the one-shard ShardedSystem: the agreement certificate
+#: names the batch's slot and epoch, and every reply body its shard and
+#: epoch (7,952 B while the paper's deployment had a builder of its own).
 BYTES_PER_COMMIT = {
     "RequestEnvelope": 340,
     "PrePrepare": 1284,
     "Prepare": 522,
     "CommitMsg": 2088,
-    "OrderedBatch": 2070,   # 2,502 while request vectors named the agreement nodes
-    "BatchReply": 1239,     # 1,548 from every replica to every node;
+    "OrderedBatch": 2157,   # 2,070 before the certificate named the route;
+                            # 2,502 while request vectors named the agreement nodes
+    "BatchReply": 1335,     # 1,239 before the body named the shard;
+                            # 1,548 from every replica to every node;
                             # 3,276 while each carried the whole vector
-    "ClientReply": 409,     # 841 while each carried the whole vector
+    "ClientReply": 457,     # 409 before the body named the shard;
+                            # 841 while each carried the whole vector
 }
 
 
@@ -307,9 +313,10 @@ LARGE_BYTES_PER_COMMIT = {
     "PrePrepare": 13515.75,
     "Prepare": 65.25,
     "CommitMsg": 261,
-    "OrderedBatch": 13236,
-    "BatchReply": 349.125,  # 582 from every replica to every node
-    "ClientReply": 9424,
+    "OrderedBatch": 13246.875,  # 13,236 before the certificate named the route
+    "BatchReply": 361.125,  # 349.125 before the body named the shard;
+                            # 582 from every replica to every node
+    "ClientReply": 9472,    # 9,424 before the body named the shard
 }
 
 
@@ -334,7 +341,8 @@ class TestMessageCensus:
         assert sum(CENSUS_PER_COMMIT.values()) == 37   # 43 before the relay
         assert {name: (total - type_bytes_before.get(name, 0)) / commits
                 for name, total in stats.bytes_per_type.items()} == BYTES_PER_COMMIT
-        assert sum(BYTES_PER_COMMIT.values()) == 7_952   # 8,261 before the relay
+        # 7,952 before the route and the shard; 8,261 before the relay
+        assert sum(BYTES_PER_COMMIT.values()) == 8_183
         # bytes are kept beside the counts, and the snapshot exposes both
         assert set(stats.bytes_per_type) == set(stats.per_type)
         assert sum(stats.bytes_per_type.values()) == stats.bytes_sent > bytes_before
@@ -379,7 +387,8 @@ class TestMessageCensus:
                 for name, count in stats.per_type.items()} == LARGE_CENSUS_PER_COMMIT
         assert {name: (total - bytes_before.get(name, 0)) / commits
                 for name, total in stats.bytes_per_type.items()} == LARGE_BYTES_PER_COMMIT
-        assert sum(LARGE_BYTES_PER_COMMIT.values()) == 41_347.125   # 41,580 before
+        # 41,347.125 before the route and the shard; 41,580 before the relay
+        assert sum(LARGE_BYTES_PER_COMMIT.values()) == 41_418
         assert len(carried) == commits
         assert all(frames == ["ClientReply"] * (config.g + 1)
                    for frames in carried.values())

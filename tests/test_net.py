@@ -10,6 +10,7 @@ from repro.net.faults import LinkFault, NetworkFaultModel, PerfectNetworkFaults
 from repro.net.message import CorruptedMessage, Message
 from repro.net.network import Network
 from repro.net.topology import Topology
+from repro.sharding.system import sharded_topology
 from repro.sim.process import Process
 from repro.sim.rand import DeterministicRandom
 from repro.sim.scheduler import Scheduler
@@ -73,15 +74,20 @@ class TestTopology:
         # Execution nodes talk among themselves (state transfer).
         assert topo.allows(execution[0], execution[2])
 
-    def test_separate_clusters_topology(self):
+    def test_one_cluster_topology(self):
+        """The paper's deployment wired as the one-shard sharded one:
+        clients reach both clusters (execution replicas answer them
+        directly), agreement reaches execution, and each cluster is a
+        clique."""
         clients = [client_id(0)]
         agreement = [agreement_id(i) for i in range(4)]
         execution = [execution_id(i) for i in range(3)]
-        topo = Topology.separate_clusters(clients, agreement, execution,
-                                          allow_client_execution=False)
+        topo = sharded_topology(clients, agreement, [execution])
         assert topo.allows(clients[0], agreement[0])
         assert topo.allows(agreement[0], execution[0])
-        assert not topo.allows(clients[0], execution[0])
+        assert topo.allows(execution[2], clients[0])
+        assert topo.allows(execution[0], execution[1])
+        assert not topo.allows(clients[0], firewall_id(0, 0))
 
     def test_neighbours(self):
         topo = Topology(fully_connected=False)

@@ -515,9 +515,9 @@ class TestCutCheckpoint:
             def recording(seq, node=node, original=node._take_checkpoint):
                 taken.append((seq, node.max_executed))
                 original(seq)
-                if seq in node.checkpoints:
+                if seq in node.checkpoints.taken:
                     digests.setdefault(seq, {})[node.node_id] = \
-                        node.checkpoints[seq].digest
+                        node.checkpoints.taken[seq].digest
             node._take_checkpoint = recording
         installed_before_marker = []
         original_execute = slow.handoffs.execute

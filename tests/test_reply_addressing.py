@@ -4,7 +4,7 @@ A MAC vector on the wire carries the entry of the node that receives the
 frame and of the nodes that node relays it to, and nothing else
 (``Certificate.addressed_to``).  Both ends that assemble execution
 replicas' partial reply certificates -- an agreement node's message queue
-(``MessageQueue.on_batch_reply``) and the client (``ClientNode.handle_reply``)
+(``ShardRouterQueue.on_batch_reply``) and the client (``ClientNode.handle_reply``)
 -- hold senders to it: a partial whose authenticator is not addressed to
 the receiver is dropped and counted in the receiver's
 ``crypto.dropped_authenticators``, and never raises.  The primary of the
@@ -33,6 +33,8 @@ from repro.statemachine.interface import OperationResult
 JUNK = ("lacking", "others", "extra", "empty", "scheme")
 
 _SYSTEMS = {}
+#: the last slot fed by hand, per ``g``: each example takes a fresh one
+_SLOTS = {}
 
 
 def _system(g):
@@ -85,14 +87,14 @@ def test_partials_not_addressed_here_are_dropped_and_counted(deliveries):
     nodes = system.execution_nodes
     client, other_client = system.clients[0], system.clients[1]
     queue = system.message_queues[receiver == "backup"]
-    seq = queue.highest_reply_seq + 1   # a slot no earlier example assembled
+    seq = _SLOTS[g] = _SLOTS.get(g, 0) + 1   # a slot no earlier example fed
     timestamp = client.submit(get("k")) if receiver == "client" else 1
 
     def reply(value, who, stamp):
         return ReplyBody(view=0, seq=seq, timestamp=stamp, client=who.node_id,
                          result=OperationResult(value=value))
 
-    body = BatchReplyBody(view=0, seq=seq, replies=(
+    body = BatchReplyBody(view=0, seq=seq, shard=0, epoch=0, replies=(
         reply("genuine", client, timestamp), reply("sibling", other_client, 1)))
     if receiver != "client":
         here, crypto, payload = queue.owner.node_id, queue.crypto, body.view_for(None)
@@ -105,7 +107,10 @@ def test_partials_not_addressed_here_are_dropped_and_counted(deliveries):
                 seq=seq, certificate=certificate, sender=node.node_id))
 
         def completed():
-            return queue.highest_reply_seq == seq
+            # a collector entry maps to None once its certificate returned
+            table = queue._shard_collectors[0]
+            key = (seq, crypto.payload_digest(payload))
+            return key in table and table[key] is None
     else:
         here, crypto = client.node_id, client.crypto
         payload, other = body.view_for(client.node_id), system.agreement_ids[0]

@@ -1,39 +1,31 @@
-"""What the two agreement-side queues share, and what they do not.
+"""The one agreement-side queue, and its one backoff policy.
 
-:class:`~repro.core.message_queue.MessageQueue` and
-:class:`~repro.sharding.queue.ShardRouterQueue` send, retransmit and
-forward through one set of helpers on
-:class:`~repro.core.message_queue.QueueCore`; the router queue is *not* a
-message queue, so nothing of the unsharded wire protocol leaks into it.
-It is the one queue of the sharded deployment for any number of logs:
-nothing subclasses it.
+:class:`~repro.sharding.queue.ShardRouterQueue` sends, retransmits and
+forwards through the helpers on :class:`~repro.core.message_queue.QueueCore`.
+It is the queue of every deployment -- the paper's one shard, any number of
+shards and logs (``tests/test_structure.py`` pins that nothing subclasses
+it).
 """
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
 import pytest
 
-import repro
 from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.agreement.local import RetryOutcome
 from repro.apps.kvstore import KeyValueStore, put, transaction
 from repro.config import (AuthenticationScheme, CrossShardConfig,
                           RebalanceConfig, SystemConfig)
 from repro.core import SeparatedSystem
-from repro.core.message_queue import MessageQueue, QueueCore
+from repro.core.message_queue import QueueCore
 from repro.messages.request import ClientRequest
 from repro.net.network import DROP
-from repro.multilog.queue import MultiLogRouterQueue
 from repro.sharding import MapChange, ShardedSystem
 from repro.sharding.queue import ShardRouterQueue
 from repro.workloads import equal_range_boundaries
 from repro.workloads.crossshard import audit_key
 from repro.workloads.skew import skew_key
 
-SRC = Path(repro.__file__).resolve().parent
 KEY_SPACE = 64
 
 
@@ -48,46 +40,6 @@ def sharded_system(num_logs=1, num_shards=2, seed=61, **overrides):
     return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
-def unsharded_members():
-    """The members a live :class:`MessageQueue` has that
-    :class:`QueueCore` does not (the primary-first rule,
-    ``_owner_is_primary``, is shared: both queues send a batch's body from
-    the primary only)."""
-    queue = SeparatedSystem(make_config(), KeyValueStore,
-                            seed=60).message_queues[0]
-    core_class = type("Core", (QueueCore,), {
-        name: lambda *args: None for name in QueueCore.__abstractmethods__})
-    core = core_class(queue.owner, queue.config, queue.client_ids)
-    return sorted(set(dir(queue)) - set(dir(core)))
-
-
-class TestRouterQueueIsNotAMessageQueue:
-    @pytest.mark.parametrize("num_logs", [1, 2])
-    def test_router_queue_has_no_unsharded_members(self, num_logs):
-        system = sharded_system(num_logs=num_logs, num_shards=2)
-        queue = system.message_queues[0]
-        assert type(queue) is ShardRouterQueue
-        assert not isinstance(queue, MessageQueue)
-        members = unsharded_members()
-        assert {"pending_sends", "downstream",
-                "_on_retransmit_timeout"} <= set(members)
-        assert [name for name in members if hasattr(queue, name)] == []
-
-
-def test_nothing_under_src_subclasses_the_router_queue():
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef) and any(
-                    ast.unparse(base).split(".")[-1] in ("ShardRouterQueue",
-                                                         "MultiLogRouterQueue")
-                    for base in node.bases):
-                offenders.append(f"{path.relative_to(SRC)}:{node.lineno} "
-                                 f"{node.name}")
-    assert offenders == []
-    assert MultiLogRouterQueue is ShardRouterQueue
-
-
 # ---------------------------------------------------------------------- #
 # One backoff policy: resend, count, double the timeout, re-arm.
 # ---------------------------------------------------------------------- #
@@ -96,7 +48,7 @@ def test_nothing_under_src_subclasses_the_router_queue():
 def _separated():
     system = SeparatedSystem(make_config(), KeyValueStore, seed=62)
     stalled = system.execution_nodes[:2]  # g + 1: no reply quorum
-    return (system, put("k", "v"), lambda queue: queue.pending_sends, stalled)
+    return (system, put("k", "v"), lambda queue: queue.shard_pending, stalled)
 
 
 def _one_log():
@@ -123,7 +75,7 @@ def _two_logs():
 
 class TestRetransmitBackoff:
     @pytest.mark.parametrize("build, queue_class", [
-        (_separated, MessageQueue), (_one_log, ShardRouterQueue),
+        (_separated, ShardRouterQueue), (_one_log, ShardRouterQueue),
         (_two_logs, ShardRouterQueue)])
     def test_resend_doubles_the_timeout_until_the_answer_cancels_it(
             self, build, queue_class):

@@ -24,10 +24,12 @@ from conftest import CHEAP_CRYPTO, FAST_TIMERS, make_config
 from repro.apps.counter import CounterService, increment, read_counter
 from repro.apps.kvstore import (KeyValueStore, delete, get, multi_get, put,
                                 transaction)
-from repro.config import CrossShardConfig, RuntimeConfig, SystemConfig, TimerConfig
+from repro.config import (AuthenticationScheme, CrossShardConfig, RuntimeConfig,
+                          SystemConfig, TimerConfig)
 from repro.core.system import SeparatedSystem
 from repro.errors import ConfigurationError, LivenessTimeoutError, SimulationError
 from repro.messages.reply import ClientReply
+from repro.messages.request import EncryptedBody, RequestEnvelope
 from repro.net.codec import default_codec
 from repro.net.message import Message
 from repro.net.network import DROP
@@ -206,6 +208,33 @@ class TestBackendParity:
             assert stats.census()["ClientReply"]["sends"] == 3
         finally:
             system.close()
+
+    def test_the_firewall_over_real_sockets(self):
+        """The paper's confidential deployment on the asyncio backend: the
+        client encrypts its request, it crosses the filter array both ways
+        (each filter re-checks the certificates, the top row assembles the
+        threshold-signed reply), and the reply decrypts to the result the
+        simulator gives."""
+        results = {}
+        for backend in ("sim", "asyncio"):
+            system = SeparatedSystem(make_config(
+                authentication=AuthenticationScheme.THRESHOLD,
+                use_privacy_firewall=True, timers=WALL_CLOCK_TIMERS,
+                runtime=_runtime_config(backend)), KeyValueStore, seed=17)
+            sealed = []
+            system.network.add_tap(lambda source, destination, message: sealed.append(
+                isinstance(message.certificate.payload.operation, EncryptedBody))
+                if isinstance(message, RequestEnvelope) else None)
+            try:
+                results[backend] = [system.invoke(operation, timeout_ms=30_000).result
+                                    for operation in (put("k", "secret"), get("k"))]
+                assert sealed and all(sealed)
+                assert all(node.requests_forwarded and node.replies_forwarded
+                           for node in system.firewall.rows[-1])
+            finally:
+                system.close()
+        assert results["asyncio"] == results["sim"]
+        assert results["sim"][1].value == {"value": "secret", "found": True}
 
     def test_close_right_after_first_commit_leaves_no_pending_task(self, caplog):
         """Connections accepted but not yet served when ``close()`` comes --

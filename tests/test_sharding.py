@@ -526,10 +526,10 @@ class TestPerShardFaultTolerance:
                        if node.node_id != system.execution_ids[0]]
             digests = set()
             for node in correct:
-                assert node.stable_checkpoint is not None
-                assert node.stable_checkpoint.seq >= 4
-                assert node.stable_checkpoint.proof.count() >= config.checkpoint_quorum
-                digests.add((node.stable_checkpoint.seq, node.stable_checkpoint.digest))
+                assert node.checkpoints.stable is not None
+                assert node.checkpoints.stable.seq >= 4
+                assert node.checkpoints.stable.proof.count() >= config.checkpoint_quorum
+                digests.add((node.checkpoints.stable.seq, node.checkpoints.stable.digest))
             # g + 1 correct replicas of one shard agree on the checkpoint.
             assert len({digest for _, digest in digests}) == 1
 

@@ -13,11 +13,17 @@ quorum collector does not come back.
 Each routing rule has one home, ``sharding/router.py``: what a batch is
 and what each shard owns of it is asked of the router, never re-derived
 from the batch's shape or the request's keys elsewhere.
+
+There is one deployment: the paper's separated system is the one-shard
+``ShardedSystem``, nothing subclasses its execution replica or its router
+queue, and the old names the frozen performance ledger resolves are the
+classes themselves.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -27,7 +33,8 @@ from repro.apps.kvstore import KeyValueStore, multi_get, put
 from repro.config import AuthenticationScheme, CrossShardConfig, ShardingConfig
 from repro.core import SeparatedSystem
 from repro.crypto.certificate import Certificate
-from repro.sharding import ShardedSystem
+from repro.sharding import ExecutionNode, ShardedSystem
+from repro.sharding.queue import ShardRouterQueue
 
 SRC = Path(repro.__file__).resolve().parent
 MAX_CLASS_LINES = 600
@@ -146,3 +153,40 @@ def test_every_routing_rule_has_one_home():
             if name in ROUTING_RULES:
                 elsewhere.add(f"{path}:{name}")
     assert sorted(elsewhere) == []
+
+
+def test_the_separated_system_is_the_one_shard_sharded_system():
+    system = SeparatedSystem(make_config(), KeyValueStore, seed=1)
+    assert isinstance(system, ShardedSystem)
+    assert (system.num_shards, system.num_logs) == (1, 1)
+    assert system.execution_nodes == system.shard_execution_nodes[0]
+    assert [type(node) for node in system.execution_nodes] == [ExecutionNode] * 3
+    assert {type(queue) for queue in system.message_queues} == {ShardRouterQueue}
+
+
+def test_nothing_subclasses_the_execution_replica_or_the_router_queue():
+    bases = {"ExecutionNode", "ShardExecutionNode", "ShardRouterQueue",
+             "MultiLogRouterQueue", "MessageQueue"}
+    offenders = [f"{path}:{node.lineno} {node.name}"
+                 for path, tree in modules() for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and any(
+                     ast.unparse(base).split(".")[-1] in bases
+                     for base in node.bases)]
+    assert offenders == []
+
+
+#: (module, old name) the frozen ledger (benchmarks/ledger/spans.py,
+#: workloads.py) resolves -> the class it stands for
+LEDGER_ALIASES = {
+    ("repro.core.message_queue", "MessageQueue"): ShardRouterQueue,
+    ("repro.multilog.queue", "MultiLogRouterQueue"): ShardRouterQueue,
+    ("repro.core.execution", "ExecutionNode"): ExecutionNode,
+    ("repro.sharding.execution", "ShardExecutionNode"): ExecutionNode,
+    ("repro.core.system", "SeparatedSystem"): SeparatedSystem,
+    ("repro.multilog", "MultiLogSystem"): ShardedSystem,
+}
+
+
+def test_each_ledger_alias_is_the_class_it_names():
+    for (module, name), cls in LEDGER_ALIASES.items():
+        assert getattr(importlib.import_module(module), name) is cls
